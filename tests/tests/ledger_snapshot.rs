@@ -1,0 +1,111 @@
+//! The simulated ledger, pinned digit for digit. For the 22 TPC-H queries
+//! at SF 0.01 under the default engine, fusion off, serialized pipeline
+//! scheduling, and device memory at ⅛ of the table bytes, the per-category
+//! nanoseconds, their total, and the morsel-scheduler counters must equal
+//! the committed snapshot exactly. The other suites prove runs agree with
+//! *each other* (`trace_reconciliation`: replay == breakdown; the
+//! equivalence suites: same result tables); nothing else pins absolute
+//! ledger values, and the benchmark never runs the fusion-off or
+//! serialized paths.
+//!
+//! After an intended cost-model change, regenerate with
+//! `cargo test -p sirius-integration --test ledger_snapshot -- --ignored`.
+
+use sirius_core::{FusionConfig, Scheduling, SiriusEngine};
+use sirius_duckdb::DuckDb;
+use sirius_hw::{catalog, CostCategory, Link};
+use sirius_tpch::{queries, TpchData, TpchGenerator};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+const SF: f64 = 0.01;
+const WORKERS: usize = 2;
+/// Cuts SF 0.01 lineitem (~60k rows) into four morsels.
+const MORSEL_ROWS: usize = 16_384;
+
+fn snapshot_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("snapshots/ledger_sf0.01.txt")
+}
+
+fn engine(data: &TpchData, device_bytes: u64) -> SiriusEngine {
+    let mut spec = catalog::gh200_gpu();
+    spec.memory_bytes = device_bytes;
+    let e = SiriusEngine::with_link(spec, Link::new(catalog::nvlink_c2c()), WORKERS)
+        .with_morsel_rows(MORSEL_ROWS);
+    for (name, table) in data.tables() {
+        e.load_table(name.clone(), table);
+    }
+    e
+}
+
+/// One line per (configuration, query): every category's nanoseconds, the
+/// total, and the scheduler counters, as deltas over the query.
+fn render() -> String {
+    let data = TpchGenerator::new(SF).generate();
+    let table_bytes: u64 = data
+        .tables()
+        .iter()
+        .map(|(_, t)| t.byte_size() as u64)
+        .sum();
+    let mut duck = DuckDb::new();
+    for (name, table) in data.tables() {
+        duck.create_table(name.clone(), table.clone());
+    }
+    let full = catalog::gh200_gpu().memory_bytes;
+    let configs: [(&str, SiriusEngine); 4] = [
+        ("default", engine(&data, full)),
+        (
+            "fusion_off",
+            engine(&data, full).with_fusion(FusionConfig::disabled()),
+        ),
+        (
+            "serialized",
+            engine(&data, full).with_pipeline_scheduling(Scheduling::Serialized),
+        ),
+        ("memory_eighth", engine(&data, (table_bytes / 8).max(4096))),
+    ];
+    let mut out = String::new();
+    for (name, e) in &configs {
+        for (id, sql) in queries::all() {
+            let plan = duck.plan(sql).unwrap_or_else(|err| panic!("Q{id}: {err}"));
+            let ledger0 = e.device().breakdown();
+            let stats0 = e.morsel_stats();
+            e.execute(&plan)
+                .unwrap_or_else(|err| panic!("{name} Q{id}: {err}"));
+            let ledger = e.device().breakdown().since(&ledger0);
+            let stats = e.morsel_stats().since(&stats0);
+            write!(out, "{name} Q{id}").unwrap();
+            for c in CostCategory::ALL {
+                write!(out, " {}={}", c.label(), ledger.get(c).as_nanos()).unwrap();
+            }
+            writeln!(
+                out,
+                " total={} morsels={} tasks={} pipelines_run={}",
+                ledger.total().as_nanos(),
+                stats.morsels,
+                stats.tasks,
+                stats.pipelines_run
+            )
+            .unwrap();
+        }
+    }
+    out
+}
+
+#[test]
+fn ledger_matches_committed_snapshot() {
+    let path = snapshot_path();
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let got = render();
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "ledger drifted at snapshot line {}", n + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "line count");
+}
+
+#[test]
+#[ignore = "rewrites the committed snapshot"]
+fn regenerate_snapshot() {
+    std::fs::write(snapshot_path(), render()).unwrap();
+}
