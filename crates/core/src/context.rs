@@ -50,22 +50,20 @@ impl SiriusContext {
         let before = self.engine.device().breakdown();
         let stats_before = self.engine.morsel_stats();
         let spill_before = self.engine.spill_stats();
-        match self.engine.execute(plan) {
-            Ok(table) => {
-                let after = self.engine.device().breakdown();
-                let delta = after.since(&before);
+        let workers = self.engine.workers();
+        match self.engine.execute_counted(plan) {
+            Ok((table, pipelines)) => {
+                let delta = self.engine.device().breakdown().since(&before);
                 let stats = self.engine.morsel_stats().since(&stats_before);
                 let spill = self.engine.spill_stats().since(&spill_before);
                 let pool = self.engine.buffer_manager().regions().processing().stats();
                 let report = QueryReport {
-                    engine: "sirius".into(),
                     rows: table.num_rows(),
                     elapsed: delta.total(),
                     breakdown: delta,
-                    pipelines: self.engine.pipeline_count(plan),
+                    pipelines,
                     morsels: stats.morsels,
                     tasks: stats.tasks,
-                    workers: self.engine.workers(),
                     worker_utilization: stats.worker_utilization(),
                     spilled_pinned_bytes: spill.bytes_to_pinned,
                     spilled_disk_bytes: spill.bytes_to_disk,
@@ -73,8 +71,7 @@ impl SiriusContext {
                     spill_depth: spill.max_depth,
                     pool_high_watermark: pool.high_watermark,
                     pool_fragmentation: pool.fragmentation(),
-                    fallback_reason: None,
-                    recovery: Default::default(),
+                    ..QueryReport::zeroed("sirius", workers)
                 };
                 Ok((table, report))
             }
@@ -82,23 +79,9 @@ impl SiriusContext {
                 let host = self.host.as_ref().ok_or_else(|| e.clone())?;
                 let table = host.execute_host(plan).map_err(SiriusError::Kernel)?;
                 let report = QueryReport {
-                    engine: host.name().to_string(),
                     rows: table.num_rows(),
-                    elapsed: std::time::Duration::ZERO,
-                    breakdown: Default::default(),
-                    pipelines: self.engine.pipeline_count(plan),
-                    morsels: 0,
-                    tasks: 0,
-                    workers: self.engine.workers(),
-                    worker_utilization: 0.0,
-                    spilled_pinned_bytes: 0,
-                    spilled_disk_bytes: 0,
-                    spill_partitions: 0,
-                    spill_depth: 0,
-                    pool_high_watermark: 0,
-                    pool_fragmentation: 0.0,
                     fallback_reason: Some(e.to_string()),
-                    recovery: Default::default(),
+                    ..QueryReport::zeroed(host.name(), workers)
                 };
                 Ok((table, report))
             }

@@ -26,7 +26,9 @@ use crate::{Result, SiriusError};
 use parking_lot::Mutex;
 use sirius_columnar::Table;
 use sirius_cudf::GpuContext;
-use sirius_hw::{catalog, CostCategory, Device, DeviceSpec, Link, TraceConfig, TraceSink};
+use sirius_hw::{
+    catalog, CostCategory, Device, DeviceSpec, FaultSite, Link, TraceConfig, TraceSink,
+};
 use sirius_plan::validate::FeatureSet;
 use sirius_plan::visit::Node;
 use sirius_plan::Rel;
@@ -358,38 +360,31 @@ impl SiriusEngine {
     /// classes are candidates for host fallback (handled by
     /// [`crate::SiriusContext`]).
     pub fn execute(&self, plan: &Rel) -> Result<Table> {
+        Ok(self.execute_counted(plan)?.0)
+    }
+
+    /// [`Self::execute`], also returning how many pipelines the run had.
+    pub(crate) fn execute_counted(&self, plan: &Rel) -> Result<(Table, usize)> {
         let mut run = self.begin(plan)?;
         while !run.is_done() {
             self.step(&mut run, usize::MAX)?;
         }
-        Ok(run.into_table().expect("completed run has its root result"))
+        let pipelines = run.pipelines();
+        let table = run.into_table().expect("completed run has its root result");
+        Ok((table, pipelines))
     }
 
-    /// Start a query without driving it to completion: validate, compile
-    /// into the pipeline DAG, fuse, and charge the per-pipeline dispatch
-    /// overhead — returning a [`QueryRun`] that [`Self::step`] advances
-    /// one dependency wave at a time. [`Self::execute`] is exactly
-    /// `begin` + step-to-completion; a multi-query server instead
-    /// round-robins `step` across many in-flight runs.
+    /// Start a query without driving it to completion — exactly
+    /// [`compile_query`](Self::compile_query) then
+    /// [`begin_compiled`](Self::begin_compiled), so validation and compile
+    /// errors come first and an unrunnable plan never consumes an injected
+    /// launch fault. The returned [`QueryRun`] is advanced one dependency
+    /// wave at a time by [`Self::step`]; [`Self::execute`] is `begin` +
+    /// step-to-completion, while a multi-query server round-robins `step`
+    /// across many in-flight runs.
     pub fn begin(&self, plan: &Rel) -> Result<QueryRun> {
-        // Validation errors must win over injected faults (the original
-        // ordering): an unrunnable plan never consumes a fault injection.
-        sirius_plan::validate::validate(plan)?;
-        if let Some(feature) = self.features.first_unsupported(plan) {
-            return Err(SiriusError::Unsupported(feature));
-        }
-        if self
-            .fault
-            .fire(sirius_hw::FaultSite::DeviceLaunch { node: self.node_id })
-            .is_some()
-        {
-            return Err(SiriusError::TransientDevice(format!(
-                "injected kernel-launch failure on node {}",
-                self.node_id
-            )));
-        }
         let compiled = self.compile_query(plan)?;
-        self.start_compiled(&compiled)
+        self.begin_compiled(&compiled)
     }
 
     /// Compile a plan into a shareable, cache-resident [`CompiledQuery`](crate::CompiledQuery):
@@ -411,42 +406,47 @@ impl SiriusEngine {
         let fingerprint = sirius_plan::fingerprint::fingerprint(&phys.root);
         Ok(Arc::new(crate::plan_cache::CompiledQuery {
             fingerprint,
-            phys,
+            phys: Arc::new(phys),
         }))
     }
 
-    /// Start a run from an already-compiled query, skipping
-    /// parse/validate/compile entirely — the plan-cache hit path. Charges
-    /// the same per-pipeline dispatch overhead `begin` does, so cached
-    /// and fresh execution are ledger-identical.
+    /// Start a run from a compiled query — the one way runs start, and the
+    /// plan-cache hit path: nothing is parsed, validated, compiled or
+    /// copied; the run shares the compiled DAG by `Arc`. Each pipeline
+    /// costs one dispatch round trip at the device's own launch overhead on
+    /// the serial lane; per-morsel task dispatches are charged on the
+    /// tasks' streams as the pipelines run.
     pub fn begin_compiled(&self, compiled: &crate::plan_cache::CompiledQuery) -> Result<QueryRun> {
-        if self
-            .fault
-            .fire(sirius_hw::FaultSite::DeviceLaunch { node: self.node_id })
-            .is_some()
-        {
-            return Err(SiriusError::TransientDevice(format!(
-                "injected kernel-launch failure on node {}",
-                self.node_id
-            )));
-        }
-        self.start_compiled(compiled)
-    }
-
-    fn start_compiled(&self, compiled: &crate::plan_cache::CompiledQuery) -> Result<QueryRun> {
-        // Each pipeline costs one dispatch round trip at the device's own
-        // launch overhead on the serial lane; per-morsel task dispatches
-        // are charged on the tasks' streams as the pipelines run.
+        self.fire_device_fault(
+            FaultSite::DeviceLaunch { node: self.node_id },
+            "kernel-launch failure",
+        )?;
+        let pipelines = compiled.phys.pipelines.len() as u64;
         self.device.charge_duration(
             CostCategory::Other,
             Duration::from_nanos(
                 self.device
                     .spec()
                     .launch_overhead_ns
-                    .saturating_mul(compiled.phys.pipelines.len() as u64),
+                    .saturating_mul(pipelines),
             ),
         );
-        Ok(QueryRun::new(compiled.phys.clone(), self.operator_stats()))
+        Ok(QueryRun::new(
+            Arc::clone(&compiled.phys),
+            self.operator_stats(),
+        ))
+    }
+
+    /// Poll the fault injector at `site`; an armed fault surfaces as a
+    /// retryable [`SiriusError::TransientDevice`].
+    pub(crate) fn fire_device_fault(&self, site: FaultSite, what: &str) -> Result<()> {
+        match self.fault.fire(site) {
+            Some(_) => Err(SiriusError::TransientDevice(format!(
+                "injected {what} on node {}",
+                self.node_id
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Per-run operator stats: the engine's accumulated counters minus
@@ -458,11 +458,12 @@ impl SiriusEngine {
         run.stats_since(&self.operator_stats())
     }
 
-    /// Number of pipelines the plan compiles into (the executed DAG's size).
+    /// Number of pipelines the plan compiles into — a projection of
+    /// [`compile_query`](Self::compile_query), so it cannot disagree with
+    /// what runs (0 for a plan this engine cannot run).
     pub fn pipeline_count(&self, plan: &Rel) -> usize {
-        physical::compile(plan)
-            .map(|p| p.pipelines.len())
-            .unwrap_or(0)
+        self.compile_query(plan)
+            .map_or(0, |compiled| compiled.pipeline_count())
     }
 
     pub(crate) fn ctx(&self, category: CostCategory) -> GpuContext {
@@ -1058,6 +1059,40 @@ mod tests {
         let retry = e.execute(&plan).unwrap();
         assert_eq!(retry.num_rows(), 8);
         assert_eq!(broker.outstanding(), 0);
+    }
+
+    /// `begin` is `compile_query` + `begin_compiled`, so plan errors come
+    /// first: an unrunnable plan never consumes an armed launch fault, and
+    /// the fault is still there for the next runnable one.
+    #[test]
+    fn plan_errors_win_over_an_armed_launch_fault() {
+        use sirius_hw::{FaultInjector, FaultPlan};
+        let e = engine_with_data().with_fault(
+            FaultInjector::new(FaultPlan::new(0).transient_device(0, 0, 1)),
+            0,
+        );
+        let invalid = scan().limit(0, Some(0)).build();
+        assert!(matches!(e.begin(&invalid), Err(SiriusError::Plan(_))));
+        assert_eq!(e.fault_injector().injected_count(), 0);
+        let err = e.begin(&scan().build()).err().expect("armed fault fires");
+        assert!(matches!(err, SiriusError::TransientDevice(_)));
+        assert_eq!(e.fault_injector().injected_count(), 1);
+        // Budget spent: the retry starts.
+        assert!(e.begin(&scan().build()).is_ok());
+    }
+
+    /// Starting a run shares the compiled DAG instead of copying it: every
+    /// live run is one more strong reference to the same plan.
+    #[test]
+    fn begin_compiled_shares_the_compiled_plan() {
+        let e = engine_with_data();
+        let compiled = e.compile_query(&scan().build()).unwrap();
+        assert_eq!(Arc::strong_count(&compiled.phys), 1);
+        let first = e.begin_compiled(&compiled).unwrap();
+        let second = e.begin_compiled(&compiled).unwrap();
+        assert_eq!(Arc::strong_count(&compiled.phys), 3);
+        drop((first, second));
+        assert_eq!(Arc::strong_count(&compiled.phys), 1);
     }
 
     /// A grant denial storm steers the victim onto its spill path — the

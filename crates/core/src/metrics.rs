@@ -122,7 +122,8 @@ pub struct QueryReport {
     pub elapsed: Duration,
     /// Per-operator-category attribution.
     pub breakdown: TimeBreakdown,
-    /// Pipelines the plan decomposed into.
+    /// Pipelines of the compiled DAG the GPU run executed (0 when the host
+    /// ran the query instead).
     pub pipelines: usize,
     /// Morsels the pipeline sources were partitioned into.
     pub morsels: u64,
@@ -152,6 +153,31 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
+    /// A report with every counter at zero — what a query that never ran a
+    /// wave reports, and the base the measured reports fill in with
+    /// struct-update syntax.
+    pub fn zeroed(engine: impl Into<String>, workers: usize) -> Self {
+        QueryReport {
+            engine: engine.into(),
+            rows: 0,
+            elapsed: Duration::ZERO,
+            breakdown: TimeBreakdown::default(),
+            pipelines: 0,
+            morsels: 0,
+            tasks: 0,
+            workers,
+            worker_utilization: 0.0,
+            spilled_pinned_bytes: 0,
+            spilled_disk_bytes: 0,
+            spill_partitions: 0,
+            spill_depth: 0,
+            pool_high_watermark: 0,
+            pool_fragmentation: 0.0,
+            fallback_reason: None,
+            recovery: RecoveryStats::default(),
+        }
+    }
+
     /// Fraction of total time in `category`, in `[0, 1]`.
     pub fn share(&self, category: CostCategory) -> f64 {
         let total = self.breakdown.total().as_secs_f64();

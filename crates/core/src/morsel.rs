@@ -1,26 +1,35 @@
-//! Morsel partitioning and the streaming operators applied per morsel.
+//! Morsel partitioning and the one walker that executes streaming
+//! operators per morsel.
 //!
 //! A compiled pipeline ([`crate::physical`]) is executed as a wave of
 //! morsel tasks: the source table splits into [`MorselConfig`]-sized
-//! chunks and each chunk runs the pipeline's streaming operator chain
-//! ([`MorselOp`]) on its own device stream. Everything here is stateless
-//! per morsel; pipeline-breaker state lives in the scheduler
-//! ([`crate::schedule`]).
+//! chunks and each chunk walks the pipeline's compiled [`StreamOp`]s —
+//! the plan's own, never a lowered copy — on its own device stream, run by
+//! run ([`walk`]). A plain op is a run of length 1 under the *charged*
+//! discipline (its kernels charge the ledger as they launch); a fused
+//! segment is a run under the *collected* discipline (kernel work is
+//! gathered and the run ends in one labeled charge). Both disciplines are
+//! live in the default configuration: lone scans, pass-through projections
+//! and cross/residual probes stay plain while everything else fuses
+//! ([`crate::physical::fuse`]). Everything here is stateless per morsel;
+//! pipeline-breaker state lives in the scheduler ([`crate::schedule`]).
 
 use crate::explain::OpStats;
 use crate::exprs::evaluate;
+use crate::physical::{Aggregation, FusedSegment, Probe, StreamOp};
 use crate::Result;
 use parking_lot::Mutex;
-use sirius_columnar::{Array, Bitmap, Scalar, Schema, Table};
+use sirius_columnar::{Array, Bitmap, DataType, Scalar, Schema, Table};
 use sirius_cudf::filter::{apply_filter, gather, gather_opt};
 use sirius_cudf::fused::FusedView;
-use sirius_cudf::groupby::AggKind;
+use sirius_cudf::groupby::{group_by, AggKind, AggRequest, PartialAggPlan};
 use sirius_cudf::join::{
     cross_join_pairs, probe_hash_table, resolve_join, JoinHashTable, JoinType,
 };
+use sirius_cudf::reduce::reduce;
 use sirius_cudf::{GpuContext, WorkCollector};
 use sirius_hw::{CostCategory, CostModel, Device, WorkProfile};
-use sirius_plan::expr::{AggExpr, Expr};
+use sirius_plan::expr::AggExpr;
 use sirius_plan::visit::Node;
 use sirius_plan::{AggFunc, JoinKind};
 use std::collections::HashMap;
@@ -58,176 +67,208 @@ impl Default for MorselConfig {
 /// Shared per-node runtime stats, allocated only when tracing is enabled.
 pub(crate) type SharedOpStats = Arc<Mutex<HashMap<u32, OpStats>>>;
 
-/// One streaming operator applied to each morsel inside a pipeline task.
-pub(crate) enum MorselOp {
-    /// The scan pass over the morsel's cached columns.
-    Scan {
-        /// The plan node this scan belongs to.
-        node: Node,
-    },
-    /// Predicate evaluation + selection.
-    Filter {
-        /// The predicate expression.
-        predicate: Expr,
-        /// The (outermost, after coalescing) plan node of the filter chain.
-        node: Node,
-    },
-    /// Expression projection.
-    Project {
-        /// Output expressions.
-        exprs: Vec<Expr>,
-        /// Output schema.
-        schema: Schema,
-        /// The plan node.
-        node: Node,
-    },
-    /// Hash-join probe (or cross-join expansion) against a pre-built build
-    /// side. Pair order within a morsel matches the whole-column probe, so
-    /// concatenating morsel outputs in morsel order reproduces it exactly.
-    Probe {
-        /// Hash table over the build side (`None` ⇒ cross join).
-        ht: Option<Arc<JoinHashTable>>,
-        /// Materialized build-side table.
-        rt: Table,
-        /// Join kind.
-        kind: JoinKind,
-        /// Probe-side key expressions.
-        left_keys: Vec<Expr>,
-        /// Residual predicate over candidate pairs.
-        residual: Option<Expr>,
-        /// Join output schema (nullability from the join kind).
-        schema: Schema,
-        /// The join plan node.
-        node: Node,
-    },
-    /// A fused segment (a lowered [`crate::physical::FusedSegment`]): the
-    /// inner ops run as one pass over a [`FusedView`], charging a single
-    /// kernel — one read of the morsel plus one write of the segment
-    /// output — instead of per-stage traffic.
-    Fused {
-        /// Inner ops in execution order (never themselves `Fused`).
-        ops: Vec<MorselOp>,
-        /// Kernel/span label naming the inner plan nodes: `fused[#1,#2]`.
-        label: String,
-        /// Ledger category of the single fused charge (the heaviest inner
-        /// operator class).
-        category: CostCategory,
-        /// Span anchor: the first inner op's plan node.
-        node: Node,
-    },
+/// The stats a morsel task notes into, when the engine keeps any.
+pub(crate) type OpStatsRef<'a> = Option<&'a Mutex<HashMap<u32, OpStats>>>;
+
+/// A join build side as its probes see it.
+pub(crate) struct BuildSide {
+    /// Materialized build-side table.
+    pub(crate) table: Table,
+    /// Hash table over the build keys (`None` ⇒ cross join).
+    pub(crate) hash: Option<Arc<JoinHashTable>>,
 }
 
-impl MorselOp {
-    /// Span label + plan node for the operator-track trace span. Fused
-    /// segments carry a dynamic label; the scheduler uses
-    /// [`MorselOp::Fused::label`] instead of this static one.
-    pub(crate) fn span_info(&self) -> (&'static str, Node) {
+/// The build sides one wave's probes resolve against, by build pipeline id.
+pub(crate) type Builds = HashMap<usize, BuildSide>;
+
+/// One run of a morsel task's streaming chain, with its charge discipline.
+#[derive(Clone, Copy)]
+pub(crate) enum Run<'a> {
+    /// A run of length 1, *charged*: the op's kernels charge the ledger as
+    /// they launch.
+    Plain(&'a StreamOp),
+    /// A fused segment, *collected*: the inner ops' kernel work is routed
+    /// into collectors and the run ends in one labeled charge.
+    Fused(&'a FusedSegment),
+}
+
+impl<'a> Run<'a> {
+    /// The run's streaming ops, in order.
+    pub(crate) fn ops(self) -> &'a [StreamOp] {
         match self {
-            MorselOp::Scan { node } => ("scan", *node),
-            MorselOp::Filter { node, .. } => ("filter", *node),
-            MorselOp::Project { node, .. } => ("project", *node),
-            MorselOp::Probe { node, .. } => ("join-probe", *node),
-            MorselOp::Fused { node, .. } => ("fused", *node),
+            Run::Plain(op) => std::slice::from_ref(op),
+            Run::Fused(seg) => seg.ops(),
         }
     }
 
-    /// Apply the operator to one morsel. With `stats`, the operator's
-    /// exclusive lane time (the delta of this task's stream lane) and output
-    /// cardinality are accumulated under its plan node.
+    /// Walk the run over one morsel and settle its charge. A fused run
+    /// charges exactly one kernel: streamed bytes are the morsel read plus
+    /// the output write (intermediates lived in registers), while collected
+    /// random-access traffic (hash probes, join gathers) and flops are kept
+    /// honest.
     pub(crate) fn apply(
-        &self,
+        self,
         device: &Device,
         t: Table,
-        stats: Option<&Mutex<HashMap<u32, OpStats>>>,
+        builds: &Builds,
+        stats: OpStatsRef<'_>,
     ) -> Result<Table> {
-        if let MorselOp::Fused {
-            ops,
-            label,
-            category,
-            ..
-        } = self
-        {
-            return apply_fused(device, t, stats, ops, label, *category);
-        }
-        let Some(stats) = stats else {
-            return self.apply_inner(device, t);
+        let Run::Fused(seg) = self else {
+            return Ok(walk(device, t, self.ops(), false, builds, stats)?.out);
         };
-        let before = device.lane_elapsed();
-        let out = self.apply_inner(device, t)?;
-        let busy = device.lane_elapsed().saturating_sub(before);
-        let (_, node) = self.span_info();
-        stats.lock().entry(node.id).or_default().note(
-            out.num_rows() as u64,
-            out.byte_size() as u64,
-            busy,
-        );
-        Ok(out)
+        let walked = walk(device, t, seg.ops(), true, builds, stats)?;
+        let collected = walked.collected();
+        // The output write is charged as the segment's one streamed write —
+        // except when the final inner op is a probe, whose gathers already
+        // moved every output byte as (collected) random traffic; adding a
+        // streamed write on top would charge the materialization twice.
+        let out_streamed = match seg.ops().last() {
+            Some(StreamOp::Probe(_)) => 0,
+            _ => walked.out.byte_size() as u64,
+        };
+        let work = WorkProfile {
+            bytes_streamed: walked.in_bytes + out_streamed,
+            bytes_random: collected.bytes_random,
+            flops: collected.flops,
+            launches: 1,
+            rows: walked.in_rows,
+        };
+        let busy = device.charge_labeled(seg.category(), seg.label(), &work);
+        if let Some(stats) = stats {
+            attribute_fused(stats, device, &walked.per_op, busy, None);
+        }
+        Ok(walked.out)
     }
+}
 
-    fn apply_inner(&self, device: &Device, t: Table) -> Result<Table> {
-        match self {
-            MorselOp::Scan { .. } => {
-                let ctx = GpuContext::new(device.clone(), CostCategory::Scan);
-                ctx.charge(&WorkProfile::scan(t.byte_size() as u64).with_rows(t.num_rows() as u64));
-                Ok(t)
+/// The result of walking a run over one morsel: the output, the morsel's
+/// input size (the single source read a fused run is charged for), and —
+/// under the collected discipline — the per-op work gathered along the way
+/// (for time attribution and the charge's random/flop terms).
+pub(crate) struct Walked {
+    /// Run output table.
+    pub(crate) out: Table,
+    /// Byte size of the morsel entering the run.
+    pub(crate) in_bytes: u64,
+    /// Row count of the morsel entering the run.
+    pub(crate) in_rows: u64,
+    /// Collected discipline only. Per op: plan node, selected rows and
+    /// byte estimate after the op, and the work its kernels would have
+    /// charged.
+    pub(crate) per_op: Vec<(Node, u64, u64, WorkProfile)>,
+}
+
+impl Walked {
+    /// All work collected across the ops, merged.
+    pub(crate) fn collected(&self) -> WorkProfile {
+        self.per_op
+            .iter()
+            .fold(WorkProfile::default(), |acc, (_, _, _, w)| acc.merge(*w))
+    }
+}
+
+/// Walk streaming ops over one morsel — the only place they execute.
+///
+/// Every op runs against a [`FusedView`]. Under the *charged* discipline
+/// (`collected == false`) its kernels charge the ledger as they launch and,
+/// with `stats`, the op's exclusive lane time and output cardinality are
+/// noted under its plan node. Under the *collected* discipline filters fold
+/// their masks into the view's lazy selection and all kernel work is routed
+/// into collectors and returned **without charging the ledger**: the caller
+/// owns the single charge — the plain segment charge ([`Run::apply`]) or
+/// the absorbed segment + aggregate charge ([`PartialAgg::task`]).
+pub(crate) fn walk(
+    device: &Device,
+    t: Table,
+    ops: &[StreamOp],
+    collected: bool,
+    builds: &Builds,
+    stats: OpStatsRef<'_>,
+) -> Result<Walked> {
+    let in_bytes = t.byte_size() as u64;
+    let in_rows = t.num_rows() as u64;
+    let mut view = FusedView::new(t);
+    let mut per_op = Vec::with_capacity(if collected { ops.len() } else { 0 });
+    for op in ops {
+        let collector = collected.then(WorkCollector::new);
+        let before = stats.filter(|_| !collected).map(|_| device.lane_elapsed());
+        let ctx = |category| {
+            let ctx = GpuContext::new(device.clone(), category);
+            match &collector {
+                Some(c) => ctx.collecting(c),
+                None => ctx,
             }
-            MorselOp::Filter { predicate, .. } => {
-                let ctx = GpuContext::new(device.clone(), CostCategory::Filter);
-                let mask = evaluate(&ctx, predicate, &t)?;
-                Ok(apply_filter(&ctx, &t, &mask)?)
+        };
+        match op {
+            // Collected, the morsel read is the segment's single input read:
+            // nothing per-op to do.
+            StreamOp::Scan { .. } if collected => {}
+            StreamOp::Scan { .. } => {
+                let t = view.compacted();
+                ctx(CostCategory::Scan).charge(
+                    &WorkProfile::scan(t.byte_size() as u64).with_rows(t.num_rows() as u64),
+                );
             }
-            MorselOp::Project { exprs, schema, .. } => {
-                let ctx = GpuContext::new(device.clone(), CostCategory::Project);
+            StreamOp::Filter { predicate, .. } => {
+                let ctx = ctx(CostCategory::Filter);
+                let mask = evaluate(&ctx, predicate, view.compacted())?;
+                if collected {
+                    view.select(&mask)?;
+                } else {
+                    let out = apply_filter(&ctx, view.compacted(), &mask)?;
+                    view.replace(out);
+                }
+            }
+            StreamOp::Project { exprs, schema, .. } => {
+                let ctx = ctx(CostCategory::Project);
+                let base = view.compacted();
                 let cols: Vec<Array> = exprs
                     .iter()
-                    .map(|e| evaluate(&ctx, e, &t))
+                    .map(|e| evaluate(&ctx, e, base))
                     .collect::<Result<_>>()?;
-                Ok(Table::new(schema.clone(), cols))
+                view.replace(Table::new(schema.clone(), cols));
             }
-            MorselOp::Probe {
-                ht,
-                rt,
-                kind,
-                left_keys,
-                residual,
-                schema,
-                ..
-            } => {
-                let ctx = GpuContext::new(device.clone(), CostCategory::Join);
-                probe_morsel(
-                    &ctx,
-                    ht.as_deref(),
-                    rt,
-                    *kind,
-                    left_keys,
-                    residual.as_ref(),
-                    schema,
-                    &t,
-                )
+            StreamOp::Probe(probe) => {
+                let out = probe_morsel(
+                    &ctx(CostCategory::Join),
+                    probe,
+                    &builds[&probe.build],
+                    view.compacted(),
+                )?;
+                view.replace(out);
             }
-            MorselOp::Fused { .. } => unreachable!("fused segments are routed by apply"),
+        }
+        let out = |view: &FusedView| (view.num_rows() as u64, view.byte_estimate());
+        if let Some(c) = collector {
+            let (rows, bytes) = out(&view);
+            per_op.push((op.node(), rows, bytes, c.take()));
+        } else if let (Some(stats), Some(before)) = (stats, before) {
+            let busy = device.lane_elapsed().saturating_sub(before);
+            let (rows, bytes) = out(&view);
+            let mut stats = stats.lock();
+            stats
+                .entry(op.node().id)
+                .or_default()
+                .note(rows, bytes, busy);
         }
     }
+    Ok(Walked {
+        out: view.finish(),
+        in_bytes,
+        in_rows,
+        per_op,
+    })
 }
 
 /// Hash-join probe (or cross-join expansion) of one morsel against a
-/// pre-built build side. Shared by the per-operator path and the fused
-/// segment executor.
-#[allow(clippy::too_many_arguments)]
-fn probe_morsel(
-    ctx: &GpuContext,
-    ht: Option<&JoinHashTable>,
-    rt: &Table,
-    kind: JoinKind,
-    left_keys: &[Expr],
-    residual: Option<&Expr>,
-    schema: &Schema,
-    t: &Table,
-) -> Result<Table> {
-    let pairs = match ht {
+/// pre-built build side.
+fn probe_morsel(ctx: &GpuContext, probe: &Probe, build: &BuildSide, t: &Table) -> Result<Table> {
+    let rt = &build.table;
+    let pairs = match &build.hash {
         None => cross_join_pairs(ctx, t.num_rows(), rt.num_rows()),
         Some(table) => {
-            let lk: Vec<Array> = left_keys
+            let lk: Vec<Array> = probe
+                .left_keys
                 .iter()
                 .map(|e| evaluate(ctx, e, t))
                 .collect::<Result<_>>()?;
@@ -237,7 +278,7 @@ fn probe_morsel(
     };
 
     // Residual predicate, vectorized over the candidate pairs.
-    let mask: Option<Bitmap> = match residual {
+    let mask: Option<Bitmap> = match &probe.residual {
         None => None,
         Some(res) => {
             let lp = gather(ctx, t, &pairs.left);
@@ -251,162 +292,19 @@ fn probe_morsel(
             )
         }
     };
-    let idx = resolve_join(ctx, lower_join(kind), &pairs, mask.as_ref())?;
+    let idx = resolve_join(ctx, lower_join(probe.kind), &pairs, mask.as_ref())?;
 
     // Materialize.
-    match kind {
+    match probe.kind {
         JoinKind::Semi | JoinKind::Anti => Ok(gather(ctx, t, &idx.left)),
         _ => {
             let l = gather(ctx, t, &idx.left);
             let r = gather_opt(ctx, rt, &idx.right);
             let out = l.hstack(&r);
             // Adopt the plan schema (nullability from join kind).
-            Ok(Table::new(schema.clone(), out.columns().to_vec()))
+            Ok(Table::new(probe.schema.clone(), out.columns().to_vec()))
         }
     }
-}
-
-/// The uncharged result of walking a fused segment over one morsel: the
-/// segment output, the morsel's input size (the single source read the
-/// segment will be charged for), and the per-inner-op work collected along
-/// the way (for time attribution and the charge's random/flop terms).
-pub(crate) struct FusedRun {
-    /// Segment output table.
-    pub(crate) out: Table,
-    /// Byte size of the morsel entering the segment.
-    pub(crate) in_bytes: u64,
-    /// Row count of the morsel entering the segment.
-    pub(crate) in_rows: u64,
-    /// Per inner op: plan node, selected rows and byte estimate after the
-    /// op, and the work its kernels would have charged.
-    pub(crate) per_op: Vec<(Node, u64, u64, WorkProfile)>,
-}
-
-impl FusedRun {
-    /// All work collected across the inner ops, merged.
-    pub(crate) fn collected(&self) -> WorkProfile {
-        self.per_op
-            .iter()
-            .fold(WorkProfile::default(), |acc, (_, _, _, w)| acc.merge(*w))
-    }
-}
-
-/// Execute a fused segment over one morsel.
-///
-/// Each inner op runs against a [`FusedView`] — filters fold their masks
-/// into a lazy selection, projections and probes consume the compacted
-/// view — through a *collecting* context, so no per-stage work reaches the
-/// ledger. The segment then charges exactly one kernel: streamed bytes are
-/// the morsel read plus the output write (intermediates lived in
-/// registers), while collected random-access traffic (hash probes,
-/// join gathers) and flops are kept honest.
-fn apply_fused(
-    device: &Device,
-    t: Table,
-    stats: Option<&Mutex<HashMap<u32, OpStats>>>,
-    ops: &[MorselOp],
-    label: &str,
-    category: CostCategory,
-) -> Result<Table> {
-    let run = run_fused_segment(device, t, ops)?;
-    let collected = run.collected();
-    // The output write is charged as the segment's one streamed write —
-    // except when the final inner op is a probe, whose gathers already
-    // moved every output byte as (collected) random traffic; adding a
-    // streamed write on top would charge the materialization twice.
-    let out_streamed = match ops.last() {
-        Some(MorselOp::Probe { .. }) => 0,
-        _ => run.out.byte_size() as u64,
-    };
-    let work = WorkProfile {
-        bytes_streamed: run.in_bytes + out_streamed,
-        bytes_random: collected.bytes_random,
-        flops: collected.flops,
-        launches: 1,
-        rows: run.in_rows,
-    };
-    let busy = device.charge_labeled(category, label, &work);
-    if let Some(stats) = stats {
-        attribute_fused(stats, device, &run.per_op, busy, None);
-    }
-    Ok(run.out)
-}
-
-/// Walk a fused segment's inner ops over one morsel **without charging the
-/// ledger**: all kernel work is routed into collectors and returned. The
-/// caller owns the single charge — either the plain segment charge
-/// ([`apply_fused`]) or the absorbed segment + aggregate charge in the
-/// scheduler's fused-aggregation mode.
-pub(crate) fn run_fused_segment(device: &Device, t: Table, ops: &[MorselOp]) -> Result<FusedRun> {
-    let in_bytes = t.byte_size() as u64;
-    let in_rows = t.num_rows() as u64;
-    let mut view = FusedView::new(t);
-    let mut per_op: Vec<(Node, u64, u64, WorkProfile)> = Vec::with_capacity(ops.len());
-    for op in ops {
-        let collector = WorkCollector::new();
-        match op {
-            // The morsel read is the segment's single input read; nothing
-            // per-op to do.
-            MorselOp::Scan { .. } => {}
-            MorselOp::Filter { predicate, .. } => {
-                let ctx =
-                    GpuContext::new(device.clone(), CostCategory::Filter).collecting(&collector);
-                let mask = evaluate(&ctx, predicate, view.compacted())?;
-                view.select(&mask)?;
-            }
-            MorselOp::Project { exprs, schema, .. } => {
-                let ctx =
-                    GpuContext::new(device.clone(), CostCategory::Project).collecting(&collector);
-                let cols: Vec<Array> = {
-                    let base = view.compacted();
-                    exprs
-                        .iter()
-                        .map(|e| evaluate(&ctx, e, base))
-                        .collect::<Result<_>>()?
-                };
-                view.replace(Table::new(schema.clone(), cols));
-            }
-            MorselOp::Probe {
-                ht,
-                rt,
-                kind,
-                left_keys,
-                residual,
-                schema,
-                ..
-            } => {
-                let ctx =
-                    GpuContext::new(device.clone(), CostCategory::Join).collecting(&collector);
-                let out = {
-                    let base = view.compacted();
-                    probe_morsel(
-                        &ctx,
-                        ht.as_deref(),
-                        rt,
-                        *kind,
-                        left_keys,
-                        residual.as_ref(),
-                        schema,
-                        base,
-                    )?
-                };
-                view.replace(out);
-            }
-            MorselOp::Fused { .. } => unreachable!("fused segments do not nest"),
-        }
-        per_op.push((
-            op.span_info().1,
-            view.num_rows() as u64,
-            view.byte_estimate(),
-            collector.take(),
-        ));
-    }
-    Ok(FusedRun {
-        out: view.finish(),
-        in_bytes,
-        in_rows,
-        per_op,
-    })
 }
 
 /// Split a fused kernel's time across its inner ops' plan nodes,
@@ -419,7 +317,7 @@ pub(crate) fn run_fused_segment(device: &Device, t: Table, ops: &[MorselOp]) -> 
 /// noted once at pipeline finish over the whole wall window, and
 /// double-counting it per morsel would inflate the sink past the pipeline
 /// wall time.
-pub(crate) fn attribute_fused(
+fn attribute_fused(
     stats: &Mutex<HashMap<u32, OpStats>>,
     device: &Device,
     per_op: &[(Node, u64, u64, WorkProfile)],
@@ -460,24 +358,6 @@ pub(crate) fn attribute_fused(
             .or_default()
             .note(*rows, *bytes, Duration::from_nanos(share));
     }
-}
-
-/// Output schema of a morsel-op chain: the last schema-changing operator's
-/// schema, or `fallback` when the chain only filters/scans.
-pub(crate) fn chain_schema(ops: &[MorselOp], fallback: &Schema) -> Schema {
-    fn schema_of(op: &MorselOp) -> Option<Schema> {
-        match op {
-            MorselOp::Project { schema, .. } | MorselOp::Probe { schema, .. } => {
-                Some(schema.clone())
-            }
-            MorselOp::Fused { ops, .. } => ops.iter().rev().find_map(schema_of),
-            _ => None,
-        }
-    }
-    ops.iter()
-        .rev()
-        .find_map(schema_of)
-        .unwrap_or_else(|| fallback.clone())
 }
 
 /// Partition a source into morsels of at most `rows` rows. A source that
@@ -530,6 +410,181 @@ pub(crate) fn agg_inputs(
         .iter()
         .map(|a| a.input.as_ref().map(|e| evaluate(ctx, e, t)).transpose())
         .collect()
+}
+
+/// Phase-one output of a two-phase aggregation over one morsel (or spill
+/// chunk), and the concatenation of many. Ungrouped aggregations fill
+/// `scalars` per morsel and `aggs` once concatenated; grouped ones fill
+/// `keys` and `aggs` throughout.
+#[derive(Default)]
+pub(crate) struct Partial {
+    keys: Vec<Array>,
+    aggs: Vec<Array>,
+    scalars: Vec<Scalar>,
+}
+
+impl Partial {
+    /// Bytes the partial accumulators occupy.
+    pub(crate) fn byte_size(&self) -> u64 {
+        let arrays = self.keys.iter().chain(&self.aggs);
+        arrays.map(|a| a.byte_size() as u64).sum::<u64>()
+            + (self.scalars.len() * std::mem::size_of::<Scalar>()) as u64
+    }
+}
+
+/// A decomposable aggregation: the sink's spec plus its two-phase plan.
+/// Shared by the fused-aggregation morsel tasks and the chunked spill
+/// paths, which differ only in where the chunks come from.
+pub(crate) struct PartialAgg {
+    pub(crate) spec: Arc<Aggregation>,
+    plan: PartialAggPlan,
+}
+
+impl PartialAgg {
+    /// `None` when an aggregate cannot merge partials (`COUNT(DISTINCT)`).
+    pub(crate) fn new(spec: &Arc<Aggregation>) -> Option<Self> {
+        let kinds: Vec<AggKind> = spec.aggregates.iter().map(|a| lower_agg(a.func)).collect();
+        Some(PartialAgg {
+            spec: Arc::clone(spec),
+            plan: PartialAggPlan::new(&kinds)?,
+        })
+    }
+
+    /// Phase one: partial reductions (ungrouped) or a partial group-by over
+    /// one morsel.
+    pub(crate) fn partial(&self, ctx: &GpuContext, t: &Table) -> Result<Partial> {
+        let inputs = agg_inputs(ctx, &self.spec.aggregates, t)?;
+        let specs = self.plan.partials();
+        if self.spec.keys.is_empty() {
+            let scalars = specs
+                .iter()
+                .map(|s| {
+                    Ok(reduce(
+                        ctx,
+                        s.kind,
+                        inputs[s.source].as_ref(),
+                        t.num_rows(),
+                    )?)
+                })
+                .collect::<Result<_>>()?;
+            return Ok(Partial {
+                scalars,
+                ..Partial::default()
+            });
+        }
+        let key_cols: Vec<Array> = (self.spec.keys.iter())
+            .map(|k| evaluate(ctx, k, t))
+            .collect::<Result<_>>()?;
+        let key_refs: Vec<&Array> = key_cols.iter().collect();
+        let requests: Vec<AggRequest<'_>> = specs
+            .iter()
+            .map(|s| AggRequest {
+                kind: s.kind,
+                input: inputs[s.source].as_ref(),
+            })
+            .collect();
+        let r = group_by(ctx, &key_refs, &requests, t.num_rows())?;
+        Ok(Partial {
+            keys: r.key_columns,
+            aggs: r.agg_columns,
+            scalars: Vec::new(),
+        })
+    }
+
+    /// Phase one as the tail of a morsel task. A trailing fused segment
+    /// (`absorbed`) is folded into the aggregation kernel: the segment
+    /// walks uncharged, the partial aggregation runs through a collector,
+    /// and the morsel is charged as ONE kernel — one read of the source
+    /// morsel plus one write of the (tiny) partial accumulators.
+    /// Aggregate-rooted scans like Q1/Q6 thus touch each source byte
+    /// exactly once.
+    pub(crate) fn task(
+        &self,
+        device: &Device,
+        t: Table,
+        absorbed: Option<&FusedSegment>,
+        builds: &Builds,
+        stats: OpStatsRef<'_>,
+    ) -> Result<Partial> {
+        let category = self.spec.category();
+        let ctx = GpuContext::new(device.clone(), category);
+        let Some(seg) = absorbed else {
+            return self.partial(&ctx, &t);
+        };
+        let walked = walk(device, t, seg.ops(), true, builds, stats)?;
+        let collector = WorkCollector::new();
+        let partial = self.partial(&ctx.collecting(&collector), &walked.out)?;
+        let (seg_work, agg_work) = (walked.collected(), collector.take());
+        let work = WorkProfile {
+            bytes_streamed: walked.in_bytes + partial.byte_size(),
+            bytes_random: seg_work.bytes_random + agg_work.bytes_random,
+            flops: seg_work.flops + agg_work.flops,
+            launches: 1,
+            rows: walked.in_rows,
+        };
+        let busy = device.charge_labeled(category, seg.label(), &work);
+        if let Some(stats) = stats {
+            attribute_fused(stats, device, &walked.per_op, busy, Some(&agg_work));
+        }
+        Ok(partial)
+    }
+
+    /// Line the partials up column-wise, in morsel order — so
+    /// first-appearance (and sorted) group order matches the whole-column
+    /// pass.
+    pub(crate) fn concat(&self, parts: &[Partial]) -> Partial {
+        let concat = |cols: Vec<&Array>| Array::concat(&cols);
+        let n = self.plan.partials().len();
+        if !self.spec.keys.is_empty() {
+            return Partial {
+                keys: (0..self.spec.keys.len())
+                    .map(|k| concat(parts.iter().map(|p| &p.keys[k]).collect()))
+                    .collect(),
+                aggs: (0..n)
+                    .map(|a| concat(parts.iter().map(|p| &p.aggs[a]).collect()))
+                    .collect(),
+                scalars: Vec::new(),
+            };
+        }
+        let aggs = (0..n)
+            .map(|a| {
+                let col: Vec<Scalar> = parts.iter().map(|p| p.scalars[a].clone()).collect();
+                let dt = col
+                    .iter()
+                    .find_map(|s| s.data_type())
+                    .unwrap_or(DataType::Int64);
+                Array::from_scalars(&col, dt)
+            })
+            .collect();
+        Partial {
+            aggs,
+            ..Partial::default()
+        }
+    }
+
+    /// Phase two (serial: the breaker): re-aggregate concatenated partials
+    /// with the merge kinds and finalize.
+    pub(crate) fn merge(&self, ctx: &GpuContext, all: &Partial) -> Result<Table> {
+        let schema = &self.spec.schema;
+        if self.spec.keys.is_empty() {
+            let merged: Vec<Scalar> = (all.aggs.iter().enumerate())
+                .map(|(p, arr)| Ok(reduce(ctx, self.plan.merge_kind(p), Some(arr), arr.len())?))
+                .collect::<Result<_>>()?;
+            return Ok(scalar_table(&self.plan.finalize_scalars(&merged), schema));
+        }
+        let total = all.keys.first().map(|a| a.len()).unwrap_or(0);
+        let key_refs: Vec<&Array> = all.keys.iter().collect();
+        let requests: Vec<AggRequest<'_>> = (all.aggs.iter().enumerate())
+            .map(|(p, col)| AggRequest {
+                kind: self.plan.merge_kind(p),
+                input: Some(col),
+            })
+            .collect();
+        let r = group_by(ctx, &key_refs, &requests, total)?;
+        let finals = self.plan.finalize(ctx, &r.agg_columns)?;
+        let cols: Vec<Array> = r.key_columns.into_iter().chain(finals).collect();
+        Ok(Table::new(schema.clone(), cols))
+    }
 }
 
 /// One-row table from final aggregate scalars.

@@ -8,19 +8,16 @@
 
 use crate::engine::SiriusEngine;
 use crate::exprs::evaluate;
-use crate::morsel::{agg_inputs, chunk_morsels, concat_morsels, lower_agg, scalar_table, MorselOp};
+use crate::morsel::{chunk_morsels, concat_morsels, BuildSide, Builds, PartialAgg, Run};
+use crate::physical::{Aggregation, Probe, StreamOp};
 use crate::{Result, SiriusError};
-use sirius_columnar::{Array, DataType, Scalar, Schema, Table};
+use sirius_columnar::{Array, Table};
 use sirius_cudf::filter::gather;
-use sirius_cudf::groupby::{group_by, AggKind, AggRequest, PartialAggPlan};
-use sirius_cudf::join::build_hash_table;
 use sirius_cudf::partition::hash_partition;
-use sirius_cudf::reduce::reduce;
 use sirius_cudf::sort::{sort_indices, SortKey};
 use sirius_hw::{CostCategory, WorkProfile};
-use sirius_plan::expr::{AggExpr, Expr, SortExpr};
+use sirius_plan::expr::{Expr, SortExpr};
 use sirius_plan::visit::Node;
-use sirius_plan::JoinKind;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -53,39 +50,21 @@ impl SiriusEngine {
     /// left / semi / anti / single semantics (and residual predicates) hold
     /// per pair; partition order replaces probe order in the output, which
     /// only a downstream sort observes.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn grace_join(
         &self,
         lt: &Table,
         rt: &Table,
-        kind: JoinKind,
-        left_keys: &[Expr],
-        right_keys: &[Expr],
-        residual: &Option<Expr>,
-        schema: Schema,
-        node: Node,
+        probe: &Probe,
         depth: u32,
     ) -> Result<Table> {
         let need = (rt.byte_size() as u64).max(1024);
         match self.bufmgr.request_grant(need) {
             Ok(_grant) => {
-                let ctx = self.ctx(CostCategory::Join);
-                let rk: Vec<Array> = right_keys
-                    .iter()
-                    .map(|e| evaluate(&ctx, e, rt))
-                    .collect::<Result<_>>()?;
-                let rrefs: Vec<&Array> = rk.iter().collect();
-                let ht = Some(Arc::new(build_hash_table(&ctx, &rrefs, rt.num_rows())?));
-                let op = MorselOp::Probe {
-                    ht,
-                    rt: rt.clone(),
-                    kind,
-                    left_keys: left_keys.to_vec(),
-                    residual: residual.clone(),
-                    schema,
-                    node,
-                };
-                op.apply(&self.device, lt.clone(), self.op_stats.as_deref())
+                let hash = Some(self.build_join_hash(&probe.right_keys, rt)?);
+                let table = rt.clone();
+                let builds = Builds::from([(probe.build, BuildSide { table, hash })]);
+                let op = StreamOp::Probe(probe.clone());
+                Run::Plain(&op).apply(&self.device, lt.clone(), &builds, self.op_stats.as_deref())
             }
             Err(_) if depth >= MAX_SPILL_DEPTH => Err(SiriusError::OutOfMemory(format!(
                 "join build side of {} B still exceeds the processing region after \
@@ -95,14 +74,10 @@ impl SiriusEngine {
             Err(_) => {
                 let parts = self.partition_fanout(need);
                 let ctx = self.ctx(CostCategory::Join);
-                let rk: Vec<Array> = right_keys
-                    .iter()
-                    .map(|e| evaluate(&ctx, e, rt))
-                    .collect::<Result<_>>()?;
-                let lk: Vec<Array> = left_keys
-                    .iter()
-                    .map(|e| evaluate(&ctx, e, lt))
-                    .collect::<Result<_>>()?;
+                let keys = |exprs: &[Expr], t: &Table| -> Result<Vec<Array>> {
+                    exprs.iter().map(|e| evaluate(&ctx, e, t)).collect()
+                };
+                let (rk, lk) = (keys(&probe.right_keys, rt)?, keys(&probe.left_keys, lt)?);
                 let rparts =
                     hash_partition(&ctx, &rk.iter().collect::<Vec<_>>(), rt, parts, depth)?;
                 let lparts =
@@ -121,20 +96,10 @@ impl SiriusEngine {
                     self.bufmgr.spill_read(&rticket);
                     drop((lticket, rticket));
                     spilled += 2;
-                    outs.push(self.grace_join(
-                        lp,
-                        rp,
-                        kind,
-                        left_keys,
-                        right_keys,
-                        residual,
-                        schema.clone(),
-                        node,
-                        depth + 1,
-                    )?);
+                    outs.push(self.grace_join(lp, rp, probe, depth + 1)?);
                 }
-                self.note_spill(node, spilled);
-                Ok(concat_morsels(schema, &outs))
+                self.note_spill(probe.node, spilled);
+                Ok(concat_morsels(probe.schema.clone(), &outs))
             }
         }
     }
@@ -145,30 +110,21 @@ impl SiriusEngine {
     /// stays exact), spill the partitions, and aggregate each on read-back.
     /// Ungrouped aggregates stream chunk-wise partials instead — they have
     /// no keys to partition on.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn spilling_aggregate(
         &self,
         t: &Table,
-        keys: &[Expr],
-        aggregates: &[AggExpr],
-        schema: Schema,
-        category: CostCategory,
-        node: Node,
+        agg: &Arc<Aggregation>,
         depth: u32,
     ) -> Result<Table> {
         let need = (t.byte_size() as u64 / 2).max(1024);
         if let Ok(_state) = self.bufmgr.request_grant(need) {
-            return self.aggregate_single_pass(t, keys, aggregates, schema, category);
+            return self.aggregate_single_pass(t, agg);
         }
-        if keys.is_empty() {
-            return self.chunked_reduce(t, aggregates, schema, category);
+        if agg.keys.is_empty() || depth >= MAX_SPILL_DEPTH {
+            return self.chunked_aggregate(t, agg);
         }
-        if depth >= MAX_SPILL_DEPTH {
-            return self.chunked_group_by(t, keys, aggregates, schema, category);
-        }
-        let ctx = self.ctx(category);
-        let key_cols: Vec<Array> = keys
-            .iter()
+        let ctx = self.ctx(agg.category());
+        let key_cols: Vec<Array> = (agg.keys.iter())
             .map(|k| evaluate(&ctx, k, t))
             .collect::<Result<_>>()?;
         let parts = self.partition_fanout(need);
@@ -178,7 +134,7 @@ impl SiriusEngine {
             // key value) dominates it. Accumulator state scales with the
             // group count, not the row count, so stream two-phase partials
             // instead of repartitioning to no effect.
-            return self.chunked_group_by(t, keys, aggregates, schema, category);
+            return self.chunked_aggregate(t, agg);
         }
         self.bufmgr.note_repartition(depth + 1);
         let mut outs = Vec::with_capacity(parts);
@@ -191,169 +147,65 @@ impl SiriusEngine {
             self.bufmgr.spill_read(&ticket);
             drop(ticket);
             spilled += 1;
-            outs.push(self.spilling_aggregate(
-                p,
-                keys,
-                aggregates,
-                schema.clone(),
-                category,
-                node,
-                depth + 1,
-            )?);
+            outs.push(self.spilling_aggregate(p, agg, depth + 1)?);
         }
-        self.note_spill(node, spilled);
-        Ok(concat_morsels(schema, &outs))
+        self.note_spill(agg.node, spilled);
+        Ok(concat_morsels(agg.schema.clone(), &outs))
     }
 
-    /// Ungrouped aggregation over an input whose accumulator state was
-    /// denied: stream decomposable partials chunk by chunk under small
-    /// grants and merge them. Non-decomposable aggregates (`COUNT(DISTINCT)`
-    /// without keys) genuinely need the whole input resident and stay a
-    /// hard out-of-memory error (host fallback's last resort).
-    fn chunked_reduce(
-        &self,
-        t: &Table,
-        aggregates: &[AggExpr],
-        schema: Schema,
-        category: CostCategory,
-    ) -> Result<Table> {
-        let kinds: Vec<AggKind> = aggregates.iter().map(|a| lower_agg(a.func)).collect();
-        let Some(pplan) = PartialAggPlan::new(&kinds) else {
-            return Err(SiriusError::OutOfMemory(
-                "ungrouped COUNT(DISTINCT) cannot decompose into spillable partials".into(),
-            ));
+    /// Aggregation over an input whose accumulator state was denied and
+    /// that partitioning cannot help — ungrouped (no keys to partition on)
+    /// or heavily key-skewed (a handful of giant groups). Accumulator state
+    /// is proportional to the number of groups, not input rows: run phase
+    /// one over chunks that fit under small grants, then merge the partials
+    /// — the same two-phase decomposition the morsel executor uses.
+    /// Non-decomposable aggregates (`COUNT(DISTINCT)`) genuinely need the
+    /// whole input resident and stay a hard out-of-memory error (host
+    /// fallback's last resort).
+    fn chunked_aggregate(&self, t: &Table, agg: &Arc<Aggregation>) -> Result<Table> {
+        let grouped = !agg.keys.is_empty();
+        let Some(partial) = PartialAgg::new(agg) else {
+            return Err(SiriusError::OutOfMemory(if grouped {
+                format!(
+                    "group-by state for {} B of skewed keys cannot decompose into \
+                     spillable partials (COUNT(DISTINCT))",
+                    t.byte_size()
+                )
+            } else {
+                "ungrouped COUNT(DISTINCT) cannot decompose into spillable partials".into()
+            }));
         };
         if t.num_rows() == 0 {
-            return self.aggregate_single_pass(t, &[], aggregates, schema, category);
+            return self.aggregate_single_pass(t, agg);
         }
-        let target = (self.bufmgr.largest_grantable() / 2).max(sirius_rmm::pool::ALIGNMENT);
-        let bytes_per_row = ((t.byte_size() as u64) / t.num_rows() as u64).max(1);
-        let rows = usize::try_from(target / bytes_per_row).unwrap_or(1).max(1);
-        let chunks = chunk_morsels(t, rows);
-        self.bufmgr.note_repartition(1);
-        let ctx = self.ctx(category);
-        let mut partials: Vec<Vec<Scalar>> = Vec::with_capacity(chunks.len());
+        let chunks = chunk_morsels(t, self.rows_per_chunk(t));
+        if !grouped {
+            // Never partitioned: the chunked pass is its one spill level.
+            self.bufmgr.note_repartition(1);
+        }
+        let ctx = self.ctx(agg.category());
+        let mut parts = Vec::with_capacity(chunks.len());
         for c in &chunks {
             let _g = self
                 .bufmgr
                 .request_grant((c.byte_size() as u64 / 2).max(256))?;
-            let inputs = agg_inputs(&ctx, aggregates, c)?;
-            let row: Vec<Scalar> = pplan
-                .partials()
-                .iter()
-                .map(|s| {
-                    Ok(reduce(
-                        &ctx,
-                        s.kind,
-                        inputs[s.source].as_ref(),
-                        c.num_rows(),
-                    )?)
-                })
-                .collect::<Result<_>>()?;
-            partials.push(row);
-        }
-        let merged: Vec<Scalar> = (0..pplan.partials().len())
-            .map(|p| {
-                let col: Vec<Scalar> = partials.iter().map(|row| row[p].clone()).collect();
-                let dt = col
-                    .iter()
-                    .find_map(|s| s.data_type())
-                    .unwrap_or(DataType::Int64);
-                let arr = Array::from_scalars(&col, dt);
-                Ok(reduce(&ctx, pplan.merge_kind(p), Some(&arr), arr.len())?)
-            })
-            .collect::<Result<_>>()?;
-        Ok(scalar_table(&pplan.finalize_scalars(&merged), &schema))
-    }
-
-    /// Grouped aggregation for inputs hash partitioning cannot shrink
-    /// (heavy key skew — a handful of giant groups). Accumulator state is
-    /// proportional to the number of distinct groups, not input rows: run
-    /// a partial group-by over chunks that fit under small grants, then
-    /// merge the partial tables with the merge aggregation kinds — the
-    /// same two-phase decomposition the morsel executor uses. Grouped
-    /// `COUNT(DISTINCT)` cannot merge partials and stays a hard
-    /// out-of-memory error here.
-    fn chunked_group_by(
-        &self,
-        t: &Table,
-        keys: &[Expr],
-        aggregates: &[AggExpr],
-        schema: Schema,
-        category: CostCategory,
-    ) -> Result<Table> {
-        let kinds: Vec<AggKind> = aggregates.iter().map(|a| lower_agg(a.func)).collect();
-        let Some(pplan) = PartialAggPlan::new(&kinds) else {
-            return Err(SiriusError::OutOfMemory(format!(
-                "group-by state for {} B of skewed keys cannot decompose into \
-                 spillable partials (COUNT(DISTINCT))",
-                t.byte_size()
-            )));
-        };
-        if t.num_rows() == 0 {
-            return self.aggregate_single_pass(t, keys, aggregates, schema, category);
-        }
-        let target = (self.bufmgr.largest_grantable() / 2).max(sirius_rmm::pool::ALIGNMENT);
-        let bytes_per_row = ((t.byte_size() as u64) / t.num_rows() as u64).max(1);
-        let rows = usize::try_from(target / bytes_per_row).unwrap_or(1).max(1);
-        let chunks = chunk_morsels(t, rows);
-        let ctx = self.ctx(category);
-        let mut parts: Vec<(Vec<Array>, Vec<Array>)> = Vec::with_capacity(chunks.len());
-        for c in &chunks {
-            let _g = self
-                .bufmgr
-                .request_grant((c.byte_size() as u64 / 2).max(256))?;
-            let key_cols: Vec<Array> = keys
-                .iter()
-                .map(|k| evaluate(&ctx, k, c))
-                .collect::<Result<_>>()?;
-            let key_refs: Vec<&Array> = key_cols.iter().collect();
-            let inputs = agg_inputs(&ctx, aggregates, c)?;
-            let requests: Vec<AggRequest<'_>> = pplan
-                .partials()
-                .iter()
-                .map(|s| AggRequest {
-                    kind: s.kind,
-                    input: inputs[s.source].as_ref(),
-                })
-                .collect();
-            let r = group_by(&ctx, &key_refs, &requests, c.num_rows())?;
-            parts.push((r.key_columns, r.agg_columns));
+            parts.push(partial.partial(&ctx, c)?);
         }
         // Merge: the concatenated partials hold at most (groups x chunks)
         // rows — tiny next to the input when groups are few.
-        let merged_keys: Vec<Array> = (0..keys.len())
-            .map(|k| {
-                let cols: Vec<&Array> = parts.iter().map(|(kc, _)| &kc[k]).collect();
-                Array::concat(&cols)
-            })
-            .collect();
-        let merged_parts: Vec<Array> = (0..pplan.partials().len())
-            .map(|p| {
-                let cols: Vec<&Array> = parts.iter().map(|(_, ac)| &ac[p]).collect();
-                Array::concat(&cols)
-            })
-            .collect();
-        let merged_bytes: u64 = merged_keys
-            .iter()
-            .chain(merged_parts.iter())
-            .map(|a| a.byte_size() as u64)
-            .sum();
-        let _merge_state = self.bufmgr.request_grant(merged_bytes.max(1024))?;
-        let total = merged_keys.first().map(|a| a.len()).unwrap_or(0);
-        let key_refs: Vec<&Array> = merged_keys.iter().collect();
-        let requests: Vec<AggRequest<'_>> = merged_parts
-            .iter()
-            .enumerate()
-            .map(|(p, col)| AggRequest {
-                kind: pplan.merge_kind(p),
-                input: Some(col),
-            })
-            .collect();
-        let r = group_by(&ctx, &key_refs, &requests, total)?;
-        let finals = pplan.finalize(&ctx, &r.agg_columns)?;
-        let cols: Vec<Array> = r.key_columns.into_iter().chain(finals).collect();
-        Ok(Table::new(schema, cols))
+        let all = partial.concat(&parts);
+        let _merge_state = grouped
+            .then(|| self.bufmgr.request_grant(all.byte_size().max(1024)))
+            .transpose()?;
+        partial.merge(&ctx, &all)
+    }
+
+    /// Rows per spill chunk of `t` (non-empty): as many as fit in half the
+    /// largest grantable block.
+    fn rows_per_chunk(&self, t: &Table) -> usize {
+        let target = (self.bufmgr.largest_grantable() / 2).max(sirius_rmm::pool::ALIGNMENT);
+        let bytes_per_row = ((t.byte_size() as u64) / t.num_rows() as u64).max(1);
+        usize::try_from(target / bytes_per_row).unwrap_or(1).max(1)
     }
 
     /// External merge sort: split the input into runs that fit under a
@@ -366,10 +218,7 @@ impl SiriusEngine {
             return Ok(t.clone());
         }
         let ctx = self.ctx(CostCategory::OrderBy);
-        let target = (self.bufmgr.largest_grantable() / 2).max(sirius_rmm::pool::ALIGNMENT);
-        let bytes_per_row = ((t.byte_size() as u64) / n as u64).max(1);
-        let run_rows = usize::try_from(target / bytes_per_row).unwrap_or(1).max(1);
-        let runs_in = chunk_morsels(t, run_rows);
+        let runs_in = chunk_morsels(t, self.rows_per_chunk(t));
         self.bufmgr.note_repartition(1);
         let mut runs: Vec<Table> = Vec::with_capacity(runs_in.len());
         let mut tickets = Vec::with_capacity(runs_in.len());

@@ -23,6 +23,7 @@ use sirius_plan::expr::{AggExpr, Expr, SortExpr};
 use sirius_plan::normalize::normalize;
 use sirius_plan::visit::{fold, Fold, Node};
 use sirius_plan::{ExchangeKind, JoinKind, Rel};
+use std::sync::Arc;
 
 /// A compiled query: the normalized logical plan plus its pipeline DAG.
 #[derive(Debug, Clone)]
@@ -80,9 +81,34 @@ pub enum Source {
     Pipe(usize),
 }
 
-/// A streaming (non-breaking) operator inside a pipeline.
+/// One step of a pipeline's streaming chain: a plain operator, or a run of
+/// operators collapsed by [`fuse`] into one single-pass segment.
 #[derive(Debug, Clone)]
 pub enum PhysOp {
+    /// A single operator — a run of length 1 whose kernels charge the ledger
+    /// one by one.
+    Plain(StreamOp),
+    /// A fused run: intermediates are carried as selection vectors, and the
+    /// segment charges one read of its input plus one write of its output
+    /// instead of per-stage traffic.
+    Fused(FusedSegment),
+}
+
+impl PhysOp {
+    /// The streaming operators this step runs, in order: the one plain op,
+    /// or the segment's inner ops.
+    pub fn run(&self) -> &[StreamOp] {
+        match self {
+            PhysOp::Plain(op) => std::slice::from_ref(op),
+            PhysOp::Fused(seg) => &seg.ops,
+        }
+    }
+}
+
+/// A streaming (non-breaking) operator: what a morsel task executes. A
+/// segment holds these directly, so segments cannot nest.
+#[derive(Debug, Clone)]
+pub enum StreamOp {
     /// Scan pass (charges the read; dropped when fused into a filter).
     Scan {
         /// The `Read` plan node.
@@ -105,84 +131,104 @@ pub enum PhysOp {
         /// The `Project` plan node.
         node: Node,
     },
-    /// Probe of a hash table built by pipeline `build`.
-    Probe {
-        /// Id of the build-side pipeline (its sink is [`Sink::JoinBuild`]).
-        build: usize,
-        /// Join kind.
-        kind: JoinKind,
-        /// Probe-side key expressions (empty ⇒ cross join).
-        left_keys: Vec<Expr>,
-        /// Residual predicate over `[left ++ right]` candidate pairs.
-        residual: Option<Expr>,
-        /// Join output schema.
-        schema: Schema,
-        /// The `Join` plan node.
-        node: Node,
-    },
-    /// A run of streaming operators collapsed by [`fuse`] into one
-    /// single-pass segment: intermediates are carried as selection vectors,
-    /// and the segment charges one read of its input plus one write of its
-    /// output instead of per-stage traffic.
-    Fused(FusedSegment),
+    /// Probe of the hash table built by another pipeline.
+    Probe(Probe),
 }
 
-impl PhysOp {
-    /// The plan node this op is attributed to. A fused segment anchors on
-    /// its first inner op (inner ids stay addressable via
-    /// [`FusedSegment::ops`]).
+/// The probe side of a join. Pair order within a morsel matches the
+/// whole-column probe, so concatenating morsel outputs in morsel order
+/// reproduces it exactly.
+#[derive(Debug, Clone)]
+pub struct Probe {
+    /// Id of the build-side pipeline (its sink is [`Sink::JoinBuild`]).
+    pub build: usize,
+    /// Join kind.
+    pub kind: JoinKind,
+    /// Probe-side key expressions (empty ⇒ cross join).
+    pub left_keys: Vec<Expr>,
+    /// Build-side key expressions, as on the build pipeline's sink: a
+    /// Grace join re-hashes both sides per partition.
+    pub right_keys: Vec<Expr>,
+    /// Residual predicate over `[left ++ right]` candidate pairs.
+    pub residual: Option<Expr>,
+    /// Join output schema (nullability from the join kind).
+    pub schema: Schema,
+    /// The `Join` plan node.
+    pub node: Node,
+}
+
+impl StreamOp {
+    /// The plan node this op is attributed to.
     pub fn node(&self) -> Node {
         match self {
-            PhysOp::Scan { node }
-            | PhysOp::Filter { node, .. }
-            | PhysOp::Project { node, .. }
-            | PhysOp::Probe { node, .. } => *node,
-            PhysOp::Fused(seg) => seg.ops.first().expect("fused segment is non-empty").node(),
+            StreamOp::Scan { node }
+            | StreamOp::Filter { node, .. }
+            | StreamOp::Project { node, .. }
+            | StreamOp::Probe(Probe { node, .. }) => *node,
+        }
+    }
+
+    /// Short label used for operator trace spans.
+    pub(crate) fn span_label(&self) -> &'static str {
+        match self {
+            StreamOp::Scan { .. } => "scan",
+            StreamOp::Filter { .. } => "filter",
+            StreamOp::Project { .. } => "project",
+            StreamOp::Probe(_) => "join-probe",
+        }
+    }
+
+    /// The schema this op gives its output, if it changes it.
+    pub(crate) fn out_schema(&self) -> Option<&Schema> {
+        match self {
+            StreamOp::Project { schema, .. } | StreamOp::Probe(Probe { schema, .. }) => {
+                Some(schema)
+            }
+            StreamOp::Scan { .. } | StreamOp::Filter { .. } => None,
         }
     }
 }
 
 /// A maximal fusable run of streaming operators, executed as one pass per
-/// morsel. Built only by [`fuse`]; always holds at least two inner ops and
-/// never nests.
+/// morsel. Built only by [`fuse`]: at least two inner ops, or a lone filter.
 #[derive(Debug, Clone)]
 pub struct FusedSegment {
-    /// Inner operators in execution order (never themselves `Fused`).
-    pub ops: Vec<PhysOp>,
+    ops: Vec<StreamOp>,
+    label: String,
+    category: CostCategory,
 }
 
 impl FusedSegment {
+    fn new(ops: Vec<StreamOp>) -> Self {
+        let ids: Vec<String> = ops.iter().map(|op| format!("#{}", op.node().id)).collect();
+        let category = if ops.iter().any(|op| matches!(op, StreamOp::Probe(_))) {
+            CostCategory::Join
+        } else if ops.iter().any(|op| matches!(op, StreamOp::Filter { .. })) {
+            CostCategory::Filter
+        } else {
+            CostCategory::Project
+        };
+        FusedSegment {
+            label: format!("fused[{}]", ids.join(",")),
+            category,
+            ops,
+        }
+    }
+
+    /// Inner operators in execution order.
+    pub fn ops(&self) -> &[StreamOp] {
+        &self.ops
+    }
+
     /// Kernel/span label naming every inner plan node: `fused[#1,#2]`.
-    pub fn label(&self) -> String {
-        let ids: Vec<String> = self
-            .ops
-            .iter()
-            .map(|op| format!("#{}", op.node().id))
-            .collect();
-        format!("fused[{}]", ids.join(","))
+    pub fn label(&self) -> &str {
+        &self.label
     }
 
     /// Ledger category the segment's single charge lands in: the heaviest
-    /// inner operator class (join > filter > project > scan).
+    /// inner operator class (join > filter > project).
     pub fn category(&self) -> CostCategory {
-        fn rank(c: CostCategory) -> u8 {
-            match c {
-                CostCategory::Join => 3,
-                CostCategory::Filter => 2,
-                CostCategory::Project => 1,
-                _ => 0,
-            }
-        }
-        self.ops
-            .iter()
-            .map(|op| match op {
-                PhysOp::Probe { .. } => CostCategory::Join,
-                PhysOp::Filter { .. } => CostCategory::Filter,
-                PhysOp::Project { .. } => CostCategory::Project,
-                _ => CostCategory::Scan,
-            })
-            .max_by_key(|c| rank(*c))
-            .expect("fused segment is non-empty")
+        self.category
     }
 }
 
@@ -244,13 +290,14 @@ pub fn fuse(plan: &mut PhysicalPlan, config: &FusionConfig) {
 
 fn fuse_ops(ops: Vec<PhysOp>, max: usize) -> Vec<PhysOp> {
     let mut out = Vec::with_capacity(ops.len());
-    let mut run: Vec<PhysOp> = Vec::new();
+    let mut run: Vec<StreamOp> = Vec::new();
     for op in ops {
-        if fusable(&op) {
-            run.push(op);
-        } else {
-            flush_run(&mut run, max, &mut out);
-            out.push(op);
+        match op {
+            PhysOp::Plain(op) if fusable(&op) => run.push(op),
+            other => {
+                flush_run(&mut run, max, &mut out);
+                out.push(other);
+            }
         }
     }
     flush_run(&mut run, max, &mut out);
@@ -260,15 +307,15 @@ fn fuse_ops(ops: Vec<PhysOp>, max: usize) -> Vec<PhysOp> {
 /// Emit a pending fusable run: chunks of `max`, each chunk of ≥ 2 ops — or
 /// a singleton filter — becoming a segment, provided the chunk does real
 /// per-byte work somewhere; anything else stays plain ops.
-fn flush_run(run: &mut Vec<PhysOp>, max: usize, out: &mut Vec<PhysOp>) {
+fn flush_run(run: &mut Vec<StreamOp>, max: usize, out: &mut Vec<PhysOp>) {
     let mut rest = std::mem::take(run).into_iter().peekable();
     while rest.peek().is_some() {
-        let chunk: Vec<PhysOp> = rest.by_ref().take(max).collect();
-        let big_enough = chunk.len() >= 2 || matches!(chunk[0], PhysOp::Filter { .. });
+        let chunk: Vec<StreamOp> = rest.by_ref().take(max).collect();
+        let big_enough = chunk.len() >= 2 || matches!(chunk[0], StreamOp::Filter { .. });
         if big_enough && chunk.iter().any(worthwhile) {
-            out.push(PhysOp::Fused(FusedSegment { ops: chunk }));
+            out.push(PhysOp::Fused(FusedSegment::new(chunk)));
         } else {
-            out.extend(chunk);
+            out.extend(chunk.into_iter().map(PhysOp::Plain));
         }
     }
 }
@@ -278,11 +325,11 @@ fn flush_run(run: &mut Vec<PhysOp>, max: usize, out: &mut Vec<PhysOp>) {
 /// reads the same buffers, no kernel runs, nothing is charged — so a chunk
 /// of only scans and pass-through projections would *add* traffic if fused
 /// (the segment charges its input read and output write).
-fn worthwhile(op: &PhysOp) -> bool {
+fn worthwhile(op: &StreamOp) -> bool {
     match op {
-        PhysOp::Filter { .. } | PhysOp::Probe { .. } => true,
-        PhysOp::Project { exprs, .. } => exprs.iter().any(|e| !matches!(e, Expr::Column(_))),
-        PhysOp::Scan { .. } | PhysOp::Fused(_) => false,
+        StreamOp::Filter { .. } | StreamOp::Probe(_) => true,
+        StreamOp::Project { exprs, .. } => exprs.iter().any(|e| !matches!(e, Expr::Column(_))),
+        StreamOp::Scan { .. } => false,
     }
 }
 
@@ -291,15 +338,12 @@ fn worthwhile(op: &PhysOp) -> bool {
 /// keys are element-wise computable — no cross join (no hash table to
 /// probe), no residual predicate (re-gathers both sides to evaluate), no
 /// set-valued or string-pattern key kernels.
-fn fusable(op: &PhysOp) -> bool {
+fn fusable(op: &StreamOp) -> bool {
     match op {
-        PhysOp::Scan { .. } | PhysOp::Filter { .. } | PhysOp::Project { .. } => true,
-        PhysOp::Probe {
-            left_keys,
-            residual,
-            ..
-        } => !left_keys.is_empty() && residual.is_none() && left_keys.iter().all(elementwise),
-        PhysOp::Fused(_) => false,
+        StreamOp::Scan { .. } | StreamOp::Filter { .. } | StreamOp::Project { .. } => true,
+        StreamOp::Probe(p) => {
+            !p.left_keys.is_empty() && p.residual.is_none() && p.left_keys.iter().all(elementwise)
+        }
     }
 }
 
@@ -327,17 +371,9 @@ pub enum Sink {
         /// The `Join` plan node.
         node: Node,
     },
-    /// Grouped or global aggregation.
-    Aggregate {
-        /// Group-key expressions (empty = global).
-        keys: Vec<Expr>,
-        /// Aggregate functions.
-        aggregates: Vec<AggExpr>,
-        /// Aggregate output schema.
-        schema: Schema,
-        /// The `Aggregate` plan node.
-        node: Node,
-    },
+    /// Grouped or global aggregation. Shared by `Arc` so partial-aggregation
+    /// morsel tasks hold the spec itself, not a per-wave copy.
+    Aggregate(Arc<Aggregation>),
     /// Total sort.
     Sort {
         /// Sort keys, major first.
@@ -370,14 +406,38 @@ pub enum Sink {
     },
 }
 
+/// A grouped or global aggregation: the payload of [`Sink::Aggregate`].
+#[derive(Debug, Clone)]
+pub struct Aggregation {
+    /// Group-key expressions (empty = global).
+    pub keys: Vec<Expr>,
+    /// Aggregate functions.
+    pub aggregates: Vec<AggExpr>,
+    /// Aggregate output schema.
+    pub schema: Schema,
+    /// The `Aggregate` plan node.
+    pub node: Node,
+}
+
+impl Aggregation {
+    /// Ledger category the aggregation's kernels charge under.
+    pub fn category(&self) -> CostCategory {
+        if self.keys.is_empty() {
+            CostCategory::Aggregate
+        } else {
+            CostCategory::GroupBy
+        }
+    }
+}
+
 impl Sink {
     /// The plan node this sink is attributed to (`None` for [`Sink::Result`],
     /// which is not a plan operator).
     pub fn node(&self) -> Option<Node> {
         match self {
             Sink::Result => None,
+            Sink::Aggregate(agg) => Some(agg.node),
             Sink::JoinBuild { node, .. }
-            | Sink::Aggregate { node, .. }
             | Sink::Sort { node, .. }
             | Sink::Limit { node, .. }
             | Sink::Distinct { node }
@@ -390,8 +450,8 @@ impl Sink {
         match self {
             Sink::Result => "result",
             Sink::JoinBuild { .. } => "join-build",
-            Sink::Aggregate { keys, .. } if keys.is_empty() => "aggregate",
-            Sink::Aggregate { .. } => "group-by",
+            Sink::Aggregate(agg) if agg.keys.is_empty() => "aggregate",
+            Sink::Aggregate(_) => "group-by",
             Sink::Sort { .. } => "sort",
             Sink::Limit { .. } => "limit",
             Sink::Distinct { .. } => "distinct",
@@ -420,7 +480,7 @@ pub fn compile(plan: &Rel) -> Result<PhysicalPlan> {
 struct OpenPipe {
     source: Source,
     deps: Vec<usize>,
-    ops: Vec<PhysOp>,
+    ops: Vec<StreamOp>,
     operators: usize,
     schema: Schema,
 }
@@ -439,7 +499,7 @@ impl Compiler {
             id,
             deps: pipe.deps,
             source: pipe.source,
-            ops: pipe.ops,
+            ops: pipe.ops.into_iter().map(PhysOp::Plain).collect(),
             sink,
             operators: pipe.operators,
             out_schema: pipe.schema,
@@ -475,7 +535,7 @@ impl Fold for Compiler {
                     node,
                 },
                 deps: Vec::new(),
-                ops: vec![PhysOp::Scan { node }],
+                ops: vec![StreamOp::Scan { node }],
                 operators: 1,
                 schema: rel.schema()?,
             },
@@ -484,10 +544,10 @@ impl Fold for Compiler {
                 // Scan+filter fusion: the filter's scan of its input doubles
                 // as the read pass, so drop the standalone scan op. The
                 // logical operator count keeps both.
-                if matches!(pipe.ops.last(), Some(PhysOp::Scan { .. })) {
+                if matches!(pipe.ops.last(), Some(StreamOp::Scan { .. })) {
                     pipe.ops.pop();
                 }
-                pipe.ops.push(PhysOp::Filter {
+                pipe.ops.push(StreamOp::Filter {
                     predicate: predicate.clone(),
                     node,
                 });
@@ -497,7 +557,7 @@ impl Fold for Compiler {
             Rel::Project { exprs, .. } => {
                 let mut pipe = children.next().expect("project has input");
                 let schema = rel.schema()?;
-                pipe.ops.push(PhysOp::Project {
+                pipe.ops.push(StreamOp::Project {
                     exprs: exprs.iter().map(|(e, _)| e.clone()).collect(),
                     schema: schema.clone(),
                     node,
@@ -524,14 +584,15 @@ impl Fold for Compiler {
                 );
                 let schema = rel.schema()?;
                 left.deps.push(build);
-                left.ops.push(PhysOp::Probe {
+                left.ops.push(StreamOp::Probe(Probe {
                     build,
                     kind: *kind,
                     left_keys: left_keys.clone(),
+                    right_keys: right_keys.clone(),
                     residual: residual.clone(),
                     schema: schema.clone(),
                     node,
-                });
+                }));
                 left.operators += 1;
                 left.schema = schema;
                 left
@@ -545,12 +606,12 @@ impl Fold for Compiler {
                 let schema = rel.schema()?;
                 let dep = self.close(
                     pipe,
-                    Sink::Aggregate {
+                    Sink::Aggregate(Arc::new(Aggregation {
                         keys: group_by.clone(),
                         aggregates: aggregates.clone(),
                         schema: schema.clone(),
                         node,
-                    },
+                    })),
                 );
                 self.consumer(dep, schema)
             }
@@ -630,7 +691,7 @@ mod tests {
         assert!(matches!(p.sink, Sink::Result));
         // Scan+filter fusion: one streaming op, attributed to the filter.
         assert_eq!(p.ops.len(), 1);
-        assert!(matches!(&p.ops[0], PhysOp::Filter { node, .. } if node.id == 0));
+        assert!(matches!(&p.ops[0], PhysOp::Plain(StreamOp::Filter { node, .. }) if node.id == 0));
         assert!(matches!(&p.source, Source::Scan { node, .. } if node.id == 1));
     }
 
@@ -647,7 +708,10 @@ mod tests {
         let probe = &phys.pipelines[1];
         assert_eq!(probe.deps, vec![0]);
         assert!(matches!(probe.sink, Sink::Result));
-        assert!(matches!(&probe.ops[1], PhysOp::Probe { build: 0, .. }));
+        assert!(matches!(
+            &probe.ops[1],
+            PhysOp::Plain(StreamOp::Probe(Probe { build: 0, .. }))
+        ));
         // Join output schema is carried onto the probe pipeline.
         assert_eq!(probe.out_schema.len(), 4);
     }
@@ -671,7 +735,7 @@ mod tests {
             .build();
         let phys = compile(&plan).unwrap();
         assert_eq!(phys.pipelines.len(), 4);
-        assert!(matches!(phys.pipelines[0].sink, Sink::Aggregate { .. }));
+        assert!(matches!(phys.pipelines[0].sink, Sink::Aggregate(_)));
         assert!(matches!(phys.pipelines[1].sink, Sink::Sort { .. }));
         assert!(matches!(
             phys.pipelines[2].sink,
@@ -716,7 +780,7 @@ mod tests {
             probe
                 .ops
                 .iter()
-                .filter(|op| matches!(op, PhysOp::Probe { .. }))
+                .filter(|op| matches!(op, PhysOp::Plain(StreamOp::Probe(_))))
                 .count(),
             2
         );
@@ -733,7 +797,7 @@ mod tests {
         let phys = compile(&plan).unwrap();
         assert_eq!(phys.root.node_count(), 2);
         let p = &phys.pipelines[0];
-        assert!(matches!(&p.ops[0], PhysOp::Filter { node, .. } if node.id == 0));
+        assert!(matches!(&p.ops[0], PhysOp::Plain(StreamOp::Filter { node, .. }) if node.id == 0));
         assert!(matches!(&p.source, Source::Scan { node, .. } if node.id == 1));
     }
 
@@ -752,9 +816,9 @@ mod tests {
         let PhysOp::Fused(seg) = &p.ops[0] else {
             panic!("expected fused segment, got {:?}", p.ops[0]);
         };
-        assert_eq!(seg.ops.len(), 2);
-        assert!(matches!(seg.ops[0], PhysOp::Filter { .. }));
-        assert!(matches!(seg.ops[1], PhysOp::Project { .. }));
+        assert_eq!(seg.ops().len(), 2);
+        assert!(matches!(seg.ops()[0], StreamOp::Filter { .. }));
+        assert!(matches!(seg.ops()[1], StreamOp::Project { .. }));
         assert_eq!(seg.category(), CostCategory::Filter);
         // Project is node 0, filter node 1 on the normalized pre-order tree.
         assert_eq!(seg.label(), "fused[#1,#0]");
@@ -769,7 +833,7 @@ mod tests {
         fuse(&mut phys, &FusionConfig::default());
         let p = &phys.pipelines[0];
         assert_eq!(p.ops.len(), 1);
-        assert!(matches!(p.ops[0], PhysOp::Scan { .. }));
+        assert!(matches!(p.ops[0], PhysOp::Plain(StreamOp::Scan { .. })));
         // (A lone trailing projection staying plain is exercised by
         // `fuse_probe_rules`' residual case.)
     }
@@ -787,8 +851,8 @@ mod tests {
         let PhysOp::Fused(seg) = &p.ops[0] else {
             panic!("lone filter should fuse, got {:?}", p.ops[0]);
         };
-        assert_eq!(seg.ops.len(), 1);
-        assert!(matches!(seg.ops[0], PhysOp::Filter { .. }));
+        assert_eq!(seg.ops().len(), 1);
+        assert!(matches!(seg.ops()[0], StreamOp::Filter { .. }));
         assert_eq!(seg.category(), CostCategory::Filter);
         assert_eq!(seg.label(), "fused[#0]");
     }
@@ -819,9 +883,9 @@ mod tests {
         let p = &phys.pipelines[0];
         // 5 fusable ops at max 2 → two 2-op segments plus a trailing plain op.
         assert_eq!(p.ops.len(), 3);
-        assert!(matches!(&p.ops[0], PhysOp::Fused(s) if s.ops.len() == 2));
-        assert!(matches!(&p.ops[1], PhysOp::Fused(s) if s.ops.len() == 2));
-        assert!(matches!(p.ops[2], PhysOp::Project { .. }));
+        assert!(matches!(&p.ops[0], PhysOp::Fused(s) if s.ops().len() == 2));
+        assert!(matches!(&p.ops[1], PhysOp::Fused(s) if s.ops().len() == 2));
+        assert!(matches!(p.ops[2], PhysOp::Plain(StreamOp::Project { .. })));
     }
 
     #[test]
@@ -850,7 +914,7 @@ mod tests {
         let PhysOp::Fused(seg) = &probe_pipe.ops[0] else {
             panic!("probe should fuse");
         };
-        assert!(matches!(seg.ops[1], PhysOp::Probe { .. }));
+        assert!(matches!(seg.ops()[1], StreamOp::Probe(_)));
         assert_eq!(seg.category(), CostCategory::Join);
 
         // A residual predicate keeps the probe out of segments.

@@ -66,7 +66,7 @@ pub fn decompose(plan: &Rel) -> Vec<PipelineInfo> {
             breaker: match &p.sink {
                 Sink::Result => BreakerKind::Result,
                 Sink::JoinBuild { .. } => BreakerKind::JoinBuild,
-                Sink::Aggregate { .. } => BreakerKind::Aggregate,
+                Sink::Aggregate(_) => BreakerKind::Aggregate,
                 Sink::Sort { .. } => BreakerKind::Sort,
                 Sink::Limit { .. } => BreakerKind::Limit,
                 Sink::Distinct { .. } => BreakerKind::Distinct,

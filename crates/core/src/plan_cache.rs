@@ -33,12 +33,13 @@ use crate::physical::PhysicalPlan;
 
 /// An immutable compiled query: normalized plan, fused pipeline DAG, and
 /// the fingerprint the cache keys it under. Cheap to share (`Arc`) and to
-/// start ([`begin_compiled`](crate::SiriusEngine::begin_compiled) clones
-/// only the run bookkeeping, never recompiles).
+/// start: [`begin_compiled`](crate::SiriusEngine::begin_compiled) allocates
+/// only the run's dependency bookkeeping — the run and its morsel tasks
+/// execute this DAG through the same `Arc`, never a copy.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     pub(crate) fingerprint: PlanFingerprint,
-    pub(crate) phys: PhysicalPlan,
+    pub(crate) phys: Arc<PhysicalPlan>,
 }
 
 impl CompiledQuery {
@@ -300,7 +301,7 @@ mod tests {
             .build();
         let normalized = sirius_plan::normalize::normalize(&plan);
         let fingerprint = sirius_plan::fingerprint::fingerprint(&normalized);
-        let phys = crate::physical::compile(&plan).unwrap();
+        let phys = Arc::new(crate::physical::compile(&plan).unwrap());
         Arc::new(CompiledQuery { fingerprint, phys })
     }
 

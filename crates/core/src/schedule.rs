@@ -9,6 +9,17 @@
 //! one pipeline per wave, reproducing the recursion-order baseline for the
 //! `ablation_pipelines` experiment.
 //!
+//! The scheduler runs the compiled artifact itself. A [`QueryRun`] holds
+//! the plan by `Arc`; a wave's morsel tasks share it and walk the
+//! pipeline's own streaming ops (`crate::morsel::walk`) against a small
+//! per-wave table of resolved build sides — nothing is lowered or cloned
+//! per wave. Serial preparation keeps only what is dynamic: the source,
+//! Grace-join degradation (the chain is a list of positions in the compiled
+//! ops, so a spilled build side splits a chain without copying it), and
+//! the sink mode with its grants. One task body — pay the dispatch
+//! overhead, walk the chain — serves regular waves, fused-aggregation
+//! waves, and Grace-join prefixes.
+//!
 //! Per-pipeline breaker work (grant acquisition, hash-table builds, sort,
 //! partial-aggregate merges) stays serial, in pipeline-id order, after the
 //! wave's stream sync. Lane and category totals in the ledger are
@@ -18,21 +29,21 @@
 use crate::engine::SiriusEngine;
 use crate::exprs::evaluate;
 use crate::morsel::{
-    agg_inputs, attribute_fused, chain_schema, chunk_morsels, concat_morsels, lower_agg,
-    run_fused_segment, scalar_table, FusedRun, MorselOp,
+    agg_inputs, chunk_morsels, concat_morsels, lower_agg, scalar_table, BuildSide, Builds,
+    OpStatsRef, Partial, PartialAgg, Run,
 };
-use crate::physical::{PhysOp, PhysicalPlan, Pipeline, Sink, Source};
+use crate::physical::{Aggregation, PhysOp, PhysicalPlan, Pipeline, Sink, Source, StreamOp};
 use crate::Result;
-use sirius_columnar::{Array, DataType, Scalar, Table};
+use sirius_columnar::{Array, Scalar, Schema, Table};
 use sirius_cudf::filter::gather;
-use sirius_cudf::groupby::{group_by, AggKind, AggRequest, PartialAggPlan};
-use sirius_cudf::join::build_hash_table;
+use sirius_cudf::groupby::{group_by, AggRequest};
+use sirius_cudf::join::{build_hash_table, JoinHashTable};
 use sirius_cudf::reduce::reduce;
 use sirius_cudf::sort::{sort_indices, SortKey};
 use sirius_cudf::unique::distinct;
-use sirius_cudf::{GpuContext, WorkCollector};
-use sirius_hw::{CostCategory, WorkProfile};
-use sirius_plan::expr::{AggExpr, Expr};
+use sirius_hw::{CostCategory, Device, FaultSite};
+use sirius_plan::expr::Expr;
+use sirius_plan::visit::Node;
 use sirius_spill::MemoryGrant;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -56,7 +67,7 @@ pub enum Scheduling {
 /// memory grant pinning it in the processing region.
 struct PipeResult {
     table: Table,
-    hash: Option<Arc<sirius_cudf::join::JoinHashTable>>,
+    hash: Option<Arc<JoinHashTable>>,
     /// The build side didn't fit the processing region: consumers must
     /// Grace-join against `table` instead of probing a hash table.
     grace: bool,
@@ -74,63 +85,120 @@ impl PipeResult {
     }
 }
 
-/// What one morsel task returns, by pipeline sink mode.
+/// What one morsel task returns: the chain's output, or — under
+/// [`Mode::FusedAgg`] — its partial accumulators.
 enum TaskOut {
-    /// Streaming chain output (non-aggregate sinks, spill/single-pass
-    /// aggregation).
     Table(Table),
-    /// Partial accumulators of a fused ungrouped aggregation.
-    Scalars(Vec<Scalar>),
-    /// Partial (key columns, aggregate columns) of a fused group-by.
-    Groups(Vec<Array>, Vec<Array>),
+    Partial(Partial),
 }
 
-impl TaskOut {
-    fn into_table(self) -> Table {
-        match self {
-            TaskOut::Table(t) => t,
-            _ => unreachable!("mode returns tables"),
+/// Sort a pipeline's task outputs by kind. Every task of one pipeline wave
+/// is built from the same [`Mode`], so exactly one side is non-empty.
+fn split(outs: Vec<TaskOut>) -> (Vec<Table>, Vec<Partial>) {
+    let (mut tables, mut partials) = (Vec::new(), Vec::new());
+    for out in outs {
+        match out {
+            TaskOut::Table(t) => tables.push(t),
+            TaskOut::Partial(p) => partials.push(p),
         }
     }
+    (tables, partials)
 }
 
 type WaveTask = Box<dyn FnOnce() -> Result<TaskOut> + Send>;
-type TableTask = Box<dyn FnOnce() -> Result<Table> + Send>;
+
+/// One run of a chain, as a position in the compiled pipeline's ops:
+/// `ops[op]` whole (a plain op, or a fused segment under its one charge),
+/// or — when a Grace join degraded the segment — its `inner`-th op alone.
+#[derive(Clone, Copy)]
+struct RunRef {
+    op: usize,
+    inner: Option<usize>,
+}
+
+/// The streaming chain every morsel task of one pipeline wave walks: runs
+/// of the compiled plan's own ops (shared by `Arc`, never re-cloned) plus
+/// the build sides its probes resolve against.
+struct Chain {
+    plan: Arc<PhysicalPlan>,
+    pipe: usize,
+    runs: Vec<RunRef>,
+    builds: Builds,
+}
+
+impl Chain {
+    fn runs(&self) -> impl DoubleEndedIterator<Item = Run<'_>> {
+        let ops = &self.plan.pipelines[self.pipe].ops;
+        self.runs.iter().map(move |r| match (&ops[r.op], r.inner) {
+            (PhysOp::Plain(op), _) => Run::Plain(op),
+            (PhysOp::Fused(seg), None) => Run::Fused(seg),
+            (PhysOp::Fused(seg), Some(i)) => Run::Plain(&seg.ops()[i]),
+        })
+    }
+
+    /// Schema of the chain's output: the last schema-changing operator's,
+    /// or `fallback` when the chain only filters/scans.
+    fn out_schema(&self, fallback: &Schema) -> Schema {
+        let mut ops = self.runs().rev().flat_map(|run| run.ops().iter().rev());
+        ops.find_map(StreamOp::out_schema)
+            .unwrap_or(fallback)
+            .clone()
+    }
+
+    /// Walk one morsel through the chain. With `agg`, the morsel ends in
+    /// the aggregation's phase one, which absorbs a trailing fused run
+    /// into its own kernel.
+    fn walk(
+        &self,
+        device: &Device,
+        morsel: Table,
+        agg: Option<&PartialAgg>,
+        stats: OpStatsRef<'_>,
+    ) -> Result<TaskOut> {
+        let absorbed = match (agg, self.runs().next_back()) {
+            (Some(_), Some(Run::Fused(seg))) => Some(seg),
+            _ => None,
+        };
+        let head = self.runs.len() - usize::from(absorbed.is_some());
+        let mut t = morsel;
+        for run in self.runs().take(head) {
+            t = run.apply(device, t, &self.builds, stats)?;
+        }
+        let Some(agg) = agg else {
+            return Ok(TaskOut::Table(t));
+        };
+        let partial = agg.task(device, t, absorbed, &self.builds, stats)?;
+        Ok(TaskOut::Partial(partial))
+    }
+}
 
 /// How a prepared pipeline's sink consumes the wave.
 enum Mode {
     /// No wave: a consumer pipeline with no streaming ops applies its sink
     /// directly to the materialized dependency.
     Direct,
-    /// Generic morsel wave; the sink takes the concatenated output.
-    Wave,
+    /// Generic morsel wave; the sink takes the concatenated output. An
+    /// aggregate sink here runs one whole-column pass under its held state
+    /// grant (single morsel, or `COUNT(DISTINCT)`).
+    Wave { _state: Option<MemoryGrant> },
     /// Aggregate whose state grant was denied: wave, concatenate, then the
     /// spilling aggregation path.
-    SpillAgg { category: CostCategory },
-    /// Aggregate in one whole-column pass under the held state grant
-    /// (single morsel, or `COUNT(DISTINCT)`).
-    SinglePassAgg {
-        category: CostCategory,
-        _state: MemoryGrant,
-    },
+    SpillAgg(Arc<Aggregation>),
     /// Fused partial aggregation: each morsel task runs the streaming chain
     /// and its partial accumulators back-to-back on its stream; partials
     /// merge serially after the sync.
     FusedAgg {
-        pplan: Arc<PartialAggPlan>,
-        keys: Arc<Vec<Expr>>,
-        aggs: Arc<Vec<AggExpr>>,
-        category: CostCategory,
+        agg: Arc<PartialAgg>,
         _state: MemoryGrant,
     },
 }
 
-/// A pipeline after serial preparation: source resolved, streaming ops
-/// lowered (grace probes already folded into the source), morsels cut, and
-/// the sink mode (with any grants) decided.
+/// A pipeline after serial preparation: source resolved, chain laid out
+/// over the compiled ops (grace probes already folded into the source),
+/// morsels cut, and the sink mode (with any grants) decided.
 struct Prepared<'a> {
     pipe: &'a Pipeline,
-    ops: Arc<Vec<MorselOp>>,
+    chain: Arc<Chain>,
     source: Table,
     chunks: Vec<Table>,
     mode: Mode,
@@ -147,7 +215,9 @@ struct Prepared<'a> {
 /// (`sirius-serve`) interleave waves from *different* queries onto one
 /// shared stream pool instead of running queries back to back.
 pub struct QueryRun {
-    phys: PhysicalPlan,
+    /// The compiled artifact itself, shared with the plan cache and with
+    /// every morsel task — starting a run copies no plan.
+    phys: Arc<PhysicalPlan>,
     results: HashMap<usize, PipeResult>,
     /// Remaining consumer count per pipeline: a dependency's materialized
     /// result (table, hash table, grant) is released the moment this hits
@@ -164,7 +234,7 @@ pub struct QueryRun {
 
 impl QueryRun {
     pub(crate) fn new(
-        phys: PhysicalPlan,
+        phys: Arc<PhysicalPlan>,
         stats_base: HashMap<u32, crate::explain::OpStats>,
     ) -> Self {
         let n = phys.pipelines.len();
@@ -264,16 +334,10 @@ impl SiriusEngine {
         // the run has already done work and may hold grants, so the error
         // path exercises the full unwind (callers abort or drop the run;
         // either way every RAII reservation releases).
-        if self
-            .fault
-            .fire(sirius_hw::FaultSite::WaveDispatch { node: self.node_id })
-            .is_some()
-        {
-            return Err(crate::SiriusError::TransientDevice(format!(
-                "injected device failure during a morsel wave on node {}",
-                self.node_id
-            )));
-        }
+        self.fire_device_fault(
+            FaultSite::WaveDispatch { node: self.node_id },
+            "device failure during a morsel wave",
+        )?;
         let n = run.phys.pipelines.len();
         let ready: Vec<usize> = (0..n)
             .filter(|&i| !run.done[i] && run.phys.pipelines[i].deps.iter().all(|&d| run.done[d]))
@@ -313,13 +377,13 @@ impl SiriusEngine {
     /// then finish each sink serially in pipeline-id order.
     fn run_wave(
         &self,
-        phys: &PhysicalPlan,
+        plan: &Arc<PhysicalPlan>,
         batch: &[usize],
         results: &mut HashMap<usize, PipeResult>,
     ) -> Result<()> {
         let mut preps = Vec::with_capacity(batch.len());
         for &id in batch {
-            preps.push(self.prepare(phys, &phys.pipelines[id], results)?);
+            preps.push(self.prepare(plan, &plan.pipelines[id], results)?);
         }
 
         let streams = self.effective_streams();
@@ -334,7 +398,12 @@ impl SiriusEngine {
             if !prep.chunks.is_empty() {
                 let offset = (slice * width) % streams;
                 slice += 1;
-                self.push_tasks(prep, offset, width, streams, &mut tasks);
+                let agg = match &prep.mode {
+                    Mode::FusedAgg { agg, .. } => Some(agg),
+                    _ => None,
+                };
+                let chunks = std::mem::take(&mut prep.chunks);
+                tasks.extend(self.morsel_tasks(chunks, &prep.chain, agg, offset, width));
             }
             counts.push(tasks.len() - before);
         }
@@ -342,7 +411,7 @@ impl SiriusEngine {
         self.device.sync_streams();
         for prep in &preps {
             if !matches!(prep.mode, Mode::Direct) {
-                self.wave_spans(&prep.ops, wave_t0);
+                self.wave_spans(&prep.chain, wave_t0);
             }
         }
 
@@ -356,13 +425,14 @@ impl SiriusEngine {
         Ok(())
     }
 
-    /// Serial per-pipeline preparation: resolve the source, lower the
-    /// streaming ops (running Grace joins inline when a build side
-    /// spilled), cut morsels, and pick the sink mode — acquiring the
-    /// aggregate state grant up front, before any task runs.
+    /// Serial per-pipeline preparation — only what is genuinely dynamic:
+    /// resolve the source, lay the chain out over the compiled ops (running
+    /// Grace joins inline when a build side spilled), cut morsels, and pick
+    /// the sink mode — acquiring the aggregate state grant up front, before
+    /// any task runs.
     fn prepare<'a>(
         &self,
-        phys: &PhysicalPlan,
+        plan: &Arc<PhysicalPlan>,
         pipe: &'a Pipeline,
         results: &HashMap<usize, PipeResult>,
     ) -> Result<Prepared<'a>> {
@@ -379,133 +449,58 @@ impl SiriusEngine {
             }
             Source::Pipe(d) => results[d].table.clone(),
         };
-        // Fused segments probe pre-built hash tables in-pass; when a probe's
-        // build side spilled (Grace join), its segment degrades back to the
-        // per-operator form so the partitioned-join path below applies.
-        let effective: Vec<PhysOp> = pipe
-            .ops
-            .iter()
-            .flat_map(|op| {
-                match op {
-                PhysOp::Fused(seg)
-                    if seg.ops.iter().any(|inner| {
-                        matches!(inner, PhysOp::Probe { build, .. } if results[build].grace)
-                    }) =>
-                {
-                    seg.ops.clone()
-                }
-                other => vec![other.clone()],
-            }
+        let chain = |runs: Vec<RunRef>, builds: Builds| {
+            Arc::new(Chain {
+                plan: Arc::clone(plan),
+                pipe: pipe.id,
+                runs,
+                builds,
             })
-            .collect();
-        let mut ops: Vec<MorselOp> = Vec::with_capacity(effective.len());
-        for op in &effective {
-            match op {
-                PhysOp::Fused(seg) => {
-                    let inner: Vec<MorselOp> = seg
-                        .ops
-                        .iter()
-                        .map(|inner| lower_streaming(inner, results))
-                        .collect();
-                    ops.push(MorselOp::Fused {
-                        label: seg.label(),
-                        category: seg.category(),
-                        node: op.node(),
-                        ops: inner,
-                    });
-                }
-                PhysOp::Scan { node } => ops.push(MorselOp::Scan { node: *node }),
-                PhysOp::Filter { predicate, node } => ops.push(MorselOp::Filter {
-                    predicate: predicate.clone(),
-                    node: *node,
-                }),
-                PhysOp::Project {
-                    exprs,
-                    schema,
-                    node,
-                } => ops.push(MorselOp::Project {
-                    exprs: exprs.clone(),
-                    schema: schema.clone(),
-                    node: *node,
-                }),
-                PhysOp::Probe {
-                    build,
-                    kind,
-                    left_keys,
-                    residual,
-                    schema,
-                    node,
-                } => {
-                    let b = &results[build];
-                    if !b.grace {
-                        ops.push(MorselOp::Probe {
-                            ht: b.hash.clone(),
-                            rt: b.table.clone(),
-                            kind: *kind,
-                            left_keys: left_keys.clone(),
-                            residual: residual.clone(),
-                            schema: schema.clone(),
-                            node: *node,
-                        });
+        };
+        let mut runs: Vec<RunRef> = Vec::with_capacity(pipe.ops.len());
+        let mut builds = Builds::new();
+        for (op, step) in pipe.ops.iter().enumerate() {
+            // Fused segments probe pre-built hash tables in-pass; when a
+            // probe's build side spilled (Grace join), its segment degrades
+            // to runs of length 1 so the partitioned-join path below applies.
+            let spilled = |s: &StreamOp| matches!(s, StreamOp::Probe(p) if results[&p.build].grace);
+            let whole = !step.run().iter().any(spilled);
+            for (i, s) in step.run().iter().enumerate() {
+                if let StreamOp::Probe(probe) = s {
+                    let b = &results[&probe.build];
+                    if b.grace {
+                        // The build side didn't fit the processing region:
+                        // Grace-style partitioned join. Materialize the
+                        // probe prefix morsel-wise, partition both sides
+                        // through the spill tiers, and the joined table
+                        // becomes this pipeline's source (like any other
+                        // breaker).
+                        let prefix = chain(std::mem::take(&mut runs), std::mem::take(&mut builds));
+                        let schema = prefix.out_schema(source.schema());
+                        let morsels = self.run_prefix(&prefix, self.chunk_and_count(&source))?;
+                        let lt = concat_morsels(schema, &morsels);
+                        let grace_start = self.wave_start();
+                        source = self.grace_join(&lt, &b.table, probe, 0)?;
+                        if self.trace.enabled() {
+                            self.op_span("spill-partition", grace_start, Some(&source), probe.node);
+                        }
                         continue;
                     }
-                    // The build side didn't fit the processing region:
-                    // Grace-style partitioned join. Materialize the probe
-                    // prefix morsel-wise, partition both sides through the
-                    // spill tiers, and the joined table becomes this
-                    // pipeline's source (like any other breaker).
-                    let seg_schema = chain_schema(&ops, source.schema());
-                    let prefix = Arc::new(std::mem::take(&mut ops));
-                    let chunks = self.chunk_and_count(&source);
-                    let morsels = self.run_ops_wave(&prefix, chunks)?;
-                    let lt = concat_morsels(seg_schema, &morsels);
-                    let Sink::JoinBuild {
-                        keys: right_keys, ..
-                    } = &phys.pipelines[*build].sink
-                    else {
-                        unreachable!("probe build target is a join-build sink")
-                    };
-                    let grace_start = self.wave_start();
-                    let out = self.grace_join(
-                        &lt,
-                        &b.table,
-                        *kind,
-                        left_keys,
-                        right_keys,
-                        residual,
-                        schema.clone(),
-                        *node,
-                        0,
-                    )?;
-                    if self.trace.enabled() {
-                        let dur = self.device.elapsed().saturating_sub(grace_start);
-                        self.trace.span(
-                            "op",
-                            "spill-partition",
-                            grace_start.as_nanos() as u64,
-                            dur.as_nanos() as u64,
-                            out.byte_size() as u64,
-                            out.num_rows() as u64,
-                            node.id,
-                            node.depth,
-                        );
-                    }
-                    source = out;
+                    let (table, hash) = (b.table.clone(), b.hash.clone());
+                    builds.insert(probe.build, BuildSide { table, hash });
                 }
+                if !whole {
+                    runs.push(RunRef { op, inner: Some(i) });
+                }
+            }
+            if whole {
+                runs.push(RunRef { op, inner: None });
             }
         }
 
         let (chunks, mode) = match &pipe.sink {
-            Sink::Aggregate {
-                keys, aggregates, ..
-            } => {
+            Sink::Aggregate(agg) => {
                 let chunks = self.chunk_and_count(&source);
-                let category = if keys.is_empty() {
-                    CostCategory::Aggregate
-                } else {
-                    CostCategory::GroupBy
-                };
-                let kinds: Vec<AggKind> = aggregates.iter().map(|a| lower_agg(a.func)).collect();
                 // The aggregated input never materializes, so the
                 // accumulator-state reservation is sized by the pipeline
                 // source (the input is at most that big), before the tasks
@@ -514,33 +509,29 @@ impl SiriusEngine {
                     .bufmgr
                     .request_grant((source.byte_size() as u64 / 2).max(1024))
                 {
-                    Err(_) => Mode::SpillAgg { category },
-                    Ok(state) => match PartialAggPlan::new(&kinds) {
-                        Some(p) if chunks.len() > 1 => Mode::FusedAgg {
-                            pplan: Arc::new(p),
-                            keys: Arc::new(keys.clone()),
-                            aggs: Arc::new(aggregates.clone()),
-                            category,
+                    Err(_) => Mode::SpillAgg(Arc::clone(agg)),
+                    Ok(state) => match PartialAgg::new(agg) {
+                        Some(partial) if chunks.len() > 1 => Mode::FusedAgg {
+                            agg: Arc::new(partial),
                             _state: state,
                         },
                         // COUNT(DISTINCT) cannot merge partials; a single
                         // morsel gains nothing from the two-phase plan.
-                        _ => Mode::SinglePassAgg {
-                            category,
-                            _state: state,
+                        _ => Mode::Wave {
+                            _state: Some(state),
                         },
                     },
                 };
                 (chunks, mode)
             }
-            _ if ops.is_empty() && matches!(pipe.source, Source::Pipe(_)) => {
+            _ if runs.is_empty() && matches!(pipe.source, Source::Pipe(_)) => {
                 (Vec::new(), Mode::Direct)
             }
-            _ => (self.chunk_and_count(&source), Mode::Wave),
+            _ => (self.chunk_and_count(&source), Mode::Wave { _state: None }),
         };
         Ok(Prepared {
             pipe,
-            ops: Arc::new(ops),
+            chain: chain(runs, builds),
             source,
             chunks,
             mode,
@@ -548,161 +539,47 @@ impl SiriusEngine {
         })
     }
 
-    /// Emit one pipeline's morsel tasks onto its stream slice: morsel `i`
-    /// of slice `[offset, offset+width)` lands on stream
-    /// `(offset + i % width) % streams`. A single-pipeline wave spans the
-    /// full pool (`width == streams`), matching the pre-DAG round-robin.
-    fn push_tasks(
-        &self,
-        prep: &mut Prepared<'_>,
+    /// One task per morsel onto a stream slice: morsel `i` of slice
+    /// `[offset, offset+width)` lands on stream `(offset + i % width) %
+    /// streams`. A single-pipeline wave spans the full pool (`width ==
+    /// streams`), matching the pre-DAG round-robin. The closure built here
+    /// is the engine's one task body — regular waves, fused-aggregation
+    /// waves and Grace-join prefixes all run it: pay the task's dispatch
+    /// overhead on its stream, then walk the chain.
+    fn morsel_tasks<'a>(
+        &'a self,
+        chunks: Vec<Table>,
+        chain: &'a Arc<Chain>,
+        agg: Option<&'a Arc<PartialAgg>>,
         offset: usize,
         width: usize,
-        streams: usize,
-        tasks: &mut Vec<(usize, WaveTask)>,
-    ) {
+    ) -> impl Iterator<Item = (usize, WaveTask)> + 'a {
+        let streams = self.effective_streams();
         let overhead = self.task_overhead();
-        let op_stats = self.op_stats.clone();
-        let chunks = std::mem::take(&mut prep.chunks);
-        match &prep.mode {
-            Mode::Direct => {}
-            Mode::Wave | Mode::SpillAgg { .. } | Mode::SinglePassAgg { .. } => {
-                for (i, morsel) in chunks.into_iter().enumerate() {
-                    let stream = (offset + (i % width)) % streams;
-                    let device = self.device.on_stream(stream);
-                    let ops = Arc::clone(&prep.ops);
-                    let op_stats = op_stats.clone();
-                    let f: WaveTask = Box::new(move || {
-                        device.charge_duration(CostCategory::Other, overhead);
-                        let mut t = morsel;
-                        for op in ops.iter() {
-                            t = op.apply(&device, t, op_stats.as_deref())?;
-                        }
-                        Ok(TaskOut::Table(t))
-                    });
-                    tasks.push((stream, f));
-                }
-            }
-            Mode::FusedAgg {
-                pplan,
-                keys,
-                aggs,
-                category,
-                ..
-            } => {
-                let category = *category;
-                for (i, m) in chunks.into_iter().enumerate() {
-                    let stream = (offset + (i % width)) % streams;
-                    let device = self.device.on_stream(stream);
-                    let ops = Arc::clone(&prep.ops);
-                    let aggs = Arc::clone(aggs);
-                    let keys = Arc::clone(keys);
-                    let pplan = Arc::clone(pplan);
-                    let op_stats = op_stats.clone();
-                    let f: WaveTask = Box::new(move || {
-                        device.charge_duration(CostCategory::Other, overhead);
-                        let mut m = m;
-                        // A trailing fused segment is absorbed into the
-                        // aggregation kernel: the segment walks uncharged,
-                        // the partial aggregation runs through a collector,
-                        // and the morsel is charged as ONE kernel — one
-                        // read of the source morsel plus one write of the
-                        // (tiny) partial accumulators. Aggregate-rooted
-                        // scans like Q1/Q6 thus touch each source byte
-                        // exactly once.
-                        let (streaming, tail) = match ops.split_last() {
-                            Some((
-                                MorselOp::Fused {
-                                    ops: inner, label, ..
-                                },
-                                head,
-                            )) => (head, Some((inner, label))),
-                            _ => (&ops[..], None),
-                        };
-                        for op in streaming {
-                            m = op.apply(&device, m, op_stats.as_deref())?;
-                        }
-                        let absorbed = match tail {
-                            Some((inner, label)) => {
-                                let run = run_fused_segment(&device, m, inner)?;
-                                let seg_work = run.collected();
-                                let FusedRun {
-                                    out,
-                                    in_bytes,
-                                    in_rows,
-                                    per_op,
-                                } = run;
-                                m = out;
-                                Some((label, in_bytes, in_rows, per_op, seg_work))
-                            }
-                            None => None,
-                        };
-                        let collector = WorkCollector::new();
-                        let ctx = if absorbed.is_some() {
-                            GpuContext::new(device.clone(), category).collecting(&collector)
-                        } else {
-                            GpuContext::new(device.clone(), category)
-                        };
-                        let inputs = agg_inputs(&ctx, &aggs, &m)?;
-                        let (out, partial_bytes) = if keys.is_empty() {
-                            // Per-morsel pipeline + partial reductions.
-                            let partials: Vec<Scalar> = pplan
-                                .partials()
-                                .iter()
-                                .map(|s| {
-                                    Ok(reduce(
-                                        &ctx,
-                                        s.kind,
-                                        inputs[s.source].as_ref(),
-                                        m.num_rows(),
-                                    )?)
-                                })
-                                .collect::<Result<_>>()?;
-                            let bytes = (partials.len() * std::mem::size_of::<Scalar>()) as u64;
-                            (TaskOut::Scalars(partials), bytes)
-                        } else {
-                            // Per-morsel pipeline + partial group-by.
-                            let key_cols: Vec<Array> = keys
-                                .iter()
-                                .map(|k| evaluate(&ctx, k, &m))
-                                .collect::<Result<_>>()?;
-                            let key_refs: Vec<&Array> = key_cols.iter().collect();
-                            let requests: Vec<AggRequest<'_>> = pplan
-                                .partials()
-                                .iter()
-                                .map(|s| AggRequest {
-                                    kind: s.kind,
-                                    input: inputs[s.source].as_ref(),
-                                })
-                                .collect();
-                            let r = group_by(&ctx, &key_refs, &requests, m.num_rows())?;
-                            let bytes: u64 = r
-                                .key_columns
-                                .iter()
-                                .chain(r.agg_columns.iter())
-                                .map(|a| a.byte_size() as u64)
-                                .sum();
-                            (TaskOut::Groups(r.key_columns, r.agg_columns), bytes)
-                        };
-                        if let Some((label, in_bytes, in_rows, per_op, seg_work)) = absorbed {
-                            let agg_work = collector.take();
-                            let work = WorkProfile {
-                                bytes_streamed: in_bytes + partial_bytes,
-                                bytes_random: seg_work.bytes_random + agg_work.bytes_random,
-                                flops: seg_work.flops + agg_work.flops,
-                                launches: 1,
-                                rows: in_rows,
-                            };
-                            let busy = device.charge_labeled(category, label, &work);
-                            if let Some(stats) = op_stats.as_deref() {
-                                attribute_fused(stats, &device, &per_op, busy, Some(&agg_work));
-                            }
-                        }
-                        Ok(out)
-                    });
-                    tasks.push((stream, f));
-                }
-            }
-        }
+        chunks.into_iter().enumerate().map(move |(i, morsel)| {
+            let stream = (offset + (i % width)) % streams;
+            let device = self.device.on_stream(stream);
+            let (chain, agg) = (Arc::clone(chain), agg.cloned());
+            let op_stats = self.op_stats.clone();
+            let task: WaveTask = Box::new(move || {
+                device.charge_duration(CostCategory::Other, overhead);
+                chain.walk(&device, morsel, agg.as_deref(), op_stats.as_deref())
+            });
+            (stream, task)
+        })
+    }
+
+    /// Push every morsel through a Grace-join probe prefix as its own task
+    /// (full-width round-robin) and synchronize the streams; regular
+    /// pipelines go through [`Self::run_wave`]'s shared dispatch.
+    fn run_prefix(&self, prefix: &Arc<Chain>, chunks: Vec<Table>) -> Result<Vec<Table>> {
+        let wave_start = self.wave_start();
+        let width = self.effective_streams();
+        let tasks = self.morsel_tasks(chunks, prefix, None, 0, width).collect();
+        let outs = self.dispatch_streams(tasks);
+        self.device.sync_streams();
+        self.wave_spans(prefix, wave_start);
+        Ok(split(outs.into_iter().collect::<Result<_>>()?).0)
     }
 
     /// Serial sink work after the wave sync. Emits the breaker's operator
@@ -711,140 +588,22 @@ impl SiriusEngine {
     /// operator).
     fn finish(&self, prep: Prepared<'_>, outs: Vec<TaskOut>) -> Result<PipeResult> {
         let pipe = prep.pipe;
+        let (morsels, partials) = split(outs);
+        let rows = || concat_morsels(pipe.out_schema.clone(), &morsels);
         let result = match &prep.mode {
             Mode::Direct => self.apply_sink(pipe, prep.source.clone())?,
-            Mode::Wave => {
-                let morsels: Vec<Table> = outs.into_iter().map(TaskOut::into_table).collect();
-                let t = concat_morsels(pipe.out_schema.clone(), &morsels);
-                self.apply_sink(pipe, t)?
-            }
-            Mode::SpillAgg { category } => {
-                let morsels: Vec<Table> = outs.into_iter().map(TaskOut::into_table).collect();
-                let t = concat_morsels(pipe.out_schema.clone(), &morsels);
-                let Sink::Aggregate {
-                    keys,
-                    aggregates,
-                    schema,
-                    node,
-                } = &pipe.sink
-                else {
-                    unreachable!("aggregate mode on aggregate sink")
-                };
-                PipeResult::table(self.spilling_aggregate(
-                    &t,
-                    keys,
-                    aggregates,
-                    schema.clone(),
-                    *category,
-                    *node,
-                    0,
-                )?)
-            }
-            Mode::SinglePassAgg { category, .. } => {
-                let morsels: Vec<Table> = outs.into_iter().map(TaskOut::into_table).collect();
-                let t = concat_morsels(pipe.out_schema.clone(), &morsels);
-                let Sink::Aggregate {
-                    keys,
-                    aggregates,
-                    schema,
-                    ..
-                } = &pipe.sink
-                else {
-                    unreachable!("aggregate mode on aggregate sink")
-                };
-                PipeResult::table(self.aggregate_single_pass(
-                    &t,
-                    keys,
-                    aggregates,
-                    schema.clone(),
-                    *category,
-                )?)
-            }
-            Mode::FusedAgg {
-                pplan, category, ..
-            } => {
-                let Sink::Aggregate { keys, schema, .. } = &pipe.sink else {
-                    unreachable!("aggregate mode on aggregate sink")
-                };
-                PipeResult::table(if keys.is_empty() {
-                    // Merge the partial accumulators (serial: the breaker).
-                    let partials: Vec<Vec<Scalar>> = outs
-                        .into_iter()
-                        .map(|o| match o {
-                            TaskOut::Scalars(s) => s,
-                            _ => unreachable!("fused ungrouped tasks return scalars"),
-                        })
-                        .collect();
-                    let ctx = self.ctx(*category);
-                    let merged: Vec<Scalar> = (0..pplan.partials().len())
-                        .map(|p| {
-                            let col: Vec<Scalar> =
-                                partials.iter().map(|row| row[p].clone()).collect();
-                            let dt = col
-                                .iter()
-                                .find_map(|s| s.data_type())
-                                .unwrap_or(DataType::Int64);
-                            let arr = Array::from_scalars(&col, dt);
-                            Ok(reduce(&ctx, pplan.merge_kind(p), Some(&arr), arr.len())?)
-                        })
-                        .collect::<Result<_>>()?;
-                    scalar_table(&pplan.finalize_scalars(&merged), schema)
-                } else {
-                    // Merge at the breaker: concatenate the per-morsel
-                    // partial tables and re-aggregate with the merge kinds.
-                    // Concatenation order is morsel order, so
-                    // first-appearance (and sorted) group order matches the
-                    // whole-column pass.
-                    let parts: Vec<(Vec<Array>, Vec<Array>)> = outs
-                        .into_iter()
-                        .map(|o| match o {
-                            TaskOut::Groups(k, a) => (k, a),
-                            _ => unreachable!("fused grouped tasks return partial groups"),
-                        })
-                        .collect();
-                    let ctx = self.ctx(CostCategory::GroupBy);
-                    let merged_keys: Vec<Array> = (0..keys.len())
-                        .map(|k| {
-                            let cols: Vec<&Array> = parts.iter().map(|(kc, _)| &kc[k]).collect();
-                            Array::concat(&cols)
-                        })
-                        .collect();
-                    let merged_parts: Vec<Array> = (0..pplan.partials().len())
-                        .map(|p| {
-                            let cols: Vec<&Array> = parts.iter().map(|(_, ac)| &ac[p]).collect();
-                            Array::concat(&cols)
-                        })
-                        .collect();
-                    let total = merged_keys.first().map(|a| a.len()).unwrap_or(0);
-                    let key_refs: Vec<&Array> = merged_keys.iter().collect();
-                    let requests: Vec<AggRequest<'_>> = merged_parts
-                        .iter()
-                        .enumerate()
-                        .map(|(p, col)| AggRequest {
-                            kind: pplan.merge_kind(p),
-                            input: Some(col),
-                        })
-                        .collect();
-                    let r = group_by(&ctx, &key_refs, &requests, total)?;
-                    let finals = pplan.finalize(&ctx, &r.agg_columns)?;
-                    let cols: Vec<Array> = r.key_columns.into_iter().chain(finals).collect();
-                    Table::new(schema.clone(), cols)
-                })
+            Mode::Wave { .. } => self.apply_sink(pipe, rows())?,
+            Mode::SpillAgg(agg) => PipeResult::table(self.spilling_aggregate(&rows(), agg, 0)?),
+            // Merge the partial accumulators (serial: the breaker).
+            Mode::FusedAgg { agg, .. } => {
+                let ctx = self.ctx(agg.spec.category());
+                PipeResult::table(agg.merge(&ctx, &agg.concat(&partials))?)
             }
         };
         if let (Some(node), true) = (pipe.sink.node(), self.trace.enabled()) {
             if !matches!(pipe.sink, Sink::JoinBuild { .. }) {
-                let window = self.device.elapsed().saturating_sub(prep.start);
-                self.trace.span(
-                    "op",
-                    pipe.sink.span_label(),
-                    prep.start.as_nanos() as u64,
-                    window.as_nanos() as u64,
-                    result.table.byte_size() as u64,
-                    result.table.num_rows() as u64,
-                    node.id,
-                    node.depth,
-                );
+                let label = pipe.sink.span_label();
+                let window = self.op_span(label, prep.start, Some(&result.table), node);
                 if let Some(stats) = &self.op_stats {
                     stats.lock().entry(node.id).or_default().note(
                         result.table.num_rows() as u64,
@@ -857,7 +616,7 @@ impl SiriusEngine {
         Ok(result)
     }
 
-    /// Apply a non-aggregate sink to the pipeline's materialized rows.
+    /// Apply a sink to the pipeline's materialized rows.
     fn apply_sink(&self, pipe: &Pipeline, t: Table) -> Result<PipeResult> {
         match &pipe.sink {
             // Late materialization: strings travel dictionary-encoded
@@ -883,29 +642,12 @@ impl SiriusEngine {
                 match self.bufmgr.request_grant((t.byte_size() as u64).max(1024)) {
                     Ok(grant) => {
                         let build_start = self.wave_start();
-                        let ctx = self.ctx(CostCategory::Join);
-                        let hash = if keys.is_empty() {
-                            None
-                        } else {
-                            let rk: Vec<Array> = keys
-                                .iter()
-                                .map(|e| evaluate(&ctx, e, &t))
-                                .collect::<Result<_>>()?;
-                            let rrefs: Vec<&Array> = rk.iter().collect();
-                            Some(Arc::new(build_hash_table(&ctx, &rrefs, t.num_rows())?))
+                        let hash = match keys.is_empty() {
+                            true => None,
+                            false => Some(self.build_join_hash(keys, &t)?),
                         };
                         if self.trace.enabled() {
-                            let dur = self.device.elapsed().saturating_sub(build_start);
-                            self.trace.span(
-                                "op",
-                                "join-build",
-                                build_start.as_nanos() as u64,
-                                dur.as_nanos() as u64,
-                                t.byte_size() as u64,
-                                t.num_rows() as u64,
-                                node.id,
-                                node.depth,
-                            );
+                            let dur = self.op_span("join-build", build_start, Some(&t), *node);
                             if let Some(stats) = &self.op_stats {
                                 // Build time only: the probe morsels add
                                 // their rows and lane time as they run.
@@ -971,58 +713,50 @@ impl SiriusEngine {
                 let ctx = self.ctx(CostCategory::GroupBy);
                 Ok(PipeResult::table(distinct(&ctx, &t)?))
             }
-            Sink::Aggregate { .. } => unreachable!("aggregate sinks finish via their mode"),
+            // One whole-column pass over the materialized rows (the fused
+            // and spilling aggregation modes finish in [`Self::finish`]).
+            Sink::Aggregate(agg) => Ok(PipeResult::table(self.aggregate_single_pass(&t, agg)?)),
         }
+    }
+
+    /// Evaluate the build-side join keys over `t` and hash them.
+    pub(crate) fn build_join_hash(&self, keys: &[Expr], t: &Table) -> Result<Arc<JoinHashTable>> {
+        let ctx = self.ctx(CostCategory::Join);
+        let cols: Vec<Array> = keys
+            .iter()
+            .map(|e| evaluate(&ctx, e, t))
+            .collect::<Result<_>>()?;
+        let refs: Vec<&Array> = cols.iter().collect();
+        Ok(Arc::new(build_hash_table(&ctx, &refs, t.num_rows())?))
     }
 
     /// The whole-column aggregation pass (single morsel or non-decomposable
     /// aggregates), also the terminal step of the spilling paths.
-    pub(crate) fn aggregate_single_pass(
-        &self,
-        t: &Table,
-        keys: &[Expr],
-        aggregates: &[AggExpr],
-        schema: sirius_columnar::Schema,
-        category: CostCategory,
-    ) -> Result<Table> {
-        let ctx = self.ctx(category);
-        let inputs = agg_inputs(&ctx, aggregates, t)?;
-        if keys.is_empty() {
-            let scalars: Vec<Scalar> = aggregates
-                .iter()
-                .zip(inputs.iter())
-                .map(|(a, input)| {
-                    Ok(reduce(
-                        &ctx,
-                        lower_agg(a.func),
-                        input.as_ref(),
-                        t.num_rows(),
-                    )?)
-                })
+    pub(crate) fn aggregate_single_pass(&self, t: &Table, agg: &Aggregation) -> Result<Table> {
+        let ctx = self.ctx(agg.category());
+        let inputs = agg_inputs(&ctx, &agg.aggregates, t)?;
+        let kinds = agg.aggregates.iter().map(|a| lower_agg(a.func));
+        if agg.keys.is_empty() {
+            let scalars: Vec<Scalar> = kinds
+                .zip(&inputs)
+                .map(|(kind, input)| Ok(reduce(&ctx, kind, input.as_ref(), t.num_rows())?))
                 .collect::<Result<_>>()?;
-            Ok(scalar_table(&scalars, &schema))
-        } else {
-            let key_cols: Vec<Array> = keys
-                .iter()
-                .map(|k| evaluate(&ctx, k, t))
-                .collect::<Result<_>>()?;
-            let key_refs: Vec<&Array> = key_cols.iter().collect();
-            let requests: Vec<AggRequest<'_>> = aggregates
-                .iter()
-                .zip(inputs.iter())
-                .map(|(a, input)| AggRequest {
-                    kind: lower_agg(a.func),
-                    input: input.as_ref(),
-                })
-                .collect();
-            let result = group_by(&ctx, &key_refs, &requests, t.num_rows())?;
-            let cols: Vec<Array> = result
-                .key_columns
-                .into_iter()
-                .chain(result.agg_columns)
-                .collect();
-            Ok(Table::new(schema, cols))
+            return Ok(scalar_table(&scalars, &agg.schema));
         }
+        let key_cols: Vec<Array> = (agg.keys.iter())
+            .map(|k| evaluate(&ctx, k, t))
+            .collect::<Result<_>>()?;
+        let key_refs: Vec<&Array> = key_cols.iter().collect();
+        let requests: Vec<AggRequest<'_>> = kinds
+            .zip(&inputs)
+            .map(|(kind, input)| AggRequest {
+                kind,
+                input: input.as_ref(),
+            })
+            .collect();
+        let result = group_by(&ctx, &key_refs, &requests, t.num_rows())?;
+        let cols = result.key_columns.into_iter().chain(result.agg_columns);
+        Ok(Table::new(agg.schema.clone(), cols.collect()))
     }
 
     /// Partition a pipeline source and record the morsel count.
@@ -1030,44 +764,6 @@ impl SiriusEngine {
         let chunks = chunk_morsels(source, self.morsel.rows);
         self.stats.lock().morsels += chunks.len() as u64;
         chunks
-    }
-
-    /// Push every morsel through a streaming operator chain as its own task
-    /// (full-width round-robin) and synchronize the streams. Used by the
-    /// Grace-join prefix materialization; regular pipelines go through
-    /// [`Self::run_wave`]'s shared dispatch.
-    pub(crate) fn run_ops_wave(
-        &self,
-        ops: &Arc<Vec<MorselOp>>,
-        chunks: Vec<Table>,
-    ) -> Result<Vec<Table>> {
-        let streams = self.effective_streams();
-        let overhead = self.task_overhead();
-        let wave_start = self.wave_start();
-        let op_stats = self.op_stats.clone();
-        let tasks: Vec<(usize, TableTask)> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, morsel)| {
-                let stream = i % streams;
-                let device = self.device.on_stream(stream);
-                let ops = Arc::clone(ops);
-                let op_stats = op_stats.clone();
-                let f: TableTask = Box::new(move || {
-                    device.charge_duration(CostCategory::Other, overhead);
-                    let mut t = morsel;
-                    for op in ops.iter() {
-                        t = op.apply(&device, t, op_stats.as_deref())?;
-                    }
-                    Ok(t)
-                });
-                (stream, f)
-            })
-            .collect();
-        let results = self.dispatch_streams(tasks);
-        self.device.sync_streams();
-        self.wave_spans(ops, wave_start);
-        results.into_iter().collect()
     }
 
     /// The simulated instant a morsel wave begins (only read when tracing).
@@ -1079,45 +775,56 @@ impl SiriusEngine {
         }
     }
 
-    /// After a wave's stream sync: one span per streaming operator in the
-    /// chain, covering the wave's simulated window. A wave starts right
-    /// after the previous sync (no streams in flight), so its window lines
-    /// up exactly with the lane-local kernel timestamps inside it.
-    fn wave_spans(&self, ops: &[MorselOp], wave_start: Duration) {
+    /// Emit the operator-track span of plan node `node` from `start` to
+    /// now, sized by `out` when the operator materialized one. Returns the
+    /// span's simulated duration.
+    fn op_span(
+        &self,
+        label: impl Into<String>,
+        start: Duration,
+        out: Option<&Table>,
+        node: Node,
+    ) -> Duration {
+        let dur = self.device.elapsed().saturating_sub(start);
+        let (bytes, rows) = out.map_or((0, 0), |t| (t.byte_size(), t.num_rows()));
+        self.trace.span(
+            "op",
+            label,
+            start.as_nanos() as u64,
+            dur.as_nanos() as u64,
+            bytes as u64,
+            rows as u64,
+            node.id,
+            node.depth,
+        );
+        dur
+    }
+
+    /// After a wave's stream sync: one span per run of the chain, covering
+    /// the wave's simulated window. A wave starts right after the previous
+    /// sync (no streams in flight), so its window lines up exactly with the
+    /// lane-local kernel timestamps inside it.
+    fn wave_spans(&self, chain: &Chain, wave_start: Duration) {
         if !self.trace.enabled() {
             return;
         }
-        let dur = self.device.elapsed().saturating_sub(wave_start);
-        for op in ops {
+        for run in chain.runs() {
             // A fused segment gets one span carrying every inner node id in
             // its label (`fused[#1,#2]`), anchored on the first inner node;
             // per-inner-op time lives in `operator_stats()`, split from the
             // segment's single kernel charge.
-            let label: String = match op {
-                MorselOp::Fused { label, .. } => label.clone(),
-                _ => op.span_info().0.to_string(),
+            let label = match run {
+                Run::Plain(op) => op.span_label(),
+                Run::Fused(seg) => seg.label(),
             };
-            let (_, node) = op.span_info();
-            self.trace.span(
-                "op",
-                label,
-                wave_start.as_nanos() as u64,
-                dur.as_nanos() as u64,
-                0,
-                0,
-                node.id,
-                node.depth,
-            );
+            self.op_span(label, wave_start, None, run.ops()[0].node());
         }
     }
 
     /// Send a batch of `(stream, task)` pairs through the global queue,
     /// recording the stream assignment in the scheduler counters. The tasks
     /// themselves charge their dispatch overhead on their streams.
-    fn dispatch_streams<R: Send + 'static>(
-        &self,
-        tasks: Vec<(usize, Box<dyn FnOnce() -> R + Send + 'static>)>,
-    ) -> Vec<R> {
+    fn dispatch_streams(&self, tasks: Vec<(usize, WaveTask)>) -> Vec<Result<TaskOut>> {
         if tasks.is_empty() {
             return Vec::new();
         }
@@ -1140,48 +847,5 @@ impl SiriusEngine {
         }
         self.queue
             .run_all(tasks.into_iter().map(|(_, f)| f).collect())
-    }
-}
-
-/// Lower one streaming op for execution inside a fused segment. Probes
-/// here never target Grace builds: `prepare` flattens any segment whose
-/// build side spilled before lowering.
-fn lower_streaming(op: &PhysOp, results: &HashMap<usize, PipeResult>) -> MorselOp {
-    match op {
-        PhysOp::Scan { node } => MorselOp::Scan { node: *node },
-        PhysOp::Filter { predicate, node } => MorselOp::Filter {
-            predicate: predicate.clone(),
-            node: *node,
-        },
-        PhysOp::Project {
-            exprs,
-            schema,
-            node,
-        } => MorselOp::Project {
-            exprs: exprs.clone(),
-            schema: schema.clone(),
-            node: *node,
-        },
-        PhysOp::Probe {
-            build,
-            kind,
-            left_keys,
-            residual,
-            schema,
-            node,
-        } => {
-            let b = &results[build];
-            debug_assert!(!b.grace, "grace probes are never fused");
-            MorselOp::Probe {
-                ht: b.hash.clone(),
-                rt: b.table.clone(),
-                kind: *kind,
-                left_keys: left_keys.clone(),
-                residual: residual.clone(),
-                schema: schema.clone(),
-                node: *node,
-            }
-        }
-        PhysOp::Fused(_) => unreachable!("fused segments do not nest"),
     }
 }

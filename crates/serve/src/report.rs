@@ -158,25 +158,7 @@ mod tests {
                 )),
                 _ => Err(SiriusError::Cancelled("test".into())),
             },
-            report: sirius_core::QueryReport {
-                engine: "sirius".into(),
-                rows: 0,
-                elapsed: Duration::ZERO,
-                breakdown: Default::default(),
-                pipelines: 0,
-                morsels: 0,
-                tasks: 0,
-                workers: 1,
-                worker_utilization: 0.0,
-                spilled_pinned_bytes: 0,
-                spilled_disk_bytes: 0,
-                spill_partitions: 0,
-                spill_depth: 0,
-                pool_high_watermark: 0,
-                pool_fragmentation: 0.0,
-                fallback_reason: None,
-                recovery: Default::default(),
-            },
+            report: sirius_core::QueryReport::zeroed("sirius", 1),
             arrival: Duration::ZERO,
             admitted: Duration::ZERO,
             completed: Duration::from_millis(latency_ms),

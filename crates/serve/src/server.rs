@@ -960,29 +960,6 @@ impl SiriusServer {
         }
     }
 
-    /// An all-zero report for queries that never ran a wave.
-    fn empty_report(&self) -> QueryReport {
-        QueryReport {
-            engine: "sirius".into(),
-            rows: 0,
-            elapsed: Duration::ZERO,
-            breakdown: TimeBreakdown::default(),
-            pipelines: 0,
-            morsels: 0,
-            tasks: 0,
-            workers: self.base.workers(),
-            worker_utilization: 0.0,
-            spilled_pinned_bytes: 0,
-            spilled_disk_bytes: 0,
-            spill_partitions: 0,
-            spill_depth: 0,
-            pool_high_watermark: 0,
-            pool_fragmentation: 0.0,
-            fallback_reason: None,
-            recovery: Default::default(),
-        }
-    }
-
     /// Terminal record for a query that never held a slot (deadline
     /// cancellation in the queue, or a non-retryable `begin` failure).
     fn finish_unadmitted(
@@ -999,7 +976,7 @@ impl SiriusServer {
             disposition,
             retries: w.retries,
             result: Err(error),
-            report: self.empty_report(),
+            report: QueryReport::zeroed("sirius", self.base.workers()),
             arrival: w.req.arrival,
             admitted: now,
             completed: now,
@@ -1024,14 +1001,12 @@ impl SiriusServer {
             }
         };
         let report = QueryReport {
-            engine: "sirius".into(),
             rows,
             elapsed: breakdown.total(),
             breakdown,
             pipelines,
             morsels: stats.morsels,
             tasks: stats.tasks,
-            workers: self.base.workers(),
             worker_utilization: stats.worker_utilization(),
             spilled_pinned_bytes: a.spill.bytes_to_pinned,
             spilled_disk_bytes: a.spill.bytes_to_disk,
@@ -1039,8 +1014,7 @@ impl SiriusServer {
             spill_depth: a.spill.max_depth,
             pool_high_watermark: pool.high_watermark,
             pool_fragmentation: pool.fragmentation(),
-            fallback_reason: None,
-            recovery: Default::default(),
+            ..QueryReport::zeroed("sirius", self.base.workers())
         };
         ServedQuery {
             id: a.req.id,

@@ -95,8 +95,8 @@ fn render() -> String {
 #[test]
 fn ledger_matches_committed_snapshot() {
     let path = snapshot_path();
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let want =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let got = render();
     for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
         assert_eq!(g, w, "ledger drifted at snapshot line {}", n + 1);

@@ -101,16 +101,12 @@ fn fusion_preserves_logical_pipeline_shape() {
                 "Q{id} pipeline {}: decompose disagrees",
                 u.id
             );
-            // Flattening the fused ops reproduces the unfused chain.
-            let flat: Vec<u32> = f
-                .ops
-                .iter()
-                .flat_map(|op| match op {
-                    PhysOp::Fused(seg) => seg.ops.iter().map(|o| o.node().id).collect::<Vec<_>>(),
-                    other => vec![other.node().id],
-                })
-                .collect();
-            let logical: Vec<u32> = u.ops.iter().map(|op| op.node().id).collect();
+            // Flattening the fused ops' runs reproduces the unfused chain.
+            let ids = |ops: &[PhysOp]| -> Vec<u32> {
+                let runs = ops.iter().flat_map(|op| op.run());
+                runs.map(|o| o.node().id).collect()
+            };
+            let (flat, logical) = (ids(&f.ops), ids(&u.ops));
             assert_eq!(flat, logical, "Q{id} pipeline {}", u.id);
             fused_segments += f
                 .ops
