@@ -1,0 +1,65 @@
+//! The SQL frontend's plans, pinned digit for digit. For the 22 TPC-H
+//! queries under both join-order policies, the two-lane plan fingerprint
+//! (operator structure, ordinals, schemas and literal types in `shape`;
+//! literal values in `constants`) and the `explain()` text of `plan_sql`'s
+//! output must equal the committed snapshot exactly. Every engine in the
+//! repo runs these plans, so a binder refactor that leaves this file
+//! untouched cannot move any result, ledger or benchmark number.
+//!
+//! After an intended planner change, regenerate with
+//! `cargo test -p sirius-integration --test plan_snapshot -- --ignored`.
+
+use sirius_integration::binder_catalog;
+use sirius_plan::fingerprint::fingerprint;
+use sirius_sql::{plan_sql, JoinOrderPolicy};
+use sirius_tpch::{queries, TpchGenerator};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+const SF: f64 = 0.01;
+
+fn snapshot_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("snapshots/plans_tpch.txt")
+}
+
+/// One header line per (query, policy) carrying the fingerprint, then the
+/// plan's `explain()` tree.
+fn render() -> String {
+    let cat = binder_catalog(&TpchGenerator::new(SF).generate());
+    let mut out = String::new();
+    for (id, sql) in queries::all() {
+        for policy in [JoinOrderPolicy::Optimized, JoinOrderPolicy::FromOrder] {
+            let plan = plan_sql(sql, &cat, policy).unwrap_or_else(|e| panic!("Q{id}: {e}"));
+            let fp = fingerprint(&plan);
+            writeln!(
+                out,
+                "Q{id} {policy:?} shape={:016x} constants={:016x}",
+                fp.shape, fp.constants
+            )
+            .unwrap();
+            out.push_str(&plan.explain());
+            if !out.ends_with('\n') {
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn plans_match_committed_snapshot() {
+    let path = snapshot_path();
+    let want =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let got = render();
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "plan drifted at snapshot line {}", n + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "line count");
+}
+
+#[test]
+#[ignore = "rewrites the committed snapshot"]
+fn regenerate_snapshot() {
+    std::fs::write(snapshot_path(), render()).unwrap();
+}
