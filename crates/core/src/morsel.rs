@@ -48,12 +48,6 @@ impl MorselConfig {
     /// overhead stays noise, small enough that TPC-H fact tables split into
     /// enough morsels to feed several streams.
     pub const DEFAULT_ROWS: usize = 1 << 20;
-
-    /// Disable partitioning: every source is one morsel on one stream (the
-    /// pre-morsel "single-walk" executor, used as the ablation baseline).
-    pub fn whole_column() -> Self {
-        Self { rows: usize::MAX }
-    }
 }
 
 impl Default for MorselConfig {

@@ -1,4 +1,4 @@
-//! Sort kernels: multi-key order-by producing gather indices, and top-k.
+//! Sort kernels: multi-key order-by producing gather indices.
 
 use crate::{GpuContext, Result};
 use sirius_columnar::Array;
@@ -40,30 +40,6 @@ pub fn sort_indices(ctx: &GpuContext, keys: &[SortKey<'_>], num_rows: usize) -> 
         &WorkProfile::scan(key_bytes * log_n / 2)
             .with_random((num_rows * 8) as u64)
             .with_flops(num_rows as u64 * log_n)
-            .with_rows(num_rows as u64),
-    );
-    Ok(idx)
-}
-
-/// Top-k selection: indices of the first `k` rows in sort order, costed as
-/// a single heap-select pass rather than a full sort.
-pub fn top_k_indices(
-    ctx: &GpuContext,
-    keys: &[SortKey<'_>],
-    num_rows: usize,
-    k: usize,
-) -> Result<Vec<i32>> {
-    let mut idx: Vec<i32> = (0..num_rows as i32).collect();
-    let k = k.min(num_rows);
-    idx.sort_by(|&a, &b| compare_row(keys, a as usize, b as usize));
-    idx.truncate(k);
-
-    let key_bytes: u64 = keys.iter().map(|kc| kc.column.byte_size() as u64).sum();
-    let log_k = (k.max(2) as f64).log2().ceil() as u64;
-    ctx.charge_named(
-        "sort.top_k",
-        &WorkProfile::scan(key_bytes)
-            .with_flops(num_rows as u64 * log_k)
             .with_rows(num_rows as u64),
     );
     Ok(idx)
@@ -198,29 +174,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(idx, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn top_k_matches_sort_prefix() {
-        let ctx = test_ctx();
-        let c = Array::from_i64([9, 3, 7, 1, 5]);
-        let keys = [SortKey {
-            column: &c,
-            ascending: true,
-        }];
-        let full = sort_indices(&ctx, &keys, 5).unwrap();
-        let keys = [SortKey {
-            column: &c,
-            ascending: true,
-        }];
-        let top = top_k_indices(&ctx, &keys, 5, 3).unwrap();
-        assert_eq!(top, full[..3]);
-        let keys = [SortKey {
-            column: &c,
-            ascending: true,
-        }];
-        let over = top_k_indices(&ctx, &keys, 5, 50).unwrap();
-        assert_eq!(over.len(), 5);
     }
 
     proptest! {

@@ -336,12 +336,8 @@ impl DorisCluster {
     /// Build a cluster of `world` nodes (the paper's setup: 4 nodes, each a
     /// Xeon Gold host with one A100, InfiniBand 4×NDR between nodes).
     pub fn new(world: usize, kind: NodeEngineKind) -> Self {
-        Self::with_scheme(world, kind, PartitionScheme::tpch_default())
-    }
-
-    /// Cluster with an explicit partition scheme and default policy.
-    pub fn with_scheme(world: usize, kind: NodeEngineKind, scheme: PartitionScheme) -> Self {
-        Self::with_config(world, kind, scheme, ClusterConfig::for_world(world))
+        let config = ClusterConfig::for_world(world);
+        Self::with_config(world, kind, PartitionScheme::tpch_default(), config)
     }
 
     /// Cluster with explicit partition scheme and recovery policy.

@@ -262,38 +262,80 @@ pub enum ExprAst {
 }
 
 impl ExprAst {
-    /// True if any aggregate call appears in this expression.
-    pub fn contains_aggregate(&self) -> bool {
+    /// Call `f` on each direct sub-expression, left to right. Subquery
+    /// bodies are separate queries and are not entered (the tested
+    /// expression of `IN (subquery)` is a child; the subquery is not).
+    /// Every other traversal of the AST is written on top of this one.
+    pub(crate) fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a ExprAst)) {
         match self {
-            ExprAst::Agg { .. } => true,
+            ExprAst::Ident(_)
+            | ExprAst::Int(_)
+            | ExprAst::Float(_)
+            | ExprAst::Str(_)
+            | ExprAst::Date(_)
+            | ExprAst::Interval { .. }
+            | ExprAst::Exists { .. }
+            | ExprAst::ScalarSubquery(_) => {}
             ExprAst::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
+                f(left);
+                f(right);
             }
-            ExprAst::Not(e) | ExprAst::Neg(e) | ExprAst::ExtractYear(e) => e.contains_aggregate(),
+            ExprAst::Not(e) | ExprAst::Neg(e) | ExprAst::ExtractYear(e) => f(e),
             ExprAst::IsNull { expr, .. }
             | ExprAst::Like { expr, .. }
-            | ExprAst::Substring { expr, .. } => expr.contains_aggregate(),
+            | ExprAst::Substring { expr, .. }
+            | ExprAst::InSubquery { expr, .. } => f(expr),
             ExprAst::Between {
                 expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            ExprAst::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(|e| e.contains_aggregate())
+            } => {
+                f(expr);
+                f(low);
+                f(high);
             }
-            ExprAst::InSubquery { expr, .. } => expr.contains_aggregate(),
+            ExprAst::InList { expr, list, .. } => {
+                f(expr);
+                list.iter().for_each(f);
+            }
+            ExprAst::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    f(a);
+                }
+            }
             ExprAst::Case {
                 branches,
                 otherwise,
             } => {
-                branches
-                    .iter()
-                    .any(|(c, v)| c.contains_aggregate() || v.contains_aggregate())
-                    || otherwise
-                        .as_ref()
-                        .map(|o| o.contains_aggregate())
-                        .unwrap_or(false)
+                for (cond, value) in branches {
+                    f(cond);
+                    f(value);
+                }
+                if let Some(o) = otherwise {
+                    f(o);
+                }
             }
-            _ => false,
         }
+    }
+
+    /// Pre-order walk; `visit` returns whether to descend below the node.
+    pub(crate) fn walk<'a>(&'a self, visit: &mut dyn FnMut(&'a ExprAst) -> bool) {
+        if visit(self) {
+            self.for_each_child(&mut |c| c.walk(visit));
+        }
+    }
+
+    /// True if `pred` holds for this node or any node below it.
+    pub(crate) fn any(&self, pred: impl Fn(&ExprAst) -> bool) -> bool {
+        let mut found = false;
+        self.walk(&mut |e| {
+            found = found || pred(e);
+            !found
+        });
+        found
+    }
+
+    /// True if any aggregate call appears in this expression.
+    pub fn contains_aggregate(&self) -> bool {
+        self.any(|e| matches!(e, ExprAst::Agg { .. }))
     }
 }
 
@@ -315,6 +357,48 @@ mod tests {
         };
         assert!(e.contains_aggregate());
         assert!(!ExprAst::Int(1).contains_aggregate());
+    }
+
+    #[test]
+    fn every_form_exposes_its_operands() {
+        // `needle` sits in a different operand position of each form; a form
+        // whose children the enumerator forgets would hide it.
+        let cases = [
+            "needle + 1",
+            "1 + needle",
+            "not needle",
+            "-needle",
+            "needle is null",
+            "needle between 1 and 2",
+            "x between needle and 2",
+            "x between 1 and needle",
+            "needle like 'a%'",
+            "needle in (1, 2)",
+            "needle in (select y from u)",
+            "sum(needle)",
+            "case when needle then 1 else 2 end",
+            "case when x then needle else 2 end",
+            "case when x then 1 else needle end",
+            "extract(year from needle)",
+            "substring(needle from 1 for 2)",
+        ];
+        for text in cases {
+            let sql = format!("select a from t where {text}");
+            let tokens = crate::lexer::tokenize(&sql).unwrap();
+            let query = crate::parser::parse_query(&tokens).unwrap();
+            let predicate = query.select.where_clause.unwrap();
+            let is_needle = |e: &ExprAst| matches!(e, ExprAst::Ident(p) if p == &["needle"]);
+            assert!(predicate.any(is_needle), "{text}");
+            assert!(!predicate.any(|e| matches!(e, ExprAst::Float(_))), "{text}");
+        }
+        // Subquery bodies are separate queries: not entered.
+        let tokens = crate::lexer::tokenize(
+            "select a from t where exists (select needle from u) and x > (select needle from u)",
+        )
+        .unwrap();
+        let query = crate::parser::parse_query(&tokens).unwrap();
+        let predicate = query.select.where_clause.unwrap();
+        assert!(!predicate.any(|e| matches!(e, ExprAst::Ident(p) if p == &["needle"])));
     }
 
     #[test]

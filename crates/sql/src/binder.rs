@@ -1,8 +1,21 @@
 //! Name resolution, join-graph construction, aggregation planning, and
 //! subquery decorrelation.
 //!
-//! The binder turns the parsed AST into the ordinal-based plan IR. The
-//! interesting work is subquery removal, which covers every TPC-H pattern:
+//! The binder turns the parsed AST into the ordinal-based plan IR through
+//! two seams, each with exactly one implementation:
+//!
+//! * `bind_product` binds a FROM/WHERE pair: every FROM item once, every
+//!   WHERE conjunct classified (single-relation filter, join edge,
+//!   correlated, subquery-bearing), one call into the join orderer. The
+//!   top-level SELECT and the subquery decorrelations below are thin
+//!   callers that differ only in what they do with the correlated
+//!   conjuncts.
+//! * `bind_expr` binds an expression under a `Scope` that says how
+//!   leaves resolve — by name before aggregation; through group keys and
+//!   aggregate calls after it; through joined columns for scalar
+//!   subqueries — so every expression form is valid in every clause.
+//!
+//! Subquery removal covers every TPC-H pattern:
 //!
 //! * `[NOT] EXISTS (…)` with correlated equality and inequality conjuncts →
 //!   Semi/Anti join with keys + residual (Q4, Q21, Q22).
@@ -10,7 +23,15 @@
 //! * Correlated scalar aggregate subqueries → group the subquery by its
 //!   correlation keys and `Single`-join (Q2, Q17, Q20-inner).
 //! * Uncorrelated scalar subqueries anywhere in a predicate → `Single`
-//!   cross join + expression rewrite (Q11 HAVING, Q15, Q22).
+//!   cross join, the predicate reads the joined column (Q11 HAVING, Q15,
+//!   Q22).
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use crate::ast::*;
 use crate::optimizer::join_order::{JoinOrderer, JoinRelation};
@@ -20,12 +41,17 @@ use sirius_columnar::scalar::{date32_add_months, parse_date32};
 use sirius_columnar::{Scalar, Schema};
 use sirius_plan::expr::{self, factor_or_common, AggExpr, SortExpr};
 use sirius_plan::{AggFunc, BinOp, Expr, JoinKind, Rel, UnOp};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Ordinals at or above this base refer to the outer query's columns while
 /// binding a correlated subquery (`ordinal - OUTER_BASE` indexes the outer
 /// schema). Stripped before any plan leaves the binder.
 const OUTER_BASE: usize = 1 << 20;
+
+/// Cardinality estimate of a CTE or derived table: no statistics flow out
+/// of a bound query.
+const DERIVED_ROWS: f64 = 1000.0;
 
 /// Table metadata the binder needs: schemas for name resolution, row counts
 /// for join-order heuristics.
@@ -82,8 +108,7 @@ pub fn bind_with_stats(
         stats,
         ctes: HashMap::new(),
     };
-    let (plan, _) = bind_query(query, &ctx, None)?;
-    Ok(plan)
+    bind_query(query, &ctx)
 }
 
 #[derive(Clone)]
@@ -91,25 +116,59 @@ struct BindCtx<'a> {
     catalog: &'a BinderCatalog,
     policy: JoinOrderPolicy,
     stats: &'a dyn Statistics,
-    ctes: HashMap<String, (Rel, u64)>,
+    ctes: HashMap<String, Rel>,
 }
-
-/// A bound FROM unit: plan + estimated cardinality.
-type Relation = JoinRelation;
 
 fn err(msg: impl Into<String>) -> SqlError {
     SqlError::Bind(msg.into())
 }
 
-fn bind_query(query: &Query, ctx: &BindCtx<'_>, outer: Option<&Schema>) -> Result<(Rel, u64)> {
-    let mut ctx = ctx.clone();
-    for (name, cte) in &query.ctes {
-        let (plan, rows) = bind_query(cte, &ctx, None)?;
-        // Qualify the CTE's output names with its own name.
-        let renamed = rename_output(plan, name)?;
-        ctx.ctes.insert(name.clone(), (renamed, rows));
+fn filter(input: Rel, predicate: Expr) -> Rel {
+    Rel::Filter {
+        input: Box::new(input),
+        predicate,
     }
-    bind_select_query(query, &ctx, outer)
+}
+
+fn project(input: Rel, exprs: Vec<(Expr, String)>) -> Rel {
+    Rel::Project {
+        input: Box::new(input),
+        exprs,
+    }
+}
+
+fn join(
+    left: Rel,
+    right: Rel,
+    kind: JoinKind,
+    keys: (Vec<Expr>, Vec<Expr>),
+    rest: Vec<Expr>,
+) -> Rel {
+    Rel::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        kind,
+        left_keys: keys.0,
+        right_keys: keys.1,
+        residual: (!rest.is_empty()).then(|| expr::and_all(rest)),
+    }
+}
+
+fn bind_query(query: &Query, ctx: &BindCtx<'_>) -> Result<Rel> {
+    let ctx = with_ctes(query, ctx)?;
+    let product = bind_product(&query.select, &ctx, None)?;
+    finish_select(query, product, &ctx)
+}
+
+/// `ctx` extended by the query's own CTEs (later CTEs may use earlier).
+fn with_ctes<'c, 'a>(query: &Query, ctx: &'c BindCtx<'a>) -> Result<Cow<'c, BindCtx<'a>>> {
+    let mut ctx = Cow::Borrowed(ctx);
+    for (name, cte) in &query.ctes {
+        // Qualify the CTE's output names with its own name.
+        let plan = rename_output(bind_query(cte, &ctx)?, name)?;
+        ctx.to_mut().ctes.insert(name.clone(), plan);
+    }
+    Ok(ctx)
 }
 
 /// Rewrap a plan so its output fields are named `name.suffix`.
@@ -124,414 +183,157 @@ fn rename_output(plan: Rel, name: &str) -> Result<Rel> {
             (expr::col(i), format!("{name}.{suffix}"))
         })
         .collect();
-    Ok(Rel::Project {
-        input: Box::new(plan),
-        exprs,
+    Ok(project(plan, exprs))
+}
+
+// ---------------------------------------------------------------------------
+// FROM / WHERE
+// ---------------------------------------------------------------------------
+
+/// A bound FROM/WHERE pair.
+struct Product {
+    /// The join tree with every uncorrelated WHERE conjunct applied.
+    plan: Rel,
+    /// Output schema of `plan`.
+    schema: Schema,
+    /// WHERE conjuncts that mention the outer query: inner ordinals index
+    /// `schema`, outer ones sit at [`OUTER_BASE`]. Empty without an outer.
+    correlated: Vec<Expr>,
+}
+
+/// Bind `select`'s FROM and WHERE: each FROM item once; single-relation
+/// conjuncts pushed into their relation, multi-relation ones handed to the
+/// join orderer as edges, subquery-bearing ones applied on top of the join
+/// tree, and ones that resolve a name against `outer` returned.
+fn bind_product(select: &Select, ctx: &BindCtx<'_>, outer: Option<&Schema>) -> Result<Product> {
+    if select.from.is_empty() {
+        return Err(err("FROM clause required"));
+    }
+    let mut relations: Vec<JoinRelation> = select
+        .from
+        .iter()
+        .map(|item| bind_from_item(item, ctx))
+        .collect::<Result<_>>()?;
+
+    // FROM-order product schema, the space WHERE conjuncts are classified in.
+    let mut offsets = Vec::with_capacity(relations.len());
+    let mut fields = Vec::new();
+    for r in &relations {
+        offsets.push(fields.len());
+        fields.extend(r.schema.fields.iter().cloned());
+    }
+    let product = Schema::new(fields);
+    let rel_of = |ordinal: usize| offsets.iter().rposition(|&off| ordinal >= off).unwrap_or(0);
+
+    let mut edges: Vec<(Expr, Vec<usize>)> = Vec::new();
+    let mut correlated = Vec::new();
+    let mut subquery_conjuncts = Vec::new();
+    for c in select.where_clause.iter().flat_map(split_and) {
+        if contains_subquery(c) {
+            subquery_conjuncts.push(c);
+            continue;
+        }
+        // Factoring may expose several independent conjuncts (Q19's
+        // OR-of-conjunctions hides its join key this way).
+        let bound = factor_or_common(&bind_expr(c, &Scope::plain(&product, outer))?);
+        for bound in expr::split_conjunction(&bound).into_iter().cloned() {
+            let mut refs = Vec::new();
+            bound.referenced_columns(&mut refs);
+            if refs.iter().any(|&r| r >= OUTER_BASE) {
+                correlated.push(bound);
+                continue;
+            }
+            let mut rels: Vec<usize> = refs.iter().map(|&r| rel_of(r)).collect();
+            rels.sort_unstable();
+            rels.dedup();
+            if rels.len() <= 1 {
+                // Constant predicates go to relation 0.
+                let rel = rels.first().copied().unwrap_or(0);
+                let local = bound.remap_columns(&|i| i - offsets[rel]);
+                relations[rel].push_filter(local, ctx.stats.pushdown_selectivity());
+                continue;
+            }
+            // Derive implied per-relation filters from multi-table ORs:
+            // `(n1=A AND n2=B) OR (n1=B AND n2=A)` implies `n1 IN (A,B)`
+            // and `n2 IN (A,B)` — pushed down so the join order sees
+            // realistic cardinalities (Q7/Q19).
+            for &rel in &rels {
+                if let Some(implied) = implied_single_relation_filter(&bound, rel, &offsets) {
+                    let local = implied.remap_columns(&|i| i - offsets[rel]);
+                    relations[rel].push_filter(local, ctx.stats.implied_or_selectivity());
+                }
+            }
+            edges.push((bound, rels));
+        }
+    }
+
+    let (mut plan, final_map, schema) =
+        JoinOrderer::new(ctx.policy, ctx.stats).build(relations, &offsets, edges)?;
+    for c in subquery_conjuncts {
+        plan = apply_subquery_conjunct(plan, &schema, c, ctx)?;
+    }
+    let correlated = correlated
+        .iter()
+        .map(|c| c.remap_columns(&|i| if i < OUTER_BASE { final_map[i] } else { i }))
+        .collect();
+    Ok(Product {
+        plan,
+        schema,
+        correlated,
     })
 }
 
-fn bind_select_query(
-    query: &Query,
-    ctx: &BindCtx<'_>,
-    outer: Option<&Schema>,
-) -> Result<(Rel, u64)> {
-    let select = &query.select;
-
-    // ----- FROM: bind each item into a Relation ------------------------------
-    let mut relations: Vec<Relation> = Vec::new();
-    for item in &select.from {
-        relations.push(bind_from_item(item, ctx, outer)?);
-    }
-    if relations.is_empty() {
-        return Err(err("FROM clause required"));
-    }
-
-    // Original-order product schema (for classifying WHERE conjuncts).
-    let mut orig_offsets = Vec::with_capacity(relations.len());
-    let mut product_fields = Vec::new();
-    for r in &relations {
-        orig_offsets.push(product_fields.len());
-        product_fields.extend(r.schema.fields.iter().cloned());
-    }
-    let orig_product = Schema::new(product_fields);
-    let rel_of = |ordinal: usize| -> usize {
-        let mut rel = 0;
-        for (i, &off) in orig_offsets.iter().enumerate() {
-            if ordinal >= off {
-                rel = i;
-            }
-        }
-        rel
-    };
-
-    // ----- WHERE: classify conjuncts ------------------------------------------
-    let mut edge_conjuncts: Vec<(Expr, Vec<usize>)> = Vec::new(); // bound, relation set
-    let mut subquery_conjuncts: Vec<&ExprAst> = Vec::new();
-    if let Some(w) = &select.where_clause {
-        for c in split_and(w) {
-            if contains_subquery(c) {
-                subquery_conjuncts.push(c);
-                continue;
-            }
-            let bound = factor_or_common(&bind_expr(c, &orig_product, outer)?);
-            // Factoring may expose several independent conjuncts (Q19's
-            // OR-of-conjunctions hides its join key this way).
-            for bound in split_bound_and(&bound) {
-                let mut refs = Vec::new();
-                bound.referenced_columns(&mut refs);
-                if refs.iter().any(|&r| r >= OUTER_BASE) {
-                    return Err(err("correlated predicate outside a subquery"));
-                }
-                let mut rels: Vec<usize> = refs.iter().map(|&r| rel_of(r)).collect();
-                rels.sort_unstable();
-                rels.dedup();
-                match rels.len() {
-                    0 | 1 => {
-                        // Push into the single relation (constant predicates go
-                        // to relation 0).
-                        let rel = rels.first().copied().unwrap_or(0);
-                        let local = bound.remap_columns(&|i| i - orig_offsets[rel]);
-                        let r = &mut relations[rel];
-                        r.plan = Rel::Filter {
-                            input: Box::new(std::mem::replace(
-                                &mut r.plan,
-                                Rel::Distinct {
-                                    input: Box::new(placeholder()),
-                                },
-                            )),
-                            predicate: local,
-                        };
-                        r.estimate *= ctx.stats.pushdown_selectivity();
-                    }
-                    _ => {
-                        // Derive implied per-relation filters from multi-table
-                        // ORs: `(n1=A AND n2=B) OR (n1=B AND n2=A)` implies
-                        // `n1 IN (A,B)` and `n2 IN (A,B)` — pushed down so the
-                        // join order sees realistic cardinalities (Q7/Q19).
-                        for &rel in &rels {
-                            if let Some(implied) =
-                                implied_single_relation_filter(&bound, rel, &orig_offsets)
-                            {
-                                let local = implied.remap_columns(&|i| i - orig_offsets[rel]);
-                                let r = &mut relations[rel];
-                                r.plan = Rel::Filter {
-                                    input: Box::new(std::mem::replace(&mut r.plan, placeholder())),
-                                    predicate: local,
-                                };
-                                r.estimate *= ctx.stats.implied_or_selectivity();
-                            }
-                        }
-                        edge_conjuncts.push((bound, rels));
-                    }
-                }
-            }
-        }
-    }
-
-    // ----- join-order + tree construction -------------------------------------
-    let (mut plan, final_map, mut plan_schema) =
-        JoinOrderer::new(ctx.policy, ctx.stats).build(relations, &orig_offsets, edge_conjuncts)?;
-    let _ = final_map;
-
-    // ----- subquery conjuncts ---------------------------------------------------
-    for c in subquery_conjuncts {
-        let (new_plan, new_schema) = apply_subquery_conjunct(plan, plan_schema, c, ctx, outer)?;
-        plan = new_plan;
-        plan_schema = new_schema;
-    }
-
-    // ----- aggregation ----------------------------------------------------------
-    let has_aggs = select.items.iter().any(|i| i.expr.contains_aggregate())
-        || select
-            .having
-            .as_ref()
-            .map(|h| h.contains_aggregate())
-            .unwrap_or(false)
-        || !select.group_by.is_empty();
-
-    let (mut plan, out_schema, items_bound): (Rel, Schema, Vec<(Expr, String)>) = if has_aggs {
-        let group_bound: Vec<Expr> = select
-            .group_by
-            .iter()
-            .map(|g| bind_expr(g, &plan_schema, outer))
-            .collect::<Result<_>>()?;
-
-        // Collect aggregate calls from SELECT, HAVING, ORDER BY.
-        let mut agg_calls: Vec<(AggFunc, Option<Expr>)> = Vec::new();
-        for i in &select.items {
-            collect_aggs(&i.expr, &plan_schema, outer, &mut agg_calls)?;
-        }
-        if let Some(h) = &select.having {
-            if !contains_subquery(h) {
-                collect_aggs(h, &plan_schema, outer, &mut agg_calls)?;
-            } else {
-                for c in split_and(h) {
-                    if !contains_subquery(c) {
-                        collect_aggs(c, &plan_schema, outer, &mut agg_calls)?;
-                    } else {
-                        collect_aggs_shallow(c, &plan_schema, outer, &mut agg_calls)?;
-                    }
-                }
-            }
-        }
-        for o in &query.order_by {
-            if o.expr.contains_aggregate() {
-                collect_aggs(&o.expr, &plan_schema, outer, &mut agg_calls)?;
-            }
-        }
-
-        let aggregates: Vec<AggExpr> = agg_calls
-            .iter()
-            .enumerate()
-            .map(|(i, (f, arg))| AggExpr {
-                func: *f,
-                input: arg.clone(),
-                name: format!("agg{i}"),
-            })
-            .collect();
-        let agg_plan = Rel::Aggregate {
-            input: Box::new(plan),
-            group_by: group_bound.clone(),
-            aggregates,
-        };
-        let agg_schema = agg_plan.schema()?;
-
-        let gctx = GroupCtx {
-            product: plan_schema.clone(),
-            group_bound: &group_bound,
-            agg_calls: &agg_calls,
-            outer,
-        };
-
-        // HAVING: non-subquery conjuncts filter directly; subquery conjuncts
-        // go through the scalar machinery against the aggregate output.
-        let mut plan2: Rel = agg_plan;
-        let mut schema2 = agg_schema;
-        if let Some(h) = &select.having {
-            for c in split_and(h) {
-                if contains_subquery(c) {
-                    let (p, s) = apply_scalar_subqueries_postagg(plan2, schema2, c, ctx, &gctx)?;
-                    plan2 = p;
-                    schema2 = s;
-                } else {
-                    let bound = gctx.rewrite(c)?;
-                    plan2 = Rel::Filter {
-                        input: Box::new(plan2),
-                        predicate: bound,
-                    };
-                }
-            }
-        }
-
-        // SELECT items over the aggregate output.
-        let items: Vec<(Expr, String)> = select
-            .items
-            .iter()
-            .enumerate()
-            .map(|(i, it)| {
-                let e = gctx.rewrite(&it.expr)?;
-                Ok((e, output_name(it, i)))
-            })
-            .collect::<Result<_>>()?;
-        let proj = Rel::Project {
-            input: Box::new(plan2),
-            exprs: items.clone(),
-        };
-        let out_schema = proj.schema()?;
-        (proj, out_schema, items)
-    } else {
-        let items: Vec<(Expr, String)> = select
-            .items
-            .iter()
-            .enumerate()
-            .map(|(i, it)| {
-                let e = bind_expr(&it.expr, &plan_schema, outer)?;
-                Ok((e, output_name(it, i)))
-            })
-            .collect::<Result<_>>()?;
-        let proj = Rel::Project {
-            input: Box::new(plan),
-            exprs: items.clone(),
-        };
-        let out_schema = proj.schema()?;
-        (proj, out_schema, items)
-    };
-
-    if select.distinct {
-        plan = Rel::Distinct {
-            input: Box::new(plan),
-        };
-    }
-
-    // ----- ORDER BY / LIMIT ------------------------------------------------------
-    if !query.order_by.is_empty() {
-        let keys: Vec<SortExpr> = query
-            .order_by
-            .iter()
-            .map(|o| {
-                let e = bind_order_key(&o.expr, &out_schema, &select.items, &items_bound)?;
-                Ok(SortExpr {
-                    expr: e,
-                    ascending: o.ascending,
-                })
-            })
-            .collect::<Result<_>>()?;
-        plan = Rel::Sort {
-            input: Box::new(plan),
-            keys,
-        };
-    }
-    if let Some(limit) = query.limit {
-        plan = Rel::Limit {
-            input: Box::new(plan),
-            offset: 0,
-            fetch: Some(limit),
-        };
-    }
-
-    Ok((plan, 1000))
-}
-
-fn placeholder() -> Rel {
-    Rel::Read {
-        table: String::new(),
-        schema: Schema::empty(),
-        projection: None,
-    }
-}
-
-fn output_name(item: &SelectItem, index: usize) -> String {
-    if let Some(a) = &item.alias {
-        return a.clone();
-    }
-    if let ExprAst::Ident(parts) = &item.expr {
-        return parts
-            .last()
-            .cloned()
-            .unwrap_or_else(|| format!("col{index}"));
-    }
-    format!("col{index}")
-}
-
-/// Bind one ORDER BY key against the projected output (alias/name first,
-/// then structural match against the select items).
-fn bind_order_key(
-    ast: &ExprAst,
-    out_schema: &Schema,
-    items: &[SelectItem],
-    items_bound: &[(Expr, String)],
-) -> Result<Expr> {
-    if let ExprAst::Ident(parts) = ast {
-        let name = parts.join(".");
-        if let Some(i) = out_schema.index_of(&name) {
-            return Ok(expr::col(i));
-        }
-    }
-    for (i, it) in items.iter().enumerate() {
-        if &it.expr == ast {
-            return Ok(expr::col(i));
-        }
-    }
-    let _ = items_bound;
-    Err(err(format!("ORDER BY key not found in output: {ast:?}")))
-}
-
-// ---------------------------------------------------------------------------
-// FROM binding
-// ---------------------------------------------------------------------------
-
-fn bind_from_item(item: &FromItem, ctx: &BindCtx<'_>, outer: Option<&Schema>) -> Result<Relation> {
+fn bind_from_item(item: &FromItem, ctx: &BindCtx<'_>) -> Result<JoinRelation> {
     let mut rel = bind_table_ref(&item.base, ctx)?;
     for j in &item.joins {
         let right = bind_table_ref(&j.relation, ctx)?;
         let combined = rel.schema.join(&right.schema);
-        let on = bind_expr(&j.on, &combined, outer)?;
-        let lw = rel.schema.len();
-        let (mut lk, mut rk, mut residual) = (Vec::new(), Vec::new(), Vec::new());
-        for c in split_bound_and(&on) {
-            if let Expr::Binary {
-                op: BinOp::Eq,
-                left,
-                right: r,
-            } = &c
-            {
-                let side = |e: &Expr| -> Option<bool> {
-                    let mut refs = Vec::new();
-                    e.referenced_columns(&mut refs);
-                    if refs.is_empty() {
-                        return None;
-                    }
-                    if refs.iter().all(|&x| x < lw) {
-                        Some(true)
-                    } else if refs.iter().all(|&x| x >= lw) {
-                        Some(false)
-                    } else {
-                        None
-                    }
-                };
-                match (side(left), side(r)) {
-                    (Some(true), Some(false)) => {
-                        lk.push((**left).clone());
-                        rk.push(r.remap_columns(&|i| i - lw));
-                        continue;
-                    }
-                    (Some(false), Some(true)) => {
-                        lk.push((**r).clone());
-                        rk.push(left.remap_columns(&|i| i - lw));
-                        continue;
-                    }
-                    _ => {}
-                }
-            }
-            residual.push(c);
+        let on = bind_expr(&j.on, &Scope::plain(&combined, None))?;
+        let conjuncts = expr::split_conjunction(&on).into_iter().cloned().collect();
+        let (left_keys, right_keys, residual) = split_equi_keys(conjuncts, rel.schema.len());
+        if left_keys.is_empty() {
+            return Err(err(
+                "explicit JOIN requires at least one equality condition",
+            ));
         }
         let kind = match j.kind {
             AstJoinKind::Inner => JoinKind::Inner,
             AstJoinKind::Left => JoinKind::Left,
         };
-        if lk.is_empty() {
-            return Err(err(
-                "explicit JOIN requires at least one equality condition",
-            ));
-        }
-        let estimate = rel.estimate.max(right.estimate);
-        rel = Relation {
-            plan: Rel::Join {
-                left: Box::new(rel.plan),
-                right: Box::new(right.plan),
+        rel = JoinRelation {
+            plan: join(
+                rel.plan,
+                right.plan,
                 kind,
-                left_keys: lk,
-                right_keys: rk,
-                residual: if residual.is_empty() {
-                    None
-                } else {
-                    Some(expr::and_all(residual))
-                },
-            },
+                (left_keys, right_keys),
+                residual,
+            ),
             schema: combined,
-            estimate,
+            estimate: rel.estimate.max(right.estimate),
         };
     }
     Ok(rel)
 }
 
-fn bind_table_ref(t: &TableRef, ctx: &BindCtx<'_>) -> Result<Relation> {
+fn bind_table_ref(t: &TableRef, ctx: &BindCtx<'_>) -> Result<JoinRelation> {
+    let derived = |plan: Rel| -> Result<JoinRelation> {
+        let plan = rename_output(plan, t.binding_name())?;
+        Ok(JoinRelation {
+            schema: plan.schema()?,
+            plan,
+            estimate: DERIVED_ROWS,
+        })
+    };
     match t {
-        TableRef::Table { name, alias } => {
-            let binding = alias.as_deref().unwrap_or(name);
-            if let Some((plan, rows)) = ctx.ctes.get(name) {
-                let renamed = rename_output(plan.clone(), binding)?;
-                let schema = renamed.schema()?;
-                return Ok(Relation {
-                    plan: renamed,
-                    schema,
-                    estimate: *rows as f64,
-                });
+        TableRef::Table { name, .. } => {
+            if let Some(plan) = ctx.ctes.get(name) {
+                return derived(plan.clone());
             }
             let (schema, rows) = ctx
                 .catalog
                 .get(name)
                 .ok_or_else(|| err(format!("unknown table {name}")))?;
+            let binding = t.binding_name();
             let qualified = Schema::new(
                 schema
                     .fields
@@ -539,58 +341,77 @@ fn bind_table_ref(t: &TableRef, ctx: &BindCtx<'_>) -> Result<Relation> {
                     .map(|f| f.renamed(format!("{binding}.{}", f.name)))
                     .collect(),
             );
-            let estimate = ctx.stats.base_rows(name).unwrap_or(*rows as f64);
-            Ok(Relation {
+            Ok(JoinRelation {
                 plan: Rel::Read {
                     table: name.clone(),
                     schema: qualified.clone(),
                     projection: None,
                 },
                 schema: qualified,
-                estimate,
+                estimate: ctx.stats.base_rows(name).unwrap_or(*rows as f64),
             })
         }
-        TableRef::Derived { query, alias } => {
-            let (plan, rows) = bind_query(query, ctx, None)?;
-            let renamed = rename_output(plan, alias)?;
-            let schema = renamed.schema()?;
-            Ok(Relation {
-                plan: renamed,
-                schema,
-                estimate: rows as f64,
-            })
-        }
+        TableRef::Derived { query, .. } => derived(bind_query(query, ctx)?),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Expression binding
-// ---------------------------------------------------------------------------
+/// True if `e` references at least one column and every one satisfies `pred`.
+fn refs_all(e: &Expr, pred: impl Fn(usize) -> bool) -> bool {
+    let mut refs = Vec::new();
+    e.referenced_columns(&mut refs);
+    !refs.is_empty() && refs.iter().all(|&r| pred(r))
+}
+
+/// Split conjuncts over a two-sided column space (`< boundary` is the low
+/// side, the rest the high side): an equality with one operand wholly on
+/// each side becomes a key pair, everything else is left over. Returns
+/// `(low keys, high keys rebased to 0, leftovers)`. With `boundary` the
+/// left width this splits an ON clause; with [`OUTER_BASE`] it splits
+/// correlated conjuncts into inner keys and outer keys.
+fn split_equi_keys(conjuncts: Vec<Expr>, boundary: usize) -> (Vec<Expr>, Vec<Expr>, Vec<Expr>) {
+    let (mut low, mut high, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+    let is_low = |e: &Expr| refs_all(e, |r| r < boundary);
+    let is_high = |e: &Expr| refs_all(e, |r| r >= boundary);
+    for c in conjuncts {
+        if let Expr::Binary {
+            op: BinOp::Eq,
+            left,
+            right,
+        } = &c
+        {
+            let sides = if is_low(left) && is_high(right) {
+                Some((left, right))
+            } else if is_high(left) && is_low(right) {
+                Some((right, left))
+            } else {
+                None
+            };
+            if let Some((l, h)) = sides {
+                low.push((**l).clone());
+                high.push(h.remap_columns(&|i| i - boundary));
+                continue;
+            }
+        }
+        rest.push(c);
+    }
+    (low, high, rest)
+}
 
 /// If `bound` is an OR whose every disjunct contains at least one conjunct
 /// referencing only `rel`, return the implied single-relation predicate
 /// (the OR of those per-disjunct conjuncts). Ordinals stay in product space.
-fn implied_single_relation_filter(
-    bound: &Expr,
-    rel: usize,
-    orig_offsets: &[usize],
-) -> Option<Expr> {
+fn implied_single_relation_filter(bound: &Expr, rel: usize, offsets: &[usize]) -> Option<Expr> {
     let disjuncts = expr::split_disjunction(bound);
     if disjuncts.len() < 2 {
         return None;
     }
-    let in_rel = |e: &Expr| {
-        let mut refs = Vec::new();
-        e.referenced_columns(&mut refs);
-        let lo = orig_offsets[rel];
-        let hi = orig_offsets.get(rel + 1).copied().unwrap_or(usize::MAX);
-        !refs.is_empty() && refs.iter().all(|&r| r >= lo && r < hi)
-    };
+    let lo = offsets[rel];
+    let hi = offsets.get(rel + 1).copied().unwrap_or(usize::MAX);
     let mut branch_filters = Vec::with_capacity(disjuncts.len());
     for d in disjuncts {
         let own: Vec<Expr> = expr::split_conjunction(d)
             .into_iter()
-            .filter(|c| in_rel(c))
+            .filter(|c| refs_all(c, |r| r >= lo && r < hi))
             .cloned()
             .collect();
         if own.is_empty() {
@@ -620,40 +441,421 @@ fn split_and(e: &ExprAst) -> Vec<&ExprAst> {
     out
 }
 
-fn split_bound_and(e: &Expr) -> Vec<Expr> {
-    expr::split_conjunction(e).into_iter().cloned().collect()
+// ---------------------------------------------------------------------------
+// GROUP BY / HAVING / SELECT / ORDER BY / LIMIT
+// ---------------------------------------------------------------------------
+
+/// A bound aggregate call: function and argument over the aggregation input.
+type AggCall = (AggFunc, Option<Expr>);
+
+/// What an aggregation computes, both bound over its input. Its output is
+/// the keys, then the calls.
+struct Grouping {
+    keys: Vec<Expr>,
+    calls: Vec<AggCall>,
+}
+
+impl Grouping {
+    fn aggregate(&self, input: Rel) -> Rel {
+        Rel::Aggregate {
+            input: Box::new(input),
+            group_by: self.keys.clone(),
+            aggregates: self
+                .calls
+                .iter()
+                .enumerate()
+                .map(|(i, (func, arg))| AggExpr {
+                    func: *func,
+                    input: arg.clone(),
+                    name: format!("agg{i}"),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Everything of a SELECT above its FROM/WHERE product: aggregation,
+/// HAVING, the output projection, DISTINCT, ORDER BY and LIMIT.
+fn finish_select(query: &Query, product: Product, ctx: &BindCtx<'_>) -> Result<Rel> {
+    let select = &query.select;
+    let mut plan = product.plan;
+    let input = Scope::plain(&product.schema, None);
+
+    let grouped = !select.group_by.is_empty()
+        || select.items.iter().any(|i| i.expr.contains_aggregate())
+        || select
+            .having
+            .as_ref()
+            .is_some_and(|h| h.contains_aggregate());
+    let grouping = if grouped {
+        let keys = select
+            .group_by
+            .iter()
+            .map(|g| bind_expr(g, &input))
+            .collect::<Result<_>>()?;
+        let mut calls = Vec::new();
+        for e in select.items.iter().map(|i| &i.expr).chain(&select.having) {
+            collect_aggs(e, &input, &mut calls)?;
+        }
+        let grouping = Grouping { keys, calls };
+        plan = grouping.aggregate(plan);
+        Some(grouping)
+    } else {
+        None
+    };
+    // SELECT and HAVING read the aggregation's output when there is one.
+    let scope = Scope {
+        grouping: grouping.as_ref(),
+        ..input
+    };
+
+    if let Some(h) = &select.having {
+        let schema = plan.schema()?;
+        for c in split_and(h) {
+            plan = apply_predicate(plan, &schema, c, ctx, &scope)?;
+        }
+    }
+
+    let items = select
+        .items
+        .iter()
+        .enumerate()
+        .map(|(i, it)| Ok((bind_expr(&it.expr, &scope)?, output_name(it, i))))
+        .collect::<Result<_>>()?;
+    plan = project(plan, items);
+    let out_schema = plan.schema()?;
+
+    if select.distinct {
+        plan = Rel::Distinct {
+            input: Box::new(plan),
+        };
+    }
+    if !query.order_by.is_empty() {
+        let keys = query
+            .order_by
+            .iter()
+            .map(|o| {
+                Ok(SortExpr {
+                    expr: bind_order_key(&o.expr, &out_schema, &select.items)?,
+                    ascending: o.ascending,
+                })
+            })
+            .collect::<Result<_>>()?;
+        plan = Rel::Sort {
+            input: Box::new(plan),
+            keys,
+        };
+    }
+    if let Some(limit) = query.limit {
+        plan = Rel::Limit {
+            input: Box::new(plan),
+            offset: 0,
+            fetch: Some(limit),
+        };
+    }
+    Ok(plan)
+}
+
+fn output_name(item: &SelectItem, index: usize) -> String {
+    if let Some(a) = &item.alias {
+        return a.clone();
+    }
+    if let ExprAst::Ident(parts) = &item.expr {
+        return parts
+            .last()
+            .cloned()
+            .unwrap_or_else(|| format!("col{index}"));
+    }
+    format!("col{index}")
+}
+
+/// Bind one ORDER BY key against the projected output (alias/name first,
+/// then structural match against the select items).
+fn bind_order_key(ast: &ExprAst, out_schema: &Schema, items: &[SelectItem]) -> Result<Expr> {
+    if let ExprAst::Ident(parts) = ast {
+        if let Some(i) = out_schema.index_of(&parts.join(".")) {
+            return Ok(expr::col(i));
+        }
+    }
+    items
+        .iter()
+        .position(|it| &it.expr == ast)
+        .map(expr::col)
+        .ok_or_else(|| err(format!("ORDER BY key not found in output: {ast:?}")))
+}
+
+/// Append the distinct aggregate calls of `ast`, bound in `scope`, to `out`.
+fn collect_aggs(ast: &ExprAst, scope: &Scope<'_>, out: &mut Vec<AggCall>) -> Result<()> {
+    let mut calls = Vec::new();
+    ast.walk(&mut |e| match e {
+        ExprAst::Agg {
+            func,
+            arg,
+            distinct,
+        } => {
+            calls.push((*func, arg.as_deref(), *distinct));
+            false
+        }
+        _ => true,
+    });
+    for (func, arg, distinct) in calls {
+        let call = bind_agg_call(func, arg, distinct, scope)?;
+        if !out.contains(&call) {
+            out.push(call);
+        }
+    }
+    Ok(())
+}
+
+fn bind_agg_call(
+    func: AstAggFunc,
+    arg: Option<&ExprAst>,
+    distinct: bool,
+    scope: &Scope<'_>,
+) -> Result<AggCall> {
+    let func = match (func, distinct) {
+        (AstAggFunc::Count, true) => AggFunc::CountDistinct,
+        (AstAggFunc::Count, false) if arg.is_none() => AggFunc::CountStar,
+        (AstAggFunc::Count, false) => AggFunc::Count,
+        (AstAggFunc::Sum, _) => AggFunc::Sum,
+        (AstAggFunc::Min, _) => AggFunc::Min,
+        (AstAggFunc::Max, _) => AggFunc::Max,
+        (AstAggFunc::Avg, _) => AggFunc::Avg,
+    };
+    Ok((func, arg.map(|a| bind_expr(a, scope)).transpose()?))
+}
+
+// ---------------------------------------------------------------------------
+// Expression binding
+// ---------------------------------------------------------------------------
+
+/// How the leaves of an expression resolve.
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    /// Columns visible by name: the input of the clause being bound (with
+    /// `grouping`, the input of the aggregation).
+    schema: &'a Schema,
+    /// The enclosing query's columns while binding a correlated subquery;
+    /// names not found in `schema` resolve here, at [`OUTER_BASE`].
+    outer: Option<&'a Schema>,
+    /// After aggregation: an aggregate call resolves to its output column,
+    /// an expression equal to a group key to the key's column, and a
+    /// column that is neither is an error.
+    grouping: Option<&'a Grouping>,
+    /// Scalar subqueries already joined into the plan (matched by node
+    /// identity) and the ordinal each one's value landed at.
+    scalars: &'a [(&'a Query, usize)],
+}
+
+impl<'a> Scope<'a> {
+    fn plain(schema: &'a Schema, outer: Option<&'a Schema>) -> Self {
+        Scope {
+            schema,
+            outer,
+            grouping: None,
+            scalars: &[],
+        }
+    }
+}
+
+impl Grouping {
+    /// An aggregate call or group-key expression as its column of this
+    /// aggregation's output; `None` if `ast` is neither (bind it
+    /// structurally). `input` is the scope the keys and calls were bound
+    /// in. Literals pass through.
+    fn resolve(&self, ast: &ExprAst, input: &Scope<'_>) -> Result<Option<Expr>> {
+        if let ExprAst::Agg {
+            func,
+            arg,
+            distinct,
+        } = ast
+        {
+            let call = bind_agg_call(*func, arg.as_deref(), *distinct, input)?;
+            let i = self
+                .calls
+                .iter()
+                .position(|c| *c == call)
+                .ok_or_else(|| err("aggregate not collected"))?;
+            return Ok(Some(expr::col(self.keys.len() + i)));
+        }
+        if !ast.contains_aggregate() {
+            if let Ok(bound) = bind_expr(ast, input) {
+                if let Some(i) = self.keys.iter().position(|k| *k == bound) {
+                    return Ok(Some(expr::col(i)));
+                }
+                if let Expr::Literal(_) = bound {
+                    return Ok(Some(bound));
+                }
+            }
+        }
+        if let ExprAst::Ident(_) = ast {
+            return Err(err(format!(
+                "expression must appear in GROUP BY or be an aggregate: {ast:?}"
+            )));
+        }
+        Ok(None)
+    }
+}
+
+fn bin_op(op: AstBinOp) -> BinOp {
+    match op {
+        AstBinOp::Add => BinOp::Add,
+        AstBinOp::Sub => BinOp::Sub,
+        AstBinOp::Mul => BinOp::Mul,
+        AstBinOp::Div => BinOp::Div,
+        AstBinOp::Mod => BinOp::Mod,
+        AstBinOp::Eq => BinOp::Eq,
+        AstBinOp::Ne => BinOp::Ne,
+        AstBinOp::Lt => BinOp::Lt,
+        AstBinOp::Le => BinOp::Le,
+        AstBinOp::Gt => BinOp::Gt,
+        AstBinOp::Ge => BinOp::Ge,
+        AstBinOp::And => BinOp::And,
+        AstBinOp::Or => BinOp::Or,
+    }
+}
+
+fn unary(op: UnOp, input: Expr) -> Expr {
+    Expr::Unary {
+        op,
+        input: Box::new(input),
+    }
+}
+
+/// Bind an AST expression, resolving its leaves through `scope`.
+fn bind_expr(ast: &ExprAst, scope: &Scope<'_>) -> Result<Expr> {
+    if let Some(grouping) = scope.grouping {
+        let input = Scope::plain(scope.schema, scope.outer);
+        if let Some(bound) = grouping.resolve(ast, &input)? {
+            return Ok(bound);
+        }
+    }
+    let bind = |e: &ExprAst| bind_expr(e, scope);
+    Ok(match ast {
+        ExprAst::Ident(parts) => {
+            let name = parts.join(".");
+            if let Some(i) = scope.schema.index_of(&name) {
+                expr::col(i)
+            } else if let Some(oi) = scope.outer.and_then(|o| o.index_of(&name)) {
+                expr::col(OUTER_BASE + oi)
+            } else {
+                return Err(err(format!("unknown column {name}")));
+            }
+        }
+        ExprAst::Int(v) => expr::lit(Scalar::Int64(*v)),
+        ExprAst::Float(v) => expr::lit(Scalar::Float64(*v)),
+        ExprAst::Str(s) => expr::lit(Scalar::Utf8(s.clone())),
+        ExprAst::Date(s) => expr::lit(Scalar::Date32(
+            parse_date32(s).ok_or_else(|| err(format!("bad date literal {s}")))?,
+        )),
+        ExprAst::Interval { .. } => return Err(err("interval literal outside date arithmetic")),
+        ExprAst::Binary { op, left, right } => match fold_date_interval(*op, left, right) {
+            Some(folded) => expr::lit(folded),
+            None => Expr::Binary {
+                op: bin_op(*op),
+                left: Box::new(bind(left)?),
+                right: Box::new(bind(right)?),
+            },
+        },
+        ExprAst::Not(x) => unary(UnOp::Not, bind(x)?),
+        ExprAst::Neg(x) => match ast_to_literal(ast) {
+            Some(folded) => expr::lit(folded),
+            None => unary(UnOp::Neg, bind(x)?),
+        },
+        ExprAst::IsNull { expr: x, negated } => {
+            let op = if *negated {
+                UnOp::IsNotNull
+            } else {
+                UnOp::IsNull
+            };
+            unary(op, bind(x)?)
+        }
+        ExprAst::Between {
+            expr: x,
+            low,
+            high,
+            negated,
+        } => {
+            let e = bind(x)?;
+            let both = expr::and(expr::ge(e.clone(), bind(low)?), expr::le(e, bind(high)?));
+            if *negated {
+                unary(UnOp::Not, both)
+            } else {
+                both
+            }
+        }
+        ExprAst::Like {
+            expr: x,
+            pattern,
+            negated,
+        } => Expr::Like {
+            input: Box::new(bind(x)?),
+            pattern: pattern.clone(),
+            negated: *negated,
+        },
+        ExprAst::InList {
+            expr: x,
+            list,
+            negated,
+        } => Expr::InList {
+            list: list
+                .iter()
+                .map(|e| ast_to_literal(e).ok_or_else(|| err("IN list requires literal values")))
+                .collect::<Result<_>>()?,
+            input: Box::new(bind(x)?),
+            negated: *negated,
+        },
+        ExprAst::Case {
+            branches,
+            otherwise,
+        } => Expr::Case {
+            branches: branches
+                .iter()
+                .map(|(c, v)| Ok((bind(c)?, bind(v)?)))
+                .collect::<Result<_>>()?,
+            otherwise: match otherwise {
+                Some(o) => Some(Box::new(bind(o)?)),
+                None => None,
+            },
+        },
+        ExprAst::ExtractYear(x) => unary(UnOp::ExtractYear, bind(x)?),
+        ExprAst::Substring {
+            expr: x,
+            start,
+            len,
+        } => Expr::Substring {
+            input: Box::new(bind(x)?),
+            start: *start,
+            len: *len,
+        },
+        ExprAst::Agg { .. } => return Err(err("aggregate in a non-aggregate context")),
+        ExprAst::ScalarSubquery(q) => {
+            let joined = scope.scalars.iter().find(|(s, _)| std::ptr::eq(*s, &**q));
+            match joined {
+                Some((_, ordinal)) => expr::col(*ordinal),
+                None => {
+                    return Err(err(
+                        "scalar subquery is only supported in a WHERE or HAVING predicate",
+                    ))
+                }
+            }
+        }
+        ExprAst::Exists { .. } | ExprAst::InSubquery { .. } => {
+            return Err(err(
+                "EXISTS / IN subquery is only supported as a top-level AND conjunct of WHERE",
+            ))
+        }
+    })
 }
 
 /// True if the AST contains any subquery node.
 pub fn contains_subquery(e: &ExprAst) -> bool {
-    match e {
-        ExprAst::Exists { .. } | ExprAst::InSubquery { .. } | ExprAst::ScalarSubquery(_) => true,
-        ExprAst::Binary { left, right, .. } => contains_subquery(left) || contains_subquery(right),
-        ExprAst::Not(x) | ExprAst::Neg(x) | ExprAst::ExtractYear(x) => contains_subquery(x),
-        ExprAst::IsNull { expr, .. }
-        | ExprAst::Like { expr, .. }
-        | ExprAst::Substring { expr, .. } => contains_subquery(expr),
-        ExprAst::Between {
-            expr, low, high, ..
-        } => contains_subquery(expr) || contains_subquery(low) || contains_subquery(high),
-        ExprAst::InList { expr, list, .. } => {
-            contains_subquery(expr) || list.iter().any(contains_subquery)
-        }
-        ExprAst::Case {
-            branches,
-            otherwise,
-        } => {
-            branches
-                .iter()
-                .any(|(c, v)| contains_subquery(c) || contains_subquery(v))
-                || otherwise
-                    .as_ref()
-                    .map(|o| contains_subquery(o))
-                    .unwrap_or(false)
-        }
-        ExprAst::Agg { arg, .. } => arg.as_ref().map(|a| contains_subquery(a)).unwrap_or(false),
-        _ => false,
-    }
+    e.any(|x| {
+        matches!(
+            x,
+            ExprAst::Exists { .. } | ExprAst::InSubquery { .. } | ExprAst::ScalarSubquery(_)
+        )
+    })
 }
 
 fn ast_to_literal(e: &ExprAst) -> Option<Scalar> {
@@ -695,926 +897,222 @@ fn fold_date_interval(op: AstBinOp, l: &ExprAst, r: &ExprAst) -> Option<Scalar> 
     None
 }
 
-/// Bind a subquery-free AST expression against `schema`, resolving
-/// unmatched names against `outer` (marked with [`OUTER_BASE`]).
-fn bind_expr(ast: &ExprAst, schema: &Schema, outer: Option<&Schema>) -> Result<Expr> {
-    Ok(match ast {
-        ExprAst::Ident(parts) => {
-            let name = parts.join(".");
-            if let Some(i) = schema.index_of(&name) {
-                expr::col(i)
-            } else if let Some(oi) = outer.and_then(|o| o.index_of(&name)) {
-                expr::col(OUTER_BASE + oi)
-            } else {
-                return Err(err(format!("unknown column {name}")));
-            }
-        }
-        ExprAst::Int(v) => expr::lit(Scalar::Int64(*v)),
-        ExprAst::Float(v) => expr::lit(Scalar::Float64(*v)),
-        ExprAst::Str(s) => expr::lit(Scalar::Utf8(s.clone())),
-        ExprAst::Date(s) => expr::lit(Scalar::Date32(
-            parse_date32(s).ok_or_else(|| err(format!("bad date literal {s}")))?,
-        )),
-        ExprAst::Interval { .. } => return Err(err("interval literal outside date arithmetic")),
-        ExprAst::Binary { op, left, right } => {
-            if let Some(folded) = fold_date_interval(*op, left, right) {
-                return Ok(expr::lit(folded));
-            }
-            let l = bind_expr(left, schema, outer)?;
-            let r = bind_expr(right, schema, outer)?;
-            let op = match op {
-                AstBinOp::Add => BinOp::Add,
-                AstBinOp::Sub => BinOp::Sub,
-                AstBinOp::Mul => BinOp::Mul,
-                AstBinOp::Div => BinOp::Div,
-                AstBinOp::Mod => BinOp::Mod,
-                AstBinOp::Eq => BinOp::Eq,
-                AstBinOp::Ne => BinOp::Ne,
-                AstBinOp::Lt => BinOp::Lt,
-                AstBinOp::Le => BinOp::Le,
-                AstBinOp::Gt => BinOp::Gt,
-                AstBinOp::Ge => BinOp::Ge,
-                AstBinOp::And => BinOp::And,
-                AstBinOp::Or => BinOp::Or,
-            };
-            Expr::Binary {
-                op,
-                left: Box::new(l),
-                right: Box::new(r),
-            }
-        }
-        ExprAst::Not(x) => Expr::Unary {
-            op: UnOp::Not,
-            input: Box::new(bind_expr(x, schema, outer)?),
-        },
-        ExprAst::Neg(x) => {
-            if let Some(lit) = ast_to_literal(ast) {
-                expr::lit(lit)
-            } else {
-                Expr::Unary {
-                    op: UnOp::Neg,
-                    input: Box::new(bind_expr(x, schema, outer)?),
-                }
-            }
-        }
-        ExprAst::IsNull { expr: x, negated } => Expr::Unary {
-            op: if *negated {
-                UnOp::IsNotNull
-            } else {
-                UnOp::IsNull
-            },
-            input: Box::new(bind_expr(x, schema, outer)?),
-        },
-        ExprAst::Between {
-            expr: x,
-            low,
-            high,
-            negated,
-        } => {
-            let e = bind_expr(x, schema, outer)?;
-            let lo = bind_expr(low, schema, outer)?;
-            let hi = bind_expr(high, schema, outer)?;
-            let both = expr::and(expr::ge(e.clone(), lo), expr::le(e, hi));
-            if *negated {
-                Expr::Unary {
-                    op: UnOp::Not,
-                    input: Box::new(both),
-                }
-            } else {
-                both
-            }
-        }
-        ExprAst::Like {
-            expr: x,
-            pattern,
-            negated,
-        } => Expr::Like {
-            input: Box::new(bind_expr(x, schema, outer)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        ExprAst::InList {
-            expr: x,
-            list,
-            negated,
-        } => {
-            let scalars: Vec<Scalar> = list
-                .iter()
-                .map(|e| ast_to_literal(e).ok_or_else(|| err("IN list requires literal values")))
-                .collect::<Result<_>>()?;
-            Expr::InList {
-                input: Box::new(bind_expr(x, schema, outer)?),
-                list: scalars,
-                negated: *negated,
-            }
-        }
-        ExprAst::Case {
-            branches,
-            otherwise,
-        } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| Ok((bind_expr(c, schema, outer)?, bind_expr(v, schema, outer)?)))
-                .collect::<Result<_>>()?,
-            otherwise: otherwise
-                .as_ref()
-                .map(|o| Ok::<_, SqlError>(Box::new(bind_expr(o, schema, outer)?)))
-                .transpose()?,
-        },
-        ExprAst::ExtractYear(x) => Expr::Unary {
-            op: UnOp::ExtractYear,
-            input: Box::new(bind_expr(x, schema, outer)?),
-        },
-        ExprAst::Substring {
-            expr: x,
-            start,
-            len,
-        } => Expr::Substring {
-            input: Box::new(bind_expr(x, schema, outer)?),
-            start: *start,
-            len: *len,
-        },
-        ExprAst::Agg { .. } => return Err(err("aggregate in a non-aggregate context")),
-        ExprAst::Exists { .. } | ExprAst::InSubquery { .. } | ExprAst::ScalarSubquery(_) => {
-            return Err(err("internal: subquery reached bind_expr"))
-        }
-    })
-}
-
-fn collect_aggs(
-    ast: &ExprAst,
-    schema: &Schema,
-    outer: Option<&Schema>,
-    out: &mut Vec<(AggFunc, Option<Expr>)>,
-) -> Result<()> {
-    match ast {
-        ExprAst::Agg {
-            func,
-            arg,
-            distinct,
-        } => {
-            let f = match (func, distinct) {
-                (AstAggFunc::Count, false) => {
-                    if arg.is_some() {
-                        AggFunc::Count
-                    } else {
-                        AggFunc::CountStar
-                    }
-                }
-                (AstAggFunc::Count, true) => AggFunc::CountDistinct,
-                (AstAggFunc::Sum, _) => AggFunc::Sum,
-                (AstAggFunc::Min, _) => AggFunc::Min,
-                (AstAggFunc::Max, _) => AggFunc::Max,
-                (AstAggFunc::Avg, _) => AggFunc::Avg,
-            };
-            let bound = arg
-                .as_ref()
-                .map(|a| bind_expr(a, schema, outer))
-                .transpose()?;
-            if !out.iter().any(|(g, b)| *g == f && *b == bound) {
-                out.push((f, bound));
-            }
-            Ok(())
-        }
-        ExprAst::Binary { left, right, .. } => {
-            collect_aggs(left, schema, outer, out)?;
-            collect_aggs(right, schema, outer, out)
-        }
-        ExprAst::Not(x) | ExprAst::Neg(x) | ExprAst::ExtractYear(x) => {
-            collect_aggs(x, schema, outer, out)
-        }
-        ExprAst::IsNull { expr, .. }
-        | ExprAst::Like { expr, .. }
-        | ExprAst::Substring { expr, .. } => collect_aggs(expr, schema, outer, out),
-        ExprAst::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggs(expr, schema, outer, out)?;
-            collect_aggs(low, schema, outer, out)?;
-            collect_aggs(high, schema, outer, out)
-        }
-        ExprAst::InList { expr, .. } => collect_aggs(expr, schema, outer, out),
-        ExprAst::Case {
-            branches,
-            otherwise,
-        } => {
-            for (c, v) in branches {
-                collect_aggs(c, schema, outer, out)?;
-                collect_aggs(v, schema, outer, out)?;
-            }
-            if let Some(o) = otherwise {
-                collect_aggs(o, schema, outer, out)?;
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
-}
-
-/// Like [`collect_aggs`] but skips subquery branches (HAVING conjuncts that
-/// mix aggregates with scalar subqueries, e.g. Q11).
-fn collect_aggs_shallow(
-    ast: &ExprAst,
-    schema: &Schema,
-    outer: Option<&Schema>,
-    out: &mut Vec<(AggFunc, Option<Expr>)>,
-) -> Result<()> {
-    match ast {
-        ExprAst::ScalarSubquery(_) | ExprAst::Exists { .. } | ExprAst::InSubquery { .. } => Ok(()),
-        ExprAst::Binary { left, right, .. } => {
-            collect_aggs_shallow(left, schema, outer, out)?;
-            collect_aggs_shallow(right, schema, outer, out)
-        }
-        ExprAst::Not(x) | ExprAst::Neg(x) => collect_aggs_shallow(x, schema, outer, out),
-        other => collect_aggs(other, schema, outer, out),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Post-aggregation rewriting
-// ---------------------------------------------------------------------------
-
-struct GroupCtx<'a> {
-    product: Schema,
-    group_bound: &'a [Expr],
-    agg_calls: &'a [(AggFunc, Option<Expr>)],
-    outer: Option<&'a Schema>,
-}
-
-impl GroupCtx<'_> {
-    /// Rewrite a SELECT/HAVING/ORDER BY expression into an expression over
-    /// the aggregate output schema (group keys, then aggregates).
-    fn rewrite(&self, ast: &ExprAst) -> Result<Expr> {
-        // Aggregate call → aggregate output column.
-        if let ExprAst::Agg { .. } = ast {
-            let mut calls = Vec::new();
-            collect_aggs(ast, &self.product, self.outer, &mut calls)?;
-            let (f, b) = calls.into_iter().next().ok_or_else(|| err("empty agg"))?;
-            let idx = self
-                .agg_calls
-                .iter()
-                .position(|(g, a)| *g == f && *a == b)
-                .ok_or_else(|| err("aggregate not collected"))?;
-            return Ok(expr::col(self.group_bound.len() + idx));
-        }
-        // Whole expression equals a group key → key column.
-        if !ast.contains_aggregate() {
-            if let Ok(bound) = bind_expr(ast, &self.product, self.outer) {
-                if let Some(i) = self.group_bound.iter().position(|g| *g == bound) {
-                    return Ok(expr::col(i));
-                }
-                if let Expr::Literal(s) = bound {
-                    return Ok(expr::lit(s));
-                }
-            }
-        }
-        // Otherwise rebuild structurally.
-        Ok(match ast {
-            ExprAst::Binary { op, left, right } => {
-                let l = self.rewrite(left)?;
-                let r = self.rewrite(right)?;
-                let ast2 = ExprAst::Binary {
-                    op: *op,
-                    left: Box::new(ExprAst::Int(0)),
-                    right: Box::new(ExprAst::Int(0)),
-                };
-                match bind_expr(&ast2, &Schema::empty(), None)? {
-                    Expr::Binary { op, .. } => Expr::Binary {
-                        op,
-                        left: Box::new(l),
-                        right: Box::new(r),
-                    },
-                    _ => unreachable!("binary binds to binary"),
-                }
-            }
-            ExprAst::Not(x) => Expr::Unary {
-                op: UnOp::Not,
-                input: Box::new(self.rewrite(x)?),
-            },
-            ExprAst::Neg(x) => Expr::Unary {
-                op: UnOp::Neg,
-                input: Box::new(self.rewrite(x)?),
-            },
-            ExprAst::Case {
-                branches,
-                otherwise,
-            } => Expr::Case {
-                branches: branches
-                    .iter()
-                    .map(|(c, v)| Ok((self.rewrite(c)?, self.rewrite(v)?)))
-                    .collect::<Result<_>>()?,
-                otherwise: otherwise
-                    .as_ref()
-                    .map(|o| Ok::<_, SqlError>(Box::new(self.rewrite(o)?)))
-                    .transpose()?,
-            },
-            other => {
-                return Err(err(format!(
-                    "expression must appear in GROUP BY or be an aggregate: {other:?}"
-                )))
-            }
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Subquery decorrelation
 // ---------------------------------------------------------------------------
 
-/// Apply one WHERE conjunct containing subqueries to `plan`.
+/// Apply one WHERE conjunct containing subqueries to `plan`, whose schema
+/// (`schema`) it keeps.
 fn apply_subquery_conjunct(
     plan: Rel,
-    schema: Schema,
+    schema: &Schema,
     conjunct: &ExprAst,
     ctx: &BindCtx<'_>,
-    outer: Option<&Schema>,
-) -> Result<(Rel, Schema)> {
-    let _ = outer; // TPC-H never nests correlation across two levels here.
+) -> Result<Rel> {
+    let semi_or_anti = |negated: bool| {
+        if negated {
+            JoinKind::Anti
+        } else {
+            JoinKind::Semi
+        }
+    };
     match conjunct {
         ExprAst::Exists { query, negated } => {
-            let kind = if *negated {
-                JoinKind::Anti
-            } else {
-                JoinKind::Semi
-            };
-            decorrelate_exists(plan, schema, query, kind, ctx)
+            decorrelate_exists(plan, schema, query, semi_or_anti(*negated), ctx)
         }
         ExprAst::InSubquery {
             expr: key,
             query,
             negated,
         } => {
-            let kind = if *negated {
-                JoinKind::Anti
-            } else {
-                JoinKind::Semi
-            };
-            decorrelate_in(plan, schema, key, query, kind, ctx)
+            // `expr [NOT] IN (subquery)` → semi/anti join on one key.
+            let inner = bind_query(query, ctx)?;
+            if inner.schema()?.len() != 1 {
+                return Err(err("IN subquery must produce exactly one column"));
+            }
+            let keys = (
+                vec![bind_expr(key, &Scope::plain(schema, None))?],
+                vec![expr::col(0)],
+            );
+            Ok(join(plan, inner, semi_or_anti(*negated), keys, vec![]))
         }
-        other => {
-            // General predicate containing scalar subqueries: join each in,
-            // rewrite the predicate, filter, and project the extras away.
-            let original_width = schema.len();
-            let (plan2, schema2, rewritten) = inline_scalar_subqueries(plan, schema, other, ctx)?;
-            let bound = bind_expr(&rewritten, &schema2, None)?;
-            let filtered = Rel::Filter {
-                input: Box::new(plan2),
-                predicate: bound,
-            };
-            let keep: Vec<(Expr, String)> = (0..original_width)
-                .map(|i| (expr::col(i), schema2.fields[i].name.clone()))
-                .collect();
-            let out = Rel::Project {
-                input: Box::new(filtered),
-                exprs: keep,
-            };
-            let out_schema = out.schema()?;
-            Ok((out, out_schema))
-        }
+        other => apply_predicate(plan, schema, other, ctx, &Scope::plain(schema, None)),
     }
 }
 
-/// Bind an EXISTS subquery body against its own FROM with `outer_schema`
-/// correlation, splitting correlated conjuncts into keys/residual.
+/// `[NOT] EXISTS (sub)`: the correlated equalities of the subquery's WHERE
+/// become semi/anti join keys, its other correlated conjuncts the residual.
 fn decorrelate_exists(
     plan: Rel,
-    schema: Schema,
+    schema: &Schema,
     sub: &Query,
     kind: JoinKind,
     ctx: &BindCtx<'_>,
-) -> Result<(Rel, Schema)> {
-    let select = &sub.select;
-    if !select.group_by.is_empty() || select.having.is_some() {
+) -> Result<Rel> {
+    if !sub.select.group_by.is_empty() || sub.select.having.is_some() {
         return Err(err("EXISTS subquery with grouping is not supported"));
     }
-    // Bind the subquery FROM product.
-    let mut relations = Vec::new();
-    for item in &select.from {
-        relations.push(bind_from_item(item, ctx, Some(&schema))?);
-    }
-    let mut inner_fields = Vec::new();
-    for r in &relations {
-        inner_fields.extend(r.schema.fields.iter().cloned());
-    }
-    let inner_schema = Schema::new(inner_fields);
-
-    // Partition WHERE conjuncts.
-    let mut inner_filters: Vec<ExprAst> = Vec::new();
-    let mut correlated: Vec<Expr> = Vec::new();
-    if let Some(w) = &select.where_clause {
-        for c in split_and(w) {
-            if contains_subquery(c) {
-                return Err(err("nested subquery inside EXISTS is not supported"));
-            }
-            let bound = bind_expr(c, &inner_schema, Some(&schema))?;
-            let mut refs = Vec::new();
-            bound.referenced_columns(&mut refs);
-            if refs.iter().any(|&r| r >= OUTER_BASE) {
-                correlated.push(bound);
-            } else {
-                inner_filters.push(c.clone());
-            }
-        }
-    }
-
-    // Build the inner plan: FROM product + uncorrelated filters, reusing the
-    // main machinery via a synthetic single-relation pipeline.
-    let inner_query = Query {
-        ctes: vec![],
-        select: Select {
-            distinct: false,
-            items: vec![],
-            from: select.from.clone(),
-            where_clause: None,
-            group_by: vec![],
-            having: None,
-        },
-        order_by: vec![],
-        limit: None,
-    };
-    let _ = inner_query;
-    // Simpler: rebuild the product directly.
-    let mut relations2 = Vec::new();
-    for item in &select.from {
-        relations2.push(bind_from_item(item, ctx, None)?);
-    }
-    let n2 = relations2.len();
-    let mut orig_offsets = Vec::new();
-    let mut acc = 0;
-    for r in &relations2 {
-        orig_offsets.push(acc);
-        acc += r.schema.len();
-    }
-    // Inner local predicates + join edges from the uncorrelated conjuncts.
-    let mut edges = Vec::new();
-    for c in &inner_filters {
-        let bound = bind_expr(c, &inner_schema, None)?;
-        let mut refs = Vec::new();
-        bound.referenced_columns(&mut refs);
-        let mut rels: Vec<usize> = refs
-            .iter()
-            .map(|&r| {
-                let mut rel = 0;
-                for (i, &off) in orig_offsets.iter().enumerate() {
-                    if r >= off {
-                        rel = i;
-                    }
-                }
-                rel
-            })
-            .collect();
-        rels.sort_unstable();
-        rels.dedup();
-        if rels.len() <= 1 {
-            let rel = rels.first().copied().unwrap_or(0);
-            let local = bound.remap_columns(&|i| i - orig_offsets[rel]);
-            let r = &mut relations2[rel];
-            r.plan = Rel::Filter {
-                input: Box::new(std::mem::replace(&mut r.plan, placeholder())),
-                predicate: local,
-            };
-        } else {
-            edges.push((bound, rels));
-        }
-    }
-    let _ = n2;
-    let (inner_plan, inner_map, _inner_final) =
-        JoinOrderer::new(ctx.policy, ctx.stats).build(relations2, &orig_offsets, edges)?;
-
-    // Correlated conjuncts: equality → keys; everything else → residual.
-    let outer_width = schema.len();
-    let mut lk = Vec::new();
-    let mut rk = Vec::new();
-    let mut residual = Vec::new();
-    for c in correlated {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = &c
-        {
-            let is_outer = |e: &Expr| {
-                let mut refs = Vec::new();
-                e.referenced_columns(&mut refs);
-                !refs.is_empty() && refs.iter().all(|&r| r >= OUTER_BASE)
-            };
-            let is_inner = |e: &Expr| {
-                let mut refs = Vec::new();
-                e.referenced_columns(&mut refs);
-                !refs.is_empty() && refs.iter().all(|&r| r < OUTER_BASE)
-            };
-            if is_outer(left) && is_inner(right) {
-                lk.push(left.remap_columns(&|i| i - OUTER_BASE));
-                rk.push(right.remap_columns(&|i| inner_map[i]));
-                continue;
-            }
-            if is_inner(left) && is_outer(right) {
-                lk.push(right.remap_columns(&|i| i - OUTER_BASE));
-                rk.push(left.remap_columns(&|i| inner_map[i]));
-                continue;
-            }
-        }
-        // Residual over [outer ++ inner].
-        residual.push(c.remap_columns(&|i| {
-            if i >= OUTER_BASE {
-                i - OUTER_BASE
-            } else {
-                outer_width + inner_map[i]
-            }
-        }));
-    }
-    if lk.is_empty() {
+    let ctx = with_ctes(sub, ctx)?;
+    let inner = bind_product(&sub.select, &ctx, Some(schema))?;
+    let (inner_keys, outer_keys, rest) = split_equi_keys(inner.correlated, OUTER_BASE);
+    if outer_keys.is_empty() {
         return Err(err(
             "EXISTS subquery without correlated equality is not supported",
         ));
     }
-    let out = Rel::Join {
-        left: Box::new(plan),
-        right: Box::new(inner_plan),
-        kind,
-        left_keys: lk,
-        right_keys: rk,
-        residual: if residual.is_empty() {
-            None
-        } else {
-            Some(expr::and_all(residual))
-        },
-    };
-    Ok((out, schema))
-}
-
-/// `expr [NOT] IN (subquery)` → semi/anti join on one key.
-fn decorrelate_in(
-    plan: Rel,
-    schema: Schema,
-    key: &ExprAst,
-    sub: &Query,
-    kind: JoinKind,
-    ctx: &BindCtx<'_>,
-) -> Result<(Rel, Schema)> {
-    let (inner_plan, _) = bind_query(sub, ctx, None)?;
-    let inner_schema = inner_plan.schema()?;
-    if inner_schema.len() != 1 {
-        return Err(err("IN subquery must produce exactly one column"));
-    }
-    let left_key = bind_expr(key, &schema, None)?;
-    let out = Rel::Join {
-        left: Box::new(plan),
-        right: Box::new(inner_plan),
-        kind,
-        left_keys: vec![left_key],
-        right_keys: vec![expr::col(0)],
-        residual: None,
-    };
-    Ok((out, schema))
-}
-
-/// Replace every `ScalarSubquery` in `ast` by a joined column: correlated
-/// aggregate subqueries become group-by + `Single` join on the correlation
-/// keys; uncorrelated ones become a keyless `Single` (cross) join.
-fn inline_scalar_subqueries(
-    mut plan: Rel,
-    mut schema: Schema,
-    ast: &ExprAst,
-    ctx: &BindCtx<'_>,
-) -> Result<(Rel, Schema, ExprAst)> {
-    let rewritten = match ast {
-        ExprAst::ScalarSubquery(q) => {
-            let (p2, s2, name) = join_scalar_subquery(plan, schema, q, ctx)?;
-            plan = p2;
-            schema = s2;
-            ExprAst::Ident(vec![name])
-        }
-        ExprAst::Binary { op, left, right } => {
-            let (p2, s2, l) = inline_scalar_subqueries(plan, schema, left, ctx)?;
-            let (p3, s3, r) = inline_scalar_subqueries(p2, s2, right, ctx)?;
-            plan = p3;
-            schema = s3;
-            ExprAst::Binary {
-                op: *op,
-                left: Box::new(l),
-                right: Box::new(r),
-            }
-        }
-        ExprAst::Not(x) => {
-            let (p2, s2, inner) = inline_scalar_subqueries(plan, schema, x, ctx)?;
-            plan = p2;
-            schema = s2;
-            ExprAst::Not(Box::new(inner))
-        }
-        other => other.clone(),
-    };
-    Ok((plan, schema, rewritten))
-}
-
-/// Join one scalar subquery into the plan; returns the new plan/schema and
-/// the name of the column holding the scalar value.
-fn join_scalar_subquery(
-    plan: Rel,
-    schema: Schema,
-    sub: &Query,
-    ctx: &BindCtx<'_>,
-) -> Result<(Rel, Schema, String)> {
-    let select = &sub.select;
-    let sub_name = format!("__scalar{}", schema.len());
-
-    // Detect correlation: bind the subquery's WHERE conjuncts with the
-    // outer schema visible.
-    let mut relations = Vec::new();
-    for item in &select.from {
-        relations.push(bind_from_item(item, ctx, Some(&schema))?);
-    }
-    let mut inner_fields = Vec::new();
-    let mut orig_offsets = Vec::new();
-    for r in &relations {
-        orig_offsets.push(inner_fields.len());
-        inner_fields.extend(r.schema.fields.iter().cloned());
-    }
-    let inner_schema = Schema::new(inner_fields);
-
-    let mut correlated_eq: Vec<(Expr, Expr)> = Vec::new(); // (outer, inner-bound)
-    let mut inner_conjuncts: Vec<&ExprAst> = Vec::new();
-    if let Some(w) = &select.where_clause {
-        for c in split_and(w) {
-            if contains_subquery(c) {
-                // Q20's inner subquery nests one more level; handle by
-                // treating it as part of the inner query's own binding.
-                inner_conjuncts.push(c);
-                continue;
-            }
-            let bound = bind_expr(c, &inner_schema, Some(&schema))?;
-            let mut refs = Vec::new();
-            bound.referenced_columns(&mut refs);
-            if refs.iter().any(|&r| r >= OUTER_BASE) {
-                if let Expr::Binary {
-                    op: BinOp::Eq,
-                    left,
-                    right,
-                } = &bound
-                {
-                    let is_outer = |e: &Expr| {
-                        let mut v = Vec::new();
-                        e.referenced_columns(&mut v);
-                        !v.is_empty() && v.iter().all(|&r| r >= OUTER_BASE)
-                    };
-                    let is_inner = |e: &Expr| {
-                        let mut v = Vec::new();
-                        e.referenced_columns(&mut v);
-                        !v.is_empty() && v.iter().all(|&r| r < OUTER_BASE)
-                    };
-                    if is_outer(left) && is_inner(right) {
-                        correlated_eq
-                            .push((left.remap_columns(&|i| i - OUTER_BASE), (**right).clone()));
-                        continue;
-                    }
-                    if is_inner(left) && is_outer(right) {
-                        correlated_eq
-                            .push((right.remap_columns(&|i| i - OUTER_BASE), (**left).clone()));
-                        continue;
-                    }
-                }
-                return Err(err(
-                    "only equality correlation is supported in scalar subqueries",
-                ));
-            }
-            inner_conjuncts.push(c);
-        }
-    }
-
-    // The single output item must be an aggregate expression (TPC-H shape)
-    // or, uncorrelated, any single-column query.
-    if correlated_eq.is_empty() {
-        // Uncorrelated: bind the whole subquery normally and cross-join.
-        let (inner_plan, _) = bind_query(sub, ctx, None)?;
-        let inner_out = inner_plan.schema()?;
-        if inner_out.len() != 1 {
-            return Err(err("scalar subquery must produce one column"));
-        }
-        let renamed = Rel::Project {
-            input: Box::new(inner_plan),
-            exprs: vec![(expr::col(0), sub_name.clone())],
-        };
-        let joined = Rel::Join {
-            left: Box::new(plan),
-            right: Box::new(renamed),
-            kind: JoinKind::Single,
-            left_keys: vec![],
-            right_keys: vec![],
-            residual: None,
-        };
-        let out_schema = joined.schema()?;
-        return Ok((joined, out_schema, sub_name));
-    }
-
-    // Correlated aggregate: rebuild the subquery with the correlation keys
-    // as GROUP BY columns.
-    if select.items.len() != 1 || !select.items[0].expr.contains_aggregate() {
-        return Err(err("correlated scalar subquery must be a single aggregate"));
-    }
-    let rewritten_where = conjoin_asts(&inner_conjuncts);
-    let inner_key_asts: Vec<ExprAst> = Vec::new();
-    let _ = inner_key_asts;
-    let grouped_query = Query {
-        ctes: vec![],
-        select: Select {
-            distinct: false,
-            items: select.items.clone(),
-            from: select.from.clone(),
-            where_clause: rewritten_where,
-            group_by: vec![],
-            having: None,
-        },
-        order_by: vec![],
-        limit: None,
-    };
-    // Bind the grouped query manually: product + filters, then aggregate
-    // grouped by the inner correlation expressions.
-    let (mut inner_plan, inner_map, inner_final) = {
-        let mut relations2 = Vec::new();
-        for item in &grouped_query.select.from {
-            relations2.push(bind_from_item(item, ctx, None)?);
-        }
-        let mut offs = Vec::new();
-        let mut acc = 0;
-        for r in &relations2 {
-            offs.push(acc);
-            acc += r.schema.len();
-        }
-        let mut edges = Vec::new();
-        if let Some(w) = &grouped_query.select.where_clause {
-            for c in split_and(w) {
-                if contains_subquery(c) {
-                    return Err(err(
-                        "nested subqueries under correlated scalar subqueries are not supported",
-                    ));
-                }
-                let bound = bind_expr(c, &inner_schema, None)?;
-                let mut refs = Vec::new();
-                bound.referenced_columns(&mut refs);
-                let mut rels: Vec<usize> = refs
-                    .iter()
-                    .map(|&r| {
-                        let mut rel = 0;
-                        for (i, &off) in offs.iter().enumerate() {
-                            if r >= off {
-                                rel = i;
-                            }
-                        }
-                        rel
-                    })
-                    .collect();
-                rels.sort_unstable();
-                rels.dedup();
-                if rels.len() <= 1 {
-                    let rel = rels.first().copied().unwrap_or(0);
-                    let local = bound.remap_columns(&|i| i - offs[rel]);
-                    let r = &mut relations2[rel];
-                    r.plan = Rel::Filter {
-                        input: Box::new(std::mem::replace(&mut r.plan, placeholder())),
-                        predicate: local,
-                    };
-                } else {
-                    edges.push((bound, rels));
-                }
-            }
-        }
-        JoinOrderer::new(ctx.policy, ctx.stats).build(relations2, &offs, edges)?
-    };
-    let _ = inner_final;
-
-    // Group keys: the inner sides of the correlated equalities.
-    let group_keys: Vec<Expr> = correlated_eq
+    // Residual over [outer ++ inner].
+    let width = schema.len();
+    let residual = rest
         .iter()
-        .map(|(_, inner)| inner.remap_columns(&|i| inner_map[i]))
+        .map(|c| {
+            c.remap_columns(&|i| {
+                if i < OUTER_BASE {
+                    width + i
+                } else {
+                    i - OUTER_BASE
+                }
+            })
+        })
         .collect();
-    let mut aggs = Vec::new();
-    collect_aggs(&select.items[0].expr, &inner_schema, None, &mut aggs)?;
-    let agg_exprs: Vec<AggExpr> = aggs
+    Ok(join(
+        plan,
+        inner.plan,
+        kind,
+        (outer_keys, inner_keys),
+        residual,
+    ))
+}
+
+/// Filter `plan` (schema `schema`) by `predicate` bound in `scope`. Every
+/// scalar subquery the predicate mentions is joined in first — correlated
+/// aggregate subqueries as group-by + `Single` join on the correlation
+/// keys, uncorrelated ones as a keyless `Single` (cross) join — and the
+/// joined columns are projected away again after the filter.
+fn apply_predicate(
+    plan: Rel,
+    schema: &Schema,
+    predicate: &ExprAst,
+    ctx: &BindCtx<'_>,
+    scope: &Scope<'_>,
+) -> Result<Rel> {
+    let mut subqueries = Vec::new();
+    predicate.walk(&mut |e| {
+        if let ExprAst::ScalarSubquery(q) = e {
+            subqueries.push(&**q);
+        }
+        true
+    });
+    if subqueries.is_empty() {
+        return Ok(filter(plan, bind_expr(predicate, scope)?));
+    }
+    let (mut plan, mut joined) = (plan, schema.clone());
+    let mut scalars = Vec::with_capacity(subqueries.len());
+    for q in subqueries {
+        (plan, joined) = join_scalar_subquery(plan, &joined, q, ctx)?;
+        scalars.push((q, joined.len() - 1));
+    }
+    let scope = Scope {
+        scalars: &scalars,
+        ..*scope
+    };
+    let filtered = filter(plan, bind_expr(predicate, &scope)?);
+    let keep = schema
+        .fields
         .iter()
         .enumerate()
-        .map(|(i, (f, arg))| AggExpr {
-            func: *f,
-            input: arg.as_ref().map(|a| a.remap_columns(&|i| inner_map[i])),
-            name: format!("agg{i}"),
-        })
+        .map(|(i, f)| (expr::col(i), f.name.clone()))
         .collect();
-    inner_plan = Rel::Aggregate {
-        input: Box::new(inner_plan),
-        group_by: group_keys.clone(),
-        aggregates: agg_exprs,
-    };
-    // Apply the SELECT item expression on top (e.g. `0.5 * sum(...)`).
-    let gctx = GroupCtx {
-        product: inner_schema.clone(),
-        group_bound: &correlated_eq
-            .iter()
-            .map(|(_, i)| i.clone())
-            .collect::<Vec<_>>(),
-        agg_calls: &aggs,
-        outer: None,
-    };
-    let value_expr = gctx.rewrite(&select.items[0].expr)?;
-    let mut proj: Vec<(Expr, String)> = (0..group_keys.len())
-        .map(|i| (expr::col(i), format!("__key{i}")))
-        .collect();
-    proj.push((value_expr, sub_name.clone()));
-    inner_plan = Rel::Project {
-        input: Box::new(inner_plan),
-        exprs: proj,
-    };
-
-    // Single-join outer × grouped subquery on the correlation keys.
-    let left_keys: Vec<Expr> = correlated_eq.iter().map(|(o, _)| o.clone()).collect();
-    let right_keys: Vec<Expr> = (0..correlated_eq.len()).map(expr::col).collect();
-    let joined = Rel::Join {
-        left: Box::new(plan),
-        right: Box::new(inner_plan),
-        kind: JoinKind::Single,
-        left_keys,
-        right_keys,
-        residual: None,
-    };
-    let out_schema = joined.schema()?;
-    Ok((joined, out_schema, sub_name))
+    Ok(project(filtered, keep))
 }
 
-fn conjoin_asts(conjuncts: &[&ExprAst]) -> Option<ExprAst> {
-    conjuncts
-        .iter()
-        .map(|c| (*c).clone())
-        .reduce(|a, b| ExprAst::Binary {
-            op: AstBinOp::And,
-            left: Box::new(a),
-            right: Box::new(b),
-        })
-}
-
-/// Apply a HAVING conjunct containing scalar subqueries after aggregation.
-fn apply_scalar_subqueries_postagg(
+/// Join one scalar subquery into the plan; its value becomes the last
+/// column of the returned plan and schema.
+fn join_scalar_subquery(
     plan: Rel,
-    schema: Schema,
-    conjunct: &ExprAst,
+    schema: &Schema,
+    sub: &Query,
     ctx: &BindCtx<'_>,
-    gctx: &GroupCtx<'_>,
 ) -> Result<(Rel, Schema)> {
-    let original_width = schema.len();
-    let (plan2, schema2, rewritten) = inline_scalar_subqueries(plan, schema, conjunct, ctx)?;
-    // Bind: aggregate-bearing parts go through the group context, the
-    // joined scalar columns resolve by name against the extended schema.
-    let bound = bind_having_mixed(&rewritten, &schema2, gctx)?;
-    let filtered = Rel::Filter {
-        input: Box::new(plan2),
-        predicate: bound,
+    let select = &sub.select;
+    let value_name = format!("__scalar{}", schema.len());
+    let ctx = with_ctes(sub, ctx)?;
+    let inner = bind_product(select, &ctx, Some(schema))?;
+
+    let (inner_plan, keys) = if inner.correlated.is_empty() {
+        // Uncorrelated: an ordinary single-column query, cross-joined.
+        let inner_plan = finish_select(sub, inner, &ctx)?;
+        if inner_plan.schema()?.len() != 1 {
+            return Err(err("scalar subquery must produce one column"));
+        }
+        let value = vec![(expr::col(0), value_name)];
+        (project(inner_plan, value), (vec![], vec![]))
+    } else {
+        // Correlated aggregate: group the subquery by the inner sides of
+        // its correlated equalities and join on them.
+        let (inner_keys, outer_keys, rest) = split_equi_keys(inner.correlated, OUTER_BASE);
+        if !rest.is_empty() {
+            return Err(err(
+                "only equality correlation is supported in scalar subqueries",
+            ));
+        }
+        let item = match select.items.as_slice() {
+            [item] if item.expr.contains_aggregate() => &item.expr,
+            _ => return Err(err("correlated scalar subquery must be a single aggregate")),
+        };
+        let input = Scope::plain(&inner.schema, None);
+        let mut calls = Vec::new();
+        collect_aggs(item, &input, &mut calls)?;
+        let grouping = Grouping {
+            keys: inner_keys,
+            calls,
+        };
+        // The item on top of the aggregation (e.g. `0.5 * sum(...)`).
+        let scope = Scope {
+            grouping: Some(&grouping),
+            ..input
+        };
+        let width = outer_keys.len();
+        let mut exprs: Vec<(Expr, String)> = (0..width)
+            .map(|i| (expr::col(i), format!("__key{i}")))
+            .collect();
+        exprs.push((bind_expr(item, &scope)?, value_name));
+        let grouped = project(grouping.aggregate(inner.plan), exprs);
+        (grouped, (outer_keys, (0..width).map(expr::col).collect()))
     };
-    let keep: Vec<(Expr, String)> = (0..original_width)
-        .map(|i| (expr::col(i), schema2.fields[i].name.clone()))
-        .collect();
-    let out = Rel::Project {
-        input: Box::new(filtered),
-        exprs: keep,
-    };
-    let out_schema = out.schema()?;
-    Ok((out, out_schema))
+    let joined = join(plan, inner_plan, JoinKind::Single, keys, vec![]);
+    let joined_schema = joined.schema()?;
+    Ok((joined, joined_schema))
 }
 
-/// Bind a post-aggregation predicate that may mix aggregate calls (resolved
-/// through the group context) with plain columns of the extended schema
-/// (the joined scalar-subquery values).
-fn bind_having_mixed(ast: &ExprAst, schema: &Schema, gctx: &GroupCtx<'_>) -> Result<Expr> {
-    match ast {
-        ExprAst::Agg { .. } => gctx.rewrite(ast),
-        ExprAst::Ident(parts) => {
-            let name = parts.join(".");
-            schema
-                .index_of(&name)
-                .map(expr::col)
-                .ok_or_else(|| err(format!("unknown column {name}")))
-        }
-        ExprAst::Binary { op, left, right } => {
-            let l = bind_having_mixed(left, schema, gctx)?;
-            let r = bind_having_mixed(right, schema, gctx)?;
-            let tmp = bind_expr(
-                &ExprAst::Binary {
-                    op: *op,
-                    left: Box::new(ExprAst::Int(0)),
-                    right: Box::new(ExprAst::Int(0)),
-                },
-                &Schema::empty(),
-                None,
-            )?;
-            match tmp {
-                Expr::Binary { op, .. } => Ok(Expr::Binary {
-                    op,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                }),
-                _ => unreachable!(),
-            }
-        }
-        ExprAst::Not(x) => Ok(Expr::Unary {
-            op: UnOp::Not,
-            input: Box::new(bind_having_mixed(x, schema, gctx)?),
-        }),
-        other => bind_expr(other, schema, None),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn equi_keys_split_an_on_clause_and_a_correlation_alike() {
+        // ON over [left: 0..2 | right: 2..4]: one key pair either way
+        // round, a same-side equality and an inequality are left over.
+        let on = vec![
+            expr::eq(expr::col(0), expr::col(2)),
+            expr::eq(expr::col(3), expr::col(1)),
+            expr::eq(expr::col(0), expr::col(1)),
+            expr::lt(expr::col(1), expr::col(3)),
+        ];
+        let (left, right, rest) = split_equi_keys(on.clone(), 2);
+        assert_eq!(left, vec![expr::col(0), expr::col(1)]);
+        assert_eq!(right, vec![expr::col(0), expr::col(1)]);
+        assert_eq!(rest, on[2..]);
+
+        // Correlated conjuncts: outer columns sit at OUTER_BASE; an
+        // outer-only predicate is not a key.
+        let outer = |i| expr::col(OUTER_BASE + i);
+        let correlated = vec![
+            expr::eq(outer(4), expr::col(7)),
+            expr::eq(outer(1), expr::lit(Scalar::Int64(3))),
+        ];
+        let (inner_keys, outer_keys, rest) = split_equi_keys(correlated.clone(), OUTER_BASE);
+        assert_eq!(inner_keys, vec![expr::col(7)]);
+        assert_eq!(outer_keys, vec![expr::col(4)]);
+        assert_eq!(rest, correlated[1..]);
     }
 }

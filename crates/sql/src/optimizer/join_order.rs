@@ -36,6 +36,18 @@ pub struct JoinRelation {
     pub estimate: f64,
 }
 
+impl JoinRelation {
+    /// Filter this relation by `predicate` (ordinals local to its schema)
+    /// and scale its estimate by `selectivity`.
+    pub(crate) fn push_filter(&mut self, predicate: Expr, selectivity: f64) {
+        self.plan = Rel::Filter {
+            input: Box::new(std::mem::replace(&mut self.plan, placeholder())),
+            predicate,
+        };
+        self.estimate *= selectivity;
+    }
+}
+
 /// Greedy left-deep join orderer over a [`Statistics`] source.
 pub struct JoinOrderer<'a> {
     policy: JoinOrderPolicy,

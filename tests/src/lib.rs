@@ -58,3 +58,26 @@ pub fn scalar_close(a: &Scalar, b: &Scalar) -> bool {
         _ => a == b,
     }
 }
+
+/// Path of a committed snapshot file under `tests/snapshots/`.
+pub fn snapshot_path(file: &str) -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("snapshots")
+        .join(file)
+}
+
+/// Compare freshly rendered text with the committed snapshot `file`, line
+/// by line, so a drift names the first line that moved.
+pub fn assert_matches_snapshot(file: &str, got: &str) {
+    let path = snapshot_path(file);
+    let want =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "{file} drifted at line {}", n + 1);
+    }
+    assert_eq!(
+        got.lines().count(),
+        want.lines().count(),
+        "{file}: line count"
+    );
+}

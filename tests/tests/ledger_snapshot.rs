@@ -14,18 +14,15 @@
 use sirius_core::{FusionConfig, Scheduling, SiriusEngine};
 use sirius_duckdb::DuckDb;
 use sirius_hw::{catalog, CostCategory, Link};
+use sirius_integration::{assert_matches_snapshot, snapshot_path};
 use sirius_tpch::{queries, TpchData, TpchGenerator};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
+const SNAPSHOT: &str = "ledger_sf0.01.txt";
 const SF: f64 = 0.01;
 const WORKERS: usize = 2;
 /// Cuts SF 0.01 lineitem (~60k rows) into four morsels.
 const MORSEL_ROWS: usize = 16_384;
-
-fn snapshot_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("snapshots/ledger_sf0.01.txt")
-}
 
 fn engine(data: &TpchData, device_bytes: u64) -> SiriusEngine {
     let mut spec = catalog::gh200_gpu();
@@ -94,18 +91,11 @@ fn render() -> String {
 
 #[test]
 fn ledger_matches_committed_snapshot() {
-    let path = snapshot_path();
-    let want =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let got = render();
-    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "ledger drifted at snapshot line {}", n + 1);
-    }
-    assert_eq!(got.lines().count(), want.lines().count(), "line count");
+    assert_matches_snapshot(SNAPSHOT, &render());
 }
 
 #[test]
 #[ignore = "rewrites the committed snapshot"]
 fn regenerate_snapshot() {
-    std::fs::write(snapshot_path(), render()).unwrap();
+    std::fs::write(snapshot_path(SNAPSHOT), render()).unwrap();
 }

@@ -9,18 +9,14 @@
 //! After an intended planner change, regenerate with
 //! `cargo test -p sirius-integration --test plan_snapshot -- --ignored`.
 
-use sirius_integration::binder_catalog;
+use sirius_integration::{assert_matches_snapshot, binder_catalog, snapshot_path};
 use sirius_plan::fingerprint::fingerprint;
 use sirius_sql::{plan_sql, JoinOrderPolicy};
 use sirius_tpch::{queries, TpchGenerator};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
+const SNAPSHOT: &str = "plans_tpch.txt";
 const SF: f64 = 0.01;
-
-fn snapshot_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("snapshots/plans_tpch.txt")
-}
 
 /// One header line per (query, policy) carrying the fingerprint, then the
 /// plan's `explain()` tree.
@@ -48,18 +44,11 @@ fn render() -> String {
 
 #[test]
 fn plans_match_committed_snapshot() {
-    let path = snapshot_path();
-    let want =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let got = render();
-    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "plan drifted at snapshot line {}", n + 1);
-    }
-    assert_eq!(got.lines().count(), want.lines().count(), "line count");
+    assert_matches_snapshot(SNAPSHOT, &render());
 }
 
 #[test]
 #[ignore = "rewrites the committed snapshot"]
 fn regenerate_snapshot() {
-    std::fs::write(snapshot_path(), render()).unwrap();
+    std::fs::write(snapshot_path(SNAPSHOT), render()).unwrap();
 }
