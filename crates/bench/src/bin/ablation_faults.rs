@@ -49,7 +49,7 @@ fn scenarios(seed: u64) -> Vec<(&'static str, Option<FaultPlan>)> {
 
 fn cluster(data: &sirius_tpch::TpchData, plan: Option<&FaultPlan>) -> DorisCluster {
     let mut config = ClusterConfig::for_world(WORLD);
-    config.max_retries = 8;
+    config.retry.max_retries = 8;
     if let Some(p) = plan {
         config = config.with_fault_plan(p.clone());
     }

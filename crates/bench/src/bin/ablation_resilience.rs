@@ -18,6 +18,7 @@
 //! factor and `--seed <n>` (or `CHAOS_SEED_BASE`) to move the faults.
 
 use sirius_bench::{sf_from_args, MorselLab};
+use sirius_core::RetryPolicy;
 use sirius_hw::{FaultInjector, FaultPlan};
 use sirius_plan::Rel;
 use sirius_serve::{percentile, QueryRequest, ServeConfig, SiriusServer};
@@ -84,8 +85,10 @@ fn run(lab: &MorselLab, plans: &[Rel], seed: u64, rate: u32, shedding: bool) -> 
             max_in_flight: 2,
             queue_depth: REQUESTS,
             tenant_weights: vec![2, 1],
-            max_retries: 3,
-            retry_backoff: Duration::from_micros(5),
+            retry: RetryPolicy {
+                max_retries: 3,
+                backoff: Duration::from_micros(5),
+            },
             shed_pressure: if shedding { 0.05 } else { f64::INFINITY },
         },
     );

@@ -157,11 +157,6 @@ impl SiriusEngine {
         self
     }
 
-    /// The active data-path fusion configuration.
-    pub fn fusion_config(&self) -> &physical::FusionConfig {
-        &self.fusion
-    }
-
     /// Keep result-sink string columns dictionary-encoded instead of
     /// materializing them (default: materialize). Distributed node engines
     /// run with this on so exchange ships codes; the coordinator decodes
@@ -255,11 +250,6 @@ impl SiriusEngine {
     /// served queries.
     pub fn fault_injector(&self) -> &sirius_hw::FaultInjector {
         &self.fault
-    }
-
-    /// The active morsel configuration.
-    pub fn morsel_config(&self) -> MorselConfig {
-        self.morsel
     }
 
     /// The active pipeline scheduling policy.

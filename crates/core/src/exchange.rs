@@ -1,10 +1,10 @@
 //! The Sirius exchange service layer (§3.2.4).
 //!
 //! Owns a node's NCCL communicator, implements the four exchange patterns
-//! as physical operations over tables, charges wire time to the node's
-//! device under `CostCategory::Exchange`, and keeps the runtime registry of
-//! exchanged intermediates as temporary tables (deregistered when their
-//! consuming fragments finish).
+//! as physical operations over tables, and charges wire time to the node's
+//! device under `CostCategory::Exchange`. What an exchange returns becomes
+//! a temporary table in the store the node's engine reads; the host that
+//! drives the fragments (`sirius-doris`) registers and releases it.
 
 use crate::{Result, SiriusError};
 use sirius_columnar::{Array, Table};
@@ -12,9 +12,7 @@ use sirius_cudf::hash::{FxBuildHasher, Key};
 use sirius_hw::{CostCategory, Device, FaultInjector};
 use sirius_nccl::{CancelToken, Communicator, NcclError};
 use sirius_plan::ExchangeKind;
-use std::collections::HashMap;
 use std::hash::BuildHasher;
-use std::sync::Arc;
 
 /// Classify an NCCL-layer error into the engine taxonomy. Dropped sends and
 /// receive timeouts are retryable ([`SiriusError::ExchangeTimeout`]);
@@ -37,17 +35,12 @@ fn classify(e: NcclError) -> SiriusError {
 pub struct ExchangeService {
     comm: Communicator,
     device: Device,
-    registry: HashMap<String, Arc<Table>>,
 }
 
 impl ExchangeService {
     /// Wrap a communicator for the node running on `device`.
     pub fn new(comm: Communicator, device: Device) -> Self {
-        Self {
-            comm,
-            device,
-            registry: HashMap::new(),
-        }
+        Self { comm, device }
     }
 
     /// This node's rank.
@@ -114,38 +107,6 @@ impl ExchangeService {
             out.num_rows() as u64,
         );
         Ok(out)
-    }
-
-    /// Register exchanged intermediate data as a temporary table.
-    pub fn register_temp(&mut self, name: impl Into<String>, table: Table) {
-        self.registry.insert(name.into(), Arc::new(table));
-    }
-
-    /// Fetch a registered temporary table.
-    pub fn temp(&self, name: &str) -> Result<Arc<Table>> {
-        self.registry
-            .get(name)
-            .cloned()
-            .ok_or_else(|| SiriusError::Exchange(format!("no temp table {name}")))
-    }
-
-    /// Deregister a temporary table once its consuming fragment finished.
-    pub fn deregister_temp(&mut self, name: &str) -> bool {
-        self.registry.remove(name).is_some()
-    }
-
-    /// Drop every registered temp table and return their names — the
-    /// drain-on-cancel guard that keeps aborted fragments from leaking
-    /// registry entries.
-    pub fn drain_temps(&mut self) -> Vec<String> {
-        let names: Vec<String> = self.registry.keys().cloned().collect();
-        self.registry.clear();
-        names
-    }
-
-    /// Number of live temporary tables.
-    pub fn temp_count(&self) -> usize {
-        self.registry.len()
     }
 
     /// The cluster-wide cancellation token (shared by all ranks).
@@ -258,20 +219,5 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), 3, "every node holds the full table");
         }
-    }
-
-    #[test]
-    fn temp_registry_lifecycle() {
-        let comms = NcclCluster::new(1, catalog::infiniband_4xndr());
-        let mut svc = ExchangeService::new(
-            comms.into_iter().next().unwrap(),
-            Device::new(catalog::a100_40gb()),
-        );
-        svc.register_temp("frag1.out", t(vec![1]));
-        assert_eq!(svc.temp_count(), 1);
-        assert_eq!(svc.temp("frag1.out").unwrap().num_rows(), 1);
-        assert!(svc.deregister_temp("frag1.out"));
-        assert!(!svc.deregister_temp("frag1.out"));
-        assert!(svc.temp("frag1.out").is_err());
     }
 }

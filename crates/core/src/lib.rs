@@ -20,8 +20,8 @@
 //!   including the `u64` ↔ `i32` row-index conversion at the libcudf
 //!   boundary.
 //! * **Exchange service layer** ([`exchange`]) — broadcast / shuffle /
-//!   merge / multicast over the NCCL layer, with the temp-table registry of
-//!   §3.2.4. Bypassed entirely in single-node deployments.
+//!   merge / multicast over the NCCL layer (§3.2.4). Bypassed entirely in
+//!   single-node deployments.
 //! * **Drop-in acceleration** ([`context`]) — the host-facing API: plans
 //!   arrive as Substrait JSON, results return as shared columnar tables,
 //!   and a [`context::HostEngine`] hook provides the graceful CPU fallback
@@ -121,6 +121,32 @@ impl SiriusError {
                 | SiriusError::SpillIo(_)
                 | SiriusError::Cancelled(_)
         )
+    }
+}
+
+/// How often, and how far apart, a transient failure is retried — the one
+/// policy behind the serving layer's re-admission and the distributed
+/// coordinator's re-dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Retries granted after the first attempt before the failure stands.
+    pub max_retries: u32,
+    /// Wait before the first retry; doubles with every further one.
+    pub backoff: std::time::Duration,
+}
+
+impl RetryPolicy {
+    /// The wait before retry `attempt + 1`: `backoff · 2^min(attempt, 16)`,
+    /// saturating.
+    pub fn delay(&self, attempt: u32) -> std::time::Duration {
+        self.backoff.saturating_mul(1 << attempt.min(16))
+    }
+
+    /// Whether error `e`, raised after `attempt` retries were already
+    /// spent, earns another: it must be transient
+    /// ([`SiriusError::is_retryable`]) and the budget must not be used up.
+    pub fn allows(&self, e: &SiriusError, attempt: u32) -> bool {
+        e.is_retryable() && attempt < self.max_retries
     }
 }
 

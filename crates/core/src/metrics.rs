@@ -87,8 +87,8 @@ pub struct RecoveryStats {
     /// Fragments aborted by cancellation propagation (fallout from a
     /// sibling fragment's failure, not root causes).
     pub cancelled_fragments: u64,
-    /// Exchange temp tables reaped by the drain-on-cancel guard on failed
-    /// attempts (a nonzero value with a zero post-query registry count is
+    /// Exchange temp tables dropped from the nodes' table stores by failed
+    /// attempts (a nonzero value with zero temps live after the query is
     /// the leak-free signature).
     pub temps_reaped: u64,
 }

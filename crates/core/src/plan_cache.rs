@@ -141,7 +141,7 @@ impl PlanCache {
     /// least-recently-used entry if the cache is full. Returns the
     /// evicted plan's fingerprint, if any.
     pub fn insert(&self, query: Arc<CompiledQuery>) -> Option<PlanFingerprint> {
-        self.store(query, false)
+        self.store(query)
     }
 
     /// Replace a cached plan after a feedback-driven re-optimization:
@@ -154,10 +154,10 @@ impl PlanCache {
     ) -> Option<PlanFingerprint> {
         self.entries.lock().remove(retired);
         self.replans.fetch_add(1, Ordering::Relaxed);
-        self.store(query, true)
+        self.store(query)
     }
 
-    fn store(&self, query: Arc<CompiledQuery>, _replan: bool) -> Option<PlanFingerprint> {
+    fn store(&self, query: Arc<CompiledQuery>) -> Option<PlanFingerprint> {
         let fp = query.fingerprint();
         let mut entries = self.entries.lock();
         let touch = self.clock.fetch_add(1, Ordering::Relaxed) + 1;

@@ -303,11 +303,6 @@ impl QueryRun {
         self.phys.pipelines.len()
     }
 
-    /// Pipelines completed so far.
-    pub fn pipelines_done(&self) -> usize {
-        self.completed
-    }
-
     /// Take the root pipeline's result table. `None` until
     /// [`Self::is_done`] — a partially-stepped query has no result yet.
     pub fn into_table(mut self) -> Option<Table> {

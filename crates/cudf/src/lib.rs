@@ -98,15 +98,6 @@ impl GpuContext {
         }
     }
 
-    /// Same device, different attribution category.
-    pub fn with_category(&self, category: CostCategory) -> Self {
-        Self {
-            device: self.device.clone(),
-            category,
-            mode: self.mode.clone(),
-        }
-    }
-
     /// Same category, charging onto device stream `stream`. Morsel workers
     /// use one stream each so their kernels overlap in the ledger.
     pub fn on_stream(&self, stream: usize) -> Self {

@@ -5,10 +5,10 @@
 //! [`sirius_core::SiriusError`]. The coordinator classifies it and walks a
 //! degradation ladder:
 //!
-//! 1. **Retry with backoff** — transient faults
-//!    ([`SiriusError::is_retryable`]) re-dispatch the whole query on a fresh
-//!    collective epoch, up to [`ClusterConfig::max_retries`] times with
-//!    exponentially growing simulated backoff.
+//! 1. **Retry with backoff** — faults [`ClusterConfig::retry`] allows
+//!    ([`RetryPolicy::allows`]: transient, while retries remain) re-dispatch
+//!    the whole query on a fresh collective epoch after
+//!    [`RetryPolicy::delay`] of simulated backoff.
 //! 2. **Re-schedule / shrink world** — a dead node (heartbeat lapse or
 //!    injected crash) is removed, the cluster is rebuilt over the survivors,
 //!    every table is re-partitioned from coordinator-side durable storage,
@@ -18,8 +18,11 @@
 //!    over the full (unpartitioned) tables.
 //!
 //! Failed attempts cancel all in-flight fragments through the shared
-//! [`CancelToken`] and drain every node's exchange temp-table registry, so
-//! retries never leak registry entries or observe stale collectives.
+//! [`CancelToken`]. An exchanged intermediate is registered as a temp table
+//! in exactly one place — the store its node's engine reads (`NodeEngine`) —
+//! and every fragment, finished or failed, drops what it registered before
+//! its node thread returns, so retries never leak temps or observe stale
+//! collectives.
 
 use crate::heartbeat::HeartbeatMonitor;
 use crate::planner::{distribute_with, DistributeOptions, PartitionScheme};
@@ -28,7 +31,7 @@ use parking_lot::{Mutex, RwLock};
 use sirius_columnar::{Array, Table};
 use sirius_core::exchange::{partition_by_hash, ExchangeService};
 use sirius_core::metrics::RecoveryStats;
-use sirius_core::{SiriusEngine, SiriusError};
+use sirius_core::{RetryPolicy, SiriusEngine, SiriusError};
 use sirius_exec_cpu::{Catalog, CpuEngine, EngineProfile};
 use sirius_hw::{
     catalog as hw, CostCategory, Device, FaultInjector, FaultPlan, FaultSite, Link, TimeBreakdown,
@@ -66,11 +69,9 @@ pub struct ClusterConfig {
     /// 3 s — a node that cannot answer the coordinator's dispatch-time
     /// probe within this window is treated as dead.
     pub heartbeat_timeout: Duration,
-    /// Maximum full-query retries for transient (retryable) faults.
-    pub max_retries: u32,
-    /// Initial retry backoff; doubles per retry (charged as simulated
-    /// coordinator time).
-    pub retry_backoff: Duration,
+    /// Full-query retries for transient (retryable) faults and the backoff
+    /// before each (charged as simulated coordinator time).
+    pub retry: RetryPolicy,
     /// Minimum surviving GPU/CPU compute nodes to keep executing
     /// distributed. Below this the coordinator degrades to CPU fallback
     /// (or fails, if that is disabled).
@@ -88,8 +89,10 @@ impl ClusterConfig {
     pub fn for_world(world: usize) -> Self {
         Self {
             heartbeat_timeout: Duration::from_secs(3),
-            max_retries: 3,
-            retry_backoff: Duration::from_millis(10),
+            retry: RetryPolicy {
+                max_retries: 3,
+                backoff: Duration::from_millis(10),
+            },
             quorum: world.div_ceil(2).max(1),
             allow_cpu_fallback: true,
             fault_plan: None,
@@ -103,49 +106,118 @@ impl ClusterConfig {
     }
 }
 
+/// What executes a node's fragments, together with the one table store it
+/// reads: base-table shards and exchanged temps both live there and nowhere
+/// else.
+enum NodeEngine {
+    /// A CPU engine over the node's own catalog.
+    Cpu { engine: CpuEngine, catalog: Catalog },
+    /// A Sirius GPU engine; its buffer manager's table cache is the store.
+    Gpu(SiriusEngine),
+}
+
+impl NodeEngine {
+    fn new(kind: NodeEngineKind, fault: &FaultInjector, id: usize) -> Self {
+        let cpu = |profile| NodeEngine::Cpu {
+            engine: CpuEngine::new(hw::xeon_gold_6526y(), profile),
+            catalog: Catalog::new(),
+        };
+        match kind {
+            NodeEngineKind::DorisCpu => cpu(EngineProfile::doris()),
+            NodeEngineKind::ClickHouseCpu => cpu(EngineProfile::clickhouse()),
+            // Node fragments keep result strings dictionary-encoded: codes
+            // cross the wire, and the coordinator materializes payload bytes
+            // once after gathering (late materialization).
+            NodeEngineKind::SiriusGpu => NodeEngine::Gpu(
+                SiriusEngine::with_link(hw::a100_40gb(), Link::new(hw::pcie4_a100_attach()), 2)
+                    .with_encoded_results(true)
+                    .with_fault(fault.clone(), id),
+            ),
+        }
+    }
+
+    fn device(&self) -> &Device {
+        match self {
+            NodeEngine::Cpu { engine, .. } => engine.device(),
+            NodeEngine::Gpu(gpu) => gpu.device(),
+        }
+    }
+
+    /// Run `plan` against this node's store. GPU engines poll their own
+    /// `DeviceLaunch` fault site; CPU nodes poll `fault` here.
+    fn execute(&self, plan: &Rel, fault: &FaultInjector, id: usize) -> sirius_core::Result<Table> {
+        match self {
+            NodeEngine::Gpu(gpu) => gpu.execute(plan),
+            NodeEngine::Cpu { engine, catalog } => {
+                if fault.fire(FaultSite::DeviceLaunch { node: id }).is_some() {
+                    return Err(SiriusError::TransientDevice(format!(
+                        "injected launch failure on node {id}"
+                    )));
+                }
+                engine
+                    .execute(plan, catalog)
+                    .map_err(|e| SiriusError::Kernel(e.to_string()))
+            }
+        }
+    }
+
+    /// Load this node's shard of a base table.
+    fn load(&mut self, name: &str, shard: Table) {
+        match self {
+            NodeEngine::Cpu { catalog, .. } => catalog.register(name, shard),
+            NodeEngine::Gpu(gpu) => gpu.load_table(name, &shard),
+        }
+    }
+
+    /// Register an exchanged intermediate (§3.2.4: it arrived over NCCL, so
+    /// it is already device-resident and no host transfer is charged).
+    fn add_temp(&mut self, name: &str, table: Table) {
+        match self {
+            NodeEngine::Cpu { catalog, .. } => catalog.register(name, table),
+            NodeEngine::Gpu(gpu) => gpu.cache_resident(name, &table),
+        }
+    }
+
+    fn drop_temp(&mut self, name: &str) {
+        match self {
+            NodeEngine::Cpu { catalog, .. } => {
+                catalog.remove(name);
+            }
+            NodeEngine::Gpu(gpu) => {
+                gpu.buffer_manager().evict(name);
+            }
+        }
+    }
+}
+
 struct NodeState {
     /// Stable node id: the rank this node had in the original cluster.
     /// Fault sites, heartbeats, and error attribution all use this, so a
     /// world shrink never re-targets another node's faults.
     id: usize,
-    catalog: Catalog,
-    cpu: Option<CpuEngine>,
-    gpu: Option<SiriusEngine>,
-    device: Device,
+    engine: NodeEngine,
     exchange: ExchangeService,
     temp_counter: usize,
     fault: FaultInjector,
     heartbeats: HeartbeatMonitor,
     cancel: CancelToken,
-    /// Temp tables registered by the in-flight fragment; drained on both
-    /// success and failure so aborted attempts cannot leak registry entries.
+    /// The temp tables the in-flight fragment registered in the engine's
+    /// store — the one list of them; [`Self::release_temps`] empties it on
+    /// success and failure alike.
     live_temps: Vec<String>,
 }
 
 impl NodeState {
-    fn engine_exec(&self, plan: &Rel) -> sirius_core::Result<Table> {
-        if let Some(gpu) = &self.gpu {
-            // GPU engines poll their own DeviceLaunch fault site.
-            return gpu.execute(plan);
+    /// Poll a crash site: if the plan fires it the node goes silent — marked
+    /// down, with the cluster-wide token cancelled so peers blocked on its
+    /// contribution wake instead of timing out.
+    fn crash_at(&self, site: FaultSite) -> sirius_core::Result<()> {
+        if self.fault.fire(site).is_none() {
+            return Ok(());
         }
-        if self
-            .fault
-            .fire(FaultSite::DeviceLaunch { node: self.id })
-            .is_some()
-        {
-            return Err(SiriusError::TransientDevice(format!(
-                "injected launch failure on node {}",
-                self.id
-            )));
-        }
-        match &self.cpu {
-            Some(cpu) => cpu
-                .execute(plan, &self.catalog)
-                .map_err(|e| SiriusError::Kernel(e.to_string())),
-            None => Err(SiriusError::Unsupported(
-                "node has neither a CPU nor a GPU engine".into(),
-            )),
-        }
+        self.heartbeats.mark_down(self.id);
+        self.cancel.cancel();
+        Err(SiriusError::NodeDown(self.id))
     }
 
     /// Execute a distributed plan: fragments split at Exchange nodes,
@@ -154,42 +226,26 @@ impl NodeState {
     /// blocked in collectives abort promptly. Temp cleanup is the caller's
     /// job via [`Self::release_temps`] — it must run on every path.
     fn execute_fragmented(&mut self, plan: &Rel) -> sirius_core::Result<Table> {
-        if self
-            .fault
-            .fire(FaultSite::FragmentStart { node: self.id })
-            .is_some()
-        {
-            self.heartbeats.mark_down(self.id);
-            self.cancel.cancel();
-            return Err(SiriusError::NodeDown(self.id));
-        }
+        self.crash_at(FaultSite::FragmentStart { node: self.id })?;
         // A node executing a fragment is demonstrably alive.
         self.heartbeats.beat(self.id);
         let result = self
             .rewrite(plan)
-            .and_then(|rewritten| self.engine_exec(&rewritten));
+            .and_then(|rewritten| self.engine.execute(&rewritten, &self.fault, self.id));
         if result.is_err() {
             self.cancel.cancel();
         }
         result
     }
 
-    /// Deregister (and device-evict) every temp table the last fragment
-    /// registered. Returns how many were reaped.
+    /// Drop every temp table the last fragment registered from the
+    /// engine's store. Returns how many were reaped.
     fn release_temps(&mut self) -> u64 {
         let names = std::mem::take(&mut self.live_temps);
-        let mut reaped = 0;
-        for name in names {
-            if self.exchange.deregister_temp(&name) {
-                reaped += 1;
-            }
-            if let Some(gpu) = &self.gpu {
-                gpu.buffer_manager().evict(&name);
-            }
+        for name in &names {
+            self.engine.drop_temp(name);
         }
-        // Anything registered outside the live list (defensive): drain too.
-        reaped += self.exchange.drain_temps().len() as u64;
-        reaped
+        names.len() as u64
     }
 
     /// Replace every exchange in `plan` (innermost first, joins
@@ -210,19 +266,9 @@ impl NodeState {
         inner: &Rel,
         kind: &ExchangeKind,
     ) -> sirius_core::Result<Rel> {
-        let local = self.engine_exec(inner)?;
-        if self
-            .fault
-            .fire(FaultSite::FragmentMid { node: self.id })
-            .is_some()
-        {
-            // Crash at the exchange boundary: the node goes silent.
-            // Peers blocked on its contribution wake via the cancel
-            // token instead of timing out.
-            self.heartbeats.mark_down(self.id);
-            self.cancel.cancel();
-            return Err(SiriusError::NodeDown(self.id));
-        }
+        let local = self.engine.execute(inner, &self.fault, self.id)?;
+        // A crash at the exchange boundary.
+        self.crash_at(FaultSite::FragmentMid { node: self.id })?;
         let key_cols: Vec<Array> = match kind {
             ExchangeKind::Shuffle { keys } => keys
                 .iter()
@@ -234,15 +280,12 @@ impl NodeState {
         let out = self.exchange.exchange(kind, local, &key_cols)?;
         let name = format!("__exch_{}_{}", self.id, self.temp_counter);
         self.temp_counter += 1;
-        self.exchange.register_temp(&name, out.clone());
-        self.catalog.register(name.clone(), out.clone());
-        if let Some(gpu) = &self.gpu {
-            gpu.cache_resident(&name, &out);
-        }
+        let schema = out.schema().clone();
+        self.engine.add_temp(&name, out);
         self.live_temps.push(name.clone());
         Ok(Rel::Read {
             table: name,
-            schema: out.schema().clone(),
+            schema,
             projection: None,
         })
     }
@@ -265,38 +308,85 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
+    /// The largest `part` of any node's breakdown.
+    fn slowest(&self, part: impl Fn(&TimeBreakdown) -> Duration) -> Duration {
+        self.per_node.iter().map(part).max().unwrap_or_default()
+    }
+
     /// Compute time: the slowest node's non-exchange operator time.
     pub fn compute(&self) -> Duration {
-        self.per_node
-            .iter()
-            .map(|b| b.total() - b.get(CostCategory::Exchange) - b.get(CostCategory::Other))
-            .max()
-            .unwrap_or(Duration::ZERO)
+        self.slowest(|b| b.total() - b.get(CostCategory::Exchange) - b.get(CostCategory::Other))
     }
 
     /// Exchange time: the slowest node's wire time.
     pub fn exchange(&self) -> Duration {
-        self.per_node
-            .iter()
-            .map(|b| b.get(CostCategory::Exchange))
-            .max()
-            .unwrap_or(Duration::ZERO)
+        self.slowest(|b| b.get(CostCategory::Exchange))
     }
 
     /// Everything else: coordination plus node-side misc.
     pub fn other(&self) -> Duration {
-        self.coordinator
-            + self
-                .per_node
-                .iter()
-                .map(|b| b.get(CostCategory::Other))
-                .max()
-                .unwrap_or(Duration::ZERO)
+        self.coordinator + self.slowest(|b| b.get(CostCategory::Other))
     }
 
     /// End-to-end simulated time.
     pub fn total(&self) -> Duration {
         self.compute() + self.exchange() + self.other()
+    }
+}
+
+/// What one node's fragment thread hands back: its stable id, the
+/// fragment's result, and how many temps it released.
+type FragmentResult = (usize, sirius_core::Result<Table>, u64);
+
+/// One SPMD dispatch attempt, as the coordinator sees it.
+struct Attempt {
+    /// The result rank's table, or the root-cause error with the stable id
+    /// of the node that raised it.
+    result: std::result::Result<Table, (usize, SiriusError)>,
+    /// Device time every node spent on this attempt, in rank order, keyed
+    /// by stable id — computed once, whether the attempt is reported or
+    /// charged to the query as a failed one.
+    spent: Vec<(usize, TimeBreakdown)>,
+}
+
+/// Reduce the fragment results of one attempt to the result rank's table or
+/// the failure to act on: a node death outranks transient errors, which
+/// outrank cancellation fallout (counted into `recovery`).
+fn root_cause(
+    results: Vec<FragmentResult>,
+    result_node: usize,
+    recovery: &mut RecoveryStats,
+) -> std::result::Result<Table, (usize, SiriusError)> {
+    let mut root: Option<(usize, SiriusError)> = None;
+    let mut table = None;
+    for (id, res, _) in results {
+        match res {
+            Ok(t) if id == result_node => table = Some(t),
+            Ok(_) => {}
+            Err(e) => {
+                if matches!(e, SiriusError::Cancelled(_)) {
+                    recovery.cancelled_fragments += 1;
+                }
+                let outranks = match (&root, &e) {
+                    (None, _) => true,
+                    (Some((_, SiriusError::NodeDown(_))), _) => false,
+                    (Some(_), SiriusError::NodeDown(_)) => true,
+                    (Some((_, SiriusError::Cancelled(_))), _) => true,
+                    _ => false,
+                };
+                if outranks {
+                    root = Some((id, e));
+                }
+            }
+        }
+    }
+    match (root, table) {
+        (Some(root), _) => Err(root),
+        (None, Some(t)) => Ok(t),
+        (None, None) => Err((
+            result_node,
+            SiriusError::Exchange("result rank produced no table".into()),
+        )),
     }
 }
 
@@ -306,6 +396,18 @@ struct NodeSet {
     /// Current rank → stable node id.
     assignment: Vec<usize>,
     cancel: CancelToken,
+}
+
+impl NodeSet {
+    /// Every node's cumulative device breakdown, in rank order, keyed by
+    /// stable id.
+    fn breakdowns(&self) -> Vec<(usize, TimeBreakdown)> {
+        let of = |n: &Mutex<NodeState>| {
+            let n = n.lock();
+            (n.id, n.engine.device().breakdown())
+        };
+        self.nodes.iter().map(of).collect()
+    }
 }
 
 /// The distributed warehouse: a coordinator plus `world` compute nodes.
@@ -394,15 +496,7 @@ impl DorisCluster {
     /// node id. Rebuilds (world shrinks) start fresh ledgers, so deltas
     /// across a shrink are not meaningful.
     pub fn node_breakdowns(&self) -> Vec<(usize, TimeBreakdown)> {
-        let state = self.state.read();
-        state
-            .nodes
-            .iter()
-            .map(|n| {
-                let n = n.lock();
-                (n.id, n.device.breakdown())
-            })
-            .collect()
+        self.state.read().breakdowns()
     }
 
     /// Snapshot of cumulative per-link interconnect traffic as
@@ -421,25 +515,22 @@ impl DorisCluster {
     /// Roll one query's recovery counters into the coordinator registry.
     fn note_query_metrics(&self, recovery: &RecoveryStats) {
         let m = &self.metrics;
-        m.counter_add("doris_queries_total", &[], 1);
-        m.counter_add("doris_retries_total", &[], recovery.retries);
-        m.counter_add("doris_reschedules_total", &[], recovery.reschedules);
-        m.counter_add("doris_world_shrinks_total", &[], recovery.world_shrinks);
-        m.counter_add("doris_faults_injected_total", &[], recovery.faults_injected);
-        m.counter_add("doris_cpu_fallbacks_total", &[], recovery.cpu_fallbacks);
-        m.counter_add("doris_temps_reaped_total", &[], recovery.temps_reaped);
-        m.gauge_set("doris_world_size", &[], self.world() as f64);
+        m.counter_add(QUERIES, &[], 1);
+        m.counter_add(RETRIES, &[], recovery.retries);
+        m.counter_add(RESCHEDULES, &[], recovery.reschedules);
+        m.counter_add(WORLD_SHRINKS, &[], recovery.world_shrinks);
+        m.counter_add(FAULTS_INJECTED, &[], recovery.faults_injected);
+        m.counter_add(CPU_FALLBACKS, &[], recovery.cpu_fallbacks);
+        m.counter_add(TEMPS_REAPED, &[], recovery.temps_reaped);
+        m.gauge_set(WORLD_SIZE, &[], self.world() as f64);
         // Cumulative interconnect traffic, one gauge sample per live link.
         // (Counters are shared cluster-wide, so gauges — not counter_add —
         // keep repeated queries from double-counting.)
-        let state = self.state.read();
-        if let Some(node) = state.nodes.first() {
-            for ((src, dst), bytes, msgs) in node.lock().exchange.link_traffic().snapshot() {
-                let (src, dst) = (src.to_string(), dst.to_string());
-                let labels: &[(&str, &str)] = &[("src", &src), ("dst", &dst)];
-                m.gauge_set("doris_link_bytes", labels, bytes as f64);
-                m.gauge_set("doris_link_messages", labels, msgs as f64);
-            }
+        for ((src, dst), bytes, msgs) in self.link_traffic() {
+            let (src, dst) = (src.to_string(), dst.to_string());
+            let labels: &[(&str, &str)] = &[("src", &src), ("dst", &dst)];
+            m.gauge_set(LINK_BYTES, labels, bytes as f64);
+            m.gauge_set(LINK_MESSAGES, labels, msgs as f64);
         }
     }
 
@@ -461,11 +552,6 @@ impl DorisCluster {
         self.state.read().nodes.len()
     }
 
-    /// Node engine kind.
-    pub fn kind(&self) -> NodeEngineKind {
-        self.kind
-    }
-
     /// The recovery policy this cluster runs under.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
@@ -483,15 +569,15 @@ impl DorisCluster {
         &self.fault
     }
 
-    /// Total exchange temp tables currently registered across all nodes.
-    /// Zero after every completed query — including failed and retried
-    /// attempts — or the drain-on-cancel guard has a hole.
+    /// Total exchange temp tables currently registered in the nodes' table
+    /// stores. Zero after every completed query — including failed and
+    /// retried attempts — or the release-on-every-path guard has a hole.
     pub fn temp_tables_live(&self) -> usize {
         self.state
             .read()
             .nodes
             .iter()
-            .map(|n| n.lock().exchange.temp_count())
+            .map(|n| n.lock().live_temps.len())
             .sum()
     }
 
@@ -519,7 +605,7 @@ impl DorisCluster {
     /// Clear all node ledgers (between the cold load and hot measurements).
     pub fn reset_ledgers(&self) {
         for n in &self.state.read().nodes {
-            n.lock().device.reset();
+            n.lock().engine.device().reset();
         }
     }
 
@@ -542,12 +628,14 @@ impl DorisCluster {
             broadcast_join_build_sides: self.kind == NodeEngineKind::ClickHouseCpu,
         };
         let dplan = distribute_with(plan, &self.scheme, opts)?;
-        let fragments = count_exchanges(&dplan) + 1;
+        let mut fragments = 1;
+        sirius_plan::visit::visit(&dplan, &mut |_node, rel| {
+            fragments += usize::from(matches!(rel, Rel::Exchange { .. }));
+        });
 
         let mut recovery = RecoveryStats::default();
         let fault_base = self.fault.injected_count();
-        let mut retries_left = self.config.max_retries;
-        let mut backoff = self.config.retry_backoff;
+        // Coordinator time spent on recovery: backoff waits, re-scheduling.
         let mut extra = Duration::ZERO;
         // Device time burned by failed attempts, keyed by stable node id.
         // Folded into the successful attempt's per_node so the outcome
@@ -560,150 +648,139 @@ impl DorisCluster {
 
         loop {
             // 1. Failure detection + repair (degradation ladder rungs 2–3).
-            let dead: Vec<usize> = {
-                let state = self.state.read();
-                state
-                    .assignment
-                    .iter()
-                    .copied()
-                    .filter(|&id| !self.heartbeats.is_alive(id))
-                    .collect()
-            };
-            if !dead.is_empty() {
-                let survivors: Vec<usize> = {
-                    let state = self.state.read();
-                    state
-                        .assignment
-                        .iter()
-                        .copied()
-                        .filter(|id| !dead.contains(id))
-                        .collect()
-                };
-                if survivors.len() < self.config.quorum.max(1) {
-                    recovery.faults_injected = self.fault.injected_count() - fault_base;
-                    if self.config.allow_cpu_fallback {
-                        recovery.cpu_fallbacks = 1;
-                        self.lifecycle_event("cpu-fallback", Duration::ZERO);
-                        let out = self.cpu_fallback(plan, extra, recovery);
-                        if let Ok(out) = &out {
-                            self.note_query_metrics(&out.recovery);
-                        }
-                        return out;
-                    }
-                    return Err(DorisError::NodeDown(dead[0]));
+            if let Some(dead) = self.shrink_to_survivors(&mut recovery, &mut extra)? {
+                recovery.faults_injected = self.fault.injected_count() - fault_base;
+                if !self.config.allow_cpu_fallback {
+                    return Err(DorisError::NodeDown(dead));
                 }
-                for &d in &dead {
-                    self.fault.disarm_node(d);
-                }
-                self.rebuild(&survivors)?;
-                recovery.reschedules += 1;
-                recovery.world_shrinks += 1;
-                extra += RESCHEDULE_PENALTY;
-                self.lifecycle_event("reschedule", RESCHEDULE_PENALTY);
+                recovery.cpu_fallbacks = 1;
+                self.lifecycle_event("cpu-fallback", Duration::ZERO);
+                let out = self.cpu_fallback(plan, extra, recovery)?;
+                self.note_query_metrics(&out.recovery);
+                return Ok(out);
             }
 
             // 2. Dispatch one attempt.
-            match self.dispatch_once(&dplan, &mut recovery) {
-                Ok((table, mut per_node)) => {
-                    let base = match self.kind {
-                        // The paper's §4.3: Doris' optimizer + coordinator
-                        // dominate Q1/Q6; Sirius reuses that coordinator,
-                        // ClickHouse's is leaner.
-                        NodeEngineKind::DorisCpu | NodeEngineKind::SiriusGpu => {
-                            Duration::from_millis(35)
-                        }
-                        NodeEngineKind::ClickHouseCpu => Duration::from_millis(15),
-                    };
-                    let coordinator = base
-                        + Duration::from_millis(5) * fragments as u32
-                        + Duration::from_millis(2) * self.world() as u32
-                        + extra;
+            let attempt = self.dispatch_once(&dplan, &mut recovery);
+            let (node, e) = match attempt.result {
+                Ok(table) => {
                     recovery.faults_injected = self.fault.injected_count() - fault_base;
-                    // Fold failed attempts' device time into the node that
-                    // currently holds that stable id, so per_node covers
-                    // every attempt — not just the one that succeeded.
-                    if !failed_time.is_empty() {
-                        let state = self.state.read();
-                        for (id, delta) in failed_time.drain(..) {
-                            match state.assignment.iter().position(|&a| a == id) {
-                                Some(rank) => per_node[rank] = per_node[rank].merge(&delta),
-                                // The node died after burning this time;
-                                // keep the ledger entry rather than drop it.
-                                None => per_node.push(delta),
-                            }
-                        }
-                    }
+                    let mut per_node: Vec<TimeBreakdown> =
+                        attempt.spent.into_iter().map(|(_, t)| t).collect();
+                    self.fold_failed_time(&mut per_node, failed_time);
                     self.note_query_metrics(&recovery);
                     return Ok(QueryOutcome {
                         table,
-                        coordinator,
+                        coordinator: self.coordinator_time(fragments) + extra,
                         per_node,
                         recovery,
                     });
                 }
-                // 3. Classification (degradation ladder rung 1 or loop back).
-                Err((node, e, attempt_time)) => {
-                    for (id, delta) in attempt_time {
-                        match failed_time.iter_mut().find(|(i, _)| *i == id) {
-                            Some((_, acc)) => *acc = acc.merge(&delta),
-                            None => failed_time.push((id, delta)),
-                        }
-                    }
-                    match e {
-                        SiriusError::NodeDown(n) if !self.heartbeats.is_alive(n) => {
-                            // Top of loop removes the dead node and re-schedules.
-                            continue;
-                        }
-                        e if e.is_retryable() && retries_left > 0 => {
-                            retries_left -= 1;
-                            recovery.retries += 1;
-                            extra += backoff;
-                            self.lifecycle_event("retry", backoff);
-                            backoff = backoff.saturating_mul(2);
-                            continue;
-                        }
-                        SiriusError::NodeDown(n) => return Err(DorisError::NodeDown(n)),
-                        e => {
-                            return Err(DorisError::Node {
-                                node,
-                                message: e.to_string(),
-                            })
-                        }
-                    }
+                Err(root) => root,
+            };
+            for (id, delta) in attempt.spent {
+                match failed_time.iter_mut().find(|(i, _)| *i == id) {
+                    Some((_, acc)) => *acc = acc.merge(&delta),
+                    None => failed_time.push((id, delta)),
+                }
+            }
+            // 3. Classification (degradation ladder rung 1 or loop back).
+            match e {
+                // Top of loop removes the dead node and re-schedules.
+                SiriusError::NodeDown(n) if !self.heartbeats.is_alive(n) => {}
+                e if self.config.retry.allows(&e, recovery.retries as u32) => {
+                    let backoff = self.config.retry.delay(recovery.retries as u32);
+                    recovery.retries += 1;
+                    extra += backoff;
+                    self.lifecycle_event("retry", backoff);
+                }
+                SiriusError::NodeDown(n) => return Err(DorisError::NodeDown(n)),
+                e => {
+                    return Err(DorisError::Node {
+                        node,
+                        message: e.to_string(),
+                    })
                 }
             }
         }
     }
 
-    /// One SPMD dispatch over the current node set. On failure returns the
-    /// root-cause error, the stable id of the node that raised it, and the
-    /// device time each node burned on the doomed attempt (stable id keyed,
-    /// so the caller can charge it to the query); always drains temp
-    /// registries and cancels stragglers first.
-    #[allow(clippy::type_complexity)]
-    fn dispatch_once(
+    /// Degradation ladder rung 2: drop nodes whose heartbeat lapsed and
+    /// rebuild the cluster over the survivors. Returns a dead node's id
+    /// when the survivors fall below quorum (rung 3 is the caller's).
+    fn shrink_to_survivors(
         &self,
-        dplan: &Rel,
         recovery: &mut RecoveryStats,
-    ) -> std::result::Result<
-        (Table, Vec<TimeBreakdown>),
-        (usize, SiriusError, Vec<(usize, TimeBreakdown)>),
-    > {
+        extra: &mut Duration,
+    ) -> Result<Option<usize>> {
+        let (survivors, dead): (Vec<usize>, Vec<usize>) = {
+            let state = self.state.read();
+            let alive = |id: &usize| self.heartbeats.is_alive(*id);
+            state.assignment.iter().partition(|id| alive(id))
+        };
+        let Some(&first_dead) = dead.first() else {
+            return Ok(None);
+        };
+        if survivors.len() < self.config.quorum.max(1) {
+            return Ok(Some(first_dead));
+        }
+        for &d in &dead {
+            self.fault.disarm_node(d);
+        }
+        self.rebuild(&survivors)?;
+        recovery.reschedules += 1;
+        recovery.world_shrinks += 1;
+        *extra += RESCHEDULE_PENALTY;
+        self.lifecycle_event("reschedule", RESCHEDULE_PENALTY);
+        Ok(None)
+    }
+
+    /// Fault-free coordinator time: planning, dispatching `fragments`
+    /// fragments to every node, result return.
+    fn coordinator_time(&self, fragments: usize) -> Duration {
+        let base = match self.kind {
+            // The paper's §4.3: Doris' optimizer + coordinator dominate
+            // Q1/Q6; Sirius reuses that coordinator, ClickHouse's is leaner.
+            NodeEngineKind::DorisCpu | NodeEngineKind::SiriusGpu => Duration::from_millis(35),
+            NodeEngineKind::ClickHouseCpu => Duration::from_millis(15),
+        };
+        base + Duration::from_millis(5) * fragments as u32
+            + Duration::from_millis(2) * self.world() as u32
+    }
+
+    /// Fold failed attempts' device time into the node that currently
+    /// holds that stable id, so `per_node` (rank-indexed) covers every
+    /// attempt — not just the one that succeeded.
+    fn fold_failed_time(
+        &self,
+        per_node: &mut Vec<TimeBreakdown>,
+        failed_time: Vec<(usize, TimeBreakdown)>,
+    ) {
+        let state = self.state.read();
+        for (id, delta) in failed_time {
+            match state.assignment.iter().position(|&a| a == id) {
+                Some(rank) => per_node[rank] = per_node[rank].merge(&delta),
+                // The node died after burning this time; keep the ledger
+                // entry rather than drop it.
+                None => per_node.push(delta),
+            }
+        }
+    }
+
+    /// One SPMD dispatch over the current node set; every node thread
+    /// releases its temps and stragglers are cancelled before it returns.
+    fn dispatch_once(&self, dplan: &Rel, recovery: &mut RecoveryStats) -> Attempt {
         let state = self.state.read();
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         state.cancel.reset();
         for node in &state.nodes {
             node.lock().exchange.begin_epoch(epoch);
         }
-        let before: Vec<TimeBreakdown> = state
-            .nodes
-            .iter()
-            .map(|n| n.lock().device.breakdown())
-            .collect();
+        let before = state.breakdowns();
 
         // Dispatch the SPMD plan to every node; each thread always runs the
         // temp-release guard, success or failure.
-        let results: Vec<(usize, sirius_core::Result<Table>, u64)> = std::thread::scope(|scope| {
+        let results: Vec<FragmentResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = state
                 .nodes
                 .iter()
@@ -732,85 +809,26 @@ impl DorisCluster {
                 .collect()
         });
 
-        // Root-cause selection: a node death outranks transient errors,
-        // which outrank cancellation fallout.
-        let mut root: Option<(usize, SiriusError)> = None;
-        let mut table = None;
-        let mut reaped_total = 0;
-        for (id, res, reaped) in results {
-            reaped_total += reaped;
-            match res {
-                Ok(t) => {
-                    if Some(id) == state.assignment.first().copied() {
-                        table = Some(t);
-                    }
-                }
-                Err(e) => {
-                    if matches!(e, SiriusError::Cancelled(_)) {
-                        recovery.cancelled_fragments += 1;
-                    }
-                    let outranks = match (&root, &e) {
-                        (None, _) => true,
-                        (Some((_, SiriusError::NodeDown(_))), _) => false,
-                        (Some(_), SiriusError::NodeDown(_)) => true,
-                        (Some((_, SiriusError::Cancelled(_))), _) => true,
-                        _ => false,
-                    };
-                    if outranks {
-                        root = Some((id, e));
-                    }
-                }
+        let result_node = state.assignment.first().copied().unwrap_or(0);
+        let reaped: u64 = results.iter().map(|(_, _, reaped)| reaped).sum();
+        let result = root_cause(results, result_node, recovery).and_then(|t| {
+            if !t.has_dict_columns() {
+                return Ok(t);
             }
+            // Late materialization: node engines return result strings as
+            // dictionary codes; decode once here, on the result node's
+            // device, *before* the per-node snapshot below so the decode
+            // kernel is charged to this attempt.
+            let device = state.nodes[0].lock().engine.device().clone();
+            sirius_core::materialize_result(&device, &t).map_err(|e| (result_node, e))
+        });
+        if result.is_err() {
+            recovery.temps_reaped += reaped;
         }
-        let attempt_time = |before: &[TimeBreakdown]| -> Vec<(usize, TimeBreakdown)> {
-            state
-                .nodes
-                .iter()
-                .zip(before)
-                .map(|(n, b)| {
-                    let n = n.lock();
-                    (n.id, n.device.breakdown().since(b))
-                })
-                .collect()
-        };
-        if let Some((id, e)) = root {
-            recovery.temps_reaped += reaped_total;
-            return Err((id, e, attempt_time(&before)));
-        }
-        // Late materialization: node engines return result strings as
-        // dictionary codes; decode once here, on the result node's device,
-        // *before* the per-node snapshot so the decode kernel is charged to
-        // this attempt.
-        let table = match table {
-            Some(t) if t.has_dict_columns() => {
-                let device = state.nodes[0].lock().device.clone();
-                match sirius_core::materialize_result(&device, &t) {
-                    Ok(decoded) => Some(decoded),
-                    Err(e) => {
-                        return Err((
-                            state.assignment.first().copied().unwrap_or(0),
-                            e,
-                            attempt_time(&before),
-                        ))
-                    }
-                }
-            }
-            other => other,
-        };
-        let per_node: Vec<TimeBreakdown> = state
-            .nodes
-            .iter()
-            .zip(&before)
-            .map(|(n, b)| n.lock().device.breakdown().since(b))
+        let spent = (state.breakdowns().into_iter().zip(&before))
+            .map(|((id, now), (_, before))| (id, now.since(before)))
             .collect();
-        match table {
-            Some(t) => Ok((t, per_node)),
-            None => Err((
-                state.assignment.first().copied().unwrap_or(0),
-                SiriusError::Exchange("result rank produced no table".into()),
-                attempt_time(&before),
-            )),
-        }
+        Attempt { result, spent }
     }
 
     /// Rebuild the cluster over `survivors` (stable ids), re-partitioning
@@ -844,20 +862,15 @@ impl DorisCluster {
         for (name, table) in self.storage.lock().iter() {
             catalog.register(name.clone(), table.clone());
         }
-        let table = engine
-            .execute(plan, &catalog)
-            .map_err(|e| DorisError::Node {
-                node: 0,
-                message: format!("cpu fallback failed: {e}"),
-            })?;
+        let failed = |e: &dyn std::fmt::Display| DorisError::Node {
+            node: 0,
+            message: format!("cpu fallback failed: {e}"),
+        };
+        let table = engine.execute(plan, &catalog).map_err(|e| failed(&e))?;
         // Base tables may carry dictionary-encoded strings; the fallback
         // result must be decoded like any other coordinator result.
-        let table = sirius_core::materialize_result(engine.device(), &table).map_err(|e| {
-            DorisError::Node {
-                node: 0,
-                message: format!("cpu fallback failed: {e}"),
-            }
-        })?;
+        let table =
+            sirius_core::materialize_result(engine.device(), &table).map_err(|e| failed(&e))?;
         let coordinator = Duration::from_millis(35) + extra;
         Ok(QueryOutcome {
             table,
@@ -868,43 +881,66 @@ impl DorisCluster {
     }
 }
 
+const QUERIES: &str = "doris_queries_total";
+const RETRIES: &str = "doris_retries_total";
+const RESCHEDULES: &str = "doris_reschedules_total";
+const WORLD_SHRINKS: &str = "doris_world_shrinks_total";
+const FAULTS_INJECTED: &str = "doris_faults_injected_total";
+const CPU_FALLBACKS: &str = "doris_cpu_fallbacks_total";
+const TEMPS_REAPED: &str = "doris_temps_reaped_total";
+const WORLD_SIZE: &str = "doris_world_size";
+const LINK_BYTES: &str = "doris_link_bytes";
+const LINK_MESSAGES: &str = "doris_link_messages";
+
+/// Every metric the coordinator emits, declared once as `(name, kind,
+/// help)`; the README's Metrics table lists the same rows.
+const METRICS: &[(&str, &str, &str)] = &[
+    (QUERIES, "counter", "Queries completed by the coordinator."),
+    (
+        RETRIES,
+        "counter",
+        "Full-query retries after transient errors.",
+    ),
+    (
+        RESCHEDULES,
+        "counter",
+        "Fragment re-schedulings after node deaths.",
+    ),
+    (WORLD_SHRINKS, "counter", "Cluster world-size shrinks."),
+    (
+        FAULTS_INJECTED,
+        "counter",
+        "Faults the injector fired during queries.",
+    ),
+    (
+        CPU_FALLBACKS,
+        "counter",
+        "Queries degraded to the single-node CPU engine.",
+    ),
+    (
+        TEMPS_REAPED,
+        "counter",
+        "Exchange temps dropped from failed attempts.",
+    ),
+    (WORLD_SIZE, "gauge", "Current cluster world size."),
+    (
+        LINK_BYTES,
+        "gauge",
+        "Cumulative interconnect bytes per link.",
+    ),
+    (
+        LINK_MESSAGES,
+        "gauge",
+        "Cumulative interconnect messages per link.",
+    ),
+];
+
 /// Coordinator metrics registry with help text pre-registered.
 fn coordinator_metrics() -> MetricsRegistry {
     let m = MetricsRegistry::new();
-    m.describe(
-        "doris_queries_total",
-        "Queries completed by the coordinator.",
-    );
-    m.describe(
-        "doris_retries_total",
-        "Full-query retries after transient errors.",
-    );
-    m.describe(
-        "doris_reschedules_total",
-        "Fragment re-schedulings after node deaths.",
-    );
-    m.describe("doris_world_shrinks_total", "Cluster world-size shrinks.");
-    m.describe(
-        "doris_faults_injected_total",
-        "Faults the injector fired during queries.",
-    );
-    m.describe(
-        "doris_cpu_fallbacks_total",
-        "Queries degraded to the single-node CPU engine.",
-    );
-    m.describe(
-        "doris_temps_reaped_total",
-        "Exchange temps reaped by drain-on-cancel.",
-    );
-    m.describe("doris_world_size", "Current cluster world size.");
-    m.describe(
-        "doris_link_bytes",
-        "Cumulative interconnect bytes per link.",
-    );
-    m.describe(
-        "doris_link_messages",
-        "Cumulative interconnect messages per link.",
-    );
+    for (name, _kind, help) in METRICS {
+        m.describe(name, help);
+    }
     m
 }
 
@@ -926,39 +962,11 @@ fn build_node_set(
         .into_iter()
         .zip(assignment.iter().copied())
         .map(|(comm, id)| {
-            let (cpu, gpu, device) = match kind {
-                NodeEngineKind::DorisCpu => {
-                    let engine = CpuEngine::new(hw::xeon_gold_6526y(), EngineProfile::doris());
-                    let device = engine.device().clone();
-                    (Some(engine), None, device)
-                }
-                NodeEngineKind::ClickHouseCpu => {
-                    let engine = CpuEngine::new(hw::xeon_gold_6526y(), EngineProfile::clickhouse());
-                    let device = engine.device().clone();
-                    (Some(engine), None, device)
-                }
-                NodeEngineKind::SiriusGpu => {
-                    // Node fragments keep result strings dictionary-encoded:
-                    // codes cross the wire, and the coordinator materializes
-                    // payload bytes once after gathering (late materialization).
-                    let engine = SiriusEngine::with_link(
-                        hw::a100_40gb(),
-                        Link::new(hw::pcie4_a100_attach()),
-                        2,
-                    )
-                    .with_encoded_results(true)
-                    .with_fault(fault.clone(), id);
-                    let device = engine.device().clone();
-                    (None, Some(engine), device)
-                }
-            };
+            let engine = NodeEngine::new(kind, fault, id);
             Mutex::new(NodeState {
                 id,
-                catalog: Catalog::new(),
-                cpu,
-                gpu,
-                device: device.clone(),
-                exchange: ExchangeService::new(comm, device),
+                exchange: ExchangeService::new(comm, engine.device().clone()),
+                engine,
                 temp_counter: 0,
                 fault: fault.clone(),
                 heartbeats: heartbeats.clone(),
@@ -1006,22 +1014,9 @@ fn load_table_into(
         }
     };
     for (node, part) in state.nodes.iter().zip(parts) {
-        let mut n = node.lock();
-        if let Some(gpu) = &n.gpu {
-            gpu.load_table(name.to_string(), &part);
-        }
-        n.catalog.register(name.to_string(), part);
+        node.lock().engine.load(name, part);
     }
     Ok(())
-}
-
-fn count_exchanges(rel: &Rel) -> usize {
-    let here = usize::from(matches!(rel, Rel::Exchange { .. }));
-    here + rel
-        .children()
-        .iter()
-        .map(|c| count_exchanges(c))
-        .sum::<usize>()
 }
 
 #[cfg(test)]
@@ -1034,10 +1029,14 @@ mod tests {
     }
 
     fn cluster_with(kind: NodeEngineKind, config: ClusterConfig) -> DorisCluster {
+        cluster_of(3, kind, config)
+    }
+
+    fn cluster_of(world: usize, kind: NodeEngineKind, config: ClusterConfig) -> DorisCluster {
         let mut scheme = PartitionScheme::new();
         scheme.hash("t", "k");
         scheme.replicate("dim");
-        let mut c = DorisCluster::with_config(3, kind, scheme, config);
+        let mut c = DorisCluster::with_config(world, kind, scheme, config);
         c.create_table(
             "t",
             Table::new(
@@ -1277,5 +1276,96 @@ mod tests {
             c.metrics().counter_value("doris_reschedules_total", &[]),
             out.recovery.reschedules
         );
+    }
+
+    /// What each node's table store holds: the catalog's names on a CPU node,
+    /// the cache's per-tier bytes on a GPU node (its cache has no listing).
+    fn stores(c: &DorisCluster) -> Vec<String> {
+        let of = |n: &Mutex<NodeState>| match &n.lock().engine {
+            NodeEngine::Cpu { catalog, .. } => format!("{:?}", catalog.table_names()),
+            NodeEngine::Gpu(gpu) => format!("{:?}", gpu.buffer_manager().tier_usage()),
+        };
+        c.state.read().nodes.iter().map(of).collect()
+    }
+
+    #[test]
+    fn exchanged_temps_leave_every_store_on_every_path() {
+        // A transient launch fault on node 1 fails the first attempt; node 2
+        // then crashes at its third exchange boundary — the second exchange
+        // of the retried attempt, with the first exchange's temps registered
+        // on its siblings — and the last four queries run on the survivors.
+        let plan = FaultPlan::new(7).transient_device(1, 0, 1).crash_mid(2, 2);
+        for kind in [
+            NodeEngineKind::DorisCpu,
+            NodeEngineKind::ClickHouseCpu,
+            NodeEngineKind::SiriusGpu,
+        ] {
+            let config = ClusterConfig::for_world(3).with_fault_plan(plan.clone());
+            let c = cluster_of(3, kind, config);
+            let mut recovery = RecoveryStats::default();
+            for sql in [
+                "select g, sum(v) as s from t group by g",
+                "select count(*) as n from t a, t b where a.g = b.g",
+                "select name, count(*) as n from t, dim where g = id group by name",
+                "select g, avg(v) as a from t group by g order by g",
+                "select count(*) as n from t a, t b where a.g = b.g",
+            ] {
+                let out = c.sql(sql).unwrap_or_else(|e| panic!("{kind:?} {sql}: {e}"));
+                recovery.absorb(&out.recovery);
+                assert_eq!(c.temp_tables_live(), 0, "{kind:?} {sql}");
+            }
+            assert_eq!(
+                (recovery.retries, recovery.world_shrinks),
+                (1, 1),
+                "{kind:?}: {recovery:?}"
+            );
+            // Exactly what a cluster of the surviving size holds after
+            // loading the two base tables and running nothing.
+            let fresh = cluster_of(2, kind, ClusterConfig::for_world(2));
+            assert_eq!(stores(&c), stores(&fresh), "{kind:?}");
+            if kind != NodeEngineKind::SiriusGpu {
+                assert_eq!(stores(&c)[0], r#"["dim", "t"]"#);
+            }
+        }
+    }
+
+    #[test]
+    fn every_declared_metric_is_emitted_and_every_emitted_one_declared() {
+        // A retried, exchanging query: every counter moves or is published
+        // at zero, and the link gauges have traffic to report.
+        let config = ClusterConfig::for_world(3)
+            .with_fault_plan(FaultPlan::new(1).transient_device(1, 0, 2));
+        let c = cluster_with(NodeEngineKind::SiriusGpu, config);
+        c.sql("select count(*) as n from t a, t b where a.g = b.g")
+            .unwrap();
+        let rendered = c.metrics().render();
+        let emitted: Vec<(&str, &str)> = rendered
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+            .collect();
+        for (name, kind, _help) in METRICS {
+            assert!(
+                emitted.contains(&(name, kind)),
+                "{name} ({kind}) never emitted"
+            );
+        }
+        for (name, kind) in &emitted {
+            assert!(
+                METRICS.iter().any(|(n, k, _)| n == name && k == kind),
+                "{name} ({kind}) is emitted but not declared"
+            );
+        }
+    }
+
+    #[test]
+    fn readme_metrics_table_lists_the_catalog() {
+        let readme = include_str!("../../../README.md");
+        for (name, kind, help) in METRICS {
+            let row = format!("| `{name}` | {kind} | {help} |");
+            assert!(
+                readme.contains(&row),
+                "README.md Metrics table lacks: {row}"
+            );
+        }
     }
 }

@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::unreachable))]
 
 pub mod cluster;
 pub mod heartbeat;

@@ -81,6 +81,15 @@ pub enum Partitioning {
     Arbitrary,
 }
 
+impl Partitioning {
+    /// Whether every node that holds the relation at all holds *all* of it
+    /// (`Singleton` or `Replicated`): an operator over such an input runs
+    /// locally with no exchange, and its output is placed the same way.
+    pub fn is_complete(&self) -> bool {
+        matches!(self, Partitioning::Singleton | Partitioning::Replicated)
+    }
+}
+
 /// Planner options capturing host-specific distributed behaviour.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DistributeOptions {
@@ -104,11 +113,8 @@ pub fn distribute_with(
     opts: DistributeOptions,
 ) -> Result<Rel> {
     let (mut rel, part) = visit::fold(&mut Distributor { scheme, opts }, plan)?;
-    if part != Partitioning::Singleton && part != Partitioning::Replicated {
-        rel = Rel::Exchange {
-            input: Box::new(rel),
-            kind: ExchangeKind::Merge,
-        };
+    if !part.is_complete() {
+        rel = merge(rel);
     }
     Ok(rel)
 }
@@ -124,6 +130,43 @@ fn merge(rel: Rel) -> Rel {
     Rel::Exchange {
         input: Box::new(rel),
         kind: ExchangeKind::Merge,
+    }
+}
+
+fn broadcast(rel: Rel) -> Rel {
+    Rel::Exchange {
+        input: Box::new(rel),
+        kind: ExchangeKind::Broadcast,
+    }
+}
+
+/// Bring rows with equal `keys` together: shuffle by them, or — keyless —
+/// merge everything to node 0.
+fn colocate(rel: Rel, keys: Vec<Expr>) -> Rel {
+    if keys.is_empty() {
+        merge(rel)
+    } else {
+        shuffle(rel, keys)
+    }
+}
+
+/// Where an aggregate's output lives once its input was [`colocate`]d on
+/// the `k` group keys (its first `k` output columns).
+fn grouped(k: usize) -> Partitioning {
+    if k == 0 {
+        Partitioning::Singleton
+    } else {
+        Partitioning::Hash((0..k).map(expr::col).collect())
+    }
+}
+
+/// An input that must be whole on one node (sort, limit): a complete one
+/// stays where it is, anything else merges to node 0.
+fn gathered((rel, part): (Rel, Partitioning)) -> (Rel, Partitioning) {
+    if part.is_complete() {
+        (rel, part)
+    } else {
+        (merge(rel), Partitioning::Singleton)
     }
 }
 
@@ -148,9 +191,10 @@ impl Fold for Distributor<'_> {
         let scheme = self.scheme;
         let opts = self.opts;
         let mut children = children.into_iter();
-        let mut input = move || match children.next() {
-            Some(c) => c,
-            None => unreachable!("one folded child per input"),
+        let mut input = move || {
+            children
+                .next()
+                .ok_or_else(|| DorisError::Plan("plan node is missing an input".into()))
         };
         match plan {
             Rel::Read {
@@ -178,7 +222,7 @@ impl Fold for Distributor<'_> {
                 Ok((plan.clone(), part))
             }
             Rel::Filter { predicate, .. } => {
-                let (child, part) = input();
+                let (child, part) = input()?;
                 Ok((
                     Rel::Filter {
                         input: Box::new(child),
@@ -188,7 +232,7 @@ impl Fold for Distributor<'_> {
                 ))
             }
             Rel::Project { exprs, .. } => {
-                let (child, part) = input();
+                let (child, part) = input()?;
                 let part = match part {
                     Partitioning::Hash(keys) => {
                         // Keys survive only if each is re-exported as a plain
@@ -218,40 +262,8 @@ impl Fold for Distributor<'_> {
                 residual,
                 ..
             } => {
-                let (mut l, lpart) = input();
-                let (mut r, rpart) = input();
-                // Keyless joins (scalar subqueries): replicate the right side.
-                if left_keys.is_empty() {
-                    if rpart != Partitioning::Replicated && rpart != Partitioning::Singleton {
-                        r = Rel::Exchange {
-                            input: Box::new(r),
-                            kind: ExchangeKind::Broadcast,
-                        };
-                    }
-                    // A Singleton right against distributed left must also be
-                    // replicated to reach every node's rows.
-                    if rpart == Partitioning::Singleton {
-                        r = Rel::Exchange {
-                            input: Box::new(r),
-                            kind: ExchangeKind::Broadcast,
-                        };
-                    }
-                    let out = Rel::Join {
-                        left: Box::new(l),
-                        right: Box::new(r),
-                        kind: *kind,
-                        left_keys: vec![],
-                        right_keys: vec![],
-                        residual: residual.clone(),
-                    };
-                    return Ok((out, lpart));
-                }
-                // Keyed joins. A replicated right side joins locally under any
-                // join kind (each left row lives on exactly one node and sees
-                // the full right input). A replicated *left* side joins locally
-                // only for Inner joins — Semi/Anti/Left would emit each left
-                // row once per node. Otherwise both sides must be
-                // hash-partitioned on exactly the join keys.
+                let (mut l, lpart) = input()?;
+                let (mut r, rpart) = input()?;
                 let rebuild = |l: Rel, r: Rel| Rel::Join {
                     left: Box::new(l),
                     right: Box::new(r),
@@ -260,22 +272,27 @@ impl Fold for Distributor<'_> {
                     right_keys: right_keys.clone(),
                     residual: residual.clone(),
                 };
+                // Keyless joins (scalar subqueries): replicate the right side
+                // (a Singleton one too, to reach every node's left rows).
+                if left_keys.is_empty() {
+                    if rpart != Partitioning::Replicated {
+                        r = broadcast(r);
+                    }
+                    return Ok((rebuild(l, r), lpart));
+                }
+                // Keyed joins. A replicated right side joins locally under any
+                // join kind (each left row lives on exactly one node and sees
+                // the full right input). A replicated *left* side joins locally
+                // only for Inner joins — Semi/Anti/Left would emit each left
+                // row once per node. Otherwise both sides must be
+                // hash-partitioned on exactly the join keys.
                 if rpart == Partitioning::Replicated {
-                    let out_part = if lpart == Partitioning::Replicated {
-                        Partitioning::Replicated
-                    } else {
-                        lpart
-                    };
-                    return Ok((rebuild(l, r), out_part));
+                    return Ok((rebuild(l, r), lpart));
                 }
                 if opts.broadcast_join_build_sides {
                     // ClickHouse-style distributed join: ship the whole build
                     // side everywhere and keep the probe side in place.
-                    let r = Rel::Exchange {
-                        input: Box::new(r),
-                        kind: ExchangeKind::Broadcast,
-                    };
-                    return Ok((rebuild(l, r), lpart));
+                    return Ok((rebuild(l, broadcast(r)), lpart));
                 }
                 if lpart == Partitioning::Replicated && *kind == JoinKind::Inner {
                     // Row multiplicity comes from the distributed right side.
@@ -294,56 +311,47 @@ impl Fold for Distributor<'_> {
                 aggregates,
                 ..
             } => {
-                let (child, part) = input();
+                let (child, part) = input()?;
                 distribute_aggregate(child, part, group_by, aggregates)
             }
             Rel::Sort { keys, .. } => {
-                let (child, part) = input();
-                let child = if part == Partitioning::Singleton {
-                    child
-                } else {
-                    merge(child)
-                };
+                let (child, part) = gathered(input()?);
                 Ok((
                     Rel::Sort {
                         input: Box::new(child),
                         keys: keys.clone(),
                     },
-                    Partitioning::Singleton,
+                    part,
                 ))
             }
             Rel::Limit { offset, fetch, .. } => {
-                let (child, part) = input();
-                let child = if part == Partitioning::Singleton {
-                    child
-                } else {
-                    merge(child)
-                };
+                let (child, part) = gathered(input()?);
                 Ok((
                     Rel::Limit {
                         input: Box::new(child),
                         offset: *offset,
                         fetch: *fetch,
                     },
-                    Partitioning::Singleton,
+                    part,
                 ))
             }
             Rel::Distinct { .. } => {
-                let (child, part) = input();
+                let (child, part) = input()?;
                 let width = child
                     .schema()
                     .map_err(|e| DorisError::Plan(e.to_string()))?
                     .len();
-                let keys: Vec<Expr> = (0..width).map(expr::col).collect();
-                let child = match part {
-                    Partitioning::Singleton | Partitioning::Replicated => child,
-                    _ => shuffle(child, keys.clone()),
+                let (child, part) = if part.is_complete() {
+                    (child, part)
+                } else {
+                    let keys = (0..width).map(expr::col).collect();
+                    (shuffle(child, keys), Partitioning::Arbitrary)
                 };
                 Ok((
                     Rel::Distinct {
                         input: Box::new(child),
                     },
-                    Partitioning::Arbitrary,
+                    part,
                 ))
             }
             Rel::Exchange { .. } => Err(DorisError::Plan("plan is already distributed".into())),
@@ -358,91 +366,25 @@ fn distribute_aggregate(
     group_by: &[Expr],
     aggregates: &[AggExpr],
 ) -> Result<(Rel, Partitioning)> {
+    let aggregate = |input: Rel| Rel::Aggregate {
+        input: Box::new(input),
+        group_by: group_by.to_vec(),
+        aggregates: aggregates.to_vec(),
+    };
+    let k = group_by.len();
     // Already local: everything on one node or replicated inputs.
-    if part == Partitioning::Singleton {
-        let out = Rel::Aggregate {
-            input: Box::new(child),
-            group_by: group_by.to_vec(),
-            aggregates: aggregates.to_vec(),
-        };
-        return Ok((out, Partitioning::Singleton));
+    if part.is_complete() {
+        return Ok((aggregate(child), part));
     }
     // Grouped, already co-partitioned on the keys: aggregate locally.
-    if !group_by.is_empty() && part == Partitioning::Hash(group_by.to_vec()) {
-        let out = Rel::Aggregate {
-            input: Box::new(child),
-            group_by: group_by.to_vec(),
-            aggregates: aggregates.to_vec(),
-        };
-        return Ok((
-            out,
-            Partitioning::Hash((0..group_by.len()).map(expr::col).collect()),
-        ));
+    if k > 0 && part == Partitioning::Hash(group_by.to_vec()) {
+        return Ok((aggregate(child), grouped(k)));
     }
-
-    let decomposable = aggregates.iter().all(|a| a.func != AggFunc::CountDistinct);
-    if !decomposable {
-        // Shuffle raw rows by group key (or merge for global) + full agg.
-        let moved = if group_by.is_empty() {
-            merge(child)
-        } else {
-            shuffle(child, group_by.to_vec())
-        };
-        let out = Rel::Aggregate {
-            input: Box::new(moved),
-            group_by: group_by.to_vec(),
-            aggregates: aggregates.to_vec(),
-        };
-        let part = if group_by.is_empty() {
-            Partitioning::Singleton
-        } else {
-            Partitioning::Hash((0..group_by.len()).map(expr::col).collect())
-        };
-        return Ok((out, part));
-    }
-
-    // Phase 1: local partials. avg decomposes into (sum, count); count
-    // variants become counts summed later.
-    let mut partials: Vec<AggExpr> = Vec::new();
-    // For each original aggregate: the partial column indices feeding it.
-    let mut feeds: Vec<(AggFunc, Vec<usize>)> = Vec::new();
-    for a in aggregates {
-        match a.func {
-            AggFunc::Avg => {
-                let s = partials.len();
-                partials.push(AggExpr {
-                    func: AggFunc::Sum,
-                    input: a.input.clone(),
-                    name: format!("{}_psum", a.name),
-                });
-                partials.push(AggExpr {
-                    func: AggFunc::Count,
-                    input: a.input.clone(),
-                    name: format!("{}_pcnt", a.name),
-                });
-                feeds.push((AggFunc::Avg, vec![s, s + 1]));
-            }
-            AggFunc::Count | AggFunc::CountStar => {
-                let s = partials.len();
-                partials.push(AggExpr {
-                    func: a.func,
-                    input: a.input.clone(),
-                    name: format!("{}_pcnt", a.name),
-                });
-                feeds.push((AggFunc::Count, vec![s]));
-            }
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
-                let s = partials.len();
-                partials.push(AggExpr {
-                    func: a.func,
-                    input: a.input.clone(),
-                    name: format!("{}_p", a.name),
-                });
-                feeds.push((a.func, vec![s]));
-            }
-            AggFunc::CountDistinct => unreachable!("checked above"),
-        }
-    }
+    let Some((partials, feeds)) = partial_aggregates(aggregates) else {
+        // Move raw rows (shuffle by group key, or merge for global) + full agg.
+        return Ok((aggregate(colocate(child, group_by.to_vec())), grouped(k)));
+    };
+    // Phase 1: local partials.
     let partial = Rel::Aggregate {
         input: Box::new(child),
         group_by: group_by.to_vec(),
@@ -450,12 +392,7 @@ fn distribute_aggregate(
     };
 
     // Phase 2: move partials, re-aggregate with merge functions.
-    let k = group_by.len();
-    let moved = if group_by.is_empty() {
-        merge(partial)
-    } else {
-        shuffle(partial, (0..k).map(expr::col).collect())
-    };
+    let moved = colocate(partial, (0..k).map(expr::col).collect());
     let merge_aggs: Vec<AggExpr> = partials
         .iter()
         .enumerate()
@@ -494,12 +431,58 @@ fn distribute_aggregate(
         input: Box::new(finalized),
         exprs: out_exprs,
     };
-    let part = if group_by.is_empty() {
-        Partitioning::Singleton
-    } else {
-        Partitioning::Hash((0..k).map(expr::col).collect())
-    };
-    Ok((out, part))
+    Ok((out, grouped(k)))
+}
+
+/// How one original aggregate is rebuilt from the partials: its merge
+/// function and the partial columns feeding it.
+type Feed = (AggFunc, Vec<usize>);
+
+/// The local partial aggregates phase 1 computes, with one [`Feed`] per
+/// original aggregate: avg decomposes into (sum, count), count variants
+/// become counts summed later. `None` when an aggregate cannot be
+/// decomposed (`COUNT(DISTINCT)`).
+fn partial_aggregates(aggregates: &[AggExpr]) -> Option<(Vec<AggExpr>, Vec<Feed>)> {
+    let mut partials: Vec<AggExpr> = Vec::new();
+    let mut feeds: Vec<Feed> = Vec::new();
+    for a in aggregates {
+        match a.func {
+            AggFunc::Avg => {
+                let s = partials.len();
+                partials.push(AggExpr {
+                    func: AggFunc::Sum,
+                    input: a.input.clone(),
+                    name: format!("{}_psum", a.name),
+                });
+                partials.push(AggExpr {
+                    func: AggFunc::Count,
+                    input: a.input.clone(),
+                    name: format!("{}_pcnt", a.name),
+                });
+                feeds.push((AggFunc::Avg, vec![s, s + 1]));
+            }
+            AggFunc::Count | AggFunc::CountStar => {
+                let s = partials.len();
+                partials.push(AggExpr {
+                    func: a.func,
+                    input: a.input.clone(),
+                    name: format!("{}_pcnt", a.name),
+                });
+                feeds.push((AggFunc::Count, vec![s]));
+            }
+            AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
+                let s = partials.len();
+                partials.push(AggExpr {
+                    func: a.func,
+                    input: a.input.clone(),
+                    name: format!("{}_p", a.name),
+                });
+                feeds.push((a.func, vec![s]));
+            }
+            AggFunc::CountDistinct => return None,
+        }
+    }
+    Some((partials, feeds))
 }
 
 #[cfg(test)]
@@ -687,5 +670,53 @@ mod tests {
             .exchange(ExchangeKind::Merge)
             .build();
         assert!(distribute(&plan, &scheme()).is_err());
+    }
+
+    #[test]
+    fn replicated_inputs_are_processed_where_they_are() {
+        // Every operator over a replicated-only input already sees all of
+        // it on every node: no exchange anywhere, not even a final merge.
+        let nation = || {
+            scan(
+                "nation",
+                &[
+                    ("n_nationkey", DataType::Int64),
+                    ("n_regionkey", DataType::Int64),
+                ],
+            )
+        };
+        let agg = |func, name: &str| AggExpr {
+            func,
+            input: (func != AggFunc::CountStar).then(|| col(0)),
+            name: name.into(),
+        };
+        let by_key = || {
+            vec![SortExpr {
+                expr: col(0),
+                ascending: true,
+            }]
+        };
+        let plans = [
+            nation().aggregate(
+                vec![],
+                vec![agg(AggFunc::Sum, "s"), agg(AggFunc::CountStar, "n")],
+            ),
+            nation().aggregate(vec![col(1)], vec![agg(AggFunc::CountStar, "n")]),
+            nation().aggregate(vec![], vec![agg(AggFunc::CountDistinct, "d")]),
+            nation().project(vec![(col(1), "r".into())]).distinct(),
+            nation().sort(by_key()),
+            nation().sort(by_key()).limit(0, Some(3)),
+            nation().limit(2, Some(3)),
+        ];
+        for plan in plans {
+            let plan = plan.build();
+            let d = distribute(&plan, &scheme()).unwrap();
+            assert_eq!(count_exchanges(&d), 0, "{}", d.explain());
+            assert_eq!(d, plan, "a complete input leaves the plan as it was");
+        }
+        assert!(Partitioning::Replicated.is_complete() && Partitioning::Singleton.is_complete());
+        assert!(
+            !Partitioning::Arbitrary.is_complete() && !Partitioning::Hash(vec![]).is_complete()
+        );
     }
 }

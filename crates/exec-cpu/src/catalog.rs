@@ -21,6 +21,12 @@ impl Catalog {
         self.tables.insert(name.into(), Arc::new(table));
     }
 
+    /// Remove a table (a temp whose fragment finished), returning it if it
+    /// was registered.
+    pub fn remove(&mut self, name: &str) -> Option<Arc<Table>> {
+        self.tables.remove(name)
+    }
+
     /// Look up a table.
     pub fn get(&self, name: &str) -> Option<Arc<Table>> {
         self.tables.get(name).cloned()
@@ -69,5 +75,8 @@ mod tests {
         assert_eq!(c.table_names(), vec!["t".to_string()]);
         assert!(c.total_bytes() > 0);
         assert_eq!(c.len(), 1);
+        assert!(c.remove("t").is_some());
+        assert!(c.remove("t").is_none());
+        assert!(c.is_empty());
     }
 }

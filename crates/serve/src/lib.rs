@@ -38,7 +38,10 @@
 //!   simulated clock, fully deterministic for a given seed.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
+mod metrics;
 pub mod planner;
 pub mod report;
 pub mod server;

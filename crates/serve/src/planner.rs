@@ -23,6 +23,7 @@
 //!   planner never consults feedback and cached plans are bit-for-bit
 //!   the estimate-only ones.
 
+use crate::metrics;
 use parking_lot::Mutex;
 use sirius_core::{
     CompiledQuery, FeedbackStore, OpStats, PlanCache, PlanCacheStats, ShapeFeedback, SiriusEngine,
@@ -271,11 +272,6 @@ impl CachingPlanner {
         &self.feedback
     }
 
-    /// The shared plan cache.
-    pub fn cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
     fn version(&self, shape: u64) -> u64 {
         self.feedback
             .snapshot(shape)
@@ -283,37 +279,21 @@ impl CachingPlanner {
             .unwrap_or(0)
     }
 
-    /// Publish counter deltas and the cached-plan gauge into `metrics`.
-    pub(crate) fn publish(&self, metrics: &MetricsRegistry) {
+    /// Publish counter deltas and the cached-plan gauge into `registry`.
+    pub(crate) fn publish(&self, registry: &MetricsRegistry) {
         let s = self.cache.stats();
         let phases = self.planning_phases();
         let mut p = self.published.lock();
-        metrics.counter_add(
-            "sirius_serve_plan_cache_hits_total",
-            &[],
-            s.hits.saturating_sub(p.hits),
-        );
-        metrics.counter_add(
-            "sirius_serve_plan_cache_misses_total",
-            &[],
-            s.misses.saturating_sub(p.misses),
-        );
-        metrics.counter_add(
-            "sirius_serve_plan_cache_evictions_total",
-            &[],
-            s.evictions.saturating_sub(p.evictions),
-        );
-        metrics.counter_add(
-            "sirius_serve_plan_replans_total",
-            &[],
-            s.replans.saturating_sub(p.replans),
-        );
-        metrics.counter_add(
-            "sirius_serve_planning_phases_total",
-            &[],
-            phases.saturating_sub(p.phases),
-        );
-        metrics.gauge_set("sirius_serve_cached_plans", &[], s.entries as f64);
+        for (name, now, was) in [
+            (metrics::PLAN_CACHE_HITS, s.hits, p.hits),
+            (metrics::PLAN_CACHE_MISSES, s.misses, p.misses),
+            (metrics::PLAN_CACHE_EVICTIONS, s.evictions, p.evictions),
+            (metrics::PLAN_REPLANS, s.replans, p.replans),
+            (metrics::PLANNING_PHASES, phases, p.phases),
+        ] {
+            registry.counter_add(name, &[], now.saturating_sub(was));
+        }
+        registry.gauge_set(metrics::CACHED_PLANS, &[], s.entries as f64);
         *p = Published {
             hits: s.hits,
             misses: s.misses,

@@ -1,57 +1,71 @@
 //! The server-level query scheduler.
 //!
 //! [`SiriusServer::replay`] is a discrete-event simulation over the same
-//! simulated clock the engine charges kernels on. The server repeatedly:
+//! simulated clock the engine charges kernels on. It drives a private
+//! `Replay` state (clock, pending arrivals, wait queue, in-flight set,
+//! per-tenant served waves, outcome) through eight steps until nothing is
+//! left:
 //!
-//! 1. **Admits** arrivals whose (simulated) arrival instant has passed
-//!    into a bounded wait queue, rejecting overflow (backpressure), then
-//!    moves queued queries into execution while fewer than
-//!    `max_in_flight` are running — each as a fresh
+//! 1. **arrive** — arrivals due by `now` enter the bounded wait queue;
+//!    overflow is rejected (backpressure).
+//! 2. **cancel overdue** — waiting and in-flight queries whose deadline
+//!    passed are cancelled before they cost anything more.
+//! 3. **shed** — broker pressure over the last wave is measured; past the
+//!    threshold, low-priority waiting queries are shed.
+//! 4. **admit** — while fewer than `max_in_flight` are running, the best
+//!    eligible waiting query gets a slot: a fresh
 //!    [`SiriusEngine::query_view`] sharing the stream pool, table cache,
 //!    grant broker, and spill tiers with every other in-flight query.
-//! 2. **Selects** up to one in-flight query per device stream for the
-//!    next *server wave* — priority first, then weighted round-robin
-//!    between tenants — and advances each by one dependency wave of the
-//!    core scheduler ([`SiriusEngine::step`]) on an equal slice of the
-//!    stream pool.
-//! 3. **Advances the clock** by the wave's overlapped cost: each query
-//!    charged its wave onto its own ledger, and the server folds those
-//!    per-query deltas with [`attribute_overlap`] — wall time is the
+//! 5. **idle jump** — with nothing running, the clock jumps to the next
+//!    arrival or backoff expiry.
+//! 6. **select** — up to one in-flight query per device stream joins the
+//!    next *server wave*, priority first, then weighted round-robin
+//!    between tenants.
+//! 7. **run wave** — each selected query advances one dependency wave of
+//!    the core scheduler ([`SiriusEngine::step`]) on an equal slice of the
+//!    stream pool, charged onto its own ledger; the clock advances by the
+//!    [`attribute_overlap`] fold of those deltas — wall time is the
 //!    *longest* participant, exactly how the stream sync folds lanes
 //!    within one query.
+//! 8. **retire** — finished queries complete; failed waves retry or fail.
+//!
+//! Two invariants hold the steps together. **Each request settles exactly
+//! once**: every way out — completed, failed, cancelled, shed, rejected —
+//! goes through `Replay::settle`, the only place a [`ServedQuery`] is
+//! built, the only place disposition counters move, and the only writer of
+//! [`ServeOutcome::queries`] / `shed` / `rejected`
+//! ([`ServeOutcome::dispositions`] accounts for them). **Each failure
+//! takes one path**: `Replay::retry_or_fail` either re-queues the request
+//! behind its backoff or settles it as failed.
 //!
 //! # Resilience
-//!
-//! Between waves the server also enforces the resilience policy:
 //!
 //! * **Deadlines** — a request may carry an absolute deadline on the
 //!   server clock. Overdue queries are cancelled before their next wave
 //!   (a zero deadline cancels before the first), the run unwinds through
 //!   [`QueryRun::abort`], and every grant and spill temp it held is
 //!   released.
-//! * **Retry with backoff** — a wave that fails with a *retryable* error
-//!   ([`SiriusError::is_retryable`]: transient device faults, spill I/O,
-//!   exchange timeouts) sends the query back through the admission queue
-//!   after an exponential backoff on the server clock, up to
-//!   [`ServeConfig::max_retries`] times. A retry that could not start
-//!   before the query's deadline is not attempted.
+//! * **Retry with backoff** — a wave (or a `begin`) that fails with an
+//!   error [`ServeConfig::retry`] allows ([`RetryPolicy::allows`]:
+//!   transient device faults, spill I/O, exchange timeouts, while retries
+//!   remain) sends the query back through the admission queue after
+//!   [`RetryPolicy::delay`] on the server clock. A retry that could not
+//!   start before the query's deadline is not attempted.
 //! * **Load shedding** — when broker pressure (the denied-grant rate
 //!   over the last wave, or processing-pool occupancy) crosses
 //!   [`ServeConfig::shed_pressure`], the server sheds low-priority
 //!   waiting queries with a typed [`QueryDisposition::Shed`] rejection
 //!   and halves the lane slice for new admissions until pressure drops.
 //!
-//! Every request is accounted exactly once across
-//! completed/failed/cancelled/shed/rejected ([`ServeOutcome::dispositions`]).
-//!
 //! Every scheduling decision orders by `(priority desc, weighted-fair
 //! share, arrival/admission, id)` — total and deterministic, so a given
 //! arrival trace always produces the same admission order, the same wave
 //! composition, and the same per-query counters.
 
+use crate::metrics;
 use crate::planner::CachingPlanner;
 use sirius_columnar::Table;
-use sirius_core::{QueryReport, QueryRun, SiriusEngine, SiriusError};
+use sirius_core::{QueryReport, QueryRun, RetryPolicy, SiriusEngine, SiriusError};
 use sirius_hw::{attribute_overlap, TimeBreakdown, TraceConfig};
 use sirius_plan::Rel;
 use sirius_spill::{GrantBroker, SpillStats};
@@ -71,12 +85,10 @@ pub struct ServeConfig {
     /// Per-tenant weighted-round-robin weights, indexed by tenant id.
     /// Missing entries (and zeros) count as weight 1.
     pub tenant_weights: Vec<u32>,
-    /// Retries granted to a query whose wave failed with a retryable
-    /// error before it is reported failed.
-    pub max_retries: u32,
-    /// Base backoff before a retry re-enters admission; doubles with
-    /// each attempt (`backoff · 2^retries` on the server clock).
-    pub retry_backoff: Duration,
+    /// Retries granted to a query whose wave (or `begin`) failed with a
+    /// retryable error before it is reported failed, and the backoff
+    /// before each re-enters admission (on the server clock).
+    pub retry: RetryPolicy,
     /// Broker-pressure threshold in `[0, 1]` above which the server
     /// sheds waiting queries and halves the lane slice of new
     /// admissions. Pressure is the larger of the denied-grant rate over
@@ -91,8 +103,10 @@ impl Default for ServeConfig {
             max_in_flight: 4,
             queue_depth: 64,
             tenant_weights: Vec::new(),
-            max_retries: 2,
-            retry_backoff: Duration::from_micros(100),
+            retry: RetryPolicy {
+                max_retries: 2,
+                backoff: Duration::from_micros(100),
+            },
             shed_pressure: 0.85,
         }
     }
@@ -320,14 +334,20 @@ struct Waiting {
     not_before: Duration,
 }
 
-/// One in-flight query: its engine view, stepped run, and accumulating
-/// per-query attribution state.
+/// One in-flight query: the queue entry it was admitted from (request and
+/// retries spent) and the slot it holds.
 struct Active {
-    req: QueryRequest,
-    retries: u32,
+    entry: Waiting,
+    slot: Slot,
+}
+
+/// What an admitted query holds: its engine view, stepped run, and
+/// accumulating per-query attribution state.
+struct Slot {
     admitted: Duration,
     engine: SiriusEngine,
     run: QueryRun,
+    /// The error that ended the last wave, until `retire` collects it.
     error: Option<SiriusError>,
     /// Widest lane slice this admission may use (halved when admitted
     /// under pressure).
@@ -345,6 +365,31 @@ struct Active {
     /// compiled artifact whose `root()` carries the executed operator
     /// ids. Completed runs record their actual cardinalities under it.
     planned: Option<(u64, Arc<sirius_core::CompiledQuery>)>,
+}
+
+impl Slot {
+    /// The per-query report from this slot's isolated telemetry (`rows`
+    /// is the caller's to fill in).
+    fn report(&self, workers: usize) -> QueryReport {
+        let breakdown = self.engine.device().breakdown();
+        let stats = self.engine.morsel_stats();
+        let pool = self.engine.buffer_manager().regions().processing().stats();
+        QueryReport {
+            elapsed: breakdown.total(),
+            breakdown,
+            pipelines: self.run.pipelines(),
+            morsels: stats.morsels,
+            tasks: stats.tasks,
+            worker_utilization: stats.worker_utilization(),
+            spilled_pinned_bytes: self.spill.bytes_to_pinned,
+            spilled_disk_bytes: self.spill.bytes_to_disk,
+            spill_partitions: self.spill.partitions,
+            spill_depth: self.spill.max_depth,
+            pool_high_watermark: pool.high_watermark,
+            pool_fragmentation: pool.fragmentation(),
+            ..QueryReport::zeroed("sirius", workers)
+        }
+    }
 }
 
 /// The multi-query serving frontend over one [`SiriusEngine`].
@@ -384,87 +429,16 @@ impl SiriusServer {
         self.planner.as_ref()
     }
 
-    /// Publish serving pressure into `metrics`: queue-depth / in-flight
-    /// gauges, admission + resilience counters, broker pressure, and the
-    /// shared grant broker's granted/denied totals.
-    pub fn with_metrics(self, metrics: MetricsRegistry) -> Self {
-        metrics.describe("sirius_serve_queue_depth", "Queries waiting for admission");
-        metrics.describe("sirius_serve_in_flight", "Queries admitted and executing");
-        metrics.describe(
-            "sirius_serve_queue_depth_peak",
-            "High watermark of the admission queue",
-        );
-        metrics.describe(
-            "sirius_serve_admitted_total",
-            "Queries admitted into execution",
-        );
-        metrics.describe(
-            "sirius_serve_rejected_total",
-            "Arrivals rejected by queue backpressure",
-        );
-        metrics.describe("sirius_serve_completed_total", "Queries completed");
-        metrics.describe(
-            "sirius_serve_failed_total",
-            "Queries that ended in a non-retryable error",
-        );
-        metrics.describe(
-            "sirius_serve_cancelled_total",
-            "Queries cancelled by their deadline",
-        );
-        metrics.describe(
-            "sirius_serve_shed_total",
-            "Waiting queries shed under broker pressure",
-        );
-        metrics.describe(
-            "sirius_serve_retries_total",
-            "Wave failures sent back through admission with backoff",
-        );
-        metrics.describe(
-            "sirius_serve_disposition_total",
-            "Terminal request dispositions, labeled by kind",
-        );
-        metrics.describe(
-            "sirius_serve_backoff_depth",
-            "Queued retries still waiting out their backoff",
-        );
-        metrics.describe(
-            "sirius_broker_pressure",
-            "max(denied-grant rate last wave, processing-pool occupancy)",
-        );
-        metrics.describe(
-            "sirius_grants_granted_total",
-            "Working-set grants satisfied by the shared broker",
-        );
-        metrics.describe(
-            "sirius_grants_denied_total",
-            "Working-set grants denied by the shared broker (spill signals)",
-        );
-        metrics.describe(
-            "sirius_serve_plan_cache_hits_total",
-            "Admissions served a compiled plan straight from the plan cache",
-        );
-        metrics.describe(
-            "sirius_serve_plan_cache_misses_total",
-            "Plan-cache lookups that had to plan and compile",
-        );
-        metrics.describe(
-            "sirius_serve_plan_cache_evictions_total",
-            "Compiled plans evicted by the cache's LRU policy",
-        );
-        metrics.describe(
-            "sirius_serve_plan_replans_total",
-            "Cached plans replaced by a feedback-driven re-optimization",
-        );
-        metrics.describe(
-            "sirius_serve_planning_phases_total",
-            "Admissions that executed a planning phase (cache hits excluded)",
-        );
-        metrics.describe(
-            "sirius_serve_cached_plans",
-            "Compiled plans currently resident in the plan cache",
-        );
+    /// Publish serving pressure into `registry`: queue-depth / in-flight
+    /// gauges, admission + resilience counters, broker pressure, the
+    /// shared grant broker's granted/denied totals and the plan cache's
+    /// counters (the README's Metrics table lists them all).
+    pub fn with_metrics(self, registry: MetricsRegistry) -> Self {
+        for (name, _kind, help) in metrics::CATALOG {
+            registry.describe(name, help);
+        }
         SiriusServer {
-            metrics: Some(metrics),
+            metrics: Some(registry),
             ..self
         }
     }
@@ -484,413 +458,29 @@ impl SiriusServer {
     /// yield the same admission order, wave composition, and counters.
     pub fn replay(&self, mut requests: Vec<QueryRequest>) -> ServeOutcome {
         requests.sort_by_key(|r| (r.arrival, r.id));
-        let mut pending: VecDeque<QueryRequest> = requests.into();
-        let slots = self.base.workers().max(1);
-        let max_in_flight = self.config.max_in_flight.max(1);
-        let queue_depth = self.config.queue_depth.max(1);
-
-        let mut out = ServeOutcome::default();
-        let mut now = Duration::ZERO;
-        let mut queue: VecDeque<Waiting> = VecDeque::new();
-        let mut inflight: Vec<Active> = Vec::new();
-        // Waves served per tenant — the weighted-round-robin state.
-        let mut served: Vec<u64> = Vec::new();
-        let broker = self.base.buffer_manager().grant_broker().clone();
-        let mut published = (broker.granted(), broker.denied());
-        // Broker counters at the previous wave boundary — the window the
-        // denied-grant rate (shedding pressure) is measured over.
-        let mut window = published;
-
+        let mut s = Replay::new(self, requests.into());
         loop {
-            // 1. Enqueue arrivals due by `now`; reject past the depth cap.
-            while pending.front().is_some_and(|r| r.arrival <= now) {
-                let r = pending.pop_front().expect("checked front");
-                if queue.len() < queue_depth {
-                    queue.push_back(Waiting {
-                        not_before: r.arrival,
-                        retries: 0,
-                        req: r,
-                    });
-                } else {
-                    self.counter_inc("sirius_serve_rejected_total");
-                    self.disposition_inc(QueryDisposition::Rejected);
-                    out.rejected.push(r.id);
+            s.arrive();
+            s.cancel_overdue();
+            let degraded = s.shed();
+            s.admit(degraded);
+            if s.inflight.is_empty() {
+                if s.idle_jump() {
+                    continue;
                 }
+                break;
             }
-            out.max_queue_depth = out.max_queue_depth.max(queue.len());
-
-            // 2. Cancel overdue work before it costs anything more: a
-            //    waiting query whose deadline passed never admits (a zero
-            //    deadline cancels before its first wave); an in-flight
-            //    one aborts its run, releasing every held result — and
-            //    with them its grants — before the next wave dispatches.
-            let mut i = 0;
-            while i < queue.len() {
-                if queue[i].req.deadline.is_some_and(|d| d <= now) {
-                    let w = queue.remove(i).expect("index in range");
-                    self.counter_inc("sirius_serve_cancelled_total");
-                    self.disposition_inc(QueryDisposition::Cancelled);
-                    out.queries.push(self.finish_unadmitted(
-                        w,
-                        now,
-                        QueryDisposition::Cancelled,
-                        SiriusError::Cancelled("deadline passed before admission".into()),
-                    ));
-                } else {
-                    i += 1;
-                }
-            }
-            let mut i = 0;
-            while i < inflight.len() {
-                if inflight[i].req.deadline.is_some_and(|d| d <= now) {
-                    let mut a = inflight.remove(i);
-                    a.run.abort();
-                    a.error = Some(SiriusError::Cancelled(format!(
-                        "deadline {:?} passed at {now:?} on the server clock",
-                        a.req.deadline.expect("checked deadline"),
-                    )));
-                    self.counter_inc("sirius_serve_cancelled_total");
-                    self.disposition_inc(QueryDisposition::Cancelled);
-                    out.queries
-                        .push(self.finish(a, now, QueryDisposition::Cancelled));
-                } else {
-                    i += 1;
-                }
-            }
-
-            // 3. Measure broker pressure over the last wave and shed if
-            //    it crossed the threshold: waiting queries below the best
-            //    waiting priority are dropped (the later-arriving half
-            //    when the queue is uniform), and admissions made under
-            //    pressure run on half their lane slice.
-            let (g, d) = (broker.granted(), broker.denied());
-            let (dg, dd) = (g - window.0, d - window.1);
-            window = (g, d);
-            let denial_rate = if dg + dd > 0 {
-                dd as f64 / (dg + dd) as f64
-            } else {
-                0.0
-            };
-            let occupancy = if broker.capacity() > 0 {
-                broker.pool().used() as f64 / broker.capacity() as f64
-            } else {
-                0.0
-            };
-            let pressure = denial_rate.max(occupancy);
-            self.gauge_set("sirius_broker_pressure", pressure);
-            let degraded = pressure > self.config.shed_pressure;
-            if degraded && !queue.is_empty() {
-                let top = queue
-                    .iter()
-                    .map(|w| w.req.priority)
-                    .max()
-                    .expect("non-empty queue");
-                let mut victims: Vec<usize> = if queue.iter().any(|w| w.req.priority < top) {
-                    (0..queue.len())
-                        .filter(|&i| queue[i].req.priority < top)
-                        .collect()
-                } else {
-                    let mut idx: Vec<usize> = (0..queue.len()).collect();
-                    idx.sort_by_key(|&i| (queue[i].req.arrival, queue[i].req.id));
-                    idx.split_off(queue.len().div_ceil(2))
-                };
-                victims.sort_unstable();
-                for &i in &victims {
-                    self.counter_inc("sirius_serve_shed_total");
-                    self.disposition_inc(QueryDisposition::Shed);
-                    out.shed.push(queue[i].req.id);
-                }
-                for &i in victims.iter().rev() {
-                    queue.remove(i);
-                }
-            }
-
-            // 4. Admit eligible entries (backoffs still pending are not)
-            //    while slots are free, best-first per the policy.
-            while inflight.len() < max_in_flight {
-                let Some(pick) = self.pick_admission(&queue, &served, now) else {
-                    break;
-                };
-                let w = queue.remove(pick).expect("picked index in range");
-                if served.len() <= w.req.tenant {
-                    served.resize(w.req.tenant + 1, 0);
-                }
-                out.admission_order.push(w.req.id);
-                self.counter_inc("sirius_serve_admitted_total");
-                let lane_limit = if degraded { (slots / 2).max(1) } else { slots };
-                match self.admit(w, now, lane_limit) {
-                    Ok(active) => inflight.push(active),
-                    // `begin` failed (validation, unsupported feature,
-                    // injected fault): retry if the error allows it,
-                    // otherwise the query completes immediately with its
-                    // error and never occupies a slot.
-                    Err((w, e)) => {
-                        if self.should_retry(&e, w.retries, w.req.deadline, now) {
-                            self.counter_inc("sirius_serve_retries_total");
-                            queue.push_back(Waiting {
-                                not_before: self.backoff_until(w.retries, now),
-                                retries: w.retries + 1,
-                                req: w.req,
-                            });
-                        } else {
-                            self.counter_inc("sirius_serve_failed_total");
-                            self.disposition_inc(QueryDisposition::Failed);
-                            out.queries.push(self.finish_unadmitted(
-                                w,
-                                now,
-                                QueryDisposition::Failed,
-                                e,
-                            ));
-                        }
-                    }
-                }
-            }
-            out.peak_in_flight = out.peak_in_flight.max(inflight.len());
-            self.publish_gauges(&queue, inflight.len(), now);
-
-            // 5. Nothing running: jump to the next arrival or the next
-            //    retry's backoff expiry, or finish.
-            if inflight.is_empty() {
-                let next_arrival = pending.front().map(|r| r.arrival);
-                let next_ready = queue.iter().map(|w| w.not_before).min();
-                match (next_arrival, next_ready) {
-                    (None, None) => break,
-                    (a, r) => {
-                        let target = match (a, r) {
-                            (Some(a), Some(r)) => a.min(r),
-                            (Some(a), None) => a,
-                            (None, Some(r)) => r,
-                            (None, None) => unreachable!("handled above"),
-                        };
-                        now = now.max(target);
-                        continue;
-                    }
-                }
-            }
-
-            // 6. Wave selection: up to one query per stream, picked one
-            //    at a time so the round-robin counters interleave tenants
-            //    *within* a wave too.
-            let k = slots.min(inflight.len());
-            let mut selected: Vec<usize> = Vec::with_capacity(k);
-            for _ in 0..k {
-                match self.pick_wave(&inflight, &selected, &served) {
-                    Some(i) => {
-                        let t = inflight[i].req.tenant;
-                        if served.len() <= t {
-                            served.resize(t + 1, 0);
-                        }
-                        served[t] += 1;
-                        selected.push(i);
-                    }
-                    None => break,
-                }
-            }
+            let selected = s.select();
             if selected.is_empty() {
                 // Work in flight but nothing schedulable — count the
                 // deadlock and bail instead of spinning forever.
-                out.deadlocks += 1;
+                s.out.deadlocks += 1;
                 break;
             }
-
-            // 7. Advance each selected query one dependency wave on an
-            //    equal slice of the stream pool (narrowed by its
-            //    admission-time lane limit), collecting per-query ledger
-            //    deltas.
-            let width = (slots / selected.len()).max(1);
-            let mut deltas: Vec<TimeBreakdown> = Vec::with_capacity(selected.len());
-            for &i in &selected {
-                let a = &mut inflight[i];
-                let spill_before = a.engine.spill_stats();
-                if a.error.is_none() {
-                    if let Err(e) = a.engine.step(&mut a.run, width.min(a.lane_limit)) {
-                        a.error = Some(e);
-                    }
-                }
-                accumulate_spill(&mut a.spill, &a.engine.spill_stats().since(&spill_before));
-                let cur = a.engine.device().breakdown();
-                deltas.push(cur.since(&a.last));
-                a.last = cur;
-            }
-            // 8. The wave's wall-clock cost is its longest participant:
-            //    queries overlapped on the device, so the server clock
-            //    advances by the overlap fold, not the sum.
-            let wave = attribute_overlap(&deltas);
-            now += wave.total();
-            out.breakdown = out.breakdown.merge(&wave);
-            out.waves += 1;
-
-            // 9. Retire finished queries in in-flight order; a retryable
-            //    wave failure goes back through admission with backoff
-            //    instead (unless its retry could not start in time).
-            let mut i = 0;
-            while i < inflight.len() {
-                let done = inflight[i].run.is_done();
-                if inflight[i].error.is_none() && !done {
-                    i += 1;
-                    continue;
-                }
-                let mut a = inflight.remove(i);
-                match a.error.take() {
-                    Some(e) => {
-                        if self.should_retry(&e, a.retries, a.req.deadline, now) {
-                            a.run.abort();
-                            self.counter_inc("sirius_serve_retries_total");
-                            queue.push_back(Waiting {
-                                not_before: self.backoff_until(a.retries, now),
-                                retries: a.retries + 1,
-                                req: a.req,
-                            });
-                        } else {
-                            a.run.abort();
-                            a.error = Some(e);
-                            self.counter_inc("sirius_serve_failed_total");
-                            self.disposition_inc(QueryDisposition::Failed);
-                            out.queries
-                                .push(self.finish(a, now, QueryDisposition::Failed));
-                        }
-                    }
-                    None => {
-                        // Feed actual cardinalities back to the planner
-                        // before the run is consumed: only this run's
-                        // stats deltas, keyed under the shape's canonical
-                        // fingerprint, from the executed plan's own
-                        // operator ids.
-                        if let (Some(p), Some((shape, compiled))) = (&self.planner, &a.planned) {
-                            p.observe(
-                                *shape,
-                                compiled.root(),
-                                &a.engine.run_operator_stats(&a.run),
-                            );
-                        }
-                        self.counter_inc("sirius_serve_completed_total");
-                        self.disposition_inc(QueryDisposition::Completed);
-                        out.queries
-                            .push(self.finish(a, now, QueryDisposition::Completed));
-                    }
-                }
-            }
-            self.publish_broker(&broker, &mut published);
-            self.publish_planner();
+            s.run_wave(&selected);
+            s.retire();
         }
-
-        out.makespan = now;
-        self.publish_gauges(&queue, inflight.len(), now);
-        self.publish_broker(&broker, &mut published);
-        self.publish_planner();
-        out
-    }
-
-    /// Whether a failed wave (or failed begin) earns another trip
-    /// through admission: the error must be transient, retries must
-    /// remain, and the backed-off restart must land before the deadline.
-    fn should_retry(
-        &self,
-        e: &SiriusError,
-        retries: u32,
-        deadline: Option<Duration>,
-        now: Duration,
-    ) -> bool {
-        e.is_retryable()
-            && retries < self.config.max_retries
-            && deadline.is_none_or(|d| self.backoff_until(retries, now) < d)
-    }
-
-    /// Exponential backoff: the instant attempt `retries + 1` becomes
-    /// eligible for re-admission.
-    fn backoff_until(&self, retries: u32, now: Duration) -> Duration {
-        now + self.config.retry_backoff * (1u32 << retries.min(16))
-    }
-
-    /// Admission policy over the wait queue: priority desc, then the
-    /// tenant with the smallest weighted share of served waves, then
-    /// arrival, then id. Entries still backing off are ineligible.
-    /// Returns the index to admit, if any entry is eligible.
-    fn pick_admission(
-        &self,
-        queue: &VecDeque<Waiting>,
-        served: &[u64],
-        now: Duration,
-    ) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for i in 0..queue.len() {
-            if queue[i].not_before > now {
-                continue;
-            }
-            let a = &queue[i].req;
-            best = Some(match best {
-                None => i,
-                Some(j) => {
-                    let b = &queue[j].req;
-                    if self.orders_before(
-                        (a.priority, a.tenant, a.arrival, a.id),
-                        (b.priority, b.tenant, b.arrival, b.id),
-                        served,
-                    ) {
-                        i
-                    } else {
-                        j
-                    }
-                }
-            });
-        }
-        best
-    }
-
-    /// Wave policy over in-flight queries (same ordering, keyed on
-    /// admission instants). Returns the next unselected index, if any.
-    fn pick_wave(&self, inflight: &[Active], selected: &[usize], served: &[u64]) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, a) in inflight.iter().enumerate() {
-            if selected.contains(&i) {
-                continue;
-            }
-            best = Some(match best {
-                None => i,
-                Some(j) => {
-                    let b = &inflight[j];
-                    if self.orders_before(
-                        (a.req.priority, a.req.tenant, a.admitted, a.req.id),
-                        (b.req.priority, b.req.tenant, b.admitted, b.req.id),
-                        served,
-                    ) {
-                        i
-                    } else {
-                        j
-                    }
-                }
-            });
-        }
-        best
-    }
-
-    /// The total scheduling order: priority desc, then weighted fair
-    /// share (`served/weight`, compared by cross-multiplication so it
-    /// stays in integers), then the instant key, then id.
-    fn orders_before(
-        &self,
-        a: (u8, usize, Duration, u64),
-        b: (u8, usize, Duration, u64),
-        served: &[u64],
-    ) -> bool {
-        let (ap, at, ai, aid) = a;
-        let (bp, bt, bi, bid) = b;
-        if ap != bp {
-            return ap > bp;
-        }
-        let (sa, sb) = (
-            served.get(at).copied().unwrap_or(0) as u128,
-            served.get(bt).copied().unwrap_or(0) as u128,
-        );
-        let (wa, wb) = (self.weight(at) as u128, self.weight(bt) as u128);
-        // sa/wa < sb/wb ⇔ sa·wb < sb·wa
-        if sa * wb != sb * wa {
-            return sa * wb < sb * wa;
-        }
-        if ai != bi {
-            return ai < bi;
-        }
-        aid < bid
+        s.finish()
     }
 
     fn weight(&self, tenant: usize) -> u32 {
@@ -902,20 +492,15 @@ impl SiriusServer {
             .max(1)
     }
 
-    /// Build the per-query engine view and start the run. A failed
-    /// `begin` hands the entry back with its error so the caller can
-    /// decide between retry and failure. (The error arm carries the
-    /// whole `Waiting` entry by design — it is immediately re-queued or
-    /// retired, never stored.)
-    #[allow(clippy::result_large_err)]
-    fn admit(
+    /// Build the per-query engine view for `req` and start its run.
+    fn open_slot(
         &self,
-        w: Waiting,
+        req: &QueryRequest,
         now: Duration,
         lane_limit: usize,
-    ) -> Result<Active, (Waiting, SiriusError)> {
+    ) -> Result<Slot, SiriusError> {
         let mut view = self.base.query_view();
-        if w.req.trace {
+        if req.trace {
             view = view.with_trace(TraceConfig::On);
         }
         // Plan-cache path: resolve the SQL text through the shared
@@ -924,127 +509,38 @@ impl SiriusServer {
         // need per-operator counters from the run to record feedback —
         // enabled without the trace sink so untraced requests still
         // report no events.
-        let planned = match (&self.planner, &w.req.sql) {
+        let planned = match (&self.planner, &req.sql) {
             (Some(p), Some(sql)) => {
                 if p.adaptive() {
                     view = view.with_operator_stats();
                 }
-                match p.resolve(sql, &self.base) {
-                    Ok(r) => Some((r.shape, r.compiled)),
-                    Err(e) => return Err((w, e)),
-                }
+                let r = p.resolve(sql, &self.base)?;
+                Some((r.shape, r.compiled))
             }
             _ => None,
         };
-        if let Some(budget) = w.req.memory_budget {
+        if let Some(budget) = req.memory_budget {
             view.buffer_manager().set_grant_cap(budget);
         }
-        let begun = match &planned {
-            Some((_, compiled)) => view.begin_compiled(compiled),
-            None => view.begin(&w.req.plan),
+        let run = match &planned {
+            Some((_, compiled)) => view.begin_compiled(compiled)?,
+            None => view.begin(&req.plan)?,
         };
-        match begun {
-            Ok(run) => Ok(Active {
-                retries: w.retries,
-                admitted: now,
-                engine: view,
-                run,
-                error: None,
-                lane_limit,
-                last: TimeBreakdown::default(),
-                spill: SpillStats::default(),
-                planned,
-                req: w.req,
-            }),
-            Err(e) => Err((w, e)),
-        }
-    }
-
-    /// Terminal record for a query that never held a slot (deadline
-    /// cancellation in the queue, or a non-retryable `begin` failure).
-    fn finish_unadmitted(
-        &self,
-        w: Waiting,
-        now: Duration,
-        disposition: QueryDisposition,
-        error: SiriusError,
-    ) -> ServedQuery {
-        ServedQuery {
-            id: w.req.id,
-            tenant: w.req.tenant,
-            priority: w.req.priority,
-            disposition,
-            retries: w.retries,
-            result: Err(error),
-            report: QueryReport::zeroed("sirius", self.base.workers()),
-            arrival: w.req.arrival,
+        Ok(Slot {
             admitted: now,
-            completed: now,
-            latency: now.saturating_sub(w.req.arrival),
-            queue_wait: now.saturating_sub(w.req.arrival),
-            events: Vec::new(),
-        }
+            engine: view,
+            run,
+            error: None,
+            lane_limit,
+            last: TimeBreakdown::default(),
+            spill: SpillStats::default(),
+            planned,
+        })
     }
 
-    /// Assemble the finished query's record from its isolated telemetry.
-    fn finish(&self, a: Active, now: Duration, disposition: QueryDisposition) -> ServedQuery {
-        let breakdown = a.engine.device().breakdown();
-        let stats = a.engine.morsel_stats();
-        let pool = a.engine.buffer_manager().regions().processing().stats();
-        let pipelines = a.run.pipelines();
-        let (result, rows) = match a.error {
-            Some(e) => (Err(e), 0),
-            None => {
-                let t = a.run.into_table().expect("done run has its root result");
-                let rows = t.num_rows();
-                (Ok(t), rows)
-            }
-        };
-        let report = QueryReport {
-            rows,
-            elapsed: breakdown.total(),
-            breakdown,
-            pipelines,
-            morsels: stats.morsels,
-            tasks: stats.tasks,
-            worker_utilization: stats.worker_utilization(),
-            spilled_pinned_bytes: a.spill.bytes_to_pinned,
-            spilled_disk_bytes: a.spill.bytes_to_disk,
-            spill_partitions: a.spill.partitions,
-            spill_depth: a.spill.max_depth,
-            pool_high_watermark: pool.high_watermark,
-            pool_fragmentation: pool.fragmentation(),
-            ..QueryReport::zeroed("sirius", self.base.workers())
-        };
-        ServedQuery {
-            id: a.req.id,
-            tenant: a.req.tenant,
-            priority: a.req.priority,
-            disposition,
-            retries: a.retries,
-            result,
-            report,
-            arrival: a.req.arrival,
-            admitted: a.admitted,
-            completed: now,
-            latency: now.saturating_sub(a.req.arrival),
-            queue_wait: a.admitted.saturating_sub(a.req.arrival),
-            events: a.engine.trace().events(),
-        }
-    }
-
-    fn counter_inc(&self, name: &str) {
+    fn counter_inc(&self, name: &str, labels: &[(&str, &str)]) {
         if let Some(m) = &self.metrics {
-            m.counter_inc(name, &[]);
-        }
-    }
-
-    fn disposition_inc(&self, d: QueryDisposition) {
-        if let Some(m) = &self.metrics {
-            m.counter_inc(
-                "sirius_serve_disposition_total",
-                &[("disposition", d.as_str())],
-            );
+            m.counter_inc(name, labels);
         }
     }
 
@@ -1053,39 +549,429 @@ impl SiriusServer {
             m.gauge_set(name, &[], v);
         }
     }
+}
 
-    fn publish_gauges(&self, queue: &VecDeque<Waiting>, inflight_len: usize, now: Duration) {
-        if let Some(m) = &self.metrics {
-            m.gauge_set("sirius_serve_queue_depth", &[], queue.len() as f64);
-            m.gauge_set("sirius_serve_in_flight", &[], inflight_len as f64);
-            m.gauge_max("sirius_serve_queue_depth_peak", &[], queue.len() as f64);
-            let backing_off = queue.iter().filter(|w| w.not_before > now).count();
-            m.gauge_set("sirius_serve_backoff_depth", &[], backing_off as f64);
+/// What the scheduling order compares: `(priority, tenant, instant, id)`,
+/// the instant being arrival for waiting entries and admission for
+/// in-flight ones.
+type SchedKey = (u8, usize, Duration, u64);
+
+fn sched_key(req: &QueryRequest, instant: Duration) -> SchedKey {
+    (req.priority, req.tenant, instant, req.id)
+}
+
+/// The state of one [`SiriusServer::replay`] run. The methods are the
+/// steps of the module docs, in the order the driver calls them.
+struct Replay<'a> {
+    srv: &'a SiriusServer,
+    /// The simulated server clock.
+    now: Duration,
+    /// Arrivals not yet due, sorted by `(arrival, id)`.
+    pending: VecDeque<QueryRequest>,
+    queue: VecDeque<Waiting>,
+    inflight: Vec<Active>,
+    /// Waves served per tenant — the weighted-round-robin state.
+    served: Vec<u64>,
+    out: ServeOutcome,
+    broker: GrantBroker,
+    /// Broker counters at the previous wave boundary — the window the
+    /// denied-grant rate (shedding pressure) is measured over.
+    window: (u64, u64),
+    /// Broker counters already published as metrics.
+    published: (u64, u64),
+}
+
+impl<'a> Replay<'a> {
+    fn new(srv: &'a SiriusServer, pending: VecDeque<QueryRequest>) -> Self {
+        let broker = srv.base.buffer_manager().grant_broker().clone();
+        let counters = (broker.granted(), broker.denied());
+        Replay {
+            srv,
+            now: Duration::ZERO,
+            pending,
+            queue: VecDeque::new(),
+            inflight: Vec::new(),
+            served: Vec::new(),
+            out: ServeOutcome::default(),
+            broker,
+            window: counters,
+            published: counters,
         }
     }
 
-    fn publish_planner(&self) {
-        if let (Some(m), Some(p)) = (&self.metrics, &self.planner) {
+    /// The one way out. Every request passes through here exactly once,
+    /// whatever ended it: the disposition counters move, and the request
+    /// lands in `out.rejected`, `out.shed`, or — as the only
+    /// [`ServedQuery`] ever built — `out.queries`. A request that held a
+    /// `slot` reports that slot's telemetry; an `error` aborts its run
+    /// first, releasing every held result and with them its grants.
+    fn settle(
+        &mut self,
+        w: Waiting,
+        slot: Option<Slot>,
+        disposition: QueryDisposition,
+        error: Option<SiriusError>,
+    ) {
+        let kind = disposition.as_str();
+        self.srv
+            .counter_inc(&format!("sirius_serve_{kind}_total"), &[]);
+        self.srv
+            .counter_inc(metrics::DISPOSITION, &[("disposition", kind)]);
+        let bounced = match disposition {
+            QueryDisposition::Rejected => Some(&mut self.out.rejected),
+            QueryDisposition::Shed => Some(&mut self.out.shed),
+            _ => None,
+        };
+        if let Some(ids) = bounced {
+            ids.push(w.req.id);
+            return;
+        }
+        let workers = self.srv.base.workers();
+        let (admitted, mut report, events, table) = match slot {
+            None => (
+                self.now,
+                QueryReport::zeroed("sirius", workers),
+                Vec::new(),
+                None,
+            ),
+            Some(mut s) => {
+                if error.is_some() {
+                    s.run.abort();
+                }
+                let (report, events) = (s.report(workers), s.engine.trace().events());
+                (s.admitted, report, events, s.run.into_table())
+            }
+        };
+        let result = match error {
+            Some(e) => Err(e),
+            None => table.ok_or_else(|| SiriusError::Kernel("finished run holds no result".into())),
+        };
+        report.rows = result.as_ref().map_or(0, Table::num_rows);
+        self.out.queries.push(ServedQuery {
+            id: w.req.id,
+            tenant: w.req.tenant,
+            priority: w.req.priority,
+            disposition,
+            retries: w.retries,
+            result,
+            report,
+            arrival: w.req.arrival,
+            admitted,
+            completed: self.now,
+            latency: self.now.saturating_sub(w.req.arrival),
+            queue_wait: admitted.saturating_sub(w.req.arrival),
+            events,
+        });
+    }
+
+    /// The one path a failure takes — a failed `begin` (no `slot`) or a
+    /// failed wave: back through admission behind its backoff if the
+    /// retry policy allows the error and the restart would land before
+    /// the deadline, otherwise settled as failed.
+    fn retry_or_fail(&mut self, w: Waiting, slot: Option<Slot>, e: SiriusError) {
+        let retry = &self.srv.config.retry;
+        let restart = self.now + retry.delay(w.retries);
+        if retry.allows(&e, w.retries) && w.req.deadline.is_none_or(|d| restart < d) {
+            // Dropping the slot drops its run, which releases everything
+            // the failed attempt still held.
+            drop(slot);
+            self.srv.counter_inc(metrics::RETRIES, &[]);
+            self.queue.push_back(Waiting {
+                req: w.req,
+                retries: w.retries + 1,
+                not_before: restart,
+            });
+        } else {
+            self.settle(w, slot, QueryDisposition::Failed, Some(e));
+        }
+    }
+
+    /// Step 1: enqueue arrivals due by `now`; reject past the depth cap.
+    fn arrive(&mut self) {
+        let depth = self.srv.config.queue_depth.max(1);
+        while self.pending.front().is_some_and(|r| r.arrival <= self.now) {
+            let Some(req) = self.pending.pop_front() else {
+                break;
+            };
+            let w = Waiting {
+                not_before: req.arrival,
+                retries: 0,
+                req,
+            };
+            if self.queue.len() < depth {
+                self.queue.push_back(w);
+            } else {
+                self.settle(w, None, QueryDisposition::Rejected, None);
+            }
+        }
+        self.out.max_queue_depth = self.out.max_queue_depth.max(self.queue.len());
+    }
+
+    /// Step 2: cancel overdue work before it costs anything more. A
+    /// waiting query whose deadline passed never admits (a zero deadline
+    /// cancels before its first wave); an in-flight one aborts its run
+    /// before the next wave dispatches.
+    fn cancel_overdue(&mut self) {
+        let now = self.now;
+        let mut i = 0;
+        while let Some(w) = self.queue.get(i) {
+            if w.req.deadline.is_none_or(|d| d > now) {
+                i += 1;
+                continue;
+            }
+            let Some(w) = self.queue.remove(i) else { break };
+            let e = SiriusError::Cancelled("deadline passed before admission".into());
+            self.settle(w, None, QueryDisposition::Cancelled, Some(e));
+        }
+        let mut i = 0;
+        while let Some(a) = self.inflight.get(i) {
+            let Some(deadline) = a.entry.req.deadline.filter(|&d| d <= now) else {
+                i += 1;
+                continue;
+            };
+            let a = self.inflight.remove(i);
+            let e = SiriusError::Cancelled(format!(
+                "deadline {deadline:?} passed at {now:?} on the server clock"
+            ));
+            self.settle(a.entry, Some(a.slot), QueryDisposition::Cancelled, Some(e));
+        }
+    }
+
+    /// Step 3: measure broker pressure over the last wave — the larger of
+    /// the denied-grant rate and processing-pool occupancy — and, past
+    /// the threshold, shed the [`shed_victims`] of the wait queue. Returns
+    /// whether the server is degraded: admissions made under pressure run
+    /// on half their lane slice.
+    fn shed(&mut self) -> bool {
+        let (g, d) = (self.broker.granted(), self.broker.denied());
+        let (dg, dd) = (g - self.window.0, d - self.window.1);
+        self.window = (g, d);
+        let denial_rate = if dg + dd > 0 {
+            dd as f64 / (dg + dd) as f64
+        } else {
+            0.0
+        };
+        let occupancy = if self.broker.capacity() > 0 {
+            self.broker.pool().used() as f64 / self.broker.capacity() as f64
+        } else {
+            0.0
+        };
+        let pressure = denial_rate.max(occupancy);
+        self.srv.gauge_set(metrics::BROKER_PRESSURE, pressure);
+        let degraded = pressure > self.srv.config.shed_pressure;
+        if degraded {
+            // Ascending indices: each removal shifts the later ones down.
+            for (gone, i) in shed_victims(&self.queue).into_iter().enumerate() {
+                if let Some(w) = self.queue.remove(i - gone) {
+                    self.settle(w, None, QueryDisposition::Shed, None);
+                }
+            }
+        }
+        degraded
+    }
+
+    /// Step 4: admit eligible entries (backoffs still pending are not)
+    /// while slots are free, best-first per the policy. A `begin` that
+    /// fails (validation, unsupported feature, injected fault) never
+    /// occupies a slot: it retries or fails on the spot.
+    fn admit(&mut self, degraded: bool) {
+        let streams = self.srv.base.workers().max(1);
+        let lane_limit = if degraded {
+            (streams / 2).max(1)
+        } else {
+            streams
+        };
+        while self.inflight.len() < self.srv.config.max_in_flight.max(1) {
+            let eligible = self
+                .queue
+                .iter()
+                .map(|w| (w.not_before <= self.now).then(|| sched_key(&w.req, w.req.arrival)));
+            let Some(w) = self.pick(eligible).and_then(|i| self.queue.remove(i)) else {
+                break;
+            };
+            self.out.admission_order.push(w.req.id);
+            self.srv.counter_inc(metrics::ADMITTED, &[]);
+            match self.srv.open_slot(&w.req, self.now, lane_limit) {
+                Ok(slot) => self.inflight.push(Active { entry: w, slot }),
+                Err(e) => self.retry_or_fail(w, None, e),
+            }
+        }
+        self.out.peak_in_flight = self.out.peak_in_flight.max(self.inflight.len());
+        self.publish_gauges();
+    }
+
+    /// Step 5, with nothing running: jump the clock to the next arrival
+    /// or the next retry's backoff expiry. `false` when neither exists —
+    /// the trace is done.
+    fn idle_jump(&mut self) -> bool {
+        let next_arrival = self.pending.front().map(|r| r.arrival);
+        let next_ready = self.queue.iter().map(|w| w.not_before).min();
+        let Some(target) = [next_arrival, next_ready].into_iter().flatten().min() else {
+            return false;
+        };
+        self.now = self.now.max(target);
+        true
+    }
+
+    /// Step 6, wave selection: up to one in-flight query per stream,
+    /// picked one at a time so the round-robin counters interleave
+    /// tenants *within* a wave too. Returns in-flight indices.
+    fn select(&mut self) -> Vec<usize> {
+        let k = self.srv.base.workers().max(1).min(self.inflight.len());
+        let mut selected: Vec<usize> = Vec::with_capacity(k);
+        for _ in 0..k {
+            let unselected = self.inflight.iter().enumerate().map(|(i, a)| {
+                (!selected.contains(&i)).then(|| sched_key(&a.entry.req, a.slot.admitted))
+            });
+            let Some(i) = self.pick(unselected) else {
+                break;
+            };
+            let t = self.inflight[i].entry.req.tenant;
+            if self.served.len() <= t {
+                self.served.resize(t + 1, 0);
+            }
+            self.served[t] += 1;
+            selected.push(i);
+        }
+        selected
+    }
+
+    /// Step 7: advance each selected query one dependency wave on an
+    /// equal slice of the stream pool (narrowed by its admission-time
+    /// lane limit), then advance the clock by the wave's cost. Queries
+    /// overlapped on the device, so that is the longest participant's
+    /// time — the overlap fold of the per-query ledger deltas, not their
+    /// sum.
+    fn run_wave(&mut self, selected: &[usize]) {
+        let width = (self.srv.base.workers().max(1) / selected.len()).max(1);
+        let mut deltas: Vec<TimeBreakdown> = Vec::with_capacity(selected.len());
+        for &i in selected {
+            let s = &mut self.inflight[i].slot;
+            let spill_before = s.engine.spill_stats();
+            if s.error.is_none() {
+                s.error = s.engine.step(&mut s.run, width.min(s.lane_limit)).err();
+            }
+            accumulate_spill(&mut s.spill, &s.engine.spill_stats().since(&spill_before));
+            let cur = s.engine.device().breakdown();
+            deltas.push(cur.since(&s.last));
+            s.last = cur;
+        }
+        let wave = attribute_overlap(&deltas);
+        self.now += wave.total();
+        self.out.breakdown = self.out.breakdown.merge(&wave);
+        self.out.waves += 1;
+    }
+
+    /// Step 8: retire finished queries in in-flight order; a failed wave
+    /// goes through [`Self::retry_or_fail`] instead.
+    fn retire(&mut self) {
+        let mut i = 0;
+        while let Some(a) = self.inflight.get(i) {
+            if a.slot.error.is_none() && !a.slot.run.is_done() {
+                i += 1;
+                continue;
+            }
+            let mut a = self.inflight.remove(i);
+            if let Some(e) = a.slot.error.take() {
+                self.retry_or_fail(a.entry, Some(a.slot), e);
+                continue;
+            }
+            // Feed actual cardinalities back to the planner before the
+            // run is consumed: only this run's stats deltas, keyed under
+            // the shape's canonical fingerprint, from the executed plan's
+            // own operator ids.
+            if let (Some(p), Some((shape, compiled))) = (&self.srv.planner, &a.slot.planned) {
+                let stats = a.slot.engine.run_operator_stats(&a.slot.run);
+                p.observe(*shape, compiled.root(), &stats);
+            }
+            self.settle(a.entry, Some(a.slot), QueryDisposition::Completed, None);
+        }
+        self.publish_counters();
+    }
+
+    /// Close the run: stamp the makespan and publish the final gauges.
+    fn finish(mut self) -> ServeOutcome {
+        self.out.makespan = self.now;
+        self.publish_gauges();
+        self.publish_counters();
+        self.out
+    }
+
+    /// The one picker, shared by admission and wave selection: the index
+    /// of the candidate whose key orders first. `None` entries are
+    /// ineligible (still backing off, already selected).
+    fn pick(&self, candidates: impl Iterator<Item = Option<SchedKey>>) -> Option<usize> {
+        let mut best: Option<(usize, SchedKey)> = None;
+        for (i, key) in candidates.enumerate() {
+            let Some(key) = key else { continue };
+            if best.is_none_or(|(_, b)| self.orders_before(key, b)) {
+                best = Some((i, key));
+            }
+        }
+        best.map(|(i, _)| i)
+    }
+
+    /// The total scheduling order: priority desc, then weighted fair
+    /// share (`served/weight`, compared by cross-multiplication so it
+    /// stays in integers), then the instant key, then id.
+    fn orders_before(&self, a: SchedKey, b: SchedKey) -> bool {
+        let (ap, at, ai, aid) = a;
+        let (bp, bt, bi, bid) = b;
+        if ap != bp {
+            return ap > bp;
+        }
+        let served = |t: usize| self.served.get(t).copied().unwrap_or(0) as u128;
+        let (wa, wb) = (self.srv.weight(at) as u128, self.srv.weight(bt) as u128);
+        // sa/wa < sb/wb ⇔ sa·wb < sb·wa
+        let (sa, sb) = (served(at) * wb, served(bt) * wa);
+        if sa != sb {
+            return sa < sb;
+        }
+        (ai, aid) < (bi, bid)
+    }
+
+    fn publish_gauges(&self) {
+        let backing_off = self.queue.iter().filter(|w| w.not_before > self.now);
+        if let Some(m) = &self.srv.metrics {
+            m.gauge_set(metrics::QUEUE_DEPTH, &[], self.queue.len() as f64);
+            m.gauge_set(metrics::IN_FLIGHT, &[], self.inflight.len() as f64);
+            m.gauge_max(metrics::QUEUE_DEPTH_PEAK, &[], self.queue.len() as f64);
+            m.gauge_set(metrics::BACKOFF_DEPTH, &[], backing_off.count() as f64);
+        }
+    }
+
+    /// Publish the broker's grant counters and the planner's plan-cache
+    /// counters, both as deltas since the last call.
+    fn publish_counters(&mut self) {
+        let Some(m) = &self.srv.metrics else { return };
+        let (g, d) = (self.broker.granted(), self.broker.denied());
+        let (pg, pd) = self.published;
+        m.counter_add(metrics::GRANTS_GRANTED, &[], g.saturating_sub(pg));
+        m.counter_add(metrics::GRANTS_DENIED, &[], d.saturating_sub(pd));
+        self.published = (g, d);
+        if let Some(p) = &self.srv.planner {
             p.publish(m);
         }
     }
+}
 
-    fn publish_broker(&self, broker: &GrantBroker, published: &mut (u64, u64)) {
-        if let Some(m) = &self.metrics {
-            let (g, d) = (broker.granted(), broker.denied());
-            m.counter_add(
-                "sirius_grants_granted_total",
-                &[],
-                g.saturating_sub(published.0),
-            );
-            m.counter_add(
-                "sirius_grants_denied_total",
-                &[],
-                d.saturating_sub(published.1),
-            );
-            *published = (g, d);
-        }
+/// Who load shedding drops from the wait queue, as ascending indices:
+/// every entry below the best waiting priority, or — when the queue is
+/// uniform — the later-arriving half.
+fn shed_victims(queue: &VecDeque<Waiting>) -> Vec<usize> {
+    let Some(top) = queue.iter().map(|w| w.req.priority).max() else {
+        return Vec::new();
+    };
+    let mut victims: Vec<usize> = (0..queue.len())
+        .filter(|&i| queue[i].req.priority < top)
+        .collect();
+    if victims.is_empty() {
+        let mut idx: Vec<usize> = (0..queue.len()).collect();
+        idx.sort_by_key(|&i| (queue[i].req.arrival, queue[i].req.id));
+        victims = idx.split_off(queue.len().div_ceil(2));
+        victims.sort_unstable();
     }
+    victims
 }
 
 /// Add a spill-delta onto a per-query accumulator. `max_depth` is a
@@ -1523,7 +1409,7 @@ mod tests {
             "re-admitted through the queue"
         );
         assert!(
-            q.queue_wait >= server.config().retry_backoff,
+            q.queue_wait >= server.config().retry.backoff,
             "backoff shows up as queue wait"
         );
     }
@@ -1539,7 +1425,10 @@ mod tests {
         let server = SiriusServer::new(
             e,
             ServeConfig {
-                max_retries: 2,
+                retry: RetryPolicy {
+                    max_retries: 2,
+                    backoff: Duration::from_micros(100),
+                },
                 ..Default::default()
             },
         )
@@ -1574,7 +1463,10 @@ mod tests {
         let server = SiriusServer::new(
             e,
             ServeConfig {
-                retry_backoff: Duration::from_secs(1),
+                retry: RetryPolicy {
+                    max_retries: 2,
+                    backoff: Duration::from_secs(1),
+                },
                 ..Default::default()
             },
         );
@@ -1773,5 +1665,275 @@ mod tests {
         // No planner: the placeholder plan cannot execute, so the
         // request ends Failed instead of silently running something else.
         assert_eq!(outcome.dispositions().failed, 1);
+    }
+
+    // -- replay steps, on hand-built state (no wave ever runs) -------------
+
+    fn waiting(id: u64, tenant: usize, priority: u8, arrival_us: u64) -> Waiting {
+        let mut req = QueryRequest::new(id, tenant, Duration::from_micros(arrival_us), scan_plan());
+        req.priority = priority;
+        Waiting {
+            not_before: req.arrival,
+            retries: 0,
+            req,
+        }
+    }
+
+    fn key(w: &Waiting) -> Option<SchedKey> {
+        Some(sched_key(&w.req, w.req.arrival))
+    }
+
+    #[test]
+    fn shed_victims_are_the_low_priorities_or_the_later_half() {
+        let queue = |entries: &[(u8, u64)]| -> VecDeque<Waiting> {
+            (0u64..)
+                .zip(entries)
+                .map(|(id, &(priority, arrival))| waiting(id, 0, priority, arrival))
+                .collect()
+        };
+        // Mixed priorities: everything below the best waiting priority.
+        assert_eq!(
+            shed_victims(&queue(&[(2, 0), (0, 1), (2, 2), (1, 3)])),
+            [1, 3]
+        );
+        // Uniform: the ⌊n/2⌋ latest arrivals, reported in queue order.
+        assert_eq!(
+            shed_victims(&queue(&[(1, 30), (1, 10), (1, 50), (1, 20), (1, 40)])),
+            [2, 4]
+        );
+        assert_eq!(shed_victims(&queue(&[(3, 7)])), [] as [usize; 0]);
+        assert_eq!(shed_victims(&queue(&[])), [] as [usize; 0]);
+
+        // Through the step: pressure 0 exceeds a negative threshold, the
+        // victims settle as shed in queue order and the rest keep theirs.
+        let server = SiriusServer::new(
+            base(4, 16),
+            ServeConfig {
+                shed_pressure: -1.0,
+                ..Default::default()
+            },
+        );
+        let mut r = Replay::new(&server, VecDeque::new());
+        r.queue = queue(&[(2, 0), (0, 1), (2, 2), (1, 3)]);
+        assert!(r.shed(), "degraded");
+        assert_eq!(r.out.shed, [1, 3]);
+        let left: Vec<u64> = r.queue.iter().map(|w| w.req.id).collect();
+        assert_eq!(left, [0, 2]);
+        assert_eq!(r.out.dispositions().shed, 2);
+    }
+
+    #[test]
+    fn idle_jump_targets_the_earlier_of_arrival_and_backoff_expiry() {
+        let server = SiriusServer::new(base(4, 16), ServeConfig::default());
+        let us = Duration::from_micros;
+        let arrival = QueryRequest::new(9, 0, us(500), scan_plan());
+        let mut r = Replay::new(&server, VecDeque::from([arrival]));
+        let mut retry = waiting(1, 0, 0, 0);
+        retry.not_before = us(300);
+        r.queue.push_back(retry);
+        assert!(r.idle_jump());
+        assert_eq!(r.now, us(300), "the backoff expires before the arrival");
+        r.queue.clear();
+        assert!(r.idle_jump());
+        assert_eq!(r.now, us(500), "only the arrival is left");
+        // The clock never runs backwards, and with nothing left the trace
+        // is over.
+        r.now = us(800);
+        assert!(r.idle_jump());
+        assert_eq!(r.now, us(800));
+        r.pending.clear();
+        assert!(!r.idle_jump());
+        assert_eq!(r.now, us(800));
+    }
+
+    #[test]
+    fn picker_orders_by_priority_then_weighted_share_then_instant() {
+        let server = SiriusServer::new(
+            base(4, 16),
+            ServeConfig {
+                tenant_weights: vec![3, 1],
+                ..Default::default()
+            },
+        );
+        let mut r = Replay::new(&server, VecDeque::new());
+        let a = waiting(10, 0, 0, 5); // tenant 0 (weight 3)
+        let b = waiting(11, 1, 0, 7); // tenant 1 (weight 1)
+        let pick = |r: &Replay, entries: &[&Waiting]| r.pick(entries.iter().map(|w| key(w)));
+        // Equal shares (3/3 = 1/1): the earlier arrival wins.
+        r.served = vec![3, 1];
+        assert_eq!(pick(&r, &[&b, &a]), Some(1));
+        // Tenant 0 ran ahead of its weight (4/3 > 1/1): tenant 1 is next.
+        r.served = vec![4, 1];
+        assert_eq!(pick(&r, &[&a, &b]), Some(1));
+        // Tenant 1 ran ahead (3/3 < 2/1): tenant 0, whatever the order.
+        r.served = vec![3, 2];
+        assert_eq!(pick(&r, &[&b, &a]), Some(1));
+        // Priority beats any share; an ineligible candidate is skipped.
+        let vip = waiting(12, 0, 2, 9);
+        r.served = vec![100, 0];
+        assert_eq!(pick(&r, &[&b, &vip]), Some(1));
+        assert_eq!(r.pick([None, key(&b), None].into_iter()), Some(1));
+        assert_eq!(r.pick([None, None].into_iter()), None);
+        // Same tenant, same instant: the lower id.
+        let twin = waiting(9, 0, 0, 5);
+        assert_eq!(pick(&r, &[&a, &twin]), Some(1));
+    }
+
+    #[test]
+    fn retire_settles_in_flight_order_and_requeues_the_retryable() {
+        let metrics = MetricsRegistry::new();
+        let server =
+            SiriusServer::new(base(4, 16), ServeConfig::default()).with_metrics(metrics.clone());
+        let mut r = Replay::new(&server, VecDeque::new());
+        r.now = Duration::from_micros(40);
+        let errors = [
+            SiriusError::Kernel("permanent".into()),
+            SiriusError::TransientDevice("blip".into()),
+            SiriusError::OutOfMemory("permanent".into()),
+        ];
+        for (id, e) in (0u64..).zip(errors) {
+            let entry = waiting(id, 0, 0, id);
+            let mut slot = server.open_slot(&entry.req, r.now, 4).expect("begin");
+            slot.error = Some(e);
+            r.inflight.push(Active { entry, slot });
+        }
+        // A fourth that is neither failed nor finished stays in flight.
+        let entry = waiting(3, 0, 0, 3);
+        let slot = server.open_slot(&entry.req, r.now, 4).expect("begin");
+        r.inflight.push(Active { entry, slot });
+
+        r.retire();
+        let failed: Vec<u64> = r.out.queries.iter().map(|q| q.id).collect();
+        assert_eq!(failed, [0, 2], "in-flight order");
+        for q in &r.out.queries {
+            assert_eq!(q.disposition, QueryDisposition::Failed);
+            assert_eq!((q.completed, q.retries), (r.now, 0));
+        }
+        assert_eq!(
+            r.queue.len(),
+            1,
+            "the transient failure went back to the queue"
+        );
+        assert_eq!((r.queue[0].req.id, r.queue[0].retries), (1, 1));
+        assert_eq!(
+            r.queue[0].not_before,
+            r.now + server.config().retry.delay(0)
+        );
+        assert_eq!(r.inflight.len(), 1);
+        assert_eq!(r.inflight[0].entry.req.id, 3);
+        assert_eq!(metrics.counter_value(metrics::RETRIES, &[]), 1);
+        assert_eq!(metrics.counter_value("sirius_serve_failed_total", &[]), 2);
+        let broker = server.engine().buffer_manager().grant_broker();
+        assert_eq!(
+            broker.outstanding(),
+            0,
+            "settled and re-queued runs hold nothing"
+        );
+    }
+
+    // -- the metric catalog ------------------------------------------------
+
+    fn group_plan() -> Rel {
+        PlanBuilder::scan(
+            "t",
+            Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("v", DataType::Float64),
+            ]),
+        )
+        .aggregate(
+            vec![expr::col(0)],
+            vec![AggExpr {
+                func: AggFunc::Sum,
+                input: Some(expr::col(1)),
+                name: "s".into(),
+            }],
+        )
+        .sort(vec![SortExpr {
+            expr: expr::col(0),
+            ascending: true,
+        }])
+        .build()
+    }
+
+    /// A chaos trace that ends requests every way there is — completed,
+    /// failed, cancelled, shed, rejected, with a retry on the way — through
+    /// a planner: afterwards the registry holds exactly the declared
+    /// metrics, each with its declared kind.
+    #[test]
+    fn every_declared_metric_is_emitted_and_every_emitted_one_declared() {
+        let metrics = MetricsRegistry::new();
+        let e = base(1, 50_000).with_fault(
+            FaultInjector::new(FaultPlan::new(0).transient_wave(0, 2, 1)),
+            0,
+        );
+        let planner = CachingPlanner::new(sql_catalog(), sirius_sql::JoinOrderPolicy::Optimized);
+        let server = SiriusServer::new(
+            e,
+            ServeConfig {
+                max_in_flight: 1,
+                queue_depth: 8,
+                shed_pressure: 0.0,
+                ..Default::default()
+            },
+        )
+        .with_metrics(metrics.clone())
+        .with_planner(planner);
+        let at = Duration::ZERO;
+        let mut capped = QueryRequest::new(0, 0, at, group_plan());
+        capped.memory_budget = Some(64 << 10);
+        capped.priority = 6;
+        let mut doomed = QueryRequest::new(1, 0, at, scan_plan());
+        doomed.deadline = Some(at);
+        let mut broken = QueryRequest::from_sql(2, 0, at, "SELECT nope FROM missing");
+        broken.priority = 7;
+        let mut vip = QueryRequest::from_sql(3, 0, at, "SELECT k, v FROM t WHERE k > -1");
+        vip.priority = 5;
+        let mut reqs = vec![capped, doomed, broken, vip];
+        reqs.extend((4..12).map(|id| QueryRequest::new(id, 0, at, scan_plan())));
+        let outcome = server.replay(reqs);
+        let d = outcome.dispositions();
+        assert_eq!(d.total(), 12);
+        for (kind, n) in [
+            ("completed", d.completed),
+            ("failed", d.failed),
+            ("cancelled", d.cancelled),
+            ("shed", d.shed),
+            ("rejected", d.rejected),
+        ] {
+            assert!(n > 0, "the trace ends no request as {kind}: {d:?}");
+        }
+
+        let rendered = metrics.render();
+        let emitted: Vec<(&str, &str)> = rendered
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+            .collect();
+        for (name, kind, _help) in metrics::CATALOG {
+            assert!(
+                emitted.contains(&(name, kind)),
+                "{name} ({kind}) never emitted"
+            );
+        }
+        for (name, kind) in &emitted {
+            assert!(
+                metrics::CATALOG
+                    .iter()
+                    .any(|(n, k, _)| n == name && k == kind),
+                "{name} ({kind}) is emitted but not declared"
+            );
+        }
+    }
+
+    #[test]
+    fn readme_metrics_table_lists_the_catalog() {
+        let readme = include_str!("../../../README.md");
+        for (name, kind, help) in metrics::CATALOG {
+            let row = format!("| `{name}` | {kind} | {help} |");
+            assert!(
+                readme.contains(&row),
+                "README.md Metrics table lacks: {row}"
+            );
+        }
     }
 }

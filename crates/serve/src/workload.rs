@@ -81,20 +81,17 @@ pub fn poisson_trace(spec: &ArrivalSpec) -> Vec<QueryArrival> {
             // sample_f64 is in [0, 1); 1-u is in (0, 1], so ln is finite.
             let u = rng.sample_f64();
             t += -(1.0 - u).ln() / spec.rate_qps;
-            let mut pick = rng.gen_range(0..total_weight);
+            // The first tenant whose cumulative weight exceeds the draw.
+            let pick = rng.gen_range(0..total_weight);
+            let mut cumulative = 0u64;
             let tenant = spec
                 .tenants
                 .iter()
-                .position(|ten| {
-                    let w = ten.weight as u64;
-                    if pick < w {
-                        true
-                    } else {
-                        pick -= w;
-                        false
-                    }
+                .take_while(|ten| {
+                    cumulative += ten.weight as u64;
+                    cumulative <= pick
                 })
-                .expect("weighted pick lands inside total weight");
+                .count();
             QueryArrival {
                 id: i as u64,
                 tenant,

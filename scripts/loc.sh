@@ -3,31 +3,56 @@
 # CHANGES.md / ROADMAP.md). For every crates/*/src/**/*.rs file: lines up
 # to the test module (the first `#[cfg(test)]` that sits on a `mod`), minus
 # blank lines and lines that start with `//` (comments and doc comments).
-# Prints one row per file and one total per crate.
+# Prints one row per file and one total per crate, then a second table with
+# each file's longest function under the same cut (signature to closing
+# brace; rustfmt puts that brace at the signature's indentation), so "no
+# function longer than N" is read off the same output.
 #
 #   scripts/loc.sh              every crate
 #   scripts/loc.sh sql core     only crates/sql and crates/core
 set -eu
 cd "$(dirname "$0")/.."
 
+# Prints "<lines> <longest fn lines> <longest fn name>".
 count() {
     awk '
-        pending { pending = 0; if ($0 ~ /^[[:space:]]*(pub )?mod /) exit; n++ }
+        pending { pending = 0; if ($0 ~ /^[[:space:]]*(pub )?mod /) exit; tick() }
         /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { pending = 1; next }
-        !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
-        END { print n + pending }' "$1"
+        !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { tick() }
+        function tick() {
+            n++
+            if (!infn && match($0, /^[[:space:]]*(pub(\([a-z]+\))? )?(const )?(unsafe )?fn [A-Za-z_0-9]+/)) {
+                infn = 1; len = 0
+                name = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", name)
+                indent = $0; sub(/[^[:space:]].*/, "", indent)
+            }
+            if (!infn) return
+            len++
+            # Ends at the brace on the signature indentation, on the first
+            # line for a one-liner or a bodiless declaration, or at the
+            # `) -> T;` that closes a multi-line bodiless declaration.
+            if ($0 == indent "}" || (len == 1 && $0 ~ /[;}]$/) || index($0, indent ")") == 1 && $0 ~ /;$/) {
+                if (len > max) { max = len; maxname = name }
+                infn = 0
+            }
+        }
+        END { print n + pending, max + 0, (maxname == "" ? "-" : maxname) }' "$1"
 }
 
 [ $# -gt 0 ] || set -- $(ls crates)
 grand=0
+longest=""
 for crate in "$@"; do
     total=0
     for f in $(find "crates/$crate/src" -name '*.rs' | sort); do
-        n=$(count "$f")
-        printf '%6d  %s\n' "$n" "$f"
-        total=$((total + n))
+        set -- $(count "$f")
+        printf '%6d  %s\n' "$1" "$f"
+        total=$((total + $1))
+        longest="$longest$(printf '%6d  %s  %s' "$2" "$f" "$3")
+"
     done
     printf '%6d  crates/%s/src (total)\n\n' "$total" "$crate"
     grand=$((grand + total))
 done
-printf '%6d  all listed crates\n' "$grand"
+printf '%6d  all listed crates\n\n' "$grand"
+printf 'longest function per file (lines, file, name):\n%s' "$longest"

@@ -2,8 +2,8 @@
 //! chaos plan — mid-fragment node crashes, dropped/delayed exchange links,
 //! transient device errors — the distributed cluster must return exactly
 //! the table a fault-free single-node engine returns (floats at 1e-9
-//! relative, row order ignored), the exchange temp-table registry must be
-//! empty after every query, and the recovery counters must account for
+//! relative, row order ignored), no exchange temp table may be live after
+//! any query, and the recovery counters must account for
 //! every fault the injector fired.
 //!
 //! `CHAOS_SEED_BASE` (env) offsets the seed space so CI can sweep disjoint
@@ -60,12 +60,9 @@ fn seed_base() -> u64 {
 /// firing twice) cannot exhaust the budget — the property under test is
 /// equivalence, not the retry ceiling (cluster unit tests pin that).
 fn chaos_cluster(seed: u64) -> DorisCluster {
-    let config =
+    let mut config =
         ClusterConfig::for_world(WORLD).with_fault_plan(FaultPlan::seeded_chaos(seed, WORLD));
-    let config = ClusterConfig {
-        max_retries: 8,
-        ..config
-    };
+    config.retry.max_retries = 8;
     let mut c = DorisCluster::with_config(
         WORLD,
         NodeEngineKind::SiriusGpu,

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use sirius_columnar::Table;
-use sirius_core::{SiriusEngine, SiriusError};
+use sirius_core::{RetryPolicy, SiriusEngine, SiriusError};
 use sirius_duckdb::DuckDb;
 use sirius_hw::{catalog as hw, FaultInjector, FaultPlan, Link};
 use sirius_integration::assert_tables_equivalent;
@@ -110,8 +110,10 @@ fn chaotic_server(fix: &Fixture, seed: u64) -> SiriusServer {
             max_in_flight: 3,
             queue_depth: 64,
             tenant_weights: vec![2, 1],
-            max_retries: 2,
-            retry_backoff: Duration::from_micros(50),
+            retry: RetryPolicy {
+                max_retries: 2,
+                backoff: Duration::from_micros(50),
+            },
             shed_pressure: 0.95,
         },
     )

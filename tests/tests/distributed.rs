@@ -120,3 +120,36 @@ fn grouped_queries_beyond_the_paper_subset() {
     assert_tables_equivalent("grouped join", &reference, &out.table);
     assert_eq!(c.temp_tables_live(), 0, "grouped join: temp leak");
 }
+
+#[test]
+fn replicated_inputs_are_counted_once() {
+    // `nation` is replicated: every node holds all 25 rows, so an operator
+    // over it alone is already complete on each node. Aggregating, sorting,
+    // limiting or de-duplicating it must not gather one copy per node.
+    let data = TpchGenerator::new(0.005).generate();
+    let mut duck = DuckDb::new();
+    for (name, table) in data.tables() {
+        duck.create_table(name.clone(), table.clone());
+    }
+    let shapes = [
+        "select sum(n_nationkey) as s, count(*) as n from nation",
+        "select n_regionkey, count(*) as n from nation group by n_regionkey",
+        "select distinct n_regionkey from nation",
+        "select n_name from nation order by n_name",
+        "select n_name from nation order by n_name limit 3",
+        "select count(distinct n_regionkey) as regions from nation",
+    ];
+    for kind in [
+        NodeEngineKind::DorisCpu,
+        NodeEngineKind::ClickHouseCpu,
+        NodeEngineKind::SiriusGpu,
+    ] {
+        let c = build(kind, &data, 3);
+        for sql in shapes {
+            let reference = duck.sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let out = c.sql(sql).unwrap_or_else(|e| panic!("{kind:?} {sql}: {e}"));
+            assert_tables_equivalent(&format!("{kind:?} {sql}"), &reference, &out.table);
+            assert_eq!(c.temp_tables_live(), 0, "{kind:?} {sql}: temp leak");
+        }
+    }
+}
