@@ -2,22 +2,14 @@
 //! coordinator planning, fragment dispatch, NCCL exchange, node execution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sirius_doris::{DorisCluster, NodeEngineKind};
-use sirius_tpch::{queries, TpchGenerator};
+use sirius_bench::{Lab, NODES};
+use sirius_doris::{ClusterConfig, NodeEngineKind};
+use sirius_tpch::queries;
 
 fn bench_distributed(c: &mut Criterion) {
-    let data = TpchGenerator::new(0.005).generate();
-    let mut clusters = Vec::new();
-    for kind in [NodeEngineKind::DorisCpu, NodeEngineKind::SiriusGpu] {
-        let mut cluster = DorisCluster::new(4, kind);
-        for (name, table) in data.tables() {
-            cluster
-                .create_table(name.clone(), table.clone())
-                .expect("load table");
-        }
-        cluster.reset_ledgers();
-        clusters.push((kind, cluster));
-    }
+    let lab = Lab::new(0.005);
+    let clusters = [NodeEngineKind::DorisCpu, NodeEngineKind::SiriusGpu]
+        .map(|kind| (kind, lab.cluster(kind, ClusterConfig::for_world(NODES))));
     let mut group = c.benchmark_group("tpch_distributed");
     group.sample_size(10);
     for (id, sql) in queries::distributed_subset() {

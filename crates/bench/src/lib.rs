@@ -1,509 +1,152 @@
 //! # sirius-bench — the harness that regenerates every table and figure
 //!
-//! Each paper artifact has a binary (`table1`, `figure1`, `figure4`,
-//! `figure5`, `table2`, `ablation_interconnect`) that prints the same rows
-//! or series the paper reports, computed from simulated device time; the
-//! Criterion benches under `benches/` measure the *real* wall time of this
-//! repository's own kernels and engines.
+//! One binary, `repro <experiment>`, prints any of the paper's artifacts
+//! (`table1`, `figure1`, `figure4`, `figure5`, `table2`) or of this
+//! repository's ablations (`interconnect`, `morsel`, `memory`, `faults`,
+//! `pipelines`, `fusion`, `serve`, `resilience`, `encoding`, `plancache`,
+//! `profile`), and `repro all` prints them all. Every experiment is a row
+//! of [`EXPERIMENTS`] and runs over one [`Lab`] — generated TPC-H data plus
+//! the DuckDB planner, built at most once per scale factor per process.
+//! EXPERIMENTS.md's measured blocks are this binary's stdout
+//! (`scripts/regen_experiments.sh`). The Criterion benches under `benches/`
+//! measure the *real* wall time of this repository's own kernels and
+//! engines over the same `Lab`.
 //!
-//! Absolute simulated milliseconds depend on the scale factor the harness
-//! runs at (model time is linear in data volume, so ratios match the
-//! paper's SF100 shapes at any SF); every binary also prints an
-//! SF100-extrapolated column.
+//! All printed times are simulated device time. Absolute milliseconds
+//! depend on the scale factor (model time is linear in data volume, so
+//! ratios match the paper's SF100 shapes at any SF); `figure4` and `table2`
+//! also print an SF100-extrapolated column.
 
 #![warn(missing_docs)]
 
-use sirius_clickhouse::{ClickHouse, ClickHouseError};
-use sirius_core::{MorselStats, SiriusEngine, SpillStats};
-use sirius_duckdb::DuckDb;
-use sirius_exec_cpu::ExecError;
-use sirius_hw::{catalog as hw, CostCategory, Link, TimeBreakdown};
-use sirius_tpch::{queries, TpchData, TpchGenerator};
-use std::time::Duration;
+pub mod ablations;
+mod args;
+mod lab;
+pub mod paper;
+pub mod profile;
+pub mod serving;
 
-/// Default scale factor for harness binaries (fast enough for a laptop,
-/// large enough that per-kernel launch overhead is realistic noise).
+pub use args::{parse_args, usage, Args};
+pub use lab::{Lab, Run, NODES};
+use std::io::{self, Write};
+
+/// Default scale factor (fast enough for a laptop, large enough that
+/// per-kernel launch overhead is realistic noise).
 pub const DEFAULT_SF: f64 = 0.05;
 
-/// Scale factor the morsel-parallelism ablation benches run at: large
-/// enough that per-morsel memory time dominates kernel-launch overhead, so
-/// stream overlap — not fixed dispatch cost — decides the measurement
-/// (lineitem ≈ 3M rows → four ~750k-row morsels at the default size).
+/// Scale factor of the morsel-parallelism ablation: large enough that
+/// per-morsel memory time dominates kernel-launch overhead, so stream
+/// overlap — not fixed dispatch cost — decides the measurement (lineitem ≈
+/// 3M rows → four ~750k-row morsels at the default size).
 pub const MORSEL_SF: f64 = 0.5;
 
-/// Outcome of one engine on one query.
-#[derive(Debug, Clone)]
-pub enum EngineResult {
-    /// Finished with this simulated time and result cardinality.
-    Time {
-        /// Simulated execution time.
-        elapsed: Duration,
-        /// Result rows.
-        rows: usize,
-    },
-    /// Exceeded its time budget (the paper's "DNF" annotation).
-    DidNotFinish,
-    /// The engine rejects the query shape (ClickHouse Q21).
-    Unsupported,
+/// One `repro` subcommand.
+pub struct Experiment {
+    /// Subcommand name.
+    pub name: &'static str,
+    /// Scale factor it runs at when `--sf` is absent.
+    pub default_sf: f64,
+    /// Prints the experiment to the writer, panicking if a shape it asserts
+    /// does not hold.
+    pub run: fn(&Lab, &Args, &mut dyn Write) -> io::Result<()>,
 }
 
-impl EngineResult {
-    /// Milliseconds if finished.
-    pub fn ms(&self) -> Option<f64> {
-        match self {
-            EngineResult::Time { elapsed, .. } => Some(elapsed.as_secs_f64() * 1e3),
-            _ => None,
-        }
-    }
-
-    /// Harness cell rendering.
-    pub fn cell(&self) -> String {
-        match self {
-            EngineResult::Time { elapsed, .. } => {
-                format!("{:>10.2}", elapsed.as_secs_f64() * 1e3)
-            }
-            EngineResult::DidNotFinish => format!("{:>10}", "DNF"),
-            EngineResult::Unsupported => format!("{:>10}", "n/s"),
-        }
+const fn experiment(
+    name: &'static str,
+    default_sf: f64,
+    run: fn(&Lab, &Args, &mut dyn Write) -> io::Result<()>,
+) -> Experiment {
+    Experiment {
+        name,
+        default_sf,
+        run,
     }
 }
 
-/// One row of the Figure 4 table.
-#[derive(Debug, Clone)]
-pub struct QueryRow {
-    /// TPC-H query number.
-    pub id: u32,
-    /// DuckDB on the cost-normalized CPU instance.
-    pub duckdb: EngineResult,
-    /// ClickHouse on the same instance.
-    pub clickhouse: EngineResult,
-    /// Sirius on the GH200 GPU.
-    pub sirius: EngineResult,
-    /// Sirius per-operator breakdown (Figure 5).
-    pub sirius_breakdown: TimeBreakdown,
-    /// Sirius morsel-scheduler counters for this query.
-    pub sirius_morsels: MorselStats,
-    /// Worker threads (= device streams) the Sirius engine ran with.
-    pub sirius_workers: usize,
-    /// Sirius spill counters for this query (§3.4 out-of-core; all zero
-    /// when the working set fits on-device).
-    pub sirius_spill: SpillStats,
-    /// Processing-pool high watermark in bytes (peak operator working set).
-    pub sirius_pool_hwm: u64,
-    /// Processing-pool fragmentation in `[0, 1]` after the query.
-    pub sirius_pool_frag: f64,
-}
+/// Every experiment, in the order `repro all` runs them.
+pub const EXPERIMENTS: [Experiment; 16] = [
+    experiment("table1", DEFAULT_SF, paper::table1),
+    experiment("figure1", DEFAULT_SF, paper::figure1),
+    experiment("figure4", DEFAULT_SF, paper::figure4),
+    experiment("figure5", DEFAULT_SF, paper::figure5),
+    experiment("table2", DEFAULT_SF, paper::table2),
+    experiment("interconnect", DEFAULT_SF, ablations::interconnect),
+    experiment("morsel", MORSEL_SF, ablations::morsel),
+    experiment("memory", DEFAULT_SF, ablations::memory),
+    experiment("faults", DEFAULT_SF, ablations::faults),
+    experiment("pipelines", DEFAULT_SF, ablations::pipelines),
+    experiment("fusion", DEFAULT_SF, ablations::fusion),
+    experiment("serve", DEFAULT_SF, serving::serve),
+    experiment("resilience", DEFAULT_SF, serving::resilience),
+    experiment("encoding", DEFAULT_SF, ablations::encoding),
+    experiment("plancache", DEFAULT_SF, ablations::plancache),
+    experiment("profile", 0.01, profile::profile),
+];
 
-/// All three single-node engines loaded with the same TPC-H data.
-pub struct SingleNodeHarness {
-    /// The DuckDB host.
-    pub duck: DuckDb,
-    /// The ClickHouse baseline.
-    pub clickhouse: ClickHouse,
-    /// The Sirius GPU engine.
-    pub sirius: SiriusEngine,
-    /// The generated data.
-    pub data: TpchData,
-}
-
-impl SingleNodeHarness {
-    /// Generate data at `sf` and load all three engines (hot: Sirius' cold
-    /// load happens here, then ledgers reset, matching the paper's
-    /// hot-run measurement).
-    pub fn new(sf: f64) -> Self {
-        let data = TpchGenerator::new(sf).generate();
-        let mut duck = DuckDb::new();
-        // The ClickHouse statement budget scales with SF: the paper's Q9
-        // "does not finish" reproduces at any generated size.
-        let mut clickhouse =
-            ClickHouse::new().with_time_budget(Duration::from_secs_f64(0.270 * sf));
-        let sirius = SiriusEngine::new(hw::gh200_gpu());
-        for (name, table) in data.tables() {
-            duck.create_table(name.clone(), table.clone());
-            clickhouse.create_table(name.clone(), table.clone());
-            sirius.load_table(name.clone(), table);
-        }
-        duck.device().reset();
-        clickhouse.device().reset();
-        sirius.device().reset();
-        Self {
-            duck,
-            clickhouse,
-            sirius,
-            data,
-        }
-    }
-
-    /// Run one query on all three engines, returning the Figure 4/5 row.
-    pub fn run_query(&self, id: u32, sql: &str) -> QueryRow {
-        // DuckDB.
-        let before = self.duck.device().breakdown();
-        let duckdb = match self.duck.sql(sql) {
-            Ok(t) => EngineResult::Time {
-                elapsed: self.duck.device().breakdown().since(&before).total(),
-                rows: t.num_rows(),
-            },
-            Err(e) => panic!("Q{id} duckdb: {e}"),
-        };
-
-        // ClickHouse.
-        let before = self.clickhouse.device().breakdown();
-        let clickhouse = match self.clickhouse.sql(sql) {
-            Ok(t) => EngineResult::Time {
-                elapsed: self.clickhouse.device().breakdown().since(&before).total(),
-                rows: t.num_rows(),
-            },
-            Err(ClickHouseError::Exec(ExecError::TimeBudgetExceeded { .. })) => {
-                EngineResult::DidNotFinish
-            }
-            Err(ClickHouseError::Exec(ExecError::Unsupported(_))) => EngineResult::Unsupported,
-            Err(e) => panic!("Q{id} clickhouse: {e}"),
-        };
-
-        // Sirius — executed from the same optimized plan DuckDB produced
-        // (§4.2: "Sirius leverages DuckDB's optimized logical plans but
-        // replaces its backend with GPUs").
-        let plan = self
-            .duck
-            .plan(sql)
-            .unwrap_or_else(|e| panic!("Q{id} plan: {e}"));
-        let before = self.sirius.device().breakdown();
-        let stats_before = self.sirius.morsel_stats();
-        let spill_before = self.sirius.spill_stats();
-        let sirius = match self.sirius.execute(&plan) {
-            Ok(t) => EngineResult::Time {
-                elapsed: self.sirius.device().breakdown().since(&before).total(),
-                rows: t.num_rows(),
-            },
-            Err(e) => panic!("Q{id} sirius: {e}"),
-        };
-        let sirius_breakdown = self.sirius.device().breakdown().since(&before);
-        let sirius_morsels = self.sirius.morsel_stats().since(&stats_before);
-        let sirius_spill = self.sirius.spill_stats().since(&spill_before);
-        let pool = self.sirius.buffer_manager().regions().processing().stats();
-
-        QueryRow {
-            id,
-            duckdb,
-            clickhouse,
-            sirius,
-            sirius_breakdown,
-            sirius_morsels,
-            sirius_workers: self.sirius.workers(),
-            sirius_spill,
-            sirius_pool_hwm: pool.high_watermark,
-            sirius_pool_frag: pool.fragmentation(),
-        }
-    }
-
-    /// Run all 22 queries.
-    pub fn run_all(&self) -> Vec<QueryRow> {
-        queries::all()
-            .into_iter()
-            .map(|(id, sql)| self.run_query(id, sql))
-            .collect()
-    }
-}
-
-/// Outcome of one query under one morsel configuration.
-#[derive(Debug, Clone)]
-pub struct MorselRun {
-    /// Simulated device time.
-    pub elapsed: Duration,
-    /// Morsel-scheduler counters for the run.
-    pub stats: MorselStats,
-}
-
-impl MorselRun {
-    /// Simulated milliseconds.
-    pub fn ms(&self) -> f64 {
-        self.elapsed.as_secs_f64() * 1e3
-    }
-}
-
-/// The morsel-parallelism ablation rig: one TPC-H data set plus a planner,
-/// from which engines at any (workers × morsel size) point are stamped out.
-/// Backs the `morsel_scaling` Criterion bench and the `ablation_morsel`
-/// binary.
-pub struct MorselLab {
-    /// The planner (DuckDB front end, §4.2).
-    pub duck: DuckDb,
-    /// The generated data.
-    pub data: TpchData,
-}
-
-impl MorselLab {
-    /// Generate TPC-H at `sf` and load the planner.
-    pub fn new(sf: f64) -> Self {
-        let data = TpchGenerator::new(sf).generate();
-        let mut duck = DuckDb::new();
-        for (name, table) in data.tables() {
-            duck.create_table(name.clone(), table.clone());
-        }
-        Self { duck, data }
-    }
-
-    /// A Sirius engine at one configuration point, hot-loaded with the lab
-    /// data and its ledger reset.
-    pub fn engine(&self, workers: usize, morsel_rows: usize) -> SiriusEngine {
-        let e = SiriusEngine::with_link(hw::gh200_gpu(), Link::new(hw::nvlink_c2c()), workers)
-            .with_morsel_rows(morsel_rows);
-        for (name, table) in self.data.tables() {
-            e.load_table(name.clone(), table);
-        }
-        e.device().reset();
-        e
-    }
-
-    /// Execute one query and report its simulated time and morsel counters.
-    pub fn run(&self, engine: &SiriusEngine, sql: &str) -> MorselRun {
-        let plan = self.duck.plan(sql).expect("plan");
-        let before = engine.device().breakdown();
-        let stats_before = engine.morsel_stats();
-        engine.execute(&plan).expect("sirius");
-        MorselRun {
-            elapsed: engine.device().breakdown().since(&before).total(),
-            stats: engine.morsel_stats().since(&stats_before),
-        }
-    }
-}
-
-/// Outcome of one query under one device-memory budget.
-#[derive(Debug, Clone)]
-pub struct MemoryRun {
-    /// Simulated device time.
-    pub elapsed: Duration,
-    /// Spill counters for the run.
-    pub spill: SpillStats,
-    /// Result cardinality (for cross-budget equivalence checks).
-    pub rows: usize,
-}
-
-impl MemoryRun {
-    /// Simulated milliseconds.
-    pub fn ms(&self) -> f64 {
-        self.elapsed.as_secs_f64() * 1e3
-    }
-}
-
-/// The out-of-core ablation rig (EXPERIMENTS.md A4): one TPC-H data set
-/// plus a planner, from which engines at any device-memory budget are
-/// stamped out. Backs the `ablation_memory` binary.
-pub struct MemoryLab {
-    /// The planner (DuckDB front end, §4.2).
-    pub duck: DuckDb,
-    /// The generated data.
-    pub data: TpchData,
-}
-
-impl MemoryLab {
-    /// Generate TPC-H at `sf` and load the planner.
-    pub fn new(sf: f64) -> Self {
-        let data = TpchGenerator::new(sf).generate();
-        let mut duck = DuckDb::new();
-        for (name, table) in data.tables() {
-            duck.create_table(name.clone(), table.clone());
-        }
-        Self { duck, data }
-    }
-
-    /// Total bytes of the loaded tables — the sweep's working-set unit.
-    pub fn working_set(&self) -> u64 {
-        self.data
-            .tables()
-            .iter()
-            .map(|(_, t)| t.byte_size() as u64)
-            .sum()
-    }
-
-    /// A Sirius engine whose device holds `device_bytes` of memory
-    /// (split 50/50 into caching and processing regions), hot-loaded with
-    /// the lab data and its ledger reset. Budgets below 4 KiB are clamped
-    /// so both regions can hold at least one aligned allocation.
-    pub fn engine(&self, device_bytes: u64) -> SiriusEngine {
-        let mut spec = hw::gh200_gpu();
-        spec.memory_bytes = device_bytes.max(4096);
-        let e = SiriusEngine::new(spec);
-        for (name, table) in self.data.tables() {
-            e.load_table(name.clone(), table);
-        }
-        e.device().reset();
-        e
-    }
-
-    /// Execute one query and report its simulated time and spill counters.
-    pub fn run(&self, engine: &SiriusEngine, sql: &str) -> MemoryRun {
-        let plan = self.duck.plan(sql).expect("plan");
-        let before = engine.device().breakdown();
-        let spill_before = engine.spill_stats();
-        let out = engine.execute(&plan).expect("sirius under memory pressure");
-        MemoryRun {
-            elapsed: engine.device().breakdown().since(&before).total(),
-            spill: engine.spill_stats().since(&spill_before),
-            rows: out.num_rows(),
-        }
-    }
-}
-
-/// Geometric mean of pairwise speedups `base/target` over rows where both
-/// finished.
-pub fn geomean_speedup(rows: &[QueryRow], base: impl Fn(&QueryRow) -> &EngineResult) -> f64 {
-    let ratios: Vec<f64> = rows
+/// Run experiment `command` (or every one, for `"all"`) into `out`. This is
+/// the only place a [`Lab`] is made outside tests and benches, one per
+/// distinct scale factor, so a run generates TPC-H once per scale factor
+/// however many experiments share it.
+pub fn run(command: &str, args: &Args, out: &mut dyn Write) -> io::Result<()> {
+    let mut labs: Vec<Lab> = Vec::new();
+    for e in EXPERIMENTS
         .iter()
-        .filter_map(|r| {
-            let b = base(r).ms()?;
-            let s = r.sirius.ms()?;
-            (s > 0.0).then_some(b / s)
-        })
-        .collect();
-    if ratios.is_empty() {
-        return 0.0;
+        .filter(|e| command == "all" || command == e.name)
+    {
+        let sf = args.sf.unwrap_or(e.default_sf);
+        let at = match labs.iter().position(|lab| lab.sf() == sf) {
+            Some(at) => at,
+            None => {
+                labs.push(Lab::new(sf));
+                labs.len() - 1
+            }
+        };
+        (e.run)(&labs[at], args, out)?;
     }
-    (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp()
-}
-
-/// Linear SF extrapolation of a simulated duration.
-pub fn extrapolate(ms: f64, from_sf: f64, to_sf: f64) -> f64 {
-    ms * to_sf / from_sf
-}
-
-/// Parse `--sf <value>` from argv (defaults to [`DEFAULT_SF`]).
-pub fn sf_from_args() -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--sf")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SF)
-}
-
-/// Figure-5 breakdown categories in paper order (project and exchange fold
-/// into "other" for the single-node figure; the paper's "filter" bucket is
-/// table scans *plus* predicate evaluation, so the ledger's separate `Scan`
-/// category folds back into it here).
-pub fn figure5_share(b: &TimeBreakdown, category: &str) -> f64 {
-    let total = b.total().as_secs_f64();
-    if total == 0.0 {
-        return 0.0;
-    }
-    let d = match category {
-        "join" => b.get(CostCategory::Join),
-        "group-by" => b.get(CostCategory::GroupBy),
-        "filter" => b.get(CostCategory::Filter) + b.get(CostCategory::Scan),
-        "aggregate" => b.get(CostCategory::Aggregate),
-        "order-by" => b.get(CostCategory::OrderBy),
-        _ => {
-            b.get(CostCategory::Project)
-                + b.get(CostCategory::Exchange)
-                + b.get(CostCategory::Other)
-        }
-    };
-    d.as_secs_f64() / total
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
-    fn harness_runs_q1_q6_with_sane_shape() {
-        let h = SingleNodeHarness::new(0.005);
-        for (id, sql) in [(1, queries::Q1), (6, queries::Q6)] {
-            let row = h.run_query(id, sql);
-            let duck = row.duckdb.ms().unwrap();
-            let sirius = row.sirius.ms().unwrap();
-            assert!(duck > 0.0 && sirius > 0.0);
-            assert!(
-                duck / sirius > 2.0,
-                "Q{id}: GPU should clearly win ({duck:.3}ms vs {sirius:.3}ms)"
-            );
+    fn data_free_experiments_never_build_the_lab() {
+        let lab = Lab::new(DEFAULT_SF);
+        let args = parse_args(["all".to_string()], None).unwrap().1;
+        let mut out = Vec::new();
+        for e in &EXPERIMENTS[..2] {
+            (e.run)(&lab, &args, &mut out).unwrap();
         }
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.starts_with("Table 1: Comparison of CPU and GPU Instances\n"));
+        assert!(text.contains("\nFigure 1: Recent hardware trends\n"));
+        assert!(!lab.is_built(), "table1/figure1 must not generate TPC-H");
+    }
+
+    /// `repro <name>` commands a document quotes: `--bin repro -- <name>` in
+    /// a command line and `<!-- repro: <name> … -->` on a generated block
+    /// (a `<placeholder>` after either is not a name).
+    fn quoted(doc: &str) -> BTreeSet<&str> {
+        ["--bin repro -- ", "<!-- repro: "]
+            .iter()
+            .flat_map(|marker| doc.split(marker).skip(1))
+            .filter_map(|rest| rest.split(|c: char| !c.is_ascii_alphanumeric()).next())
+            .filter(|name| !name.is_empty())
+            .collect()
     }
 
     #[test]
-    fn morsel_parallelism_speeds_up_q1_q6() {
-        // The PR's acceptance bar: at the morsel-bench SF, 4 workers over 4
-        // morsels must cut simulated device time at least 2× vs the
-        // single-walk executor on Q1 and Q6.
-        let lab = MorselLab::new(MORSEL_SF);
-        let morsel_rows = 800_000; // lineitem at SF 0.5 ≈ 3M rows → 4 morsels
-        let parallel = lab.engine(4, morsel_rows);
-        let single = lab.engine(4, usize::MAX);
-        for (id, sql) in [(1, queries::Q1), (6, queries::Q6)] {
-            let p = lab.run(&parallel, sql);
-            let s = lab.run(&single, sql);
-            assert!(p.stats.morsels >= 4, "Q{id}: expected a real fan-out");
-            assert!(
-                s.stats.morsels < p.stats.morsels,
-                "Q{id}: single walk should run one morsel per pipeline"
-            );
-            assert!(
-                s.ms() / p.ms() >= 2.0,
-                "Q{id}: morsel executor should be ≥2× faster ({:.3}ms vs {:.3}ms)",
-                s.ms(),
-                p.ms()
-            );
+    fn declared_experiments_are_the_documented_ones() {
+        let declared: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        assert_eq!(declared.len(), EXPERIMENTS.len(), "duplicate name");
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for file in ["EXPERIMENTS.md", "README.md"] {
+            let doc = std::fs::read_to_string(format!("{root}/{file}")).unwrap();
+            let mut documented = quoted(&doc);
+            documented.remove("all");
+            assert_eq!(documented, declared, "{file} vs EXPERIMENTS");
         }
-    }
-
-    #[test]
-    fn morsel_scaling_is_monotone() {
-        // More workers must never make simulated device time worse: the
-        // serial dispatch charge is identical, only stream overlap grows.
-        let lab = MorselLab::new(0.02);
-        for sql in [queries::Q1, queries::Q6] {
-            let times: Vec<f64> = [1, 2, 4]
-                .iter()
-                .map(|&w| lab.run(&lab.engine(w, 15_000), sql).ms())
-                .collect();
-            assert!(
-                times[0] >= times[1] && times[1] >= times[2],
-                "speedup should be monotone 1→2→4 workers: {times:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn memory_sweep_is_monotone_and_exact() {
-        // A4's acceptance bar: shrinking device memory must never crash or
-        // change results — only slow the query down smoothly as work moves
-        // through the pinned and disk tiers.
-        let lab = MemoryLab::new(0.01);
-        let ws = lab.working_set();
-        for sql in [queries::Q1, queries::Q5] {
-            let mut prev_ms = 0.0;
-            let mut rows = None;
-            for (i, factor) in [4.0, 1.0, 0.125].iter().enumerate() {
-                let budget = (ws as f64 * factor) as u64;
-                let run = lab.run(&lab.engine(budget), sql);
-                match rows {
-                    None => rows = Some(run.rows),
-                    Some(r) => assert_eq!(run.rows, r, "cardinality changed at {factor}x"),
-                }
-                assert!(
-                    run.ms() >= prev_ms,
-                    "time must not improve as memory shrinks: {prev_ms:.3}ms then {:.3}ms at {factor}x",
-                    run.ms()
-                );
-                prev_ms = run.ms();
-                if i == 0 {
-                    assert_eq!(
-                        run.spill.bytes_spilled(),
-                        0,
-                        "nothing should spill with 4x the working set"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn helpers() {
-        assert!((extrapolate(10.0, 0.1, 100.0) - 10_000.0).abs() < 1e-9);
-        let mut b = TimeBreakdown::default();
-        b.add(CostCategory::Join, Duration::from_millis(3));
-        b.add(CostCategory::Other, Duration::from_millis(1));
-        assert!((figure5_share(&b, "join") - 0.75).abs() < 1e-9);
-        assert!((figure5_share(&b, "other") - 0.25).abs() < 1e-9);
     }
 }

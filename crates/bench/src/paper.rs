@@ -1,0 +1,273 @@
+//! The paper's own artifacts: Table 1, Figure 1, Figure 4, Figure 5, Table 2.
+
+use crate::lab::{clickhouse_ms, figure5_share, geomean, mib, ms, Lab, NODES};
+use crate::Args;
+use sirius_core::SiriusEngine;
+use sirius_doris::{ClusterConfig, DorisCluster, NodeEngineKind, QueryOutcome};
+use sirius_hw::{catalog as hw, trends};
+use sirius_tpch::queries;
+use std::io::{self, Write};
+
+/// Table 1: comparison of CPU and GPU instances.
+pub fn table1(_: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
+    let cpu = hw::c6a_metal();
+    let gpu = hw::gh200_gpu();
+    writeln!(out, "Table 1: Comparison of CPU and GPU Instances")?;
+    let mut row =
+        |label: &str, cpu: &str, gpu: &str| writeln!(out, "{label:<16} {cpu:>26} {gpu:>26}");
+    row("", "Amazon c6a.metal", "GH200")?;
+    row("", "(AMD EPYC CPU)", "(NVIDIA GPU)")?;
+    row(
+        "Core Count",
+        &format!("{} (vCPUs)", cpu.cores),
+        &format!("{}+ (CUDA cores)", gpu.cores / 1000 * 1000),
+    )?;
+    row(
+        "Memory BW",
+        &format!("~{:.0} GB/s", cpu.memory_bandwidth / 1e9),
+        &format!("{:.0} GB/s (HBM)", gpu.memory_bandwidth / 1e9),
+    )?;
+    row(
+        "Memory Size",
+        &format!("{:.0} GB", cpu.memory_gib()),
+        &format!("{:.0} GB (HBM)", gpu.memory_gib()),
+    )?;
+    row(
+        "Rental Cost",
+        &format!("${}/h (AWS)", cpu.cost_per_hour_usd),
+        &format!("${}/h (Lambda Labs)", gpu.cost_per_hour_usd),
+    )?;
+    writeln!(
+        out,
+        "\npunchline: the GPU instance streams memory {:.1}x faster at {:.0}% of the hourly cost",
+        gpu.memory_bandwidth / cpu.memory_bandwidth,
+        100.0 * gpu.cost_per_hour_usd / cpu.cost_per_hour_usd
+    )
+}
+
+/// Figure 1: recent hardware trends — the four panels as printed series.
+pub fn figure1(_: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "Figure 1: Recent hardware trends\n")?;
+    for series in trends::figure1_series() {
+        writeln!(out, "{} ({})", series.title, series.unit)?;
+        let max = series.points.iter().map(|p| p.value).fold(0.0f64, f64::max);
+        for p in &series.points {
+            let bar = "#".repeat(((p.value / max) * 40.0).ceil() as usize);
+            writeln!(
+                out,
+                "  {:>4}  {:<28} {:>8.1}  {}",
+                p.year, p.label, p.value, bar
+            )?;
+        }
+        writeln!(
+            out,
+            "  growth: {:.0}x overall, {:.0}% CAGR\n",
+            series.growth_factor(),
+            series.cagr() * 100.0
+        )?;
+    }
+    let price = trends::h100_rental_price();
+    writeln!(out, "{} ({})", price.title, price.unit)?;
+    for p in &price.points {
+        writeln!(out, "  {:>4}  {:<28} {:>8.2}", p.year, p.label, p.value)?;
+    }
+    Ok(())
+}
+
+/// Figure 4: TPC-H end-to-end query performance, single node — DuckDB and
+/// ClickHouse on the cost-normalized CPU instance (m7i.16xlarge, $3.2/h) vs
+/// Sirius on the GH200 ($3.2/h), simulated hot runs.
+pub fn figure4(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
+    let sf = lab.sf();
+    let clickhouse = lab.clickhouse();
+    let sirius = lab.load(SiriusEngine::new(hw::gh200_gpu()));
+    writeln!(
+        out,
+        "Figure 4: TPC-H end-to-end query performance (single node)"
+    )?;
+    writeln!(
+        out,
+        "simulated ms at SF {sf}; bracketed = extrapolated to SF100; hot runs, data cached in GPU memory"
+    )?;
+    writeln!(
+        out,
+        "   Q     DuckDB   ClickHse     Sirius     [SF100 ms]    vs Duck      vs CH"
+    )?;
+    let (mut vs_duck, mut vs_clickhouse) = (Vec::new(), Vec::new());
+    for (id, sql) in queries::all() {
+        let duck_ms = lab.duckdb_ms(sql);
+        let ch_ms = clickhouse_ms(&clickhouse, sql);
+        let sirius_ms = lab.run(&sirius, sql).ms();
+        vs_duck.push(duck_ms / sirius_ms);
+        let (ch_cell, vs_ch) = match ch_ms {
+            Ok(c) => {
+                vs_clickhouse.push(c / sirius_ms);
+                (format!("{c:>10.2}"), format!("{:>9.1}x", c / sirius_ms))
+            }
+            Err(why) => (format!("{why:>10}"), format!("{:>10}", "-")),
+        };
+        writeln!(
+            out,
+            "{:>4} {duck_ms:>10.2} {ch_cell} {sirius_ms:>10.2}   {:>12.0} {:>9.1}x {vs_ch}",
+            format!("Q{id}"),
+            sirius_ms * 100.0 / sf,
+            duck_ms / sirius_ms,
+        )?;
+    }
+    writeln!(
+        out,
+        "\ngeomean speedup: Sirius vs DuckDB {:.1}x (paper: 7x), vs ClickHouse {:.1}x (paper: 20x)",
+        geomean(&vs_duck),
+        geomean(&vs_clickhouse),
+    )?;
+    writeln!(
+        out,
+        "ClickHouse annotations — DNF: did not finish (time budget); n/s: not supported"
+    )
+}
+
+/// Figure 5: each query's share of simulated GPU time per operator category
+/// (the paper's stacked bars as rows), plus the morsel-scheduler counters
+/// and the memory-pressure telemetry of the run.
+pub fn figure5(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
+    const CATEGORIES: [&str; 6] = [
+        "join",
+        "group-by",
+        "filter",
+        "aggregate",
+        "order-by",
+        "other",
+    ];
+    let engine = lab.load(SiriusEngine::new(hw::gh200_gpu()));
+    writeln!(
+        out,
+        "Figure 5: performance breakdown in Sirius (share of simulated GPU time)"
+    )?;
+    write!(out, "{:>4}", "Q")?;
+    for c in CATEGORIES {
+        write!(out, " {c:>9}")?;
+    }
+    writeln!(
+        out,
+        "  morsels  tasks  util   hwm MiB  frag spill MiB   dominant"
+    )?;
+    for (id, sql) in queries::all() {
+        let run = lab.run(&engine, sql);
+        let pool = engine.buffer_manager().regions().processing().stats();
+        write!(out, "{:>4}", format!("Q{id}"))?;
+        let mut dominant = ("other", 0.0f64);
+        for c in CATEGORIES {
+            let share = figure5_share(&run.breakdown, c);
+            if share > dominant.1 {
+                dominant = (c, share);
+            }
+            write!(out, " {:>8.1}%", share * 100.0)?;
+        }
+        writeln!(
+            out,
+            " {:>8} {:>6} {:>4.0}% {:>9.2} {:>4.0}% {:>9.2}   {}",
+            run.morsels.morsels,
+            run.morsels.tasks,
+            run.morsels.worker_utilization() * 100.0,
+            mib(pool.high_watermark),
+            pool.fragmentation() * 100.0,
+            mib(run.spill.bytes_spilled()),
+            dominant.0
+        )?;
+    }
+    writeln!(
+        out,
+        "\npaper expectations: joins dominate Q2-Q5/Q7-Q9/Q20-Q22; group-by visible in \
+         Q1/Q10/Q16/Q18; filter dominates Q6/Q19 and is large in Q13; the pool high \
+         watermark tracks each query's largest pipeline-breaker working set"
+    )
+}
+
+/// Table 2: the paper's Q1/Q3/Q6 subset on three 4-node clusters over the
+/// same partitioned data — vanilla Doris (CPU), distributed ClickHouse
+/// (CPU, FROM-order plans) and Sirius-accelerated Doris (A100 per node,
+/// NCCL exchange) — then the same subset with one node killed.
+pub fn table2(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
+    let sf = lab.sf();
+    let build = |kind| lab.cluster(kind, ClusterConfig::for_world(NODES));
+    let doris = build(NodeEngineKind::DorisCpu);
+    let clickhouse = build(NodeEngineKind::ClickHouseCpu);
+    let sirius = build(NodeEngineKind::SiriusGpu);
+    writeln!(
+        out,
+        "Table 2: TPC-H end-to-end query performance, distributed (extrapolated to SF100 ms; \
+         compute/exchange scale with data, coordinator overhead does not — run at SF {sf})"
+    )?;
+    writeln!(
+        out,
+        "   Q      Doris   ClickHse     Sirius |   Compute  Exchange     Other    speedup"
+    )?;
+    // Data-dependent parts extrapolate linearly with SF; coordination and
+    // dispatch do not (the paper: "this overhead does not scale with the
+    // data size").
+    let scale = 100.0 / sf;
+    let x100 = |o: &QueryOutcome| {
+        let compute = ms(o.compute()) * scale;
+        let exchange = ms(o.exchange()) * scale;
+        let other = ms(o.other());
+        (compute, exchange, other, compute + exchange + other)
+    };
+    let ask = |cluster: &DorisCluster, who: &str, id: u32, sql: &str| {
+        let outcome = cluster.sql(sql);
+        outcome.unwrap_or_else(|e| panic!("Q{id} {who}: {e}"))
+    };
+    for (id, sql) in queries::distributed_subset() {
+        let d = ask(&doris, "doris", id, sql);
+        let c = ask(&clickhouse, "clickhouse", id, sql);
+        let s = ask(&sirius, "sirius", id, sql);
+        // The engines must agree before we compare times.
+        assert_eq!(
+            d.table.canonical_rows().len(),
+            s.table.canonical_rows().len(),
+            "Q{id}: doris vs sirius row count"
+        );
+        let (sc, se, so, st) = x100(&s);
+        let (.., dt) = x100(&d);
+        let (.., ct) = x100(&c);
+        writeln!(
+            out,
+            "{:>4} {dt:>10.0} {ct:>10.0} {st:>10.0} | {sc:>9.0} {se:>9.0} {so:>9.0}   {:>7.1}x",
+            format!("Q{id}"),
+            dt / st,
+        )?;
+    }
+    writeln!(
+        out,
+        "\npaper expectations: Sirius 12.5x/2.5x/2.4x vs Doris on Q1/Q3/Q6; Q3 dominated by \
+         exchange (both orders and lineitem shuffle); Q1/Q6 dominated by coordinator 'Other'; \
+         distributed ClickHouse collapses on the join-heavy Q3"
+    )?;
+
+    // Recovery counters (failure/retry/degradation), surfaced by re-running
+    // the subset against a Sirius cluster that loses node 2 mid-flight.
+    writeln!(
+        out,
+        "\nrecovery: same subset with node 2 killed before dispatch"
+    )?;
+    let wounded = build(NodeEngineKind::SiriusGpu);
+    wounded.heartbeats().mark_down(2);
+    for (id, sql) in queries::distributed_subset() {
+        let s = ask(&wounded, "recovery", id, sql);
+        let r = &s.recovery;
+        writeln!(
+            out,
+            "{:>4} {:>10.0} ms | retries={} reschedules={} world_shrinks={} \
+             cpu_fallbacks={} cancelled={} temps_reaped={} (world now {})",
+            format!("Q{id}"),
+            ms(s.total()),
+            r.retries,
+            r.reschedules,
+            r.world_shrinks,
+            r.cpu_fallbacks,
+            r.cancelled_fragments,
+            r.temps_reaped,
+            wounded.world(),
+        )?;
+    }
+    Ok(())
+}

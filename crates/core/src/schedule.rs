@@ -7,7 +7,7 @@
 //! so independent pipelines (e.g. the build sides of a multi-way join)
 //! overlap in the stream-aware time ledger. [`Scheduling::Serialized`] runs
 //! one pipeline per wave, reproducing the recursion-order baseline for the
-//! `ablation_pipelines` experiment.
+//! `repro pipelines` experiment.
 //!
 //! The scheduler runs the compiled artifact itself. A [`QueryRun`] holds
 //! the plan by `Arc`; a wave's morsel tasks share it and walk the

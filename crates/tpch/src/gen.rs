@@ -48,7 +48,6 @@ impl TpchData {
 pub struct TpchGenerator {
     sf: f64,
     seed: u64,
-    dictionary: bool,
 }
 
 const START_DATE: (i32, u32, u32) = (1992, 1, 1);
@@ -60,21 +59,12 @@ impl TpchGenerator {
         Self {
             sf: scale_factor,
             seed: 0x5151_u64,
-            dictionary: true,
         }
     }
 
     /// Override the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Toggle dictionary encoding of string columns (default on). The
-    /// decoded form is the ablation baseline; values are identical either
-    /// way, only the physical layout differs.
-    pub fn with_dictionary(mut self, dictionary: bool) -> Self {
-        self.dictionary = dictionary;
         self
     }
 
@@ -459,13 +449,11 @@ impl TpchGenerator {
             ));
         }
 
-        // Strings ship dictionary-encoded by default: operators run on
-        // 4-byte codes and the engine materializes payload bytes only at
-        // the result sink (late materialization).
-        if self.dictionary {
-            for (_, t) in &mut tables {
-                *t = t.encode_strings();
-            }
+        // Strings ship dictionary-encoded: operators run on 4-byte codes and
+        // the engine materializes payload bytes only at the result sink
+        // (late materialization). `TpchData::decoded` is the plain twin.
+        for (_, t) in &mut tables {
+            *t = t.encode_strings();
         }
 
         TpchData {
@@ -611,21 +599,22 @@ mod tests {
     }
 
     #[test]
-    fn strings_are_dictionary_encoded_by_default() {
+    fn strings_are_dictionary_encoded_and_decode_to_the_plain_twin() {
         let enc = tiny();
         assert!(
             enc.tables().iter().any(|(_, t)| t.has_dict_columns()),
-            "default generation must emit encoded string columns"
+            "generation must emit encoded string columns"
         );
-        let plain = TpchGenerator::new(0.002).with_dictionary(false).generate();
+        let plain = enc.decoded();
         assert!(plain.tables().iter().all(|(_, t)| !t.has_dict_columns()));
-        // Same values, different physical layout; and encoded is smaller.
+        // Same names, row counts and values; only the physical layout
+        // differs, and encoded is smaller.
         for ((ne, te), (np, tp)) in enc.tables().iter().zip(plain.tables().iter()) {
             assert_eq!(ne, np);
-            assert_eq!(&te.decode_strings(), tp, "{ne} values differ");
+            assert_eq!(te.num_rows(), tp.num_rows());
+            assert_eq!(&tp.encode_strings(), te, "{ne} values differ");
         }
         assert!(enc.total_bytes() < plain.total_bytes());
-        assert_eq!(enc.decoded().total_bytes(), plain.total_bytes());
     }
 
     #[test]
