@@ -51,6 +51,26 @@ impl<T: Copy> PrimitiveArray<T> {
         }
     }
 
+    /// Build from a value buffer plus an optional validity bitmap, keeping
+    /// the output rule every kernel relies on: a validity bitmap is present
+    /// iff some element is null, and null slots hold `T::default()`.
+    pub fn from_parts(mut values: Vec<T>, validity: Option<Bitmap>) -> Self
+    where
+        T: Default,
+    {
+        let validity = validity.filter(|v| v.count_set() < v.len());
+        if let Some(v) = &validity {
+            assert_eq!(v.len(), values.len(), "validity length mismatch");
+            for i in v.not().set_indices() {
+                values[i] = T::default();
+            }
+        }
+        Self {
+            values: Arc::new(values),
+            validity,
+        }
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -97,6 +117,21 @@ impl<T: Copy> PrimitiveArray<T> {
             values: Arc::new(values),
             validity,
         }
+    }
+
+    /// Gather with optional indices: `None` (or a null source element)
+    /// produces a null.
+    pub fn gather_opt(&self, indices: &[Option<usize>]) -> PrimitiveArray<T>
+    where
+        T: Default,
+    {
+        let live = |ix: &Option<usize>| ix.filter(|&i| self.is_valid(i));
+        let values = indices
+            .iter()
+            .map(|ix| live(ix).map_or_else(T::default, |i| self.values[i]))
+            .collect();
+        let validity = Bitmap::from_iter(indices.iter().map(|ix| live(ix).is_some()));
+        PrimitiveArray::from_parts(values, Some(validity))
     }
 
     /// Iterate as `Option<T>`.
@@ -168,6 +203,22 @@ impl BoolArray {
         }
     }
 
+    /// Build from a value bitmap plus an optional validity bitmap, keeping
+    /// the output rule every kernel relies on: a validity bitmap is present
+    /// iff some element is null, and null slots hold `false`.
+    pub fn from_parts(values: Bitmap, validity: Option<Bitmap>) -> Self {
+        match validity.filter(|v| v.count_set() < v.len()) {
+            Some(v) => Self {
+                values: values.and(&v),
+                validity: Some(v),
+            },
+            None => Self {
+                values,
+                validity: None,
+            },
+        }
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -181,6 +232,16 @@ impl BoolArray {
     /// True if element `i` is non-null.
     pub fn is_valid(&self, i: usize) -> bool {
         self.validity.as_ref().map(|v| v.get(i)).unwrap_or(true)
+    }
+
+    /// The value bits (null slots hold `false`; check validity).
+    pub fn values(&self) -> &Bitmap {
+        &self.values
+    }
+
+    /// The validity bitmap, if any nulls.
+    pub fn validity(&self) -> Option<&Bitmap> {
+        self.validity.as_ref()
     }
 
     /// Element `i`, `None` if null.
@@ -381,9 +442,21 @@ impl Array {
         }
     }
 
+    /// The validity bitmap, if any element is null.
+    pub fn validity(&self) -> Option<&Bitmap> {
+        match self {
+            Array::Bool(a) => a.validity(),
+            Array::Int32(a) | Array::Date32(a) => a.validity(),
+            Array::Int64(a) => a.validity(),
+            Array::Float64(a) => a.validity(),
+            Array::Utf8(a) => a.validity(),
+            Array::Dict(a) => a.validity(),
+        }
+    }
+
     /// Number of null elements.
     pub fn null_count(&self) -> usize {
-        (0..self.len()).filter(|&i| !self.is_valid(i)).count()
+        self.validity().map_or(0, |v| v.len() - v.count_set())
     }
 
     /// Heap bytes held by this column's buffers. For dictionary-encoded
@@ -575,15 +648,15 @@ impl Array {
     /// Gather with optional indices: `None` produces a null (outer joins).
     pub fn gather_opt(&self, indices: &[Option<usize>]) -> Array {
         match self {
+            Array::Bool(a) => Array::Bool(BoolArray::from_options(
+                indices.iter().map(|ix| ix.and_then(|i| a.value(i))),
+            )),
+            Array::Int32(a) => Array::Int32(a.gather_opt(indices)),
+            Array::Int64(a) => Array::Int64(a.gather_opt(indices)),
+            Array::Float64(a) => Array::Float64(a.gather_opt(indices)),
             Array::Utf8(a) => Array::Utf8(a.gather_opt(indices)),
             Array::Dict(a) => Array::Dict(a.gather_opt(indices)),
-            _ => {
-                let scalars: Vec<Scalar> = indices
-                    .iter()
-                    .map(|ix| ix.map(|i| self.scalar(i)).unwrap_or(Scalar::Null))
-                    .collect();
-                Array::from_scalars(&scalars, self.data_type())
-            }
+            Array::Date32(a) => Array::Date32(a.gather_opt(indices)),
         }
     }
 
@@ -744,7 +817,75 @@ mod tests {
         assert_eq!(sel.set_indices(), vec![0, 3]);
     }
 
+    /// `Array::gather_opt` as it was before PR 17 for every fixed-width
+    /// column: one `Scalar` per output row, re-parsed by `from_scalars`.
+    fn gather_opt_reference(a: &Array, indices: &[Option<usize>]) -> Array {
+        let scalars: Vec<Scalar> = indices
+            .iter()
+            .map(|ix| ix.map(|i| a.scalar(i)).unwrap_or(Scalar::Null))
+            .collect();
+        Array::from_scalars(&scalars, a.data_type())
+    }
+
+    #[test]
+    fn from_parts_keeps_the_output_rule() {
+        // All-set validity is dropped; null slots are zeroed.
+        let all = PrimitiveArray::from_parts(vec![1i64, 2], Some(Bitmap::all_set(2)));
+        assert!(all.validity().is_none());
+        let some =
+            PrimitiveArray::from_parts(vec![1.5f64, 2.5], Some(Bitmap::from_iter([false, true])));
+        assert_eq!(some.values(), &[0.0, 2.5]);
+        assert_eq!(some.value(0), None);
+        let bits = BoolArray::from_parts(
+            Bitmap::all_set(3),
+            Some(Bitmap::from_iter([true, false, true])),
+        );
+        assert_eq!(bits.values().set_indices(), vec![0, 2]);
+        assert!(
+            BoolArray::from_parts(Bitmap::all_set(3), Some(Bitmap::all_set(3)))
+                .validity()
+                .is_none()
+        );
+    }
+
     proptest! {
+        #[test]
+        fn prop_gather_opt_matches_the_scalar_reference(
+            values in proptest::collection::vec(proptest::option::of(any::<i64>()), 1..60),
+            picks in proptest::collection::vec(proptest::option::of(any::<usize>()), 0..80),
+        ) {
+            let indices: Vec<Option<usize>> =
+                picks.iter().map(|p| p.map(|i| i % values.len())).collect();
+            let typed = |f: &dyn Fn(i64) -> Scalar, t: DataType| {
+                let scalars: Vec<Scalar> =
+                    values.iter().map(|v| v.map_or(Scalar::Null, f)).collect();
+                Array::from_scalars(&scalars, t)
+            };
+            let columns = [
+                typed(&|v| Scalar::Bool(v & 1 == 1), DataType::Bool),
+                typed(&|v| Scalar::Int32(v as i32), DataType::Int32),
+                typed(&Scalar::Int64, DataType::Int64),
+                typed(&|v| Scalar::Float64(f64::from_bits(v as u64)), DataType::Float64),
+                typed(&|v| Scalar::Date32(v as i32), DataType::Date32),
+                typed(&|v| Scalar::Utf8((v % 7).to_string()), DataType::Utf8),
+                typed(&|v| Scalar::Utf8((v % 7).to_string()), DataType::Utf8).dict_encode(),
+            ];
+            for column in &columns {
+                let got = column.gather_opt(&indices);
+                let expected = gather_opt_reference(column, &indices);
+                prop_assert_eq!(got.len(), expected.len());
+                for i in 0..got.len() {
+                    let (g, e) = (got.scalar(i), expected.scalar(i));
+                    // Scalar equality is total_cmp on floats: NaN payloads count.
+                    prop_assert_eq!(g, e, "{:?} row {}", column.data_type(), i);
+                }
+                prop_assert_eq!(got.is_dict(), column.is_dict());
+                if !column.is_dict() {
+                    prop_assert_eq!(got.byte_size(), expected.byte_size());
+                }
+            }
+        }
+
         #[test]
         fn prop_gather_matches_scalar_access(
             values in proptest::collection::vec(any::<i64>(), 1..80),

@@ -30,19 +30,22 @@ impl Bitmap {
         }
     }
 
-    /// Build from an iterator of booleans.
-    #[allow(clippy::should_implement_trait)]
+    /// Build from an iterator of booleans, a word at a time.
+    #[allow(clippy::should_implement_trait)] // it is, below; this one needs no import
     pub fn from_iter(iter: impl IntoIterator<Item = bool>) -> Self {
-        let mut words: Vec<u64> = Vec::new();
-        let mut len = 0usize;
+        let iter = iter.into_iter();
+        let mut words: Vec<u64> = Vec::with_capacity(iter.size_hint().0.div_ceil(64));
+        let (mut word, mut len) = (0u64, 0usize);
         for b in iter {
-            if len.is_multiple_of(64) {
-                words.push(0);
-            }
-            if b {
-                *words.last_mut().expect("word pushed") |= 1u64 << (len % 64);
-            }
+            word |= (b as u64) << (len % 64);
             len += 1;
+            if len.is_multiple_of(64) {
+                words.push(word);
+                word = 0;
+            }
+        }
+        if !len.is_multiple_of(64) {
+            words.push(word);
         }
         Self {
             words: Arc::new(words),
@@ -146,6 +149,12 @@ impl Bitmap {
     /// Approximate heap size in bytes (the word buffer).
     pub fn byte_size(&self) -> usize {
         self.words.len() * 8
+    }
+}
+
+impl FromIterator<bool> for Bitmap {
+    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
+        Bitmap::from_iter(iter)
     }
 }
 

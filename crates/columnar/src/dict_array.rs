@@ -289,7 +289,7 @@ impl DictionaryArray {
     /// buys order-correct comparisons on codes for the whole column.
     pub fn value_ranks(&self) -> Vec<i32> {
         let mut order: Vec<usize> = (0..self.values.len()).collect();
-        order.sort_by_key(|&d| {
+        order.sort_by_cached_key(|&d| {
             self.values
                 .value(d)
                 .expect("dictionary entries are non-null")

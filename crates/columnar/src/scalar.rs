@@ -143,13 +143,14 @@ impl Ord for Scalar {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Utf8(a), Utf8(b)) => a.cmp(b),
             (Date32(a), Date32(b)) => a.cmp(b),
-            // Cross-numeric comparisons go through f64, exact for the
-            // magnitudes the engines produce (< 2^53).
-            (a, b) if a.as_f64().is_some() && b.as_f64().is_some() => {
-                let (x, y) = (a.as_f64().expect("numeric"), b.as_f64().expect("numeric"));
-                x.total_cmp(&y)
-            }
-            (a, b) => a.rank().cmp(&b.rank()),
+            // Integers of either width compare exactly, as they hash.
+            (Int32(_) | Int64(_), Int32(_) | Int64(_)) => self.as_i64().cmp(&other.as_i64()),
+            // Every other numeric pairing (a float on either side, a date
+            // against a number) goes through f64.
+            (a, b) => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) => x.total_cmp(&y),
+                _ => a.rank().cmp(&b.rank()),
+            },
         }
     }
 }
@@ -344,6 +345,46 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
         assert!(Scalar::Int32(1) < Scalar::Int64(2));
+    }
+
+    #[test]
+    fn wide_integers_compare_exactly() {
+        let (a, b) = (Scalar::Int64(1 << 53), Scalar::Int64((1 << 53) + 1));
+        assert_ne!(a, b);
+        assert!(a < b);
+        assert_eq!(Scalar::Int32(7), Scalar::Int64(7));
+        assert!(Scalar::Int32(i32::MAX) < Scalar::Int64(i32::MAX as i64 + 1));
+        // Mixed integer / float stays on f64.
+        assert_eq!(Scalar::Int64(7), Scalar::Float64(7.0));
+    }
+
+    #[test]
+    fn equal_integer_scalars_hash_equal() {
+        let samples = [
+            i64::MIN,
+            -1,
+            0,
+            1,
+            7,
+            i32::MAX as i64,
+            1 << 53,
+            (1 << 53) + 1,
+        ];
+        let scalars: Vec<Scalar> = samples
+            .iter()
+            .flat_map(|&v| {
+                let narrow = i32::try_from(v).ok().map(Scalar::Int32);
+                narrow.into_iter().chain([Scalar::Int64(v)])
+            })
+            .collect();
+        for a in &scalars {
+            for b in &scalars {
+                assert_eq!(a == b, a.as_i64() == b.as_i64(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

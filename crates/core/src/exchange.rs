@@ -8,11 +8,10 @@
 
 use crate::{Result, SiriusError};
 use sirius_columnar::{Array, Table};
-use sirius_cudf::hash::{FxBuildHasher, Key};
+use sirius_cudf::hash::row_hashes;
 use sirius_hw::{CostCategory, Device, FaultInjector};
 use sirius_nccl::{CancelToken, Communicator, NcclError};
 use sirius_plan::ExchangeKind;
-use std::hash::BuildHasher;
 
 /// Classify an NCCL-layer error into the engine taxonomy. Dropped sends and
 /// receive timeouts are retryable ([`SiriusError::ExchangeTimeout`]);
@@ -131,11 +130,12 @@ impl ExchangeService {
 /// and the distributed planner use this same function, so co-partitioning
 /// assumptions hold across the system.
 pub fn partition_by_hash(table: &Table, keys: &[Array], world: usize) -> Vec<Table> {
-    let hasher = FxBuildHasher::default();
+    let key_refs: Vec<&Array> = keys.iter().collect();
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); world];
-    for row in 0..table.num_rows() {
-        let key: Key = keys.iter().map(|k| k.scalar(row)).collect();
-        let h = hasher.hash_one(&key);
+    for (row, h) in row_hashes(&key_refs, table.num_rows(), None)
+        .iter()
+        .enumerate()
+    {
         buckets[(h % world as u64) as usize].push(row);
     }
     buckets
@@ -147,7 +147,7 @@ pub fn partition_by_hash(table: &Table, keys: &[Array], world: usize) -> Vec<Tab
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirius_columnar::{DataType, Field, Schema};
+    use sirius_columnar::{DataType, Field, Scalar, Schema};
     use sirius_hw::catalog;
     use sirius_nccl::NcclCluster;
 
@@ -156,6 +156,70 @@ mod tests {
             Schema::new(vec![Field::new("k", DataType::Int64)]),
             vec![Array::from_i64(values)],
         )
+    }
+
+    /// `partition_by_hash` as it was before PR 17: a `Vec<Scalar>` key per
+    /// row through `FxBuildHasher::hash_one`. Node sizes drive the exchange
+    /// ledger, so the column-at-a-time routing hash must agree row for row.
+    fn scalar_key_nodes(table: &Table, keys: &[Array], world: usize) -> Vec<usize> {
+        use std::hash::BuildHasher;
+        let hasher = sirius_cudf::hash::FxBuildHasher::default();
+        (0..table.num_rows())
+            .map(|row| {
+                let key: Vec<Scalar> = keys.iter().map(|k| k.scalar(row)).collect();
+                (hasher.hash_one(&key) % world as u64) as usize
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_rows_reach_the_nodes_scalar_keys_sent_them_to(
+            values in proptest::collection::vec(
+                proptest::option::of((proptest::prelude::any::<i64>(), 0usize..6)),
+                0..80,
+            ),
+        ) {
+            let column = |f: &dyn Fn(i64, usize) -> Scalar, t: DataType| {
+                let scalars: Vec<Scalar> =
+                    values.iter().map(|v| v.map_or(Scalar::Null, |(a, b)| f(a, b))).collect();
+                Array::from_scalars(&scalars, t)
+            };
+            let words = ["", "a", "b", "ab", "BUILDING", "naïve"];
+            let columns = vec![
+                Array::from_i64(0..values.len() as i64),
+                column(&|a, _| Scalar::Int64(a), DataType::Int64),
+                column(&|_, b| Scalar::Int32(b as i32), DataType::Int32),
+                column(&|a, _| Scalar::Float64(f64::from_bits(a as u64)), DataType::Float64),
+                column(&|a, _| Scalar::Date32(a as i32), DataType::Date32),
+                column(&|a, _| Scalar::Bool(a & 1 == 1), DataType::Bool),
+                column(&|_, b| Scalar::Utf8(words[b].into()), DataType::Utf8),
+                column(&|_, b| Scalar::Utf8(words[b].into()), DataType::Utf8).dict_encode(),
+            ];
+            let fields = (columns.iter().enumerate())
+                .map(|(i, c)| Field::new(format!("c{i}"), c.data_type()))
+                .collect();
+            let table = Table::new(Schema::new(fields), columns);
+            for key_columns in [vec![1], vec![2], vec![6], vec![7], vec![3, 4], vec![5, 7, 1]] {
+                let keys: Vec<Array> =
+                    key_columns.iter().map(|&c| table.column(c).clone()).collect();
+                for world in 1..=5 {
+                    let expected = scalar_key_nodes(&table, &keys, world);
+                    let parts = partition_by_hash(&table, &keys, world);
+                    proptest::prop_assert_eq!(parts.len(), world);
+                    for (node, part) in parts.iter().enumerate() {
+                        let rows: Vec<usize> = (0..part.num_rows())
+                            .filter_map(|i| part.column(0).i64_value(i))
+                            .map(|row| row as usize)
+                            .collect();
+                        let sent: Vec<usize> = (0..values.len())
+                            .filter(|&row| expected[row] == node)
+                            .collect();
+                        proptest::prop_assert_eq!(rows, sent, "world {} node {}", world, node);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

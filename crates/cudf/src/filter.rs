@@ -35,8 +35,16 @@ pub fn gather(ctx: &GpuContext, table: &Table, indices: &[i32]) -> Table {
 
 /// Gather with null introduction (`None` index ⇒ null row), for outer joins.
 pub fn gather_opt(ctx: &GpuContext, table: &Table, indices: &[Option<i32>]) -> Table {
-    let idx: Vec<Option<usize>> = indices.iter().map(|o| o.map(|i| i as usize)).collect();
-    let columns: Vec<Array> = table.columns().iter().map(|c| c.gather_opt(&idx)).collect();
+    let some = |o: &Option<i32>| o.map(|i| i as usize);
+    // No padding to introduce (the right side of an inner join): a plain
+    // gather produces the same columns from 8-byte indices.
+    let columns: Vec<Array> = match indices.iter().map(some).collect::<Option<Vec<usize>>>() {
+        Some(idx) => table.columns().iter().map(|c| c.gather(&idx)).collect(),
+        None => {
+            let idx: Vec<Option<usize>> = indices.iter().map(some).collect();
+            table.columns().iter().map(|c| c.gather_opt(&idx)).collect()
+        }
+    };
     let mut schema = table.schema().clone();
     for f in &mut schema.fields {
         f.nullable = true;
@@ -95,6 +103,34 @@ mod tests {
         assert_eq!(out.num_rows(), 3);
         assert_eq!(out.column(1).utf8_value(0), Some("c"));
         assert_eq!(out.column(1).utf8_value(1), Some("a"));
+    }
+
+    proptest::proptest! {
+        /// With or without padding rows, every column is what the typed
+        /// `Array::gather_opt` produces for the same indices.
+        #[test]
+        fn prop_gather_opt_is_columnwise_gather_opt(
+            seed in proptest::prelude::any::<u64>(),
+            rows in 1usize..40,
+            picks in proptest::collection::vec(proptest::option::of(0usize..1000), 0..60),
+            padded in proptest::prelude::any::<bool>(),
+        ) {
+            use crate::reference::{same_values, table_of, Gen, KINDS};
+            let mut g = Gen(seed);
+            let table = table_of(KINDS.iter().map(|&k| g.column(k, rows, true)).collect());
+            let indices: Vec<Option<i32>> = picks
+                .iter()
+                .map(|p| p.or((!padded).then_some(0)).map(|i| (i % rows) as i32))
+                .collect();
+            let out = gather_opt(&test_ctx(), &table, &indices);
+            let idx: Vec<Option<usize>> = indices.iter().map(|o| o.map(|i| i as usize)).collect();
+            for (got, source) in out.columns().iter().zip(table.columns()) {
+                let expected = source.gather_opt(&idx);
+                proptest::prop_assert!(same_values(got, &expected), "{:?} vs {:?}", got, expected);
+                proptest::prop_assert_eq!(got.byte_size(), expected.byte_size());
+                proptest::prop_assert_eq!(got.is_dict(), expected.is_dict());
+            }
+        }
     }
 
     #[test]

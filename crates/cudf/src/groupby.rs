@@ -1,11 +1,23 @@
 //! Group-by kernels: hash-based for fixed-width keys, sort-based for string
 //! keys (libcudf's behaviour, which the paper identifies as the source of
 //! the Q10/Q18 group-by overhead in Figure 5).
+//!
+//! [`group_by`] runs in three steps. *Assign*: the key columns are encoded
+//! once ([`crate::hash::row_keys`]) and every row gets a dense group id in
+//! first-appearance order. *Accumulate*: each aggregate walks its input
+//! column once, rows ascending (so float sums keep their bits), into a typed
+//! `Vec<i64>` / `Vec<f64>` / best-row-index state indexed by group id.
+//! *Materialise*: key columns are gathered from each group's first row and,
+//! on the sort path, every output column is put in key order. At PR 17 this
+//! took `cudf.groupby_mrows_s` from 10.8 to 260.
 
-use crate::hash::{key_bytes, row_keys, FxHashMap, FxHashSet, Key};
+use crate::binary::{float_lane, int_lane, Datum, Lane};
+use crate::hash::{key_bytes, row_keys, FxHashSet};
+use crate::sort::compare_cells;
 use crate::{GpuContext, KernelError, Result};
-use sirius_columnar::{Array, DataType, PrimitiveArray, Scalar};
+use sirius_columnar::{Array, Bitmap, DataType, PrimitiveArray, Scalar};
 use sirius_hw::WorkProfile;
+use std::cmp::Ordering;
 
 /// Aggregate function kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,119 +63,6 @@ pub struct AggRequest<'a> {
     pub input: Option<&'a Array>,
 }
 
-/// Accumulating state for one aggregate within one group.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    Distinct(FxHashSet<Scalar>),
-    SumI(i64, bool),
-    SumF(f64, bool),
-    MinMax(Option<Scalar>),
-    Avg(f64, i64),
-}
-
-impl AggState {
-    fn new(kind: AggKind, input_type: Option<DataType>) -> AggState {
-        match kind {
-            AggKind::CountStar | AggKind::Count => AggState::Count(0),
-            AggKind::CountDistinct => AggState::Distinct(FxHashSet::default()),
-            AggKind::Sum => match input_type {
-                Some(DataType::Float64) => AggState::SumF(0.0, false),
-                _ => AggState::SumI(0, false),
-            },
-            AggKind::Min | AggKind::Max => AggState::MinMax(None),
-            AggKind::Avg => AggState::Avg(0.0, 0),
-        }
-    }
-
-    fn update(&mut self, kind: AggKind, value: Option<Scalar>) {
-        match self {
-            AggState::Count(c) => {
-                let counts = match kind {
-                    AggKind::CountStar => true,
-                    _ => value.map(|v| !v.is_null()).unwrap_or(false),
-                };
-                if counts {
-                    *c += 1;
-                }
-            }
-            AggState::Distinct(set) => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        set.insert(v);
-                    }
-                }
-            }
-            AggState::SumI(s, seen) => {
-                if let Some(v) = value.and_then(|v| v.as_i64()) {
-                    *s += v;
-                    *seen = true;
-                }
-            }
-            AggState::SumF(s, seen) => {
-                if let Some(v) = value.and_then(|v| v.as_f64()) {
-                    *s += v;
-                    *seen = true;
-                }
-            }
-            AggState::MinMax(cur) => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        let replace = match cur {
-                            None => true,
-                            Some(c) => {
-                                if kind == AggKind::Min {
-                                    v < *c
-                                } else {
-                                    v > *c
-                                }
-                            }
-                        };
-                        if replace {
-                            *cur = Some(v);
-                        }
-                    }
-                }
-            }
-            AggState::Avg(s, n) => {
-                if let Some(v) = value.and_then(|v| v.as_f64()) {
-                    *s += v;
-                    *n += 1;
-                }
-            }
-        }
-    }
-
-    fn finish(self) -> Scalar {
-        match self {
-            AggState::Count(c) => Scalar::Int64(c),
-            AggState::Distinct(set) => Scalar::Int64(set.len() as i64),
-            AggState::SumI(s, seen) => {
-                if seen {
-                    Scalar::Int64(s)
-                } else {
-                    Scalar::Null
-                }
-            }
-            AggState::SumF(s, seen) => {
-                if seen {
-                    Scalar::Float64(s)
-                } else {
-                    Scalar::Null
-                }
-            }
-            AggState::MinMax(cur) => cur.unwrap_or(Scalar::Null),
-            AggState::Avg(s, n) => {
-                if n > 0 {
-                    Scalar::Float64(s / n as f64)
-                } else {
-                    Scalar::Null
-                }
-            }
-        }
-    }
-}
-
 /// Group-by output: key columns followed by one column per aggregate, with
 /// one row per group.
 pub struct GroupByResult {
@@ -188,33 +87,69 @@ pub fn group_by(
     num_rows: usize,
 ) -> Result<GroupByResult> {
     let sort_based = keys.iter().any(|k| k.data_type() == DataType::Utf8);
+    let out_types: Vec<DataType> = aggs
+        .iter()
+        .map(|a| a.kind.result_type(a.input.map(|c| c.data_type())))
+        .collect::<Result<_>>()?;
 
-    // Dictionary-encoded key columns contribute 4-byte rank proxies instead
-    // of decoded strings: `rank[code]` equates and orders exactly like the
-    // value it encodes, so group assignment and the sort-based output order
-    // are unchanged while per-row `Key` clones stop carrying payload bytes.
-    // The one-time dictionary sort that produces the ranks is charged below.
+    // Assign each row a dense group id, remembering the first row where
+    // each group appeared (its representative, for key materialization).
+    let proxies = dict_rank_proxies(ctx, keys);
+    let proxy_refs: Vec<&Array> = (keys.iter().zip(&proxies))
+        .map(|(k, p)| p.as_ref().unwrap_or(k))
+        .collect();
+    let groups = row_keys(&proxy_refs, num_rows).dense_ids();
+    let num_groups = groups.first_rows.len();
+    let order = output_order(ctx, &proxy_refs, &groups.first_rows, sort_based, num_rows);
+
+    // Materialize key columns by gathering each group's representative row
+    // from the original arrays: values match the first-appearance scalars
+    // and dictionary-encoded keys stay encoded in the output.
+    let rep_rows: Vec<usize> = order.iter().map(|&g| groups.first_rows[g]).collect();
+    let key_columns: Vec<Array> = keys.iter().map(|k| k.gather(&rep_rows)).collect();
+    let agg_columns: Vec<Array> = (aggs.iter().zip(out_types))
+        .map(|(a, out)| {
+            let by_id = accumulate(a, out, &groups.ids, num_groups)?;
+            Ok(if sort_based {
+                by_id.gather(&order)
+            } else {
+                by_id
+            })
+        })
+        .collect::<Result<_>>()?;
+
+    charge_group_by(ctx, keys, aggs, num_rows, num_groups, sort_based);
+    Ok(GroupByResult {
+        key_columns,
+        agg_columns,
+        num_groups,
+        sort_based,
+    })
+}
+
+/// Dictionary-encoded key columns contribute 4-byte rank proxies instead of
+/// decoded strings: `rank[code]` equates and orders exactly like the value
+/// it encodes, so group assignment and the sort-based output order are
+/// unchanged while the encoded keys stop carrying payload bytes. The
+/// one-time dictionary sort that produces the ranks is charged here.
+fn dict_rank_proxies(ctx: &GpuContext, keys: &[&Array]) -> Vec<Option<Array>> {
     let mut dict_sort_bytes = 0u64;
     let mut dict_entries = 0u64;
-    let proxies: Vec<Option<Array>> = keys
+    let proxies = keys
         .iter()
         .map(|k| match k {
             Array::Dict(d) => {
                 let ranks = d.value_ranks();
                 dict_sort_bytes += d.dict_byte_size() as u64;
                 dict_entries += d.values().len() as u64;
-                Some(Array::Int32(PrimitiveArray::from_options(
-                    (0..d.len()).map(|i| d.code(i).map(|c| ranks[c as usize])),
-                    0,
+                let rank = |&c: &i32| ranks.get(c as usize).copied().unwrap_or(0);
+                Some(Array::Int32(PrimitiveArray::from_parts(
+                    d.codes().iter().map(rank).collect(),
+                    d.validity().cloned(),
                 )))
             }
             _ => None,
         })
-        .collect();
-    let proxy_refs: Vec<&Array> = keys
-        .iter()
-        .zip(&proxies)
-        .map(|(k, p)| p.as_ref().unwrap_or(k))
         .collect();
     if dict_entries > 0 {
         let log_d = (dict_entries.max(2) as f64).log2().ceil() as u64;
@@ -227,88 +162,195 @@ pub fn group_by(
                 .with_launches(2),
         );
     }
+    proxies
+}
 
-    let (row_keys, _nulls) = row_keys(&proxy_refs, num_rows);
-
-    // Assign each row a dense group id, remembering the first row where
-    // each group appeared (its representative, for key materialization).
-    let mut group_of_key: FxHashMap<Key, usize> = FxHashMap::default();
-    let mut group_order: Vec<Key> = Vec::new();
-    let mut group_rep: Vec<usize> = Vec::new();
-    let mut group_ids = Vec::with_capacity(num_rows);
-    for (row, k) in row_keys.into_iter().enumerate() {
-        let next = group_order.len();
-        let id = *group_of_key.entry(k.clone()).or_insert_with(|| {
-            group_order.push(k);
-            group_rep.push(row);
-            next
-        });
-        group_ids.push(id);
+/// Group ids in output order. The sort-based strategy orders groups by key
+/// (nulls first, then each column's natural order). This sort is a real
+/// kernel (the libcudf behaviour the paper blames for Q10/Q18), so it is
+/// charged as its own span rather than riding along for free.
+fn output_order(
+    ctx: &GpuContext,
+    keys: &[&Array],
+    first_rows: &[usize],
+    sort_based: bool,
+    num_rows: usize,
+) -> Vec<usize> {
+    let num_groups = first_rows.len();
+    let mut order: Vec<usize> = (0..num_groups).collect();
+    if !sort_based {
+        return order;
     }
-    let num_groups = group_order.len();
+    order.sort_by(|&a, &b| {
+        let mut cells = (keys.iter()).map(|k| compare_cells(k, first_rows[a], first_rows[b]));
+        cells.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    });
+    if num_groups > 1 {
+        let key_row_bytes = key_bytes(keys) / (num_rows.max(1) as u64);
+        let sorted_bytes = key_row_bytes * num_groups as u64;
+        let log_k = (num_groups.max(2) as f64).log2().ceil() as u64;
+        ctx.charge_named(
+            "groupby.order",
+            &WorkProfile::scan(sorted_bytes)
+                .with_streamed(sorted_bytes * log_k / 2)
+                .with_flops(num_groups as u64 * log_k)
+                .with_rows(num_groups as u64)
+                .with_launches(2),
+        );
+    }
+    order
+}
 
-    // Sort-based strategy orders groups by key. This sort is a real kernel
-    // (the libcudf behaviour the paper blames for Q10/Q18), so it is charged
-    // as its own span rather than riding along for free.
-    let mut output_order: Vec<usize> = (0..num_groups).collect();
-    if sort_based {
-        output_order.sort_by(|&a, &b| group_order[a].cmp(&group_order[b]));
-        if num_groups > 1 {
-            let key_row_bytes = key_bytes(&proxy_refs) / (num_rows.max(1) as u64);
-            let sorted_bytes = key_row_bytes * num_groups as u64;
-            let log_k = (num_groups.max(2) as f64).log2().ceil() as u64;
-            ctx.charge_named(
-                "groupby.order",
-                &WorkProfile::scan(sorted_bytes)
-                    .with_streamed(sorted_bytes * log_k / 2)
-                    .with_flops(num_groups as u64 * log_k)
-                    .with_rows(num_groups as u64)
-                    .with_launches(2),
-            );
+/// Call `f(group, value)` for every non-NULL row of `lane`, ascending.
+fn for_each_valid<T: Copy>(lane: &Lane<'_, T>, ids: &[u32], mut f: impl FnMut(usize, T)) {
+    match lane {
+        Lane::Col(values, None) => {
+            (ids.iter().zip(values.iter())).for_each(|(&g, &v)| f(g as usize, v))
+        }
+        Lane::Col(values, Some(valid)) => {
+            for (row, (&g, &v)) in ids.iter().zip(values.iter()).enumerate() {
+                if valid.get(row) {
+                    f(g as usize, v);
+                }
+            }
+        }
+        Lane::Const(Some(c)) => ids.iter().for_each(|&g| f(g as usize, *c)),
+        Lane::Const(None) => {}
+    }
+}
+
+/// `COUNT`: per group, the rows `counted` accepts.
+fn count(ids: &[u32], groups: usize, mut counted: impl FnMut(usize) -> bool) -> Array {
+    let mut counts = vec![0i64; groups];
+    for (row, &g) in ids.iter().enumerate() {
+        counts[g as usize] += counted(row) as i64;
+    }
+    Array::Int64(PrimitiveArray::from_values(counts))
+}
+
+/// `SUM`: NULL for a group with no non-NULL input.
+fn sum<T: Copy + Default>(
+    lane: &Lane<'_, T>,
+    ids: &[u32],
+    groups: usize,
+    add: impl Fn(T, T) -> T,
+) -> PrimitiveArray<T> {
+    let mut sums = vec![T::default(); groups];
+    let mut seen = vec![false; groups];
+    for_each_valid(lane, ids, |g, v| {
+        sums[g] = add(sums[g], v);
+        seen[g] = true;
+    });
+    PrimitiveArray::from_parts(sums, Some(Bitmap::from_iter(seen)))
+}
+
+/// `MIN` / `MAX`: the row holding each group's best value (the earliest on
+/// ties), `None` for a group with no non-NULL input.
+fn best_rows<T: Copy>(
+    ids: &[u32],
+    groups: usize,
+    get: impl Fn(usize) -> Option<T>,
+    wins: impl Fn(T, T) -> bool,
+) -> Vec<Option<usize>> {
+    let mut best: Vec<Option<(usize, T)>> = vec![None; groups];
+    for (row, &g) in ids.iter().enumerate() {
+        if let Some(v) = get(row) {
+            let slot = &mut best[g as usize];
+            if slot.is_none_or(|(_, cur)| wins(v, cur)) {
+                *slot = Some((row, v));
+            }
         }
     }
+    best.into_iter().map(|b| b.map(|(row, _)| row)).collect()
+}
 
-    // Accumulate.
-    let mut states: Vec<Vec<AggState>> = (0..num_groups)
-        .map(|_| {
-            aggs.iter()
-                .map(|a| AggState::new(a.kind, a.input.map(|c| c.data_type())))
-                .collect()
-        })
-        .collect();
-    for (row, &g) in group_ids.iter().enumerate() {
-        for (ai, a) in aggs.iter().enumerate() {
-            states[g][ai].update(a.kind, a.input.map(|c| c.scalar(row)));
+/// One aggregate's output column, one row per group in group-id order.
+pub(crate) fn accumulate(
+    agg: &AggRequest<'_>,
+    out: DataType,
+    ids: &[u32],
+    groups: usize,
+) -> Result<Array> {
+    let input = match (agg.kind, agg.input) {
+        (AggKind::CountStar, _) => return Ok(count(ids, groups, |_| true)),
+        (_, Some(input)) => input,
+        // An absent input reads as a column of NULLs.
+        (AggKind::Count | AggKind::CountDistinct, None) => {
+            return Ok(count(ids, groups, |_| false))
         }
-    }
-
-    // Materialize key columns by gathering each group's representative row
-    // from the original arrays: values match the first-appearance scalars
-    // and dictionary-encoded keys stay encoded in the output.
-    let rep_rows: Vec<usize> = output_order.iter().map(|&g| group_rep[g]).collect();
-    let key_columns: Vec<Array> = keys.iter().map(|k| k.gather(&rep_rows)).collect();
-
-    let mut finished: Vec<Vec<Scalar>> = (0..aggs.len()).map(|_| Vec::new()).collect();
-    let mut states_by_group: Vec<Option<Vec<AggState>>> = states.into_iter().map(Some).collect();
-    for &g in &output_order {
-        let group_states = states_by_group[g].take().expect("each group emitted once");
-        for (ai, st) in group_states.into_iter().enumerate() {
-            finished[ai].push(st.finish());
+        (_, None) => return Ok(Array::from_scalar(&Scalar::Null, out, groups)),
+    };
+    Ok(match agg.kind {
+        AggKind::CountStar | AggKind::Count => match input.validity() {
+            Some(valid) => count(ids, groups, |row| valid.get(row)),
+            None => count(ids, groups, |_| true),
+        },
+        AggKind::CountDistinct => {
+            // A value's identity is its dense id among the column's values.
+            let values = row_keys(&[input], ids.len());
+            let value_ids = values.dense_ids().ids;
+            let mut seen: FxHashSet<u64> = FxHashSet::default();
+            count(ids, groups, |row| {
+                !values.has_null(row)
+                    && seen.insert((ids[row] as u64) << 32 | value_ids[row] as u64)
+            })
         }
-    }
-    let agg_columns: Vec<Array> = finished
-        .iter()
-        .zip(aggs.iter())
-        .map(|(scalars, a)| {
-            let t = a.kind.result_type(a.input.map(|c| c.data_type()))?;
-            Ok(Array::from_scalars(scalars, t))
-        })
-        .collect::<Result<_>>()?;
+        AggKind::Sum if out == DataType::Float64 => {
+            let lane = float_lane(&Datum::Column(input));
+            Array::Float64(sum(&lane, ids, groups, |a, b| a + b))
+        }
+        AggKind::Sum => {
+            let lane = int_lane(&Datum::Column(input));
+            Array::Int64(sum(&lane, ids, groups, i64::wrapping_add))
+        }
+        AggKind::Avg => {
+            let mut sums = vec![0f64; groups];
+            let mut counts = vec![0i64; groups];
+            for_each_valid(&float_lane(&Datum::Column(input)), ids, |g, v| {
+                sums[g] += v;
+                counts[g] += 1;
+            });
+            let means = sums.iter().zip(&counts).map(|(s, &n)| s / n as f64);
+            Array::Float64(PrimitiveArray::from_parts(
+                means.collect(),
+                Some(Bitmap::from_iter(counts.iter().map(|&n| n > 0))),
+            ))
+        }
+        AggKind::Min | AggKind::Max => {
+            let wins = |o: Ordering| match agg.kind {
+                AggKind::Min => o.is_lt(),
+                _ => o.is_gt(),
+            };
+            let best = match input {
+                Array::Int32(a) | Array::Date32(a) => {
+                    best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(&y)))
+                }
+                Array::Int64(a) => best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(&y))),
+                Array::Float64(a) => {
+                    best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.total_cmp(&y)))
+                }
+                Array::Bool(a) => best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(&y))),
+                Array::Utf8(a) => best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(y))),
+                Array::Dict(a) => best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(y))),
+            };
+            // MIN / MAX of an encoded column is a plain string column.
+            input.gather_opt(&best).decoded()
+        }
+    })
+}
 
-    // Cost model. Hash path: one streamed pass over keys + agg inputs plus
-    // random accumulator traffic; with few groups, GPU atomics contend on
-    // the same accumulators — surcharge mirrors the paper's Q1 observation.
-    // Sort path: n log n key-exchange passes (the paper's Q10/Q18 penalty).
+/// Cost model. Hash path: one streamed pass over keys + agg inputs plus
+/// random accumulator traffic; with few groups, GPU atomics contend on the
+/// same accumulators — surcharge mirrors the paper's Q1 observation. Sort
+/// path: n log n key-exchange passes (the paper's Q10/Q18 penalty).
+fn charge_group_by(
+    ctx: &GpuContext,
+    keys: &[&Array],
+    aggs: &[AggRequest<'_>],
+    num_rows: usize,
+    num_groups: usize,
+    sort_based: bool,
+) {
     let input_bytes = key_bytes(keys)
         + aggs
             .iter()
@@ -338,13 +380,6 @@ pub fn group_by(
         },
         &work,
     );
-
-    Ok(GroupByResult {
-        key_columns,
-        agg_columns,
-        num_groups,
-        sort_based,
-    })
 }
 
 /// One partial aggregate computed per morsel.
@@ -427,11 +462,11 @@ impl PartialAggPlan {
 
     /// The aggregate that merges partial column `i` across morsels.
     pub fn merge_kind(&self, i: usize) -> AggKind {
+        // `new` only emits Sum, Count, CountStar, Min and Max partials.
         match self.partials[i].kind {
-            AggKind::Sum | AggKind::Count | AggKind::CountStar => AggKind::Sum,
             AggKind::Min => AggKind::Min,
             AggKind::Max => AggKind::Max,
-            k => unreachable!("no partial of kind {k:?}"),
+            _ => AggKind::Sum,
         }
     }
 
@@ -488,7 +523,68 @@ impl PartialAggPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, same_values, Gen, Kind, KINDS};
     use crate::test_ctx;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Key columns, aggregate columns (floats bit for bit), group order
+        /// on both strategies, every output `byte_size()` and the charged
+        /// device time against the per-row `AggState` implementation.
+        #[test]
+        fn prop_group_by_matches_the_scalar_reference(
+            seed in any::<u64>(),
+            rows in 0usize..70,
+            key_columns in 1usize..4,
+        ) {
+            let mut g = Gen(seed);
+            let keys = g.columns(&KINDS, key_columns, rows);
+            let keys: Vec<&Array> = keys.iter().collect();
+            let mut column = |kinds: &[Kind]| g.columns(kinds, 1, rows).remove(0);
+            let summable = [Kind::Int32, Kind::Int64, Kind::Float64];
+            let inputs = [
+                (AggKind::CountStar, None),
+                (AggKind::Count, Some(column(&KINDS))),
+                (AggKind::CountDistinct, Some(column(&KINDS))),
+                (AggKind::Sum, Some(column(&summable))),
+                (AggKind::Sum, Some(column(&summable))),
+                (AggKind::Avg, Some(column(&KINDS))),
+                (AggKind::Min, Some(column(&KINDS))),
+                (AggKind::Max, Some(column(&KINDS))),
+            ];
+            let aggs: Vec<AggRequest<'_>> = (inputs.iter())
+                .map(|(kind, input)| AggRequest { kind: *kind, input: input.as_ref() })
+                .collect();
+
+            let (ctx, ref_ctx) = (test_ctx(), test_ctx());
+            let got = group_by(&ctx, &keys, &aggs, rows).unwrap();
+            let expected = reference::group_by(&ref_ctx, &keys, &aggs, rows).unwrap();
+            prop_assert_eq!(got.num_groups, expected.num_groups);
+            prop_assert_eq!(got.sort_based, expected.sort_based);
+            let columns = |r: &GroupByResult| -> Vec<Array> {
+                r.key_columns.iter().chain(&r.agg_columns).cloned().collect()
+            };
+            for (i, (a, b)) in columns(&got).iter().zip(&columns(&expected)).enumerate() {
+                prop_assert!(same_values(a, b), "column {}: {:?} vs {:?}", i, a, b);
+                prop_assert_eq!(a.byte_size(), b.byte_size(), "column {}", i);
+                prop_assert_eq!(a.is_dict(), b.is_dict(), "column {}", i);
+            }
+            prop_assert_eq!(ctx.device().elapsed(), ref_ctx.device().elapsed());
+        }
+    }
+
+    #[test]
+    fn unsupported_aggregates_fail_as_before() {
+        let ctx = test_ctx();
+        let k = Array::from_i64([1, 1]);
+        let s = Array::from_strs(["a", "b"]);
+        for kind in [AggKind::Sum, AggKind::Min] {
+            let input = (kind == AggKind::Sum).then_some(&s);
+            let aggs = [AggRequest { kind, input }];
+            assert!(group_by(&ctx, &[&k], &aggs, 2).is_err());
+            assert!(reference::group_by(&ctx, &[&k], &aggs, 2).is_err());
+        }
+    }
 
     #[test]
     fn hash_groupby_sums() {

@@ -1,12 +1,32 @@
-//! FxHash-style hashing and multi-column key extraction.
+//! FxHash-style hashing, encoded multi-column row keys, and routing hashes.
 //!
 //! The perf-book guidance is to avoid SipHash for hot integer keys; rather
 //! than pull in a dependency, this is the classic Fx multiply-rotate hasher
-//! (the one rustc uses), plus helpers that turn a set of key columns into
-//! per-row [`Key`] values usable in hash maps.
+//! (the one rustc uses). On top of it sit the two things every keyed kernel
+//! needs:
+//!
+//! * [`row_keys`] turns a set of key columns into one contiguous encoding
+//!   ([`RowKeys`]) in the style of the Arrow/DataFusion normalised row
+//!   format: joins, group-by and distinct hash and compare encoded rows
+//!   instead of a `Vec<Scalar>` per row (`cudf.row_keys_mrows_s`
+//!   14.8 → 640 at PR 17).
+//! * [`row_hashes`] is the *routing* hash of `hash_partition` and the
+//!   cluster shuffle. Bucket sizes drive the spill and exchange ledgers, so
+//!   it feeds [`FxHasher`] exactly what `Vec<Scalar>::hash` used to.
+//!
+//! **Key encoding.** Each column falls in one equality class: integers of
+//! either width (as `i64`), `Float64` (by bits, so `-0.0 ≠ 0.0` and
+//! `NaN = NaN`), `Date32`, `Bool`, strings (plain or dictionary, by
+//! value). Values of different classes never compare equal. When every
+//! class is fixed-width and the slots — 64, 64, 32 and 1 bits, plus a null
+//! bit where NULL must form a group — fit one or two words, a row is a
+//! packed `u64` / `u128`. Otherwise a row is a byte string: per column a
+//! validity byte, then the little-endian payload or a `u32` length and the
+//! string bytes. NULL slots are zeroed, so equal rows are equal bytes.
 
-use sirius_columnar::{Array, Scalar};
+use sirius_columnar::{Array, Bitmap, PrimitiveArray};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{BitOrAssign, Shl};
 
 /// The Fx hash constant (64-bit golden-ratio multiplier).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -63,33 +83,357 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` using [`FxHasher`].
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
 /// A `HashSet` using [`FxHasher`].
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
-/// A multi-column row key. `None` marks a row whose key contains SQL NULL:
-/// such rows never match in joins (but do form groups in GROUP BY).
-pub type Key = Vec<Scalar>;
+/// Equality class of a key column: values of different classes never
+/// compare equal, values of one class compare by their encoded payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    // The discriminant is the byte `Scalar::hash` writes ahead of a value.
+    Bool = 1,
+    Int = 2,
+    Float = 4,
+    Str = 5,
+    Date = 6,
+}
 
-/// Extract per-row keys from key columns. Returns `(keys, has_null)` where
-/// `has_null[i]` is true when any key column is null at row `i`.
-pub fn row_keys(columns: &[&Array], num_rows: usize) -> (Vec<Key>, Vec<bool>) {
-    let mut keys = Vec::with_capacity(num_rows);
-    let mut has_null = Vec::with_capacity(num_rows);
-    for i in 0..num_rows {
-        let mut k = Vec::with_capacity(columns.len());
-        let mut null = false;
-        for c in columns {
-            let s = c.scalar(i);
-            null |= s.is_null();
-            k.push(s);
+impl Class {
+    fn of(column: &Array) -> Class {
+        match column {
+            Array::Int32(_) | Array::Int64(_) => Class::Int,
+            Array::Float64(_) => Class::Float,
+            Array::Date32(_) => Class::Date,
+            Array::Bool(_) => Class::Bool,
+            Array::Utf8(_) | Array::Dict(_) => Class::Str,
         }
-        keys.push(k);
-        has_null.push(null);
     }
-    (keys, has_null)
+
+    /// Payload width in a packed word; `None` for variable-width strings.
+    fn bits(self) -> Option<u32> {
+        match self {
+            Class::Int | Class::Float => Some(64),
+            Class::Date => Some(32),
+            Class::Bool => Some(1),
+            Class::Str => None,
+        }
+    }
+}
+
+/// One key cell. `Bits` is the class payload widened to `u64`: the `i64`
+/// value of an integer, a date's `u32` pattern, a float's bits, a bool's
+/// 0 / 1 — which is also what `Scalar::hash` hands the hasher after the tag.
+enum Cell<'a> {
+    Null,
+    Bits(u64),
+    Str(&'a str),
+}
+
+/// Call `f(row, cell)` for rows `0..n` of `column`, ascending.
+fn visit<'a>(column: &'a Array, n: usize, mut f: impl FnMut(usize, Cell<'a>)) {
+    fn fixed<'a, T: Copy>(
+        a: &PrimitiveArray<T>,
+        n: usize,
+        bits: impl Fn(T) -> u64,
+        f: &mut impl FnMut(usize, Cell<'a>),
+    ) {
+        let values = a.values()[..n].iter().enumerate();
+        match a.validity() {
+            None => values.for_each(|(i, &v)| f(i, Cell::Bits(bits(v)))),
+            Some(valid) => values.for_each(|(i, &v)| match valid.get(i) {
+                true => f(i, Cell::Bits(bits(v))),
+                false => f(i, Cell::Null),
+            }),
+        }
+    }
+    match column {
+        Array::Int32(a) => fixed(a, n, |v| v as i64 as u64, &mut f),
+        Array::Int64(a) => fixed(a, n, |v| v as u64, &mut f),
+        Array::Date32(a) => fixed(a, n, |v| v as u32 as u64, &mut f),
+        Array::Float64(a) => fixed(a, n, f64::to_bits, &mut f),
+        Array::Bool(a) => {
+            (0..n).for_each(|i| f(i, a.value(i).map_or(Cell::Null, |b| Cell::Bits(b as u64))))
+        }
+        Array::Utf8(a) => (0..n).for_each(|i| f(i, a.value(i).map_or(Cell::Null, Cell::Str))),
+        Array::Dict(a) => (0..n).for_each(|i| f(i, a.value(i).map_or(Cell::Null, Cell::Str))),
+    }
+}
+
+/// Routing hash of every row: the `FxHasher` state after hashing
+/// `(level, &Vec<Scalar>)` (or the bare `&Vec<Scalar>` when `level` is
+/// `None`), computed a column at a time without building the scalars —
+/// `write_u32(level)`, `write_usize(columns.len())`, then per column the
+/// `Scalar::hash` tag byte and payload, `0` alone for NULL.
+pub fn row_hashes(columns: &[&Array], num_rows: usize, level: Option<u32>) -> Vec<u64> {
+    let mut seed = FxHasher::default();
+    if let Some(level) = level {
+        seed.write_u32(level);
+    }
+    seed.write_usize(columns.len());
+    let mut states = vec![seed.hash; num_rows];
+    for column in columns {
+        let tag = Class::of(column) as u8;
+        visit(column, num_rows, |row, cell| {
+            let mut h = FxHasher { hash: states[row] };
+            match cell {
+                Cell::Null => h.write_u8(0),
+                Cell::Bits(bits) => {
+                    h.write_u8(tag);
+                    h.write_u64(bits);
+                }
+                // `str::hash`: the bytes, then a 0xff terminator.
+                Cell::Str(s) => {
+                    h.write_u8(tag);
+                    h.write(s.as_bytes());
+                    h.write_u8(0xff);
+                }
+            }
+            states[row] = h.hash;
+        });
+    }
+    states
+}
+
+/// Multiply-fold mixer for table hashes: unlike the raw Fx state, every
+/// output bit depends on every input bit, so tables can mask the low bits.
+#[inline]
+fn mix(x: u64) -> u64 {
+    let h = x.wrapping_mul(SEED);
+    h ^ (h >> 32)
+}
+
+#[derive(Debug)]
+enum Repr {
+    /// All slots fit 64 bits.
+    Word(Vec<u64>),
+    /// All slots fit 128 bits.
+    Wide(Vec<u128>),
+    /// Anything else, strings included.
+    Bytes(ByteRows),
+}
+
+/// Variable-width rows in one buffer.
+#[derive(Debug)]
+struct ByteRows {
+    /// Row `i` is `data[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    data: Vec<u8>,
+}
+
+impl ByteRows {
+    fn row(&self, i: usize) -> &[u8] {
+        &self.data[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
+/// Encoded keys of `len()` rows (see the module docs for the layout). Keys
+/// built from columns of the same classes by the same constructor share a
+/// layout, so rows of one compare against rows of the other.
+#[derive(Debug)]
+pub struct RowKeys {
+    repr: Repr,
+    classes: Vec<Class>,
+    /// Rows where every key column is non-NULL; `None` when all rows are.
+    valid: Option<Bitmap>,
+}
+
+/// Extract encoded per-row keys from key columns. NULL is a key value of
+/// its own here (GROUP BY / DISTINCT semantics); [`RowKeys::has_null`]
+/// flags the rows a join must skip.
+pub fn row_keys(columns: &[&Array], num_rows: usize) -> RowKeys {
+    RowKeys::encode(columns, num_rows, true)
+}
+
+/// Keys for join build and probe sides: rows holding a NULL never match, so
+/// no slot spends a bit on it and the layout depends on the classes alone.
+pub(crate) fn join_keys(columns: &[&Array], num_rows: usize) -> RowKeys {
+    RowKeys::encode(columns, num_rows, false)
+}
+
+impl RowKeys {
+    fn encode(columns: &[&Array], n: usize, null_is_a_value: bool) -> RowKeys {
+        let classes: Vec<Class> = columns.iter().map(|c| Class::of(c)).collect();
+        let null_bit = |c: &Array| (null_is_a_value && c.validity().is_some()) as u32;
+        let width: Option<u32> = (columns.iter().zip(&classes))
+            .map(|(col, class)| Some(class.bits()? + null_bit(col)))
+            .sum();
+        let repr = match width {
+            Some(w) if w <= 64 => Repr::Word(pack(columns, &classes, n, null_bit)),
+            Some(w) if w <= 128 => Repr::Wide(pack(columns, &classes, n, null_bit)),
+            _ => Repr::Bytes(byte_rows(columns, &classes, n)),
+        };
+        let valid = (columns.iter().filter_map(|c| c.validity()))
+            .fold(None, |all: Option<Bitmap>, v| {
+                Some(all.map_or_else(|| v.clone(), |a| a.and(v)))
+            });
+        RowKeys {
+            repr,
+            classes,
+            valid,
+        }
+    }
+
+    /// True when any key column is NULL at `row`.
+    pub fn has_null(&self, row: usize) -> bool {
+        self.valid.as_ref().is_some_and(|v| !v.get(row))
+    }
+
+    /// True when rows of `self` and `other` are comparable: same classes in
+    /// the same order (an integer key never equals a date or a float).
+    pub(crate) fn same_layout(&self, other: &RowKeys) -> bool {
+        self.classes == other.classes
+    }
+
+    /// A well-mixed table hash per row.
+    pub(crate) fn hashes(&self) -> Vec<u64> {
+        match &self.repr {
+            Repr::Word(w) => w.iter().map(|&k| mix(k)).collect(),
+            Repr::Wide(w) => w
+                .iter()
+                .map(|&k| mix(k as u64 ^ mix((k >> 64) as u64)))
+                .collect(),
+            Repr::Bytes(rows) => (1..rows.offsets.len())
+                .map(|i| {
+                    let mut h = FxHasher::default();
+                    h.write(rows.row(i - 1));
+                    mix(h.hash)
+                })
+                .collect(),
+        }
+    }
+
+    /// Whether row `i` equals row `j` of `other` (which must share this
+    /// layout, see [`same_layout`](Self::same_layout)).
+    #[inline]
+    pub(crate) fn same(&self, i: usize, other: &RowKeys, j: usize) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Word(a), Repr::Word(b)) => a[i] == b[j],
+            (Repr::Wide(a), Repr::Wide(b)) => a[i] == b[j],
+            (Repr::Bytes(a), Repr::Bytes(b)) => a.row(i) == b.row(j),
+            _ => false,
+        }
+    }
+
+    /// Dense group ids in first-appearance order, plus the row each group
+    /// first appeared at.
+    pub(crate) fn dense_ids(&self) -> DenseIds {
+        let hashes = self.hashes();
+        match &self.repr {
+            Repr::Word(k) => assign_ids(&hashes, |a, b| k[a] == k[b]),
+            Repr::Wide(k) => assign_ids(&hashes, |a, b| k[a] == k[b]),
+            Repr::Bytes(k) => assign_ids(&hashes, |a, b| k.row(a) == k.row(b)),
+        }
+    }
+}
+
+/// [`RowKeys::dense_ids`] over one representation's row equality.
+fn assign_ids(hashes: &[u64], same: impl Fn(usize, usize) -> bool) -> DenseIds {
+    const EMPTY: u32 = u32::MAX;
+    // Open hash index over the groups found so far: bucket → newest group in
+    // it, `chain[g]` → the next group in the same bucket.
+    let mut heads = vec![EMPTY; 64];
+    let mut chain: Vec<u32> = Vec::new();
+    let mut out = DenseIds {
+        ids: Vec::with_capacity(hashes.len()),
+        first_rows: Vec::new(),
+    };
+    for (row, &h) in hashes.iter().enumerate() {
+        if out.first_rows.len() * 2 > heads.len() {
+            heads = vec![EMPTY; heads.len() * 4];
+            for (g, &first) in out.first_rows.iter().enumerate() {
+                let bucket = hashes[first] as usize & (heads.len() - 1);
+                chain[g] = std::mem::replace(&mut heads[bucket], g as u32);
+            }
+        }
+        let bucket = h as usize & (heads.len() - 1);
+        let mut g = heads[bucket];
+        while g != EMPTY && !same(out.first_rows[g as usize], row) {
+            g = chain[g as usize];
+        }
+        if g == EMPTY {
+            g = out.first_rows.len() as u32;
+            out.first_rows.push(row);
+            chain.push(std::mem::replace(&mut heads[bucket], g));
+        }
+        out.ids.push(g);
+    }
+    out
+}
+
+/// Result of [`RowKeys::dense_ids`].
+pub(crate) struct DenseIds {
+    /// Group id of every row.
+    pub ids: Vec<u32>,
+    /// Row at which each group first appeared, by group id.
+    pub first_rows: Vec<usize>,
+}
+
+/// Packed fixed-width rows: each column ORs its slot into the row's word.
+fn pack<W>(
+    columns: &[&Array],
+    classes: &[Class],
+    n: usize,
+    null_bit: impl Fn(&Array) -> u32,
+) -> Vec<W>
+where
+    W: Copy + Default + From<u64> + BitOrAssign + Shl<u32, Output = W>,
+{
+    let mut words = vec![W::default(); n];
+    let mut shift = 0u32;
+    for (column, class) in columns.iter().zip(classes) {
+        let bits = class.bits().unwrap_or(0);
+        let null_bit = null_bit(column);
+        visit(column, n, |row, cell| match cell {
+            Cell::Bits(b) => words[row] |= W::from(b) << shift,
+            _ if null_bit == 1 => words[row] |= W::from(1) << (shift + bits),
+            _ => {}
+        });
+        shift += bits + null_bit;
+    }
+    words
+}
+
+/// Byte rows: per column a validity byte, then the payload (fixed-width
+/// little-endian, or a `u32` length and the string bytes); NULL payloads
+/// stay zero. One pass sizes the rows, one pass per column fills them.
+fn byte_rows(columns: &[&Array], classes: &[Class], n: usize) -> ByteRows {
+    let slot = |class: &Class| 1 + class.bits().map_or(4, |b| b.div_ceil(8) as usize);
+    let mut lens = vec![classes.iter().map(slot).sum::<usize>(); n];
+    for (column, _) in (columns.iter().zip(classes)).filter(|(_, c)| **c == Class::Str) {
+        visit(column, n, |row, cell| {
+            if let Cell::Str(s) = cell {
+                lens[row] += s.len();
+            }
+        });
+    }
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0usize);
+    for len in &lens {
+        offsets.push(offsets[offsets.len() - 1] + len);
+    }
+    let mut data = vec![0u8; offsets[n]];
+    let mut cursor = offsets[..n].to_vec();
+    for (column, class) in columns.iter().zip(classes) {
+        let width = slot(class) - 1;
+        visit(column, n, |row, cell| {
+            let at = cursor[row];
+            cursor[row] += 1 + width;
+            match cell {
+                Cell::Null => {}
+                Cell::Bits(b) => {
+                    data[at] = 1;
+                    data[at + 1..at + 1 + width].copy_from_slice(&b.to_le_bytes()[..width]);
+                }
+                Cell::Str(s) => {
+                    data[at] = 1;
+                    data[at + 1..at + 5].copy_from_slice(&(s.len() as u32).to_le_bytes());
+                    data[at + 5..at + 5 + s.len()].copy_from_slice(s.as_bytes());
+                    cursor[row] += s.len();
+                }
+            }
+        });
+    }
+    ByteRows { offsets, data }
 }
 
 /// Total key bytes across the key columns (for cost accounting).
@@ -100,7 +444,74 @@ pub fn key_bytes(columns: &[&Array]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, Gen, KINDS};
+    use proptest::prelude::*;
+    use sirius_columnar::Scalar;
     use std::hash::{BuildHasher, Hash};
+
+    proptest! {
+        #[test]
+        fn prop_routing_hashes_feed_fx_what_scalar_keys_did(
+            seed in any::<u64>(),
+            n in 0usize..40,
+            columns in 0usize..4,
+        ) {
+            let cols = Gen(seed).columns(&KINDS, columns, n);
+            let refs: Vec<&Array> = cols.iter().collect();
+            for level in [None, Some(0), Some(1), Some(2), Some(3), Some(4)] {
+                prop_assert_eq!(
+                    row_hashes(&refs, n, level),
+                    reference::routing_hashes(&refs, n, level)
+                );
+            }
+        }
+
+        #[test]
+        fn prop_encoded_keys_equal_exactly_when_scalar_keys_do(
+            seed in any::<u64>(),
+            n in 0usize..40,
+            columns in 1usize..5,
+        ) {
+            let cols = Gen(seed).columns(&KINDS, columns, n);
+            let refs: Vec<&Array> = cols.iter().collect();
+            let (scalar_keys, scalar_nulls) = reference::row_keys(&refs, n);
+            for (keys, null_is_a_value) in [(row_keys(&refs, n), true), (join_keys(&refs, n), false)] {
+                let hashes = keys.hashes();
+                for i in 0..n {
+                    prop_assert_eq!(keys.has_null(i), scalar_nulls[i]);
+                    for j in 0..n {
+                        // Join keys leave rows holding a NULL undefined.
+                        if null_is_a_value || !(scalar_nulls[i] || scalar_nulls[j]) {
+                            let same = scalar_keys[i] == scalar_keys[j];
+                            prop_assert_eq!(keys.same(i, &keys, j), same, "rows {} and {}", i, j);
+                            prop_assert!(!same || hashes[i] == hashes[j]);
+                        }
+                    }
+                }
+            }
+            // Dense ids: first appearance, one id per distinct scalar key.
+            let ids = row_keys(&refs, n).dense_ids();
+            let mut first_seen: Vec<&reference::Key> = Vec::new();
+            for (row, key) in scalar_keys.iter().enumerate() {
+                let id = first_seen.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    first_seen.push(key);
+                    first_seen.len() - 1
+                });
+                prop_assert_eq!(ids.ids[row] as usize, id);
+                prop_assert_eq!(scalar_keys[ids.first_rows[id]].clone(), key.clone());
+            }
+            prop_assert_eq!(ids.first_rows.len(), first_seen.len());
+        }
+    }
+
+    #[test]
+    fn dense_ids_survive_table_growth() {
+        // More groups than the initial bucket array, revisited afterwards.
+        let values: Vec<i64> = (0..5_000).chain(0..5_000).map(|v| v * 32).collect();
+        let ids = row_keys(&[&Array::from_i64(values)], 10_000).dense_ids();
+        assert_eq!(ids.first_rows, (0..5_000).collect::<Vec<_>>());
+        assert!((0..10_000).all(|row| ids.ids[row] as usize == row % 5_000));
+    }
 
     fn fx(v: impl Hash) -> u64 {
         FxBuildHasher::default().hash_one(v)
@@ -114,33 +525,57 @@ mod tests {
     }
 
     #[test]
-    fn row_keys_multi_column() {
-        let a = Array::from_i64([1, 2, 1]);
-        let b = Array::from_strs(["x", "y", "x"]);
-        let (keys, nulls) = row_keys(&[&a, &b], 3);
-        assert_eq!(keys[0], keys[2]);
-        assert_ne!(keys[0], keys[1]);
-        assert!(nulls.iter().all(|n| !n));
-    }
-
-    #[test]
-    fn row_keys_flags_nulls() {
-        let a = Array::from_scalars(
-            &[Scalar::Int64(1), Scalar::Null],
-            sirius_columnar::DataType::Int64,
-        );
-        let (keys, nulls) = row_keys(&[&a], 2);
-        assert_eq!(nulls, vec![false, true]);
-        assert_eq!(keys[1][0], Scalar::Null);
-    }
-
-    #[test]
     fn fx_map_works() {
-        let mut m: FxHashMap<Key, usize> = FxHashMap::default();
+        let mut m: std::collections::HashMap<Vec<Scalar>, usize, FxBuildHasher> =
+            Default::default();
         m.insert(vec![Scalar::Int64(1), Scalar::Utf8("k".into())], 7);
         assert_eq!(
             m.get(&vec![Scalar::Int64(1), Scalar::Utf8("k".into())]),
             Some(&7)
         );
+    }
+
+    #[test]
+    fn row_keys_multi_column() {
+        let a = Array::from_i64([1, 2, 1]);
+        let b = Array::from_strs(["x", "y", "x"]);
+        let keys = row_keys(&[&a, &b], 3);
+        assert!(keys.same(0, &keys, 2));
+        assert!(!keys.same(0, &keys, 1));
+        assert!((0..3).all(|i| !keys.has_null(i)));
+        assert_eq!(keys.dense_ids().ids, vec![0, 1, 0]);
+    }
+
+    #[test]
+    fn row_keys_flags_nulls() {
+        let a = Array::from_scalars(
+            &[Scalar::Int64(0), Scalar::Null, Scalar::Null],
+            sirius_columnar::DataType::Int64,
+        );
+        let keys = row_keys(&[&a], 3);
+        assert_eq!(
+            (0..3).map(|i| keys.has_null(i)).collect::<Vec<_>>(),
+            vec![false, true, true]
+        );
+        // NULL is a key value of its own, distinct from the fill value 0.
+        assert_eq!(keys.dense_ids().ids, vec![0, 1, 1]);
+    }
+
+    #[test]
+    fn layout_follows_the_slot_widths() {
+        let int = Array::from_i64([1]);
+        let date = Array::from_date32([1]);
+        let flag = Array::from_bool([true]);
+        let text = Array::from_strs(["x"]);
+        let nullable = Array::from_scalars(&[Scalar::Null], sirius_columnar::DataType::Int64);
+        let repr = |cols: &[&Array]| row_keys(cols, 1).repr;
+        assert!(matches!(repr(&[&int]), Repr::Word(_)));
+        assert!(matches!(repr(&[&date, &flag]), Repr::Word(_)));
+        assert!(matches!(repr(&[&nullable]), Repr::Wide(_)));
+        assert!(matches!(repr(&[&int, &int]), Repr::Wide(_)));
+        assert!(matches!(repr(&[&int, &int, &flag]), Repr::Bytes(_)));
+        assert!(matches!(repr(&[&text]), Repr::Bytes(_)));
+        // Join keys never spend a bit on NULL.
+        assert!(matches!(join_keys(&[&nullable], 1).repr, Repr::Word(_)));
     }
 }

@@ -6,8 +6,15 @@
 //! step that applies the join type (and any residual non-equi predicate the
 //! engine evaluated on the candidate pairs) to produce the final gather
 //! indices. Indices are `i32`, libcudf's row-index type (§3.2.3).
+//!
+//! The table is a chained hash index over the build side's encoded keys
+//! ([`crate::hash::RowKeys`]): a bucket array of chain heads plus one
+//! `next` link per build row, instead of a `Vec<Scalar>` key and a
+//! `Vec<i32>` per distinct key. At PR 17 that took `cudf.join_build_mrows_s`
+//! 6.4 → 175 and `cudf.join_probe_mrows_s` 12.5 → 150 on `tpch_power`'s
+//! `orders` ⋈ `lineitem` probe.
 
-use crate::hash::{key_bytes, row_keys, FxHashMap, Key};
+use crate::hash::{join_keys, key_bytes, RowKeys};
 use crate::{GpuContext, KernelError, Result};
 use sirius_columnar::{Array, Bitmap};
 use sirius_hw::WorkProfile;
@@ -99,7 +106,11 @@ impl JoinPairs {
 /// per morsel is what makes morsel-parallel joins cheap: the build is a
 /// pipeline breaker, the probes stream.
 pub struct JoinHashTable {
-    table: FxHashMap<Key, Vec<i32>>,
+    keys: RowKeys,
+    /// Bucket → lowest build row whose key hashes there, `-1` when empty.
+    heads: Vec<i32>,
+    /// Build row → next higher build row in the same bucket, `-1` at the end.
+    next: Vec<i32>,
     key_columns: usize,
     right_rows: usize,
 }
@@ -123,11 +134,16 @@ pub fn build_hash_table(
             "join build requires at least one key column (use cross_join_pairs)".into(),
         ));
     }
-    let (rkeys, rnull) = row_keys(right_keys, right_rows);
-    let mut table: FxHashMap<Key, Vec<i32>> = FxHashMap::default();
-    for (i, key) in rkeys.into_iter().enumerate() {
-        if !rnull[i] {
-            table.entry(key).or_default().push(i as i32);
+    let keys = join_keys(right_keys, right_rows);
+    let hashes = keys.hashes();
+    let mut heads = vec![-1i32; (right_rows * 2).next_power_of_two()];
+    let mut next = vec![-1i32; right_rows];
+    // Linking rows in descending order leaves every chain ascending, so a
+    // probe emits its matches in build-row order.
+    for row in (0..right_rows).rev() {
+        if !keys.has_null(row) {
+            let bucket = hashes[row] as usize & (heads.len() - 1);
+            next[row] = std::mem::replace(&mut heads[bucket], row as i32);
         }
     }
     ctx.charge_named(
@@ -138,7 +154,9 @@ pub fn build_hash_table(
             .with_rows(right_rows as u64),
     );
     Ok(JoinHashTable {
-        table,
+        keys,
+        heads,
+        next,
         key_columns: right_keys.len(),
         right_rows,
     })
@@ -163,20 +181,26 @@ pub fn probe_hash_table(
         )));
     }
     let probe_rows = left_keys[0].len();
-    let (lkeys, lnull) = row_keys(left_keys, probe_rows);
+    let keys = join_keys(left_keys, probe_rows);
     let mut pairs = JoinPairs {
         left: Vec::new(),
         right: Vec::new(),
         left_rows,
     };
-    for (i, key) in lkeys.into_iter().enumerate() {
-        if lnull[i] {
-            continue;
-        }
-        if let Some(matches) = table.table.get(&key) {
-            for &r in matches {
-                pairs.left.push((left_offset + i) as i32);
-                pairs.right.push(r);
+    // Keys of different classes (an integer against a date or a float)
+    // never match, whatever their values.
+    if keys.same_layout(&table.keys) {
+        for (i, &h) in keys.hashes().iter().enumerate() {
+            if keys.has_null(i) {
+                continue;
+            }
+            let mut r = table.heads[h as usize & (table.heads.len() - 1)];
+            while r >= 0 {
+                if table.keys.same(r as usize, &keys, i) {
+                    pairs.left.push((left_offset + i) as i32);
+                    pairs.right.push(r);
+                }
+                r = table.next[r as usize];
             }
         }
     }
@@ -313,8 +337,83 @@ pub fn resolve_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, Gen, Kind};
     use crate::test_ctx;
+    use proptest::prelude::*;
     use sirius_columnar::Scalar;
+
+    /// `(probe, build)` column kinds whose values can compare equal.
+    const MATCHING: [(Kind, Kind); 11] = [
+        (Kind::Int32, Kind::Int32),
+        (Kind::Int32, Kind::Int64),
+        (Kind::Int64, Kind::Int32),
+        (Kind::Int64, Kind::Int64),
+        (Kind::Float64, Kind::Float64),
+        (Kind::Date32, Kind::Date32),
+        (Kind::Bool, Kind::Bool),
+        (Kind::Utf8, Kind::Utf8),
+        (Kind::Utf8, Kind::Dict),
+        (Kind::Dict, Kind::Utf8),
+        (Kind::Dict, Kind::Dict),
+    ];
+
+    proptest! {
+        #[test]
+        fn prop_pairs_match_the_scalar_reference(
+            seed in any::<u64>(),
+            probe_rows in 0usize..50,
+            build_rows in 0usize..30,
+            columns in 1usize..4,
+        ) {
+            let mut g = Gen(seed);
+            let (mut probe, mut build) = (Vec::new(), Vec::new());
+            for _ in 0..columns {
+                let (p, b) = g.pick(&MATCHING);
+                let nulls = g.below(2) == 0;
+                // Two dictionary columns never share a dictionary here.
+                probe.push(g.column(p, probe_rows, nulls));
+                build.push(g.column(b, build_rows, nulls));
+            }
+            let (probe, build): (Vec<&Array>, Vec<&Array>) =
+                (probe.iter().collect(), build.iter().collect());
+            let expected = reference::join_pairs(&build, build_rows, &probe, 0);
+
+            let ctx = test_ctx();
+            let table = build_hash_table(&ctx, &build, build_rows).unwrap();
+            let whole = probe_hash_table(&ctx, &table, &probe, probe_rows, 0).unwrap();
+            prop_assert_eq!((whole.left.clone(), whole.right.clone()), expected);
+
+            // The same probe in two morsels with global offsets.
+            let cut = g.below(probe_rows + 1);
+            let mut morsels = (Vec::new(), Vec::new());
+            for (offset, len) in [(0, cut), (cut, probe_rows - cut)] {
+                let rows: Vec<usize> = (offset..offset + len).collect();
+                let part: Vec<Array> = probe.iter().map(|c| c.gather(&rows)).collect();
+                let part: Vec<&Array> = part.iter().collect();
+                let p = probe_hash_table(&ctx, &table, &part, probe_rows, offset).unwrap();
+                morsels.0.extend(p.left);
+                morsels.1.extend(p.right);
+            }
+            prop_assert_eq!(morsels, (whole.left, whole.right));
+        }
+
+        #[test]
+        fn prop_an_integer_key_never_matches_a_date_or_a_float(
+            seed in any::<u64>(),
+            rows in 1usize..30,
+        ) {
+            let mut g = Gen(seed);
+            let ints: Vec<i64> = (0..rows).map(|_| g.below(4) as i64).collect();
+            let int = Array::from_i64(ints.iter().copied());
+            let date = Array::from_date32(ints.iter().map(|&v| v as i32));
+            let float = Array::from_f64(ints.iter().map(|&v| v as f64));
+            let ctx = test_ctx();
+            prop_assert!(!hash_join_pairs(&ctx, &[&int], &[&int], rows, rows).unwrap().is_empty());
+            for (l, r) in [(&int, &date), (&date, &int), (&int, &float), (&float, &int), (&date, &float)] {
+                prop_assert!(hash_join_pairs(&ctx, &[l], &[r], rows, rows).unwrap().is_empty());
+            }
+        }
+    }
 
     fn pairs_for(l: &[i64], r: &[i64]) -> JoinPairs {
         let ctx = test_ctx();

@@ -20,6 +20,9 @@
 //!   contention surcharge when the group count is small.
 
 #![warn(missing_docs)]
+// No panic is reachable from a kernel call: failures are `KernelError`s.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod binary;
 pub mod filter;
@@ -30,6 +33,7 @@ pub mod join;
 pub mod materialize;
 pub mod partition;
 pub mod reduce;
+pub(crate) mod reference; // test-only: the file opens with `#![cfg(test)]`
 pub mod sort;
 pub mod unary;
 pub mod unique;
@@ -39,7 +43,7 @@ pub use join::{JoinHashTable, JoinIndices, JoinType};
 pub use partition::hash_partition;
 
 use sirius_hw::{CostCategory, Device, WorkProfile};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// What a context does with the work its kernels describe.
@@ -69,13 +73,14 @@ impl WorkCollector {
     }
 
     fn add(&self, work: &WorkProfile) {
-        let mut acc = self.inner.lock().expect("collector lock");
+        // Each update stores a whole profile, so a poisoned lock is still valid.
+        let mut acc = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         *acc = acc.merge(*work);
     }
 
     /// Drain the accumulated profile, leaving the collector empty.
     pub fn take(&self) -> WorkProfile {
-        std::mem::take(&mut *self.inner.lock().expect("collector lock"))
+        std::mem::take(&mut *self.inner.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 

@@ -5,11 +5,10 @@
 //! hash, so repartitioning an oversized partition redistributes its rows
 //! instead of mapping them all to one bucket again.
 
-use crate::hash::{key_bytes, row_keys, FxBuildHasher};
+use crate::hash::{key_bytes, row_hashes};
 use crate::{GpuContext, Result};
 use sirius_columnar::{Array, Table};
 use sirius_hw::WorkProfile;
-use std::hash::BuildHasher;
 
 /// Split `table` into `parts` partitions by a hash of `key_columns`
 /// (salted with `level` for recursive repartitioning). Rows whose key
@@ -37,12 +36,9 @@ pub fn hash_partition(
     if parts == 1 {
         return Ok(vec![table.clone()]);
     }
-    let (keys, _has_null) = row_keys(key_columns, n);
-    let hasher = FxBuildHasher::default();
     let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (row, key) in keys.iter().enumerate() {
-        let h = finalize(hasher.hash_one((level, key)));
-        buckets[(h % parts as u64) as usize].push(row);
+    for (row, &h) in row_hashes(key_columns, n, Some(level)).iter().enumerate() {
+        buckets[(finalize(h) % parts as u64) as usize].push(row);
     }
     Ok(buckets.into_iter().map(|ix| table.gather(&ix)).collect())
 }
@@ -63,8 +59,41 @@ fn finalize(mut h: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, table_of, Gen, KINDS};
     use crate::test_ctx;
+    use proptest::prelude::*;
     use sirius_columnar::{DataType, Field, Scalar, Schema};
+
+    proptest! {
+        /// Routing decides the spill ledger: every row must land in the
+        /// bucket `finalize(hash_one((level, &Vec<Scalar>))) % parts` names.
+        #[test]
+        fn prop_rows_land_in_the_buckets_of_the_scalar_reference(
+            seed in any::<u64>(),
+            rows in 0usize..80,
+            key_columns in 1usize..4,
+            parts in 1usize..7,
+        ) {
+            let mut columns = vec![Array::from_i64(0..rows as i64)];
+            columns.extend(Gen(seed).columns(&KINDS, key_columns, rows));
+            let table = table_of(columns);
+            let keys: Vec<&Array> = table.columns()[1..].iter().collect();
+            for level in 0..=4 {
+                let hashes = reference::routing_hashes(&keys, rows, Some(level));
+                let got = hash_partition(&test_ctx(), &keys, &table, parts, level).unwrap();
+                prop_assert_eq!(got.len(), parts);
+                for (bucket, part) in got.iter().enumerate() {
+                    let row_ids: Vec<i64> =
+                        (0..part.num_rows()).filter_map(|i| part.column(0).i64_value(i)).collect();
+                    let expected: Vec<i64> = (0..rows)
+                        .filter(|&row| (finalize(hashes[row]) % parts as u64) as usize == bucket)
+                        .map(|row| row as i64)
+                        .collect();
+                    prop_assert_eq!(row_ids, expected, "level {} bucket {}", level, bucket);
+                }
+            }
+        }
+    }
 
     fn table() -> Table {
         Table::new(

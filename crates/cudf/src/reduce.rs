@@ -1,7 +1,6 @@
 //! Ungrouped reductions (whole-column aggregates).
 
-use crate::groupby::AggKind;
-use crate::hash::FxHashSet;
+use crate::groupby::{accumulate, AggKind, AggRequest};
 use crate::{GpuContext, Result};
 use sirius_columnar::{Array, Scalar};
 use sirius_hw::WorkProfile;
@@ -26,60 +25,10 @@ pub fn reduce(
     );
 
     let out_type = kind.result_type(input.map(|c| c.data_type()))?;
-    let values = || {
-        let c = input.expect("non-count aggregates have inputs");
-        (0..c.len())
-            .map(move |i| c.scalar(i))
-            .filter(|s| !s.is_null())
-    };
-    Ok(match kind {
-        AggKind::CountStar => Scalar::Int64(num_rows as i64),
-        AggKind::Count => Scalar::Int64(values().count() as i64),
-        AggKind::CountDistinct => {
-            let set: FxHashSet<Scalar> = values().collect();
-            Scalar::Int64(set.len() as i64)
-        }
-        AggKind::Sum => {
-            let mut any = false;
-            if out_type == sirius_columnar::DataType::Float64 {
-                let mut s = 0.0;
-                for v in values() {
-                    s += v.as_f64().expect("numeric");
-                    any = true;
-                }
-                if any {
-                    Scalar::Float64(s)
-                } else {
-                    Scalar::Null
-                }
-            } else {
-                let mut s = 0i64;
-                for v in values() {
-                    s += v.as_i64().expect("int");
-                    any = true;
-                }
-                if any {
-                    Scalar::Int64(s)
-                } else {
-                    Scalar::Null
-                }
-            }
-        }
-        AggKind::Min => values().min().unwrap_or(Scalar::Null),
-        AggKind::Max => values().max().unwrap_or(Scalar::Null),
-        AggKind::Avg => {
-            let (mut s, mut n) = (0.0, 0i64);
-            for v in values() {
-                s += v.as_f64().expect("numeric");
-                n += 1;
-            }
-            if n > 0 {
-                Scalar::Float64(s / n as f64)
-            } else {
-                Scalar::Null
-            }
-        }
-    })
+    // The grouped accumulators over one group that holds every row.
+    let one_group = vec![0u32; num_rows];
+    let column = accumulate(&AggRequest { kind, input }, out_type, &one_group, 1)?;
+    Ok(column.scalar(0))
 }
 
 #[cfg(test)]

@@ -16,10 +16,26 @@ pub struct SortKey<'a> {
     pub ascending: bool,
 }
 
+/// Order of rows `a` and `b` of one column, as `Scalar::cmp` orders their
+/// values: NULL first, integers and dates numerically, floats by
+/// `total_cmp`, strings (plain or dictionary) bytewise.
+pub(crate) fn compare_cells(column: &Array, a: usize, b: usize) -> Ordering {
+    match column {
+        Array::Bool(c) => c.value(a).cmp(&c.value(b)),
+        Array::Int32(c) | Array::Date32(c) => c.value(a).cmp(&c.value(b)),
+        Array::Int64(c) => c.value(a).cmp(&c.value(b)),
+        Array::Float64(c) => match (c.value(a), c.value(b)) {
+            (Some(x), Some(y)) => x.total_cmp(&y),
+            (x, y) => x.is_some().cmp(&y.is_some()),
+        },
+        Array::Utf8(c) => c.value(a).cmp(&c.value(b)),
+        Array::Dict(c) => c.value(a).cmp(&c.value(b)),
+    }
+}
+
 fn compare_row(keys: &[SortKey<'_>], a: usize, b: usize) -> Ordering {
     for k in keys {
-        let (va, vb) = (k.column.scalar(a), k.column.scalar(b));
-        let ord = va.cmp(&vb);
+        let ord = compare_cells(k.column, a, b);
         let ord = if k.ascending { ord } else { ord.reverse() };
         if ord != Ordering::Equal {
             return ord;

@@ -55,8 +55,8 @@ pub fn unary_op(
                     .ok_or_else(|| KernelError::UnsupportedTypes("NOT on non-bool".into()))?,
             ),
             UnaryOp::Neg => match out_type {
-                DataType::Float64 => Scalar::Float64(-v.as_f64().expect("numeric")),
-                _ => Scalar::Int64(-v.as_i64().expect("int")),
+                DataType::Float64 => v.as_f64().map_or(Scalar::Null, |f| Scalar::Float64(-f)),
+                _ => (v.as_i64()).map_or(Scalar::Null, |i| Scalar::Int64(i.wrapping_neg())),
             },
             UnaryOp::ExtractYear => match v {
                 Scalar::Date32(d) => Scalar::Int64(date32_year(d) as i64),

@@ -1,6 +1,6 @@
 //! Distinct-rows kernel.
 
-use crate::hash::{row_keys, FxHashSet, Key};
+use crate::hash::row_keys;
 use crate::{GpuContext, Result};
 use sirius_columnar::Table;
 use sirius_hw::WorkProfile;
@@ -9,14 +9,7 @@ use sirius_hw::WorkProfile;
 /// Output preserves first-appearance order.
 pub fn distinct(ctx: &GpuContext, table: &Table) -> Result<Table> {
     let cols: Vec<_> = table.columns().iter().collect();
-    let (keys, _null) = row_keys(&cols, table.num_rows());
-    let mut seen: FxHashSet<Key> = FxHashSet::default();
-    let mut keep = Vec::new();
-    for (i, k) in keys.into_iter().enumerate() {
-        if seen.insert(k) {
-            keep.push(i);
-        }
-    }
+    let keep = row_keys(&cols, table.num_rows()).dense_ids().first_rows;
     let out = table.gather(&keep);
     ctx.charge_named(
         "unique.distinct",
@@ -31,8 +24,29 @@ pub fn distinct(ctx: &GpuContext, table: &Table) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, table_of, Gen, KINDS};
     use crate::test_ctx;
+    use proptest::prelude::*;
     use sirius_columnar::{Array, DataType, Field, Scalar, Schema};
+
+    proptest! {
+        #[test]
+        fn prop_distinct_keeps_the_rows_the_scalar_reference_keeps(
+            seed in any::<u64>(),
+            rows in 0usize..60,
+            columns in 1usize..4,
+        ) {
+            let table = table_of(Gen(seed).columns(&KINDS, columns, rows));
+            let kept = distinct(&test_ctx(), &table).unwrap();
+            let expected = table.gather(&reference::distinct_rows(&table));
+            prop_assert_eq!(kept.canonical_rows(), expected.canonical_rows());
+            prop_assert_eq!(kept.byte_size(), expected.byte_size());
+            // Row order, not just the row set: compare row by row.
+            for i in 0..kept.num_rows() {
+                prop_assert_eq!(kept.row(i), expected.row(i));
+            }
+        }
+    }
 
     #[test]
     fn dedupes_preserving_first_appearance() {

@@ -255,7 +255,7 @@ pub fn aggregate(
                                 acc.sum_f += f;
                             }
                             if let Some(i) = s.as_i64() {
-                                acc.sum_i += i;
+                                acc.sum_i = acc.sum_i.wrapping_add(i);
                             }
                             acc.count += 1;
                             acc.seen = true;

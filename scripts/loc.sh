@@ -1,7 +1,8 @@
 #!/bin/sh
 # Code-size counter the simplicity PRs quote ("measured" figures in
 # CHANGES.md / ROADMAP.md). For every crates/*/src/**/*.rs file: lines up
-# to the test module (the first `#[cfg(test)]` that sits on a `mod`), minus
+# to the test module (the first `#[cfg(test)]` that sits on a `mod`; a file
+# that opens with `#![cfg(test)]` is a test module from its first line), minus
 # blank lines and lines that start with `//` (comments and doc comments).
 # Prints one row per file and one total per crate, then a second table with
 # each file's longest function under the same cut (signature to closing
@@ -16,6 +17,7 @@ cd "$(dirname "$0")/.."
 # Prints "<lines> <longest fn lines> <longest fn name>".
 count() {
     awk '
+        /^#!\[cfg\(test\)\][[:space:]]*$/ { exit }
         pending { pending = 0; if ($0 ~ /^[[:space:]]*(pub )?mod /) exit; tick() }
         /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { pending = 1; next }
         !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { tick() }
