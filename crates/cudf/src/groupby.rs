@@ -9,7 +9,8 @@
 //! `Vec<i64>` / `Vec<f64>` / best-row-index state indexed by group id.
 //! *Materialise*: key columns are gathered from each group's first row and,
 //! on the sort path, every output column is put in key order. At PR 17 this
-//! took `cudf.groupby_mrows_s` from 10.8 to 260.
+//! took `cudf.groupby_mrows_s` from 11.1 to 145 (BENCH_16.json →
+//! BENCH_17.json).
 
 use crate::binary::{float_lane, int_lane, Datum, Lane};
 use crate::hash::{key_bytes, row_keys, FxHashSet};

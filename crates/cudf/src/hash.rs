@@ -9,7 +9,7 @@
 //!   ([`RowKeys`]) in the style of the Arrow/DataFusion normalised row
 //!   format: joins, group-by and distinct hash and compare encoded rows
 //!   instead of a `Vec<Scalar>` per row (`cudf.row_keys_mrows_s`
-//!   14.8 → 640 at PR 17).
+//!   14.5 → 400 at PR 17, BENCH_16.json → BENCH_17.json).
 //! * [`row_hashes`] is the *routing* hash of `hash_partition` and the
 //!   cluster shuffle. Bucket sizes drive the spill and exchange ledgers, so
 //!   it feeds [`FxHasher`] exactly what `Vec<Scalar>::hash` used to.

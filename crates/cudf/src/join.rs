@@ -11,8 +11,8 @@
 //! ([`crate::hash::RowKeys`]): a bucket array of chain heads plus one
 //! `next` link per build row, instead of a `Vec<Scalar>` key and a
 //! `Vec<i32>` per distinct key. At PR 17 that took `cudf.join_build_mrows_s`
-//! 6.4 → 175 and `cudf.join_probe_mrows_s` 12.5 → 150 on `tpch_power`'s
-//! `orders` ⋈ `lineitem` probe.
+//! 6.2 → 366 and `cudf.join_probe_mrows_s` 13.1 → 109 on `tpch_power`'s
+//! `orders` ⋈ `lineitem` probe (BENCH_16.json → BENCH_17.json).
 
 use crate::hash::{join_keys, key_bytes, RowKeys};
 use crate::{GpuContext, KernelError, Result};
