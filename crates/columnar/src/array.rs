@@ -1,4 +1,14 @@
 //! Typed arrays and the dynamically-typed [`Array`] enum.
+//!
+//! Rows move one way: `gather`. Every array type has exactly one, generic
+//! over a list of [`RowIndex`] values — `&[I]` or `&Vec<I>` for `usize`,
+//! libcudf's `i32`, or either in an `Option` (a `None` index produces a
+//! NULL: the padded side of an outer join), a `Range<usize>`, or an adapter
+//! over those — and `filter` and `slice` are that function over a
+//! selection's set bits and over a row range. Pass lists by reference: the
+//! list is walked once per column and pass, so an owned `Vec` would be cloned
+//! each time. Whether the result carries a validity bitmap is decided in one
+//! place, `gathered_validity`.
 
 use crate::bitmap::Bitmap;
 use crate::dict_array::DictionaryArray;
@@ -7,6 +17,81 @@ use crate::schema::DataType;
 use crate::string_array::StringArray;
 use crate::{ColumnarError, Result};
 use std::sync::Arc;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for usize {}
+    impl Sealed for i32 {}
+    impl Sealed for Option<usize> {}
+    impl Sealed for Option<i32> {}
+    impl<I: Sealed> Sealed for &I {}
+}
+
+/// A row index `gather` accepts: `usize`, libcudf's `i32`, or either in an
+/// `Option` (and references to them, so `&[I]` and a `Range<usize>` are the
+/// same kind of argument). Only `None` means NULL; a bare index that is
+/// negative or out of range is a caller bug and panics like `values[i]`.
+pub trait RowIndex: Copy + sealed::Sealed {
+    /// Whether this index type can be `None`.
+    const NULLABLE: bool;
+    /// The source row, `None` for a NULL output row.
+    fn row(self) -> Option<usize>;
+}
+
+impl RowIndex for usize {
+    const NULLABLE: bool = false;
+    fn row(self) -> Option<usize> {
+        Some(self)
+    }
+}
+
+impl RowIndex for i32 {
+    const NULLABLE: bool = false;
+    fn row(self) -> Option<usize> {
+        Some(self as usize)
+    }
+}
+
+impl RowIndex for Option<usize> {
+    const NULLABLE: bool = true;
+    fn row(self) -> Option<usize> {
+        self
+    }
+}
+
+impl RowIndex for Option<i32> {
+    const NULLABLE: bool = true;
+    fn row(self) -> Option<usize> {
+        self.map(|i| i as usize)
+    }
+}
+
+impl<I: RowIndex> RowIndex for &I {
+    const NULLABLE: bool = I::NULLABLE;
+    fn row(self) -> Option<usize> {
+        (*self).row()
+    }
+}
+
+/// The source row behind index `ix`, `None` when the output row is NULL: a
+/// `None` index or a NULL source slot.
+pub(crate) fn live_row(validity: Option<&Bitmap>, ix: impl RowIndex) -> Option<usize> {
+    ix.row().filter(|&i| validity.is_none_or(|v| v.get(i)))
+}
+
+/// The output rule of every row move, on which each `byte_size()` — hence
+/// every simulated ledger — depends: the gathered rows carry a validity
+/// bitmap iff one of them is NULL. Bare indices over an all-valid source
+/// cannot produce one, so that instantiation does no work.
+pub(crate) fn gathered_validity<I: RowIndex>(
+    source: Option<&Bitmap>,
+    indices: impl Iterator<Item = I>,
+) -> Option<Bitmap> {
+    if source.is_none() && !I::NULLABLE {
+        return None;
+    }
+    Bitmap::from_iter(indices.map(|ix| live_row(source, ix).is_some())).into_validity()
+}
 
 /// Immutable fixed-width array over a shared buffer.
 #[derive(Debug, Clone)]
@@ -40,14 +125,9 @@ impl<T: Copy> PrimitiveArray<T> {
                 }
             }
         }
-        let validity = if bits.iter().all(|b| *b) {
-            None
-        } else {
-            Some(Bitmap::from_iter(bits))
-        };
         Self {
             values: Arc::new(vals),
-            validity,
+            validity: Bitmap::from_iter(bits).into_validity(),
         }
     }
 
@@ -58,7 +138,7 @@ impl<T: Copy> PrimitiveArray<T> {
     where
         T: Default,
     {
-        let validity = validity.filter(|v| v.count_set() < v.len());
+        let validity = validity.and_then(Bitmap::into_validity);
         if let Some(v) = &validity {
             assert_eq!(v.len(), values.len(), "validity length mismatch");
             for i in v.not().set_indices() {
@@ -105,33 +185,25 @@ impl<T: Copy> PrimitiveArray<T> {
         self.validity.as_ref()
     }
 
-    /// Gather elements at `indices`.
-    pub fn gather(&self, indices: &[usize]) -> PrimitiveArray<T> {
-        let values: Vec<T> = indices.iter().map(|&i| self.values[i]).collect();
-        let validity = self
-            .validity
-            .as_ref()
-            .map(|v| v.gather(indices))
-            .filter(|v| v.count_set() < v.len());
-        PrimitiveArray {
-            values: Arc::new(values),
-            validity,
-        }
-    }
-
-    /// Gather with optional indices: `None` (or a null source element)
-    /// produces a null.
-    pub fn gather_opt(&self, indices: &[Option<usize>]) -> PrimitiveArray<T>
+    /// Gather elements at `indices`; NULL rows hold `T::default()`.
+    pub fn gather<I: RowIndex>(
+        &self,
+        indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
+    ) -> PrimitiveArray<T>
     where
         T: Default,
     {
-        let live = |ix: &Option<usize>| ix.filter(|&i| self.is_valid(i));
-        let values = indices
-            .iter()
-            .map(|ix| live(ix).map_or_else(T::default, |i| self.values[i]))
-            .collect();
-        let validity = Bitmap::from_iter(indices.iter().map(|ix| live(ix).is_some()));
-        PrimitiveArray::from_parts(values, Some(validity))
+        let (indices, validity) = (indices.into_iter(), self.validity.as_ref());
+        // Sliced once: behind the `Arc` the loop would reload pointer and length per row.
+        let values = self.values.as_slice();
+        PrimitiveArray {
+            validity: gathered_validity(validity, indices.clone()),
+            values: Arc::new(
+                indices
+                    .map(|ix| live_row(validity, ix).map_or_else(T::default, |i| values[i]))
+                    .collect(),
+            ),
+        }
     }
 
     /// Iterate as `Option<T>`.
@@ -148,21 +220,13 @@ impl<T: Copy> PrimitiveArray<T> {
     /// Concatenate arrays.
     pub fn concat(arrays: &[&PrimitiveArray<T>]) -> PrimitiveArray<T> {
         let mut values = Vec::with_capacity(arrays.iter().map(|a| a.len()).sum());
-        let any_null = arrays.iter().any(|a| a.validity.is_some());
-        let mut bits = Vec::new();
         for a in arrays {
             values.extend_from_slice(&a.values);
-            if any_null {
-                bits.extend((0..a.len()).map(|i| a.is_valid(i)));
-            }
         }
+        let parts = arrays.iter().map(|a| (a.validity.as_ref(), a.len()));
         PrimitiveArray {
             values: Arc::new(values),
-            validity: if any_null {
-                Some(Bitmap::from_iter(bits))
-            } else {
-                None
-            },
+            validity: Bitmap::concat_validity(parts),
         }
     }
 }
@@ -192,14 +256,9 @@ impl BoolArray {
             vals.push(v.unwrap_or(false));
             bits.push(v.is_some());
         }
-        let validity = if bits.iter().all(|b| *b) {
-            None
-        } else {
-            Some(Bitmap::from_iter(bits))
-        };
         Self {
             values: Bitmap::from_iter(vals),
-            validity,
+            validity: Bitmap::from_iter(bits).into_validity(),
         }
     }
 
@@ -207,7 +266,7 @@ impl BoolArray {
     /// the output rule every kernel relies on: a validity bitmap is present
     /// iff some element is null, and null slots hold `false`.
     pub fn from_parts(values: Bitmap, validity: Option<Bitmap>) -> Self {
-        match validity.filter(|v| v.count_set() < v.len()) {
+        match validity.and_then(Bitmap::into_validity) {
             Some(v) => Self {
                 values: values.and(&v),
                 validity: Some(v),
@@ -262,9 +321,17 @@ impl BoolArray {
         }
     }
 
-    /// Gather elements at `indices`.
-    pub fn gather(&self, indices: &[usize]) -> BoolArray {
-        BoolArray::from_options(indices.iter().map(|&i| self.value(i)))
+    /// Gather elements at `indices`. NULL rows hold `false`: source NULL
+    /// slots already do, and a `None` index gathers a clear bit.
+    pub fn gather<I: RowIndex>(
+        &self,
+        indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
+    ) -> BoolArray {
+        let indices = indices.into_iter();
+        BoolArray {
+            validity: gathered_validity(self.validity.as_ref(), indices.clone()),
+            values: self.values.gather(indices),
+        }
     }
 
     /// Heap bytes held.
@@ -631,9 +698,13 @@ impl Array {
 
     // -- data movement -------------------------------------------------------
 
-    /// Gather elements at `indices` into a new column. Dictionary-encoded
-    /// columns gather codes only; the dictionary stays shared.
-    pub fn gather(&self, indices: &[usize]) -> Array {
+    /// Gather elements at `indices` into a new column; a `None` index
+    /// produces a NULL (outer joins). Dictionary-encoded columns gather codes
+    /// only; the dictionary stays shared.
+    pub fn gather<I: RowIndex>(
+        &self,
+        indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
+    ) -> Array {
         match self {
             Array::Bool(a) => Array::Bool(a.gather(indices)),
             Array::Int32(a) => Array::Int32(a.gather(indices)),
@@ -645,25 +716,10 @@ impl Array {
         }
     }
 
-    /// Gather with optional indices: `None` produces a null (outer joins).
-    pub fn gather_opt(&self, indices: &[Option<usize>]) -> Array {
-        match self {
-            Array::Bool(a) => Array::Bool(BoolArray::from_options(
-                indices.iter().map(|ix| ix.and_then(|i| a.value(i))),
-            )),
-            Array::Int32(a) => Array::Int32(a.gather_opt(indices)),
-            Array::Int64(a) => Array::Int64(a.gather_opt(indices)),
-            Array::Float64(a) => Array::Float64(a.gather_opt(indices)),
-            Array::Utf8(a) => Array::Utf8(a.gather_opt(indices)),
-            Array::Dict(a) => Array::Dict(a.gather_opt(indices)),
-            Array::Date32(a) => Array::Date32(a.gather_opt(indices)),
-        }
-    }
-
     /// Keep elements where `selection` is set.
     pub fn filter(&self, selection: &Bitmap) -> Array {
         assert_eq!(selection.len(), self.len(), "selection length mismatch");
-        self.gather(&selection.set_indices())
+        self.gather(selection.set_indices().as_slice())
     }
 
     /// Concatenate same-typed columns. Panics on type mismatch.
@@ -741,6 +797,8 @@ impl Array {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{Field, Schema};
+    use crate::table::Table;
     use proptest::prelude::*;
 
     #[test]
@@ -765,7 +823,7 @@ mod tests {
     #[test]
     fn gather_and_filter() {
         let a = Array::from_i32([5, 6, 7, 8]);
-        let g = a.gather(&[3, 0]);
+        let g = a.gather([3, 0]);
         assert_eq!(g.i64_value(0), Some(8));
         assert_eq!(g.i64_value(1), Some(5));
         let sel = Bitmap::from_iter([true, false, true, false]);
@@ -777,7 +835,7 @@ mod tests {
     #[test]
     fn gather_opt_produces_nulls() {
         let a = Array::from_strs(["x", "y"]);
-        let g = a.gather_opt(&[Some(1), None, Some(0)]);
+        let g = a.gather([Some(1), None, Some(0)]);
         assert_eq!(g.utf8_value(0), Some("y"));
         assert_eq!(g.scalar(1), Scalar::Null);
         assert_eq!(g.utf8_value(2), Some("x"));
@@ -827,6 +885,41 @@ mod tests {
         Array::from_scalars(&scalars, a.data_type())
     }
 
+    /// One column of every array kind over the same values.
+    fn columns_of(values: &[Option<i64>]) -> [Array; 7] {
+        let typed = |f: &dyn Fn(i64) -> Scalar, t: DataType| {
+            let scalars: Vec<Scalar> = values.iter().map(|v| v.map_or(Scalar::Null, f)).collect();
+            Array::from_scalars(&scalars, t)
+        };
+        [
+            typed(&|v| Scalar::Bool(v & 1 == 1), DataType::Bool),
+            typed(&|v| Scalar::Int32(v as i32), DataType::Int32),
+            typed(&Scalar::Int64, DataType::Int64),
+            typed(
+                &|v| Scalar::Float64(f64::from_bits(v as u64)),
+                DataType::Float64,
+            ),
+            typed(&|v| Scalar::Date32(v as i32), DataType::Date32),
+            typed(&|v| Scalar::Utf8((v % 7).to_string()), DataType::Utf8),
+            typed(&|v| Scalar::Utf8((v % 7).to_string()), DataType::Utf8).dict_encode(),
+        ]
+    }
+
+    /// Equal the way results and the ledger see a column: values,
+    /// `byte_size()`, and whether a validity bitmap exists.
+    fn assert_same(got: &Array, expected: &Array) -> std::result::Result<(), TestCaseError> {
+        prop_assert_eq!(got.len(), expected.len());
+        for i in 0..got.len() {
+            let (g, e) = (got.scalar(i), expected.scalar(i));
+            // Scalar equality is total_cmp on floats: NaN payloads count.
+            prop_assert_eq!(g, e, "{:?} row {}", got.data_type(), i);
+        }
+        prop_assert_eq!(got.byte_size(), expected.byte_size());
+        prop_assert_eq!(got.validity().is_some(), expected.validity().is_some());
+        prop_assert_eq!(got.is_dict(), expected.is_dict());
+        Ok(())
+    }
+
     #[test]
     fn from_parts_keeps_the_output_rule() {
         // All-set validity is dropped; null slots are zeroed.
@@ -849,40 +942,79 @@ mod tests {
     }
 
     proptest! {
+        /// Every array kind × every `RowIndex` type, over random, empty,
+        /// repeated, descending and all-`None` index lists.
         #[test]
         fn prop_gather_opt_matches_the_scalar_reference(
             values in proptest::collection::vec(proptest::option::of(any::<i64>()), 1..60),
             picks in proptest::collection::vec(proptest::option::of(any::<usize>()), 0..80),
+            source_nulls in any::<bool>(),
         ) {
-            let indices: Vec<Option<usize>> =
-                picks.iter().map(|p| p.map(|i| i % values.len())).collect();
-            let typed = |f: &dyn Fn(i64) -> Scalar, t: DataType| {
-                let scalars: Vec<Scalar> =
-                    values.iter().map(|v| v.map_or(Scalar::Null, f)).collect();
-                Array::from_scalars(&scalars, t)
-            };
-            let columns = [
-                typed(&|v| Scalar::Bool(v & 1 == 1), DataType::Bool),
-                typed(&|v| Scalar::Int32(v as i32), DataType::Int32),
-                typed(&Scalar::Int64, DataType::Int64),
-                typed(&|v| Scalar::Float64(f64::from_bits(v as u64)), DataType::Float64),
-                typed(&|v| Scalar::Date32(v as i32), DataType::Date32),
-                typed(&|v| Scalar::Utf8((v % 7).to_string()), DataType::Utf8),
-                typed(&|v| Scalar::Utf8((v % 7).to_string()), DataType::Utf8).dict_encode(),
+            let n = values.len();
+            let values: Vec<Option<i64>> =
+                values.iter().map(|v| v.or((!source_nulls).then_some(0))).collect();
+            let lists: [Vec<Option<usize>>; 5] = [
+                picks.iter().map(|p| p.map(|i| i % n)).collect(),
+                vec![],
+                vec![Some(picks.len() % n); 3],
+                (0..n).rev().map(Some).collect(),
+                vec![None; 4],
             ];
-            for column in &columns {
-                let got = column.gather_opt(&indices);
-                let expected = gather_opt_reference(column, &indices);
-                prop_assert_eq!(got.len(), expected.len());
-                for i in 0..got.len() {
-                    let (g, e) = (got.scalar(i), expected.scalar(i));
-                    // Scalar equality is total_cmp on floats: NaN payloads count.
-                    prop_assert_eq!(g, e, "{:?} row {}", column.data_type(), i);
+            for column in &columns_of(&values) {
+                // The reference decodes; an encoded column must stay encoded.
+                let reference = |indices: &[Option<usize>]| match column {
+                    Array::Dict(_) => gather_opt_reference(column, indices).dict_encode(),
+                    _ => gather_opt_reference(column, indices),
+                };
+                for list in &lists {
+                    let as_i32: Vec<Option<i32>> =
+                        list.iter().map(|ix| ix.map(|i| i as i32)).collect();
+                    let expected = reference(list);
+                    assert_same(&column.gather(list), &expected)?;
+                    assert_same(&column.gather(&as_i32), &expected)?;
+                    // The bare index types, over the rows the list names.
+                    let bare: Vec<usize> = list.iter().flatten().copied().collect();
+                    let bare_i32: Vec<i32> = bare.iter().map(|&i| i as i32).collect();
+                    let expected = reference(&bare.iter().map(|&i| Some(i)).collect::<Vec<_>>());
+                    let got = column.gather(&bare);
+                    assert_same(&got, &expected)?;
+                    assert_same(&column.gather(&bare_i32), &expected)?;
+                    if let (Array::Dict(got), Array::Dict(source)) = (&got, column) {
+                        prop_assert_eq!(got.dict_ptr(), source.dict_ptr());
+                    }
                 }
-                prop_assert_eq!(got.is_dict(), column.is_dict());
-                if !column.is_dict() {
-                    prop_assert_eq!(got.byte_size(), expected.byte_size());
-                }
+            }
+        }
+
+        /// `slice` is `gather` over a clamped row range and `filter` is
+        /// `gather` over the selection's set bits, for every array kind.
+        #[test]
+        fn prop_slice_and_filter_are_gather(
+            values in proptest::collection::vec(proptest::option::of(any::<i64>()), 0..60),
+            offset in 0usize..70,
+            len in 0usize..70,
+            mask_seed in any::<u64>(),
+        ) {
+            let n = values.len();
+            let columns = columns_of(&values);
+            let fields = columns.iter().map(|c| Field::new("c", c.data_type())).collect();
+            let table = Table::new(Schema::new(fields), columns.to_vec());
+
+            let rows: Vec<usize> = (offset.min(n)..(offset + len).min(n)).collect();
+            let (sliced, gathered) = (table.slice(offset, len), table.gather(&rows));
+            prop_assert_eq!(sliced.num_rows(), rows.len());
+            for (s, g) in sliced.columns().iter().zip(gathered.columns()) {
+                assert_same(s, g)?;
+            }
+
+            let sel = Bitmap::from_iter((0..n).map(|i| (mask_seed >> (i % 64)) & 1 == 1));
+            let filtered = table.filter(&sel);
+            let gathered = table.gather(sel.set_indices().as_slice());
+            prop_assert_eq!(filtered.num_rows(), sel.count_set());
+            let pairs = filtered.columns().iter().zip(gathered.columns());
+            for ((f, g), column) in pairs.zip(&columns) {
+                assert_same(f, g)?;
+                assert_same(&column.filter(&sel), g)?;
             }
         }
 

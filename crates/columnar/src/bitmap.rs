@@ -1,5 +1,6 @@
 //! Validity bitmaps and selection masks, packed 64 bits to a word.
 
+use crate::array::{live_row, RowIndex};
 use std::sync::Arc;
 
 /// An immutable packed bitmap. Bit `i` set means "valid" (or "selected").
@@ -141,9 +142,32 @@ impl Bitmap {
         (0..self.len).map(move |i| self.get(i))
     }
 
-    /// Gather bits at `indices` into a new bitmap.
-    pub fn gather(&self, indices: &[usize]) -> Bitmap {
-        Bitmap::from_iter(indices.iter().map(|&i| self.get(i)))
+    /// Gather bits at `indices` into a new bitmap; a `None` index gathers a
+    /// clear bit.
+    pub fn gather<I: RowIndex>(&self, indices: impl IntoIterator<Item = I>) -> Bitmap {
+        let bit = |ix: I| live_row(Some(self), ix).is_some();
+        Bitmap::from_iter(indices.into_iter().map(bit))
+    }
+
+    /// This bitmap as an array's validity: kept iff it marks a NULL (holds a
+    /// clear bit). The one place that decides whether an array carries a
+    /// validity bitmap, which `byte_size()` counts.
+    pub(crate) fn into_validity(self) -> Option<Bitmap> {
+        (self.count_set() < self.len).then_some(self)
+    }
+
+    /// Validity of a concatenation of `(validity, len)` parts, under the
+    /// rule of [`Bitmap::into_validity`]; all-valid parts cost no pass.
+    pub(crate) fn concat_validity<'a>(
+        parts: impl Iterator<Item = (Option<&'a Bitmap>, usize)> + Clone,
+    ) -> Option<Bitmap> {
+        if parts.clone().all(|(v, _)| v.is_none()) {
+            return None;
+        }
+        let bit = |(v, len): (Option<&'a Bitmap>, usize)| {
+            (0..len).map(move |i| v.is_none_or(|v| v.get(i)))
+        };
+        Bitmap::from_iter(parts.flat_map(bit)).into_validity()
     }
 
     /// Approximate heap size in bytes (the word buffer).
@@ -203,7 +227,7 @@ mod tests {
     #[test]
     fn gather_reorders() {
         let b = Bitmap::from_iter([true, false, true]);
-        let g = b.gather(&[2, 2, 1, 0]);
+        let g = b.gather([2, 2, 1, 0]);
         assert_eq!(g.iter().collect::<Vec<_>>(), vec![true, true, false, true]);
     }
 

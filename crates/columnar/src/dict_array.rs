@@ -14,6 +14,7 @@
 //! `LIKE`, the one-time group-by dictionary sort) and by the wire the first
 //! time it ships over a link.
 
+use crate::array::{gathered_validity, live_row, RowIndex};
 use crate::bitmap::Bitmap;
 use crate::string_array::StringArray;
 use std::collections::HashMap;
@@ -35,10 +36,9 @@ impl DictionaryArray {
             codes.iter().all(|&c| c == 0 || (c as usize) < values.len()),
             "dictionary code out of range"
         );
-        let validity = validity.filter(|v| v.count_set() < v.len());
         Self {
             codes: Arc::new(codes),
-            validity,
+            validity: validity.and_then(Bitmap::into_validity),
             values,
         }
     }
@@ -67,14 +67,9 @@ impl DictionaryArray {
                 }
             }
         }
-        let validity = if bits.iter().all(|b| *b) {
-            None
-        } else {
-            Some(Bitmap::from_iter(bits))
-        };
         DictionaryArray {
             codes: Arc::new(codes),
-            validity,
+            validity: Bitmap::from_iter(bits).into_validity(),
             values: Arc::new(StringArray::from_strings(uniques)),
         }
     }
@@ -82,10 +77,9 @@ impl DictionaryArray {
     /// Decode to a plain string array (bulk payload copy via the
     /// dictionary's gather path).
     pub fn decode(&self) -> StringArray {
-        let indices: Vec<Option<usize>> = (0..self.len())
-            .map(|i| self.is_valid(i).then(|| self.codes[i] as usize))
-            .collect();
-        self.values.gather_opt(&indices)
+        let codes = self.codes.iter().enumerate();
+        self.values
+            .gather(codes.map(|(i, &c)| self.is_valid(i).then_some(c)))
     }
 
     /// Number of elements.
@@ -158,46 +152,21 @@ impl DictionaryArray {
         self.values.byte_size()
     }
 
-    /// Gather elements at `indices`: codes and validity move, the
-    /// dictionary is shared untouched.
-    pub fn gather(&self, indices: &[usize]) -> DictionaryArray {
-        let codes: Vec<i32> = indices.iter().map(|&i| self.codes[i]).collect();
-        let validity = self
-            .validity
-            .as_ref()
-            .map(|v| v.gather(indices))
-            .filter(|v| v.count_set() < v.len());
+    /// Gather elements at `indices`: codes and validity move (a NULL row
+    /// holds code `0`), the dictionary is shared untouched.
+    pub fn gather<I: RowIndex>(
+        &self,
+        indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
+    ) -> DictionaryArray {
+        let (indices, validity) = (indices.into_iter(), self.validity.as_ref());
+        let codes = self.codes.as_slice();
         DictionaryArray {
-            codes: Arc::new(codes),
-            validity,
-            values: Arc::clone(&self.values),
-        }
-    }
-
-    /// Gather with optional indices: `None` produces a null.
-    pub fn gather_opt(&self, indices: &[Option<usize>]) -> DictionaryArray {
-        let mut codes = Vec::with_capacity(indices.len());
-        let mut bits = Vec::with_capacity(indices.len());
-        for &ix in indices {
-            match ix {
-                Some(i) if self.is_valid(i) => {
-                    codes.push(self.codes[i]);
-                    bits.push(true);
-                }
-                _ => {
-                    codes.push(0);
-                    bits.push(false);
-                }
-            }
-        }
-        let validity = if bits.iter().all(|b| *b) {
-            None
-        } else {
-            Some(Bitmap::from_iter(bits))
-        };
-        DictionaryArray {
-            codes: Arc::new(codes),
-            validity,
+            validity: gathered_validity(validity, indices.clone()),
+            codes: Arc::new(
+                indices
+                    .map(|ix| live_row(validity, ix).map_or(0, |i| codes[i]))
+                    .collect(),
+            ),
             values: Arc::clone(&self.values),
         }
     }
@@ -215,25 +184,13 @@ impl DictionaryArray {
         let shared = arrays
             .iter()
             .all(|a| Arc::ptr_eq(&a.values, &arrays[0].values));
-        let any_null = arrays.iter().any(|a| a.validity.is_some());
-        let mut bits = if any_null {
-            Vec::with_capacity(n)
-        } else {
-            Vec::new()
-        };
+        let validity =
+            Bitmap::concat_validity(arrays.iter().map(|a| (a.validity.as_ref(), a.len())));
         let mut codes = Vec::with_capacity(n);
         if shared {
             for a in arrays {
                 codes.extend_from_slice(&a.codes);
-                if any_null {
-                    bits.extend((0..a.len()).map(|i| a.is_valid(i)));
-                }
             }
-            let validity = if any_null {
-                Some(Bitmap::from_iter(bits)).filter(|v| v.count_set() < v.len())
-            } else {
-                None
-            };
             return DictionaryArray {
                 codes: Arc::new(codes),
                 validity,
@@ -258,25 +215,8 @@ impl DictionaryArray {
             remaps.push(remap);
         }
         for (a, remap) in arrays.iter().zip(&remaps) {
-            for i in 0..a.len() {
-                if a.is_valid(i) {
-                    codes.push(remap[a.codes[i] as usize]);
-                    if any_null {
-                        bits.push(true);
-                    }
-                } else {
-                    codes.push(0);
-                    if any_null {
-                        bits.push(false);
-                    }
-                }
-            }
+            codes.extend((0..a.len()).map(|i| a.code(i).map_or(0, |c| remap[c as usize])));
         }
-        let validity = if any_null {
-            Some(Bitmap::from_iter(bits)).filter(|v| v.count_set() < v.len())
-        } else {
-            None
-        };
         DictionaryArray {
             codes: Arc::new(codes),
             validity,
@@ -346,13 +286,13 @@ mod tests {
     #[test]
     fn gather_shares_dictionary() {
         let d = DictionaryArray::encode(&StringArray::from_options([Some("x"), None, Some("y")]));
-        let g = d.gather(&[2, 1, 0, 2]);
+        let g = d.gather([2, 1, 0, 2]);
         assert!(Arc::ptr_eq(g.values(), d.values()));
         assert_eq!(
             g.iter().collect::<Vec<_>>(),
             vec![Some("y"), None, Some("x"), Some("y")]
         );
-        let go = d.gather_opt(&[Some(0), None, Some(1)]);
+        let go = d.gather([Some(0), None, Some(1)]);
         assert!(Arc::ptr_eq(go.values(), d.values()));
         assert_eq!(go.iter().collect::<Vec<_>>(), vec![Some("x"), None, None]);
     }
@@ -360,7 +300,7 @@ mod tests {
     #[test]
     fn concat_same_dictionary_is_codes_only() {
         let d = DictionaryArray::encode(&StringArray::from_strings(["p", "q", "p"]));
-        let g = d.gather(&[2, 0]);
+        let g = d.gather([2, 0]);
         let c = DictionaryArray::concat(&[&d, &g]);
         assert!(Arc::ptr_eq(c.values(), d.values()));
         assert_eq!(

@@ -41,7 +41,7 @@ pub mod schema;
 pub mod string_array;
 pub mod table;
 
-pub use array::{Array, BoolArray, PrimitiveArray};
+pub use array::{Array, BoolArray, PrimitiveArray, RowIndex};
 pub use bitmap::Bitmap;
 pub use dict_array::DictionaryArray;
 pub use scalar::Scalar;

@@ -1,6 +1,7 @@
 //! Arrow-layout UTF-8 string arrays: an `i32` offset buffer plus a byte
 //! buffer, both reference-counted for zero-copy sharing.
 
+use crate::array::{gathered_validity, live_row, RowIndex};
 use crate::bitmap::Bitmap;
 use std::sync::Arc;
 
@@ -74,15 +75,10 @@ impl StringArray {
             }
             offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
         }
-        let validity = if bits.iter().all(|b| *b) {
-            None
-        } else {
-            Some(Bitmap::from_iter(bits))
-        };
         Self {
             offsets: Arc::new(offsets),
             data: Arc::new(data),
-            validity,
+            validity: Bitmap::from_iter(bits).into_validity(),
         }
     }
 
@@ -119,70 +115,28 @@ impl StringArray {
         self.validity.as_ref()
     }
 
-    /// Byte range of element `i` in the payload buffer.
-    fn byte_range(&self, i: usize) -> (usize, usize) {
-        (self.offsets[i] as usize, self.offsets[i + 1] as usize)
-    }
-
     /// Gather elements at `indices` into a new array. Bulk-copies payload
-    /// byte ranges and gathers the validity bitmap; never decodes values.
-    pub fn gather(&self, indices: &[usize]) -> StringArray {
-        let payload: usize = indices
-            .iter()
-            .map(|&i| {
-                let (s, e) = self.byte_range(i);
-                e - s
-            })
-            .sum();
+    /// byte ranges (a NULL row is an empty range); never decodes values.
+    pub fn gather<I: RowIndex>(
+        &self,
+        indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
+    ) -> StringArray {
+        let (indices, validity) = (indices.into_iter(), self.validity.as_ref());
+        let (starts, payload) = (self.offsets.as_slice(), self.data.as_slice());
+        let range = |i: usize| starts[i] as usize..starts[i + 1] as usize;
         let mut offsets = Vec::with_capacity(indices.len() + 1);
         offsets.push(0i32);
-        let mut data = Vec::with_capacity(payload);
-        for &i in indices {
-            if self.is_valid(i) {
-                let (s, e) = self.byte_range(i);
-                data.extend_from_slice(&self.data[s..e]);
-            }
+        // Sized by the mean value length: one pass over the rows, not two.
+        let mut data =
+            Vec::with_capacity(payload.len().div_ceil(self.len().max(1)) * indices.len());
+        for ix in indices.clone() {
+            data.extend_from_slice(&payload[live_row(validity, ix).map_or(0..0, range)]);
             offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
         }
-        let validity = self
-            .validity
-            .as_ref()
-            .map(|v| v.gather(indices))
-            .filter(|v| v.count_set() < v.len());
         StringArray {
             offsets: Arc::new(offsets),
             data: Arc::new(data),
-            validity,
-        }
-    }
-
-    /// Gather with optional indices: `None` produces a null. Bulk-copies
-    /// payload bytes like [`StringArray::gather`].
-    pub fn gather_opt(&self, indices: &[Option<usize>]) -> StringArray {
-        let mut offsets = Vec::with_capacity(indices.len() + 1);
-        offsets.push(0i32);
-        let mut data = Vec::new();
-        let mut bits = Vec::with_capacity(indices.len());
-        for &ix in indices {
-            match ix {
-                Some(i) if self.is_valid(i) => {
-                    let (s, e) = self.byte_range(i);
-                    data.extend_from_slice(&self.data[s..e]);
-                    bits.push(true);
-                }
-                _ => bits.push(false),
-            }
-            offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
-        }
-        let validity = if bits.iter().all(|b| *b) {
-            None
-        } else {
-            Some(Bitmap::from_iter(bits))
-        };
-        StringArray {
-            offsets: Arc::new(offsets),
-            data: Arc::new(data),
-            validity,
+            validity: gathered_validity(validity, indices),
         }
     }
 
@@ -210,32 +164,17 @@ impl StringArray {
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0i32);
         let mut data = Vec::with_capacity(payload);
-        let any_null = arrays.iter().any(|a| a.validity.is_some());
-        let mut bits = if any_null {
-            Vec::with_capacity(n)
-        } else {
-            Vec::new()
-        };
         for a in arrays {
             let base = i32::try_from(data.len()).expect("string buffer < 2 GiB");
             data.extend_from_slice(&a.data);
             offsets.extend(a.offsets[1..].iter().map(|&o| o + base));
-            if any_null {
-                match &a.validity {
-                    Some(v) => bits.extend((0..a.len()).map(|i| v.get(i))),
-                    None => bits.extend(std::iter::repeat_n(true, a.len())),
-                }
-            }
         }
         i32::try_from(data.len()).expect("string buffer < 2 GiB");
+        let parts = arrays.iter().map(|a| (a.validity.as_ref(), a.len()));
         StringArray {
             offsets: Arc::new(offsets),
             data: Arc::new(data),
-            validity: if any_null {
-                Some(Bitmap::from_iter(bits))
-            } else {
-                None
-            },
+            validity: Bitmap::concat_validity(parts),
         }
     }
 }
@@ -268,7 +207,7 @@ mod tests {
     #[test]
     fn gather_with_nulls() {
         let a = StringArray::from_options([Some("x"), None, Some("y")]);
-        let g = a.gather(&[2, 1, 0, 0]);
+        let g = a.gather([2, 1, 0, 0]);
         assert_eq!(
             g.iter().collect::<Vec<_>>(),
             vec![Some("y"), None, Some("x"), Some("x")]
@@ -320,7 +259,7 @@ mod tests {
     fn gather_is_bulk_and_singleton_concat_is_zero_copy() {
         let a = StringArray::from_options([Some("x"), None, Some("naïve"), Some("")]);
         instrument::reset();
-        let g = a.gather(&[3, 2, 1, 0, 2]);
+        let g = a.gather([3, 2, 1, 0, 2]);
         assert_eq!(instrument::decodes(), 0, "bulk gather must not decode");
         assert_eq!(
             g.iter().collect::<Vec<_>>(),
@@ -337,7 +276,7 @@ mod tests {
     fn gather_opt_is_bulk() {
         let a = StringArray::from_strings(["a", "bb", "ccc"]);
         instrument::reset();
-        let g = a.gather_opt(&[Some(2), None, Some(0)]);
+        let g = a.gather([Some(2), None, Some(0)]);
         assert_eq!(instrument::decodes(), 0);
         assert_eq!(
             g.iter().collect::<Vec<_>>(),

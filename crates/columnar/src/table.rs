@@ -1,6 +1,6 @@
 //! Record-batch tables: a schema plus equal-length columns.
 
-use crate::array::Array;
+use crate::array::{Array, RowIndex};
 use crate::bitmap::Bitmap;
 use crate::scalar::Scalar;
 use crate::schema::Schema;
@@ -109,9 +109,21 @@ impl Table {
         self.columns.iter().map(|c| c.scalar(i)).collect()
     }
 
-    /// Gather rows at `indices` into a new table.
-    pub fn gather(&self, indices: &[usize]) -> Table {
-        let columns = self.columns.iter().map(|c| c.gather(indices)).collect();
+    /// Gather rows at `indices` into a new table; a `None` index produces
+    /// a row of NULLs.
+    pub fn gather<I: RowIndex>(
+        &self,
+        indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
+    ) -> Table {
+        let indices = indices.into_iter();
+        // `Option` indices without a `None` (the matched side of an inner
+        // join) introduce no NULL: settled once here, not per row of every
+        // column. `usize::MAX` is unreachable and would panic like any bad index.
+        let columns = if I::NULLABLE && indices.clone().all(|ix| ix.row().is_some()) {
+            self.columns_at(indices.clone().map(|ix| ix.row().unwrap_or(usize::MAX)))
+        } else {
+            self.columns_at(indices.clone())
+        };
         Table {
             schema: Arc::clone(&self.schema),
             columns,
@@ -119,9 +131,19 @@ impl Table {
         }
     }
 
+    /// Every column gathered at `indices`.
+    fn columns_at<I: RowIndex>(
+        &self,
+        indices: impl ExactSizeIterator<Item = I> + Clone,
+    ) -> Vec<Array> {
+        (self.columns.iter())
+            .map(|c| c.gather(indices.clone()))
+            .collect()
+    }
+
     /// Keep rows where `selection` is set.
     pub fn filter(&self, selection: &Bitmap) -> Table {
-        self.gather(&selection.set_indices())
+        self.gather(selection.set_indices().as_slice())
     }
 
     /// Contiguous row range `[offset, offset + len)`, clamped to the table.
@@ -129,9 +151,7 @@ impl Table {
     /// with this.
     pub fn slice(&self, offset: usize, len: usize) -> Table {
         let start = offset.min(self.num_rows);
-        let end = start.saturating_add(len).min(self.num_rows);
-        let indices: Vec<usize> = (start..end).collect();
-        self.gather(&indices)
+        self.gather(start..start.saturating_add(len).min(self.num_rows))
     }
 
     /// Project columns at `indices` (with the schema following).
@@ -274,7 +294,7 @@ mod tests {
     #[test]
     fn gather_filter_project() {
         let t = sample();
-        let g = t.gather(&[2, 0]);
+        let g = t.gather([2, 0]);
         assert_eq!(g.row(0), vec![Scalar::Int64(3), Scalar::Utf8("c".into())]);
         let f = t.filter(&Bitmap::from_iter([false, true, false]));
         assert_eq!(f.num_rows(), 1);

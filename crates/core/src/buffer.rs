@@ -2,12 +2,13 @@
 //! caching with tiered overflow, and columnar-format conversion accounting.
 
 use crate::{Result, SiriusError};
+use parking_lot::Mutex;
 use sirius_columnar::Table;
 use sirius_hw::{CostCategory, Device, Link, WorkProfile};
 use sirius_rmm::{Allocation, BufferRegions, CacheTier, DataCache};
 use sirius_spill::{GrantBroker, MemoryGrant, SpillConfig, SpillManager, SpillStats, SpillTicket};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Manages device memory for one Sirius engine instance.
 pub struct BufferManager {
@@ -66,10 +67,6 @@ impl BufferManager {
     /// region *across* interleaved queries while each query keeps its own
     /// time ledger. The view starts with an uncapped grant budget.
     pub fn shared_view(&self, device: Device) -> BufferManager {
-        let fault = match self.fault.lock() {
-            Ok(g) => g.clone(),
-            Err(p) => p.into_inner().clone(),
-        };
         BufferManager {
             device,
             regions: self.regions.clone(),
@@ -77,9 +74,14 @@ impl BufferManager {
             host_link: self.host_link.clone(),
             broker: self.broker.clone(),
             spill: Arc::clone(&self.spill),
-            fault: Mutex::new(fault),
+            fault: Mutex::new(self.fault()),
             grant_cap: AtomicU64::new(u64::MAX),
         }
+    }
+
+    /// The attached fault injector and this node's id.
+    fn fault(&self) -> (sirius_hw::FaultInjector, usize) {
+        self.fault.lock().clone()
     }
 
     /// Cap this manager's grant budget (per-query memory isolation in
@@ -216,22 +218,17 @@ impl BufferManager {
                 "working set of {bytes} B exceeds this query's {cap} B memory budget"
             )));
         }
+        let (fault, node) = self.fault();
+        if fault
+            .fire(sirius_hw::FaultSite::GrantRequest { node })
+            .is_some()
         {
-            let (fault, node) = match self.fault.lock() {
-                Ok(g) => g.clone(),
-                Err(p) => p.into_inner().clone(),
-            };
-            if fault
-                .fire(sirius_hw::FaultSite::GrantRequest { node })
-                .is_some()
-            {
-                // A storm denial is indistinguishable from pool exhaustion
-                // to the caller: the operator spills, results stay exact.
-                self.broker.note_denial();
-                return Err(SiriusError::OutOfMemory(format!(
-                    "injected grant denial storm on node {node} ({bytes} B refused)"
-                )));
-            }
+            // A storm denial is indistinguishable from pool exhaustion
+            // to the caller: the operator spills, results stay exact.
+            self.broker.note_denial();
+            return Err(SiriusError::OutOfMemory(format!(
+                "injected grant denial storm on node {node} ({bytes} B refused)"
+            )));
         }
         self.broker
             .request(bytes)
@@ -266,10 +263,7 @@ impl BufferManager {
 
     /// Attach a fault injector for spill-tier I/O faults on node `node_id`.
     pub fn set_fault_injector(&self, fault: sirius_hw::FaultInjector, node_id: usize) {
-        match self.fault.lock() {
-            Ok(mut g) => *g = (fault, node_id),
-            Err(p) => *p.into_inner() = (fault, node_id),
-        }
+        *self.fault.lock() = (fault, node_id);
     }
 
     /// Park a partition of `bytes` on the highest spill tier with room,
@@ -278,19 +272,14 @@ impl BufferManager {
     /// disk-tier convention of [`Self::get_table`]). Failure means the
     /// partition exceeds every tier combined — the hard OOM case.
     pub fn spill_write(&self, bytes: u64) -> Result<SpillTicket> {
+        let (fault, node) = self.fault();
+        if fault
+            .fire(sirius_hw::FaultSite::SpillWrite { node })
+            .is_some()
         {
-            let (fault, node) = match self.fault.lock() {
-                Ok(g) => g.clone(),
-                Err(p) => p.into_inner().clone(),
-            };
-            if fault
-                .fire(sirius_hw::FaultSite::SpillWrite { node })
-                .is_some()
-            {
-                return Err(SiriusError::SpillIo(format!(
-                    "injected spill-tier write failure on node {node} ({bytes} B)"
-                )));
-            }
+            return Err(SiriusError::SpillIo(format!(
+                "injected spill-tier write failure on node {node} ({bytes} B)"
+            )));
         }
         let ticket = self.spill.write(bytes).map_err(|()| {
             SiriusError::OutOfMemory(format!(
@@ -336,20 +325,6 @@ impl BufferManager {
     /// Snapshot of the monotonic spill counters.
     pub fn spill_stats(&self) -> SpillStats {
         self.spill.stats()
-    }
-
-    /// Convert Sirius row indices (`u64`, §3.2.3) into libcudf's `i32`,
-    /// charging the conversion pass. Errors if any index overflows `i32` —
-    /// the condition under which real Sirius would have to batch.
-    pub fn to_cudf_indices(&self, indices: &[u64]) -> Result<Vec<i32>> {
-        let out: std::result::Result<Vec<i32>, _> =
-            indices.iter().map(|&i| i32::try_from(i)).collect();
-        self.device.charge_labeled(
-            CostCategory::Other,
-            "format.index_convert",
-            &WorkProfile::scan((indices.len() * 12) as u64).with_rows(indices.len() as u64),
-        );
-        out.map_err(|_| SiriusError::Kernel("row index exceeds libcudf's i32 range".into()))
     }
 }
 
@@ -408,13 +383,6 @@ mod tests {
             bm.alloc_processing(cap + 1),
             Err(SiriusError::OutOfMemory(_))
         ));
-    }
-
-    #[test]
-    fn index_conversion_checks_range() {
-        let (_d, bm) = bufmgr();
-        assert_eq!(bm.to_cudf_indices(&[0, 5, 7]).unwrap(), vec![0, 5, 7]);
-        assert!(bm.to_cudf_indices(&[u64::from(u32::MAX)]).is_err());
     }
 
     #[test]

@@ -417,12 +417,18 @@ pub(crate) struct Partial {
     scalars: Vec<Scalar>,
 }
 
+/// Bytes the ledger charges per ungrouped partial scalar: a parameter of the
+/// cost model, not a layout. It equals `size_of::<Scalar>()` under the rustc
+/// that generated the snapshots; tying it to the type would move simulated
+/// time with the toolchain (older compilers lay `Scalar` out in 32 bytes).
+const PARTIAL_SCALAR_BYTES: u64 = 24;
+
 impl Partial {
     /// Bytes the partial accumulators occupy.
     pub(crate) fn byte_size(&self) -> u64 {
         let arrays = self.keys.iter().chain(&self.aggs);
         arrays.map(|a| a.byte_size() as u64).sum::<u64>()
-            + (self.scalars.len() * std::mem::size_of::<Scalar>()) as u64
+            + self.scalars.len() as u64 * PARTIAL_SCALAR_BYTES
     }
 }
 

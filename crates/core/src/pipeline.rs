@@ -214,7 +214,12 @@ impl TaskQueue {
 
 impl Drop for TaskQueue {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Set under the queue lock: a worker between its shutdown check and
+        // its wait would otherwise miss this only wakeup and `join` hangs.
+        {
+            let _queue = self.inner.tasks.lock();
+            self.inner.shutdown.store(true, Ordering::Release);
+        }
         self.inner.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

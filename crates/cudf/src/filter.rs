@@ -1,4 +1,11 @@
-//! Selection application: keep table rows where a boolean column is true.
+//! Selection application and row materialization: keep table rows where a
+//! boolean column is true, or gather them at libcudf's `i32` row indices.
+//!
+//! `sirius-columnar` has one `gather`, generic over its `RowIndex` (`usize`,
+//! `i32`, or either in an `Option`, where `None` produces a row of NULLs), so
+//! both gathers here hand their index slice straight down; they differ in
+//! their ledger entry and in `gather_opt` marking every output field
+//! nullable.
 
 use crate::{GpuContext, Result};
 use sirius_columnar::{Array, Table};
@@ -22,8 +29,7 @@ pub fn apply_filter(ctx: &GpuContext, table: &Table, mask: &Array) -> Result<Tab
 /// Gather table rows at libcudf-style `i32` indices (materialization after
 /// a join or sort).
 pub fn gather(ctx: &GpuContext, table: &Table, indices: &[i32]) -> Table {
-    let idx: Vec<usize> = indices.iter().map(|&i| i as usize).collect();
-    let out = table.gather(&idx);
+    let out = table.gather(indices);
     ctx.charge_named(
         "filter.gather",
         &WorkProfile::random(out.byte_size() as u64)
@@ -35,21 +41,11 @@ pub fn gather(ctx: &GpuContext, table: &Table, indices: &[i32]) -> Table {
 
 /// Gather with null introduction (`None` index ⇒ null row), for outer joins.
 pub fn gather_opt(ctx: &GpuContext, table: &Table, indices: &[Option<i32>]) -> Table {
-    let some = |o: &Option<i32>| o.map(|i| i as usize);
-    // No padding to introduce (the right side of an inner join): a plain
-    // gather produces the same columns from 8-byte indices.
-    let columns: Vec<Array> = match indices.iter().map(some).collect::<Option<Vec<usize>>>() {
-        Some(idx) => table.columns().iter().map(|c| c.gather(&idx)).collect(),
-        None => {
-            let idx: Vec<Option<usize>> = indices.iter().map(some).collect();
-            table.columns().iter().map(|c| c.gather_opt(&idx)).collect()
-        }
-    };
     let mut schema = table.schema().clone();
     for f in &mut schema.fields {
         f.nullable = true;
     }
-    let out = Table::new(schema, columns);
+    let out = Table::new(schema, table.gather(indices).columns().to_vec());
     ctx.charge_named(
         "filter.gather_opt",
         &WorkProfile::random(out.byte_size() as u64)
@@ -107,7 +103,7 @@ mod tests {
 
     proptest::proptest! {
         /// With or without padding rows, every column is what the typed
-        /// `Array::gather_opt` produces for the same indices.
+        /// `Array::gather` produces for the same indices as `Option<usize>`.
         #[test]
         fn prop_gather_opt_is_columnwise_gather_opt(
             seed in proptest::prelude::any::<u64>(),
@@ -125,7 +121,7 @@ mod tests {
             let out = gather_opt(&test_ctx(), &table, &indices);
             let idx: Vec<Option<usize>> = indices.iter().map(|o| o.map(|i| i as usize)).collect();
             for (got, source) in out.columns().iter().zip(table.columns()) {
-                let expected = source.gather_opt(&idx);
+                let expected = source.gather(&idx);
                 proptest::prop_assert!(same_values(got, &expected), "{:?} vs {:?}", got, expected);
                 proptest::prop_assert_eq!(got.byte_size(), expected.byte_size());
                 proptest::prop_assert_eq!(got.is_dict(), expected.is_dict());

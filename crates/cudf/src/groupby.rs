@@ -106,8 +106,8 @@ pub fn group_by(
     // Materialize key columns by gathering each group's representative row
     // from the original arrays: values match the first-appearance scalars
     // and dictionary-encoded keys stay encoded in the output.
-    let rep_rows: Vec<usize> = order.iter().map(|&g| groups.first_rows[g]).collect();
-    let key_columns: Vec<Array> = keys.iter().map(|k| k.gather(&rep_rows)).collect();
+    let rep_rows = order.iter().map(|&g| groups.first_rows[g]);
+    let key_columns: Vec<Array> = keys.iter().map(|k| k.gather(rep_rows.clone())).collect();
     let agg_columns: Vec<Array> = (aggs.iter().zip(out_types))
         .map(|(a, out)| {
             let by_id = accumulate(a, out, &groups.ids, num_groups)?;
@@ -335,7 +335,7 @@ pub(crate) fn accumulate(
                 Array::Dict(a) => best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(y))),
             };
             // MIN / MAX of an encoded column is a plain string column.
-            input.gather_opt(&best).decoded()
+            input.gather(&best).decoded()
         }
     })
 }

@@ -387,8 +387,8 @@ mod tests {
             let cut = g.below(probe_rows + 1);
             let mut morsels = (Vec::new(), Vec::new());
             for (offset, len) in [(0, cut), (cut, probe_rows - cut)] {
-                let rows: Vec<usize> = (offset..offset + len).collect();
-                let part: Vec<Array> = probe.iter().map(|c| c.gather(&rows)).collect();
+                let part: Vec<Array> =
+                    probe.iter().map(|c| c.gather(offset..offset + len)).collect();
                 let part: Vec<&Array> = part.iter().collect();
                 let p = probe_hash_table(&ctx, &table, &part, probe_rows, offset).unwrap();
                 morsels.0.extend(p.left);

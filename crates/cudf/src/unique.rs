@@ -38,7 +38,7 @@ mod tests {
         ) {
             let table = table_of(Gen(seed).columns(&KINDS, columns, rows));
             let kept = distinct(&test_ctx(), &table).unwrap();
-            let expected = table.gather(&reference::distinct_rows(&table));
+            let expected = table.gather(reference::distinct_rows(&table).as_slice());
             prop_assert_eq!(kept.canonical_rows(), expected.canonical_rows());
             prop_assert_eq!(kept.byte_size(), expected.byte_size());
             // Row order, not just the row set: compare row by row.

@@ -245,17 +245,12 @@ impl Fold for Interp<'_> {
                     JoinKind::Semi | JoinKind::Anti => lt.gather(&out_idx.left),
                     _ => {
                         let l = lt.gather(&out_idx.left);
-                        let rcols: Vec<Array> = rt
-                            .columns()
-                            .iter()
-                            .map(|c| c.gather_opt(&out_idx.right))
-                            .collect();
                         let r = Table::new(
                             plan.schema()?.project(
                                 &(lt.num_columns()..lt.num_columns() + rt.num_columns())
                                     .collect::<Vec<_>>(),
                             ),
-                            rcols,
+                            rt.gather(&out_idx.right).columns().to_vec(),
                         );
                         l.hstack(&r)
                     }
@@ -306,8 +301,7 @@ impl Fold for Interp<'_> {
                     Some(f) => (start + f).min(t.num_rows()),
                     None => t.num_rows(),
                 };
-                let idx: Vec<usize> = (start..end).collect();
-                let out = t.gather(&idx);
+                let out = t.gather(start..end);
                 self.eng.charge(
                     CostCategory::Other,
                     WorkProfile::scan(out.byte_size() as u64).with_rows(out.num_rows() as u64),
