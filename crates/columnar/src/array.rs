@@ -1,14 +1,28 @@
 //! Typed arrays and the dynamically-typed [`Array`] enum.
 //!
+//! Every array is a *window* — an offset and a length — over `Arc` buffers
+//! it shares with its clones and slices (Arrow's `(buffers, offset, length)`,
+//! the paper's non-owning `column_view`, §3.2.3); a freshly built array is
+//! the window over its whole buffer. There is one representation: values,
+//! codes and string offsets sit in a crate-private `Window<T>` that only
+//! reads as its own slice, so no accessor can forget the offset, no caller
+//! can tell a slice from a copy, and `slice` is O(1). Only the validity
+//! [`Bitmap`] is copied (`len / 64` words), re-decided per window by the
+//! output rule below. `concat` closes the loop: windows over one buffer,
+//! adjacent and in order, re-join into the window spanning them
+//! (`Window::spanning`); anything else is copied. A window keeps its whole
+//! buffer alive.
+//!
 //! Rows move one way: `gather`. Every array type has exactly one, generic
 //! over a list of [`RowIndex`] values — `&[I]` or `&Vec<I>` for `usize`,
 //! libcudf's `i32`, or either in an `Option` (a `None` index produces a
 //! NULL: the padded side of an outer join), a `Range<usize>`, or an adapter
-//! over those — and `filter` and `slice` are that function over a
-//! selection's set bits and over a row range. Pass lists by reference: the
-//! list is walked once per column and pass, so an owned `Vec` would be cloned
-//! each time. Whether the result carries a validity bitmap is decided in one
-//! place, `gathered_validity`.
+//! over those — and `filter` is that function over a selection's set bits.
+//! Pass lists by reference: the list is walked once per column and pass, so
+//! an owned `Vec` would be cloned each time. Whether a result carries a
+//! validity bitmap is decided in one place, `Bitmap::into_validity`: iff it
+//! holds a NULL, for a gather (`gathered_validity`), a window and a concat
+//! alike — so `slice(o, l)` and `gather(o..o + l)` agree in `byte_size()`.
 
 use crate::bitmap::Bitmap;
 use crate::dict_array::DictionaryArray;
@@ -93,10 +107,73 @@ pub(crate) fn gathered_validity<I: RowIndex>(
     Bitmap::from_iter(indices.map(|ix| live_row(source, ix).is_some())).into_validity()
 }
 
-/// Immutable fixed-width array over a shared buffer.
+/// The same rule for a window: rows `[start, start + len)` of `source`, kept
+/// iff one of them is NULL.
+pub(crate) fn window_validity(source: Option<&Bitmap>, start: usize, len: usize) -> Option<Bitmap> {
+    source.and_then(|v| v.slice(start, len).into_validity())
+}
+
+/// A window — an offset and a length — over a shared buffer: what every
+/// array holds its values, codes or offsets in, and reads as a slice. A new
+/// buffer's window covers all of it; a `clone` or `slice` shares the buffer.
+#[derive(Debug, Clone)]
+pub(crate) struct Window<T> {
+    buffer: Arc<Vec<T>>,
+    offset: usize,
+    len: usize,
+}
+
+impl<T: Clone> Window<T> {
+    /// The window over all of a new buffer.
+    pub(crate) fn whole(buffer: Vec<T>) -> Self {
+        Self {
+            offset: 0,
+            len: buffer.len(),
+            buffer: Arc::new(buffer),
+        }
+    }
+
+    /// Elements `[start, start + len)` over the same buffer. A range past the
+    /// end is a caller bug and panics, like a bad bare index.
+    pub(crate) fn narrow(&self, start: usize, len: usize) -> Self {
+        let fits = start.checked_add(len).is_some_and(|end| end <= self.len);
+        assert!(fits, "slice {start}+{len} out of bounds ({})", self.len);
+        Self {
+            buffer: Arc::clone(&self.buffer),
+            offset: self.offset + start,
+            len,
+        }
+    }
+
+    /// The adjacency rule of every `concat`: when `parts` are windows over
+    /// one buffer, in order, each starting `overlap` elements before the
+    /// previous one ends (0: adjacent; 1 for string offsets, where a row's
+    /// end is the next row's start), the window spanning them, which shares
+    /// the buffer instead of copying it.
+    pub(crate) fn spanning(mut parts: impl Iterator<Item = Self>, overlap: usize) -> Option<Self> {
+        let mut span = parts.next()?;
+        for p in parts {
+            if !Arc::ptr_eq(&p.buffer, &span.buffer) || p.offset + overlap != span.offset + span.len
+            {
+                return None;
+            }
+            span.len += p.len - overlap;
+        }
+        Some(span)
+    }
+}
+
+impl<T> std::ops::Deref for Window<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.buffer[self.offset..self.offset + self.len]
+    }
+}
+
+/// Immutable fixed-width array: a window over a shared buffer.
 #[derive(Debug, Clone)]
 pub struct PrimitiveArray<T: Copy> {
-    values: Arc<Vec<T>>,
+    values: Window<T>,
     validity: Option<Bitmap>,
 }
 
@@ -104,7 +181,7 @@ impl<T: Copy> PrimitiveArray<T> {
     /// Build from values, all valid.
     pub fn from_values(values: Vec<T>) -> Self {
         Self {
-            values: Arc::new(values),
+            values: Window::whole(values),
             validity: None,
         }
     }
@@ -126,7 +203,7 @@ impl<T: Copy> PrimitiveArray<T> {
             }
         }
         Self {
-            values: Arc::new(vals),
+            values: Window::whole(vals),
             validity: Bitmap::from_iter(bits).into_validity(),
         }
     }
@@ -146,7 +223,7 @@ impl<T: Copy> PrimitiveArray<T> {
             }
         }
         Self {
-            values: Arc::new(values),
+            values: Window::whole(values),
             validity,
         }
     }
@@ -195,14 +272,23 @@ impl<T: Copy> PrimitiveArray<T> {
     {
         let (indices, validity) = (indices.into_iter(), self.validity.as_ref());
         // Sliced once: behind the `Arc` the loop would reload pointer and length per row.
-        let values = self.values.as_slice();
+        let values = self.values();
         PrimitiveArray {
             validity: gathered_validity(validity, indices.clone()),
-            values: Arc::new(
+            values: Window::whole(
                 indices
                     .map(|ix| live_row(validity, ix).map_or_else(T::default, |i| values[i]))
                     .collect(),
             ),
+        }
+    }
+
+    /// Rows `[start, start + len)` as a window over the same buffer: nothing
+    /// but the validity bits is copied. Panics if the range runs past the end.
+    pub fn slice(&self, start: usize, len: usize) -> PrimitiveArray<T> {
+        PrimitiveArray {
+            values: self.values.narrow(start, len),
+            validity: window_validity(self.validity.as_ref(), start, len),
         }
     }
 
@@ -217,15 +303,14 @@ impl<T: Copy> PrimitiveArray<T> {
             + self.validity.as_ref().map(|v| v.byte_size()).unwrap_or(0)
     }
 
-    /// Concatenate arrays.
+    /// Concatenate arrays: adjacent windows over one buffer re-join into the
+    /// window spanning them, anything else is copied.
     pub fn concat(arrays: &[&PrimitiveArray<T>]) -> PrimitiveArray<T> {
-        let mut values = Vec::with_capacity(arrays.iter().map(|a| a.len()).sum());
-        for a in arrays {
-            values.extend_from_slice(&a.values);
-        }
+        let slices = || arrays.iter().map(|a| a.values()).collect::<Vec<_>>();
+        let spanning = Window::spanning(arrays.iter().map(|a| a.values.clone()), 0);
         let parts = arrays.iter().map(|a| (a.validity.as_ref(), a.len()));
         PrimitiveArray {
-            values: Arc::new(values),
+            values: spanning.unwrap_or_else(|| Window::whole(slices().concat())),
             validity: Bitmap::concat_validity(parts),
         }
     }
@@ -334,18 +419,27 @@ impl BoolArray {
         }
     }
 
+    /// Rows `[start, start + len)`: two [`Bitmap::slice`]s, the one array
+    /// `slice` that copies (a bit per row). Panics if the range runs past
+    /// the end.
+    pub fn slice(&self, start: usize, len: usize) -> BoolArray {
+        BoolArray {
+            values: self.values.slice(start, len),
+            validity: window_validity(self.validity.as_ref(), start, len),
+        }
+    }
+
     /// Heap bytes held.
     pub fn byte_size(&self) -> usize {
         self.values.byte_size() + self.validity.as_ref().map(|v| v.byte_size()).unwrap_or(0)
     }
 
-    /// Concatenate arrays.
+    /// Concatenate arrays, value bits and validity a word at a time.
     pub fn concat(arrays: &[&BoolArray]) -> BoolArray {
-        BoolArray::from_options(
-            arrays
-                .iter()
-                .flat_map(|a| (0..a.len()).map(move |i| a.value(i))),
-        )
+        BoolArray {
+            values: Bitmap::concat(arrays.iter().map(|a| a.values.clone())),
+            validity: Bitmap::concat_validity(arrays.iter().map(|a| (a.validity(), a.len()))),
+        }
     }
 }
 
@@ -722,6 +816,22 @@ impl Array {
         self.gather(selection.set_indices().as_slice())
     }
 
+    /// Rows `[start, start + len)` as a window over the same buffers, equal
+    /// to `gather(start..start + len)` in values, `byte_size()` and validity
+    /// presence without copying a value. Panics if the range runs past the
+    /// end ([`crate::Table::slice`] clamps).
+    pub fn slice(&self, start: usize, len: usize) -> Array {
+        match self {
+            Array::Bool(a) => Array::Bool(a.slice(start, len)),
+            Array::Int32(a) => Array::Int32(a.slice(start, len)),
+            Array::Int64(a) => Array::Int64(a.slice(start, len)),
+            Array::Float64(a) => Array::Float64(a.slice(start, len)),
+            Array::Utf8(a) => Array::Utf8(a.slice(start, len)),
+            Array::Dict(a) => Array::Dict(a.slice(start, len)),
+            Array::Date32(a) => Array::Date32(a.slice(start, len)),
+        }
+    }
+
     /// Concatenate same-typed columns. Panics on type mismatch.
     pub fn concat(arrays: &[&Array]) -> Array {
         assert!(!arrays.is_empty(), "concat of zero arrays");
@@ -941,6 +1051,53 @@ mod tests {
         );
     }
 
+    /// Address of row `i`'s value, code or payload: equal addresses mean
+    /// shared buffers. `None` for `Bool`, whose bitmaps are the one thing
+    /// `slice` copies.
+    fn ptr_at(a: &Array, i: usize) -> Option<*const u8> {
+        match a {
+            Array::Bool(_) => None,
+            Array::Int32(a) | Array::Date32(a) => Some(a.values()[i..].as_ptr().cast()),
+            Array::Int64(a) => Some(a.values()[i..].as_ptr().cast()),
+            Array::Float64(a) => Some(a.values()[i..].as_ptr().cast()),
+            Array::Utf8(a) => Some(a.value(i).expect("non-null").as_ptr()),
+            Array::Dict(a) => Some(a.codes()[i..].as_ptr().cast()),
+        }
+    }
+
+    #[test]
+    fn windows_share_buffers_and_adjacent_windows_rejoin() {
+        let values: Vec<Option<i64>> = (0..150).map(Some).collect();
+        let cuts = [(0, 70), (70, 0), (70, 13), (83, 67)];
+        for column in &columns_of(&values) {
+            let windows: Vec<Array> = cuts.iter().map(|&(o, l)| column.slice(o, l)).collect();
+            for (w, &(o, l)) in windows.iter().zip(&cuts) {
+                assert_eq!(
+                    (w.len(), l == 0 || ptr_at(w, 0) == ptr_at(column, o)),
+                    (l, true)
+                );
+            }
+            // A window of a window addresses the same buffer.
+            assert_eq!(ptr_at(&windows[3].slice(7, 9), 2), ptr_at(column, 92));
+
+            let whole = Array::concat(&windows.iter().collect::<Vec<_>>());
+            assert_eq!(ptr_at(&whole, 0), ptr_at(column, 0));
+            assert_same(&whole, column).unwrap();
+            // Reordered, with a gap, or repeated: one buffer but not
+            // adjacent, so the contents are copied.
+            let (first, last) = (&windows[0], &windows[3]);
+            for (parts, rows) in [
+                ([last, first], (83..150).chain(0..70).collect::<Vec<_>>()),
+                ([first, last], (0..70).chain(83..150).collect()),
+                ([first, first], (0..70).chain(0..70).collect()),
+            ] {
+                let copied = Array::concat(&parts);
+                assert_same(&copied, &column.gather(&rows)).unwrap();
+                assert!(ptr_at(&copied, 0).is_none_or(|p| Some(p) != ptr_at(parts[0], 0)));
+            }
+        }
+    }
+
     proptest! {
         /// Every array kind × every `RowIndex` type, over random, empty,
         /// repeated, descending and all-`None` index lists.
@@ -990,9 +1147,9 @@ mod tests {
         /// `gather` over the selection's set bits, for every array kind.
         #[test]
         fn prop_slice_and_filter_are_gather(
-            values in proptest::collection::vec(proptest::option::of(any::<i64>()), 0..60),
-            offset in 0usize..70,
-            len in 0usize..70,
+            values in proptest::collection::vec(proptest::option::of(any::<i64>()), 0..200),
+            offset in 0usize..220,
+            len in 0usize..220,
             mask_seed in any::<u64>(),
         ) {
             let n = values.len();
@@ -1015,6 +1172,105 @@ mod tests {
             for ((f, g), column) in pairs.zip(&columns) {
                 assert_same(f, g)?;
                 assert_same(&column.filter(&sel), g)?;
+            }
+        }
+
+        /// `slice(o, l)`, and a slice of a slice, is `gather(o..o + l)` for
+        /// every array kind — values, `byte_size()`, validity presence,
+        /// `dict_ptr()` — over random (rarely word-aligned), word-aligned,
+        /// empty and whole ranges. `Table::slice`'s clamping is held by
+        /// `prop_slice_and_filter_are_gather`.
+        #[test]
+        fn prop_slice_is_gather_over_the_range(
+            values in proptest::collection::vec(proptest::option::of(any::<i64>()), 0..200),
+            source_nulls in any::<bool>(),
+            cuts in proptest::collection::vec(any::<usize>(), 4..5),
+        ) {
+            let n = values.len();
+            let values: Vec<Option<i64>> =
+                values.iter().map(|v| v.or((!source_nulls).then_some(0))).collect();
+            let o = cuts[0] % (n + 1);
+            let l = cuts[1] % (n - o + 1);
+            let aligned = 64.min(n);
+            for column in &columns_of(&values) {
+                for (o, l) in [(o, l), (aligned, n - aligned), (o, 0), (n, 0), (0, n)] {
+                    let window = column.slice(o, l);
+                    assert_same(&window, &column.gather(o..o + l))?;
+                    let (o2, l2) = (cuts[2] % (l + 1), cuts[3] % (l - cuts[2] % (l + 1) + 1));
+                    let inner = window.slice(o2, l2);
+                    assert_same(&inner, &column.gather(o + o2..o + o2 + l2))?;
+                    if let (Array::Dict(inner), Array::Dict(source)) = (&inner, column) {
+                        prop_assert_eq!(inner.dict_ptr(), source.dict_ptr());
+                    }
+                }
+            }
+        }
+
+        /// No consumer can tell a window at a non-zero offset from its
+        /// materialised copy: `gather` with all four `RowIndex` types,
+        /// `filter`, `concat`, `decode`, `value_ranks`, `iter`,
+        /// `to_selection` (`scalar` is `assert_same`).
+        #[test]
+        fn prop_consumers_see_a_window_as_its_copy(
+            values in proptest::collection::vec(proptest::option::of(any::<i64>()), 2..200),
+            source_nulls in any::<bool>(),
+            cuts in proptest::collection::vec(any::<usize>(), 2..3),
+            picks in proptest::collection::vec(proptest::option::of(any::<usize>()), 0..80),
+            mask_seed in any::<u64>(),
+        ) {
+            let n = values.len();
+            let values: Vec<Option<i64>> =
+                values.iter().map(|v| v.or((!source_nulls).then_some(0))).collect();
+            let o = 1 + cuts[0] % (n - 1);
+            let l = 1 + cuts[1] % (n - o);
+            let list: Vec<Option<usize>> = picks.iter().map(|p| p.map(|i| i % l)).collect();
+            let list_i32: Vec<Option<i32>> = list.iter().map(|ix| ix.map(|i| i as i32)).collect();
+            let bare: Vec<usize> = list.iter().flatten().copied().collect();
+            let bare_i32: Vec<i32> = bare.iter().map(|&i| i as i32).collect();
+            let sel = Bitmap::from_iter((0..l).map(|i| (mask_seed >> (i % 64)) & 1 == 1));
+            for column in &columns_of(&values) {
+                let (window, copy) = (column.slice(o, l), column.gather(o..o + l));
+                assert_same(&window.gather(&list), &copy.gather(&list))?;
+                assert_same(&window.gather(&list_i32), &copy.gather(&list_i32))?;
+                assert_same(&window.gather(&bare), &copy.gather(&bare))?;
+                assert_same(&window.gather(&bare_i32), &copy.gather(&bare_i32))?;
+                assert_same(&window.filter(&sel), &copy.filter(&sel))?;
+                // Three times the rows, rebuilt from scalars (`concat` copies
+                // bits by words, buffers by ranges).
+                let thrice: Vec<Scalar> = (0..3 * l).map(|i| copy.scalar(i % l)).collect();
+                let expected = match column {
+                    Array::Dict(_) => Array::from_scalars(&thrice, DataType::Utf8).dict_encode(),
+                    _ => Array::from_scalars(&thrice, column.data_type()),
+                };
+                assert_same(&Array::concat(&[&window, &copy, &window]), &expected)?;
+                assert_same(&Array::concat(&[&copy, &copy, &copy]), &expected)?;
+                assert_same(&window.decoded(), &copy.decoded())?;
+                match (&window, &copy) {
+                    (Array::Bool(w), Array::Bool(c)) => {
+                        prop_assert_eq!(w.to_selection(), c.to_selection());
+                    }
+                    (Array::Int32(w), Array::Int32(c)) | (Array::Date32(w), Array::Date32(c)) => {
+                        prop_assert_eq!(w.iter().collect::<Vec<_>>(), c.iter().collect::<Vec<_>>());
+                    }
+                    (Array::Int64(w), Array::Int64(c)) => {
+                        prop_assert_eq!(w.iter().collect::<Vec<_>>(), c.iter().collect::<Vec<_>>());
+                    }
+                    (Array::Float64(w), Array::Float64(c)) => {
+                        let bits = |a: &PrimitiveArray<f64>| -> Vec<Option<u64>> {
+                            a.iter().map(|v| v.map(f64::to_bits)).collect()
+                        };
+                        prop_assert_eq!(bits(w), bits(c));
+                    }
+                    (Array::Utf8(w), Array::Utf8(c)) => {
+                        prop_assert_eq!(w.iter().collect::<Vec<_>>(), c.iter().collect::<Vec<_>>());
+                    }
+                    (Array::Dict(w), Array::Dict(c)) => {
+                        prop_assert_eq!(w.iter().collect::<Vec<_>>(), c.iter().collect::<Vec<_>>());
+                        prop_assert_eq!(w.value_ranks(), c.value_ranks());
+                        prop_assert_eq!(w.dict_ptr(), c.dict_ptr());
+                    }
+                    _ => prop_assert!(false, "a window changed its kind"),
+                }
             }
         }
 

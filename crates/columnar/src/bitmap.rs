@@ -1,4 +1,11 @@
 //! Validity bitmaps and selection masks, packed 64 bits to a word.
+//!
+//! A `Bitmap` is the one buffer type without a window: bit 0 is always bit 0
+//! of word 0 and the bits past `len` in the last word are clear, which is
+//! what lets `and` / `or` / `not` / `count_set` / `set_indices` work a word
+//! at a time. So [`Bitmap::slice`] is the one `slice` in this crate that
+//! copies — a shifted word copy, `len / 64` words — where every array's
+//! `slice` is a new window over the same buffers.
 
 use crate::array::{live_row, RowIndex};
 use std::sync::Arc;
@@ -137,6 +144,48 @@ impl Bitmap {
         out
     }
 
+    /// Bits `[start, start + len)` as a new bitmap: a shifted word copy with
+    /// the tail masked. Panics if the range runs past the end.
+    pub fn slice(&self, start: usize, len: usize) -> Bitmap {
+        let fits = start.checked_add(len).is_some_and(|end| end <= self.len);
+        assert!(fits, "bits {start}+{len} out of bounds ({})", self.len);
+        let (src, shift) = (&self.words[start / 64..], start % 64);
+        // Two source words side by side, so that a shift of 0 is no special case.
+        let pair = |i: usize| src[i] as u128 | (*src.get(i + 1).unwrap_or(&0) as u128) << 64;
+        let mut words: Vec<u64> = (0..len.div_ceil(64))
+            .map(|i| (pair(i) >> shift) as u64)
+            .collect();
+        Self::mask_tail(&mut words, len);
+        Bitmap {
+            words: Arc::new(words),
+            len,
+        }
+    }
+
+    /// Concatenate bitmaps a word at a time (their tails are clear, so a
+    /// shifted word brings no stray bit).
+    pub(crate) fn concat(parts: impl Iterator<Item = Bitmap>) -> Bitmap {
+        let (mut words, mut len) = (Vec::<u64>::new(), 0);
+        for part in parts {
+            let shift = len % 64;
+            for &word in part.words.iter() {
+                match (shift, words.last_mut()) {
+                    (1.., Some(last)) => {
+                        *last |= word << shift;
+                        words.push(word >> (64 - shift));
+                    }
+                    _ => words.push(word),
+                }
+            }
+            len += part.len;
+            words.truncate(len.div_ceil(64));
+        }
+        Bitmap {
+            words: Arc::new(words),
+            len,
+        }
+    }
+
     /// Iterate bits as booleans.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -164,10 +213,10 @@ impl Bitmap {
         if parts.clone().all(|(v, _)| v.is_none()) {
             return None;
         }
-        let bit = |(v, len): (Option<&'a Bitmap>, usize)| {
-            (0..len).map(move |i| v.is_none_or(|v| v.get(i)))
+        let part = |(v, len): (Option<&Bitmap>, usize)| {
+            v.map_or_else(|| Bitmap::all_set(len), Bitmap::clone)
         };
-        Bitmap::from_iter(parts.flat_map(bit)).into_validity()
+        Self::concat(parts.map(part)).into_validity()
     }
 
     /// Approximate heap size in bytes (the word buffer).
@@ -237,6 +286,12 @@ mod tests {
         Bitmap::all_set(8).get(8);
     }
 
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_slice_past_the_end_panics() {
+        Bitmap::all_set(8).slice(3, 6);
+    }
+
     proptest! {
         #[test]
         fn prop_and_or_not_algebra(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
@@ -252,6 +307,38 @@ mod tests {
             // popcount consistency
             prop_assert_eq!(b.count_set(), bits.iter().filter(|x| **x).count());
             prop_assert_eq!(b.set_indices().len(), b.count_set());
+        }
+
+        /// `slice` and `concat` against the bit-at-a-time definition, over
+        /// word-aligned and unaligned cuts, `None` parts standing for set
+        /// bits; every result keeps a clear tail (`not().not()` is identity
+        /// and `count_set` sees no stray bit).
+        #[test]
+        fn prop_slice_and_concat_match_bit_at_a_time(
+            bits in proptest::collection::vec(any::<bool>(), 0..300),
+            cuts in proptest::collection::vec(any::<usize>(), 0..5),
+        ) {
+            let (b, n) = (Bitmap::from_iter(bits.iter().copied()), bits.len());
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+            cuts.extend([0, n, 64.min(n), 128.min(n)]);
+            cuts.sort_unstable();
+            let parts: Vec<Bitmap> = cuts.windows(2).map(|w| b.slice(w[0], w[1] - w[0])).collect();
+            for (part, w) in parts.iter().zip(cuts.windows(2)) {
+                prop_assert_eq!(part, &Bitmap::from_iter(bits[w[0]..w[1]].iter().copied()));
+                prop_assert_eq!(part.count_set(), bits[w[0]..w[1]].iter().filter(|x| **x).count());
+            }
+            prop_assert_eq!(&Bitmap::concat(parts.iter().cloned()), &b);
+            // As validity an absent part is `len` set bits, and a clear bit keeps the result.
+            let padded = Bitmap::concat_validity(
+                parts.iter().flat_map(|p| [(Some(p), p.len()), (None, p.len())]),
+            );
+            prop_assert_eq!(padded.is_some(), bits.contains(&false));
+            let padded = padded.unwrap_or_else(|| Bitmap::all_set(2 * n));
+            let expected = cuts.windows(2).flat_map(|w| {
+                bits[w[0]..w[1]].iter().copied().chain(std::iter::repeat_n(true, w[1] - w[0]))
+            });
+            prop_assert_eq!(&padded, &Bitmap::from_iter(expected));
+            prop_assert_eq!(padded.not().not(), padded);
         }
 
         #[test]

@@ -4,8 +4,10 @@
 //! This is the encoded execution format from the paper's §4.2 argument:
 //! operators that only move or compare string columns touch 4-byte codes
 //! instead of payload bytes, and the dictionary rides along as a shared
-//! `Arc` that gather/filter/concat never copy. Nulls live in the codes'
-//! validity bitmap — the dictionary itself holds no nulls.
+//! `Arc` that gather/filter/slice/concat never copy. Nulls live in the codes'
+//! validity bitmap — the dictionary itself holds no nulls. The codes are a
+//! window over a shared buffer like any fixed-width array's values, so a
+//! `slice` copies neither codes nor dictionary and keeps `dict_ptr()`.
 //!
 //! `byte_size()` deliberately counts only the codes (plus validity): that is
 //! what kernels stream when they move an encoded column. The dictionary's
@@ -14,7 +16,7 @@
 //! `LIKE`, the one-time group-by dictionary sort) and by the wire the first
 //! time it ships over a link.
 
-use crate::array::{gathered_validity, live_row, RowIndex};
+use crate::array::{gathered_validity, live_row, window_validity, RowIndex, Window};
 use crate::bitmap::Bitmap;
 use crate::string_array::StringArray;
 use std::collections::HashMap;
@@ -23,7 +25,7 @@ use std::sync::Arc;
 /// Immutable dictionary-encoded string array.
 #[derive(Debug, Clone)]
 pub struct DictionaryArray {
-    codes: Arc<Vec<i32>>,
+    codes: Window<i32>,
     validity: Option<Bitmap>,
     values: Arc<StringArray>,
 }
@@ -37,7 +39,7 @@ impl DictionaryArray {
             "dictionary code out of range"
         );
         Self {
-            codes: Arc::new(codes),
+            codes: Window::whole(codes),
             validity: validity.and_then(Bitmap::into_validity),
             values,
         }
@@ -68,7 +70,7 @@ impl DictionaryArray {
             }
         }
         DictionaryArray {
-            codes: Arc::new(codes),
+            codes: Window::whole(codes),
             validity: Bitmap::from_iter(bits).into_validity(),
             values: Arc::new(StringArray::from_strings(uniques)),
         }
@@ -159,10 +161,10 @@ impl DictionaryArray {
         indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
     ) -> DictionaryArray {
         let (indices, validity) = (indices.into_iter(), self.validity.as_ref());
-        let codes = self.codes.as_slice();
+        let codes = self.codes();
         DictionaryArray {
             validity: gathered_validity(validity, indices.clone()),
-            codes: Arc::new(
+            codes: Window::whole(
                 indices
                     .map(|ix| live_row(validity, ix).map_or(0, |i| codes[i]))
                     .collect(),
@@ -171,32 +173,38 @@ impl DictionaryArray {
         }
     }
 
+    /// Rows `[start, start + len)` as a window over the same code buffer and
+    /// dictionary: nothing but the validity bits is copied. Panics if the
+    /// range runs past the end.
+    pub fn slice(&self, start: usize, len: usize) -> DictionaryArray {
+        DictionaryArray {
+            codes: self.codes.narrow(start, len),
+            validity: window_validity(self.validity.as_ref(), start, len),
+            values: Arc::clone(&self.values),
+        }
+    }
+
     /// Concatenate encoded arrays. When every input shares one dictionary
-    /// `Arc` (the common case: morsels of one generated column), only codes
-    /// are copied. Otherwise dictionaries are merged in first-appearance
-    /// order and codes remapped.
+    /// `Arc` (the common case: morsels of one generated column), adjacent
+    /// windows over one code buffer (a single input included) re-join
+    /// zero-copy into the window spanning them, and otherwise only codes are
+    /// copied. Different dictionaries are merged in first-appearance order
+    /// and codes remapped.
     pub fn concat(arrays: &[&DictionaryArray]) -> DictionaryArray {
         assert!(!arrays.is_empty(), "concat of zero arrays");
-        if arrays.len() == 1 {
-            return arrays[0].clone();
-        }
-        let n: usize = arrays.iter().map(|a| a.len()).sum();
-        let shared = arrays
-            .iter()
-            .all(|a| Arc::ptr_eq(&a.values, &arrays[0].values));
         let validity =
             Bitmap::concat_validity(arrays.iter().map(|a| (a.validity.as_ref(), a.len())));
-        let mut codes = Vec::with_capacity(n);
-        if shared {
-            for a in arrays {
-                codes.extend_from_slice(&a.codes);
-            }
+        let values = &arrays[0].values;
+        if arrays.iter().all(|a| Arc::ptr_eq(&a.values, values)) {
+            let slices = || arrays.iter().map(|a| a.codes()).collect::<Vec<_>>();
+            let spanning = Window::spanning(arrays.iter().map(|a| a.codes.clone()), 0);
             return DictionaryArray {
-                codes: Arc::new(codes),
+                codes: spanning.unwrap_or_else(|| Window::whole(slices().concat())),
                 validity,
-                values: Arc::clone(&arrays[0].values),
+                values: Arc::clone(values),
             };
         }
+        let mut codes = Vec::with_capacity(arrays.iter().map(|a| a.len()).sum());
         // Merge dictionaries: first-appearance order across inputs.
         let mut seen: HashMap<&str, i32> = HashMap::new();
         let mut uniques: Vec<&str> = Vec::new();
@@ -218,7 +226,7 @@ impl DictionaryArray {
             codes.extend((0..a.len()).map(|i| a.code(i).map_or(0, |c| remap[c as usize])));
         }
         DictionaryArray {
-            codes: Arc::new(codes),
+            codes: Window::whole(codes),
             validity,
             values: Arc::new(StringArray::from_strings(uniques)),
         }
@@ -327,6 +335,43 @@ mod tests {
         let ranks = d.value_ranks();
         // apple < mango < pear.
         assert_eq!(ranks, vec![1, 0, 2]);
+    }
+
+    #[test]
+    fn a_skewed_dictionary_decodes_without_over_reserving() {
+        // One 8 MiB entry beside a 1-byte one: sized by the mean value length
+        // alone, decoding 200 000 rows of the short code reserved
+        // 4 MiB × 200 000 = 800 GB and died in `handle_alloc_error`.
+        let dictionary = StringArray::from_strings(["x".repeat(8 << 20).as_str(), "y"]);
+        let d = DictionaryArray::from_parts(vec![1; 200_000], None, Arc::new(dictionary));
+        let decoded = d.decode();
+        assert_eq!(decoded.value(199_999), Some("y"));
+        assert_eq!(decoded.byte_size(), 200_001 * 4 + 200_000);
+    }
+
+    #[test]
+    fn windows_share_codes_and_dictionary() {
+        let d = DictionaryArray::encode(&StringArray::from_options([
+            Some("x"),
+            None,
+            Some("y"),
+            Some("x"),
+        ]));
+        let w = d.slice(2, 2);
+        assert_eq!(w.codes().as_ptr(), d.codes()[2..].as_ptr());
+        assert_eq!(w.dict_ptr(), d.dict_ptr());
+        assert_eq!(w.iter().collect::<Vec<_>>(), vec![Some("y"), Some("x")]);
+        // No NULL in the window: codes only.
+        assert_eq!(w.byte_size(), 2 * 4);
+        let whole = DictionaryArray::concat(&[&d.slice(0, 2), &w]);
+        assert_eq!(whole.codes().as_ptr(), d.codes().as_ptr());
+        assert_eq!(whole.byte_size(), d.byte_size());
+        let reordered = DictionaryArray::concat(&[&w, &d.slice(0, 2)]);
+        assert_ne!(reordered.codes().as_ptr(), w.codes().as_ptr());
+        assert_eq!(
+            reordered.iter().collect::<Vec<_>>(),
+            vec![Some("y"), Some("x"), Some("x"), None]
+        );
     }
 
     #[test]

@@ -1,14 +1,22 @@
 //! Arrow-layout UTF-8 string arrays: an `i32` offset buffer plus a byte
 //! buffer, both reference-counted for zero-copy sharing.
+//!
+//! An array is a window of `len + 1` entries of the offset buffer; the
+//! offsets stay absolute, so the payload is addressed through them and needs
+//! no window of its own. A window's `byte_size()` is its own offsets plus the
+//! payload between its first and last offset — NULL slots hold empty ranges,
+//! so that is exactly what a `gather` of the same rows copies.
 
-use crate::array::{gathered_validity, live_row, RowIndex};
+use crate::array::{gathered_validity, live_row, window_validity, RowIndex, Window};
 use crate::bitmap::Bitmap;
 use std::sync::Arc;
 
-/// Immutable UTF-8 string array.
+/// Immutable UTF-8 string array: a window over a shared offset buffer, and
+/// the shared payload it addresses.
 #[derive(Debug, Clone)]
 pub struct StringArray {
-    offsets: Arc<Vec<i32>>,
+    /// `len + 1` absolute offsets into `data`.
+    offsets: Window<i32>,
     data: Arc<Vec<u8>>,
     validity: Option<Bitmap>,
 }
@@ -50,7 +58,7 @@ impl StringArray {
             offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
         }
         Self {
-            offsets: Arc::new(offsets),
+            offsets: Window::whole(offsets),
             data: Arc::new(data),
             validity: None,
         }
@@ -76,7 +84,7 @@ impl StringArray {
             offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
         }
         Self {
-            offsets: Arc::new(offsets),
+            offsets: Window::whole(offsets),
             data: Arc::new(data),
             validity: Bitmap::from_iter(bits).into_validity(),
         }
@@ -115,6 +123,11 @@ impl StringArray {
         self.validity.as_ref()
     }
 
+    /// The payload bytes this window addresses.
+    fn payload(&self) -> &[u8] {
+        &self.data[self.offsets[0] as usize..self.offsets[self.len()] as usize]
+    }
+
     /// Gather elements at `indices` into a new array. Bulk-copies payload
     /// byte ranges (a NULL row is an empty range); never decodes values.
     pub fn gather<I: RowIndex>(
@@ -122,21 +135,30 @@ impl StringArray {
         indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
     ) -> StringArray {
         let (indices, validity) = (indices.into_iter(), self.validity.as_ref());
-        let (starts, payload) = (self.offsets.as_slice(), self.data.as_slice());
+        let (starts, payload): (&[i32], _) = (&self.offsets, self.data.as_slice());
         let range = |i: usize| starts[i] as usize..starts[i + 1] as usize;
         let mut offsets = Vec::with_capacity(indices.len() + 1);
         offsets.push(0i32);
-        // Sized by the mean value length: one pass over the rows, not two.
-        let mut data =
-            Vec::with_capacity(payload.len().div_ceil(self.len().max(1)) * indices.len());
+        let reserve = payload_reserve(self.payload().len(), self.len(), indices.len());
+        let mut data = Vec::with_capacity(reserve);
         for ix in indices.clone() {
             data.extend_from_slice(&payload[live_row(validity, ix).map_or(0..0, range)]);
             offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
         }
         StringArray {
-            offsets: Arc::new(offsets),
+            offsets: Window::whole(offsets),
             data: Arc::new(data),
             validity: gathered_validity(validity, indices),
+        }
+    }
+
+    /// Rows `[start, start + len)` as a window over the same buffers: nothing
+    /// but the validity bits is copied. Panics if the range runs past the end.
+    pub fn slice(&self, start: usize, len: usize) -> StringArray {
+        StringArray {
+            offsets: self.offsets.narrow(start, len + 1),
+            data: Arc::clone(&self.data),
+            validity: window_validity(self.validity.as_ref(), start, len),
         }
     }
 
@@ -145,38 +167,54 @@ impl StringArray {
         (0..self.len()).map(move |i| self.value(i))
     }
 
-    /// Heap bytes held (offsets + payload + validity).
+    /// Heap bytes this window addresses (offsets + payload + validity).
     pub fn byte_size(&self) -> usize {
         self.offsets.len() * 4
-            + self.data.len()
+            + self.payload().len()
             + self.validity.as_ref().map(|v| v.byte_size()).unwrap_or(0)
     }
 
-    /// Concatenate several arrays. A single input is returned zero-copy;
-    /// otherwise payload and offset buffers are bulk-copied (offsets are
-    /// rebased by each array's payload base) — no per-value decoding.
+    /// Concatenate several arrays. Adjacent windows over one buffer (a
+    /// single input included) re-join zero-copy into the window spanning
+    /// them; otherwise payload and offsets are bulk-copied (offsets rebased
+    /// by each window's payload base) — no per-value decoding.
     pub fn concat(arrays: &[&StringArray]) -> StringArray {
-        if arrays.len() == 1 {
-            return arrays[0].clone();
+        let validity = Bitmap::concat_validity(arrays.iter().map(|a| (a.validity(), a.len())));
+        // One offset buffer implies one payload buffer: they are built together.
+        if let Some(offsets) = Window::spanning(arrays.iter().map(|a| a.offsets.clone()), 1) {
+            let data = Arc::clone(&arrays[0].data);
+            return StringArray {
+                offsets,
+                data,
+                validity,
+            };
         }
         let n: usize = arrays.iter().map(|a| a.len()).sum();
-        let payload: usize = arrays.iter().map(|a| a.data.len()).sum();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0i32);
-        let mut data = Vec::with_capacity(payload);
+        let mut data = Vec::with_capacity(arrays.iter().map(|a| a.payload().len()).sum());
         for a in arrays {
-            let base = i32::try_from(data.len()).expect("string buffer < 2 GiB");
-            data.extend_from_slice(&a.data);
+            let base = i32::try_from(data.len()).expect("string buffer < 2 GiB") - a.offsets[0];
+            data.extend_from_slice(a.payload());
             offsets.extend(a.offsets[1..].iter().map(|&o| o + base));
         }
         i32::try_from(data.len()).expect("string buffer < 2 GiB");
-        let parts = arrays.iter().map(|a| (a.validity.as_ref(), a.len()));
         StringArray {
-            offsets: Arc::new(offsets),
+            offsets: Window::whole(offsets),
             data: Arc::new(data),
-            validity: Bitmap::concat_validity(parts),
+            validity,
         }
     }
+}
+
+/// Payload bytes a gather of `picks` rows reserves, out of a window of `rows`
+/// rows holding `payload` bytes: the mean value length per pick (one pass
+/// over the rows, not two), capped at the window's own payload. A skewed
+/// source — one huge value among short ones — would otherwise over-reserve
+/// without bound; a gather that repeats long rows lets the `Vec` grow.
+fn payload_reserve(payload: usize, rows: usize, picks: usize) -> usize {
+    let mean = payload.div_ceil(rows.max(1));
+    mean.saturating_mul(picks).min(payload)
 }
 
 #[cfg(test)]
@@ -283,6 +321,52 @@ mod tests {
             vec![Some("ccc"), None, Some("a")]
         );
         assert_eq!(g.byte_size(), 4 * 4 + 4 + g.validity().unwrap().byte_size());
+    }
+
+    #[test]
+    fn payload_reserve_is_the_mean_capped_at_the_window() {
+        // Mean value length (rounded up) per picked row …
+        assert_eq!(payload_reserve(100, 10, 3), 30);
+        assert_eq!(payload_reserve(101, 10, 3), 33);
+        // … never more than the window holds, however often rows repeat.
+        assert_eq!(payload_reserve(100, 10, 1_000), 100);
+        assert_eq!(payload_reserve(usize::MAX, 2, usize::MAX), usize::MAX);
+        // Empty windows and empty pick lists reserve nothing.
+        assert_eq!(payload_reserve(0, 0, 5), 0);
+        assert_eq!(payload_reserve(100, 10, 0), 0);
+    }
+
+    #[test]
+    fn windows_share_both_buffers_and_size_their_own_payload() {
+        let a = StringArray::from_options([Some("ab"), None, Some("cdef"), Some(""), Some("g")]);
+        let shares = |w: &StringArray| {
+            Arc::ptr_eq(&w.data, &a.data)
+                && w.offsets.as_ptr_range().end <= a.offsets.as_ptr_range().end
+        };
+        let w = a.slice(1, 3);
+        assert!(shares(&w) && w.offsets.as_ptr() == a.offsets[1..].as_ptr());
+        assert_eq!(
+            w.iter().collect::<Vec<_>>(),
+            vec![None, Some("cdef"), Some("")]
+        );
+        assert_eq!(w.byte_size(), 4 * 4 + 4 + w.validity().unwrap().byte_size());
+        // A window without a NULL carries no validity.
+        assert_eq!(a.slice(2, 3).byte_size(), 4 * 4 + 5);
+        // Adjacent windows re-join into the spanning window; others copy.
+        let (head, tail) = (a.slice(0, 1), a.slice(4, 1));
+        let whole = StringArray::concat(&[&head, &w, &tail]);
+        assert!(shares(&whole) && whole.offsets.as_ptr() == a.offsets.as_ptr());
+        assert_eq!(
+            whole.iter().collect::<Vec<_>>(),
+            a.iter().collect::<Vec<_>>()
+        );
+        assert_eq!(whole.byte_size(), a.byte_size());
+        let copied = StringArray::concat(&[&tail, &w]);
+        assert!(!Arc::ptr_eq(&copied.data, &a.data));
+        assert_eq!(
+            copied.iter().collect::<Vec<_>>(),
+            vec![Some("g"), None, Some("cdef"), Some("")]
+        );
     }
 
     #[test]

@@ -146,12 +146,19 @@ impl Table {
         self.gather(selection.set_indices().as_slice())
     }
 
-    /// Contiguous row range `[offset, offset + len)`, clamped to the table.
+    /// Contiguous row range `[offset, offset + len)`, clamped to the table:
+    /// every column a window over the same buffers, no value copied.
     /// Morsel-driven executors chop cached tables into fixed-size chunks
     /// with this.
     pub fn slice(&self, offset: usize, len: usize) -> Table {
         let start = offset.min(self.num_rows);
-        self.gather(start..start.saturating_add(len).min(self.num_rows))
+        let num_rows = len.min(self.num_rows - start);
+        let columns = self.columns.iter().map(|c| c.slice(start, num_rows));
+        Table {
+            schema: Arc::clone(&self.schema),
+            columns: columns.collect(),
+            num_rows,
+        }
     }
 
     /// Project columns at `indices` (with the schema following).

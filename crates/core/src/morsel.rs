@@ -618,3 +618,59 @@ pub(crate) fn lower_join(k: JoinKind) -> JoinType {
         JoinKind::Single => JoinType::Single,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sirius_columnar::Field;
+
+    /// Address of row `i`'s value, code or payload: equal addresses mean
+    /// shared buffers. `None` for `Bool` (bitmaps are copied, a bit a row).
+    fn ptr_at(a: &Array, i: usize) -> Option<*const u8> {
+        match a {
+            Array::Bool(_) => None,
+            Array::Int32(a) | Array::Date32(a) => Some(a.values()[i..].as_ptr().cast()),
+            Array::Int64(a) => Some(a.values()[i..].as_ptr().cast()),
+            Array::Float64(a) => Some(a.values()[i..].as_ptr().cast()),
+            Array::Utf8(a) => Some(a.value(i).expect("non-null").as_ptr()),
+            Array::Dict(a) => Some(a.codes()[i..].as_ptr().cast()),
+        }
+    }
+
+    #[test]
+    fn morsels_are_windows_and_rejoin_into_their_source() {
+        let rows = 0..1000i32;
+        let columns = vec![
+            Array::from_bool(rows.clone().map(|v| v % 3 == 0)),
+            Array::from_i32(rows.clone()),
+            Array::from_i64(rows.clone().map(i64::from)),
+            Array::from_f64(rows.clone().map(f64::from)),
+            Array::from_date32(rows.clone()),
+            Array::from_strs(rows.clone().map(|v| v.to_string())),
+            Array::from_strs(rows.clone().map(|v| (v % 7).to_string())).dict_encode(),
+        ];
+        let fields = columns.iter().map(|c| Field::new("c", c.data_type()));
+        let t = Table::new(Schema::new(fields.collect()), columns);
+
+        // ⌈1000 / 300⌉ = 4 near-equal morsels, none of which owns a buffer.
+        let morsels = chunk_morsels(&t, 300);
+        assert_eq!(morsels.len(), 4);
+        let mut offset = 0;
+        for m in &morsels {
+            assert_eq!(m.num_rows(), 250);
+            for (window, source) in m.columns().iter().zip(t.columns()) {
+                assert_eq!(ptr_at(window, 0), ptr_at(source, offset));
+                let copied = source.gather(offset..offset + 250);
+                assert_eq!(window.byte_size(), copied.byte_size());
+            }
+            offset += 250;
+        }
+        // A chain that passes its morsels through re-joins them for free.
+        let back = concat_morsels(t.schema().clone(), &morsels);
+        for (joined, source) in back.columns().iter().zip(t.columns()) {
+            assert_eq!(ptr_at(joined, 0), ptr_at(source, 0));
+            assert_eq!(joined.byte_size(), source.byte_size());
+        }
+        assert_eq!(back, t);
+    }
+}

@@ -504,6 +504,40 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// Keys and hashes of a window at a non-zero offset are those of its
+        /// materialised copy: the kernels read columns through accessors only.
+        #[test]
+        fn prop_a_window_keys_and_hashes_like_its_copy(
+            seed in any::<u64>(),
+            n in 2usize..150,
+            columns in 1usize..5,
+        ) {
+            let mut g = Gen(seed);
+            let cols = g.columns(&KINDS, columns, n);
+            let o = 1 + g.below(n - 1);
+            let l = 1 + g.below(n - o);
+            let windows: Vec<Array> = cols.iter().map(|c| c.slice(o, l)).collect();
+            let copies: Vec<Array> = cols.iter().map(|c| c.gather(o..o + l)).collect();
+            let (windows, copies): (Vec<&Array>, Vec<&Array>) =
+                (windows.iter().collect(), copies.iter().collect());
+            for level in [None, Some(0), Some(3)] {
+                prop_assert_eq!(row_hashes(&windows, l, level), row_hashes(&copies, l, level));
+            }
+            prop_assert_eq!(key_bytes(&windows), key_bytes(&copies));
+            for keys in [row_keys, join_keys] {
+                let (w, c) = (keys(&windows, l), keys(&copies, l));
+                prop_assert!(w.same_layout(&c));
+                prop_assert_eq!(w.hashes(), c.hashes());
+                for i in 0..l {
+                    prop_assert_eq!(w.has_null(i), c.has_null(i));
+                    prop_assert!(w.has_null(i) || w.same(i, &c, i));
+                }
+                prop_assert_eq!(w.dense_ids().ids, c.dense_ids().ids);
+            }
+        }
+    }
+
     #[test]
     fn dense_ids_survive_table_growth() {
         // More groups than the initial bucket array, revisited afterwards.

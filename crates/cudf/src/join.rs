@@ -182,9 +182,11 @@ pub fn probe_hash_table(
     }
     let probe_rows = left_keys[0].len();
     let keys = join_keys(left_keys, probe_rows);
+    // One pair per probe row is the common shape (a foreign key into a
+    // primary key); a fan-out join grows from there.
     let mut pairs = JoinPairs {
-        left: Vec::new(),
-        right: Vec::new(),
+        left: Vec::with_capacity(probe_rows),
+        right: Vec::with_capacity(probe_rows),
         left_rows,
     };
     // Keys of different classes (an integer against a date or a float)
@@ -274,6 +276,11 @@ pub fn resolve_join(
     };
 
     match join_type {
+        // Every candidate pair is an output row: two bulk copies.
+        JoinType::Inner if residual.is_none() => {
+            out.left = pairs.left.clone();
+            out.right = pairs.right.iter().copied().map(Some).collect();
+        }
         JoinType::Inner => {
             for i in 0..pairs.len() {
                 if pass(i) {
@@ -510,6 +517,27 @@ mod tests {
         // counts as unmatched.
         let anti = resolve_join(&ctx, JoinType::Anti, &p, Some(&mask)).unwrap();
         assert_eq!(anti.left, vec![0]);
+    }
+
+    #[test]
+    fn an_all_set_residual_resolves_like_none() {
+        let ctx = test_ctx();
+        // Matched once, matched twice, unmatched; `Single` needs ≤ 1 match.
+        let fan_out = pairs_for(&[1, 2, 3, 2], &[2, 4, 2, 1]);
+        let at_most_one = pairs_for(&[1, 2, 3, 2], &[2, 4, 1]);
+        for (join_type, pairs) in [
+            (JoinType::Inner, &fan_out),
+            (JoinType::Left, &fan_out),
+            (JoinType::Semi, &fan_out),
+            (JoinType::Anti, &fan_out),
+            (JoinType::Single, &at_most_one),
+        ] {
+            let all = Bitmap::all_set(pairs.len());
+            let masked = resolve_join(&ctx, join_type, pairs, Some(&all)).unwrap();
+            let bare = resolve_join(&ctx, join_type, pairs, None).unwrap();
+            assert!(!bare.is_empty(), "{join_type:?}");
+            assert_eq!(masked, bare, "{join_type:?}");
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 # Compare two rows of the trajectory (ROADMAP item 2(b), the half that needs
 # no perfbench change):
 #
-#   scripts/bench_compare.sh <a.json> <b.json>
+#   scripts/bench_compare.sh [<a.json> <b.json>]
 #
-# reads two files written by scripts/bench_record.sh. The simulated half of
+# reads two files written by scripts/bench_record.sh; with no arguments, the
+# two highest-numbered BENCH_<n>.json of the repository root, by number
+# (BENCH_9 sorts before BENCH_10), which is how CI calls it. The simulated half of
 # the benchmark is deterministic at equal seed, so per workload it prints
 # `sim_*`, `hw.sim_*`, `core.waves / pipelines_run / morsels / tasks /
 # kernel_launches`, `spill.*`, `nccl.wire_mb`, `nccl.dict_mb` and
@@ -15,10 +17,17 @@
 # Exit 2: the two files were recorded at different seeds.
 set -euo pipefail
 
-usage="usage: scripts/bench_compare.sh <a.json> <b.json>"
-a=${1:?$usage}
-b=${2:?$usage}
-bounds="$(dirname "$0")/../BENCHMARK.json"
+usage="usage: scripts/bench_compare.sh [<a.json> <b.json>]"
+root="$(dirname "$0")/.."
+if [ $# -eq 0 ]; then
+    numbers=$(ls "$root" | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -n 2)
+    # shellcheck disable=SC2046,SC2086 # word splitting wanted: one path per number
+    set -- $(printf "$root/BENCH_%s.json " $numbers)
+fi
+[ $# -eq 2 ] || { echo "$usage" >&2; exit 2; }
+a=$1
+b=$2
+bounds="$root/BENCHMARK.json"
 
 awk -v name_a="$(basename "$a")" -v name_b="$(basename "$b")" '
 function quoted(s) { sub(/^[^"]*"/, "", s); sub(/".*/, "", s); return s }
