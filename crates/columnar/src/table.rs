@@ -321,6 +321,8 @@ mod tests {
         assert_eq!(t.slice(2, 100).num_rows(), 1);
         assert_eq!(t.slice(5, 1).num_rows(), 0);
         assert_eq!(t.slice(0, usize::MAX).num_rows(), 3);
+        // A table without columns still counts its rows.
+        assert_eq!(t.project(&[]).slice(1, 5).num_rows(), 2);
         // Slices of equal size reassemble into the original.
         let chunks: Vec<Table> = (0..3).map(|i| t.slice(i, 1)).collect();
         let refs: Vec<&Table> = chunks.iter().collect();
