@@ -139,8 +139,7 @@ impl StringArray {
         let range = |i: usize| starts[i] as usize..starts[i + 1] as usize;
         let mut offsets = Vec::with_capacity(indices.len() + 1);
         offsets.push(0i32);
-        let reserve = payload_reserve(self.payload().len(), self.len(), indices.len());
-        let mut data = Vec::with_capacity(reserve);
+        let mut data = Vec::with_capacity(self.payload_reserve(indices.clone()));
         for ix in indices.clone() {
             data.extend_from_slice(&payload[live_row(validity, ix).map_or(0..0, range)]);
             offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
@@ -149,6 +148,26 @@ impl StringArray {
             offsets: Window::whole(offsets),
             data: Arc::new(data),
             validity: gathered_validity(validity, indices),
+        }
+    }
+
+    /// Payload bytes a gather at `indices` reserves. The mean value length per
+    /// picked row costs no pass over the rows, and is what is reserved while
+    /// it stays within twice the payload this window already holds: a gather
+    /// that picks each row about once, or fewer. Past that the gather repeats
+    /// rows of a source smaller than its output (a dictionary decode), where
+    /// a skewed source — one 8 MiB entry beside 1-byte ones, decoded over
+    /// 200 000 rows — made the mean ask for 800 GB; there the exact size is
+    /// summed, one more pass over the indices.
+    fn payload_reserve<I: RowIndex>(&self, indices: impl ExactSizeIterator<Item = I>) -> usize {
+        let (starts, validity): (&[i32], _) = (&self.offsets, self.validity.as_ref());
+        let payload = self.payload().len();
+        let mean = payload.div_ceil(self.len().max(1));
+        match mean.checked_mul(indices.len()) {
+            Some(estimate) if estimate <= 2 * payload => estimate,
+            _ => (indices.filter_map(|ix| live_row(validity, ix)))
+                .map(|i| (starts[i + 1] - starts[i]) as usize)
+                .sum(),
         }
     }
 
@@ -205,16 +224,6 @@ impl StringArray {
             validity,
         }
     }
-}
-
-/// Payload bytes a gather of `picks` rows reserves, out of a window of `rows`
-/// rows holding `payload` bytes: the mean value length per pick (one pass
-/// over the rows, not two), capped at the window's own payload. A skewed
-/// source — one huge value among short ones — would otherwise over-reserve
-/// without bound; a gather that repeats long rows lets the `Vec` grow.
-fn payload_reserve(payload: usize, rows: usize, picks: usize) -> usize {
-    let mean = payload.div_ceil(rows.max(1));
-    mean.saturating_mul(picks).min(payload)
 }
 
 #[cfg(test)]
@@ -324,16 +333,46 @@ mod tests {
     }
 
     #[test]
-    fn payload_reserve_is_the_mean_capped_at_the_window() {
-        // Mean value length (rounded up) per picked row …
-        assert_eq!(payload_reserve(100, 10, 3), 30);
-        assert_eq!(payload_reserve(101, 10, 3), 33);
-        // … never more than the window holds, however often rows repeat.
-        assert_eq!(payload_reserve(100, 10, 1_000), 100);
-        assert_eq!(payload_reserve(usize::MAX, 2, usize::MAX), usize::MAX);
-        // Empty windows and empty pick lists reserve nothing.
-        assert_eq!(payload_reserve(0, 0, 5), 0);
-        assert_eq!(payload_reserve(100, 10, 0), 0);
+    fn payload_reserve_is_the_mean_until_rows_repeat_then_exact() {
+        let uniform = StringArray::from_strings(["aaaa", "bbbb", "cccc"]);
+        // Each row about once, or fewer: the mean per pick, no pass.
+        assert_eq!(uniform.payload_reserve([2usize, 0].into_iter()), 8);
+        assert_eq!(
+            uniform.payload_reserve([2usize, 0, 0, 1, 1, 2].into_iter()),
+            24
+        );
+        // Rounded up, so a little over; never past twice the window's payload.
+        let ragged = StringArray::from_options([Some("a"), None, Some("bcd"), Some("")]);
+        assert_eq!(ragged.payload_reserve(0..4usize), 4);
+        assert_eq!(ragged.payload_reserve([Some(2usize), None].into_iter()), 2);
+        // Repeated past that, the exact size: long rows, short rows, NULLs.
+        assert_eq!(ragged.payload_reserve(std::iter::repeat_n(2usize, 9)), 27);
+        assert_eq!(ragged.payload_reserve(std::iter::repeat_n(0usize, 9)), 9);
+        assert_eq!(
+            ragged.payload_reserve(std::iter::repeat_n(Some(1i32), 9)),
+            0
+        );
+        assert_eq!(
+            ragged.payload_reserve(std::iter::repeat_n(None::<i32>, 9)),
+            0
+        );
+        // A window sizes by its own rows, and an empty one reserves nothing.
+        assert_eq!(
+            ragged.slice(2, 2).payload_reserve([0usize, 1].into_iter()),
+            4
+        );
+        assert_eq!(
+            ragged
+                .slice(3, 1)
+                .payload_reserve(std::iter::repeat_n(0usize, 5)),
+            0
+        );
+        assert_eq!(
+            ragged
+                .slice(1, 0)
+                .payload_reserve(std::iter::empty::<usize>()),
+            0
+        );
     }
 
     #[test]
