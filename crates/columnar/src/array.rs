@@ -729,22 +729,6 @@ impl Array {
         }
     }
 
-    /// Borrow as a decoded string array. Errs on dictionary-encoded
-    /// columns — call [`Array::decoded`] first if payload bytes are needed.
-    pub fn as_utf8(&self) -> Result<&StringArray> {
-        match self {
-            Array::Utf8(a) => Ok(a),
-            Array::Dict(_) => Err(ColumnarError::TypeMismatch {
-                expected: "decoded utf8".into(),
-                actual: "dictionary-encoded utf8".into(),
-            }),
-            other => Err(ColumnarError::TypeMismatch {
-                expected: "utf8".into(),
-                actual: other.data_type().to_string(),
-            }),
-        }
-    }
-
     /// Borrow as a dictionary-encoded string array.
     pub fn as_dict(&self) -> Result<&DictionaryArray> {
         match self {
@@ -1098,6 +1082,37 @@ mod tests {
         }
     }
 
+    #[test]
+    fn partitions_are_windows_of_one_permuted_table() {
+        let values: Vec<Option<i64>> = (0..150).map(Some).collect();
+        let columns = columns_of(&values);
+        let fields = columns.iter().map(|c| Field::new("c", c.data_type()));
+        let table = Table::new(Schema::new(fields.collect()), columns.to_vec());
+        // Buckets 2 and 5 stay empty; the others interleave.
+        let bucket = |row: usize| [0, 1, 3, 4, 6][row * 7 % 5];
+        let parts = table.partition((0..150).map(bucket), 7);
+        let sizes: Vec<usize> = parts.iter().map(Table::num_rows).collect();
+        assert_eq!(sizes, [30, 30, 0, 30, 30, 0, 30]);
+
+        // Adjacent windows over one buffer re-join without a copy, so the
+        // concatenation *is* the permuted table and every partition starts
+        // at its offset in it.
+        let joined = Table::concat(&parts.iter().collect::<Vec<_>>());
+        let order: Vec<usize> = (0..7)
+            .flat_map(|b| (0..150).filter(move |&row| bucket(row) == b))
+            .collect();
+        let mut offset = 0;
+        for part in parts.iter().filter(|p| p.num_rows() > 0) {
+            for (window, whole) in part.columns().iter().zip(joined.columns()) {
+                assert_eq!(ptr_at(window, 0), ptr_at(whole, offset));
+            }
+            offset += part.num_rows();
+        }
+        for (whole, column) in joined.columns().iter().zip(&columns) {
+            assert_same(whole, &column.gather(&order)).unwrap();
+        }
+    }
+
     proptest! {
         /// Every array kind × every `RowIndex` type, over random, empty,
         /// repeated, descending and all-`None` index lists.
@@ -1172,6 +1187,50 @@ mod tests {
             for ((f, g), column) in pairs.zip(&columns) {
                 assert_same(f, g)?;
                 assert_same(&column.filter(&sel), g)?;
+            }
+        }
+
+        /// Every partition of `Table::partition` is `gather` of its bucket's
+        /// ascending row ids — values, `byte_size()`, validity presence,
+        /// `dict_ptr()` — for every array kind, over 1, 2, 7 and 64 buckets
+        /// (some always empty), an empty table, and a source that is itself
+        /// a window at a non-zero offset.
+        #[test]
+        fn prop_partition_is_gather_per_bucket(
+            values in proptest::collection::vec(proptest::option::of(any::<i64>()), 0..200),
+            source_nulls in any::<bool>(),
+            offset in 1usize..40,
+            routing in any::<u64>(),
+        ) {
+            let n = values.len();
+            let values: Vec<Option<i64>> =
+                values.iter().map(|v| v.or((!source_nulls).then_some(0))).collect();
+            let columns = columns_of(&values);
+            let fields = columns.iter().map(|c| Field::new("c", c.data_type())).collect();
+            let whole = Table::new(Schema::new(fields), columns.to_vec());
+            for table in [whole.slice(offset, n), whole] {
+                let rows = table.num_rows();
+                for parts in [1usize, 2, 7, 64] {
+                    // Buckets from `used` up receive no row.
+                    let used = 1 + (routing % parts as u64) as usize;
+                    let bucket_of: Vec<usize> = (0..rows as u64)
+                        .map(|row| (routing.rotate_left(row as u32 % 64) ^ row) as usize % used)
+                        .collect();
+                    let got = table.partition(bucket_of.iter().copied(), parts);
+                    prop_assert_eq!(got.len(), parts);
+                    for (bucket, part) in got.iter().enumerate() {
+                        let ids: Vec<usize> =
+                            (0..rows).filter(|&row| bucket_of[row] == bucket).collect();
+                        prop_assert_eq!(part.num_rows(), ids.len());
+                        let expected = table.gather(&ids);
+                        for (p, e) in part.columns().iter().zip(expected.columns()) {
+                            assert_same(p, e)?;
+                            if let (Array::Dict(p), Array::Dict(e)) = (p, e) {
+                                prop_assert_eq!(p.dict_ptr(), e.dict_ptr());
+                            }
+                        }
+                    }
+                }
             }
         }
 

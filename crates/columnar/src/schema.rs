@@ -1,7 +1,6 @@
 //! Logical types, fields, and schemas.
 
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Logical data types supported across the engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -162,11 +161,6 @@ impl Schema {
     /// Schema with only the fields at `indices`, in that order.
     pub fn project(&self, indices: &[usize]) -> Schema {
         Schema::new(indices.iter().map(|&i| self.fields[i].clone()).collect())
-    }
-
-    /// Wrap in an `Arc`.
-    pub fn into_arc(self) -> Arc<Schema> {
-        Arc::new(self)
     }
 }
 

@@ -74,11 +74,6 @@ impl Table {
         &self.schema
     }
 
-    /// Shared schema handle.
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
     /// Column at index `i`.
     pub fn column(&self, i: usize) -> &Array {
         &self.columns[i]
@@ -159,6 +154,36 @@ impl Table {
             columns: columns.collect(),
             num_rows,
         }
+    }
+
+    /// Split the rows into `parts` tables, row `i` going to the `i`-th
+    /// bucket id of `bucket_of` and keeping its place among that bucket's
+    /// rows: a counting sort of the row ids, one `gather` of the whole table
+    /// in bucket order, one `slice` window per bucket. The partitions share
+    /// the permuted table's buffers, which stay alive until the last of them
+    /// drops; the bucket ids are gone before the gather.
+    pub fn partition(
+        &self,
+        bucket_of: impl IntoIterator<Item = usize>,
+        parts: usize,
+    ) -> Vec<Table> {
+        let mut starts = vec![0usize; parts + 1];
+        let count = |bucket: &usize| starts[bucket + 1] += 1;
+        let bucket_of: Vec<usize> = bucket_of.into_iter().inspect(count).collect();
+        assert_eq!(bucket_of.len(), self.num_rows, "one bucket id per row");
+        for bucket in 0..parts {
+            starts[bucket + 1] += starts[bucket];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0usize; self.num_rows];
+        for (row, &bucket) in bucket_of.iter().enumerate() {
+            order[next[bucket]] = row;
+            next[bucket] += 1;
+        }
+        drop(bucket_of);
+        let permuted = self.gather(&order);
+        let bounds = starts.windows(2);
+        bounds.map(|w| permuted.slice(w[0], w[1] - w[0])).collect()
     }
 
     /// Project columns at `indices` (with the schema following).

@@ -3,7 +3,8 @@
 //! [`SiriusEngine::execute`] compiles the logical plan once into a physical
 //! pipeline DAG ([`crate::physical::compile`]) and runs it with the wave
 //! scheduler ([`crate::schedule`]): each pipeline's source is partitioned
-//! into fixed-size morsels ([`MorselConfig`]), one task per morsel goes
+//! into fixed-size morsels ([`DEFAULT_MORSEL_ROWS`] unless overridden), one
+//! task per morsel goes
 //! through the global [`TaskQueue`], and every task charges its kernels onto
 //! a device stream chosen round-robin within the pipeline's stream slice, so
 //! independent morsels — and, under [`Scheduling::Concurrent`], independent
@@ -32,7 +33,7 @@ use sirius_hw::{
 use sirius_plan::validate::FeatureSet;
 use sirius_plan::visit::Node;
 use sirius_plan::Rel;
-use sirius_spill::{SpillConfig, SpillStats};
+use sirius_spill::SpillStats;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,7 +41,7 @@ use std::time::Duration;
 
 use crate::morsel::SharedOpStats;
 
-pub use crate::morsel::MorselConfig;
+pub use crate::morsel::DEFAULT_MORSEL_ROWS;
 
 /// The Sirius GPU engine for one device.
 pub struct SiriusEngine {
@@ -48,7 +49,8 @@ pub struct SiriusEngine {
     pub(crate) bufmgr: Arc<BufferManager>,
     pub(crate) queue: Arc<TaskQueue>,
     pub(crate) features: FeatureSet,
-    pub(crate) morsel: MorselConfig,
+    /// Rows per morsel; sources at most this large run as a single morsel.
+    pub(crate) morsel_rows: usize,
     pub(crate) stats: Arc<Mutex<MorselStats>>,
     pub(crate) scheduling: Scheduling,
     /// Fault injector + this node's stable id, polled at kernel launch.
@@ -108,7 +110,7 @@ impl SiriusEngine {
             device,
             queue: Arc::new(TaskQueue::new(workers.max(1))),
             features: FeatureSet::full(),
-            morsel: MorselConfig::default(),
+            morsel_rows: DEFAULT_MORSEL_ROWS,
             stats: Arc::new(Mutex::new(MorselStats::default())),
             scheduling: Scheduling::default(),
             fault: sirius_hw::FaultInjector::disabled(),
@@ -136,7 +138,7 @@ impl SiriusEngine {
             device,
             queue: Arc::clone(&self.queue),
             features: self.features.clone(),
-            morsel: self.morsel,
+            morsel_rows: self.morsel_rows,
             stats: Arc::new(Mutex::new(MorselStats::default())),
             scheduling: self.scheduling,
             fault: self.fault.clone(),
@@ -208,7 +210,7 @@ impl SiriusEngine {
 
     /// Override the morsel size (rows per morsel, clamped to ≥ 1).
     pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel.rows = rows.max(1);
+        self.morsel_rows = rows.max(1);
         self
     }
 
@@ -217,15 +219,6 @@ impl SiriusEngine {
     /// one-pipeline-at-a-time baseline for the scheduling ablation.
     pub fn with_pipeline_scheduling(mut self, scheduling: Scheduling) -> Self {
         self.scheduling = scheduling;
-        self
-    }
-
-    /// Override the spill-tier capacities (defaults: 64 GiB pinned host,
-    /// 1 TiB disk). Shrinking them to zero turns every spill into a hard
-    /// out-of-memory error — the configuration tests use to prove host
-    /// fallback really is the last resort.
-    pub fn with_spill_config(self, config: SpillConfig) -> Self {
-        self.bufmgr.set_spill_config(config);
         self
     }
 
@@ -250,11 +243,6 @@ impl SiriusEngine {
     /// served queries.
     pub fn fault_injector(&self) -> &sirius_hw::FaultInjector {
         &self.fault
-    }
-
-    /// The active pipeline scheduling policy.
-    pub fn pipeline_scheduling(&self) -> Scheduling {
-        self.scheduling
     }
 
     /// Worker threads draining the task queue (= device streams used).
@@ -487,6 +475,7 @@ mod tests {
     use sirius_plan::builder::PlanBuilder;
     use sirius_plan::expr::{self, AggExpr, SortExpr};
     use sirius_plan::{AggFunc, JoinKind};
+    use sirius_spill::SpillConfig;
 
     fn engine_with_data() -> SiriusEngine {
         let e = SiriusEngine::new(catalog::gh200_gpu());
@@ -674,7 +663,7 @@ mod tests {
     #[test]
     fn oom_when_morsel_exceeds_all_tiers() {
         let (e, plan) = tiny_device_groupby();
-        let e = e.with_spill_config(SpillConfig {
+        e.buffer_manager().set_spill_config(SpillConfig {
             pinned_bytes: 0,
             disk_bytes: 0,
         });

@@ -5,6 +5,10 @@
 //! device under `CostCategory::Exchange`. What an exchange returns becomes
 //! a temporary table in the store the node's engine reads; the host that
 //! drives the fragments (`sirius-doris`) registers and releases it.
+//!
+//! A shuffle routes rows with [`partition_by_hash`]: one node id per row
+//! from the routing hash, then `Table::partition` — the per-node shards are
+//! windows of one table gathered in node order.
 
 use crate::{Result, SiriusError};
 use sirius_columnar::{Array, Table};
@@ -131,17 +135,9 @@ impl ExchangeService {
 /// assumptions hold across the system.
 pub fn partition_by_hash(table: &Table, keys: &[Array], world: usize) -> Vec<Table> {
     let key_refs: Vec<&Array> = keys.iter().collect();
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); world];
-    for (row, h) in row_hashes(&key_refs, table.num_rows(), None)
-        .iter()
-        .enumerate()
-    {
-        buckets[(h % world as u64) as usize].push(row);
-    }
-    buckets
-        .into_iter()
-        .map(|rows| table.gather(&rows))
-        .collect()
+    let hashes = row_hashes(&key_refs, table.num_rows(), None).into_iter();
+    let node_of = hashes.map(|h| (h % world as u64) as usize);
+    table.partition(node_of, world)
 }
 
 #[cfg(test)]

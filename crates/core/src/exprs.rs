@@ -55,6 +55,11 @@ pub fn evaluate(ctx: &GpuContext, expr: &Expr, input: &Table) -> Result<Array> {
     }
 }
 
+/// [`evaluate`] each of `exprs` over `input`, in order.
+pub(crate) fn evaluate_all(ctx: &GpuContext, exprs: &[Expr], input: &Table) -> Result<Vec<Array>> {
+    exprs.iter().map(|e| evaluate(ctx, e, input)).collect()
+}
+
 /// Internal lowering result: a materialized column or a still-scalar
 /// literal (kept scalar so kernels can broadcast without materializing).
 enum Datum2 {

@@ -45,7 +45,7 @@ pub mod schedule;
 
 pub use buffer::BufferManager;
 pub use context::{HostEngine, SiriusContext};
-pub use engine::{MorselConfig, SiriusEngine};
+pub use engine::{SiriusEngine, DEFAULT_MORSEL_ROWS};
 pub use explain::OpStats;
 pub use metrics::{MorselStats, QueryReport, RecoveryStats};
 pub use physical::FusionConfig;

@@ -2,8 +2,8 @@
 //! operators per morsel.
 //!
 //! A compiled pipeline ([`crate::physical`]) is executed as a wave of
-//! morsel tasks: the source table splits into [`MorselConfig`]-sized
-//! chunks and each chunk walks the pipeline's compiled [`StreamOp`]s —
+//! morsel tasks: the source table splits into chunks of the engine's
+//! `morsel_rows` and each chunk walks the pipeline's compiled [`StreamOp`]s —
 //! the plan's own, never a lowered copy — on its own device stream, run by
 //! run ([`walk`]). A plain op is a run of length 1 under the *charged*
 //! discipline (its kernels charge the ledger as they launch); a fused
@@ -15,48 +15,33 @@
 //! pipeline-breaker state lives in the scheduler ([`crate::schedule`]).
 
 use crate::explain::OpStats;
-use crate::exprs::evaluate;
+use crate::exprs::{evaluate, evaluate_all};
 use crate::physical::{Aggregation, FusedSegment, Probe, StreamOp};
 use crate::Result;
 use parking_lot::Mutex;
 use sirius_columnar::{Array, Bitmap, DataType, Scalar, Schema, Table};
 use sirius_cudf::filter::{apply_filter, gather, gather_opt};
 use sirius_cudf::fused::FusedView;
-use sirius_cudf::groupby::{group_by, AggKind, AggRequest, PartialAggPlan};
+use sirius_cudf::groupby::{group_by, AggKind, AggRequest, GroupByResult, PartialAggPlan};
 use sirius_cudf::join::{
     cross_join_pairs, probe_hash_table, resolve_join, JoinHashTable, JoinType,
 };
 use sirius_cudf::reduce::reduce;
+use sirius_cudf::sort::{sort_indices, SortKey};
 use sirius_cudf::{GpuContext, WorkCollector};
 use sirius_hw::{CostCategory, CostModel, Device, WorkProfile};
-use sirius_plan::expr::AggExpr;
+use sirius_plan::expr::{AggExpr, SortExpr};
 use sirius_plan::visit::Node;
 use sirius_plan::{AggFunc, JoinKind};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How pipeline sources are partitioned into morsels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MorselConfig {
-    /// Rows per morsel. Sources at most this large run as a single morsel.
-    pub rows: usize,
-}
-
-impl MorselConfig {
-    /// Default morsel size: 1 Mi rows — large enough that per-task launch
-    /// overhead stays noise, small enough that TPC-H fact tables split into
-    /// enough morsels to feed several streams.
-    pub const DEFAULT_ROWS: usize = 1 << 20;
-}
-
-impl Default for MorselConfig {
-    fn default() -> Self {
-        Self {
-            rows: Self::DEFAULT_ROWS,
-        }
-    }
-}
+/// Default rows per morsel: 1 Mi — large enough that per-task launch
+/// overhead stays noise, small enough that TPC-H fact tables split into
+/// enough morsels to feed several streams. Sources at most this large run
+/// as a single morsel.
+pub const DEFAULT_MORSEL_ROWS: usize = 1 << 20;
 
 /// Shared per-node runtime stats, allocated only when tracing is enabled.
 pub(crate) type SharedOpStats = Arc<Mutex<HashMap<u32, OpStats>>>;
@@ -215,11 +200,7 @@ pub(crate) fn walk(
             }
             StreamOp::Project { exprs, schema, .. } => {
                 let ctx = ctx(CostCategory::Project);
-                let base = view.compacted();
-                let cols: Vec<Array> = exprs
-                    .iter()
-                    .map(|e| evaluate(&ctx, e, base))
-                    .collect::<Result<_>>()?;
+                let cols = evaluate_all(&ctx, exprs, view.compacted())?;
                 view.replace(Table::new(schema.clone(), cols));
             }
             StreamOp::Probe(probe) => {
@@ -261,11 +242,7 @@ fn probe_morsel(ctx: &GpuContext, probe: &Probe, build: &BuildSide, t: &Table) -
     let pairs = match &build.hash {
         None => cross_join_pairs(ctx, t.num_rows(), rt.num_rows()),
         Some(table) => {
-            let lk: Vec<Array> = probe
-                .left_keys
-                .iter()
-                .map(|e| evaluate(ctx, e, t))
-                .collect::<Result<_>>()?;
+            let lk = evaluate_all(ctx, &probe.left_keys, t)?;
             let lrefs: Vec<&Array> = lk.iter().collect();
             probe_hash_table(ctx, table, &lrefs, t.num_rows(), 0)?
         }
@@ -395,15 +372,81 @@ pub(crate) fn concat_morsels(schema: Schema, morsels: &[Table]) -> Table {
 }
 
 /// Evaluate each aggregate's input expression over `t`.
-pub(crate) fn agg_inputs(
-    ctx: &GpuContext,
-    aggregates: &[AggExpr],
-    t: &Table,
-) -> Result<Vec<Option<Array>>> {
+fn agg_inputs(ctx: &GpuContext, aggregates: &[AggExpr], t: &Table) -> Result<Vec<Option<Array>>> {
     aggregates
         .iter()
         .map(|a| a.input.as_ref().map(|e| evaluate(ctx, e, t)).transpose())
         .collect()
+}
+
+/// What one aggregation pass over `rows` rows produced.
+enum Aggregated {
+    /// No keys: one scalar per request.
+    Scalars(Vec<Scalar>),
+    /// One row per group.
+    Groups(GroupByResult),
+}
+
+/// The one aggregation pass: a reduction per request without keys, a
+/// group-by with them. Whole-column aggregation and both phases of the
+/// two-phase plan are this over their own inputs and kinds.
+fn aggregate(
+    ctx: &GpuContext,
+    keys: &[Array],
+    requests: &[AggRequest<'_>],
+    rows: usize,
+) -> Result<Aggregated> {
+    if keys.is_empty() {
+        let reduced = requests.iter().map(|r| reduce(ctx, r.kind, r.input, rows));
+        let scalars: sirius_cudf::Result<_> = reduced.collect();
+        return Ok(Aggregated::Scalars(scalars?));
+    }
+    let key_refs: Vec<&Array> = keys.iter().collect();
+    let groups = group_by(ctx, &key_refs, requests, rows)?;
+    Ok(Aggregated::Groups(groups))
+}
+
+/// The whole-column aggregation pass (single morsel or non-decomposable
+/// aggregates), also the terminal step of the spilling paths.
+pub(crate) fn aggregate_single_pass(
+    ctx: &GpuContext,
+    t: &Table,
+    agg: &Aggregation,
+) -> Result<Table> {
+    let inputs = agg_inputs(ctx, &agg.aggregates, t)?;
+    let keys = evaluate_all(ctx, &agg.keys, t)?;
+    let requests: Vec<AggRequest<'_>> = (agg.aggregates.iter().zip(&inputs))
+        .map(|(a, input)| AggRequest {
+            kind: lower_agg(a.func),
+            input: input.as_ref(),
+        })
+        .collect();
+    Ok(match aggregate(ctx, &keys, &requests, t.num_rows())? {
+        Aggregated::Scalars(scalars) => scalar_table(&scalars, &agg.schema),
+        Aggregated::Groups(r) => {
+            let cols = r.key_columns.into_iter().chain(r.agg_columns);
+            Table::new(agg.schema.clone(), cols.collect())
+        }
+    })
+}
+
+/// `t` in the order of `keys`: evaluate the keys, sort their row ids
+/// (stable: equal keys keep their input order), gather. The in-memory sort
+/// sink, every run of the external sort and — through a muted context over
+/// the concatenated runs — its merge.
+pub(crate) fn sort_table(ctx: &GpuContext, t: &Table, keys: &[SortExpr]) -> Result<Table> {
+    let columns: Vec<Array> = keys
+        .iter()
+        .map(|k| evaluate(ctx, &k.expr, t))
+        .collect::<Result<_>>()?;
+    let sort_keys: Vec<SortKey<'_>> = (columns.iter().zip(keys))
+        .map(|(column, k)| SortKey {
+            column,
+            ascending: k.ascending,
+        })
+        .collect();
+    let order = sort_indices(ctx, &sort_keys, t.num_rows())?;
+    Ok(gather(ctx, t, &order))
 }
 
 /// Phase-one output of a two-phase aggregation over one morsel (or spill
@@ -454,40 +497,23 @@ impl PartialAgg {
     /// one morsel.
     pub(crate) fn partial(&self, ctx: &GpuContext, t: &Table) -> Result<Partial> {
         let inputs = agg_inputs(ctx, &self.spec.aggregates, t)?;
-        let specs = self.plan.partials();
-        if self.spec.keys.is_empty() {
-            let scalars = specs
-                .iter()
-                .map(|s| {
-                    Ok(reduce(
-                        ctx,
-                        s.kind,
-                        inputs[s.source].as_ref(),
-                        t.num_rows(),
-                    )?)
-                })
-                .collect::<Result<_>>()?;
-            return Ok(Partial {
-                scalars,
-                ..Partial::default()
-            });
-        }
-        let key_cols: Vec<Array> = (self.spec.keys.iter())
-            .map(|k| evaluate(ctx, k, t))
-            .collect::<Result<_>>()?;
-        let key_refs: Vec<&Array> = key_cols.iter().collect();
-        let requests: Vec<AggRequest<'_>> = specs
-            .iter()
+        let keys = evaluate_all(ctx, &self.spec.keys, t)?;
+        let requests: Vec<AggRequest<'_>> = (self.plan.partials().iter())
             .map(|s| AggRequest {
                 kind: s.kind,
                 input: inputs[s.source].as_ref(),
             })
             .collect();
-        let r = group_by(ctx, &key_refs, &requests, t.num_rows())?;
-        Ok(Partial {
-            keys: r.key_columns,
-            aggs: r.agg_columns,
-            scalars: Vec::new(),
+        Ok(match aggregate(ctx, &keys, &requests, t.num_rows())? {
+            Aggregated::Scalars(scalars) => Partial {
+                scalars,
+                ..Partial::default()
+            },
+            Aggregated::Groups(r) => Partial {
+                keys: r.key_columns,
+                aggs: r.agg_columns,
+                scalars: Vec::new(),
+            },
         })
     }
 
@@ -566,29 +592,29 @@ impl PartialAgg {
     /// with the merge kinds and finalize.
     pub(crate) fn merge(&self, ctx: &GpuContext, all: &Partial) -> Result<Table> {
         let schema = &self.spec.schema;
-        if self.spec.keys.is_empty() {
-            let merged: Vec<Scalar> = (all.aggs.iter().enumerate())
-                .map(|(p, arr)| Ok(reduce(ctx, self.plan.merge_kind(p), Some(arr), arr.len())?))
-                .collect::<Result<_>>()?;
-            return Ok(scalar_table(&self.plan.finalize_scalars(&merged), schema));
-        }
-        let total = all.keys.first().map(|a| a.len()).unwrap_or(0);
-        let key_refs: Vec<&Array> = all.keys.iter().collect();
+        let first = all.keys.iter().chain(&all.aggs).next();
+        let total = first.map_or(0, |a| a.len());
         let requests: Vec<AggRequest<'_>> = (all.aggs.iter().enumerate())
             .map(|(p, col)| AggRequest {
                 kind: self.plan.merge_kind(p),
                 input: Some(col),
             })
             .collect();
-        let r = group_by(ctx, &key_refs, &requests, total)?;
-        let finals = self.plan.finalize(ctx, &r.agg_columns)?;
-        let cols: Vec<Array> = r.key_columns.into_iter().chain(finals).collect();
-        Ok(Table::new(schema.clone(), cols))
+        Ok(match aggregate(ctx, &all.keys, &requests, total)? {
+            Aggregated::Scalars(merged) => {
+                scalar_table(&self.plan.finalize_scalars(&merged), schema)
+            }
+            Aggregated::Groups(r) => {
+                let finals = self.plan.finalize(ctx, &r.agg_columns)?;
+                let cols = r.key_columns.into_iter().chain(finals);
+                Table::new(schema.clone(), cols.collect())
+            }
+        })
     }
 }
 
 /// One-row table from final aggregate scalars.
-pub(crate) fn scalar_table(scalars: &[Scalar], schema: &Schema) -> Table {
+fn scalar_table(scalars: &[Scalar], schema: &Schema) -> Table {
     let cols = scalars
         .iter()
         .zip(schema.fields.iter())
@@ -597,7 +623,7 @@ pub(crate) fn scalar_table(scalars: &[Scalar], schema: &Schema) -> Table {
     Table::new(schema.clone(), cols)
 }
 
-pub(crate) fn lower_agg(f: AggFunc) -> AggKind {
+fn lower_agg(f: AggFunc) -> AggKind {
     match f {
         AggFunc::CountStar => AggKind::CountStar,
         AggFunc::Count => AggKind::Count,

@@ -5,20 +5,28 @@
 //! invoked serially by the DAG scheduler ([`crate::schedule`]) — a spilling
 //! pipeline owns the device while it partitions — and work on materialized
 //! inputs.
+//!
+//! Each path is its in-memory breaker applied to windows of the input, plus
+//! the grants, spill tickets and counters: a Grace partition is a window of
+//! the table `hash_partition` permuted once, joined or aggregated by the
+//! resident code (`Run::apply`, `aggregate_single_pass`, [`PartialAgg`]);
+//! an external run is a morsel through the sort sink's `sort_table`, and
+//! the merge is `sort_table` again over the concatenated runs — no
+//! algorithm lives only here.
 
 use crate::engine::SiriusEngine;
-use crate::exprs::evaluate;
-use crate::morsel::{chunk_morsels, concat_morsels, BuildSide, Builds, PartialAgg, Run};
+use crate::exprs::evaluate_all;
+use crate::morsel::{
+    aggregate_single_pass, chunk_morsels, concat_morsels, sort_table, BuildSide, Builds,
+    PartialAgg, Run,
+};
 use crate::physical::{Aggregation, Probe, StreamOp};
 use crate::{Result, SiriusError};
-use sirius_columnar::{Array, Table};
-use sirius_cudf::filter::gather;
+use sirius_columnar::Table;
 use sirius_cudf::partition::hash_partition;
-use sirius_cudf::sort::{sort_indices, SortKey};
 use sirius_hw::{CostCategory, WorkProfile};
-use sirius_plan::expr::{Expr, SortExpr};
+use sirius_plan::expr::SortExpr;
 use sirius_plan::visit::Node;
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Deepest recursive repartitioning a spilling operator attempts before
@@ -74,10 +82,8 @@ impl SiriusEngine {
             Err(_) => {
                 let parts = self.partition_fanout(need);
                 let ctx = self.ctx(CostCategory::Join);
-                let keys = |exprs: &[Expr], t: &Table| -> Result<Vec<Array>> {
-                    exprs.iter().map(|e| evaluate(&ctx, e, t)).collect()
-                };
-                let (rk, lk) = (keys(&probe.right_keys, rt)?, keys(&probe.left_keys, lt)?);
+                let rk = evaluate_all(&ctx, &probe.right_keys, rt)?;
+                let lk = evaluate_all(&ctx, &probe.left_keys, lt)?;
                 let rparts =
                     hash_partition(&ctx, &rk.iter().collect::<Vec<_>>(), rt, parts, depth)?;
                 let lparts =
@@ -117,16 +123,14 @@ impl SiriusEngine {
         depth: u32,
     ) -> Result<Table> {
         let need = (t.byte_size() as u64 / 2).max(1024);
+        let ctx = self.ctx(agg.category());
         if let Ok(_state) = self.bufmgr.request_grant(need) {
-            return self.aggregate_single_pass(t, agg);
+            return aggregate_single_pass(&ctx, t, agg);
         }
         if agg.keys.is_empty() || depth >= MAX_SPILL_DEPTH {
             return self.chunked_aggregate(t, agg);
         }
-        let ctx = self.ctx(agg.category());
-        let key_cols: Vec<Array> = (agg.keys.iter())
-            .map(|k| evaluate(&ctx, k, t))
-            .collect::<Result<_>>()?;
+        let key_cols = evaluate_all(&ctx, &agg.keys, t)?;
         let parts = self.partition_fanout(need);
         let pts = hash_partition(&ctx, &key_cols.iter().collect::<Vec<_>>(), t, parts, depth)?;
         if pts.iter().any(|p| p.num_rows() == t.num_rows()) {
@@ -175,15 +179,15 @@ impl SiriusEngine {
                 "ungrouped COUNT(DISTINCT) cannot decompose into spillable partials".into()
             }));
         };
+        let ctx = self.ctx(agg.category());
         if t.num_rows() == 0 {
-            return self.aggregate_single_pass(t, agg);
+            return aggregate_single_pass(&ctx, t, agg);
         }
         let chunks = chunk_morsels(t, self.rows_per_chunk(t));
         if !grouped {
             // Never partitioned: the chunked pass is its one spill level.
             self.bufmgr.note_repartition(1);
         }
-        let ctx = self.ctx(agg.category());
         let mut parts = Vec::with_capacity(chunks.len());
         for c in &chunks {
             let _g = self
@@ -209,9 +213,11 @@ impl SiriusEngine {
     }
 
     /// External merge sort: split the input into runs that fit under a
-    /// grant, sort and spill each run, then stream the runs back through a
-    /// k-way merge. Tie-breaking by run index preserves the stability of
-    /// the in-memory sort (runs are consecutive input chunks).
+    /// grant, sort and spill each run, then read the runs back and merge
+    /// them. The merge is the stable comparator sort over the concatenated
+    /// runs — it finds the sorted runs and joins them in O(n log k) typed
+    /// comparisons, ties going to the earlier run, so the in-memory sort's
+    /// stability holds (runs are consecutive input chunks).
     pub(crate) fn external_sort(&self, t: &Table, keys: &[SortExpr], node: Node) -> Result<Table> {
         let n = t.num_rows();
         if n == 0 {
@@ -226,19 +232,7 @@ impl SiriusEngine {
             let _g = self
                 .bufmgr
                 .request_grant((run.byte_size() as u64).max(256))?;
-            let key_cols: Vec<(Array, bool)> = keys
-                .iter()
-                .map(|k| Ok((evaluate(&ctx, &k.expr, run)?, k.ascending)))
-                .collect::<Result<_>>()?;
-            let sort_keys: Vec<SortKey<'_>> = key_cols
-                .iter()
-                .map(|(c, asc)| SortKey {
-                    column: c,
-                    ascending: *asc,
-                })
-                .collect();
-            let idx = sort_indices(&ctx, &sort_keys, run.num_rows())?;
-            let sorted = gather(&ctx, run, &idx);
+            let sorted = sort_table(&ctx, run, keys)?;
             tickets.push(
                 self.bufmgr
                     .spill_write((sorted.byte_size() as u64).max(1))?,
@@ -250,61 +244,100 @@ impl SiriusEngine {
         }
         self.note_spill(node, tickets.len() as u64);
         drop(tickets);
-        // Keys were evaluated (and charged) per run above; re-deriving them
-        // in sorted order models the merge reading keys carried with the
-        // runs, so it computes through a muted context.
-        let muted = ctx.muted();
-        let run_keys: Vec<Vec<(Array, bool)>> = runs
-            .iter()
-            .map(|r| {
-                keys.iter()
-                    .map(|k| Ok((evaluate(&muted, &k.expr, r)?, k.ascending)))
-                    .collect::<Result<_>>()
-            })
-            .collect::<Result<_>>()?;
-        let cmp_rows = |ra: usize, ia: usize, rb: usize, ib: usize| -> Ordering {
-            for ((ca, asc), (cb, _)) in run_keys[ra].iter().zip(&run_keys[rb]) {
-                let ord = ca.scalar(ia).cmp(&cb.scalar(ib));
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            ra.cmp(&rb)
-        };
-        let offsets: Vec<i32> = runs
-            .iter()
-            .scan(0i32, |acc, r| {
-                let o = *acc;
-                *acc += r.num_rows() as i32;
-                Some(o)
-            })
-            .collect();
-        let mut cursor = vec![0usize; runs.len()];
-        let mut order: Vec<i32> = Vec::with_capacity(n);
-        while order.len() < n {
-            let mut best: Option<usize> = None;
-            for (r, run) in runs.iter().enumerate() {
-                if cursor[r] >= run.num_rows() {
-                    continue;
-                }
-                best = match best {
-                    None => Some(r),
-                    Some(b) if cmp_rows(r, cursor[r], b, cursor[b]) == Ordering::Less => Some(r),
-                    keep => keep,
-                };
-            }
-            let b = best.expect("merge exhausted runs before emitting every row");
-            order.push(offsets[b] + cursor[b] as i32);
-            cursor[b] += 1;
-        }
-        // One streamed merge pass over the run data.
+        // One streamed merge pass over the run data. Keys were evaluated
+        // (and charged) per run above and travel with the runs, so the merge
+        // itself computes through a muted context under this one charge.
         ctx.charge(
             &WorkProfile::scan(t.byte_size() as u64)
                 .with_flops((n as u64) * u64::from(runs.len().max(2).ilog2()))
                 .with_rows(n as u64),
         );
         let merged = concat_morsels(t.schema().clone(), &runs);
-        Ok(gather(&muted, &merged, &order))
+        sort_table(&ctx.muted(), &merged, keys)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sirius_columnar::{Array, DataType, Field, Scalar, Schema};
+    use sirius_hw::catalog;
+    use sirius_plan::builder::PlanBuilder;
+    use sirius_plan::expr::col;
+
+    /// 2 400 rows whose sort keys repeat across any run boundary: a nullable
+    /// `Int64` with 7 values, a plain and a dictionary string with 5 and 3,
+    /// and the row id, which shows where equal keys ended up.
+    fn keyed_rows() -> Table {
+        let n = 2400i64;
+        let ints: Vec<Scalar> = (0..n)
+            .map(|i| match (i * 37 + 11) % 8 {
+                7 => Scalar::Null,
+                v => Scalar::Int64(v - 3),
+            })
+            .collect();
+        let words = ["delta", "", "alpha", "naïve", "alphabet"];
+        let plain = (0..n).map(|i| words[(i * 13 % 5) as usize]);
+        let encoded = (0..n).map(|i| words[(i * 7 % 3) as usize]);
+        let columns = vec![
+            Array::from_scalars(&ints, DataType::Int64),
+            Array::from_strs(plain),
+            Array::from_strs(encoded).dict_encode(),
+            Array::from_i64(0..n),
+        ];
+        let fields = ["a", "s", "d", "row"].iter().zip(&columns);
+        let fields = fields.map(|(name, c)| Field::new(*name, c.data_type()));
+        Table::new(Schema::new(fields.collect()), columns)
+    }
+
+    /// The order nothing else checks: under a denied sort grant the spilled
+    /// runs merge into exactly the in-memory sort's rows — equal keys in
+    /// input order across run boundaries, NULLs first ascending and last
+    /// descending, strings bytewise — and the ledger is charged what the
+    /// k-way merge this replaced charged (nanoseconds recorded at 7e75def).
+    #[test]
+    fn external_sort_equals_the_in_memory_sort_row_for_row() {
+        let t = keyed_rows();
+        let engine = |memory_bytes: Option<u64>| {
+            let mut spec = catalog::gh200_gpu();
+            if let Some(bytes) = memory_bytes {
+                spec.memory_bytes = bytes;
+            }
+            let e = SiriusEngine::new(spec);
+            e.load_table("t", &t);
+            e
+        };
+        let (roomy, tight) = (engine(None), engine(Some(8192)));
+        let key = |c: usize, ascending: bool| SortExpr {
+            expr: col(c),
+            ascending,
+        };
+        let cases = [
+            (vec![key(0, true), key(1, false)], (134_260u128, 66_330u128)),
+            (vec![key(2, false), key(0, false)], (134_227, 66_330)),
+            (
+                vec![key(1, true), key(2, true), key(0, true)],
+                (134_260, 66_330),
+            ),
+        ];
+        for (keys, charged) in cases {
+            let plan = PlanBuilder::scan("t", t.schema().clone())
+                .sort(keys.clone())
+                .build();
+            let expected = roomy.execute(&plan).unwrap();
+            let spilled = tight.spill_stats();
+            tight.device().reset();
+            let got = tight.execute(&plan).unwrap();
+            let runs = tight.spill_stats().since(&spilled).partitions;
+            assert!(runs >= 3, "{runs} runs: the sort grant must be denied");
+            assert_eq!(got, expected, "keys {keys:?}");
+            let spent = tight.device().breakdown();
+            let nanos = |c| spent.get(c).as_nanos();
+            assert_eq!(
+                (nanos(CostCategory::OrderBy), nanos(CostCategory::Exchange)),
+                charged,
+                "keys {keys:?}"
+            );
+        }
     }
 }

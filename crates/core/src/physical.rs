@@ -238,30 +238,24 @@ pub struct FusionConfig {
     /// Run the pass at all. On by default; off reproduces the pre-fusion
     /// per-operator data path (the ablation baseline).
     pub enabled: bool,
-    /// Longest run collapsed into one segment; longer runs split into
-    /// consecutive segments. Values below 2 are treated as 2 (a singleton
-    /// "segment" would charge its input twice).
-    pub max_segment_len: usize,
 }
 
 impl Default for FusionConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            max_segment_len: 8,
-        }
+        Self { enabled: true }
     }
 }
 
 impl FusionConfig {
     /// Fusion switched off (the unfused baseline).
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
+        Self { enabled: false }
     }
 }
+
+/// Longest run collapsed into one segment; longer runs split into
+/// consecutive segments.
+const MAX_SEGMENT_LEN: usize = 8;
 
 /// Collapse each pipeline's fusable streaming runs into [`FusedSegment`]s.
 ///
@@ -282,35 +276,34 @@ pub fn fuse(plan: &mut PhysicalPlan, config: &FusionConfig) {
     if !config.enabled {
         return;
     }
-    let max = config.max_segment_len.max(2);
     for pipe in &mut plan.pipelines {
-        pipe.ops = fuse_ops(std::mem::take(&mut pipe.ops), max);
+        pipe.ops = fuse_ops(std::mem::take(&mut pipe.ops));
     }
 }
 
-fn fuse_ops(ops: Vec<PhysOp>, max: usize) -> Vec<PhysOp> {
+fn fuse_ops(ops: Vec<PhysOp>) -> Vec<PhysOp> {
     let mut out = Vec::with_capacity(ops.len());
     let mut run: Vec<StreamOp> = Vec::new();
     for op in ops {
         match op {
             PhysOp::Plain(op) if fusable(&op) => run.push(op),
             other => {
-                flush_run(&mut run, max, &mut out);
+                flush_run(&mut run, &mut out);
                 out.push(other);
             }
         }
     }
-    flush_run(&mut run, max, &mut out);
+    flush_run(&mut run, &mut out);
     out
 }
 
-/// Emit a pending fusable run: chunks of `max`, each chunk of ≥ 2 ops — or
-/// a singleton filter — becoming a segment, provided the chunk does real
-/// per-byte work somewhere; anything else stays plain ops.
-fn flush_run(run: &mut Vec<StreamOp>, max: usize, out: &mut Vec<PhysOp>) {
+/// Emit a pending fusable run: chunks of [`MAX_SEGMENT_LEN`], each chunk of
+/// ≥ 2 ops — or a singleton filter — becoming a segment, provided the chunk
+/// does real per-byte work somewhere; anything else stays plain ops.
+fn flush_run(run: &mut Vec<StreamOp>, out: &mut Vec<PhysOp>) {
     let mut rest = std::mem::take(run).into_iter().peekable();
     while rest.peek().is_some() {
-        let chunk: Vec<StreamOp> = rest.by_ref().take(max).collect();
+        let chunk: Vec<StreamOp> = rest.by_ref().take(MAX_SEGMENT_LEN).collect();
         let big_enough = chunk.len() >= 2 || matches!(chunk[0], StreamOp::Filter { .. });
         if big_enough && chunk.iter().any(worthwhile) {
             out.push(PhysOp::Fused(FusedSegment::new(chunk)));
@@ -860,32 +853,24 @@ mod tests {
     #[test]
     fn fuse_respects_max_segment_len() {
         // Projections compute (they are not pure column pass-throughs), so
-        // every chunk carries real work and fuses.
-        let plan = scan("t")
-            .filter(gt(col(0), lit_i64(0)))
-            .project(vec![
-                (gt(col(0), lit_i64(1)), "a".into()),
+        // every chunk carries real work and fuses. The filter (the scan
+        // compiles into it) and the projections: one op more than a
+        // segment holds.
+        let mut plan = scan("t").filter(gt(col(0), lit_i64(0)));
+        for _ in 0..MAX_SEGMENT_LEN {
+            plan = plan.project(vec![
+                (gt(col(1), lit_i64(1)), "a".into()),
                 (col(1), "b".into()),
-            ])
-            .project(vec![(gt(col(1), col(1)), "a".into()), (col(0), "b".into())])
-            .project(vec![(gt(col(0), col(0)), "c".into())])
-            .project(vec![(gt(col(0), col(0)), "d".into())])
-            .build();
-        let mut phys = compile(&plan).unwrap();
-        assert_eq!(phys.pipelines[0].ops.len(), 5);
-        fuse(
-            &mut phys,
-            &FusionConfig {
-                enabled: true,
-                max_segment_len: 2,
-            },
-        );
+            ]);
+        }
+        let mut phys = compile(&plan.build()).unwrap();
+        assert_eq!(phys.pipelines[0].ops.len(), MAX_SEGMENT_LEN + 1);
+        fuse(&mut phys, &FusionConfig::default());
         let p = &phys.pipelines[0];
-        // 5 fusable ops at max 2 → two 2-op segments plus a trailing plain op.
-        assert_eq!(p.ops.len(), 3);
-        assert!(matches!(&p.ops[0], PhysOp::Fused(s) if s.ops().len() == 2));
-        assert!(matches!(&p.ops[1], PhysOp::Fused(s) if s.ops().len() == 2));
-        assert!(matches!(p.ops[2], PhysOp::Plain(StreamOp::Project { .. })));
+        // One full segment; the projection left over stays a plain op.
+        assert_eq!(p.ops.len(), 2);
+        assert!(matches!(&p.ops[0], PhysOp::Fused(s) if s.ops().len() == MAX_SEGMENT_LEN));
+        assert!(matches!(p.ops[1], PhysOp::Plain(StreamOp::Project { .. })));
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! builds, aggregations, sorts, limits, distinct, exchanges). Each pipeline
 //! becomes a task in a global queue drained by idle CPU worker threads,
 //! which launch the actual GPU kernels — the execution model the paper
-//! shares with DuckDB, Hyper, and Velox.
+//! shares with DuckDB, Hyper, and Velox. The thread that dispatches a wave
+//! is one of those workers ([`TaskQueue::run_all`]): it runs the wave's
+//! first task itself and queues only the rest, so a one-task wave never
+//! touches the queue.
 //!
 //! [`decompose`] is a thin projection of the compiled physical DAG
 //! ([`crate::physical::compile`]): same single plan walk, same pipeline
@@ -141,53 +144,37 @@ impl TaskQueue {
     }
 
     /// Enqueue a task (fire and forget).
-    pub fn submit(&self, task: Task) {
+    fn submit(&self, task: Task) {
         self.inner.tasks.lock().push_back(task);
         self.inner.available.notify_one();
     }
 
-    /// Run `f` as a queued task and wait for its result, helping drain the
-    /// queue while waiting. Once the queue is empty the waiter parks on the
-    /// result channel — the task is necessarily running on (or done by)
-    /// another thread, so polling would only burn the CPU the workers need.
-    pub fn run<R: Send + 'static>(&self, f: impl FnOnce() -> R + Send + 'static) -> R {
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        self.submit(Box::new(move || {
-            let _ = tx.send(f());
-        }));
-        loop {
-            if let Ok(r) = rx.try_recv() {
-                return r;
-            }
-            // Help: execute someone else's task instead of idling.
-            let stolen = self.inner.tasks.lock().pop_front();
-            match stolen {
-                Some(t) => t(),
-                None => return rx.recv().expect("queued task dropped unexecuted"),
-            }
-        }
-    }
-
     /// Run a batch of tasks and wait for all results, in submission order.
-    /// The calling thread helps drain the queue (these tasks or anyone
-    /// else's) and blocks on the result channel only when the queue is
-    /// empty. This is the morsel dispatch primitive: one call per pipeline,
-    /// one task per morsel.
+    /// The caller is a worker: it queues tasks `1..n` for the pool and runs
+    /// task 0 itself — a one-task batch never touches the queue — then
+    /// helps drain the queue (these tasks or anyone else's) and blocks on
+    /// the result channel only when the queue is empty. This is the morsel
+    /// dispatch primitive: one call per wave, one task per morsel.
     pub fn run_all<R: Send + 'static>(
         &self,
         fs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
     ) -> Vec<R> {
         let n = fs.len();
+        let mut fs = fs.into_iter();
+        let Some(first) = fs.next() else {
+            return Vec::new();
+        };
         let (tx, rx) = crossbeam::channel::unbounded();
-        for (i, f) in fs.into_iter().enumerate() {
+        for (i, f) in fs.enumerate() {
             let tx = tx.clone();
             self.submit(Box::new(move || {
-                let _ = tx.send((i, f()));
+                let _ = tx.send((i + 1, f()));
             }));
         }
         drop(tx);
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut got = 0;
+        out[0] = Some(first());
+        let mut got = 1;
         while got < n {
             while let Ok((i, r)) = rx.try_recv() {
                 out[i] = Some(r);
@@ -284,23 +271,32 @@ mod tests {
         assert_eq!(p[2].breaker, BreakerKind::Result);
     }
 
+    type Boxed<R> = Box<dyn FnOnce() -> R + Send>;
+
+    fn boxed<R>(f: impl FnOnce() -> R + Send + 'static) -> Boxed<R> {
+        Box::new(f)
+    }
+
     #[test]
     fn queue_executes_tasks() {
         let q = TaskQueue::new(2);
-        let sum: i64 = (0..64).map(|i| q.run(move || i)).sum();
-        assert_eq!(sum, (0..64).sum::<i64>());
+        let out: Vec<i64> = q.run_all((0..64).map(|i| boxed(move || i)).collect());
+        assert_eq!(out.iter().sum::<i64>(), (0..64).sum::<i64>());
+        assert_eq!(q.run_all(Vec::<Boxed<i64>>::new()), Vec::<i64>::new());
     }
 
     #[test]
     fn nested_runs_do_not_deadlock() {
-        // Depth greater than the worker count forces waiters to help.
+        // Every level queues the task that nests (task 0 runs on the
+        // caller): depth greater than the worker count forces waiters to help.
         let q = Arc::new(TaskQueue::new(1));
         fn nest(q: &Arc<TaskQueue>, depth: usize) -> usize {
             if depth == 0 {
                 return 0;
             }
             let q2 = Arc::clone(q);
-            q.run(move || 1 + nest(&q2, depth - 1))
+            let deeper = boxed(move || 1 + nest(&q2, depth - 1));
+            q.run_all(vec![boxed(|| 0), deeper]).into_iter().sum()
         }
         assert_eq!(nest(&q, 8), 8);
     }
@@ -308,45 +304,30 @@ mod tests {
     #[test]
     fn run_all_preserves_submission_order() {
         let q = TaskQueue::new(3);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..100)
-            .map(|i| {
-                let f: Box<dyn FnOnce() -> usize + Send> = Box::new(move || i * i);
-                f
-            })
-            .collect();
-        let out = q.run_all(tasks);
+        let out = q.run_all((0..100).map(|i| boxed(move || i * i)).collect());
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn run_all_nested_inside_tasks() {
-        // A task that itself fans out a batch must not deadlock even with a
-        // single worker: waiters help drain the queue.
+        // A queued task that itself fans out a batch must not deadlock even
+        // with a single worker: waiters help drain the queue.
         let q = Arc::new(TaskQueue::new(1));
         let q2 = Arc::clone(&q);
-        let total = q.run(move || {
-            let tasks: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..16u64)
-                .map(|i| {
-                    let f: Box<dyn FnOnce() -> u64 + Send> = Box::new(move || i);
-                    f
-                })
-                .collect();
-            q2.run_all(tasks).into_iter().sum::<u64>()
+        let fan_out = boxed(move || {
+            let batch = q2.run_all((0..16u64).map(|i| boxed(move || i)).collect());
+            batch.into_iter().sum::<u64>()
         });
-        assert_eq!(total, (0..16).sum::<u64>());
+        let totals = q.run_all(vec![boxed(|| 0), fan_out]);
+        assert_eq!(totals, vec![0, (0..16).sum::<u64>()]);
     }
 
     #[test]
     fn parallel_throughput() {
         let q = TaskQueue::new(4);
-        let results: Vec<u64> = (0..32u64)
-            .map(|i| {
-                q.run(move || {
-                    // A little CPU work per task.
-                    (0..1000).fold(i, |a, b| a.wrapping_add(b))
-                })
-            })
-            .collect();
+        // A little CPU work per task.
+        let work = |i: u64| boxed(move || (0..1000).fold(i, |a, b| a.wrapping_add(b)));
+        let results: Vec<u64> = q.run_all((0..32u64).map(work).collect());
         assert_eq!(results.len(), 32);
     }
 }

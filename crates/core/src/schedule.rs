@@ -27,19 +27,16 @@
 //! deterministic regardless of how waves interleave.
 
 use crate::engine::SiriusEngine;
-use crate::exprs::evaluate;
+use crate::exprs::evaluate_all;
 use crate::morsel::{
-    agg_inputs, chunk_morsels, concat_morsels, lower_agg, scalar_table, BuildSide, Builds,
+    aggregate_single_pass, chunk_morsels, concat_morsels, sort_table, BuildSide, Builds,
     OpStatsRef, Partial, PartialAgg, Run,
 };
 use crate::physical::{Aggregation, PhysOp, PhysicalPlan, Pipeline, Sink, Source, StreamOp};
 use crate::Result;
-use sirius_columnar::{Array, Scalar, Schema, Table};
+use sirius_columnar::{Array, Schema, Table};
 use sirius_cudf::filter::gather;
-use sirius_cudf::groupby::{group_by, AggRequest};
 use sirius_cudf::join::{build_hash_table, JoinHashTable};
-use sirius_cudf::reduce::reduce;
-use sirius_cudf::sort::{sort_indices, SortKey};
 use sirius_cudf::unique::distinct;
 use sirius_hw::{CostCategory, Device, FaultSite};
 use sirius_plan::expr::Expr;
@@ -672,22 +669,7 @@ impl SiriusEngine {
             }
             Sink::Sort { keys, node } => {
                 let out = match self.bufmgr.request_grant((t.byte_size() as u64).max(1024)) {
-                    Ok(_buf) => {
-                        let ctx = self.ctx(CostCategory::OrderBy);
-                        let key_cols: Vec<(Array, bool)> = keys
-                            .iter()
-                            .map(|k| Ok((evaluate(&ctx, &k.expr, &t)?, k.ascending)))
-                            .collect::<Result<_>>()?;
-                        let sort_keys: Vec<SortKey<'_>> = key_cols
-                            .iter()
-                            .map(|(c, asc)| SortKey {
-                                column: c,
-                                ascending: *asc,
-                            })
-                            .collect();
-                        let idx = sort_indices(&ctx, &sort_keys, t.num_rows())?;
-                        gather(&ctx, &t, &idx)
-                    }
+                    Ok(_buf) => sort_table(&self.ctx(CostCategory::OrderBy), &t, keys)?,
                     // The sort buffer doesn't fit: sort spilled runs and
                     // merge them back (§3.4 out-of-core).
                     Err(_) => self.external_sort(&t, keys, *node)?,
@@ -710,53 +692,24 @@ impl SiriusEngine {
             }
             // One whole-column pass over the materialized rows (the fused
             // and spilling aggregation modes finish in [`Self::finish`]).
-            Sink::Aggregate(agg) => Ok(PipeResult::table(self.aggregate_single_pass(&t, agg)?)),
+            Sink::Aggregate(agg) => {
+                let ctx = self.ctx(agg.category());
+                Ok(PipeResult::table(aggregate_single_pass(&ctx, &t, agg)?))
+            }
         }
     }
 
     /// Evaluate the build-side join keys over `t` and hash them.
     pub(crate) fn build_join_hash(&self, keys: &[Expr], t: &Table) -> Result<Arc<JoinHashTable>> {
         let ctx = self.ctx(CostCategory::Join);
-        let cols: Vec<Array> = keys
-            .iter()
-            .map(|e| evaluate(&ctx, e, t))
-            .collect::<Result<_>>()?;
+        let cols = evaluate_all(&ctx, keys, t)?;
         let refs: Vec<&Array> = cols.iter().collect();
         Ok(Arc::new(build_hash_table(&ctx, &refs, t.num_rows())?))
     }
 
-    /// The whole-column aggregation pass (single morsel or non-decomposable
-    /// aggregates), also the terminal step of the spilling paths.
-    pub(crate) fn aggregate_single_pass(&self, t: &Table, agg: &Aggregation) -> Result<Table> {
-        let ctx = self.ctx(agg.category());
-        let inputs = agg_inputs(&ctx, &agg.aggregates, t)?;
-        let kinds = agg.aggregates.iter().map(|a| lower_agg(a.func));
-        if agg.keys.is_empty() {
-            let scalars: Vec<Scalar> = kinds
-                .zip(&inputs)
-                .map(|(kind, input)| Ok(reduce(&ctx, kind, input.as_ref(), t.num_rows())?))
-                .collect::<Result<_>>()?;
-            return Ok(scalar_table(&scalars, &agg.schema));
-        }
-        let key_cols: Vec<Array> = (agg.keys.iter())
-            .map(|k| evaluate(&ctx, k, t))
-            .collect::<Result<_>>()?;
-        let key_refs: Vec<&Array> = key_cols.iter().collect();
-        let requests: Vec<AggRequest<'_>> = kinds
-            .zip(&inputs)
-            .map(|(kind, input)| AggRequest {
-                kind,
-                input: input.as_ref(),
-            })
-            .collect();
-        let result = group_by(&ctx, &key_refs, &requests, t.num_rows())?;
-        let cols = result.key_columns.into_iter().chain(result.agg_columns);
-        Ok(Table::new(agg.schema.clone(), cols.collect()))
-    }
-
     /// Partition a pipeline source and record the morsel count.
     pub(crate) fn chunk_and_count(&self, source: &Table) -> Vec<Table> {
-        let chunks = chunk_morsels(source, self.morsel.rows);
+        let chunks = chunk_morsels(source, self.morsel_rows);
         self.stats.lock().morsels += chunks.len() as u64;
         chunks
     }

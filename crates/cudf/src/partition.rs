@@ -4,6 +4,10 @@
 //! per-partition aggregation) is then exact. The recursion `level` salts the
 //! hash, so repartitioning an oversized partition redistributes its rows
 //! instead of mapping them all to one bucket again.
+//!
+//! The kernel computes one bucket id per row; moving the rows is
+//! `Table::partition` (one gather in bucket order, one window per bucket),
+//! shared with every other partitioner in the system.
 
 use crate::hash::{key_bytes, row_hashes};
 use crate::{GpuContext, Result};
@@ -36,11 +40,9 @@ pub fn hash_partition(
     if parts == 1 {
         return Ok(vec![table.clone()]);
     }
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for (row, &h) in row_hashes(key_columns, n, Some(level)).iter().enumerate() {
-        buckets[(finalize(h) % parts as u64) as usize].push(row);
-    }
-    Ok(buckets.into_iter().map(|ix| table.gather(&ix)).collect())
+    let hashes = row_hashes(key_columns, n, Some(level)).into_iter();
+    let bucket_of = hashes.map(|h| (finalize(h) % parts as u64) as usize);
+    Ok(table.partition(bucket_of, parts))
 }
 
 /// Avalanche finalizer (splitmix64). FxHash is multiplicative and its low
@@ -66,13 +68,14 @@ mod tests {
 
     proptest! {
         /// Routing decides the spill ledger: every row must land in the
-        /// bucket `finalize(hash_one((level, &Vec<Scalar>))) % parts` names.
+        /// bucket `finalize(hash_one((level, &Vec<Scalar>))) % parts` names,
+        /// and a partition must weigh what a copy of its rows weighs.
         #[test]
         fn prop_rows_land_in_the_buckets_of_the_scalar_reference(
             seed in any::<u64>(),
             rows in 0usize..80,
             key_columns in 1usize..4,
-            parts in 1usize..7,
+            parts in prop_oneof![1usize..7, Just(64usize)],
         ) {
             let mut columns = vec![Array::from_i64(0..rows as i64)];
             columns.extend(Gen(seed).columns(&KINDS, key_columns, rows));
@@ -89,7 +92,10 @@ mod tests {
                         .filter(|&row| (finalize(hashes[row]) % parts as u64) as usize == bucket)
                         .map(|row| row as i64)
                         .collect();
-                    prop_assert_eq!(row_ids, expected, "level {} bucket {}", level, bucket);
+                    prop_assert_eq!(&row_ids, &expected, "level {} bucket {}", level, bucket);
+                    let copy = table.gather(expected.iter().map(|&row| row as usize));
+                    prop_assert_eq!(part.byte_size(), copy.byte_size());
+                    prop_assert_eq!(part, &copy);
                 }
             }
         }

@@ -1001,17 +1001,7 @@ fn load_table_into(
             partition_by_hash(table, &[key], world)
         }
         Some(None) => vec![table.clone(); world],
-        None => {
-            // Round-robin.
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); world];
-            for i in 0..table.num_rows() {
-                buckets[i % world].push(i);
-            }
-            buckets
-                .into_iter()
-                .map(|rows| table.gather(&rows))
-                .collect()
-        }
+        None => table.partition((0..table.num_rows()).map(|i| i % world), world),
     };
     for (node, part) in state.nodes.iter().zip(parts) {
         node.lock().engine.load(name, part);

@@ -212,11 +212,6 @@ impl FaultPlan {
         self
     }
 
-    /// Node `node` crashes before its `after`-th fragment start.
-    pub fn crash_before(self, node: usize, after: u64) -> Self {
-        self.with(FaultKind::CrashBeforeFragment { node }, after, u64::MAX)
-    }
-
     /// Node `node` crashes at its `after`-th exchange boundary.
     pub fn crash_mid(self, node: usize, after: u64) -> Self {
         self.with(FaultKind::CrashMidFragment { node }, after, u64::MAX)

@@ -148,12 +148,6 @@ impl PoolAllocator {
         self.inner.lock().used
     }
 
-    /// Bytes currently free.
-    pub fn free_bytes(&self) -> u64 {
-        let g = self.inner.lock();
-        g.capacity - g.used
-    }
-
     /// Snapshot of pool statistics.
     pub fn stats(&self) -> PoolStats {
         let g = self.inner.lock();

@@ -18,8 +18,13 @@
 //! Display-lane routing is purely cosmetic: a spill write is still a real
 //! ledger charge on its lane, and `sirius_hw::ledger::replay` uses the
 //! event's [`Lane`], not its display track.
+//!
+//! [`validate_json`] reads an emitted document back through the workspace's
+//! one JSON parser (`serde_json::from_str` into a [`Value`]) and checks the
+//! event schema on the parsed tree.
 
 use crate::{EventKind, Lane, TraceEvent};
+use serde::Value;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -222,210 +227,18 @@ pub fn validate(events: &[TraceEvent], known_cats: &[&str]) -> Result<(), Violat
 
 // --- emitted-JSON validation (CI smoke) ------------------------------------
 
-/// A minimal JSON value, just enough to check the emitted trace file.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// Field `key` of a JSON object (`None` on anything else).
+fn get<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
+    serde::field(v.as_object()?, key).ok()
 }
 
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> Violation {
-        Violation(format!("json parse error at byte {}: {msg}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Violation> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, Violation> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err(self.err("unexpected end")),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, Violation> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected {word}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, Violation> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-
-    fn string(&mut self) -> Result<String, Violation> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("end"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, Violation> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected , or ]")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, Violation> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected , or }")),
-            }
-        }
+/// Any JSON number, as Chrome reads `ts` / `dur` / ids.
+fn as_f64(v: &Value) -> Option<f64> {
+    match v {
+        Value::I64(n) => Some(*n as f64),
+        Value::U64(n) => Some(*n as f64),
+        Value::F64(n) => Some(*n),
+        _ => None,
     }
 }
 
@@ -434,58 +247,44 @@ impl<'a> Parser<'a> {
 /// per-`(pid, tid)` `ts` must be monotone in `args.seq` order. Returns the
 /// number of non-metadata events checked.
 pub fn validate_json(json: &str, known_cats: &[&str]) -> Result<usize, Violation> {
-    let mut p = Parser::new(json);
-    let doc = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing bytes after document"));
-    }
-    let events = doc
-        .get("traceEvents")
-        .and_then(|v| match v {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        })
+    let doc: Value = serde_json::from_str(json).map_err(|e| Violation(e.to_string()))?;
+    let events = get(&doc, "traceEvents")
+        .and_then(Value::as_array)
         .ok_or_else(|| Violation("missing traceEvents array".into()))?;
 
     // (pid, tid, seq, ts, complete?) for every non-metadata event.
     let mut rows: Vec<(u64, u64, u64, f64, bool)> = Vec::new();
     let mut checked = 0usize;
     for (i, ev) in events.iter().enumerate() {
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
+        let ph = get(ev, "ph")
+            .and_then(Value::as_str)
             .ok_or_else(|| Violation(format!("event {i}: missing ph")))?;
         if ph == "M" {
             continue;
         }
         checked += 1;
-        let pid = ev.get("pid").and_then(Json::as_f64).unwrap_or(-1.0);
-        let tid = ev.get("tid").and_then(Json::as_f64).unwrap_or(-1.0);
-        let ts = ev
-            .get("ts")
-            .and_then(Json::as_f64)
+        let pid = get(ev, "pid").and_then(as_f64).unwrap_or(-1.0);
+        let tid = get(ev, "tid").and_then(as_f64).unwrap_or(-1.0);
+        let ts = get(ev, "ts")
+            .and_then(as_f64)
             .ok_or_else(|| Violation(format!("event {i}: missing ts")))?;
-        let cat = ev
-            .get("cat")
-            .and_then(Json::as_str)
+        let cat = get(ev, "cat")
+            .and_then(Value::as_str)
             .ok_or_else(|| Violation(format!("event {i}: missing cat")))?;
         if !known_cats.contains(&cat) {
             return Err(Violation(format!("event {i}: unknown cat {cat:?}")));
         }
         if ph == "X" {
-            let dur = ev
-                .get("dur")
-                .and_then(Json::as_f64)
+            let dur = get(ev, "dur")
+                .and_then(as_f64)
                 .ok_or_else(|| Violation(format!("event {i}: X event missing dur")))?;
             if dur <= 0.0 {
                 return Err(Violation(format!("event {i}: zero dur")));
             }
         }
-        let seq = ev
-            .get("args")
-            .and_then(|a| a.get("seq"))
-            .and_then(Json::as_f64)
+        let seq = get(ev, "args")
+            .and_then(|a| get(a, "seq"))
+            .and_then(as_f64)
             .ok_or_else(|| Violation(format!("event {i}: missing args.seq")))?
             as u64;
         rows.push((pid as u64, tid as u64, seq, ts, ph == "X"));

@@ -11,8 +11,18 @@
 #
 #   scripts/loc.sh              every crate
 #   scripts/loc.sh sql core     only crates/sql and crates/core
+#   scripts/loc.sh --max-fn 250 also exit 1 when a function of a listed crate
+#                               is longer than 250 lines under that cut (the
+#                               data generator crates/tpch/src/gen.rs is
+#                               exempt: its one function is a table of rows)
 set -eu
 cd "$(dirname "$0")/.."
+
+max_fn=0
+if [ "${1:-}" = --max-fn ]; then
+    max_fn=${2:?--max-fn needs a line count}
+    shift 2
+fi
 
 # Prints "<lines> <longest fn lines> <longest fn name>".
 count() {
@@ -44,6 +54,7 @@ count() {
 [ $# -gt 0 ] || set -- $(ls crates)
 grand=0
 longest=""
+too_long=""
 for crate in "$@"; do
     total=0
     for f in $(find "crates/$crate/src" -name '*.rs' | sort); do
@@ -52,9 +63,17 @@ for crate in "$@"; do
         total=$((total + $1))
         longest="$longest$(printf '%6d  %s  %s' "$2" "$f" "$3")
 "
+        if [ "$max_fn" -gt 0 ] && [ "$2" -gt "$max_fn" ] && [ "$f" != crates/tpch/src/gen.rs ]; then
+            too_long="$too_long$f: $3 is $2 lines, over --max-fn $max_fn
+"
+        fi
     done
     printf '%6d  crates/%s/src (total)\n\n' "$total" "$crate"
     grand=$((grand + total))
 done
 printf '%6d  all listed crates\n\n' "$grand"
 printf 'longest function per file (lines, file, name):\n%s' "$longest"
+if [ -n "$too_long" ]; then
+    printf '\n%s' "$too_long" >&2
+    exit 1
+fi

@@ -94,17 +94,15 @@ proptest! {
     fn fusion_is_invisible_across_tpch(
         size_idx in 0usize..MORSEL_SIZES.len(),
         workers in 1usize..5,
-        max_segment_len in 2usize..9,
     ) {
         let fix = fixture();
         let morsel_rows = MORSEL_SIZES[size_idx];
-        let fusion = FusionConfig { enabled: true, max_segment_len };
-        let e = engine(&fix.data, workers, morsel_rows, fusion);
+        let e = engine(&fix.data, workers, morsel_rows, FusionConfig::default());
         for ((id, plan), expected) in fix.plans.iter().zip(&fix.expected) {
             let out = e.execute(plan)
                 .unwrap_or_else(|err| panic!("Q{id} fused run: {err}"));
             assert_tables_equivalent(
-                &format!("Q{id} fused morsel_rows={morsel_rows} workers={workers} max_seg={max_segment_len}"),
+                &format!("Q{id} fused morsel_rows={morsel_rows} workers={workers}"),
                 &out,
                 expected,
             );
@@ -139,14 +137,14 @@ fn fusion_strictly_reduces_bytes_on_multi_op_pipelines() {
     let fused = engine(
         &fix.data,
         4,
-        sirius_core::MorselConfig::DEFAULT_ROWS,
+        sirius_core::DEFAULT_MORSEL_ROWS,
         FusionConfig::default(),
     )
     .with_trace(TraceConfig::On);
     let unfused = engine(
         &fix.data,
         4,
-        sirius_core::MorselConfig::DEFAULT_ROWS,
+        sirius_core::DEFAULT_MORSEL_ROWS,
         FusionConfig::disabled(),
     )
     .with_trace(TraceConfig::On);
