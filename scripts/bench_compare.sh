@@ -39,7 +39,7 @@ function exact(run, m) {
 }
 FNR == 1 { file++ }
 file == 1 {                                   # BENCHMARK.json: end-to-end bounds
-    if ($0 ~ /"bound":/) { m = after($0, "name"); bound[m] = after($0, "bound"); better[m] = after($0, "better") }
+    if ($0 ~ /"bound":/) { m = after($0, "name"); bound[m] = after($0, "bound") + 0; better[m] = after($0, "better") }
     next
 }
 /"seed":/ { seed[file] = after($0, "seed") }
