@@ -1,12 +1,12 @@
 //! This repository's own ablations over the engine (EXPERIMENTS.md A1, A3–A7,
 //! A10, A11). Each prints its sweep and asserts the shape it exists to show.
 
-use crate::lab::{kernel_bytes, mib, ms, tpch, Lab, Run, NODES};
+use crate::lab::{kernel_bytes, measure, mib, ms, sweep_point, tpch, Lab, NODES};
 use crate::Args;
 use sirius_core::physical::{compile, fuse, PhysOp};
-use sirius_core::{CompiledQuery, FusionConfig, OpStats, Scheduling, SiriusEngine};
+use sirius_core::{CompiledQuery, EngineConfig, OpStats, Scheduling, SiriusEngine};
 use sirius_doris::{ClusterConfig, NodeEngineKind};
-use sirius_hw::{catalog as hw, FaultPlan, Link, TraceConfig};
+use sirius_hw::{catalog as hw, FaultPlan, TraceConfig};
 use sirius_serve::CachingPlanner;
 use sirius_sql::JoinOrderPolicy;
 use sirius_tpch::queries;
@@ -32,11 +32,14 @@ where l_orderkey = o_orderkey and o_orderdate < date '1995-03-15'
 group by o_orderdate";
     let sf = lab.sf();
     let plan = lab.plan(QUERY);
-    let sirius_ms = |link, caching_fraction| {
-        let spec = hw::gh200_gpu();
-        let engine =
-            SiriusEngine::with_caching_fraction(spec, Link::new(link), 2, caching_fraction);
-        Run::of(&lab.load(engine), &plan).ms()
+    let sirius_ms = |host_link, caching_fraction| {
+        let resident = EngineConfig {
+            host_link,
+            workers: 2,
+            caching_fraction,
+            ..EngineConfig::new(hw::gh200_gpu())
+        };
+        ms(measure(&lab.load(resident), &plan).elapsed)
     };
     let cpu_ms = lab.duckdb_ms(QUERY);
     writeln!(
@@ -102,11 +105,11 @@ pub fn morsel(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
                     out,
                     "{:>4} {label:>8} {workers:>7} {:>10.3} {:>7.2}x {:>8} {:>6} {:>4.0}%",
                     format!("Q{id}"),
-                    run.ms(),
-                    single.ms() / run.ms(),
-                    run.morsels.morsels,
-                    run.morsels.tasks,
-                    run.morsels.worker_utilization() * 100.0
+                    ms(run.elapsed),
+                    ms(single.elapsed) / ms(run.elapsed),
+                    run.morsels,
+                    run.tasks,
+                    run.worker_utilization * 100.0
                 )?;
             }
         }
@@ -123,9 +126,9 @@ pub fn morsel(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
 /// into caching and processing regions). Budgets below 4 KiB are clamped so
 /// both regions can hold at least one aligned allocation.
 pub fn engine_with_memory(lab: &Lab, device_bytes: u64) -> SiriusEngine {
-    let mut spec = hw::gh200_gpu();
-    spec.memory_bytes = device_bytes.max(4096);
-    lab.load(SiriusEngine::new(spec))
+    let mut tight = EngineConfig::new(hw::gh200_gpu());
+    tight.spec.memory_bytes = device_bytes.max(4096);
+    lab.load(tight)
 }
 
 /// A4: simulated device time as device memory shrinks from 4x the loaded
@@ -157,17 +160,17 @@ pub fn memory(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
         for (label, factor) in FACTORS {
             let budget = (ws as f64 * factor) as u64;
             let run = lab.run(&engine_with_memory(lab, budget), sql);
-            let base = *base_ms.get_or_insert(run.ms());
+            let base = *base_ms.get_or_insert(ms(run.elapsed));
             writeln!(
                 out,
                 "{:>4} {label:>7} {:>10.3} {:>8.2}x {:>12.2} {:>10.2} {:>6} {:>6}",
                 format!("Q{id}"),
-                run.ms(),
-                run.ms() / base,
-                mib(run.spill.bytes_to_pinned),
-                mib(run.spill.bytes_to_disk),
-                run.spill.partitions,
-                run.spill.max_depth
+                ms(run.elapsed),
+                ms(run.elapsed) / base,
+                mib(run.spilled_pinned_bytes),
+                mib(run.spilled_disk_bytes),
+                run.spill_partitions,
+                run.spill_depth
             )?;
         }
         writeln!(out)?;
@@ -262,32 +265,38 @@ pub fn pipelines(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     for (id, sql) in tpch(&[5, 7, 9, 21]) {
         let plan = lab.plan(sql);
         for (label, rows) in [("256k", 262_144), ("whole", usize::MAX)] {
-            let serial_engine = lab
-                .engine(WORKERS, rows)
-                .with_pipeline_scheduling(Scheduling::Serialized);
+            let serial_engine = lab.load(EngineConfig {
+                scheduling: Scheduling::Serialized,
+                ..sweep_point(WORKERS, rows)
+            });
             let concur_engine = lab.engine(WORKERS, rows);
             let pipes = concur_engine.pipeline_count(&plan);
-            let serial = Run::of(&serial_engine, &plan);
-            let concur = Run::of(&concur_engine, &plan);
+            let serial = measure(&serial_engine, &plan);
+            let concur = measure(&concur_engine, &plan);
+            // Both engines are fresh, so their lifetime counters are this run's.
+            let (serial_ran, concur_ran) = (
+                serial_engine.morsel_stats().pipelines_run,
+                concur_engine.morsel_stats().pipelines_run,
+            );
             assert_eq!(
-                serial.morsels.pipelines_run, concur.morsels.pipelines_run,
+                serial_ran, concur_ran,
                 "Q{id}: scheduling mode changed the executed DAG"
             );
             assert_eq!(
-                concur.morsels.pipelines_run as usize, pipes,
+                concur_ran as usize, pipes,
                 "Q{id}: executed pipelines disagree with the compiled DAG"
             );
-            let speedup = serial.ms() / concur.ms();
+            let speedup = ms(serial.elapsed) / ms(concur.elapsed);
             best = best.max(speedup);
             writeln!(
                 out,
                 "{:>4} {label:>8} {:>10.3} {:>10.3} {speedup:>7.2}x {pipes:>6} {:>6} {:>5.0}% {:>5.0}%",
                 format!("Q{id}"),
-                serial.ms(),
-                concur.ms(),
-                concur.morsels.tasks,
-                serial.morsels.worker_utilization() * 100.0,
-                concur.morsels.worker_utilization() * 100.0,
+                ms(serial.elapsed),
+                ms(concur.elapsed),
+                concur.tasks,
+                serial.worker_utilization * 100.0,
+                concur.worker_utilization * 100.0,
             )?;
         }
     }
@@ -324,20 +333,23 @@ pub fn fusion(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     for (id, sql) in tpch(&[1, 3, 6, 12, 14, 19]) {
         let plan = lab.plan(sql);
         let mut phys = compile(&plan).expect("compile");
-        fuse(&mut phys, &FusionConfig::default());
+        fuse(&mut phys);
         let ops = phys.pipelines.iter().flat_map(|p| &p.ops);
         let segs = ops.filter(|op| matches!(op, PhysOp::Fused(_))).count();
 
-        let unfused_engine = lab
-            .engine(WORKERS, SMALL_MORSEL)
-            .with_fusion(FusionConfig::disabled());
-        let unfused = Run::of(&unfused_engine, &plan);
-        let fused = Run::of(&lab.engine(WORKERS, SMALL_MORSEL), &plan);
+        let unfused_engine = lab.load(EngineConfig {
+            fusion: false,
+            ..sweep_point(WORKERS, SMALL_MORSEL)
+        });
+        let fused_engine = lab.engine(WORKERS, SMALL_MORSEL);
+        let unfused = measure(&unfused_engine, &plan);
+        let fused = measure(&fused_engine, &plan);
         assert_eq!(
-            unfused.morsels.pipelines_run, fused.morsels.pipelines_run,
+            unfused_engine.morsel_stats().pipelines_run,
+            fused_engine.morsel_stats().pipelines_run,
             "Q{id}: fusion changed the executed DAG"
         );
-        let speedup = unfused.ms() / fused.ms();
+        let speedup = ms(unfused.elapsed) / ms(fused.elapsed);
         worst = worst.min(speedup);
         if id == 1 || id == 6 {
             headline = headline.min(speedup);
@@ -346,8 +358,8 @@ pub fn fusion(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
             out,
             "{:>4} {:>10.3} {:>10.3} {speedup:>7.2}x {segs:>5}",
             format!("Q{id}"),
-            unfused.ms(),
-            fused.ms(),
+            ms(unfused.elapsed),
+            ms(fused.elapsed),
         )?;
     }
     writeln!(
@@ -406,7 +418,7 @@ pub fn encoding(encoded: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> 
                 .engine(WORKERS, SMALL_MORSEL)
                 .with_trace(TraceConfig::On);
             let run = lab.run(&engine, sql);
-            (kernel_bytes(&engine), run.ms())
+            (kernel_bytes(&engine), ms(run.elapsed))
         });
         writeln!(
             out,
@@ -605,16 +617,16 @@ mod tests {
         for (id, sql) in tpch(&[1, 6]) {
             let p = lab.run(&parallel, sql);
             let s = lab.run(&single, sql);
-            assert!(p.morsels.morsels >= 4, "Q{id}: expected a real fan-out");
+            assert!(p.morsels >= 4, "Q{id}: expected a real fan-out");
             assert!(
-                s.morsels.morsels < p.morsels.morsels,
+                s.morsels < p.morsels,
                 "Q{id}: single walk should run one morsel per pipeline"
             );
             assert!(
-                s.ms() / p.ms() >= 2.0,
+                ms(s.elapsed) / ms(p.elapsed) >= 2.0,
                 "Q{id}: morsel executor should be ≥2× faster ({:.3}ms vs {:.3}ms)",
-                s.ms(),
-                p.ms()
+                ms(s.elapsed),
+                ms(p.elapsed)
             );
         }
     }
@@ -627,7 +639,7 @@ mod tests {
         for (_, sql) in tpch(&[1, 6]) {
             let times: Vec<f64> = [1, 2, 4]
                 .iter()
-                .map(|&w| lab.run(&lab.engine(w, 15_000), sql).ms())
+                .map(|&w| ms(lab.run(&lab.engine(w, 15_000), sql).elapsed))
                 .collect();
             assert!(
                 times[0] >= times[1] && times[1] >= times[2],
@@ -654,14 +666,14 @@ mod tests {
                     Some(r) => assert_eq!(run.rows, r, "cardinality changed at {factor}x"),
                 }
                 assert!(
-                    run.ms() >= prev_ms,
+                    ms(run.elapsed) >= prev_ms,
                     "time must not improve as memory shrinks: {prev_ms:.3}ms then {:.3}ms at {factor}x",
-                    run.ms()
+                    ms(run.elapsed)
                 );
-                prev_ms = run.ms();
+                prev_ms = ms(run.elapsed);
                 if i == 0 {
                     assert_eq!(
-                        run.spill.bytes_spilled(),
+                        run.spilled_pinned_bytes + run.spilled_disk_bytes,
                         0,
                         "nothing should spill with 4x the working set"
                     );

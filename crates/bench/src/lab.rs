@@ -1,14 +1,15 @@
-//! The one rig every experiment and Criterion bench stands on: generated
-//! TPC-H data plus the DuckDB planner, and the single implementations of
-//! "load the tables into an engine and reset its ledger", "run one query and
-//! diff the counters" and "turn a query mix into plans and requests".
+//! The one rig every experiment stands on: generated TPC-H data plus the
+//! DuckDB planner, and the single implementations of "build the engine a
+//! configuration describes, load the tables and reset its ledger", "run one
+//! query under the engine's meter" and "turn a query mix into plans and
+//! requests".
 
 use sirius_clickhouse::{ClickHouse, ClickHouseError};
-use sirius_core::{MorselStats, SiriusEngine, SpillStats};
+use sirius_core::{EngineConfig, QueryReport, SiriusEngine};
 use sirius_doris::{ClusterConfig, DorisCluster, NodeEngineKind, PartitionScheme};
 use sirius_duckdb::DuckDb;
 use sirius_exec_cpu::ExecError;
-use sirius_hw::{catalog as hw, CostCategory, Device, Link, TimeBreakdown};
+use sirius_hw::{catalog as hw, CostCategory, Device, TimeBreakdown};
 use sirius_plan::Rel;
 use sirius_serve::{QueryArrival, QueryRequest};
 use sirius_tpch::{queries, TpchData, TpchGenerator};
@@ -88,9 +89,11 @@ impl Lab {
         mix.iter().map(|(_, sql)| self.plan(sql)).collect()
     }
 
-    /// Hot-load the tables into `engine` and reset its ledger (the paper
-    /// measures hot runs: the cold load is not part of any query).
-    pub fn load(&self, engine: SiriusEngine) -> SiriusEngine {
+    /// The engine `config` describes, hot-loaded with the tables and its
+    /// ledger reset (the paper measures hot runs: the cold load is not part
+    /// of any query).
+    pub fn load(&self, config: EngineConfig) -> SiriusEngine {
+        let engine = SiriusEngine::from_config(config);
         for (name, table) in self.data().tables() {
             engine.load_table(name.clone(), table);
         }
@@ -100,10 +103,7 @@ impl Lab {
 
     /// A loaded GH200 engine at one (workers × morsel size) point.
     pub fn engine(&self, workers: usize, morsel_rows: usize) -> SiriusEngine {
-        let link = Link::new(hw::nvlink_c2c());
-        self.load(
-            SiriusEngine::with_link(hw::gh200_gpu(), link, workers).with_morsel_rows(morsel_rows),
-        )
+        self.load(sweep_point(workers, morsel_rows))
     }
 
     /// The loaded ClickHouse baseline. Its statement budget scales with SF
@@ -132,8 +132,8 @@ impl Lab {
     }
 
     /// Plan `sql` and run it on `engine`.
-    pub fn run(&self, engine: &SiriusEngine, sql: &str) -> Run {
-        Run::of(engine, &self.plan(sql))
+    pub fn run(&self, engine: &SiriusEngine, sql: &str) -> QueryReport {
+        measure(engine, &self.plan(sql))
     }
 
     /// `sql` on the DuckDB baseline, in simulated ms.
@@ -170,41 +170,19 @@ fn with_planner(data: TpchData) -> (TpchData, DuckDb) {
     (data, duck)
 }
 
-/// One query on one Sirius engine: what the ledger and the scheduler and
-/// spill counters moved by while it ran.
-#[derive(Debug, Clone)]
-pub struct Run {
-    /// Result cardinality.
-    pub rows: usize,
-    /// Simulated device time by operator category.
-    pub breakdown: TimeBreakdown,
-    /// Morsel-scheduler counters.
-    pub morsels: MorselStats,
-    /// Spill counters (§3.4; all zero when the working set fits on-device).
-    pub spill: SpillStats,
+/// The paper's GH200 configuration at one (workers × morsel size) point.
+pub fn sweep_point(workers: usize, morsel_rows: usize) -> EngineConfig {
+    EngineConfig {
+        workers,
+        morsel_rows,
+        ..EngineConfig::new(hw::gh200_gpu())
+    }
 }
 
-impl Run {
-    /// Execute `plan` on `engine` and diff its counters.
-    pub fn of(engine: &SiriusEngine, plan: &Rel) -> Run {
-        let before = engine.device().breakdown();
-        let morsels = engine.morsel_stats();
-        let spill = engine.spill_stats();
-        let out = engine
-            .execute(plan)
-            .unwrap_or_else(|e| panic!("sirius: {e}"));
-        Run {
-            rows: out.num_rows(),
-            breakdown: engine.device().breakdown().since(&before),
-            morsels: engine.morsel_stats().since(&morsels),
-            spill: engine.spill_stats().since(&spill),
-        }
-    }
-
-    /// Simulated milliseconds.
-    pub fn ms(&self) -> f64 {
-        ms(self.breakdown.total())
-    }
+/// Run `plan` on `engine` under its meter.
+pub fn measure(engine: &SiriusEngine, plan: &Rel) -> QueryReport {
+    let measured = engine.execute_measured(plan);
+    measured.unwrap_or_else(|e| panic!("sirius: {e}")).1
 }
 
 /// Geometric mean of a non-empty sample.
@@ -283,9 +261,9 @@ mod tests {
     #[test]
     fn harness_runs_q1_q6_with_sane_shape() {
         let lab = Lab::new(0.005);
-        let engine = lab.load(SiriusEngine::new(hw::gh200_gpu()));
+        let engine = lab.load(EngineConfig::new(hw::gh200_gpu()));
         for (id, sql) in tpch(&[1, 6]) {
-            let (duck, sirius) = (lab.duckdb_ms(sql), lab.run(&engine, sql).ms());
+            let (duck, sirius) = (lab.duckdb_ms(sql), ms(lab.run(&engine, sql).elapsed));
             assert!(duck > 0.0 && sirius > 0.0);
             assert!(
                 duck / sirius > 2.0,

@@ -27,7 +27,7 @@ pub mod profile;
 pub mod serving;
 
 pub use args::{parse_args, usage, Args};
-pub use lab::{Lab, Run, NODES};
+pub use lab::{Lab, NODES};
 use std::io::{self, Write};
 
 /// Default scale factor (fast enough for a laptop, large enough that

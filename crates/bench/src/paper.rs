@@ -2,7 +2,7 @@
 
 use crate::lab::{clickhouse_ms, figure5_share, geomean, mib, ms, Lab, NODES};
 use crate::Args;
-use sirius_core::SiriusEngine;
+use sirius_core::EngineConfig;
 use sirius_doris::{ClusterConfig, DorisCluster, NodeEngineKind, QueryOutcome};
 use sirius_hw::{catalog as hw, trends};
 use sirius_tpch::queries;
@@ -80,7 +80,7 @@ pub fn figure1(_: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
 pub fn figure4(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     let sf = lab.sf();
     let clickhouse = lab.clickhouse();
-    let sirius = lab.load(SiriusEngine::new(hw::gh200_gpu()));
+    let sirius = lab.load(EngineConfig::new(hw::gh200_gpu()));
     writeln!(
         out,
         "Figure 4: TPC-H end-to-end query performance (single node)"
@@ -97,7 +97,7 @@ pub fn figure4(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     for (id, sql) in queries::all() {
         let duck_ms = lab.duckdb_ms(sql);
         let ch_ms = clickhouse_ms(&clickhouse, sql);
-        let sirius_ms = lab.run(&sirius, sql).ms();
+        let sirius_ms = ms(lab.run(&sirius, sql).elapsed);
         vs_duck.push(duck_ms / sirius_ms);
         let (ch_cell, vs_ch) = match ch_ms {
             Ok(c) => {
@@ -138,7 +138,7 @@ pub fn figure5(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
         "order-by",
         "other",
     ];
-    let engine = lab.load(SiriusEngine::new(hw::gh200_gpu()));
+    let engine = lab.load(EngineConfig::new(hw::gh200_gpu()));
     writeln!(
         out,
         "Figure 5: performance breakdown in Sirius (share of simulated GPU time)"
@@ -153,7 +153,6 @@ pub fn figure5(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     )?;
     for (id, sql) in queries::all() {
         let run = lab.run(&engine, sql);
-        let pool = engine.buffer_manager().regions().processing().stats();
         write!(out, "{:>4}", format!("Q{id}"))?;
         let mut dominant = ("other", 0.0f64);
         for c in CATEGORIES {
@@ -166,12 +165,12 @@ pub fn figure5(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
         writeln!(
             out,
             " {:>8} {:>6} {:>4.0}% {:>9.2} {:>4.0}% {:>9.2}   {}",
-            run.morsels.morsels,
-            run.morsels.tasks,
-            run.morsels.worker_utilization() * 100.0,
-            mib(pool.high_watermark),
-            pool.fragmentation() * 100.0,
-            mib(run.spill.bytes_spilled()),
+            run.morsels,
+            run.tasks,
+            run.worker_utilization * 100.0,
+            mib(run.pool_high_watermark),
+            run.pool_fragmentation * 100.0,
+            mib(run.spilled_pinned_bytes + run.spilled_disk_bytes),
             dominant.0
         )?;
     }

@@ -9,9 +9,9 @@
 //! - `metrics.prom` — Prometheus text snapshot (kernel launches, bytes by
 //!   category, spill traffic, pool high-watermark).
 
-use crate::lab::{tpch, Lab, Run};
+use crate::lab::{measure, tpch, Lab};
 use crate::Args;
-use sirius_core::SiriusEngine;
+use sirius_core::EngineConfig;
 use sirius_hw::{catalog as hw, CostCategory, TraceConfig};
 use sirius_tpch::queries;
 use sirius_trace::metrics::MetricsRegistry;
@@ -40,7 +40,7 @@ const METRICS: [(&str, &str); 5] = [
 pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
     std::fs::create_dir_all(&args.out)?;
     let engine = lab
-        .load(SiriusEngine::new(hw::gh200_gpu()))
+        .load(EngineConfig::new(hw::gh200_gpu()))
         .with_trace(TraceConfig::On);
     let labels = CostCategory::ALL.iter().map(|c| c.label());
     let known_cats: Vec<&str> = labels.chain(["marker", "op", "lifecycle"]).collect();
@@ -66,7 +66,7 @@ pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
         engine.clear_operator_stats();
 
         let plan = lab.plan(sql);
-        let run = Run::of(&engine, &plan);
+        let run = measure(&engine, &plan);
         let events = engine.trace().events();
 
         // The trace IS the ledger: replaying it must land on the same
@@ -86,9 +86,8 @@ pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
                 metrics.counter_add(SPILL_BYTES, &[], ev.bytes);
             }
         }
-        let pool = engine.buffer_manager().regions().processing().stats();
-        metrics.gauge_max(POOL_HWM, &[], pool.high_watermark as f64);
-        let sim = run.breakdown.total();
+        metrics.gauge_max(POOL_HWM, &[], run.pool_high_watermark as f64);
+        let sim = run.elapsed;
         let q = format!("q{id}");
         metrics.gauge_set(QUERY_SIM_NS, &[("query", &q)], sim.as_nanos() as f64);
 
@@ -114,7 +113,7 @@ pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
 
     // Disabled tracing must record nothing — the zero-overhead contract the
     // CI smoke job pins.
-    let off = lab.load(SiriusEngine::new(hw::gh200_gpu()));
+    let off = lab.load(EngineConfig::new(hw::gh200_gpu()));
     let (id, sql) = selected[0];
     lab.run(&off, sql);
     assert!(!off.trace().enabled(), "default sink must be off");

@@ -1,7 +1,7 @@
 //! The serving-layer experiments (EXPERIMENTS.md A8, A9): arrival traces
 //! replayed through `sirius-serve` on the simulated clock.
 
-use crate::lab::{ms, requests, Lab};
+use crate::lab::{ms, requests, sweep_point, Lab};
 use crate::Args;
 use sirius_core::RetryPolicy;
 use sirius_hw::{FaultInjector, FaultPlan};
@@ -147,7 +147,7 @@ pub fn resilience(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()>
         .collect();
     // One replay of the burst: the outcome and its survivors' (p50, p99).
     let replay = |rate: u64, shedding: bool| -> (ServeOutcome, Duration, Duration) {
-        let mut engine = lab.engine(WORKERS, MORSEL_ROWS);
+        let mut chaos = sweep_point(WORKERS, MORSEL_ROWS);
         if rate > 0 {
             // The fault plan scales with the rate: `rate` transient device
             // faults during morsel waves plus `rate` spill-I/O failures
@@ -157,10 +157,10 @@ pub fn resilience(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()>
             let plan = FaultPlan::new(seed)
                 .transient_wave(0, 1, rate)
                 .spill_io(0, 2, rate);
-            engine = engine.with_fault(FaultInjector::new(plan), 0);
+            chaos.fault = Some((FaultInjector::new(plan), 0));
         }
         let srv = SiriusServer::new(
-            engine,
+            lab.load(chaos),
             ServeConfig {
                 max_in_flight: 2,
                 queue_depth: REQUESTS,

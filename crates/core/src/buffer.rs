@@ -2,13 +2,22 @@
 //! caching with tiered overflow, and columnar-format conversion accounting.
 
 use crate::{Result, SiriusError};
-use parking_lot::Mutex;
 use sirius_columnar::Table;
-use sirius_hw::{CostCategory, Device, Link, WorkProfile};
+use sirius_hw::{CostCategory, Device, FaultInjector, FaultSite, Link, WorkProfile};
 use sirius_rmm::{Allocation, BufferRegions, CacheTier, DataCache};
 use sirius_spill::{GrantBroker, MemoryGrant, SpillConfig, SpillManager, SpillStats, SpillTicket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Poll an attached fault injector at its node's `site`: the node id if a
+/// fault fires there.
+pub(crate) fn fault_fires(
+    fault: &Option<(FaultInjector, usize)>,
+    site: fn(usize) -> FaultSite,
+) -> Option<usize> {
+    let (fault, node) = fault.as_ref()?;
+    fault.fire(site(*node)).map(|_| *node)
+}
 
 /// Manages device memory for one Sirius engine instance.
 pub struct BufferManager {
@@ -18,8 +27,9 @@ pub struct BufferManager {
     host_link: Link,
     broker: GrantBroker,
     spill: Arc<SpillManager>,
-    /// Fault injector + this node's stable id, polled on spill writes.
-    fault: Mutex<(sirius_hw::FaultInjector, usize)>,
+    /// Fault injector + this node's stable id, polled on grant requests
+    /// and spill writes.
+    fault: Option<(FaultInjector, usize)>,
     /// Per-query working-set budget (serving isolation knob): grant
     /// requests above this are denied *before* reaching the shared broker
     /// pool, steering the query onto its spill paths. `u64::MAX` (the
@@ -28,22 +38,19 @@ pub struct BufferManager {
 }
 
 impl BufferManager {
-    /// Build a buffer manager for `device`, splitting memory per the
-    /// paper's evaluation setup (50% caching / 50% processing, §4.1), with
-    /// `pinned_bytes` of pinned host memory as the caching overflow tier
-    /// and `host_link` as the CPU↔GPU interconnect.
-    pub fn new(device: Device, pinned_bytes: u64, host_link: Link) -> Self {
-        Self::with_caching_fraction(device, pinned_bytes, host_link, 0.5)
-    }
-
-    /// Buffer manager with an explicit caching-region fraction (ablations
-    /// shrink the cache to force pinned-host residency without starving the
-    /// processing pool).
-    pub fn with_caching_fraction(
+    /// Build a buffer manager for `device`: `caching_fraction` of its
+    /// memory is the caching region and the rest the processing pool (the
+    /// paper's evaluation setup is 50% / 50%, §4.1; ablations shrink the
+    /// cache to force pinned-host residency without starving the pool),
+    /// with `pinned_bytes` of pinned host memory as the caching overflow
+    /// tier, `host_link` as the CPU↔GPU interconnect, and `fault` polled
+    /// for grant denial storms and spill-tier I/O faults on that node id.
+    pub fn new(
         device: Device,
         pinned_bytes: u64,
         host_link: Link,
         caching_fraction: f64,
+        fault: Option<(FaultInjector, usize)>,
     ) -> Self {
         let regions = BufferRegions::from_spec(device.spec(), caching_fraction);
         let cache = Arc::new(DataCache::new(regions.caching().clone(), pinned_bytes));
@@ -55,7 +62,7 @@ impl BufferManager {
             host_link,
             broker,
             spill: Arc::new(SpillManager::default()),
-            fault: Mutex::new((sirius_hw::FaultInjector::disabled(), 0)),
+            fault,
             grant_cap: AtomicU64::new(u64::MAX),
         }
     }
@@ -74,14 +81,9 @@ impl BufferManager {
             host_link: self.host_link.clone(),
             broker: self.broker.clone(),
             spill: Arc::clone(&self.spill),
-            fault: Mutex::new(self.fault()),
+            fault: self.fault.clone(),
             grant_cap: AtomicU64::new(u64::MAX),
         }
-    }
-
-    /// The attached fault injector and this node's id.
-    fn fault(&self) -> (sirius_hw::FaultInjector, usize) {
-        self.fault.lock().clone()
     }
 
     /// Cap this manager's grant budget (per-query memory isolation in
@@ -218,11 +220,7 @@ impl BufferManager {
                 "working set of {bytes} B exceeds this query's {cap} B memory budget"
             )));
         }
-        let (fault, node) = self.fault();
-        if fault
-            .fire(sirius_hw::FaultSite::GrantRequest { node })
-            .is_some()
-        {
+        if let Some(node) = fault_fires(&self.fault, |node| FaultSite::GrantRequest { node }) {
             // A storm denial is indistinguishable from pool exhaustion
             // to the caller: the operator spills, results stay exact.
             self.broker.note_denial();
@@ -261,22 +259,13 @@ impl BufferManager {
         self.spill.set_config(config);
     }
 
-    /// Attach a fault injector for spill-tier I/O faults on node `node_id`.
-    pub fn set_fault_injector(&self, fault: sirius_hw::FaultInjector, node_id: usize) {
-        *self.fault.lock() = (fault, node_id);
-    }
-
     /// Park a partition of `bytes` on the highest spill tier with room,
     /// charging the write bandwidth: pinned host costs one interconnect
     /// crossing, disk a storage write at a quarter of that bandwidth (the
     /// disk-tier convention of [`Self::get_table`]). Failure means the
     /// partition exceeds every tier combined — the hard OOM case.
     pub fn spill_write(&self, bytes: u64) -> Result<SpillTicket> {
-        let (fault, node) = self.fault();
-        if fault
-            .fire(sirius_hw::FaultSite::SpillWrite { node })
-            .is_some()
-        {
+        if let Some(node) = fault_fires(&self.fault, |node| FaultSite::SpillWrite { node }) {
             return Err(SiriusError::SpillIo(format!(
                 "injected spill-tier write failure on node {node} ({bytes} B)"
             )));
@@ -343,7 +332,13 @@ mod tests {
 
     fn bufmgr() -> (Device, BufferManager) {
         let device = Device::new(catalog::gh200_gpu());
-        let bm = BufferManager::new(device.clone(), 1 << 30, Link::new(catalog::nvlink_c2c()));
+        let bm = BufferManager::new(
+            device.clone(),
+            1 << 30,
+            Link::new(catalog::nvlink_c2c()),
+            0.5,
+            None,
+        );
         (device, bm)
     }
 
@@ -390,7 +385,13 @@ mod tests {
         let mut spec = catalog::gh200_gpu();
         spec.memory_bytes = 8192; // 4 KiB processing region
         let device = Device::new(spec);
-        let bm = BufferManager::new(device.clone(), 1 << 30, Link::new(catalog::nvlink_c2c()));
+        let bm = BufferManager::new(
+            device.clone(),
+            1 << 30,
+            Link::new(catalog::nvlink_c2c()),
+            0.5,
+            None,
+        );
         assert!(matches!(
             bm.request_grant(1 << 20),
             Err(SiriusError::OutOfMemory(_))
@@ -428,7 +429,13 @@ mod tests {
         let mut spec = catalog::gh200_gpu();
         spec.memory_bytes = 4096; // 2 KiB caching region
         let device = Device::new(spec);
-        let bm = BufferManager::new(device.clone(), 1 << 30, Link::new(catalog::pcie4_x16()));
+        let bm = BufferManager::new(
+            device.clone(),
+            1 << 30,
+            Link::new(catalog::pcie4_x16()),
+            0.5,
+            None,
+        );
         let t = table(10_000);
         assert_eq!(bm.load_table("big", &t), CacheTier::PinnedHost);
         device.reset();

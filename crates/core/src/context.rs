@@ -47,41 +47,15 @@ impl SiriusContext {
     /// Execute a plan, preferring the GPU and falling back to the host on
     /// `Unsupported` / `OutOfMemory` / kernel / missing-cache errors.
     pub fn execute_plan(&self, plan: &Rel) -> Result<(Table, QueryReport)> {
-        let before = self.engine.device().breakdown();
-        let stats_before = self.engine.morsel_stats();
-        let spill_before = self.engine.spill_stats();
-        let workers = self.engine.workers();
-        match self.engine.execute_counted(plan) {
-            Ok((table, pipelines)) => {
-                let delta = self.engine.device().breakdown().since(&before);
-                let stats = self.engine.morsel_stats().since(&stats_before);
-                let spill = self.engine.spill_stats().since(&spill_before);
-                let pool = self.engine.buffer_manager().regions().processing().stats();
-                let report = QueryReport {
-                    rows: table.num_rows(),
-                    elapsed: delta.total(),
-                    breakdown: delta,
-                    pipelines,
-                    morsels: stats.morsels,
-                    tasks: stats.tasks,
-                    worker_utilization: stats.worker_utilization(),
-                    spilled_pinned_bytes: spill.bytes_to_pinned,
-                    spilled_disk_bytes: spill.bytes_to_disk,
-                    spill_partitions: spill.partitions,
-                    spill_depth: spill.max_depth,
-                    pool_high_watermark: pool.high_watermark,
-                    pool_fragmentation: pool.fragmentation(),
-                    ..QueryReport::zeroed("sirius", workers)
-                };
-                Ok((table, report))
-            }
+        match self.engine.execute_measured(plan) {
+            Ok(measured) => Ok(measured),
             Err(e) if fallback_worthy(&e) => {
                 let host = self.host.as_ref().ok_or_else(|| e.clone())?;
                 let table = host.execute_host(plan).map_err(SiriusError::Kernel)?;
                 let report = QueryReport {
                     rows: table.num_rows(),
                     fallback_reason: Some(e.to_string()),
-                    ..QueryReport::zeroed(host.name(), workers)
+                    ..QueryReport::zeroed(host.name(), self.engine.workers())
                 };
                 Ok((table, report))
             }
@@ -111,6 +85,7 @@ fn fallback_worthy(e: &SiriusError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
     use sirius_columnar::{Array, DataType, Field, Schema};
     use sirius_hw::catalog;
     use sirius_plan::builder::PlanBuilder;
@@ -167,7 +142,10 @@ mod tests {
     fn unsupported_falls_back_to_host() {
         let mut features = FeatureSet::full();
         features.avg = false;
-        let engine = SiriusEngine::new(catalog::gh200_gpu()).with_features(features);
+        let engine = SiriusEngine::from_config(EngineConfig {
+            features,
+            ..EngineConfig::new(catalog::gh200_gpu())
+        });
         engine.load_table("t", &data());
         let ctx = SiriusContext::new(engine).with_host(Arc::new(FakeHost));
         let (out, report) = ctx.execute_plan(&avg_plan()).unwrap();
@@ -180,7 +158,10 @@ mod tests {
     fn no_host_surfaces_the_error() {
         let mut features = FeatureSet::full();
         features.avg = false;
-        let engine = SiriusEngine::new(catalog::gh200_gpu()).with_features(features);
+        let engine = SiriusEngine::from_config(EngineConfig {
+            features,
+            ..EngineConfig::new(catalog::gh200_gpu())
+        });
         engine.load_table("t", &data());
         let ctx = SiriusContext::new(engine);
         assert!(matches!(

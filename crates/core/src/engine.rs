@@ -12,14 +12,14 @@
 //! synchronize the streams (the simulated `cudaDeviceSynchronize()`),
 //! folding overlapped stream time back into the serial lane.
 //!
-//! The engine itself is the thin shell: configuration, buffer management,
-//! and the compile → schedule entry points. Streaming operators live in
-//! `crate::morsel`, breaker sinks and the DAG scheduler in
+//! The engine itself is the thin shell: one [`EngineConfig`] value, buffer
+//! management, and the compile → schedule entry points. Streaming operators
+//! live in `crate::morsel`, breaker sinks and the DAG scheduler in
 //! [`crate::schedule`], and the out-of-core paths (§3.4) in `crate::oom`.
 
-use crate::buffer::BufferManager;
+use crate::buffer::{fault_fires, BufferManager};
 use crate::explain::{self, OpStats};
-use crate::metrics::MorselStats;
+use crate::metrics::{MorselStats, QueryReport};
 use crate::physical;
 use crate::pipeline::TaskQueue;
 use crate::schedule::{QueryRun, Scheduling};
@@ -28,7 +28,8 @@ use parking_lot::Mutex;
 use sirius_columnar::Table;
 use sirius_cudf::GpuContext;
 use sirius_hw::{
-    catalog, CostCategory, Device, DeviceSpec, FaultSite, Link, TraceConfig, TraceSink,
+    catalog, CostCategory, Device, DeviceSpec, FaultInjector, FaultSite, Link, LinkSpec,
+    TraceConfig, TraceSink,
 };
 use sirius_plan::validate::FeatureSet;
 use sirius_plan::visit::Node;
@@ -43,33 +44,98 @@ use crate::morsel::SharedOpStats;
 
 pub use crate::morsel::DEFAULT_MORSEL_ROWS;
 
+/// Pinned host memory behind the caching region (its overflow tier).
+const PINNED_BYTES: u64 = 64 << 30;
+
+/// Everything that tells one engine from another, as one plain value: an
+/// experiment or an ablation is [`EngineConfig::new`] with some fields
+/// replaced by struct-update syntax, handed to
+/// [`SiriusEngine::from_config`].
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// The simulated device.
+    pub spec: DeviceSpec,
+    /// The CPU↔GPU interconnect (default: the paper's GH200 NVLink-C2C).
+    pub host_link: LinkSpec,
+    /// CPU worker threads launching kernels (= device streams; default 4,
+    /// at least 1).
+    pub workers: usize,
+    /// Share of device memory given to the caching region (default 0.5, the
+    /// paper's §4.1 split). Ablations force pinned-host data residency with
+    /// a tiny cache while the processing pool keeps its capacity.
+    pub caching_fraction: f64,
+    /// Rows per morsel (default [`DEFAULT_MORSEL_ROWS`], at least 1);
+    /// sources at most this large run as a single morsel.
+    pub morsel_rows: usize,
+    /// Data-path fusion: collapse each pipeline's streaming runs into
+    /// single-pass segments (default on; off is the per-operator ablation
+    /// baseline).
+    pub fusion: bool,
+    /// How ready pipelines are dispatched (default
+    /// [`Scheduling::Concurrent`]; [`Scheduling::Serialized`] is the
+    /// one-pipeline-at-a-time ablation baseline).
+    pub scheduling: Scheduling,
+    /// Supported feature set (default full; restricted to exercise host
+    /// fallback and to mirror the paper's limited distributed SQL coverage).
+    pub features: FeatureSet,
+    /// Keep result-sink string columns dictionary-encoded instead of
+    /// materializing them (default off). Distributed node engines turn it
+    /// on so fragments ship codes over the exchange; the coordinator
+    /// decodes the final table once.
+    pub encoded_results: bool,
+    /// Per-operator runtime stats *without* the kernel trace sink (default
+    /// off; `trace` on implies it). Feedback-driven serving wants actual
+    /// cardinalities from every completed run, but retaining full kernel
+    /// event streams per request would change what untraced queries report
+    /// and cost memory.
+    pub operator_stats: bool,
+    /// Kernel/operator tracing (default off: every instrumentation site is
+    /// a single branch and allocates nothing). When on, every ledger charge
+    /// emits a kernel event, the executor opens operator spans, and
+    /// per-node runtime stats accumulate behind
+    /// [`SiriusEngine::explain_analyze`].
+    pub trace: TraceConfig,
+    /// Fault injector for transient device and spill I/O faults, with this
+    /// engine's stable cluster node id (default none).
+    pub fault: Option<(FaultInjector, usize)>,
+}
+
+impl EngineConfig {
+    /// The paper's single-node setup on `spec`: GH200-style host link, a
+    /// small CPU worker pool, 50/50 memory split, every optimization on,
+    /// nothing traced, no faults.
+    pub fn new(spec: DeviceSpec) -> Self {
+        Self {
+            spec,
+            host_link: catalog::nvlink_c2c(),
+            workers: 4,
+            caching_fraction: 0.5,
+            morsel_rows: DEFAULT_MORSEL_ROWS,
+            fusion: true,
+            scheduling: Scheduling::default(),
+            features: FeatureSet::full(),
+            encoded_results: false,
+            operator_stats: false,
+            trace: TraceConfig::Off,
+            fault: None,
+        }
+    }
+}
+
 /// The Sirius GPU engine for one device.
 pub struct SiriusEngine {
+    pub(crate) config: EngineConfig,
     pub(crate) device: Device,
     pub(crate) bufmgr: Arc<BufferManager>,
     pub(crate) queue: Arc<TaskQueue>,
-    pub(crate) features: FeatureSet,
-    /// Rows per morsel; sources at most this large run as a single morsel.
-    pub(crate) morsel_rows: usize,
     pub(crate) stats: Arc<Mutex<MorselStats>>,
-    pub(crate) scheduling: Scheduling,
-    /// Fault injector + this node's stable id, polled at kernel launch.
-    pub(crate) fault: sirius_hw::FaultInjector,
-    pub(crate) node_id: usize,
-    /// Trace recorder shared with the device ledger (disabled by default:
-    /// every instrumentation site is a single branch).
+    /// Trace recorder shared with the device ledger, built from
+    /// `config.trace`.
     pub(crate) trace: TraceSink,
     /// Per-plan-node runtime stats behind `EXPLAIN ANALYZE`; `None` unless
-    /// tracing is on, so the disabled path allocates nothing.
+    /// `config.trace` or `config.operator_stats` asks for them, so the
+    /// disabled path allocates nothing.
     pub(crate) op_stats: Option<SharedOpStats>,
-    /// Data-path fusion knob: collapse each pipeline's streaming runs into
-    /// single-pass segments (on by default).
-    pub(crate) fusion: physical::FusionConfig,
-    /// When true, result sinks keep string columns dictionary-encoded
-    /// instead of materializing them. Distributed node engines set this so
-    /// fragments ship encoded over the exchange; the coordinator decodes
-    /// the final table once.
-    pub(crate) encoded_results: bool,
     /// Stream-lane cap for the wave in flight (set around each
     /// [`Self::step`], `usize::MAX` otherwise): when a server interleaves
     /// several queries onto one stream pool, each query's wave dispatches
@@ -78,156 +144,107 @@ pub struct SiriusEngine {
 }
 
 impl SiriusEngine {
-    /// Engine on `spec` with the paper's GH200-style host link and a small
-    /// CPU worker pool for kernel launching.
-    pub fn new(spec: DeviceSpec) -> Self {
-        Self::with_link(spec, Link::new(catalog::nvlink_c2c()), 4)
-    }
-
-    /// Engine with an explicit host interconnect and worker count.
-    pub fn with_link(spec: DeviceSpec, host_link: Link, workers: usize) -> Self {
-        Self::with_caching_fraction(spec, host_link, workers, 0.5)
-    }
-
-    /// Engine with an explicit caching-region fraction (ablations force
-    /// pinned-host data residency with a tiny cache while keeping the
-    /// processing pool intact).
-    pub fn with_caching_fraction(
-        spec: DeviceSpec,
-        host_link: Link,
-        workers: usize,
-        caching_fraction: f64,
-    ) -> Self {
-        let device = Device::new(spec);
-        let pinned = 64u64 << 30;
-        Self {
-            bufmgr: Arc::new(BufferManager::with_caching_fraction(
-                device.clone(),
-                pinned,
-                host_link,
-                caching_fraction,
-            )),
+    /// The engine `config` describes — the one constructor.
+    pub fn from_config(mut config: EngineConfig) -> Self {
+        config.workers = config.workers.max(1);
+        config.morsel_rows = config.morsel_rows.max(1);
+        let device = Device::new(config.spec.clone());
+        let bufmgr = BufferManager::new(
+            device.clone(),
+            PINNED_BYTES,
+            Link::new(config.host_link.clone()),
+            config.caching_fraction,
+            config.fault.clone(),
+        );
+        Self::assemble(
+            Arc::new(TaskQueue::new(config.workers)),
+            config,
             device,
-            queue: Arc::new(TaskQueue::new(workers.max(1))),
-            features: FeatureSet::full(),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            stats: Arc::new(Mutex::new(MorselStats::default())),
-            scheduling: Scheduling::default(),
-            fault: sirius_hw::FaultInjector::disabled(),
-            node_id: 0,
-            trace: TraceSink::off(),
-            op_stats: None,
-            fusion: physical::FusionConfig::default(),
-            encoded_results: false,
-            lane_cap: AtomicUsize::new(usize::MAX),
-        }
+            bufmgr,
+        )
     }
 
-    /// A per-query view of this engine for multi-query serving: shares
-    /// the table cache, processing region, grant broker, spill tiers, and
-    /// CPU worker pool with `self`, but charges onto a *fresh* device
-    /// ledger with its own morsel counters and (initially disabled) trace
+    /// [`EngineConfig::new`] on `spec`.
+    pub fn new(spec: DeviceSpec) -> Self {
+        Self::from_config(EngineConfig::new(spec))
+    }
+
+    /// [`EngineConfig::new`] with an explicit host interconnect and worker
+    /// count.
+    pub fn with_link(spec: DeviceSpec, host_link: Link, workers: usize) -> Self {
+        Self::from_config(EngineConfig {
+            host_link: host_link.spec().clone(),
+            workers,
+            ..EngineConfig::new(spec)
+        })
+    }
+
+    /// This engine at another morsel size.
+    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
+        self.config.morsel_rows = rows.max(1);
+        self
+    }
+
+    /// This engine — loaded tables and all — with tracing switched on or
+    /// off.
+    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
+        self.config.trace = trace;
+        self.install_trace()
+    }
+
+    /// The configuration this engine runs under.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
+    /// A per-query view of this engine for multi-query serving: the same
+    /// configuration by clone — except `trace` and `operator_stats`, which
+    /// are per request — sharing the table cache, processing region, grant
+    /// broker, spill tiers, and CPU worker pool with `self`, but charging
+    /// onto a *fresh* device ledger with its own morsel counters and trace
     /// sink. Interleaved queries therefore cannot bleed time, spans, or
     /// scheduler counters into each other, while memory pressure is still
-    /// arbitrated across all of them by the one shared broker. Chain
-    /// [`Self::with_trace`] on the view for per-query tracing.
-    pub fn query_view(&self) -> SiriusEngine {
-        let device = Device::new(self.device.spec().clone());
-        SiriusEngine {
-            bufmgr: Arc::new(self.bufmgr.shared_view(device.clone())),
+    /// arbitrated across all of them by the one shared broker, and an armed
+    /// fault injector counts across all served queries.
+    pub fn query_view(&self, trace: TraceConfig, operator_stats: bool) -> SiriusEngine {
+        let device = Device::new(self.config.spec.clone());
+        let config = EngineConfig {
+            trace,
+            operator_stats,
+            ..self.config.clone()
+        };
+        let bufmgr = self.bufmgr.shared_view(device.clone());
+        Self::assemble(Arc::clone(&self.queue), config, device, bufmgr)
+    }
+
+    /// Put an engine together around `config` with its morsel counters at
+    /// zero.
+    fn assemble(
+        queue: Arc<TaskQueue>,
+        config: EngineConfig,
+        device: Device,
+        bufmgr: BufferManager,
+    ) -> Self {
+        Self {
+            config,
             device,
-            queue: Arc::clone(&self.queue),
-            features: self.features.clone(),
-            morsel_rows: self.morsel_rows,
+            bufmgr: Arc::new(bufmgr),
+            queue,
             stats: Arc::new(Mutex::new(MorselStats::default())),
-            scheduling: self.scheduling,
-            fault: self.fault.clone(),
-            node_id: self.node_id,
             trace: TraceSink::off(),
             op_stats: None,
-            fusion: self.fusion.clone(),
-            encoded_results: self.encoded_results,
             lane_cap: AtomicUsize::new(usize::MAX),
         }
+        .install_trace()
     }
 
-    /// Override the data-path fusion configuration.
-    /// [`physical::FusionConfig::disabled`] reproduces the pre-fusion
-    /// per-operator data path (the ablation baseline).
-    pub fn with_fusion(mut self, fusion: physical::FusionConfig) -> Self {
-        self.fusion = fusion;
-        self
-    }
-
-    /// Keep result-sink string columns dictionary-encoded instead of
-    /// materializing them (default: materialize). Distributed node engines
-    /// run with this on so exchange ships codes; the coordinator decodes
-    /// the final table exactly once.
-    pub fn with_encoded_results(mut self, encoded: bool) -> Self {
-        self.encoded_results = encoded;
-        self
-    }
-
-    /// Enable (or disable) kernel/operator tracing. When on, every ledger
-    /// charge emits a kernel event, the executor opens operator spans, and
-    /// per-node runtime stats accumulate behind
-    /// [`explain_analyze`](Self::explain_analyze). When off (the default)
-    /// the instrumentation is a single branch per site and allocates
-    /// nothing.
-    pub fn with_trace(mut self, config: TraceConfig) -> Self {
-        let sink = config.sink();
-        self.device.set_trace(sink.clone());
-        self.op_stats = if sink.enabled() {
-            Some(Arc::new(Mutex::new(HashMap::new())))
-        } else {
-            None
-        };
-        self.trace = sink;
-        self
-    }
-
-    /// Enable per-operator runtime stats *without* the kernel trace sink.
-    /// Feedback-driven serving wants actual cardinalities from every
-    /// completed run, but retaining full kernel event streams per request
-    /// would change what untraced queries report and cost memory; this
-    /// turns on only the per-node counters behind
-    /// [`operator_stats`](Self::operator_stats) /
-    /// [`run_operator_stats`](Self::run_operator_stats).
-    /// [`with_trace`](Self::with_trace) implies it.
-    pub fn with_operator_stats(mut self) -> Self {
-        if self.op_stats.is_none() {
-            self.op_stats = Some(Arc::new(Mutex::new(HashMap::new())));
-        }
-        self
-    }
-
-    /// Restrict the supported feature set (used to exercise host fallback
-    /// and to mirror the paper's limited distributed SQL coverage).
-    pub fn with_features(mut self, features: FeatureSet) -> Self {
-        self.features = features;
-        self
-    }
-
-    /// Override the morsel size (rows per morsel, clamped to ≥ 1).
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = rows.max(1);
-        self
-    }
-
-    /// Override how ready pipelines are dispatched (default:
-    /// [`Scheduling::Concurrent`]). [`Scheduling::Serialized`] is the
-    /// one-pipeline-at-a-time baseline for the scheduling ablation.
-    pub fn with_pipeline_scheduling(mut self, scheduling: Scheduling) -> Self {
-        self.scheduling = scheduling;
-        self
-    }
-
-    /// Attach a fault injector for transient device and spill I/O faults,
-    /// identifying this engine as cluster node `node_id`.
-    pub fn with_fault(mut self, fault: sirius_hw::FaultInjector, node_id: usize) -> Self {
-        self.bufmgr.set_fault_injector(fault.clone(), node_id);
-        self.fault = fault;
-        self.node_id = node_id;
+    /// Derive the trace sink and the operator-stats table `config` asks
+    /// for.
+    fn install_trace(mut self) -> Self {
+        self.trace = self.config.trace.sink();
+        self.device.set_trace(self.trace.clone());
+        self.op_stats = (self.config.operator_stats || self.trace.enabled())
+            .then(|| Arc::new(Mutex::new(HashMap::new())));
         self
     }
 
@@ -235,14 +252,6 @@ impl SiriusEngine {
     /// [`SpillStats::since`] for per-query numbers).
     pub fn spill_stats(&self) -> SpillStats {
         self.bufmgr.spill_stats()
-    }
-
-    /// The attached fault injector (disabled unless
-    /// [`with_fault`](Self::with_fault) armed one). Shared by every
-    /// [`query_view`](Self::query_view), so injected-fault counts span all
-    /// served queries.
-    pub fn fault_injector(&self) -> &sirius_hw::FaultInjector {
-        &self.fault
     }
 
     /// Worker threads draining the task queue (= device streams used).
@@ -266,8 +275,7 @@ impl SiriusEngine {
         self.stats.lock().clone()
     }
 
-    /// The trace recorder (disabled unless [`with_trace`](Self::with_trace)
-    /// enabled it).
+    /// The trace recorder (disabled unless `config.trace` is on).
     pub fn trace(&self) -> &TraceSink {
         &self.trace
     }
@@ -299,9 +307,9 @@ impl SiriusEngine {
     /// [`compile_query`](Self::compile_query) path execution uses and
     /// rendered from the compiled [`CompiledQuery::root`](crate::CompiledQuery::root), so the
     /// rendered operator ids are *by construction* the executed ids —
-    /// they can never drift from the DAG. Requires
-    /// [`with_trace`](Self::with_trace); untraced engines render every
-    /// node as data-free.
+    /// they can never drift from the DAG. Requires `config.trace` (or
+    /// `config.operator_stats`); other engines render every node as
+    /// data-free.
     pub fn explain_analyze(&self, plan: &Rel) -> String {
         match self.compile_query(plan) {
             Ok(compiled) => compiled.explain_analyze(&self.operator_stats()),
@@ -342,7 +350,7 @@ impl SiriusEngine {
     }
 
     /// [`Self::execute`], also returning how many pipelines the run had.
-    pub(crate) fn execute_counted(&self, plan: &Rel) -> Result<(Table, usize)> {
+    fn execute_counted(&self, plan: &Rel) -> Result<(Table, usize)> {
         let mut run = self.begin(plan)?;
         while !run.is_done() {
             self.step(&mut run, usize::MAX)?;
@@ -350,6 +358,26 @@ impl SiriusEngine {
         let pipelines = run.pipelines();
         let table = run.into_table().expect("completed run has its root result");
         Ok((table, pipelines))
+    }
+
+    /// [`Self::execute`] under the one meter: the ledger, the morsel and
+    /// spill counters are snapshotted around the run, and the report is
+    /// what they moved by.
+    pub fn execute_measured(&self, plan: &Rel) -> Result<(Table, QueryReport)> {
+        let before = self.device.breakdown();
+        let morsels_before = self.morsel_stats();
+        let spill_before = self.spill_stats();
+        let (table, pipelines) = self.execute_counted(plan)?;
+        let report = QueryReport::measured(
+            self.workers(),
+            table.num_rows(),
+            pipelines,
+            self.device.breakdown().since(&before),
+            &self.morsel_stats().since(&morsels_before),
+            &self.spill_stats().since(&spill_before),
+            &self.bufmgr.regions().processing().stats(),
+        );
+        Ok((table, report))
     }
 
     /// Start a query without driving it to completion — exactly
@@ -373,14 +401,16 @@ impl SiriusEngine {
     /// fresh `begin` charges.
     pub fn compile_query(&self, plan: &Rel) -> Result<Arc<crate::plan_cache::CompiledQuery>> {
         sirius_plan::validate::validate(plan)?;
-        if let Some(feature) = self.features.first_unsupported(plan) {
+        if let Some(feature) = self.config.features.first_unsupported(plan) {
             return Err(SiriusError::Unsupported(feature));
         }
         let mut phys = physical::compile(plan)?;
         // Data-path fusion: collapse each pipeline's streaming runs into
         // single-pass segments. A post-compile rewrite, so `decompose`,
         // `pipeline_count`, and operator ids are identical either way.
-        physical::fuse(&mut phys, &self.fusion);
+        if self.config.fusion {
+            physical::fuse(&mut phys);
+        }
         let fingerprint = sirius_plan::fingerprint::fingerprint(&phys.root);
         Ok(Arc::new(crate::plan_cache::CompiledQuery {
             fingerprint,
@@ -396,7 +426,7 @@ impl SiriusEngine {
     /// tasks' streams as the pipelines run.
     pub fn begin_compiled(&self, compiled: &crate::plan_cache::CompiledQuery) -> Result<QueryRun> {
         self.fire_device_fault(
-            FaultSite::DeviceLaunch { node: self.node_id },
+            |node| FaultSite::DeviceLaunch { node },
             "kernel-launch failure",
         )?;
         let pipelines = compiled.phys.pipelines.len() as u64;
@@ -415,13 +445,13 @@ impl SiriusEngine {
         ))
     }
 
-    /// Poll the fault injector at `site`; an armed fault surfaces as a
-    /// retryable [`SiriusError::TransientDevice`].
-    pub(crate) fn fire_device_fault(&self, site: FaultSite, what: &str) -> Result<()> {
-        match self.fault.fire(site) {
-            Some(_) => Err(SiriusError::TransientDevice(format!(
-                "injected {what} on node {}",
-                self.node_id
+    /// Poll the fault injector, if one is attached, at this node's `site`;
+    /// an armed fault surfaces as a retryable
+    /// [`SiriusError::TransientDevice`].
+    pub(crate) fn fire_device_fault(&self, site: fn(usize) -> FaultSite, what: &str) -> Result<()> {
+        match fault_fires(&self.config.fault, site) {
+            Some(node) => Err(SiriusError::TransientDevice(format!(
+                "injected {what} on node {node}"
             ))),
             None => Ok(()),
         }
@@ -472,13 +502,21 @@ impl SiriusEngine {
 mod tests {
     use super::*;
     use sirius_columnar::{Array, DataType, Field, Scalar, Schema};
+    use sirius_hw::FaultPlan;
     use sirius_plan::builder::PlanBuilder;
     use sirius_plan::expr::{self, AggExpr, SortExpr};
     use sirius_plan::{AggFunc, JoinKind};
     use sirius_spill::SpillConfig;
 
     fn engine_with_data() -> SiriusEngine {
-        let e = SiriusEngine::new(catalog::gh200_gpu());
+        configured(|_| {})
+    }
+
+    /// [`engine_with_data`] under the default configuration after `edit`.
+    fn configured(edit: impl FnOnce(&mut EngineConfig)) -> SiriusEngine {
+        let mut config = EngineConfig::new(catalog::gh200_gpu());
+        edit(&mut config);
+        let e = SiriusEngine::from_config(config);
         let t = Table::new(
             Schema::new(vec![
                 Field::new("k", DataType::Int64),
@@ -593,7 +631,7 @@ mod tests {
     fn unsupported_feature_reports_for_fallback() {
         let mut features = FeatureSet::full();
         features.avg = false;
-        let e = engine_with_data().with_features(features);
+        let e = configured(|c| c.features = features);
         let plan = scan()
             .aggregate(
                 vec![],
@@ -942,8 +980,8 @@ mod tests {
                 }],
             )
             .build();
-        let serialized = engine_with_data().with_pipeline_scheduling(Scheduling::Serialized);
-        let concurrent = engine_with_data().with_pipeline_scheduling(Scheduling::Concurrent);
+        let serialized = configured(|c| c.scheduling = Scheduling::Serialized);
+        let concurrent = configured(|c| c.scheduling = Scheduling::Concurrent);
         assert_eq!(
             serialized.execute(&plan).unwrap(),
             concurrent.execute(&plan).unwrap()
@@ -957,7 +995,10 @@ mod tests {
     fn concurrent_builds_overlap_on_streams() {
         let rows: i64 = 1 << 20;
         let make = |scheduling: Scheduling| {
-            let e = SiriusEngine::new(catalog::gh200_gpu()).with_pipeline_scheduling(scheduling);
+            let e = SiriusEngine::from_config(EngineConfig {
+                scheduling,
+                ..EngineConfig::new(catalog::gh200_gpu())
+            });
             let t = Table::new(
                 Schema::new(vec![Field::new("k", DataType::Int64)]),
                 vec![Array::from_i64((0..rows).collect::<Vec<_>>())],
@@ -1003,16 +1044,17 @@ mod tests {
 
     // -- engine-local fault sites and cancellation -------------------------
 
+    /// [`engine_with_data`] as node 0 under fault plan `plan`.
+    fn faulted(plan: FaultPlan) -> SiriusEngine {
+        configured(|c| c.fault = Some((FaultInjector::new(plan), 0)))
+    }
+
     /// A mid-query wave fault kills the run between dependency waves with a
     /// retryable error, and the retry (a fresh run) succeeds once the
     /// fault budget is spent — with zero leaked grants either way.
     #[test]
     fn wave_fault_fails_mid_query_and_retry_recovers() {
-        use sirius_hw::{FaultInjector, FaultPlan};
-        let e = engine_with_data().with_fault(
-            FaultInjector::new(FaultPlan::new(0).transient_wave(0, 1, 1)),
-            0,
-        );
+        let e = faulted(FaultPlan::new(0).transient_wave(0, 1, 1));
         // Two pipelines (join build + probe) ⇒ two waves; the fault fires
         // on the second dispatch, after the build wave banked its grant.
         let plan = scan()
@@ -1045,17 +1087,14 @@ mod tests {
     /// the fault is still there for the next runnable one.
     #[test]
     fn plan_errors_win_over_an_armed_launch_fault() {
-        use sirius_hw::{FaultInjector, FaultPlan};
-        let e = engine_with_data().with_fault(
-            FaultInjector::new(FaultPlan::new(0).transient_device(0, 0, 1)),
-            0,
-        );
+        let e = faulted(FaultPlan::new(0).transient_device(0, 0, 1));
+        let injected = || e.config().fault.as_ref().unwrap().0.injected_count();
         let invalid = scan().limit(0, Some(0)).build();
         assert!(matches!(e.begin(&invalid), Err(SiriusError::Plan(_))));
-        assert_eq!(e.fault_injector().injected_count(), 0);
+        assert_eq!(injected(), 0);
         let err = e.begin(&scan().build()).err().expect("armed fault fires");
         assert!(matches!(err, SiriusError::TransientDevice(_)));
-        assert_eq!(e.fault_injector().injected_count(), 1);
+        assert_eq!(injected(), 1);
         // Budget spent: the retry starts.
         assert!(e.begin(&scan().build()).is_ok());
     }
@@ -1079,7 +1118,6 @@ mod tests {
     /// broker's denied counter.
     #[test]
     fn grant_storm_spills_instead_of_failing() {
-        use sirius_hw::{FaultInjector, FaultPlan};
         let baseline = engine_with_data();
         let plan = scan()
             .aggregate(
@@ -1094,10 +1132,7 @@ mod tests {
         let expect = baseline.execute(&plan).unwrap();
         // One injected denial: the breaker-level grant is refused and the
         // aggregate takes its partitioned spill path, staying exact.
-        let e = engine_with_data().with_fault(
-            FaultInjector::new(FaultPlan::new(0).grant_storm(0, 0, 1)),
-            0,
-        );
+        let e = faulted(FaultPlan::new(0).grant_storm(0, 0, 1));
         let got = e.execute(&plan).unwrap();
         assert_eq!(got, expect, "storm-denied aggregation still exact");
         let broker = e.buffer_manager().grant_broker();
@@ -1105,10 +1140,7 @@ mod tests {
         assert_eq!(broker.outstanding(), 0);
         // A sustained storm also refuses the post-partition grants, so the
         // query fails out-of-memory — but still releases everything.
-        let e2 = engine_with_data().with_fault(
-            FaultInjector::new(FaultPlan::new(0).grant_storm(0, 0, 16)),
-            0,
-        );
+        let e2 = faulted(FaultPlan::new(0).grant_storm(0, 0, 16));
         let err = e2.execute(&plan).unwrap_err();
         assert!(matches!(err, SiriusError::OutOfMemory(_)));
         assert_eq!(e2.buffer_manager().grant_broker().outstanding(), 0);

@@ -45,10 +45,9 @@ pub mod schedule;
 
 pub use buffer::BufferManager;
 pub use context::{HostEngine, SiriusContext};
-pub use engine::{SiriusEngine, DEFAULT_MORSEL_ROWS};
+pub use engine::{EngineConfig, SiriusEngine, DEFAULT_MORSEL_ROWS};
 pub use explain::OpStats;
 pub use metrics::{MorselStats, QueryReport, RecoveryStats};
-pub use physical::FusionConfig;
 pub use plan_cache::{CompiledQuery, FeedbackStore, PlanCache, PlanCacheStats, ShapeFeedback};
 pub use schedule::{QueryRun, Scheduling};
 pub use sirius_spill::{SpillConfig, SpillStats};
@@ -56,9 +55,8 @@ pub use sirius_spill::{SpillConfig, SpillStats};
 /// Decode any dictionary-encoded columns of a gathered result table,
 /// charging the decode kernel to `device` under the `Project` category.
 /// Distributed coordinators call this once after collecting results from
-/// node engines that ran with
-/// [`SiriusEngine::with_encoded_results`](engine::SiriusEngine::with_encoded_results) —
-/// strings cross the wire as codes and become payload bytes only here.
+/// node engines that ran with [`EngineConfig::encoded_results`] — strings
+/// cross the wire as codes and become payload bytes only here.
 pub fn materialize_result(
     device: &sirius_hw::Device,
     t: &sirius_columnar::Table,

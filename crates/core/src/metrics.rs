@@ -1,6 +1,8 @@
 //! Per-query execution reports: the data behind Figure 5 and Table 2.
 
 use sirius_hw::{CostCategory, TimeBreakdown};
+use sirius_rmm::PoolStats;
+use sirius_spill::SpillStats;
 use std::time::Duration;
 
 /// Morsel-scheduler counters: how a query's work was partitioned and how
@@ -175,6 +177,36 @@ impl QueryReport {
             pool_fragmentation: 0.0,
             fallback_reason: None,
             recovery: RecoveryStats::default(),
+        }
+    }
+
+    /// The one meter: a GPU run's report from what its ledger
+    /// (`breakdown`), morsel scheduler, spill tiers and processing pool
+    /// recorded for it.
+    pub fn measured(
+        workers: usize,
+        rows: usize,
+        pipelines: usize,
+        breakdown: TimeBreakdown,
+        morsels: &MorselStats,
+        spill: &SpillStats,
+        pool: &PoolStats,
+    ) -> Self {
+        QueryReport {
+            rows,
+            elapsed: breakdown.total(),
+            breakdown,
+            pipelines,
+            morsels: morsels.morsels,
+            tasks: morsels.tasks,
+            worker_utilization: morsels.worker_utilization(),
+            spilled_pinned_bytes: spill.bytes_to_pinned,
+            spilled_disk_bytes: spill.bytes_to_disk,
+            spill_partitions: spill.partitions,
+            spill_depth: spill.max_depth,
+            pool_high_watermark: pool.high_watermark,
+            pool_fragmentation: pool.fragmentation(),
+            ..QueryReport::zeroed("sirius", workers)
         }
     }
 

@@ -232,27 +232,6 @@ impl FusedSegment {
     }
 }
 
-/// Engine knob for the data-path fusion pass ([`fuse`]).
-#[derive(Debug, Clone)]
-pub struct FusionConfig {
-    /// Run the pass at all. On by default; off reproduces the pre-fusion
-    /// per-operator data path (the ablation baseline).
-    pub enabled: bool,
-}
-
-impl Default for FusionConfig {
-    fn default() -> Self {
-        Self { enabled: true }
-    }
-}
-
-impl FusionConfig {
-    /// Fusion switched off (the unfused baseline).
-    pub fn disabled() -> Self {
-        Self { enabled: false }
-    }
-}
-
 /// Longest run collapsed into one segment; longer runs split into
 /// consecutive segments.
 const MAX_SEGMENT_LEN: usize = 8;
@@ -272,10 +251,7 @@ const MAX_SEGMENT_LEN: usize = 8;
 /// lone scan or projection gains nothing — it already runs in one pass and
 /// wrapping it would charge its input read against the segment a second
 /// time — so those stay plain ops.
-pub fn fuse(plan: &mut PhysicalPlan, config: &FusionConfig) {
-    if !config.enabled {
-        return;
-    }
+pub fn fuse(plan: &mut PhysicalPlan) {
     for pipe in &mut plan.pipelines {
         pipe.ops = fuse_ops(std::mem::take(&mut pipe.ops));
     }
@@ -803,7 +779,7 @@ mod tests {
         let plan = project_v(scan("t").filter(gt(col(0), lit_i64(0)))).build();
         let mut phys = compile(&plan).unwrap();
         let operators = phys.pipelines[0].operators;
-        fuse(&mut phys, &FusionConfig::default());
+        fuse(&mut phys);
         let p = &phys.pipelines[0];
         assert_eq!(p.ops.len(), 1);
         let PhysOp::Fused(seg) = &p.ops[0] else {
@@ -823,7 +799,7 @@ mod tests {
     fn fuse_leaves_singletons_alone() {
         let plan = scan("t").build();
         let mut phys = compile(&plan).unwrap();
-        fuse(&mut phys, &FusionConfig::default());
+        fuse(&mut phys);
         let p = &phys.pipelines[0];
         assert_eq!(p.ops.len(), 1);
         assert!(matches!(p.ops[0], PhysOp::Plain(StreamOp::Scan { .. })));
@@ -838,7 +814,7 @@ mod tests {
         // read + one write instead of mask traffic + compaction.
         let plan = scan("t").filter(gt(col(0), lit_i64(0))).build();
         let mut phys = compile(&plan).unwrap();
-        fuse(&mut phys, &FusionConfig::default());
+        fuse(&mut phys);
         let p = &phys.pipelines[0];
         assert_eq!(p.ops.len(), 1);
         let PhysOp::Fused(seg) = &p.ops[0] else {
@@ -865,7 +841,7 @@ mod tests {
         }
         let mut phys = compile(&plan.build()).unwrap();
         assert_eq!(phys.pipelines[0].ops.len(), MAX_SEGMENT_LEN + 1);
-        fuse(&mut phys, &FusionConfig::default());
+        fuse(&mut phys);
         let p = &phys.pipelines[0];
         // One full segment; the projection left over stays a plain op.
         assert_eq!(p.ops.len(), 2);
@@ -875,10 +851,14 @@ mod tests {
 
     #[test]
     fn fuse_disabled_is_a_no_op() {
+        use crate::engine::{EngineConfig, SiriusEngine};
         let plan = project_v(scan("t").filter(gt(col(0), lit_i64(0)))).build();
-        let mut phys = compile(&plan).unwrap();
-        let before = phys.pipelines[0].ops.len();
-        fuse(&mut phys, &FusionConfig::disabled());
+        let before = compile(&plan).unwrap().pipelines[0].ops.len();
+        let unfused = SiriusEngine::from_config(EngineConfig {
+            fusion: false,
+            ..EngineConfig::new(sirius_hw::catalog::gh200_gpu())
+        });
+        let phys = &unfused.compile_query(&plan).unwrap().phys;
         assert_eq!(phys.pipelines[0].ops.len(), before);
         assert!(!phys.pipelines[0]
             .ops
@@ -893,7 +873,7 @@ mod tests {
             project_v(scan("l").join(scan("r"), JoinKind::Inner, vec![col(0)], vec![col(0)], None))
                 .build();
         let mut phys = compile(&plan).unwrap();
-        fuse(&mut phys, &FusionConfig::default());
+        fuse(&mut phys);
         let probe_pipe = phys.root_pipeline();
         assert_eq!(probe_pipe.ops.len(), 1);
         let PhysOp::Fused(seg) = &probe_pipe.ops[0] else {
@@ -912,7 +892,7 @@ mod tests {
         ))
         .build();
         let mut phys = compile(&plan).unwrap();
-        fuse(&mut phys, &FusionConfig::default());
+        fuse(&mut phys);
         let probe_pipe = phys.root_pipeline();
         assert!(probe_pipe
             .ops

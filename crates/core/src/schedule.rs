@@ -327,7 +327,7 @@ impl SiriusEngine {
         // path exercises the full unwind (callers abort or drop the run;
         // either way every RAII reservation releases).
         self.fire_device_fault(
-            FaultSite::WaveDispatch { node: self.node_id },
+            |node| FaultSite::WaveDispatch { node },
             "device failure during a morsel wave",
         )?;
         let n = run.phys.pipelines.len();
@@ -335,7 +335,7 @@ impl SiriusEngine {
             .filter(|&i| !run.done[i] && run.phys.pipelines[i].deps.iter().all(|&d| run.done[d]))
             .collect();
         debug_assert!(!ready.is_empty(), "pipeline DAG has a cycle");
-        let batch = match self.scheduling {
+        let batch = match self.config.scheduling {
             Scheduling::Serialized => &ready[..1],
             Scheduling::Concurrent => &ready[..],
         };
@@ -617,7 +617,7 @@ impl SiriusEngine {
             // the coordinator's own result sink decodes), as do engines
             // configured for encoded results (distributed fragments).
             Sink::Result => {
-                if self.encoded_results || !t.has_dict_columns() {
+                if self.config.encoded_results || !t.has_dict_columns() {
                     return Ok(PipeResult::table(t));
                 }
                 let ctx = self.ctx(CostCategory::Project);
@@ -709,7 +709,7 @@ impl SiriusEngine {
 
     /// Partition a pipeline source and record the morsel count.
     pub(crate) fn chunk_and_count(&self, source: &Table) -> Vec<Table> {
-        let chunks = chunk_morsels(source, self.morsel_rows);
+        let chunks = chunk_morsels(source, self.config.morsel_rows);
         self.stats.lock().morsels += chunks.len() as u64;
         chunks
     }

@@ -61,46 +61,6 @@ pub fn sort_indices(ctx: &GpuContext, keys: &[SortKey<'_>], num_rows: usize) -> 
     Ok(idx)
 }
 
-/// Radix sort for a single non-null `Int64` key column (ascending). Used by
-/// the ablation bench to contrast with comparison sort; results equal
-/// [`sort_indices`] on the same input.
-pub fn radix_sort_indices_i64(ctx: &GpuContext, column: &Array) -> Result<Vec<i32>> {
-    let prim = column.as_i64()?;
-    let n = prim.len();
-    // 8 passes of 8 bits over sign-flipped keys.
-    let mut idx: Vec<i32> = (0..n as i32).collect();
-    let mut scratch = vec![0i32; n];
-    let key = |i: i32| (prim.values()[i as usize] as u64) ^ (1u64 << 63);
-    for pass in 0..8 {
-        let shift = pass * 8;
-        let mut counts = [0usize; 256];
-        for &i in &idx {
-            counts[((key(i) >> shift) & 0xFF) as usize] += 1;
-        }
-        let mut offsets = [0usize; 256];
-        let mut acc = 0;
-        for (o, c) in offsets.iter_mut().zip(counts.iter()) {
-            *o = acc;
-            acc += c;
-        }
-        for &i in &idx {
-            let bucket = ((key(i) >> shift) & 0xFF) as usize;
-            scratch[offsets[bucket]] = i;
-            offsets[bucket] += 1;
-        }
-        std::mem::swap(&mut idx, &mut scratch);
-    }
-    ctx.charge_named(
-        "sort.radix",
-        &WorkProfile::scan(column.byte_size() as u64 * 8)
-            .with_random((n * 4 * 8) as u64)
-            .with_flops((n * 8) as u64)
-            .with_launches(8)
-            .with_rows(n as u64),
-    );
-    Ok(idx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,20 +153,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_radix_matches_comparison_sort(
-            values in proptest::collection::vec(any::<i64>(), 0..200)
-        ) {
-            let ctx = test_ctx();
-            let c = Array::from_i64(values.clone());
-            let radix = radix_sort_indices_i64(&ctx, &c).unwrap();
-            let sorted: Vec<i64> =
-                radix.iter().map(|&i| values[i as usize]).collect();
-            let mut expected = values.clone();
-            expected.sort_unstable();
-            prop_assert_eq!(sorted, expected);
-        }
-
         #[test]
         fn prop_sort_produces_permutation(
             values in proptest::collection::vec(any::<i64>(), 0..100)

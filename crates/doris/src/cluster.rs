@@ -31,10 +31,10 @@ use parking_lot::{Mutex, RwLock};
 use sirius_columnar::{Array, Table};
 use sirius_core::exchange::{partition_by_hash, ExchangeService};
 use sirius_core::metrics::RecoveryStats;
-use sirius_core::{RetryPolicy, SiriusEngine, SiriusError};
+use sirius_core::{EngineConfig, RetryPolicy, SiriusEngine, SiriusError};
 use sirius_exec_cpu::{Catalog, CpuEngine, EngineProfile};
 use sirius_hw::{
-    catalog as hw, CostCategory, Device, FaultInjector, FaultPlan, FaultSite, Link, TimeBreakdown,
+    catalog as hw, CostCategory, Device, FaultInjector, FaultPlan, FaultSite, TimeBreakdown,
     TraceConfig, TraceSink,
 };
 use sirius_nccl::{CancelToken, NcclCluster};
@@ -106,6 +106,20 @@ impl ClusterConfig {
     }
 }
 
+/// The configuration of GPU node `id`: the paper's A100 behind PCIe4 with
+/// two launch workers. Node fragments keep result strings
+/// dictionary-encoded: codes cross the wire, and the coordinator
+/// materializes payload bytes once after gathering (late materialization).
+fn gpu_node_config(fault: &FaultInjector, id: usize) -> EngineConfig {
+    EngineConfig {
+        host_link: hw::pcie4_a100_attach(),
+        workers: 2,
+        encoded_results: true,
+        fault: Some((fault.clone(), id)),
+        ..EngineConfig::new(hw::a100_40gb())
+    }
+}
+
 /// What executes a node's fragments, together with the one table store it
 /// reads: base-table shards and exchanged temps both live there and nowhere
 /// else.
@@ -125,14 +139,9 @@ impl NodeEngine {
         match kind {
             NodeEngineKind::DorisCpu => cpu(EngineProfile::doris()),
             NodeEngineKind::ClickHouseCpu => cpu(EngineProfile::clickhouse()),
-            // Node fragments keep result strings dictionary-encoded: codes
-            // cross the wire, and the coordinator materializes payload bytes
-            // once after gathering (late materialization).
-            NodeEngineKind::SiriusGpu => NodeEngine::Gpu(
-                SiriusEngine::with_link(hw::a100_40gb(), Link::new(hw::pcie4_a100_attach()), 2)
-                    .with_encoded_results(true)
-                    .with_fault(fault.clone(), id),
-            ),
+            NodeEngineKind::SiriusGpu => {
+                NodeEngine::Gpu(SiriusEngine::from_config(gpu_node_config(fault, id)))
+            }
         }
     }
 

@@ -371,24 +371,15 @@ impl Slot {
     /// The per-query report from this slot's isolated telemetry (`rows`
     /// is the caller's to fill in).
     fn report(&self, workers: usize) -> QueryReport {
-        let breakdown = self.engine.device().breakdown();
-        let stats = self.engine.morsel_stats();
-        let pool = self.engine.buffer_manager().regions().processing().stats();
-        QueryReport {
-            elapsed: breakdown.total(),
-            breakdown,
-            pipelines: self.run.pipelines(),
-            morsels: stats.morsels,
-            tasks: stats.tasks,
-            worker_utilization: stats.worker_utilization(),
-            spilled_pinned_bytes: self.spill.bytes_to_pinned,
-            spilled_disk_bytes: self.spill.bytes_to_disk,
-            spill_partitions: self.spill.partitions,
-            spill_depth: self.spill.max_depth,
-            pool_high_watermark: pool.high_watermark,
-            pool_fragmentation: pool.fragmentation(),
-            ..QueryReport::zeroed("sirius", workers)
-        }
+        QueryReport::measured(
+            workers,
+            0,
+            self.run.pipelines(),
+            self.engine.device().breakdown(),
+            &self.engine.morsel_stats(),
+            &self.spill,
+            &self.engine.buffer_manager().regions().processing().stats(),
+        )
     }
 }
 
@@ -499,26 +490,27 @@ impl SiriusServer {
         now: Duration,
         lane_limit: usize,
     ) -> Result<Slot, SiriusError> {
-        let mut view = self.base.query_view();
-        if req.trace {
-            view = view.with_trace(TraceConfig::On);
-        }
         // Plan-cache path: resolve the SQL text through the shared
         // planner. The steady state (repeated shape, no new feedback)
-        // performs zero parse/bind/optimize work here. Adaptive planners
-        // need per-operator counters from the run to record feedback —
-        // enabled without the trace sink so untraced requests still
-        // report no events.
-        let planned = match (&self.planner, &req.sql) {
-            (Some(p), Some(sql)) => {
-                if p.adaptive() {
-                    view = view.with_operator_stats();
-                }
+        // performs zero parse/bind/optimize work here.
+        let planner = self.planner.as_ref().zip(req.sql.as_ref());
+        let planned = match planner {
+            Some((p, sql)) => {
                 let r = p.resolve(sql, &self.base)?;
                 Some((r.shape, r.compiled))
             }
-            _ => None,
+            None => None,
         };
+        let trace = if req.trace {
+            TraceConfig::On
+        } else {
+            TraceConfig::Off
+        };
+        // Adaptive planners need per-operator counters from the run to
+        // record feedback — enabled without the trace sink so untraced
+        // requests still report no events.
+        let operator_stats = planner.is_some_and(|(p, _)| p.adaptive());
+        let view = self.base.query_view(trace, operator_stats);
         if let Some(budget) = req.memory_budget {
             view.buffer_manager().set_grant_cap(budget);
         }
@@ -992,7 +984,8 @@ fn accumulate_spill(acc: &mut SpillStats, delta: &SpillStats) {
 mod tests {
     use super::*;
     use sirius_columnar::{Array, DataType, Field, Schema};
-    use sirius_hw::{catalog, FaultInjector, FaultPlan, Link};
+    use sirius_core::EngineConfig;
+    use sirius_hw::{catalog, FaultInjector, FaultPlan};
     use sirius_plan::builder::PlanBuilder;
     use sirius_plan::expr::{self, AggExpr, SortExpr};
     use sirius_plan::AggFunc;
@@ -1011,11 +1004,30 @@ mod tests {
     }
 
     fn base(workers: usize, rows: i64) -> SiriusEngine {
-        let e = SiriusEngine::with_link(
-            catalog::gh200_gpu(),
-            Link::new(catalog::nvlink_c2c()),
+        loaded(config(workers), rows)
+    }
+
+    /// [`base`] as node 0 under fault plan `plan`.
+    fn faulted(workers: usize, rows: i64, plan: FaultPlan) -> SiriusEngine {
+        let fault = Some((FaultInjector::new(plan), 0));
+        loaded(
+            EngineConfig {
+                fault,
+                ..config(workers)
+            },
+            rows,
+        )
+    }
+
+    fn config(workers: usize) -> EngineConfig {
+        EngineConfig {
             workers,
-        );
+            ..EngineConfig::new(catalog::gh200_gpu())
+        }
+    }
+
+    fn loaded(config: EngineConfig, rows: i64) -> SiriusEngine {
+        let e = SiriusEngine::from_config(config);
         e.load_table("t", &data(rows));
         e.device().reset();
         e
@@ -1193,10 +1205,13 @@ mod tests {
         // 4 balanced morsels fill its own slice, so each reports 1.0 —
         // the pre-fix accounting measured against all 8 streams and
         // reported 0.5.
-        let e = SiriusEngine::with_link(catalog::gh200_gpu(), Link::new(catalog::nvlink_c2c()), 8)
-            .with_morsel_rows(16);
-        e.load_table("t", &data(64));
-        e.device().reset();
+        let e = loaded(
+            EngineConfig {
+                morsel_rows: 16,
+                ..config(8)
+            },
+            64,
+        );
         let server = SiriusServer::new(e, ServeConfig::default());
         let mk = |id| QueryRequest::new(id, 0, Duration::ZERO, scan_plan());
         let outcome = server.replay(vec![mk(0), mk(1)]);
@@ -1390,10 +1405,7 @@ mod tests {
     #[test]
     fn retryable_wave_fault_retries_and_recovers() {
         let metrics = MetricsRegistry::new();
-        let e = base(4, 64).with_fault(
-            FaultInjector::new(FaultPlan::new(0).transient_wave(0, 0, 1)),
-            0,
-        );
+        let e = faulted(4, 64, FaultPlan::new(0).transient_wave(0, 0, 1));
         let server = SiriusServer::new(e, ServeConfig::default()).with_metrics(metrics.clone());
         let outcome = server.replay(vec![QueryRequest::new(0, 0, Duration::ZERO, agg_plan())]);
         assert_eq!(outcome.queries.len(), 1);
@@ -1418,10 +1430,7 @@ mod tests {
     fn retries_exhaust_into_failed_disposition() {
         let metrics = MetricsRegistry::new();
         // More transient faults than max_retries + 1 attempts can absorb.
-        let e = base(4, 64).with_fault(
-            FaultInjector::new(FaultPlan::new(0).transient_wave(0, 0, 8)),
-            0,
-        );
+        let e = faulted(4, 64, FaultPlan::new(0).transient_wave(0, 0, 8));
         let server = SiriusServer::new(
             e,
             ServeConfig {
@@ -1456,10 +1465,7 @@ mod tests {
         // The fault fires on the first wave; the backed-off retry would
         // start after the deadline, so the query fails with its original
         // transient error instead of retrying (and is never cancelled).
-        let e = base(4, 64).with_fault(
-            FaultInjector::new(FaultPlan::new(0).transient_wave(0, 0, 1)),
-            0,
-        );
+        let e = faulted(4, 64, FaultPlan::new(0).transient_wave(0, 0, 1));
         let server = SiriusServer::new(
             e,
             ServeConfig {
@@ -1863,10 +1869,7 @@ mod tests {
     #[test]
     fn every_declared_metric_is_emitted_and_every_emitted_one_declared() {
         let metrics = MetricsRegistry::new();
-        let e = base(1, 50_000).with_fault(
-            FaultInjector::new(FaultPlan::new(0).transient_wave(0, 2, 1)),
-            0,
-        );
+        let e = faulted(1, 50_000, FaultPlan::new(0).transient_wave(0, 2, 1));
         let planner = CachingPlanner::new(sql_catalog(), sirius_sql::JoinOrderPolicy::Optimized);
         let server = SiriusServer::new(
             e,

@@ -21,8 +21,9 @@ pub mod join_order;
 pub mod stats;
 
 use crate::{Result, SqlError};
+use sirius_columnar::Schema;
 use sirius_plan::expr::{self, SortExpr};
-use sirius_plan::{ExchangeKind, JoinKind, Rel};
+use sirius_plan::{AggExpr, ExchangeKind, Expr, JoinKind, Rel};
 use std::collections::{BTreeSet, HashMap};
 
 /// Run all optimization passes.
@@ -53,7 +54,7 @@ pub fn optimize(plan: Rel) -> Result<Rel> {
 
 type Mapping = HashMap<usize, usize>;
 
-fn refs_of(e: &sirius_plan::Expr) -> Vec<usize> {
+fn refs_of(e: &Expr) -> Vec<usize> {
     let mut v = Vec::new();
     e.referenced_columns(&mut v);
     v
@@ -68,103 +69,14 @@ fn prune(rel: Rel, required: &BTreeSet<usize>) -> Result<(Rel, Mapping)> {
             table,
             schema,
             projection,
-        } => {
-            // Binder emits projection=None; compose defensively regardless.
-            let base: Vec<usize> = match &projection {
-                Some(p) => p.clone(),
-                None => (0..schema.len()).collect(),
-            };
-            let keep: Vec<usize> = required.iter().map(|&r| base[r]).collect();
-            let mapping: Mapping = required
-                .iter()
-                .enumerate()
-                .map(|(new, &old)| (old, new))
-                .collect();
-            Ok((
-                Rel::Read {
-                    table,
-                    schema,
-                    projection: Some(keep),
-                },
-                mapping,
-            ))
-        }
-        Rel::Filter { input, predicate } => {
-            let mut child_req = required.clone();
-            child_req.extend(refs_of(&predicate));
-            let (child, map) = prune(*input, &child_req)?;
-            let predicate = predicate.remap_columns(&|i| map[&i]);
-            Ok((
-                Rel::Filter {
-                    input: Box::new(child),
-                    predicate,
-                },
-                map,
-            ))
-        }
-        Rel::Project { input, exprs } => {
-            let kept: Vec<usize> = required.iter().copied().collect();
-            let mut child_req = BTreeSet::new();
-            for &i in &kept {
-                child_req.extend(refs_of(&exprs[i].0));
-            }
-            let (child, cmap) = prune(*input, &child_req)?;
-            let new_exprs: Vec<_> = kept
-                .iter()
-                .map(|&i| (exprs[i].0.remap_columns(&|c| cmap[&c]), exprs[i].1.clone()))
-                .collect();
-            let mapping: Mapping = kept
-                .iter()
-                .enumerate()
-                .map(|(new, &old)| (old, new))
-                .collect();
-            Ok((
-                Rel::Project {
-                    input: Box::new(child),
-                    exprs: new_exprs,
-                },
-                mapping,
-            ))
-        }
+        } => Ok(prune_read(table, schema, projection, required)),
+        Rel::Filter { input, predicate } => prune_filter(*input, predicate, required),
+        Rel::Project { input, exprs } => prune_project(*input, exprs, required),
         Rel::Aggregate {
             input,
             group_by,
             aggregates,
-        } => {
-            let mut child_req = BTreeSet::new();
-            for g in &group_by {
-                child_req.extend(refs_of(g));
-            }
-            for a in &aggregates {
-                if let Some(e) = &a.input {
-                    child_req.extend(refs_of(e));
-                }
-            }
-            let (child, cmap) = prune(*input, &child_req)?;
-            let group_by: Vec<_> = group_by
-                .iter()
-                .map(|g| g.remap_columns(&|c| cmap[&c]))
-                .collect();
-            let aggregates: Vec<_> = aggregates
-                .iter()
-                .map(|a| sirius_plan::AggExpr {
-                    func: a.func,
-                    input: a.input.as_ref().map(|e| e.remap_columns(&|c| cmap[&c])),
-                    name: a.name.clone(),
-                })
-                .collect();
-            // Aggregate output (keys + aggs) is kept whole.
-            let width = group_by.len() + aggregates.len();
-            let mapping: Mapping = (0..width).map(|i| (i, i)).collect();
-            Ok((
-                Rel::Aggregate {
-                    input: Box::new(child),
-                    group_by,
-                    aggregates,
-                },
-                mapping,
-            ))
-        }
+        } => prune_aggregate(*input, group_by, aggregates),
         Rel::Join {
             left,
             right,
@@ -172,103 +84,20 @@ fn prune(rel: Rel, required: &BTreeSet<usize>) -> Result<(Rel, Mapping)> {
             left_keys,
             right_keys,
             residual,
-        } => {
-            let lw = left.schema().map_err(SqlError::Plan)?.len();
-            let mut lreq = BTreeSet::new();
-            let mut rreq = BTreeSet::new();
-            for &r in required {
-                if r < lw {
-                    lreq.insert(r);
-                } else {
-                    rreq.insert(r - lw);
-                }
-            }
-            for k in &left_keys {
-                lreq.extend(refs_of(k));
-            }
-            for k in &right_keys {
-                rreq.extend(refs_of(k));
-            }
-            if let Some(res) = &residual {
-                for r in refs_of(res) {
-                    if r < lw {
-                        lreq.insert(r);
-                    } else {
-                        rreq.insert(r - lw);
-                    }
-                }
-            }
-            let (lchild, lmap) = prune(*left, &lreq)?;
-            let (rchild, rmap) = prune(*right, &rreq)?;
-            let new_lw = lchild.schema().map_err(SqlError::Plan)?.len();
-            let left_keys: Vec<_> = left_keys
-                .iter()
-                .map(|k| k.remap_columns(&|c| lmap[&c]))
-                .collect();
-            let right_keys: Vec<_> = right_keys
-                .iter()
-                .map(|k| k.remap_columns(&|c| rmap[&c]))
-                .collect();
-            let residual = residual.map(|res| {
-                res.remap_columns(&|c| {
-                    if c < lw {
-                        lmap[&c]
-                    } else {
-                        new_lw + rmap[&(c - lw)]
-                    }
-                })
-            });
-            let mut mapping: Mapping = Mapping::new();
-            for (&old, &new) in &lmap {
-                mapping.insert(old, new);
-            }
-            if !matches!(kind, JoinKind::Semi | JoinKind::Anti) {
-                for (&old, &new) in &rmap {
-                    mapping.insert(lw + old, new_lw + new);
-                }
-            }
-            Ok((
-                Rel::Join {
-                    left: Box::new(lchild),
-                    right: Box::new(rchild),
-                    kind,
-                    left_keys,
-                    right_keys,
-                    residual,
-                },
-                mapping,
-            ))
-        }
-        Rel::Sort { input, keys } => {
-            let mut child_req = required.clone();
-            for k in &keys {
-                child_req.extend(refs_of(&k.expr));
-            }
-            let (child, map) = prune(*input, &child_req)?;
-            let keys: Vec<_> = keys
-                .iter()
-                .map(|k| SortExpr {
-                    expr: k.expr.remap_columns(&|c| map[&c]),
-                    ascending: k.ascending,
-                })
-                .collect();
-            Ok((
-                Rel::Sort {
-                    input: Box::new(child),
-                    keys,
-                },
-                map,
-            ))
-        }
+        } => prune_join(
+            *left, *right, kind, left_keys, right_keys, residual, required,
+        ),
+        Rel::Sort { input, keys } => prune_sort(*input, keys, required),
         Rel::Limit {
             input,
             offset,
             fetch,
         } => {
             let (child, map) = prune(*input, required)?;
+            let input = Box::new(child);
             Ok((
                 Rel::Limit {
-                    input: Box::new(child),
+                    input,
                     offset,
                     fetch,
                 },
@@ -280,36 +109,215 @@ fn prune(rel: Rel, required: &BTreeSet<usize>) -> Result<(Rel, Mapping)> {
             let width = input.schema().map_err(SqlError::Plan)?.len();
             let all: BTreeSet<usize> = (0..width).collect();
             let (child, map) = prune(*input, &all)?;
-            Ok((
-                Rel::Distinct {
-                    input: Box::new(child),
-                },
-                map,
-            ))
+            let input = Box::new(child);
+            Ok((Rel::Distinct { input }, map))
         }
-        Rel::Exchange { input, kind } => {
-            let mut child_req = required.clone();
-            if let ExchangeKind::Shuffle { keys } = &kind {
-                for k in keys {
-                    child_req.extend(refs_of(k));
-                }
-            }
-            let (child, map) = prune(*input, &child_req)?;
-            let kind = match kind {
-                ExchangeKind::Shuffle { keys } => ExchangeKind::Shuffle {
-                    keys: keys.iter().map(|k| k.remap_columns(&|c| map[&c])).collect(),
-                },
-                other => other,
-            };
-            Ok((
-                Rel::Exchange {
-                    input: Box::new(child),
-                    kind,
-                },
-                map,
-            ))
+        Rel::Exchange { input, kind } => prune_exchange(*input, kind, required),
+    }
+}
+
+/// The mapping of a node that emits exactly its `required` columns, in
+/// order.
+fn compacted(required: &BTreeSet<usize>) -> Mapping {
+    let renumber = required.iter().enumerate();
+    renumber.map(|(new, &old)| (old, new)).collect()
+}
+
+fn prune_read(
+    table: String,
+    schema: Schema,
+    projection: Option<Vec<usize>>,
+    required: &BTreeSet<usize>,
+) -> (Rel, Mapping) {
+    // Binder emits projection=None; compose defensively regardless.
+    let base: Vec<usize> = match &projection {
+        Some(p) => p.clone(),
+        None => (0..schema.len()).collect(),
+    };
+    let keep: Vec<usize> = required.iter().map(|&r| base[r]).collect();
+    let read = Rel::Read {
+        table,
+        schema,
+        projection: Some(keep),
+    };
+    (read, compacted(required))
+}
+
+fn prune_filter(input: Rel, predicate: Expr, required: &BTreeSet<usize>) -> Result<(Rel, Mapping)> {
+    let mut child_req = required.clone();
+    child_req.extend(refs_of(&predicate));
+    let (child, map) = prune(input, &child_req)?;
+    let filter = Rel::Filter {
+        input: Box::new(child),
+        predicate: predicate.remap_columns(&|i| map[&i]),
+    };
+    Ok((filter, map))
+}
+
+fn prune_project(
+    input: Rel,
+    exprs: Vec<(Expr, String)>,
+    required: &BTreeSet<usize>,
+) -> Result<(Rel, Mapping)> {
+    let mut child_req = BTreeSet::new();
+    for &i in required {
+        child_req.extend(refs_of(&exprs[i].0));
+    }
+    let (child, cmap) = prune(input, &child_req)?;
+    let exprs = required
+        .iter()
+        .map(|&i| (exprs[i].0.remap_columns(&|c| cmap[&c]), exprs[i].1.clone()))
+        .collect();
+    let project = Rel::Project {
+        input: Box::new(child),
+        exprs,
+    };
+    Ok((project, compacted(required)))
+}
+
+fn prune_aggregate(
+    input: Rel,
+    group_by: Vec<Expr>,
+    aggregates: Vec<AggExpr>,
+) -> Result<(Rel, Mapping)> {
+    let mut child_req = BTreeSet::new();
+    for g in &group_by {
+        child_req.extend(refs_of(g));
+    }
+    for e in aggregates.iter().filter_map(|a| a.input.as_ref()) {
+        child_req.extend(refs_of(e));
+    }
+    let (child, cmap) = prune(input, &child_req)?;
+    let group_by: Vec<_> = group_by
+        .iter()
+        .map(|g| g.remap_columns(&|c| cmap[&c]))
+        .collect();
+    let aggregates: Vec<_> = aggregates
+        .iter()
+        .map(|a| AggExpr {
+            func: a.func,
+            input: a.input.as_ref().map(|e| e.remap_columns(&|c| cmap[&c])),
+            name: a.name.clone(),
+        })
+        .collect();
+    // Aggregate output (keys + aggs) is kept whole.
+    let width = group_by.len() + aggregates.len();
+    let aggregate = Rel::Aggregate {
+        input: Box::new(child),
+        group_by,
+        aggregates,
+    };
+    Ok((aggregate, (0..width).map(|i| (i, i)).collect()))
+}
+
+fn prune_join(
+    left: Rel,
+    right: Rel,
+    kind: JoinKind,
+    left_keys: Vec<Expr>,
+    right_keys: Vec<Expr>,
+    residual: Option<Expr>,
+    required: &BTreeSet<usize>,
+) -> Result<(Rel, Mapping)> {
+    let lw = left.schema().map_err(SqlError::Plan)?.len();
+    let mut lreq = BTreeSet::new();
+    let mut rreq = BTreeSet::new();
+    let residual_refs = residual.iter().flat_map(refs_of);
+    for r in required.iter().copied().chain(residual_refs) {
+        if r < lw {
+            lreq.insert(r);
+        } else {
+            rreq.insert(r - lw);
         }
     }
+    for k in &left_keys {
+        lreq.extend(refs_of(k));
+    }
+    for k in &right_keys {
+        rreq.extend(refs_of(k));
+    }
+    let (lchild, lmap) = prune(left, &lreq)?;
+    let (rchild, rmap) = prune(right, &rreq)?;
+    let new_lw = lchild.schema().map_err(SqlError::Plan)?.len();
+    let left_keys: Vec<_> = left_keys
+        .iter()
+        .map(|k| k.remap_columns(&|c| lmap[&c]))
+        .collect();
+    let right_keys: Vec<_> = right_keys
+        .iter()
+        .map(|k| k.remap_columns(&|c| rmap[&c]))
+        .collect();
+    let residual = residual.map(|res| {
+        res.remap_columns(&|c| {
+            if c < lw {
+                lmap[&c]
+            } else {
+                new_lw + rmap[&(c - lw)]
+            }
+        })
+    });
+    let mut mapping = lmap;
+    if !matches!(kind, JoinKind::Semi | JoinKind::Anti) {
+        mapping.extend(rmap.iter().map(|(&old, &new)| (lw + old, new_lw + new)));
+    }
+    let join = Rel::Join {
+        left: Box::new(lchild),
+        right: Box::new(rchild),
+        kind,
+        left_keys,
+        right_keys,
+        residual,
+    };
+    Ok((join, mapping))
+}
+
+fn prune_sort(
+    input: Rel,
+    keys: Vec<SortExpr>,
+    required: &BTreeSet<usize>,
+) -> Result<(Rel, Mapping)> {
+    let mut child_req = required.clone();
+    for k in &keys {
+        child_req.extend(refs_of(&k.expr));
+    }
+    let (child, map) = prune(input, &child_req)?;
+    let keys = keys
+        .iter()
+        .map(|k| SortExpr {
+            expr: k.expr.remap_columns(&|c| map[&c]),
+            ascending: k.ascending,
+        })
+        .collect();
+    let sort = Rel::Sort {
+        input: Box::new(child),
+        keys,
+    };
+    Ok((sort, map))
+}
+
+fn prune_exchange(
+    input: Rel,
+    kind: ExchangeKind,
+    required: &BTreeSet<usize>,
+) -> Result<(Rel, Mapping)> {
+    let mut child_req = required.clone();
+    if let ExchangeKind::Shuffle { keys } = &kind {
+        for k in keys {
+            child_req.extend(refs_of(k));
+        }
+    }
+    let (child, map) = prune(input, &child_req)?;
+    let kind = match kind {
+        ExchangeKind::Shuffle { keys } => ExchangeKind::Shuffle {
+            keys: keys.iter().map(|k| k.remap_columns(&|c| map[&c])).collect(),
+        },
+        other => other,
+    };
+    let exchange = Rel::Exchange {
+        input: Box::new(child),
+        kind,
+    };
+    Ok((exchange, map))
 }
 
 #[cfg(test)]

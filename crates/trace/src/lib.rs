@@ -24,6 +24,8 @@
 //! live `TimeBreakdown` to the nanosecond (`sirius_hw::ledger::replay`).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod chrome;
 pub mod metrics;

@@ -7,7 +7,7 @@
 //! cargo run --example dropin_acceleration
 //! ```
 
-use sirius_core::{SiriusContext, SiriusEngine};
+use sirius_core::{EngineConfig, SiriusContext, SiriusEngine};
 use sirius_duckdb::{Accelerator, DuckDb, ExecutedBy};
 use sirius_hw::catalog;
 use sirius_plan::validate::FeatureSet;
@@ -50,7 +50,10 @@ fn main() {
     // demonstrate the graceful fallback path.
     let mut features = FeatureSet::full();
     features.avg = false;
-    let engine = SiriusEngine::new(catalog::gh200_gpu()).with_features(features);
+    let engine = SiriusEngine::from_config(EngineConfig {
+        features,
+        ..EngineConfig::new(catalog::gh200_gpu())
+    });
     db.register_accelerator(Arc::new(SiriusExtension {
         ctx: SiriusContext::new(engine),
     }));

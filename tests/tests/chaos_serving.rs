@@ -13,9 +13,9 @@
 
 use proptest::prelude::*;
 use sirius_columnar::Table;
-use sirius_core::{RetryPolicy, SiriusEngine, SiriusError};
+use sirius_core::{EngineConfig, RetryPolicy, SiriusEngine, SiriusError};
 use sirius_duckdb::DuckDb;
-use sirius_hw::{catalog as hw, FaultInjector, FaultPlan, Link};
+use sirius_hw::{catalog as hw, FaultInjector, FaultPlan, TraceConfig};
 use sirius_integration::assert_tables_equivalent;
 use sirius_plan::Rel;
 use sirius_serve::{QueryDisposition, QueryRequest, ServeConfig, ServeOutcome, SiriusServer};
@@ -82,7 +82,16 @@ fn fixture() -> &'static Fixture {
 }
 
 fn engine(data: &TpchData) -> SiriusEngine {
-    let e = SiriusEngine::with_link(hw::gh200_gpu(), Link::new(hw::nvlink_c2c()), WORKERS);
+    engine_under(data, None)
+}
+
+/// [`engine`], as node 0 under fault plan `plan` when there is one.
+fn engine_under(data: &TpchData, plan: Option<FaultPlan>) -> SiriusEngine {
+    let e = SiriusEngine::from_config(EngineConfig {
+        workers: WORKERS,
+        fault: plan.map(|plan| (FaultInjector::new(plan), 0)),
+        ..EngineConfig::new(hw::gh200_gpu())
+    });
     for (name, table) in data.tables() {
         e.load_table(name.clone(), table);
     }
@@ -100,10 +109,7 @@ fn seed_base() -> u64 {
 /// A server whose engine is armed with the seeded engine-local chaos
 /// plan on node 0, with retry and shedding enabled.
 fn chaotic_server(fix: &Fixture, seed: u64) -> SiriusServer {
-    let e = engine(&fix.data).with_fault(
-        FaultInjector::new(FaultPlan::seeded_chaos_local(seed, 0)),
-        0,
-    );
+    let e = engine_under(&fix.data, Some(FaultPlan::seeded_chaos_local(seed, 0)));
     SiriusServer::new(
         e,
         ServeConfig {
@@ -180,7 +186,9 @@ fn assert_resilient(
 
     // (3) The shared cache is still consistent: with faults disarmed,
     // the same engine still returns exact results.
-    srv.engine().fault_injector().disarm_node(0);
+    if let Some((fault, _)) = &srv.engine().config().fault {
+        fault.disarm_node(0);
+    }
     let check = srv
         .engine()
         .execute(&fix.plans[0].1)
@@ -261,7 +269,7 @@ fn deadline_exactly_on_wave_boundary() {
     // server's first wave on an identical engine to learn its exact cost.
     let q3 = fix.plans.iter().position(|(id, _)| *id == 3).unwrap();
     let plan = &fix.plans[q3].1;
-    let probe = engine(&fix.data).query_view();
+    let probe = engine(&fix.data).query_view(TraceConfig::Off, false);
     let mut run = probe.begin(plan).expect("begin");
     probe.step(&mut run, WORKERS).expect("first wave");
     assert!(!run.is_done(), "Q3 must take more than one wave");
@@ -315,7 +323,7 @@ fn deadline_during_spilling_wave_reaps_temps() {
     // Find the exact server instant at which the budget-capped run has
     // just finished its first spilling wave, by replicating the server's
     // stepping on an identical engine.
-    let probe = engine(&fix.data).query_view();
+    let probe = engine(&fix.data).query_view(TraceConfig::Off, false);
     probe.buffer_manager().set_grant_cap(64 << 10);
     let mut run = probe.begin(&fix.spill_plan).expect("begin");
     let mut spill_at = None;
@@ -382,7 +390,7 @@ fn each_fault_kind_alone_is_survivable() {
         ("grant-storm", FaultPlan::new(4).grant_storm(0, 0, 2)),
     ];
     for (label, plan) in kinds {
-        let e = engine(&fix.data).with_fault(FaultInjector::new(plan), 0);
+        let e = engine_under(&fix.data, Some(plan));
         let srv = SiriusServer::new(e, ServeConfig::default());
         let mix = [0usize, 5, 13]; // Q1, Q6, Q14: scans + aggregates
         let requests: Vec<QueryRequest> = mix

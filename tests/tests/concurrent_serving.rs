@@ -9,9 +9,9 @@
 
 use proptest::prelude::*;
 use sirius_columnar::Table;
-use sirius_core::SiriusEngine;
+use sirius_core::{EngineConfig, SiriusEngine};
 use sirius_duckdb::DuckDb;
-use sirius_hw::{catalog as hw, FaultInjector, FaultPlan, Link, TimeBreakdown};
+use sirius_hw::{catalog as hw, FaultInjector, FaultPlan, TimeBreakdown};
 use sirius_integration::assert_tables_equivalent;
 use sirius_plan::Rel;
 use sirius_serve::{
@@ -67,7 +67,16 @@ fn fixture() -> &'static Fixture {
 }
 
 fn engine(data: &TpchData) -> SiriusEngine {
-    let e = SiriusEngine::with_link(hw::gh200_gpu(), Link::new(hw::nvlink_c2c()), WORKERS);
+    engine_under(data, None)
+}
+
+/// [`engine`], as node 0 under fault plan `plan` when there is one.
+fn engine_under(data: &TpchData, plan: Option<FaultPlan>) -> SiriusEngine {
+    let e = SiriusEngine::from_config(EngineConfig {
+        workers: WORKERS,
+        fault: plan.map(|plan| (FaultInjector::new(plan), 0)),
+        ..EngineConfig::new(hw::gh200_gpu())
+    });
     for (name, table) in data.tables() {
         e.load_table(name.clone(), table);
     }
@@ -376,10 +385,7 @@ fn resilience_metrics_are_published() {
     let metrics = sirius_trace::metrics::MetricsRegistry::new();
     // One transient device fault on the second wave: the victim is the
     // first admitted query, which retries and completes.
-    let eng = engine(&fix.data).with_fault(
-        FaultInjector::new(FaultPlan::new(99).transient_wave(0, 1, 1)),
-        0,
-    );
+    let eng = engine_under(&fix.data, Some(FaultPlan::new(99).transient_wave(0, 1, 1)));
     let srv = SiriusServer::new(
         eng,
         ServeConfig {

@@ -10,9 +10,9 @@
 use proptest::prelude::*;
 use sirius_columnar::Table;
 use sirius_core::physical::{compile, fuse, PhysOp};
-use sirius_core::{FusionConfig, SiriusEngine};
+use sirius_core::{EngineConfig, SiriusEngine};
 use sirius_duckdb::DuckDb;
-use sirius_hw::{catalog, Link, TraceConfig};
+use sirius_hw::{catalog, TraceConfig};
 use sirius_integration::assert_tables_equivalent;
 use sirius_plan::Rel;
 use sirius_tpch::{queries, TpchData, TpchGenerator};
@@ -51,7 +51,7 @@ fn fixture() -> &'static Fixture {
                 )
             })
             .collect();
-        let reference = engine(&data, 1, usize::MAX, FusionConfig::disabled());
+        let reference = engine(&data, 1, usize::MAX, false);
         let expected = plans
             .iter()
             .map(|(id, p)| {
@@ -68,19 +68,13 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn engine(
-    data: &TpchData,
-    workers: usize,
-    morsel_rows: usize,
-    fusion: FusionConfig,
-) -> SiriusEngine {
-    let e = SiriusEngine::with_link(
-        catalog::gh200_gpu(),
-        Link::new(catalog::nvlink_c2c()),
+fn engine(data: &TpchData, workers: usize, morsel_rows: usize, fusion: bool) -> SiriusEngine {
+    let e = SiriusEngine::from_config(EngineConfig {
         workers,
-    )
-    .with_morsel_rows(morsel_rows)
-    .with_fusion(fusion);
+        morsel_rows,
+        fusion,
+        ..EngineConfig::new(catalog::gh200_gpu())
+    });
     for (name, table) in data.tables() {
         e.load_table(name.clone(), table);
     }
@@ -97,7 +91,7 @@ proptest! {
     ) {
         let fix = fixture();
         let morsel_rows = MORSEL_SIZES[size_idx];
-        let e = engine(&fix.data, workers, morsel_rows, FusionConfig::default());
+        let e = engine(&fix.data, workers, morsel_rows, true);
         for ((id, plan), expected) in fix.plans.iter().zip(&fix.expected) {
             let out = e.execute(plan)
                 .unwrap_or_else(|err| panic!("Q{id} fused run: {err}"));
@@ -134,25 +128,15 @@ fn kernel_bytes(engine: &SiriusEngine, plan: &Rel) -> (u64, bool) {
 #[test]
 fn fusion_strictly_reduces_bytes_on_multi_op_pipelines() {
     let fix = fixture();
-    let fused = engine(
-        &fix.data,
-        4,
-        sirius_core::DEFAULT_MORSEL_ROWS,
-        FusionConfig::default(),
-    )
-    .with_trace(TraceConfig::On);
-    let unfused = engine(
-        &fix.data,
-        4,
-        sirius_core::DEFAULT_MORSEL_ROWS,
-        FusionConfig::disabled(),
-    )
-    .with_trace(TraceConfig::On);
+    let fused =
+        engine(&fix.data, 4, sirius_core::DEFAULT_MORSEL_ROWS, true).with_trace(TraceConfig::On);
+    let unfused =
+        engine(&fix.data, 4, sirius_core::DEFAULT_MORSEL_ROWS, false).with_trace(TraceConfig::On);
 
     let mut queries_with_segments = 0usize;
     for (id, plan) in &fix.plans {
         let mut phys = compile(plan).unwrap();
-        fuse(&mut phys, &FusionConfig::default());
+        fuse(&mut phys);
         let segments = phys
             .pipelines
             .iter()

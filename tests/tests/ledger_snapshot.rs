@@ -11,9 +11,9 @@
 //! After an intended cost-model change, regenerate with
 //! `cargo test -p sirius-integration --test ledger_snapshot -- --ignored`.
 
-use sirius_core::{FusionConfig, Scheduling, SiriusEngine};
+use sirius_core::{EngineConfig, Scheduling, SiriusEngine};
 use sirius_duckdb::DuckDb;
-use sirius_hw::{catalog, CostCategory, Link};
+use sirius_hw::{catalog, CostCategory};
 use sirius_integration::{assert_matches_snapshot, snapshot_path};
 use sirius_tpch::{queries, TpchData, TpchGenerator};
 use std::fmt::Write as _;
@@ -24,11 +24,18 @@ const WORKERS: usize = 2;
 /// Cuts SF 0.01 lineitem (~60k rows) into four morsels.
 const MORSEL_ROWS: usize = 16_384;
 
-fn engine(data: &TpchData, device_bytes: u64) -> SiriusEngine {
-    let mut spec = catalog::gh200_gpu();
-    spec.memory_bytes = device_bytes;
-    let e = SiriusEngine::with_link(spec, Link::new(catalog::nvlink_c2c()), WORKERS)
-        .with_morsel_rows(MORSEL_ROWS);
+fn config(device_bytes: u64) -> EngineConfig {
+    let mut config = EngineConfig {
+        workers: WORKERS,
+        morsel_rows: MORSEL_ROWS,
+        ..EngineConfig::new(catalog::gh200_gpu())
+    };
+    config.spec.memory_bytes = device_bytes;
+    config
+}
+
+fn engine(data: &TpchData, config: EngineConfig) -> SiriusEngine {
+    let e = SiriusEngine::from_config(config);
     for (name, table) in data.tables() {
         e.load_table(name.clone(), table);
     }
@@ -49,20 +56,27 @@ fn render() -> String {
         duck.create_table(name.clone(), table.clone());
     }
     let full = catalog::gh200_gpu().memory_bytes;
-    let configs: [(&str, SiriusEngine); 4] = [
-        ("default", engine(&data, full)),
+    let configs: [(&str, EngineConfig); 4] = [
+        ("default", config(full)),
         (
             "fusion_off",
-            engine(&data, full).with_fusion(FusionConfig::disabled()),
+            EngineConfig {
+                fusion: false,
+                ..config(full)
+            },
         ),
         (
             "serialized",
-            engine(&data, full).with_pipeline_scheduling(Scheduling::Serialized),
+            EngineConfig {
+                scheduling: Scheduling::Serialized,
+                ..config(full)
+            },
         ),
-        ("memory_eighth", engine(&data, (table_bytes / 8).max(4096))),
+        ("memory_eighth", config((table_bytes / 8).max(4096))),
     ];
     let mut out = String::new();
-    for (name, e) in &configs {
+    for (name, config) in configs {
+        let e = engine(&data, config);
         for (id, sql) in queries::all() {
             let plan = duck.plan(sql).unwrap_or_else(|err| panic!("Q{id}: {err}"));
             let ledger0 = e.device().breakdown();

@@ -4,7 +4,7 @@
 
 use sirius_core::physical::{compile, fuse, PhysOp};
 use sirius_core::pipeline::decompose;
-use sirius_core::{FusionConfig, Scheduling, SiriusEngine};
+use sirius_core::{EngineConfig, Scheduling, SiriusEngine};
 use sirius_duckdb::DuckDb;
 use sirius_hw::catalog as hw;
 use sirius_tpch::{queries, TpchGenerator};
@@ -17,8 +17,10 @@ fn pipeline_count_matches_executed_dag_on_all_queries() {
     let data = TpchGenerator::new(0.005).generate();
     let mut duck = DuckDb::new();
     let concurrent = SiriusEngine::new(hw::gh200_gpu());
-    let serialized =
-        SiriusEngine::new(hw::gh200_gpu()).with_pipeline_scheduling(Scheduling::Serialized);
+    let serialized = SiriusEngine::from_config(EngineConfig {
+        scheduling: Scheduling::Serialized,
+        ..EngineConfig::new(hw::gh200_gpu())
+    });
     for (name, table) in data.tables() {
         duck.create_table(name.clone(), table.clone());
         concurrent.load_table(name.clone(), table);
@@ -71,7 +73,10 @@ fn fusion_preserves_logical_pipeline_shape() {
     let data = TpchGenerator::new(0.005).generate();
     let mut duck = DuckDb::new();
     let fused_engine = SiriusEngine::new(hw::gh200_gpu());
-    let unfused_engine = SiriusEngine::new(hw::gh200_gpu()).with_fusion(FusionConfig::disabled());
+    let unfused_engine = SiriusEngine::from_config(EngineConfig {
+        fusion: false,
+        ..EngineConfig::new(hw::gh200_gpu())
+    });
     for (name, table) in data.tables() {
         duck.create_table(name.clone(), table.clone());
         fused_engine.load_table(name.clone(), table);
@@ -83,7 +88,7 @@ fn fusion_preserves_logical_pipeline_shape() {
         let plan = duck.plan(sql).unwrap_or_else(|e| panic!("Q{id} plan: {e}"));
         let unfused = compile(&plan).unwrap_or_else(|e| panic!("Q{id} compile: {e}"));
         let mut fused = compile(&plan).unwrap();
-        fuse(&mut fused, &FusionConfig::default());
+        fuse(&mut fused);
 
         assert_eq!(fused.pipelines.len(), unfused.pipelines.len(), "Q{id}");
         let infos = decompose(&plan);

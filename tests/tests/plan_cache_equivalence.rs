@@ -15,9 +15,9 @@
 //! * Repeated resolutions of one SQL text perform zero planning work
 //!   after the first admission (the planning-phase counter stands still).
 
-use sirius_core::SiriusEngine;
+use sirius_core::{EngineConfig, SiriusEngine};
 use sirius_duckdb::DuckDb;
-use sirius_hw::{catalog as hw, Link};
+use sirius_hw::catalog as hw;
 use sirius_integration::assert_tables_equivalent;
 use sirius_plan::Rel;
 use sirius_serve::{
@@ -57,7 +57,16 @@ fn fixture() -> &'static Fixture {
 }
 
 fn engine(data: &TpchData) -> SiriusEngine {
-    let e = SiriusEngine::with_link(hw::gh200_gpu(), Link::new(hw::nvlink_c2c()), WORKERS);
+    engine_with_stats(data, false)
+}
+
+/// [`engine`] with per-operator runtime stats (no trace) on or off.
+fn engine_with_stats(data: &TpchData, operator_stats: bool) -> SiriusEngine {
+    let e = SiriusEngine::from_config(EngineConfig {
+        workers: WORKERS,
+        operator_stats,
+        ..EngineConfig::new(hw::gh200_gpu())
+    });
     for (name, table) in data.tables() {
         e.load_table(name.clone(), table);
     }
@@ -104,7 +113,7 @@ fn cached_execution_equals_fresh_for_all_queries() {
 fn feedback_replans_stay_exact_for_all_queries() {
     let fix = fixture();
     // Operator stats on (no trace) so completed runs can feed back.
-    let e = engine(&fix.data).with_operator_stats();
+    let e = engine_with_stats(&fix.data, true);
     let p = planner(true);
     let baseline = engine(&fix.data);
     for (id, sql, plan) in &fix.plans {

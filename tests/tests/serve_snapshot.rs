@@ -16,10 +16,10 @@
 //! with `cargo test -p sirius-integration --test serve_snapshot --
 //! --ignored`.
 
-use sirius_core::SiriusEngine;
+use sirius_core::{EngineConfig, SiriusEngine};
 use sirius_doris::{ClusterConfig, DorisCluster, NodeEngineKind, PartitionScheme};
 use sirius_duckdb::DuckDb;
-use sirius_hw::{catalog as hw, FaultInjector, FaultPlan, Link};
+use sirius_hw::{catalog as hw, FaultInjector, FaultPlan};
 use sirius_integration::{assert_matches_snapshot, snapshot_path};
 use sirius_plan::Rel;
 use sirius_serve::{
@@ -60,7 +60,16 @@ fn fixture() -> Fixture {
 }
 
 fn engine(data: &TpchData) -> SiriusEngine {
-    let e = SiriusEngine::with_link(hw::gh200_gpu(), Link::new(hw::nvlink_c2c()), WORKERS);
+    engine_under(data, None)
+}
+
+/// [`engine`], as node 0 under fault plan `plan` when there is one.
+fn engine_under(data: &TpchData, plan: Option<FaultPlan>) -> SiriusEngine {
+    let e = SiriusEngine::from_config(EngineConfig {
+        workers: WORKERS,
+        fault: plan.map(|plan| (FaultInjector::new(plan), 0)),
+        ..EngineConfig::new(hw::gh200_gpu())
+    });
     for (name, table) in data.tables() {
         e.load_table(name.clone(), table);
     }
@@ -168,7 +177,7 @@ fn fair_trace(fix: &Fixture, out: &mut String) {
 /// storms have traffic to land on, and every fifth must finish within
 /// 400 µs of arriving so a backed-off retry can outlive its deadline.
 fn chaos_trace(fix: &Fixture, name: &str, arrival_seed: u64, plan: FaultPlan, out: &mut String) {
-    let base = engine(&fix.data).with_fault(FaultInjector::new(plan), 0);
+    let base = engine_under(&fix.data, Some(plan));
     let (srv, metrics) = server(
         fix,
         base,

@@ -2,7 +2,7 @@
 //! boundary into Sirius, results come back, and failures fall back to the
 //! host engine — with the host's own answer.
 
-use sirius_core::{HostEngine, SiriusContext, SiriusEngine};
+use sirius_core::{EngineConfig, HostEngine, SiriusContext, SiriusEngine};
 use sirius_duckdb::{Accelerator, DuckDb, ExecutedBy};
 use sirius_hw::catalog as hw;
 use sirius_integration::assert_tables_equivalent;
@@ -95,7 +95,10 @@ fn fallback_produces_the_host_answer() {
     // A GPU build without AVG: Q1 must fall back and still be right.
     let mut features = FeatureSet::full();
     features.avg = false;
-    let engine = SiriusEngine::new(hw::gh200_gpu()).with_features(features);
+    let engine = SiriusEngine::from_config(EngineConfig {
+        features,
+        ..EngineConfig::new(hw::gh200_gpu())
+    });
     for (name, table) in data.tables() {
         engine.load_table(name.clone(), table);
     }
