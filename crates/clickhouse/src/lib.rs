@@ -72,7 +72,7 @@ impl ClickHouse {
         let mut profile = EngineProfile::clickhouse();
         profile.time_budget = Some(budget);
         Self {
-            engine: CpuEngine::new(hw::m7i_16xlarge(), profile),
+            engine: CpuEngine::new(self.engine.device().spec().clone(), profile),
             ..self
         }
     }
@@ -149,6 +149,16 @@ mod tests {
             Err(ClickHouseError::Exec(ExecError::Unsupported(_))) => {}
             other => panic!("expected Unsupported, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn on_device_spec_survives_a_time_budget() {
+        let spec = hw::c6a_metal();
+        assert_ne!(spec.name, hw::m7i_16xlarge().name);
+        let ch =
+            ClickHouse::on_device(spec.clone()).with_time_budget(std::time::Duration::from_secs(1));
+        assert_eq!(ch.device().spec().name, spec.name);
+        assert_eq!(ch.device().spec().memory_bandwidth, spec.memory_bandwidth);
     }
 
     fn big() -> Table {

@@ -356,7 +356,9 @@ impl SiriusEngine {
             self.step(&mut run, usize::MAX)?;
         }
         let pipelines = run.pipelines();
-        let table = run.into_table().expect("completed run has its root result");
+        let table = run
+            .into_table()
+            .ok_or_else(|| SiriusError::Kernel("completed run has no root result".into()))?;
         Ok((table, pipelines))
     }
 

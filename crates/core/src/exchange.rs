@@ -28,9 +28,9 @@ fn classify(e: NcclError) -> SiriusError {
             SiriusError::ExchangeTimeout(e.to_string())
         }
         NcclError::Cancelled => SiriusError::Cancelled(e.to_string()),
-        NcclError::Disconnected { .. } | NcclError::InvalidRank(_) => {
-            SiriusError::Exchange(e.to_string())
-        }
+        NcclError::Disconnected { .. }
+        | NcclError::InvalidRank(_)
+        | NcclError::MissingTable { .. } => SiriusError::Exchange(e.to_string()),
     }
 }
 

@@ -21,7 +21,7 @@ use sirius_columnar::Schema;
 use sirius_hw::CostCategory;
 use sirius_plan::expr::{AggExpr, Expr, SortExpr};
 use sirius_plan::normalize::normalize;
-use sirius_plan::visit::{fold, Fold, Node};
+use sirius_plan::visit::{fold, Fold, JoinOn, Node};
 use sirius_plan::{ExchangeKind, JoinKind, Rel};
 use std::sync::Arc;
 
@@ -34,13 +34,6 @@ pub struct PhysicalPlan {
     /// Pipelines in topological order: every dependency precedes its
     /// consumer, and the last pipeline produces the query result.
     pub pipelines: Vec<Pipeline>,
-}
-
-impl PhysicalPlan {
-    /// The pipeline that produces the query result (the last one).
-    pub fn root_pipeline(&self) -> &Pipeline {
-        self.pipelines.last().expect("compiled plan has a pipeline")
-    }
 }
 
 /// One pipeline: a source drained through streaming operators into a
@@ -476,8 +469,10 @@ impl Compiler {
         id
     }
 
-    /// A fresh pipe consuming the materialized output of pipeline `dep`.
-    fn consumer(&self, dep: usize, schema: Schema) -> OpenPipe {
+    /// A breaker: seal `pipe` with `sink` and open a fresh pipe consuming its
+    /// materialized output, whose rows have `schema`.
+    fn breaker(&mut self, pipe: OpenPipe, sink: Sink, schema: Schema) -> OpenPipe {
+        let dep = self.close(pipe, sink);
         OpenPipe {
             source: Source::Pipe(dep),
             deps: vec![dep],
@@ -492,142 +487,157 @@ impl Fold for Compiler {
     type Output = OpenPipe;
     type Error = SiriusError;
 
-    fn fold(&mut self, node: Node, rel: &Rel, children: Vec<OpenPipe>) -> Result<OpenPipe> {
-        let mut children = children.into_iter();
-        Ok(match rel {
-            Rel::Read {
-                table, projection, ..
-            } => OpenPipe {
-                source: Source::Scan {
-                    table: table.clone(),
-                    projection: projection.clone(),
-                    node,
-                },
-                deps: Vec::new(),
-                ops: vec![StreamOp::Scan { node }],
-                operators: 1,
-                schema: rel.schema()?,
+    fn read(
+        &mut self,
+        node: Node,
+        rel: &Rel,
+        table: &str,
+        _schema: &Schema,
+        projection: &Option<Vec<usize>>,
+    ) -> Result<OpenPipe> {
+        Ok(OpenPipe {
+            source: Source::Scan {
+                table: table.to_string(),
+                projection: projection.clone(),
+                node,
             },
-            Rel::Filter { predicate, .. } => {
-                let mut pipe = children.next().expect("filter has input");
-                // Scan+filter fusion: the filter's scan of its input doubles
-                // as the read pass, so drop the standalone scan op. The
-                // logical operator count keeps both.
-                if matches!(pipe.ops.last(), Some(StreamOp::Scan { .. })) {
-                    pipe.ops.pop();
-                }
-                pipe.ops.push(StreamOp::Filter {
-                    predicate: predicate.clone(),
-                    node,
-                });
-                pipe.operators += 1;
-                pipe
-            }
-            Rel::Project { exprs, .. } => {
-                let mut pipe = children.next().expect("project has input");
-                let schema = rel.schema()?;
-                pipe.ops.push(StreamOp::Project {
-                    exprs: exprs.iter().map(|(e, _)| e.clone()).collect(),
-                    schema: schema.clone(),
-                    node,
-                });
-                pipe.operators += 1;
-                pipe.schema = schema;
-                pipe
-            }
-            Rel::Join {
-                kind,
-                left_keys,
-                right_keys,
-                residual,
-                ..
-            } => {
-                let mut left = children.next().expect("join has left input");
-                let right = children.next().expect("join has right input");
-                let build = self.close(
-                    right,
-                    Sink::JoinBuild {
-                        keys: right_keys.clone(),
-                        node,
-                    },
-                );
-                let schema = rel.schema()?;
-                left.deps.push(build);
-                left.ops.push(StreamOp::Probe(Probe {
-                    build,
-                    kind: *kind,
-                    left_keys: left_keys.clone(),
-                    right_keys: right_keys.clone(),
-                    residual: residual.clone(),
-                    schema: schema.clone(),
-                    node,
-                }));
-                left.operators += 1;
-                left.schema = schema;
-                left
-            }
-            Rel::Aggregate {
-                group_by,
-                aggregates,
-                ..
-            } => {
-                let pipe = children.next().expect("aggregate has input");
-                let schema = rel.schema()?;
-                let dep = self.close(
-                    pipe,
-                    Sink::Aggregate(Arc::new(Aggregation {
-                        keys: group_by.clone(),
-                        aggregates: aggregates.clone(),
-                        schema: schema.clone(),
-                        node,
-                    })),
-                );
-                self.consumer(dep, schema)
-            }
-            Rel::Sort { keys, .. } => {
-                let pipe = children.next().expect("sort has input");
-                let schema = pipe.schema.clone();
-                let dep = self.close(
-                    pipe,
-                    Sink::Sort {
-                        keys: keys.clone(),
-                        node,
-                    },
-                );
-                self.consumer(dep, schema)
-            }
-            Rel::Limit { offset, fetch, .. } => {
-                let pipe = children.next().expect("limit has input");
-                let schema = pipe.schema.clone();
-                let dep = self.close(
-                    pipe,
-                    Sink::Limit {
-                        offset: *offset,
-                        fetch: *fetch,
-                        node,
-                    },
-                );
-                self.consumer(dep, schema)
-            }
-            Rel::Distinct { .. } => {
-                let pipe = children.next().expect("distinct has input");
-                let schema = pipe.schema.clone();
-                let dep = self.close(pipe, Sink::Distinct { node });
-                self.consumer(dep, schema)
-            }
-            Rel::Exchange { kind, .. } => {
-                let pipe = children.next().expect("exchange has input");
-                let schema = pipe.schema.clone();
-                let dep = self.close(
-                    pipe,
-                    Sink::Exchange {
-                        kind: kind.clone(),
-                        node,
-                    },
-                );
-                self.consumer(dep, schema)
-            }
+            deps: Vec::new(),
+            ops: vec![StreamOp::Scan { node }],
+            operators: 1,
+            schema: rel.schema()?,
         })
+    }
+
+    fn filter(
+        &mut self,
+        node: Node,
+        _rel: &Rel,
+        predicate: &Expr,
+        mut pipe: OpenPipe,
+    ) -> Result<OpenPipe> {
+        // Scan+filter fusion: the filter's scan of its input doubles
+        // as the read pass, so drop the standalone scan op. The
+        // logical operator count keeps both.
+        if matches!(pipe.ops.last(), Some(StreamOp::Scan { .. })) {
+            pipe.ops.pop();
+        }
+        pipe.ops.push(StreamOp::Filter {
+            predicate: predicate.clone(),
+            node,
+        });
+        pipe.operators += 1;
+        Ok(pipe)
+    }
+
+    fn project(
+        &mut self,
+        node: Node,
+        rel: &Rel,
+        exprs: &[(Expr, String)],
+        mut pipe: OpenPipe,
+    ) -> Result<OpenPipe> {
+        let schema = rel.schema()?;
+        pipe.ops.push(StreamOp::Project {
+            exprs: exprs.iter().map(|(e, _)| e.clone()).collect(),
+            schema: schema.clone(),
+            node,
+        });
+        pipe.operators += 1;
+        pipe.schema = schema;
+        Ok(pipe)
+    }
+
+    fn aggregate(
+        &mut self,
+        node: Node,
+        rel: &Rel,
+        group_by: &[Expr],
+        aggregates: &[AggExpr],
+        pipe: OpenPipe,
+    ) -> Result<OpenPipe> {
+        let schema = rel.schema()?;
+        let agg = Aggregation {
+            keys: group_by.to_vec(),
+            aggregates: aggregates.to_vec(),
+            schema: schema.clone(),
+            node,
+        };
+        Ok(self.breaker(pipe, Sink::Aggregate(Arc::new(agg)), schema))
+    }
+
+    fn join(
+        &mut self,
+        node: Node,
+        rel: &Rel,
+        on: JoinOn<'_>,
+        mut left: OpenPipe,
+        right: OpenPipe,
+    ) -> Result<OpenPipe> {
+        let build = self.close(
+            right,
+            Sink::JoinBuild {
+                keys: on.right_keys.to_vec(),
+                node,
+            },
+        );
+        let schema = rel.schema()?;
+        left.deps.push(build);
+        left.ops.push(StreamOp::Probe(Probe {
+            build,
+            kind: on.kind,
+            left_keys: on.left_keys.to_vec(),
+            right_keys: on.right_keys.to_vec(),
+            residual: on.residual.cloned(),
+            schema: schema.clone(),
+            node,
+        }));
+        left.operators += 1;
+        left.schema = schema;
+        Ok(left)
+    }
+
+    fn sort(
+        &mut self,
+        node: Node,
+        _rel: &Rel,
+        keys: &[SortExpr],
+        pipe: OpenPipe,
+    ) -> Result<OpenPipe> {
+        let (keys, schema) = (keys.to_vec(), pipe.schema.clone());
+        Ok(self.breaker(pipe, Sink::Sort { keys, node }, schema))
+    }
+
+    fn limit(
+        &mut self,
+        node: Node,
+        _rel: &Rel,
+        offset: usize,
+        fetch: Option<usize>,
+        pipe: OpenPipe,
+    ) -> Result<OpenPipe> {
+        let sink = Sink::Limit {
+            offset,
+            fetch,
+            node,
+        };
+        let schema = pipe.schema.clone();
+        Ok(self.breaker(pipe, sink, schema))
+    }
+
+    fn distinct(&mut self, node: Node, _rel: &Rel, pipe: OpenPipe) -> Result<OpenPipe> {
+        let schema = pipe.schema.clone();
+        Ok(self.breaker(pipe, Sink::Distinct { node }, schema))
+    }
+
+    fn exchange(
+        &mut self,
+        node: Node,
+        _rel: &Rel,
+        kind: &ExchangeKind,
+        pipe: OpenPipe,
+    ) -> Result<OpenPipe> {
+        let (kind, schema) = (kind.clone(), pipe.schema.clone());
+        Ok(self.breaker(pipe, Sink::Exchange { kind, node }, schema))
     }
 }
 
@@ -743,7 +753,7 @@ mod tests {
         assert_eq!(builds.len(), 2);
         assert!(builds.iter().all(|p| p.deps.is_empty()));
         // The probe pipeline depends on both builds and carries both probes.
-        let probe = phys.root_pipeline();
+        let probe = phys.pipelines.last().unwrap();
         assert_eq!(probe.deps.len(), 2);
         assert_eq!(
             probe
@@ -874,7 +884,7 @@ mod tests {
                 .build();
         let mut phys = compile(&plan).unwrap();
         fuse(&mut phys);
-        let probe_pipe = phys.root_pipeline();
+        let probe_pipe = phys.pipelines.last().unwrap();
         assert_eq!(probe_pipe.ops.len(), 1);
         let PhysOp::Fused(seg) = &probe_pipe.ops[0] else {
             panic!("probe should fuse");
@@ -893,7 +903,7 @@ mod tests {
         .build();
         let mut phys = compile(&plan).unwrap();
         fuse(&mut phys);
-        let probe_pipe = phys.root_pipeline();
+        let probe_pipe = phys.pipelines.last().unwrap();
         assert!(probe_pipe
             .ops
             .iter()

@@ -164,7 +164,7 @@ impl TaskQueue {
         let Some(first) = fs.next() else {
             return Vec::new();
         };
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         for (i, f) in fs.enumerate() {
             let tx = tx.clone();
             self.submit(Box::new(move || {

@@ -15,10 +15,9 @@
 //! * sorts and limits gather to node 0.
 
 use crate::{DorisError, Result};
-#[cfg(test)]
-use sirius_plan::expr::SortExpr;
-use sirius_plan::expr::{self, AggExpr};
-use sirius_plan::visit::{self, Fold, Node};
+use sirius_columnar::Schema;
+use sirius_plan::expr::{self, AggExpr, SortExpr};
+use sirius_plan::visit::{self, Fold, JoinOn, Node};
 use sirius_plan::{AggFunc, ExchangeKind, Expr, JoinKind, Rel};
 use std::collections::HashMap;
 
@@ -89,6 +88,9 @@ impl Partitioning {
         matches!(self, Partitioning::Singleton | Partitioning::Replicated)
     }
 }
+
+/// A distributed subtree and where its rows live.
+type Placed = (Rel, Partitioning);
 
 /// Planner options capturing host-specific distributed behaviour.
 #[derive(Debug, Clone, Copy, Default)]
@@ -162,7 +164,7 @@ fn grouped(k: usize) -> Partitioning {
 
 /// An input that must be whole on one node (sort, limit): a complete one
 /// stays where it is, anything else merges to node 0.
-fn gathered((rel, part): (Rel, Partitioning)) -> (Rel, Partitioning) {
+fn gathered((rel, part): Placed) -> Placed {
     if part.is_complete() {
         (rel, part)
     } else {
@@ -179,198 +181,183 @@ struct Distributor<'a> {
 }
 
 impl Fold for Distributor<'_> {
-    type Output = (Rel, Partitioning);
+    type Output = Placed;
     type Error = DorisError;
 
-    fn fold(
+    fn read(
         &mut self,
         _node: Node,
         plan: &Rel,
-        children: Vec<(Rel, Partitioning)>,
-    ) -> Result<(Rel, Partitioning)> {
-        let scheme = self.scheme;
-        let opts = self.opts;
-        let mut children = children.into_iter();
-        let mut input = move || {
-            children
-                .next()
-                .ok_or_else(|| DorisError::Plan("plan node is missing an input".into()))
-        };
-        match plan {
-            Rel::Read {
-                table,
-                schema,
-                projection,
-            } => {
-                let part = match scheme.partition_column(table) {
-                    Some(Some(col)) => {
-                        // Where does the partition column land after projection?
-                        let base_idx = schema.index_of(col);
-                        let out_idx = match (base_idx, projection) {
-                            (Some(b), Some(p)) => p.iter().position(|&i| i == b),
-                            (Some(b), None) => Some(b),
-                            (None, _) => None,
-                        };
-                        match out_idx {
-                            Some(i) => Partitioning::Hash(vec![expr::col(i)]),
-                            None => Partitioning::Arbitrary,
-                        }
-                    }
-                    Some(None) => Partitioning::Replicated,
+        table: &str,
+        schema: &Schema,
+        projection: &Option<Vec<usize>>,
+    ) -> Result<Placed> {
+        let part = match self.scheme.partition_column(table) {
+            Some(Some(col)) => {
+                // Where does the partition column land after projection?
+                let base_idx = schema.index_of(col);
+                let out_idx = match (base_idx, projection) {
+                    (Some(b), Some(p)) => p.iter().position(|&i| i == b),
+                    (Some(b), None) => Some(b),
+                    (None, _) => None,
+                };
+                match out_idx {
+                    Some(i) => Partitioning::Hash(vec![expr::col(i)]),
                     None => Partitioning::Arbitrary,
-                };
-                Ok((plan.clone(), part))
-            }
-            Rel::Filter { predicate, .. } => {
-                let (child, part) = input()?;
-                Ok((
-                    Rel::Filter {
-                        input: Box::new(child),
-                        predicate: predicate.clone(),
-                    },
-                    part,
-                ))
-            }
-            Rel::Project { exprs, .. } => {
-                let (child, part) = input()?;
-                let part = match part {
-                    Partitioning::Hash(keys) => {
-                        // Keys survive only if each is re-exported as a plain
-                        // column.
-                        let remapped: Option<Vec<Expr>> = keys
-                            .iter()
-                            .map(|k| exprs.iter().position(|(e, _)| e == k).map(expr::col))
-                            .collect();
-                        remapped
-                            .map(Partitioning::Hash)
-                            .unwrap_or(Partitioning::Arbitrary)
-                    }
-                    other => other,
-                };
-                Ok((
-                    Rel::Project {
-                        input: Box::new(child),
-                        exprs: exprs.clone(),
-                    },
-                    part,
-                ))
-            }
-            Rel::Join {
-                kind,
-                left_keys,
-                right_keys,
-                residual,
-                ..
-            } => {
-                let (mut l, lpart) = input()?;
-                let (mut r, rpart) = input()?;
-                let rebuild = |l: Rel, r: Rel| Rel::Join {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    kind: *kind,
-                    left_keys: left_keys.clone(),
-                    right_keys: right_keys.clone(),
-                    residual: residual.clone(),
-                };
-                // Keyless joins (scalar subqueries): replicate the right side
-                // (a Singleton one too, to reach every node's left rows).
-                if left_keys.is_empty() {
-                    if rpart != Partitioning::Replicated {
-                        r = broadcast(r);
-                    }
-                    return Ok((rebuild(l, r), lpart));
                 }
-                // Keyed joins. A replicated right side joins locally under any
-                // join kind (each left row lives on exactly one node and sees
-                // the full right input). A replicated *left* side joins locally
-                // only for Inner joins — Semi/Anti/Left would emit each left
-                // row once per node. Otherwise both sides must be
-                // hash-partitioned on exactly the join keys.
-                if rpart == Partitioning::Replicated {
-                    return Ok((rebuild(l, r), lpart));
-                }
-                if opts.broadcast_join_build_sides {
-                    // ClickHouse-style distributed join: ship the whole build
-                    // side everywhere and keep the probe side in place.
-                    return Ok((rebuild(l, broadcast(r)), lpart));
-                }
-                if lpart == Partitioning::Replicated && *kind == JoinKind::Inner {
-                    // Row multiplicity comes from the distributed right side.
-                    return Ok((rebuild(l, r), Partitioning::Arbitrary));
-                }
-                if lpart != Partitioning::Hash(left_keys.clone()) {
-                    l = shuffle(l, left_keys.clone());
-                }
-                if rpart != Partitioning::Hash(right_keys.clone()) {
-                    r = shuffle(r, right_keys.clone());
-                }
-                Ok((rebuild(l, r), Partitioning::Hash(left_keys.clone())))
             }
-            Rel::Aggregate {
-                group_by,
-                aggregates,
-                ..
-            } => {
-                let (child, part) = input()?;
-                distribute_aggregate(child, part, group_by, aggregates)
+            Some(None) => Partitioning::Replicated,
+            None => Partitioning::Arbitrary,
+        };
+        Ok((plan.clone(), part))
+    }
+
+    fn filter(
+        &mut self,
+        _node: Node,
+        plan: &Rel,
+        _predicate: &Expr,
+        (child, part): Placed,
+    ) -> Result<Placed> {
+        Ok((plan.with_children([child]), part))
+    }
+
+    fn project(
+        &mut self,
+        _node: Node,
+        plan: &Rel,
+        exprs: &[(Expr, String)],
+        (child, part): Placed,
+    ) -> Result<Placed> {
+        let part = match part {
+            Partitioning::Hash(keys) => {
+                // Keys survive only if each is re-exported as a plain
+                // column.
+                let remapped: Option<Vec<Expr>> = keys
+                    .iter()
+                    .map(|k| exprs.iter().position(|(e, _)| e == k).map(expr::col))
+                    .collect();
+                remapped
+                    .map(Partitioning::Hash)
+                    .unwrap_or(Partitioning::Arbitrary)
             }
-            Rel::Sort { keys, .. } => {
-                let (child, part) = gathered(input()?);
-                Ok((
-                    Rel::Sort {
-                        input: Box::new(child),
-                        keys: keys.clone(),
-                    },
-                    part,
-                ))
+            other => other,
+        };
+        Ok((plan.with_children([child]), part))
+    }
+
+    fn aggregate(
+        &mut self,
+        _node: Node,
+        plan: &Rel,
+        group_by: &[Expr],
+        aggregates: &[AggExpr],
+        (child, part): Placed,
+    ) -> Result<Placed> {
+        distribute_aggregate(plan, child, part, group_by, aggregates)
+    }
+
+    fn join(
+        &mut self,
+        _node: Node,
+        plan: &Rel,
+        on: JoinOn<'_>,
+        (mut l, lpart): Placed,
+        (mut r, rpart): Placed,
+    ) -> Result<Placed> {
+        let rebuild = |l: Rel, r: Rel| plan.with_children([l, r]);
+        // Keyless joins (scalar subqueries): replicate the right side
+        // (a Singleton one too, to reach every node's left rows).
+        if on.left_keys.is_empty() {
+            if rpart != Partitioning::Replicated {
+                r = broadcast(r);
             }
-            Rel::Limit { offset, fetch, .. } => {
-                let (child, part) = gathered(input()?);
-                Ok((
-                    Rel::Limit {
-                        input: Box::new(child),
-                        offset: *offset,
-                        fetch: *fetch,
-                    },
-                    part,
-                ))
-            }
-            Rel::Distinct { .. } => {
-                let (child, part) = input()?;
-                let width = child
-                    .schema()
-                    .map_err(|e| DorisError::Plan(e.to_string()))?
-                    .len();
-                let (child, part) = if part.is_complete() {
-                    (child, part)
-                } else {
-                    let keys = (0..width).map(expr::col).collect();
-                    (shuffle(child, keys), Partitioning::Arbitrary)
-                };
-                Ok((
-                    Rel::Distinct {
-                        input: Box::new(child),
-                    },
-                    part,
-                ))
-            }
-            Rel::Exchange { .. } => Err(DorisError::Plan("plan is already distributed".into())),
+            return Ok((rebuild(l, r), lpart));
         }
+        // Keyed joins. A replicated right side joins locally under any
+        // join kind (each left row lives on exactly one node and sees
+        // the full right input). A replicated *left* side joins locally
+        // only for Inner joins — Semi/Anti/Left would emit each left
+        // row once per node. Otherwise both sides must be
+        // hash-partitioned on exactly the join keys.
+        if rpart == Partitioning::Replicated {
+            return Ok((rebuild(l, r), lpart));
+        }
+        if self.opts.broadcast_join_build_sides {
+            // ClickHouse-style distributed join: ship the whole build
+            // side everywhere and keep the probe side in place.
+            return Ok((rebuild(l, broadcast(r)), lpart));
+        }
+        if lpart == Partitioning::Replicated && on.kind == JoinKind::Inner {
+            // Row multiplicity comes from the distributed right side.
+            return Ok((rebuild(l, r), Partitioning::Arbitrary));
+        }
+        if lpart != Partitioning::Hash(on.left_keys.to_vec()) {
+            l = shuffle(l, on.left_keys.to_vec());
+        }
+        if rpart != Partitioning::Hash(on.right_keys.to_vec()) {
+            r = shuffle(r, on.right_keys.to_vec());
+        }
+        Ok((rebuild(l, r), Partitioning::Hash(on.left_keys.to_vec())))
+    }
+
+    fn sort(
+        &mut self,
+        _node: Node,
+        plan: &Rel,
+        _keys: &[SortExpr],
+        input: Placed,
+    ) -> Result<Placed> {
+        let (child, part) = gathered(input);
+        Ok((plan.with_children([child]), part))
+    }
+
+    fn limit(
+        &mut self,
+        _node: Node,
+        plan: &Rel,
+        _offset: usize,
+        _fetch: Option<usize>,
+        input: Placed,
+    ) -> Result<Placed> {
+        let (child, part) = gathered(input);
+        Ok((plan.with_children([child]), part))
+    }
+
+    fn distinct(&mut self, _node: Node, plan: &Rel, (child, part): Placed) -> Result<Placed> {
+        let width = child
+            .schema()
+            .map_err(|e| DorisError::Plan(e.to_string()))?
+            .len();
+        let (child, part) = if part.is_complete() {
+            (child, part)
+        } else {
+            let keys = (0..width).map(expr::col).collect();
+            (shuffle(child, keys), Partitioning::Arbitrary)
+        };
+        Ok((plan.with_children([child]), part))
+    }
+
+    fn exchange(
+        &mut self,
+        _node: Node,
+        _plan: &Rel,
+        _kind: &ExchangeKind,
+        _input: Placed,
+    ) -> Result<Placed> {
+        Err(DorisError::Plan("plan is already distributed".into()))
     }
 }
 
 /// Two-phase aggregation with partial-aggregate decomposition.
 fn distribute_aggregate(
+    plan: &Rel,
     child: Rel,
     part: Partitioning,
     group_by: &[Expr],
     aggregates: &[AggExpr],
-) -> Result<(Rel, Partitioning)> {
-    let aggregate = |input: Rel| Rel::Aggregate {
-        input: Box::new(input),
-        group_by: group_by.to_vec(),
-        aggregates: aggregates.to_vec(),
-    };
+) -> Result<Placed> {
+    let aggregate = |input: Rel| plan.with_children([input]);
     let k = group_by.len();
     // Already local: everything on one node or replicated inputs.
     if part.is_complete() {

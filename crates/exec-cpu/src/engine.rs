@@ -11,11 +11,11 @@ use crate::eval::evaluate;
 use crate::ops;
 use crate::profile::EngineProfile;
 use crate::{ExecError, Result};
-use sirius_columnar::{Array, Table};
+use sirius_columnar::{Array, Schema, Table};
 use sirius_hw::{CostCategory, Device, DeviceSpec, WorkProfile};
-use sirius_plan::expr::Expr;
-use sirius_plan::visit::{self, Fold, Node};
-use sirius_plan::{JoinKind, Rel};
+use sirius_plan::expr::{AggExpr, Expr, SortExpr};
+use sirius_plan::visit::{self, Fold, JoinOn, Node};
+use sirius_plan::{ExchangeKind, JoinKind, Rel};
 
 /// A CPU query engine: a simulated device plus an engine personality.
 pub struct CpuEngine {
@@ -116,7 +116,7 @@ impl Fold for Interp<'_> {
     type Output = Table;
     type Error = ExecError;
 
-    fn enter(&mut self, _node: Node, rel: &Rel) -> Option<std::result::Result<Table, ExecError>> {
+    fn enter(&mut self, _node: Node, rel: &Rel) -> Option<Result<Table>> {
         // Scan+filter fusion (mirrors the GPU engine): a filter directly
         // over a base scan charges a single pass, so this claims the
         // two-node subtree whole instead of letting the scan charge first.
@@ -136,194 +136,218 @@ impl Fold for Interp<'_> {
         )
     }
 
-    fn fold(
+    fn read(
+        &mut self,
+        _node: Node,
+        _plan: &Rel,
+        table: &str,
+        _schema: &Schema,
+        projection: &Option<Vec<usize>>,
+    ) -> Result<Table> {
+        let t = self.eng.scan_table(table, projection, self.catalog)?;
+        self.eng.charge(
+            CostCategory::Filter,
+            WorkProfile::scan(t.byte_size() as u64).with_rows(t.num_rows() as u64),
+        )?;
+        Ok(t)
+    }
+
+    fn filter(&mut self, _node: Node, _plan: &Rel, predicate: &Expr, t: Table) -> Result<Table> {
+        self.eng.op_filter(predicate, t)
+    }
+
+    fn project(
         &mut self,
         _node: Node,
         plan: &Rel,
-        children: Vec<Table>,
-    ) -> std::result::Result<Table, ExecError> {
-        let mut children = children.into_iter();
-        let mut input = move || children.next().expect("one folded child per input");
-        match plan {
-            Rel::Read {
-                table, projection, ..
-            } => {
-                let t = self.eng.scan_table(table, projection, self.catalog)?;
-                self.eng.charge(
-                    CostCategory::Filter,
-                    WorkProfile::scan(t.byte_size() as u64).with_rows(t.num_rows() as u64),
-                )?;
-                Ok(t)
-            }
-            Rel::Filter { predicate, .. } => self.eng.op_filter(predicate, input()),
-            Rel::Project { exprs, .. } => {
-                let t = input();
-                let schema = plan.schema()?;
-                let mut cols = Vec::with_capacity(exprs.len());
-                for (e, _) in exprs {
-                    cols.push(evaluate(e, &t)?);
-                }
-                let out = Table::new(schema, cols);
-                self.eng.charge(
-                    CostCategory::Project,
-                    WorkProfile::scan(t.byte_size() as u64)
-                        .with_streamed(out.byte_size() as u64)
-                        .with_flops((t.num_rows() * exprs.len()) as u64)
-                        .with_rows(t.num_rows() as u64),
-                )?;
-                Ok(out)
-            }
-            Rel::Aggregate {
-                group_by,
-                aggregates,
-                ..
-            } => {
-                let t = input();
-                let key_cols: Vec<Array> = group_by
-                    .iter()
-                    .map(|g| evaluate(g, &t))
-                    .collect::<Result<_>>()?;
-                let agg_inputs: Vec<(sirius_plan::AggFunc, Option<Array>)> = aggregates
-                    .iter()
-                    .map(|a| {
-                        Ok((
-                            a.func,
-                            a.input.as_ref().map(|e| evaluate(e, &t)).transpose()?,
-                        ))
-                    })
-                    .collect::<Result<_>>()?;
-                let (keys, aggs) = ops::aggregate(&t, &key_cols, &agg_inputs)?;
-                let schema = plan.schema()?;
-                let out = Table::new(schema, keys.into_iter().chain(aggs).collect());
-                let category = if group_by.is_empty() {
-                    CostCategory::Aggregate
-                } else {
-                    CostCategory::GroupBy
-                };
-                self.eng.charge(
-                    category,
-                    WorkProfile::scan(t.byte_size() as u64)
-                        .with_random((t.num_rows() * 8 * aggregates.len().max(1)) as u64)
-                        .with_flops((t.num_rows() * (group_by.len() + aggregates.len())) as u64)
-                        .with_rows(t.num_rows() as u64),
-                )?;
-                Ok(out)
-            }
-            Rel::Join {
-                kind,
-                left_keys,
-                right_keys,
-                residual,
-                ..
-            } => {
-                let lt = input();
-                let rt = input();
-                let lk: Vec<Array> = left_keys
-                    .iter()
-                    .map(|e| evaluate(e, &lt))
-                    .collect::<Result<_>>()?;
-                let rk: Vec<Array> = right_keys
-                    .iter()
-                    .map(|e| evaluate(e, &rt))
-                    .collect::<Result<_>>()?;
-                let pairs = ops::find_pairs(&lk, &rk, lt.num_rows(), rt.num_rows());
-                // Residual predicate: evaluated vectorized over the
-                // candidate-pair tables.
-                let mask = match residual {
-                    None => None,
-                    Some(res) => {
-                        let lp = lt.gather(&pairs.left);
-                        let rp = rt.gather(&pairs.right);
-                        let combined = lp.hstack(&rp);
-                        let col = evaluate(res, &combined)?;
-                        Some(col.as_bool()?.to_selection())
-                    }
-                };
-                let out_idx = ops::resolve_pairs(*kind, &pairs, mask.as_ref())?;
-                // Materialize output table.
-                let out = match kind {
-                    JoinKind::Semi | JoinKind::Anti => lt.gather(&out_idx.left),
-                    _ => {
-                        let l = lt.gather(&out_idx.left);
-                        let r = Table::new(
-                            plan.schema()?.project(
-                                &(lt.num_columns()..lt.num_columns() + rt.num_columns())
-                                    .collect::<Vec<_>>(),
-                            ),
-                            rt.gather(&out_idx.right).columns().to_vec(),
-                        );
-                        l.hstack(&r)
-                    }
-                };
-                let key_bytes: u64 = lk
-                    .iter()
-                    .chain(rk.iter())
-                    .map(|a| a.byte_size() as u64)
-                    .sum();
-                // CPU hash joins materialize the whole build side (keys +
-                // payload) into the hash table; engines that leave large
-                // inputs on the build side (ClickHouse's FROM-order plans)
-                // pay for it.
-                self.eng.charge(
-                    CostCategory::Join,
-                    WorkProfile::scan(key_bytes)
-                        .with_random(((lt.num_rows() + rt.num_rows()) * 16) as u64)
-                        .with_random(rt.byte_size() as u64)
-                        .with_random(out.byte_size() as u64)
-                        .with_flops(pairs.len() as u64)
-                        .with_rows(out.num_rows() as u64),
-                )?;
-                Ok(out)
-            }
-            Rel::Sort { keys, .. } => {
-                let t = input();
-                let key_cols: Vec<(Array, bool)> = keys
-                    .iter()
-                    .map(|k| Ok((evaluate(&k.expr, &t)?, k.ascending)))
-                    .collect::<Result<_>>()?;
-                let order = ops::sort_order(&key_cols, t.num_rows());
-                let out = t.gather(&order);
-                let n = t.num_rows().max(2) as u64;
-                let log_n = (n as f64).log2().ceil() as u64;
-                self.eng.charge(
-                    CostCategory::OrderBy,
-                    WorkProfile::scan(t.byte_size() as u64)
-                        .with_flops(n * log_n)
-                        .with_random(out.byte_size() as u64)
-                        .with_rows(t.num_rows() as u64),
-                )?;
-                Ok(out)
-            }
-            Rel::Limit { offset, fetch, .. } => {
-                let t = input();
-                let start = (*offset).min(t.num_rows());
-                let end = match fetch {
-                    Some(f) => (start + f).min(t.num_rows()),
-                    None => t.num_rows(),
-                };
-                let out = t.gather(start..end);
-                self.eng.charge(
-                    CostCategory::Other,
-                    WorkProfile::scan(out.byte_size() as u64).with_rows(out.num_rows() as u64),
-                )?;
-                Ok(out)
-            }
-            Rel::Distinct { .. } => {
-                let t = input();
-                let key_cols: Vec<Array> = t.columns().to_vec();
-                let (keys, _aggs) = ops::aggregate(&t, &key_cols, &[])?;
-                let out = Table::new(t.schema().clone(), keys);
-                self.eng.charge(
-                    CostCategory::GroupBy,
-                    WorkProfile::scan(t.byte_size() as u64)
-                        .with_random((t.num_rows() * 16) as u64)
-                        .with_rows(t.num_rows() as u64),
-                )?;
-                Ok(out)
-            }
-            // Single-node interpretation: exchange is the identity.
-            Rel::Exchange { .. } => Ok(input()),
+        exprs: &[(Expr, String)],
+        t: Table,
+    ) -> Result<Table> {
+        let schema = plan.schema()?;
+        let mut cols = Vec::with_capacity(exprs.len());
+        for (e, _) in exprs {
+            cols.push(evaluate(e, &t)?);
         }
+        let out = Table::new(schema, cols);
+        self.eng.charge(
+            CostCategory::Project,
+            WorkProfile::scan(t.byte_size() as u64)
+                .with_streamed(out.byte_size() as u64)
+                .with_flops((t.num_rows() * exprs.len()) as u64)
+                .with_rows(t.num_rows() as u64),
+        )?;
+        Ok(out)
+    }
+
+    fn aggregate(
+        &mut self,
+        _node: Node,
+        plan: &Rel,
+        group_by: &[Expr],
+        aggregates: &[AggExpr],
+        t: Table,
+    ) -> Result<Table> {
+        let key_cols: Vec<Array> = group_by
+            .iter()
+            .map(|g| evaluate(g, &t))
+            .collect::<Result<_>>()?;
+        let agg_inputs: Vec<(sirius_plan::AggFunc, Option<Array>)> = aggregates
+            .iter()
+            .map(|a| {
+                Ok((
+                    a.func,
+                    a.input.as_ref().map(|e| evaluate(e, &t)).transpose()?,
+                ))
+            })
+            .collect::<Result<_>>()?;
+        let (keys, aggs) = ops::aggregate(&t, &key_cols, &agg_inputs)?;
+        let schema = plan.schema()?;
+        let out = Table::new(schema, keys.into_iter().chain(aggs).collect());
+        let category = if group_by.is_empty() {
+            CostCategory::Aggregate
+        } else {
+            CostCategory::GroupBy
+        };
+        self.eng.charge(
+            category,
+            WorkProfile::scan(t.byte_size() as u64)
+                .with_random((t.num_rows() * 8 * aggregates.len().max(1)) as u64)
+                .with_flops((t.num_rows() * (group_by.len() + aggregates.len())) as u64)
+                .with_rows(t.num_rows() as u64),
+        )?;
+        Ok(out)
+    }
+
+    fn join(
+        &mut self,
+        _node: Node,
+        plan: &Rel,
+        on: JoinOn<'_>,
+        lt: Table,
+        rt: Table,
+    ) -> Result<Table> {
+        let lk: Vec<Array> = on
+            .left_keys
+            .iter()
+            .map(|e| evaluate(e, &lt))
+            .collect::<Result<_>>()?;
+        let rk: Vec<Array> = on
+            .right_keys
+            .iter()
+            .map(|e| evaluate(e, &rt))
+            .collect::<Result<_>>()?;
+        let pairs = ops::find_pairs(&lk, &rk, lt.num_rows(), rt.num_rows());
+        // Residual predicate: evaluated vectorized over the
+        // candidate-pair tables.
+        let mask = match on.residual {
+            None => None,
+            Some(res) => {
+                let lp = lt.gather(&pairs.left);
+                let rp = rt.gather(&pairs.right);
+                let combined = lp.hstack(&rp);
+                let col = evaluate(res, &combined)?;
+                Some(col.as_bool()?.to_selection())
+            }
+        };
+        let out_idx = ops::resolve_pairs(on.kind, &pairs, mask.as_ref())?;
+        // Materialize output table.
+        let out = match on.kind {
+            JoinKind::Semi | JoinKind::Anti => lt.gather(&out_idx.left),
+            _ => {
+                let l = lt.gather(&out_idx.left);
+                let r = Table::new(
+                    plan.schema()?.project(
+                        &(lt.num_columns()..lt.num_columns() + rt.num_columns())
+                            .collect::<Vec<_>>(),
+                    ),
+                    rt.gather(&out_idx.right).columns().to_vec(),
+                );
+                l.hstack(&r)
+            }
+        };
+        let key_bytes: u64 = lk
+            .iter()
+            .chain(rk.iter())
+            .map(|a| a.byte_size() as u64)
+            .sum();
+        // CPU hash joins materialize the whole build side (keys +
+        // payload) into the hash table; engines that leave large
+        // inputs on the build side (ClickHouse's FROM-order plans)
+        // pay for it.
+        self.eng.charge(
+            CostCategory::Join,
+            WorkProfile::scan(key_bytes)
+                .with_random(((lt.num_rows() + rt.num_rows()) * 16) as u64)
+                .with_random(rt.byte_size() as u64)
+                .with_random(out.byte_size() as u64)
+                .with_flops(pairs.len() as u64)
+                .with_rows(out.num_rows() as u64),
+        )?;
+        Ok(out)
+    }
+
+    fn sort(&mut self, _node: Node, _plan: &Rel, keys: &[SortExpr], t: Table) -> Result<Table> {
+        let key_cols: Vec<(Array, bool)> = keys
+            .iter()
+            .map(|k| Ok((evaluate(&k.expr, &t)?, k.ascending)))
+            .collect::<Result<_>>()?;
+        let order = ops::sort_order(&key_cols, t.num_rows());
+        let out = t.gather(&order);
+        let n = t.num_rows().max(2) as u64;
+        let log_n = (n as f64).log2().ceil() as u64;
+        self.eng.charge(
+            CostCategory::OrderBy,
+            WorkProfile::scan(t.byte_size() as u64)
+                .with_flops(n * log_n)
+                .with_random(out.byte_size() as u64)
+                .with_rows(t.num_rows() as u64),
+        )?;
+        Ok(out)
+    }
+
+    fn limit(
+        &mut self,
+        _node: Node,
+        _plan: &Rel,
+        offset: usize,
+        fetch: Option<usize>,
+        t: Table,
+    ) -> Result<Table> {
+        let start = offset.min(t.num_rows());
+        let end = match fetch {
+            Some(f) => (start + f).min(t.num_rows()),
+            None => t.num_rows(),
+        };
+        let out = t.gather(start..end);
+        self.eng.charge(
+            CostCategory::Other,
+            WorkProfile::scan(out.byte_size() as u64).with_rows(out.num_rows() as u64),
+        )?;
+        Ok(out)
+    }
+
+    fn distinct(&mut self, _node: Node, _plan: &Rel, t: Table) -> Result<Table> {
+        let key_cols: Vec<Array> = t.columns().to_vec();
+        let (keys, _aggs) = ops::aggregate(&t, &key_cols, &[])?;
+        let out = Table::new(t.schema().clone(), keys);
+        self.eng.charge(
+            CostCategory::GroupBy,
+            WorkProfile::scan(t.byte_size() as u64)
+                .with_random((t.num_rows() * 16) as u64)
+                .with_rows(t.num_rows() as u64),
+        )?;
+        Ok(out)
+    }
+
+    /// Single-node interpretation: exchange is the identity.
+    fn exchange(
+        &mut self,
+        _node: Node,
+        _plan: &Rel,
+        _kind: &ExchangeKind,
+        t: Table,
+    ) -> Result<Table> {
+        Ok(t)
     }
 }
 

@@ -1,11 +1,11 @@
 //! Communicator construction and point-to-point transport.
 
 use crate::{NcclError, Result};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sirius_columnar::{Array, StringArray, Table};
 use sirius_hw::{FaultAction, FaultInjector, FaultSite, Link, LinkSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -145,7 +145,7 @@ impl NcclCluster {
         let cancel = CancelToken::new();
         let traffic = LinkTraffic::new();
         let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..world).map(|_| unbounded::<Message>()).unzip();
+            (0..world).map(|_| channel::<Message>()).unzip();
         receivers
             .into_iter()
             .enumerate()

@@ -1,7 +1,7 @@
 //! The collective operations backing the exchange service (§3.2.4).
 
 use crate::cluster::Communicator;
-use crate::Result;
+use crate::{NcclError, Result};
 use sirius_columnar::Table;
 use std::time::Duration;
 
@@ -12,7 +12,7 @@ impl Communicator {
     pub fn broadcast(&mut self, root: usize, table: Option<Table>) -> Result<(Table, Duration)> {
         let seq = self.next_seq();
         if self.rank() == root {
-            let table = table.expect("root must provide the broadcast table");
+            let table = table.ok_or(NcclError::MissingTable { rank: root })?;
             let mut wire = Duration::ZERO;
             for peer in 0..self.world() {
                 if peer != root {
@@ -79,7 +79,7 @@ impl Communicator {
     ) -> Result<(Option<Table>, Duration)> {
         let seq = self.next_seq();
         if self.rank() == sender {
-            let table = table.expect("sender must provide the multicast table");
+            let table = table.ok_or(NcclError::MissingTable { rank: sender })?;
             let mut wire = Duration::ZERO;
             for &peer in targets {
                 if peer != sender {

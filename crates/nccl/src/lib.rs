@@ -3,7 +3,8 @@
 //! §3.2.4: "Sirius supports common exchange patterns — broadcast, shuffle,
 //! merge, and multi-cast — all implemented using NCCL primitives." This
 //! crate is that layer without real GPUs or a real network: a cluster of
-//! per-rank communicators connected by crossbeam channels, moving real
+//! per-rank communicators connected by `std::sync::mpsc` channels (one
+//! mailbox per rank, every rank holding a sender to each), moving real
 //! `Table` payloads (zero-copy `Arc` handoff in-process), while modeling
 //! wire time against a shared interconnect [`sirius_hw::Link`].
 //!
@@ -17,6 +18,8 @@
 //! standard NCCL contract).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod cluster;
 pub mod collectives;
@@ -51,6 +54,11 @@ pub enum NcclError {
     },
     /// The operation was aborted by cluster-wide cancellation.
     Cancelled,
+    /// The rank a broadcast or multicast sends from passed no table.
+    MissingTable {
+        /// The sending rank.
+        rank: usize,
+    },
 }
 
 impl std::fmt::Display for NcclError {
@@ -65,6 +73,9 @@ impl std::fmt::Display for NcclError {
                 write!(f, "link fault on {src} -> {dst} (send dropped)")
             }
             NcclError::Cancelled => write!(f, "collective cancelled"),
+            NcclError::MissingTable { rank } => {
+                write!(f, "sending rank {rank} provided no table")
+            }
         }
     }
 }

@@ -218,6 +218,88 @@ impl Rel {
         }
     }
 
+    /// This operator, payload cloned, around replacement inputs — the one
+    /// place a `Rel` is put back together arm by arm. `child` is called once
+    /// per input in [`Rel::children`] order (a join's left before its
+    /// right: fragment executors sequence collectives by it) and the first
+    /// error stops the rebuild; a `Read` is its own clone. Arity lives in
+    /// the `match`, so there is no child list to run short.
+    pub fn try_map_children<E>(
+        &self,
+        mut child: impl FnMut(&Rel) -> std::result::Result<Rel, E>,
+    ) -> std::result::Result<Rel, E> {
+        let mut new = |input: &Rel| child(input).map(Box::new);
+        Ok(match self {
+            Rel::Read { .. } => self.clone(),
+            Rel::Filter { input, predicate } => Rel::Filter {
+                input: new(input)?,
+                predicate: predicate.clone(),
+            },
+            Rel::Project { input, exprs } => Rel::Project {
+                input: new(input)?,
+                exprs: exprs.clone(),
+            },
+            Rel::Aggregate {
+                input,
+                group_by,
+                aggregates,
+            } => Rel::Aggregate {
+                input: new(input)?,
+                group_by: group_by.clone(),
+                aggregates: aggregates.clone(),
+            },
+            Rel::Join {
+                left,
+                right,
+                kind,
+                left_keys,
+                right_keys,
+                residual,
+            } => Rel::Join {
+                // Struct fields evaluate as written: left, then right.
+                left: new(left)?,
+                right: new(right)?,
+                kind: *kind,
+                left_keys: left_keys.clone(),
+                right_keys: right_keys.clone(),
+                residual: residual.clone(),
+            },
+            Rel::Sort { input, keys } => Rel::Sort {
+                input: new(input)?,
+                keys: keys.clone(),
+            },
+            Rel::Limit {
+                input,
+                offset,
+                fetch,
+            } => Rel::Limit {
+                input: new(input)?,
+                offset: *offset,
+                fetch: *fetch,
+            },
+            Rel::Distinct { input } => Rel::Distinct { input: new(input)? },
+            Rel::Exchange { input, kind } => Rel::Exchange {
+                input: new(input)?,
+                kind: kind.clone(),
+            },
+        })
+    }
+
+    /// [`Rel::try_map_children`] over inputs already in hand: the `i`-th of
+    /// `children` replaces the `i`-th input. An input with no replacement
+    /// keeps its own subtree and a surplus replacement is dropped, so a
+    /// wrong count cannot panic — and a [`crate::visit::Fold`] arm, which
+    /// is handed exactly its operator's inputs, cannot get it wrong.
+    pub fn with_children(&self, children: impl IntoIterator<Item = Rel>) -> Rel {
+        let mut children = children.into_iter();
+        let rebuilt = self.try_map_children::<std::convert::Infallible>(|own| {
+            Ok(children.next().unwrap_or_else(|| own.clone()))
+        });
+        match rebuilt {
+            Ok(rel) => rel,
+        }
+    }
+
     /// Names of all base tables read anywhere in the tree.
     pub fn tables(&self) -> Vec<String> {
         let mut out = Vec::new();

@@ -76,52 +76,12 @@ impl<'a> JoinOrderer<'a> {
         let widths: Vec<usize> = relations.iter().map(|r| r.schema.len()).collect();
         let total: usize = widths.iter().sum();
         let mut final_map = vec![usize::MAX; total];
-
-        // Base-table sets per relation, the key under which feedback
-        // records actuals. A table appearing more than once in the query
-        // (self-join) makes the set ambiguous — those relations opt out
-        // of feedback and keep their estimates.
-        let mut occurrences: HashMap<&str, usize> = HashMap::new();
-        let tables_per_rel: Vec<Vec<String>> = relations.iter().map(|r| r.plan.tables()).collect();
-        for ts in &tables_per_rel {
-            for t in ts {
-                *occurrences.entry(t.as_str()).or_insert(0) += 1;
-            }
-        }
-        let sets: Vec<Option<BTreeSet<String>>> = tables_per_rel
-            .iter()
-            .map(|ts| {
-                if ts.is_empty() || ts.iter().any(|t| occurrences[t.as_str()] > 1) {
-                    None
-                } else {
-                    Some(ts.iter().cloned().collect())
-                }
-            })
-            .collect();
-        // Cardinality: observed actual when feedback has this subtree,
-        // estimate otherwise. With estimate-only statistics this is the
-        // historical greedy input, unchanged.
-        let card = |i: usize, relations: &[JoinRelation]| -> f64 {
-            sets[i]
-                .as_ref()
-                .and_then(|s| self.stats.actual_rows(s))
-                .unwrap_or(relations[i].estimate)
-        };
-
-        let connected = |edges: &[(Expr, Vec<usize>)], joined: &[usize], cand: usize| {
-            edges.iter().any(|(_, rels)| {
-                rels.contains(&cand) && rels.iter().all(|r| *r == cand || joined.contains(r))
-            })
-        };
+        let sets = feedback_sets(&relations);
 
         // Pick the starting relation.
         let mut remaining: Vec<usize> = (0..n).collect();
         let start = match self.policy {
-            JoinOrderPolicy::Optimized => remaining
-                .iter()
-                .copied()
-                .min_by(|&a, &b| card(a, &relations).total_cmp(&card(b, &relations)))
-                .expect("non-empty FROM"),
+            JoinOrderPolicy::Optimized => self.cheapest(&remaining, &sets, &relations),
             JoinOrderPolicy::FromOrder => 0,
         };
         remaining.retain(|&r| r != start);
@@ -136,29 +96,7 @@ impl<'a> JoinOrderer<'a> {
         let mut joined_set = sets[start].clone();
 
         while !remaining.is_empty() {
-            // Choose the next relation.
-            let next = match self.policy {
-                JoinOrderPolicy::Optimized => {
-                    let conn: Vec<usize> = remaining
-                        .iter()
-                        .copied()
-                        .filter(|&r| connected(&edges, &joined, r))
-                        .collect();
-                    let pool = if conn.is_empty() {
-                        remaining.clone()
-                    } else {
-                        conn
-                    };
-                    pool.into_iter()
-                        .min_by(|&a, &b| card(a, &relations).total_cmp(&card(b, &relations)))
-                        .expect("pool non-empty")
-                }
-                JoinOrderPolicy::FromOrder => remaining
-                    .iter()
-                    .copied()
-                    .find(|&r| connected(&edges, &joined, r))
-                    .unwrap_or(remaining[0]),
-            };
+            let next = self.next_relation(&remaining, &joined, &edges, &sets, &relations);
             remaining.retain(|&r| r != next);
 
             let left_width = schema.len();
@@ -166,110 +104,16 @@ impl<'a> JoinOrderer<'a> {
             for c in 0..widths[next] {
                 final_map[orig_offsets[next] + c] = left_width + c;
             }
-
-            // Partition applicable edges into keys and residuals.
-            let mut lk = Vec::new();
-            let mut rk = Vec::new();
-            let mut residual = Vec::new();
-            let mut rest = Vec::new();
-            for (e, rels) in edges {
-                let applicable =
-                    rels.contains(&next) && rels.iter().all(|r| *r == next || joined.contains(r));
-                if !applicable {
-                    rest.push((e, rels));
-                    continue;
-                }
-                let in_next = |x: &Expr| {
-                    let mut refs = Vec::new();
-                    x.referenced_columns(&mut refs);
-                    !refs.is_empty()
-                        && refs.iter().all(|&r| {
-                            r >= orig_offsets[next] && r < orig_offsets[next] + widths[next]
-                        })
-                };
-                let in_joined = |x: &Expr| {
-                    let mut refs = Vec::new();
-                    x.referenced_columns(&mut refs);
-                    !refs.is_empty() && refs.iter().all(|&r| final_map[r] < left_width)
-                };
-                if let Expr::Binary {
-                    op: BinOp::Eq,
-                    left,
-                    right,
-                } = &e
-                {
-                    if in_joined(left) && in_next(right) {
-                        lk.push(left.remap_columns(&|i| final_map[i]));
-                        rk.push(right.remap_columns(&|i| i - orig_offsets[next]));
-                        continue;
-                    }
-                    if in_next(left) && in_joined(right) {
-                        lk.push(right.remap_columns(&|i| final_map[i]));
-                        rk.push(left.remap_columns(&|i| i - orig_offsets[next]));
-                        continue;
-                    }
-                }
-                residual.push(e.remap_columns(&|i| final_map[i]));
-            }
+            let next_cols = orig_offsets[next]..orig_offsets[next] + widths[next];
+            let (on, rest) = split_edges(edges, next, next_cols, &joined, &final_map, left_width);
             edges = rest;
 
             let next_schema = relations[next].schema.clone();
             let right_plan = std::mem::replace(&mut relations[next].plan, placeholder());
-            plan = if lk.is_empty() {
-                Rel::Join {
-                    left: Box::new(plan),
-                    right: Box::new(right_plan),
-                    kind: JoinKind::Cross,
-                    left_keys: vec![],
-                    right_keys: vec![],
-                    residual: if residual.is_empty() {
-                        None
-                    } else {
-                        Some(expr::and_all(residual))
-                    },
-                }
-            } else if residual.is_empty() && self.should_swap(&joined_set, &sets[next]) {
-                // Build-side flip: the probe pipeline streams while the
-                // build pipeline materializes its whole input, so with
-                // observed actuals on both sides the smaller one belongs
-                // on the build (right) side. A restoring projection keeps
-                // the output column order identical to the unswapped
-                // join, so downstream ordinals and `final_map` stay
-                // valid untouched.
-                let swapped = Rel::Join {
-                    left: Box::new(right_plan),
-                    right: Box::new(plan),
-                    kind: JoinKind::Inner,
-                    left_keys: rk,
-                    right_keys: lk,
-                    residual: None,
-                };
-                let w_next = next_schema.len();
-                let mut exprs = Vec::with_capacity(left_width + w_next);
-                for (i, f) in schema.fields.iter().enumerate() {
-                    exprs.push((expr::col(w_next + i), f.name.clone()));
-                }
-                for (j, f) in next_schema.fields.iter().enumerate() {
-                    exprs.push((expr::col(j), f.name.clone()));
-                }
-                Rel::Project {
-                    input: Box::new(swapped),
-                    exprs,
-                }
-            } else {
-                Rel::Join {
-                    left: Box::new(plan),
-                    right: Box::new(right_plan),
-                    kind: JoinKind::Inner,
-                    left_keys: lk,
-                    right_keys: rk,
-                    residual: if residual.is_empty() {
-                        None
-                    } else {
-                        Some(expr::and_all(residual))
-                    },
-                }
-            };
+            let swap = !on.left_keys.is_empty()
+                && on.residual.is_empty()
+                && self.should_swap(&joined_set, &sets[next]);
+            plan = join_node((plan, &schema), (right_plan, &next_schema), on, swap);
             schema = schema.join(&next_schema);
             joined.push(next);
             joined_set = match (joined_set, &sets[next]) {
@@ -297,6 +141,51 @@ impl<'a> JoinOrderer<'a> {
         Ok((plan, final_map, schema))
     }
 
+    /// The relation of `pool` with the fewest rows — the observed actual
+    /// when feedback has its subtree, its estimate otherwise (with
+    /// estimate-only statistics the historical greedy input, unchanged);
+    /// the first of equals.
+    fn cheapest(
+        &self,
+        pool: &[usize],
+        sets: &[Option<BTreeSet<String>>],
+        relations: &[JoinRelation],
+    ) -> usize {
+        let card = |i: usize| -> f64 {
+            sets[i]
+                .as_ref()
+                .and_then(|s| self.stats.actual_rows(s))
+                .unwrap_or(relations[i].estimate)
+        };
+        pool.iter()
+            .copied()
+            .min_by(|&a, &b| card(a).total_cmp(&card(b)))
+            .expect("non-empty FROM")
+    }
+
+    /// One greedy choice: the cheapest relation an edge connects to the
+    /// joined ones (any remaining one when none is connected), or under
+    /// `FromOrder` the first connected one in FROM order.
+    fn next_relation(
+        &self,
+        remaining: &[usize],
+        joined: &[usize],
+        edges: &[(Expr, Vec<usize>)],
+        sets: &[Option<BTreeSet<String>>],
+        relations: &[JoinRelation],
+    ) -> usize {
+        let connected = |cand: usize| edges.iter().any(|(_, rels)| applies(rels, cand, joined));
+        let mut conn = remaining.iter().copied().filter(|&r| connected(r));
+        match self.policy {
+            JoinOrderPolicy::Optimized => {
+                let conn: Vec<usize> = conn.collect();
+                let pool = if conn.is_empty() { remaining } else { &conn };
+                self.cheapest(pool, sets, relations)
+            }
+            JoinOrderPolicy::FromOrder => conn.next().unwrap_or(remaining[0]),
+        }
+    }
+
     /// Flip the build side only on evidence: both sides observed, and the
     /// joined subtree (the default build input) actually smaller than the
     /// incoming relation. Estimate-only statistics never observe, so the
@@ -316,6 +205,160 @@ impl<'a> JoinOrderer<'a> {
             (Some(j), Some(n)) => j < n,
             _ => false,
         }
+    }
+}
+
+/// Base-table sets per relation, the key under which feedback records
+/// actuals. A table appearing more than once in the query (self-join)
+/// makes the set ambiguous — those relations opt out of feedback and keep
+/// their estimates.
+fn feedback_sets(relations: &[JoinRelation]) -> Vec<Option<BTreeSet<String>>> {
+    let mut occurrences: HashMap<&str, usize> = HashMap::new();
+    let tables_per_rel: Vec<Vec<String>> = relations.iter().map(|r| r.plan.tables()).collect();
+    for ts in &tables_per_rel {
+        for t in ts {
+            *occurrences.entry(t.as_str()).or_insert(0) += 1;
+        }
+    }
+    tables_per_rel
+        .iter()
+        .map(|ts| {
+            if ts.is_empty() || ts.iter().any(|t| occurrences[t.as_str()] > 1) {
+                None
+            } else {
+                Some(ts.iter().cloned().collect())
+            }
+        })
+        .collect()
+}
+
+/// Whether an edge over relations `rels` can be evaluated once `cand` joins
+/// the `joined` ones: it references `cand` and nothing outside them.
+fn applies(rels: &[usize], cand: usize, joined: &[usize]) -> bool {
+    rels.contains(&cand) && rels.iter().all(|r| *r == cand || joined.contains(r))
+}
+
+/// What the edges applicable to one join say: equality keys per side and
+/// the conjuncts left over, all in final ordinals (right keys local to the
+/// incoming relation).
+struct JoinCondition {
+    left_keys: Vec<Expr>,
+    right_keys: Vec<Expr>,
+    residual: Vec<Expr>,
+}
+
+/// Partition `edges` for the join of relation `next` (original-product
+/// columns `next_cols`) onto the `joined` ones (`left_width` columns wide):
+/// the applicable edges become the join's condition, the rest is returned
+/// for later joins.
+fn split_edges(
+    edges: Vec<(Expr, Vec<usize>)>,
+    next: usize,
+    next_cols: std::ops::Range<usize>,
+    joined: &[usize],
+    final_map: &[usize],
+    left_width: usize,
+) -> (JoinCondition, Vec<(Expr, Vec<usize>)>) {
+    let mut on = JoinCondition {
+        left_keys: Vec::new(),
+        right_keys: Vec::new(),
+        residual: Vec::new(),
+    };
+    let mut rest = Vec::new();
+    for (e, rels) in edges {
+        if !applies(&rels, next, joined) {
+            rest.push((e, rels));
+            continue;
+        }
+        let in_next = |x: &Expr| {
+            let mut refs = Vec::new();
+            x.referenced_columns(&mut refs);
+            !refs.is_empty() && refs.iter().all(|r| next_cols.contains(r))
+        };
+        let in_joined = |x: &Expr| {
+            let mut refs = Vec::new();
+            x.referenced_columns(&mut refs);
+            !refs.is_empty() && refs.iter().all(|&r| final_map[r] < left_width)
+        };
+        if let Expr::Binary {
+            op: BinOp::Eq,
+            left,
+            right,
+        } = &e
+        {
+            if in_joined(left) && in_next(right) {
+                on.left_keys.push(left.remap_columns(&|i| final_map[i]));
+                on.right_keys
+                    .push(right.remap_columns(&|i| i - next_cols.start));
+                continue;
+            }
+            if in_next(left) && in_joined(right) {
+                on.left_keys.push(right.remap_columns(&|i| final_map[i]));
+                on.right_keys
+                    .push(left.remap_columns(&|i| i - next_cols.start));
+                continue;
+            }
+        }
+        on.residual.push(e.remap_columns(&|i| final_map[i]));
+    }
+    (on, rest)
+}
+
+/// The join of `right` onto `left` under `on`: a cross join when no key
+/// applies, else an inner join — with the inputs swapped under a restoring
+/// projection when `swap` (see [`JoinOrderer::should_swap`]).
+fn join_node(
+    (left, left_schema): (Rel, &Schema),
+    (right, right_schema): (Rel, &Schema),
+    on: JoinCondition,
+    swap: bool,
+) -> Rel {
+    let residual = (!on.residual.is_empty()).then(|| expr::and_all(on.residual));
+    if on.left_keys.is_empty() {
+        return Rel::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            kind: JoinKind::Cross,
+            left_keys: vec![],
+            right_keys: vec![],
+            residual,
+        };
+    }
+    if !swap {
+        return Rel::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            kind: JoinKind::Inner,
+            left_keys: on.left_keys,
+            right_keys: on.right_keys,
+            residual,
+        };
+    }
+    // Build-side flip: the probe pipeline streams while the build
+    // pipeline materializes its whole input, so with observed actuals on
+    // both sides the smaller one belongs on the build (right) side. A
+    // restoring projection keeps the output column order identical to the
+    // unswapped join, so downstream ordinals and `final_map` stay valid
+    // untouched.
+    let swapped = Rel::Join {
+        left: Box::new(right),
+        right: Box::new(left),
+        kind: JoinKind::Inner,
+        left_keys: on.right_keys,
+        right_keys: on.left_keys,
+        residual: None,
+    };
+    let w_next = right_schema.len();
+    let mut exprs = Vec::with_capacity(left_schema.len() + w_next);
+    for (i, f) in left_schema.fields.iter().enumerate() {
+        exprs.push((expr::col(w_next + i), f.name.clone()));
+    }
+    for (j, f) in right_schema.fields.iter().enumerate() {
+        exprs.push((expr::col(j), f.name.clone()));
+    }
+    Rel::Project {
+        input: Box::new(swapped),
+        exprs,
     }
 }
 

@@ -11,8 +11,8 @@
 #
 #   scripts/loc.sh              every crate
 #   scripts/loc.sh sql core     only crates/sql and crates/core
-#   scripts/loc.sh --max-fn 200 also exit 1 when a function of a listed crate
-#                               is longer than 250 lines under that cut (the
+#   scripts/loc.sh --max-fn 160 also exit 1 when a function of a listed crate
+#                               is longer than 160 lines under that cut (the
 #                               data generator crates/tpch/src/gen.rs is
 #                               exempt: its one function is a table of rows)
 set -eu
