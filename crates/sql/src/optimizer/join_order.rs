@@ -1,14 +1,23 @@
 //! Join enumeration and build-side selection.
 //!
-//! Extracted from `bind` so planning decisions live in the optimizer
-//! layer: the greedy left-deep enumerator is unchanged from the binder
-//! era and remains **bit-for-bit identical** when driven by estimate-only
-//! [`Statistics`] (the default). What the extraction adds is the feedback
-//! path: when `Statistics::actual_rows` has observed cardinalities for a
-//! subtree's base-table set (recorded from `operator_stats` on a previous
-//! run of the same plan shape), those actuals replace the estimates in
-//! the greedy choice, and — where both sides of an inner join have been
-//! observed — the *build side* flips onto the genuinely smaller input.
+//! The `Optimized` policy picks the left-deep order whose intermediates
+//! are smallest: the sum, over the order's prefixes, of the estimated
+//! cardinality of the joined set, minimised exactly by dynamic programming
+//! over relation subsets (`JoinGraph::order`). The estimate
+//! (`JoinGraph::card`) is a function of the *set* of relations, so it
+//! cannot depend on the order that reached it: the relations' own
+//! estimates, one key–foreign-key selectivity per pair of relations an
+//! equality joins, a constant per other multi-relation conjunct. An order
+//! chosen by the next relation's own size alone pairs two relations
+//! through a low-cardinality key ahead of the fact table that links them
+//! (Q7: every supplier of a nation with every customer of the other).
+//!
+//! [`Statistics`] feeds both halves of the feedback path: when
+//! `Statistics::actual_rows` has observed cardinalities for a subtree's
+//! base-table set (recorded from `operator_stats` on a previous run of the
+//! same plan shape), the observed rows replace the estimate of exactly that
+//! set in the order's cost, and — where both sides of an inner join have
+//! been observed — the *build side* flips onto the genuinely smaller input.
 //!
 //! The build-side flip is where Q3-class wins come from: estimates put
 //! lineitem's filtered cardinality far below its actual, so the default
@@ -20,7 +29,7 @@
 
 use crate::binder::JoinOrderPolicy;
 use crate::optimizer::stats::Statistics;
-use crate::Result;
+use crate::{Result, SqlError};
 use sirius_columnar::Schema;
 use sirius_plan::expr::{self};
 use sirius_plan::{BinOp, Expr, JoinKind, Rel};
@@ -48,7 +57,15 @@ impl JoinRelation {
     }
 }
 
-/// Greedy left-deep join orderer over a [`Statistics`] source.
+/// Above this many relations the order is extended one relation at a
+/// time: the exact search visits 2ⁿ subsets and FROM lists are untrusted.
+const MAX_EXACT_RELATIONS: usize = 12;
+
+/// Selectivity of a multi-relation conjunct that is not a key equality:
+/// System R's guess for a predicate it knows nothing about.
+const NON_EQUI_SELECTIVITY: f64 = 0.1;
+
+/// Left-deep join orderer over a [`Statistics`] source.
 pub struct JoinOrderer<'a> {
     policy: JoinOrderPolicy,
     stats: &'a dyn Statistics,
@@ -72,33 +89,23 @@ impl<'a> JoinOrderer<'a> {
         orig_offsets: &[usize],
         mut edges: Vec<(Expr, Vec<usize>)>,
     ) -> Result<(Rel, Vec<usize>, Schema)> {
-        let n = relations.len();
         let widths: Vec<usize> = relations.iter().map(|r| r.schema.len()).collect();
         let total: usize = widths.iter().sum();
         let mut final_map = vec![usize::MAX; total];
         let sets = feedback_sets(&relations);
-
-        // Pick the starting relation.
-        let mut remaining: Vec<usize> = (0..n).collect();
-        let start = match self.policy {
-            JoinOrderPolicy::Optimized => self.cheapest(&remaining, &sets, &relations),
-            JoinOrderPolicy::FromOrder => 0,
+        let order = JoinGraph::new(&relations, &sets, &edges, self.stats).order(self.policy);
+        let Some((&start, later)) = order.split_first() else {
+            return Err(SqlError::Bind("no relation to join".to_string()));
         };
-        remaining.retain(|&r| r != start);
+
         let mut joined = vec![start];
         let mut plan = std::mem::replace(&mut relations[start].plan, placeholder());
         let mut schema = relations[start].schema.clone();
         for c in 0..widths[start] {
             final_map[orig_offsets[start] + c] = c;
         }
-        // The joined subtree's base-table set (None once any ambiguous
-        // or table-free relation joins in).
-        let mut joined_set = sets[start].clone();
 
-        while !remaining.is_empty() {
-            let next = self.next_relation(&remaining, &joined, &edges, &sets, &relations);
-            remaining.retain(|&r| r != next);
-
+        for &next in later {
             let left_width = schema.len();
             // Assign final ordinals for `next`.
             for c in 0..widths[next] {
@@ -112,17 +119,10 @@ impl<'a> JoinOrderer<'a> {
             let right_plan = std::mem::replace(&mut relations[next].plan, placeholder());
             let swap = !on.left_keys.is_empty()
                 && on.residual.is_empty()
-                && self.should_swap(&joined_set, &sets[next]);
+                && self.should_swap(&sets, &joined, next);
             plan = join_node((plan, &schema), (right_plan, &next_schema), on, swap);
             schema = schema.join(&next_schema);
             joined.push(next);
-            joined_set = match (joined_set, &sets[next]) {
-                (Some(mut a), Some(b)) => {
-                    a.extend(b.iter().cloned());
-                    Some(a)
-                }
-                _ => None,
-            };
         }
 
         // Any edges never consumed (e.g. three-relation predicates)
@@ -141,70 +141,199 @@ impl<'a> JoinOrderer<'a> {
         Ok((plan, final_map, schema))
     }
 
-    /// The relation of `pool` with the fewest rows — the observed actual
-    /// when feedback has its subtree, its estimate otherwise (with
-    /// estimate-only statistics the historical greedy input, unchanged);
-    /// the first of equals.
-    fn cheapest(
-        &self,
-        pool: &[usize],
-        sets: &[Option<BTreeSet<String>>],
-        relations: &[JoinRelation],
-    ) -> usize {
-        let card = |i: usize| -> f64 {
-            sets[i]
-                .as_ref()
-                .and_then(|s| self.stats.actual_rows(s))
-                .unwrap_or(relations[i].estimate)
-        };
-        pool.iter()
-            .copied()
-            .min_by(|&a, &b| card(a).total_cmp(&card(b)))
-            .expect("non-empty FROM")
-    }
-
-    /// One greedy choice: the cheapest relation an edge connects to the
-    /// joined ones (any remaining one when none is connected), or under
-    /// `FromOrder` the first connected one in FROM order.
-    fn next_relation(
-        &self,
-        remaining: &[usize],
-        joined: &[usize],
-        edges: &[(Expr, Vec<usize>)],
-        sets: &[Option<BTreeSet<String>>],
-        relations: &[JoinRelation],
-    ) -> usize {
-        let connected = |cand: usize| edges.iter().any(|(_, rels)| applies(rels, cand, joined));
-        let mut conn = remaining.iter().copied().filter(|&r| connected(r));
-        match self.policy {
-            JoinOrderPolicy::Optimized => {
-                let conn: Vec<usize> = conn.collect();
-                let pool = if conn.is_empty() { remaining } else { &conn };
-                self.cheapest(pool, sets, relations)
-            }
-            JoinOrderPolicy::FromOrder => conn.next().unwrap_or(remaining[0]),
-        }
-    }
-
     /// Flip the build side only on evidence: both sides observed, and the
     /// joined subtree (the default build input) actually smaller than the
     /// incoming relation. Estimate-only statistics never observe, so the
     /// default plan is untouched.
     fn should_swap(
         &self,
-        joined_set: &Option<BTreeSet<String>>,
-        next_set: &Option<BTreeSet<String>>,
+        sets: &[Option<BTreeSet<String>>],
+        joined: &[usize],
+        next: usize,
     ) -> bool {
         if self.policy != JoinOrderPolicy::Optimized {
             return false;
         }
-        let (Some(joined), Some(next)) = (joined_set, next_set) else {
+        // The incoming relation first: estimate-only statistics answer
+        // `None` here and the joined set is never built.
+        let Some(next) = sets[next].as_ref().and_then(|s| self.stats.actual_rows(s)) else {
             return false;
         };
-        match (self.stats.actual_rows(joined), self.stats.actual_rows(next)) {
-            (Some(j), Some(n)) => j < n,
-            _ => false,
+        let joined = table_set(sets, joined.iter().copied());
+        joined.is_some_and(|set| self.stats.actual_rows(&set).is_some_and(|rows| rows < next))
+    }
+}
+
+/// What the cost of an order is computed from: a cardinality per relation
+/// and a selectivity per joined pair of relations or non-key conjunct.
+struct JoinGraph<'a> {
+    stats: &'a dyn Statistics,
+    sets: &'a [Option<BTreeSet<String>>],
+    /// Rows per relation: observed when feedback has it, else estimated.
+    rows: Vec<f64>,
+    /// `(relations, selectivity)`, applied once all the relations are joined.
+    factors: Vec<(&'a [usize], f64)>,
+    /// Whether feedback observed any relation. A run records its joins
+    /// together with their inputs, so without this no subset is looked up.
+    observed: bool,
+}
+
+impl<'a> JoinGraph<'a> {
+    fn new(
+        relations: &[JoinRelation],
+        sets: &'a [Option<BTreeSet<String>>],
+        edges: &'a [(Expr, Vec<usize>)],
+        stats: &'a dyn Statistics,
+    ) -> Self {
+        let actual = |set: &Option<_>| set.as_ref().and_then(|s| stats.actual_rows(s));
+        let estimated = relations.iter().zip(sets);
+        let rows = estimated.map(|(r, s)| actual(s).unwrap_or(r.estimate));
+        // Distinct key values a relation can offer: its table's unfiltered
+        // row count, its own estimate when it is not a single table.
+        let keys = |r: usize| {
+            let base = base_table(&relations[r].plan).and_then(|t| stats.base_rows(t));
+            base.unwrap_or(relations[r].estimate).max(1.0)
+        };
+        let mut factors: Vec<(&[usize], f64)> = Vec::with_capacity(edges.len());
+        for (i, (e, rels)) in edges.iter().enumerate() {
+            let same_pair = |(e, r): &(Expr, Vec<usize>)| r == rels && is_key_equality(e);
+            let selectivity = if !is_key_equality(e) {
+                NON_EQUI_SELECTIVITY
+            } else if edges[..i].iter().any(same_pair) {
+                continue; // a composite key is still one key–foreign-key pair
+            } else {
+                1.0 / keys(rels[0]).min(keys(rels[1]))
+            };
+            factors.push((rels, selectivity));
         }
+        JoinGraph {
+            stats,
+            sets,
+            rows: rows.collect(),
+            factors,
+            observed: sets.iter().any(|s| actual(s).is_some()),
+        }
+    }
+
+    /// Estimated rows of the join of the `joined` relations and `with` — a
+    /// function of the set, not of the order that reached it: what feedback
+    /// observed for exactly these tables, else the product of the
+    /// relations' rows, one key–foreign-key selectivity (`1 / min` of the
+    /// two key counts) per pair joined by an equality, and
+    /// [`NON_EQUI_SELECTIVITY`] per other conjunct over them.
+    fn card(&self, joined: &mut [bool], with: usize) -> f64 {
+        joined[with] = true;
+        let members = || (0..joined.len()).filter(|&r| joined[r]);
+        let tables = self.observed.then(|| table_set(self.sets, members()));
+        let observed = tables.flatten().and_then(|t| self.stats.actual_rows(&t));
+        let card = observed.unwrap_or_else(|| {
+            let inside = |rels: &[usize]| rels.iter().all(|&r| joined[r]);
+            let selectivities = self.factors.iter().filter(|f| inside(f.0)).map(|f| f.1);
+            members().map(|r| self.rows[r]).product::<f64>() * selectivities.product::<f64>()
+        });
+        joined[with] = false;
+        card
+    }
+
+    /// The relations that may join next into `next`, ascending: the ones a
+    /// conjunct connects to the joined ones, all the others when there is
+    /// none (a cross join is the last resort, never a choice).
+    fn extensions(&self, joined: &[bool], next: &mut Vec<usize>) {
+        next.clear();
+        for (rels, _) in &self.factors {
+            let mut outside = rels.iter().filter(|&&r| !joined[r]);
+            if let (Some(&r), None) = (outside.next(), outside.next()) {
+                next.push(r);
+            }
+        }
+        if next.is_empty() {
+            next.extend((0..joined.len()).filter(|&r| !joined[r]));
+        }
+        next.sort_unstable();
+        next.dedup();
+    }
+
+    /// The left-deep order of `policy`. `Optimized` minimises the sum over
+    /// the order's prefixes of [`Self::card`] (the first relation's own
+    /// rows included, so of two orders with equal intermediates the one
+    /// starting smaller wins), exactly up to [`MAX_EXACT_RELATIONS`] and one
+    /// cheapest extension at a time above; `FromOrder` takes the first
+    /// connected relation in FROM order.
+    fn order(&self, policy: JoinOrderPolicy) -> Vec<usize> {
+        let n = self.rows.len();
+        let mut joined = vec![false; n];
+        let mut next = Vec::new();
+        let mut order = Vec::with_capacity(n);
+        if policy == JoinOrderPolicy::Optimized && n <= MAX_EXACT_RELATIONS {
+            // best[S] = card(S) + min over r of best[S ∖ {r}] beside the
+            // minimising r, subsets as bit masks.
+            let full = (1usize << n) - 1;
+            let mut best = vec![(f64::INFINITY, 0); full + 1];
+            best[0].0 = 0.0;
+            for from in 0..full {
+                if best[from].0.is_infinite() {
+                    continue; // reachable only through an avoidable cross join
+                }
+                (0..n).for_each(|r| joined[r] = from >> r & 1 == 1);
+                self.extensions(&joined, &mut next);
+                for &r in &next {
+                    let cost = best[from].0 + self.card(&mut joined, r);
+                    if cost < best[from | 1 << r].0 {
+                        best[from | 1 << r] = (cost, r);
+                    }
+                }
+            }
+            let mut set = full;
+            while set != 0 {
+                order.push(best[set].1);
+                set ^= 1 << best[set].1;
+            }
+            order.reverse();
+            return order;
+        }
+        while order.len() < n {
+            self.extensions(&joined, &mut next);
+            let r = match policy {
+                JoinOrderPolicy::FromOrder => next[0],
+                JoinOrderPolicy::Optimized => {
+                    let cards = next.iter().map(|&r| (self.card(&mut joined, r), r));
+                    cards
+                        .min_by(|a, b| a.0.total_cmp(&b.0))
+                        .map_or(next[0], |c| c.1)
+                }
+            };
+            joined[r] = true;
+            order.push(r);
+        }
+        order
+    }
+}
+
+/// The base tables of the relations `members` together, the key feedback
+/// records their join under; `None` when one of them opted out.
+fn table_set(
+    sets: &[Option<BTreeSet<String>>],
+    mut members: impl Iterator<Item = usize>,
+) -> Option<BTreeSet<String>> {
+    members.try_fold(BTreeSet::new(), |mut all, r| {
+        all.extend(sets[r].as_ref()?.iter().cloned());
+        Some(all)
+    })
+}
+
+/// Whether a multi-relation conjunct equates a column of one relation with a
+/// column of another.
+fn is_key_equality(e: &Expr) -> bool {
+    matches!(e, Expr::Binary { op: BinOp::Eq, left, right }
+        if matches!((&**left, &**right), (Expr::Column(_), Expr::Column(_))))
+}
+
+/// The table a relation scans when it is one filtered table and nothing else.
+fn base_table(plan: &Rel) -> Option<&str> {
+    match plan {
+        Rel::Read { table, .. } => Some(table),
+        Rel::Filter { input, .. } => base_table(input),
+        _ => None,
     }
 }
 
@@ -497,5 +626,230 @@ mod tests {
         let rels = vec![table("a", 10.0), table("b", 1000.0)];
         let (plan, _, _) = orderer.build(rels, &[0, 1], vec![eq_edge(0, 1)]).unwrap();
         assert_eq!(join_structure(&plan), "(a ⋈ b)");
+    }
+
+    /// Estimate-only statistics: `base` is the catalog's unfiltered row
+    /// counts, nothing is observed.
+    fn catalog(base: &[(&str, f64)]) -> Feedback {
+        Feedback {
+            catalog_rows: base.iter().map(|(t, n)| (t.to_string(), *n)).collect(),
+            actuals: HashMap::new(),
+        }
+    }
+
+    fn names(n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("t{i}")).collect()
+    }
+
+    /// Σ over the prefixes of `order` of their estimated cardinality — the
+    /// quantity `JoinGraph::order` minimises — or `None` when `order` takes
+    /// a relation `extensions` does not offer (an avoidable cross join).
+    fn cost(graph: &JoinGraph<'_>, order: &[usize]) -> Option<f64> {
+        let mut joined = vec![false; order.len()];
+        let mut next = Vec::new();
+        let mut sum = 0.0;
+        for &r in order {
+            graph.extensions(&joined, &mut next);
+            if !next.contains(&r) {
+                return None;
+            }
+            sum += graph.card(&mut joined, r);
+            joined[r] = true;
+        }
+        Some(sum)
+    }
+
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for p in permutations(n - 1) {
+            for at in 0..n {
+                let mut q = p.clone();
+                q.insert(at, n - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    fn has_cross_join(rel: &Rel) -> bool {
+        let cross = matches!(
+            rel,
+            Rel::Join {
+                kind: JoinKind::Cross,
+                ..
+            }
+        );
+        cross || rel.children().iter().any(|c| has_cross_join(c))
+    }
+
+    #[test]
+    fn fact_table_joins_before_a_many_to_many_dimension() {
+        // Q7 in miniature: nation (2 of 25 rows) – supplier – lineitem –
+        // orders – customer, and customer also reaches nation through its
+        // 25-value key. Smallest-connected-next takes customer third and
+        // pairs every supplier with every customer of the nation.
+        let stats = catalog(&[("nation", 25.0)]);
+        let mut nation = table("nation", 25.0);
+        nation.push_filter(expr::lt(expr::col(0), expr::lit_i64(2)), 2.0 / 25.0);
+        let rels = vec![
+            nation,
+            table("supplier", 150.0),
+            table("customer", 2250.0),
+            table("lineitem", 11_000.0),
+            table("orders", 15_000.0),
+        ];
+        let edges = vec![
+            eq_edge(0, 1),
+            eq_edge(0, 2),
+            eq_edge(1, 3),
+            eq_edge(3, 4),
+            eq_edge(2, 4),
+        ];
+        let sets = feedback_sets(&rels);
+        let graph = JoinGraph::new(&rels, &sets, &edges, &stats);
+        let order = graph.order(JoinOrderPolicy::Optimized);
+        assert_eq!(order, [0, 1, 3, 4, 2]);
+        let smallest_next = cost(&graph, &[0, 1, 2, 3, 4]).unwrap();
+        assert!(cost(&graph, &order).unwrap() < smallest_next / 10.0);
+
+        let orderer = JoinOrderer::new(JoinOrderPolicy::Optimized, &stats);
+        let (plan, _, _) = orderer.build(rels, &[0, 1, 2, 3, 4], edges).unwrap();
+        assert_eq!(
+            join_structure(&plan),
+            "((((nation ⋈ supplier) ⋈ lineitem) ⋈ orders) ⋈ customer)"
+        );
+    }
+
+    #[test]
+    fn exact_order_is_the_cheapest_of_all_permutations_and_repeats() {
+        // xorshift64: seeded, so a failure names its graph.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let stats = catalog(&[]);
+        for graph_no in 0..200 {
+            let n = 2 + rand(5) as usize;
+            let rels: Vec<JoinRelation> = names(n)
+                .iter()
+                .map(|t| table(t, (1 + rand(10_000)) as f64))
+                .collect();
+            // A random spanning tree, a few extra edges (some of them a
+            // second column of a pair already joined, some not equalities),
+            // and now and then a relation nothing connects.
+            let mut edges = Vec::new();
+            for r in 1..n {
+                if rand(8) != 0 {
+                    edges.push(eq_edge(rand(r as u64) as usize, r));
+                }
+            }
+            for _ in 0..rand(4) {
+                let (a, b) = (rand(n as u64) as usize, rand(n as u64) as usize);
+                if a == b {
+                    continue;
+                }
+                let mut edge = eq_edge(a, b);
+                if rand(3) == 0 {
+                    edge.0 = expr::lt(expr::col(a), expr::col(b));
+                }
+                edges.push(edge);
+            }
+            let sets = feedback_sets(&rels);
+            let graph = JoinGraph::new(&rels, &sets, &edges, &stats);
+            let order = graph.order(JoinOrderPolicy::Optimized);
+            let cheapest = permutations(n)
+                .iter()
+                .filter_map(|p| cost(&graph, p))
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(cost(&graph, &order), Some(cheapest), "graph {graph_no}");
+            for _ in 0..50 {
+                let again = JoinGraph::new(&rels, &sets, &edges, &stats);
+                assert_eq!(again.order(JoinOrderPolicy::Optimized), order);
+            }
+        }
+    }
+
+    #[test]
+    fn composite_key_is_one_pair_and_a_disconnected_relation_joins_last() {
+        let stats = catalog(&[]);
+        let rels = vec![
+            table("lone", 500.0),
+            table("partsupp", 8000.0),
+            table("lineitem", 60_000.0),
+        ];
+        // partsupp ⋈ lineitem on two columns: one key–foreign-key pair.
+        let edges = vec![eq_edge(1, 2), eq_edge(2, 1)];
+        let sets = feedback_sets(&rels);
+        let graph = JoinGraph::new(&rels, &sets, &edges, &stats);
+        assert_eq!(graph.card(&mut [false, true, false], 2), 60_000.0);
+        // `lone` is the smallest relation, but starting with it is a
+        // 4 000 000-row cross join; joined last it multiplies fewest rows.
+        assert_eq!(graph.order(JoinOrderPolicy::Optimized), [1, 2, 0]);
+        let orderer = JoinOrderer::new(JoinOrderPolicy::Optimized, &stats);
+        let (plan, _, _) = orderer.build(rels, &[0, 1, 2], edges).unwrap();
+        assert_eq!(join_structure(&plan), "((partsupp ⋈ lineitem) ⋈ lone)");
+    }
+
+    #[test]
+    fn a_long_chain_is_ordered_greedily_without_cross_joins() {
+        let n = MAX_EXACT_RELATIONS + 4;
+        let stats = catalog(&[]);
+        // Sizes fall and rise along the chain, so the cheapest start is in
+        // the middle and the order has to grow both ways.
+        let rels: Vec<JoinRelation> = names(n)
+            .iter()
+            .enumerate()
+            .map(|(i, t)| table(t, (10 + 100 * i.abs_diff(7)) as f64))
+            .collect();
+        let edges: Vec<_> = (1..n).map(|r| eq_edge(r - 1, r)).collect();
+        let offsets: Vec<usize> = (0..n).collect();
+        let orderer = JoinOrderer::new(JoinOrderPolicy::Optimized, &stats);
+        let (plan, map, schema) = orderer.build(rels, &offsets, edges).unwrap();
+        assert!(!has_cross_join(&plan), "{}", join_structure(&plan));
+        assert!(join_structure(&plan).starts_with(&"(".repeat(n - 1)));
+        assert_eq!(schema.fields[map[7]].name, "t7.k");
+        assert_eq!(map[7], 0, "the smallest relation starts");
+    }
+
+    #[test]
+    fn empty_relation_list_is_an_error() {
+        let stats = catalog(&[]);
+        for policy in [JoinOrderPolicy::Optimized, JoinOrderPolicy::FromOrder] {
+            let built = JoinOrderer::new(policy, &stats).build(vec![], &[], vec![]);
+            assert!(matches!(built, Err(SqlError::Bind(_))));
+        }
+    }
+
+    #[test]
+    fn an_observed_intermediate_changes_the_order() {
+        // A star: hub(10) – b(100), hub – c(1000). Estimates join b first.
+        let rels = || vec![table("hub", 10.0), table("b", 100.0), table("c", 1000.0)];
+        let edges = || vec![eq_edge(0, 1), eq_edge(0, 2)];
+        let set = |tables: &[&str]| tables.iter().map(|t| t.to_string()).collect();
+        let estimates = catalog(&[]);
+        let orderer = JoinOrderer::new(JoinOrderPolicy::Optimized, &estimates);
+        let (plan, _, _) = orderer.build(rels(), &[0, 1, 2], edges()).unwrap();
+        assert_eq!(join_structure(&plan), "((hub ⋈ b) ⋈ c)");
+        // A run of that plan saw the relations as estimated but hub ⋈ b
+        // fan out to 50 000 rows: c now joins first (and, observed larger
+        // than hub, becomes the probe side under a restoring projection).
+        let observed = Feedback {
+            catalog_rows: HashMap::new(),
+            actuals: HashMap::from([
+                (set(&["hub"]), 10.0),
+                (set(&["b"]), 100.0),
+                (set(&["c"]), 1000.0),
+                (set(&["hub", "b"]), 50_000.0),
+            ]),
+        };
+        let orderer = JoinOrderer::new(JoinOrderPolicy::Optimized, &observed);
+        let (plan, _, _) = orderer.build(rels(), &[0, 1, 2], edges()).unwrap();
+        assert_eq!(join_structure(&plan), "(π(c ⋈ hub) ⋈ b)");
     }
 }

@@ -3,7 +3,7 @@
 //! The optimizer owns the planning decisions that used to be hard-wired
 //! into `bind`:
 //!
-//! - [`join_order`] — greedy join enumeration and build-side selection,
+//! - [`join_order`] — cost-based join enumeration and build-side selection,
 //!   driven by the [`stats::Statistics`] trait so runtime feedback
 //!   (actual cardinalities from a previous run of the same plan shape)
 //!   can override catalog estimates.
@@ -41,10 +41,12 @@ pub fn optimize(plan: Rel) -> Result<Rel> {
         let schema = pruned.schema().map_err(SqlError::Plan)?;
         let exprs = (0..width)
             .map(|i| {
-                let ni = *mapping.get(&i).expect("required column mapped");
-                (expr::col(ni), schema.fields[ni].name.clone())
+                let ni = *mapping.get(&i).ok_or_else(|| {
+                    SqlError::Bind(format!("column pruning lost output column {i}"))
+                })?;
+                Ok((expr::col(ni), schema.fields[ni].name.clone()))
             })
-            .collect();
+            .collect::<Result<_>>()?;
         Ok(Rel::Project {
             input: Box::new(pruned),
             exprs,

@@ -2,9 +2,9 @@
 //!
 //! The binder used to read row counts straight off [`BinderCatalog`] and
 //! bake selectivity constants into `bind`. [`Statistics`] lifts both
-//! behind a trait so the same greedy orderer can run from catalog
-//! estimates (the default, [`CatalogStatistics`] — bit-for-bit the old
-//! behavior) or from *observed actuals* recorded by a feedback store
+//! behind a trait so the same join orderer can run from catalog
+//! estimates (the default, [`CatalogStatistics`]) or from *observed
+//! actuals* recorded by a feedback store
 //! after a prior execution of the same plan shape (adaptive
 //! re-optimization, the serving layer's plan-cache payoff).
 
@@ -19,7 +19,9 @@ use std::collections::BTreeSet;
 /// shape. Implementations return `None` whenever they have nothing
 /// better than the estimate — the orderer then falls back to
 /// `base_rows`-seeded estimates and its decisions stay exactly the
-/// estimate-only ones.
+/// estimate-only ones. An implementation that has observed a join has
+/// observed the relations under it (one run records both): the orderer
+/// looks join sets up only when some FROM relation itself was observed.
 pub trait Statistics {
     /// Base-table row count, `None` if the table is unknown.
     fn base_rows(&self, table: &str) -> Option<f64>;
@@ -46,7 +48,7 @@ pub trait Statistics {
 }
 
 /// Estimate-only statistics straight off the binder catalog — the
-/// default source, reproducing the historical planner behavior exactly.
+/// default source.
 #[derive(Debug, Clone, Copy)]
 pub struct CatalogStatistics<'a> {
     catalog: &'a BinderCatalog,

@@ -10,7 +10,13 @@
 # the benchmark is deterministic at equal seed, so per workload it prints
 # `sim_*`, `hw.sim_*`, `core.waves / pipelines_run / morsels / tasks /
 # kernel_launches`, `spill.*`, `nccl.wire_mb`, `nccl.dict_mb` and
-# `serve.waves` side by side and exits 1 if any of them differs. Then it
+# `serve.waves` side by side and marks each one that differs. A PR that moves
+# the simulated half on purpose (a planner or cost-model change) says so in
+# its own row: file b's "explained_drift" (scripts/bench_record.sh --explain)
+# lists, per workload, the deterministic metrics it moves. Exit 0: nothing
+# differs that b does not list, and everything b lists did differ. Exit 1: a
+# metric differs that b does not list for that workload, or b lists one that
+# did not differ (a stale or misspelt declaration). Then it
 # prints b/a for each wall and allocator end-to-end metric beside the bound
 # BENCHMARK.json fixes for it; those are single noisy runs, so a ratio past
 # its bound is marked, not failed (gate wall time on alternating pairs).
@@ -43,6 +49,17 @@ file == 1 {                                   # BENCHMARK.json: end-to-end bound
     next
 }
 /"seed":/ { seed[file] = after($0, "seed") }
+file == 3 && /"explained_drift":/ {           # row b: {"reason": "..", "metrics": {"<workload>": ["<metric>", ..], ..}}
+    line = $0
+    sub(/.*"explained_drift": *[{]/, "", line); sub(/"workloads":.*/, "", line); sub(/"reason": *"[^"]*"/, "", line)
+    while (match(line, /"[a-z_0-9]+": *\[[^]]*\]/)) {
+        entry = substr(line, RSTART, RLENGTH)
+        line = substr(line, RSTART + RLENGTH)
+        dw = quoted(entry)
+        sub(/.*\[/, "", entry); gsub(/[]" ]/, "", entry)
+        for (k = split(entry, listed, ","); k > 0; k--) if (listed[k] != "") declared[dw, listed[k]] = 1
+    }
+}
 /^"[a-z_0-9]+": [{]$/ { w = quoted($0); if (file == 2) workloads[++nw] = w; next }
 /^"(end_to_end|per_layer)":/ {
     run = quoted($0)
@@ -63,13 +80,22 @@ END {
     }
     for (i = 1; i <= nw; i++) {
         w = workloads[i]
-        printf "\n== %s: deterministic at seed %s, must be equal\n%-28s %22s %22s\n", w, seed[2], "metric", name_a, name_b
+        printf "\n== %s: deterministic at seed %s, must be equal or declared by %s\n%-28s %22s %22s\n", w, seed[2], name_b, "metric", name_a, name_b
         for (j = 1; j <= np[w]; j++) {
             m = pinned[w, j]
-            mark = (v[2, w, m] "" != v[3, w, m] "") ? "   <-- DIFFERS" : ""
-            diffs += mark != ""
+            mark = ""
+            if (v[2, w, m] "" != v[3, w, m] "") {
+                mark = "   <-- DIFFERS" ((w, m) in declared ? " (explained by " name_b ")" : "")
+                if ((w, m) in declared) explained++; else diffs++
+                delete declared[w, m]
+            }
             printf "%-28s %22s %22s%s\n", m, v[2, w, m], v[3, w, m], mark
         }
+    }
+    for (key in declared) {
+        split(key, part, SUBSEP)
+        printf "\n%s declares a drift of %s on %s, which did not differ\n", name_b, part[2], part[1]
+        stale++
     }
     printf "\n== wall and allocator, end to end: b/a beside the BENCHMARK.json bound (one run each: noisy)\n"
     printf "%-12s %-14s %14s %14s %7s  %s\n", "workload", "metric", name_a, name_b, "b/a", "bound"
@@ -84,6 +110,10 @@ END {
                 bound[m], better[m], mark
         }
     }
-    if (diffs) { printf "\n%d deterministic metric(s) differ\n", diffs; exit 1 }
-    printf "\ndeterministic half equal\n"
+    if (diffs || stale) {
+        printf "\n%d deterministic metric(s) differ unexplained, %d declared one(s) did not differ\n", diffs, stale
+        exit 1
+    }
+    if (explained) printf "\ndeterministic half equal but for %d metric(s) %s explains\n", explained, name_b
+    else printf "\ndeterministic half equal\n"
 }' "$bounds" "$a" "$b"
