@@ -31,7 +31,7 @@ args=()
 while [ $# -gt 0 ]; do
     case "$1" in
     --explain)
-        explain=$(tr -s ' \n' ' ' <"${2:?$usage}")
+        explain=$(tr -s ' \n' ' ' <"${2:?$usage}" | sed 's/ *$//')
         shift 2
         ;;
     *)
