@@ -504,7 +504,7 @@ impl Fold for Compiler {
             deps: Vec::new(),
             ops: vec![StreamOp::Scan { node }],
             operators: 1,
-            schema: rel.schema()?,
+            schema: rel.output_schema(&[])?,
         })
     }
 
@@ -536,7 +536,7 @@ impl Fold for Compiler {
         exprs: &[(Expr, String)],
         mut pipe: OpenPipe,
     ) -> Result<OpenPipe> {
-        let schema = rel.schema()?;
+        let schema = rel.output_schema(&[&pipe.schema])?;
         pipe.ops.push(StreamOp::Project {
             exprs: exprs.iter().map(|(e, _)| e.clone()).collect(),
             schema: schema.clone(),
@@ -555,7 +555,7 @@ impl Fold for Compiler {
         aggregates: &[AggExpr],
         pipe: OpenPipe,
     ) -> Result<OpenPipe> {
-        let schema = rel.schema()?;
+        let schema = rel.output_schema(&[&pipe.schema])?;
         let agg = Aggregation {
             keys: group_by.to_vec(),
             aggregates: aggregates.to_vec(),
@@ -573,6 +573,7 @@ impl Fold for Compiler {
         mut left: OpenPipe,
         right: OpenPipe,
     ) -> Result<OpenPipe> {
+        let schema = rel.output_schema(&[&left.schema, &right.schema])?;
         let build = self.close(
             right,
             Sink::JoinBuild {
@@ -580,7 +581,6 @@ impl Fold for Compiler {
                 node,
             },
         );
-        let schema = rel.schema()?;
         left.deps.push(build);
         left.ops.push(StreamOp::Probe(Probe {
             build,

@@ -325,14 +325,10 @@ impl Fold for Distributor<'_> {
     }
 
     fn distinct(&mut self, _node: Node, plan: &Rel, (child, part): Placed) -> Result<Placed> {
-        let width = child
-            .schema()
-            .map_err(|e| DorisError::Plan(e.to_string()))?
-            .len();
         let (child, part) = if part.is_complete() {
             (child, part)
         } else {
-            let keys = (0..width).map(expr::col).collect();
+            let keys = (0..child.width()).map(expr::col).collect();
             (shuffle(child, keys), Partitioning::Arbitrary)
         };
         Ok((plan.with_children([child]), part))

@@ -163,7 +163,7 @@ impl Fold for Interp<'_> {
         exprs: &[(Expr, String)],
         t: Table,
     ) -> Result<Table> {
-        let schema = plan.schema()?;
+        let schema = plan.output_schema(&[t.schema()])?;
         let mut cols = Vec::with_capacity(exprs.len());
         for (e, _) in exprs {
             cols.push(evaluate(e, &t)?);
@@ -201,7 +201,7 @@ impl Fold for Interp<'_> {
             })
             .collect::<Result<_>>()?;
         let (keys, aggs) = ops::aggregate(&t, &key_cols, &agg_inputs)?;
-        let schema = plan.schema()?;
+        let schema = plan.output_schema(&[t.schema()])?;
         let out = Table::new(schema, keys.into_iter().chain(aggs).collect());
         let category = if group_by.is_empty() {
             CostCategory::Aggregate
@@ -256,7 +256,7 @@ impl Fold for Interp<'_> {
             _ => {
                 let l = lt.gather(&out_idx.left);
                 let r = Table::new(
-                    plan.schema()?.project(
+                    plan.output_schema(&[lt.schema(), rt.schema()])?.project(
                         &(lt.num_columns()..lt.num_columns() + rt.num_columns())
                             .collect::<Vec<_>>(),
                     ),

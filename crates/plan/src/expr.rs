@@ -114,82 +114,81 @@ impl Expr {
     /// Inferred output type against `input` (the operand relation's schema).
     /// NULL literals type as `Bool` in isolation; engines special-case them.
     pub fn data_type(&self, input: &Schema) -> Result<DataType> {
-        match self {
+        self.typed(input).map(|(data_type, _)| data_type)
+    }
+
+    /// Inferred output type and nullability (true when the expression may
+    /// produce NULL) against `input`, in one walk that types **every**
+    /// sub-expression: a column out of range anywhere — under a `Cast`, in
+    /// a later `CASE` branch — is [`PlanError::ColumnOutOfRange`], a `LIKE`
+    /// or `SUBSTRING` over a non-string, an `IN` list not comparable with
+    /// its operand and a non-boolean `CASE` condition are type errors.
+    pub fn typed(&self, input: &Schema) -> Result<(DataType, bool)> {
+        Ok(match self {
             Expr::Column(i) => {
-                input
-                    .fields
-                    .get(*i)
-                    .map(|f| f.data_type)
-                    .ok_or(PlanError::ColumnOutOfRange {
-                        index: *i,
-                        width: input.len(),
-                    })
+                let field = input.fields.get(*i).ok_or(PlanError::ColumnOutOfRange {
+                    index: *i,
+                    width: input.len(),
+                })?;
+                (field.data_type, field.nullable)
             }
-            Expr::Literal(s) => Ok(s.data_type().unwrap_or(DataType::Bool)),
+            Expr::Literal(s) => (s.data_type().unwrap_or(DataType::Bool), s.is_null()),
             Expr::Binary { op, left, right } => {
-                let (lt, rt) = (left.data_type(input)?, right.data_type(input)?);
-                binop_result(*op, lt, rt)
-                    .ok_or_else(|| PlanError::TypeError(format!("{op:?} on ({lt}, {rt})")))
+                let ((lt, ln), (rt, rn)) = (left.typed(input)?, right.typed(input)?);
+                let t = binop_result(*op, lt, rt)
+                    .ok_or_else(|| PlanError::TypeError(format!("{op:?} on ({lt}, {rt})")))?;
+                (t, ln || rn)
             }
             Expr::Unary { op, input: e } => {
-                let t = e.data_type(input)?;
-                Ok(match op {
-                    UnOp::Not | UnOp::IsNull | UnOp::IsNotNull => DataType::Bool,
-                    UnOp::ExtractYear => DataType::Int64,
+                let (t, nullable) = e.typed(input)?;
+                match op {
+                    UnOp::IsNull | UnOp::IsNotNull => (DataType::Bool, false),
+                    UnOp::Not => (DataType::Bool, nullable),
+                    UnOp::ExtractYear => (DataType::Int64, nullable),
                     UnOp::Neg => match t {
-                        DataType::Float64 => DataType::Float64,
-                        DataType::Int32 | DataType::Int64 => DataType::Int64,
+                        DataType::Float64 => (DataType::Float64, nullable),
+                        DataType::Int32 | DataType::Int64 => (DataType::Int64, nullable),
                         other => return Err(PlanError::TypeError(format!("Neg on {other}"))),
                     },
-                })
+                }
             }
-            Expr::Cast { to, .. } => Ok(*to),
-            Expr::Like { .. } | Expr::InList { .. } => Ok(DataType::Bool),
+            Expr::Cast { input: e, to } => (*to, e.typed(input)?.1),
+            Expr::Like { input: e, .. } => (DataType::Bool, string_operand("LIKE", e, input)?),
+            Expr::Substring { input: e, .. } => {
+                (DataType::Utf8, string_operand("SUBSTRING", e, input)?)
+            }
+            Expr::InList { input: e, list, .. } => {
+                let (t, nullable) = e.typed(input)?;
+                let mut candidates = list.iter().filter_map(Scalar::data_type);
+                if let Some(lt) = candidates.find(|lt| !comparable(t, *lt)) {
+                    return Err(PlanError::TypeError(format!("IN list of {lt} on {t}")));
+                }
+                (DataType::Bool, nullable)
+            }
             Expr::Case {
                 branches,
                 otherwise,
             } => {
                 // First non-null-literal branch value fixes the type.
-                for (_, v) in branches {
-                    if !matches!(v, Expr::Literal(Scalar::Null)) {
-                        return v.data_type(input);
+                let (mut data_type, mut nullable) = (None, otherwise.is_none());
+                for (condition, value) in branches {
+                    expect_bool("CASE condition", condition, input)?;
+                    let (vt, vn) = value.typed(input)?;
+                    if data_type.is_none() && !matches!(value, Expr::Literal(Scalar::Null)) {
+                        data_type = Some(vt);
                     }
+                    nullable |= vn;
                 }
-                match otherwise {
-                    Some(o) => o.data_type(input),
-                    None => Err(PlanError::TypeError("untyped CASE".into())),
+                if let Some(o) = otherwise {
+                    let (ot, on) = o.typed(input)?;
+                    data_type = data_type.or(Some(ot));
+                    nullable |= on;
                 }
+                let data_type =
+                    data_type.ok_or_else(|| PlanError::TypeError("untyped CASE".into()))?;
+                (data_type, nullable)
             }
-            Expr::Substring { .. } => Ok(DataType::Utf8),
-        }
-    }
-
-    /// True when the expression may produce NULL given the input schema.
-    pub fn nullable(&self, input: &Schema) -> bool {
-        match self {
-            Expr::Column(i) => input.fields.get(*i).map(|f| f.nullable).unwrap_or(true),
-            Expr::Literal(s) => s.is_null(),
-            Expr::Unary {
-                op: UnOp::IsNull | UnOp::IsNotNull,
-                ..
-            } => false,
-            Expr::Unary { input: e, .. }
-            | Expr::Cast { input: e, .. }
-            | Expr::Like { input: e, .. }
-            | Expr::InList { input: e, .. }
-            | Expr::Substring { input: e, .. } => e.nullable(input),
-            Expr::Binary { left, right, .. } => left.nullable(input) || right.nullable(input),
-            Expr::Case {
-                branches,
-                otherwise,
-            } => {
-                branches.iter().any(|(_, v)| v.nullable(input))
-                    || otherwise
-                        .as_ref()
-                        .map(|o| o.nullable(input))
-                        .unwrap_or(true)
-            }
-        }
+        })
     }
 
     /// Column ordinals referenced anywhere in this expression.
@@ -277,11 +276,32 @@ impl Expr {
     }
 }
 
+/// `it` — a filter predicate, a join residual, a `CASE` condition — must
+/// type as `Bool`.
+pub(crate) fn expect_bool(it: &str, e: &Expr, input: &Schema) -> Result<()> {
+    match e.data_type(input)? {
+        DataType::Bool => Ok(()),
+        t => Err(PlanError::TypeError(format!("{it} must be bool, got {t}"))),
+    }
+}
+
+/// Nullability of a `LIKE` / `SUBSTRING` operand, which must be a string.
+fn string_operand(what: &str, operand: &Expr, input: &Schema) -> Result<bool> {
+    match operand.typed(input)? {
+        (DataType::Utf8, nullable) => Ok(nullable),
+        (other, _) => Err(PlanError::TypeError(format!("{what} on {other}"))),
+    }
+}
+
+/// Whether `=`/`<`/`IN` and equi-join keys may compare the two types.
+pub(crate) fn comparable(l: DataType, r: DataType) -> bool {
+    l == r || (l.is_numeric() && r.is_numeric())
+}
+
 fn binop_result(op: BinOp, l: DataType, r: DataType) -> Option<DataType> {
     use DataType::*;
     if op.is_comparison() {
-        let ok = l == r || (l.is_numeric() && r.is_numeric());
-        return ok.then_some(Bool);
+        return comparable(l, r).then_some(Bool);
     }
     match op {
         BinOp::And | BinOp::Or => (l == Bool && r == Bool).then_some(Bool),
@@ -562,6 +582,43 @@ mod tests {
     }
 
     #[test]
+    fn operands_conditions_and_later_branches_are_typed() {
+        let s = schema();
+        let operand = |e: Expr| Box::new(e);
+        let like = |input| Expr::Like {
+            input,
+            pattern: "%".into(),
+            negated: false,
+        };
+        let case = |condition, value| Expr::Case {
+            branches: vec![(gt(col(0), lit_i64(0)), lit_i64(1)), (condition, value)],
+            otherwise: None,
+        };
+        let cast = Expr::Cast {
+            input: operand(col(9)),
+            to: DataType::Int64,
+        };
+        for hole in [
+            cast,
+            like(operand(col(9))),
+            case(gt(col(9), lit_i64(0)), lit_i64(2)),
+            case(gt(col(0), lit_i64(1)), col(9)),
+        ] {
+            let err = hole.typed(&s).unwrap_err();
+            assert_eq!(err, PlanError::ColumnOutOfRange { index: 9, width: 4 });
+        }
+        assert!(matches!(
+            like(operand(col(0))).typed(&s),
+            Err(PlanError::TypeError(_))
+        ));
+        assert!(matches!(
+            case(col(0), lit_i64(2)).typed(&s),
+            Err(PlanError::TypeError(_))
+        ));
+        assert_eq!(like(operand(col(2))).typed(&s), Ok((DataType::Bool, false)));
+    }
+
+    #[test]
     fn referenced_and_remap() {
         let e = and(gt(col(2), lit_str("m")), eq(col(0), col(3)));
         let mut cols = Vec::new();
@@ -630,14 +687,14 @@ mod tests {
     fn nullability() {
         let mut s = schema();
         s.fields[0].nullable = true;
-        assert!(col(0).nullable(&s));
-        assert!(!col(1).nullable(&s));
-        assert!(!Expr::Unary {
+        let nullable = |e: Expr| e.typed(&s).unwrap().1;
+        assert!(nullable(col(0)));
+        assert!(!nullable(col(1)));
+        assert!(!nullable(Expr::Unary {
             op: UnOp::IsNull,
             input: Box::new(col(0))
-        }
-        .nullable(&s));
-        assert!(add(col(0), col(1)).nullable(&s));
+        }));
+        assert!(nullable(add(col(0), col(1))));
     }
 
     #[test]

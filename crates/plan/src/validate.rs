@@ -4,79 +4,46 @@
 //! features" (§3.2.2); validation is the first gate — a plan that fails
 //! here is routed back to the host engine before execution starts.
 
+use crate::expr::{comparable, expect_bool, AggExpr, AggFunc};
 use crate::rel::{ExchangeKind, JoinKind, Rel};
 use crate::{PlanError, Result};
-use sirius_columnar::DataType;
+use sirius_columnar::Schema;
 
-/// Validate a plan tree: every expression type-checks against its input,
-/// filter predicates are boolean, join key lists are aligned and
-/// equi-comparable, and limits/projections are in range.
-pub fn validate(plan: &Rel) -> Result<()> {
-    // Validate children first.
-    for c in plan.children() {
-        validate(c)?;
-    }
+/// Validate a plan tree and return its output schema: every expression
+/// type-checks against its input, filter predicates are boolean, join key
+/// lists are aligned and equi-comparable, and limits/projections are in
+/// range. One bottom-up pass: each operator's inputs are validated first
+/// and the operator is typed once, by [`Rel::output_schema`] over the
+/// schemas they returned — which is also what type-checks the expressions
+/// feeding an output column; the arms below add the structural checks and
+/// type the expressions the rule does not look at.
+pub fn validate(plan: &Rel) -> Result<Schema> {
+    let invalid = |what: String| Err(PlanError::Invalid(what));
     match plan {
-        Rel::Read {
-            schema, projection, ..
-        } => {
-            if let Some(p) = projection {
-                for &i in p {
-                    if i >= schema.len() {
-                        return Err(PlanError::ColumnOutOfRange {
-                            index: i,
-                            width: schema.len(),
-                        });
-                    }
-                }
-            }
-            Ok(())
-        }
+        Rel::Read { .. } => plan.output_schema(&[]),
         Rel::Filter { input, predicate } => {
-            let s = input.schema()?;
-            let t = predicate.data_type(&s)?;
-            if t != DataType::Bool {
-                return Err(PlanError::TypeError(format!(
-                    "filter predicate must be bool, got {t}"
-                )));
-            }
-            Ok(())
+            let s = validate(input)?;
+            expect_bool("filter predicate", predicate, &s)?;
+            Ok(s)
         }
         Rel::Project { input, exprs } => {
-            let s = input.schema()?;
-            if exprs.is_empty() {
-                return Err(PlanError::Invalid("empty projection".into()));
-            }
-            for (e, _) in exprs {
-                e.data_type(&s)?;
-            }
-            Ok(())
+            let out = plan.output_schema(&[&validate(input)?])?;
+            ensure(!exprs.is_empty(), "empty projection")?;
+            Ok(out)
         }
         Rel::Aggregate {
             input,
             group_by,
             aggregates,
         } => {
-            let s = input.schema()?;
-            for g in group_by {
-                g.data_type(&s)?;
+            let out = plan.output_schema(&[&validate(input)?])?;
+            let empty = aggregates.is_empty() && group_by.is_empty();
+            ensure(!empty, "aggregate with no keys and no aggregates")?;
+            let bare = |a: &&AggExpr| a.input.is_none() && a.func != AggFunc::CountStar;
+            if let Some(a) = aggregates.iter().find(bare) {
+                return invalid(format!("{:?} requires an argument", a.func));
             }
-            if aggregates.is_empty() && group_by.is_empty() {
-                return Err(PlanError::Invalid(
-                    "aggregate with no keys and no aggregates".into(),
-                ));
-            }
-            for a in aggregates {
-                let it = a.input.as_ref().map(|e| e.data_type(&s)).transpose()?;
-                a.func.result_type(it)?;
-                if a.input.is_none() && a.func != crate::expr::AggFunc::CountStar {
-                    return Err(PlanError::Invalid(format!(
-                        "{:?} requires an argument",
-                        a.func
-                    )));
-                }
-            }
-            Ok(())
+            Ok(out)
         }
         Rel::Join {
             left,
@@ -86,72 +53,65 @@ pub fn validate(plan: &Rel) -> Result<()> {
             right_keys,
             residual,
         } => {
+            let (ls, rs) = (validate(left)?, validate(right)?);
             if left_keys.len() != right_keys.len() {
-                return Err(PlanError::Invalid(format!(
+                return invalid(format!(
                     "join key count mismatch: {} vs {}",
                     left_keys.len(),
                     right_keys.len()
-                )));
+                ));
             }
-            if *kind == JoinKind::Cross && !left_keys.is_empty() {
-                return Err(PlanError::Invalid("cross join with keys".into()));
-            }
+            let keyed = !left_keys.is_empty();
+            ensure(*kind != JoinKind::Cross || !keyed, "cross join with keys")?;
             // `Single` may be keyless: an uncorrelated scalar subquery joins
             // its one-row result against every outer row.
-            if !matches!(kind, JoinKind::Cross | JoinKind::Single) && left_keys.is_empty() {
-                return Err(PlanError::Invalid(format!("{kind:?} join without keys")));
+            if !matches!(kind, JoinKind::Cross | JoinKind::Single) && !keyed {
+                return invalid(format!("{kind:?} join without keys"));
             }
-            let (ls, rs) = (left.schema()?, right.schema()?);
             for (l, r) in left_keys.iter().zip(right_keys.iter()) {
                 let (lt, rt) = (l.data_type(&ls)?, r.data_type(&rs)?);
-                let comparable = lt == rt || (lt.is_numeric() && rt.is_numeric());
-                if !comparable {
+                if !comparable(lt, rt) {
                     return Err(PlanError::TypeError(format!(
                         "join keys not comparable: {lt} vs {rt}"
                     )));
                 }
             }
             if let Some(res) = residual {
-                let combined = ls.join(&rs);
-                let t = res.data_type(&combined)?;
-                if t != DataType::Bool {
-                    return Err(PlanError::TypeError(format!(
-                        "join residual must be bool, got {t}"
-                    )));
-                }
+                expect_bool("join residual", res, &ls.join(&rs))?;
             }
-            Ok(())
+            plan.output_schema(&[&ls, &rs])
         }
         Rel::Sort { input, keys } => {
-            let s = input.schema()?;
-            if keys.is_empty() {
-                return Err(PlanError::Invalid("sort with no keys".into()));
-            }
+            let s = validate(input)?;
+            ensure(!keys.is_empty(), "sort with no keys")?;
             for k in keys {
                 k.expr.data_type(&s)?;
             }
-            Ok(())
+            Ok(s)
         }
-        Rel::Limit { fetch, .. } => {
-            if fetch == &Some(0) {
-                return Err(PlanError::Invalid("fetch of zero rows".into()));
-            }
-            Ok(())
+        Rel::Limit { input, fetch, .. } => {
+            let s = validate(input)?;
+            ensure(*fetch != Some(0), "fetch of zero rows")?;
+            Ok(s)
         }
-        Rel::Distinct { .. } => Ok(()),
+        Rel::Distinct { input } => validate(input),
         Rel::Exchange { input, kind } => {
+            let s = validate(input)?;
             if let ExchangeKind::Shuffle { keys } = kind {
-                let s = input.schema()?;
-                if keys.is_empty() {
-                    return Err(PlanError::Invalid("shuffle without keys".into()));
-                }
+                ensure(!keys.is_empty(), "shuffle without keys")?;
                 for k in keys {
                     k.data_type(&s)?;
                 }
             }
-            Ok(())
+            Ok(s)
         }
     }
+}
+
+/// A structural rule: `ok`, or the plan is [`PlanError::Invalid`] for `why`.
+fn ensure(ok: bool, why: &str) -> Result<()> {
+    ok.then_some(())
+        .ok_or_else(|| PlanError::Invalid(why.into()))
 }
 
 /// Features the GPU engine supports. Used by the fallback check: a valid
@@ -190,10 +150,8 @@ impl FeatureSet {
                 ..
             } if !self.outer_joins => Some("OuterJoin".to_string()),
             Rel::Aggregate { aggregates, .. } => aggregates.iter().find_map(|a| match a.func {
-                crate::expr::AggFunc::Avg if !self.avg => Some("Avg".to_string()),
-                crate::expr::AggFunc::CountDistinct if !self.count_distinct => {
-                    Some("CountDistinct".to_string())
-                }
+                AggFunc::Avg if !self.avg => Some("Avg".to_string()),
+                AggFunc::CountDistinct if !self.count_distinct => Some("CountDistinct".to_string()),
                 _ => None,
             }),
             _ => None,
@@ -211,7 +169,7 @@ mod tests {
     use super::*;
     use crate::builder::PlanBuilder;
     use crate::expr::{self, AggExpr, AggFunc, Expr, SortExpr};
-    use sirius_columnar::{Field, Scalar, Schema};
+    use sirius_columnar::{DataType, Field, Scalar, Schema};
 
     fn scan() -> PlanBuilder {
         PlanBuilder::scan(

@@ -139,9 +139,10 @@ pub struct JoinOn<'a> {
 /// before its right) and handed to the arm's method **by value, with the
 /// arm's arity** (none for a scan, `input`, or `left` and `right`), next to
 /// the operator's pre-order [`Node`], the operator itself (for
-/// [`Rel::schema`] and [`Rel::with_children`]) and its payload by
-/// reference. No method has a default body: a new `Rel` arm does not
-/// compile until every consumer says what it means.
+/// [`Rel::output_schema`] over the input schemas the fold carries, and for
+/// [`Rel::with_children`]) and its payload by reference. No method has a
+/// default body: a new `Rel` arm does not compile until every consumer says
+/// what it means.
 ///
 /// [`Fold::enter`] runs before a subtree's children are visited and may
 /// claim the whole subtree — the escape hatch for fused operator pairs

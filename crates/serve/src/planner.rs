@@ -89,6 +89,21 @@ struct Memo {
     planned_version: HashMap<u64, u64>,
 }
 
+impl Memo {
+    /// Drop what was remembered about the plans that left the cache (one
+    /// retired, one evicted, at most): the texts resolving to them — they
+    /// re-plan on their next admission, as a text never seen does — and the
+    /// feedback generation of every shape no text is left for. Every remembered text then
+    /// resolves to a cached plan, so the memo cannot outgrow the distinct
+    /// plans the LRU beside it holds.
+    fn forget(&mut self, gone: [Option<PlanFingerprint>; 2]) {
+        let texts = &mut self.by_sql;
+        texts.retain(|_, entry| !gone.contains(&Some(entry.active)));
+        self.planned_version
+            .retain(|shape, _| texts.values().any(|e| e.canonical.shape == *shape));
+    }
+}
+
 /// Counters already published to Prometheus (deltas are published).
 #[derive(Default, Clone, Copy)]
 struct Published {
@@ -215,32 +230,30 @@ impl CachingPlanner {
         memo.planned_version.insert(shape, version_now);
         let fp = compiled.fingerprint();
         let prior = memo.by_sql.get(sql).map(|e| e.active);
-        match prior {
+        // The plans this admission pushed out of the cache.
+        let (retired, evicted) = match prior {
             // Feedback produced a different plan: retire the cached one.
-            Some(old) if old != fp => {
-                self.cache.replace(&old, Arc::clone(&compiled));
-            }
-            // Same plan as before (eviction refill, or feedback that
-            // changed nothing): re-insert to refresh recency.
-            Some(_) => {
-                self.cache.insert(Arc::clone(&compiled));
-            }
-            // New SQL text. Another text may have compiled to the same
-            // fingerprint (same shape *and* constants) — share its entry.
+            Some(old) if old != fp => (Some(old), self.cache.replace(&old, Arc::clone(&compiled))),
+            // Same plan as before (feedback that changed nothing):
+            // re-insert to refresh recency.
+            Some(_) => (None, self.cache.insert(Arc::clone(&compiled))),
+            // New SQL text, or one whose plan left the cache. Another text
+            // may have compiled to the same fingerprint (same shape *and*
+            // constants) — share its entry.
             None => match self.cache.get(&fp) {
-                Some(shared) => compiled = shared,
-                None => {
-                    self.cache.insert(Arc::clone(&compiled));
+                Some(shared) => {
+                    compiled = shared;
+                    (None, None)
                 }
+                None => (None, self.cache.insert(Arc::clone(&compiled))),
             },
-        }
-        memo.by_sql.insert(
-            sql.to_string(),
-            MemoEntry {
-                canonical: canonical.fingerprint(),
-                active: fp,
-            },
-        );
+        };
+        let entry = MemoEntry {
+            canonical: canonical.fingerprint(),
+            active: fp,
+        };
+        memo.by_sql.insert(sql.to_string(), entry);
+        memo.forget([retired, evicted]);
         Ok(ResolvedPlan {
             compiled,
             shape,
@@ -301,5 +314,40 @@ impl CachingPlanner {
             replans: s.replans,
             phases,
         };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sirius_columnar::{DataType, Field, Schema};
+    use sirius_core::EngineConfig;
+
+    #[test]
+    fn memo_is_bounded_by_the_cache() {
+        let mut catalog = BinderCatalog::new();
+        let schema = Schema::new(vec![Field::new("k", DataType::Int64)]);
+        catalog.add_table("t", schema, 100);
+        let planner = CachingPlanner::new(catalog, JoinOrderPolicy::Optimized).with_capacity(8);
+        // Compiling charges nothing and reads no table: an empty engine does.
+        let engine = SiriusEngine::from_config(EngineConfig::new(sirius_hw::catalog::gh200_gpu()));
+        for literal in 0..1000 {
+            let sql = format!("select k from t where k > {literal}");
+            assert!(planner.resolve(&sql, &engine).unwrap().planned);
+        }
+        let stats = planner.cache_stats();
+        assert_eq!((stats.entries, stats.evictions), (8, 992));
+        let memo = planner.inner.lock();
+        assert_eq!(memo.by_sql.len(), 8, "one text per cached plan");
+        assert_eq!(memo.planned_version.len(), 1, "the variants share a shape");
+        // A forgotten text costs what it cost while remembered: one miss.
+        drop(memo);
+        assert!(
+            planner
+                .resolve("select k from t where k > 0", &engine)
+                .unwrap()
+                .planned
+        );
+        assert_eq!(planner.cache_stats().misses, stats.misses + 1);
     }
 }

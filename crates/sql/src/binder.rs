@@ -27,7 +27,7 @@
 //!   Q22).
 
 use crate::ast::*;
-use crate::optimizer::join_order::{JoinOrderer, JoinRelation};
+use crate::optimizer::join_order::{self, JoinOrderer, JoinRelation};
 use crate::optimizer::stats::{CatalogStatistics, Statistics};
 use crate::{Result, SqlError};
 use sirius_columnar::scalar::{date32_add_months, parse_date32};
@@ -244,7 +244,7 @@ fn bind_product(select: &Select, ctx: &BindCtx<'_>, outer: Option<&Schema>) -> R
                 // Constant predicates go to relation 0.
                 let rel = rels.first().copied().unwrap_or(0);
                 let local = bound.remap_columns(&|i| i - offsets[rel]);
-                relations[rel].push_filter(local, ctx.stats.pushdown_selectivity());
+                relations[rel].push_filter(local, join_order::PUSHDOWN_SELECTIVITY);
                 continue;
             }
             // Derive implied per-relation filters from multi-table ORs:
@@ -254,7 +254,7 @@ fn bind_product(select: &Select, ctx: &BindCtx<'_>, outer: Option<&Schema>) -> R
             for &rel in &rels {
                 if let Some(implied) = implied_single_relation_filter(&bound, rel, &offsets) {
                     let local = implied.remap_columns(&|i| i - offsets[rel]);
-                    relations[rel].push_filter(local, ctx.stats.implied_or_selectivity());
+                    relations[rel].push_filter(local, join_order::IMPLIED_OR_SELECTIVITY);
                 }
             }
             edges.push((bound, rels));
@@ -921,7 +921,7 @@ fn apply_subquery_conjunct(
         } => {
             // `expr [NOT] IN (subquery)` → semi/anti join on one key.
             let inner = bind_query(query, ctx)?;
-            if inner.schema()?.len() != 1 {
+            if inner.width() != 1 {
                 return Err(err("IN subquery must produce exactly one column"));
             }
             let keys = (
@@ -1035,7 +1035,7 @@ fn join_scalar_subquery(
     let (inner_plan, keys) = if inner.correlated.is_empty() {
         // Uncorrelated: an ordinary single-column query, cross-joined.
         let inner_plan = finish_select(sub, inner, &ctx)?;
-        if inner_plan.schema()?.len() != 1 {
+        if inner_plan.width() != 1 {
             return Err(err("scalar subquery must produce one column"));
         }
         let value = vec![(expr::col(0), value_name)];

@@ -65,6 +65,14 @@ const MAX_EXACT_RELATIONS: usize = 12;
 /// System R's guess for a predicate it knows nothing about.
 const NON_EQUI_SELECTIVITY: f64 = 0.1;
 
+/// Selectivity per single-relation WHERE conjunct pushed into a scan: the
+/// TPC-H date-range and flag predicates keep about a third of a table.
+pub(crate) const PUSHDOWN_SELECTIVITY: f64 = 0.35;
+
+/// Selectivity per filter implied by a multi-relation OR (the Q7/Q19
+/// pattern): an `IN` of the disjuncts' constants, looser than one conjunct.
+pub(crate) const IMPLIED_OR_SELECTIVITY: f64 = 0.5;
+
 /// Left-deep join orderer over a [`Statistics`] source.
 pub struct JoinOrderer<'a> {
     policy: JoinOrderPolicy,

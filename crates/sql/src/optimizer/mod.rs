@@ -28,14 +28,13 @@ use std::collections::{BTreeSet, HashMap};
 
 /// Run all optimization passes.
 pub fn optimize(plan: Rel) -> Result<Rel> {
-    let width = plan.schema().map_err(SqlError::Plan)?.len();
+    let width = plan.width();
     let required: BTreeSet<usize> = (0..width).collect();
     let (pruned, mapping) = prune(plan, &required)?;
     // The contract allows the pruned tree to expose extra columns; restore
     // the exact original output if anything moved.
     let identity = (0..width).all(|i| mapping.get(&i) == Some(&i));
-    let out_width = pruned.schema().map_err(SqlError::Plan)?.len();
-    if identity && out_width == width {
+    if identity && pruned.width() == width {
         Ok(pruned)
     } else {
         let schema = pruned.schema().map_err(SqlError::Plan)?;
@@ -108,8 +107,7 @@ fn prune(rel: Rel, required: &BTreeSet<usize>) -> Result<(Rel, Mapping)> {
         }
         Rel::Distinct { input } => {
             // Distinct semantics depend on every column: no pruning through.
-            let width = input.schema().map_err(SqlError::Plan)?.len();
-            let all: BTreeSet<usize> = (0..width).collect();
+            let all: BTreeSet<usize> = (0..input.width()).collect();
             let (child, map) = prune(*input, &all)?;
             let input = Box::new(child);
             Ok((Rel::Distinct { input }, map))
@@ -221,7 +219,7 @@ fn prune_join(
     residual: Option<Expr>,
     required: &BTreeSet<usize>,
 ) -> Result<(Rel, Mapping)> {
-    let lw = left.schema().map_err(SqlError::Plan)?.len();
+    let lw = left.width();
     let mut lreq = BTreeSet::new();
     let mut rreq = BTreeSet::new();
     let residual_refs = residual.iter().flat_map(refs_of);
@@ -240,7 +238,7 @@ fn prune_join(
     }
     let (lchild, lmap) = prune(left, &lreq)?;
     let (rchild, rmap) = prune(right, &rreq)?;
-    let new_lw = lchild.schema().map_err(SqlError::Plan)?.len();
+    let new_lw = lchild.width();
     let left_keys: Vec<_> = left_keys
         .iter()
         .map(|k| k.remap_columns(&|c| lmap[&c]))

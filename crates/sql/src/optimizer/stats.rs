@@ -1,17 +1,18 @@
 //! The statistics abstraction behind join ordering.
 //!
-//! The binder used to read row counts straight off [`BinderCatalog`] and
-//! bake selectivity constants into `bind`. [`Statistics`] lifts both
-//! behind a trait so the same join orderer can run from catalog
-//! estimates (the default, [`CatalogStatistics`]) or from *observed
-//! actuals* recorded by a feedback store
-//! after a prior execution of the same plan shape (adaptive
-//! re-optimization, the serving layer's plan-cache payoff).
+//! The binder used to read row counts straight off [`BinderCatalog`].
+//! [`Statistics`] lifts them behind a trait so the same join orderer can
+//! run from catalog estimates (the default, [`CatalogStatistics`]) or from
+//! *observed actuals* recorded by a feedback store after a prior execution
+//! of the same plan shape (adaptive re-optimization, the serving layer's
+//! plan-cache payoff). The selectivity guesses no source overrides are
+//! constants beside the orderer's cost model, in
+//! [`join_order`](super::join_order).
 
 use crate::binder::BinderCatalog;
 use std::collections::BTreeSet;
 
-/// Cardinality and selectivity source for the optimizer.
+/// Cardinality source for the optimizer.
 ///
 /// `actual_rows` keys on the *set of base tables* under a join subtree:
 /// that identity is stable under join reordering, so observations made
@@ -25,18 +26,6 @@ use std::collections::BTreeSet;
 pub trait Statistics {
     /// Base-table row count, `None` if the table is unknown.
     fn base_rows(&self, table: &str) -> Option<f64>;
-
-    /// Selectivity applied per single-relation WHERE conjunct pushed
-    /// into a scan.
-    fn pushdown_selectivity(&self) -> f64 {
-        0.35
-    }
-
-    /// Selectivity applied per implied filter derived from a
-    /// multi-relation OR (the Q7/Q19 pattern).
-    fn implied_or_selectivity(&self) -> f64 {
-        0.5
-    }
 
     /// Observed output cardinality of the join subtree covering exactly
     /// `tables`, from a previous run of the same plan shape. The default
@@ -70,6 +59,7 @@ impl Statistics for CatalogStatistics<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::join_order::{IMPLIED_OR_SELECTIVITY, PUSHDOWN_SELECTIVITY};
     use sirius_columnar::{DataType, Field, Schema};
 
     #[test]
@@ -84,7 +74,7 @@ mod tests {
         assert_eq!(stats.base_rows("t"), Some(123.0));
         assert_eq!(stats.base_rows("missing"), None);
         assert_eq!(stats.actual_rows(&BTreeSet::from(["t".to_string()])), None);
-        assert_eq!(stats.pushdown_selectivity(), 0.35);
-        assert_eq!(stats.implied_or_selectivity(), 0.5);
+        assert_eq!(PUSHDOWN_SELECTIVITY, 0.35);
+        assert_eq!(IMPLIED_OR_SELECTIVITY, 0.5);
     }
 }
