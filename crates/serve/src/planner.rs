@@ -340,7 +340,7 @@ mod tests {
         let memo = planner.inner.lock();
         assert_eq!(memo.by_sql.len(), 8, "one text per cached plan");
         assert_eq!(memo.planned_version.len(), 1, "the variants share a shape");
-        // A forgotten text costs what it cost while remembered: one miss.
+        // A forgotten text costs what a new one does: one miss, one plan.
         drop(memo);
         assert!(
             planner
