@@ -311,13 +311,11 @@ impl SiriusEngine {
     /// `config.operator_stats`); other engines render every node as
     /// data-free.
     pub fn explain_analyze(&self, plan: &Rel) -> String {
+        let stats = self.operator_stats();
         match self.compile_query(plan) {
-            Ok(compiled) => compiled.explain_analyze(&self.operator_stats()),
+            Ok(compiled) => compiled.explain_analyze(&stats),
             // Uncompilable plans still render something useful.
-            Err(_) => {
-                let normalized = sirius_plan::normalize::normalize(plan);
-                explain::render(&normalized, &self.operator_stats())
-            }
+            Err(_) => explain::render(&sirius_plan::normalize::normalize(plan), &stats),
         }
     }
 

@@ -4,8 +4,9 @@
 //! the engine accumulates an [`OpStats`] per plan node — rows and bytes
 //! produced, simulated busy time, invocation count, and spill partitions —
 //! keyed by the node's **pre-order id** (root = 0, children numbered
-//! depth-first left-to-right). [`render`] walks the plan with the same
-//! numbering and prints one line per operator.
+//! depth-first left-to-right). [`render`] prints one line per operator
+//! under the ids [`sirius_plan::visit::visit`] assigns — the numbering the
+//! compiler's fold stamps on every operator.
 //!
 //! Streaming operators that never materialize (a scan fused into the filter
 //! above it, a filter conjunct coalesced into its parent) have no stats and
@@ -14,6 +15,7 @@
 //! morsels; pipeline breakers (aggregate / sort / limit / distinct) report
 //! the *cumulative* simulated window of their whole subtree.
 
+use sirius_plan::visit::{self, Node};
 use sirius_plan::Rel;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -59,12 +61,6 @@ impl OpStats {
     }
 }
 
-/// Pre-order subtree size, the step between a node's id and its next
-/// sibling's.
-pub(crate) fn subtree_size(rel: &Rel) -> u32 {
-    rel.node_count() as u32
-}
-
 fn fmt_bytes(b: u64) -> String {
     if b >= 10 << 20 {
         format!("{:.1}MiB", b as f64 / (1 << 20) as f64)
@@ -100,43 +96,36 @@ fn node_label(rel: &Rel) -> String {
 pub fn render(plan: &Rel, stats: &HashMap<u32, OpStats>) -> String {
     let mut out =
         String::from("EXPLAIN ANALYZE (simulated ns; breakers report cumulative subtree time)\n");
-    walk(plan, 0, 0, stats, &mut out);
-    out
-}
-
-fn walk(rel: &Rel, id: u32, depth: u32, stats: &HashMap<u32, OpStats>, out: &mut String) {
-    let pad = "  ".repeat(depth as usize);
-    let _ = write!(out, "{pad}{} [#{id}]", node_label(rel));
-    match stats.get(&id) {
-        Some(s) => {
-            let _ = write!(
-                out,
-                "  rows={} bytes={} time={}",
-                s.rows_out,
-                fmt_bytes(s.bytes_out),
-                fmt_time(s.busy)
-            );
-            if s.invocations > 1 {
-                let _ = write!(out, " x{}", s.invocations);
+    visit::visit(plan, &mut |Node { id, depth }, rel| {
+        let pad = "  ".repeat(depth as usize);
+        let _ = write!(out, "{pad}{} [#{id}]", node_label(rel));
+        match stats.get(&id) {
+            Some(s) => {
+                let _ = write!(
+                    out,
+                    "  rows={} bytes={} time={}",
+                    s.rows_out,
+                    fmt_bytes(s.bytes_out),
+                    fmt_time(s.busy)
+                );
+                if s.invocations > 1 {
+                    let _ = write!(out, " x{}", s.invocations);
+                }
+                if s.spill_partitions > 0 {
+                    let _ = write!(out, " spill={}p", s.spill_partitions);
+                }
             }
-            if s.spill_partitions > 0 {
-                let _ = write!(out, " spill={}p", s.spill_partitions);
-            }
+            None => match rel {
+                Rel::Exchange { .. } => out.push_str("  (bypassed)"),
+                Rel::Read { .. } | Rel::Filter { .. } | Rel::Project { .. } => {
+                    out.push_str("  (fused)")
+                }
+                _ => out.push_str("  (no data)"),
+            },
         }
-        None => match rel {
-            Rel::Exchange { .. } => out.push_str("  (bypassed)"),
-            Rel::Read { .. } | Rel::Filter { .. } | Rel::Project { .. } => {
-                out.push_str("  (fused)")
-            }
-            _ => out.push_str("  (no data)"),
-        },
-    }
-    out.push('\n');
-    let mut child_id = id + 1;
-    for c in rel.children() {
-        walk(c, child_id, depth + 1, stats, out);
-        child_id += subtree_size(c);
-    }
+        out.push('\n');
+    });
+    out
 }
 
 #[cfg(test)]

@@ -2,11 +2,12 @@
 //! executable DAG of pipelines.
 //!
 //! This is the single `Rel`-walking compilation path in the engine. The
-//! plan is first normalized ([`sirius_plan::normalize`]), then folded once
-//! ([`sirius_plan::visit::fold`]) into a [`PhysicalPlan`]: a topologically
-//! ordered list of [`Pipeline`]s, each a *source → streaming ops → breaker
-//! sink* chain with explicit dependencies (§3.2.2 of the paper). Everything
-//! downstream derives from this one artifact:
+//! plan is first normalized ([`sirius_plan::normalize`]: stacked filters
+//! coalesce, in the one copy compilation makes of the borrowed plan), then
+//! folded once ([`sirius_plan::visit::fold`]) into a [`PhysicalPlan`]: a
+//! topologically ordered list of [`Pipeline`]s, each a *source → streaming
+//! ops → breaker sink* chain with explicit dependencies (§3.2.2 of the
+//! paper). Everything downstream derives from this one artifact:
 //!
 //! * the scheduler ([`crate::schedule`]) executes pipelines in dependency
 //!   waves, with independent pipelines sharing the stream pool;

@@ -23,7 +23,7 @@
 use crate::explain::OpStats;
 use parking_lot::Mutex;
 use sirius_plan::fingerprint::PlanFingerprint;
-use sirius_plan::visit;
+use sirius_plan::visit::Node;
 use sirius_plan::Rel;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,23 +141,6 @@ impl PlanCache {
     /// least-recently-used entry if the cache is full. Returns the
     /// evicted plan's fingerprint, if any.
     pub fn insert(&self, query: Arc<CompiledQuery>) -> Option<PlanFingerprint> {
-        self.store(query)
-    }
-
-    /// Replace a cached plan after a feedback-driven re-optimization:
-    /// the old entry for `retired` is removed (retired, not evicted) and
-    /// the new plan inserted; the re-plan counter increments.
-    pub fn replace(
-        &self,
-        retired: &PlanFingerprint,
-        query: Arc<CompiledQuery>,
-    ) -> Option<PlanFingerprint> {
-        self.entries.lock().remove(retired);
-        self.replans.fetch_add(1, Ordering::Relaxed);
-        self.store(query)
-    }
-
-    fn store(&self, query: Arc<CompiledQuery>) -> Option<PlanFingerprint> {
         let fp = query.fingerprint();
         let mut entries = self.entries.lock();
         let touch = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
@@ -171,6 +154,19 @@ impl PlanCache {
             }
         }
         evicted
+    }
+
+    /// Replace a cached plan after a feedback-driven re-optimization:
+    /// the old entry for `retired` is removed (retired, not evicted) and
+    /// the new plan inserted; the re-plan counter increments.
+    pub fn replace(
+        &self,
+        retired: &PlanFingerprint,
+        query: Arc<CompiledQuery>,
+    ) -> Option<PlanFingerprint> {
+        self.entries.lock().remove(retired);
+        self.replans.fetch_add(1, Ordering::Relaxed);
+        self.insert(query)
     }
 
     /// Live entry count.
@@ -210,6 +206,43 @@ pub struct ShapeFeedback {
     pub version: u64,
 }
 
+/// [`FeedbackStore::record`]'s walk: every node's base-table set derived
+/// once, bottom-up, from its inputs' sets.
+struct Observe<'a, 's> {
+    /// How often the plan reads each table.
+    occurrences: HashMap<&'a str, usize>,
+    stats: &'s HashMap<u32, OpStats>,
+    observed: HashMap<BTreeSet<String>, f64>,
+}
+
+impl<'a> Observe<'a, '_> {
+    /// The base tables under `rel`. A chain of single-input operators reads
+    /// the tables of the scan or join it ends in, so the chain's observation
+    /// — `above`, the rows of its topmost node that ran — is recorded there,
+    /// unless one of the tables is read more than once in the plan: a
+    /// self-join makes the set ambiguous.
+    fn tables(&mut self, rel: &'a Rel, node: Node, above: Option<f64>) -> BTreeSet<&'a str> {
+        let ran = self.stats.get(&node.id).filter(|s| s.invocations > 0);
+        let top = above.or(ran.map(|s| s.rows_out as f64));
+        let tables = match (rel, &rel.children()[..]) {
+            (Rel::Read { table, .. }, _) => BTreeSet::from([table.as_str()]),
+            (_, [input]) => return self.tables(input, node.first_child(), top),
+            (_, [left, right]) => {
+                let mut tables = self.tables(left, node.first_child(), None);
+                tables.extend(self.tables(right, node.first_child().after(left), None));
+                tables
+            }
+            _ => BTreeSet::new(),
+        };
+        let unambiguous = tables.iter().all(|t| self.occurrences[t] == 1);
+        if let Some(rows) = top.filter(|_| unambiguous) {
+            let set = tables.iter().map(|t| t.to_string()).collect();
+            self.observed.insert(set, rows);
+        }
+        tables
+    }
+}
+
 /// Runtime-feedback store keyed by fingerprint *shape* (not constants):
 /// literal variations of one query shape share observations, which is
 /// exactly what makes feedback useful for parameterized serving traffic.
@@ -238,40 +271,23 @@ impl FeedbackStore {
         for t in &all_tables {
             *occurrences.entry(t.as_str()).or_insert(0) += 1;
         }
-        let mut observed: HashMap<BTreeSet<String>, f64> = HashMap::new();
-        visit::visit(root, &mut |node, rel| {
-            let tables = rel.tables();
-            if tables.is_empty() || tables.iter().any(|t| occurrences[t.as_str()] > 1) {
-                return;
-            }
-            let set: BTreeSet<String> = tables.into_iter().collect();
-            if observed.contains_key(&set) {
-                // Pre-order: the first node carrying a set is the
-                // topmost, whose output rows are the subtree's true
-                // cardinality.
-                return;
-            }
-            if let Some(s) = stats.get(&node.id) {
-                if s.invocations > 0 {
-                    observed.insert(set, s.rows_out as f64);
-                }
-            }
-        });
-        let n = observed.len();
+        let mut walk = Observe {
+            occurrences,
+            stats,
+            observed: HashMap::new(),
+        };
+        walk.tables(root, Node::ROOT, None);
+        let n = walk.observed.len();
         if n > 0 {
             let mut shapes = self.shapes.lock();
             let fb = shapes.entry(shape).or_default();
-            let mut changed = false;
-            for (set, rows) in observed {
-                if fb.cardinalities.get(&set) != Some(&rows) {
-                    changed = true;
-                }
-                fb.cardinalities.insert(set, rows);
-            }
+            let changed = walk
+                .observed
+                .iter()
+                .any(|(set, rows)| fb.cardinalities.get(set) != Some(rows));
+            fb.cardinalities.extend(walk.observed);
             fb.runs += 1;
-            if changed {
-                fb.version += 1;
-            }
+            fb.version += u64::from(changed);
         }
         n
     }
@@ -414,5 +430,24 @@ mod tests {
         let store = FeedbackStore::new();
         assert_eq!(store.record(1, &plan, &stats), 0);
         assert!(store.snapshot(1).is_none());
+    }
+
+    #[test]
+    fn feedback_takes_the_topmost_node_that_ran() {
+        // Sort(0) -> Filter(1) -> Read(2): the sort has an entry but never
+        // ran, so the filter's rows stand for {t}.
+        let plan = PlanBuilder::scan("t", Schema::new(vec![Field::new("k", DataType::Int64)]))
+            .filter(expr::gt(expr::col(0), expr::lit_i64(0)))
+            .sort(vec![])
+            .build();
+        let mut filter = OpStats::default();
+        filter.note(30, 240, Duration::from_micros(1));
+        let mut read = OpStats::default();
+        read.note(100, 800, Duration::from_micros(1));
+        let stats = HashMap::from([(0, OpStats::default()), (1, filter), (2, read)]);
+        let store = FeedbackStore::new();
+        assert_eq!(store.record(3, &plan, &stats), 1);
+        let t = BTreeSet::from(["t".to_string()]);
+        assert_eq!(store.snapshot(3).unwrap().cardinalities[&t], 30.0);
     }
 }

@@ -10,7 +10,7 @@
 //! phase that applies the join type.
 
 use crate::{ExecError, Result};
-use sirius_columnar::{Array, Bitmap, Scalar, Table};
+use sirius_columnar::{Array, Bitmap, DataType, Scalar, Table};
 use sirius_plan::{AggFunc, JoinKind};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -173,120 +173,104 @@ pub fn resolve_pairs(
     Ok(out)
 }
 
+/// One aggregate's running state for one group.
+#[derive(Default)]
+struct Acc {
+    sum_f: f64,
+    sum_i: i64,
+    seen: bool,
+    count: i64,
+    distinct: HashSet<Scalar>,
+    min: Option<Scalar>,
+    max: Option<Scalar>,
+}
+
+impl Acc {
+    /// Fold one row's input (`None` for `COUNT(*)`) into the state; NULLs
+    /// count only for `COUNT(*)`.
+    fn update(&mut self, func: AggFunc, v: Option<Scalar>) {
+        match (func, v.filter(|s| !s.is_null())) {
+            (AggFunc::CountStar, _) => self.count += 1,
+            (_, None) => {}
+            (AggFunc::Count, Some(_)) => self.count += 1,
+            (AggFunc::CountDistinct, Some(s)) => {
+                self.distinct.insert(s);
+            }
+            (AggFunc::Sum | AggFunc::Avg, Some(s)) => {
+                if let Some(f) = s.as_f64() {
+                    self.sum_f += f;
+                }
+                if let Some(i) = s.as_i64() {
+                    self.sum_i = self.sum_i.wrapping_add(i);
+                }
+                self.count += 1;
+                self.seen = true;
+            }
+            (AggFunc::Min, Some(s)) => {
+                if self.min.as_ref().is_none_or(|cur| s < *cur) {
+                    self.min = Some(s);
+                }
+            }
+            (AggFunc::Max, Some(s)) => {
+                if self.max.as_ref().is_none_or(|cur| s > *cur) {
+                    self.max = Some(s);
+                }
+            }
+        }
+    }
+
+    /// The aggregate's value for the group, of type `out_type`.
+    fn finish(&self, func: AggFunc, out_type: DataType) -> Scalar {
+        match func {
+            AggFunc::CountStar | AggFunc::Count => Scalar::Int64(self.count),
+            AggFunc::CountDistinct => Scalar::Int64(self.distinct.len() as i64),
+            AggFunc::Sum if !self.seen => Scalar::Null,
+            AggFunc::Sum if out_type == DataType::Float64 => Scalar::Float64(self.sum_f),
+            AggFunc::Sum => Scalar::Int64(self.sum_i),
+            AggFunc::Avg if self.count == 0 => Scalar::Null,
+            AggFunc::Avg => Scalar::Float64(self.sum_f / self.count as f64),
+            AggFunc::Min => self.min.clone().unwrap_or(Scalar::Null),
+            AggFunc::Max => self.max.clone().unwrap_or(Scalar::Null),
+        }
+    }
+}
+
 /// Grouped / global aggregation. Group output order: first appearance.
 pub fn aggregate(
     input: &Table,
     key_cols: &[Array],
     aggs: &[(AggFunc, Option<Array>)],
 ) -> Result<(Vec<Array>, Vec<Array>)> {
-    struct Acc {
-        sum_f: f64,
-        sum_i: i64,
-        seen: bool,
-        count: i64,
-        distinct: HashSet<Scalar>,
-        min: Option<Scalar>,
-        max: Option<Scalar>,
-    }
-    impl Acc {
-        fn new() -> Self {
-            Self {
-                sum_f: 0.0,
-                sum_i: 0,
-                seen: false,
-                count: 0,
-                distinct: HashSet::new(),
-                min: None,
-                max: None,
-            }
-        }
-    }
-
     let n = input.num_rows();
     let global = key_cols.is_empty();
     let (keys, _nulls) = keys_of(key_cols, n);
+    let new_group = || aggs.iter().map(|_| Acc::default()).collect::<Vec<_>>();
 
     let mut group_ids: HashMap<Key, usize> = HashMap::new();
     let mut order: Vec<Key> = Vec::new();
     let mut accs: Vec<Vec<Acc>> = Vec::new();
     if global {
         order.push(vec![]);
-        accs.push(aggs.iter().map(|_| Acc::new()).collect());
+        accs.push(new_group());
     }
 
-    // `row` indexes both `keys` and every aggregate input column.
-    #[allow(clippy::needless_range_loop)]
-    for row in 0..n {
+    for (row, key) in keys.iter().enumerate() {
         let gid = if global {
             0
         } else {
-            match group_ids.entry(keys[row].clone()) {
+            match group_ids.entry(key.clone()) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
                     let id = order.len();
                     e.insert(id);
-                    order.push(keys[row].clone());
-                    accs.push(aggs.iter().map(|_| Acc::new()).collect());
+                    order.push(key.clone());
+                    accs.push(new_group());
                     id
                 }
             }
         };
-        for (ai, (func, col)) in aggs.iter().enumerate() {
-            let acc = &mut accs[gid][ai];
-            let v = col.as_ref().map(|c| c.scalar(row));
-            match func {
-                AggFunc::CountStar => acc.count += 1,
-                AggFunc::Count => {
-                    if v.as_ref().map(|s| !s.is_null()).unwrap_or(false) {
-                        acc.count += 1;
-                    }
-                }
-                AggFunc::CountDistinct => {
-                    if let Some(s) = v {
-                        if !s.is_null() {
-                            acc.distinct.insert(s);
-                        }
-                    }
-                }
-                AggFunc::Sum | AggFunc::Avg => {
-                    if let Some(s) = v {
-                        if !s.is_null() {
-                            if let Some(f) = s.as_f64() {
-                                acc.sum_f += f;
-                            }
-                            if let Some(i) = s.as_i64() {
-                                acc.sum_i = acc.sum_i.wrapping_add(i);
-                            }
-                            acc.count += 1;
-                            acc.seen = true;
-                        }
-                    }
-                }
-                AggFunc::Min | AggFunc::Max => {
-                    if let Some(s) = v {
-                        if !s.is_null() {
-                            let slot = if *func == AggFunc::Min {
-                                &mut acc.min
-                            } else {
-                                &mut acc.max
-                            };
-                            let replace = match slot {
-                                None => true,
-                                Some(cur) => {
-                                    if *func == AggFunc::Min {
-                                        s < *cur
-                                    } else {
-                                        s > *cur
-                                    }
-                                }
-                            };
-                            if replace {
-                                *slot = Some(s);
-                            }
-                        }
-                    }
-                }
-            }
+        for ((func, col), acc) in aggs.iter().zip(&mut accs[gid]) {
+            acc.update(*func, col.as_ref().map(|c| c.scalar(row)));
         }
     }
 
@@ -303,34 +287,7 @@ pub fn aggregate(
         .map(|(ai, (func, col))| {
             let in_type = col.as_ref().map(|c| c.data_type());
             let out_type = func.result_type(in_type).map_err(ExecError::Plan)?;
-            let scalars: Vec<Scalar> = accs
-                .iter()
-                .map(|g| {
-                    let a = &g[ai];
-                    match func {
-                        AggFunc::CountStar | AggFunc::Count => Scalar::Int64(a.count),
-                        AggFunc::CountDistinct => Scalar::Int64(a.distinct.len() as i64),
-                        AggFunc::Sum => {
-                            if !a.seen {
-                                Scalar::Null
-                            } else if out_type == sirius_columnar::DataType::Float64 {
-                                Scalar::Float64(a.sum_f)
-                            } else {
-                                Scalar::Int64(a.sum_i)
-                            }
-                        }
-                        AggFunc::Avg => {
-                            if a.count == 0 {
-                                Scalar::Null
-                            } else {
-                                Scalar::Float64(a.sum_f / a.count as f64)
-                            }
-                        }
-                        AggFunc::Min => a.min.clone().unwrap_or(Scalar::Null),
-                        AggFunc::Max => a.max.clone().unwrap_or(Scalar::Null),
-                    }
-                })
-                .collect();
+            let scalars: Vec<Scalar> = accs.iter().map(|g| g[ai].finish(*func, out_type)).collect();
             Ok(Array::from_scalars(&scalars, out_type))
         })
         .collect::<Result<_>>()?;

@@ -521,11 +521,10 @@ pub fn factor_or_common(e: &Expr) -> Expr {
             )
         })
         .collect();
-    let residual_or = residual_branches
-        .into_iter()
-        .reduce(or)
-        .expect("at least two branches");
-    and(and_all(common), residual_or)
+    match residual_branches.into_iter().reduce(or) {
+        Some(residual_or) => and(and_all(common), residual_or),
+        None => e.clone(),
+    }
 }
 
 #[cfg(test)]
@@ -681,6 +680,14 @@ mod tests {
         );
         let f = factor_or_common(&e);
         assert_eq!(split_conjunction(&f)[0], &k);
+    }
+
+    #[test]
+    fn one_branch_or_is_returned_unchanged() {
+        // A lone branch has every conjunct "in common" with itself; hoisting
+        // them would leave `k=1 AND a>2 AND TRUE`.
+        let branch = and(eq(col(0), lit_i64(1)), gt(col(1), lit_i64(2)));
+        assert_eq!(factor_or_common(&branch), branch);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Stable structural fingerprints over normalized plans.
+//! Stable structural fingerprints over plan trees.
 //!
 //! A serving system sees the same parameterized query *shapes* endlessly
 //! with only the literals changing. [`fingerprint`] hashes a [`Rel`] tree
@@ -17,9 +17,9 @@
 //!
 //! The hash is a hand-rolled FNV-1a walk: deterministic across processes
 //! and runs (no `RandomState`), independent of pointer identity, and
-//! stable under re-serialization. Fingerprint callers should hash the
-//! [`normalize`](crate::normalize)d tree so trivially different but
-//! equivalent plans land in the same bucket.
+//! stable under re-serialization. The engine hashes the tree it compiles,
+//! the [`normalize`](crate::normalize)d one, so a plan that stacks two
+//! filters and one that writes them as one conjunction share a bucket.
 
 use crate::expr::{AggExpr, Expr, SortExpr};
 use crate::rel::{ExchangeKind, Rel};
@@ -48,8 +48,8 @@ impl PlanFingerprint {
     }
 }
 
-/// Fingerprint a plan tree. Hash the [`normalize`](crate::normalize)d
-/// form for cache keying — see the module docs.
+/// Fingerprint a plan tree. Cache keys hash the
+/// [`normalize`](crate::normalize)d form — see the module docs.
 pub fn fingerprint(plan: &Rel) -> PlanFingerprint {
     let mut h = Walk::new();
     h.rel(plan);

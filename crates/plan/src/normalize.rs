@@ -1,37 +1,35 @@
-//! Shared plan-normalization passes.
+//! The one plan rewrite the GPU engine applies before compiling: adjacent
+//! filters coalesce into one conjunction.
 //!
-//! Every engine in the workspace — the GPU pipeline compiler, the CPU
-//! reference interpreter, the distributed fragmenter — used to carry its
-//! own ad-hoc simplifications (the GPU engine coalesced adjacent filters
-//! while collecting pipeline operators; the SQL frontend pruned scan
-//! columns). These passes hoist the plan-shape-only subset here so all
-//! consumers normalize identically and per-operator ids are assigned on
-//! the same tree everywhere.
+//! Only `sirius-core` normalizes — `physical::compile` folds the normalized
+//! tree, so its pre-order ids are the ids execution stamps into
+//! `operator_stats`, EXPLAIN ANALYZE renders and feedback records under —
+//! and the normalized tree is also the one copy compilation makes of a
+//! borrowed plan. The CPU interpreters and the distributed fragmenter walk
+//! the plan as it arrives.
 //!
-//! Both passes are semantics-preserving: the normalized plan has the
-//! exact same output schema (names, types, nullability) and produces the
-//! exact same rows as the input plan.
+//! Column pruning is not a normalization: which columns a scan reads is the
+//! SQL optimizer's decision (`sirius_sql::optimizer`), taken once when the
+//! plan is made, and a host's Substrait plan runs with the scans it arrives
+//! with.
+//!
+//! The rewrite is semantics-preserving: the normalized plan has the exact
+//! same output schema (names, types, nullability) and produces the exact
+//! same rows as the input plan.
 
-use crate::expr::{self, Expr};
+use crate::expr;
 use crate::rel::Rel;
 use crate::visit::rewrite;
-use std::collections::BTreeSet;
 
-/// Apply all normalization passes ([`pushdown_projections`], then
-/// [`coalesce_filters`]). Deterministic: equal inputs normalize to equal
-/// outputs.
-pub fn normalize(rel: &Rel) -> Rel {
-    coalesce_filters(&pushdown_projections(rel))
-}
-
-/// Merge adjacent `Filter` operators into one conjunction.
+/// Merge adjacent `Filter` operators into one conjunction. Deterministic:
+/// equal inputs normalize to equal outputs.
 ///
 /// `Filter(outer, Filter(inner, x))` becomes `Filter(inner AND outer, x)`
 /// — the operand order matches evaluation order (inner predicate first),
 /// so engines that short-circuit `AND` see the same work. The surviving
 /// filter sits where the *outermost* one was, which is the node that
 /// per-operator stats attribute the fused predicate to.
-pub fn coalesce_filters(rel: &Rel) -> Rel {
+pub fn normalize(rel: &Rel) -> Rel {
     rewrite(rel, &mut |r| match r {
         Rel::Filter {
             input,
@@ -55,119 +53,6 @@ pub fn coalesce_filters(rel: &Rel) -> Rel {
     })
 }
 
-/// Push column selections from `Project → [Filter]* → Read` chains into
-/// the scan.
-///
-/// When a projection (plus any filters between it and the scan) references
-/// a proper subset of the scanned columns, the scan's `projection` list is
-/// narrowed to that subset and every expression in the chain is remapped
-/// to the new ordinals. Output schemas are unchanged — only the scan
-/// width shrinks. Chains broken by joins, aggregates, or other operators
-/// are left alone: those engines' key/ordinal conventions (e.g. aggregate
-/// key naming) stay byte-identical.
-pub fn pushdown_projections(rel: &Rel) -> Rel {
-    rewrite(rel, &mut |r| match r {
-        Rel::Project { input, exprs } => match push_into_chain(&exprs, *input) {
-            Ok((narrowed, keep)) => Rel::Project {
-                input: Box::new(narrowed),
-                exprs: remap_project_exprs(&exprs, &keep),
-            },
-            Err(unchanged) => Rel::Project {
-                input: Box::new(unchanged),
-                exprs,
-            },
-        },
-        other => other,
-    })
-}
-
-/// Try to narrow the scan under a `[Filter]* → Read` chain to the columns
-/// referenced by `project_exprs` and the chain's predicates. `Ok` carries
-/// the rewritten chain (predicates remapped) plus the sorted kept ordinals
-/// so the caller can remap its own expressions; `Err` returns the input
-/// untouched (chain broken, nothing to prune, or out-of-range refs left
-/// for `validate` to report).
-fn push_into_chain(project_exprs: &[(Expr, String)], input: Rel) -> Result<(Rel, Vec<usize>), Rel> {
-    // Walk down the filter chain to the scan.
-    let mut predicates = Vec::new();
-    let mut cur = &input;
-    loop {
-        match cur {
-            Rel::Filter {
-                input: inner,
-                predicate,
-            } => {
-                predicates.push(predicate);
-                cur = inner;
-            }
-            Rel::Read {
-                schema, projection, ..
-            } => {
-                let width = match projection {
-                    Some(p) => p.len(),
-                    None => schema.len(),
-                };
-                let mut used = BTreeSet::new();
-                let mut refs = Vec::new();
-                for (e, _) in project_exprs {
-                    e.referenced_columns(&mut refs);
-                }
-                for p in &predicates {
-                    p.referenced_columns(&mut refs);
-                }
-                used.extend(refs);
-                if used.is_empty() || used.len() >= width || used.iter().any(|&c| c >= width) {
-                    return Err(input);
-                }
-                let keep: Vec<usize> = used.into_iter().collect();
-                let remap = |old: usize| keep.binary_search(&old).expect("kept column present");
-
-                // Rebuild bottom-up: narrowed scan, then the filter chain
-                // (innermost predicate first), all remapped.
-                let Rel::Read {
-                    table,
-                    schema,
-                    projection,
-                } = cur.clone()
-                else {
-                    unreachable!("loop stops at Read");
-                };
-                let base: Vec<usize> = match projection {
-                    Some(p) => p,
-                    None => (0..schema.len()).collect(),
-                };
-                let mut rebuilt = Rel::Read {
-                    table,
-                    schema,
-                    projection: Some(keep.iter().map(|&c| base[c]).collect()),
-                };
-                for predicate in predicates.into_iter().rev() {
-                    rebuilt = Rel::Filter {
-                        input: Box::new(rebuilt),
-                        predicate: predicate.remap_columns(&remap),
-                    };
-                }
-                return Ok((rebuilt, keep));
-            }
-            _ => return Err(input),
-        }
-    }
-}
-
-/// Ordinal remapping for the exprs of a `Project` whose chain was narrowed
-/// by [`push_into_chain`]: old scan-output ordinal → position in `keep`.
-fn remap_project_exprs(exprs: &[(Expr, String)], keep: &[usize]) -> Vec<(Expr, String)> {
-    exprs
-        .iter()
-        .map(|(e, name)| {
-            (
-                e.remap_columns(&|old| keep.binary_search(&old).expect("kept column present")),
-                name.clone(),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,16 +60,17 @@ mod tests {
     use crate::expr::{col, gt, lit_i64, lt};
     use sirius_columnar::{DataType, Field, Schema};
 
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("b", DataType::Int64),
+            Field::new("c", DataType::Int64),
+            Field::new("d", DataType::Int64),
+        ])
+    }
+
     fn wide_scan() -> PlanBuilder {
-        PlanBuilder::scan(
-            "t",
-            Schema::new(vec![
-                Field::new("a", DataType::Int64),
-                Field::new("b", DataType::Int64),
-                Field::new("c", DataType::Int64),
-                Field::new("d", DataType::Int64),
-            ]),
-        )
+        PlanBuilder::scan("t", wide_schema())
     }
 
     #[test]
@@ -194,7 +80,7 @@ mod tests {
             .filter(lt(col(1), lit_i64(9)))
             .filter(gt(col(2), lit_i64(3)))
             .build();
-        let out = coalesce_filters(&plan);
+        let out = normalize(&plan);
         assert_eq!(out.node_count(), 2);
         let Rel::Filter { predicate, .. } = &out else {
             panic!("expected filter root");
@@ -208,59 +94,24 @@ mod tests {
     }
 
     #[test]
-    fn pushes_projection_through_filters_into_scan() {
-        let plan = wide_scan()
+    fn leaves_every_scan_as_it_arrives() {
+        // A projection reading one column of four over a filter, and one
+        // over a scan that already carries a projection: neither scan is
+        // narrowed or recomposed, no ordinal is remapped.
+        let narrow = wide_scan()
             .filter(gt(col(1), lit_i64(0)))
             .project(vec![(col(3), "d".into())])
             .build();
-        let out = pushdown_projections(&plan);
-        // Scan narrowed to {b, d}; predicate/exprs remapped.
-        let Rel::Project { input, exprs } = &out else {
-            panic!("expected project root");
-        };
-        let Rel::Filter {
-            input: scan,
-            predicate,
-        } = &**input
-        else {
-            panic!("expected filter");
-        };
-        let Rel::Read { projection, .. } = &**scan else {
-            panic!("expected read");
-        };
-        assert_eq!(projection.as_deref(), Some(&[1usize, 3][..]));
-        assert_eq!(predicate, &gt(col(0), lit_i64(0)));
-        assert_eq!(exprs[0].0, col(1));
-        assert_eq!(out.schema().unwrap(), plan.schema().unwrap());
-        crate::validate::validate(&out).unwrap();
-    }
-
-    #[test]
-    fn composes_with_existing_scan_projection() {
-        let scan = Rel::Read {
+        let projected = PlanBuilder::from_rel(Rel::Read {
             table: "t".into(),
-            schema: Schema::new(vec![
-                Field::new("a", DataType::Int64),
-                Field::new("b", DataType::Int64),
-                Field::new("c", DataType::Int64),
-                Field::new("d", DataType::Int64),
-            ]),
+            schema: wide_schema(),
             projection: Some(vec![3, 1, 0]),
-        };
-        let plan = PlanBuilder::from_rel(scan)
-            .project(vec![(col(2), "a".into())])
-            .build();
-        let out = pushdown_projections(&plan);
-        let Rel::Project { input, exprs } = &out else {
-            panic!("expected project root");
-        };
-        let Rel::Read { projection, .. } = &**input else {
-            panic!("expected read");
-        };
-        // Kept output ordinal 2 of [3,1,0] = base column 0.
-        assert_eq!(projection.as_deref(), Some(&[0usize][..]));
-        assert_eq!(exprs[0].0, col(0));
-        assert_eq!(out.schema().unwrap(), plan.schema().unwrap());
+        })
+        .project(vec![(col(2), "a".into())])
+        .build();
+        for plan in [narrow, projected] {
+            assert_eq!(normalize(&plan), plan);
+        }
     }
 
     #[test]
@@ -273,20 +124,18 @@ mod tests {
                 (col(3), "d".into()),
             ])
             .build();
-        assert_eq!(pushdown_projections(&full), full);
+        assert_eq!(normalize(&full), full);
 
         let broken = wide_scan()
             .distinct()
             .project(vec![(col(0), "a".into())])
             .build();
-        assert_eq!(pushdown_projections(&broken), broken);
+        assert_eq!(normalize(&broken), broken);
 
-        // Literal-only projections keep the scan whole (validate rejects
-        // empty scan projections).
         let literal = wide_scan()
             .project(vec![(lit_i64(1), "one".into())])
             .build();
-        assert_eq!(pushdown_projections(&literal), literal);
+        assert_eq!(normalize(&literal), literal);
     }
 
     #[test]
@@ -299,11 +148,19 @@ mod tests {
         let out = normalize(&plan);
         assert_eq!(out.schema().unwrap(), plan.schema().unwrap());
         crate::validate::validate(&out).unwrap();
-        // Both passes fired: one filter left, scan narrowed to {a, d}.
+        // One filter left over the scan, which still reads all four columns.
         let Rel::Project { input, .. } = &out else {
             panic!("expected project root");
         };
-        assert!(matches!(&**input, Rel::Filter { .. }));
-        assert_eq!(input.node_count(), 2);
+        let Rel::Filter { input: scan, .. } = &**input else {
+            panic!("expected filter");
+        };
+        assert!(matches!(
+            &**scan,
+            Rel::Read {
+                projection: None,
+                ..
+            }
+        ));
     }
 }

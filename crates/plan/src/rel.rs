@@ -380,7 +380,9 @@ impl Rel {
             if let Rel::Read { table, .. } = r {
                 out.push(table.clone());
             }
-            for c in r.children() {
+            // `inputs`, not `children`: no `Vec` per node.
+            let (first, second) = r.inputs();
+            for c in first.into_iter().chain(second) {
                 walk(c, out);
             }
         }

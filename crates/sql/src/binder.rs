@@ -102,7 +102,7 @@ pub fn bind_with_stats(
         stats,
         ctes: HashMap::new(),
     };
-    bind_query(query, &ctx)
+    Ok(bind_query(query, &ctx)?.0)
 }
 
 #[derive(Clone)]
@@ -110,7 +110,8 @@ struct BindCtx<'a> {
     catalog: &'a BinderCatalog,
     policy: JoinOrderPolicy,
     stats: &'a dyn Statistics,
-    ctes: HashMap<String, Rel>,
+    /// Each CTE's plan and output schema, its fields named `cte.column`.
+    ctes: HashMap<String, (Rel, Schema)>,
 }
 
 fn err(msg: impl Into<String>) -> SqlError {
@@ -148,7 +149,8 @@ fn join(
     }
 }
 
-fn bind_query(query: &Query, ctx: &BindCtx<'_>) -> Result<Rel> {
+/// A bound query and its output schema.
+fn bind_query(query: &Query, ctx: &BindCtx<'_>) -> Result<(Rel, Schema)> {
     let ctx = with_ctes(query, ctx)?;
     let product = bind_product(&query.select, &ctx, None)?;
     finish_select(query, product, &ctx)
@@ -159,25 +161,25 @@ fn with_ctes<'c, 'a>(query: &Query, ctx: &'c BindCtx<'a>) -> Result<Cow<'c, Bind
     let mut ctx = Cow::Borrowed(ctx);
     for (name, cte) in &query.ctes {
         // Qualify the CTE's output names with its own name.
-        let plan = rename_output(bind_query(cte, &ctx)?, name)?;
-        ctx.to_mut().ctes.insert(name.clone(), plan);
+        let (plan, schema) = bind_query(cte, &ctx)?;
+        let renamed = rename_output(plan, &schema, name);
+        ctx.to_mut().ctes.insert(name.clone(), renamed);
     }
     Ok(ctx)
 }
 
-/// Rewrap a plan so its output fields are named `name.suffix`.
-fn rename_output(plan: Rel, name: &str) -> Result<Rel> {
-    let schema = plan.schema()?;
-    let exprs = schema
-        .fields
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let suffix = f.name.rsplit('.').next().unwrap_or(&f.name);
-            (expr::col(i), format!("{name}.{suffix}"))
-        })
-        .collect();
-    Ok(project(plan, exprs))
+/// Rewrap a plan of output `schema` so its output fields are named
+/// `name.suffix`; the renamed schema comes back beside it.
+fn rename_output(plan: Rel, schema: &Schema, name: &str) -> (Rel, Schema) {
+    let mut exprs = Vec::with_capacity(schema.len());
+    let mut fields = Vec::with_capacity(schema.len());
+    for (i, f) in schema.fields.iter().enumerate() {
+        let suffix = f.name.rsplit('.').next().unwrap_or(&f.name);
+        let renamed = format!("{name}.{suffix}");
+        fields.push(f.renamed(renamed.clone()));
+        exprs.push((expr::col(i), renamed));
+    }
+    (project(plan, exprs), Schema::new(fields))
 }
 
 // ---------------------------------------------------------------------------
@@ -310,18 +312,18 @@ fn bind_from_item(item: &FromItem, ctx: &BindCtx<'_>) -> Result<JoinRelation> {
 }
 
 fn bind_table_ref(t: &TableRef, ctx: &BindCtx<'_>) -> Result<JoinRelation> {
-    let derived = |plan: Rel| -> Result<JoinRelation> {
-        let plan = rename_output(plan, t.binding_name())?;
-        Ok(JoinRelation {
-            schema: plan.schema()?,
+    let derived = |plan: Rel, schema: &Schema| {
+        let (plan, schema) = rename_output(plan, schema, t.binding_name());
+        JoinRelation {
             plan,
+            schema,
             estimate: DERIVED_ROWS,
-        })
+        }
     };
     match t {
         TableRef::Table { name, .. } => {
-            if let Some(plan) = ctx.ctes.get(name) {
-                return derived(plan.clone());
+            if let Some((plan, schema)) = ctx.ctes.get(name) {
+                return Ok(derived(plan.clone(), schema));
             }
             let (schema, rows) = ctx
                 .catalog
@@ -345,7 +347,10 @@ fn bind_table_ref(t: &TableRef, ctx: &BindCtx<'_>) -> Result<JoinRelation> {
                 estimate: ctx.stats.base_rows(name).unwrap_or(*rows as f64),
             })
         }
-        TableRef::Derived { query, .. } => derived(bind_query(query, ctx)?),
+        TableRef::Derived { query, .. } => {
+            let (plan, schema) = bind_query(query, ctx)?;
+            Ok(derived(plan, &schema))
+        }
     }
 }
 
@@ -469,8 +474,9 @@ impl Grouping {
 }
 
 /// Everything of a SELECT above its FROM/WHERE product: aggregation,
-/// HAVING, the output projection, DISTINCT, ORDER BY and LIMIT.
-fn finish_select(query: &Query, product: Product, ctx: &BindCtx<'_>) -> Result<Rel> {
+/// HAVING, the output projection, DISTINCT, ORDER BY and LIMIT. Returns
+/// the plan and its output schema.
+fn finish_select(query: &Query, product: Product, ctx: &BindCtx<'_>) -> Result<(Rel, Schema)> {
     let select = &query.select;
     let mut plan = product.plan;
     let input = Scope::plain(&product.schema, None);
@@ -502,11 +508,18 @@ fn finish_select(query: &Query, product: Product, ctx: &BindCtx<'_>) -> Result<R
         grouping: grouping.as_ref(),
         ..input
     };
+    // The columns SELECT and HAVING read, typed once. A typing error
+    // surfaces where they are first read, after HAVING's own errors.
+    let selected = match &grouping {
+        Some(_) => plan.output_schema(&[&product.schema]).map(Cow::Owned),
+        None => Ok(Cow::Borrowed(&product.schema)),
+    };
 
+    // Each HAVING conjunct keeps the columns it filters.
     if let Some(h) = &select.having {
-        let schema = plan.schema()?;
+        let selected = selected.as_ref().map_err(Clone::clone)?;
         for c in split_and(h) {
-            plan = apply_predicate(plan, &schema, c, ctx, &scope)?;
+            plan = apply_predicate(plan, selected, c, ctx, &scope)?;
         }
     }
 
@@ -517,7 +530,7 @@ fn finish_select(query: &Query, product: Product, ctx: &BindCtx<'_>) -> Result<R
         .map(|(i, it)| Ok((bind_expr(&it.expr, &scope)?, output_name(it, i))))
         .collect::<Result<_>>()?;
     plan = project(plan, items);
-    let out_schema = plan.schema()?;
+    let out_schema = plan.output_schema(&[&*selected?])?;
 
     if select.distinct {
         plan = Rel::Distinct {
@@ -547,7 +560,7 @@ fn finish_select(query: &Query, product: Product, ctx: &BindCtx<'_>) -> Result<R
             fetch: Some(limit),
         };
     }
-    Ok(plan)
+    Ok((plan, out_schema))
 }
 
 fn output_name(item: &SelectItem, index: usize) -> String {
@@ -920,8 +933,8 @@ fn apply_subquery_conjunct(
             negated,
         } => {
             // `expr [NOT] IN (subquery)` → semi/anti join on one key.
-            let inner = bind_query(query, ctx)?;
-            if inner.width() != 1 {
+            let (inner, inner_schema) = bind_query(query, ctx)?;
+            if inner_schema.len() != 1 {
                 return Err(err("IN subquery must produce exactly one column"));
             }
             let keys = (
@@ -1032,14 +1045,15 @@ fn join_scalar_subquery(
     let ctx = with_ctes(sub, ctx)?;
     let inner = bind_product(select, &ctx, Some(schema))?;
 
-    let (inner_plan, keys) = if inner.correlated.is_empty() {
+    let (inner_plan, inner_schema, keys) = if inner.correlated.is_empty() {
         // Uncorrelated: an ordinary single-column query, cross-joined.
-        let inner_plan = finish_select(sub, inner, &ctx)?;
-        if inner_plan.width() != 1 {
+        let (inner_plan, inner_schema) = finish_select(sub, inner, &ctx)?;
+        if inner_schema.len() != 1 {
             return Err(err("scalar subquery must produce one column"));
         }
-        let value = vec![(expr::col(0), value_name)];
-        (project(inner_plan, value), (vec![], vec![]))
+        let value = project(inner_plan, vec![(expr::col(0), value_name)]);
+        let value_schema = value.output_schema(&[&inner_schema])?;
+        (value, value_schema, (vec![], vec![]))
     } else {
         // Correlated aggregate: group the subquery by the inner sides of
         // its correlated equalities and join on them.
@@ -1070,11 +1084,15 @@ fn join_scalar_subquery(
             .map(|i| (expr::col(i), format!("__key{i}")))
             .collect();
         exprs.push((bind_expr(item, &scope)?, value_name));
-        let grouped = project(grouping.aggregate(inner.plan), exprs);
-        (grouped, (outer_keys, (0..width).map(expr::col).collect()))
+        let aggregated = grouping.aggregate(inner.plan);
+        let aggregated_schema = aggregated.output_schema(&[&inner.schema])?;
+        let grouped = project(aggregated, exprs);
+        let grouped_schema = grouped.output_schema(&[&aggregated_schema])?;
+        let keys = (outer_keys, (0..width).map(expr::col).collect());
+        (grouped, grouped_schema, keys)
     };
     let joined = join(plan, inner_plan, JoinKind::Single, keys, vec![]);
-    let joined_schema = joined.schema()?;
+    let joined_schema = joined.output_schema(&[schema, &inner_schema])?;
     Ok((joined, joined_schema))
 }
 

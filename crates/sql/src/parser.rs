@@ -9,6 +9,9 @@ struct Parser<'a> {
     pos: usize,
 }
 
+/// The rest of a keyword-led expression form, after its keyword.
+type KeywordForm<'a> = fn(&mut Parser<'a>) -> Result<ExprAst>;
+
 /// Parse a full query from tokens.
 pub fn parse_query(tokens: &[Token]) -> Result<Query> {
     let mut p = Parser { tokens, pos: 0 };
@@ -494,162 +497,183 @@ impl<'a> Parser<'a> {
     }
 
     fn primary(&mut self) -> Result<ExprAst> {
-        match self.peek().cloned() {
-            Some(Token::Int(v)) => {
-                self.pos += 1;
-                Ok(ExprAst::Int(v))
-            }
-            Some(Token::Float(v)) => {
-                self.pos += 1;
-                Ok(ExprAst::Float(v))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(ExprAst::Str(s))
-            }
+        let literal = match self.peek().cloned() {
+            Some(Token::Ident(id)) => return self.ident_led(id),
             Some(Token::Symbol(Sym::LParen)) => {
                 self.pos += 1;
-                if self.at_kw("select") || self.at_kw("with") {
-                    let q = self.query()?;
-                    self.expect_sym(Sym::RParen)?;
-                    return Ok(ExprAst::ScalarSubquery(Box::new(q)));
-                }
-                let e = self.expr()?;
-                self.expect_sym(Sym::RParen)?;
-                Ok(e)
+                return self.parenthesized();
             }
-            Some(Token::Ident(id)) => {
-                // keyword-led forms
-                if id.eq_ignore_ascii_case("date") {
-                    self.pos += 1;
-                    match self.next() {
-                        Some(Token::Str(s)) => return Ok(ExprAst::Date(s.clone())),
-                        other => {
-                            return Err(SqlError::Parse(format!(
-                                "DATE requires a string literal, found {other:?}"
-                            )))
-                        }
-                    }
-                }
-                if id.eq_ignore_ascii_case("interval") {
-                    self.pos += 1;
-                    let value = match self.next() {
-                        Some(Token::Str(s)) => s
-                            .trim()
-                            .parse::<i64>()
-                            .map_err(|e| SqlError::Parse(format!("bad interval value: {e}")))?,
-                        other => {
-                            return Err(SqlError::Parse(format!(
-                                "INTERVAL requires a quoted count, found {other:?}"
-                            )))
-                        }
-                    };
-                    let unit_word = self.ident()?.to_ascii_lowercase();
-                    let unit = match unit_word.trim_end_matches('s') {
-                        "day" => IntervalUnit::Day,
-                        "month" => IntervalUnit::Month,
-                        "year" => IntervalUnit::Year,
-                        other => {
-                            return Err(SqlError::Parse(format!(
-                                "unsupported interval unit {other}"
-                            )))
-                        }
-                    };
-                    return Ok(ExprAst::Interval { value, unit });
-                }
-                if id.eq_ignore_ascii_case("case") {
-                    self.pos += 1;
-                    let mut branches = Vec::new();
-                    while self.eat_kw("when") {
-                        let cond = self.expr()?;
-                        self.expect_kw("then")?;
-                        let val = self.expr()?;
-                        branches.push((cond, val));
-                    }
-                    let otherwise = if self.eat_kw("else") {
-                        Some(Box::new(self.expr()?))
-                    } else {
-                        None
-                    };
-                    self.expect_kw("end")?;
-                    return Ok(ExprAst::Case {
-                        branches,
-                        otherwise,
-                    });
-                }
-                if id.eq_ignore_ascii_case("extract") {
-                    self.pos += 1;
-                    self.expect_sym(Sym::LParen)?;
-                    self.expect_kw("year")?;
-                    self.expect_kw("from")?;
-                    let e = self.expr()?;
-                    self.expect_sym(Sym::RParen)?;
-                    return Ok(ExprAst::ExtractYear(Box::new(e)));
-                }
-                if id.eq_ignore_ascii_case("substring") || id.eq_ignore_ascii_case("substr") {
-                    self.pos += 1;
-                    self.expect_sym(Sym::LParen)?;
-                    let e = self.expr()?;
-                    // `FROM a FOR b` or `, a, b`
-                    let (start, len) = if self.eat_kw("from") {
-                        let s = self.int_literal()?;
-                        self.expect_kw("for")?;
-                        let l = self.int_literal()?;
-                        (s, l)
-                    } else {
-                        self.expect_sym(Sym::Comma)?;
-                        let s = self.int_literal()?;
-                        self.expect_sym(Sym::Comma)?;
-                        let l = self.int_literal()?;
-                        (s, l)
-                    };
-                    self.expect_sym(Sym::RParen)?;
-                    return Ok(ExprAst::Substring {
-                        expr: Box::new(e),
-                        start: start as usize,
-                        len: len as usize,
-                    });
-                }
-                // aggregate calls
-                let agg = match id.to_ascii_lowercase().as_str() {
-                    "count" => Some(AstAggFunc::Count),
-                    "sum" => Some(AstAggFunc::Sum),
-                    "min" => Some(AstAggFunc::Min),
-                    "max" => Some(AstAggFunc::Max),
-                    "avg" => Some(AstAggFunc::Avg),
-                    _ => None,
-                };
-                if let Some(func) = agg {
-                    if self.tokens.get(self.pos + 1) == Some(&Token::Symbol(Sym::LParen)) {
-                        self.pos += 2;
-                        if self.eat_sym(Sym::Star) {
-                            self.expect_sym(Sym::RParen)?;
-                            return Ok(ExprAst::Agg {
-                                func,
-                                arg: None,
-                                distinct: false,
-                            });
-                        }
-                        let distinct = self.eat_kw("distinct");
-                        let arg = self.expr()?;
-                        self.expect_sym(Sym::RParen)?;
-                        return Ok(ExprAst::Agg {
-                            func,
-                            arg: Some(Box::new(arg)),
-                            distinct,
-                        });
-                    }
-                }
-                // plain (possibly qualified) identifier
-                self.pos += 1;
-                let mut parts = vec![id];
-                while self.eat_sym(Sym::Dot) {
-                    parts.push(self.ident()?);
-                }
-                Ok(ExprAst::Ident(parts))
-            }
-            other => Err(SqlError::Parse(format!("unexpected token {other:?}"))),
+            Some(Token::Int(v)) => ExprAst::Int(v),
+            Some(Token::Float(v)) => ExprAst::Float(v),
+            Some(Token::Str(s)) => ExprAst::Str(s),
+            other => return Err(SqlError::Parse(format!("unexpected token {other:?}"))),
+        };
+        self.pos += 1;
+        Ok(literal)
+    }
+
+    /// After `(`: a scalar subquery or a parenthesized expression.
+    fn parenthesized(&mut self) -> Result<ExprAst> {
+        if self.at_kw("select") || self.at_kw("with") {
+            let q = self.query()?;
+            self.expect_sym(Sym::RParen)?;
+            return Ok(ExprAst::ScalarSubquery(Box::new(q)));
         }
+        let e = self.expr()?;
+        self.expect_sym(Sym::RParen)?;
+        Ok(e)
+    }
+
+    /// An expression led by the identifier `id` (not yet consumed): a
+    /// keyword form, an aggregate call, or a (possibly qualified) column.
+    fn ident_led(&mut self, id: String) -> Result<ExprAst> {
+        let keyword_forms: [(&str, KeywordForm<'a>); 6] = [
+            ("date", Self::date_literal),
+            ("interval", Self::interval),
+            ("case", Self::case),
+            ("extract", Self::extract_year),
+            ("substring", Self::substring),
+            ("substr", Self::substring),
+        ];
+        if let Some((_, form)) = keyword_forms
+            .iter()
+            .find(|(kw, _)| id.eq_ignore_ascii_case(kw))
+        {
+            self.pos += 1;
+            return form(self);
+        }
+        let agg = match id.to_ascii_lowercase().as_str() {
+            "count" => Some(AstAggFunc::Count),
+            "sum" => Some(AstAggFunc::Sum),
+            "min" => Some(AstAggFunc::Min),
+            "max" => Some(AstAggFunc::Max),
+            "avg" => Some(AstAggFunc::Avg),
+            _ => None,
+        };
+        if let Some(func) = agg {
+            if self.tokens.get(self.pos + 1) == Some(&Token::Symbol(Sym::LParen)) {
+                self.pos += 2;
+                return self.aggregate_call(func);
+            }
+        }
+        self.pos += 1;
+        let mut parts = vec![id];
+        while self.eat_sym(Sym::Dot) {
+            parts.push(self.ident()?);
+        }
+        Ok(ExprAst::Ident(parts))
+    }
+
+    /// After `DATE`: its string literal.
+    fn date_literal(&mut self) -> Result<ExprAst> {
+        match self.next() {
+            Some(Token::Str(s)) => Ok(ExprAst::Date(s.clone())),
+            other => Err(SqlError::Parse(format!(
+                "DATE requires a string literal, found {other:?}"
+            ))),
+        }
+    }
+
+    /// After `INTERVAL`: a quoted count and a unit.
+    fn interval(&mut self) -> Result<ExprAst> {
+        let value = match self.next() {
+            Some(Token::Str(s)) => s
+                .trim()
+                .parse::<i64>()
+                .map_err(|e| SqlError::Parse(format!("bad interval value: {e}")))?,
+            other => {
+                return Err(SqlError::Parse(format!(
+                    "INTERVAL requires a quoted count, found {other:?}"
+                )))
+            }
+        };
+        let unit_word = self.ident()?.to_ascii_lowercase();
+        let unit = match unit_word.trim_end_matches('s') {
+            "day" => IntervalUnit::Day,
+            "month" => IntervalUnit::Month,
+            "year" => IntervalUnit::Year,
+            other => {
+                return Err(SqlError::Parse(format!(
+                    "unsupported interval unit {other}"
+                )))
+            }
+        };
+        Ok(ExprAst::Interval { value, unit })
+    }
+
+    /// After `CASE`: `WHEN … THEN …` branches, an optional `ELSE`, `END`.
+    fn case(&mut self) -> Result<ExprAst> {
+        let mut branches = Vec::new();
+        while self.eat_kw("when") {
+            let cond = self.expr()?;
+            self.expect_kw("then")?;
+            let val = self.expr()?;
+            branches.push((cond, val));
+        }
+        let otherwise = if self.eat_kw("else") {
+            Some(Box::new(self.expr()?))
+        } else {
+            None
+        };
+        self.expect_kw("end")?;
+        Ok(ExprAst::Case {
+            branches,
+            otherwise,
+        })
+    }
+
+    /// After `EXTRACT`: `(YEAR FROM expr)`.
+    fn extract_year(&mut self) -> Result<ExprAst> {
+        self.expect_sym(Sym::LParen)?;
+        self.expect_kw("year")?;
+        self.expect_kw("from")?;
+        let e = self.expr()?;
+        self.expect_sym(Sym::RParen)?;
+        Ok(ExprAst::ExtractYear(Box::new(e)))
+    }
+
+    /// After `SUBSTRING`: `(expr FROM a FOR b)` or `(expr, a, b)`.
+    fn substring(&mut self) -> Result<ExprAst> {
+        self.expect_sym(Sym::LParen)?;
+        let e = self.expr()?;
+        let (start, len) = if self.eat_kw("from") {
+            let s = self.int_literal()?;
+            self.expect_kw("for")?;
+            let l = self.int_literal()?;
+            (s, l)
+        } else {
+            self.expect_sym(Sym::Comma)?;
+            let s = self.int_literal()?;
+            self.expect_sym(Sym::Comma)?;
+            let l = self.int_literal()?;
+            (s, l)
+        };
+        self.expect_sym(Sym::RParen)?;
+        Ok(ExprAst::Substring {
+            expr: Box::new(e),
+            start: start as usize,
+            len: len as usize,
+        })
+    }
+
+    /// After `func(`: `*`, or an optionally `DISTINCT` argument, then `)`.
+    fn aggregate_call(&mut self, func: AstAggFunc) -> Result<ExprAst> {
+        if self.eat_sym(Sym::Star) {
+            self.expect_sym(Sym::RParen)?;
+            return Ok(ExprAst::Agg {
+                func,
+                arg: None,
+                distinct: false,
+            });
+        }
+        let distinct = self.eat_kw("distinct");
+        let arg = self.expr()?;
+        self.expect_sym(Sym::RParen)?;
+        Ok(ExprAst::Agg {
+            func,
+            arg: Some(Box::new(arg)),
+            distinct,
+        })
     }
 
     fn int_literal(&mut self) -> Result<i64> {

@@ -1,9 +1,9 @@
 //! Property: compiling a plan into the pipeline DAG is semantics-preserving.
 //! For randomly generated plans — streaming chains, joins, and every breaker
-//! kind, under randomized morsel sizes — the GPU engine (which normalizes
-//! the plan and executes the compiled DAG) must return exactly what the CPU
-//! tree interpreter returns on the *unnormalized* plan (floats at 1e-9
-//! relative, row order ignored).
+//! kind, under randomized morsel sizes — the GPU engine (which coalesces
+//! stacked filters and executes the compiled, fused DAG) must return exactly
+//! what the CPU tree interpreter returns on the plan as built (floats at
+//! 1e-9 relative, row order ignored).
 
 use proptest::prelude::*;
 use sirius_columnar::{Array, DataType, Field, Schema, Table};
@@ -36,8 +36,8 @@ fn table_from(rows: &[(i64, i64, f64)]) -> Table {
 
 /// A streaming operator appended to the chain. Each preserves a three-column
 /// (i64, i64, f64) shape so ops compose in any order, and the redundant
-/// variants (`Identity`, stacked filters) exist precisely to give the
-/// normalizer something to fuse and prune.
+/// variants (`Identity`, stacked filters) exist precisely to give filter
+/// coalescing and data-path fusion something to merge.
 #[derive(Debug, Clone)]
 enum StreamOp {
     /// `k >= threshold` — stacks into conjunctions under normalization.
@@ -46,7 +46,7 @@ enum StreamOp {
     FilterG(i64),
     /// `(k, g, v * 2 + g)` — an arithmetic projection.
     Arith,
-    /// A pass-through projection the normalizer can eliminate.
+    /// A pass-through projection: nothing removes it, the DAG runs it.
     Identity,
 }
 

@@ -4,11 +4,13 @@
 //! **Linear.** `validate`, `optimizer::optimize` and
 //! `SiriusEngine::compile_query` type each operator from the schemas of its
 //! inputs (`Rel::output_schema`) or ask for a `Rel::width()`; none calls the
-//! recursive `Rel::schema()` per node. Doubling the depth of a width-bounded
-//! operator chain therefore doubles their allocations — when every node
-//! re-derived its subtree it quadrupled them. Allocations are counted per
-//! thread by this binary's own global allocator, so the tests beside it do
-//! not show.
+//! recursive `Rel::schema()` per node. The binder types each query block
+//! from the schemas it already holds, and `FeedbackStore::record` derives
+//! each node's base-table set from its inputs' sets. Doubling the depth of a
+//! width-bounded operator chain, or the nesting of derived tables, therefore
+//! doubles their allocations — when every node re-derived its subtree it
+//! quadrupled them. Allocations are counted per thread by this binary's own
+//! global allocator, so the tests beside it do not show.
 //!
 //! **Total.** The typing walk looks at every sub-expression. A column out of
 //! range under a `Cast`, `Like`, `InList` or `Substring`, in a `CASE`
@@ -18,7 +20,7 @@
 //! at every plan entry now.
 
 use sirius_columnar::{Array, DataType, Field, Scalar, Schema, Table};
-use sirius_core::{EngineConfig, SiriusContext, SiriusEngine, SiriusError};
+use sirius_core::{EngineConfig, FeedbackStore, OpStats, SiriusContext, SiriusEngine, SiriusError};
 use sirius_duckdb::{DuckDb, DuckDbError};
 use sirius_exec_cpu::{Catalog, CpuEngine, EngineProfile, ExecError};
 use sirius_hw::catalog as hw;
@@ -27,8 +29,10 @@ use sirius_plan::expr::{self, Expr};
 use sirius_plan::validate::validate;
 use sirius_plan::{json, JoinKind, PlanError, Rel};
 use sirius_sql::optimizer::optimize;
+use sirius_sql::{plan_sql, BinderCatalog, JoinOrderPolicy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::time::Duration;
 
 struct CountingPerThread;
@@ -65,6 +69,17 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
     let after = ALLOCATIONS.with(Cell::get);
     drop(out);
     after - before
+}
+
+/// Twice the depth `n` costs at most 2.3 times the allocations: linear
+/// growth with slack, where re-deriving every subtree costs about 4 times.
+fn assert_linear(name: &str, n: usize, at_n: u64, at_2n: u64) {
+    assert!(at_n > 0, "{name}: the allocator counts");
+    assert!(
+        at_2n as f64 <= 2.3 * at_n as f64,
+        "{name}: {at_n} allocations at depth {n}, {at_2n} at depth {}",
+        2 * n
+    );
 }
 
 fn schema() -> Schema {
@@ -120,12 +135,44 @@ fn typing_allocates_linearly_in_plan_depth() {
         ]
     };
     for ((name, at_32), (_, at_64)) in measure(&shallow).into_iter().zip(measure(&deep)) {
-        assert!(at_32 > 0, "{name}: the allocator counts");
-        assert!(
-            at_64 as f64 <= 2.3 * at_32 as f64,
-            "{name}: {at_32} allocations at depth 32, {at_64} at depth 64"
-        );
+        assert_linear(name, 32, at_32, at_64);
     }
+}
+
+#[test]
+fn nested_derived_tables_bind_linearly_in_depth() {
+    let mut catalog = BinderCatalog::new();
+    let x = Schema::new(vec![Field::new("x", DataType::Int64)]);
+    catalog.add_table("t", x, 100);
+    // `select x from (… (select x from t) d1 …) dn`
+    let nested = |n: usize| {
+        (1..=n).fold("select x from t".to_string(), |inner, i| {
+            format!("select x from ({inner}) d{i}")
+        })
+    };
+    let plan = |n: usize| {
+        let sql = nested(n);
+        allocations(|| plan_sql(&sql, &catalog, JoinOrderPolicy::Optimized).unwrap())
+    };
+    assert_linear("plan_sql", 16, plan(16), plan(32));
+}
+
+#[test]
+fn feedback_records_linearly_in_plan_depth() {
+    let store = FeedbackStore::new();
+    let record = |n: usize| {
+        let plan = chain(n);
+        let ran = OpStats {
+            rows_out: 1,
+            invocations: 1,
+            ..OpStats::default()
+        };
+        let stats: HashMap<u32, OpStats> = (0..plan.node_count() as u32)
+            .map(|id| (id, ran.clone()))
+            .collect();
+        allocations(|| store.record(1, &plan, &stats))
+    };
+    assert_linear("FeedbackStore::record", 16, record(16), record(32));
 }
 
 fn boxed(e: Expr) -> Box<Expr> {

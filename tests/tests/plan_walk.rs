@@ -4,16 +4,20 @@
 //! one arm per operator under exactly `visit`'s pre-order `(id, depth)`
 //! numbering — over all 22 TPC-H plans and their distributed forms, so
 //! `Exchange` and the two-input `Join` are covered alongside every arm the
-//! SQL frontend emits.
+//! SQL frontend emits. EXPLAIN ANALYZE prints its rows under the same
+//! numbering.
 
 use sirius_columnar::Schema;
+use sirius_core::{EngineConfig, SiriusEngine};
 use sirius_doris::{distribute, PartitionScheme};
+use sirius_hw::catalog as hw;
 use sirius_integration::binder_catalog;
 use sirius_plan::expr::{AggExpr, Expr, SortExpr};
 use sirius_plan::visit::{fold, visit, Fold, JoinOn, Node};
 use sirius_plan::{ExchangeKind, Rel};
 use sirius_sql::{plan_sql, JoinOrderPolicy};
 use sirius_tpch::{queries, TpchGenerator};
+use std::collections::HashMap;
 use std::convert::Infallible;
 
 /// Rebuilds each operator around its folded inputs and notes which arm ran
@@ -112,4 +116,36 @@ fn identity_fold_rebuilds_every_tpch_plan_under_visits_numbering() {
     // aggregate); the `visit.rs` module example folds one.
     let all = "Aggregate Exchange Filter Join Limit Project Read Sort";
     assert_eq!(arms.into_iter().collect::<Vec<_>>().join(" "), all);
+}
+
+/// Every EXPLAIN ANALYZE row of a compiled TPC-H plan is indented by
+/// `visit`'s depth and tagged `[#id]` with `visit`'s id over the plan the
+/// engine compiled, in pre-order — the ids `operator_stats` are keyed by.
+#[test]
+fn explain_analyze_rows_carry_visits_ids() {
+    let cat = binder_catalog(&TpchGenerator::new(0.01).generate());
+    let engine = SiriusEngine::from_config(EngineConfig::new(hw::gh200_gpu()));
+    for (id, sql) in queries::all() {
+        let plan = plan_sql(sql, &cat, JoinOrderPolicy::Optimized).unwrap();
+        let compiled = engine.compile_query(&plan).unwrap();
+        let mut preorder = Vec::new();
+        visit(compiled.root(), &mut |node, _| {
+            preorder.push((node.depth, node.id));
+        });
+        let rendered = compiled.explain_analyze(&HashMap::new());
+        let rows: Vec<(u32, u32)> = rendered
+            .lines()
+            .skip(1)
+            .map(|line| {
+                let depth = (line.len() - line.trim_start().len()) / 2;
+                let tag = line.split("[#").nth(1).and_then(|t| t.split(']').next());
+                let node = tag.and_then(|t| t.parse().ok());
+                (
+                    depth as u32,
+                    node.unwrap_or_else(|| panic!("Q{id}: {line}")),
+                )
+            })
+            .collect();
+        assert_eq!(rows, preorder, "Q{id}:\n{rendered}");
+    }
 }
