@@ -93,25 +93,56 @@ mod tests {
         assert_eq!(out.schema().unwrap(), plan.schema().unwrap());
     }
 
+    /// Asserts `normalize` leaves both forms of a plan as they arrive — the
+    /// one whose scan reads every column it needs and more, and the one with
+    /// the projection already pushed into the scan — and that both forms
+    /// type alike, so the pushdown is the optimizer's alone to take.
+    fn assert_scans_left_as_they_arrive(wide: Rel, pushed: Rel) {
+        assert_eq!(pushed.schema().unwrap(), wide.schema().unwrap());
+        for plan in [wide, pushed] {
+            crate::validate::validate(&plan).unwrap();
+            assert_eq!(normalize(&plan), plan);
+        }
+    }
+
     #[test]
-    fn leaves_every_scan_as_it_arrives() {
-        // A projection reading one column of four over a filter, and one
-        // over a scan that already carries a projection: neither scan is
-        // narrowed or recomposed, no ordinal is remapped.
-        let narrow = wide_scan()
+    fn pushes_projection_through_filters_into_scan() {
+        // Project(d) over Filter(b > 0) over all four columns; pushed, the
+        // scan reads {b, d} and predicate and expression are remapped.
+        let wide = wide_scan()
             .filter(gt(col(1), lit_i64(0)))
             .project(vec![(col(3), "d".into())])
             .build();
-        let projected = PlanBuilder::from_rel(Rel::Read {
+        let pushed = PlanBuilder::from_rel(Rel::Read {
+            table: "t".into(),
+            schema: wide_schema(),
+            projection: Some(vec![1, 3]),
+        })
+        .filter(gt(col(0), lit_i64(0)))
+        .project(vec![(col(1), "d".into())])
+        .build();
+        assert_scans_left_as_they_arrive(wide, pushed);
+    }
+
+    #[test]
+    fn composes_with_existing_scan_projection() {
+        // Output ordinal 2 of a scan projecting [3, 1, 0] is base column 0;
+        // composed, the scan reads [0] alone.
+        let wide = PlanBuilder::from_rel(Rel::Read {
             table: "t".into(),
             schema: wide_schema(),
             projection: Some(vec![3, 1, 0]),
         })
         .project(vec![(col(2), "a".into())])
         .build();
-        for plan in [narrow, projected] {
-            assert_eq!(normalize(&plan), plan);
-        }
+        let pushed = PlanBuilder::from_rel(Rel::Read {
+            table: "t".into(),
+            schema: wide_schema(),
+            projection: Some(vec![0]),
+        })
+        .project(vec![(col(0), "a".into())])
+        .build();
+        assert_scans_left_as_they_arrive(wide, pushed);
     }
 
     #[test]
