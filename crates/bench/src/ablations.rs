@@ -480,6 +480,24 @@ pub fn encoding(encoded: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> 
     )
 }
 
+/// Execute a compiled query on a reset `engine`: (ledger kernel bytes,
+/// simulated ms, the run's operator stats for feedback).
+fn run_compiled(
+    engine: &SiriusEngine,
+    compiled: &CompiledQuery,
+) -> (u64, f64, HashMap<u32, OpStats>) {
+    engine.device().reset();
+    engine.trace().clear();
+    engine.clear_operator_stats();
+    let mut run = engine.begin_compiled(compiled).expect("begin_compiled");
+    while !run.is_done() {
+        engine.step(&mut run, usize::MAX).expect("step");
+    }
+    let stats = engine.run_operator_stats(&run);
+    run.into_table().expect("completed run");
+    (kernel_bytes(engine), ms(engine.device().elapsed()), stats)
+}
+
 /// A11: plan cache and feedback. Two claims, both asserted. (1) Cache hits
 /// skip planning: resolving all 22 queries again through the caching
 /// planner is strictly faster on the host wall clock than the pass that
@@ -542,29 +560,16 @@ pub fn plancache(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
         "cached resolution must be strictly faster than planning ({warm:?} vs {cold:?})"
     );
 
-    // Execute a compiled query: (ledger kernel bytes, simulated ms, the
-    // run's operator stats for feedback).
-    let measure = |compiled: &CompiledQuery| -> (u64, f64, HashMap<u32, OpStats>) {
-        engine.device().reset();
-        engine.trace().clear();
-        engine.clear_operator_stats();
-        let mut run = engine.begin_compiled(compiled).expect("begin_compiled");
-        while !run.is_done() {
-            engine.step(&mut run, usize::MAX).expect("step");
-        }
-        let stats = engine.run_operator_stats(&run);
-        run.into_table().expect("completed run");
-        (kernel_bytes(&engine), ms(engine.device().elapsed()), stats)
-    };
     let adaptive = planner(true);
     let first = adaptive.resolve(queries::Q3, &engine).expect("Q3 plan");
-    let (est_bytes, est_ms, stats) = measure(&first.compiled);
+    let (est_bytes, est_ms, stats) = run_compiled(&engine, &first.compiled);
     adaptive.observe(first.shape, first.compiled.root(), &stats);
     let second = adaptive.resolve(queries::Q3, &engine).expect("Q3 re-plan");
-    let (fb_bytes, fb_ms, _) = measure(&second.compiled);
+    let (fb_bytes, fb_ms, _) = run_compiled(&engine, &second.compiled);
     // ClickHouse keeps FROM order — the no-optimizer baseline.
     let ch_plan = lab.clickhouse().plan(queries::Q3).expect("ClickHouse Q3");
-    let (ch_bytes, ch_ms, _) = measure(&engine.compile_query(&ch_plan).expect("compile"));
+    let (ch_bytes, ch_ms, _) =
+        run_compiled(&engine, &engine.compile_query(&ch_plan).expect("compile"));
 
     writeln!(out, "\nQ3 ledger kernel bytes by planning mode:")?;
     writeln!(out, "                    mode          bytes     sim ms")?;

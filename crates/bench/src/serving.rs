@@ -6,8 +6,8 @@ use crate::Args;
 use sirius_core::RetryPolicy;
 use sirius_hw::{FaultInjector, FaultPlan};
 use sirius_serve::{
-    percentile, poisson_trace, ArrivalSpec, ConcurrencyReport, QueryArrival, ServeConfig,
-    ServeOutcome, SiriusServer, TenantSpec,
+    percentile, poisson_trace, ArrivalSpec, ConcurrencyReport, QueryArrival, QueryRequest,
+    ServeConfig, ServeOutcome, SiriusServer, TenantSpec,
 };
 use std::io::{self, Write};
 use std::time::Duration;
@@ -145,54 +145,6 @@ pub fn resilience(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()>
             query_index: i % MIX.len(),
         })
         .collect();
-    // One replay of the burst: the outcome and its survivors' (p50, p99).
-    let replay = |rate: u64, shedding: bool| -> (ServeOutcome, Duration, Duration) {
-        let mut chaos = sweep_point(WORKERS, MORSEL_ROWS);
-        if rate > 0 {
-            // The fault plan scales with the rate: `rate` transient device
-            // faults during morsel waves plus `rate` spill-I/O failures
-            // (the tight budgets guarantee spill traffic to hit), all on
-            // the single local node. Both kinds are retryable, so the
-            // faults cost survivors retries rather than hard failures.
-            let plan = FaultPlan::new(seed)
-                .transient_wave(0, 1, rate)
-                .spill_io(0, 2, rate);
-            chaos.fault = Some((FaultInjector::new(plan), 0));
-        }
-        let srv = SiriusServer::new(
-            lab.load(chaos),
-            ServeConfig {
-                max_in_flight: 2,
-                queue_depth: REQUESTS,
-                tenant_weights: vec![2, 1],
-                retry: RetryPolicy {
-                    max_retries: 3,
-                    backoff: Duration::from_micros(5),
-                },
-                shed_pressure: if shedding { 0.05 } else { f64::INFINITY },
-            },
-        );
-        let outcome = srv.replay(requests(&plans, &burst, Some(BUDGET)));
-        assert_eq!(
-            srv.engine().buffer_manager().grant_broker().outstanding(),
-            0,
-            "rate {rate} shedding={shedding}: leaked grants"
-        );
-        assert_eq!(
-            outcome.dispositions().total(),
-            REQUESTS,
-            "rate {rate} shedding={shedding}: every request accounted once"
-        );
-        let finished = outcome.queries.iter().filter(|q| q.result.is_ok());
-        let survivors: Vec<Duration> = finished.map(|q| q.latency).collect();
-        assert!(
-            !survivors.is_empty(),
-            "rate {rate} shedding={shedding}: no survivors"
-        );
-        let (p50, p99) = (percentile(&survivors, 0.50), percentile(&survivors, 0.99));
-        (outcome, p50, p99)
-    };
-
     writeln!(
         out,
         "Resilience ablation at SF {}: {REQUESTS} budgeted arrivals \
@@ -208,7 +160,8 @@ pub fn resilience(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()>
     let mut runs: Vec<(u64, bool, Duration, usize)> = Vec::new();
     for rate in FAULT_RATES {
         for shedding in [true, false] {
-            let (outcome, p50, p99) = replay(rate, shedding);
+            let queries = requests(&plans, &burst, Some(BUDGET));
+            let (outcome, p50, p99) = replay_burst(lab, queries, seed, rate, shedding);
             let counts = outcome.dispositions();
             writeln!(
                 out,
@@ -260,4 +213,61 @@ pub fn resilience(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()>
         shed_p99.as_secs_f64() / baseline_p99.as_secs_f64(),
         noshed_p99.as_secs_f64() / baseline_p99.as_secs_f64(),
     )
+}
+
+/// One replay of A9's `burst` at fault `rate`, with load shedding armed or
+/// not: the outcome and its survivors' (p50, p99). Panics on a leaked grant
+/// or a request not accounted for exactly once.
+fn replay_burst(
+    lab: &Lab,
+    burst: Vec<QueryRequest>,
+    seed: u64,
+    rate: u64,
+    shedding: bool,
+) -> (ServeOutcome, Duration, Duration) {
+    let total = burst.len();
+    let mut chaos = sweep_point(WORKERS, MORSEL_ROWS);
+    if rate > 0 {
+        // The fault plan scales with the rate: `rate` transient device
+        // faults during morsel waves plus `rate` spill-I/O failures (the
+        // tight budgets guarantee spill traffic to hit), all on the single
+        // local node. Both kinds are retryable, so the faults cost
+        // survivors retries rather than hard failures.
+        let plan = FaultPlan::new(seed)
+            .transient_wave(0, 1, rate)
+            .spill_io(0, 2, rate);
+        chaos.fault = Some((FaultInjector::new(plan), 0));
+    }
+    let srv = SiriusServer::new(
+        lab.load(chaos),
+        ServeConfig {
+            max_in_flight: 2,
+            queue_depth: total,
+            tenant_weights: vec![2, 1],
+            retry: RetryPolicy {
+                max_retries: 3,
+                backoff: Duration::from_micros(5),
+            },
+            shed_pressure: if shedding { 0.05 } else { f64::INFINITY },
+        },
+    );
+    let outcome = srv.replay(burst);
+    assert_eq!(
+        srv.engine().buffer_manager().grant_broker().outstanding(),
+        0,
+        "rate {rate} shedding={shedding}: leaked grants"
+    );
+    assert_eq!(
+        outcome.dispositions().total(),
+        total,
+        "rate {rate} shedding={shedding}: every request accounted once"
+    );
+    let finished = outcome.queries.iter().filter(|q| q.result.is_ok());
+    let survivors: Vec<Duration> = finished.map(|q| q.latency).collect();
+    assert!(
+        !survivors.is_empty(),
+        "rate {rate} shedding={shedding}: no survivors"
+    );
+    let (p50, p99) = (percentile(&survivors, 0.50), percentile(&survivors, 0.99));
+    (outcome, p50, p99)
 }

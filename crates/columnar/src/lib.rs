@@ -5,7 +5,9 @@
 //! via pointer passing" (§3.2.3). This crate is that shared layout: typed
 //! arrays over reference-counted buffers (so cross-engine handoff is a
 //! pointer copy, never a deep copy), validity bitmaps, UTF-8 string arrays
-//! with i32 offsets, schemas, and record-batch tables.
+//! with i32 offsets, schemas, and record-batch tables. It also holds the
+//! operator vocabulary ([`ops`]) that plans name and kernels run, with its
+//! typing rules.
 //!
 //! Computation does *not* live here — the GPU kernels are in `sirius-cudf`
 //! and the CPU kernels in `sirius-exec-cpu`. This crate only offers
@@ -35,6 +37,7 @@
 pub mod array;
 pub mod bitmap;
 pub mod dict_array;
+pub mod ops;
 pub mod pretty;
 pub mod scalar;
 pub mod schema;

@@ -7,40 +7,12 @@
 
 use crate::Result;
 use sirius_columnar::{Array, DataType, Scalar, Schema, Table};
-use sirius_cudf::binary::{binary_op, in_list, like, BinaryOp, Datum};
-use sirius_cudf::unary::{case_when, cast, substring, unary_op, UnaryOp};
+use sirius_cudf::binary::{binary_op, in_list, like, Datum};
+use sirius_cudf::unary::{case_when, cast, substring, unary_op};
 use sirius_cudf::GpuContext;
 use sirius_hw::WorkProfile;
-use sirius_plan::{BinOp, Expr, UnOp};
+use sirius_plan::Expr;
 use std::collections::BTreeSet;
-
-fn lower_binop(op: BinOp) -> BinaryOp {
-    match op {
-        BinOp::Add => BinaryOp::Add,
-        BinOp::Sub => BinaryOp::Sub,
-        BinOp::Mul => BinaryOp::Mul,
-        BinOp::Div => BinaryOp::Div,
-        BinOp::Mod => BinaryOp::Mod,
-        BinOp::Eq => BinaryOp::Eq,
-        BinOp::Ne => BinaryOp::Ne,
-        BinOp::Lt => BinaryOp::Lt,
-        BinOp::Le => BinaryOp::Le,
-        BinOp::Gt => BinaryOp::Gt,
-        BinOp::Ge => BinaryOp::Ge,
-        BinOp::And => BinaryOp::And,
-        BinOp::Or => BinaryOp::Or,
-    }
-}
-
-fn lower_unop(op: UnOp) -> UnaryOp {
-    match op {
-        UnOp::Not => UnaryOp::Not,
-        UnOp::Neg => UnaryOp::Neg,
-        UnOp::IsNull => UnaryOp::IsNull,
-        UnOp::IsNotNull => UnaryOp::IsNotNull,
-        UnOp::ExtractYear => UnaryOp::ExtractYear,
-    }
-}
 
 /// Evaluate `expr` over every row of `input`, launching GPU kernels charged
 /// to `ctx`. Bare column references are zero-copy.
@@ -171,17 +143,11 @@ fn lower(ctx: &GpuContext, expr: &Expr, input: &Table) -> Result<Datum2> {
         Expr::Binary { op, left, right } => {
             let l = lower(ctx, left, input)?;
             let r = lower(ctx, right, input)?;
-            Datum2::Col(binary_op(
-                ctx,
-                lower_binop(*op),
-                &l.as_datum(),
-                &r.as_datum(),
-                n,
-            )?)
+            Datum2::Col(binary_op(ctx, *op, &l.as_datum(), &r.as_datum(), n)?)
         }
         Expr::Unary { op, input: e } => {
             let v = lower(ctx, e, input)?;
-            Datum2::Col(unary_op(ctx, lower_unop(*op), &v.as_datum(), n)?)
+            Datum2::Col(unary_op(ctx, *op, &v.as_datum(), n)?)
         }
         Expr::Cast { input: e, to } => {
             let v = lower(ctx, e, input)?;

@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use sirius_columnar::{Array, Bitmap, DataType, Scalar, Schema, Table};
 use sirius_cudf::filter::{apply_filter, gather, gather_opt};
 use sirius_cudf::fused::FusedView;
-use sirius_cudf::groupby::{group_by, AggKind, AggRequest, GroupByResult, PartialAggPlan};
+use sirius_cudf::groupby::{avg_of, finalize_avg, group_by, AggRequest, GroupByResult};
 use sirius_cudf::join::{
     cross_join_pairs, probe_hash_table, resolve_join, JoinHashTable, JoinType,
 };
@@ -30,9 +30,9 @@ use sirius_cudf::reduce::reduce;
 use sirius_cudf::sort::{sort_indices, SortKey};
 use sirius_cudf::{GpuContext, WorkCollector};
 use sirius_hw::{CostCategory, CostModel, Device, WorkProfile};
-use sirius_plan::expr::{AggExpr, SortExpr};
+use sirius_plan::expr::{self, two_phase, AggExpr, Final, SortExpr};
 use sirius_plan::visit::Node;
-use sirius_plan::{AggFunc, JoinKind};
+use sirius_plan::JoinKind;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -417,7 +417,7 @@ pub(crate) fn aggregate_single_pass(
     let keys = evaluate_all(ctx, &agg.keys, t)?;
     let requests: Vec<AggRequest<'_>> = (agg.aggregates.iter().zip(&inputs))
         .map(|(a, input)| AggRequest {
-            kind: lower_agg(a.func),
+            kind: a.func,
             input: input.as_ref(),
         })
         .collect();
@@ -475,21 +475,23 @@ impl Partial {
     }
 }
 
-/// A decomposable aggregation: the sink's spec plus its two-phase plan.
-/// Shared by the fused-aggregation morsel tasks and the chunked spill
+/// A decomposable aggregation: the sink's spec plus its [`two_phase`]
+/// split. Shared by the fused-aggregation morsel tasks and the chunked spill
 /// paths, which differ only in where the chunks come from.
 pub(crate) struct PartialAgg {
     pub(crate) spec: Arc<Aggregation>,
-    plan: PartialAggPlan,
+    partials: Vec<expr::Partial>,
+    finals: Vec<Final>,
 }
 
 impl PartialAgg {
     /// `None` when an aggregate cannot merge partials (`COUNT(DISTINCT)`).
     pub(crate) fn new(spec: &Arc<Aggregation>) -> Option<Self> {
-        let kinds: Vec<AggKind> = spec.aggregates.iter().map(|a| lower_agg(a.func)).collect();
+        let (partials, finals) = two_phase(spec.aggregates.iter().map(|a| a.func))?;
         Some(PartialAgg {
             spec: Arc::clone(spec),
-            plan: PartialAggPlan::new(&kinds)?,
+            partials,
+            finals,
         })
     }
 
@@ -498,10 +500,10 @@ impl PartialAgg {
     pub(crate) fn partial(&self, ctx: &GpuContext, t: &Table) -> Result<Partial> {
         let inputs = agg_inputs(ctx, &self.spec.aggregates, t)?;
         let keys = evaluate_all(ctx, &self.spec.keys, t)?;
-        let requests: Vec<AggRequest<'_>> = (self.plan.partials().iter())
-            .map(|s| AggRequest {
-                kind: s.kind,
-                input: inputs[s.source].as_ref(),
+        let requests: Vec<AggRequest<'_>> = (self.partials.iter())
+            .map(|p| AggRequest {
+                kind: p.func,
+                input: inputs[p.source].as_ref(),
             })
             .collect();
         Ok(match aggregate(ctx, &keys, &requests, t.num_rows())? {
@@ -560,7 +562,7 @@ impl PartialAgg {
     /// pass.
     pub(crate) fn concat(&self, parts: &[Partial]) -> Partial {
         let concat = |cols: Vec<&Array>| Array::concat(&cols);
-        let n = self.plan.partials().len();
+        let n = self.partials.len();
         if !self.spec.keys.is_empty() {
             return Partial {
                 keys: (0..self.spec.keys.len())
@@ -589,24 +591,32 @@ impl PartialAgg {
     }
 
     /// Phase two (serial: the breaker): re-aggregate concatenated partials
-    /// with the merge kinds and finalize.
+    /// with their merge functions and finalize.
     pub(crate) fn merge(&self, ctx: &GpuContext, all: &Partial) -> Result<Table> {
         let schema = &self.spec.schema;
         let first = all.keys.iter().chain(&all.aggs).next();
         let total = first.map_or(0, |a| a.len());
-        let requests: Vec<AggRequest<'_>> = (all.aggs.iter().enumerate())
+        let requests: Vec<AggRequest<'_>> = (self.partials.iter().zip(&all.aggs))
             .map(|(p, col)| AggRequest {
-                kind: self.plan.merge_kind(p),
+                kind: p.merge(),
                 input: Some(col),
             })
             .collect();
         Ok(match aggregate(ctx, &all.keys, &requests, total)? {
             Aggregated::Scalars(merged) => {
-                scalar_table(&self.plan.finalize_scalars(&merged), schema)
+                let finals = self.finals.iter().map(|f| match *f {
+                    Final::Merged(i) => merged[i].clone(),
+                    Final::Avg { sum, count } => avg_of(&merged[sum], &merged[count]),
+                });
+                scalar_table(&finals.collect::<Vec<_>>(), schema)
             }
             Aggregated::Groups(r) => {
-                let finals = self.plan.finalize(ctx, &r.agg_columns)?;
-                let cols = r.key_columns.into_iter().chain(finals);
+                let (keys, merged) = (r.key_columns, r.agg_columns);
+                let finals = self.finals.iter().map(|f| match *f {
+                    Final::Merged(i) => merged[i].clone(),
+                    Final::Avg { sum, count } => finalize_avg(ctx, &merged[sum], &merged[count]),
+                });
+                let cols = keys.into_iter().chain(finals);
                 Table::new(schema.clone(), cols.collect())
             }
         })
@@ -621,18 +631,6 @@ fn scalar_table(scalars: &[Scalar], schema: &Schema) -> Table {
         .map(|(s, f)| Array::from_scalars(std::slice::from_ref(s), f.data_type))
         .collect();
     Table::new(schema.clone(), cols)
-}
-
-fn lower_agg(f: AggFunc) -> AggKind {
-    match f {
-        AggFunc::CountStar => AggKind::CountStar,
-        AggFunc::Count => AggKind::Count,
-        AggFunc::CountDistinct => AggKind::CountDistinct,
-        AggFunc::Sum => AggKind::Sum,
-        AggFunc::Min => AggKind::Min,
-        AggFunc::Max => AggKind::Max,
-        AggFunc::Avg => AggKind::Avg,
-    }
 }
 
 pub(crate) fn lower_join(k: JoinKind) -> JoinType {
@@ -698,5 +696,67 @@ mod tests {
             assert_eq!(joined.byte_size(), source.byte_size());
         }
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn partial_merge_matches_single_pass() {
+        use sirius_hw::catalog;
+        use sirius_plan::{expr::col, AggFunc};
+        let vals: Vec<Scalar> = (0..50)
+            .map(|i| match i % 7 {
+                0 => Scalar::Null,
+                _ => Scalar::Int64(i),
+            })
+            .collect();
+        let t = Table::new(
+            Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::nullable("v", DataType::Int64),
+            ]),
+            vec![
+                Array::from_i64((0..50).map(|i| i % 5)),
+                Array::from_scalars(&vals, DataType::Int64),
+            ],
+        );
+        let funcs = [
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Count,
+        ];
+        let aggregates: Vec<AggExpr> = (funcs.iter())
+            .map(|&func| AggExpr {
+                func,
+                input: Some(col(1)),
+                name: format!("{func:?}"),
+            })
+            .collect();
+        let ctx = GpuContext::new(Device::new(catalog::gh200_gpu()), CostCategory::GroupBy);
+        // Grouped (first-appearance group order must survive the merge) and
+        // ungrouped (the scalar path).
+        for keys in [vec![col(0)], vec![]] {
+            let key_fields = keys.iter().map(|_| Field::new("k", DataType::Int64));
+            let agg_fields = (aggregates.iter().zip(funcs)).map(|(a, func)| {
+                let out = func.result_type(Some(DataType::Int64)).unwrap();
+                Field::new(a.name.clone(), out)
+            });
+            let schema = Schema::new(key_fields.chain(agg_fields).collect());
+            let spec = Arc::new(Aggregation {
+                keys,
+                aggregates: aggregates.clone(),
+                schema,
+                node: Node::ROOT,
+            });
+            let whole = aggregate_single_pass(&ctx, &t, &spec).unwrap();
+            // Partials over three uneven chunks, concatenated, merged.
+            let agg = PartialAgg::new(&spec).unwrap();
+            let parts: Vec<Partial> = [0..13, 13..31, 31..50]
+                .into_iter()
+                .map(|rows| agg.partial(&ctx, &t.slice(rows.start, rows.len())).unwrap())
+                .collect();
+            let merged = agg.merge(&ctx, &agg.concat(&parts)).unwrap();
+            assert_eq!(merged, whole, "{} keys", spec.keys.len());
+        }
     }
 }

@@ -292,6 +292,12 @@ impl FeedbackStore {
         n
     }
 
+    /// `shape`'s feedback generation ([`ShapeFeedback::version`]), 0 before
+    /// any run recorded into it.
+    pub fn version(&self, shape: u64) -> u64 {
+        self.shapes.lock().get(&shape).map_or(0, |f| f.version)
+    }
+
     /// The observed cardinalities for `shape`, if any run recorded them.
     pub fn snapshot(&self, shape: u64) -> Option<ShapeFeedback> {
         self.shapes.lock().get(&shape).cloned()

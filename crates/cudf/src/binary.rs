@@ -2,7 +2,9 @@
 //!
 //! Mirrors libcudf's `binary_operation(column_view|scalar, ...)`: either
 //! operand may be a column or a broadcast scalar. Null handling follows SQL:
-//! arithmetic and comparisons propagate null; AND/OR use Kleene logic.
+//! arithmetic and comparisons propagate null; AND/OR use Kleene logic. The
+//! operators are the plan's own [`BinOp`]s, and a launch is typed by
+//! [`BinOp::result_type`], the rule plan validation applies.
 //!
 //! Each operand is lowered once into a typed *lane* — an `i64`, `f64`,
 //! boolean or string view that is either a value slice with the column's
@@ -17,88 +19,13 @@
 //! slots hold `0` / `0.0` / `false`.
 
 use crate::{GpuContext, KernelError, Result};
+use sirius_columnar::ops::BinOp;
 use sirius_columnar::{
     Array, Bitmap, BoolArray, DataType, DictionaryArray, PrimitiveArray, Scalar, StringArray,
 };
 use sirius_hw::WorkProfile;
 use std::borrow::Cow;
 use std::cmp::Ordering;
-
-/// Binary operator kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BinaryOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division (always produces `Float64`).
-    Div,
-    /// Integer modulo.
-    Mod,
-    /// Equality.
-    Eq,
-    /// Inequality.
-    Ne,
-    /// Less-than.
-    Lt,
-    /// Less-or-equal.
-    Le,
-    /// Greater-than.
-    Gt,
-    /// Greater-or-equal.
-    Ge,
-    /// Logical AND (Kleene).
-    And,
-    /// Logical OR (Kleene).
-    Or,
-}
-
-impl BinaryOp {
-    /// True for comparison operators (result type `Bool`).
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Eq | BinaryOp::Ne | BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge
-        )
-    }
-
-    /// True for AND/OR.
-    pub fn is_logical(&self) -> bool {
-        matches!(self, BinaryOp::And | BinaryOp::Or)
-    }
-
-    /// Result type given operand types; `None` if unsupported.
-    pub fn result_type(&self, l: DataType, r: DataType) -> Option<DataType> {
-        use DataType::*;
-        if self.is_comparison() {
-            let comparable =
-                l == r || (l.is_numeric() && r.is_numeric()) || matches!((l, r), (Date32, Date32));
-            return comparable.then_some(Bool);
-        }
-        if self.is_logical() {
-            return (l == Bool && r == Bool).then_some(Bool);
-        }
-        match self {
-            BinaryOp::Div => (l.is_numeric() && r.is_numeric()).then_some(Float64),
-            BinaryOp::Mod => match (l, r) {
-                (Int32 | Int64, Int32 | Int64) => Some(Int64),
-                _ => None,
-            },
-            _ => match (l, r) {
-                (Float64, _) | (_, Float64) if l.is_numeric() && r.is_numeric() => Some(Float64),
-                (Int32 | Int64, Int32 | Int64) => Some(Int64),
-                // date +/- integer days
-                (Date32, Int32 | Int64) if matches!(self, BinaryOp::Add | BinaryOp::Sub) => {
-                    Some(Date32)
-                }
-                (Date32, Date32) if matches!(self, BinaryOp::Sub) => Some(Int64),
-                _ => None,
-            },
-        }
-    }
-}
 
 /// A kernel operand: a column or a broadcast scalar.
 #[derive(Debug, Clone)]
@@ -327,31 +254,31 @@ fn cmp_lane(l: DataType, r: DataType) -> Option<CmpLane> {
 }
 
 /// The test a comparison operator applies to an ordering.
-fn ordering_test(op: BinaryOp) -> fn(Ordering) -> bool {
+fn ordering_test(op: BinOp) -> fn(Ordering) -> bool {
     match op {
-        BinaryOp::Eq => Ordering::is_eq,
-        BinaryOp::Ne => Ordering::is_ne,
-        BinaryOp::Lt => Ordering::is_lt,
-        BinaryOp::Le => Ordering::is_le,
-        BinaryOp::Gt => Ordering::is_gt,
+        BinOp::Eq => Ordering::is_eq,
+        BinOp::Ne => Ordering::is_ne,
+        BinOp::Lt => Ordering::is_lt,
+        BinOp::Le => Ordering::is_le,
+        BinOp::Gt => Ordering::is_gt,
         _ => Ordering::is_ge,
     }
 }
 
 /// Numeric comparison: one monomorphic loop per operator.
 fn compare_lanes<T: Copy>(
-    op: BinaryOp,
+    op: BinOp,
     l: &Lane<'_, T>,
     r: &Lane<'_, T>,
     n: usize,
     cmp: impl Fn(T, T) -> Ordering + Copy,
 ) -> Array {
     let values: Bitmap = match op {
-        BinaryOp::Eq => zip(l, r, n, |a, b| cmp(a, b).is_eq()),
-        BinaryOp::Ne => zip(l, r, n, |a, b| cmp(a, b).is_ne()),
-        BinaryOp::Lt => zip(l, r, n, |a, b| cmp(a, b).is_lt()),
-        BinaryOp::Le => zip(l, r, n, |a, b| cmp(a, b).is_le()),
-        BinaryOp::Gt => zip(l, r, n, |a, b| cmp(a, b).is_gt()),
+        BinOp::Eq => zip(l, r, n, |a, b| cmp(a, b).is_eq()),
+        BinOp::Ne => zip(l, r, n, |a, b| cmp(a, b).is_ne()),
+        BinOp::Lt => zip(l, r, n, |a, b| cmp(a, b).is_lt()),
+        BinOp::Le => zip(l, r, n, |a, b| cmp(a, b).is_le()),
+        BinOp::Gt => zip(l, r, n, |a, b| cmp(a, b).is_gt()),
         _ => zip(l, r, n, |a, b| cmp(a, b).is_ge()),
     };
     Array::Bool(BoolArray::from_parts(
@@ -360,7 +287,7 @@ fn compare_lanes<T: Copy>(
     ))
 }
 
-fn compare(op: BinaryOp, lane: CmpLane, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
+fn compare(op: BinOp, lane: CmpLane, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
     match lane {
         CmpLane::Int => compare_lanes(op, &int_lane(left), &int_lane(right), n, |a, b| a.cmp(&b)),
         CmpLane::Float => {
@@ -387,17 +314,17 @@ fn compare(op: BinaryOp, lane: CmpLane, left: &Datum<'_>, right: &Datum<'_>, n: 
 }
 
 /// Kleene AND / OR over known-true / known-false bit sets.
-fn logical(op: BinaryOp, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
+fn logical(op: BinOp, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
     let ((lt, lf), (rt, rf)) = (truth(left, n), truth(right, n));
     let (t, f) = match op {
-        BinaryOp::And => (lt.and(&rt), lf.or(&rf)),
+        BinOp::And => (lt.and(&rt), lf.or(&rf)),
         _ => (lt.or(&rt), lf.and(&rf)),
     };
     let valid = t.or(&f);
     Array::Bool(BoolArray::from_parts(t, Some(valid)))
 }
 
-fn arith(op: BinaryOp, out: DataType, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
+fn arith(op: BinOp, out: DataType, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
     fn of<T: Copy + Default>(
         l: &Lane<'_, T>,
         r: &Lane<'_, T>,
@@ -409,12 +336,12 @@ fn arith(op: BinaryOp, out: DataType, left: &Datum<'_>, right: &Datum<'_>, n: us
         PrimitiveArray::from_parts(zip(l, r, n, f), valid)
     }
     match (op, out) {
-        (BinaryOp::Div, _) => {
+        (BinOp::Div, _) => {
             let (l, r) = (float_lane(left), float_lane(right));
             let nonzero = map(&r, n, |b| b != 0.0);
             Array::Float64(of(&l, &r, n, Some(nonzero), |a, b| a / b))
         }
-        (BinaryOp::Mod, _) => {
+        (BinOp::Mod, _) => {
             let (l, r) = (int_lane(left), int_lane(right));
             let nonzero = map(&r, n, |b| b != 0);
             Array::Int64(of(&l, &r, n, Some(nonzero), |a, b| {
@@ -424,16 +351,16 @@ fn arith(op: BinaryOp, out: DataType, left: &Datum<'_>, right: &Datum<'_>, n: us
         (_, DataType::Float64) => {
             let (l, r) = (float_lane(left), float_lane(right));
             Array::Float64(match op {
-                BinaryOp::Add => of(&l, &r, n, None, |a, b| a + b),
-                BinaryOp::Sub => of(&l, &r, n, None, |a, b| a - b),
+                BinOp::Add => of(&l, &r, n, None, |a, b| a + b),
+                BinOp::Sub => of(&l, &r, n, None, |a, b| a - b),
                 _ => of(&l, &r, n, None, |a, b| a * b),
             })
         }
         _ => {
             let (l, r) = (int_lane(left), int_lane(right));
             let ints = match op {
-                BinaryOp::Add => of(&l, &r, n, None, i64::wrapping_add),
-                BinaryOp::Sub => of(&l, &r, n, None, i64::wrapping_sub),
+                BinOp::Add => of(&l, &r, n, None, i64::wrapping_add),
+                BinOp::Sub => of(&l, &r, n, None, i64::wrapping_sub),
                 _ => of(&l, &r, n, None, i64::wrapping_mul),
             };
             match out {
@@ -462,7 +389,7 @@ fn check_rows(d: &Datum<'_>, num_rows: usize) -> Result<()> {
 /// Element-wise binary kernel over `num_rows` rows.
 pub fn binary_op(
     ctx: &GpuContext,
-    op: BinaryOp,
+    op: BinOp,
     left: &Datum<'_>,
     right: &Datum<'_>,
     num_rows: usize,
@@ -583,7 +510,7 @@ pub fn in_list(
         let types = input.data_type().zip(entry.data_type());
         if let Some(lane) = types.and_then(|(t, e)| cmp_lane(t, e)) {
             let entry = Datum::Scalar(entry.clone());
-            let eq = compare(BinaryOp::Eq, lane, input, &entry, num_rows);
+            let eq = compare(BinOp::Eq, lane, input, &entry, num_rows);
             hits = hits.or(&eq.as_bool()?.to_selection());
         }
     }
@@ -608,20 +535,20 @@ mod tests {
     use crate::test_ctx;
     use proptest::prelude::*;
 
-    const OPS: [BinaryOp; 13] = [
-        BinaryOp::Add,
-        BinaryOp::Sub,
-        BinaryOp::Mul,
-        BinaryOp::Div,
-        BinaryOp::Mod,
-        BinaryOp::Eq,
-        BinaryOp::Ne,
-        BinaryOp::Lt,
-        BinaryOp::Le,
-        BinaryOp::Gt,
-        BinaryOp::Ge,
-        BinaryOp::And,
-        BinaryOp::Or,
+    const OPS: [BinOp; 13] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::And,
+        BinOp::Or,
     ];
 
     /// Row counts on both sides of the bitmap word boundary.
@@ -726,12 +653,12 @@ mod tests {
         let a = Array::from_i64([i64::MAX, i64::MIN, 5]);
         let b = Array::from_i64([1, -1, 0]);
         let run = |op| binary_op(&ctx, op, &col(&a), &col(&b), 3).unwrap();
-        assert_eq!(run(BinaryOp::Add).i64_value(0), Some(i64::MIN));
-        assert_eq!(run(BinaryOp::Mul).i64_value(1), Some(i64::MIN));
+        assert_eq!(run(BinOp::Add).i64_value(0), Some(i64::MIN));
+        assert_eq!(run(BinOp::Mul).i64_value(1), Some(i64::MIN));
         // `i64::MIN % -1` overflows in hardware; here it is 0, and NULL on 0.
-        assert_eq!(run(BinaryOp::Mod).i64_value(1), Some(0));
-        assert_eq!(run(BinaryOp::Mod).scalar(2), Scalar::Null);
-        assert_eq!(run(BinaryOp::Div).scalar(2), Scalar::Null);
+        assert_eq!(run(BinOp::Mod).i64_value(1), Some(0));
+        assert_eq!(run(BinOp::Mod).scalar(2), Scalar::Null);
+        assert_eq!(run(BinOp::Div).scalar(2), Scalar::Null);
     }
 
     #[test]
@@ -739,7 +666,7 @@ mod tests {
         let ctx = test_ctx();
         let a = Array::from_i64([1, 2, 3]);
         let one = Datum::Scalar(Scalar::Int64(1));
-        assert!(binary_op(&ctx, BinaryOp::Add, &col(&a), &one, 2).is_err());
+        assert!(binary_op(&ctx, BinOp::Add, &col(&a), &one, 2).is_err());
         assert!(in_list(&ctx, &col(&a), &[], false, 4).is_err());
     }
 
@@ -752,7 +679,7 @@ mod tests {
         let ctx = test_ctx();
         let a = Array::from_i32([1, 2, 3]);
         let b = Array::from_i64([10, 20, 30]);
-        let r = binary_op(&ctx, BinaryOp::Add, &col(&a), &col(&b), 3).unwrap();
+        let r = binary_op(&ctx, BinOp::Add, &col(&a), &col(&b), 3).unwrap();
         assert_eq!(r.data_type(), DataType::Int64);
         assert_eq!(r.i64_value(2), Some(33));
     }
@@ -763,7 +690,7 @@ mod tests {
         let a = Array::from_f64([1.5, 2.5]);
         let r = binary_op(
             &ctx,
-            BinaryOp::Mul,
+            BinOp::Mul,
             &col(&a),
             &Datum::Scalar(Scalar::Float64(2.0)),
             2,
@@ -777,7 +704,7 @@ mod tests {
         let ctx = test_ctx();
         let a = Array::from_i64([6, 7]);
         let b = Array::from_i64([3, 0]);
-        let r = binary_op(&ctx, BinaryOp::Div, &col(&a), &col(&b), 2).unwrap();
+        let r = binary_op(&ctx, BinOp::Div, &col(&a), &col(&b), 2).unwrap();
         assert_eq!(r.data_type(), DataType::Float64);
         assert_eq!(r.f64_value(0), Some(2.0));
         assert_eq!(r.scalar(1), Scalar::Null);
@@ -789,7 +716,7 @@ mod tests {
         let a = Array::from_i32([1, 5]);
         let r = binary_op(
             &ctx,
-            BinaryOp::Lt,
+            BinOp::Lt,
             &col(&a),
             &Datum::Scalar(Scalar::Int64(3)),
             2,
@@ -805,7 +732,7 @@ mod tests {
         let d = Array::from_date32([100, 200]);
         let r = binary_op(
             &ctx,
-            BinaryOp::Ge,
+            BinOp::Ge,
             &col(&d),
             &Datum::Scalar(Scalar::Date32(150)),
             2,
@@ -815,7 +742,7 @@ mod tests {
         assert_eq!(r.scalar(1), Scalar::Bool(true));
         let plus = binary_op(
             &ctx,
-            BinaryOp::Add,
+            BinOp::Add,
             &col(&d),
             &Datum::Scalar(Scalar::Int64(7)),
             2,
@@ -830,10 +757,10 @@ mod tests {
         let ctx = test_ctx();
         let t = Array::from_bool([true, false]);
         let n = Array::from_scalar(&Scalar::Null, DataType::Bool, 2);
-        let and = binary_op(&ctx, BinaryOp::And, &col(&t), &col(&n), 2).unwrap();
+        let and = binary_op(&ctx, BinOp::And, &col(&t), &col(&n), 2).unwrap();
         assert_eq!(and.scalar(0), Scalar::Null); // true AND null
         assert_eq!(and.scalar(1), Scalar::Bool(false)); // false AND null
-        let or = binary_op(&ctx, BinaryOp::Or, &col(&t), &col(&n), 2).unwrap();
+        let or = binary_op(&ctx, BinOp::Or, &col(&t), &col(&n), 2).unwrap();
         assert_eq!(or.scalar(0), Scalar::Bool(true)); // true OR null
         assert_eq!(or.scalar(1), Scalar::Null); // false OR null
     }
@@ -842,14 +769,7 @@ mod tests {
     fn null_propagation_in_comparison() {
         let ctx = test_ctx();
         let a = Array::from_i64([1]);
-        let r = binary_op(
-            &ctx,
-            BinaryOp::Eq,
-            &col(&a),
-            &Datum::Scalar(Scalar::Null),
-            1,
-        )
-        .unwrap();
+        let r = binary_op(&ctx, BinOp::Eq, &col(&a), &Datum::Scalar(Scalar::Null), 1).unwrap();
         assert_eq!(r.scalar(0), Scalar::Null);
     }
 
@@ -859,7 +779,7 @@ mod tests {
         let a = Array::from_strs(["x"]);
         let err = binary_op(
             &ctx,
-            BinaryOp::Add,
+            BinOp::Add,
             &col(&a),
             &Datum::Scalar(Scalar::Int64(1)),
             1,
@@ -913,7 +833,7 @@ mod tests {
         let ctx = test_ctx();
         let before = ctx.device().elapsed();
         let a = Array::from_i64(0..1000);
-        binary_op(&ctx, BinaryOp::Add, &col(&a), &col(&a), 1000).unwrap();
+        binary_op(&ctx, BinOp::Add, &col(&a), &col(&a), 1000).unwrap();
         assert!(ctx.device().elapsed() > before);
     }
 }

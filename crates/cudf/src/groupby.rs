@@ -11,55 +11,25 @@
 //! on the sort path, every output column is put in key order. At PR 17 this
 //! took `cudf.groupby_mrows_s` from 11.1 to 145 (BENCH_16.json →
 //! BENCH_17.json).
+//!
+//! The aggregates are the plan's own [`AggFunc`]s, typed by
+//! [`AggFunc::result_type`]. How they split into partials and merge across
+//! morsels, spill chunks and cluster nodes is `sirius_plan::expr::two_phase`;
+//! only that split's AVG divide ([`finalize_avg`]) is a kernel here.
 
 use crate::binary::{float_lane, int_lane, Datum, Lane};
 use crate::hash::{key_bytes, row_keys, FxHashSet};
 use crate::sort::compare_cells;
 use crate::{GpuContext, KernelError, Result};
+use sirius_columnar::ops::AggFunc;
 use sirius_columnar::{Array, Bitmap, DataType, PrimitiveArray, Scalar};
 use sirius_hw::WorkProfile;
 use std::cmp::Ordering;
 
-/// Aggregate function kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggKind {
-    /// `COUNT(*)` — counts rows.
-    CountStar,
-    /// `COUNT(expr)` — counts non-null values.
-    Count,
-    /// `COUNT(DISTINCT expr)`.
-    CountDistinct,
-    /// `SUM(expr)` — Int64 for integer input, Float64 for float.
-    Sum,
-    /// `MIN(expr)`.
-    Min,
-    /// `MAX(expr)`.
-    Max,
-    /// `AVG(expr)` — always Float64.
-    Avg,
-}
-
-impl AggKind {
-    /// Output type given the input type (`None` input for `CountStar`).
-    pub fn result_type(&self, input: Option<DataType>) -> Result<DataType> {
-        Ok(match self {
-            AggKind::CountStar | AggKind::Count | AggKind::CountDistinct => DataType::Int64,
-            AggKind::Avg => DataType::Float64,
-            AggKind::Sum => match input {
-                Some(DataType::Float64) => DataType::Float64,
-                Some(DataType::Int32 | DataType::Int64) => DataType::Int64,
-                other => return Err(KernelError::UnsupportedTypes(format!("SUM on {other:?}"))),
-            },
-            AggKind::Min | AggKind::Max => input
-                .ok_or_else(|| KernelError::UnsupportedTypes("MIN/MAX need an input".into()))?,
-        })
-    }
-}
-
 /// One aggregation over an optional input column (`None` for `COUNT(*)`).
 pub struct AggRequest<'a> {
     /// The aggregate function.
-    pub kind: AggKind,
+    pub kind: AggFunc,
     /// Input column (`None` only for `CountStar`).
     pub input: Option<&'a Array>,
 }
@@ -77,6 +47,13 @@ pub struct GroupByResult {
     pub sort_based: bool,
 }
 
+/// An aggregation's output type, by [`AggFunc::result_type`].
+pub(crate) fn agg_type(agg: &AggRequest<'_>) -> Result<DataType> {
+    let (kind, input) = (agg.kind, agg.input.map(Array::data_type));
+    (kind.result_type(input))
+        .ok_or_else(|| KernelError::UnsupportedTypes(format!("{kind:?} on {input:?}")))
+}
+
 /// Keyed aggregation. Strategy selection mirrors libcudf: sort-based when
 /// any key column is a string, hash-based otherwise. Group output order is
 /// deterministic: first-appearance order for the hash path, key order for
@@ -88,10 +65,7 @@ pub fn group_by(
     num_rows: usize,
 ) -> Result<GroupByResult> {
     let sort_based = keys.iter().any(|k| k.data_type() == DataType::Utf8);
-    let out_types: Vec<DataType> = aggs
-        .iter()
-        .map(|a| a.kind.result_type(a.input.map(|c| c.data_type())))
-        .collect::<Result<_>>()?;
+    let out_types: Vec<DataType> = aggs.iter().map(agg_type).collect::<Result<_>>()?;
 
     // Assign each row a dense group id, remembering the first row where
     // each group appeared (its representative, for key materialization).
@@ -273,20 +247,20 @@ pub(crate) fn accumulate(
     groups: usize,
 ) -> Result<Array> {
     let input = match (agg.kind, agg.input) {
-        (AggKind::CountStar, _) => return Ok(count(ids, groups, |_| true)),
+        (AggFunc::CountStar, _) => return Ok(count(ids, groups, |_| true)),
         (_, Some(input)) => input,
         // An absent input reads as a column of NULLs.
-        (AggKind::Count | AggKind::CountDistinct, None) => {
+        (AggFunc::Count | AggFunc::CountDistinct, None) => {
             return Ok(count(ids, groups, |_| false))
         }
         (_, None) => return Ok(Array::from_scalar(&Scalar::Null, out, groups)),
     };
     Ok(match agg.kind {
-        AggKind::CountStar | AggKind::Count => match input.validity() {
+        AggFunc::CountStar | AggFunc::Count => match input.validity() {
             Some(valid) => count(ids, groups, |row| valid.get(row)),
             None => count(ids, groups, |_| true),
         },
-        AggKind::CountDistinct => {
+        AggFunc::CountDistinct => {
             // A value's identity is its dense id among the column's values.
             let values = row_keys(&[input], ids.len());
             let value_ids = values.dense_ids().ids;
@@ -296,15 +270,15 @@ pub(crate) fn accumulate(
                     && seen.insert((ids[row] as u64) << 32 | value_ids[row] as u64)
             })
         }
-        AggKind::Sum if out == DataType::Float64 => {
+        AggFunc::Sum if out == DataType::Float64 => {
             let lane = float_lane(&Datum::Column(input));
             Array::Float64(sum(&lane, ids, groups, |a, b| a + b))
         }
-        AggKind::Sum => {
+        AggFunc::Sum => {
             let lane = int_lane(&Datum::Column(input));
             Array::Int64(sum(&lane, ids, groups, i64::wrapping_add))
         }
-        AggKind::Avg => {
+        AggFunc::Avg => {
             let mut sums = vec![0f64; groups];
             let mut counts = vec![0i64; groups];
             for_each_valid(&float_lane(&Datum::Column(input)), ids, |g, v| {
@@ -317,9 +291,9 @@ pub(crate) fn accumulate(
                 Some(Bitmap::from_iter(counts.iter().map(|&n| n > 0))),
             ))
         }
-        AggKind::Min | AggKind::Max => {
+        AggFunc::Min | AggFunc::Max => {
             let wins = |o: Ordering| match agg.kind {
-                AggKind::Min => o.is_lt(),
+                AggFunc::Min => o.is_lt(),
                 _ => o.is_gt(),
             };
             let best = match input {
@@ -383,142 +357,29 @@ fn charge_group_by(
     );
 }
 
-/// One partial aggregate computed per morsel.
-#[derive(Debug, Clone, Copy)]
-pub struct PartialSpec {
-    /// Aggregate to run on each morsel.
-    pub kind: AggKind,
-    /// Index of the originating aggregate request, for input resolution.
-    pub source: usize,
+/// `AVG` from its merged two-phase partials: `sum / count`, NULL where the
+/// sum is NULL or nothing was counted.
+pub fn avg_of(sum: &Scalar, count: &Scalar) -> Scalar {
+    match (sum.as_f64(), count.as_i64()) {
+        (Some(total), Some(rows)) if rows > 0 => Scalar::Float64(total / rows as f64),
+        _ => Scalar::Null,
+    }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum FinalSpec {
-    /// Final column is merged partial column `i` unchanged.
-    Passthrough(usize),
-    /// AVG decomposed into partials: divide merged sum by merged count.
-    AvgOf {
-        /// Partial column holding the per-group sum.
-        sum: usize,
-        /// Partial column holding the per-group non-null count.
-        count: usize,
-    },
-}
-
-/// Decomposition of a set of aggregates into morsel-wise partials.
-///
-/// Morsel-driven group-by computes per-morsel partial tables, concatenates
-/// them, and merges with a second keyed aggregation:
-///
-/// * `SUM` partials merge with `SUM`;
-/// * `COUNT`/`COUNT(*)` partials merge with `SUM` (counts add);
-/// * `MIN`/`MAX` partials merge with themselves;
-/// * `AVG` decomposes into `SUM` + `COUNT` partials and divides at the end.
-///
-/// `COUNT(DISTINCT)` cannot be decomposed without shipping whole distinct
-/// sets, so [`PartialAggPlan::new`] returns `None` and the engine falls back
-/// to the single-pass whole-column path.
-pub struct PartialAggPlan {
-    partials: Vec<PartialSpec>,
-    finals: Vec<FinalSpec>,
-}
-
-impl PartialAggPlan {
-    /// Build the decomposition, or `None` if any aggregate cannot be
-    /// computed morsel-wise.
-    pub fn new(kinds: &[AggKind]) -> Option<PartialAggPlan> {
-        let mut partials = Vec::new();
-        let mut finals = Vec::new();
-        for (source, kind) in kinds.iter().enumerate() {
-            match kind {
-                AggKind::CountDistinct => return None,
-                AggKind::Avg => {
-                    let sum = partials.len();
-                    partials.push(PartialSpec {
-                        kind: AggKind::Sum,
-                        source,
-                    });
-                    partials.push(PartialSpec {
-                        kind: AggKind::Count,
-                        source,
-                    });
-                    finals.push(FinalSpec::AvgOf {
-                        sum,
-                        count: sum + 1,
-                    });
-                }
-                k => {
-                    finals.push(FinalSpec::Passthrough(partials.len()));
-                    partials.push(PartialSpec { kind: *k, source });
-                }
-            }
-        }
-        Some(PartialAggPlan { partials, finals })
-    }
-
-    /// The partial aggregates to run on each morsel, in partial-column order.
-    pub fn partials(&self) -> &[PartialSpec] {
-        &self.partials
-    }
-
-    /// The aggregate that merges partial column `i` across morsels.
-    pub fn merge_kind(&self, i: usize) -> AggKind {
-        // `new` only emits Sum, Count, CountStar, Min and Max partials.
-        match self.partials[i].kind {
-            AggKind::Min => AggKind::Min,
-            AggKind::Max => AggKind::Max,
-            _ => AggKind::Sum,
-        }
-    }
-
-    /// Produce the final per-original-aggregate columns from the merged
-    /// partial columns (one array per partial, one row per group).
-    pub fn finalize(&self, ctx: &GpuContext, merged: &[Array]) -> Result<Vec<Array>> {
-        let mut out = Vec::with_capacity(self.finals.len());
-        for f in &self.finals {
-            match *f {
-                FinalSpec::Passthrough(i) => out.push(merged[i].clone()),
-                FinalSpec::AvgOf { sum, count } => {
-                    let (s, n) = (&merged[sum], &merged[count]);
-                    let scalars: Vec<Scalar> = (0..s.len())
-                        .map(|g| match (s.scalar(g).as_f64(), n.scalar(g).as_i64()) {
-                            (Some(total), Some(rows)) if rows > 0 => {
-                                Scalar::Float64(total / rows as f64)
-                            }
-                            _ => Scalar::Null,
-                        })
-                        .collect();
-                    ctx.charge_named(
-                        "groupby.finalize_avg",
-                        &WorkProfile::scan((s.len() * 16) as u64)
-                            .with_flops(s.len() as u64)
-                            .with_rows(s.len() as u64),
-                    );
-                    out.push(Array::from_scalars(&scalars, DataType::Float64));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Scalar form of [`finalize`](Self::finalize) for ungrouped reductions:
-    /// `merged` holds one merged scalar per partial.
-    pub fn finalize_scalars(&self, merged: &[Scalar]) -> Vec<Scalar> {
-        self.finals
-            .iter()
-            .map(|f| match *f {
-                FinalSpec::Passthrough(i) => merged[i].clone(),
-                FinalSpec::AvgOf { sum, count } => {
-                    match (merged[sum].as_f64(), merged[count].as_i64()) {
-                        (Some(total), Some(rows)) if rows > 0 => {
-                            Scalar::Float64(total / rows as f64)
-                        }
-                        _ => Scalar::Null,
-                    }
-                }
-            })
-            .collect()
-    }
+/// The AVG divide that finishes a grouped two-phase aggregation
+/// (`sirius_plan::expr::two_phase`): [`avg_of`] per group, over the merged
+/// sum and count columns.
+pub fn finalize_avg(ctx: &GpuContext, sum: &Array, count: &Array) -> Array {
+    let means: Vec<Scalar> = (0..sum.len())
+        .map(|g| avg_of(&sum.scalar(g), &count.scalar(g)))
+        .collect();
+    ctx.charge_named(
+        "groupby.finalize_avg",
+        &WorkProfile::scan((sum.len() * 16) as u64)
+            .with_flops(sum.len() as u64)
+            .with_rows(sum.len() as u64),
+    );
+    Array::from_scalars(&means, DataType::Float64)
 }
 
 #[cfg(test)]
@@ -544,14 +405,14 @@ mod tests {
             let mut column = |kinds: &[Kind]| g.columns(kinds, 1, rows).remove(0);
             let summable = [Kind::Int32, Kind::Int64, Kind::Float64];
             let inputs = [
-                (AggKind::CountStar, None),
-                (AggKind::Count, Some(column(&KINDS))),
-                (AggKind::CountDistinct, Some(column(&KINDS))),
-                (AggKind::Sum, Some(column(&summable))),
-                (AggKind::Sum, Some(column(&summable))),
-                (AggKind::Avg, Some(column(&KINDS))),
-                (AggKind::Min, Some(column(&KINDS))),
-                (AggKind::Max, Some(column(&KINDS))),
+                (AggFunc::CountStar, None),
+                (AggFunc::Count, Some(column(&KINDS))),
+                (AggFunc::CountDistinct, Some(column(&KINDS))),
+                (AggFunc::Sum, Some(column(&summable))),
+                (AggFunc::Sum, Some(column(&summable))),
+                (AggFunc::Avg, Some(column(&KINDS))),
+                (AggFunc::Min, Some(column(&KINDS))),
+                (AggFunc::Max, Some(column(&KINDS))),
             ];
             let aggs: Vec<AggRequest<'_>> = (inputs.iter())
                 .map(|(kind, input)| AggRequest { kind: *kind, input: input.as_ref() })
@@ -579,8 +440,8 @@ mod tests {
         let ctx = test_ctx();
         let k = Array::from_i64([1, 1]);
         let s = Array::from_strs(["a", "b"]);
-        for kind in [AggKind::Sum, AggKind::Min] {
-            let input = (kind == AggKind::Sum).then_some(&s);
+        for kind in [AggFunc::Sum, AggFunc::Min] {
+            let input = (kind == AggFunc::Sum).then_some(&s);
             let aggs = [AggRequest { kind, input }];
             assert!(group_by(&ctx, &[&k], &aggs, 2).is_err());
             assert!(reference::group_by(&ctx, &[&k], &aggs, 2).is_err());
@@ -597,11 +458,11 @@ mod tests {
             &[&k],
             &[
                 AggRequest {
-                    kind: AggKind::Sum,
+                    kind: AggFunc::Sum,
                     input: Some(&v),
                 },
                 AggRequest {
-                    kind: AggKind::CountStar,
+                    kind: AggFunc::CountStar,
                     input: None,
                 },
             ],
@@ -626,7 +487,7 @@ mod tests {
             &ctx,
             &[&k],
             &[AggRequest {
-                kind: AggKind::Sum,
+                kind: AggFunc::Sum,
                 input: Some(&v),
             }],
             3,
@@ -648,19 +509,19 @@ mod tests {
             &[&k],
             &[
                 AggRequest {
-                    kind: AggKind::Avg,
+                    kind: AggFunc::Avg,
                     input: Some(&v),
                 },
                 AggRequest {
-                    kind: AggKind::Min,
+                    kind: AggFunc::Min,
                     input: Some(&v),
                 },
                 AggRequest {
-                    kind: AggKind::Max,
+                    kind: AggFunc::Max,
                     input: Some(&v),
                 },
                 AggRequest {
-                    kind: AggKind::Count,
+                    kind: AggFunc::Count,
                     input: Some(&v),
                 },
             ],
@@ -691,15 +552,15 @@ mod tests {
             &[&k],
             &[
                 AggRequest {
-                    kind: AggKind::CountDistinct,
+                    kind: AggFunc::CountDistinct,
                     input: Some(&v),
                 },
                 AggRequest {
-                    kind: AggKind::Count,
+                    kind: AggFunc::Count,
                     input: Some(&v),
                 },
                 AggRequest {
-                    kind: AggKind::CountStar,
+                    kind: AggFunc::CountStar,
                     input: None,
                 },
             ],
@@ -720,7 +581,7 @@ mod tests {
             &ctx,
             &[&k1, &k2],
             &[AggRequest {
-                kind: AggKind::CountStar,
+                kind: AggFunc::CountStar,
                 input: None,
             }],
             3,
@@ -740,7 +601,7 @@ mod tests {
             &ctx,
             &[&k],
             &[AggRequest {
-                kind: AggKind::CountStar,
+                kind: AggFunc::CountStar,
                 input: None,
             }],
             3,
@@ -762,7 +623,7 @@ mod tests {
             &ctx1,
             &[&few],
             &[AggRequest {
-                kind: AggKind::CountStar,
+                kind: AggFunc::CountStar,
                 input: None,
             }],
             n,
@@ -774,7 +635,7 @@ mod tests {
             &ctx2,
             &[&many],
             &[AggRequest {
-                kind: AggKind::CountStar,
+                kind: AggFunc::CountStar,
                 input: None,
             }],
             n,
@@ -800,7 +661,7 @@ mod tests {
                 ctx,
                 &[key],
                 &[AggRequest {
-                    kind: AggKind::Sum,
+                    kind: AggFunc::Sum,
                     input: Some(&v),
                 }],
                 n,
@@ -845,7 +706,7 @@ mod tests {
             &ctx,
             &[&k],
             &[AggRequest {
-                kind: AggKind::CountStar,
+                kind: AggFunc::CountStar,
                 input: None,
             }],
             4,
@@ -864,115 +725,19 @@ mod tests {
     }
 
     #[test]
-    fn partial_merge_matches_single_pass() {
+    fn finalize_avg_divides_and_nulls_what_was_not_counted() {
         let ctx = test_ctx();
-        let keys: Vec<i64> = (0..50).map(|i| i % 5).collect();
-        let vals: Vec<Scalar> = (0..50)
-            .map(|i| {
-                if i % 7 == 0 {
-                    Scalar::Null
-                } else {
-                    Scalar::Int64(i)
-                }
-            })
-            .collect();
-        let k = Array::from_i64(keys.iter().copied());
-        let v = Array::from_scalars(&vals, DataType::Int64);
-        let kinds = [
-            AggKind::Sum,
-            AggKind::Avg,
-            AggKind::Min,
-            AggKind::Max,
-            AggKind::Count,
-        ];
-        let whole = group_by(
-            &ctx,
-            &[&k],
-            &kinds
-                .iter()
-                .map(|&kind| AggRequest {
-                    kind,
-                    input: Some(&v),
-                })
-                .collect::<Vec<_>>(),
-            50,
-        )
-        .unwrap();
-
-        // Morsel-wise: partials over three uneven chunks, concatenated,
-        // merged with a second group-by, finalized.
-        let plan = PartialAggPlan::new(&kinds).unwrap();
-        let mut part_keys: Vec<Scalar> = Vec::new();
-        let mut part_cols: Vec<Vec<Scalar>> = vec![Vec::new(); plan.partials().len()];
-        for chunk in [0..13, 13..31, 31..50] {
-            let mk = Array::from_i64(keys[chunk.clone()].iter().copied());
-            let mv = Array::from_scalars(&vals[chunk], DataType::Int64);
-            let reqs: Vec<AggRequest> = plan
-                .partials()
-                .iter()
-                .map(|p| AggRequest {
-                    kind: p.kind,
-                    input: Some(&mv),
-                })
-                .collect();
-            let partial = group_by(&ctx, &[&mk], &reqs, mk.len()).unwrap();
-            for g in 0..partial.num_groups {
-                part_keys.push(partial.key_columns[0].scalar(g));
-                for (ci, col) in partial.agg_columns.iter().enumerate() {
-                    part_cols[ci].push(col.scalar(g));
-                }
-            }
-        }
-        let merged_key = Array::from_scalars(&part_keys, DataType::Int64);
-        let merged_inputs: Vec<Array> = part_cols
-            .iter()
-            .zip(plan.partials().iter())
-            .map(|(scalars, p)| {
-                let t = p.kind.result_type(Some(DataType::Int64)).unwrap();
-                Array::from_scalars(scalars, t)
-            })
-            .collect();
-        let merge_reqs: Vec<AggRequest> = merged_inputs
-            .iter()
-            .enumerate()
-            .map(|(i, col)| AggRequest {
-                kind: plan.merge_kind(i),
-                input: Some(col),
-            })
-            .collect();
-        let merged = group_by(&ctx, &[&merged_key], &merge_reqs, merged_key.len()).unwrap();
-        let finals = plan.finalize(&ctx, &merged.agg_columns).unwrap();
-
-        assert_eq!(merged.num_groups, whole.num_groups);
-        for g in 0..whole.num_groups {
-            // First-appearance order is preserved through the merge.
-            assert_eq!(
-                merged.key_columns[0].scalar(g),
-                whole.key_columns[0].scalar(g)
-            );
-            for (ai, col) in finals.iter().enumerate() {
-                assert_eq!(
-                    col.scalar(g),
-                    whole.agg_columns[ai].scalar(g),
-                    "agg {ai} group {g}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn partial_plan_gates_count_distinct() {
-        assert!(PartialAggPlan::new(&[AggKind::Sum, AggKind::CountDistinct]).is_none());
-        let plan = PartialAggPlan::new(&[AggKind::Avg]).unwrap();
-        assert_eq!(plan.partials().len(), 2);
+        let sum = Array::from_scalars(&[Scalar::Int64(10), Scalar::Null], DataType::Int64);
+        let count = Array::from_i64([4, 0]);
+        let avg = finalize_avg(&ctx, &sum, &count);
+        assert_eq!(avg.scalar(0), Scalar::Float64(2.5));
+        assert_eq!(avg.scalar(1), Scalar::Null);
         assert_eq!(
-            plan.finalize_scalars(&[Scalar::Int64(10), Scalar::Int64(4)]),
-            vec![Scalar::Float64(2.5)]
+            avg_of(&Scalar::Int64(10), &Scalar::Int64(4)),
+            Scalar::Float64(2.5)
         );
-        assert_eq!(
-            plan.finalize_scalars(&[Scalar::Null, Scalar::Int64(0)]),
-            vec![Scalar::Null]
-        );
+        assert_eq!(avg_of(&Scalar::Null, &Scalar::Int64(0)), Scalar::Null);
+        assert!(ctx.device().elapsed() > std::time::Duration::ZERO);
     }
 
     #[test]
@@ -983,7 +748,7 @@ mod tests {
             &ctx,
             &[&k],
             &[AggRequest {
-                kind: AggKind::CountStar,
+                kind: AggFunc::CountStar,
                 input: None,
             }],
             0,

@@ -38,9 +38,11 @@ pub mod sort;
 pub mod unary;
 pub mod unique;
 
-pub use groupby::{AggKind, AggRequest, PartialAggPlan, PartialSpec};
+pub use groupby::AggRequest;
 pub use join::{JoinHashTable, JoinIndices, JoinType};
 pub use partition::hash_partition;
+/// The aggregate vocabulary under its former name, which `perfbench` uses.
+pub use sirius_columnar::ops::AggFunc as AggKind;
 
 use sirius_hw::{CostCategory, Device, WorkProfile};
 use std::sync::{Arc, Mutex, PoisonError};

@@ -1,7 +1,8 @@
 //! Ungrouped reductions (whole-column aggregates).
 
-use crate::groupby::{accumulate, AggKind, AggRequest};
+use crate::groupby::{accumulate, agg_type, AggRequest};
 use crate::{GpuContext, Result};
+use sirius_columnar::ops::AggFunc;
 use sirius_columnar::{Array, Scalar};
 use sirius_hw::WorkProfile;
 
@@ -11,7 +12,7 @@ use sirius_hw::WorkProfile;
 /// returns NULL.
 pub fn reduce(
     ctx: &GpuContext,
-    kind: AggKind,
+    kind: AggFunc,
     input: Option<&Array>,
     num_rows: usize,
 ) -> Result<Scalar> {
@@ -24,10 +25,11 @@ pub fn reduce(
             .with_rows(num_rows as u64),
     );
 
-    let out_type = kind.result_type(input.map(|c| c.data_type()))?;
+    let request = AggRequest { kind, input };
+    let out_type = agg_type(&request)?;
     // The grouped accumulators over one group that holds every row.
     let one_group = vec![0u32; num_rows];
-    let column = accumulate(&AggRequest { kind, input }, out_type, &one_group, 1)?;
+    let column = accumulate(&request, out_type, &one_group, 1)?;
     Ok(column.scalar(0))
 }
 
@@ -42,23 +44,23 @@ mod tests {
         let ctx = test_ctx();
         let a = Array::from_i64([3, 1, 2]);
         assert_eq!(
-            reduce(&ctx, AggKind::Sum, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Sum, Some(&a), a.len()).unwrap(),
             Scalar::Int64(6)
         );
         assert_eq!(
-            reduce(&ctx, AggKind::Min, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Min, Some(&a), a.len()).unwrap(),
             Scalar::Int64(1)
         );
         assert_eq!(
-            reduce(&ctx, AggKind::Max, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Max, Some(&a), a.len()).unwrap(),
             Scalar::Int64(3)
         );
         assert_eq!(
-            reduce(&ctx, AggKind::Avg, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Avg, Some(&a), a.len()).unwrap(),
             Scalar::Float64(2.0)
         );
         assert_eq!(
-            reduce(&ctx, AggKind::CountStar, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::CountStar, Some(&a), a.len()).unwrap(),
             Scalar::Int64(3)
         );
     }
@@ -68,19 +70,19 @@ mod tests {
         let ctx = test_ctx();
         let a = Array::from_i64([]);
         assert_eq!(
-            reduce(&ctx, AggKind::Sum, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Sum, Some(&a), a.len()).unwrap(),
             Scalar::Null
         );
         assert_eq!(
-            reduce(&ctx, AggKind::Avg, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Avg, Some(&a), a.len()).unwrap(),
             Scalar::Null
         );
         assert_eq!(
-            reduce(&ctx, AggKind::Min, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Min, Some(&a), a.len()).unwrap(),
             Scalar::Null
         );
         assert_eq!(
-            reduce(&ctx, AggKind::Count, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Count, Some(&a), a.len()).unwrap(),
             Scalar::Int64(0)
         );
     }
@@ -93,15 +95,15 @@ mod tests {
             DataType::Int64,
         );
         assert_eq!(
-            reduce(&ctx, AggKind::Sum, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Sum, Some(&a), a.len()).unwrap(),
             Scalar::Int64(12)
         );
         assert_eq!(
-            reduce(&ctx, AggKind::Count, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Count, Some(&a), a.len()).unwrap(),
             Scalar::Int64(2)
         );
         assert_eq!(
-            reduce(&ctx, AggKind::Avg, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Avg, Some(&a), a.len()).unwrap(),
             Scalar::Float64(6.0)
         );
     }
@@ -111,7 +113,7 @@ mod tests {
         let ctx = test_ctx();
         let a = Array::from_strs(["x", "y", "x"]);
         assert_eq!(
-            reduce(&ctx, AggKind::CountDistinct, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::CountDistinct, Some(&a), a.len()).unwrap(),
             Scalar::Int64(2)
         );
     }
@@ -121,7 +123,7 @@ mod tests {
         let ctx = test_ctx();
         let a = Array::from_f64([0.5, 0.25]);
         assert_eq!(
-            reduce(&ctx, AggKind::Sum, Some(&a), a.len()).unwrap(),
+            reduce(&ctx, AggFunc::Sum, Some(&a), a.len()).unwrap(),
             Scalar::Float64(0.75)
         );
     }

@@ -11,10 +11,11 @@
 
 #![cfg(test)]
 
-use crate::binary::{BinaryOp, Datum};
-use crate::groupby::{AggKind, AggRequest, GroupByResult};
+use crate::binary::Datum;
+use crate::groupby::{agg_type, AggRequest, GroupByResult};
 use crate::hash::{key_bytes, FxBuildHasher, FxHashSet};
 use crate::{GpuContext, KernelError, Result};
+use sirius_columnar::ops::{AggFunc, BinOp};
 use sirius_columnar::{Array, DataType, Field, PrimitiveArray, Scalar, Schema, Table};
 use sirius_hw::WorkProfile;
 use std::collections::HashMap;
@@ -110,24 +111,24 @@ enum AggState {
 }
 
 impl AggState {
-    fn new(kind: AggKind, input_type: Option<DataType>) -> AggState {
+    fn new(kind: AggFunc, input_type: Option<DataType>) -> AggState {
         match kind {
-            AggKind::CountStar | AggKind::Count => AggState::Count(0),
-            AggKind::CountDistinct => AggState::Distinct(FxHashSet::default()),
-            AggKind::Sum => match input_type {
+            AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
+            AggFunc::CountDistinct => AggState::Distinct(FxHashSet::default()),
+            AggFunc::Sum => match input_type {
                 Some(DataType::Float64) => AggState::SumF(0.0, false),
                 _ => AggState::SumI(0, false),
             },
-            AggKind::Min | AggKind::Max => AggState::MinMax(None),
-            AggKind::Avg => AggState::Avg(0.0, 0),
+            AggFunc::Min | AggFunc::Max => AggState::MinMax(None),
+            AggFunc::Avg => AggState::Avg(0.0, 0),
         }
     }
 
-    fn update(&mut self, kind: AggKind, value: Option<Scalar>) {
+    fn update(&mut self, kind: AggFunc, value: Option<Scalar>) {
         match self {
             AggState::Count(c) => {
                 let counts = match kind {
-                    AggKind::CountStar => true,
+                    AggFunc::CountStar => true,
                     _ => value.map(|v| !v.is_null()).unwrap_or(false),
                 };
                 if counts {
@@ -159,7 +160,7 @@ impl AggState {
                         let replace = match cur {
                             None => true,
                             Some(c) => {
-                                if kind == AggKind::Min {
+                                if kind == AggFunc::Min {
                                     v < *c
                                 } else {
                                     v > *c
@@ -330,7 +331,7 @@ pub(crate) fn group_by(
         .iter()
         .zip(aggs.iter())
         .map(|(scalars, a)| {
-            let t = a.kind.result_type(a.input.map(|c| c.data_type()))?;
+            let t = agg_type(a)?;
             Ok(Array::from_scalars(scalars, t))
         })
         .collect::<Result<_>>()?;
@@ -377,12 +378,12 @@ pub(crate) fn group_by(
     })
 }
 
-fn arith(op: BinaryOp, out: DataType, l: &Scalar, r: &Scalar) -> Scalar {
+fn arith(op: BinOp, out: DataType, l: &Scalar, r: &Scalar) -> Scalar {
     if l.is_null() || r.is_null() {
         return Scalar::Null;
     }
     match op {
-        BinaryOp::Div => {
+        BinOp::Div => {
             let (a, b) = (l.as_f64().expect("numeric"), r.as_f64().expect("numeric"));
             if b == 0.0 {
                 Scalar::Null
@@ -390,7 +391,7 @@ fn arith(op: BinaryOp, out: DataType, l: &Scalar, r: &Scalar) -> Scalar {
                 Scalar::Float64(a / b)
             }
         }
-        BinaryOp::Mod => {
+        BinOp::Mod => {
             let (a, b) = (l.as_i64().expect("int"), r.as_i64().expect("int"));
             if b == 0 {
                 Scalar::Null
@@ -402,26 +403,26 @@ fn arith(op: BinaryOp, out: DataType, l: &Scalar, r: &Scalar) -> Scalar {
             DataType::Float64 => {
                 let (a, b) = (l.as_f64().expect("numeric"), r.as_f64().expect("numeric"));
                 Scalar::Float64(match op {
-                    BinaryOp::Add => a + b,
-                    BinaryOp::Sub => a - b,
-                    BinaryOp::Mul => a * b,
+                    BinOp::Add => a + b,
+                    BinOp::Sub => a - b,
+                    BinOp::Mul => a * b,
                     _ => unreachable!("arith op"),
                 })
             }
             DataType::Int64 => {
                 let (a, b) = (l.as_i64().expect("int"), r.as_i64().expect("int"));
                 Scalar::Int64(match op {
-                    BinaryOp::Add => a.wrapping_add(b),
-                    BinaryOp::Sub => a.wrapping_sub(b),
-                    BinaryOp::Mul => a.wrapping_mul(b),
+                    BinOp::Add => a.wrapping_add(b),
+                    BinOp::Sub => a.wrapping_sub(b),
+                    BinOp::Mul => a.wrapping_mul(b),
                     _ => unreachable!("arith op"),
                 })
             }
             DataType::Date32 => {
                 let (a, b) = (l.as_i64().expect("date"), r.as_i64().expect("int"));
                 let v = match op {
-                    BinaryOp::Add => a.wrapping_add(b),
-                    BinaryOp::Sub => a.wrapping_sub(b),
+                    BinOp::Add => a.wrapping_add(b),
+                    BinOp::Sub => a.wrapping_sub(b),
                     _ => unreachable!("date arith"),
                 };
                 Scalar::Date32(v as i32)
@@ -431,32 +432,32 @@ fn arith(op: BinaryOp, out: DataType, l: &Scalar, r: &Scalar) -> Scalar {
     }
 }
 
-fn compare(op: BinaryOp, l: &Scalar, r: &Scalar) -> Scalar {
+fn compare(op: BinOp, l: &Scalar, r: &Scalar) -> Scalar {
     if l.is_null() || r.is_null() {
         return Scalar::Null;
     }
     let ord = l.cmp(r);
     let b = match op {
-        BinaryOp::Eq => ord.is_eq(),
-        BinaryOp::Ne => ord.is_ne(),
-        BinaryOp::Lt => ord.is_lt(),
-        BinaryOp::Le => ord.is_le(),
-        BinaryOp::Gt => ord.is_gt(),
-        BinaryOp::Ge => ord.is_ge(),
+        BinOp::Eq => ord.is_eq(),
+        BinOp::Ne => ord.is_ne(),
+        BinOp::Lt => ord.is_lt(),
+        BinOp::Le => ord.is_le(),
+        BinOp::Gt => ord.is_gt(),
+        BinOp::Ge => ord.is_ge(),
         _ => unreachable!("comparison op"),
     };
     Scalar::Bool(b)
 }
 
-fn kleene(op: BinaryOp, l: &Scalar, r: &Scalar) -> Scalar {
+fn kleene(op: BinOp, l: &Scalar, r: &Scalar) -> Scalar {
     let (a, b) = (l.as_bool(), r.as_bool());
     match op {
-        BinaryOp::And => match (a, b) {
+        BinOp::And => match (a, b) {
             (Some(false), _) | (_, Some(false)) => Scalar::Bool(false),
             (Some(true), Some(true)) => Scalar::Bool(true),
             _ => Scalar::Null,
         },
-        BinaryOp::Or => match (a, b) {
+        BinOp::Or => match (a, b) {
             (Some(true), _) | (_, Some(true)) => Scalar::Bool(true),
             (Some(false), Some(false)) => Scalar::Bool(false),
             _ => Scalar::Null,
@@ -468,7 +469,7 @@ fn kleene(op: BinaryOp, l: &Scalar, r: &Scalar) -> Scalar {
 /// The parent commit's `binary::binary_op`.
 pub(crate) fn binary_op(
     ctx: &GpuContext,
-    op: BinaryOp,
+    op: BinOp,
     left: &Datum<'_>,
     right: &Datum<'_>,
     num_rows: usize,

@@ -1,70 +1,35 @@
-//! Element-wise unary kernels, casts, string functions, and CASE.
+//! Element-wise unary kernels, casts, string functions, and CASE. The
+//! unary operators are the plan's own [`UnOp`]s, typed by the rule plan
+//! validation applies.
 
 use crate::binary::Datum;
 use crate::{GpuContext, KernelError, Result};
+use sirius_columnar::ops::UnOp;
 use sirius_columnar::scalar::date32_year;
 use sirius_columnar::{Array, DataType, Scalar};
 use sirius_hw::WorkProfile;
 
-/// Unary operator kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UnaryOp {
-    /// Logical NOT (null in, null out).
-    Not,
-    /// Arithmetic negation.
-    Neg,
-    /// `IS NULL` predicate (never null).
-    IsNull,
-    /// `IS NOT NULL` predicate (never null).
-    IsNotNull,
-    /// `EXTRACT(YEAR FROM date)` → Int64.
-    ExtractYear,
-}
-
-/// Element-wise unary kernel.
-pub fn unary_op(
-    ctx: &GpuContext,
-    op: UnaryOp,
-    input: &Datum<'_>,
-    num_rows: usize,
-) -> Result<Array> {
-    let out_type = match op {
-        UnaryOp::Not | UnaryOp::IsNull | UnaryOp::IsNotNull => DataType::Bool,
-        UnaryOp::Neg => match input.data_type() {
-            Some(t @ (DataType::Int32 | DataType::Int64)) => {
-                if t == DataType::Int32 {
-                    DataType::Int64
-                } else {
-                    t
-                }
-            }
-            Some(DataType::Float64) => DataType::Float64,
-            other => return Err(KernelError::UnsupportedTypes(format!("Neg on {other:?}"))),
-        },
-        UnaryOp::ExtractYear => DataType::Int64,
-    };
+/// Element-wise unary kernel, typed by [`UnOp::result_type`].
+pub fn unary_op(ctx: &GpuContext, op: UnOp, input: &Datum<'_>, num_rows: usize) -> Result<Array> {
+    let in_type = input.data_type();
+    let out_type = (op.result_type(in_type))
+        .ok_or_else(|| KernelError::UnsupportedTypes(format!("{op:?} on {in_type:?}")))?;
     let mut out = Vec::with_capacity(num_rows);
     for i in 0..num_rows {
         let v = input.value(i);
         out.push(match op {
-            UnaryOp::IsNull => Scalar::Bool(v.is_null()),
-            UnaryOp::IsNotNull => Scalar::Bool(!v.is_null()),
-            _ if v.is_null() => Scalar::Null,
-            UnaryOp::Not => Scalar::Bool(
-                !v.as_bool()
-                    .ok_or_else(|| KernelError::UnsupportedTypes("NOT on non-bool".into()))?,
-            ),
-            UnaryOp::Neg => match out_type {
-                DataType::Float64 => v.as_f64().map_or(Scalar::Null, |f| Scalar::Float64(-f)),
-                _ => (v.as_i64()).map_or(Scalar::Null, |i| Scalar::Int64(i.wrapping_neg())),
-            },
-            UnaryOp::ExtractYear => match v {
+            UnOp::IsNull => Scalar::Bool(v.is_null()),
+            UnOp::IsNotNull => Scalar::Bool(!v.is_null()),
+            UnOp::Not => v.as_bool().map_or(Scalar::Null, |b| Scalar::Bool(!b)),
+            UnOp::Neg if out_type == DataType::Float64 => {
+                v.as_f64().map_or(Scalar::Null, |f| Scalar::Float64(-f))
+            }
+            UnOp::Neg => v
+                .as_i64()
+                .map_or(Scalar::Null, |i| Scalar::Int64(i.wrapping_neg())),
+            UnOp::ExtractYear => match v {
                 Scalar::Date32(d) => Scalar::Int64(date32_year(d) as i64),
-                other => {
-                    return Err(KernelError::UnsupportedTypes(format!(
-                        "EXTRACT(YEAR) on {other:?}"
-                    )))
-                }
+                _ => Scalar::Null,
             },
         });
     }
@@ -168,13 +133,13 @@ mod tests {
             &[Scalar::Bool(true), Scalar::Null, Scalar::Bool(false)],
             DataType::Bool,
         );
-        let not = unary_op(&ctx, UnaryOp::Not, &Datum::Column(&b), 3).unwrap();
+        let not = unary_op(&ctx, UnOp::Not, &Datum::Column(&b), 3).unwrap();
         assert_eq!(not.scalar(0), Scalar::Bool(false));
         assert_eq!(not.scalar(1), Scalar::Null);
-        let isn = unary_op(&ctx, UnaryOp::IsNull, &Datum::Column(&b), 3).unwrap();
+        let isn = unary_op(&ctx, UnOp::IsNull, &Datum::Column(&b), 3).unwrap();
         assert_eq!(isn.scalar(1), Scalar::Bool(true));
         assert_eq!(isn.scalar(0), Scalar::Bool(false));
-        let notn = unary_op(&ctx, UnaryOp::IsNotNull, &Datum::Column(&b), 3).unwrap();
+        let notn = unary_op(&ctx, UnOp::IsNotNull, &Datum::Column(&b), 3).unwrap();
         assert_eq!(notn.scalar(1), Scalar::Bool(false));
     }
 
@@ -182,7 +147,7 @@ mod tests {
     fn neg_promotes_i32() {
         let ctx = test_ctx();
         let a = Array::from_i32([5]);
-        let r = unary_op(&ctx, UnaryOp::Neg, &Datum::Column(&a), 1).unwrap();
+        let r = unary_op(&ctx, UnOp::Neg, &Datum::Column(&a), 1).unwrap();
         assert_eq!(r.data_type(), DataType::Int64);
         assert_eq!(r.i64_value(0), Some(-5));
     }
@@ -194,7 +159,7 @@ mod tests {
             parse_date32("1994-03-15").unwrap(),
             parse_date32("1998-12-31").unwrap(),
         ]);
-        let r = unary_op(&ctx, UnaryOp::ExtractYear, &Datum::Column(&d), 2).unwrap();
+        let r = unary_op(&ctx, UnOp::ExtractYear, &Datum::Column(&d), 2).unwrap();
         assert_eq!(r.i64_value(0), Some(1994));
         assert_eq!(r.i64_value(1), Some(1998));
     }

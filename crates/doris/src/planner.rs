@@ -9,16 +9,18 @@
 //! * grouped aggregation runs a local **partial** aggregate, shuffles the
 //!   partials by group key, and finalizes (sum-of-sums, min-of-mins,
 //!   avg = sum/count) — the reason Q1's exchange traffic is tiny in
-//!   Table 2; `COUNT(DISTINCT)` can't be decomposed and shuffles raw rows;
+//!   Table 2; `COUNT(DISTINCT)` can't be decomposed and shuffles raw rows.
+//!   The split is `sirius_plan::expr::two_phase`, the one the engine's
+//!   morsel and spill aggregation use;
 //! * global aggregates partial-aggregate locally and merge one row per
 //!   node to the coordinator's node;
 //! * sorts and limits gather to node 0.
 
 use crate::{DorisError, Result};
 use sirius_columnar::Schema;
-use sirius_plan::expr::{self, AggExpr, SortExpr};
+use sirius_plan::expr::{self, AggExpr, Final, SortExpr};
 use sirius_plan::visit::{self, Fold, JoinOn, Node};
-use sirius_plan::{AggFunc, ExchangeKind, Expr, JoinKind, Rel};
+use sirius_plan::{AggFunc, BinOp, ExchangeKind, Expr, JoinKind, Rel};
 use std::collections::HashMap;
 
 /// How each base table is distributed across the cluster.
@@ -345,7 +347,7 @@ impl Fold for Distributor<'_> {
     }
 }
 
-/// Two-phase aggregation with partial-aggregate decomposition.
+/// Two-phase aggregation, split by [`expr::two_phase`].
 fn distribute_aggregate(
     plan: &Rel,
     child: Rel,
@@ -363,33 +365,44 @@ fn distribute_aggregate(
     if k > 0 && part == Partitioning::Hash(group_by.to_vec()) {
         return Ok((aggregate(child), grouped(k)));
     }
-    let Some((partials, feeds)) = partial_aggregates(aggregates) else {
+    let Some((partials, finals)) = expr::two_phase(aggregates.iter().map(|a| a.func)) else {
         // Move raw rows (shuffle by group key, or merge for global) + full agg.
         return Ok((aggregate(colocate(child, group_by.to_vec())), grouped(k)));
     };
-    // Phase 1: local partials.
-    let partial = Rel::Aggregate {
-        input: Box::new(child),
-        group_by: group_by.to_vec(),
-        aggregates: partials.clone(),
-    };
-
-    // Phase 2: move partials, re-aggregate with merge functions.
-    let moved = colocate(partial, (0..k).map(expr::col).collect());
-    let merge_aggs: Vec<AggExpr> = partials
-        .iter()
-        .enumerate()
-        .map(|(i, p)| AggExpr {
-            func: match p.func {
-                AggFunc::Min => AggFunc::Min,
-                AggFunc::Max => AggFunc::Max,
-                // Sums and counts both merge by summation.
-                _ => AggFunc::Sum,
-            },
-            input: Some(expr::col(k + i)),
-            name: p.name.clone(),
+    // Phase 1: local partials, named after the aggregate each one feeds.
+    let partial_aggs: Vec<AggExpr> = (partials.iter())
+        .map(|p| {
+            let a = &aggregates[p.source];
+            let suffix = match (a.func, p.func) {
+                (AggFunc::Avg, AggFunc::Sum) => "_psum",
+                (_, AggFunc::Count | AggFunc::CountStar) => "_pcnt",
+                _ => "_p",
+            };
+            AggExpr {
+                func: p.func,
+                input: a.input.clone(),
+                name: format!("{}{suffix}", a.name),
+            }
         })
         .collect();
+
+    // Phase 2: move partials, re-aggregate with merge functions.
+    let merge_aggs: Vec<AggExpr> = (partials.iter().zip(&partial_aggs))
+        .enumerate()
+        .map(|(i, (p, partial))| AggExpr {
+            func: p.merge(),
+            input: Some(expr::col(k + i)),
+            name: partial.name.clone(),
+        })
+        .collect();
+    let moved = colocate(
+        Rel::Aggregate {
+            input: Box::new(child),
+            group_by: group_by.to_vec(),
+            aggregates: partial_aggs,
+        },
+        (0..k).map(expr::col).collect(),
+    );
     let finalized = Rel::Aggregate {
         input: Box::new(moved),
         group_by: (0..k).map(expr::col).collect(),
@@ -399,14 +412,14 @@ fn distribute_aggregate(
     // Phase 3: project back to the original output shape (avg = sum/count).
     let mut out_exprs: Vec<(Expr, String)> =
         (0..k).map(|i| (expr::col(i), format!("key{i}"))).collect();
-    for ((func, cols), a) in feeds.iter().zip(aggregates.iter()) {
-        let e = match func {
-            AggFunc::Avg => Expr::Binary {
-                op: sirius_plan::BinOp::Div,
-                left: Box::new(expr::col(k + cols[0])),
-                right: Box::new(expr::col(k + cols[1])),
+    for (f, a) in finals.iter().zip(aggregates) {
+        let e = match *f {
+            Final::Merged(i) => expr::col(k + i),
+            Final::Avg { sum, count } => Expr::Binary {
+                op: BinOp::Div,
+                left: Box::new(expr::col(k + sum)),
+                right: Box::new(expr::col(k + count)),
             },
-            _ => expr::col(k + cols[0]),
         };
         out_exprs.push((e, a.name.clone()));
     }
@@ -415,57 +428,6 @@ fn distribute_aggregate(
         exprs: out_exprs,
     };
     Ok((out, grouped(k)))
-}
-
-/// How one original aggregate is rebuilt from the partials: its merge
-/// function and the partial columns feeding it.
-type Feed = (AggFunc, Vec<usize>);
-
-/// The local partial aggregates phase 1 computes, with one [`Feed`] per
-/// original aggregate: avg decomposes into (sum, count), count variants
-/// become counts summed later. `None` when an aggregate cannot be
-/// decomposed (`COUNT(DISTINCT)`).
-fn partial_aggregates(aggregates: &[AggExpr]) -> Option<(Vec<AggExpr>, Vec<Feed>)> {
-    let mut partials: Vec<AggExpr> = Vec::new();
-    let mut feeds: Vec<Feed> = Vec::new();
-    for a in aggregates {
-        match a.func {
-            AggFunc::Avg => {
-                let s = partials.len();
-                partials.push(AggExpr {
-                    func: AggFunc::Sum,
-                    input: a.input.clone(),
-                    name: format!("{}_psum", a.name),
-                });
-                partials.push(AggExpr {
-                    func: AggFunc::Count,
-                    input: a.input.clone(),
-                    name: format!("{}_pcnt", a.name),
-                });
-                feeds.push((AggFunc::Avg, vec![s, s + 1]));
-            }
-            AggFunc::Count | AggFunc::CountStar => {
-                let s = partials.len();
-                partials.push(AggExpr {
-                    func: a.func,
-                    input: a.input.clone(),
-                    name: format!("{}_pcnt", a.name),
-                });
-                feeds.push((AggFunc::Count, vec![s]));
-            }
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
-                let s = partials.len();
-                partials.push(AggExpr {
-                    func: a.func,
-                    input: a.input.clone(),
-                    name: format!("{}_p", a.name),
-                });
-                feeds.push((a.func, vec![s]));
-            }
-            AggFunc::CountDistinct => return None,
-        }
-    }
-    Some((partials, feeds))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 
 use crate::{ExecError, Result};
 use sirius_columnar::{Array, Bitmap, DataType, Scalar, Table};
-use sirius_plan::{AggFunc, JoinKind};
+use sirius_plan::{AggFunc, JoinKind, PlanError};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -286,7 +286,9 @@ pub fn aggregate(
         .enumerate()
         .map(|(ai, (func, col))| {
             let in_type = col.as_ref().map(|c| c.data_type());
-            let out_type = func.result_type(in_type).map_err(ExecError::Plan)?;
+            let out_type = func.result_type(in_type).ok_or_else(|| {
+                ExecError::Plan(PlanError::TypeError(format!("{func:?} over {in_type:?}")))
+            })?;
             let scalars: Vec<Scalar> = accs.iter().map(|g| g[ai].finish(*func, out_type)).collect();
             Ok(Array::from_scalars(&scalars, out_type))
         })

@@ -2,47 +2,10 @@
 
 use crate::{PlanError, Result};
 use serde::{Deserialize, Serialize};
+use sirius_columnar::ops::comparable;
 use sirius_columnar::{DataType, Scalar, Schema};
 
-/// Binary operators (evaluated by each engine's kernel library).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    And,
-    Or,
-}
-
-impl BinOp {
-    /// True for comparison operators.
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-}
-
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub enum UnOp {
-    Not,
-    Neg,
-    IsNull,
-    IsNotNull,
-    ExtractYear,
-}
+pub use sirius_columnar::ops::{AggFunc, BinOp, UnOp};
 
 /// A scalar expression over an input relation's columns.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,22 +98,18 @@ impl Expr {
             Expr::Literal(s) => (s.data_type().unwrap_or(DataType::Bool), s.is_null()),
             Expr::Binary { op, left, right } => {
                 let ((lt, ln), (rt, rn)) = (left.typed(input)?, right.typed(input)?);
-                let t = binop_result(*op, lt, rt)
+                let t = (op.result_type(lt, rt))
                     .ok_or_else(|| PlanError::TypeError(format!("{op:?} on ({lt}, {rt})")))?;
                 (t, ln || rn)
             }
             Expr::Unary { op, input: e } => {
                 let (t, nullable) = e.typed(input)?;
-                match op {
-                    UnOp::IsNull | UnOp::IsNotNull => (DataType::Bool, false),
-                    UnOp::Not => (DataType::Bool, nullable),
-                    UnOp::ExtractYear => (DataType::Int64, nullable),
-                    UnOp::Neg => match t {
-                        DataType::Float64 => (DataType::Float64, nullable),
-                        DataType::Int32 | DataType::Int64 => (DataType::Int64, nullable),
-                        other => return Err(PlanError::TypeError(format!("Neg on {other}"))),
-                    },
-                }
+                // An untyped NULL operand types as the kernels take it.
+                let operand = (!matches!(**e, Expr::Literal(Scalar::Null))).then_some(t);
+                let out = (op.result_type(operand))
+                    .ok_or_else(|| PlanError::TypeError(format!("{op:?} on {t}")))?;
+                let null_test = matches!(op, UnOp::IsNull | UnOp::IsNotNull);
+                (out, nullable && !null_test)
             }
             Expr::Cast { input: e, to } => (*to, e.typed(input)?.1),
             Expr::Like { input: e, .. } => (DataType::Bool, string_operand("LIKE", e, input)?),
@@ -293,61 +252,6 @@ fn string_operand(what: &str, operand: &Expr, input: &Schema) -> Result<bool> {
     }
 }
 
-/// Whether `=`/`<`/`IN` and equi-join keys may compare the two types.
-pub(crate) fn comparable(l: DataType, r: DataType) -> bool {
-    l == r || (l.is_numeric() && r.is_numeric())
-}
-
-fn binop_result(op: BinOp, l: DataType, r: DataType) -> Option<DataType> {
-    use DataType::*;
-    if op.is_comparison() {
-        return comparable(l, r).then_some(Bool);
-    }
-    match op {
-        BinOp::And | BinOp::Or => (l == Bool && r == Bool).then_some(Bool),
-        BinOp::Div => (l.is_numeric() && r.is_numeric()).then_some(Float64),
-        BinOp::Mod => matches!((l, r), (Int32 | Int64, Int32 | Int64)).then_some(Int64),
-        _ => match (l, r) {
-            (Float64, x) | (x, Float64) if x.is_numeric() => Some(Float64),
-            (Int32 | Int64, Int32 | Int64) => Some(Int64),
-            (Date32, Int32 | Int64) if matches!(op, BinOp::Add | BinOp::Sub) => Some(Date32),
-            (Date32, Date32) if op == BinOp::Sub => Some(Int64),
-            _ => None,
-        },
-    }
-}
-
-/// Aggregate function names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub enum AggFunc {
-    CountStar,
-    Count,
-    CountDistinct,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl AggFunc {
-    /// Output type given the input expression type.
-    pub fn result_type(&self, input: Option<DataType>) -> Result<DataType> {
-        Ok(match self {
-            AggFunc::CountStar | AggFunc::Count | AggFunc::CountDistinct => DataType::Int64,
-            AggFunc::Avg => DataType::Float64,
-            AggFunc::Sum => match input {
-                Some(DataType::Float64) => DataType::Float64,
-                Some(DataType::Int32 | DataType::Int64) => DataType::Int64,
-                other => return Err(PlanError::TypeError(format!("SUM over {other:?}"))),
-            },
-            AggFunc::Min | AggFunc::Max => {
-                input.ok_or_else(|| PlanError::TypeError("MIN/MAX need an argument".into()))?
-            }
-        })
-    }
-}
-
 /// One aggregate in an `Aggregate` relation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AggExpr {
@@ -357,6 +261,89 @@ pub struct AggExpr {
     pub input: Option<Expr>,
     /// Output column name.
     pub name: String,
+}
+
+impl AggExpr {
+    /// Output type against `input`, the aggregated relation's schema.
+    pub(crate) fn data_type(&self, input: &Schema) -> Result<DataType> {
+        let argument = self
+            .input
+            .as_ref()
+            .map(|e| e.data_type(input))
+            .transpose()?;
+        let func = self.func;
+        (func.result_type(argument))
+            .ok_or_else(|| PlanError::TypeError(format!("{func:?} over {argument:?}")))
+    }
+}
+
+/// One partial aggregate of a [`two_phase`] split: `func` over the argument
+/// of original aggregate `source`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Partial {
+    /// The function every partition (morsel, spill chunk, cluster node) runs.
+    pub func: AggFunc,
+    /// Index of the original aggregate whose argument it reads.
+    pub source: usize,
+}
+
+impl Partial {
+    /// The function that merges this partial's column across partitions:
+    /// `MIN` and `MAX` merge with themselves, sums and counts add up.
+    pub fn merge(&self) -> AggFunc {
+        match self.func {
+            AggFunc::Min | AggFunc::Max => self.func,
+            _ => AggFunc::Sum,
+        }
+    }
+}
+
+/// How one original aggregate is read off the merged partial columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Final {
+    /// Merged partial column `i`, as it is.
+    Merged(usize),
+    /// `AVG`: the merged sum column divided by the merged count column.
+    Avg {
+        /// Partial column holding the sum.
+        sum: usize,
+        /// Partial column holding the non-NULL count.
+        count: usize,
+    },
+}
+
+/// The two-phase split of aggregates `funcs`: the partials every partition
+/// computes, in partial-column order, and one [`Final`] per function. `AVG`
+/// splits into `SUM` + `COUNT` of its argument; every other function is its
+/// own partial. `None` when a function cannot split: `COUNT(DISTINCT)` would
+/// have to ship whole distinct sets.
+pub fn two_phase(funcs: impl IntoIterator<Item = AggFunc>) -> Option<(Vec<Partial>, Vec<Final>)> {
+    let (mut partials, mut finals) = (Vec::new(), Vec::new());
+    for (source, func) in funcs.into_iter().enumerate() {
+        let at = partials.len();
+        match func {
+            AggFunc::CountDistinct => return None,
+            AggFunc::Avg => {
+                partials.push(Partial {
+                    func: AggFunc::Sum,
+                    source,
+                });
+                partials.push(Partial {
+                    func: AggFunc::Count,
+                    source,
+                });
+                finals.push(Final::Avg {
+                    sum: at,
+                    count: at + 1,
+                });
+            }
+            func => {
+                partials.push(Partial { func, source });
+                finals.push(Final::Merged(at));
+            }
+        }
+    }
+    Some((partials, finals))
 }
 
 /// One sort key in a `Sort` relation.
@@ -706,18 +693,65 @@ mod tests {
 
     #[test]
     fn agg_result_types() {
+        let s = schema();
+        let agg = |func, input| AggExpr {
+            func,
+            input,
+            name: "x".into(),
+        };
         assert_eq!(
-            AggFunc::Sum.result_type(Some(DataType::Int32)).unwrap(),
-            DataType::Int64
+            agg(AggFunc::Sum, Some(col(0))).data_type(&s),
+            Ok(DataType::Int64)
         );
         assert_eq!(
-            AggFunc::Avg.result_type(Some(DataType::Int64)).unwrap(),
-            DataType::Float64
+            agg(AggFunc::Avg, Some(col(0))).data_type(&s),
+            Ok(DataType::Float64)
         );
         assert_eq!(
-            AggFunc::CountStar.result_type(None).unwrap(),
-            DataType::Int64
+            agg(AggFunc::CountStar, None).data_type(&s),
+            Ok(DataType::Int64)
         );
-        assert!(AggFunc::Sum.result_type(Some(DataType::Utf8)).is_err());
+        assert_eq!(
+            agg(AggFunc::Min, Some(col(3))).data_type(&s),
+            Ok(DataType::Date32)
+        );
+        assert!(agg(AggFunc::Sum, Some(col(2))).data_type(&s).is_err());
+        assert!(agg(AggFunc::Max, None).data_type(&s).is_err());
+    }
+
+    #[test]
+    fn two_phase_splits_avg_and_refuses_count_distinct() {
+        use AggFunc::*;
+        let (partials, finals) = two_phase([Sum, Avg, Min, Max, Count, CountStar]).unwrap();
+        let funcs: Vec<(AggFunc, usize)> = partials.iter().map(|p| (p.func, p.source)).collect();
+        // AVG becomes SUM + COUNT, both reading the AVG's own argument.
+        assert_eq!(
+            funcs,
+            [
+                (Sum, 0),
+                (Sum, 1),
+                (Count, 1),
+                (Min, 2),
+                (Max, 3),
+                (Count, 4),
+                (CountStar, 5)
+            ]
+        );
+        assert_eq!(
+            finals,
+            [
+                Final::Merged(0),
+                Final::Avg { sum: 1, count: 2 },
+                Final::Merged(3),
+                Final::Merged(4),
+                Final::Merged(5),
+                Final::Merged(6)
+            ]
+        );
+        // MIN / MAX merge with themselves; sums and counts merge by SUM.
+        let merges: Vec<AggFunc> = partials.iter().map(Partial::merge).collect();
+        assert_eq!(merges, [Sum, Sum, Sum, Min, Max, Sum, Sum]);
+        assert_eq!(two_phase([Sum, CountDistinct]), None);
+        assert_eq!(two_phase([]), Some((vec![], vec![])));
     }
 }

@@ -116,16 +116,7 @@ impl Walk {
                 self.tag("read");
                 self.shape.str(table);
                 self.schema(schema);
-                match projection {
-                    Some(cols) => {
-                        self.tag("proj");
-                        self.shape.usize(cols.len());
-                        for c in cols {
-                            self.shape.usize(*c);
-                        }
-                    }
-                    None => self.tag("all"),
-                }
+                self.projection(projection.as_deref());
             }
             Rel::Filter { input, predicate } => {
                 self.tag("filter");
@@ -168,19 +159,10 @@ impl Walk {
                 self.tag("join");
                 self.shape.str(&format!("{kind:?}"));
                 self.shape.usize(left_keys.len());
-                for k in left_keys {
+                for k in left_keys.iter().chain(right_keys) {
                     self.expr(k);
                 }
-                for k in right_keys {
-                    self.expr(k);
-                }
-                match residual {
-                    Some(e) => {
-                        self.tag("residual");
-                        self.expr(e);
-                    }
-                    None => self.tag("none"),
-                }
+                self.optional("residual", residual.as_ref(), "none");
                 self.rel(left);
                 self.rel(right);
             }
@@ -216,26 +198,54 @@ impl Walk {
             }
             Rel::Exchange { input, kind } => {
                 self.tag("exchange");
-                match kind {
-                    ExchangeKind::Shuffle { keys } => {
-                        self.tag("shuffle");
-                        self.shape.usize(keys.len());
-                        for k in keys {
-                            self.expr(k);
-                        }
-                    }
-                    ExchangeKind::Broadcast => self.tag("broadcast"),
-                    ExchangeKind::Merge => self.tag("merge"),
-                    ExchangeKind::MultiCast { targets } => {
-                        self.tag("multicast");
-                        self.shape.usize(targets.len());
-                        for t in targets {
-                            self.shape.usize(*t);
-                        }
-                    }
-                }
+                self.exchange(kind);
                 self.rel(input);
             }
+        }
+    }
+
+    fn projection(&mut self, projection: Option<&[usize]>) {
+        match projection {
+            Some(cols) => {
+                self.tag("proj");
+                self.shape.usize(cols.len());
+                for c in cols {
+                    self.shape.usize(*c);
+                }
+            }
+            None => self.tag("all"),
+        }
+    }
+
+    fn exchange(&mut self, kind: &ExchangeKind) {
+        match kind {
+            ExchangeKind::Shuffle { keys } => {
+                self.tag("shuffle");
+                self.shape.usize(keys.len());
+                for k in keys {
+                    self.expr(k);
+                }
+            }
+            ExchangeKind::Broadcast => self.tag("broadcast"),
+            ExchangeKind::Merge => self.tag("merge"),
+            ExchangeKind::MultiCast { targets } => {
+                self.tag("multicast");
+                self.shape.usize(targets.len());
+                for t in targets {
+                    self.shape.usize(*t);
+                }
+            }
+        }
+    }
+
+    /// An optional sub-expression: `present` and the expression, or `absent`.
+    fn optional(&mut self, present: &str, e: Option<&Expr>, absent: &str) {
+        match e {
+            Some(e) => {
+                self.tag(present);
+                self.expr(e);
+            }
+            None => self.tag(absent),
         }
     }
 
@@ -304,13 +314,7 @@ impl Walk {
                     self.expr(c);
                     self.expr(v);
                 }
-                match otherwise {
-                    Some(e) => {
-                        self.tag("else");
-                        self.expr(e);
-                    }
-                    None => self.tag("noelse"),
-                }
+                self.optional("else", otherwise.as_deref(), "noelse");
             }
             Expr::Substring { input, start, len } => {
                 self.tag("substr");
@@ -355,13 +359,7 @@ impl Walk {
 
     fn agg(&mut self, a: &AggExpr) {
         self.shape.str(&format!("{:?}", a.func));
-        match &a.input {
-            Some(e) => {
-                self.tag("arg");
-                self.expr(e);
-            }
-            None => self.tag("star"),
-        }
+        self.optional("arg", a.input.as_ref(), "star");
         self.shape.str(&a.name);
     }
 

@@ -206,8 +206,7 @@ impl Rel {
                     fields.push(field(name, typed));
                 }
                 for a in aggregates {
-                    let argument = a.input.as_ref().map(|e| e.data_type(input)).transpose()?;
-                    fields.push(field(a.name.clone(), (a.func.result_type(argument)?, true)));
+                    fields.push(field(a.name.clone(), (a.data_type(input)?, true)));
                 }
                 Schema::new(fields)
             }
@@ -629,14 +628,9 @@ mod typing_reference {
                     });
                 }
                 for a in aggregates {
-                    let it = a
-                        .input
-                        .as_ref()
-                        .map(|e| e.data_type(&in_schema))
-                        .transpose()?;
                     fields.push(Field {
                         name: a.name.clone(),
-                        data_type: a.func.result_type(it)?,
+                        data_type: a.data_type(&in_schema)?,
                         nullable: true,
                     });
                 }

@@ -4,9 +4,10 @@
 //! features" (§3.2.2); validation is the first gate — a plan that fails
 //! here is routed back to the host engine before execution starts.
 
-use crate::expr::{comparable, expect_bool, AggExpr, AggFunc};
+use crate::expr::{expect_bool, AggExpr, AggFunc};
 use crate::rel::{ExchangeKind, JoinKind, Rel};
 use crate::{PlanError, Result};
+use sirius_columnar::ops::comparable;
 use sirius_columnar::Schema;
 
 /// Validate a plan tree and return its output schema: every expression

@@ -29,6 +29,8 @@ use sirius_core::{
     CompiledQuery, FeedbackStore, OpStats, PlanCache, PlanCacheStats, ShapeFeedback, SiriusEngine,
     SiriusError,
 };
+use sirius_plan::fingerprint::fingerprint;
+use sirius_plan::normalize::normalize;
 use sirius_plan::{PlanFingerprint, Rel};
 use sirius_sql::{
     plan_sql, plan_sql_with_stats, BinderCatalog, CatalogStatistics, JoinOrderPolicy, Statistics,
@@ -71,8 +73,8 @@ pub struct ResolvedPlan {
 
 #[derive(Clone, Copy)]
 struct MemoEntry {
-    /// Fingerprint of the estimate-only plan (feedback key).
-    canonical: PlanFingerprint,
+    /// Shape fingerprint of the estimate-only plan (feedback key).
+    canonical: u64,
     /// Fingerprint of the currently cached (possibly re-optimized) plan.
     active: PlanFingerprint,
 }
@@ -100,7 +102,7 @@ impl Memo {
         let texts = &mut self.by_sql;
         texts.retain(|_, entry| !gone.contains(&Some(entry.active)));
         self.planned_version
-            .retain(|shape, _| texts.values().any(|e| e.canonical.shape == *shape));
+            .retain(|shape, _| texts.values().any(|e| e.canonical == *shape));
     }
 }
 
@@ -176,8 +178,8 @@ impl CachingPlanner {
     pub fn resolve(&self, sql: &str, engine: &SiriusEngine) -> Result<ResolvedPlan, SiriusError> {
         let mut memo = self.inner.lock();
         if let Some(entry) = memo.by_sql.get(sql).copied() {
-            let shape = entry.canonical.shape;
-            let version_now = self.version(shape);
+            let shape = entry.canonical;
+            let version_now = self.feedback.version(shape);
             let planned_at = memo.planned_version.get(&shape).copied().unwrap_or(0);
             let fresh_feedback = self.adaptive && version_now > planned_at;
             if !fresh_feedback {
@@ -195,9 +197,10 @@ impl CachingPlanner {
         self.plan(sql, engine, &mut memo)
     }
 
-    /// One full planning phase: estimate-only plan (whose fingerprint is
-    /// the canonical shape), then — if feedback exists for that shape —
-    /// a second optimization pass with observed cardinalities.
+    /// One full planning phase: the estimate-only plan, whose normalized
+    /// form's fingerprint is the canonical shape, then one compile — of a
+    /// re-optimization with observed cardinalities when feedback exists for
+    /// that shape, else of the estimate-only plan itself.
     fn plan(
         &self,
         sql: &str,
@@ -205,16 +208,15 @@ impl CachingPlanner {
         memo: &mut Memo,
     ) -> Result<ResolvedPlan, SiriusError> {
         self.planning_phases.fetch_add(1, Ordering::Relaxed);
-        let estimate_plan = plan_sql(sql, &self.catalog, self.policy)
-            .map_err(|e| SiriusError::Unsupported(format!("SQL planning failed: {e}")))?;
-        let canonical = engine.compile_query(&estimate_plan)?;
-        let shape = canonical.fingerprint().shape;
-        let version_now = self.version(shape);
-        let snapshot = if self.adaptive {
-            self.feedback.snapshot(shape)
-        } else {
-            None
-        };
+        let planning_failed = |e| SiriusError::Unsupported(format!("SQL planning failed: {e}"));
+        let estimate_plan = plan_sql(sql, &self.catalog, self.policy).map_err(planning_failed)?;
+        // The tree `compile_query` fingerprints.
+        let shape = fingerprint(&normalize(&estimate_plan)).shape;
+        let version_now = self.feedback.version(shape);
+        let snapshot = self
+            .adaptive
+            .then(|| self.feedback.snapshot(shape))
+            .flatten();
         let mut compiled = match snapshot {
             Some(fb) if !fb.cardinalities.is_empty() => {
                 let stats = FeedbackStatistics {
@@ -222,10 +224,10 @@ impl CachingPlanner {
                     feedback: &fb,
                 };
                 let plan = plan_sql_with_stats(sql, &self.catalog, self.policy, &stats)
-                    .map_err(|e| SiriusError::Unsupported(format!("SQL planning failed: {e}")))?;
+                    .map_err(planning_failed)?;
                 engine.compile_query(&plan)?
             }
-            _ => Arc::clone(&canonical),
+            _ => engine.compile_query(&estimate_plan)?,
         };
         memo.planned_version.insert(shape, version_now);
         let fp = compiled.fingerprint();
@@ -249,7 +251,7 @@ impl CachingPlanner {
             },
         };
         let entry = MemoEntry {
-            canonical: canonical.fingerprint(),
+            canonical: shape,
             active: fp,
         };
         memo.by_sql.insert(sql.to_string(), entry);
@@ -283,13 +285,6 @@ impl CachingPlanner {
     /// The shared feedback store.
     pub fn feedback(&self) -> &FeedbackStore {
         &self.feedback
-    }
-
-    fn version(&self, shape: u64) -> u64 {
-        self.feedback
-            .snapshot(shape)
-            .map(|f| f.version)
-            .unwrap_or(0)
     }
 
     /// Publish counter deltas and the cached-plan gauge into `registry`.

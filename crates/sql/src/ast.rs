@@ -1,4 +1,7 @@
-//! Abstract syntax tree for the supported SQL dialect.
+//! Abstract syntax tree for the supported SQL dialect. Its binary operators
+//! are the plan's own [`BinOp`]s.
+
+pub use sirius_columnar::ops::BinOp;
 
 /// A full query: optional CTEs, a SELECT body, ordering, and limit.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,25 +109,6 @@ pub struct OrderItem {
     pub ascending: bool,
 }
 
-/// Binary operators at the AST level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum AstBinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    And,
-    Or,
-}
-
 /// Aggregate function names recognized by the binder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
@@ -168,7 +152,7 @@ pub enum ExprAst {
     /// Binary operation.
     Binary {
         /// Operator.
-        op: AstBinOp,
+        op: BinOp,
         /// Left operand.
         left: Box<ExprAst>,
         /// Right operand.
@@ -351,7 +335,7 @@ mod tests {
             distinct: false,
         };
         let e = ExprAst::Binary {
-            op: AstBinOp::Gt,
+            op: BinOp::Gt,
             left: Box::new(agg),
             right: Box::new(ExprAst::Int(1)),
         };

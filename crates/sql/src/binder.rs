@@ -425,7 +425,7 @@ fn split_and(e: &ExprAst) -> Vec<&ExprAst> {
     let mut out = Vec::new();
     fn walk<'a>(e: &'a ExprAst, out: &mut Vec<&'a ExprAst>) {
         if let ExprAst::Binary {
-            op: AstBinOp::And,
+            op: BinOp::And,
             left,
             right,
         } = e
@@ -663,6 +663,35 @@ impl<'a> Scope<'a> {
             scalars: &[],
         }
     }
+
+    /// After aggregation, `ast` as its column of the aggregation's output
+    /// ([`Grouping::resolve`]).
+    fn grouped(&self, ast: &ExprAst) -> Result<Option<Expr>> {
+        match self.grouping {
+            Some(grouping) => grouping.resolve(ast, &Scope::plain(self.schema, self.outer)),
+            None => Ok(None),
+        }
+    }
+
+    /// The column `name` resolves to: this scope's, else the enclosing
+    /// query's at [`OUTER_BASE`].
+    fn column(&self, name: &str) -> Result<Expr> {
+        if let Some(i) = self.schema.index_of(name) {
+            Ok(expr::col(i))
+        } else if let Some(oi) = self.outer.and_then(|o| o.index_of(name)) {
+            Ok(expr::col(OUTER_BASE + oi))
+        } else {
+            Err(err(format!("unknown column {name}")))
+        }
+    }
+
+    /// The column a scalar subquery already joined into the plan landed at.
+    fn scalar_subquery(&self, q: &Query) -> Result<Expr> {
+        let joined = self.scalars.iter().find(|(s, _)| std::ptr::eq(*s, q));
+        joined
+            .map(|(_, ordinal)| expr::col(*ordinal))
+            .ok_or_else(|| err("scalar subquery is only supported in a WHERE or HAVING predicate"))
+    }
 }
 
 impl Grouping {
@@ -704,24 +733,6 @@ impl Grouping {
     }
 }
 
-fn bin_op(op: AstBinOp) -> BinOp {
-    match op {
-        AstBinOp::Add => BinOp::Add,
-        AstBinOp::Sub => BinOp::Sub,
-        AstBinOp::Mul => BinOp::Mul,
-        AstBinOp::Div => BinOp::Div,
-        AstBinOp::Mod => BinOp::Mod,
-        AstBinOp::Eq => BinOp::Eq,
-        AstBinOp::Ne => BinOp::Ne,
-        AstBinOp::Lt => BinOp::Lt,
-        AstBinOp::Le => BinOp::Le,
-        AstBinOp::Gt => BinOp::Gt,
-        AstBinOp::Ge => BinOp::Ge,
-        AstBinOp::And => BinOp::And,
-        AstBinOp::Or => BinOp::Or,
-    }
-}
-
 fn unary(op: UnOp, input: Expr) -> Expr {
     Expr::Unary {
         op,
@@ -731,24 +742,12 @@ fn unary(op: UnOp, input: Expr) -> Expr {
 
 /// Bind an AST expression, resolving its leaves through `scope`.
 fn bind_expr(ast: &ExprAst, scope: &Scope<'_>) -> Result<Expr> {
-    if let Some(grouping) = scope.grouping {
-        let input = Scope::plain(scope.schema, scope.outer);
-        if let Some(bound) = grouping.resolve(ast, &input)? {
-            return Ok(bound);
-        }
+    if let Some(bound) = scope.grouped(ast)? {
+        return Ok(bound);
     }
     let bind = |e: &ExprAst| bind_expr(e, scope);
     Ok(match ast {
-        ExprAst::Ident(parts) => {
-            let name = parts.join(".");
-            if let Some(i) = scope.schema.index_of(&name) {
-                expr::col(i)
-            } else if let Some(oi) = scope.outer.and_then(|o| o.index_of(&name)) {
-                expr::col(OUTER_BASE + oi)
-            } else {
-                return Err(err(format!("unknown column {name}")));
-            }
-        }
+        ExprAst::Ident(parts) => scope.column(&parts.join("."))?,
         ExprAst::Int(v) => expr::lit(Scalar::Int64(*v)),
         ExprAst::Float(v) => expr::lit(Scalar::Float64(*v)),
         ExprAst::Str(s) => expr::lit(Scalar::Utf8(s.clone())),
@@ -759,7 +758,7 @@ fn bind_expr(ast: &ExprAst, scope: &Scope<'_>) -> Result<Expr> {
         ExprAst::Binary { op, left, right } => match fold_date_interval(*op, left, right) {
             Some(folded) => expr::lit(folded),
             None => Expr::Binary {
-                op: bin_op(*op),
+                op: *op,
                 left: Box::new(bind(left)?),
                 right: Box::new(bind(right)?),
             },
@@ -820,10 +819,7 @@ fn bind_expr(ast: &ExprAst, scope: &Scope<'_>) -> Result<Expr> {
                 .iter()
                 .map(|(c, v)| Ok((bind(c)?, bind(v)?)))
                 .collect::<Result<_>>()?,
-            otherwise: match otherwise {
-                Some(o) => Some(Box::new(bind(o)?)),
-                None => None,
-            },
+            otherwise: (otherwise.as_deref().map(bind).transpose()?).map(Box::new),
         },
         ExprAst::ExtractYear(x) => unary(UnOp::ExtractYear, bind(x)?),
         ExprAst::Substring {
@@ -836,17 +832,7 @@ fn bind_expr(ast: &ExprAst, scope: &Scope<'_>) -> Result<Expr> {
             len: *len,
         },
         ExprAst::Agg { .. } => return Err(err("aggregate in a non-aggregate context")),
-        ExprAst::ScalarSubquery(q) => {
-            let joined = scope.scalars.iter().find(|(s, _)| std::ptr::eq(*s, &**q));
-            match joined {
-                Some((_, ordinal)) => expr::col(*ordinal),
-                None => {
-                    return Err(err(
-                        "scalar subquery is only supported in a WHERE or HAVING predicate",
-                    ))
-                }
-            }
-        }
+        ExprAst::ScalarSubquery(q) => scope.scalar_subquery(q)?,
         ExprAst::Exists { .. } | ExprAst::InSubquery { .. } => {
             return Err(err(
                 "EXISTS / IN subquery is only supported as a top-level AND conjunct of WHERE",
@@ -881,11 +867,11 @@ fn ast_to_literal(e: &ExprAst) -> Option<Scalar> {
 }
 
 /// Fold `date ± interval` with literal operands.
-fn fold_date_interval(op: AstBinOp, l: &ExprAst, r: &ExprAst) -> Option<Scalar> {
+fn fold_date_interval(op: BinOp, l: &ExprAst, r: &ExprAst) -> Option<Scalar> {
     let (date_ast, interval_ast, sign) = match (l, r, op) {
-        (d, ExprAst::Interval { .. }, AstBinOp::Add) => (d, r, 1),
-        (d, ExprAst::Interval { .. }, AstBinOp::Sub) => (d, r, -1),
-        (ExprAst::Interval { .. }, d, AstBinOp::Add) => (d, l, 1),
+        (d, ExprAst::Interval { .. }, BinOp::Add) => (d, r, 1),
+        (d, ExprAst::Interval { .. }, BinOp::Sub) => (d, r, -1),
+        (ExprAst::Interval { .. }, d, BinOp::Add) => (d, l, 1),
         _ => return None,
     };
     let base = match ast_to_literal(date_ast)? {

@@ -62,59 +62,8 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
                     i += 1;
                 }
             }
-            '\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match chars.get(i) {
-                        Some('\'') if chars.get(i + 1) == Some(&'\'') => {
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some('\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&ch) => {
-                            s.push(ch);
-                            i += 1;
-                        }
-                        None => return Err(SqlError::Lex("unterminated string".into())),
-                    }
-                }
-                out.push(Token::Str(s));
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let mut is_float = false;
-                if chars.get(i) == Some(&'.')
-                    && chars
-                        .get(i + 1)
-                        .map(|c| c.is_ascii_digit())
-                        .unwrap_or(false)
-                {
-                    is_float = true;
-                    i += 1;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                let text: String = chars[start..i].iter().collect();
-                if is_float {
-                    out.push(Token::Float(
-                        text.parse()
-                            .map_err(|e| SqlError::Lex(format!("bad float {text}: {e}")))?,
-                    ));
-                } else {
-                    out.push(Token::Int(
-                        text.parse()
-                            .map_err(|e| SqlError::Lex(format!("bad int {text}: {e}")))?,
-                    ));
-                }
-            }
+            '\'' => out.push(string_literal(&chars, &mut i)?),
+            c if c.is_ascii_digit() => out.push(number(&chars, &mut i)?),
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
                 while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
@@ -149,6 +98,55 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
         }
     }
     Ok(out)
+}
+
+/// The quoted string starting at `chars[*i]` (`''` is an escaped quote),
+/// leaving `*i` past its closing quote.
+fn string_literal(chars: &[char], i: &mut usize) -> Result<Token> {
+    let mut s = String::new();
+    *i += 1;
+    loop {
+        match chars.get(*i) {
+            Some('\'') if chars.get(*i + 1) == Some(&'\'') => {
+                s.push('\'');
+                *i += 2;
+            }
+            Some('\'') => {
+                *i += 1;
+                return Ok(Token::Str(s));
+            }
+            Some(&ch) => {
+                s.push(ch);
+                *i += 1;
+            }
+            None => return Err(SqlError::Lex("unterminated string".into())),
+        }
+    }
+}
+
+/// The integer or decimal starting at `chars[*i]`, leaving `*i` past it.
+fn number(chars: &[char], i: &mut usize) -> Result<Token> {
+    let digits = |i: &mut usize| {
+        while chars.get(*i).is_some_and(char::is_ascii_digit) {
+            *i += 1;
+        }
+    };
+    let start = *i;
+    digits(i);
+    let is_float =
+        chars.get(*i) == Some(&'.') && chars.get(*i + 1).is_some_and(char::is_ascii_digit);
+    if is_float {
+        *i += 1;
+        digits(i);
+    }
+    let text: String = chars[start..*i].iter().collect();
+    let bad =
+        |kind: &str, e: &dyn std::fmt::Display| SqlError::Lex(format!("bad {kind} {text}: {e}"));
+    if is_float {
+        text.parse().map(Token::Float).map_err(|e| bad("float", &e))
+    } else {
+        text.parse().map(Token::Int).map_err(|e| bad("int", &e))
+    }
 }
 
 #[cfg(test)]

@@ -283,7 +283,7 @@ impl<'a> Parser<'a> {
         while self.eat_kw("or") {
             let right = self.and_expr()?;
             left = ExprAst::Binary {
-                op: AstBinOp::Or,
+                op: BinOp::Or,
                 left: Box::new(left),
                 right: Box::new(right),
             };
@@ -296,7 +296,7 @@ impl<'a> Parser<'a> {
         while self.eat_kw("and") {
             let right = self.not_expr()?;
             left = ExprAst::Binary {
-                op: AstBinOp::And,
+                op: BinOp::And,
                 left: Box::new(left),
                 right: Box::new(right),
             };
@@ -323,23 +323,15 @@ impl<'a> Parser<'a> {
     }
 
     fn predicate(&mut self) -> Result<ExprAst> {
-        if self.peek_is_not_exists() {
-            self.pos += 2;
+        let negated = self.peek_is_not_exists();
+        if negated || self.at_kw("exists") {
+            self.pos += 1 + usize::from(negated);
             self.expect_sym(Sym::LParen)?;
             let q = self.query()?;
             self.expect_sym(Sym::RParen)?;
             return Ok(ExprAst::Exists {
                 query: Box::new(q),
-                negated: true,
-            });
-        }
-        if self.eat_kw("exists") {
-            self.expect_sym(Sym::LParen)?;
-            let q = self.query()?;
-            self.expect_sym(Sym::RParen)?;
-            return Ok(ExprAst::Exists {
-                query: Box::new(q),
-                negated: false,
+                negated,
             });
         }
 
@@ -397,29 +389,7 @@ impl<'a> Parser<'a> {
             }
         }
         if self.eat_kw("in") {
-            self.expect_sym(Sym::LParen)?;
-            if self.at_kw("select") || self.at_kw("with") {
-                let q = self.query()?;
-                self.expect_sym(Sym::RParen)?;
-                return Ok(ExprAst::InSubquery {
-                    expr: Box::new(left),
-                    query: Box::new(q),
-                    negated,
-                });
-            }
-            let mut list = Vec::new();
-            loop {
-                list.push(self.expr()?);
-                if !self.eat_sym(Sym::Comma) {
-                    break;
-                }
-            }
-            self.expect_sym(Sym::RParen)?;
-            return Ok(ExprAst::InList {
-                expr: Box::new(left),
-                list,
-                negated,
-            });
+            return self.in_tail(left, negated);
         }
         if negated {
             return Err(SqlError::Parse("dangling NOT".into()));
@@ -427,12 +397,12 @@ impl<'a> Parser<'a> {
 
         // Comparison operators.
         let op = match self.peek() {
-            Some(Token::Symbol(Sym::Eq)) => Some(AstBinOp::Eq),
-            Some(Token::Symbol(Sym::NotEq)) => Some(AstBinOp::Ne),
-            Some(Token::Symbol(Sym::Lt)) => Some(AstBinOp::Lt),
-            Some(Token::Symbol(Sym::LtEq)) => Some(AstBinOp::Le),
-            Some(Token::Symbol(Sym::Gt)) => Some(AstBinOp::Gt),
-            Some(Token::Symbol(Sym::GtEq)) => Some(AstBinOp::Ge),
+            Some(Token::Symbol(Sym::Eq)) => Some(BinOp::Eq),
+            Some(Token::Symbol(Sym::NotEq)) => Some(BinOp::Ne),
+            Some(Token::Symbol(Sym::Lt)) => Some(BinOp::Lt),
+            Some(Token::Symbol(Sym::LtEq)) => Some(BinOp::Le),
+            Some(Token::Symbol(Sym::Gt)) => Some(BinOp::Gt),
+            Some(Token::Symbol(Sym::GtEq)) => Some(BinOp::Ge),
             _ => None,
         };
         if let Some(op) = op {
@@ -447,13 +417,40 @@ impl<'a> Parser<'a> {
         Ok(left)
     }
 
+    /// `left [NOT] IN` is parsed; the parenthesized subquery or list follows.
+    fn in_tail(&mut self, left: ExprAst, negated: bool) -> Result<ExprAst> {
+        self.expect_sym(Sym::LParen)?;
+        if self.at_kw("select") || self.at_kw("with") {
+            let q = self.query()?;
+            self.expect_sym(Sym::RParen)?;
+            return Ok(ExprAst::InSubquery {
+                expr: Box::new(left),
+                query: Box::new(q),
+                negated,
+            });
+        }
+        let mut list = Vec::new();
+        loop {
+            list.push(self.expr()?);
+            if !self.eat_sym(Sym::Comma) {
+                break;
+            }
+        }
+        self.expect_sym(Sym::RParen)?;
+        Ok(ExprAst::InList {
+            expr: Box::new(left),
+            list,
+            negated,
+        })
+    }
+
     fn additive(&mut self) -> Result<ExprAst> {
         let mut left = self.multiplicative()?;
         loop {
             let op = if self.eat_sym(Sym::Plus) {
-                AstBinOp::Add
+                BinOp::Add
             } else if self.eat_sym(Sym::Minus) {
-                AstBinOp::Sub
+                BinOp::Sub
             } else {
                 break;
             };
@@ -471,11 +468,11 @@ impl<'a> Parser<'a> {
         let mut left = self.unary()?;
         loop {
             let op = if self.eat_sym(Sym::Star) {
-                AstBinOp::Mul
+                BinOp::Mul
             } else if self.eat_sym(Sym::Slash) {
-                AstBinOp::Div
+                BinOp::Div
             } else if self.eat_sym(Sym::Percent) {
-                AstBinOp::Mod
+                BinOp::Mod
             } else {
                 break;
             };
@@ -751,7 +748,7 @@ mod tests {
         let mut count = 0;
         fn conjuncts(e: &ExprAst, n: &mut usize) {
             if let ExprAst::Binary {
-                op: AstBinOp::And,
+                op: BinOp::And,
                 left,
                 right,
             } = e

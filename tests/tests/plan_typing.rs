@@ -18,14 +18,25 @@
 //! looked at their operand) and panic in an evaluator — reachable from
 //! `SiriusContext::execute_json`, i.e. from host input. Each is a typed error
 //! at every plan entry now.
+//!
+//! **One rule.** Plans and kernels share one operator vocabulary
+//! (`sirius_columnar::ops`), typed by one rule per operator: every operator
+//! over a one-row column of every operand kind either has the type
+//! `validate` gives it or is rejected by both.
 
+use sirius_columnar::ops::{AggFunc, BinOp, UnOp};
 use sirius_columnar::{Array, DataType, Field, Scalar, Schema, Table};
 use sirius_core::{EngineConfig, FeedbackStore, OpStats, SiriusContext, SiriusEngine, SiriusError};
+use sirius_cudf::binary::{binary_op, Datum};
+use sirius_cudf::groupby::{group_by, AggRequest};
+use sirius_cudf::unary::unary_op;
+use sirius_cudf::GpuContext;
 use sirius_duckdb::{DuckDb, DuckDbError};
 use sirius_exec_cpu::{Catalog, CpuEngine, EngineProfile, ExecError};
 use sirius_hw::catalog as hw;
+use sirius_hw::{CostCategory, Device};
 use sirius_plan::builder::PlanBuilder;
-use sirius_plan::expr::{self, Expr};
+use sirius_plan::expr::{self, AggExpr, Expr};
 use sirius_plan::validate::validate;
 use sirius_plan::{json, JoinKind, PlanError, Rel};
 use sirius_sql::optimizer::optimize;
@@ -199,7 +210,7 @@ fn holes() -> Vec<(&'static str, Expr, PlanError)> {
         negated: false,
     };
     let is_not_null = |input| Expr::Unary {
-        op: sirius_plan::UnOp::IsNotNull,
+        op: UnOp::IsNotNull,
         input,
     };
     let positive = || expr::gt(expr::col(0), expr::lit_i64(0));
@@ -267,6 +278,22 @@ fn holes() -> Vec<(&'static str, Expr, PlanError)> {
             type_error("IN list of i64 on utf8"),
         ),
         (
+            "not over a number",
+            Expr::Unary {
+                op: UnOp::Not,
+                input: boxed(expr::col(0)),
+            },
+            type_error("Not on i64"),
+        ),
+        (
+            "year of a string",
+            is_not_null(boxed(Expr::Unary {
+                op: UnOp::ExtractYear,
+                input: boxed(expr::col(3)),
+            })),
+            type_error("ExtractYear on utf8"),
+        ),
+        (
             "numeric case condition",
             Expr::Case {
                 branches: vec![(expr::col(0), positive())],
@@ -321,4 +348,126 @@ fn an_untypable_operand_is_a_typed_error_at_every_plan_entry() {
             other => panic!("{name}: DuckDb returned {:?}", other.map(|_| ())),
         }
     }
+}
+
+/// One non-NULL row of every operand kind the kernels take.
+fn one_row_columns() -> Vec<Array> {
+    vec![
+        Array::from_bool([true]),
+        Array::from_i32([7]),
+        Array::from_i64([7]),
+        Array::from_f64([2.5]),
+        Array::from_strs(["x"]),
+        Array::from_strs(["x"]).dict_encode(),
+        Array::from_date32([9000]),
+    ]
+}
+
+/// `validate`'s type for `rel` over `columns` (the output's last field), or
+/// `None` for a type error.
+fn planned(columns: &[&Array], rel: impl FnOnce(PlanBuilder) -> PlanBuilder) -> Option<DataType> {
+    let fields =
+        (columns.iter().enumerate()).map(|(i, c)| Field::new(format!("c{i}"), c.data_type()));
+    let plan = rel(PlanBuilder::scan("t", Schema::new(fields.collect()))).build();
+    match validate(&plan) {
+        Ok(schema) => schema.fields.last().map(|f| f.data_type),
+        Err(PlanError::TypeError(_)) => None,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+#[test]
+fn every_operator_types_as_its_kernel_runs() {
+    let ctx = GpuContext::new(Device::new(hw::gh200_gpu()), CostCategory::Other);
+    let columns = one_row_columns();
+    let project = |e: Expr| move |b: PlanBuilder| b.project(vec![(e, "x".into())]);
+    let mut disagreements = Vec::new();
+    let mut check = |case: String, kernel: Option<DataType>, plan: Option<DataType>| {
+        if kernel != plan {
+            disagreements.push(format!("{case}: kernel {kernel:?}, plan {plan:?}"));
+        }
+    };
+    let binary = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Mod,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::And,
+        BinOp::Or,
+    ];
+    for op in binary {
+        for l in &columns {
+            for r in &columns {
+                let (dl, dr) = (Datum::Column(l), Datum::Column(r));
+                let kernel = binary_op(&ctx, op, &dl, &dr, 1).ok();
+                let e = Expr::Binary {
+                    op,
+                    left: boxed(expr::col(0)),
+                    right: boxed(expr::col(1)),
+                };
+                let plan = planned(&[l, r], project(e));
+                let case = format!("{op:?} on ({:?}, {:?})", l.data_type(), r.data_type());
+                check(case, kernel.map(|a| a.data_type()), plan);
+            }
+        }
+    }
+    let unary = [
+        UnOp::Not,
+        UnOp::Neg,
+        UnOp::IsNull,
+        UnOp::IsNotNull,
+        UnOp::ExtractYear,
+    ];
+    for op in unary {
+        // An untyped NULL literal operand types as the kernel takes it.
+        let null = unary_op(&ctx, op, &Datum::Scalar(Scalar::Null), 1).ok();
+        let e = Expr::Unary {
+            op,
+            input: boxed(expr::lit(Scalar::Null)),
+        };
+        let plan = planned(&[&columns[0]], project(e));
+        check(format!("{op:?} on NULL"), null.map(|a| a.data_type()), plan);
+        for c in &columns {
+            let kernel = unary_op(&ctx, op, &Datum::Column(c), 1).ok();
+            let e = Expr::Unary {
+                op,
+                input: boxed(expr::col(0)),
+            };
+            let plan = planned(&[c], project(e));
+            let case = format!("{op:?} on {:?}", c.data_type());
+            check(case, kernel.map(|a| a.data_type()), plan);
+        }
+    }
+    let aggregates = [
+        AggFunc::CountStar,
+        AggFunc::Count,
+        AggFunc::CountDistinct,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ];
+    for func in aggregates {
+        for c in &columns {
+            let input = (func != AggFunc::CountStar).then_some(c);
+            let request = AggRequest { kind: func, input };
+            let grouped = group_by(&ctx, &[&columns[2]], &[request], 1).ok();
+            let kernel = grouped.map(|g| g.agg_columns[0].data_type());
+            let agg = AggExpr {
+                func,
+                input: input.map(|_| expr::col(0)),
+                name: "x".into(),
+            };
+            let plan = planned(&[c], |b| b.aggregate(vec![], vec![agg]));
+            check(format!("{func:?} over {:?}", c.data_type()), kernel, plan);
+        }
+    }
+    assert!(disagreements.is_empty(), "{disagreements:#?}");
 }
