@@ -1327,6 +1327,8 @@ mod tests {
                         prop_assert_eq!(w.iter().collect::<Vec<_>>(), c.iter().collect::<Vec<_>>());
                         prop_assert_eq!(w.value_ranks(), c.value_ranks());
                         prop_assert_eq!(w.dict_ptr(), c.dict_ptr());
+                        // One rank vector beside the shared dictionary.
+                        prop_assert_eq!(w.value_ranks().as_ptr(), c.value_ranks().as_ptr());
                     }
                     _ => prop_assert!(false, "a window changed its kind"),
                 }

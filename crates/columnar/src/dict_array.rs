@@ -4,7 +4,8 @@
 //! This is the encoded execution format from the paper's §4.2 argument:
 //! operators that only move or compare string columns touch 4-byte codes
 //! instead of payload bytes, and the dictionary rides along as a shared
-//! `Arc` that gather/filter/slice/concat never copy. Nulls live in the codes'
+//! `Arc` that gather/filter/slice/concat never copy, carrying its sort
+//! ranks once they are first asked for. Nulls live in the codes'
 //! validity bitmap — the dictionary itself holds no nulls. The codes are a
 //! window over a shared buffer like any fixed-width array's values, so a
 //! `slice` copies neither codes nor dictionary and keeps `dict_ptr()`.
@@ -20,14 +21,39 @@ use crate::array::{gathered_validity, live_row, window_validity, RowIndex, Windo
 use crate::bitmap::Bitmap;
 use crate::string_array::StringArray;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Immutable dictionary-encoded string array.
 #[derive(Debug, Clone)]
 pub struct DictionaryArray {
     codes: Window<i32>,
     validity: Option<Bitmap>,
-    values: Arc<StringArray>,
+    values: Arc<Dictionary>,
+}
+
+/// A shared dictionary: its unique values and, computed on first use, their
+/// lexicographic ranks — shared by every window, gather and same-dictionary
+/// concat of the column, so the dictionary is sorted at most once.
+struct Dictionary {
+    strings: Arc<StringArray>,
+    ranks: OnceLock<Vec<i32>>,
+}
+
+impl Dictionary {
+    fn new(strings: Arc<StringArray>) -> Arc<Dictionary> {
+        Arc::new(Dictionary {
+            strings,
+            ranks: OnceLock::new(),
+        })
+    }
+}
+
+impl std::fmt::Debug for Dictionary {
+    /// The values alone: whether the ranks were computed yet is not part of
+    /// the array.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.strings.fmt(f)
+    }
 }
 
 impl DictionaryArray {
@@ -41,7 +67,7 @@ impl DictionaryArray {
         Self {
             codes: Window::whole(codes),
             validity: validity.and_then(Bitmap::into_validity),
-            values,
+            values: Dictionary::new(values),
         }
     }
 
@@ -72,7 +98,7 @@ impl DictionaryArray {
         DictionaryArray {
             codes: Window::whole(codes),
             validity: Bitmap::from_iter(bits).into_validity(),
-            values: Arc::new(StringArray::from_strings(uniques)),
+            values: Dictionary::new(Arc::new(StringArray::from_strings(uniques))),
         }
     }
 
@@ -81,6 +107,7 @@ impl DictionaryArray {
     pub fn decode(&self) -> StringArray {
         let codes = self.codes.iter().enumerate();
         self.values
+            .strings
             .gather(codes.map(|(i, &c)| self.is_valid(i).then_some(c)))
     }
 
@@ -102,7 +129,7 @@ impl DictionaryArray {
     /// Element `i` as `&str` borrowed from the dictionary, `None` if null.
     pub fn value(&self, i: usize) -> Option<&str> {
         if self.is_valid(i) {
-            self.values.value(self.codes[i] as usize)
+            self.values.strings.value(self.codes[i] as usize)
         } else {
             None
         }
@@ -129,13 +156,13 @@ impl DictionaryArray {
 
     /// The shared dictionary of unique non-null values.
     pub fn values(&self) -> &Arc<StringArray> {
-        &self.values
+        &self.values.strings
     }
 
     /// Identity of the shared dictionary buffer — used to ship each
     /// dictionary at most once per network link.
     pub fn dict_ptr(&self) -> usize {
-        Arc::as_ptr(&self.values) as usize
+        Arc::as_ptr(&self.values.strings) as usize
     }
 
     /// Iterate elements as `Option<&str>`.
@@ -151,7 +178,7 @@ impl DictionaryArray {
 
     /// Heap bytes of the shared dictionary itself.
     pub fn dict_byte_size(&self) -> usize {
-        self.values.byte_size()
+        self.values.strings.byte_size()
     }
 
     /// Gather elements at `indices`: codes and validity move (a NULL row
@@ -195,7 +222,7 @@ impl DictionaryArray {
         let validity =
             Bitmap::concat_validity(arrays.iter().map(|a| (a.validity.as_ref(), a.len())));
         let values = &arrays[0].values;
-        if arrays.iter().all(|a| Arc::ptr_eq(&a.values, values)) {
+        if (arrays.iter()).all(|a| Arc::ptr_eq(a.values(), &values.strings)) {
             let slices = || arrays.iter().map(|a| a.codes()).collect::<Vec<_>>();
             let spanning = Window::spanning(arrays.iter().map(|a| a.codes.clone()), 0);
             return DictionaryArray {
@@ -210,9 +237,12 @@ impl DictionaryArray {
         let mut uniques: Vec<&str> = Vec::new();
         let mut remaps: Vec<Vec<i32>> = Vec::with_capacity(arrays.len());
         for a in arrays {
-            let mut remap = Vec::with_capacity(a.values.len());
-            for d in 0..a.values.len() {
-                let s = a.values.value(d).expect("dictionary entries are non-null");
+            let mut remap = Vec::with_capacity(a.values().len());
+            for d in 0..a.values().len() {
+                let s = a
+                    .values()
+                    .value(d)
+                    .expect("dictionary entries are non-null");
                 let next = uniques.len() as i32;
                 let code = *seen.entry(s).or_insert_with(|| {
                     uniques.push(s);
@@ -228,25 +258,28 @@ impl DictionaryArray {
         DictionaryArray {
             codes: Window::whole(codes),
             validity,
-            values: Arc::new(StringArray::from_strings(uniques)),
+            values: Dictionary::new(Arc::new(StringArray::from_strings(uniques))),
         }
     }
 
     /// Lexicographic rank of each dictionary entry: `ranks[code]` orders the
     /// same as the decoded strings. One sort over the (small) dictionary
-    /// buys order-correct comparisons on codes for the whole column.
-    pub fn value_ranks(&self) -> Vec<i32> {
-        let mut order: Vec<usize> = (0..self.values.len()).collect();
-        order.sort_by_cached_key(|&d| {
-            self.values
-                .value(d)
-                .expect("dictionary entries are non-null")
-        });
-        let mut ranks = vec![0i32; self.values.len()];
-        for (rank, &d) in order.iter().enumerate() {
-            ranks[d] = rank as i32;
-        }
-        ranks
+    /// buys order-correct comparisons on codes for the whole column; the
+    /// ranks are kept beside the dictionary, so every array sharing it —
+    /// windows, gathers, same-dictionary concats — sorts it at most once.
+    pub fn value_ranks(&self) -> &[i32] {
+        self.values.ranks.get_or_init(|| {
+            let strings = &self.values.strings;
+            let mut order: Vec<usize> = (0..strings.len()).collect();
+            order.sort_by_cached_key(|&d| {
+                strings.value(d).expect("dictionary entries are non-null")
+            });
+            let mut ranks = vec![0i32; strings.len()];
+            for (rank, &d) in order.iter().enumerate() {
+                ranks[d] = rank as i32;
+            }
+            ranks
+        })
     }
 }
 
@@ -332,9 +365,24 @@ mod tests {
     #[test]
     fn value_ranks_order_like_strings() {
         let d = DictionaryArray::encode(&StringArray::from_strings(["mango", "apple", "pear"]));
+        // Windows, gathers and same-dictionary concats — taken before or
+        // after the first use — read the one rank vector beside the
+        // dictionary.
+        let window = d.slice(1, 2);
         let ranks = d.value_ranks();
         // apple < mango < pear.
-        assert_eq!(ranks, vec![1, 0, 2]);
+        assert_eq!(ranks, [1, 0, 2]);
+        let gathered = d.gather([2, 0]);
+        let joined = DictionaryArray::concat(&[&window, &gathered]);
+        for shared in [&window, &gathered, &joined] {
+            assert_eq!(shared.value_ranks().as_ptr(), ranks.as_ptr());
+        }
+        // A merged dictionary is a new one, with ranks of its own.
+        let other = DictionaryArray::encode(&StringArray::from_strings(["kiwi"]));
+        let merged = DictionaryArray::concat(&[&d, &other]);
+        assert_eq!(merged.value_ranks(), [2, 0, 3, 1]);
+        // Whether the ranks were computed yet never shows.
+        assert_eq!(format!("{window:?}"), format!("{:?}", d.slice(1, 2)));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::bitmap::Bitmap;
 use crate::scalar::Scalar;
 use crate::schema::Schema;
 use crate::{ColumnarError, Result};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// An immutable table (one record batch). Cloning shares all buffers.
@@ -167,6 +168,25 @@ impl Table {
         bucket_of: impl IntoIterator<Item = usize>,
         parts: usize,
     ) -> Vec<Table> {
+        let gather = |columns: &[Array], order: Vec<usize>| {
+            Ok::<_, Infallible>(columns.iter().map(|c| c.gather(&order)).collect())
+        };
+        match self.partition_with(bucket_of, parts, gather) {
+            Ok(partitions) => partitions,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`partition`](Self::partition) with the gather delegated: `gather`
+    /// receives the columns and the row order and returns every column
+    /// gathered at it, in column order — the seam a worker pool gathers one
+    /// column per job through. The counting sort and the windows stay here.
+    pub fn partition_with<E>(
+        &self,
+        bucket_of: impl IntoIterator<Item = usize>,
+        parts: usize,
+        gather: impl FnOnce(&[Array], Vec<usize>) -> std::result::Result<Vec<Array>, E>,
+    ) -> std::result::Result<Vec<Table>, E> {
         let mut starts = vec![0usize; parts + 1];
         let count = |bucket: &usize| starts[bucket + 1] += 1;
         let bucket_of: Vec<usize> = bucket_of.into_iter().inspect(count).collect();
@@ -181,9 +201,15 @@ impl Table {
             next[bucket] += 1;
         }
         drop(bucket_of);
-        let permuted = self.gather(&order);
+        let columns = gather(&self.columns, order)?;
+        assert_eq!(columns.len(), self.columns.len(), "one column per field");
+        let permuted = Table {
+            schema: Arc::clone(&self.schema),
+            columns,
+            num_rows: self.num_rows,
+        };
         let bounds = starts.windows(2);
-        bounds.map(|w| permuted.slice(w[0], w[1] - w[0])).collect()
+        Ok(bounds.map(|w| permuted.slice(w[0], w[1] - w[0])).collect())
     }
 
     /// Project columns at `indices` (with the schema following).

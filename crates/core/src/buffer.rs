@@ -86,6 +86,14 @@ impl BufferManager {
         }
     }
 
+    /// This manager, its grant cap included, charging transfer and spill
+    /// bandwidth onto `device` instead — an out-of-core walk's recorder.
+    pub(crate) fn charging(&self, device: Device) -> BufferManager {
+        let view = self.shared_view(device);
+        view.set_grant_cap(self.grant_cap());
+        view
+    }
+
     /// Cap this manager's grant budget (per-query memory isolation in
     /// multi-tenant serving). `u64::MAX` removes the cap.
     pub fn set_grant_cap(&self, bytes: u64) {

@@ -26,7 +26,7 @@ use crate::schedule::{QueryRun, Scheduling};
 use crate::{Result, SiriusError};
 use parking_lot::Mutex;
 use sirius_columnar::Table;
-use sirius_cudf::GpuContext;
+use sirius_cudf::{FanOut, GpuContext, Job};
 use sirius_hw::{
     catalog, CostCategory, Device, DeviceSpec, FaultInjector, FaultSite, Link, LinkSpec,
     TraceConfig, TraceSink,
@@ -122,12 +122,25 @@ impl EngineConfig {
     }
 }
 
+/// `queue` as a kernel fan-out in windows of `rows` rows. The fan-out's
+/// jobs catch their own panics, so every slot of the batch is `Ok`.
+fn fan_out(queue: &Arc<TaskQueue>, rows: usize) -> FanOut {
+    let queue = Arc::clone(queue);
+    FanOut::new(
+        Arc::new(move |jobs: Vec<Job>| drop(queue.run_all(jobs))),
+        rows,
+    )
+}
+
 /// The Sirius GPU engine for one device.
 pub struct SiriusEngine {
     pub(crate) config: EngineConfig,
     pub(crate) device: Device,
     pub(crate) bufmgr: Arc<BufferManager>,
     pub(crate) queue: Arc<TaskQueue>,
+    /// `queue` as the worker pool kernels fan out over, in windows of
+    /// `config.morsel_rows` ([`Self::ctx`] installs it).
+    fan_out: FanOut,
     pub(crate) stats: Arc<Mutex<MorselStats>>,
     /// Trace recorder shared with the device ledger, built from
     /// `config.trace`.
@@ -182,6 +195,7 @@ impl SiriusEngine {
     /// This engine at another morsel size.
     pub fn with_morsel_rows(mut self, rows: usize) -> Self {
         self.config.morsel_rows = rows.max(1);
+        self.fan_out = fan_out(&self.queue, self.config.morsel_rows);
         self
     }
 
@@ -226,6 +240,7 @@ impl SiriusEngine {
         bufmgr: BufferManager,
     ) -> Self {
         Self {
+            fan_out: fan_out(&queue, config.morsel_rows),
             config,
             device,
             bufmgr: Arc::new(bufmgr),
@@ -474,8 +489,16 @@ impl SiriusEngine {
             .map_or(0, |compiled| compiled.pipeline_count())
     }
 
+    /// A context charging this engine's device under `category`, whose
+    /// kernels may fan out over the engine's task queue.
     pub(crate) fn ctx(&self, category: CostCategory) -> GpuContext {
-        GpuContext::new(self.device.clone(), category)
+        self.ctx_on(&self.device, category)
+    }
+
+    /// [`Self::ctx`] charging `device` instead (an out-of-core walk's
+    /// recorder).
+    pub(crate) fn ctx_on(&self, device: &Device, category: CostCategory) -> GpuContext {
+        GpuContext::new(device.clone(), category).with_fan_out(self.fan_out.clone())
     }
 
     /// Dispatch overhead one morsel task pays on its own stream: each CPU

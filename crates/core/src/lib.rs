@@ -28,6 +28,10 @@
 //!   of §3.2.2.
 
 #![warn(missing_docs)]
+// No panic is reachable from a query: failures are `SiriusError`s, and a
+// task that panics on the worker pool is its batch slot's error.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod buffer;
 pub mod context;

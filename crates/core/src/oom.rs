@@ -1,10 +1,9 @@
 //! Out-of-core execution paths (§3.4): Grace partitioned joins, spilling
 //! and chunked aggregation, and external merge sort.
 //!
-//! These run when a pipeline-breaker's memory grant is denied. They are
-//! invoked serially by the DAG scheduler ([`crate::schedule`]) — a spilling
-//! pipeline owns the device while it partitions — and work on materialized
-//! inputs.
+//! These run when a pipeline-breaker's memory grant is denied, from the DAG
+//! scheduler's serial preparation and sink steps ([`crate::schedule`]), on
+//! materialized inputs.
 //!
 //! Each path is its in-memory breaker applied to windows of the input, plus
 //! the grants, spill tickets and counters: a Grace partition is a window of
@@ -13,18 +12,37 @@
 //! an external run is a morsel through the sort sink's `sort_table`, and
 //! the merge is `sort_table` again over the concatenated runs — no
 //! algorithm lives only here.
+//!
+//! A Grace join or a spilling aggregate is one serial **walk** and a batch
+//! of **leaves**. The walk takes every decision in program order — grant
+//! requests and releases, spill tickets and their fault polls, the
+//! partitioning rounds, repartition and spill counters, the recursion and
+//! the chunked fallback — and collects the independent work it reaches: a
+//! partition pair's build + probe, a partition's single-pass aggregate, a
+//! chunk's phase-one partial. The leaves run as one batch on the engine's
+//! [`TaskQueue`](crate::pipeline::TaskQueue) (a chunked merge needs its
+//! chunks' partials, so it runs the batch collected so far first), and
+//! their outputs concatenate in walk order. The walk and every leaf charge
+//! a recording device ([`Device::recorder`]); [`Walk::finish`] replays the
+//! walk's charges and each leaf's, leaf *i*'s exactly where its work sat in
+//! the serial recursion, onto the engine's device. The ledger, the trace,
+//! the spans and `EXPLAIN ANALYZE` therefore read as if everything had run
+//! on one thread; only the host wall clock sees the pool.
 
+use crate::buffer::BufferManager;
 use crate::engine::SiriusEngine;
 use crate::exprs::evaluate_all;
 use crate::morsel::{
     aggregate_single_pass, chunk_morsels, concat_morsels, sort_table, BuildSide, Builds,
-    PartialAgg, Run,
+    PartialAgg, Run, SharedOpStats,
 };
 use crate::physical::{Aggregation, Probe, StreamOp};
+use crate::schedule::{build_join_hash, TaskOut};
 use crate::{Result, SiriusError};
-use sirius_columnar::Table;
+use sirius_columnar::{Schema, Table};
 use sirius_cudf::partition::hash_partition;
-use sirius_hw::{CostCategory, WorkProfile};
+use sirius_cudf::GpuContext;
+use sirius_hw::{Charge, CostCategory, Device, WorkProfile};
 use sirius_plan::expr::SortExpr;
 use sirius_plan::visit::Node;
 use std::sync::Arc;
@@ -38,6 +56,170 @@ const MAX_SPILL_DEPTH: u32 = 4;
 /// Fan-out cap per partitioning round; oversized partitions recurse with a
 /// fresh hash level instead of exploding the partition count.
 const MAX_SPILL_PARTITIONS: usize = 64;
+
+/// A leaf's work, charging the recorder it was built with.
+type Leaf = Box<dyn FnOnce() -> Result<TaskOut> + Send>;
+
+/// Where a piece of an out-of-core operator's output comes from.
+enum Out {
+    /// Leaf `i`'s table.
+    Leaf(usize),
+    /// A table the walk computed itself (a chunked aggregate's merge).
+    Ready(Table),
+    /// One partitioning round: its pieces concatenated in partition order.
+    Concat(Schema, Vec<Out>),
+}
+
+/// One leaf in walk order: the walk's charges since the previous leaf, the
+/// recorder the leaf charges, and — once it has run — its output.
+struct Step {
+    before: Vec<Charge>,
+    device: Device,
+    out: Option<Result<TaskOut>>,
+}
+
+/// One out-of-core operator's run: the serial walk's state and the leaves
+/// it collected.
+struct Walk<'e> {
+    engine: &'e SiriusEngine,
+    /// What the walk charges: a recorder of the engine's device, through
+    /// kernels ([`Self::ctx`]) and the buffer manager's spill traffic.
+    device: Device,
+    bufmgr: BufferManager,
+    steps: Vec<Step>,
+    /// Leaves collected but not yet run, by step index.
+    pending: Vec<(usize, Leaf)>,
+}
+
+impl<'e> Walk<'e> {
+    fn new(engine: &'e SiriusEngine) -> Self {
+        let device = engine.device.recorder();
+        let bufmgr = engine.bufmgr.charging(device.clone());
+        Walk {
+            engine,
+            device,
+            bufmgr,
+            steps: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// A kernel context charging the walk's recorder.
+    fn ctx(&self, category: CostCategory) -> GpuContext {
+        self.engine.ctx_on(&self.device, category)
+    }
+
+    /// Collect the leaf `make` builds on a recorder of its own at this point
+    /// of the walk; its output is [`Out::Leaf`] of the returned index.
+    fn leaf(&mut self, make: impl FnOnce(Device) -> Leaf) -> usize {
+        let i = self.steps.len();
+        let device = self.engine.device.recorder();
+        self.pending.push((i, make(device.clone())));
+        self.steps.push(Step {
+            before: self.device.take_log(),
+            device,
+            out: None,
+        });
+        i
+    }
+
+    /// Run every pending leaf as one batch on the engine's queue. Errs with
+    /// the first failed leaf in walk order.
+    fn flush(&mut self) -> Result<()> {
+        let (ids, leaves): (Vec<usize>, Vec<Leaf>) =
+            std::mem::take(&mut self.pending).into_iter().unzip();
+        for (i, out) in ids.into_iter().zip(self.engine.queue.run_all(leaves)) {
+            self.steps[i].out = Some(out.and_then(|out| out));
+        }
+        match self
+            .steps
+            .iter()
+            .find_map(|s| s.out.as_ref()?.as_ref().err())
+        {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
+        }
+    }
+
+    /// Leaf `i`'s output, taken.
+    fn take(&mut self, i: usize) -> Result<TaskOut> {
+        let missing = || SiriusError::Kernel(format!("out-of-core leaf {i} did not run"));
+        self.steps[i].out.take().unwrap_or_else(|| Err(missing()))
+    }
+
+    /// Run what is pending, replay every charge onto the engine's device in
+    /// program order, and assemble the output. Leaves run even when the walk
+    /// failed after collecting them: in program order, an earlier leaf's
+    /// error comes first, and the replay stops where the serial recursion
+    /// would have stopped.
+    fn finish(mut self, walked: Result<Out>) -> Result<Table> {
+        // The batch's error is its first failed leaf's, which the replay
+        // below stops at and returns.
+        let _ = self.flush();
+        let device = &self.engine.device;
+        for step in &self.steps {
+            device.replay(&step.before);
+            device.replay(&step.device.take_log());
+            if let Some(Err(e)) = &step.out {
+                return Err(e.clone());
+            }
+        }
+        device.replay(&self.device.take_log());
+        let out = walked?;
+        self.assemble(out)
+    }
+
+    fn assemble(&mut self, out: Out) -> Result<Table> {
+        match out {
+            Out::Leaf(i) => match self.take(i)? {
+                TaskOut::Table(t) => Ok(t),
+                TaskOut::Partial(_) => Err(SiriusError::Kernel(format!(
+                    "out-of-core leaf {i} left partials, not a table"
+                ))),
+            },
+            Out::Ready(t) => Ok(t),
+            Out::Concat(schema, outs) => {
+                let tables = outs.into_iter().map(|o| self.assemble(o));
+                Ok(concat_morsels(schema, &tables.collect::<Result<Vec<_>>>()?))
+            }
+        }
+    }
+}
+
+/// Build the right side's hash table and probe the left side with it — a
+/// Grace join's work on one partition pair, as the resident join does it.
+fn join_leaf(
+    device: Device,
+    lt: Table,
+    rt: Table,
+    probe: Arc<Probe>,
+    stats: Option<SharedOpStats>,
+) -> Leaf {
+    Box::new(move || {
+        let ctx = GpuContext::new(device.clone(), CostCategory::Join);
+        let hash = Some(build_join_hash(&ctx, &probe.right_keys, &rt)?);
+        let builds = Builds::from([(probe.build, BuildSide { table: rt, hash })]);
+        let op = StreamOp::Probe((*probe).clone());
+        let out = Run::Plain(&op).apply(&device, lt, &builds, stats.as_deref())?;
+        Ok(TaskOut::Table(out))
+    })
+}
+
+/// One whole-column aggregation pass over a partition.
+fn aggregate_leaf(device: Device, t: Table, agg: Arc<Aggregation>) -> Leaf {
+    Box::new(move || {
+        let ctx = GpuContext::new(device, agg.category());
+        Ok(TaskOut::Table(aggregate_single_pass(&ctx, &t, &agg)?))
+    })
+}
+
+/// Phase one of a two-phase aggregation over one chunk.
+fn partial_leaf(device: Device, chunk: Table, partial: Arc<PartialAgg>) -> Leaf {
+    Box::new(move || {
+        let ctx = GpuContext::new(device, partial.spec.category());
+        Ok(TaskOut::Partial(partial.partial(&ctx, &chunk)?))
+    })
+}
 
 impl SiriusEngine {
     /// How many ways to partition a working set of `need` bytes so each
@@ -57,22 +239,30 @@ impl SiriusEngine {
     /// partition still doesn't fit. Equal keys always collocate, so inner /
     /// left / semi / anti / single semantics (and residual predicates) hold
     /// per pair; partition order replaces probe order in the output, which
-    /// only a downstream sort observes.
-    pub(crate) fn grace_join(
+    /// only a downstream sort observes. The pairs' builds and probes are
+    /// the walk's leaves.
+    pub(crate) fn grace_join(&self, lt: &Table, rt: &Table, probe: &Probe) -> Result<Table> {
+        let mut walk = Walk::new(self);
+        let probe = Arc::new(probe.clone());
+        let walked = self.grace_walk(&mut walk, lt.clone(), rt.clone(), &probe, 0);
+        walk.finish(walked)
+    }
+
+    fn grace_walk(
         &self,
-        lt: &Table,
-        rt: &Table,
-        probe: &Probe,
+        walk: &mut Walk<'_>,
+        lt: Table,
+        rt: Table,
+        probe: &Arc<Probe>,
         depth: u32,
-    ) -> Result<Table> {
+    ) -> Result<Out> {
         let need = (rt.byte_size() as u64).max(1024);
-        match self.bufmgr.request_grant(need) {
+        match walk.bufmgr.request_grant(need) {
+            // The grant covers the pair's build and probe: taken and
+            // released here, in program order, around the leaf.
             Ok(_grant) => {
-                let hash = Some(self.build_join_hash(&probe.right_keys, rt)?);
-                let table = rt.clone();
-                let builds = Builds::from([(probe.build, BuildSide { table, hash })]);
-                let op = StreamOp::Probe(probe.clone());
-                Run::Plain(&op).apply(&self.device, lt.clone(), &builds, self.op_stats.as_deref())
+                let (probe, stats) = (Arc::clone(probe), self.op_stats.clone());
+                Ok(Out::Leaf(walk.leaf(|d| join_leaf(d, lt, rt, probe, stats))))
             }
             Err(_) if depth >= MAX_SPILL_DEPTH => Err(SiriusError::OutOfMemory(format!(
                 "join build side of {} B still exceeds the processing region after \
@@ -81,31 +271,31 @@ impl SiriusEngine {
             ))),
             Err(_) => {
                 let parts = self.partition_fanout(need);
-                let ctx = self.ctx(CostCategory::Join);
-                let rk = evaluate_all(&ctx, &probe.right_keys, rt)?;
-                let lk = evaluate_all(&ctx, &probe.left_keys, lt)?;
+                let ctx = walk.ctx(CostCategory::Join);
+                let rk = evaluate_all(&ctx, &probe.right_keys, &rt)?;
+                let lk = evaluate_all(&ctx, &probe.left_keys, &lt)?;
                 let rparts =
-                    hash_partition(&ctx, &rk.iter().collect::<Vec<_>>(), rt, parts, depth)?;
+                    hash_partition(&ctx, &rk.iter().collect::<Vec<_>>(), &rt, parts, depth)?;
                 let lparts =
-                    hash_partition(&ctx, &lk.iter().collect::<Vec<_>>(), lt, parts, depth)?;
+                    hash_partition(&ctx, &lk.iter().collect::<Vec<_>>(), &lt, parts, depth)?;
                 self.bufmgr.note_repartition(depth + 1);
                 let mut outs = Vec::with_capacity(parts);
                 let mut spilled = 0u64;
-                for (lp, rp) in lparts.iter().zip(&rparts) {
+                for (lp, rp) in lparts.into_iter().zip(rparts) {
                     if lp.num_rows() == 0 && rp.num_rows() == 0 {
                         continue;
                     }
                     // Park both sides, reading each back as the pair joins.
-                    let lticket = self.bufmgr.spill_write((lp.byte_size() as u64).max(1))?;
-                    let rticket = self.bufmgr.spill_write((rp.byte_size() as u64).max(1))?;
-                    self.bufmgr.spill_read(&lticket);
-                    self.bufmgr.spill_read(&rticket);
+                    let lticket = walk.bufmgr.spill_write((lp.byte_size() as u64).max(1))?;
+                    let rticket = walk.bufmgr.spill_write((rp.byte_size() as u64).max(1))?;
+                    walk.bufmgr.spill_read(&lticket);
+                    walk.bufmgr.spill_read(&rticket);
                     drop((lticket, rticket));
                     spilled += 2;
-                    outs.push(self.grace_join(lp, rp, probe, depth + 1)?);
+                    outs.push(self.grace_walk(walk, lp, rp, probe, depth + 1)?);
                 }
                 self.note_spill(probe.node, spilled);
-                Ok(concat_morsels(probe.schema.clone(), &outs))
+                Ok(Out::Concat(probe.schema.clone(), outs))
             }
         }
     }
@@ -115,46 +305,56 @@ impl SiriusEngine {
     /// group keys (groups never span partitions, so even `COUNT(DISTINCT)`
     /// stays exact), spill the partitions, and aggregate each on read-back.
     /// Ungrouped aggregates stream chunk-wise partials instead — they have
-    /// no keys to partition on.
-    pub(crate) fn spilling_aggregate(
+    /// no keys to partition on. The single passes and the chunks' partials
+    /// are the walk's leaves.
+    pub(crate) fn spilling_aggregate(&self, t: &Table, agg: &Arc<Aggregation>) -> Result<Table> {
+        let mut walk = Walk::new(self);
+        let walked = self.aggregate_walk(&mut walk, t.clone(), agg, 0);
+        walk.finish(walked)
+    }
+
+    fn aggregate_walk(
         &self,
-        t: &Table,
+        walk: &mut Walk<'_>,
+        t: Table,
         agg: &Arc<Aggregation>,
         depth: u32,
-    ) -> Result<Table> {
+    ) -> Result<Out> {
         let need = (t.byte_size() as u64 / 2).max(1024);
-        let ctx = self.ctx(agg.category());
-        if let Ok(_state) = self.bufmgr.request_grant(need) {
-            return aggregate_single_pass(&ctx, t, agg);
+        if let Ok(_state) = walk.bufmgr.request_grant(need) {
+            let agg = Arc::clone(agg);
+            return Ok(Out::Leaf(walk.leaf(|d| aggregate_leaf(d, t, agg))));
         }
         if agg.keys.is_empty() || depth >= MAX_SPILL_DEPTH {
-            return self.chunked_aggregate(t, agg);
+            return self.chunked_walk(walk, t, agg);
         }
-        let key_cols = evaluate_all(&ctx, &agg.keys, t)?;
+        let ctx = walk.ctx(agg.category());
+        let key_cols = evaluate_all(&ctx, &agg.keys, &t)?;
         let parts = self.partition_fanout(need);
-        let pts = hash_partition(&ctx, &key_cols.iter().collect::<Vec<_>>(), t, parts, depth)?;
+        let keys: Vec<_> = key_cols.iter().collect();
+        let pts = hash_partition(&ctx, &keys, &t, parts, depth)?;
         if pts.iter().any(|p| p.num_rows() == t.num_rows()) {
             // Partitioning cannot shrink this input — one group (or one
             // key value) dominates it. Accumulator state scales with the
             // group count, not the row count, so stream two-phase partials
             // instead of repartitioning to no effect.
-            return self.chunked_aggregate(t, agg);
+            return self.chunked_walk(walk, t, agg);
         }
         self.bufmgr.note_repartition(depth + 1);
         let mut outs = Vec::with_capacity(parts);
         let mut spilled = 0u64;
-        for p in &pts {
+        for p in pts {
             if p.num_rows() == 0 {
                 continue;
             }
-            let ticket = self.bufmgr.spill_write((p.byte_size() as u64).max(1))?;
-            self.bufmgr.spill_read(&ticket);
+            let ticket = walk.bufmgr.spill_write((p.byte_size() as u64).max(1))?;
+            walk.bufmgr.spill_read(&ticket);
             drop(ticket);
             spilled += 1;
-            outs.push(self.spilling_aggregate(p, agg, depth + 1)?);
+            outs.push(self.aggregate_walk(walk, p, agg, depth + 1)?);
         }
         self.note_spill(agg.node, spilled);
-        Ok(concat_morsels(agg.schema.clone(), &outs))
+        Ok(Out::Concat(agg.schema.clone(), outs))
     }
 
     /// Aggregation over an input whose accumulator state was denied and
@@ -166,7 +366,7 @@ impl SiriusEngine {
     /// Non-decomposable aggregates (`COUNT(DISTINCT)`) genuinely need the
     /// whole input resident and stay a hard out-of-memory error (host
     /// fallback's last resort).
-    fn chunked_aggregate(&self, t: &Table, agg: &Arc<Aggregation>) -> Result<Table> {
+    fn chunked_walk(&self, walk: &mut Walk<'_>, t: Table, agg: &Arc<Aggregation>) -> Result<Out> {
         let grouped = !agg.keys.is_empty();
         let Some(partial) = PartialAgg::new(agg) else {
             return Err(SiriusError::OutOfMemory(if grouped {
@@ -179,29 +379,39 @@ impl SiriusEngine {
                 "ungrouped COUNT(DISTINCT) cannot decompose into spillable partials".into()
             }));
         };
-        let ctx = self.ctx(agg.category());
         if t.num_rows() == 0 {
-            return aggregate_single_pass(&ctx, t, agg);
+            let agg = Arc::clone(agg);
+            return Ok(Out::Leaf(walk.leaf(|d| aggregate_leaf(d, t, agg))));
         }
-        let chunks = chunk_morsels(t, self.rows_per_chunk(t));
+        let chunks = chunk_morsels(&t, self.rows_per_chunk(&t));
         if !grouped {
             // Never partitioned: the chunked pass is its one spill level.
             self.bufmgr.note_repartition(1);
         }
-        let mut parts = Vec::with_capacity(chunks.len());
-        for c in &chunks {
-            let _g = self
+        let partial = Arc::new(partial);
+        let mut leaves = Vec::with_capacity(chunks.len());
+        for c in chunks {
+            let _g = walk
                 .bufmgr
                 .request_grant((c.byte_size() as u64 / 2).max(256))?;
-            parts.push(partial.partial(&ctx, c)?);
+            let partial = Arc::clone(&partial);
+            leaves.push(walk.leaf(|d| partial_leaf(d, c, partial)));
+        }
+        // The merge's grant is sized by the partials: run them now.
+        walk.flush()?;
+        let mut parts = Vec::with_capacity(leaves.len());
+        for i in leaves {
+            if let TaskOut::Partial(p) = walk.take(i)? {
+                parts.push(p);
+            }
         }
         // Merge: the concatenated partials hold at most (groups x chunks)
         // rows — tiny next to the input when groups are few.
         let all = partial.concat(&parts);
         let _merge_state = grouped
-            .then(|| self.bufmgr.request_grant(all.byte_size().max(1024)))
+            .then(|| walk.bufmgr.request_grant(all.byte_size().max(1024)))
             .transpose()?;
-        partial.merge(&ctx, &all)
+        Ok(Out::Ready(partial.merge(&walk.ctx(agg.category()), &all)?))
     }
 
     /// Rows per spill chunk of `t` (non-empty): as many as fit in half the
@@ -338,6 +548,65 @@ mod tests {
                 charged,
                 "keys {keys:?}"
             );
+        }
+    }
+
+    /// A failing leaf is the join's error, as in the resident join: a
+    /// scalar subquery (`Single` join) whose build side spilled fails in the
+    /// partition pair that holds the duplicated key, and the walk leaves no
+    /// grant or spill temp behind — whether the leaves ran on the caller or
+    /// on the pool. The replay stops at that leaf, so the ledger holds what
+    /// the serial recursion charged before it failed (`Join` and `Exchange`
+    /// nanoseconds recorded at a97a0ad), not the later partitions the walk
+    /// went on to spill.
+    #[test]
+    fn a_failing_leaf_is_the_joins_error_and_releases_everything() {
+        let keys = |n: i64, dup: Option<i64>| {
+            let k: Vec<i64> = (0..n).chain(dup).collect();
+            let schema = Schema::new(vec![Field::new("k", DataType::Int64)]);
+            Table::new(schema, vec![Array::from_i64(k)])
+        };
+        let (left, right) = (keys(3000, None), keys(3000, Some(777)));
+        let plan = PlanBuilder::scan("l", left.schema().clone())
+            .join(
+                PlanBuilder::scan("r", right.schema().clone()),
+                sirius_plan::JoinKind::Single,
+                vec![col(0)],
+                vec![col(0)],
+                None,
+            )
+            .build();
+        for (memory_bytes, workers) in [(None, 4), (Some(8192), 1), (Some(8192), 4)] {
+            let mut config = crate::EngineConfig {
+                workers,
+                morsel_rows: 512,
+                ..crate::EngineConfig::new(catalog::gh200_gpu())
+            };
+            if let Some(bytes) = memory_bytes {
+                config.spec.memory_bytes = bytes;
+            }
+            let e = SiriusEngine::from_config(config);
+            e.load_table("l", &left);
+            e.load_table("r", &right);
+            let err = e.execute(&plan).unwrap_err();
+            let SiriusError::Kernel(message) = &err else {
+                panic!("{err:?}");
+            };
+            assert!(
+                message.starts_with("scalar subquery returned 2 rows for outer row"),
+                "{message}"
+            );
+            let spilled = e.spill_stats().partitions > 0;
+            assert_eq!(spilled, memory_bytes.is_some(), "Grace join iff tight");
+            if spilled {
+                let spent = e.device().breakdown();
+                let nanos = |c| spent.get(c).as_nanos();
+                let charged = (nanos(CostCategory::Join), nanos(CostCategory::Exchange));
+                assert_eq!(charged, (72_309, 28_124));
+            }
+            let broker = e.buffer_manager().grant_broker();
+            assert_eq!((broker.outstanding(), broker.outstanding_bytes()), (0, 0));
+            assert_eq!(e.buffer_manager().spill_manager().tier_usage(), (0, 0));
         }
     }
 }

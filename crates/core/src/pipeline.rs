@@ -15,6 +15,7 @@
 //! the operator payloads and keeps the static shape.
 
 use crate::physical::{self, Sink};
+use crate::{Result, SiriusError};
 use parking_lot::{Condvar, Mutex};
 use sirius_plan::Rel;
 use std::collections::VecDeque;
@@ -153,12 +154,16 @@ impl TaskQueue {
     /// The caller is a worker: it queues tasks `1..n` for the pool and runs
     /// task 0 itself — a one-task batch never touches the queue — then
     /// helps drain the queue (these tasks or anyone else's) and blocks on
-    /// the result channel only when the queue is empty. This is the morsel
-    /// dispatch primitive: one call per wave, one task per morsel.
+    /// the result channel only when the queue is empty. This is the one
+    /// fan-out primitive: one call per morsel wave (one task per morsel),
+    /// per out-of-core leaf batch and per partitioner pass. A task that
+    /// panics fills its own slot with [`SiriusError::Kernel`] (`task
+    /// panicked: …`); the other tasks' results stand and no worker thread
+    /// is lost.
     pub fn run_all<R: Send + 'static>(
         &self,
         fs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
-    ) -> Vec<R> {
+    ) -> Vec<Result<R>> {
         let n = fs.len();
         let mut fs = fs.into_iter();
         let Some(first) = fs.next() else {
@@ -168,12 +173,12 @@ impl TaskQueue {
         for (i, f) in fs.enumerate() {
             let tx = tx.clone();
             self.submit(Box::new(move || {
-                let _ = tx.send((i + 1, f()));
+                let _ = tx.send((i + 1, caught(f)));
             }));
         }
         drop(tx);
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        out[0] = Some(first());
+        let mut out: Vec<Option<Result<R>>> = (0..n).map(|_| None).collect();
+        out[0] = Some(caught(first));
         let mut got = 1;
         while got < n {
             while let Ok((i, r)) = rx.try_recv() {
@@ -186,17 +191,26 @@ impl TaskQueue {
             let stolen = self.inner.tasks.lock().pop_front();
             match stolen {
                 Some(t) => t(),
-                None => {
-                    let (i, r) = rx.recv().expect("queued task dropped unexecuted");
-                    out[i] = Some(r);
-                    got += 1;
-                }
+                None => match rx.recv() {
+                    Ok((i, r)) => {
+                        out[i] = Some(r);
+                        got += 1;
+                    }
+                    // Every sender is gone: the missing slots say so below.
+                    Err(_) => break,
+                },
             }
         }
+        let dropped = || SiriusError::Kernel("queued task dropped unexecuted".into());
         out.into_iter()
-            .map(|o| o.expect("all results collected"))
+            .map(|o| o.unwrap_or_else(|| Err(dropped())))
             .collect()
     }
+}
+
+/// Run one task, its panic caught as the task's error.
+fn caught<R>(f: impl FnOnce() -> R) -> Result<R> {
+    Ok(sirius_cudf::catch_panic(f)?)
 }
 
 impl Drop for TaskQueue {
@@ -277,12 +291,17 @@ mod tests {
         Box::new(f)
     }
 
+    /// Every slot of a batch none of whose tasks panicked.
+    fn ok<R>(batch: Vec<Result<R>>) -> Vec<R> {
+        batch.into_iter().map(|r| r.unwrap()).collect()
+    }
+
     #[test]
     fn queue_executes_tasks() {
         let q = TaskQueue::new(2);
-        let out: Vec<i64> = q.run_all((0..64).map(|i| boxed(move || i)).collect());
+        let out: Vec<i64> = ok(q.run_all((0..64).map(|i| boxed(move || i)).collect()));
         assert_eq!(out.iter().sum::<i64>(), (0..64).sum::<i64>());
-        assert_eq!(q.run_all(Vec::<Boxed<i64>>::new()), Vec::<i64>::new());
+        assert!(q.run_all(Vec::<Boxed<i64>>::new()).is_empty());
     }
 
     #[test]
@@ -296,7 +315,7 @@ mod tests {
             }
             let q2 = Arc::clone(q);
             let deeper = boxed(move || 1 + nest(&q2, depth - 1));
-            q.run_all(vec![boxed(|| 0), deeper]).into_iter().sum()
+            ok(q.run_all(vec![boxed(|| 0), deeper])).into_iter().sum()
         }
         assert_eq!(nest(&q, 8), 8);
     }
@@ -304,7 +323,7 @@ mod tests {
     #[test]
     fn run_all_preserves_submission_order() {
         let q = TaskQueue::new(3);
-        let out = q.run_all((0..100).map(|i| boxed(move || i * i)).collect());
+        let out = ok(q.run_all((0..100).map(|i| boxed(move || i * i)).collect()));
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -315,10 +334,10 @@ mod tests {
         let q = Arc::new(TaskQueue::new(1));
         let q2 = Arc::clone(&q);
         let fan_out = boxed(move || {
-            let batch = q2.run_all((0..16u64).map(|i| boxed(move || i)).collect());
+            let batch = ok(q2.run_all((0..16u64).map(|i| boxed(move || i)).collect()));
             batch.into_iter().sum::<u64>()
         });
-        let totals = q.run_all(vec![boxed(|| 0), fan_out]);
+        let totals = ok(q.run_all(vec![boxed(|| 0), fan_out]));
         assert_eq!(totals, vec![0, (0..16).sum::<u64>()]);
     }
 
@@ -327,7 +346,52 @@ mod tests {
         let q = TaskQueue::new(4);
         // A little CPU work per task.
         let work = |i: u64| boxed(move || (0..1000).fold(i, |a, b| a.wrapping_add(b)));
-        let results: Vec<u64> = q.run_all((0..32u64).map(work).collect());
+        let results: Vec<u64> = ok(q.run_all((0..32u64).map(work).collect()));
         assert_eq!(results.len(), 32);
+    }
+
+    /// A panicking task fills its own slot with a typed error, every other
+    /// task's result stands, and no worker is lost: the next batch needs
+    /// the caller and both workers running at once, and gets them.
+    #[test]
+    fn a_panicking_task_is_its_slots_error_and_the_pool_survives() {
+        let q = TaskQueue::new(2);
+        // Whichever thread runs task 3 — a worker, or the caller helping —
+        // catches its panic and goes on.
+        let batch = (0..6).map(|i| {
+            boxed(move || match i {
+                3 => panic!("morsel {i} fell over"),
+                _ => i * 10,
+            })
+        });
+        let out = q.run_all(batch.collect());
+        assert_eq!(out.len(), 6);
+        for (i, slot) in out.iter().enumerate() {
+            match slot {
+                Err(SiriusError::Kernel(m)) if i == 3 => {
+                    assert_eq!(m, "task panicked: morsel 3 fell over")
+                }
+                Ok(v) => assert_eq!(*v, i * 10),
+                other => panic!("slot {i}: {other:?}"),
+            }
+        }
+        // Three tasks that each wait until all three are running: only a
+        // caller plus two live workers can finish them before the deadline.
+        let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let rendezvous = (0..3).map(|_| {
+            let started = Arc::clone(&started);
+            boxed(move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while started.load(Ordering::SeqCst) < 3 {
+                    if std::time::Instant::now() > deadline {
+                        return false;
+                    }
+                    std::thread::yield_now();
+                }
+                true
+            })
+        });
+        assert_eq!(ok(q.run_all(rendezvous.collect())), vec![true; 3]);
     }
 }

@@ -21,10 +21,15 @@
 //! waves, and Grace-join prefixes.
 //!
 //! Per-pipeline breaker work (grant acquisition, hash-table builds, sort,
-//! partial-aggregate merges) stays serial, in pipeline-id order, after the
-//! wave's stream sync. Lane and category totals in the ledger are
-//! order-independent sums, so results *and* cost breakdowns are
-//! deterministic regardless of how waves interleave.
+//! partial-aggregate merges) is taken serially, in pipeline-id order, after
+//! the wave's stream sync. A breaker that goes out of core — a Grace join in
+//! `prepare`, a spilling aggregate in `finish` — is a serial walk whose
+//! independent leaves run as one batch on the task queue, with every charge
+//! replayed onto the serial lane in program order (`crate::oom`): the
+//! decisions and the ledger stay serial while the host computes in
+//! parallel. Lane and category totals in the ledger are order-independent
+//! sums, so results *and* cost breakdowns are deterministic regardless of
+//! how waves interleave.
 
 use crate::engine::SiriusEngine;
 use crate::exprs::evaluate_all;
@@ -38,6 +43,7 @@ use sirius_columnar::{Array, Schema, Table};
 use sirius_cudf::filter::gather;
 use sirius_cudf::join::{build_hash_table, JoinHashTable};
 use sirius_cudf::unique::distinct;
+use sirius_cudf::GpuContext;
 use sirius_hw::{CostCategory, Device, FaultSite};
 use sirius_plan::expr::Expr;
 use sirius_plan::visit::Node;
@@ -82,9 +88,10 @@ impl PipeResult {
     }
 }
 
-/// What one morsel task returns: the chain's output, or — under
-/// [`Mode::FusedAgg`] — its partial accumulators.
-enum TaskOut {
+/// What one morsel task (or out-of-core leaf) returns: a table, or — under
+/// [`Mode::FusedAgg`] and for a chunked aggregate's chunk — partial
+/// accumulators.
+pub(crate) enum TaskOut {
     Table(Table),
     Partial(Partial),
 }
@@ -399,7 +406,7 @@ impl SiriusEngine {
             }
             counts.push(tasks.len() - before);
         }
-        let outs = self.dispatch_streams(tasks);
+        let mut outs = self.dispatch_streams(tasks);
         self.device.sync_streams();
         for prep in &preps {
             if !matches!(prep.mode, Mode::Direct) {
@@ -407,7 +414,6 @@ impl SiriusEngine {
             }
         }
 
-        let mut outs = outs.into_iter();
         for (prep, count) in preps.into_iter().zip(counts) {
             let task_outs: Vec<TaskOut> = outs.by_ref().take(count).collect::<Result<_>>()?;
             let id = prep.pipe.id;
@@ -472,7 +478,7 @@ impl SiriusEngine {
                         let morsels = self.run_prefix(&prefix, self.chunk_and_count(&source))?;
                         let lt = concat_morsels(schema, &morsels);
                         let grace_start = self.wave_start();
-                        source = self.grace_join(&lt, &b.table, probe, 0)?;
+                        source = self.grace_join(&lt, &b.table, probe)?;
                         if self.trace.enabled() {
                             self.op_span("spill-partition", grace_start, Some(&source), probe.node);
                         }
@@ -571,7 +577,7 @@ impl SiriusEngine {
         let outs = self.dispatch_streams(tasks);
         self.device.sync_streams();
         self.wave_spans(prefix, wave_start);
-        Ok(split(outs.into_iter().collect::<Result<_>>()?).0)
+        Ok(split(outs.collect::<Result<_>>()?).0)
     }
 
     /// Serial sink work after the wave sync. Emits the breaker's operator
@@ -585,7 +591,7 @@ impl SiriusEngine {
         let result = match &prep.mode {
             Mode::Direct => self.apply_sink(pipe, prep.source.clone())?,
             Mode::Wave { .. } => self.apply_sink(pipe, rows())?,
-            Mode::SpillAgg(agg) => PipeResult::table(self.spilling_aggregate(&rows(), agg, 0)?),
+            Mode::SpillAgg(agg) => PipeResult::table(self.spilling_aggregate(&rows(), agg)?),
             // Merge the partial accumulators (serial: the breaker).
             Mode::FusedAgg { agg, .. } => {
                 let ctx = self.ctx(agg.spec.category());
@@ -636,7 +642,10 @@ impl SiriusEngine {
                         let build_start = self.wave_start();
                         let hash = match keys.is_empty() {
                             true => None,
-                            false => Some(self.build_join_hash(keys, &t)?),
+                            false => {
+                                let ctx = self.ctx(CostCategory::Join);
+                                Some(build_join_hash(&ctx, keys, &t)?)
+                            }
                         };
                         if self.trace.enabled() {
                             let dur = self.op_span("join-build", build_start, Some(&t), *node);
@@ -697,14 +706,6 @@ impl SiriusEngine {
                 Ok(PipeResult::table(aggregate_single_pass(&ctx, &t, agg)?))
             }
         }
-    }
-
-    /// Evaluate the build-side join keys over `t` and hash them.
-    pub(crate) fn build_join_hash(&self, keys: &[Expr], t: &Table) -> Result<Arc<JoinHashTable>> {
-        let ctx = self.ctx(CostCategory::Join);
-        let cols = evaluate_all(&ctx, keys, t)?;
-        let refs: Vec<&Array> = cols.iter().collect();
-        Ok(Arc::new(build_hash_table(&ctx, &refs, t.num_rows())?))
     }
 
     /// Partition a pipeline source and record the morsel count.
@@ -772,18 +773,18 @@ impl SiriusEngine {
     /// Send a batch of `(stream, task)` pairs through the global queue,
     /// recording the stream assignment in the scheduler counters. The tasks
     /// themselves charge their dispatch overhead on their streams.
-    fn dispatch_streams(&self, tasks: Vec<(usize, WaveTask)>) -> Vec<Result<TaskOut>> {
-        if tasks.is_empty() {
-            return Vec::new();
-        }
-        // Size the per-stream counters by the lanes this query may *use*
-        // (the lane-capped width), not the global pool: when several
-        // queries interleave on one stream pool, each query's
-        // `worker_utilization` is measured against its own slice, so a
-        // perfectly balanced width-2 query on an 8-stream pool reports
-        // 1.0, not 0.25.
-        let streams = self.effective_streams();
-        {
+    fn dispatch_streams(
+        &self,
+        tasks: Vec<(usize, WaveTask)>,
+    ) -> impl Iterator<Item = Result<TaskOut>> {
+        if !tasks.is_empty() {
+            // Size the per-stream counters by the lanes this query may
+            // *use* (the lane-capped width), not the global pool: when
+            // several queries interleave on one stream pool, each query's
+            // `worker_utilization` is measured against its own slice, so a
+            // perfectly balanced width-2 query on an 8-stream pool reports
+            // 1.0, not 0.25.
+            let streams = self.effective_streams();
             let mut s = self.stats.lock();
             s.tasks += tasks.len() as u64;
             if s.tasks_per_stream.len() < streams {
@@ -793,7 +794,20 @@ impl SiriusEngine {
                 s.tasks_per_stream[*stream] += 1;
             }
         }
-        self.queue
-            .run_all(tasks.into_iter().map(|(_, f)| f).collect())
+        let outs = self
+            .queue
+            .run_all(tasks.into_iter().map(|(_, f)| f).collect());
+        outs.into_iter().map(|out| out.and_then(|task| task))
     }
+}
+
+/// Evaluate the build-side join keys over `t` and hash them.
+pub(crate) fn build_join_hash(
+    ctx: &GpuContext,
+    keys: &[Expr],
+    t: &Table,
+) -> Result<Arc<JoinHashTable>> {
+    let cols = evaluate_all(ctx, keys, t)?;
+    let refs: Vec<&Array> = cols.iter().collect();
+    Ok(Arc::new(build_hash_table(ctx, &refs, t.num_rows())?))
 }

@@ -106,7 +106,8 @@ pub fn group_by(
 /// decoded strings: `rank[code]` equates and orders exactly like the value
 /// it encodes, so group assignment and the sort-based output order are
 /// unchanged while the encoded keys stop carrying payload bytes. The
-/// one-time dictionary sort that produces the ranks is charged here.
+/// dictionary sort that produces the ranks is charged here, per launch; the
+/// host sorts each shared dictionary once and keeps the ranks beside it.
 fn dict_rank_proxies(ctx: &GpuContext, keys: &[&Array]) -> Vec<Option<Array>> {
     let mut dict_sort_bytes = 0u64;
     let mut dict_entries = 0u64;

@@ -45,7 +45,8 @@ pub use partition::hash_partition;
 pub use sirius_columnar::ops::AggFunc as AggKind;
 
 use sirius_hw::{CostCategory, Device, WorkProfile};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::panic::AssertUnwindSafe;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// What a context does with the work its kernels describe.
@@ -86,23 +87,116 @@ impl WorkCollector {
     }
 }
 
-/// Execution context for a batch of kernel launches: the device to charge
-/// and the operator category the charges are attributed to.
+/// One job of a [`FanOut`] batch.
+pub type Job = Box<dyn FnOnce() + Send>;
+
+/// Runs a batch of jobs to completion, each exactly once, on any threads.
+type Runner = dyn Fn(Vec<Job>) + Send + Sync;
+
+/// A host worker pool a kernel may spread independent row windows or
+/// columns over — the engine's task queue behind a batch runner — and the
+/// rows of one window. It changes which thread computes what, never what is
+/// computed or charged: a kernel's output and its charge are the same with
+/// or without one.
+#[derive(Clone)]
+pub struct FanOut {
+    run: Arc<Runner>,
+    rows: usize,
+}
+
+impl FanOut {
+    /// A fan-out over `run` in windows of `rows` rows (at least 1).
+    pub fn new(run: Arc<dyn Fn(Vec<Job>) + Send + Sync>, rows: usize) -> Self {
+        Self {
+            run,
+            rows: rows.max(1),
+        }
+    }
+
+    /// Rows of one window.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Run `jobs` as one batch and return their results in job order. A job
+    /// that panics becomes [`KernelError::TaskPanicked`]; the pool keeps its
+    /// threads and the other jobs run to completion.
+    pub fn run<R, F>(&self, jobs: impl IntoIterator<Item = F>) -> Result<Vec<R>>
+    where
+        R: Send + 'static,
+        F: FnOnce() -> R + Send + 'static,
+    {
+        let (tx, rx) = mpsc::channel();
+        let wrapped: Vec<Job> = (jobs.into_iter().enumerate())
+            .map(|(i, job)| {
+                let tx = tx.clone();
+                Box::new(move || {
+                    let _ = tx.send((i, catch_panic(job)));
+                }) as Job
+            })
+            .collect();
+        let n = wrapped.len();
+        drop(tx);
+        (self.run)(wrapped);
+        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for (i, r) in rx.try_iter() {
+            out[i] = Some(r?);
+        }
+        let dropped = || KernelError::TaskPanicked("a job was dropped unexecuted".into());
+        out.into_iter().map(|r| r.ok_or_else(dropped)).collect()
+    }
+}
+
+/// Run `f`, returning its panic, if it panics, as
+/// [`KernelError::TaskPanicked`] with the panic's message.
+pub fn catch_panic<R>(f: impl FnOnce() -> R) -> Result<R> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let message = match payload.downcast_ref::<&str>() {
+            Some(s) => s.to_string(),
+            None => match payload.downcast_ref::<String>() {
+                Some(s) => s.clone(),
+                None => "a non-string payload".into(),
+            },
+        };
+        KernelError::TaskPanicked(message)
+    })
+}
+
+/// Execution context for a batch of kernel launches: the device to charge,
+/// the operator category the charges are attributed to, and the worker pool
+/// kernels may fan out over, if any.
 #[derive(Clone)]
 pub struct GpuContext {
     device: Device,
     category: CostCategory,
     mode: ChargeMode,
+    fan_out: Option<FanOut>,
 }
 
 impl GpuContext {
-    /// Context charging `device` under `category`.
+    /// Context charging `device` under `category`; its kernels run on the
+    /// calling thread.
     pub fn new(device: Device, category: CostCategory) -> Self {
         Self {
             device,
             category,
             mode: ChargeMode::Live,
+            fan_out: None,
         }
+    }
+
+    /// This context with kernels that fan out over `fan_out`
+    /// (`hash_partition` does).
+    pub fn with_fan_out(self, fan_out: FanOut) -> Self {
+        Self {
+            fan_out: Some(fan_out),
+            ..self
+        }
+    }
+
+    /// The worker pool kernels may fan out over, if one is installed.
+    pub fn fan_out(&self) -> Option<&FanOut> {
+        self.fan_out.as_ref()
     }
 
     /// Same category, charging onto device stream `stream`. Morsel workers
@@ -112,6 +206,7 @@ impl GpuContext {
             device: self.device.on_stream(stream),
             category: self.category,
             mode: self.mode.clone(),
+            fan_out: self.fan_out.clone(),
         }
     }
 
@@ -120,11 +215,7 @@ impl GpuContext {
     /// compute through a muted context, then charge the fused kernel
     /// themselves.
     pub fn muted(&self) -> Self {
-        Self {
-            device: self.device.clone(),
-            category: self.category,
-            mode: ChargeMode::Muted,
-        }
+        self.with_mode(ChargeMode::Muted)
     }
 
     /// Context whose charges accumulate into `collector` instead of the
@@ -133,10 +224,15 @@ impl GpuContext {
     /// (keeping the collected random-access bytes and flops honest while
     /// replacing the per-stage streamed traffic with one read + one write).
     pub fn collecting(&self, collector: &WorkCollector) -> Self {
+        self.with_mode(ChargeMode::Collect(collector.clone()))
+    }
+
+    fn with_mode(&self, mode: ChargeMode) -> Self {
         Self {
             device: self.device.clone(),
             category: self.category,
-            mode: ChargeMode::Collect(collector.clone()),
+            mode,
+            fan_out: self.fan_out.clone(),
         }
     }
 
@@ -199,6 +295,8 @@ pub enum KernelError {
         /// How many matches it found.
         matches: usize,
     },
+    /// A job run on a worker pool panicked; carries the panic's message.
+    TaskPanicked(String),
 }
 
 impl From<sirius_columnar::ColumnarError> for KernelError {
@@ -216,6 +314,7 @@ impl std::fmt::Display for KernelError {
                 f,
                 "scalar subquery returned {matches} rows for outer row {left_row}"
             ),
+            KernelError::TaskPanicked(m) => write!(f, "task panicked: {m}"),
         }
     }
 }

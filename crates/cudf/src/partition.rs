@@ -13,6 +13,7 @@ use crate::hash::{key_bytes, row_hashes};
 use crate::{GpuContext, Result};
 use sirius_columnar::{Array, Table};
 use sirius_hw::WorkProfile;
+use std::sync::Arc;
 
 /// Split `table` into `parts` partitions by a hash of `key_columns`
 /// (salted with `level` for recursive repartitioning). Rows whose key
@@ -40,9 +41,33 @@ pub fn hash_partition(
     if parts == 1 {
         return Ok(vec![table.clone()]);
     }
-    let hashes = row_hashes(key_columns, n, Some(level)).into_iter();
-    let bucket_of = hashes.map(|h| (finalize(h) % parts as u64) as usize);
-    Ok(table.partition(bucket_of, parts))
+    let bucket = move |h: u64| (finalize(h) % parts as u64) as usize;
+    // A table of one window is one job's work: it stays on this thread.
+    let Some(fan) = ctx.fan_out().filter(|fan| n > fan.rows()) else {
+        let hashes = row_hashes(key_columns, n, Some(level)).into_iter();
+        return Ok(table.partition(hashes.map(bucket), parts));
+    };
+    // The same routing and the same gather, spread over the pool: one job
+    // per window of rows hashes its keys (a row's hash reads only its own
+    // row), then one job per column gathers it in bucket order.
+    let rows = fan.rows();
+    let windows = (0..n).step_by(rows).map(|start| {
+        let len = rows.min(n - start);
+        let keys: Vec<Array> = key_columns.iter().map(|c| c.slice(start, len)).collect();
+        move || {
+            let keys: Vec<&Array> = keys.iter().collect();
+            let hashes = row_hashes(&keys, len, Some(level)).into_iter();
+            hashes.map(bucket).collect::<Vec<usize>>()
+        }
+    });
+    let buckets = fan.run(windows)?;
+    table.partition_with(buckets.into_iter().flatten(), parts, |columns, order| {
+        let order = Arc::new(order);
+        fan.run(columns.iter().map(|column| {
+            let (column, order) = (column.clone(), Arc::clone(&order));
+            move || column.gather(&*order)
+        }))
+    })
 }
 
 /// Avalanche finalizer (splitmix64). FxHash is multiplicative and its low
@@ -62,7 +87,7 @@ fn finalize(mut h: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::reference::{self, table_of, Gen, KINDS};
-    use crate::test_ctx;
+    use crate::{test_ctx, FanOut, Job, KernelError};
     use proptest::prelude::*;
     use sirius_columnar::{DataType, Field, Scalar, Schema};
 
@@ -97,8 +122,48 @@ mod tests {
                     prop_assert_eq!(part.byte_size(), copy.byte_size());
                     prop_assert_eq!(part, &copy);
                 }
+                // Fanned out in windows of any size, the partitions and the
+                // charge are the serial ones.
+                for window in [1, 7, 64] {
+                    let ctx = test_ctx().with_fan_out(last_first(window));
+                    let fanned = hash_partition(&ctx, &keys, &table, parts, level).unwrap();
+                    prop_assert_eq!(fanned.len(), got.len());
+                    for (f, g) in fanned.iter().zip(&got) {
+                        prop_assert_eq!(f.byte_size(), g.byte_size());
+                        prop_assert_eq!(f, g);
+                    }
+                    let serial = test_ctx();
+                    hash_partition(&serial, &keys, &table, parts, level).unwrap();
+                    prop_assert_eq!(ctx.device().breakdown(), serial.device().breakdown());
+                }
             }
         }
+    }
+
+    /// A pool that runs a batch last job first on the calling thread: every
+    /// result must still land in its job's place.
+    fn last_first(rows: usize) -> FanOut {
+        let run = |jobs: Vec<Job>| jobs.into_iter().rev().for_each(|job| job());
+        FanOut::new(Arc::new(run), rows)
+    }
+
+    #[test]
+    fn a_panicking_job_is_a_typed_error() {
+        let jobs = (0..3u32).map(|i| {
+            move || match i {
+                1 => panic!("window {i} ran off its keys"),
+                _ => i,
+            }
+        });
+        let err = last_first(1).run(jobs).unwrap_err();
+        assert_eq!(
+            err,
+            KernelError::TaskPanicked("window 1 ran off its keys".into())
+        );
+        assert_eq!(
+            last_first(1).run((1..3u32).map(|i| move || i)),
+            Ok(vec![1, 2])
+        );
     }
 
     fn table() -> Table {

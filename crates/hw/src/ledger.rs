@@ -148,6 +148,27 @@ struct LedgerState {
     /// *inside* the ledger's critical section, so their global sequence
     /// numbers equal the true mutation order and replay is exact.
     trace: TraceSink,
+    /// A recording ledger's serial charges, in order ([`CostLedger::recording`]).
+    log: Option<ChargeLog>,
+}
+
+/// One serial-lane charge as a recording ledger received it: what
+/// [`crate::Device::replay`] charges again, in order, onto another device.
+#[derive(Debug, Clone)]
+pub struct Charge {
+    pub(crate) category: CostCategory,
+    /// The kernel label, kept only when the replay target is traced (a label
+    /// is read by nothing but trace events).
+    pub(crate) label: Option<String>,
+    pub(crate) d: Duration,
+    pub(crate) bytes: u64,
+    pub(crate) rows: u64,
+}
+
+#[derive(Debug, Clone)]
+struct ChargeLog {
+    labels: bool,
+    charges: Vec<Charge>,
 }
 
 impl LedgerState {
@@ -209,6 +230,35 @@ pub struct CostLedger {
 }
 
 impl CostLedger {
+    /// A fresh ledger that also logs every serial-lane charge, in order, for
+    /// [`take_log`](Self::take_log); `labels` keeps each charge's kernel
+    /// label. Its own clock runs as any ledger's does, so lane metering
+    /// inside the recording reads what it would read live.
+    pub(crate) fn recording(labels: bool) -> CostLedger {
+        let log = Some(ChargeLog {
+            labels,
+            // Room for a typical leaf's kernels without regrowing.
+            charges: Vec::with_capacity(8),
+        });
+        let state = LedgerState {
+            log,
+            ..LedgerState::default()
+        };
+        CostLedger {
+            inner: Arc::new(Mutex::new(state)),
+        }
+    }
+
+    /// Drain the charges logged so far (empty unless [`recording`](Self::recording)).
+    pub(crate) fn take_log(&self) -> Vec<Charge> {
+        let mut state = self.inner.lock();
+        state
+            .log
+            .as_mut()
+            .map(|log| std::mem::take(&mut log.charges))
+            .unwrap_or_default()
+    }
+
     /// Attach (or detach, with [`TraceSink::off`]) an event recorder. All
     /// clones of this ledger share it; [`reset`](Self::reset) keeps it.
     pub fn set_trace(&self, sink: TraceSink) {
@@ -249,6 +299,16 @@ impl CostLedger {
                 rows,
                 None,
             );
+        }
+        if let Some(log) = &mut state.log {
+            let label = log.labels.then(|| label.to_string());
+            log.charges.push(Charge {
+                category,
+                label,
+                d,
+                bytes,
+                rows,
+            });
         }
         state.serial.add(category, d);
     }

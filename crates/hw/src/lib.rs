@@ -39,7 +39,7 @@ pub mod trends;
 
 pub use cost::{CostModel, WorkProfile};
 pub use fault::{FaultAction, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
-pub use ledger::{attribute_overlap, replay, CostCategory, CostLedger, TimeBreakdown};
+pub use ledger::{attribute_overlap, replay, Charge, CostCategory, CostLedger, TimeBreakdown};
 pub use link::{Link, LinkSpec};
 pub use sirius_trace::{TraceConfig, TraceSink};
 pub use spec::{DeviceKind, DeviceSpec};
@@ -151,6 +151,34 @@ impl Device {
         }
     }
 
+    /// A serial device with this one's spec and a fresh ledger that logs
+    /// every charge: work computed off this device's thread charges a
+    /// recorder, and whoever owns the program order [`replay`](Self::replay)s
+    /// the [`take_log`](Self::take_log) onto this device where the work sat,
+    /// so its ledger and trace read as if the work had run here. Labels are
+    /// kept only if this device is traced.
+    pub fn recorder(&self) -> Device {
+        Device {
+            spec: Arc::clone(&self.spec),
+            ledger: CostLedger::recording(self.trace().enabled()),
+            stream: None,
+        }
+    }
+
+    /// Drain the charges a [`recorder`](Self::recorder) logged, in order.
+    pub fn take_log(&self) -> Vec<Charge> {
+        self.ledger.take_log()
+    }
+
+    /// Charge each recorded charge onto this device's lane, in order,
+    /// exactly as the recorder received it.
+    pub fn replay(&self, charges: &[Charge]) {
+        for c in charges {
+            let label = c.label.as_deref().unwrap_or(c.category.label());
+            self.charge_duration_labeled(c.category, label, c.d, c.bytes, c.rows);
+        }
+    }
+
     /// Attach (or detach) a trace event recorder to this device's ledger.
     /// Shared by all clones and stream handles; survives [`reset`](Self::reset).
     pub fn set_trace(&self, sink: TraceSink) {
@@ -245,6 +273,38 @@ mod tests {
         // A serial charge after sync adds on top.
         d.charge(CostCategory::Other, &w);
         assert_eq!(d.elapsed(), per_kernel * 2);
+    }
+
+    /// Charges made on a recorder and replayed read, in the ledger and in
+    /// the trace, exactly as if they had been charged live at that point.
+    #[test]
+    fn a_replayed_recording_reads_as_the_live_charges() {
+        let traced = || {
+            let d = Device::new(catalog::gh200_gpu());
+            d.set_trace(TraceSink::new());
+            d
+        };
+        let (live, replayed) = (traced(), traced());
+        let work = |bytes| WorkProfile::scan(bytes).with_rows(7);
+        for d in [&live, &replayed] {
+            d.charge_labeled(CostCategory::Join, "join.build", &work(1 << 20));
+        }
+        live.charge(CostCategory::Other, &work(4096));
+        live.charge_labeled(CostCategory::Exchange, "spill.pinned.write", &work(1 << 16));
+        let rec = replayed.recorder();
+        let first = rec.charge(CostCategory::Other, &work(4096));
+        assert_eq!(rec.lane_elapsed(), first, "a recorder keeps its own clock");
+        rec.charge_labeled(CostCategory::Exchange, "spill.pinned.write", &work(1 << 16));
+        assert!(!rec.trace().enabled(), "a recorder traces nothing itself");
+        replayed.replay(&rec.take_log());
+        assert!(rec.take_log().is_empty(), "the log drains");
+        assert_eq!(replayed.breakdown(), live.breakdown());
+        let events = |d: &Device| -> Vec<_> {
+            let evs = d.trace().events().into_iter();
+            evs.map(|e| (e.lane, e.cat, e.label, e.ts, e.dur, e.bytes, e.rows))
+                .collect()
+        };
+        assert_eq!(events(&replayed), events(&live));
     }
 
     #[test]

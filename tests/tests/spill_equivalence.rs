@@ -2,11 +2,14 @@
 //! shrinking the device-memory budget below the working set — forcing
 //! Grace-partitioned joins, spilling group-by, and external sorts — must
 //! produce exactly the table the full-memory engine produces (floats at
-//! 1e-9 relative, row order ignored), with zero host fallbacks.
+//! 1e-9 relative, row order ignored), with zero host fallbacks, under every
+//! fan-out shape: 64-row morsels cut partitions into many windows for the
+//! partitioner's jobs, and a one-worker pool runs every leaf batch on the
+//! caller and one worker.
 
 use proptest::prelude::*;
 use sirius_columnar::Table;
-use sirius_core::SiriusEngine;
+use sirius_core::{EngineConfig, SiriusEngine, DEFAULT_MORSEL_ROWS};
 use sirius_duckdb::DuckDb;
 use sirius_hw::catalog;
 use sirius_integration::assert_tables_equivalent;
@@ -47,7 +50,7 @@ fn fixture() -> &'static Fixture {
                 )
             })
             .collect();
-        let full = engine(&data, catalog::gh200_gpu().memory_bytes);
+        let full = engine(&data, catalog::gh200_gpu().memory_bytes, SHAPES[0]);
         let expected = plans
             .iter()
             .map(|(id, p)| {
@@ -64,10 +67,26 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn engine(data: &TpchData, device_bytes: u64) -> SiriusEngine {
-    let mut spec = catalog::gh200_gpu();
-    spec.memory_bytes = device_bytes;
-    let e = SiriusEngine::new(spec);
+/// `(morsel_rows, workers)`: the default engine first.
+const SHAPES: [(usize, usize); 4] = [
+    (DEFAULT_MORSEL_ROWS, 4),
+    (DEFAULT_MORSEL_ROWS, 1),
+    (64, 4),
+    (64, 1),
+];
+
+fn engine(
+    data: &TpchData,
+    device_bytes: u64,
+    (morsel_rows, workers): (usize, usize),
+) -> SiriusEngine {
+    let mut config = EngineConfig {
+        morsel_rows,
+        workers,
+        ..EngineConfig::new(catalog::gh200_gpu())
+    };
+    config.spec.memory_bytes = device_bytes;
+    let e = SiriusEngine::from_config(config);
     for (name, table) in data.tables() {
         e.load_table(name.clone(), table);
     }
@@ -87,26 +106,30 @@ proptest! {
         let fix = fixture();
         let factor = FACTORS[factor_idx];
         let budget = ((fix.working_set as f64 * factor) as u64).max(4096);
-        let e = engine(&fix.data, budget);
-        for ((id, plan), expected) in fix.plans.iter().zip(&fix.expected) {
-            let out = e.execute(plan)
-                .unwrap_or_else(|err| panic!("Q{id} at {factor}x working set: {err}"));
-            assert_tables_equivalent(
-                &format!("Q{id} device={budget}B ({factor}x working set)"),
-                &out,
-                expected,
-            );
-            // However deep the spill recursion went, every memory grant
-            // the query took was dropped by the time it returned.
-            let broker = e.buffer_manager().grant_broker();
-            prop_assert_eq!(broker.outstanding(), 0, "Q{} leaked grants", id);
-            prop_assert_eq!(broker.outstanding_bytes(), 0, "Q{} leaked bytes", id);
-        }
-        if factor <= 0.125 {
-            prop_assert!(
-                e.spill_stats().bytes_spilled() > 0,
-                "an eighth of the working set must force spilling"
-            );
+        for shape in SHAPES {
+            let e = engine(&fix.data, budget, shape);
+            let (rows, workers) = shape;
+            for ((id, plan), expected) in fix.plans.iter().zip(&fix.expected) {
+                let out = e.execute(plan).unwrap_or_else(|err| {
+                    panic!("Q{id} at {factor}x working set, {rows}-row morsels, {workers} workers: {err}")
+                });
+                assert_tables_equivalent(
+                    &format!("Q{id} device={budget}B ({factor}x working set) morsel_rows={rows} workers={workers}"),
+                    &out,
+                    expected,
+                );
+                // However deep the spill recursion went, every memory grant
+                // the query took was dropped by the time it returned.
+                let broker = e.buffer_manager().grant_broker();
+                prop_assert_eq!(broker.outstanding(), 0, "Q{} leaked grants", id);
+                prop_assert_eq!(broker.outstanding_bytes(), 0, "Q{} leaked bytes", id);
+            }
+            if factor <= 0.125 {
+                prop_assert!(
+                    e.spill_stats().bytes_spilled() > 0,
+                    "an eighth of the working set must force spilling"
+                );
+            }
         }
     }
 }
