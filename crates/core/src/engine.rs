@@ -5,12 +5,15 @@
 //! scheduler ([`crate::schedule`]): each pipeline's source is partitioned
 //! into fixed-size morsels ([`DEFAULT_MORSEL_ROWS`] unless overridden), one
 //! task per morsel goes
-//! through the global [`TaskQueue`], and every task charges its kernels onto
-//! a device stream chosen round-robin within the pipeline's stream slice, so
-//! independent morsels — and, under [`Scheduling::Concurrent`], independent
-//! pipelines — overlap in the stream-aware time ledger. Pipeline breakers
-//! synchronize the streams (the simulated `cudaDeviceSynchronize()`),
-//! folding overlapped stream time back into the serial lane.
+//! through the global [`TaskQueue`], and every task charges its kernels to a
+//! recorder of its own. The dispatching thread replays task *i*'s charges,
+//! in task order, onto a device stream chosen round-robin within the
+//! pipeline's stream slice, so independent morsels — and, under
+//! [`Scheduling::Concurrent`], independent pipelines — overlap in the
+//! stream-aware time ledger, and the ledger and trace never depend on
+//! thread timing. Pipeline breakers synchronize the streams (the simulated
+//! `cudaDeviceSynchronize()`), folding overlapped stream time back into the
+//! serial lane.
 //!
 //! The engine itself is the thin shell: one [`EngineConfig`] value, buffer
 //! management, and the compile → schedule entry points. Streaming operators
@@ -437,8 +440,8 @@ impl SiriusEngine {
     /// plan-cache hit path: nothing is parsed, validated, compiled or
     /// copied; the run shares the compiled DAG by `Arc`. Each pipeline
     /// costs one dispatch round trip at the device's own launch overhead on
-    /// the serial lane; per-morsel task dispatches are charged on the
-    /// tasks' streams as the pipelines run.
+    /// the serial lane; per-morsel task dispatches land on the tasks'
+    /// streams as the pipelines run.
     pub fn begin_compiled(&self, compiled: &crate::plan_cache::CompiledQuery) -> Result<QueryRun> {
         self.fire_device_fault(
             |node| FaultSite::DeviceLaunch { node },
@@ -502,9 +505,9 @@ impl SiriusEngine {
     }
 
     /// Dispatch overhead one morsel task pays on its own stream: each CPU
-    /// worker issues its task's launches independently, so the charge lands
-    /// on the task's lane and overlaps across streams like any other kernel
-    /// time (the launch overheads of the kernels themselves are in their
+    /// worker issues its task's launches independently, so the charge is
+    /// replayed onto the task's lane and overlaps across streams like any
+    /// other kernel time (the launch overheads of the kernels themselves are in their
     /// `WorkProfile`s).
     pub(crate) fn task_overhead(&self) -> Duration {
         Duration::from_nanos(self.device.spec().launch_overhead_ns)

@@ -11,8 +11,9 @@
 //! Streaming operators that never materialize (a scan fused into the filter
 //! above it, a filter conjunct coalesced into its parent) have no stats and
 //! render as `(fused)` — their work is accounted in the surviving operator.
-//! Streaming operators report *exclusive* per-lane busy time summed over
-//! morsels; pipeline breakers (aggregate / sort / limit / distinct) report
+//! Streaming operators report their *exact* busy time summed over morsels:
+//! each morsel task charges a recorder only it advances, so no other task's
+//! kernels land inside an operator's window. Pipeline breakers (aggregate / sort / limit / distinct) report
 //! the *cumulative* simulated window of their whole subtree.
 
 use sirius_plan::visit::{self, Node};
@@ -28,7 +29,7 @@ pub struct OpStats {
     pub rows_out: u64,
     /// Bytes produced.
     pub bytes_out: u64,
-    /// Simulated busy time: exclusive lane time for streaming operators,
+    /// Simulated busy time: exact own time for streaming operators,
     /// the cumulative subtree window for pipeline breakers.
     pub busy: Duration,
     /// Times the operator ran (morsel tasks for streaming ops).

@@ -4,8 +4,8 @@
 //! A compiled pipeline ([`crate::physical`]) is executed as a wave of
 //! morsel tasks: the source table splits into chunks of the engine's
 //! `morsel_rows` and each chunk walks the pipeline's compiled [`StreamOp`]s —
-//! the plan's own, never a lowered copy — on its own device stream, run by
-//! run ([`walk`]). A plain op is a run of length 1 under the *charged*
+//! the plan's own, never a lowered copy — charging its own recorder, which
+//! the wave replays onto the task's device stream, run by run ([`walk`]). A plain op is a run of length 1 under the *charged*
 //! discipline (its kernels charge the ledger as they launch); a fused
 //! segment is a run under the *collected* discipline (kernel work is
 //! gathered and the run ends in one labeled charge). Both disciplines are
@@ -150,8 +150,9 @@ impl Walked {
 ///
 /// Every op runs against a [`FusedView`]. Under the *charged* discipline
 /// (`collected == false`) its kernels charge the ledger as they launch and,
-/// with `stats`, the op's exclusive lane time and output cardinality are
-/// noted under its plan node. Under the *collected* discipline filters fold
+/// with `stats`, the op's time on `device` and output cardinality are noted
+/// under its plan node. `device` is a task's or a leaf's recorder, whose
+/// clock only that task advances, so the time is exactly the op's own. Under the *collected* discipline filters fold
 /// their masks into the view's lazy selection and all kernel work is routed
 /// into collectors and returned **without charging the ledger**: the caller
 /// owns the single charge — the plain segment charge ([`Run::apply`]) or
@@ -170,7 +171,7 @@ pub(crate) fn walk(
     let mut per_op = Vec::with_capacity(if collected { ops.len() } else { 0 });
     for op in ops {
         let collector = collected.then(WorkCollector::new);
-        let before = stats.filter(|_| !collected).map(|_| device.lane_elapsed());
+        let before = stats.filter(|_| !collected).map(|_| device.elapsed());
         let ctx = |category| {
             let ctx = GpuContext::new(device.clone(), category);
             match &collector {
@@ -218,7 +219,7 @@ pub(crate) fn walk(
             let (rows, bytes) = out(&view);
             per_op.push((op.node(), rows, bytes, c.take()));
         } else if let (Some(stats), Some(before)) = (stats, before) {
-            let busy = device.lane_elapsed().saturating_sub(before);
+            let busy = device.elapsed().saturating_sub(before);
             let (rows, bytes) = out(&view);
             let mut stats = stats.lock();
             stats

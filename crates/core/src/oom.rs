@@ -20,14 +20,16 @@
 //! the chunked fallback — and collects the independent work it reaches: a
 //! partition pair's build + probe, a partition's single-pass aggregate, a
 //! chunk's phase-one partial. The leaves run as one batch on the engine's
-//! [`TaskQueue`](crate::pipeline::TaskQueue) (a chunked merge needs its
-//! chunks' partials, so it runs the batch collected so far first), and
-//! their outputs concatenate in walk order. The walk and every leaf charge
-//! a recording device ([`Device::recorder`]); [`Walk::finish`] replays the
-//! walk's charges and each leaf's, leaf *i*'s exactly where its work sat in
-//! the serial recursion, onto the engine's device. The ledger, the trace,
-//! the spans and `EXPLAIN ANALYZE` therefore read as if everything had run
-//! on one thread; only the host wall clock sees the pool.
+//! [`TaskQueue`](crate::pipeline::TaskQueue) through
+//! [`SiriusEngine::run_recorded`], as a morsel wave's tasks do (a chunked
+//! merge needs its chunks' partials, so it runs the batch collected so far
+//! first), and their outputs concatenate in walk order. The walk and every
+//! leaf charge a recording device ([`Device::recorder`]); [`Walk::finish`]
+//! replays the walk's charges and each leaf's, leaf *i*'s exactly where its
+//! work sat in the serial recursion, onto the engine's serial lane. The
+//! ledger, the trace, the spans and `EXPLAIN ANALYZE` therefore read as if
+//! everything had run on one thread; only the host wall clock sees the
+//! pool.
 
 use crate::buffer::BufferManager;
 use crate::engine::SiriusEngine;
@@ -37,12 +39,12 @@ use crate::morsel::{
     PartialAgg, Run, SharedOpStats,
 };
 use crate::physical::{Aggregation, Probe, StreamOp};
-use crate::schedule::{build_join_hash, TaskOut};
+use crate::schedule::{build_join_hash, Job, TaskOut};
 use crate::{Result, SiriusError};
 use sirius_columnar::{Schema, Table};
 use sirius_cudf::partition::hash_partition;
 use sirius_cudf::GpuContext;
-use sirius_hw::{Charge, CostCategory, Device, WorkProfile};
+use sirius_hw::{Charge, CostCategory, Device, Lane, WorkProfile};
 use sirius_plan::expr::SortExpr;
 use sirius_plan::visit::Node;
 use std::sync::Arc;
@@ -57,9 +59,6 @@ const MAX_SPILL_DEPTH: u32 = 4;
 /// fresh hash level instead of exploding the partition count.
 const MAX_SPILL_PARTITIONS: usize = 64;
 
-/// A leaf's work, charging the recorder it was built with.
-type Leaf = Box<dyn FnOnce() -> Result<TaskOut> + Send>;
-
 /// Where a piece of an out-of-core operator's output comes from.
 enum Out {
     /// Leaf `i`'s table.
@@ -70,11 +69,11 @@ enum Out {
     Concat(Schema, Vec<Out>),
 }
 
-/// One leaf in walk order: the walk's charges since the previous leaf, the
-/// recorder the leaf charges, and — once it has run — its output.
+/// One leaf in walk order: the walk's charges since the previous leaf and,
+/// once the leaf has run, its own charges and its output.
 struct Step {
     before: Vec<Charge>,
-    device: Device,
+    charges: Vec<Charge>,
     out: Option<Result<TaskOut>>,
 }
 
@@ -88,7 +87,7 @@ struct Walk<'e> {
     bufmgr: BufferManager,
     steps: Vec<Step>,
     /// Leaves collected but not yet run, by step index.
-    pending: Vec<(usize, Leaf)>,
+    pending: Vec<(usize, Job)>,
 }
 
 impl<'e> Walk<'e> {
@@ -109,27 +108,27 @@ impl<'e> Walk<'e> {
         self.engine.ctx_on(&self.device, category)
     }
 
-    /// Collect the leaf `make` builds on a recorder of its own at this point
-    /// of the walk; its output is [`Out::Leaf`] of the returned index.
-    fn leaf(&mut self, make: impl FnOnce(Device) -> Leaf) -> usize {
+    /// Collect `leaf` at this point of the walk; its output is
+    /// [`Out::Leaf`] of the returned index.
+    fn leaf(&mut self, leaf: Job) -> usize {
         let i = self.steps.len();
-        let device = self.engine.device.recorder();
-        self.pending.push((i, make(device.clone())));
+        self.pending.push((i, leaf));
         self.steps.push(Step {
             before: self.device.take_log(),
-            device,
+            charges: Vec::new(),
             out: None,
         });
         i
     }
 
-    /// Run every pending leaf as one batch on the engine's queue. Errs with
-    /// the first failed leaf in walk order.
+    /// Run every pending leaf as one recorded batch. Errs with the first
+    /// failed leaf in walk order.
     fn flush(&mut self) -> Result<()> {
-        let (ids, leaves): (Vec<usize>, Vec<Leaf>) =
+        let (ids, leaves): (Vec<usize>, Vec<Job>) =
             std::mem::take(&mut self.pending).into_iter().unzip();
-        for (i, out) in ids.into_iter().zip(self.engine.queue.run_all(leaves)) {
-            self.steps[i].out = Some(out.and_then(|out| out));
+        for (i, (out, charges)) in ids.into_iter().zip(self.engine.run_recorded(leaves)) {
+            self.steps[i].charges = charges;
+            self.steps[i].out = Some(out);
         }
         match self
             .steps
@@ -158,13 +157,13 @@ impl<'e> Walk<'e> {
         let _ = self.flush();
         let device = &self.engine.device;
         for step in &self.steps {
-            device.replay(&step.before);
-            device.replay(&step.device.take_log());
+            device.replay(Lane::Serial, &step.before);
+            device.replay(Lane::Serial, &step.charges);
             if let Some(Err(e)) = &step.out {
                 return Err(e.clone());
             }
         }
-        device.replay(&self.device.take_log());
+        device.replay(Lane::Serial, &self.device.take_log());
         let out = walked?;
         self.assemble(out)
     }
@@ -188,35 +187,29 @@ impl<'e> Walk<'e> {
 
 /// Build the right side's hash table and probe the left side with it — a
 /// Grace join's work on one partition pair, as the resident join does it.
-fn join_leaf(
-    device: Device,
-    lt: Table,
-    rt: Table,
-    probe: Arc<Probe>,
-    stats: Option<SharedOpStats>,
-) -> Leaf {
-    Box::new(move || {
+fn join_leaf(lt: Table, rt: Table, probe: Arc<Probe>, stats: Option<SharedOpStats>) -> Job {
+    Box::new(move |device: &Device| {
         let ctx = GpuContext::new(device.clone(), CostCategory::Join);
         let hash = Some(build_join_hash(&ctx, &probe.right_keys, &rt)?);
         let builds = Builds::from([(probe.build, BuildSide { table: rt, hash })]);
         let op = StreamOp::Probe((*probe).clone());
-        let out = Run::Plain(&op).apply(&device, lt, &builds, stats.as_deref())?;
+        let out = Run::Plain(&op).apply(device, lt, &builds, stats.as_deref())?;
         Ok(TaskOut::Table(out))
     })
 }
 
 /// One whole-column aggregation pass over a partition.
-fn aggregate_leaf(device: Device, t: Table, agg: Arc<Aggregation>) -> Leaf {
-    Box::new(move || {
-        let ctx = GpuContext::new(device, agg.category());
+fn aggregate_leaf(t: Table, agg: Arc<Aggregation>) -> Job {
+    Box::new(move |device: &Device| {
+        let ctx = GpuContext::new(device.clone(), agg.category());
         Ok(TaskOut::Table(aggregate_single_pass(&ctx, &t, &agg)?))
     })
 }
 
 /// Phase one of a two-phase aggregation over one chunk.
-fn partial_leaf(device: Device, chunk: Table, partial: Arc<PartialAgg>) -> Leaf {
-    Box::new(move || {
-        let ctx = GpuContext::new(device, partial.spec.category());
+fn partial_leaf(chunk: Table, partial: Arc<PartialAgg>) -> Job {
+    Box::new(move |device: &Device| {
+        let ctx = GpuContext::new(device.clone(), partial.spec.category());
         Ok(TaskOut::Partial(partial.partial(&ctx, &chunk)?))
     })
 }
@@ -262,7 +255,7 @@ impl SiriusEngine {
             // released here, in program order, around the leaf.
             Ok(_grant) => {
                 let (probe, stats) = (Arc::clone(probe), self.op_stats.clone());
-                Ok(Out::Leaf(walk.leaf(|d| join_leaf(d, lt, rt, probe, stats))))
+                Ok(Out::Leaf(walk.leaf(join_leaf(lt, rt, probe, stats))))
             }
             Err(_) if depth >= MAX_SPILL_DEPTH => Err(SiriusError::OutOfMemory(format!(
                 "join build side of {} B still exceeds the processing region after \
@@ -323,7 +316,7 @@ impl SiriusEngine {
         let need = (t.byte_size() as u64 / 2).max(1024);
         if let Ok(_state) = walk.bufmgr.request_grant(need) {
             let agg = Arc::clone(agg);
-            return Ok(Out::Leaf(walk.leaf(|d| aggregate_leaf(d, t, agg))));
+            return Ok(Out::Leaf(walk.leaf(aggregate_leaf(t, agg))));
         }
         if agg.keys.is_empty() || depth >= MAX_SPILL_DEPTH {
             return self.chunked_walk(walk, t, agg);
@@ -381,7 +374,7 @@ impl SiriusEngine {
         };
         if t.num_rows() == 0 {
             let agg = Arc::clone(agg);
-            return Ok(Out::Leaf(walk.leaf(|d| aggregate_leaf(d, t, agg))));
+            return Ok(Out::Leaf(walk.leaf(aggregate_leaf(t, agg))));
         }
         let chunks = chunk_morsels(&t, self.rows_per_chunk(&t));
         if !grouped {
@@ -395,7 +388,7 @@ impl SiriusEngine {
                 .bufmgr
                 .request_grant((c.byte_size() as u64 / 2).max(256))?;
             let partial = Arc::clone(&partial);
-            leaves.push(walk.leaf(|d| partial_leaf(d, c, partial)));
+            leaves.push(walk.leaf(partial_leaf(c, partial)));
         }
         // The merge's grant is sized by the partials: run them now.
         walk.flush()?;

@@ -162,7 +162,7 @@ impl TaskQueue {
     /// is lost.
     pub fn run_all<R: Send + 'static>(
         &self,
-        fs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
+        fs: Vec<impl FnOnce() -> R + Send + 'static>,
     ) -> Vec<Result<R>> {
         let n = fs.len();
         let mut fs = fs.into_iter();

@@ -22,14 +22,19 @@
 //!
 //! Per-pipeline breaker work (grant acquisition, hash-table builds, sort,
 //! partial-aggregate merges) is taken serially, in pipeline-id order, after
-//! the wave's stream sync. A breaker that goes out of core — a Grace join in
-//! `prepare`, a spilling aggregate in `finish` — is a serial walk whose
-//! independent leaves run as one batch on the task queue, with every charge
-//! replayed onto the serial lane in program order (`crate::oom`): the
-//! decisions and the ledger stay serial while the host computes in
-//! parallel. Lane and category totals in the ledger are order-independent
-//! sums, so results *and* cost breakdowns are deterministic regardless of
-//! how waves interleave.
+//! the wave's stream sync.
+//!
+//! Work on the worker pool follows one rule: a morsel task or an
+//! out-of-core leaf charges a recorder of its own, and the thread that owns
+//! program order replays it (`SiriusEngine::run_recorded`). A wave replays
+//! task *i*'s charges onto its stream, in task order, before the sync. A
+//! breaker that goes out of core — a Grace join in `prepare`, a spilling
+//! aggregate in `finish` — is a serial walk whose independent leaves run as
+//! one batch, replayed onto the serial lane in program order (`crate::oom`).
+//! The decisions and the ledger stay serial while the host computes in
+//! parallel, so results, cost breakdowns, the trace event by event, the
+//! spans and `EXPLAIN ANALYZE` are the same on every run, however the
+//! threads interleave.
 
 use crate::engine::SiriusEngine;
 use crate::exprs::evaluate_all;
@@ -44,7 +49,7 @@ use sirius_cudf::filter::gather;
 use sirius_cudf::join::{build_hash_table, JoinHashTable};
 use sirius_cudf::unique::distinct;
 use sirius_cudf::GpuContext;
-use sirius_hw::{CostCategory, Device, FaultSite};
+use sirius_hw::{Charge, CostCategory, Device, FaultSite, Lane};
 use sirius_plan::expr::Expr;
 use sirius_plan::visit::Node;
 use sirius_spill::MemoryGrant;
@@ -96,6 +101,14 @@ pub(crate) enum TaskOut {
     Partial(Partial),
 }
 
+/// One unit of work on the worker pool — a morsel task or an out-of-core
+/// leaf — charging the recorder it is handed and no other ledger
+/// ([`SiriusEngine::run_recorded`]).
+pub(crate) type Job = Box<dyn FnOnce(&Device) -> Result<TaskOut> + Send>;
+
+/// What a recorded job leaves: its output and the charges it made, in order.
+pub(crate) type Recorded = (Result<TaskOut>, Vec<Charge>);
+
 /// Sort a pipeline's task outputs by kind. Every task of one pipeline wave
 /// is built from the same [`Mode`], so exactly one side is non-empty.
 fn split(outs: Vec<TaskOut>) -> (Vec<Table>, Vec<Partial>) {
@@ -108,8 +121,6 @@ fn split(outs: Vec<TaskOut>) -> (Vec<Table>, Vec<Partial>) {
     }
     (tables, partials)
 }
-
-type WaveTask = Box<dyn FnOnce() -> Result<TaskOut> + Send>;
 
 /// One run of a chain, as a position in the compiled pipeline's ops:
 /// `ops[op]` whole (a plain op, or a fused segment under its one charge),
@@ -389,7 +400,7 @@ impl SiriusEngine {
         let with_tasks = preps.iter().filter(|p| !p.chunks.is_empty()).count();
         let width = (streams / with_tasks.max(1)).max(1);
         let wave_t0 = self.wave_start();
-        let mut tasks: Vec<(usize, WaveTask)> = Vec::new();
+        let mut tasks: Vec<(usize, Job)> = Vec::new();
         let mut counts: Vec<usize> = Vec::with_capacity(preps.len());
         let mut slice = 0usize;
         for prep in &mut preps {
@@ -407,7 +418,6 @@ impl SiriusEngine {
             counts.push(tasks.len() - before);
         }
         let mut outs = self.dispatch_streams(tasks);
-        self.device.sync_streams();
         for prep in &preps {
             if !matches!(prep.mode, Mode::Direct) {
                 self.wave_spans(&prep.chain, wave_t0);
@@ -540,10 +550,10 @@ impl SiriusEngine {
     /// One task per morsel onto a stream slice: morsel `i` of slice
     /// `[offset, offset+width)` lands on stream `(offset + i % width) %
     /// streams`. A single-pipeline wave spans the full pool (`width ==
-    /// streams`), matching the pre-DAG round-robin. The closure built here
-    /// is the engine's one task body — regular waves, fused-aggregation
-    /// waves and Grace-join prefixes all run it: pay the task's dispatch
-    /// overhead on its stream, then walk the chain.
+    /// streams`), matching the pre-DAG round-robin. The job built here is
+    /// the engine's one task body — regular waves, fused-aggregation waves
+    /// and Grace-join prefixes all run it: pay the task's dispatch overhead,
+    /// then walk the chain, both on the task's recorder.
     fn morsel_tasks<'a>(
         &'a self,
         chunks: Vec<Table>,
@@ -551,31 +561,29 @@ impl SiriusEngine {
         agg: Option<&'a Arc<PartialAgg>>,
         offset: usize,
         width: usize,
-    ) -> impl Iterator<Item = (usize, WaveTask)> + 'a {
+    ) -> impl Iterator<Item = (usize, Job)> + 'a {
         let streams = self.effective_streams();
         let overhead = self.task_overhead();
         chunks.into_iter().enumerate().map(move |(i, morsel)| {
             let stream = (offset + (i % width)) % streams;
-            let device = self.device.on_stream(stream);
             let (chain, agg) = (Arc::clone(chain), agg.cloned());
             let op_stats = self.op_stats.clone();
-            let task: WaveTask = Box::new(move || {
+            let job: Job = Box::new(move |device: &Device| {
                 device.charge_duration(CostCategory::Other, overhead);
-                chain.walk(&device, morsel, agg.as_deref(), op_stats.as_deref())
+                chain.walk(device, morsel, agg.as_deref(), op_stats.as_deref())
             });
-            (stream, task)
+            (stream, job)
         })
     }
 
     /// Push every morsel through a Grace-join probe prefix as its own task
-    /// (full-width round-robin) and synchronize the streams; regular
-    /// pipelines go through [`Self::run_wave`]'s shared dispatch.
+    /// (full-width round-robin); regular pipelines go through
+    /// [`Self::run_wave`]'s shared dispatch.
     fn run_prefix(&self, prefix: &Arc<Chain>, chunks: Vec<Table>) -> Result<Vec<Table>> {
         let wave_start = self.wave_start();
         let width = self.effective_streams();
         let tasks = self.morsel_tasks(chunks, prefix, None, 0, width).collect();
         let outs = self.dispatch_streams(tasks);
-        self.device.sync_streams();
         self.wave_spans(prefix, wave_start);
         Ok(split(outs.collect::<Result<_>>()?).0)
     }
@@ -770,34 +778,51 @@ impl SiriusEngine {
         }
     }
 
-    /// Send a batch of `(stream, task)` pairs through the global queue,
-    /// recording the stream assignment in the scheduler counters. The tasks
-    /// themselves charge their dispatch overhead on their streams.
-    fn dispatch_streams(
-        &self,
-        tasks: Vec<(usize, WaveTask)>,
-    ) -> impl Iterator<Item = Result<TaskOut>> {
-        if !tasks.is_empty() {
+    /// Run a wave of `(stream, task)` pairs as one recorded batch,
+    /// recording the stream assignment in the scheduler counters; then
+    /// replay task *i*'s charges onto its stream, in task order — a failed
+    /// task's too, up to where it failed — and synchronize the streams.
+    fn dispatch_streams(&self, tasks: Vec<(usize, Job)>) -> impl Iterator<Item = Result<TaskOut>> {
+        let streams: Vec<usize> = tasks.iter().map(|(stream, _)| *stream).collect();
+        if !streams.is_empty() {
             // Size the per-stream counters by the lanes this query may
             // *use* (the lane-capped width), not the global pool: when
             // several queries interleave on one stream pool, each query's
             // `worker_utilization` is measured against its own slice, so a
             // perfectly balanced width-2 query on an 8-stream pool reports
             // 1.0, not 0.25.
-            let streams = self.effective_streams();
+            let width = self.effective_streams();
             let mut s = self.stats.lock();
-            s.tasks += tasks.len() as u64;
-            if s.tasks_per_stream.len() < streams {
-                s.tasks_per_stream.resize(streams, 0);
+            s.tasks += streams.len() as u64;
+            if s.tasks_per_stream.len() < width {
+                s.tasks_per_stream.resize(width, 0);
             }
-            for (stream, _) in &tasks {
-                s.tasks_per_stream[*stream] += 1;
+            for &stream in &streams {
+                s.tasks_per_stream[stream] += 1;
             }
         }
-        let outs = self
-            .queue
-            .run_all(tasks.into_iter().map(|(_, f)| f).collect());
-        outs.into_iter().map(|out| out.and_then(|task| task))
+        let ran = self.run_recorded(tasks.into_iter().map(|(_, job)| job));
+        for (stream, (_, charges)) in streams.into_iter().zip(&ran) {
+            self.device.replay(Lane::Stream(stream as u32), charges);
+        }
+        self.device.sync_streams();
+        ran.into_iter().map(|(out, _)| out)
+    }
+
+    /// Run `jobs` as one batch on the task queue, each charging a recorder
+    /// of its own, and return what each left, in job order — the one way
+    /// work reaches the worker pool. A worker thread charges no ledger but
+    /// its recorder; the caller owns the program order and replays every log
+    /// where its job's work sits.
+    pub(crate) fn run_recorded(&self, jobs: impl IntoIterator<Item = Job>) -> Vec<Recorded> {
+        let tasks = jobs.into_iter().map(|job| {
+            let device = self.device.recorder();
+            move || (job(&device), device.take_log())
+        });
+        let slots = self.queue.run_all(tasks.collect());
+        // A job that panicked is its slot's error, and leaves no charges.
+        let recorded = |slot: Result<Recorded>| slot.unwrap_or_else(|e| (Err(e), Vec::new()));
+        slots.into_iter().map(recorded).collect()
     }
 }
 

@@ -199,17 +199,6 @@ impl GpuContext {
         self.fan_out.as_ref()
     }
 
-    /// Same category, charging onto device stream `stream`. Morsel workers
-    /// use one stream each so their kernels overlap in the ledger.
-    pub fn on_stream(&self, stream: usize) -> Self {
-        Self {
-            device: self.device.on_stream(stream),
-            category: self.category,
-            mode: self.mode.clone(),
-            fan_out: self.fan_out.clone(),
-        }
-    }
-
     /// Context whose charges are dropped. Callers that replace a group of
     /// per-node launches with one fused charge (e.g. AST expression fusion)
     /// compute through a muted context, then charge the fused kernel

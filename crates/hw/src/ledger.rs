@@ -73,11 +73,9 @@ impl CostCategory {
     }
 }
 
+/// `c`'s slot in a breakdown: [`CostCategory::ALL`] is declaration order.
 fn index_of(c: CostCategory) -> usize {
-    CostCategory::ALL
-        .iter()
-        .position(|x| *x == c)
-        .expect("category in ALL")
+    c as usize
 }
 
 /// A snapshot of accumulated time per category.
@@ -135,7 +133,8 @@ impl TimeBreakdown {
 ///
 /// Serial charges model work on the device's default stream (planning,
 /// transfers, single-threaded sections). Stream charges model kernels issued
-/// concurrently by morsel workers: lanes run in parallel, so only the
+/// concurrently by morsel workers, replayed onto their lanes from the
+/// workers' recordings: lanes run in parallel, so only the
 /// *longest* lane contributes wall-clock time. [`CostLedger::sync_streams`]
 /// is the simulated `cudaDeviceSynchronize()` — it folds `max(streams)` into
 /// the serial lane and clears the lanes.
@@ -182,6 +181,57 @@ impl LedgerState {
     fn attributed(&self) -> TimeBreakdown {
         self.serial.merge(&attribute_overlap(&self.streams))
     }
+
+    /// Record `d` under `category` on `lane` — the one place a charge lands.
+    /// A traced kernel starts where its lane's previous kernel ended: the
+    /// settled serial time, plus a stream lane's in-flight total.
+    fn add(
+        &mut self,
+        lane: Lane,
+        category: CostCategory,
+        d: Duration,
+        label: &str,
+        bytes: u64,
+        rows: u64,
+    ) {
+        let stream = match lane {
+            Lane::Serial => None,
+            Lane::Stream(s) => Some(s as usize),
+        };
+        if let Some(s) = stream.filter(|&s| s >= self.streams.len()) {
+            self.streams.resize(s + 1, TimeBreakdown::default());
+        }
+        if self.trace.enabled() && !d.is_zero() {
+            let in_flight = stream.map_or(0, |s| self.streams[s].nanos.iter().sum::<u64>());
+            self.trace.record(
+                EventKind::Kernel,
+                lane,
+                category.label(),
+                label,
+                self.serial.nanos.iter().sum::<u64>() + in_flight,
+                d.as_nanos() as u64,
+                bytes,
+                rows,
+                None,
+            );
+        }
+        match stream {
+            Some(s) => self.streams[s].add(category, d),
+            None => {
+                if let Some(log) = &mut self.log {
+                    let label = log.labels.then(|| label.to_string());
+                    log.charges.push(Charge {
+                        category,
+                        label,
+                        d,
+                        bytes,
+                        rows,
+                    });
+                }
+                self.serial.add(category, d);
+            }
+        }
+    }
 }
 
 /// Fold a set of concurrently-running lanes into their wall-clock
@@ -217,8 +267,7 @@ pub fn attribute_overlap(streams: &[TimeBreakdown]) -> TimeBreakdown {
         .iter()
         .enumerate()
         .max_by_key(|(_, n)| **n)
-        .map(|(i, _)| i)
-        .expect("nine categories");
+        .map_or(0, |(i, _)| i);
     nanos[largest] += max - assigned;
     TimeBreakdown { nanos }
 }
@@ -286,73 +335,24 @@ impl CostLedger {
         rows: u64,
     ) {
         let mut state = self.inner.lock();
-        if state.trace.enabled() && !d.is_zero() {
-            let ts: u64 = state.serial.nanos.iter().sum();
-            state.trace.record(
-                EventKind::Kernel,
-                Lane::Serial,
-                category.label(),
-                label,
-                ts,
-                d.as_nanos() as u64,
-                bytes,
-                rows,
-                None,
-            );
-        }
-        if let Some(log) = &mut state.log {
-            let label = log.labels.then(|| label.to_string());
-            log.charges.push(Charge {
-                category,
-                label,
-                d,
-                bytes,
-                rows,
-            });
-        }
-        state.serial.add(category, d);
+        state.add(Lane::Serial, category, d, label, bytes, rows);
     }
 
     /// Record `d` under `category` on stream lane `stream`. Lanes overlap:
     /// only the longest lane adds wall-clock time until the next
     /// [`sync_streams`](Self::sync_streams).
     pub fn add_on_stream(&self, stream: usize, category: CostCategory, d: Duration) {
-        self.add_on_stream_labeled(stream, category, d, category.label(), 0, 0);
+        let (lane, label) = (Lane::Stream(stream as u32), category.label());
+        self.inner.lock().add(lane, category, d, label, 0, 0);
     }
 
-    /// [`add_on_stream`](Self::add_on_stream) with a kernel label and
-    /// bytes/rows diagnostics for the trace event.
-    pub fn add_on_stream_labeled(
-        &self,
-        stream: usize,
-        category: CostCategory,
-        d: Duration,
-        label: &str,
-        bytes: u64,
-        rows: u64,
-    ) {
+    /// Record each of `charges` on `lane`, in order, under one lock.
+    pub(crate) fn add_charges(&self, lane: Lane, charges: &[Charge]) {
         let mut state = self.inner.lock();
-        if state.streams.len() <= stream {
-            state.streams.resize(stream + 1, TimeBreakdown::default());
+        for c in charges {
+            let label = c.label.as_deref().unwrap_or(c.category.label());
+            state.add(lane, c.category, c.d, label, c.bytes, c.rows);
         }
-        if state.trace.enabled() && !d.is_zero() {
-            // A stream kernel starts when the lane's previous kernel ends:
-            // serial time already settled plus the lane's in-flight total.
-            let serial: u64 = state.serial.nanos.iter().sum();
-            let lane: u64 = state.streams[stream].nanos.iter().sum();
-            state.trace.record(
-                EventKind::Kernel,
-                Lane::Stream(stream as u32),
-                category.label(),
-                label,
-                serial + lane,
-                d.as_nanos() as u64,
-                bytes,
-                rows,
-                None,
-            );
-        }
-        state.streams[stream].add(category, d);
     }
 
     /// Synchronize: fold the overlapped stream time into the serial lane and
@@ -379,22 +379,6 @@ impl CostLedger {
         state.serial = state.serial.merge(&folded);
         state.streams.clear();
         wall
-    }
-
-    /// Total accumulated time on one lane (`None` = the serial lane, before
-    /// overlap attribution). Used by the engine to meter how much simulated
-    /// time an operator added to the lane it ran on.
-    pub fn lane_total(&self, lane: Option<usize>) -> Duration {
-        let state = self.inner.lock();
-        let nanos: u64 = match lane {
-            None => state.serial.nanos.iter().sum(),
-            Some(s) => state
-                .streams
-                .get(s)
-                .map(|b| b.nanos.iter().sum())
-                .unwrap_or(0),
-        };
-        Duration::from_nanos(nanos)
     }
 
     /// Total simulated wall-clock time: serial plus the longest in-flight
@@ -638,13 +622,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_total_reads_one_lane() {
-        let l = CostLedger::default();
-        l.add(CostCategory::Other, Duration::from_nanos(3));
-        l.add_on_stream(1, CostCategory::Join, Duration::from_nanos(9));
-        assert_eq!(l.lane_total(None), Duration::from_nanos(3));
-        assert_eq!(l.lane_total(Some(1)), Duration::from_nanos(9));
-        assert_eq!(l.lane_total(Some(7)), Duration::ZERO);
+    fn a_category_indexes_its_slot_in_all() {
+        for (i, c) in CostCategory::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?}");
+        }
     }
 
     // -- attribute_overlap rounding (satellite) ----------------------------

@@ -28,6 +28,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// No panic is reachable from a charge: the ledger's arithmetic is total.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod catalog;
 pub mod cost;
@@ -41,7 +44,7 @@ pub use cost::{CostModel, WorkProfile};
 pub use fault::{FaultAction, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
 pub use ledger::{attribute_overlap, replay, Charge, CostCategory, CostLedger, TimeBreakdown};
 pub use link::{Link, LinkSpec};
-pub use sirius_trace::{TraceConfig, TraceSink};
+pub use sirius_trace::{Lane, TraceConfig, TraceSink};
 pub use spec::{DeviceKind, DeviceSpec};
 
 use std::sync::Arc;
@@ -51,16 +54,17 @@ use std::time::Duration;
 /// ledger. Cloning shares the ledger (a device handle can be passed to many
 /// operators).
 ///
-/// A handle is either *serial* (the default stream — charges add up) or
-/// bound to a numbered stream via [`on_stream`](Device::on_stream) — charges
-/// on different streams overlap, and only the longest stream contributes
+/// A device charges its serial lane (the default stream: charges add up).
+/// Work that runs off the thread owning the program order charges a
+/// [`recorder`](Device::recorder) instead, and that thread
+/// [`replay`](Device::replay)s the recording onto an explicit lane: charges
+/// on different stream lanes overlap, and only the longest stream contributes
 /// wall-clock time until [`sync_streams`](Device::sync_streams) (the
 /// simulated `cudaDeviceSynchronize()`) folds them in.
 #[derive(Clone)]
 pub struct Device {
     spec: Arc<DeviceSpec>,
     ledger: CostLedger,
-    stream: Option<usize>,
 }
 
 impl Device {
@@ -69,28 +73,12 @@ impl Device {
         Self {
             spec: Arc::new(spec),
             ledger: CostLedger::default(),
-            stream: None,
         }
     }
 
     /// The device specification.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec
-    }
-
-    /// A handle that charges onto stream `stream`. Shares the ledger with
-    /// `self`; existing serial handles are unaffected.
-    pub fn on_stream(&self, stream: usize) -> Device {
-        Device {
-            spec: Arc::clone(&self.spec),
-            ledger: self.ledger.clone(),
-            stream: Some(stream),
-        }
-    }
-
-    /// The stream this handle charges onto, if bound.
-    pub fn stream(&self) -> Option<usize> {
-        self.stream
     }
 
     /// Synchronize all streams: fold the overlapped stream time into the
@@ -143,25 +131,20 @@ impl Device {
         bytes: u64,
         rows: u64,
     ) {
-        match self.stream {
-            Some(s) => self
-                .ledger
-                .add_on_stream_labeled(s, category, d, label, bytes, rows),
-            None => self.ledger.add_labeled(category, d, label, bytes, rows),
-        }
+        self.ledger.add_labeled(category, d, label, bytes, rows);
     }
 
-    /// A serial device with this one's spec and a fresh ledger that logs
-    /// every charge: work computed off this device's thread charges a
-    /// recorder, and whoever owns the program order [`replay`](Self::replay)s
-    /// the [`take_log`](Self::take_log) onto this device where the work sat,
-    /// so its ledger and trace read as if the work had run here. Labels are
-    /// kept only if this device is traced.
+    /// A device with this one's spec and a fresh ledger that logs every
+    /// charge: work computed off this device's thread charges a recorder,
+    /// and whoever owns the program order [`replay`](Self::replay)s the
+    /// [`take_log`](Self::take_log) onto this device where the work sat, so
+    /// its ledger and trace read as if the work had run here. The recorder's
+    /// own [`elapsed`](Self::elapsed) is the lane its work will occupy.
+    /// Labels are kept only if this device is traced.
     pub fn recorder(&self) -> Device {
         Device {
             spec: Arc::clone(&self.spec),
             ledger: CostLedger::recording(self.trace().enabled()),
-            stream: None,
         }
     }
 
@@ -170,17 +153,14 @@ impl Device {
         self.ledger.take_log()
     }
 
-    /// Charge each recorded charge onto this device's lane, in order,
-    /// exactly as the recorder received it.
-    pub fn replay(&self, charges: &[Charge]) {
-        for c in charges {
-            let label = c.label.as_deref().unwrap_or(c.category.label());
-            self.charge_duration_labeled(c.category, label, c.d, c.bytes, c.rows);
-        }
+    /// Charge each recorded charge onto `lane` of this device, in order,
+    /// exactly as the recorder received it. The only way onto a stream lane.
+    pub fn replay(&self, lane: Lane, charges: &[Charge]) {
+        self.ledger.add_charges(lane, charges);
     }
 
     /// Attach (or detach) a trace event recorder to this device's ledger.
-    /// Shared by all clones and stream handles; survives [`reset`](Self::reset).
+    /// Shared by all clones; survives [`reset`](Self::reset).
     pub fn set_trace(&self, sink: TraceSink) {
         self.ledger.set_trace(sink);
     }
@@ -188,14 +168,6 @@ impl Device {
     /// Handle to the attached trace recorder (disabled by default).
     pub fn trace(&self) -> TraceSink {
         self.ledger.trace()
-    }
-
-    /// Simulated time accumulated on the lane this handle charges onto
-    /// (the stream lane for a stream handle, the serial lane otherwise) —
-    /// *not* overlap-attributed. Metering `lane_elapsed` around an operator
-    /// gives the operator's busy time on its own lane.
-    pub fn lane_elapsed(&self) -> Duration {
-        self.ledger.lane_total(self.stream)
     }
 
     /// Total simulated time accumulated on this device.
@@ -261,8 +233,11 @@ mod tests {
         let d = Device::new(catalog::gh200_gpu());
         let w = WorkProfile::scan(1 << 24);
         let per_kernel = CostModel::kernel_time(d.spec(), &w);
+        let rec = d.recorder();
+        rec.charge(CostCategory::Filter, &w);
+        let log = rec.take_log();
         for s in 0..4 {
-            d.on_stream(s).charge(CostCategory::Filter, &w);
+            d.replay(Lane::Stream(s), &log);
         }
         // Four streams doing identical work take the wall time of one.
         assert_eq!(d.elapsed(), per_kernel);
@@ -276,7 +251,9 @@ mod tests {
     }
 
     /// Charges made on a recorder and replayed read, in the ledger and in
-    /// the trace, exactly as if they had been charged live at that point.
+    /// the trace, exactly as if they had been charged live at that point;
+    /// replayed onto a stream lane, they start where the lane's previous
+    /// charge ended, on top of the settled serial time.
     #[test]
     fn a_replayed_recording_reads_as_the_live_charges() {
         let traced = || {
@@ -293,10 +270,12 @@ mod tests {
         live.charge_labeled(CostCategory::Exchange, "spill.pinned.write", &work(1 << 16));
         let rec = replayed.recorder();
         let first = rec.charge(CostCategory::Other, &work(4096));
-        assert_eq!(rec.lane_elapsed(), first, "a recorder keeps its own clock");
-        rec.charge_labeled(CostCategory::Exchange, "spill.pinned.write", &work(1 << 16));
+        assert_eq!(rec.elapsed(), first, "a recorder keeps its own clock");
+        let second =
+            rec.charge_labeled(CostCategory::Exchange, "spill.pinned.write", &work(1 << 16));
         assert!(!rec.trace().enabled(), "a recorder traces nothing itself");
-        replayed.replay(&rec.take_log());
+        let log = rec.take_log();
+        replayed.replay(Lane::Serial, &log);
         assert!(rec.take_log().is_empty(), "the log drains");
         assert_eq!(replayed.breakdown(), live.breakdown());
         let events = |d: &Device| -> Vec<_> {
@@ -305,6 +284,31 @@ mod tests {
                 .collect()
         };
         assert_eq!(events(&replayed), events(&live));
+
+        let settled = replayed.elapsed();
+        replayed.replay(Lane::Stream(3), &log);
+        assert_eq!(replayed.elapsed(), settled + first + second);
+        let on_stream: Vec<_> = events(&replayed)
+            .into_iter()
+            .filter(|e| e.0 == Lane::Stream(3))
+            .map(|(_, cat, label, ts, dur, ..)| (cat, label, ts, dur))
+            .collect();
+        let (at, nanos) = (settled.as_nanos() as u64, |d: Duration| d.as_nanos() as u64);
+        let expected = [
+            ("other", "other".to_string(), at, nanos(first)),
+            (
+                "exchange",
+                "spill.pinned.write".to_string(),
+                at + nanos(first),
+                nanos(second),
+            ),
+        ];
+        assert_eq!(on_stream, expected);
+        assert_eq!(replayed.sync_streams(), first + second);
+        assert_eq!(
+            ledger::replay(&replayed.trace().events()),
+            replayed.breakdown()
+        );
     }
 
     #[test]

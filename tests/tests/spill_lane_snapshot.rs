@@ -7,11 +7,11 @@
 //! - its serial lane's kernel events in order — category, label, start,
 //!   duration, bytes, rows — as a count and a 64-bit digest, and in full
 //!   for Q9, Q10 and Q13;
-//! - each stream lane's kernel events as a sorted multiset without start
-//!   times (the order of charges within one stream lane depends on which
-//!   worker thread ran which morsel), as a count and a digest;
+//! - each stream lane's kernel events in order, with start times, in full
+//!   (morsel tasks charge recorders replayed onto their lanes in task order,
+//!   so which worker thread ran which morsel does not show);
 //! - its operator spans;
-//! - its `EXPLAIN ANALYZE` text, times masked (see [`mask_times`]).
+//! - its `EXPLAIN ANALYZE` text.
 //!
 //! After an intended cost-model or scheduling change, regenerate with
 //! `cargo test -p sirius-integration --test spill_lane_snapshot -- --ignored`.
@@ -73,17 +73,14 @@ fn render_query(out: &mut String, id: u32, events: &[TraceEvent], explain: &str)
     let mut streams: BTreeMap<u32, Vec<String>> = BTreeMap::new();
     for e in kernels {
         if let Lane::Stream(s) = e.lane {
-            let line = format!(
-                "{} {} dur={} bytes={} rows={}",
-                e.cat, e.label, e.dur, e.bytes, e.rows
-            );
-            streams.entry(s).or_default().push(line);
+            streams.entry(s).or_default().push(kernel(e));
         }
     }
-    for (s, mut lines) in streams {
-        lines.sort();
-        let d = digest(&lines);
-        writeln!(out, "  stream {s} kernels={} digest={d:016x}", lines.len()).unwrap();
+    for (s, lines) in streams {
+        writeln!(out, "  stream {s} kernels={}", lines.len()).unwrap();
+        for line in &lines {
+            writeln!(out, "    {line}").unwrap();
+        }
     }
     for e in events.iter().filter(|e| e.kind == EventKind::Span) {
         writeln!(
@@ -99,21 +96,8 @@ fn render_query(out: &mut String, id: u32, events: &[TraceEvent], explain: &str)
         .unwrap();
     }
     for line in explain.lines() {
-        writeln!(out, "  | {}", mask_times(line)).unwrap();
+        writeln!(out, "  | {line}").unwrap();
     }
-}
-
-/// An `EXPLAIN ANALYZE` line with its `time=` value masked. A streaming
-/// operator's time is the growth of its stream lane while it ran, and a
-/// second worker charging the same lane meanwhile adds to it, so the value
-/// depends on thread timing; breaker windows are pinned by the spans.
-fn mask_times(line: &str) -> String {
-    let Some(at) = line.find("time=") else {
-        return line.to_string();
-    };
-    let value = &line[at + "time=".len()..];
-    let end = value.find(' ').unwrap_or(value.len());
-    format!("{}time=*{}", &line[..at], &value[end..])
 }
 
 fn render() -> String {

@@ -1,22 +1,79 @@
 //! Tracing is an observer, not a participant: for every TPC-H query the
 //! recorded trace must replay to the device ledger nanosecond-exact, the
 //! Chrome export must be structurally valid, the EXPLAIN ANALYZE root
-//! cardinality must equal the actual result cardinality, and running with
+//! cardinality must equal the actual result cardinality, running with
 //! tracing off must (a) record nothing and (b) charge the identical
-//! simulated time.
+//! simulated time, and running the query again must record the same trace
+//! and the same EXPLAIN ANALYZE. All of it holds on the default engine and
+//! on one cutting every sizable pipeline into many 1 024-row morsel tasks
+//! over 2 workers, where tasks share each stream lane.
 
-use sirius_core::SiriusEngine;
+use sirius_core::{EngineConfig, OpStats, SiriusEngine};
 use sirius_duckdb::DuckDb;
-use sirius_hw::{catalog as hw, CostCategory, TraceConfig};
-use sirius_tpch::{queries, TpchGenerator};
-use sirius_trace::chrome;
+use sirius_hw::{catalog as hw, CostCategory, TimeBreakdown, TraceConfig};
+use sirius_plan::Rel;
+use sirius_tpch::{queries, TpchData, TpchGenerator};
+use sirius_trace::{chrome, EventKind, TraceEvent};
+use std::collections::HashMap;
 
 const SF: f64 = 0.005;
 
-fn load(engine: &SiriusEngine, data: &sirius_tpch::TpchData) {
+/// The engine shapes every query runs on: the default, and 1 024-row
+/// morsels on 2 workers.
+fn configs() -> [EngineConfig; 2] {
+    let small_morsels = EngineConfig {
+        workers: 2,
+        morsel_rows: 1024,
+        ..EngineConfig::new(hw::gh200_gpu())
+    };
+    [EngineConfig::new(hw::gh200_gpu()), small_morsels]
+}
+
+fn engine(config: &EngineConfig, trace: TraceConfig, data: &TpchData) -> SiriusEngine {
+    let e = SiriusEngine::from_config(EngineConfig {
+        trace,
+        ..config.clone()
+    });
     for (name, table) in data.tables() {
-        engine.load_table(name.clone(), table);
+        e.load_table(name.clone(), table);
     }
+    e
+}
+
+/// What one traced execution left behind.
+struct Traced {
+    rows: usize,
+    ledger: TimeBreakdown,
+    events: Vec<TraceEvent>,
+    stats: HashMap<u32, OpStats>,
+    explain: String,
+}
+
+fn traced_run(e: &SiriusEngine, plan: &Rel, what: &str) -> Traced {
+    e.device().reset();
+    e.trace().clear();
+    e.clear_operator_stats();
+    let table = e
+        .execute(plan)
+        .unwrap_or_else(|err| panic!("{what} traced execute: {err}"));
+    Traced {
+        rows: table.num_rows(),
+        ledger: e.device().breakdown(),
+        events: e.trace().events(),
+        stats: e.operator_stats(),
+        explain: e.explain_analyze(plan),
+    }
+}
+
+/// A run's kernel, sync and span events in sequence order, every field but
+/// the sink's global sequence number.
+fn timeline(events: &[TraceEvent]) -> Vec<String> {
+    let kept = events.iter().filter(|e| e.kind != EventKind::Instant);
+    let unnumbered = kept.map(|e| TraceEvent {
+        seq: 0,
+        ..e.clone()
+    });
+    unnumbered.map(|e| format!("{e:?}")).collect()
 }
 
 #[test]
@@ -26,101 +83,117 @@ fn all_queries_reconcile_trace_ledger_and_explain() {
     for (name, table) in data.tables() {
         duck.create_table(name.clone(), table.clone());
     }
-    let traced = SiriusEngine::new(hw::gh200_gpu()).with_trace(TraceConfig::On);
-    let untraced = SiriusEngine::new(hw::gh200_gpu());
-    load(&traced, &data);
-    load(&untraced, &data);
-
     let known_cats: Vec<&str> = CostCategory::ALL
         .iter()
         .map(|c| c.label())
         .chain(["marker", "op", "lifecycle"])
         .collect();
 
-    for (id, sql) in queries::all() {
-        let plan = duck.plan(sql).unwrap_or_else(|e| panic!("Q{id} plan: {e}"));
+    for config in configs() {
+        let traced = engine(&config, TraceConfig::On, &data);
+        let untraced = engine(&config, TraceConfig::Off, &data);
+        let shape = format!("{} workers x {} rows", config.workers, config.morsel_rows);
+        for (id, sql) in queries::all() {
+            let plan = duck.plan(sql).unwrap_or_else(|e| panic!("Q{id} plan: {e}"));
+            let what = format!("Q{id} ({shape})");
+            let run = traced_run(&traced, &plan, &what);
+            let events = &run.events;
+            assert!(!events.is_empty(), "{what}: traced run recorded no events");
 
-        traced.device().reset();
-        traced.trace().clear();
-        traced.clear_operator_stats();
-        let table = traced
-            .execute(&plan)
-            .unwrap_or_else(|e| panic!("Q{id} traced execute: {e}"));
-        let live = traced.device().breakdown();
-        let events = traced.trace().events();
-        assert!(!events.is_empty(), "Q{id}: traced run recorded no events");
-
-        // 1. The trace replays to the live ledger, to the nanosecond.
-        assert_eq!(
-            sirius_hw::ledger::replay(&events),
-            live,
-            "Q{id}: trace replay disagrees with the device ledger"
-        );
-
-        // 2. The Chrome export is structurally sound (monotone per-track
-        // timestamps, known categories, nonzero durations).
-        chrome::validate(&events, &known_cats)
-            .unwrap_or_else(|v| panic!("Q{id}: invalid chrome trace: {v:?}"));
-        let json = chrome::export(&format!("Q{id}"), &events);
-        let n = chrome::validate_json(&json, &known_cats)
-            .unwrap_or_else(|v| panic!("Q{id}: invalid chrome JSON: {v:?}"));
-        assert_eq!(n, events.len(), "Q{id}: export dropped events");
-
-        // 3. EXPLAIN ANALYZE's root operator reports the cardinality the
-        // query actually returned.
-        let stats = traced.operator_stats();
-        let root = stats
-            .get(&0)
-            .unwrap_or_else(|| panic!("Q{id}: no stats for the root operator"));
-        assert_eq!(
-            root.rows_out,
-            table.num_rows() as u64,
-            "Q{id}: EXPLAIN ANALYZE root cardinality is wrong"
-        );
-        let rendered = traced.explain_analyze(&plan);
-        assert!(
-            rendered.contains(&format!("rows={}", table.num_rows())),
-            "Q{id}: rendered plan missing the root cardinality:\n{rendered}"
-        );
-
-        // 4. Operator ids are consistent end-to-end: runtime stats keys
-        // and trace span tracks are pre-order ids over the *normalized*
-        // plan (the plan the physical compiler walks), and every stats key
-        // shows up as an `[#id]` row in the rendered EXPLAIN ANALYZE.
-        let normalized = sirius_plan::normalize::normalize(&plan);
-        let node_count = sirius_plan::visit::subtree_size(&normalized);
-        for key in stats.keys() {
-            assert!(
-                *key < node_count,
-                "Q{id}: stats key {key} is not a valid pre-order id (plan has {node_count} nodes)"
+            // 1. The trace replays to the live ledger, to the nanosecond.
+            assert_eq!(
+                sirius_hw::ledger::replay(events),
+                run.ledger,
+                "{what}: trace replay disagrees with the device ledger"
             );
-            assert!(
-                rendered.contains(&format!("[#{key}]")),
-                "Q{id}: stats key {key} has no row in EXPLAIN ANALYZE:\n{rendered}"
+
+            // 2. The Chrome export is structurally sound (monotone per-track
+            // timestamps, known categories, nonzero durations).
+            chrome::validate(events, &known_cats)
+                .unwrap_or_else(|v| panic!("{what}: invalid chrome trace: {v:?}"));
+            let json = chrome::export(&format!("Q{id}"), events);
+            let n = chrome::validate_json(&json, &known_cats)
+                .unwrap_or_else(|v| panic!("{what}: invalid chrome JSON: {v:?}"));
+            assert_eq!(n, events.len(), "{what}: export dropped events");
+
+            // 3. EXPLAIN ANALYZE's root operator reports the cardinality the
+            // query actually returned.
+            let root = run
+                .stats
+                .get(&0)
+                .unwrap_or_else(|| panic!("{what}: no stats for the root operator"));
+            assert_eq!(
+                root.rows_out, run.rows as u64,
+                "{what}: EXPLAIN ANALYZE root cardinality is wrong"
             );
-        }
-        for ev in &events {
-            if let Some(node) = ev.node {
+            let rendered = &run.explain;
+            assert!(
+                rendered.contains(&format!("rows={}", run.rows)),
+                "{what}: rendered plan missing the root cardinality:\n{rendered}"
+            );
+
+            // 4. Operator ids are consistent end-to-end: runtime stats keys
+            // and trace span tracks are pre-order ids over the *normalized*
+            // plan (the plan the physical compiler walks), and every stats
+            // key shows up as an `[#id]` row in the rendered EXPLAIN ANALYZE.
+            let normalized = sirius_plan::normalize::normalize(&plan);
+            let node_count = sirius_plan::visit::subtree_size(&normalized);
+            for key in run.stats.keys() {
                 assert!(
-                    node < node_count,
-                    "Q{id}: span '{}' tagged with invalid node id {node}",
-                    ev.label
+                    *key < node_count,
+                    "{what}: stats key {key} is not a valid pre-order id (plan has {node_count} nodes)"
+                );
+                assert!(
+                    rendered.contains(&format!("[#{key}]")),
+                    "{what}: stats key {key} has no row in EXPLAIN ANALYZE:\n{rendered}"
                 );
             }
-        }
+            for ev in events {
+                if let Some(node) = ev.node {
+                    assert!(
+                        node < node_count,
+                        "{what}: span '{}' tagged with invalid node id {node}",
+                        ev.label
+                    );
+                }
+            }
 
-        // 5. Tracing is free: the untraced engine records nothing and
-        // charges the identical simulated time.
-        untraced.device().reset();
-        let untraced_table = untraced
-            .execute(&plan)
-            .unwrap_or_else(|e| panic!("Q{id} untraced execute: {e}"));
-        assert_eq!(untraced.trace().events_recorded(), 0);
-        assert_eq!(
-            untraced.device().breakdown(),
-            live,
-            "Q{id}: tracing changed the simulated time"
-        );
-        assert_eq!(untraced_table.num_rows(), table.num_rows());
+            // 5. Tracing is free: the untraced engine records nothing and
+            // charges the identical simulated time.
+            untraced.device().reset();
+            let untraced_table = untraced
+                .execute(&plan)
+                .unwrap_or_else(|e| panic!("{what} untraced execute: {e}"));
+            assert_eq!(untraced.trace().events_recorded(), 0);
+            assert_eq!(
+                untraced.device().breakdown(),
+                run.ledger,
+                "{what}: tracing changed the simulated time"
+            );
+            assert_eq!(untraced_table.num_rows(), run.rows);
+
+            // 6. The trace is reproducible: a second run records the same
+            // kernels, syncs and spans, field for field in sequence order,
+            // however the worker threads interleaved, and renders the same
+            // EXPLAIN ANALYZE.
+            let again = traced_run(&traced, &plan, &what);
+            let (first, second) = (timeline(events), timeline(&again.events));
+            if first != second {
+                let at = first.iter().zip(&second).position(|(a, b)| a != b);
+                let pick = |t: &[String]| at.and_then(|i| t.get(i)).cloned();
+                panic!(
+                    "{what}: the trace moved between runs ({} vs {} events); \
+                     first difference at {at:?}:\n  {:?}\n  {:?}",
+                    first.len(),
+                    second.len(),
+                    pick(&first),
+                    pick(&second)
+                );
+            }
+            assert_eq!(
+                again.explain, run.explain,
+                "{what}: EXPLAIN ANALYZE moved between runs"
+            );
+        }
     }
 }
