@@ -110,7 +110,7 @@ impl Lab {
     /// (0.27 s × SF) and was tuned so that Q9 alone exceeded it — the
     /// paper's "does not finish". At today's cost constants Q9 finishes
     /// inside it at SF 0.05 and 0.1 (25.01 of 27 ms), so the `DNF` no longer
-    /// emerges: EXPERIMENTS.md Figure 4, ROADMAP item 7.
+    /// emerges: EXPERIMENTS.md Figure 4, ROADMAP item 6.
     pub fn clickhouse(&self) -> ClickHouse {
         let mut ch = ClickHouse::new().with_time_budget(Duration::from_secs_f64(0.270 * self.sf));
         for (name, table) in self.data().tables() {

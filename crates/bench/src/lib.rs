@@ -8,9 +8,8 @@
 //! of [`EXPERIMENTS`] and runs over one [`Lab`] — generated TPC-H data plus
 //! the DuckDB planner, built at most once per scale factor per process.
 //! EXPERIMENTS.md's measured blocks are this binary's stdout
-//! (`scripts/regen_experiments.sh`). The Criterion benches under `benches/`
-//! measure the *real* wall time of this repository's own kernels and
-//! engines over the same `Lab`.
+//! (`scripts/regen_experiments.sh`). Wall-clock time is not measured
+//! here: the separate `perfbench/` workspace records it.
 //!
 //! All printed times are simulated device time. Absolute milliseconds
 //! depend on the scale factor (model time is linear in data volume, so

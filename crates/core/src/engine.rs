@@ -34,12 +34,10 @@ use sirius_hw::{
     catalog, CostCategory, Device, DeviceSpec, FaultInjector, FaultSite, Link, LinkSpec,
     TraceConfig, TraceSink,
 };
-use sirius_plan::validate::FeatureSet;
 use sirius_plan::visit::Node;
 use sirius_plan::Rel;
 use sirius_spill::SpillStats;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,9 +76,6 @@ pub struct EngineConfig {
     /// [`Scheduling::Concurrent`]; [`Scheduling::Serialized`] is the
     /// one-pipeline-at-a-time ablation baseline).
     pub scheduling: Scheduling,
-    /// Supported feature set (default full; restricted to exercise host
-    /// fallback and to mirror the paper's limited distributed SQL coverage).
-    pub features: FeatureSet,
     /// Keep result-sink string columns dictionary-encoded instead of
     /// materializing them (default off). Distributed node engines turn it
     /// on so fragments ship codes over the exchange; the coordinator
@@ -116,7 +111,6 @@ impl EngineConfig {
             morsel_rows: DEFAULT_MORSEL_ROWS,
             fusion: true,
             scheduling: Scheduling::default(),
-            features: FeatureSet::full(),
             encoded_results: false,
             operator_stats: false,
             trace: TraceConfig::Off,
@@ -152,11 +146,6 @@ pub struct SiriusEngine {
     /// `config.trace` or `config.operator_stats` asks for them, so the
     /// disabled path allocates nothing.
     pub(crate) op_stats: Option<SharedOpStats>,
-    /// Stream-lane cap for the wave in flight (set around each
-    /// [`Self::step`], `usize::MAX` otherwise): when a server interleaves
-    /// several queries onto one stream pool, each query's wave dispatches
-    /// onto its share of the lanes instead of the whole pool.
-    pub(crate) lane_cap: AtomicUsize,
 }
 
 impl SiriusEngine {
@@ -251,7 +240,6 @@ impl SiriusEngine {
             stats: Arc::new(Mutex::new(MorselStats::default())),
             trace: TraceSink::off(),
             op_stats: None,
-            lane_cap: AtomicUsize::new(usize::MAX),
         }
         .install_trace()
     }
@@ -275,16 +263,6 @@ impl SiriusEngine {
     /// Worker threads draining the task queue (= device streams used).
     pub fn workers(&self) -> usize {
         self.queue.workers()
-    }
-
-    /// Streams the wave in flight may dispatch onto: the worker pool
-    /// capped by the per-wave lane cap ([`Self::step`]'s `lanes`).
-    pub(crate) fn effective_streams(&self) -> usize {
-        self.queue
-            .workers()
-            .max(1)
-            .min(self.lane_cap.load(Ordering::Relaxed))
-            .max(1)
     }
 
     /// Snapshot of the monotonic morsel-scheduler counters (pair snapshots
@@ -358,11 +336,17 @@ impl SiriusEngine {
     }
 
     /// Execute a plan fully on-device: compile it into its pipeline DAG and
-    /// run the DAG. Errors of the `Unsupported` / `OutOfMemory` / `Kernel`
-    /// classes are candidates for host fallback (handled by
-    /// [`crate::SiriusContext`]).
+    /// run the DAG. Every failure is a typed error; whether to run the plan
+    /// elsewhere instead is the host's decision (§3.2.2).
     pub fn execute(&self, plan: &Rel) -> Result<Table> {
         Ok(self.execute_counted(plan)?.0)
+    }
+
+    /// The Substrait wire entry a host's extension hook calls (§3.2.1):
+    /// deserialize the plan, then [`Self::execute`] it. A malformed or
+    /// ill-typed plan is a [`SiriusError::Plan`] and charges nothing.
+    pub fn execute_json(&self, wire: &str) -> Result<Table> {
+        self.execute(&sirius_plan::json::from_json(wire)?)
     }
 
     /// [`Self::execute`], also returning how many pipelines the run had.
@@ -419,13 +403,10 @@ impl SiriusEngine {
     /// fresh `begin` charges.
     pub fn compile_query(&self, plan: &Rel) -> Result<Arc<crate::plan_cache::CompiledQuery>> {
         sirius_plan::validate::validate(plan)?;
-        if let Some(feature) = self.config.features.first_unsupported(plan) {
-            return Err(SiriusError::Unsupported(feature));
-        }
         let mut phys = physical::compile(plan)?;
         // Data-path fusion: collapse each pipeline's streaming runs into
-        // single-pass segments. A post-compile rewrite, so `decompose`,
-        // `pipeline_count`, and operator ids are identical either way.
+        // single-pass segments. A post-compile rewrite, so
+        // `pipeline_count` and operator ids are identical either way.
         if self.config.fusion {
             physical::fuse(&mut phys);
         }
@@ -441,8 +422,16 @@ impl SiriusEngine {
     /// copied; the run shares the compiled DAG by `Arc`. Each pipeline
     /// costs one dispatch round trip at the device's own launch overhead on
     /// the serial lane; per-morsel task dispatches land on the tasks'
-    /// streams as the pipelines run.
+    /// streams as the pipelines run. A scan of a table that is not cached
+    /// fails first, charging nothing and consuming no injected fault.
     pub fn begin_compiled(&self, compiled: &crate::plan_cache::CompiledQuery) -> Result<QueryRun> {
+        for pipe in &compiled.phys.pipelines {
+            if let physical::Source::Scan { table, .. } = &pipe.source {
+                if !self.bufmgr.is_cached(table) {
+                    return Err(SiriusError::TableNotCached(table.clone()));
+                }
+            }
+        }
         self.fire_device_fault(
             |node| FaultSite::DeviceLaunch { node },
             "kernel-launch failure",
@@ -654,10 +643,8 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_feature_reports_for_fallback() {
-        let mut features = FeatureSet::full();
-        features.avg = false;
-        let e = configured(|c| c.features = features);
+    fn json_wire_round_trip_executes() {
+        let e = engine_with_data();
         let plan = scan()
             .aggregate(
                 vec![],
@@ -668,7 +655,53 @@ mod tests {
                 }],
             )
             .build();
-        assert!(matches!(e.execute(&plan), Err(SiriusError::Unsupported(_))));
+        let out = e.execute_json(&sirius_plan::json::to_json(&plan).unwrap());
+        assert_eq!(out.unwrap().column(0).f64_value(0), Some(25.0));
+        assert!(e.device().elapsed().as_nanos() > 0);
+        e.device().reset();
+        assert!(matches!(
+            e.execute_json("garbage"),
+            Err(SiriusError::Plan(_))
+        ));
+        assert_eq!(e.device().elapsed().as_nanos(), 0);
+    }
+
+    /// README's knob table has one row per `EngineConfig` field, in
+    /// declaration order, and no other row. The destructuring is exhaustive,
+    /// so a new field does not compile until it is listed here.
+    #[test]
+    fn readme_knob_table_lists_every_field() {
+        macro_rules! fields {
+            ($($field:ident),*) => {{
+                let EngineConfig { $($field: _),* } = EngineConfig::new(catalog::gh200_gpu());
+                vec![$(stringify!($field)),*]
+            }};
+        }
+        let fields = fields!(
+            spec,
+            host_link,
+            workers,
+            caching_fraction,
+            morsel_rows,
+            fusion,
+            scheduling,
+            encoded_results,
+            operator_stats,
+            trace,
+            fault
+        );
+        let readme = include_str!("../../../README.md");
+        let table = readme
+            .split("| Field | Default (`EngineConfig::new`) |")
+            .nth(1)
+            .expect("README.md has the EngineConfig table");
+        let rows: Vec<&str> = table
+            .lines()
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .collect();
+        assert_eq!(rows, fields, "README.md's EngineConfig table");
     }
 
     #[test]
@@ -723,7 +756,7 @@ mod tests {
 
     /// With every spill tier zeroed out there is nowhere left to park
     /// partitions: the engine reports a hard out-of-memory instead of
-    /// looping, and that error is what triggers host fallback upstream.
+    /// looping, and that error is what a host falls back on.
     #[test]
     fn oom_when_morsel_exceeds_all_tiers() {
         let (e, plan) = tiny_device_groupby();

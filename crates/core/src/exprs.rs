@@ -12,7 +12,6 @@ use sirius_cudf::unary::{case_when, cast, substring, unary_op};
 use sirius_cudf::GpuContext;
 use sirius_hw::WorkProfile;
 use sirius_plan::Expr;
-use std::collections::BTreeSet;
 
 /// Evaluate `expr` over every row of `input`, launching GPU kernels charged
 /// to `ctx`. Bare column references are zero-copy.
@@ -66,36 +65,6 @@ fn fusable_kernels(expr: &Expr, schema: &Schema) -> Option<u64> {
     }
 }
 
-/// Column indices a subtree reads (each streamed once by the fused kernel).
-fn collect_columns(expr: &Expr, out: &mut BTreeSet<usize>) {
-    match expr {
-        Expr::Column(i) => {
-            out.insert(*i);
-        }
-        Expr::Literal(_) => {}
-        Expr::Binary { left, right, .. } => {
-            collect_columns(left, out);
-            collect_columns(right, out);
-        }
-        Expr::Unary { input, .. } | Expr::Cast { input, .. } => collect_columns(input, out),
-        Expr::Like { input, .. } | Expr::InList { input, .. } | Expr::Substring { input, .. } => {
-            collect_columns(input, out)
-        }
-        Expr::Case {
-            branches,
-            otherwise,
-        } => {
-            for (c, v) in branches {
-                collect_columns(c, out);
-                collect_columns(v, out);
-            }
-            if let Some(o) = otherwise {
-                collect_columns(o, out);
-            }
-        }
-    }
-}
-
 /// Execute an element-wise subtree as ONE fused kernel, libcudf's
 /// `cudf::ast::compute_column` model: the interpreter runs the whole tree
 /// per row in registers, so the device streams each referenced column once,
@@ -111,8 +80,11 @@ fn fused_compute(ctx: &GpuContext, expr: &Expr, input: &Table, kernels: u64) -> 
             Array::from_scalar(&s, dt, n)
         }
     };
-    let mut cols = BTreeSet::new();
-    collect_columns(expr, &mut cols);
+    // Each column the subtree reads is streamed once.
+    let mut cols = Vec::new();
+    expr.referenced_columns(&mut cols);
+    cols.sort_unstable();
+    cols.dedup();
     let in_bytes: u64 = cols
         .iter()
         .map(|i| input.column(*i).byte_size() as u64)

@@ -3,7 +3,8 @@
 //! The paper's primary contribution (§3): a SQL execution engine that treats
 //! the GPU as the *primary* execution device, consumes Substrait-style plans
 //! from host databases, and executes them end-to-end on device — scan to
-//! result — falling back to the host only for unsupported features.
+//! result. What it cannot run comes back as a typed [`SiriusError`]; the
+//! host decides whether to run the plan itself (§3.2.2).
 //!
 //! Architecture (Figure 2):
 //!
@@ -16,16 +17,15 @@
 //!   scheduler owns all breaker state.
 //! * **Buffer manager** ([`buffer`]) — the two-region memory layout of
 //!   §3.2.3: a pre-allocated caching region (with pinned-host overflow) and
-//!   an RMM-pooled processing region, plus the columnar format conversions,
-//!   including the `u64` ↔ `i32` row-index conversion at the libcudf
-//!   boundary.
+//!   an RMM-pooled processing region. The paper's `u64` ↔ `i32`
+//!   row-index conversion at the libcudf boundary is not modelled: the
+//!   kernels index rows with `i32` throughout (DESIGN §3).
 //! * **Exchange service layer** ([`exchange`]) — broadcast / shuffle /
 //!   merge / multicast over the NCCL layer (§3.2.4). Bypassed entirely in
 //!   single-node deployments.
-//! * **Drop-in acceleration** ([`context`]) — the host-facing API: plans
-//!   arrive as Substrait JSON, results return as shared columnar tables,
-//!   and a [`context::HostEngine`] hook provides the graceful CPU fallback
-//!   of §3.2.2.
+//! * **Drop-in acceleration** — the host-facing entry is
+//!   [`SiriusEngine::execute_json`]: plans arrive as Substrait JSON and
+//!   results return as shared columnar tables.
 
 #![warn(missing_docs)]
 // No panic is reachable from a query: failures are `SiriusError`s, and a
@@ -34,7 +34,6 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod buffer;
-pub mod context;
 pub mod engine;
 pub mod exchange;
 pub mod explain;
@@ -48,7 +47,6 @@ pub mod plan_cache;
 pub mod schedule;
 
 pub use buffer::BufferManager;
-pub use context::{HostEngine, SiriusContext};
 pub use engine::{EngineConfig, SiriusEngine, DEFAULT_MORSEL_ROWS};
 pub use explain::OpStats;
 pub use metrics::{MorselStats, QueryReport, RecoveryStats};
@@ -70,8 +68,8 @@ pub fn materialize_result(
         .map_err(|e| SiriusError::Kernel(e.to_string()))
 }
 
-/// Errors from the GPU engine. `Fallback`-class errors route the query back
-/// to the host database (§3.2.2's graceful fallback).
+/// Errors from the GPU engine. A host that embeds the engine may run the
+/// plan itself on any of them (§3.2.2's graceful fallback).
 #[derive(Debug, Clone)]
 pub enum SiriusError {
     /// The plan failed validation.
@@ -80,15 +78,15 @@ pub enum SiriusError {
     Kernel(String),
     /// A referenced table is not cached and no host loader was provided.
     TableNotCached(String),
-    /// The plan uses a feature this engine build does not support
-    /// (triggers host fallback).
+    /// A request could not be planned (the serve planner's SQL planning
+    /// failures).
     Unsupported(String),
     /// Every memory tier exhausted. Out-of-core execution (§3.4) spills
     /// denied working sets through pinned host memory and disk, so this is
     /// now a last resort — raised only when a single morsel's working set
     /// exceeds device, pinned, and disk capacity combined (or cannot
-    /// decompose, e.g. ungrouped `COUNT(DISTINCT)`) — and it still
-    /// triggers host fallback.
+    /// decompose, e.g. ungrouped `COUNT(DISTINCT)`) — and a host then
+    /// runs the plan itself.
     OutOfMemory(String),
     /// Exchange-layer failure.
     Exchange(String),

@@ -116,16 +116,13 @@ impl RecoveryStats {
 /// What happened during one query execution.
 #[derive(Debug, Clone)]
 pub struct QueryReport {
-    /// Engine that produced the result (`"sirius"` or the fallback host).
-    pub engine: String,
     /// Rows in the result.
     pub rows: usize,
     /// Total simulated time.
     pub elapsed: Duration,
     /// Per-operator-category attribution.
     pub breakdown: TimeBreakdown,
-    /// Pipelines of the compiled DAG the GPU run executed (0 when the host
-    /// ran the query instead).
+    /// Pipelines of the compiled DAG the run executed.
     pub pipelines: usize,
     /// Morsels the pipeline sources were partitioned into.
     pub morsels: u64,
@@ -148,8 +145,6 @@ pub struct QueryReport {
     /// Processing-pool fragmentation in `[0, 1]` at query end (share of
     /// free memory outside the largest free block).
     pub pool_fragmentation: f64,
-    /// Reason the query fell back to the host, if it did.
-    pub fallback_reason: Option<String>,
     /// Failure/retry/degradation counters (all zeros on a fault-free run).
     pub recovery: RecoveryStats,
 }
@@ -158,9 +153,8 @@ impl QueryReport {
     /// A report with every counter at zero — what a query that never ran a
     /// wave reports, and the base the measured reports fill in with
     /// struct-update syntax.
-    pub fn zeroed(engine: impl Into<String>, workers: usize) -> Self {
+    pub fn zeroed(workers: usize) -> Self {
         QueryReport {
-            engine: engine.into(),
             rows: 0,
             elapsed: Duration::ZERO,
             breakdown: TimeBreakdown::default(),
@@ -175,7 +169,6 @@ impl QueryReport {
             spill_depth: 0,
             pool_high_watermark: 0,
             pool_fragmentation: 0.0,
-            fallback_reason: None,
             recovery: RecoveryStats::default(),
         }
     }
@@ -206,7 +199,7 @@ impl QueryReport {
             spill_depth: spill.max_depth,
             pool_high_watermark: pool.high_watermark,
             pool_fragmentation: pool.fragmentation(),
-            ..QueryReport::zeroed("sirius", workers)
+            ..QueryReport::zeroed(workers)
         }
     }
 
@@ -228,59 +221,6 @@ impl QueryReport {
             .max_by(|a, b| self.breakdown.get(*a).cmp(&self.breakdown.get(*b)))
             .filter(|c| self.breakdown.get(*c) > Duration::ZERO)
     }
-
-    /// One-line rendering for harness output.
-    pub fn summary(&self) -> String {
-        let mut parts: Vec<String> = self
-            .breakdown
-            .entries()
-            .iter()
-            .map(|(c, d)| format!("{}={:.2}ms", c.label(), d.as_secs_f64() * 1e3))
-            .collect();
-        parts.push(format!(
-            "morsels={} tasks={} workers={} util={:.0}%",
-            self.morsels,
-            self.tasks,
-            self.workers,
-            self.worker_utilization * 100.0
-        ));
-        if self.spilled_pinned_bytes + self.spilled_disk_bytes > 0 {
-            parts.push(format!(
-                "spill[pinned={:.1}MiB disk={:.1}MiB parts={} depth={}]",
-                self.spilled_pinned_bytes as f64 / (1 << 20) as f64,
-                self.spilled_disk_bytes as f64 / (1 << 20) as f64,
-                self.spill_partitions,
-                self.spill_depth
-            ));
-        }
-        parts.push(format!(
-            "pool[hwm={:.1}MiB frag={:.0}%]",
-            self.pool_high_watermark as f64 / (1 << 20) as f64,
-            self.pool_fragmentation * 100.0
-        ));
-        if self.recovery.any() {
-            parts.push(format!(
-                "recovery[faults={} retries={} resched={} shrinks={} cpu={} cancelled={} reaped={}]",
-                self.recovery.faults_injected,
-                self.recovery.retries,
-                self.recovery.reschedules,
-                self.recovery.world_shrinks,
-                self.recovery.cpu_fallbacks,
-                self.recovery.cancelled_fragments,
-                self.recovery.temps_reaped
-            ));
-        }
-        if let Some(r) = &self.fallback_reason {
-            parts.push(format!("fallback={r}"));
-        }
-        format!(
-            "{}: {} rows in {:.2}ms [{}]",
-            self.engine,
-            self.rows,
-            self.elapsed.as_secs_f64() * 1e3,
-            parts.join(" ")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -292,23 +232,9 @@ mod tests {
         b.add(CostCategory::Join, Duration::from_millis(6));
         b.add(CostCategory::Filter, Duration::from_millis(2));
         QueryReport {
-            engine: "sirius".into(),
-            rows: 10,
-            elapsed: Duration::from_millis(8),
+            elapsed: b.total(),
             breakdown: b,
-            pipelines: 3,
-            morsels: 8,
-            tasks: 16,
-            workers: 4,
-            worker_utilization: 1.0,
-            spilled_pinned_bytes: 3 << 20,
-            spilled_disk_bytes: 1 << 20,
-            spill_partitions: 16,
-            spill_depth: 1,
-            pool_high_watermark: 2 << 20,
-            pool_fragmentation: 0.25,
-            fallback_reason: None,
-            recovery: RecoveryStats::default(),
+            ..QueryReport::zeroed(4)
         }
     }
 
@@ -317,25 +243,6 @@ mod tests {
         let r = report();
         assert!((r.share(CostCategory::Join) - 0.75).abs() < 1e-9);
         assert_eq!(r.dominant_category(), Some(CostCategory::Join));
-    }
-
-    #[test]
-    fn summary_renders() {
-        let s = report().summary();
-        assert!(s.contains("sirius: 10 rows"));
-        assert!(s.contains("join=6.00ms"));
-        assert!(s.contains("morsels=8 tasks=16 workers=4 util=100%"));
-        assert!(s.contains("spill[pinned=3.0MiB disk=1.0MiB parts=16 depth=1]"));
-        assert!(s.contains("pool[hwm=2.0MiB frag=25%]"));
-    }
-
-    #[test]
-    fn summary_shows_recovery_only_when_something_happened() {
-        let mut r = report();
-        assert!(!r.summary().contains("recovery["));
-        r.recovery.retries = 2;
-        r.recovery.faults_injected = 3;
-        assert!(r.summary().contains("recovery[faults=3 retries=2"));
     }
 
     #[test]
@@ -361,34 +268,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_omits_spill_when_nothing_spilled() {
-        let mut r = report();
-        r.spilled_pinned_bytes = 0;
-        r.spilled_disk_bytes = 0;
-        assert!(!r.summary().contains("spill["));
-    }
-
-    #[test]
     fn empty_breakdown_has_no_dominant() {
-        let r = QueryReport {
-            engine: "x".into(),
-            rows: 0,
-            elapsed: Duration::ZERO,
-            breakdown: TimeBreakdown::default(),
-            pipelines: 1,
-            morsels: 0,
-            tasks: 0,
-            workers: 1,
-            worker_utilization: 0.0,
-            spilled_pinned_bytes: 0,
-            spilled_disk_bytes: 0,
-            spill_partitions: 0,
-            spill_depth: 0,
-            pool_high_watermark: 0,
-            pool_fragmentation: 0.0,
-            fallback_reason: None,
-            recovery: RecoveryStats::default(),
-        };
+        let r = QueryReport::zeroed(1);
         assert_eq!(r.dominant_category(), None);
         assert_eq!(r.share(CostCategory::Join), 0.0);
     }

@@ -11,8 +11,8 @@
 //!
 //! * the scheduler ([`crate::schedule`]) executes pipelines in dependency
 //!   waves, with independent pipelines sharing the stream pool;
-//! * [`crate::pipeline::decompose`] and `SiriusEngine::pipeline_count` are
-//!   thin projections of the compiled DAG;
+//! * `SiriusEngine::pipeline_count` is a thin projection of the compiled
+//!   DAG;
 //! * `EXPLAIN ANALYZE` rows, trace span tracks, and `operator_stats()` all
 //!   key by the compile-time pre-order [`Node`] ids carried on every
 //!   operator and sink.
@@ -52,9 +52,6 @@ pub struct Pipeline {
     pub ops: Vec<PhysOp>,
     /// The breaker that materializes this pipeline's output.
     pub sink: Sink,
-    /// Logical operator count (scan/filter/project/probe plus the breaker),
-    /// as reported by `decompose` — fused scan+filter still counts two.
-    pub operators: usize,
     /// Schema of the rows entering the sink (after all `ops`).
     pub out_schema: Schema,
 }
@@ -233,9 +230,9 @@ const MAX_SEGMENT_LEN: usize = 8;
 /// Collapse each pipeline's fusable streaming runs into [`FusedSegment`]s.
 ///
 /// Runs after [`compile`], rewriting only `Pipeline::ops`: the DAG shape,
-/// dependency edges, logical operator counts, and plan-node ids are all
-/// unchanged, so `decompose`, `pipeline_count`, and `EXPLAIN` output are
-/// identical with fusion on or off.
+/// dependency edges and plan-node ids are all unchanged, so
+/// `pipeline_count` and `EXPLAIN` output are identical with fusion on or
+/// off, and each segment flattens back to the unfused op run.
 ///
 /// A run is fused when it has **at least two** ops, or when it is a lone
 /// filter. Multi-op runs save per-stage materialization; a lone filter
@@ -444,7 +441,6 @@ struct OpenPipe {
     source: Source,
     deps: Vec<usize>,
     ops: Vec<StreamOp>,
-    operators: usize,
     schema: Schema,
 }
 
@@ -464,7 +460,6 @@ impl Compiler {
             source: pipe.source,
             ops: pipe.ops.into_iter().map(PhysOp::Plain).collect(),
             sink,
-            operators: pipe.operators,
             out_schema: pipe.schema,
         });
         id
@@ -478,7 +473,6 @@ impl Compiler {
             source: Source::Pipe(dep),
             deps: vec![dep],
             ops: Vec::new(),
-            operators: 1,
             schema,
         }
     }
@@ -504,7 +498,6 @@ impl Fold for Compiler {
             },
             deps: Vec::new(),
             ops: vec![StreamOp::Scan { node }],
-            operators: 1,
             schema: rel.output_schema(&[])?,
         })
     }
@@ -517,8 +510,7 @@ impl Fold for Compiler {
         mut pipe: OpenPipe,
     ) -> Result<OpenPipe> {
         // Scan+filter fusion: the filter's scan of its input doubles
-        // as the read pass, so drop the standalone scan op. The
-        // logical operator count keeps both.
+        // as the read pass, so drop the standalone scan op.
         if matches!(pipe.ops.last(), Some(StreamOp::Scan { .. })) {
             pipe.ops.pop();
         }
@@ -526,7 +518,6 @@ impl Fold for Compiler {
             predicate: predicate.clone(),
             node,
         });
-        pipe.operators += 1;
         Ok(pipe)
     }
 
@@ -543,7 +534,6 @@ impl Fold for Compiler {
             schema: schema.clone(),
             node,
         });
-        pipe.operators += 1;
         pipe.schema = schema;
         Ok(pipe)
     }
@@ -592,7 +582,6 @@ impl Fold for Compiler {
             schema: schema.clone(),
             node,
         }));
-        left.operators += 1;
         left.schema = schema;
         Ok(left)
     }
@@ -666,7 +655,6 @@ mod tests {
         let phys = compile(&plan).unwrap();
         assert_eq!(phys.pipelines.len(), 1);
         let p = &phys.pipelines[0];
-        assert_eq!(p.operators, 2);
         assert!(p.deps.is_empty());
         assert!(matches!(p.sink, Sink::Result));
         // Scan+filter fusion: one streaming op, attributed to the filter.
@@ -684,7 +672,7 @@ mod tests {
         assert_eq!(phys.pipelines.len(), 2);
         let build = &phys.pipelines[0];
         assert!(matches!(&build.sink, Sink::JoinBuild { node, .. } if node.id == 0));
-        assert_eq!(build.operators, 1);
+        assert_eq!(build.ops.len(), 1);
         let probe = &phys.pipelines[1];
         assert_eq!(probe.deps, vec![0]);
         assert!(matches!(probe.sink, Sink::Result));
@@ -733,7 +721,6 @@ mod tests {
         // Consumer pipelines have no streaming ops: their sinks apply
         // directly to the materialized dependency.
         assert!(phys.pipelines[1].ops.is_empty());
-        assert_eq!(phys.pipelines[1].operators, 1);
     }
 
     #[test]
@@ -789,7 +776,6 @@ mod tests {
     fn fuse_collapses_streaming_runs() {
         let plan = project_v(scan("t").filter(gt(col(0), lit_i64(0)))).build();
         let mut phys = compile(&plan).unwrap();
-        let operators = phys.pipelines[0].operators;
         fuse(&mut phys);
         let p = &phys.pipelines[0];
         assert_eq!(p.ops.len(), 1);
@@ -802,8 +788,6 @@ mod tests {
         assert_eq!(seg.category(), CostCategory::Filter);
         // Project is node 0, filter node 1 on the normalized pre-order tree.
         assert_eq!(seg.label(), "fused[#1,#0]");
-        // Logical operator count is untouched by fusion.
-        assert_eq!(p.operators, operators);
     }
 
     #[test]

@@ -1,89 +1,20 @@
-//! Pipeline decomposition and the global task queue (§3.2.2).
+//! The global task queue (§3.2.2).
 //!
 //! The plan is divided into pipelines at pipeline breakers (hash-join
-//! builds, aggregations, sorts, limits, distinct, exchanges). Each pipeline
-//! becomes a task in a global queue drained by idle CPU worker threads,
-//! which launch the actual GPU kernels — the execution model the paper
-//! shares with DuckDB, Hyper, and Velox. The thread that dispatches a wave
-//! is one of those workers ([`TaskQueue::run_all`]): it runs the wave's
-//! first task itself and queues only the rest, so a one-task wave never
-//! touches the queue.
-//!
-//! [`decompose`] is a thin projection of the compiled physical DAG
-//! ([`crate::physical::compile`]): same single plan walk, same pipeline
-//! ids, sources, and dependencies as the executed plan — it simply drops
-//! the operator payloads and keeps the static shape.
+//! builds, aggregations, sorts, limits, distinct, exchanges) by
+//! [`crate::physical::compile`]. Each pipeline's source is cut into
+//! morsels, and each morsel becomes a task in a global queue drained by
+//! idle CPU worker threads, which launch the actual GPU kernels — the
+//! execution model the paper shares with DuckDB, Hyper, and Velox. The
+//! thread that dispatches a wave is one of those workers
+//! ([`TaskQueue::run_all`]): it runs the wave's first task itself and
+//! queues only the rest, so a one-task wave never touches the queue.
 
-use crate::physical::{self, Sink};
 use crate::{Result, SiriusError};
 use parking_lot::{Condvar, Mutex};
-use sirius_plan::Rel;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// What terminates a pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerKind {
-    /// Final result materialization (the root pipeline).
-    Result,
-    /// Hash-join build side.
-    JoinBuild,
-    /// Aggregation (grouped or global).
-    Aggregate,
-    /// Sort.
-    Sort,
-    /// Row-range selection (offset/fetch) over its input's final order.
-    Limit,
-    /// Duplicate elimination.
-    Distinct,
-    /// Distributed exchange.
-    Exchange,
-}
-
-/// Static description of one pipeline.
-#[derive(Debug, Clone)]
-pub struct PipelineInfo {
-    /// Pipeline id (topological: deps have smaller ids).
-    pub id: usize,
-    /// Pipelines whose results this one consumes.
-    pub deps: Vec<usize>,
-    /// The breaker terminating this pipeline.
-    pub breaker: BreakerKind,
-    /// Number of operators in the pipeline.
-    pub operators: usize,
-}
-
-/// Decompose a plan into its pipeline DAG — the static shape of exactly
-/// what [`crate::SiriusEngine::execute`] runs, obtained by compiling the
-/// plan and dropping the operator payloads. Plans that fail to compile
-/// yield no pipelines.
-pub fn decompose(plan: &Rel) -> Vec<PipelineInfo> {
-    let Ok(phys) = physical::compile(plan) else {
-        return Vec::new();
-    };
-    phys.pipelines
-        .iter()
-        .map(|p| PipelineInfo {
-            id: p.id,
-            deps: p.deps.clone(),
-            breaker: match &p.sink {
-                Sink::Result => BreakerKind::Result,
-                Sink::JoinBuild { .. } => BreakerKind::JoinBuild,
-                Sink::Aggregate(_) => BreakerKind::Aggregate,
-                Sink::Sort { .. } => BreakerKind::Sort,
-                Sink::Limit { .. } => BreakerKind::Limit,
-                Sink::Distinct { .. } => BreakerKind::Distinct,
-                Sink::Exchange { .. } => BreakerKind::Exchange,
-            },
-            operators: p.operators,
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Global task queue
-// ---------------------------------------------------------------------------
 
 type Task = Box<dyn FnOnce() + Send>;
 
@@ -231,6 +162,7 @@ impl Drop for TaskQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physical::{compile, PhysOp, Pipeline, Sink, StreamOp};
     use sirius_columnar::{DataType, Field, Schema};
     use sirius_plan::builder::PlanBuilder;
     use sirius_plan::expr::{col, gt, lit_i64, AggExpr};
@@ -240,49 +172,53 @@ mod tests {
         PlanBuilder::scan("t", Schema::new(vec![Field::new("k", DataType::Int64)]))
     }
 
+    fn pipelines(plan: PlanBuilder) -> Vec<Pipeline> {
+        compile(&plan.build()).unwrap().pipelines
+    }
+
     #[test]
     fn scan_filter_is_one_pipeline() {
-        let plan = scan().filter(gt(col(0), lit_i64(0))).build();
-        let p = decompose(&plan);
+        let p = pipelines(scan().filter(gt(col(0), lit_i64(0))));
         assert_eq!(p.len(), 1);
-        assert_eq!(p[0].operators, 2);
-        assert_eq!(p[0].breaker, BreakerKind::Result);
+        // The filter's pass doubles as the scan's read.
+        assert!(matches!(
+            p[0].ops[..],
+            [PhysOp::Plain(StreamOp::Filter { .. })]
+        ));
+        assert!(matches!(p[0].sink, Sink::Result));
     }
 
     #[test]
     fn join_splits_build_and_probe() {
-        let plan = scan()
-            .join(scan(), JoinKind::Inner, vec![col(0)], vec![col(0)], None)
-            .build();
-        let p = decompose(&plan);
+        let p = pipelines(scan().join(scan(), JoinKind::Inner, vec![col(0)], vec![col(0)], None));
         assert_eq!(p.len(), 2);
-        assert_eq!(p[0].breaker, BreakerKind::JoinBuild);
-        assert_eq!(p[1].breaker, BreakerKind::Result);
+        assert!(matches!(p[0].sink, Sink::JoinBuild { .. }));
+        assert!(matches!(p[1].sink, Sink::Result));
         assert_eq!(p[1].deps, vec![0]);
     }
 
     #[test]
     fn aggregate_and_sort_break() {
-        let plan = scan()
-            .aggregate(
-                vec![col(0)],
-                vec![AggExpr {
-                    func: AggFunc::CountStar,
-                    input: None,
-                    name: "n".into(),
-                }],
-            )
-            .sort(vec![sirius_plan::expr::SortExpr {
-                expr: col(0),
-                ascending: true,
-            }])
-            .build();
-        let p = decompose(&plan);
+        let p = pipelines(
+            scan()
+                .aggregate(
+                    vec![col(0)],
+                    vec![AggExpr {
+                        func: AggFunc::CountStar,
+                        input: None,
+                        name: "n".into(),
+                    }],
+                )
+                .sort(vec![sirius_plan::expr::SortExpr {
+                    expr: col(0),
+                    ascending: true,
+                }]),
+        );
         // scan→agg | agg-out→sort | sort-out→result
         assert_eq!(p.len(), 3);
-        assert_eq!(p[0].breaker, BreakerKind::Aggregate);
-        assert_eq!(p[1].breaker, BreakerKind::Sort);
-        assert_eq!(p[2].breaker, BreakerKind::Result);
+        assert!(matches!(p[0].sink, Sink::Aggregate(_)));
+        assert!(matches!(p[1].sink, Sink::Sort { .. }));
+        assert!(matches!(p[2].sink, Sink::Result));
     }
 
     type Boxed<R> = Box<dyn FnOnce() -> R + Send>;

@@ -54,7 +54,6 @@ use sirius_plan::expr::Expr;
 use sirius_plan::visit::Node;
 use sirius_spill::MemoryGrant;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -357,13 +356,10 @@ impl SiriusEngine {
             Scheduling::Serialized => &ready[..1],
             Scheduling::Concurrent => &ready[..],
         };
-        // The lane cap scopes this wave only: every dispatch inside the
-        // wave (including Grace-join prefix materialization) reads it via
-        // `effective_streams`, and it resets before the error propagates.
-        self.lane_cap.store(lanes.max(1), Ordering::Relaxed);
-        let waved = self.run_wave(&run.phys, batch, &mut run.results);
-        self.lane_cap.store(usize::MAX, Ordering::Relaxed);
-        waved?;
+        // Every dispatch inside the wave (including Grace-join prefix
+        // materialization) spreads over this many streams.
+        let streams = self.workers().min(lanes).max(1);
+        self.run_wave(&run.phys, batch, &mut run.results, streams)?;
         self.stats.lock().pipelines_run += batch.len() as u64;
         run.completed += batch.len();
         for &id in batch {
@@ -390,13 +386,13 @@ impl SiriusEngine {
         plan: &Arc<PhysicalPlan>,
         batch: &[usize],
         results: &mut HashMap<usize, PipeResult>,
+        streams: usize,
     ) -> Result<()> {
         let mut preps = Vec::with_capacity(batch.len());
         for &id in batch {
-            preps.push(self.prepare(plan, &plan.pipelines[id], results)?);
+            preps.push(self.prepare(plan, &plan.pipelines[id], results, streams)?);
         }
 
-        let streams = self.effective_streams();
         let with_tasks = preps.iter().filter(|p| !p.chunks.is_empty()).count();
         let width = (streams / with_tasks.max(1)).max(1);
         let wave_t0 = self.wave_start();
@@ -413,11 +409,11 @@ impl SiriusEngine {
                     _ => None,
                 };
                 let chunks = std::mem::take(&mut prep.chunks);
-                tasks.extend(self.morsel_tasks(chunks, &prep.chain, agg, offset, width));
+                tasks.extend(self.morsel_tasks(chunks, &prep.chain, agg, offset, width, streams));
             }
             counts.push(tasks.len() - before);
         }
-        let mut outs = self.dispatch_streams(tasks);
+        let mut outs = self.dispatch_streams(tasks, streams);
         for prep in &preps {
             if !matches!(prep.mode, Mode::Direct) {
                 self.wave_spans(&prep.chain, wave_t0);
@@ -443,6 +439,7 @@ impl SiriusEngine {
         plan: &Arc<PhysicalPlan>,
         pipe: &'a Pipeline,
         results: &HashMap<usize, PipeResult>,
+        streams: usize,
     ) -> Result<Prepared<'a>> {
         let start = self.wave_start();
         let mut source = match &pipe.source {
@@ -485,7 +482,8 @@ impl SiriusEngine {
                         // breaker).
                         let prefix = chain(std::mem::take(&mut runs), std::mem::take(&mut builds));
                         let schema = prefix.out_schema(source.schema());
-                        let morsels = self.run_prefix(&prefix, self.chunk_and_count(&source))?;
+                        let morsels =
+                            self.run_prefix(&prefix, self.chunk_and_count(&source), streams)?;
                         let lt = concat_morsels(schema, &morsels);
                         let grace_start = self.wave_start();
                         source = self.grace_join(&lt, &b.table, probe)?;
@@ -561,8 +559,8 @@ impl SiriusEngine {
         agg: Option<&'a Arc<PartialAgg>>,
         offset: usize,
         width: usize,
+        streams: usize,
     ) -> impl Iterator<Item = (usize, Job)> + 'a {
-        let streams = self.effective_streams();
         let overhead = self.task_overhead();
         chunks.into_iter().enumerate().map(move |(i, morsel)| {
             let stream = (offset + (i % width)) % streams;
@@ -579,11 +577,15 @@ impl SiriusEngine {
     /// Push every morsel through a Grace-join probe prefix as its own task
     /// (full-width round-robin); regular pipelines go through
     /// [`Self::run_wave`]'s shared dispatch.
-    fn run_prefix(&self, prefix: &Arc<Chain>, chunks: Vec<Table>) -> Result<Vec<Table>> {
+    fn run_prefix(
+        &self,
+        prefix: &Arc<Chain>,
+        chunks: Vec<Table>,
+        streams: usize,
+    ) -> Result<Vec<Table>> {
         let wave_start = self.wave_start();
-        let width = self.effective_streams();
-        let tasks = self.morsel_tasks(chunks, prefix, None, 0, width).collect();
-        let outs = self.dispatch_streams(tasks);
+        let tasks = self.morsel_tasks(chunks, prefix, None, 0, streams, streams);
+        let outs = self.dispatch_streams(tasks.collect(), streams);
         self.wave_spans(prefix, wave_start);
         Ok(split(outs.collect::<Result<_>>()?).0)
     }
@@ -782,7 +784,11 @@ impl SiriusEngine {
     /// recording the stream assignment in the scheduler counters; then
     /// replay task *i*'s charges onto its stream, in task order — a failed
     /// task's too, up to where it failed — and synchronize the streams.
-    fn dispatch_streams(&self, tasks: Vec<(usize, Job)>) -> impl Iterator<Item = Result<TaskOut>> {
+    fn dispatch_streams(
+        &self,
+        tasks: Vec<(usize, Job)>,
+        width: usize,
+    ) -> impl Iterator<Item = Result<TaskOut>> {
         let streams: Vec<usize> = tasks.iter().map(|(stream, _)| *stream).collect();
         if !streams.is_empty() {
             // Size the per-stream counters by the lanes this query may
@@ -791,7 +797,6 @@ impl SiriusEngine {
             // `worker_utilization` is measured against its own slice, so a
             // perfectly balanced width-2 query on an 8-stream pool reports
             // 1.0, not 0.25.
-            let width = self.effective_streams();
             let mut s = self.stats.lock();
             s.tasks += streams.len() as u64;
             if s.tasks_per_stream.len() < width {

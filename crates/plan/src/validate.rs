@@ -1,8 +1,8 @@
 //! Structural and type validation of plan trees.
 //!
-//! The paper's engine falls back to the host on "an error or missing
-//! features" (§3.2.2); validation is the first gate — a plan that fails
-//! here is routed back to the host engine before execution starts.
+//! Validation is the engine's first gate: a plan that fails here is a
+//! typed error before execution starts, and the host that sent it runs it
+//! instead (§3.2.2).
 
 use crate::expr::{expect_bool, AggExpr, AggFunc};
 use crate::rel::{ExchangeKind, JoinKind, Rel};
@@ -113,56 +113,6 @@ pub fn validate(plan: &Rel) -> Result<Schema> {
 fn ensure(ok: bool, why: &str) -> Result<()> {
     ok.then_some(())
         .ok_or_else(|| PlanError::Invalid(why.into()))
-}
-
-/// Features the GPU engine supports. Used by the fallback check: a valid
-/// plan may still contain features Sirius lacks (mirroring the paper's
-/// limited distributed SQL coverage), in which case the host executes it.
-#[derive(Debug, Clone)]
-pub struct FeatureSet {
-    /// Sorts supported.
-    pub sort: bool,
-    /// Left/Single outer joins supported.
-    pub outer_joins: bool,
-    /// `AVG` supported (the paper's distributed mode lacks it).
-    pub avg: bool,
-    /// `COUNT(DISTINCT)` supported.
-    pub count_distinct: bool,
-}
-
-impl FeatureSet {
-    /// Everything on (single-node Sirius).
-    pub fn full() -> Self {
-        Self {
-            sort: true,
-            outer_joins: true,
-            avg: true,
-            count_distinct: true,
-        }
-    }
-
-    /// First unsupported feature found in `plan`, or `None` if fully
-    /// supported.
-    pub fn first_unsupported(&self, plan: &Rel) -> Option<String> {
-        let here = match plan {
-            Rel::Sort { .. } if !self.sort => Some("Sort".to_string()),
-            Rel::Join {
-                kind: JoinKind::Left | JoinKind::Single,
-                ..
-            } if !self.outer_joins => Some("OuterJoin".to_string()),
-            Rel::Aggregate { aggregates, .. } => aggregates.iter().find_map(|a| match a.func {
-                AggFunc::Avg if !self.avg => Some("Avg".to_string()),
-                AggFunc::CountDistinct if !self.count_distinct => Some("CountDistinct".to_string()),
-                _ => None,
-            }),
-            _ => None,
-        };
-        here.or_else(|| {
-            plan.children()
-                .iter()
-                .find_map(|c| self.first_unsupported(c))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -281,23 +231,5 @@ mod tests {
             )
             .build();
         assert!(matches!(validate(&p), Err(PlanError::TypeError(_))));
-    }
-
-    #[test]
-    fn feature_set_detects_avg() {
-        let p = scan()
-            .aggregate(
-                vec![],
-                vec![AggExpr {
-                    func: AggFunc::Avg,
-                    input: Some(expr::col(0)),
-                    name: "a".into(),
-                }],
-            )
-            .build();
-        let mut fs = FeatureSet::full();
-        assert_eq!(fs.first_unsupported(&p), None);
-        fs.avg = false;
-        assert_eq!(fs.first_unsupported(&p), Some("Avg".to_string()));
     }
 }

@@ -131,11 +131,10 @@ impl<T> DataCache<T> {
             .iter()
             .filter(|(_, e)| e.tier == tier)
             .min_by_key(|(_, e)| e.last_touch)
-            .map(|(k, _)| k.clone());
-        let Some(key) = victim else {
+            .map(|(k, e)| (k.clone(), e.bytes));
+        let Some((key, bytes)) = victim else {
             return false;
         };
-        let bytes = inner.entries[&key].bytes;
         let (alloc, new_tier) = match tier {
             CacheTier::Device => {
                 let mut placed = None;
@@ -158,7 +157,11 @@ impl<T> DataCache<T> {
             CacheTier::PinnedHost => (None, CacheTier::Disk),
             CacheTier::Disk => return false,
         };
-        let e = inner.entries.get_mut(&key).expect("victim exists");
+        // Demoting a lower tier to make room moves entries, never removes
+        // one, so the victim is still here.
+        let Some(e) = inner.entries.get_mut(&key) else {
+            return false;
+        };
         // Assigning drops the old reservation, freeing the upper tier.
         e.alloc = alloc;
         e.tier = new_tier;

@@ -21,6 +21,10 @@
 //! fragmentation looks like.
 
 #![warn(missing_docs)]
+// A full tier is a typed outcome (`None`, `false`, an allocation error),
+// never a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod cache;
 pub mod pool;

@@ -158,7 +158,7 @@ mod tests {
                 )),
                 _ => Err(SiriusError::Cancelled("test".into())),
             },
-            report: sirius_core::QueryReport::zeroed("sirius", 1),
+            report: sirius_core::QueryReport::zeroed(1),
             arrival: Duration::ZERO,
             admitted: Duration::ZERO,
             completed: Duration::from_millis(latency_ms),

@@ -620,12 +620,7 @@ impl<'a> Replay<'a> {
         }
         let workers = self.srv.base.workers();
         let (admitted, mut report, events, table) = match slot {
-            None => (
-                self.now,
-                QueryReport::zeroed("sirius", workers),
-                Vec::new(),
-                None,
-            ),
+            None => (self.now, QueryReport::zeroed(workers), Vec::new(), None),
             Some(mut s) => {
                 if error.is_some() {
                     s.run.abort();

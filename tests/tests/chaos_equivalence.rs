@@ -140,7 +140,7 @@ fn report_elapsed_equals_breakdown_total() {
     // reported outcome's `elapsed` must equal its `breakdown.total()`.
     // (The distributed half — per_node vs ledger deltas across retried
     // attempts — is asserted inside the chaos sweep above.)
-    use sirius_core::{SiriusContext, SiriusEngine};
+    use sirius_core::SiriusEngine;
     use sirius_hw::catalog as hw;
 
     let fix = fixture();
@@ -150,11 +150,10 @@ fn report_elapsed_equals_breakdown_total() {
         duck.create_table(name.clone(), table.clone());
         engine.load_table(name.clone(), table);
     }
-    let ctx = SiriusContext::new(engine);
     for (id, sql, _) in &fix.expected {
         let plan = duck.plan(sql).unwrap_or_else(|e| panic!("Q{id} plan: {e}"));
-        let (_, report) = ctx
-            .execute_plan(&plan)
+        let (_, report) = engine
+            .execute_measured(&plan)
             .unwrap_or_else(|e| panic!("Q{id}: {e}"));
         assert_eq!(
             report.elapsed,

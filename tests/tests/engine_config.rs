@@ -3,7 +3,7 @@
 //! query's view inherits the configuration, and one meter fills every
 //! [`sirius_core::QueryReport`].
 
-use sirius_core::{EngineConfig, Scheduling, SiriusContext, SiriusEngine};
+use sirius_core::{EngineConfig, Scheduling, SiriusEngine};
 use sirius_duckdb::DuckDb;
 use sirius_hw::{catalog as hw, FaultInjector, FaultPlan, Link, TraceConfig};
 use sirius_plan::Rel;
@@ -132,7 +132,7 @@ fn query_view_inherits_the_config_except_trace_and_operator_stats() {
     }
 }
 
-/// `SiriusContext::execute_plan`'s report is what the ledger, the morsel
+/// `SiriusEngine::execute_measured`'s report is what the ledger, the morsel
 /// scheduler, the spill tiers and the processing pool moved by around the
 /// call — the fields the deleted `bench::Run::of` diffed by hand — for Q1
 /// with an eighth of the tables' bytes as device memory, so the spill
@@ -147,19 +147,17 @@ fn one_meter_reports_what_the_counters_moved_by() {
         .sum();
     let mut tight = EngineConfig::new(hw::gh200_gpu());
     tight.spec.memory_bytes = (table_bytes / 8).max(4096);
-    let ctx = SiriusContext::new(loaded(SiriusEngine::from_config(tight), &data));
-    let engine = ctx.engine();
+    let engine = loaded(SiriusEngine::from_config(tight), &data);
 
     let ledger = engine.device().breakdown();
     let morsels = engine.morsel_stats();
     let spill = engine.spill_stats();
-    let (table, report) = ctx.execute_plan(&plans[0].1).expect("Q1");
+    let (table, report) = engine.execute_measured(&plans[0].1).expect("Q1");
     let ledger = engine.device().breakdown().since(&ledger);
     let morsels = engine.morsel_stats().since(&morsels);
     let spill = engine.spill_stats().since(&spill);
     let pool = engine.buffer_manager().regions().processing().stats();
 
-    assert_eq!(report.engine, "sirius");
     assert_eq!(report.rows, table.num_rows());
     assert_eq!(report.breakdown, ledger);
     assert_eq!(report.elapsed, ledger.total());
@@ -179,5 +177,5 @@ fn one_meter_reports_what_the_counters_moved_by() {
     assert_eq!(report.spill_depth, spill.max_depth);
     assert_eq!(report.pool_high_watermark, pool.high_watermark);
     assert_eq!(report.pool_fragmentation, pool.fragmentation());
-    assert!(report.fallback_reason.is_none() && !report.recovery.any());
+    assert!(!report.recovery.any());
 }

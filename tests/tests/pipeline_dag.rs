@@ -1,16 +1,15 @@
-//! The compiled pipeline DAG is the single source of truth: the static
-//! views (`pipeline_count`, `pipeline::decompose`) must agree with what
-//! the scheduler actually executes, on every TPC-H plan.
+//! The compiled pipeline DAG is the single source of truth: its static
+//! shape (`physical::compile`, `pipeline_count`) must agree with what the
+//! scheduler actually executes, on every TPC-H plan.
 
 use sirius_core::physical::{compile, fuse, PhysOp};
-use sirius_core::pipeline::decompose;
 use sirius_core::{EngineConfig, Scheduling, SiriusEngine};
 use sirius_duckdb::DuckDb;
 use sirius_hw::catalog as hw;
 use sirius_tpch::{queries, TpchGenerator};
 
-/// For all 22 queries: `pipeline_count` == `decompose(plan).len()` ==
-/// the number of pipelines the scheduler ran (`MorselStats::pipelines_run`
+/// For all 22 queries: `pipeline_count` == `compile(plan).pipelines.len()`
+/// == the number of pipelines the scheduler ran (`MorselStats::pipelines_run`
 /// delta across the execute call), under both scheduling modes.
 #[test]
 fn pipeline_count_matches_executed_dag_on_all_queries() {
@@ -32,20 +31,19 @@ fn pipeline_count_matches_executed_dag_on_all_queries() {
         let compiled = concurrent.pipeline_count(&plan);
         assert!(compiled > 0, "Q{id}: plan compiled to an empty DAG");
 
-        let infos = decompose(&plan);
+        let pipelines = compile(&plan).unwrap().pipelines;
         assert_eq!(
-            infos.len(),
+            pipelines.len(),
             compiled,
-            "Q{id}: decompose disagrees with pipeline_count"
+            "Q{id}: compile disagrees with pipeline_count"
         );
-        // The projection preserves the DAG shape: ids are dense, deps
-        // point backwards, and the last pipeline is the result sink.
-        for (i, info) in infos.iter().enumerate() {
-            assert_eq!(info.id, i, "Q{id}: pipeline ids must be dense");
+        // Ids are dense and deps point backwards.
+        for (i, pipe) in pipelines.iter().enumerate() {
+            assert_eq!(pipe.id, i, "Q{id}: pipeline ids must be dense");
             assert!(
-                info.deps.iter().all(|&d| d < i),
+                pipe.deps.iter().all(|&d| d < i),
                 "Q{id}: pipeline {i} depends forward: {:?}",
-                info.deps
+                pipe.deps
             );
         }
 
@@ -64,8 +62,7 @@ fn pipeline_count_matches_executed_dag_on_all_queries() {
 }
 
 /// Data-path fusion is a post-compile rewrite of `Pipeline::ops` only: on
-/// every TPC-H plan, the DAG shape (pipeline count, ids, deps), the
-/// logical `operators` counts, and `decompose`'s static view are identical
+/// every TPC-H plan, the DAG shape (pipeline count, ids, deps) is identical
 /// with fusion on and off, and each fused segment flattens back to exactly
 /// the unfused op sequence (same plan-node ids, same order).
 #[test]
@@ -91,21 +88,9 @@ fn fusion_preserves_logical_pipeline_shape() {
         fuse(&mut fused);
 
         assert_eq!(fused.pipelines.len(), unfused.pipelines.len(), "Q{id}");
-        let infos = decompose(&plan);
-        assert_eq!(infos.len(), fused.pipelines.len(), "Q{id}");
         for (f, u) in fused.pipelines.iter().zip(&unfused.pipelines) {
             assert_eq!(f.id, u.id);
             assert_eq!(f.deps, u.deps, "Q{id} pipeline {}", u.id);
-            assert_eq!(
-                f.operators, u.operators,
-                "Q{id} pipeline {}: fusion changed the logical operator count",
-                u.id
-            );
-            assert_eq!(
-                infos[u.id].operators, u.operators,
-                "Q{id} pipeline {}: decompose disagrees",
-                u.id
-            );
             // Flattening the fused ops' runs reproduces the unfused chain.
             let ids = |ops: &[PhysOp]| -> Vec<u32> {
                 let runs = ops.iter().flat_map(|op| op.run());
@@ -127,7 +112,7 @@ fn fusion_preserves_logical_pipeline_shape() {
                 .execute(&plan)
                 .unwrap_or_else(|e| panic!("Q{id}: {e}"));
             let ran = engine.morsel_stats().since(&before).pipelines_run;
-            assert_eq!(ran as usize, infos.len(), "Q{id}");
+            assert_eq!(ran as usize, unfused.pipelines.len(), "Q{id}");
         }
     }
     assert!(

@@ -16,7 +16,7 @@
 //! range under a `Cast`, `Like`, `InList` or `Substring`, in a `CASE`
 //! condition or a later `CASE` branch used to type-check (those arms never
 //! looked at their operand) and panic in an evaluator — reachable from
-//! `SiriusContext::execute_json`, i.e. from host input. Each is a typed error
+//! `SiriusEngine::execute_json`, i.e. from host input. Each is a typed error
 //! at every plan entry now.
 //!
 //! **One rule.** Plans and kernels share one operator vocabulary
@@ -26,7 +26,7 @@
 
 use sirius_columnar::ops::{AggFunc, BinOp, UnOp};
 use sirius_columnar::{Array, DataType, Field, Scalar, Schema, Table};
-use sirius_core::{EngineConfig, FeedbackStore, OpStats, SiriusContext, SiriusEngine, SiriusError};
+use sirius_core::{EngineConfig, FeedbackStore, OpStats, SiriusEngine, SiriusError};
 use sirius_cudf::binary::{binary_op, Datum};
 use sirius_cudf::groupby::{group_by, AggRequest};
 use sirius_cudf::unary::unary_op;
@@ -318,7 +318,6 @@ fn an_untypable_operand_is_a_typed_error_at_every_plan_entry() {
     let gpu = SiriusEngine::from_config(EngineConfig::new(hw::gh200_gpu()));
     gpu.load_table("t", &table);
     gpu.device().reset();
-    let context = SiriusContext::new(gpu);
     let mut catalog = Catalog::new();
     catalog.register("t", table.clone());
     let cpu = CpuEngine::new(hw::m7i_16xlarge(), EngineProfile::duckdb());
@@ -331,11 +330,11 @@ fn an_untypable_operand_is_a_typed_error_at_every_plan_entry() {
 
         let wire = json::to_json(&plan).unwrap();
         assert_eq!(json::from_json(&wire).unwrap(), plan, "{name}: the wire");
-        match context.execute_json(&wire) {
+        match gpu.execute_json(&wire) {
             Err(SiriusError::Plan(e)) => assert_eq!(e, want, "{name}: execute_json"),
             other => panic!("{name}: execute_json returned {:?}", other.map(|_| ())),
         }
-        let charged = context.engine().device().elapsed();
+        let charged = gpu.device().elapsed();
         assert_eq!(charged, Duration::ZERO, "{name}: nothing charged");
 
         match cpu.execute(&plan, &catalog) {
@@ -348,6 +347,21 @@ fn an_untypable_operand_is_a_typed_error_at_every_plan_entry() {
             other => panic!("{name}: DuckDb returned {:?}", other.map(|_| ())),
         }
     }
+
+    // A well-typed plan over a table the engine never cached.
+    let wire = json::to_json(&PlanBuilder::scan("never_loaded", schema()).build()).unwrap();
+    match gpu.execute_json(&wire) {
+        Err(SiriusError::TableNotCached(t)) => assert_eq!(t, "never_loaded"),
+        other => panic!(
+            "uncached table: execute_json returned {:?}",
+            other.map(|_| ())
+        ),
+    }
+    assert_eq!(
+        gpu.device().elapsed(),
+        Duration::ZERO,
+        "uncached: nothing charged"
+    );
 }
 
 /// One non-NULL row of every operand kind the kernels take.

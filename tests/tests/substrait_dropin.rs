@@ -1,47 +1,46 @@
 //! The drop-in acceleration contract: host plans cross the Substrait JSON
-//! boundary into Sirius, results come back, and failures fall back to the
-//! host engine — with the host's own answer.
+//! boundary into Sirius, results come back, and whatever Sirius refuses the
+//! host runs itself — with the host's own answer. The host is the only
+//! place that falls back (`DuckDb::execute_plan`).
 
-use sirius_core::{EngineConfig, HostEngine, SiriusContext, SiriusEngine};
+use sirius_core::{EngineConfig, SiriusEngine};
 use sirius_duckdb::{Accelerator, DuckDb, ExecutedBy};
 use sirius_hw::catalog as hw;
 use sirius_integration::assert_tables_equivalent;
-use sirius_plan::validate::FeatureSet;
-use sirius_plan::{json, Rel};
-use sirius_tpch::{queries, TpchGenerator};
+use sirius_plan::json;
+use sirius_tpch::{queries, TpchData, TpchGenerator};
 use std::sync::Arc;
 
-struct Ext {
-    ctx: SiriusContext,
-}
+struct Ext(SiriusEngine);
 
 impl Accelerator for Ext {
     fn execute_substrait(&self, wire: &str) -> Result<sirius_columnar::Table, String> {
-        self.ctx
-            .execute_json(wire)
-            .map(|(t, _)| t)
-            .map_err(|e| e.to_string())
+        self.0.execute_json(wire).map_err(|e| e.to_string())
     }
     fn cache_table(&self, name: &str, table: &sirius_columnar::Table) {
-        self.ctx.engine().load_table(name, table);
+        self.0.load_table(name, table);
     }
     fn name(&self) -> &str {
         "sirius"
     }
 }
 
-#[test]
-fn whole_tpch_through_the_json_wire() {
-    let data = TpchGenerator::new(0.005).generate();
+/// A plain host and one accelerated by `engine`, both holding `data`.
+fn hosts(data: &TpchData, engine: SiriusEngine) -> (DuckDb, DuckDb) {
     let mut plain = DuckDb::new();
     let mut accelerated = DuckDb::new();
     for (name, table) in data.tables() {
         plain.create_table(name.clone(), table.clone());
         accelerated.create_table(name.clone(), table.clone());
     }
-    accelerated.register_accelerator(Arc::new(Ext {
-        ctx: SiriusContext::new(SiriusEngine::new(hw::gh200_gpu())),
-    }));
+    accelerated.register_accelerator(Arc::new(Ext(engine)));
+    (plain, accelerated)
+}
+
+#[test]
+fn whole_tpch_through_the_json_wire() {
+    let data = TpchGenerator::new(0.005).generate();
+    let (plain, accelerated) = hosts(&data, SiriusEngine::new(hw::gh200_gpu()));
 
     for (id, sql) in queries::all() {
         let reference = plain.sql(sql).unwrap_or_else(|e| panic!("Q{id} host: {e}"));
@@ -72,81 +71,51 @@ fn plans_survive_the_wire_byte_for_byte() {
     }
 }
 
-struct DuckHost(DuckDb);
-impl HostEngine for DuckHost {
-    fn execute_host(&self, plan: &Rel) -> Result<sirius_columnar::Table, String> {
-        self.0.execute_plan(plan).map_err(|e| e.to_string())
-    }
-    fn name(&self) -> &str {
-        "duckdb"
-    }
-}
-
+/// An ungrouped `COUNT(DISTINCT)` cannot split into spillable partials: on
+/// a GPU with 1/16 of the tables' bytes it runs out of device memory, and
+/// the host answers it. At 1/8 the same query runs on the GPU, so the limit
+/// — not a switched-off operator — is what sends it back.
 #[test]
 fn fallback_produces_the_host_answer() {
-    let data = TpchGenerator::new(0.005).generate();
-    let mut db = DuckDb::new();
-    for (name, table) in data.tables() {
-        db.create_table(name.clone(), table.clone());
+    const SQL: &str = "select count(distinct l_partkey) as n from lineitem";
+    let data = TpchGenerator::new(0.01).generate();
+    let table_bytes: u64 = data
+        .tables()
+        .iter()
+        .map(|(_, t)| t.byte_size() as u64)
+        .sum();
+    for (share, on_gpu) in [(16, false), (8, true)] {
+        let mut config = EngineConfig::new(hw::gh200_gpu());
+        config.spec.memory_bytes = table_bytes / share;
+        let (plain, accelerated) = hosts(&data, SiriusEngine::from_config(config));
+        let expected = plain.sql(SQL).unwrap();
+        let got = accelerated.sql(SQL).unwrap();
+        assert_tables_equivalent(&format!("1/{share} memory"), &expected, &got);
+        match accelerated.last_executed_by() {
+            ExecutedBy::FallbackAfter(reason) if !on_gpu => assert!(
+                reason.starts_with("device out of memory: ungrouped COUNT(DISTINCT)"),
+                "{reason}"
+            ),
+            ExecutedBy::Accelerator(_) if on_gpu => {}
+            by => panic!("1/{share} memory ran via {by:?}"),
+        }
     }
-    let expected = db.sql(queries::Q1).unwrap();
-    let plan = db.plan(queries::Q1).unwrap();
-
-    // A GPU build without AVG: Q1 must fall back and still be right.
-    let mut features = FeatureSet::full();
-    features.avg = false;
-    let engine = SiriusEngine::from_config(EngineConfig {
-        features,
-        ..EngineConfig::new(hw::gh200_gpu())
-    });
-    for (name, table) in data.tables() {
-        engine.load_table(name.clone(), table);
-    }
-    let ctx = SiriusContext::new(engine).with_host(Arc::new(DuckHost(db)));
-    let (out, report) = ctx.execute_plan(&plan).unwrap();
-    assert_tables_equivalent("Q1 fallback", &expected, &out);
-    assert_eq!(report.engine, "duckdb");
-    assert!(report.fallback_reason.is_some());
 }
 
+/// Any accelerator error sends the plan back, not only running out of
+/// memory: a scalar subquery that returns two rows fails Sirius's
+/// single-row join, the host runs the plan, and the host's own error is
+/// what the caller sees.
 #[test]
 fn kernel_failures_also_fall_back() {
-    // A scalar subquery that returns two rows makes the GPU engine's
-    // Single join error; the host (which would hit the same error) is not
-    // registered, so the error surfaces — then with a host that "handles"
-    // it, the fallback result is returned.
-    struct AlwaysSeven;
-    impl HostEngine for AlwaysSeven {
-        fn execute_host(&self, _plan: &Rel) -> Result<sirius_columnar::Table, String> {
-            Ok(sirius_columnar::Table::new(
-                sirius_columnar::Schema::new(vec![sirius_columnar::Field::new(
-                    "x",
-                    sirius_columnar::DataType::Int64,
-                )]),
-                vec![sirius_columnar::Array::from_i64([7])],
-            ))
-        }
-        fn name(&self) -> &str {
-            "seven"
-        }
+    let data = TpchGenerator::new(0.002).generate();
+    let (plain, accelerated) = hosts(&data, SiriusEngine::new(hw::gh200_gpu()));
+    let sql = "select n_name from nation where n_regionkey = (select r_regionkey from region where r_regionkey < 2)";
+    let host_error = plain.sql(sql).map(|_| ()).unwrap_err().to_string();
+    let error = accelerated.sql(sql).map(|_| ()).unwrap_err().to_string();
+    assert_eq!(error, host_error);
+    match accelerated.last_executed_by() {
+        ExecutedBy::FallbackAfter(reason) => assert!(reason.starts_with("kernel"), "{reason}"),
+        by => panic!("ran via {by:?}"),
     }
-
-    let engine = SiriusEngine::new(hw::gh200_gpu());
-    // A table that is not cached triggers the TableNotCached fallback class.
-    let plan = Rel::Read {
-        table: "never_loaded".into(),
-        schema: sirius_columnar::Schema::new(vec![sirius_columnar::Field::new(
-            "x",
-            sirius_columnar::DataType::Int64,
-        )]),
-        projection: None,
-    };
-    let bare = SiriusContext::new(engine);
-    assert!(bare.execute_plan(&plan).is_err());
-
-    let engine = SiriusEngine::new(hw::gh200_gpu());
-    let ctx = SiriusContext::new(engine).with_host(Arc::new(AlwaysSeven));
-    let (out, report) = ctx.execute_plan(&plan).unwrap();
-    assert_eq!(out.column(0).i64_value(0), Some(7));
-    assert_eq!(report.engine, "seven");
 }
