@@ -213,7 +213,7 @@ pub fn faults(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
         // A fresh cluster per scenario so each query sees the scenario's
         // faults from a clean injector ledger.
         for (label, fault_plan) in &scenarios {
-            let mut config = ClusterConfig::for_world(NODES);
+            let mut config = ClusterConfig::default();
             config.retry.max_retries = 8;
             config.fault_plan = fault_plan.clone();
             let c = lab.cluster(NodeEngineKind::SiriusGpu, config);
@@ -438,7 +438,7 @@ pub fn encoding(encoded: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> 
     // exchanges move codes only; decoded exchanges re-ship payload strings
     // every time. Per link: the bytes the second, steady-state query moved.
     let [enc_links, dec_links] = [encoded, decoded].map(|lab| {
-        let c = lab.cluster(NodeEngineKind::SiriusGpu, ClusterConfig::for_world(NODES));
+        let c = lab.cluster(NodeEngineKind::SiriusGpu, ClusterConfig::default());
         c.sql(DISTRIBUTED_SQL).expect("warm-up");
         let before = c.link_traffic();
         c.sql(DISTRIBUTED_SQL).expect("steady state");
@@ -507,6 +507,9 @@ fn run_compiled(
 /// onto the genuinely smaller input) moves strictly fewer ledger kernel
 /// bytes than the estimate-only plan; ClickHouse's FROM-order Q3 is printed
 /// for context.
+// The cold-vs-cached planning timer measures real host planning work,
+// which has no simulated counterpart.
+#[allow(clippy::disallowed_methods)]
 pub fn plancache(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     const HIT_PASSES: u32 = 5;
     let engine = lab

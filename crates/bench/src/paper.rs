@@ -1,6 +1,6 @@
 //! The paper's own artifacts: Table 1, Figure 1, Figure 4, Figure 5, Table 2.
 
-use crate::lab::{clickhouse_ms, figure5_share, geomean, mib, ms, Lab, NODES};
+use crate::lab::{clickhouse_ms, figure5_share, geomean, mib, ms, Lab};
 use crate::Args;
 use sirius_core::EngineConfig;
 use sirius_doris::{ClusterConfig, DorisCluster, NodeEngineKind, QueryOutcome};
@@ -188,7 +188,7 @@ pub fn figure5(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
 /// NCCL exchange) — then the same subset with one node killed.
 pub fn table2(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     let sf = lab.sf();
-    let build = |kind| lab.cluster(kind, ClusterConfig::for_world(NODES));
+    let build = |kind| lab.cluster(kind, ClusterConfig::default());
     let doris = build(NodeEngineKind::DorisCpu);
     let clickhouse = build(NodeEngineKind::ClickHouseCpu);
     let sirius = build(NodeEngineKind::SiriusGpu);

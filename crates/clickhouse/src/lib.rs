@@ -10,6 +10,8 @@
 //! reproduces the paper's "Q9 does not finish".
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 use sirius_columnar::Table;
 use sirius_exec_cpu::{Catalog, CpuEngine, EngineProfile, ExecError};

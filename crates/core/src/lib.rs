@@ -49,7 +49,7 @@ pub mod schedule;
 pub use buffer::BufferManager;
 pub use engine::{EngineConfig, SiriusEngine, DEFAULT_MORSEL_ROWS};
 pub use explain::OpStats;
-pub use metrics::{MorselStats, QueryReport, RecoveryStats};
+pub use metrics::{MorselStats, QueryReport};
 pub use plan_cache::{CompiledQuery, FeedbackStore, PlanCache, PlanCacheStats, ShapeFeedback};
 pub use schedule::{QueryRun, Scheduling};
 pub use sirius_spill::{SpillConfig, SpillStats};
@@ -90,8 +90,8 @@ pub enum SiriusError {
     OutOfMemory(String),
     /// Exchange-layer failure.
     Exchange(String),
-    /// A cluster node died (heartbeat lapse or injected crash); carries the
-    /// node's stable id. The coordinator recovers by re-scheduling onto the
+    /// A cluster node died (an injected crash, which marks it down);
+    /// carries the node's stable id. The coordinator recovers by re-scheduling onto the
     /// survivors.
     NodeDown(usize),
     /// An exchange send was dropped or timed out — retryable: the retry

@@ -70,49 +70,6 @@ impl MorselStats {
     }
 }
 
-/// Failure, retry, and degradation counters for one query (the recovery
-/// half of the Table 2 telemetry). All zeros on a fault-free run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Faults the injector fired while this query ran.
-    pub faults_injected: u64,
-    /// Full-query retry attempts after retryable (transient) errors.
-    pub retries: u64,
-    /// Fragment re-schedulings after a node death (dead node's shards
-    /// re-partitioned onto the survivors).
-    pub reschedules: u64,
-    /// Times the cluster world size shrank during this query.
-    pub world_shrinks: u64,
-    /// `1` if the query ultimately ran on the single-node CPU engine
-    /// because the GPU fleet dropped below quorum.
-    pub cpu_fallbacks: u64,
-    /// Fragments aborted by cancellation propagation (fallout from a
-    /// sibling fragment's failure, not root causes).
-    pub cancelled_fragments: u64,
-    /// Exchange temp tables dropped from the nodes' table stores by failed
-    /// attempts (a nonzero value with zero temps live after the query is
-    /// the leak-free signature).
-    pub temps_reaped: u64,
-}
-
-impl RecoveryStats {
-    /// Whether anything at all went wrong (and was handled).
-    pub fn any(&self) -> bool {
-        *self != RecoveryStats::default()
-    }
-
-    /// Fold another attempt's counters into this one.
-    pub fn absorb(&mut self, other: &RecoveryStats) {
-        self.faults_injected += other.faults_injected;
-        self.retries += other.retries;
-        self.reschedules += other.reschedules;
-        self.world_shrinks += other.world_shrinks;
-        self.cpu_fallbacks += other.cpu_fallbacks;
-        self.cancelled_fragments += other.cancelled_fragments;
-        self.temps_reaped += other.temps_reaped;
-    }
-}
-
 /// What happened during one query execution.
 #[derive(Debug, Clone)]
 pub struct QueryReport {
@@ -145,8 +102,6 @@ pub struct QueryReport {
     /// Processing-pool fragmentation in `[0, 1]` at query end (share of
     /// free memory outside the largest free block).
     pub pool_fragmentation: f64,
-    /// Failure/retry/degradation counters (all zeros on a fault-free run).
-    pub recovery: RecoveryStats,
 }
 
 impl QueryReport {
@@ -169,7 +124,6 @@ impl QueryReport {
             spill_depth: 0,
             pool_high_watermark: 0,
             pool_fragmentation: 0.0,
-            recovery: RecoveryStats::default(),
         }
     }
 
@@ -243,28 +197,6 @@ mod tests {
         let r = report();
         assert!((r.share(CostCategory::Join) - 0.75).abs() < 1e-9);
         assert_eq!(r.dominant_category(), Some(CostCategory::Join));
-    }
-
-    #[test]
-    fn recovery_stats_absorb_accumulates() {
-        let mut a = RecoveryStats {
-            retries: 1,
-            temps_reaped: 2,
-            ..RecoveryStats::default()
-        };
-        let b = RecoveryStats {
-            retries: 1,
-            reschedules: 1,
-            faults_injected: 4,
-            ..RecoveryStats::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.reschedules, 1);
-        assert_eq!(a.faults_injected, 4);
-        assert_eq!(a.temps_reaped, 2);
-        assert!(a.any());
-        assert!(!RecoveryStats::default().any());
     }
 
     #[test]

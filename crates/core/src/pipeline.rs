@@ -290,6 +290,9 @@ mod tests {
     /// task's result stands, and no worker is lost: the next batch needs
     /// the caller and both workers running at once, and gets them.
     #[test]
+    // The rendezvous watchdog bounds a real wait on pool threads, so a
+    // deadlocked pool fails the test instead of hanging it.
+    #[allow(clippy::disallowed_methods)]
     fn a_panicking_task_is_its_slots_error_and_the_pool_survives() {
         let q = TaskQueue::new(2);
         // Whichever thread runs task 3 — a worker, or the caller helping —

@@ -9,13 +9,19 @@
 //!    ([`RetryPolicy::allows`]: transient, while retries remain) re-dispatch
 //!    the whole query on a fresh collective epoch after
 //!    [`RetryPolicy::delay`] of simulated backoff.
-//! 2. **Re-schedule / shrink world** — a dead node (heartbeat lapse or
-//!    injected crash) is removed, the cluster is rebuilt over the survivors,
-//!    every table is re-partitioned from coordinator-side durable storage,
-//!    and the query re-dispatches.
-//! 3. **CPU fallback** — below [`ClusterConfig::quorum`] the coordinator
-//!    gives up on the fleet and runs the query on a single-node CPU engine
-//!    over the full (unpartitioned) tables.
+//! 2. **Re-schedule / shrink world** — a node marked down in the shared
+//!    [`HeartbeatMonitor`] (an injected crash, or a caller's
+//!    [`HeartbeatMonitor::mark_down`]) is removed, the cluster is rebuilt
+//!    over the survivors, every table is re-partitioned from
+//!    coordinator-side durable storage, and the query re-dispatches.
+//! 3. **CPU fallback** — below a majority quorum of the world the cluster
+//!    was built with, the coordinator gives up on the fleet and runs the
+//!    query on a single-node CPU engine over the full (unpartitioned)
+//!    tables.
+//!
+//! Only the retry budget and the fault plan are settable
+//! ([`ClusterConfig`]); the quorum is derived from the world size, and no
+//! rung reads a clock.
 //!
 //! Failed attempts cancel all in-flight fragments through the shared
 //! [`CancelToken`]. An exchanged intermediate is registered as a temp table
@@ -30,7 +36,6 @@ use crate::{DorisError, Result};
 use parking_lot::{Mutex, RwLock};
 use sirius_columnar::{Array, Table};
 use sirius_core::exchange::{partition_by_hash, ExchangeService};
-use sirius_core::metrics::RecoveryStats;
 use sirius_core::{EngineConfig, RetryPolicy, SiriusEngine, SiriusError};
 use sirius_exec_cpu::{Catalog, CpuEngine, EngineProfile};
 use sirius_hw::{
@@ -62,43 +67,32 @@ pub enum NodeEngineKind {
     SiriusGpu,
 }
 
-/// Cluster-wide policy knobs: failure detection, retry, and degradation.
+/// The cluster's settable recovery policy. The rest of the ladder is fixed
+/// at construction: a majority quorum of the initial world, and the CPU
+/// fallback below it.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Heartbeat liveness timeout (simulated detection latency). Default
-    /// 3 s — a node that cannot answer the coordinator's dispatch-time
-    /// probe within this window is treated as dead.
-    pub heartbeat_timeout: Duration,
     /// Full-query retries for transient (retryable) faults and the backoff
     /// before each (charged as simulated coordinator time).
     pub retry: RetryPolicy,
-    /// Minimum surviving GPU/CPU compute nodes to keep executing
-    /// distributed. Below this the coordinator degrades to CPU fallback
-    /// (or fails, if that is disabled).
-    pub quorum: usize,
-    /// Whether quorum loss degrades to the single-node CPU engine instead
-    /// of failing the query.
-    pub allow_cpu_fallback: bool,
     /// Deterministic fault plan to inject (tests/chaos runs).
     pub fault_plan: Option<FaultPlan>,
 }
 
-impl ClusterConfig {
-    /// Default policy for a `world`-node cluster: 3 s heartbeat timeout,
-    /// 3 retries from 10 ms backoff, majority quorum, CPU fallback on.
-    pub fn for_world(world: usize) -> Self {
+impl Default for ClusterConfig {
+    /// 3 retries from 10 ms backoff, no faults.
+    fn default() -> Self {
         Self {
-            heartbeat_timeout: Duration::from_secs(3),
             retry: RetryPolicy {
                 max_retries: 3,
                 backoff: Duration::from_millis(10),
             },
-            quorum: world.div_ceil(2).max(1),
-            allow_cpu_fallback: true,
             fault_plan: None,
         }
     }
+}
 
+impl ClusterConfig {
     /// Replace the fault plan (builder style).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
@@ -236,8 +230,6 @@ impl NodeState {
     /// job via [`Self::release_temps`] — it must run on every path.
     fn execute_fragmented(&mut self, plan: &Rel) -> sirius_core::Result<Table> {
         self.crash_at(FaultSite::FragmentStart { node: self.id })?;
-        // A node executing a fragment is demonstrably alive.
-        self.heartbeats.beat(self.id);
         let result = self
             .rewrite(plan)
             .and_then(|rewritten| self.engine.execute(&rewritten, &self.fault, self.id));
@@ -297,6 +289,49 @@ impl NodeState {
             schema,
             projection: None,
         })
+    }
+}
+
+/// Failure, retry, and degradation counters for one distributed query (the
+/// recovery half of the Table 2 telemetry). All zeros on a fault-free run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecoveryStats {
+    /// Faults the injector fired while this query ran.
+    pub faults_injected: u64,
+    /// Full-query retry attempts after retryable (transient) errors.
+    pub retries: u64,
+    /// Fragment re-schedulings after a node death (dead node's shards
+    /// re-partitioned onto the survivors).
+    pub reschedules: u64,
+    /// Times the cluster world size shrank during this query.
+    pub world_shrinks: u64,
+    /// `1` if the query ultimately ran on the single-node CPU engine
+    /// because the GPU fleet dropped below quorum.
+    pub cpu_fallbacks: u64,
+    /// Fragments aborted by cancellation propagation (fallout from a
+    /// sibling fragment's failure, not root causes).
+    pub cancelled_fragments: u64,
+    /// Exchange temp tables dropped from the nodes' table stores by failed
+    /// attempts (a nonzero value with zero temps live after the query is
+    /// the leak-free signature).
+    pub temps_reaped: u64,
+}
+
+impl RecoveryStats {
+    /// Whether anything at all went wrong (and was handled).
+    pub fn any(&self) -> bool {
+        *self != RecoveryStats::default()
+    }
+
+    /// Fold another query's counters into this one.
+    pub fn absorb(&mut self, other: &RecoveryStats) {
+        self.faults_injected += other.faults_injected;
+        self.retries += other.retries;
+        self.reschedules += other.reschedules;
+        self.world_shrinks += other.world_shrinks;
+        self.cpu_fallbacks += other.cpu_fallbacks;
+        self.cancelled_fragments += other.cancelled_fragments;
+        self.temps_reaped += other.temps_reaped;
     }
 }
 
@@ -430,7 +465,10 @@ pub struct DorisCluster {
     scheme: PartitionScheme,
     heartbeats: HeartbeatMonitor,
     kind: NodeEngineKind,
-    config: ClusterConfig,
+    retry: RetryPolicy,
+    /// Fewest live nodes that still run distributed: a majority of the
+    /// world the cluster was built with.
+    quorum: usize,
     fault: FaultInjector,
     epoch: AtomicU64,
     /// Coordinator-side lifecycle trace (retry/reschedule/fallback instants).
@@ -447,18 +485,19 @@ impl DorisCluster {
     /// Build a cluster of `world` nodes (the paper's setup: 4 nodes, each a
     /// Xeon Gold host with one A100, InfiniBand 4×NDR between nodes).
     pub fn new(world: usize, kind: NodeEngineKind) -> Self {
-        let config = ClusterConfig::for_world(world);
+        let config = ClusterConfig::default();
         Self::with_config(world, kind, PartitionScheme::tpch_default(), config)
     }
 
-    /// Cluster with explicit partition scheme and recovery policy.
+    /// Cluster with explicit partition scheme and recovery policy. Below a
+    /// majority of `world` live nodes, queries run on the CPU fallback.
     pub fn with_config(
         world: usize,
         kind: NodeEngineKind,
         scheme: PartitionScheme,
         config: ClusterConfig,
     ) -> Self {
-        let heartbeats = HeartbeatMonitor::new(world, config.heartbeat_timeout);
+        let heartbeats = HeartbeatMonitor::new(world);
         let fault = match &config.fault_plan {
             Some(plan) => FaultInjector::new(plan.clone()),
             None => FaultInjector::disabled(),
@@ -472,7 +511,8 @@ impl DorisCluster {
             scheme,
             heartbeats,
             kind,
-            config,
+            retry: config.retry,
+            quorum: world.div_ceil(2).max(1),
             fault,
             epoch: AtomicU64::new(0),
             trace: TraceSink::off(),
@@ -561,11 +601,6 @@ impl DorisCluster {
         self.state.read().nodes.len()
     }
 
-    /// The recovery policy this cluster runs under.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
     /// The heartbeat monitor (tests inject failures through it). Indexed by
     /// stable node id.
     pub fn heartbeats(&self) -> &HeartbeatMonitor {
@@ -651,17 +686,10 @@ impl DorisCluster {
         // accounts for *all* attempts of this query.
         let mut failed_time: Vec<(usize, TimeBreakdown)> = Vec::new();
 
-        // Dispatch-time liveness probe: nodes that can answer refresh their
-        // heartbeat; crashed nodes stay silent and fail the check below.
-        self.heartbeats.probe_live();
-
         loop {
             // 1. Failure detection + repair (degradation ladder rungs 2–3).
-            if let Some(dead) = self.shrink_to_survivors(&mut recovery, &mut extra)? {
+            if self.shrink_to_survivors(&mut recovery, &mut extra)? {
                 recovery.faults_injected = self.fault.injected_count() - fault_base;
-                if !self.config.allow_cpu_fallback {
-                    return Err(DorisError::NodeDown(dead));
-                }
                 recovery.cpu_fallbacks = 1;
                 self.lifecycle_event("cpu-fallback", Duration::ZERO);
                 let out = self.cpu_fallback(plan, extra, recovery)?;
@@ -697,8 +725,8 @@ impl DorisCluster {
             match e {
                 // Top of loop removes the dead node and re-schedules.
                 SiriusError::NodeDown(n) if !self.heartbeats.is_alive(n) => {}
-                e if self.config.retry.allows(&e, recovery.retries as u32) => {
-                    let backoff = self.config.retry.delay(recovery.retries as u32);
+                e if self.retry.allows(&e, recovery.retries as u32) => {
+                    let backoff = self.retry.delay(recovery.retries as u32);
                     recovery.retries += 1;
                     extra += backoff;
                     self.lifecycle_event("retry", backoff);
@@ -714,24 +742,24 @@ impl DorisCluster {
         }
     }
 
-    /// Degradation ladder rung 2: drop nodes whose heartbeat lapsed and
-    /// rebuild the cluster over the survivors. Returns a dead node's id
-    /// when the survivors fall below quorum (rung 3 is the caller's).
+    /// Degradation ladder rung 2: drop the nodes marked down and rebuild
+    /// the cluster over the survivors. Returns `true` when the survivors
+    /// fall below quorum (rung 3 is the caller's).
     fn shrink_to_survivors(
         &self,
         recovery: &mut RecoveryStats,
         extra: &mut Duration,
-    ) -> Result<Option<usize>> {
+    ) -> Result<bool> {
         let (survivors, dead): (Vec<usize>, Vec<usize>) = {
             let state = self.state.read();
             let alive = |id: &usize| self.heartbeats.is_alive(*id);
             state.assignment.iter().partition(|id| alive(id))
         };
-        let Some(&first_dead) = dead.first() else {
-            return Ok(None);
-        };
-        if survivors.len() < self.config.quorum.max(1) {
-            return Ok(Some(first_dead));
+        if dead.is_empty() {
+            return Ok(false);
+        }
+        if survivors.len() < self.quorum {
+            return Ok(true);
         }
         for &d in &dead {
             self.fault.disarm_node(d);
@@ -741,7 +769,7 @@ impl DorisCluster {
         recovery.world_shrinks += 1;
         *extra += RESCHEDULE_PENALTY;
         self.lifecycle_event("reschedule", RESCHEDULE_PENALTY);
-        Ok(None)
+        Ok(false)
     }
 
     /// Fault-free coordinator time: planning, dispatching `fragments`
@@ -1024,7 +1052,7 @@ mod tests {
     use sirius_columnar::{DataType, Field, Schema};
 
     fn cluster(kind: NodeEngineKind) -> DorisCluster {
-        cluster_with(kind, ClusterConfig::for_world(3))
+        cluster_with(kind, ClusterConfig::default())
     }
 
     fn cluster_with(kind: NodeEngineKind, config: ClusterConfig) -> DorisCluster {
@@ -1156,22 +1184,35 @@ mod tests {
     }
 
     #[test]
-    fn quorum_loss_without_fallback_is_clean_node_down() {
-        let mut config = ClusterConfig::for_world(3);
-        config.allow_cpu_fallback = false;
-        let c = cluster_with(NodeEngineKind::DorisCpu, config);
+    fn even_world_runs_at_quorum_and_falls_back_below_it() {
+        // Four nodes: the derived quorum is 2. Two survivors still run
+        // distributed; one survivor takes the CPU fallback.
+        let sum = Some((0..60).sum::<i64>() as f64);
+        let c = cluster_of(4, NodeEngineKind::SiriusGpu, ClusterConfig::default());
         c.heartbeats().mark_down(1);
+        c.heartbeats().mark_down(3);
+        let out = c.sql("select sum(v) as s from t").unwrap();
+        assert_eq!(out.table.column(0).f64_value(0), sum);
+        assert_eq!(
+            (out.recovery.world_shrinks, out.recovery.cpu_fallbacks),
+            (1, 0)
+        );
+        assert_eq!(c.world(), 2, "ran distributed on the two survivors");
+
         c.heartbeats().mark_down(2);
-        match c.sql("select sum(v) as s from t") {
-            Err(DorisError::NodeDown(n)) => assert!(n == 1 || n == 2),
-            other => panic!("expected NodeDown, got {other:?}"),
-        }
+        let out = c.sql("select sum(v) as s from t").unwrap();
+        assert_eq!(out.table.column(0).f64_value(0), sum);
+        assert_eq!(
+            (out.recovery.world_shrinks, out.recovery.cpu_fallbacks),
+            (0, 1)
+        );
+        assert_eq!(c.temp_tables_live(), 0);
     }
 
     #[test]
     fn transient_device_fault_is_retried() {
-        let config = ClusterConfig::for_world(3)
-            .with_fault_plan(FaultPlan::new(1).transient_device(1, 0, 2));
+        let config =
+            ClusterConfig::default().with_fault_plan(FaultPlan::new(1).transient_device(1, 0, 2));
         let c = cluster_with(NodeEngineKind::SiriusGpu, config);
         let out = c.sql("select g, sum(v) as s from t group by g").unwrap();
         assert_eq!(out.table.num_rows(), 4);
@@ -1183,7 +1224,7 @@ mod tests {
 
     #[test]
     fn mid_fragment_crash_recovers_and_reaps_temps() {
-        let config = ClusterConfig::for_world(3).with_fault_plan(FaultPlan::new(2).crash_mid(2, 0));
+        let config = ClusterConfig::default().with_fault_plan(FaultPlan::new(2).crash_mid(2, 0));
         let c = cluster_with(NodeEngineKind::SiriusGpu, config);
         // Shuffle-heavy query so the crash lands mid-exchange with temps
         // registered on sibling nodes.
@@ -1194,16 +1235,6 @@ mod tests {
         assert!(out.recovery.reschedules >= 1);
         assert_eq!(c.world(), 2);
         assert_eq!(c.temp_tables_live(), 0, "cancelled fragments leak no temps");
-    }
-
-    #[test]
-    fn default_heartbeat_timeout_is_sane_and_overridable() {
-        let c = cluster(NodeEngineKind::DorisCpu);
-        assert_eq!(c.heartbeats().timeout(), Duration::from_secs(3));
-        let mut config = ClusterConfig::for_world(3);
-        config.heartbeat_timeout = Duration::from_millis(250);
-        let c = cluster_with(NodeEngineKind::DorisCpu, config);
-        assert_eq!(c.heartbeats().timeout(), Duration::from_millis(250));
     }
 
     #[test]
@@ -1219,8 +1250,8 @@ mod tests {
         // Every nanosecond the fleet burns — including the two doomed
         // attempts — must land in per_node: ledger deltas around the query
         // equal the reported breakdowns exactly.
-        let config = ClusterConfig::for_world(3)
-            .with_fault_plan(FaultPlan::new(1).transient_device(1, 0, 2));
+        let config =
+            ClusterConfig::default().with_fault_plan(FaultPlan::new(1).transient_device(1, 0, 2));
         let c = cluster_with(NodeEngineKind::SiriusGpu, config).with_trace(TraceConfig::On);
         let before = c.node_breakdowns();
         let out = c.sql("select g, sum(v) as s from t group by g").unwrap();
@@ -1259,7 +1290,7 @@ mod tests {
 
     #[test]
     fn reschedule_emits_lifecycle_instant() {
-        let config = ClusterConfig::for_world(3).with_fault_plan(FaultPlan::new(2).crash_mid(2, 0));
+        let config = ClusterConfig::default().with_fault_plan(FaultPlan::new(2).crash_mid(2, 0));
         let c = cluster_with(NodeEngineKind::SiriusGpu, config).with_trace(TraceConfig::On);
         let out = c
             .sql("select count(*) as n from t a, t b where a.g = b.g")
@@ -1299,7 +1330,7 @@ mod tests {
             NodeEngineKind::ClickHouseCpu,
             NodeEngineKind::SiriusGpu,
         ] {
-            let config = ClusterConfig::for_world(3).with_fault_plan(plan.clone());
+            let config = ClusterConfig::default().with_fault_plan(plan.clone());
             let c = cluster_of(3, kind, config);
             let mut recovery = RecoveryStats::default();
             for sql in [
@@ -1320,7 +1351,7 @@ mod tests {
             );
             // Exactly what a cluster of the surviving size holds after
             // loading the two base tables and running nothing.
-            let fresh = cluster_of(2, kind, ClusterConfig::for_world(2));
+            let fresh = cluster_of(2, kind, ClusterConfig::default());
             assert_eq!(stores(&c), stores(&fresh), "{kind:?}");
             if kind != NodeEngineKind::SiriusGpu {
                 assert_eq!(stores(&c)[0], r#"["dim", "t"]"#);
@@ -1332,8 +1363,8 @@ mod tests {
     fn every_declared_metric_is_emitted_and_every_emitted_one_declared() {
         // A retried, exchanging query: every counter moves or is published
         // at zero, and the link gauges have traffic to report.
-        let config = ClusterConfig::for_world(3)
-            .with_fault_plan(FaultPlan::new(1).transient_device(1, 0, 2));
+        let config =
+            ClusterConfig::default().with_fault_plan(FaultPlan::new(1).transient_device(1, 0, 2));
         let c = cluster_with(NodeEngineKind::SiriusGpu, config);
         c.sql("select count(*) as n from t a, t b where a.g = b.g")
             .unwrap();
@@ -1354,6 +1385,60 @@ mod tests {
                 "{name} ({kind}) is emitted but not declared"
             );
         }
+    }
+
+    #[test]
+    fn recovery_stats_absorb_accumulates() {
+        let mut a = RecoveryStats {
+            retries: 1,
+            temps_reaped: 2,
+            ..RecoveryStats::default()
+        };
+        let b = RecoveryStats {
+            retries: 1,
+            reschedules: 1,
+            faults_injected: 4,
+            ..RecoveryStats::default()
+        };
+        a.absorb(&b);
+        assert_eq!(a.retries, 2);
+        assert_eq!(a.reschedules, 1);
+        assert_eq!(a.faults_injected, 4);
+        assert_eq!(a.temps_reaped, 2);
+        assert!(a.any());
+        assert!(!RecoveryStats::default().any());
+    }
+
+    /// README's `ClusterConfig` table has one row per field, in
+    /// declaration order, and no other row. The destructuring is
+    /// exhaustive, so a new field does not compile until it is listed here.
+    #[test]
+    fn readme_cluster_config_table_lists_every_field() {
+        let ClusterConfig { retry, fault_plan } = ClusterConfig::default();
+        let RetryPolicy {
+            max_retries,
+            backoff,
+        } = retry;
+        assert_eq!(
+            (max_retries, backoff, fault_plan.is_none()),
+            (3, Duration::from_millis(10), true)
+        );
+        let readme = include_str!("../../../README.md");
+        let table = readme
+            .split("| Field | Default (`ClusterConfig::default`) |")
+            .nth(1)
+            .expect("README.md has the ClusterConfig table");
+        let rows: Vec<&str> = table
+            .lines()
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .collect();
+        assert_eq!(
+            rows,
+            ["retry.max_retries", "retry.backoff", "fault_plan"],
+            "README.md's ClusterConfig table"
+        );
     }
 
     #[test]

@@ -3,141 +3,43 @@
 
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// The monitor's staleness clock. Production uses wall time; tests inject a
-/// manual clock so timeout assertions can't flake on a loaded runner.
-#[derive(Clone)]
-enum Clock {
-    /// Wall time, measured from the monitor's creation.
-    Wall(Instant),
-    /// Manually advanced time (see [`ManualClock`]).
-    Manual(Arc<Mutex<Duration>>),
-}
-
-impl Clock {
-    fn now(&self) -> Duration {
-        match self {
-            Clock::Wall(origin) => origin.elapsed(),
-            Clock::Manual(t) => *t.lock(),
-        }
-    }
-}
-
-/// Handle to a manually advanced heartbeat clock (tests only advance it;
-/// nothing else moves it).
-#[derive(Clone)]
-pub struct ManualClock(Arc<Mutex<Duration>>);
-
-impl ManualClock {
-    /// Advance the clock by `d`.
-    pub fn advance(&self, d: Duration) {
-        *self.0.lock() += d;
-    }
-}
-
-/// Tracks the last heartbeat from each compute node. Cloning shares the
-/// underlying state: the coordinator and every node thread hold handles to
-/// the same monitor, so a node that crashes mid-fragment can mark itself
-/// down and the coordinator's recovery loop sees it immediately.
+/// The set of compute nodes that stopped answering the coordinator.
+/// Cloning shares the underlying state: the coordinator and every node
+/// thread hold handles to the same monitor, so a node that crashes
+/// mid-fragment marks itself down and the coordinator's recovery loop sees
+/// it immediately.
 ///
 /// Node slots are indexed by *stable* node id (the rank a node had in the
 /// original, full-size cluster), so liveness survives world shrinks.
 ///
-/// [`mark_down`](Self::mark_down) is permanent: a downed node ignores
-/// [`beat`](Self::beat) and [`probe_live`](Self::probe_live), and only an
-/// explicit [`revive`](Self::revive) (operator intervention) brings it back.
+/// Liveness reads no clock: only [`mark_down`](Self::mark_down) changes it,
+/// and a downed node stays down, so a recovery decision never depends on
+/// how fast the host ran the attempt before it.
 #[derive(Clone)]
 pub struct HeartbeatMonitor {
-    last_seen: Arc<Mutex<Vec<Option<Duration>>>>,
-    timeout: Duration,
-    clock: Clock,
+    down: Arc<Mutex<Vec<bool>>>,
 }
 
 impl HeartbeatMonitor {
-    /// Monitor for `nodes` compute nodes with the given liveness timeout,
-    /// on the wall clock.
-    pub fn new(nodes: usize, timeout: Duration) -> Self {
-        Self::with_clock(nodes, timeout, Clock::Wall(Instant::now()))
-    }
-
-    /// Monitor on a manually advanced clock (deterministic timeout tests).
-    pub fn new_manual(nodes: usize, timeout: Duration) -> (Self, ManualClock) {
-        let t = Arc::new(Mutex::new(Duration::ZERO));
-        let monitor = Self::with_clock(nodes, timeout, Clock::Manual(Arc::clone(&t)));
-        (monitor, ManualClock(t))
-    }
-
-    fn with_clock(nodes: usize, timeout: Duration, clock: Clock) -> Self {
-        let now = clock.now();
+    /// Monitor for `nodes` compute nodes, all alive.
+    pub fn new(nodes: usize) -> Self {
         Self {
-            last_seen: Arc::new(Mutex::new(vec![Some(now); nodes])),
-            timeout,
-            clock,
-        }
-    }
-
-    /// The configured liveness timeout.
-    pub fn timeout(&self) -> Duration {
-        self.timeout
-    }
-
-    /// Record a heartbeat from `node`. A no-op on downed slots: a node that
-    /// was [`mark_down`](Self::mark_down)ed is permanently dead and cannot
-    /// heartbeat itself back — that takes [`revive`](Self::revive).
-    pub fn beat(&self, node: usize) {
-        let now = self.clock.now();
-        if let Some(slot @ Some(_)) = self.last_seen.lock().get_mut(node) {
-            *slot = Some(now);
-        }
-    }
-
-    /// Refresh every node that is not explicitly down — the coordinator's
-    /// synchronous liveness probe at dispatch time. A crashed node
-    /// ([`mark_down`](Self::mark_down)) cannot answer the probe and stays
-    /// dead; everyone else answers and resets their staleness clock.
-    pub fn probe_live(&self) {
-        let now = self.clock.now();
-        for slot in self.last_seen.lock().iter_mut() {
-            if slot.is_some() {
-                *slot = Some(now);
-            }
+            down: Arc::new(Mutex::new(vec![false; nodes])),
         }
     }
 
     /// Mark a node as permanently down (crash injection, or a node
     /// self-reporting a fatal fault).
     pub fn mark_down(&self, node: usize) {
-        if let Some(slot) = self.last_seen.lock().get_mut(node) {
-            *slot = None;
+        if let Some(slot) = self.down.lock().get_mut(node) {
+            *slot = true;
         }
     }
 
-    /// Explicitly bring a downed (or stale) node back: the operator
-    /// replaced/restarted it. The inverse of [`mark_down`](Self::mark_down)
-    /// — and the *only* path that undoes it.
-    pub fn revive(&self, node: usize) {
-        let now = self.clock.now();
-        if let Some(slot) = self.last_seen.lock().get_mut(node) {
-            *slot = Some(now);
-        }
-    }
-
-    /// True if `node` heartbeated within the timeout.
+    /// True if `node` exists and was never marked down.
     pub fn is_alive(&self, node: usize) -> bool {
-        let now = self.clock.now();
-        self.last_seen
-            .lock()
-            .get(node)
-            .and_then(|s| *s)
-            .map(|t| now.saturating_sub(t) <= self.timeout)
-            .unwrap_or(false)
-    }
-
-    /// First dead node, if any.
-    pub fn first_dead(&self) -> Option<usize> {
-        let n = self.last_seen.lock().len();
-        (0..n).find(|&i| !self.is_alive(i))
+        self.down.lock().get(node) == Some(&false)
     }
 }
 
@@ -147,72 +49,34 @@ mod tests {
 
     #[test]
     fn all_alive_initially() {
-        let m = HeartbeatMonitor::new(3, Duration::from_secs(10));
-        assert!(m.is_alive(0));
-        assert_eq!(m.first_dead(), None);
+        let m = HeartbeatMonitor::new(3);
+        assert!((0..3).all(|i| m.is_alive(i)));
     }
 
     #[test]
     fn marked_down_node_detected() {
-        let m = HeartbeatMonitor::new(3, Duration::from_secs(10));
+        let m = HeartbeatMonitor::new(3);
         m.mark_down(1);
         assert!(!m.is_alive(1));
-        assert_eq!(m.first_dead(), Some(1));
-        m.revive(1);
-        assert!(m.is_alive(1));
-    }
-
-    #[test]
-    fn beat_cannot_revive_a_downed_node() {
-        // mark_down means *permanently* down: a heartbeat from a node the
-        // coordinator declared dead must not resurrect it.
-        let m = HeartbeatMonitor::new(2, Duration::from_secs(10));
-        m.mark_down(0);
-        m.beat(0);
-        assert!(!m.is_alive(0), "beat revived a permanently-down node");
-        assert_eq!(m.first_dead(), Some(0));
-        m.revive(0);
-        assert!(m.is_alive(0), "explicit revive brings it back");
-        m.beat(0);
-        assert!(m.is_alive(0), "beat refreshes a live node");
+        assert!(m.is_alive(0) && m.is_alive(2));
+        m.mark_down(1);
+        assert!(!m.is_alive(1), "a second mark_down keeps it down");
     }
 
     #[test]
     fn out_of_range_is_dead() {
-        let m = HeartbeatMonitor::new(2, Duration::from_secs(10));
+        let m = HeartbeatMonitor::new(2);
         assert!(!m.is_alive(9));
+        m.mark_down(9);
+        assert!(m.is_alive(0) && m.is_alive(1));
     }
 
     #[test]
     fn clones_share_state() {
-        let m = HeartbeatMonitor::new(2, Duration::from_secs(10));
+        let m = HeartbeatMonitor::new(2);
         let m2 = m.clone();
         m2.mark_down(0);
         assert!(!m.is_alive(0));
-        assert_eq!(m.timeout(), Duration::from_secs(10));
-    }
-
-    #[test]
-    fn probe_refreshes_only_live_nodes() {
-        // Manual clock: advancing past the timeout is deterministic, no
-        // sleeps, no flakes on slow runners.
-        let (m, clock) = HeartbeatMonitor::new_manual(2, Duration::from_millis(1));
-        m.mark_down(1);
-        clock.advance(Duration::from_millis(5));
-        assert!(!m.is_alive(0), "stale without probe");
-        m.probe_live();
-        assert!(m.is_alive(0), "probe refreshes the live node");
-        assert!(!m.is_alive(1), "probe cannot revive a dead node");
-    }
-
-    #[test]
-    fn stale_node_recovers_on_beat() {
-        // Staleness (missed heartbeats) is not mark_down: the node is still
-        // allowed to heartbeat its way back to life.
-        let (m, clock) = HeartbeatMonitor::new_manual(1, Duration::from_millis(1));
-        clock.advance(Duration::from_millis(5));
-        assert!(!m.is_alive(0));
-        m.beat(0);
-        assert!(m.is_alive(0));
+        assert!(m.is_alive(1));
     }
 }

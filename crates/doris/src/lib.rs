@@ -11,22 +11,24 @@
 //! service, with exchanged intermediates registered as temporary tables and
 //! deregistered when their fragments complete.
 //!
-//! The coordinator also owns fault recovery: heartbeat-driven failure
-//! detection, re-scheduling onto survivors (re-partitioning the dead node's
-//! shards), bounded exponential-backoff retry for transient faults,
-//! cancellation propagation, and graceful degradation down to the
-//! single-node CPU engine when the fleet drops below quorum. See
-//! [`cluster::ClusterConfig`].
+//! The coordinator also owns fault recovery: failure detection through a
+//! shared down-set ([`heartbeat::HeartbeatMonitor`], changed only by
+//! `mark_down`, no clock read), re-scheduling onto survivors
+//! (re-partitioning the dead node's shards), bounded exponential-backoff
+//! retry for transient faults, cancellation propagation, and graceful
+//! degradation down to the single-node CPU engine when the fleet drops
+//! below a majority quorum. Per-query counters are [`RecoveryStats`]; the
+//! settable policy is [`ClusterConfig`] (retry budget and fault plan).
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-#![cfg_attr(not(test), deny(clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod cluster;
 pub mod heartbeat;
 pub mod planner;
 
-pub use cluster::{ClusterConfig, DorisCluster, NodeEngineKind, QueryOutcome};
+pub use cluster::{ClusterConfig, DorisCluster, NodeEngineKind, QueryOutcome, RecoveryStats};
 pub use planner::{distribute, PartitionScheme, Partitioning};
 
 /// Errors surfaced by the distributed host.
@@ -42,8 +44,10 @@ pub enum DorisError {
         /// Its error message.
         message: String,
     },
-    /// A node is down and the cluster cannot recover (below quorum with CPU
-    /// fallback disabled, or the failure repeated past the retry budget).
+    /// A fragment reported its node down while the coordinator's down-set
+    /// still holds the node alive, so re-scheduling cannot drop it. Every
+    /// crash site marks its node down first, so no query ends this way
+    /// today; below quorum the coordinator takes the CPU fallback instead.
     NodeDown(usize),
     /// Distributed planning failure.
     Plan(String),

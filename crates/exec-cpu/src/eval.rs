@@ -9,7 +9,6 @@ use sirius_columnar::scalar::date32_year;
 use sirius_columnar::DataType;
 use sirius_columnar::{Array, Scalar, Table};
 use sirius_plan::{BinOp, Expr, UnOp};
-use std::cmp::Ordering;
 
 /// Evaluate an expression over every row of `input`.
 pub fn evaluate(expr: &Expr, input: &Table) -> Result<Array> {
@@ -124,39 +123,32 @@ pub fn eval_row(expr: &Expr, input: &Table, row: usize) -> Result<Scalar> {
 
 fn eval_binop(op: BinOp, l: &Scalar, r: &Scalar) -> Result<Scalar> {
     use BinOp::*;
-    // Kleene logic first (null-aware).
-    if matches!(op, And | Or) {
-        let (a, b) = (l.as_bool(), r.as_bool());
-        return Ok(match (op, a, b) {
-            (And, Some(false), _) | (And, _, Some(false)) => Scalar::Bool(false),
-            (And, Some(true), Some(true)) => Scalar::Bool(true),
-            (Or, Some(true), _) | (Or, _, Some(true)) => Scalar::Bool(true),
-            (Or, Some(false), Some(false)) => Scalar::Bool(false),
-            _ => Scalar::Null,
-        });
-    }
-    if l.is_null() || r.is_null() {
+    // Kleene logic is null-aware; every other operator yields NULL on a
+    // NULL operand.
+    if !op.is_logical() && (l.is_null() || r.is_null()) {
         return Ok(Scalar::Null);
     }
-    if op.is_comparison() {
-        let ord = l.cmp(r);
-        return Ok(Scalar::Bool(match op {
-            Eq => ord == Ordering::Equal,
-            Ne => ord != Ordering::Equal,
-            Lt => ord == Ordering::Less,
-            Le => ord != Ordering::Greater,
-            Gt => ord == Ordering::Greater,
-            Ge => ord != Ordering::Less,
-            _ => unreachable!(),
-        }));
-    }
-    let numeric = |s: &Scalar| s.as_f64();
+    let eval = |m: &str| ExecError::Eval(m.into());
     Ok(match op {
+        And => match (l.as_bool(), r.as_bool()) {
+            (Some(false), _) | (_, Some(false)) => Scalar::Bool(false),
+            (Some(true), Some(true)) => Scalar::Bool(true),
+            _ => Scalar::Null,
+        },
+        Or => match (l.as_bool(), r.as_bool()) {
+            (Some(true), _) | (_, Some(true)) => Scalar::Bool(true),
+            (Some(false), Some(false)) => Scalar::Bool(false),
+            _ => Scalar::Null,
+        },
+        Eq => Scalar::Bool(l.cmp(r).is_eq()),
+        Ne => Scalar::Bool(l.cmp(r).is_ne()),
+        Lt => Scalar::Bool(l.cmp(r).is_lt()),
+        Le => Scalar::Bool(l.cmp(r).is_le()),
+        Gt => Scalar::Bool(l.cmp(r).is_gt()),
+        Ge => Scalar::Bool(l.cmp(r).is_ge()),
         Div => {
-            let (a, b) = (
-                numeric(l).ok_or_else(|| ExecError::Eval("div non-numeric".into()))?,
-                numeric(r).ok_or_else(|| ExecError::Eval("div non-numeric".into()))?,
-            );
+            let a = l.as_f64().ok_or_else(|| eval("div non-numeric"))?;
+            let b = r.as_f64().ok_or_else(|| eval("div non-numeric"))?;
             if b == 0.0 {
                 Scalar::Null
             } else {
@@ -164,58 +156,58 @@ fn eval_binop(op: BinOp, l: &Scalar, r: &Scalar) -> Result<Scalar> {
             }
         }
         Mod => {
-            let (a, b) = (
-                l.as_i64()
-                    .ok_or_else(|| ExecError::Eval("mod non-int".into()))?,
-                r.as_i64()
-                    .ok_or_else(|| ExecError::Eval("mod non-int".into()))?,
-            );
+            let a = l.as_i64().ok_or_else(|| eval("mod non-int"))?;
+            let b = r.as_i64().ok_or_else(|| eval("mod non-int"))?;
             if b == 0 {
                 Scalar::Null
             } else {
                 Scalar::Int64(a % b)
             }
         }
-        Add | Sub | Mul => {
-            match (l, r) {
-                // Date ± days
-                (Scalar::Date32(d), other) if other.as_i64().is_some() => {
-                    let days = other.as_i64().expect("checked");
-                    Scalar::Date32(match op {
-                        Add => d + days as i32,
-                        Sub => d - days as i32,
-                        _ => return Err(ExecError::Eval("date mul".into())),
-                    })
-                }
-                (Scalar::Float64(_), _) | (_, Scalar::Float64(_)) => {
-                    let (a, b) = (
-                        numeric(l).ok_or_else(|| ExecError::Eval("arith non-numeric".into()))?,
-                        numeric(r).ok_or_else(|| ExecError::Eval("arith non-numeric".into()))?,
-                    );
-                    Scalar::Float64(match op {
-                        Add => a + b,
-                        Sub => a - b,
-                        Mul => a * b,
-                        _ => unreachable!(),
-                    })
-                }
-                _ => {
-                    let (a, b) = (
-                        l.as_i64()
-                            .ok_or_else(|| ExecError::Eval("arith non-int".into()))?,
-                        r.as_i64()
-                            .ok_or_else(|| ExecError::Eval("arith non-int".into()))?,
-                    );
-                    Scalar::Int64(match op {
-                        Add => a.wrapping_add(b),
-                        Sub => a.wrapping_sub(b),
-                        Mul => a.wrapping_mul(b),
-                        _ => unreachable!(),
-                    })
-                }
-            }
+        Add => arith(
+            l,
+            r,
+            Some(|d, days| d + days),
+            |a, b| a + b,
+            i64::wrapping_add,
+        )?,
+        Sub => arith(
+            l,
+            r,
+            Some(|d, days| d - days),
+            |a, b| a - b,
+            i64::wrapping_sub,
+        )?,
+        Mul => arith(l, r, None, |a, b| a * b, i64::wrapping_mul)?,
+    })
+}
+
+/// `+`, `-` or `*` over non-NULL operands: a date shifts by whole days
+/// through `date` (`None`: the operator has no date form), a float operand
+/// makes the result a float, and integers wrap.
+fn arith(
+    l: &Scalar,
+    r: &Scalar,
+    date: Option<fn(i32, i32) -> i32>,
+    float: fn(f64, f64) -> f64,
+    int: fn(i64, i64) -> i64,
+) -> Result<Scalar> {
+    let eval = |m: &str| ExecError::Eval(m.into());
+    if let (Scalar::Date32(d), Some(days)) = (l, r.as_i64()) {
+        let shift = date.ok_or_else(|| eval("date mul"))?;
+        return Ok(Scalar::Date32(shift(*d, days as i32)));
+    }
+    Ok(match (l, r) {
+        (Scalar::Float64(_), _) | (_, Scalar::Float64(_)) => {
+            let a = l.as_f64().ok_or_else(|| eval("arith non-numeric"))?;
+            let b = r.as_f64().ok_or_else(|| eval("arith non-numeric"))?;
+            Scalar::Float64(float(a, b))
         }
-        _ => unreachable!("handled above"),
+        _ => {
+            let a = l.as_i64().ok_or_else(|| eval("arith non-int"))?;
+            let b = r.as_i64().ok_or_else(|| eval("arith non-int"))?;
+            Scalar::Int64(int(a, b))
+        }
     })
 }
 

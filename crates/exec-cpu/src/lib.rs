@@ -15,6 +15,10 @@
 //! budget (the paper reports Q9 "does not finish" on ClickHouse).
 
 #![warn(missing_docs)]
+// The CPU-fallback rung of a cluster runs this engine on the caller's
+// thread: a failure is an `ExecError`, never a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod catalog;
 pub mod engine;

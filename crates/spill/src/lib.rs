@@ -22,6 +22,8 @@
 //! the CPU↔GPU interconnect and to storage.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod broker;
 pub mod manager;

@@ -47,8 +47,9 @@ fn main() {
     }
 
     // Coordinator-driven recovery: kill a node and watch the query survive.
-    // The heartbeat lapse is detected at dispatch, the dead node's shards
-    // are re-partitioned onto the three survivors, and the query re-runs.
+    // The coordinator finds node 2 in its down-set at dispatch, the dead
+    // node's shards are re-partitioned onto the three survivors, and the
+    // query re-runs.
     sirius.heartbeats().mark_down(2);
     let recovered = sirius.sql(queries::Q6).expect("recovery");
     println!(

@@ -196,6 +196,8 @@ pub mod rngs {
 
 /// A generator seeded from the system clock + a counter (subset of rand's
 /// `thread_rng`, used only where reproducibility is not required).
+// The clock is the seed: callers ask for an unreproducible stream.
+#[allow(clippy::disallowed_methods)]
 pub fn thread_rng() -> rngs::StdRng {
     use std::time::{SystemTime, UNIX_EPOCH};
     let nanos = SystemTime::now()

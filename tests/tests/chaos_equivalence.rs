@@ -60,8 +60,7 @@ fn seed_base() -> u64 {
 /// firing twice) cannot exhaust the budget — the property under test is
 /// equivalence, not the retry ceiling (cluster unit tests pin that).
 fn chaos_cluster(seed: u64) -> DorisCluster {
-    let mut config =
-        ClusterConfig::for_world(WORLD).with_fault_plan(FaultPlan::seeded_chaos(seed, WORLD));
+    let mut config = ClusterConfig::default().with_fault_plan(FaultPlan::seeded_chaos(seed, WORLD));
     config.retry.max_retries = 8;
     let mut c = DorisCluster::with_config(
         WORLD,

@@ -177,5 +177,4 @@ fn one_meter_reports_what_the_counters_moved_by() {
     assert_eq!(report.spill_depth, spill.max_depth);
     assert_eq!(report.pool_high_watermark, pool.high_watermark);
     assert_eq!(report.pool_fragmentation, pool.fragmentation());
-    assert!(!report.recovery.any());
 }

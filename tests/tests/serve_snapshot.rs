@@ -266,7 +266,7 @@ fn pressure_trace(fix: &Fixture, uniform: bool, out: &mut String) {
 /// Q1/Q3/Q6 on a 3-node GPU cluster under the seeded chaos plan: what the
 /// coordinator's recovery ladder did and what it charged.
 fn cluster_trace(fix: &Fixture, seed: u64, out: &mut String) {
-    let config = ClusterConfig::for_world(3).with_fault_plan(FaultPlan::seeded_chaos(seed, 3));
+    let config = ClusterConfig::default().with_fault_plan(FaultPlan::seeded_chaos(seed, 3));
     let mut c = DorisCluster::with_config(
         3,
         NodeEngineKind::SiriusGpu,
