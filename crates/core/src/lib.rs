@@ -91,8 +91,8 @@ pub enum SiriusError {
     /// Exchange-layer failure.
     Exchange(String),
     /// A cluster node died (an injected crash, which marks it down);
-    /// carries the node's stable id. The coordinator recovers by re-scheduling onto the
-    /// survivors.
+    /// carries the node's stable id. The coordinator recovers by
+    /// re-scheduling onto the survivors.
     NodeDown(usize),
     /// An exchange send was dropped or timed out — retryable: the retry
     /// re-runs the query on a fresh collective epoch.

@@ -189,8 +189,8 @@ fn arith(
     l: &Scalar,
     r: &Scalar,
     date: Option<fn(i32, i32) -> i32>,
-    float: fn(f64, f64) -> f64,
-    int: fn(i64, i64) -> i64,
+    float: impl Fn(f64, f64) -> f64,
+    int: impl Fn(i64, i64) -> i64,
 ) -> Result<Scalar> {
     let eval = |m: &str| ExecError::Eval(m.into());
     if let (Scalar::Date32(d), Some(days)) = (l, r.as_i64()) {
