@@ -61,6 +61,18 @@ impl Bitmap {
         }
     }
 
+    /// Build from packed words: bit `i` is bit `i % 64` of `words[i / 64]`.
+    /// Bits past `len` are cleared. Panics unless there are
+    /// `len.div_ceil(64)` words.
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "bitmap word count");
+        Self::mask_tail(&mut words, len);
+        Self {
+            words: Arc::new(words),
+            len,
+        }
+    }
+
     fn mask_tail(words: &mut [u64], len: usize) {
         if !len.is_multiple_of(64) {
             if let Some(last) = words.last_mut() {
@@ -263,6 +275,8 @@ mod tests {
             assert_eq!(b.get(i), expect);
         }
         assert_eq!(b.set_indices(), vec![0, 2, 3]);
+        // The same bits as a packed word, stray bits past the end cleared.
+        assert_eq!(Bitmap::from_words(vec![0b1110_1101], 5), b);
     }
 
     #[test]

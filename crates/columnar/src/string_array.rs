@@ -1,5 +1,9 @@
-//! Arrow-layout UTF-8 string arrays: an `i32` offset buffer plus a byte
-//! buffer, both reference-counted for zero-copy sharing.
+//! Arrow-layout UTF-8 string arrays: an `i32` offset buffer plus a payload
+//! `String`, both reference-counted for zero-copy sharing.
+//!
+//! The payload is validated once, when it is built from `&str`s; every
+//! offset is a boundary between two of them, so reading a value is an O(1)
+//! `str::get` that decodes nothing.
 //!
 //! An array is a window of `len + 1` entries of the offset buffer; the
 //! offsets stay absolute, so the payload is addressed through them and needs
@@ -17,30 +21,30 @@ use std::sync::Arc;
 pub struct StringArray {
     /// `len + 1` absolute offsets into `data`.
     offsets: Window<i32>,
-    data: Arc<Vec<u8>>,
+    data: Arc<String>,
     validity: Option<Bitmap>,
 }
 
-/// Test-only instrumentation counting per-value UTF-8 decodes, so
-/// regression tests can prove bulk paths never touch `value()`.
+/// Test-only instrumentation counting per-value accesses, so regression
+/// tests can prove bulk paths never go through `value()`.
 #[cfg(test)]
 pub(crate) mod instrument {
     use std::cell::Cell;
 
     thread_local! {
-        static UTF8_DECODES: Cell<usize> = const { Cell::new(0) };
+        static VALUE_ACCESSES: Cell<usize> = const { Cell::new(0) };
     }
 
-    pub(crate) fn note_decode() {
-        UTF8_DECODES.with(|c| c.set(c.get() + 1));
+    pub(crate) fn note_access() {
+        VALUE_ACCESSES.with(|c| c.set(c.get() + 1));
     }
 
     pub(crate) fn reset() {
-        UTF8_DECODES.with(|c| c.set(0));
+        VALUE_ACCESSES.with(|c| c.set(0));
     }
 
-    pub(crate) fn decodes() -> usize {
-        UTF8_DECODES.with(|c| c.get())
+    pub(crate) fn accesses() -> usize {
+        VALUE_ACCESSES.with(|c| c.get())
     }
 }
 
@@ -52,9 +56,9 @@ impl StringArray {
         S: AsRef<str>,
     {
         let mut offsets = vec![0i32];
-        let mut data = Vec::new();
+        let mut data = String::new();
         for s in iter {
-            data.extend_from_slice(s.as_ref().as_bytes());
+            data.push_str(s.as_ref());
             offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
         }
         Self {
@@ -71,12 +75,12 @@ impl StringArray {
         S: AsRef<str>,
     {
         let mut offsets = vec![0i32];
-        let mut data = Vec::new();
+        let mut data = String::new();
         let mut bits = Vec::new();
         for s in iter {
             match s {
                 Some(s) => {
-                    data.extend_from_slice(s.as_ref().as_bytes());
+                    data.push_str(s.as_ref());
                     bits.push(true);
                 }
                 None => bits.push(false),
@@ -111,11 +115,26 @@ impl StringArray {
             return None;
         }
         #[cfg(test)]
-        instrument::note_decode();
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
-        // SAFETY-free: buffers were built from &str, so always valid UTF-8.
-        Some(std::str::from_utf8(&self.data[start..end]).expect("valid utf8"))
+        instrument::note_access();
+        self.data.get(self.range(i))
+    }
+
+    /// Byte range of element `i` in [`StringArray::value_data`].
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
+    }
+
+    /// The `len + 1` absolute offsets of this window into
+    /// [`StringArray::value_data`]: element `i` is `offsets[i]..offsets[i + 1]`
+    /// (empty for a NULL).
+    pub fn value_offsets(&self) -> &[i32] {
+        &self.offsets
+    }
+
+    /// The shared payload the offsets address, of which this window's values
+    /// are one contiguous run.
+    pub fn value_data(&self) -> &str {
+        &self.data
     }
 
     /// The validity bitmap, if any element is null.
@@ -123,25 +142,23 @@ impl StringArray {
         self.validity.as_ref()
     }
 
-    /// The payload bytes this window addresses.
-    fn payload(&self) -> &[u8] {
+    /// The payload this window addresses.
+    fn payload(&self) -> &str {
         &self.data[self.offsets[0] as usize..self.offsets[self.len()] as usize]
     }
 
     /// Gather elements at `indices` into a new array. Bulk-copies payload
-    /// byte ranges (a NULL row is an empty range); never decodes values.
+    /// ranges (a NULL row is an empty range); never reads a value.
     pub fn gather<I: RowIndex>(
         &self,
         indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
     ) -> StringArray {
         let (indices, validity) = (indices.into_iter(), self.validity.as_ref());
-        let (starts, payload): (&[i32], _) = (&self.offsets, self.data.as_slice());
-        let range = |i: usize| starts[i] as usize..starts[i + 1] as usize;
         let mut offsets = Vec::with_capacity(indices.len() + 1);
         offsets.push(0i32);
-        let mut data = Vec::with_capacity(self.payload_reserve(indices.clone()));
+        let mut data = String::with_capacity(self.payload_reserve(indices.clone()));
         for ix in indices.clone() {
-            data.extend_from_slice(&payload[live_row(validity, ix).map_or(0..0, range)]);
+            data.push_str(&self.data[live_row(validity, ix).map_or(0..0, |i| self.range(i))]);
             offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
         }
         StringArray {
@@ -196,7 +213,7 @@ impl StringArray {
     /// Concatenate several arrays. Adjacent windows over one buffer (a
     /// single input included) re-join zero-copy into the window spanning
     /// them; otherwise payload and offsets are bulk-copied (offsets rebased
-    /// by each window's payload base) — no per-value decoding.
+    /// by each window's payload base) — no per-value read.
     pub fn concat(arrays: &[&StringArray]) -> StringArray {
         let validity = Bitmap::concat_validity(arrays.iter().map(|a| (a.validity(), a.len())));
         // One offset buffer implies one payload buffer: they are built together.
@@ -211,10 +228,10 @@ impl StringArray {
         let n: usize = arrays.iter().map(|a| a.len()).sum();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0i32);
-        let mut data = Vec::with_capacity(arrays.iter().map(|a| a.payload().len()).sum());
+        let mut data = String::with_capacity(arrays.iter().map(|a| a.payload().len()).sum());
         for a in arrays {
             let base = i32::try_from(data.len()).expect("string buffer < 2 GiB") - a.offsets[0];
-            data.extend_from_slice(a.payload());
+            data.push_str(a.payload());
             offsets.extend(a.offsets[1..].iter().map(|&o| o + base));
         }
         i32::try_from(data.len()).expect("string buffer < 2 GiB");
@@ -291,9 +308,9 @@ mod tests {
         instrument::reset();
         let c = StringArray::concat(&[&a, &b]);
         assert_eq!(
-            instrument::decodes(),
+            instrument::accesses(),
             0,
-            "bulk concat must not decode values one at a time"
+            "bulk concat must not read values one at a time"
         );
         assert_eq!(c.len(), 10_000);
         assert_eq!(c.value(0), Some("left-0"));
@@ -307,7 +324,11 @@ mod tests {
         let a = StringArray::from_options([Some("x"), None, Some("naïve"), Some("")]);
         instrument::reset();
         let g = a.gather([3, 2, 1, 0, 2]);
-        assert_eq!(instrument::decodes(), 0, "bulk gather must not decode");
+        assert_eq!(
+            instrument::accesses(),
+            0,
+            "bulk gather must not read values"
+        );
         assert_eq!(
             g.iter().collect::<Vec<_>>(),
             vec![Some(""), Some("naïve"), None, Some("x"), Some("naïve")]
@@ -324,7 +345,7 @@ mod tests {
         let a = StringArray::from_strings(["a", "bb", "ccc"]);
         instrument::reset();
         let g = a.gather([Some(2), None, Some(0)]);
-        assert_eq!(instrument::decodes(), 0);
+        assert_eq!(instrument::accesses(), 0);
         assert_eq!(
             g.iter().collect::<Vec<_>>(),
             vec![Some("ccc"), None, Some("a")]

@@ -6,17 +6,20 @@
 //! operators are the plan's own [`BinOp`]s, and a launch is typed by
 //! [`BinOp::result_type`], the rule plan validation applies.
 //!
-//! Each operand is lowered once into a typed *lane* — an `i64`, `f64`,
-//! boolean or string view that is either a value slice with the column's
-//! validity bitmap or a broadcast constant — and one generic loop per
-//! operator family writes the output buffer and its bitmaps directly.
+//! Every operand is read in place at its stored width — an `Int32` or
+//! `Date32` column as `i32`, `Int64` as `i64`, `Float64` as `f64`, a boolean
+//! column as its bitmap, a string column through its offsets or its
+//! dictionary — and a literal is converted once. One generic loop per
+//! operator and pair of widths widens each element into the `i64` or `f64`
+//! *lane* in registers and writes the output values, or its bitmap 64 rows a
+//! word; no operand is copied first.
 //! Semantics: integer `+ − ×` wrap; `/` is always `Float64` and NULL on a
 //! zero divisor; `%` is NULL on zero; comparisons order as `Scalar::cmp`
 //! does (integers exactly, anything with a float through `f64::total_cmp`,
 //! strings bytewise); a NULL literal adopts the other side's type. A
-//! dictionary-encoded column is compared with a literal once per dictionary
-//! entry. Outputs carry a validity bitmap iff some row is NULL, and NULL
-//! slots hold `0` / `0.0` / `false`.
+//! dictionary-encoded column is compared with a literal, matched by `LIKE`
+//! and tested by `IN` once per dictionary entry. Outputs carry a validity
+//! bitmap iff some row is NULL, and NULL slots hold `0` / `0.0` / `false`.
 
 use crate::{GpuContext, KernelError, Result};
 use sirius_columnar::ops::BinOp;
@@ -24,7 +27,6 @@ use sirius_columnar::{
     Array, Bitmap, BoolArray, DataType, DictionaryArray, PrimitiveArray, Scalar, StringArray,
 };
 use sirius_hw::WorkProfile;
-use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// A kernel operand: a column or a broadcast scalar.
@@ -37,14 +39,6 @@ pub enum Datum<'a> {
 }
 
 impl<'a> Datum<'a> {
-    /// Element `i` (the scalar for broadcast operands).
-    pub fn value(&self, i: usize) -> Scalar {
-        match self {
-            Datum::Column(a) => a.scalar(i),
-            Datum::Scalar(s) => s.clone(),
-        }
-    }
-
     /// The operand's logical type, `None` for a NULL literal.
     pub fn data_type(&self) -> Option<DataType> {
         match self {
@@ -60,19 +54,116 @@ impl<'a> Datum<'a> {
             Datum::Scalar(_) => 0,
         }
     }
+
+    /// Rows where the operand is non-NULL; `None` when every row is.
+    pub(crate) fn validity(&self, n: usize) -> Option<Bitmap> {
+        match self {
+            Datum::Column(a) => a.validity().cloned(),
+            Datum::Scalar(s) => s.is_null().then(|| Bitmap::all_clear(n)),
+        }
+    }
 }
 
-/// A numeric operand lowered for a typed loop: the column's values (widened
-/// once when the lane is wider than the storage) with its validity bitmap,
-/// or a broadcast constant (`None` for a NULL literal).
-pub(crate) enum Lane<'a, T: Copy> {
-    Col(Cow<'a, [T]>, Option<&'a Bitmap>),
-    Const(Option<T>),
+/// A stored numeric width, read into a lane in registers.
+pub(crate) trait Native: Copy {
+    /// The value in the integer lane.
+    fn int(self) -> i64;
+    /// The value in the float lane, widened as `Scalar::as_f64` widens it.
+    fn float(self) -> f64;
 }
 
-impl<'a, T: Copy> Lane<'a, T> {
-    fn widened<S: Copy>(a: &'a PrimitiveArray<S>, widen: impl Fn(S) -> T) -> Self {
-        Lane::Col(a.values().iter().map(|&v| widen(v)).collect(), a.validity())
+impl Native for i32 {
+    fn int(self) -> i64 {
+        i64::from(self)
+    }
+    fn float(self) -> f64 {
+        f64::from(self)
+    }
+}
+
+impl Native for i64 {
+    fn int(self) -> i64 {
+        self
+    }
+    fn float(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Native for f64 {
+    /// Never reached: typing keeps floats out of the integer lane.
+    fn int(self) -> i64 {
+        self as i64
+    }
+    fn float(self) -> f64 {
+        self
+    }
+}
+
+/// The type a lane computes in: `i64` or `f64`.
+pub(crate) trait LaneType: Copy + Default {
+    /// A stored value, widened into this lane.
+    fn of<S: Native>(v: S) -> Self;
+}
+
+impl LaneType for i64 {
+    fn of<S: Native>(v: S) -> i64 {
+        v.int()
+    }
+}
+
+impl LaneType for f64 {
+    fn of<S: Native>(v: S) -> f64 {
+        v.float()
+    }
+}
+
+impl LaneType for i32 {
+    /// Only `i32` values enter this lane (see [`Lane::narrow`]), so the
+    /// cast is exact.
+    fn of<S: Native>(v: S) -> i32 {
+        v.int() as i32
+    }
+}
+
+/// A numeric column's values, borrowed at their stored width.
+#[derive(Clone, Copy)]
+pub(crate) enum Values<'a> {
+    I32(&'a [i32]),
+    I64(&'a [i64]),
+    F64(&'a [f64]),
+}
+
+/// `$body` with `$s` bound to the slice of a [`Values`]: one monomorphic
+/// copy of `$body` per stored width.
+macro_rules! with_values {
+    ($values:expr, |$s:ident| $body:expr) => {
+        match $values {
+            Values::I32($s) => $body,
+            Values::I64($s) => $body,
+            Values::F64($s) => $body,
+        }
+    };
+}
+pub(crate) use with_values;
+
+/// A numeric operand lowered for a typed loop: a column's values in place
+/// with its validity bitmap, or a broadcast literal converted once to the
+/// lane type `L` (`None` for a NULL literal).
+pub(crate) enum Lane<'a, L> {
+    Col(Values<'a>, Option<&'a Bitmap>),
+    Const(Option<L>),
+}
+
+impl<'a, L> Lane<'a, L> {
+    /// A numeric column in place; any other column reads as NULL.
+    fn column(a: &'a Array) -> Self {
+        match a {
+            Array::Int32(a) | Array::Date32(a) => Lane::Col(Values::I32(a.values()), a.validity()),
+            Array::Int64(a) => Lane::Col(Values::I64(a.values()), a.validity()),
+            Array::Float64(a) => Lane::Col(Values::F64(a.values()), a.validity()),
+            _ => Lane::Const(None),
+        }
     }
 
     /// Rows where the operand is non-NULL; `None` when every row is.
@@ -85,23 +176,26 @@ impl<'a, T: Copy> Lane<'a, T> {
     }
 }
 
-/// A scalar's value in the integer lane, which also carries booleans (as
-/// 0 / 1) so that they compare there.
-fn int_of(s: &Scalar) -> Option<i64> {
-    s.as_i64().or(s.as_bool().map(i64::from))
+impl<'a> Lane<'a, i64> {
+    /// This integer lane at `i32` width, where SIMD compares twice the rows
+    /// per instruction: when its values are `i32`s — an `Int32` or `Date32`
+    /// column, or a literal that fits.
+    fn narrow(&self) -> Option<Lane<'a, i32>> {
+        match *self {
+            Lane::Col(Values::I32(v), valid) => Some(Lane::Col(Values::I32(v), valid)),
+            Lane::Col(..) => None,
+            Lane::Const(None) => Some(Lane::Const(None)),
+            Lane::Const(Some(c)) => i32::try_from(c).ok().map(|c| Lane::Const(Some(c))),
+        }
+    }
 }
 
-/// Integer lane (`Int32`, `Int64`, `Date32`, `Bool`); anything else reads
-/// as NULL.
+/// Integer lane (`Int32`, `Int64`, `Date32`); anything else reads as NULL.
 pub(crate) fn int_lane<'a>(d: &Datum<'a>) -> Lane<'a, i64> {
     match d {
-        Datum::Scalar(s) => Lane::Const(int_of(s)),
-        Datum::Column(Array::Int64(a)) => Lane::Col(Cow::Borrowed(a.values()), a.validity()),
-        Datum::Column(Array::Int32(a) | Array::Date32(a)) => Lane::widened(a, i64::from),
-        Datum::Column(Array::Bool(a)) => {
-            Lane::Col(a.values().iter().map(i64::from).collect(), a.validity())
-        }
-        Datum::Column(_) => Lane::Const(None),
+        Datum::Scalar(s) => Lane::Const(s.as_i64()),
+        Datum::Column(Array::Float64(_)) => Lane::Const(None),
+        Datum::Column(a) => Lane::column(a),
     }
 }
 
@@ -109,41 +203,110 @@ pub(crate) fn int_lane<'a>(d: &Datum<'a>) -> Lane<'a, i64> {
 pub(crate) fn float_lane<'a>(d: &Datum<'a>) -> Lane<'a, f64> {
     match d {
         Datum::Scalar(s) => Lane::Const(s.as_f64()),
-        Datum::Column(Array::Float64(a)) => Lane::Col(Cow::Borrowed(a.values()), a.validity()),
-        Datum::Column(Array::Int64(a)) => Lane::widened(a, |v| v as f64),
-        Datum::Column(Array::Int32(a) | Array::Date32(a)) => Lane::widened(a, f64::from),
-        Datum::Column(_) => Lane::Const(None),
+        Datum::Column(a) => Lane::column(a),
     }
 }
 
-/// Apply `f` to every row of one lane, collecting a `Vec` or a `Bitmap`.
-/// Rows of a NULL constant yield `U::default()`.
-fn map<T: Copy, U: Clone + Default, C: FromIterator<U>>(
-    lane: &Lane<'_, T>,
+/// Up to 64 flags as one bitmap word, flag `j` at bit `j`. Each flag is
+/// first a byte, which lets the comparison loops vectorize; a multiply then
+/// gathers eight bytes at a time: byte `i` (0 or 1) lands on bit `56 + i`,
+/// and no two partial products share a bit.
+fn word(flags: impl Iterator<Item = bool>) -> u64 {
+    let mut bytes = [0u8; 64];
+    bytes
+        .iter_mut()
+        .zip(flags)
+        .for_each(|(b, f)| *b = u8::from(f));
+    bytes.chunks_exact(8).enumerate().fold(0, |w, (k, eight)| {
+        let eight = u64::from_le_bytes(eight.try_into().unwrap_or_default());
+        w | (eight.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k)
+    })
+}
+
+/// `f` of every element, packed 64 rows a word.
+pub(crate) fn pack<A: Copy>(a: &[A], f: impl Fn(A) -> bool) -> Bitmap {
+    let words = a.chunks(64).map(|c| word(c.iter().map(|&x| f(x))));
+    Bitmap::from_words(words.collect(), a.len())
+}
+
+fn repeat_bit(bit: bool, n: usize) -> Bitmap {
+    if bit {
+        Bitmap::all_set(n)
+    } else {
+        Bitmap::all_clear(n)
+    }
+}
+
+/// A kernel's output buffer, written straight from operand slices: a value
+/// `Vec`, or a `Bitmap` packed 64 rows a word.
+pub(crate) trait Output<U>: Sized {
+    fn map<A: Copy>(a: &[A], f: impl Fn(A) -> U) -> Self;
+    fn zip<A: Copy, B: Copy>(a: &[A], b: &[B], f: impl Fn(A, B) -> U) -> Self;
+    fn repeat(value: U, n: usize) -> Self;
+}
+
+impl<U: Clone> Output<U> for Vec<U> {
+    fn map<A: Copy>(a: &[A], f: impl Fn(A) -> U) -> Self {
+        a.iter().map(|&x| f(x)).collect()
+    }
+    fn zip<A: Copy, B: Copy>(a: &[A], b: &[B], f: impl Fn(A, B) -> U) -> Self {
+        a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
+    }
+    fn repeat(value: U, n: usize) -> Self {
+        vec![value; n]
+    }
+}
+
+impl Output<bool> for Bitmap {
+    fn map<A: Copy>(a: &[A], f: impl Fn(A) -> bool) -> Self {
+        pack(a, f)
+    }
+    fn zip<A: Copy, B: Copy>(a: &[A], b: &[B], f: impl Fn(A, B) -> bool) -> Self {
+        let words = (a.chunks(64).zip(b.chunks(64)))
+            .map(|(ca, cb)| word(ca.iter().zip(cb).map(|(&x, &y)| f(x, y))));
+        Bitmap::from_words(words.collect(), a.len())
+    }
+    fn repeat(value: bool, n: usize) -> Self {
+        repeat_bit(value, n)
+    }
+}
+
+/// Apply `f` to every row of one lane. A NULL literal reads as
+/// `L::default()`; its rows are NULL in any output.
+pub(crate) fn map<L: LaneType, U, C: Output<U>>(
+    lane: &Lane<'_, L>,
     n: usize,
-    f: impl Fn(T) -> U,
+    f: impl Fn(L) -> U,
 ) -> C {
     match lane {
-        Lane::Col(a, _) => a.iter().map(|&x| f(x)).collect(),
-        Lane::Const(c) => std::iter::repeat_n(c.map(f).unwrap_or_default(), n).collect(),
+        Lane::Col(a, _) => with_values!(*a, |a| C::map(a, |x| f(L::of(x)))),
+        Lane::Const(c) => C::repeat(f(c.unwrap_or_default()), n),
     }
 }
 
-/// Apply `f` to every row pair of two lanes: the one place the three
-/// broadcast forms are spelled out.
-fn zip<T: Copy, U: Clone + Default, C: FromIterator<U>>(
-    l: &Lane<'_, T>,
-    r: &Lane<'_, T>,
+/// Apply `f` to every row pair of two lanes: the one place the broadcast
+/// forms and the pairs of stored widths are spelled out.
+fn zip<L: LaneType, U, C: Output<U>>(
+    l: &Lane<'_, L>,
+    r: &Lane<'_, L>,
     n: usize,
-    f: impl Fn(T, T) -> U,
+    f: impl Fn(L, L) -> U,
 ) -> C {
     match (l, r) {
-        (Lane::Col(a, _), Lane::Col(b, _)) => {
-            a.iter().zip(b.iter()).map(|(&x, &y)| f(x, y)).collect()
+        (Lane::Col(a, _), Lane::Col(b, _)) => with_values!(*a, |a| {
+            with_values!(*b, |b| C::zip(a, b, |x, y| f(L::of(x), L::of(y))))
+        }),
+        (Lane::Col(a, _), Lane::Const(y)) => {
+            let y = y.unwrap_or_default();
+            with_values!(*a, |a| C::map(a, |x| f(L::of(x), y)))
         }
-        (Lane::Col(_, _), Lane::Const(Some(y))) => map(l, n, |x| f(x, *y)),
-        (Lane::Const(Some(x)), _) => map(r, n, |y| f(*x, y)),
-        _ => std::iter::repeat_n(U::default(), n).collect(),
+        (Lane::Const(x), Lane::Col(b, _)) => {
+            let x = x.unwrap_or_default();
+            with_values!(*b, |b| C::map(b, |y| f(x, L::of(y))))
+        }
+        (Lane::Const(x), Lane::Const(y)) => {
+            C::repeat(f(x.unwrap_or_default(), y.unwrap_or_default()), n)
+        }
     }
 }
 
@@ -156,14 +319,14 @@ fn and_valid(a: Option<Bitmap>, b: Option<Bitmap>) -> Option<Bitmap> {
 
 /// A string operand: plain column, dictionary column, or literal. A
 /// non-string operand reads as NULL in every row.
-enum StrLane<'a> {
+pub(crate) enum StrLane<'a> {
     Plain(&'a StringArray),
     Dict(&'a DictionaryArray),
     Const(Option<&'a str>),
 }
 
 impl<'a> StrLane<'a> {
-    fn of(d: &'a Datum<'_>) -> Self {
+    pub(crate) fn of(d: &'a Datum<'_>) -> Self {
         match d {
             Datum::Column(Array::Utf8(a)) => StrLane::Plain(a),
             Datum::Column(Array::Dict(a)) => StrLane::Dict(a),
@@ -172,7 +335,7 @@ impl<'a> StrLane<'a> {
         }
     }
 
-    fn get(&self, i: usize) -> Option<&'a str> {
+    pub(crate) fn get(&self, i: usize) -> Option<&'a str> {
         match self {
             StrLane::Plain(a) => a.value(i),
             StrLane::Dict(a) => a.value(i),
@@ -189,26 +352,35 @@ impl<'a> StrLane<'a> {
         }
     }
 
-    /// `pred` of every row (false for NULL). A dictionary column evaluates
-    /// it once per dictionary entry and maps each row through its code.
-    fn test(&self, n: usize, mut pred: impl FnMut(&str) -> bool) -> Bitmap {
+    /// `flags(strings)` — one flag per value of a string array — of every
+    /// row. A dictionary column runs it once over its entries and maps each
+    /// row through its code; a NULL row's flag is masked by its validity.
+    fn test(&self, n: usize, flags: impl FnOnce(&StringArray) -> Vec<bool>) -> Bitmap {
         match self {
+            StrLane::Plain(a) => Bitmap::from_iter(flags(a)),
             StrLane::Dict(d) => {
-                let entries = d.values();
-                let hits: Vec<bool> = (0..entries.len())
-                    .map(|e| entries.value(e).is_some_and(&mut pred))
-                    .collect();
-                let hit = |&c: &i32| hits.get(c as usize).copied().unwrap_or(false);
-                Bitmap::from_iter(d.codes().iter().map(hit))
+                let hits = flags(d.values());
+                pack(d.codes(), |c| {
+                    hits.get(c as usize).copied().unwrap_or(false)
+                })
             }
-            _ => Bitmap::from_iter((0..n).map(|i| self.get(i).is_some_and(&mut pred))),
+            StrLane::Const(c) => {
+                let hit = c.is_some_and(|s| flags(&StringArray::from_strings([s])) == [true]);
+                repeat_bit(hit, n)
+            }
         }
     }
 }
 
+/// `pred` of every value of a string array (false for NULL): the per-value
+/// form of [`StrLane::test`]'s flags.
+fn each(pred: impl Fn(&str) -> bool) -> impl FnOnce(&StringArray) -> Vec<bool> {
+    move |strings| strings.iter().map(|v| v.is_some_and(&pred)).collect()
+}
+
 /// A boolean operand as two bit sets: rows known true, rows known false
 /// (NULL rows are in neither).
-fn truth(d: &Datum<'_>, n: usize) -> (Bitmap, Bitmap) {
+pub(crate) fn truth(d: &Datum<'_>, n: usize) -> (Bitmap, Bitmap) {
     match d {
         Datum::Column(Array::Bool(a)) => {
             let not = a.values().not();
@@ -218,19 +390,10 @@ fn truth(d: &Datum<'_>, n: usize) -> (Bitmap, Bitmap) {
             )
         }
         Datum::Column(_) => (Bitmap::all_clear(n), Bitmap::all_clear(n)),
-        Datum::Scalar(s) => {
-            let bits = |on| {
-                if on {
-                    Bitmap::all_set(n)
-                } else {
-                    Bitmap::all_clear(n)
-                }
-            };
-            (
-                bits(s.as_bool() == Some(true)),
-                bits(s.as_bool() == Some(false)),
-            )
-        }
+        Datum::Scalar(s) => (
+            repeat_bit(s.as_bool() == Some(true), n),
+            repeat_bit(s.as_bool() == Some(false), n),
+        ),
     }
 }
 
@@ -238,6 +401,7 @@ fn truth(d: &Datum<'_>, n: usize) -> (Bitmap, Bitmap) {
 /// `None` when such values never compare equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CmpLane {
+    Bool,
     Int,
     Float,
     Str,
@@ -246,7 +410,8 @@ enum CmpLane {
 fn cmp_lane(l: DataType, r: DataType) -> Option<CmpLane> {
     use DataType::*;
     Some(match (l, r) {
-        (Int32 | Int64, Int32 | Int64) | (Date32, Date32) | (Bool, Bool) => CmpLane::Int,
+        (Bool, Bool) => CmpLane::Bool,
+        (Int32 | Int64, Int32 | Int64) | (Date32, Date32) => CmpLane::Int,
         (Utf8, Utf8) => CmpLane::Str,
         (Int32 | Int64 | Float64 | Date32, Int32 | Int64 | Float64 | Date32) => CmpLane::Float,
         _ => return None,
@@ -265,13 +430,14 @@ fn ordering_test(op: BinOp) -> fn(Ordering) -> bool {
     }
 }
 
-/// Numeric comparison: one monomorphic loop per operator.
-fn compare_lanes<T: Copy>(
+/// Numeric comparison: one monomorphic loop per operator and pair of
+/// stored widths.
+fn compare_lanes<L: LaneType>(
     op: BinOp,
-    l: &Lane<'_, T>,
-    r: &Lane<'_, T>,
+    l: &Lane<'_, L>,
+    r: &Lane<'_, L>,
     n: usize,
-    cmp: impl Fn(T, T) -> Ordering + Copy,
+    cmp: impl Fn(L, L) -> Ordering + Copy,
 ) -> Array {
     let values: Bitmap = match op {
         BinOp::Eq => zip(l, r, n, |a, b| cmp(a, b).is_eq()),
@@ -287,9 +453,32 @@ fn compare_lanes<T: Copy>(
     ))
 }
 
+/// Boolean comparison (`false < true`) as bit algebra over the rows known
+/// true and known false, a word at a time.
+fn compare_bools(op: BinOp, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
+    let ((lt, lf), (rt, rf)) = (truth(left, n), truth(right, n));
+    let values = match op {
+        BinOp::Eq => lt.and(&rt).or(&lf.and(&rf)),
+        BinOp::Ne => lt.and(&rf).or(&lf.and(&rt)),
+        BinOp::Lt => lf.and(&rt),
+        BinOp::Le => lf.or(&rt),
+        BinOp::Gt => lt.and(&rf),
+        _ => lt.or(&rf),
+    };
+    let valid = and_valid(left.validity(n), right.validity(n));
+    Array::Bool(BoolArray::from_parts(values, valid))
+}
+
 fn compare(op: BinOp, lane: CmpLane, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
     match lane {
-        CmpLane::Int => compare_lanes(op, &int_lane(left), &int_lane(right), n, |a, b| a.cmp(&b)),
+        CmpLane::Bool => compare_bools(op, left, right, n),
+        CmpLane::Int => {
+            let (l, r) = (int_lane(left), int_lane(right));
+            match (l.narrow(), r.narrow()) {
+                (Some(l), Some(r)) => compare_lanes(op, &l, &r, n, |a, b| a.cmp(&b)),
+                _ => compare_lanes(op, &l, &r, n, |a, b| a.cmp(&b)),
+            }
+        }
         CmpLane::Float => {
             let cmp = |a: f64, b: f64| a.total_cmp(&b);
             compare_lanes(op, &float_lane(left), &float_lane(right), n, cmp)
@@ -299,8 +488,8 @@ fn compare(op: BinOp, lane: CmpLane, left: &Datum<'_>, right: &Datum<'_>, n: usi
             let test = ordering_test(op);
             let values =
                 match (&l, &r) {
-                    (_, StrLane::Const(Some(c))) => l.test(n, |s| test(s.cmp(c))),
-                    (StrLane::Const(Some(c)), _) => r.test(n, |s| test((*c).cmp(s))),
+                    (_, StrLane::Const(Some(c))) => l.test(n, each(|s| test(s.cmp(c)))),
+                    (StrLane::Const(Some(c)), _) => r.test(n, each(|s| test((*c).cmp(s)))),
                     _ => Bitmap::from_iter((0..n).map(
                         |i| matches!((l.get(i), r.get(i)), (Some(a), Some(b)) if test(a.cmp(b))),
                     )),
@@ -325,13 +514,13 @@ fn logical(op: BinOp, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
 }
 
 fn arith(op: BinOp, out: DataType, left: &Datum<'_>, right: &Datum<'_>, n: usize) -> Array {
-    fn of<T: Copy + Default>(
-        l: &Lane<'_, T>,
-        r: &Lane<'_, T>,
+    fn of<L: LaneType, U: Copy + Default>(
+        l: &Lane<'_, L>,
+        r: &Lane<'_, L>,
         n: usize,
         divisor_ok: Option<Bitmap>,
-        f: impl Fn(T, T) -> T,
-    ) -> PrimitiveArray<T> {
+        f: impl Fn(L, L) -> U,
+    ) -> PrimitiveArray<U> {
         let valid = and_valid(and_valid(l.valid(n), r.valid(n)), divisor_ok);
         PrimitiveArray::from_parts(zip(l, r, n, f), valid)
     }
@@ -356,27 +545,27 @@ fn arith(op: BinOp, out: DataType, left: &Datum<'_>, right: &Datum<'_>, n: usize
                 _ => of(&l, &r, n, None, |a, b| a * b),
             })
         }
+        // Date ± days: truncated back to the 32-bit day count.
+        (_, DataType::Date32) => {
+            let (l, r) = (int_lane(left), int_lane(right));
+            Array::Date32(match op {
+                BinOp::Add => of(&l, &r, n, None, |a: i64, b| a.wrapping_add(b) as i32),
+                _ => of(&l, &r, n, None, |a: i64, b| a.wrapping_sub(b) as i32),
+            })
+        }
         _ => {
             let (l, r) = (int_lane(left), int_lane(right));
-            let ints = match op {
+            Array::Int64(match op {
                 BinOp::Add => of(&l, &r, n, None, i64::wrapping_add),
                 BinOp::Sub => of(&l, &r, n, None, i64::wrapping_sub),
                 _ => of(&l, &r, n, None, i64::wrapping_mul),
-            };
-            match out {
-                // Date ± days: truncate back to the 32-bit day count.
-                DataType::Date32 => Array::Date32(PrimitiveArray::from_parts(
-                    ints.values().iter().map(|&v| v as i32).collect(),
-                    ints.validity().cloned(),
-                )),
-                _ => Array::Int64(ints),
-            }
+            })
         }
     }
 }
 
 /// A column operand must hold exactly the rows the kernel was asked for.
-fn check_rows(d: &Datum<'_>, num_rows: usize) -> Result<()> {
+pub(crate) fn check_rows(d: &Datum<'_>, num_rows: usize) -> Result<()> {
     match d {
         Datum::Column(a) if a.len() != num_rows => Err(KernelError::UnsupportedTypes(format!(
             "operand has {} rows, kernel launched over {num_rows}",
@@ -425,7 +614,7 @@ pub fn binary_op(
 }
 
 /// SQL `LIKE` pattern match (`%` any run, `_` any single char). Returns a
-/// `Bool` column; nulls propagate.
+/// `Bool` column; nulls propagate. The pattern is compiled once per call.
 pub fn like(
     ctx: &GpuContext,
     input: &Datum<'_>,
@@ -434,21 +623,10 @@ pub fn like(
     num_rows: usize,
 ) -> Result<Array> {
     check_rows(input, num_rows)?;
-    let pat: Vec<char> = pattern.chars().collect();
+    let compiled = Pattern::compile(pattern);
     let lane = StrLane::of(input);
-    let ascii_pattern = pattern.is_ascii();
-    let mut text: Vec<char> = Vec::new();
-    let values = lane.test(num_rows, |s| {
-        // ASCII text is its own character array.
-        let hit = if ascii_pattern && s.is_ascii() {
-            like_match(s.as_bytes(), pattern.as_bytes(), b'%', b'_')
-        } else {
-            text.clear();
-            text.extend(s.chars());
-            like_match(&text, &pat, '%', '_')
-        };
-        hit != negated
-    });
+    let hits = lane.test(num_rows, |strings| compiled.flags(strings));
+    let values = if negated { hits.not() } else { hits };
     // A dictionary column matches the pattern once per dictionary entry
     // (see `StrLane::test`): the charge reads the dictionary payload once
     // plus the codes, instead of every row's decoded bytes.
@@ -465,6 +643,122 @@ pub fn like(
         values,
         lane.valid(num_rows),
     )))
+}
+
+/// A `LIKE` pattern, compiled once per call.
+enum Pattern<'p> {
+    /// Neither `%` nor `_`: the whole text.
+    Exact(&'p str),
+    /// `%` but no `_`: an anchored prefix, the non-empty segments between
+    /// `%`s, found in order, and an anchored suffix.
+    Segments {
+        prefix: &'p str,
+        middle: Vec<&'p str>,
+        suffix: &'p str,
+    },
+    /// A `_` somewhere: the backtracking matcher, by character.
+    Chars(&'p str, Vec<char>),
+}
+
+impl<'p> Pattern<'p> {
+    fn compile(pattern: &'p str) -> Self {
+        if pattern.contains('_') {
+            return Pattern::Chars(pattern, pattern.chars().collect());
+        }
+        let mut parts = pattern.split('%');
+        let prefix = parts.next().unwrap_or_default();
+        match parts.next_back() {
+            None => Pattern::Exact(prefix),
+            Some(suffix) => Pattern::Segments {
+                prefix,
+                middle: parts.filter(|m| !m.is_empty()).collect(),
+                suffix,
+            },
+        }
+    }
+
+    /// Whether `s` matches; `text` is scratch space for the `Chars` form.
+    /// Matching UTF-8 bytewise is matching by character: a valid needle
+    /// found in valid text starts on a character boundary.
+    fn matches(&self, s: &str, text: &mut Vec<char>) -> bool {
+        match self {
+            Pattern::Exact(p) => s == *p,
+            Pattern::Segments {
+                prefix,
+                middle,
+                suffix,
+            } => {
+                let rest = s.strip_prefix(prefix).and_then(|r| r.strip_suffix(suffix));
+                rest.is_some_and(|mut rest| {
+                    middle.iter().all(|m| match rest.split_once(m) {
+                        Some((_, after)) => {
+                            rest = after;
+                            true
+                        }
+                        None => false,
+                    })
+                })
+            }
+            // ASCII text is its own character array.
+            Pattern::Chars(p, _) if p.is_ascii() && s.is_ascii() => {
+                like_match(s.as_bytes(), p.as_bytes(), b'%', b'_')
+            }
+            Pattern::Chars(_, chars) => {
+                text.clear();
+                text.extend(s.chars());
+                like_match(text, chars, '%', '_')
+            }
+        }
+    }
+
+    /// Whether each value of `strings` matches (false for NULL). A pattern
+    /// with a middle segment scans the contiguous payload once for the first
+    /// one, which every match contains, and matches in full only the values
+    /// it is found in.
+    fn flags(&self, strings: &StringArray) -> Vec<bool> {
+        let mut text = Vec::new();
+        let needle = match self {
+            Pattern::Segments { middle, .. } => middle.first(),
+            _ => None,
+        };
+        let Some(needle) = needle else {
+            let each = strings.iter();
+            return each
+                .map(|v| v.is_some_and(|s| self.matches(s, &mut text)))
+                .collect();
+        };
+        let (data, offsets) = (strings.value_data(), strings.value_offsets());
+        let mut flags = vec![false; strings.len()];
+        let (mut row, end) = (0, offsets[strings.len()] as usize);
+        let mut from = offsets[0] as usize;
+        while let Some(at) = find_from(data, needle, from, end) {
+            // Values are contiguous: the hit lies in the first one ending past it.
+            while offsets[row + 1] as usize <= at {
+                row += 1;
+            }
+            let value = data.get(offsets[row] as usize..offsets[row + 1] as usize);
+            flags[row] = value.is_some_and(|s| self.matches(s, &mut text));
+            row += 1;
+            from = offsets[row] as usize;
+        }
+        flags
+    }
+}
+
+/// The first occurrence of `needle` (not empty) in `data[from..end]`, as an
+/// offset into `data`. A 256-byte block that `str::contains` rules out — a
+/// SIMD scan, where `find` is not — is skipped whole.
+fn find_from(data: &str, needle: &str, mut from: usize, end: usize) -> Option<usize> {
+    const BLOCK: usize = 256;
+    while from < end {
+        let block_end = data.ceil_char_boundary((from + BLOCK).min(end));
+        let reach = data.ceil_char_boundary((block_end + needle.len() - 1).min(end));
+        match data.get(from..reach) {
+            Some(block) if !block.contains(needle) => from = block_end,
+            _ => return data.get(from..end)?.find(needle).map(|at| from + at),
+        }
+    }
+    None
 }
 
 /// Greedy-with-backtracking LIKE matcher (iterative, linear in practice).
@@ -493,10 +787,12 @@ fn like_match<T: Copy + PartialEq>(s: &[T], p: &[T], any_run: T, any_one: T) -> 
     pi == p.len()
 }
 
-/// `expr IN (literal, ...)` kernel: the OR of one equality comparison per
-/// list entry, so a row matches an entry exactly when `Scalar::eq` holds
-/// between them. NULL entries, and entries of a type the input never equals,
-/// match nothing.
+/// `expr IN (literal, ...)` kernel: a row matches when `Scalar::eq` holds
+/// between it and some list entry. One pass: each entry is converted once
+/// into the lane its type compares in with the input's, a numeric column is
+/// tested in one loop over its values and a dictionary column once per
+/// entry. NULL entries, and entries of a type the input never equals, match
+/// nothing.
 pub fn in_list(
     ctx: &GpuContext,
     input: &Datum<'_>,
@@ -505,33 +801,67 @@ pub fn in_list(
     num_rows: usize,
 ) -> Result<Array> {
     check_rows(input, num_rows)?;
-    let mut hits = Bitmap::all_clear(num_rows);
-    for entry in list {
-        let types = input.data_type().zip(entry.data_type());
-        if let Some(lane) = types.and_then(|(t, e)| cmp_lane(t, e)) {
-            let entry = Datum::Scalar(entry.clone());
-            let eq = compare(BinOp::Eq, lane, input, &entry, num_rows);
-            hits = hits.or(&eq.as_bool()?.to_selection());
-        }
-    }
+    let hits = match input {
+        Datum::Column(column) => column_hits(column, list, num_rows),
+        Datum::Scalar(s) => repeat_bit(!s.is_null() && list.contains(s), num_rows),
+    };
     ctx.charge_named(
         "binary.in_list",
         &WorkProfile::scan(input.byte_size())
             .with_flops((num_rows * list.len().max(1)) as u64)
             .with_rows(num_rows as u64),
     );
-    let valid = match input {
-        Datum::Column(a) => a.validity().cloned(),
-        Datum::Scalar(s) => s.is_null().then(|| Bitmap::all_clear(num_rows)),
-    };
     let values = if negated { hits.not() } else { hits };
-    Ok(Array::Bool(BoolArray::from_parts(values, valid)))
+    Ok(Array::Bool(BoolArray::from_parts(
+        values,
+        input.validity(num_rows),
+    )))
+}
+
+/// The rows of `column` equal to some entry of `list`.
+fn column_hits(column: &Array, list: &[Scalar], n: usize) -> Bitmap {
+    let t = column.data_type();
+    let in_lane = |lane| {
+        (list.iter()).filter(move |e| e.data_type().and_then(|e| cmp_lane(t, e)) == Some(lane))
+    };
+    let input = Datum::Column(column);
+    match t {
+        DataType::Utf8 => {
+            let strs: Vec<&str> = in_lane(CmpLane::Str).filter_map(Scalar::as_str).collect();
+            StrLane::of(&input).test(n, each(|s| strs.contains(&s)))
+        }
+        DataType::Bool => {
+            let (t, f) = truth(&input, n);
+            let has = |b| in_lane(CmpLane::Bool).any(|e| e.as_bool() == Some(b));
+            match (has(true), has(false)) {
+                (true, true) => t.or(&f),
+                (true, false) => t,
+                (false, true) => f,
+                (false, false) => Bitmap::all_clear(n),
+            }
+        }
+        _ => {
+            let ints: Vec<i64> = in_lane(CmpLane::Int).filter_map(Scalar::as_i64).collect();
+            let floats: Vec<f64> = in_lane(CmpLane::Float).filter_map(Scalar::as_f64).collect();
+            let hit = |x: i64, y: f64| {
+                ints.contains(&x) || floats.iter().any(|f| f.total_cmp(&y).is_eq())
+            };
+            match float_lane(&input) {
+                Lane::Col(values, _) => {
+                    with_values!(values, |v| pack(v, |x| hit(x.int(), x.float())))
+                }
+                Lane::Const(_) => Bitmap::all_clear(n),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{self, same_values, Gen, Kind, KINDS};
+    use crate::reference::{
+        self, datum, same_column, same_launch, same_values, Gen, Kind, KINDS, ROWS,
+    };
     use crate::test_ctx;
     use proptest::prelude::*;
 
@@ -551,34 +881,6 @@ mod tests {
         BinOp::Or,
     ];
 
-    /// Row counts on both sides of the bitmap word boundary.
-    const ROWS: [usize; 7] = [0, 1, 5, 63, 64, 65, 130];
-
-    /// An operand in one of three forms: column, broadcast scalar, NULL.
-    fn operand(g: &mut Gen, kind: Kind, rows: usize) -> (Option<Array>, Scalar) {
-        match g.below(4) {
-            0 => (None, g.scalar(kind)),
-            1 => (None, Scalar::Null),
-            _ => {
-                let nulls = g.below(2) == 0;
-                (Some(g.column(kind, rows, nulls)), Scalar::Null)
-            }
-        }
-    }
-
-    fn datum(operand: &(Option<Array>, Scalar)) -> Datum<'_> {
-        match operand {
-            (Some(column), _) => Datum::Column(column),
-            (None, scalar) => Datum::Scalar(scalar.clone()),
-        }
-    }
-
-    fn same_column(got: &Array, expected: &Array) -> std::result::Result<(), TestCaseError> {
-        prop_assert!(same_values(got, expected), "{:?} vs {:?}", got, expected);
-        prop_assert_eq!(got.byte_size(), expected.byte_size());
-        Ok(())
-    }
-
     proptest! {
         /// Every operator over every pair of column kinds, each operand a
         /// column (with or without NULLs), a broadcast scalar or a NULL
@@ -591,20 +893,11 @@ mod tests {
             for op in OPS {
                 for lk in KINDS {
                     for rk in KINDS {
-                        let (l, r) = (operand(&mut g, lk, rows), operand(&mut g, rk, rows));
-                        let (ctx, ref_ctx) = (test_ctx(), test_ctx());
-                        let got = binary_op(&ctx, op, &datum(&l), &datum(&r), rows);
-                        let expected =
-                            reference::binary_op(&ref_ctx, op, &datum(&l), &datum(&r), rows);
-                        match (got, expected) {
-                            (Ok(got), Ok(expected)) => same_column(&got, &expected)?,
-                            (Err(got), Err(expected)) => prop_assert_eq!(got, expected),
-                            (got, expected) => prop_assert!(
-                                false,
-                                "{:?} on {:?} / {:?}: {:?} vs {:?}", op, l, r, got, expected
-                            ),
-                        }
-                        prop_assert_eq!(ctx.device().elapsed(), ref_ctx.device().elapsed());
+                        let (l, r) = (g.operand(lk, rows), g.operand(rk, rows));
+                        same_launch(
+                            |ctx| binary_op(ctx, op, &datum(&l), &datum(&r), rows),
+                            |ctx| reference::binary_op(ctx, op, &datum(&l), &datum(&r), rows),
+                        )?;
                     }
                 }
             }
@@ -615,7 +908,7 @@ mod tests {
             let mut g = Gen(seed);
             let rows = g.pick(&ROWS);
             for kind in KINDS {
-                let input = operand(&mut g, kind, rows);
+                let input = g.operand(kind, rows);
                 let list: Vec<Scalar> = (0..g.below(5))
                     .map(|_| match g.below(6) {
                         0 => Scalar::Null,
@@ -631,17 +924,63 @@ mod tests {
             }
         }
 
+        /// Every pattern over plain, encoded and non-string operands, and
+        /// over a window whose offsets do not start at 0. The pool covers
+        /// each form the compiled pattern special-cases: exact, prefix,
+        /// suffix, several and overlapping middle segments, empty segments,
+        /// multibyte text, a pattern longer than any text, `_` (the
+        /// backtracking matcher) and the seven TPC-H patterns.
         #[test]
         fn prop_like_matches_the_scalar_reference(seed in any::<u64>()) {
             let mut g = Gen(seed);
             let rows = g.pick(&ROWS);
-            let patterns = ["", "%", "_", "a%", "%b", "a_", "%a%", "PROMO%", "na_ve", "a\0"];
+            let patterns = [
+                "", "%", "_", "a%", "%b", "a_", "%a%", "PROMO%", "na_ve", "a\0",
+                "%a%b%", "%ab%b", "%aa%aa%", "%%", "a%%b", "%ï%", "na_ve%", "a%a",
+                "naïve naïve%", "PROMO x_", "%BRASS", "%green%", "%special%requests%",
+                "MEDIUM POLISHED%", "%Customer%Complaints%", "forest%",
+            ];
             for kind in [Kind::Utf8, Kind::Dict, Kind::Int64] {
-                let input = operand(&mut g, kind, rows);
-                let pattern = g.pick(&patterns);
-                for negated in [false, true] {
-                    let got = like(&test_ctx(), &datum(&input), pattern, negated, rows).unwrap();
-                    same_column(&got, &reference::like(&datum(&input), pattern, negated, rows))?;
+                let input = g.operand(kind, rows);
+                let window = input.0.as_ref().filter(|c| c.len() > 1).map(|c| c.slice(1, c.len() - 1));
+                for pattern in patterns {
+                    for negated in [false, true] {
+                        let got = like(&test_ctx(), &datum(&input), pattern, negated, rows).unwrap();
+                        same_column(&got, &reference::like(&datum(&input), pattern, negated, rows))?;
+                        if let Some(w) = &window {
+                            let got = like(&test_ctx(), &Datum::Column(w), pattern, negated, w.len());
+                            let expected = reference::like(&Datum::Column(w), pattern, negated, w.len());
+                            same_column(&got.unwrap(), &expected)?;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// An `Int32` column compares an `Int64` just outside `i32` exactly, as a
+    /// literal or as a column, on either side of every comparison operator.
+    #[test]
+    fn comparisons_hold_just_outside_the_i32_range() {
+        let ctx = test_ctx();
+        let column = Array::from_i32([i32::MIN, -1, 0, i32::MAX]);
+        for (wide, above) in [(i32::MAX as i64 + 1, true), (i32::MIN as i64 - 1, false)] {
+            let wide_column = Array::from_i64([wide; 4]);
+            for other in [Datum::Scalar(Scalar::Int64(wide)), col(&wide_column)] {
+                for (op, column_first, other_first) in [
+                    (BinOp::Eq, false, false),
+                    (BinOp::Ne, true, true),
+                    (BinOp::Lt, above, !above),
+                    (BinOp::Le, above, !above),
+                    (BinOp::Gt, !above, above),
+                    (BinOp::Ge, !above, above),
+                ] {
+                    let run = |l: &Datum<'_>, r: &Datum<'_>| binary_op(&ctx, op, l, r, 4).unwrap();
+                    let expect = |b| Array::from_bool([b; 4]);
+                    let got = run(&col(&column), &other);
+                    assert!(same_values(&got, &expect(column_first)), "{op:?} {wide}");
+                    let got = run(&other, &col(&column));
+                    assert!(same_values(&got, &expect(other_first)), "{op:?} {wide}");
                 }
             }
         }
@@ -809,6 +1148,30 @@ mod tests {
         let r = like(&ctx, &col(&s), "%special%requests%", false, 2).unwrap();
         assert_eq!(r.scalar(0), Scalar::Bool(true));
         assert_eq!(r.scalar(1), Scalar::Bool(false));
+    }
+
+    /// A payload of many scan blocks, multibyte text straddling their edges,
+    /// a hit in every ninth value: as the per-row reference, plain and
+    /// encoded, whole and as a window.
+    #[test]
+    fn like_scans_a_long_payload_block_by_block() {
+        // Gaps between hits of 200 to 700 bytes put each hit at a different
+        // distance from the block edges.
+        let values: Vec<String> = (0..900)
+            .map(|i| match i % 9 {
+                0 => format!("{i} ïï special ï requests ï"),
+                _ => format!("{i} naïve{} spec requests", "ï".repeat(i % 31)),
+            })
+            .collect();
+        let plain = Array::from_strs(&values);
+        for column in [plain.clone(), plain.dict_encode(), plain.slice(3, 890)] {
+            for pattern in ["%special%requests%", "%ï r%", "1%ï"] {
+                let n = column.len();
+                let got = like(&test_ctx(), &col(&column), pattern, false, n).unwrap();
+                let expected = reference::like(&col(&column), pattern, false, n);
+                assert!(same_values(&got, &expected), "{pattern}");
+            }
+        }
     }
 
     #[test]

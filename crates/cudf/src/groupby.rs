@@ -17,7 +17,7 @@
 //! morsels, spill chunks and cluster nodes is `sirius_plan::expr::two_phase`;
 //! only that split's AVG divide ([`finalize_avg`]) is a kernel here.
 
-use crate::binary::{float_lane, int_lane, Datum, Lane};
+use crate::binary::{float_lane, int_lane, with_values, Datum, Lane, LaneType, Values};
 use crate::hash::{key_bytes, row_keys, FxHashSet};
 use crate::sort::compare_cells;
 use crate::{GpuContext, KernelError, Result};
@@ -178,18 +178,17 @@ fn output_order(
 }
 
 /// Call `f(group, value)` for every non-NULL row of `lane`, ascending.
-fn for_each_valid<T: Copy>(lane: &Lane<'_, T>, ids: &[u32], mut f: impl FnMut(usize, T)) {
+fn for_each_valid<L: LaneType>(lane: &Lane<'_, L>, ids: &[u32], mut f: impl FnMut(usize, L)) {
     match lane {
-        Lane::Col(values, None) => {
-            (ids.iter().zip(values.iter())).for_each(|(&g, &v)| f(g as usize, v))
-        }
-        Lane::Col(values, Some(valid)) => {
-            for (row, (&g, &v)) in ids.iter().zip(values.iter()).enumerate() {
+        Lane::Col(values, None) => with_values!(*values, |values| (ids.iter().zip(values))
+            .for_each(|(&g, &v)| f(g as usize, L::of(v)))),
+        Lane::Col(values, Some(valid)) => with_values!(*values, |values| {
+            for (row, (&g, &v)) in ids.iter().zip(values).enumerate() {
                 if valid.get(row) {
-                    f(g as usize, v);
+                    f(g as usize, L::of(v));
                 }
             }
-        }
+        }),
         Lane::Const(Some(c)) => ids.iter().for_each(|&g| f(g as usize, *c)),
         Lane::Const(None) => {}
     }
@@ -205,7 +204,7 @@ fn count(ids: &[u32], groups: usize, mut counted: impl FnMut(usize) -> bool) -> 
 }
 
 /// `SUM`: NULL for a group with no non-NULL input.
-fn sum<T: Copy + Default>(
+fn sum<T: LaneType>(
     lane: &Lane<'_, T>,
     ids: &[u32],
     groups: usize,

@@ -1,8 +1,10 @@
 //! Test-only reference implementations: the per-row `Scalar` /
-//! `Vec<Scalar>` kernels this crate shipped before PR 17, kept verbatim as
-//! the oracle of the differential property tests (the typed kernels must
-//! reproduce their values, their `byte_size()`s and their charges), plus the
-//! random-column generator those tests share.
+//! `Vec<Scalar>` kernels this crate shipped before its kernels were typed —
+//! row keys, joins, group-by, the binary kernels, `unary_op`, `cast`,
+//! `substring` and `case_when` — kept verbatim as the oracle of the
+//! differential property tests (the typed kernels must reproduce their
+//! values, their `byte_size()`s and their charges), plus the random-column
+//! generator and the comparisons those tests share.
 //!
 //! Three lines differ from the code that was deleted, each a panic the typed
 //! kernels do not have: integer `SUM` and date `±` wrap instead of
@@ -14,8 +16,10 @@
 use crate::binary::Datum;
 use crate::groupby::{agg_type, AggRequest, GroupByResult};
 use crate::hash::{key_bytes, FxBuildHasher, FxHashSet};
-use crate::{GpuContext, KernelError, Result};
-use sirius_columnar::ops::{AggFunc, BinOp};
+use crate::{test_ctx, GpuContext, KernelError, Result};
+use proptest::prelude::*;
+use sirius_columnar::ops::{AggFunc, BinOp, UnOp};
+use sirius_columnar::scalar::date32_year;
 use sirius_columnar::{Array, DataType, Field, PrimitiveArray, Scalar, Schema, Table};
 use sirius_hw::WorkProfile;
 use std::collections::HashMap;
@@ -25,6 +29,21 @@ type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A multi-column row key, one `Scalar` per key column.
 pub(crate) type Key = Vec<Scalar>;
+
+/// The per-row read every reference kernel is written in.
+pub(crate) trait Value {
+    /// Element `i` (the scalar for broadcast operands).
+    fn value(&self, i: usize) -> Scalar;
+}
+
+impl Value for Datum<'_> {
+    fn value(&self, i: usize) -> Scalar {
+        match self {
+            Datum::Column(a) => a.scalar(i),
+            Datum::Scalar(s) => s.clone(),
+        }
+    }
+}
 
 /// Per-row keys and `has_null` flags.
 pub(crate) fn row_keys(columns: &[&Array], num_rows: usize) -> (Vec<Key>, Vec<bool>) {
@@ -554,6 +573,126 @@ pub(crate) fn in_list(input: &Datum<'_>, list: &[Scalar], negated: bool, num_row
     Array::from_scalars(&out, DataType::Bool)
 }
 
+/// The parent commit's `unary::unary_op`.
+pub(crate) fn unary_op(
+    ctx: &GpuContext,
+    op: UnOp,
+    input: &Datum<'_>,
+    num_rows: usize,
+) -> Result<Array> {
+    let in_type = input.data_type();
+    let out_type = (op.result_type(in_type))
+        .ok_or_else(|| KernelError::UnsupportedTypes(format!("{op:?} on {in_type:?}")))?;
+    let mut out = Vec::with_capacity(num_rows);
+    for i in 0..num_rows {
+        let v = input.value(i);
+        out.push(match op {
+            UnOp::IsNull => Scalar::Bool(v.is_null()),
+            UnOp::IsNotNull => Scalar::Bool(!v.is_null()),
+            UnOp::Not => v.as_bool().map_or(Scalar::Null, |b| Scalar::Bool(!b)),
+            UnOp::Neg if out_type == DataType::Float64 => {
+                v.as_f64().map_or(Scalar::Null, |f| Scalar::Float64(-f))
+            }
+            UnOp::Neg => v
+                .as_i64()
+                .map_or(Scalar::Null, |i| Scalar::Int64(i.wrapping_neg())),
+            UnOp::ExtractYear => match v {
+                Scalar::Date32(d) => Scalar::Int64(date32_year(d) as i64),
+                _ => Scalar::Null,
+            },
+        });
+    }
+    ctx.charge_named(
+        "unary.op",
+        &WorkProfile::scan(input.byte_size())
+            .with_flops(num_rows as u64)
+            .with_rows(num_rows as u64),
+    );
+    Ok(Array::from_scalars(&out, out_type))
+}
+
+/// The parent commit's `unary::cast`.
+pub(crate) fn cast(
+    ctx: &GpuContext,
+    input: &Datum<'_>,
+    to: DataType,
+    num_rows: usize,
+) -> Result<Array> {
+    let mut out = Vec::with_capacity(num_rows);
+    for i in 0..num_rows {
+        let v = input.value(i);
+        out.push(
+            v.cast(to)
+                .ok_or_else(|| KernelError::UnsupportedTypes(format!("cast {v:?} to {to}")))?,
+        );
+    }
+    ctx.charge_named(
+        "unary.cast",
+        &WorkProfile::scan(input.byte_size())
+            .with_flops(num_rows as u64)
+            .with_rows(num_rows as u64),
+    );
+    Ok(Array::from_scalars(&out, to))
+}
+
+/// The parent commit's `unary::substring`.
+pub(crate) fn substring(
+    ctx: &GpuContext,
+    input: &Datum<'_>,
+    start: usize,
+    len: usize,
+    num_rows: usize,
+) -> Result<Array> {
+    let mut out = Vec::with_capacity(num_rows);
+    for i in 0..num_rows {
+        let v = input.value(i);
+        out.push(match v.as_str() {
+            Some(s) => Scalar::Utf8(s.chars().skip(start.saturating_sub(1)).take(len).collect()),
+            None => Scalar::Null,
+        });
+    }
+    ctx.charge_named(
+        "unary.substring",
+        &WorkProfile::scan(input.byte_size())
+            .with_flops(num_rows as u64)
+            .with_rows(num_rows as u64),
+    );
+    Ok(Array::from_scalars(&out, DataType::Utf8))
+}
+
+/// The parent commit's `unary::case_when`.
+pub(crate) fn case_when(
+    ctx: &GpuContext,
+    branches: &[(Datum<'_>, Datum<'_>)],
+    otherwise: &Datum<'_>,
+    out_type: DataType,
+    num_rows: usize,
+) -> Result<Array> {
+    let mut out = Vec::with_capacity(num_rows);
+    for i in 0..num_rows {
+        let mut chosen = None;
+        for (cond, val) in branches {
+            if cond.value(i).as_bool() == Some(true) {
+                chosen = Some(val.value(i));
+                break;
+            }
+        }
+        out.push(chosen.unwrap_or_else(|| otherwise.value(i)));
+    }
+    let bytes: u64 = branches
+        .iter()
+        .map(|(c, v)| c.byte_size() + v.byte_size())
+        .sum::<u64>()
+        + otherwise.byte_size();
+    ctx.charge_named(
+        "unary.case_when",
+        &WorkProfile::scan(bytes)
+            .with_flops((num_rows * branches.len().max(1)) as u64)
+            .with_rows(num_rows as u64),
+    );
+    Ok(Array::from_scalars(&out, out_type))
+}
+
 // ---------------------------------------------------------------------------
 // Random columns
 // ---------------------------------------------------------------------------
@@ -603,7 +742,19 @@ impl Gen {
     /// One non-NULL value of `kind`: small values (so keys collide and
     /// comparisons tie) mixed with the edges of the type.
     pub(crate) fn scalar(&mut self, kind: Kind) -> Scalar {
-        const I64S: [i64; 8] = [i64::MIN, i64::MAX, -1, 0, 1 << 53, (1 << 53) + 1, 7, -7];
+        const I64S: [i64; 10] = [
+            i64::MIN,
+            i64::MAX,
+            -1,
+            0,
+            1 << 53,
+            (1 << 53) + 1,
+            7,
+            -7,
+            // Just outside `i32`: an `Int32` / `Date32` lane must not narrow these.
+            i32::MAX as i64 + 1,
+            i32::MIN as i64 - 1,
+        ];
         const I32S: [i32; 6] = [i32::MIN, i32::MAX, -1, 0, 7, -7];
         const F64S: [f64; 9] = [
             0.0,
@@ -616,7 +767,20 @@ impl Gen {
             7.0,
             1e300,
         ];
-        const STRS: [&str; 8] = ["", "a", "b", "ab", "a\0", "naïve", "zz", "PROMO x"];
+        const STRS: [&str; 12] = [
+            "",
+            "a",
+            "b",
+            "ab",
+            "a\0",
+            "naïve",
+            "zz",
+            "PROMO x",
+            "abab",
+            "aaaaa",
+            "xBRASS",
+            "a special green request",
+        ];
         let small = self.below(4) as i64;
         let edge = self.below(3) == 0;
         match kind {
@@ -666,6 +830,61 @@ impl Gen {
             _ => plain,
         }
     }
+}
+
+/// Row counts on both sides of the bitmap word boundary.
+pub(crate) const ROWS: [usize; 7] = [0, 1, 5, 63, 64, 65, 130];
+
+/// A kernel operand in one of three forms: a column (`Some`), or a
+/// broadcast scalar, which is NULL about half the time.
+pub(crate) type Operand = (Option<Array>, Scalar);
+
+impl Gen {
+    /// An operand of `kind` over `rows` rows: a column (with or without
+    /// NULLs) half the time, else a broadcast scalar or a NULL literal.
+    pub(crate) fn operand(&mut self, kind: Kind, rows: usize) -> Operand {
+        match self.below(4) {
+            0 => (None, self.scalar(kind)),
+            1 => (None, Scalar::Null),
+            _ => {
+                let nulls = self.below(2) == 0;
+                (Some(self.column(kind, rows, nulls)), Scalar::Null)
+            }
+        }
+    }
+}
+
+/// The operand as a kernel argument.
+pub(crate) fn datum(operand: &Operand) -> Datum<'_> {
+    match operand {
+        (Some(column), _) => Datum::Column(column),
+        (None, scalar) => Datum::Scalar(scalar.clone()),
+    }
+}
+
+/// Same values, `byte_size()` and validity presence.
+pub(crate) fn same_column(got: &Array, expected: &Array) -> std::result::Result<(), TestCaseError> {
+    prop_assert!(same_values(got, expected), "{:?} vs {:?}", got, expected);
+    prop_assert_eq!(got.byte_size(), expected.byte_size());
+    prop_assert_eq!(got.validity().is_some(), expected.validity().is_some());
+    Ok(())
+}
+
+/// One launch of a typed kernel against its reference, each on a fresh
+/// context: the same column (see [`same_column`]) or the same error, and
+/// the same charged device time.
+pub(crate) fn same_launch(
+    got: impl FnOnce(&GpuContext) -> Result<Array>,
+    expected: impl FnOnce(&GpuContext) -> Result<Array>,
+) -> std::result::Result<(), TestCaseError> {
+    let (ctx, ref_ctx) = (test_ctx(), test_ctx());
+    match (got(&ctx), expected(&ref_ctx)) {
+        (Ok(got), Ok(expected)) => same_column(&got, &expected)?,
+        (Err(got), Err(expected)) => prop_assert_eq!(got, expected),
+        (got, expected) => prop_assert!(false, "{:?} vs {:?}", got, expected),
+    }
+    prop_assert_eq!(ctx.device().elapsed(), ref_ctx.device().elapsed());
+    Ok(())
 }
 
 /// A table over `columns`, named `c0`, `c1`, ….

@@ -5,6 +5,9 @@
 //! strategies, `collection::vec`, and a tiny `.{m,n}` regex-string
 //! strategy — the exact surface this workspace's property tests use.
 //!
+//! As in real proptest, `PROPTEST_CASES` sets the number of cases of every
+//! property that does not set its own.
+//!
 //! Differences from real proptest, deliberate for an offline shim:
 //! no shrinking (a failure reports the raw inputs), and the RNG is seeded
 //! from the test's module path so failures reproduce exactly across runs.
@@ -27,10 +30,15 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// `PROPTEST_CASES` cases when that environment variable holds a whole
+    /// number, as in real proptest; else 64.
     fn default() -> Self {
         // Real proptest defaults to 256; the shim trims this so the full
         // suite stays fast while still exploring a meaningful sample.
-        ProptestConfig { cases: 64 }
+        let cases = std::env::var("PROPTEST_CASES").ok();
+        ProptestConfig {
+            cases: cases.and_then(|c| c.parse().ok()).unwrap_or(64),
+        }
     }
 }
 
