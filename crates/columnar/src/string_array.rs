@@ -116,12 +116,8 @@ impl StringArray {
         }
         #[cfg(test)]
         instrument::note_access();
-        self.data.get(self.range(i))
-    }
-
-    /// Byte range of element `i` in [`StringArray::value_data`].
-    fn range(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i] as usize..self.offsets[i + 1] as usize
+        self.data
+            .get(self.offsets[i] as usize..self.offsets[i + 1] as usize)
     }
 
     /// The `len + 1` absolute offsets of this window into
@@ -154,11 +150,13 @@ impl StringArray {
         indices: impl IntoIterator<Item = I, IntoIter: ExactSizeIterator + Clone>,
     ) -> StringArray {
         let (indices, validity) = (indices.into_iter(), self.validity.as_ref());
+        let (starts, payload): (&[i32], &str) = (&self.offsets, &self.data);
+        let range = |i: usize| starts[i] as usize..starts[i + 1] as usize;
         let mut offsets = Vec::with_capacity(indices.len() + 1);
         offsets.push(0i32);
         let mut data = String::with_capacity(self.payload_reserve(indices.clone()));
         for ix in indices.clone() {
-            data.push_str(&self.data[live_row(validity, ix).map_or(0..0, |i| self.range(i))]);
+            data.push_str(&payload[live_row(validity, ix).map_or(0..0, range)]);
             offsets.push(i32::try_from(data.len()).expect("string buffer < 2 GiB"));
         }
         StringArray {
