@@ -22,7 +22,7 @@
 
 use crate::buffer::{fault_fires, BufferManager};
 use crate::explain::{self, OpStats};
-use crate::metrics::{MorselStats, QueryReport};
+use crate::metrics::{Meter, MorselStats, QueryReport};
 use crate::physical;
 use crate::pipeline::TaskQueue;
 use crate::schedule::{QueryRun, Scheduling};
@@ -254,8 +254,8 @@ impl SiriusEngine {
         self
     }
 
-    /// Snapshot of the monotonic spill counters (pair with
-    /// [`SpillStats::since`] for per-query numbers).
+    /// Snapshot of the engine's lifetime spill counters. A run's own spill
+    /// is in its report ([`Self::run_report`]).
     pub fn spill_stats(&self) -> SpillStats {
         self.bufmgr.spill_stats()
     }
@@ -339,7 +339,7 @@ impl SiriusEngine {
     /// run the DAG. Every failure is a typed error; whether to run the plan
     /// elsewhere instead is the host's decision (§3.2.2).
     pub fn execute(&self, plan: &Rel) -> Result<Table> {
-        Ok(self.execute_counted(plan)?.0)
+        root_table(self.run_to_end(plan)?)
     }
 
     /// The Substrait wire entry a host's extension hook calls (§3.2.1):
@@ -349,37 +349,21 @@ impl SiriusEngine {
         self.execute(&sirius_plan::json::from_json(wire)?)
     }
 
-    /// [`Self::execute`], also returning how many pipelines the run had.
-    fn execute_counted(&self, plan: &Rel) -> Result<(Table, usize)> {
+    /// [`Self::execute`], also returning the run's report
+    /// ([`Self::run_report`]).
+    pub fn execute_measured(&self, plan: &Rel) -> Result<(Table, QueryReport)> {
+        let run = self.run_to_end(plan)?;
+        let report = self.run_report(&run);
+        Ok((root_table(run)?, report))
+    }
+
+    /// `begin`, then step to completion on the whole stream pool.
+    fn run_to_end(&self, plan: &Rel) -> Result<QueryRun> {
         let mut run = self.begin(plan)?;
         while !run.is_done() {
             self.step(&mut run, usize::MAX)?;
         }
-        let pipelines = run.pipelines();
-        let table = run
-            .into_table()
-            .ok_or_else(|| SiriusError::Kernel("completed run has no root result".into()))?;
-        Ok((table, pipelines))
-    }
-
-    /// [`Self::execute`] under the one meter: the ledger, the morsel and
-    /// spill counters are snapshotted around the run, and the report is
-    /// what they moved by.
-    pub fn execute_measured(&self, plan: &Rel) -> Result<(Table, QueryReport)> {
-        let before = self.device.breakdown();
-        let morsels_before = self.morsel_stats();
-        let spill_before = self.spill_stats();
-        let (table, pipelines) = self.execute_counted(plan)?;
-        let report = QueryReport::measured(
-            self.workers(),
-            table.num_rows(),
-            pipelines,
-            self.device.breakdown().since(&before),
-            &self.morsel_stats().since(&morsels_before),
-            &self.spill_stats().since(&spill_before),
-            &self.bufmgr.regions().processing().stats(),
-        );
-        Ok((table, report))
+        Ok(run)
     }
 
     /// Start a query without driving it to completion — exactly
@@ -436,6 +420,7 @@ impl SiriusEngine {
             |node| FaultSite::DeviceLaunch { node },
             "kernel-launch failure",
         )?;
+        let meter = Meter::open(self);
         let pipelines = compiled.phys.pipelines.len() as u64;
         self.device.charge_duration(
             CostCategory::Other,
@@ -446,10 +431,7 @@ impl SiriusEngine {
                     .saturating_mul(pipelines),
             ),
         );
-        Ok(QueryRun::new(
-            Arc::clone(&compiled.phys),
-            self.operator_stats(),
-        ))
+        Ok(QueryRun::new(Arc::clone(&compiled.phys), meter))
     }
 
     /// Poll the fault injector, if one is attached, at this node's `site`;
@@ -464,13 +446,21 @@ impl SiriusEngine {
         }
     }
 
-    /// Per-run operator stats: the engine's accumulated counters minus
-    /// the snapshot taken when `run` began. This is what feedback should
-    /// read — scoped to one run, so earlier queries on the same engine
-    /// (or the same query's previous executions) can't pollute the
+    /// Per-run operator stats: what the engine's counters moved by since
+    /// `run` began, keeping only operators that ran. This is what feedback
+    /// should read — scoped to one run, so earlier queries on the same
+    /// engine (or the same query's previous executions) can't pollute the
     /// observed cardinalities.
     pub fn run_operator_stats(&self, run: &QueryRun) -> HashMap<u32, OpStats> {
-        run.stats_since(&self.operator_stats())
+        run.meter.operator_stats(self.operator_stats())
+    }
+
+    /// The run's report from its one meter: the ledger and the morsel
+    /// counters since the run began, the spill its steps wrote, the
+    /// processing pool as it stands, and the root result's rows (0 until
+    /// the run is done, and after an abort).
+    pub fn run_report(&self, run: &QueryRun) -> QueryReport {
+        run.meter.report(self, run.rows(), run.pipelines())
     }
 
     /// Number of pipelines the plan compiles into — a projection of
@@ -511,6 +501,12 @@ impl SiriusEngine {
             stats.lock().entry(node.id).or_default().spill_partitions += partitions;
         }
     }
+}
+
+/// A completed run's root result.
+fn root_table(run: QueryRun) -> Result<Table> {
+    run.into_table()
+        .ok_or_else(|| SiriusError::Kernel("completed run has no root result".into()))
 }
 
 #[cfg(test)]
@@ -752,6 +748,86 @@ mod tests {
         assert!(spill.max_depth >= 1);
         let exchange = e.device().breakdown().get(CostCategory::Exchange);
         assert!(exchange > Duration::ZERO, "spill traffic must cost time");
+    }
+
+    /// A run's spill depth is its own: on an engine whose earlier query
+    /// recursed through the spill tiers, a query that writes no partition
+    /// reports depth 0, not the manager's lifetime maximum.
+    #[test]
+    fn spill_depth_is_the_runs_own() {
+        let (e, spilling) = tiny_device_groupby();
+        let (_, first) = e.execute_measured(&spilling).unwrap();
+        assert!(
+            first.spill_partitions > 0 && first.spill_depth >= 1,
+            "{first:?}"
+        );
+        let head = PlanBuilder::scan("t", Schema::new(vec![Field::new("k", DataType::Int64)]))
+            .limit(0, Some(3))
+            .build();
+        let (out, second) = e.execute_measured(&head).unwrap();
+        assert_eq!(out.num_rows(), 3);
+        assert_eq!((second.spill_partitions, second.spill_depth), (0, 0));
+    }
+
+    /// Two spilling runs on two views of one engine at 1/8 memory, stepped
+    /// alternately with a non-spilling third: the shared manager's spill is
+    /// split exactly between the runs that wrote it, and the run that wrote
+    /// no partition reports no depth.
+    #[test]
+    fn interleaved_runs_split_the_shared_spill_exactly() {
+        let schema = Schema::new(vec![Field::new("k", DataType::Int64)]);
+        let t = Table::new(
+            schema.clone(),
+            vec![Array::from_i64((0..20_000).collect::<Vec<_>>())],
+        );
+        let mut spec = catalog::gh200_gpu();
+        spec.memory_bytes = t.byte_size() as u64 / 8;
+        let e = SiriusEngine::new(spec);
+        e.load_table("t", &t);
+        let count = AggExpr {
+            func: AggFunc::CountStar,
+            input: None,
+            name: "n".into(),
+        };
+        let grouped = PlanBuilder::scan("t", schema.clone())
+            .aggregate(vec![expr::col(0)], vec![count])
+            .build();
+        let sorted = PlanBuilder::scan("t", schema.clone())
+            .sort(vec![SortExpr {
+                expr: expr::col(0),
+                ascending: false,
+            }])
+            .build();
+        let head = PlanBuilder::scan("t", schema).limit(0, Some(3)).build();
+
+        let before = e.spill_stats();
+        let mut runs: Vec<(SiriusEngine, QueryRun)> = [grouped, sorted, head]
+            .iter()
+            .map(|plan| {
+                let view = e.query_view(TraceConfig::Off, false);
+                let run = view.begin(plan).unwrap();
+                (view, run)
+            })
+            .collect();
+        while runs.iter().any(|(_, run)| !run.is_done()) {
+            for (view, run) in &mut runs {
+                view.step(run, usize::MAX).unwrap();
+            }
+        }
+        let reports: Vec<QueryReport> = runs.iter().map(|(v, run)| v.run_report(run)).collect();
+        // The oracle: the shared manager's own delta over the interleaving.
+        #[allow(clippy::disallowed_methods)]
+        let shared = e.spill_stats().since(&before);
+        assert!(reports[0].spill_partitions > 0 && reports[1].spill_partitions > 0);
+        let sum = |f: fn(&QueryReport) -> u64| reports.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|r| r.spilled_pinned_bytes), shared.bytes_to_pinned);
+        assert_eq!(sum(|r| r.spilled_disk_bytes), shared.bytes_to_disk);
+        assert_eq!(sum(|r| r.spill_partitions), shared.partitions);
+        assert_eq!(
+            (reports[2].spill_partitions, reports[2].spill_depth),
+            (0, 0)
+        );
+        assert_eq!(reports[2].rows, 3);
     }
 
     /// With every spill tier zeroed out there is nowhere left to park

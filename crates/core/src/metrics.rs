@@ -1,8 +1,10 @@
 //! Per-query execution reports: the data behind Figure 5 and Table 2.
 
+use crate::engine::SiriusEngine;
+use crate::explain::OpStats;
 use sirius_hw::{CostCategory, TimeBreakdown};
-use sirius_rmm::PoolStats;
 use sirius_spill::SpillStats;
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Morsel-scheduler counters: how a query's work was partitioned and how
@@ -105,9 +107,9 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
-    /// A report with every counter at zero — what a query that never ran a
-    /// wave reports, and the base the measured reports fill in with
-    /// struct-update syntax.
+    /// A report with every counter at zero — what a request that never
+    /// started a run reports, and the base a run's report
+    /// ([`SiriusEngine::run_report`]) fills in with struct-update syntax.
     pub fn zeroed(workers: usize) -> Self {
         QueryReport {
             rows: 0,
@@ -124,36 +126,6 @@ impl QueryReport {
             spill_depth: 0,
             pool_high_watermark: 0,
             pool_fragmentation: 0.0,
-        }
-    }
-
-    /// The one meter: a GPU run's report from what its ledger
-    /// (`breakdown`), morsel scheduler, spill tiers and processing pool
-    /// recorded for it.
-    pub fn measured(
-        workers: usize,
-        rows: usize,
-        pipelines: usize,
-        breakdown: TimeBreakdown,
-        morsels: &MorselStats,
-        spill: &SpillStats,
-        pool: &PoolStats,
-    ) -> Self {
-        QueryReport {
-            rows,
-            elapsed: breakdown.total(),
-            breakdown,
-            pipelines,
-            morsels: morsels.morsels,
-            tasks: morsels.tasks,
-            worker_utilization: morsels.worker_utilization(),
-            spilled_pinned_bytes: spill.bytes_to_pinned,
-            spilled_disk_bytes: spill.bytes_to_disk,
-            spill_partitions: spill.partitions,
-            spill_depth: spill.max_depth,
-            pool_high_watermark: pool.high_watermark,
-            pool_fragmentation: pool.fragmentation(),
-            ..QueryReport::zeroed(workers)
         }
     }
 
@@ -174,6 +146,106 @@ impl QueryReport {
             .copied()
             .max_by(|a, b| self.breakdown.get(*a).cmp(&self.breakdown.get(*b)))
             .filter(|c| self.breakdown.get(*c) > Duration::ZERO)
+    }
+}
+
+/// The one meter: a run's window over every counter its report reads,
+/// opened just before `begin_compiled` charges the launch overhead and
+/// marked after every step. The ledger, morsel counters and operator stats
+/// belong to the engine the run executes on, so the window keeps their
+/// values at its open and reports what they moved by. The spill tiers are
+/// shared across query views, so spill adds up step by step, and a step
+/// counts the manager's depth only if this run wrote a partition in it.
+pub(crate) struct Meter {
+    /// Ledger when the window opened.
+    opened: TimeBreakdown,
+    /// Ledger after the latest step (at the open, before any).
+    mark: TimeBreakdown,
+    /// What the latest step charged.
+    wave: TimeBreakdown,
+    /// Morsel counters when the window opened.
+    morsels: MorselStats,
+    /// Operator stats when the window opened.
+    ops: HashMap<u32, OpStats>,
+    /// Spill this run's steps wrote.
+    spill: SpillStats,
+}
+
+impl Meter {
+    /// Open the window on `engine`'s counters.
+    pub(crate) fn open(engine: &SiriusEngine) -> Self {
+        let ledger = engine.device().breakdown();
+        Meter {
+            mark: ledger.clone(),
+            opened: ledger,
+            wave: TimeBreakdown::default(),
+            morsels: engine.morsel_stats(),
+            ops: engine.operator_stats(),
+            spill: SpillStats::default(),
+        }
+    }
+
+    /// Close a step that began with the spill manager at `before`: mark the
+    /// ledger and add the spill the step wrote.
+    pub(crate) fn mark(&mut self, engine: &SiriusEngine, before: &SpillStats) {
+        let ledger = engine.device().breakdown();
+        self.wave = ledger.since(&self.mark);
+        self.mark = ledger;
+        // The one place spill is diffed: a step runs alone on the host, so
+        // whatever the shared manager moved by during it is this run's.
+        #[allow(clippy::disallowed_methods)]
+        let step = engine.spill_stats().since(before);
+        self.spill.bytes_to_pinned += step.bytes_to_pinned;
+        self.spill.bytes_to_disk += step.bytes_to_disk;
+        self.spill.partitions += step.partitions;
+        if step.partitions > 0 {
+            self.spill.max_depth = self.spill.max_depth.max(step.max_depth);
+        }
+    }
+
+    /// What the latest step charged to the ledger.
+    pub(crate) fn wave(&self) -> &TimeBreakdown {
+        &self.wave
+    }
+
+    /// The operator stats in `now` that moved since the window opened.
+    pub(crate) fn operator_stats(&self, now: HashMap<u32, OpStats>) -> HashMap<u32, OpStats> {
+        now.into_iter()
+            .map(|(id, s)| match self.ops.get(&id) {
+                Some(base) => (id, s.since(base)),
+                None => (id, s),
+            })
+            .filter(|(_, d)| d.invocations > 0 || d.rows_out > 0 || d.spill_partitions > 0)
+            .collect()
+    }
+
+    /// The run's report: `rows` and `pipelines` from the run, the rest from
+    /// the window, with the processing pool as it stands now.
+    pub(crate) fn report(
+        &self,
+        engine: &SiriusEngine,
+        rows: usize,
+        pipelines: usize,
+    ) -> QueryReport {
+        let breakdown = engine.device().breakdown().since(&self.opened);
+        let morsels = engine.morsel_stats().since(&self.morsels);
+        let pool = engine.buffer_manager().regions().processing().stats();
+        QueryReport {
+            rows,
+            elapsed: breakdown.total(),
+            breakdown,
+            pipelines,
+            morsels: morsels.morsels,
+            tasks: morsels.tasks,
+            worker_utilization: morsels.worker_utilization(),
+            spilled_pinned_bytes: self.spill.bytes_to_pinned,
+            spilled_disk_bytes: self.spill.bytes_to_disk,
+            spill_partitions: self.spill.partitions,
+            spill_depth: self.spill.max_depth,
+            pool_high_watermark: pool.high_watermark,
+            pool_fragmentation: pool.fragmentation(),
+            ..QueryReport::zeroed(engine.workers())
+        }
     }
 }
 

@@ -38,6 +38,7 @@
 
 use crate::engine::SiriusEngine;
 use crate::exprs::evaluate_all;
+use crate::metrics::Meter;
 use crate::morsel::{
     aggregate_single_pass, chunk_morsels, concat_morsels, sort_table, BuildSide, Builds,
     OpStatsRef, Partial, PartialAgg, Run,
@@ -49,7 +50,7 @@ use sirius_cudf::filter::gather;
 use sirius_cudf::join::{build_hash_table, JoinHashTable};
 use sirius_cudf::unique::distinct;
 use sirius_cudf::GpuContext;
-use sirius_hw::{Charge, CostCategory, Device, FaultSite, Lane};
+use sirius_hw::{Charge, CostCategory, Device, FaultSite, Lane, TimeBreakdown};
 use sirius_plan::expr::Expr;
 use sirius_plan::visit::Node;
 use sirius_spill::MemoryGrant;
@@ -240,17 +241,15 @@ pub struct QueryRun {
     done: Vec<bool>,
     completed: usize,
     aborted: bool,
-    /// Engine operator-stats snapshot taken at `begin`, so this run's
-    /// stats ([`SiriusEngine::run_operator_stats`]) are a clean delta —
-    /// never polluted by earlier queries on the same engine.
-    stats_base: HashMap<u32, crate::explain::OpStats>,
+    /// The run's one meter: what its report and its operator-stats
+    /// feedback ([`SiriusEngine::run_operator_stats`]) read, scoped to this
+    /// run — never polluted by earlier queries on the same engine or by
+    /// queries interleaved on shared spill tiers.
+    pub(crate) meter: Meter,
 }
 
 impl QueryRun {
-    pub(crate) fn new(
-        phys: Arc<PhysicalPlan>,
-        stats_base: HashMap<u32, crate::explain::OpStats>,
-    ) -> Self {
+    pub(crate) fn new(phys: Arc<PhysicalPlan>, meter: Meter) -> Self {
         let n = phys.pipelines.len();
         let mut consumers = vec![0usize; n];
         for p in &phys.pipelines {
@@ -265,26 +264,8 @@ impl QueryRun {
             done: vec![false; n],
             completed: 0,
             aborted: false,
-            stats_base,
+            meter,
         }
-    }
-
-    /// Delta of `now` over the baseline captured at `begin`, keeping
-    /// only operators that actually ran during this query.
-    pub(crate) fn stats_since(
-        &self,
-        now: &HashMap<u32, crate::explain::OpStats>,
-    ) -> HashMap<u32, crate::explain::OpStats> {
-        now.iter()
-            .map(|(id, s)| {
-                let delta = match self.stats_base.get(id) {
-                    Some(base) => s.since(base),
-                    None => s.clone(),
-                };
-                (*id, delta)
-            })
-            .filter(|(_, d)| d.invocations > 0 || d.rows_out > 0 || d.spill_partitions > 0)
-            .collect()
     }
 
     /// Every pipeline in the DAG has completed.
@@ -317,6 +298,20 @@ impl QueryRun {
         self.phys.pipelines.len()
     }
 
+    /// What the latest [`SiriusEngine::step`] charged to the ledger — the
+    /// first step's share includes the launch overhead `begin` charged.
+    pub fn last_wave(&self) -> &TimeBreakdown {
+        self.meter.wave()
+    }
+
+    /// Rows in the root result: 0 until [`Self::is_done`], and after an
+    /// abort.
+    pub(crate) fn rows(&self) -> usize {
+        let root = self.phys.pipelines.len() - 1;
+        let done = self.results.get(&root).filter(|_| self.is_done());
+        done.map_or(0, |r| r.table.num_rows())
+    }
+
     /// Take the root pipeline's result table. `None` until
     /// [`Self::is_done`] — a partially-stepped query has no result yet.
     pub fn into_table(mut self) -> Option<Table> {
@@ -334,8 +329,17 @@ impl SiriusEngine {
     /// width; pass `usize::MAX` for the whole pool). Under
     /// [`Scheduling::Concurrent`] the wave takes every ready pipeline,
     /// under [`Scheduling::Serialized`] exactly one. No-op once the run
-    /// is done.
+    /// is done. Whatever the wave did, failed or not, the run's meter marks
+    /// it.
     pub fn step(&self, run: &mut QueryRun, lanes: usize) -> Result<()> {
+        let spill = self.spill_stats();
+        let wave = self.advance(run, lanes);
+        run.meter.mark(self, &spill);
+        wave
+    }
+
+    /// [`Self::step`]'s wave, unmetered.
+    fn advance(&self, run: &mut QueryRun, lanes: usize) -> Result<()> {
         if run.is_done() || run.is_aborted() {
             return Ok(());
         }

@@ -67,6 +67,70 @@ pub enum NodeEngineKind {
     SiriusGpu,
 }
 
+/// Fault-free coordinator time of Doris' optimizer + coordinator, which
+/// the paper's §4.3 finds dominating Q1/Q6. Sirius reuses it, and the
+/// single-node CPU fallback pays it on every cluster.
+const DORIS_COORDINATOR: Duration = Duration::from_millis(35);
+
+/// Everything a cluster decides by what its nodes run.
+impl NodeEngineKind {
+    /// Node `id`'s engine. A GPU node is the paper's A100 behind PCIe4 with
+    /// two launch workers. Its fragments keep result strings
+    /// dictionary-encoded: codes cross the wire, and the coordinator
+    /// materializes payload bytes once after gathering (late
+    /// materialization).
+    fn node_engine(self, fault: &FaultInjector, id: usize) -> NodeEngine {
+        match self {
+            NodeEngineKind::SiriusGpu => NodeEngine::Gpu(SiriusEngine::from_config(EngineConfig {
+                host_link: hw::pcie4_a100_attach(),
+                workers: 2,
+                encoded_results: true,
+                fault: Some((fault.clone(), id)),
+                ..EngineConfig::new(hw::a100_40gb())
+            })),
+            _ => NodeEngine::Cpu {
+                engine: self.cpu_engine(),
+                catalog: Catalog::new(),
+            },
+        }
+    }
+
+    /// The CPU engine of a CPU node, and of the single-node fallback:
+    /// ClickHouse's profile on a ClickHouse cluster, Doris' otherwise.
+    fn cpu_engine(self) -> CpuEngine {
+        let profile = match self {
+            NodeEngineKind::ClickHouseCpu => EngineProfile::clickhouse(),
+            _ => EngineProfile::doris(),
+        };
+        CpuEngine::new(hw::xeon_gold_6526y(), profile)
+    }
+
+    /// ClickHouse plans joins in FROM order; Doris' optimizer reorders.
+    fn join_order(self) -> JoinOrderPolicy {
+        match self {
+            NodeEngineKind::ClickHouseCpu => JoinOrderPolicy::FromOrder,
+            _ => JoinOrderPolicy::Optimized,
+        }
+    }
+
+    /// How the distributor places join build sides: ClickHouse broadcasts
+    /// them.
+    fn distribute_options(self) -> DistributeOptions {
+        DistributeOptions {
+            broadcast_join_build_sides: self == NodeEngineKind::ClickHouseCpu,
+        }
+    }
+
+    /// Coordinator time before per-fragment and per-node dispatch:
+    /// ClickHouse's coordinator is leaner than the Doris one Sirius reuses.
+    fn coordinator_base(self) -> Duration {
+        match self {
+            NodeEngineKind::ClickHouseCpu => Duration::from_millis(15),
+            _ => DORIS_COORDINATOR,
+        }
+    }
+}
+
 /// The cluster's settable recovery policy. The rest of the ladder is fixed
 /// at construction: a majority quorum of the initial world, and the CPU
 /// fallback below it.
@@ -100,20 +164,6 @@ impl ClusterConfig {
     }
 }
 
-/// The configuration of GPU node `id`: the paper's A100 behind PCIe4 with
-/// two launch workers. Node fragments keep result strings
-/// dictionary-encoded: codes cross the wire, and the coordinator
-/// materializes payload bytes once after gathering (late materialization).
-fn gpu_node_config(fault: &FaultInjector, id: usize) -> EngineConfig {
-    EngineConfig {
-        host_link: hw::pcie4_a100_attach(),
-        workers: 2,
-        encoded_results: true,
-        fault: Some((fault.clone(), id)),
-        ..EngineConfig::new(hw::a100_40gb())
-    }
-}
-
 /// What executes a node's fragments, together with the one table store it
 /// reads: base-table shards and exchanged temps both live there and nowhere
 /// else.
@@ -125,20 +175,6 @@ enum NodeEngine {
 }
 
 impl NodeEngine {
-    fn new(kind: NodeEngineKind, fault: &FaultInjector, id: usize) -> Self {
-        let cpu = |profile| NodeEngine::Cpu {
-            engine: CpuEngine::new(hw::xeon_gold_6526y(), profile),
-            catalog: Catalog::new(),
-        };
-        match kind {
-            NodeEngineKind::DorisCpu => cpu(EngineProfile::doris()),
-            NodeEngineKind::ClickHouseCpu => cpu(EngineProfile::clickhouse()),
-            NodeEngineKind::SiriusGpu => {
-                NodeEngine::Gpu(SiriusEngine::from_config(gpu_node_config(fault, id)))
-            }
-        }
-    }
-
     fn device(&self) -> &Device {
         match self {
             NodeEngine::Cpu { engine, .. } => engine.device(),
@@ -656,11 +692,7 @@ impl DorisCluster {
     /// Plan, distribute, dispatch, and execute a SQL query, recovering from
     /// injected or detected faults per the cluster's [`ClusterConfig`].
     pub fn sql(&self, sql: &str) -> Result<QueryOutcome> {
-        let policy = match self.kind {
-            NodeEngineKind::ClickHouseCpu => JoinOrderPolicy::FromOrder,
-            _ => JoinOrderPolicy::Optimized,
-        };
-        let plan = plan_sql(sql, &self.binder, policy).map_err(DorisError::Sql)?;
+        let plan = plan_sql(sql, &self.binder, self.kind.join_order()).map_err(DorisError::Sql)?;
         self.execute_plan(&plan)
     }
 
@@ -668,10 +700,7 @@ impl DorisCluster {
     /// recovering from injected or detected faults per the cluster's
     /// [`ClusterConfig`]. [`Self::sql`] is this plus the SQL frontend.
     pub fn execute_plan(&self, plan: &Rel) -> Result<QueryOutcome> {
-        let opts = DistributeOptions {
-            broadcast_join_build_sides: self.kind == NodeEngineKind::ClickHouseCpu,
-        };
-        let dplan = distribute_with(plan, &self.scheme, opts)?;
+        let dplan = distribute_with(plan, &self.scheme, self.kind.distribute_options())?;
         let mut fragments = 1;
         sirius_plan::visit::visit(&dplan, &mut |_node, rel| {
             fragments += usize::from(matches!(rel, Rel::Exchange { .. }));
@@ -775,13 +804,8 @@ impl DorisCluster {
     /// Fault-free coordinator time: planning, dispatching `fragments`
     /// fragments to every node, result return.
     fn coordinator_time(&self, fragments: usize) -> Duration {
-        let base = match self.kind {
-            // The paper's §4.3: Doris' optimizer + coordinator dominate
-            // Q1/Q6; Sirius reuses that coordinator, ClickHouse's is leaner.
-            NodeEngineKind::DorisCpu | NodeEngineKind::SiriusGpu => Duration::from_millis(35),
-            NodeEngineKind::ClickHouseCpu => Duration::from_millis(15),
-        };
-        base + Duration::from_millis(5) * fragments as u32
+        self.kind.coordinator_base()
+            + Duration::from_millis(5) * fragments as u32
             + Duration::from_millis(2) * self.world() as u32
     }
 
@@ -890,11 +914,7 @@ impl DorisCluster {
         extra: Duration,
         recovery: RecoveryStats,
     ) -> Result<QueryOutcome> {
-        let profile = match self.kind {
-            NodeEngineKind::ClickHouseCpu => EngineProfile::clickhouse(),
-            _ => EngineProfile::doris(),
-        };
-        let engine = CpuEngine::new(hw::xeon_gold_6526y(), profile);
+        let engine = self.kind.cpu_engine();
         let mut catalog = Catalog::new();
         for (name, table) in self.storage.lock().iter() {
             catalog.register(name.clone(), table.clone());
@@ -908,7 +928,7 @@ impl DorisCluster {
         // result must be decoded like any other coordinator result.
         let table =
             sirius_core::materialize_result(engine.device(), &table).map_err(|e| failed(&e))?;
-        let coordinator = Duration::from_millis(35) + extra;
+        let coordinator = DORIS_COORDINATOR + extra;
         Ok(QueryOutcome {
             table,
             coordinator,
@@ -999,7 +1019,7 @@ fn build_node_set(
         .into_iter()
         .zip(assignment.iter().copied())
         .map(|(comm, id)| {
-            let engine = NodeEngine::new(kind, fault, id);
+            let engine = kind.node_engine(fault, id);
             Mutex::new(NodeState {
                 id,
                 exchange: ExchangeService::new(comm, engine.device().clone()),

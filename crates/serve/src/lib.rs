@@ -50,7 +50,7 @@ pub mod workload;
 pub use planner::{CachingPlanner, ResolvedPlan};
 pub use report::{percentile, ConcurrencyReport};
 pub use server::{
-    DispositionCounts, QueryDisposition, QueryRequest, ServeConfig, ServeOutcome, ServedQuery,
-    SiriusServer,
+    DispositionCounts, Query, QueryDisposition, QueryRequest, ServeConfig, ServeOutcome,
+    ServedQuery, SiriusServer,
 };
 pub use workload::{poisson_trace, ArrivalSpec, QueryArrival, TenantSpec};

@@ -68,7 +68,7 @@ use sirius_columnar::Table;
 use sirius_core::{QueryReport, QueryRun, RetryPolicy, SiriusEngine, SiriusError};
 use sirius_hw::{attribute_overlap, TimeBreakdown, TraceConfig};
 use sirius_plan::Rel;
-use sirius_spill::{GrantBroker, SpillStats};
+use sirius_spill::GrantBroker;
 use sirius_trace::metrics::MetricsRegistry;
 use sirius_trace::TraceEvent;
 use std::collections::VecDeque;
@@ -131,63 +131,51 @@ pub struct QueryRequest {
     /// admission); `Duration::ZERO` cancels before any work happens.
     /// `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// The logical plan to execute.
-    pub plan: Rel,
+    /// What to run.
+    pub query: Query,
     /// Per-query working-set budget: grants above it are denied, steering
     /// this query (only) onto its spill paths. `None` = uncapped.
     pub memory_budget: Option<u64>,
     /// Record a per-query kernel trace (replayable against the query's
     /// own ledger).
     pub trace: bool,
-    /// SQL text for the server's caching planner
-    /// ([`SiriusServer::with_planner`]): when both are present the
-    /// admission resolves this text through the shared plan cache —
-    /// repeated shapes skip parse/bind/optimize entirely — and `plan` is
-    /// ignored. `None` (or no planner) executes `plan` as-is.
-    pub sql: Option<String>,
+}
+
+/// What a request runs: a plan, or SQL text — never both.
+#[derive(Debug, Clone)]
+pub enum Query {
+    /// A logical plan, executed as-is.
+    Plan(Rel),
+    /// SQL text the server's caching planner
+    /// ([`SiriusServer::with_planner`]) resolves at admission through the
+    /// shared plan cache — repeated shapes skip parse/bind/optimize
+    /// entirely. A server without a planner fails it at admission with a
+    /// non-retryable [`SiriusError::Unsupported`].
+    Sql(String),
 }
 
 impl QueryRequest {
     /// A default-priority, uncapped, untraced request with no deadline.
     pub fn new(id: u64, tenant: usize, arrival: Duration, plan: Rel) -> Self {
+        Self::of(id, tenant, arrival, Query::Plan(plan))
+    }
+
+    /// [`Self::new`] carrying SQL text instead of a plan.
+    pub fn from_sql(id: u64, tenant: usize, arrival: Duration, sql: impl Into<String>) -> Self {
+        Self::of(id, tenant, arrival, Query::Sql(sql.into()))
+    }
+
+    fn of(id: u64, tenant: usize, arrival: Duration, query: Query) -> Self {
         QueryRequest {
             id,
             tenant,
             priority: 0,
             arrival,
             deadline: None,
-            plan,
+            query,
             memory_budget: None,
             trace: false,
-            sql: None,
         }
-    }
-
-    /// A request carrying only SQL text, resolved by the server's
-    /// caching planner at admission. On a server without a planner the
-    /// placeholder plan fails at `begin`, so such requests end
-    /// [`QueryDisposition::Failed`] rather than silently running the
-    /// wrong thing.
-    pub fn from_sql(id: u64, tenant: usize, arrival: Duration, sql: impl Into<String>) -> Self {
-        let placeholder = Rel::Read {
-            table: "<sql-only request>".into(),
-            schema: sirius_columnar::Schema::new(vec![sirius_columnar::Field::new(
-                "<unresolved>",
-                sirius_columnar::DataType::Int64,
-            )]),
-            projection: None,
-        };
-        QueryRequest {
-            sql: Some(sql.into()),
-            ..QueryRequest::new(id, tenant, arrival, placeholder)
-        }
-    }
-
-    /// Attach SQL text to an existing request (planner-resolved when the
-    /// server has one; the carried plan remains the fallback).
-    pub fn with_sql(mut self, sql: impl Into<String>) -> Self {
-        self.sql = Some(sql.into());
-        self
     }
 }
 
@@ -341,8 +329,8 @@ struct Active {
     slot: Slot,
 }
 
-/// What an admitted query holds: its engine view, stepped run, and
-/// accumulating per-query attribution state.
+/// What an admitted query holds: its engine view and stepped run, whose
+/// meter is the query's attribution.
 struct Slot {
     admitted: Duration,
     engine: SiriusEngine,
@@ -352,35 +340,13 @@ struct Slot {
     /// Widest lane slice this admission may use (halved when admitted
     /// under pressure).
     lane_limit: usize,
-    /// Ledger snapshot at the end of this query's previous wave; the next
-    /// wave's delta starts here so admission-time charges (pipeline
-    /// dispatch overhead) are not lost between waves.
-    last: TimeBreakdown,
-    /// This query's spill deltas, accumulated wave by wave from the
-    /// shared manager (waves within a server step run sequentially on the
-    /// host, so the deltas attribute exactly).
-    spill: SpillStats,
-    /// Planner resolution, when this admission went through the plan
-    /// cache: the canonical fingerprint shape (feedback key) and the
-    /// compiled artifact whose `root()` carries the executed operator
-    /// ids. Completed runs record their actual cardinalities under it.
-    planned: Option<(u64, Arc<sirius_core::CompiledQuery>)>,
-}
-
-impl Slot {
-    /// The per-query report from this slot's isolated telemetry (`rows`
-    /// is the caller's to fill in).
-    fn report(&self, workers: usize) -> QueryReport {
-        QueryReport::measured(
-            workers,
-            0,
-            self.run.pipelines(),
-            self.engine.device().breakdown(),
-            &self.engine.morsel_stats(),
-            &self.spill,
-            &self.engine.buffer_manager().regions().processing().stats(),
-        )
-    }
+    /// The compiled artifact the run started from; its `root()` carries
+    /// the executed operator ids.
+    compiled: Arc<sirius_core::CompiledQuery>,
+    /// The canonical fingerprint shape (feedback key), when this admission
+    /// went through the plan cache. Completed runs record their actual
+    /// cardinalities under it.
+    shape: Option<u64>,
 }
 
 /// The multi-query serving frontend over one [`SiriusEngine`].
@@ -490,16 +456,20 @@ impl SiriusServer {
         now: Duration,
         lane_limit: usize,
     ) -> Result<Slot, SiriusError> {
-        // Plan-cache path: resolve the SQL text through the shared
-        // planner. The steady state (repeated shape, no new feedback)
-        // performs zero parse/bind/optimize work here.
-        let planner = self.planner.as_ref().zip(req.sql.as_ref());
-        let planned = match planner {
-            Some((p, sql)) => {
+        // A plan compiles here; SQL resolves through the shared planner's
+        // plan cache, whose steady state (repeated shape, no new feedback)
+        // performs zero parse/bind/optimize work.
+        let (shape, compiled) = match (&req.query, &self.planner) {
+            (Query::Plan(plan), _) => (None, self.base.compile_query(plan)?),
+            (Query::Sql(sql), Some(p)) => {
                 let r = p.resolve(sql, &self.base)?;
-                Some((r.shape, r.compiled))
+                (Some(r.shape), r.compiled)
             }
-            None => None,
+            (Query::Sql(_), None) => {
+                return Err(SiriusError::Unsupported(
+                    "SQL request on a server without a planner".into(),
+                ))
+            }
         };
         let trace = if req.trace {
             TraceConfig::On
@@ -509,24 +479,19 @@ impl SiriusServer {
         // Adaptive planners need per-operator counters from the run to
         // record feedback — enabled without the trace sink so untraced
         // requests still report no events.
-        let operator_stats = planner.is_some_and(|(p, _)| p.adaptive());
+        let operator_stats = shape.is_some() && self.planner.as_ref().is_some_and(|p| p.adaptive());
         let view = self.base.query_view(trace, operator_stats);
         if let Some(budget) = req.memory_budget {
             view.buffer_manager().set_grant_cap(budget);
         }
-        let run = match &planned {
-            Some((_, compiled)) => view.begin_compiled(compiled)?,
-            None => view.begin(&req.plan)?,
-        };
         Ok(Slot {
             admitted: now,
+            run: view.begin_compiled(&compiled)?,
             engine: view,
-            run,
             error: None,
             lane_limit,
-            last: TimeBreakdown::default(),
-            spill: SpillStats::default(),
-            planned,
+            compiled,
+            shape,
         })
     }
 
@@ -619,13 +584,13 @@ impl<'a> Replay<'a> {
             return;
         }
         let workers = self.srv.base.workers();
-        let (admitted, mut report, events, table) = match slot {
+        let (admitted, report, events, table) = match slot {
             None => (self.now, QueryReport::zeroed(workers), Vec::new(), None),
             Some(mut s) => {
                 if error.is_some() {
                     s.run.abort();
                 }
-                let (report, events) = (s.report(workers), s.engine.trace().events());
+                let (report, events) = (s.engine.run_report(&s.run), s.engine.trace().events());
                 (s.admitted, report, events, s.run.into_table())
             }
         };
@@ -633,7 +598,6 @@ impl<'a> Replay<'a> {
             Some(e) => Err(e),
             None => table.ok_or_else(|| SiriusError::Kernel("finished run holds no result".into())),
         };
-        report.rows = result.as_ref().map_or(0, Table::num_rows);
         self.out.queries.push(ServedQuery {
             id: w.req.id,
             tenant: w.req.tenant,
@@ -834,14 +798,8 @@ impl<'a> Replay<'a> {
         let mut deltas: Vec<TimeBreakdown> = Vec::with_capacity(selected.len());
         for &i in selected {
             let s = &mut self.inflight[i].slot;
-            let spill_before = s.engine.spill_stats();
-            if s.error.is_none() {
-                s.error = s.engine.step(&mut s.run, width.min(s.lane_limit)).err();
-            }
-            accumulate_spill(&mut s.spill, &s.engine.spill_stats().since(&spill_before));
-            let cur = s.engine.device().breakdown();
-            deltas.push(cur.since(&s.last));
-            s.last = cur;
+            s.error = s.engine.step(&mut s.run, width.min(s.lane_limit)).err();
+            deltas.push(s.run.last_wave().clone());
         }
         let wave = attribute_overlap(&deltas);
         self.now += wave.total();
@@ -867,9 +825,9 @@ impl<'a> Replay<'a> {
             // run is consumed: only this run's stats deltas, keyed under
             // the shape's canonical fingerprint, from the executed plan's
             // own operator ids.
-            if let (Some(p), Some((shape, compiled))) = (&self.srv.planner, &a.slot.planned) {
+            if let (Some(p), Some(shape)) = (&self.srv.planner, a.slot.shape) {
                 let stats = a.slot.engine.run_operator_stats(&a.slot.run);
-                p.observe(*shape, compiled.root(), &stats);
+                p.observe(shape, a.slot.compiled.root(), &stats);
             }
             self.settle(a.entry, Some(a.slot), QueryDisposition::Completed, None);
         }
@@ -959,20 +917,6 @@ fn shed_victims(queue: &VecDeque<Waiting>) -> Vec<usize> {
         victims.sort_unstable();
     }
     victims
-}
-
-/// Add a spill-delta onto a per-query accumulator. `max_depth` is a
-/// lifetime maximum on the shared manager, so it only attributes to this
-/// query when the query actually spilled in the window.
-fn accumulate_spill(acc: &mut SpillStats, delta: &SpillStats) {
-    acc.bytes_to_pinned += delta.bytes_to_pinned;
-    acc.bytes_to_disk += delta.bytes_to_disk;
-    acc.bytes_read_back += delta.bytes_read_back;
-    acc.partitions += delta.partitions;
-    acc.failed_writes += delta.failed_writes;
-    if delta.partitions > 0 {
-        acc.max_depth = acc.max_depth.max(delta.max_depth);
-    }
 }
 
 #[cfg(test)]
@@ -1663,9 +1607,14 @@ mod tests {
             Duration::ZERO,
             "SELECT k FROM t",
         )]);
-        // No planner: the placeholder plan cannot execute, so the
-        // request ends Failed instead of silently running something else.
+        // No planner: the SQL fails at admission, typed and not retried,
+        // instead of silently running something else.
         assert_eq!(outcome.dispositions().failed, 1);
+        let q = &outcome.queries[0];
+        assert_eq!((q.retries, outcome.admission_order.len()), (0, 1));
+        let err = q.result.as_ref().expect_err("no planner");
+        assert!(matches!(err, SiriusError::Unsupported(_)), "{err}");
+        assert!(!err.is_retryable());
     }
 
     // -- replay steps, on hand-built state (no wave ever runs) -------------

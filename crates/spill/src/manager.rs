@@ -41,8 +41,9 @@ impl Default for SpillConfig {
     }
 }
 
-/// Monotonic spill counters (pair snapshots with [`SpillStats::since`] for
-/// per-query numbers, like the engine's morsel counters).
+/// Monotonic spill counters. One query's share is its run's report: the
+/// engine's run meter adds it up step by step, because query views share
+/// one manager.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Bytes written to the pinned-host tier.
@@ -240,6 +241,8 @@ mod tests {
         m.note_read(4096);
         m.note_depth(2);
         m.note_depth(1);
+        // The method's own unit test.
+        #[allow(clippy::disallowed_methods)]
         let d = m.stats().since(&before);
         assert_eq!(d.bytes_spilled(), 4096);
         assert_eq!(d.bytes_read_back, 4096);

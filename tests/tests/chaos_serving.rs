@@ -18,7 +18,9 @@ use sirius_duckdb::DuckDb;
 use sirius_hw::{catalog as hw, FaultInjector, FaultPlan, TraceConfig};
 use sirius_integration::assert_tables_equivalent;
 use sirius_plan::Rel;
-use sirius_serve::{QueryDisposition, QueryRequest, ServeConfig, ServeOutcome, SiriusServer};
+use sirius_serve::{
+    Query, QueryDisposition, QueryRequest, ServeConfig, ServeOutcome, SiriusServer,
+};
 use sirius_tpch::{queries, TpchData, TpchGenerator};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -229,8 +231,7 @@ proptest! {
                     // One request may carry an impossible deadline so
                     // cancellation interleaves with the chaos.
                     deadline: (doomed && i == 0).then_some(Duration::from_nanos(1)),
-                    plan: fix.plans[qi].1.clone(),
-                    sql: None,
+                    query: Query::Plan(fix.plans[qi].1.clone()),
                     memory_budget: budgeted.then_some(8 << 20),
                     trace: false,
                 })
@@ -330,6 +331,9 @@ fn deadline_during_spilling_wave_reaps_temps() {
     while !run.is_done() {
         let before = probe.spill_stats();
         probe.step(&mut run, WORKERS).expect("wave");
+        // An oracle independent of the run's meter: the probe is the only
+        // query on its spill tiers.
+        #[allow(clippy::disallowed_methods)]
         let delta = probe.spill_stats().since(&before);
         if delta.bytes_to_pinned + delta.bytes_to_disk > 0 {
             spill_at = Some(probe.device().breakdown().total());

@@ -15,7 +15,7 @@ use sirius_hw::{catalog as hw, FaultInjector, FaultPlan, TimeBreakdown};
 use sirius_integration::assert_tables_equivalent;
 use sirius_plan::Rel;
 use sirius_serve::{
-    poisson_trace, ArrivalSpec, QueryRequest, ServeConfig, SiriusServer, TenantSpec,
+    poisson_trace, ArrivalSpec, Query, QueryRequest, ServeConfig, SiriusServer, TenantSpec,
 };
 use sirius_tpch::{queries, TpchData, TpchGenerator};
 use std::sync::OnceLock;
@@ -157,8 +157,7 @@ fn all_queries_concurrently_match_serialized_execution() {
             priority: (i % 4) as u8,
             arrival: Duration::ZERO,
             deadline: None,
-            plan: plan.clone(),
-            sql: None,
+            query: Query::Plan(plan.clone()),
             memory_budget: if i % 3 == 0 { Some(64 << 20) } else { None },
             trace: i % 2 == 0,
         })
@@ -192,8 +191,7 @@ fn budgeted_queries_spill_but_still_match() {
             priority: 0,
             arrival: Duration::ZERO,
             deadline: None,
-            plan: plan.clone(),
-            sql: None,
+            query: Query::Plan(plan.clone()),
             memory_budget: Some(1 << 20),
             trace: false,
         })
@@ -240,8 +238,7 @@ fn same_seed_reproduces_admission_order_and_counters() {
                 priority: a.priority,
                 arrival: a.arrival,
                 deadline: None,
-                plan: fix.plans[a.query_index].1.clone(),
-                sql: None,
+                query: Query::Plan(fix.plans[a.query_index].1.clone()),
                 memory_budget: (a.query_index % 3 == 0).then_some(32 << 20),
                 trace: a.id % 2 == 0,
             })
@@ -306,8 +303,7 @@ fn backpressure_bounds_queue_and_rejects_overflow() {
             priority: 0,
             arrival: Duration::ZERO,
             deadline: None,
-            plan: fix.plans[(i as usize) % fix.plans.len()].1.clone(),
-            sql: None,
+            query: Query::Plan(fix.plans[(i as usize) % fix.plans.len()].1.clone()),
             memory_budget: None,
             trace: false,
         })
@@ -360,8 +356,7 @@ proptest! {
                 // execution rather than forming one initial batch.
                 arrival: Duration::from_micros(3 * i as u64),
                 deadline: None,
-                plan: fix.plans[qi].1.clone(),
-                sql: None,
+                query: Query::Plan(fix.plans[qi].1.clone()),
                 memory_budget: [None, Some(4 << 20), Some(32 << 20), Some(256 << 20)][budget],
                 trace: traced,
             })
@@ -408,8 +403,7 @@ fn resilience_metrics_are_published() {
         priority: 7,
         arrival: Duration::ZERO,
         deadline: None,
-        plan: fix.plans[0].1.clone(), // Q1: grouped aggregate
-        sql: None,
+        query: Query::Plan(fix.plans[0].1.clone()), // Q1: grouped aggregate
         memory_budget: Some(64 << 10),
         trace: false,
     });
@@ -420,8 +414,7 @@ fn resilience_metrics_are_published() {
         priority: 0,
         arrival: Duration::ZERO,
         deadline: Some(Duration::ZERO),
-        plan: fix.plans[5].1.clone(), // Q6
-        sql: None,
+        query: Query::Plan(fix.plans[5].1.clone()), // Q6
         memory_budget: None,
         trace: false,
     });
@@ -434,8 +427,7 @@ fn resilience_metrics_are_published() {
             priority: 0,
             arrival: Duration::ZERO,
             deadline: None,
-            plan: fix.plans[5].1.clone(),
-            sql: None,
+            query: Query::Plan(fix.plans[5].1.clone()),
             memory_budget: None,
             trace: false,
         });

@@ -180,11 +180,11 @@ fn serve_trace_is_bit_identical_with_cache_on_and_off() {
             .iter()
             .map(|a| {
                 let (_, sql, plan) = &fix.plans[a.query_index];
-                let mut r = QueryRequest::new(a.id, a.tenant, a.arrival, plan.clone());
+                let mut r = match with_sql {
+                    true => QueryRequest::from_sql(a.id, a.tenant, a.arrival, *sql),
+                    false => QueryRequest::new(a.id, a.tenant, a.arrival, plan.clone()),
+                };
                 r.priority = a.priority;
-                if with_sql {
-                    r = r.with_sql(*sql);
-                }
                 r
             })
             .collect()

@@ -91,11 +91,11 @@ fn arrivals(fix: &Fixture, seed: u64, count: usize, rate_qps: f64) -> Vec<QueryR
         .into_iter()
         .map(|a| {
             let (sql, plan) = &fix.mix[a.query_index];
-            let mut r = QueryRequest::new(a.id, a.tenant, a.arrival, plan.clone());
+            let mut r = match a.id % 3 {
+                0 => QueryRequest::from_sql(a.id, a.tenant, a.arrival, *sql),
+                _ => QueryRequest::new(a.id, a.tenant, a.arrival, plan.clone()),
+            };
             r.priority = a.priority;
-            if a.id % 3 == 0 {
-                r = r.with_sql(*sql);
-            }
             r
         })
         .collect()
