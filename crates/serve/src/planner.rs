@@ -318,14 +318,167 @@ mod tests {
     use sirius_columnar::{DataType, Field, Schema};
     use sirius_core::EngineConfig;
 
+    const FILTER: &str = "select k from t where k > 1";
+    const JOIN: &str = "select a.k from a, b where a.k = b.k";
+
+    fn catalog() -> BinderCatalog {
+        let mut catalog = BinderCatalog::new();
+        for (table, rows) in [("t", 100), ("a", 100), ("b", 10_000)] {
+            catalog.add_table(
+                table,
+                Schema::new(vec![Field::new("k", DataType::Int64)]),
+                rows,
+            );
+        }
+        catalog
+    }
+
+    /// Compiling charges nothing and reads no table: an empty engine does.
+    fn engine() -> SiriusEngine {
+        SiriusEngine::from_config(EngineConfig::new(sirius_hw::catalog::gh200_gpu()))
+    }
+
+    /// Record one run of `resolved` in which every operator produced the
+    /// rows `rows` gives for the set of tables under it.
+    fn observe(planner: &CachingPlanner, resolved: &ResolvedPlan, rows: &[(&[&str], u64)]) {
+        let mut stats = HashMap::new();
+        sirius_plan::visit::visit(resolved.compiled.root(), &mut |node, rel| {
+            let mut tables = rel.tables();
+            tables.sort();
+            let under = |set: &[&str]| set.iter().copied().eq(tables.iter().map(String::as_str));
+            if let Some(&(_, rows_out)) = rows.iter().find(|(set, _)| under(set)) {
+                let run = OpStats {
+                    rows_out,
+                    invocations: 1,
+                    ..OpStats::default()
+                };
+                stats.insert(node.id, run);
+            }
+        });
+        assert!(planner.observe(resolved.shape, resolved.compiled.root(), &stats) > 0);
+    }
+
+    /// Feedback under which the join's plan changes: `a` is the larger input.
+    fn flip_join(planner: &CachingPlanner, resolved: &ResolvedPlan) {
+        observe(
+            planner,
+            resolved,
+            &[(&["a"], 5_000), (&["b"], 10), (&["a", "b"], 10)],
+        );
+    }
+
+    fn stats(hits: u64, misses: u64, evictions: u64, replans: u64, entries: u64) -> PlanCacheStats {
+        PlanCacheStats {
+            hits,
+            misses,
+            evictions,
+            replans,
+            entries,
+        }
+    }
+
+    #[test]
+    fn cache_hits_misses_and_counts() {
+        let (planner, engine) = (
+            CachingPlanner::new(catalog(), JoinOrderPolicy::Optimized),
+            engine(),
+        );
+        let first = planner.resolve(FILTER, &engine).unwrap();
+        let second = planner.resolve(FILTER, &engine).unwrap();
+        assert!(first.planned && !second.planned);
+        assert!(
+            Arc::ptr_eq(&first.compiled, &second.compiled),
+            "a hit serves the cached plan"
+        );
+        assert_eq!(planner.cache_stats(), stats(1, 1, 0, 0, 1));
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_touched() {
+        let planner = CachingPlanner::new(catalog(), JoinOrderPolicy::Optimized).with_capacity(2);
+        let engine = engine();
+        let resolve = |sql: &str| planner.resolve(sql, &engine).unwrap().planned;
+        let (a, b, c) = ("select k from a", "select k from b", "select k from t");
+        assert!(resolve(a) && resolve(b));
+        // Touch `a` so `b` is the least recently touched.
+        assert!(!resolve(a));
+        assert!(resolve(c));
+        assert_eq!(planner.cache_stats(), stats(1, 3, 1, 0, 2));
+        assert!(!resolve(a), "a survived");
+        assert!(!resolve(c), "c survived");
+        assert!(resolve(b), "b was evicted");
+        assert_eq!(planner.cache_stats(), stats(3, 4, 2, 0, 2));
+    }
+
+    #[test]
+    fn replace_retires_old_entry_and_counts_replan() {
+        let (planner, engine) = (
+            CachingPlanner::new(catalog(), JoinOrderPolicy::Optimized),
+            engine(),
+        );
+        let old = planner.resolve(JOIN, &engine).unwrap();
+        flip_join(&planner, &old);
+        let new = planner.resolve(JOIN, &engine).unwrap();
+        assert!(new.planned);
+        assert_eq!(
+            new.shape, old.shape,
+            "feedback stays keyed by the estimate-only shape"
+        );
+        assert_ne!(new.compiled.fingerprint(), old.compiled.fingerprint());
+        let again = planner.resolve(JOIN, &engine).unwrap();
+        assert!(!again.planned);
+        assert!(
+            Arc::ptr_eq(&again.compiled, &new.compiled),
+            "the old plan is retired"
+        );
+        assert_eq!(planner.cache_stats(), stats(1, 1, 0, 1, 1));
+    }
+
+    /// Every counter, step by step: hit, miss, feedback that leaves the plan
+    /// as it was, feedback that changes it, an eviction and the evicted
+    /// text's return.
+    #[test]
+    fn counters_follow_a_fixed_sequence() {
+        let planner = CachingPlanner::new(catalog(), JoinOrderPolicy::Optimized).with_capacity(2);
+        let engine = engine();
+        let step = |sql: &str, planned: bool, want: PlanCacheStats, phases: u64| {
+            let resolved = planner.resolve(sql, &engine).unwrap();
+            assert_eq!(resolved.planned, planned, "{sql}");
+            assert_eq!(planner.cache_stats(), want, "{sql}");
+            assert_eq!(planner.planning_phases(), phases, "{sql}");
+            resolved
+        };
+        let filter = step(FILTER, true, stats(0, 1, 0, 0, 1), 1);
+        let hit = step(FILTER, false, stats(1, 1, 0, 0, 1), 1);
+        assert!(Arc::ptr_eq(&hit.compiled, &filter.compiled));
+        // Fresh feedback, same plan: planned again, no lookup, no re-plan.
+        observe(&planner, &filter, &[(&["t"], 40)]);
+        let refreshed = step(FILTER, true, stats(1, 1, 0, 0, 1), 2);
+        assert_eq!(
+            refreshed.compiled.fingerprint(),
+            filter.compiled.fingerprint()
+        );
+        // Nothing new observed since: back on the hit path.
+        step(FILTER, false, stats(2, 1, 0, 0, 1), 2);
+        // Fresh feedback, different plan: one re-plan, no lookup.
+        let join = step(JOIN, true, stats(2, 2, 0, 0, 2), 3);
+        flip_join(&planner, &join);
+        step(JOIN, true, stats(2, 2, 0, 1, 2), 4);
+        // A third text evicts the least recently touched one, FILTER.
+        step("select k from t where k > 2", true, stats(2, 3, 1, 1, 2), 5);
+        // FILTER returns as a new text would: one miss, one plan, and it
+        // evicts JOIN.
+        step(FILTER, true, stats(2, 4, 2, 1, 2), 6);
+        step(JOIN, true, stats(2, 5, 3, 1, 2), 7);
+    }
+
     #[test]
     fn memo_is_bounded_by_the_cache() {
         let mut catalog = BinderCatalog::new();
         let schema = Schema::new(vec![Field::new("k", DataType::Int64)]);
         catalog.add_table("t", schema, 100);
         let planner = CachingPlanner::new(catalog, JoinOrderPolicy::Optimized).with_capacity(8);
-        // Compiling charges nothing and reads no table: an empty engine does.
-        let engine = SiriusEngine::from_config(EngineConfig::new(sirius_hw::catalog::gh200_gpu()));
+        let engine = engine();
         for literal in 0..1000 {
             let sql = format!("select k from t where k > {literal}");
             assert!(planner.resolve(&sql, &engine).unwrap().planned);
