@@ -50,7 +50,7 @@ pub use buffer::BufferManager;
 pub use engine::{EngineConfig, SiriusEngine, DEFAULT_MORSEL_ROWS};
 pub use explain::OpStats;
 pub use metrics::{MorselStats, QueryReport};
-pub use plan_cache::{CompiledQuery, FeedbackStore, PlanCache, PlanCacheStats, ShapeFeedback};
+pub use plan_cache::{CompiledQuery, FeedbackStore, ShapeFeedback};
 pub use schedule::{QueryRun, Scheduling};
 pub use sirius_spill::{SpillConfig, SpillStats};
 

@@ -1,19 +1,18 @@
-//! Plan cache and runtime-feedback store.
+//! What a plan cache keeps, without the cache: the compiled plan and the
+//! runtime-feedback store (with its per-shape [`ShapeFeedback`]). The
+//! module holds nothing else.
 //!
 //! A serving system sees the same parameterized query shapes endlessly;
 //! re-running parse → bind → optimize → compile per request wastes host
 //! CPU and, worse, repeats the same estimate-driven join-order mistakes
-//! forever. This module makes the compiled plan a *shared, cache-resident
-//! artifact*:
+//! forever. The serving layer's `CachingPlanner` owns the cache (an LRU
+//! keyed by SQL text) and keeps one of each per entry and per shape:
 //!
 //! - [`CompiledQuery`] — the immutable compile output (normalized plan +
 //!   fused pipeline DAG + fingerprint), produced once by
 //!   [`SiriusEngine::compile_query`](crate::SiriusEngine::compile_query)
 //!   and started any number of times with
 //!   [`begin_compiled`](crate::SiriusEngine::begin_compiled).
-//! - [`PlanCache`] — fingerprint → `Arc<CompiledQuery>` with LRU
-//!   eviction on a logical touch clock and hit/miss/evict/replan
-//!   counters for Prometheus export.
 //! - [`FeedbackStore`] — per-*shape* observed cardinalities, recorded
 //!   from `operator_stats` after each run and keyed by the set of base
 //!   tables under each subtree (stable across join reordering), so the
@@ -26,15 +25,14 @@ use sirius_plan::fingerprint::PlanFingerprint;
 use sirius_plan::visit::Node;
 use sirius_plan::Rel;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::physical::PhysicalPlan;
 
 /// An immutable compiled query: normalized plan, fused pipeline DAG, and
-/// the fingerprint the cache keys it under. Cheap to share (`Arc`) and to
-/// start: [`begin_compiled`](crate::SiriusEngine::begin_compiled) allocates
-/// only the run's dependency bookkeeping — the run and its morsel tasks
+/// its fingerprint. Cheap to share (`Arc`) and to start:
+/// [`begin_compiled`](crate::SiriusEngine::begin_compiled) allocates only
+/// the run's dependency bookkeeping — the run and its morsel tasks
 /// execute this DAG through the same `Arc`, never a copy.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
@@ -65,129 +63,6 @@ impl CompiledQuery {
     /// snapshot (typically a per-run delta).
     pub fn explain_analyze(&self, stats: &HashMap<u32, OpStats>) -> String {
         crate::explain::render(&self.phys.root, stats)
-    }
-}
-
-/// Monotonic counters describing a [`PlanCache`]'s behavior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted by the LRU policy.
-    pub evictions: u64,
-    /// Entries replaced by a feedback-driven re-optimization.
-    pub replans: u64,
-    /// Live entries right now.
-    pub entries: u64,
-}
-
-struct CacheEntry {
-    query: Arc<CompiledQuery>,
-    touch: u64,
-}
-
-/// Fingerprint-keyed LRU cache of compiled queries.
-///
-/// Recency is a logical touch counter (the simulated clock never reaches
-/// this layer, and wall time would break replay determinism): every
-/// `get` hit and `insert` bumps the clock, and eviction removes the
-/// smallest touch. Shared across tenants by design — plan shapes are not
-/// tenant data, and sharing is what makes the second tenant's identical
-/// dashboard query free.
-pub struct PlanCache {
-    capacity: usize,
-    entries: Mutex<HashMap<PlanFingerprint, CacheEntry>>,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    replans: AtomicU64,
-}
-
-impl PlanCache {
-    /// A cache holding at most `capacity` compiled plans (min 1).
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            capacity: capacity.max(1),
-            entries: Mutex::new(HashMap::new()),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            replans: AtomicU64::new(0),
-        }
-    }
-
-    /// Look up a compiled plan, counting the hit or miss and refreshing
-    /// recency on hit.
-    pub fn get(&self, fingerprint: &PlanFingerprint) -> Option<Arc<CompiledQuery>> {
-        let mut entries = self.entries.lock();
-        match entries.get_mut(fingerprint) {
-            Some(e) => {
-                e.touch = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&e.query))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Insert a compiled plan under its own fingerprint, evicting the
-    /// least-recently-used entry if the cache is full. Returns the
-    /// evicted plan's fingerprint, if any.
-    pub fn insert(&self, query: Arc<CompiledQuery>) -> Option<PlanFingerprint> {
-        let fp = query.fingerprint();
-        let mut entries = self.entries.lock();
-        let touch = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        entries.insert(fp, CacheEntry { query, touch });
-        let mut evicted = None;
-        if entries.len() > self.capacity {
-            if let Some(victim) = entries.iter().min_by_key(|(_, e)| e.touch).map(|(k, _)| *k) {
-                entries.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                evicted = Some(victim);
-            }
-        }
-        evicted
-    }
-
-    /// Replace a cached plan after a feedback-driven re-optimization:
-    /// the old entry for `retired` is removed (retired, not evicted) and
-    /// the new plan inserted; the re-plan counter increments.
-    pub fn replace(
-        &self,
-        retired: &PlanFingerprint,
-        query: Arc<CompiledQuery>,
-    ) -> Option<PlanFingerprint> {
-        self.entries.lock().remove(retired);
-        self.replans.fetch_add(1, Ordering::Relaxed);
-        self.insert(query)
-    }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when no plans are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of the cache counters.
-    pub fn stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            replans: self.replans.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-        }
     }
 }
 
@@ -316,58 +191,6 @@ mod tests {
     use sirius_plan::builder::PlanBuilder;
     use sirius_plan::{expr, JoinKind};
     use std::time::Duration;
-
-    fn compiled(table: &str, threshold: i64) -> Arc<CompiledQuery> {
-        let plan = PlanBuilder::scan(table, Schema::new(vec![Field::new("k", DataType::Int64)]))
-            .filter(expr::gt(expr::col(0), expr::lit_i64(threshold)))
-            .build();
-        let normalized = sirius_plan::normalize::normalize(&plan);
-        let fingerprint = sirius_plan::fingerprint::fingerprint(&normalized);
-        let phys = Arc::new(crate::physical::compile(&plan).unwrap());
-        Arc::new(CompiledQuery { fingerprint, phys })
-    }
-
-    #[test]
-    fn cache_hits_misses_and_counts() {
-        let cache = PlanCache::new(4);
-        let q = compiled("t", 5);
-        let fp = q.fingerprint();
-        assert!(cache.get(&fp).is_none());
-        cache.insert(Arc::clone(&q));
-        assert!(cache.get(&fp).is_some());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_touched() {
-        let cache = PlanCache::new(2);
-        let (a, b, c) = (compiled("a", 1), compiled("b", 1), compiled("c", 1));
-        cache.insert(Arc::clone(&a));
-        cache.insert(Arc::clone(&b));
-        // Touch `a` so `b` is the LRU victim.
-        assert!(cache.get(&a.fingerprint()).is_some());
-        let evicted = cache.insert(Arc::clone(&c));
-        assert_eq!(evicted, Some(b.fingerprint()));
-        assert!(cache.get(&a.fingerprint()).is_some());
-        assert!(cache.get(&b.fingerprint()).is_none());
-        assert!(cache.get(&c.fingerprint()).is_some());
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn replace_retires_old_entry_and_counts_replan() {
-        let cache = PlanCache::new(4);
-        let old = compiled("t", 5);
-        let new = compiled("t", 9); // same shape, different constants
-        cache.insert(Arc::clone(&old));
-        cache.replace(&old.fingerprint(), Arc::clone(&new));
-        assert!(cache.get(&old.fingerprint()).is_none());
-        assert!(cache.get(&new.fingerprint()).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.replans, 1);
-        assert_eq!(stats.entries, 1);
-    }
 
     #[test]
     fn feedback_records_topmost_subtree_cardinalities() {

@@ -47,7 +47,7 @@ pub mod report;
 pub mod server;
 pub mod workload;
 
-pub use planner::{CachingPlanner, ResolvedPlan};
+pub use planner::{CachingPlanner, PlanCacheStats, ResolvedPlan};
 pub use report::{percentile, ConcurrencyReport};
 pub use server::{
     DispositionCounts, Query, QueryDisposition, QueryRequest, ServeConfig, ServeOutcome,

@@ -6,9 +6,9 @@
 //! again, and worse, repeats the same estimate-driven join-order mistakes
 //! forever. [`CachingPlanner`] closes both gaps:
 //!
-//! * **Plan cache** — admissions resolve SQL text through a shared
-//!   [`PlanCache`] keyed by [`PlanFingerprint`]; a repeated shape skips
-//!   the entire planning phase and starts straight from the cached
+//! * **Plan cache** — admissions resolve SQL text through one LRU map
+//!   from the text to its compiled plan; a repeated text skips the
+//!   entire planning phase and starts straight from the cached
 //!   [`CompiledQuery`] (`begin_compiled`). The cache is shared across
 //!   tenants by design: plan shapes are not tenant data, and sharing is
 //!   what makes the second tenant's identical query free.
@@ -18,26 +18,24 @@
 //!   by the plan's fingerprint *shape*, so literal variants of one query
 //!   pool their observations. The next resolution of that shape re-runs
 //!   the optimizer with actuals instead of estimates; if the plan
-//!   changes, the cached entry is retired and replaced (a counted
-//!   *re-plan*). With [`CachingPlanner::with_adaptive`]`(false)` the
-//!   planner never consults feedback and cached plans are bit-for-bit
-//!   the estimate-only ones.
+//!   changes, the text's entry takes the new plan (a counted *re-plan*).
+//!   With [`CachingPlanner::with_adaptive`]`(false)` the planner never
+//!   consults feedback and cached plans are bit-for-bit the estimate-only
+//!   ones.
 
 use crate::metrics;
 use parking_lot::Mutex;
 use sirius_core::{
-    CompiledQuery, FeedbackStore, OpStats, PlanCache, PlanCacheStats, ShapeFeedback, SiriusEngine,
-    SiriusError,
+    CompiledQuery, FeedbackStore, OpStats, ShapeFeedback, SiriusEngine, SiriusError,
 };
 use sirius_plan::fingerprint::fingerprint;
 use sirius_plan::normalize::normalize;
-use sirius_plan::{PlanFingerprint, Rel};
+use sirius_plan::Rel;
 use sirius_sql::{
     plan_sql, plan_sql_with_stats, BinderCatalog, CatalogStatistics, JoinOrderPolicy, Statistics,
 };
 use sirius_trace::metrics::MetricsRegistry;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Catalog estimates overlaid with observed cardinalities for one plan
@@ -71,49 +69,79 @@ pub struct ResolvedPlan {
     pub planned: bool,
 }
 
-#[derive(Clone, Copy)]
-struct MemoEntry {
+/// Monotonic counters describing the plan cache's behavior.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Resolutions served from the cache.
+    pub hits: u64,
+    /// Resolutions of a text never seen, or whose entry was evicted.
+    pub misses: u64,
+    /// Entries evicted by the LRU policy.
+    pub evictions: u64,
+    /// Feedback-driven re-optimizations that changed a text's plan.
+    pub replans: u64,
+    /// Live entries right now.
+    pub entries: u64,
+}
+
+/// One cached SQL text.
+struct Entry {
     /// Shape fingerprint of the estimate-only plan (feedback key).
-    canonical: u64,
-    /// Fingerprint of the currently cached (possibly re-optimized) plan.
-    active: PlanFingerprint,
+    shape: u64,
+    /// The current (possibly re-optimized) plan.
+    compiled: Arc<CompiledQuery>,
+    /// Logical time of the last resolution that returned this entry.
+    touch: u64,
 }
 
+/// Everything the planner remembers, under its one mutex.
 #[derive(Default)]
-struct Memo {
-    /// SQL text → fingerprints, so repeated text skips parsing entirely.
-    by_sql: HashMap<String, MemoEntry>,
-    /// Feedback generation (`ShapeFeedback::version`) each shape was
-    /// last planned at. The version moves only when an observation
-    /// actually *changed*, so steady-state traffic repeating identical
-    /// runs stays on the pure cache-hit path; a changed observation
-    /// triggers exactly one re-optimization.
+struct Cache {
+    /// SQL text → its plan: at most the planner's capacity, and the least
+    /// recently touched entry makes room. Recency is a logical clock (the
+    /// simulated clock never reaches this layer, and wall time would break
+    /// replay determinism).
+    by_sql: HashMap<String, Entry>,
+    /// Feedback generation (`ShapeFeedback::version`) each shape was last
+    /// planned at, for the shapes some entry has. The version moves only
+    /// when an observation actually *changed*, so steady-state traffic
+    /// repeating identical runs stays on the pure cache-hit path; a changed
+    /// observation triggers exactly one re-optimization.
     planned_version: HashMap<u64, u64>,
+    clock: u64,
+    /// Counters; `entries` is filled in by [`Cache::stats`].
+    counts: PlanCacheStats,
+    /// Admissions that executed a planning phase (parse → bind →
+    /// optimize → compile). Cache hits do not increment it — the
+    /// acceptance probe for "zero planning work after first admission".
+    planning_phases: u64,
+    /// Counters already published to Prometheus (deltas are published).
+    published: (PlanCacheStats, u64),
 }
 
-impl Memo {
-    /// Drop what was remembered about the plans that left the cache (one
-    /// retired, one evicted, at most): the texts resolving to them — they
-    /// re-plan on their next admission, as a text never seen does — and the
-    /// feedback generation of every shape no text is left for. Every remembered text then
-    /// resolves to a cached plan, so the memo cannot outgrow the distinct
-    /// plans the LRU beside it holds.
-    fn forget(&mut self, gone: [Option<PlanFingerprint>; 2]) {
-        let texts = &mut self.by_sql;
-        texts.retain(|_, entry| !gone.contains(&Some(entry.active)));
-        self.planned_version
-            .retain(|shape, _| texts.values().any(|e| e.canonical == *shape));
+impl Cache {
+    fn stats(&self) -> PlanCacheStats {
+        PlanCacheStats {
+            entries: self.by_sql.len() as u64,
+            ..self.counts
+        }
     }
-}
 
-/// Counters already published to Prometheus (deltas are published).
-#[derive(Default, Clone, Copy)]
-struct Published {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    replans: u64,
-    phases: u64,
+    /// Over `capacity`, drop the least recently touched entry, and the
+    /// planned version of its shape once no entry of that shape is left.
+    fn evict_over(&mut self, capacity: usize) {
+        if self.by_sql.len() <= capacity {
+            return;
+        }
+        let oldest = self.by_sql.iter().min_by_key(|(_, e)| e.touch);
+        let oldest = oldest.map(|(sql, _)| sql.clone());
+        if let Some(gone) = oldest.and_then(|sql| self.by_sql.remove(&sql)) {
+            self.counts.evictions += 1;
+            if self.by_sql.values().all(|e| e.shape != gone.shape) {
+                self.planned_version.remove(&gone.shape);
+            }
+        }
+    }
 }
 
 /// SQL-to-compiled-plan resolver with a shared plan cache and a runtime
@@ -122,15 +150,10 @@ struct Published {
 pub struct CachingPlanner {
     catalog: BinderCatalog,
     policy: JoinOrderPolicy,
-    cache: PlanCache,
+    capacity: usize,
     feedback: FeedbackStore,
     adaptive: bool,
-    /// Admissions that executed a planning phase (parse → bind →
-    /// optimize → compile). Cache hits do not increment it — the
-    /// acceptance probe for "zero planning work after first admission".
-    planning_phases: AtomicU64,
-    inner: Mutex<Memo>,
-    published: Mutex<Published>,
+    cache: Mutex<Cache>,
 }
 
 impl CachingPlanner {
@@ -140,18 +163,16 @@ impl CachingPlanner {
         CachingPlanner {
             catalog,
             policy,
-            cache: PlanCache::new(256),
+            capacity: 256,
             feedback: FeedbackStore::new(),
             adaptive: true,
-            planning_phases: AtomicU64::new(0),
-            inner: Mutex::new(Memo::default()),
-            published: Mutex::new(Published::default()),
+            cache: Mutex::new(Cache::default()),
         }
     }
 
-    /// Cap the plan cache at `capacity` entries (LRU beyond it).
+    /// Cap the plan cache at `capacity` SQL texts (min 1; LRU beyond it).
     pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.cache = PlanCache::new(capacity);
+        self.capacity = capacity.max(1);
         self
     }
 
@@ -170,44 +191,44 @@ impl CachingPlanner {
     }
 
     /// Resolve SQL text to a compiled plan. The steady-state path —
-    /// repeated text, no new feedback — is a memo + cache hit performing
-    /// *zero* parse/bind/optimize/compile work. Planning runs when the
-    /// text is new, its cache entry was evicted, or (adaptive only) new
-    /// feedback arrived for its shape since it was last planned; a
-    /// re-optimized plan that differs from the cached one replaces it.
+    /// repeated text, no new feedback — is a cache hit performing *zero*
+    /// parse/bind/optimize/compile work. Planning runs when the text is
+    /// new, its entry was evicted, or (adaptive only) new feedback arrived
+    /// for its shape since it was last planned.
     pub fn resolve(&self, sql: &str, engine: &SiriusEngine) -> Result<ResolvedPlan, SiriusError> {
-        let mut memo = self.inner.lock();
-        if let Some(entry) = memo.by_sql.get(sql).copied() {
-            let shape = entry.canonical;
-            let version_now = self.feedback.version(shape);
-            let planned_at = memo.planned_version.get(&shape).copied().unwrap_or(0);
-            let fresh_feedback = self.adaptive && version_now > planned_at;
+        let mut guard = self.cache.lock();
+        let cache = &mut *guard;
+        if let Some(entry) = cache.by_sql.get_mut(sql) {
+            let planned_at = cache.planned_version.get(&entry.shape).copied();
+            let fresh_feedback =
+                self.adaptive && self.feedback.version(entry.shape) > planned_at.unwrap_or(0);
             if !fresh_feedback {
-                if let Some(compiled) = self.cache.get(&entry.active) {
-                    return Ok(ResolvedPlan {
-                        compiled,
-                        shape,
-                        planned: false,
-                    });
-                }
-                // Evicted: fall through and re-plan (counted as the miss
-                // the `get` above just recorded).
+                cache.clock += 1;
+                entry.touch = cache.clock;
+                cache.counts.hits += 1;
+                return Ok(ResolvedPlan {
+                    compiled: Arc::clone(&entry.compiled),
+                    shape: entry.shape,
+                    planned: false,
+                });
             }
         }
-        self.plan(sql, engine, &mut memo)
+        self.plan(sql, engine, cache)
     }
 
     /// One full planning phase: the estimate-only plan, whose normalized
     /// form's fingerprint is the canonical shape, then one compile — of a
     /// re-optimization with observed cardinalities when feedback exists for
-    /// that shape, else of the estimate-only plan itself.
+    /// that shape, else of the estimate-only plan itself. A text already
+    /// cached (fresh feedback) takes the new plan, a counted re-plan when
+    /// its fingerprint differs; any other text counts a miss.
     fn plan(
         &self,
         sql: &str,
         engine: &SiriusEngine,
-        memo: &mut Memo,
+        cache: &mut Cache,
     ) -> Result<ResolvedPlan, SiriusError> {
-        self.planning_phases.fetch_add(1, Ordering::Relaxed);
+        cache.planning_phases += 1;
         let planning_failed = |e| SiriusError::Unsupported(format!("SQL planning failed: {e}"));
         let estimate_plan = plan_sql(sql, &self.catalog, self.policy).map_err(planning_failed)?;
         // The tree `compile_query` fingerprints.
@@ -217,7 +238,7 @@ impl CachingPlanner {
             .adaptive
             .then(|| self.feedback.snapshot(shape))
             .flatten();
-        let mut compiled = match snapshot {
+        let compiled = match snapshot {
             Some(fb) if !fb.cardinalities.is_empty() => {
                 let stats = FeedbackStatistics {
                     base: CatalogStatistics::new(&self.catalog),
@@ -229,33 +250,23 @@ impl CachingPlanner {
             }
             _ => engine.compile_query(&estimate_plan)?,
         };
-        memo.planned_version.insert(shape, version_now);
-        let fp = compiled.fingerprint();
-        let prior = memo.by_sql.get(sql).map(|e| e.active);
-        // The plans this admission pushed out of the cache.
-        let (retired, evicted) = match prior {
-            // Feedback produced a different plan: retire the cached one.
-            Some(old) if old != fp => (Some(old), self.cache.replace(&old, Arc::clone(&compiled))),
-            // Same plan as before (feedback that changed nothing):
-            // re-insert to refresh recency.
-            Some(_) => (None, self.cache.insert(Arc::clone(&compiled))),
-            // New SQL text, or one whose plan left the cache. Another text
-            // may have compiled to the same fingerprint (same shape *and*
-            // constants) — share its entry.
-            None => match self.cache.get(&fp) {
-                Some(shared) => {
-                    compiled = shared;
-                    (None, None)
-                }
-                None => (None, self.cache.insert(Arc::clone(&compiled))),
-            },
+        cache.planned_version.insert(shape, version_now);
+        cache.clock += 1;
+        let entry = Entry {
+            shape,
+            compiled: Arc::clone(&compiled),
+            touch: cache.clock,
         };
-        let entry = MemoEntry {
-            canonical: shape,
-            active: fp,
-        };
-        memo.by_sql.insert(sql.to_string(), entry);
-        memo.forget([retired, evicted]);
+        match cache.by_sql.insert(sql.to_string(), entry) {
+            Some(old) => {
+                let changed = old.compiled.fingerprint() != compiled.fingerprint();
+                cache.counts.replans += u64::from(changed);
+            }
+            None => {
+                cache.counts.misses += 1;
+                cache.evict_over(self.capacity);
+            }
+        }
         Ok(ResolvedPlan {
             compiled,
             shape,
@@ -274,12 +285,12 @@ impl CachingPlanner {
 
     /// Plan-cache counters (hits/misses/evictions/replans/entries).
     pub fn cache_stats(&self) -> PlanCacheStats {
-        self.cache.stats()
+        self.cache.lock().stats()
     }
 
     /// Admissions that ran a planning phase (cache hits excluded).
     pub fn planning_phases(&self) -> u64 {
-        self.planning_phases.load(Ordering::Relaxed)
+        self.cache.lock().planning_phases
     }
 
     /// The shared feedback store.
@@ -289,26 +300,20 @@ impl CachingPlanner {
 
     /// Publish counter deltas and the cached-plan gauge into `registry`.
     pub(crate) fn publish(&self, registry: &MetricsRegistry) {
-        let s = self.cache.stats();
-        let phases = self.planning_phases();
-        let mut p = self.published.lock();
+        let mut cache = self.cache.lock();
+        let (s, phases) = (cache.stats(), cache.planning_phases);
+        let (p, published_phases) = cache.published;
         for (name, now, was) in [
             (metrics::PLAN_CACHE_HITS, s.hits, p.hits),
             (metrics::PLAN_CACHE_MISSES, s.misses, p.misses),
             (metrics::PLAN_CACHE_EVICTIONS, s.evictions, p.evictions),
             (metrics::PLAN_REPLANS, s.replans, p.replans),
-            (metrics::PLANNING_PHASES, phases, p.phases),
+            (metrics::PLANNING_PHASES, phases, published_phases),
         ] {
             registry.counter_add(name, &[], now.saturating_sub(was));
         }
         registry.gauge_set(metrics::CACHED_PLANS, &[], s.entries as f64);
-        *p = Published {
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-            replans: s.replans,
-            phases,
-        };
+        cache.published = (s, phases);
     }
 }
 
@@ -485,11 +490,11 @@ mod tests {
         }
         let stats = planner.cache_stats();
         assert_eq!((stats.entries, stats.evictions), (8, 992));
-        let memo = planner.inner.lock();
-        assert_eq!(memo.by_sql.len(), 8, "one text per cached plan");
-        assert_eq!(memo.planned_version.len(), 1, "the variants share a shape");
-        // A forgotten text costs what a new one does: one miss, one plan.
-        drop(memo);
+        let cache = planner.cache.lock();
+        assert_eq!(cache.by_sql.len(), 8, "one text per cached plan");
+        assert_eq!(cache.planned_version.len(), 1, "the variants share a shape");
+        // An evicted text costs what a new one does: one miss, one plan.
+        drop(cache);
         assert!(
             planner
                 .resolve("select k from t where k > 0", &engine)
