@@ -13,8 +13,8 @@
 use crate::{Result, SiriusError};
 use sirius_columnar::{Array, Table};
 use sirius_cudf::hash::row_hashes;
-use sirius_hw::{CostCategory, Device, FaultInjector};
-use sirius_nccl::{CancelToken, Communicator, NcclError};
+use sirius_hw::{CostCategory, Device};
+use sirius_nccl::{Communicator, NcclError};
 use sirius_plan::ExchangeKind;
 
 /// Classify an NCCL-layer error into the engine taxonomy. Dropped sends and
@@ -44,16 +44,6 @@ impl ExchangeService {
     /// Wrap a communicator for the node running on `device`.
     pub fn new(comm: Communicator, device: Device) -> Self {
         Self { comm, device }
-    }
-
-    /// This node's rank.
-    pub fn rank(&self) -> usize {
-        self.comm.rank()
-    }
-
-    /// Cluster size.
-    pub fn world(&self) -> usize {
-        self.comm.world()
     }
 
     /// The cluster's shared per-link traffic counters (stable-id keyed).
@@ -110,17 +100,6 @@ impl ExchangeService {
             out.num_rows() as u64,
         );
         Ok(out)
-    }
-
-    /// The cluster-wide cancellation token (shared by all ranks).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.comm.cancel_token()
-    }
-
-    /// Attach a fault injector to the underlying communicator. `ids` maps
-    /// current rank → stable node id (see [`Communicator::set_fault_injector`]).
-    pub fn set_fault_injector(&mut self, fault: FaultInjector, ids: Vec<usize>) {
-        self.comm.set_fault_injector(fault, ids);
     }
 
     /// Rebase the collective sequence space for a new dispatch attempt,
@@ -241,8 +220,8 @@ mod tests {
             .map(|c| {
                 std::thread::spawn(move || {
                     let device = Device::new(catalog::a100_40gb());
+                    let rank = c.rank();
                     let mut svc = ExchangeService::new(c, device.clone());
-                    let rank = svc.rank();
                     let local = t(vec![rank as i64 * 10, rank as i64 * 10 + 1]);
                     let keys = vec![local.column(0).clone()];
                     let kind = ExchangeKind::Shuffle {
@@ -269,8 +248,8 @@ mod tests {
             .map(|c| {
                 std::thread::spawn(move || {
                     let device = Device::new(catalog::a100_40gb());
+                    let local = t(vec![c.rank() as i64]);
                     let mut svc = ExchangeService::new(c, device);
-                    let local = t(vec![svc.rank() as i64]);
                     let out = svc.exchange(&ExchangeKind::Broadcast, local, &[]).unwrap();
                     out.num_rows()
                 })
