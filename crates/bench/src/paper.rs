@@ -249,7 +249,7 @@ pub fn table2(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
         "\nrecovery: same subset with node 2 killed before dispatch"
     )?;
     let wounded = build(NodeEngineKind::SiriusGpu);
-    wounded.heartbeats().mark_down(2);
+    wounded.mark_down(2);
     for (id, sql) in queries::distributed_subset() {
         let s = ask(&wounded, "recovery", id, sql);
         let r = &s.recovery;

@@ -9,9 +9,9 @@
 //!    ([`RetryPolicy::allows`]: transient, while retries remain) re-dispatch
 //!    the whole query on a fresh collective epoch after
 //!    [`RetryPolicy::delay`] of simulated backoff.
-//! 2. **Re-schedule / shrink world** — a node marked down in the shared
-//!    [`HeartbeatMonitor`] (an injected crash, or a caller's
-//!    [`HeartbeatMonitor::mark_down`]) is removed, the cluster is rebuilt
+//! 2. **Re-schedule / shrink world** — a node in the shared down-set (an
+//!    injected crash, or a caller's [`DorisCluster::mark_down`]) is
+//!    removed, the cluster is rebuilt
 //!    over the survivors, every table is re-partitioned from
 //!    coordinator-side durable storage, and the query re-dispatches.
 //! 3. **CPU fallback** — below a majority quorum of the world the cluster
@@ -30,7 +30,6 @@
 //! its node thread returns, so retries never leak temps or observe stale
 //! collectives.
 
-use crate::heartbeat::HeartbeatMonitor;
 use crate::planner::{distribute_with, DistributeOptions, PartitionScheme};
 use crate::{DorisError, Result};
 use parking_lot::{Mutex, RwLock};
@@ -47,12 +46,41 @@ use sirius_plan::{ExchangeKind, Rel};
 use sirius_sql::{plan_sql, BinderCatalog, JoinOrderPolicy};
 use sirius_trace::metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Coordinator-side simulated cost of one re-scheduling pass: tearing down
 /// the old fragment set, re-partitioning the dead node's shards, and
 /// re-dispatching onto the survivors.
 const RESCHEDULE_PENALTY: Duration = Duration::from_millis(20);
+
+/// Node liveness (§3.2.1: the coordinator identifies active nodes via
+/// heartbeat) as a down-set indexed by *stable* node id (the rank a node
+/// had in the original cluster), so liveness survives world shrinks.
+/// Clones share it: a node thread that crashes mid-fragment marks itself
+/// down and the coordinator's recovery loop sees it at once. Only
+/// `mark_down` changes it and no clock is read, so a recovery decision never
+/// depends on how fast the host ran the attempt before it.
+#[derive(Clone)]
+struct DownSet(Arc<Mutex<Vec<bool>>>);
+
+impl DownSet {
+    fn new(nodes: usize) -> Self {
+        Self(Arc::new(Mutex::new(vec![false; nodes])))
+    }
+
+    /// Mark a node down for good; an unknown id changes nothing.
+    fn mark_down(&self, node: usize) {
+        if let Some(slot) = self.0.lock().get_mut(node) {
+            *slot = true;
+        }
+    }
+
+    /// True if `node` exists and was never marked down.
+    fn is_alive(&self, node: usize) -> bool {
+        self.0.lock().get(node) == Some(&false)
+    }
+}
 
 /// What executes fragments on each compute node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,14 +259,14 @@ impl NodeEngine {
 
 struct NodeState {
     /// Stable node id: the rank this node had in the original cluster.
-    /// Fault sites, heartbeats, and error attribution all use this, so a
+    /// Fault sites, the down-set, and error attribution all use this, so a
     /// world shrink never re-targets another node's faults.
     id: usize,
     engine: NodeEngine,
     exchange: ExchangeService,
     temp_counter: usize,
     fault: FaultInjector,
-    heartbeats: HeartbeatMonitor,
+    down: DownSet,
     cancel: CancelToken,
     /// The temp tables the in-flight fragment registered in the engine's
     /// store — the one list of them; [`Self::release_temps`] empties it on
@@ -254,7 +282,7 @@ impl NodeState {
         if self.fault.fire(site).is_none() {
             return Ok(());
         }
-        self.heartbeats.mark_down(self.id);
+        self.down.mark_down(self.id);
         self.cancel.cancel();
         Err(SiriusError::NodeDown(self.id))
     }
@@ -499,7 +527,7 @@ pub struct DorisCluster {
     storage: Mutex<Vec<(String, Table)>>,
     binder: BinderCatalog,
     scheme: PartitionScheme,
-    heartbeats: HeartbeatMonitor,
+    down: DownSet,
     kind: NodeEngineKind,
     retry: RetryPolicy,
     /// Fewest live nodes that still run distributed: a majority of the
@@ -533,19 +561,19 @@ impl DorisCluster {
         scheme: PartitionScheme,
         config: ClusterConfig,
     ) -> Self {
-        let heartbeats = HeartbeatMonitor::new(world);
+        let down = DownSet::new(world);
         let fault = match &config.fault_plan {
             Some(plan) => FaultInjector::new(plan.clone()),
             None => FaultInjector::disabled(),
         };
         let assignment: Vec<usize> = (0..world).collect();
-        let state = build_node_set(kind, &assignment, &heartbeats, &fault);
+        let state = build_node_set(kind, &assignment, &down, &fault);
         Self {
             state: RwLock::new(state),
             storage: Mutex::new(Vec::new()),
             binder: BinderCatalog::new(),
             scheme,
-            heartbeats,
+            down,
             kind,
             retry: config.retry,
             quorum: world.div_ceil(2).max(1),
@@ -637,10 +665,11 @@ impl DorisCluster {
         self.state.read().nodes.len()
     }
 
-    /// The heartbeat monitor (tests inject failures through it). Indexed by
-    /// stable node id.
-    pub fn heartbeats(&self) -> &HeartbeatMonitor {
-        &self.heartbeats
+    /// Mark node `node` (stable id) down for good, as a crash does: the
+    /// next query re-schedules onto the survivors, or falls back to the CPU
+    /// below the quorum. An unknown id changes nothing.
+    pub fn mark_down(&self, node: usize) {
+        self.down.mark_down(node);
     }
 
     /// The fault injector driving this cluster's chaos plan (disabled when
@@ -753,7 +782,7 @@ impl DorisCluster {
             // 3. Classification (degradation ladder rung 1 or loop back).
             match e {
                 // Top of loop removes the dead node and re-schedules.
-                SiriusError::NodeDown(n) if !self.heartbeats.is_alive(n) => {}
+                SiriusError::NodeDown(n) if !self.down.is_alive(n) => {}
                 e if self.retry.allows(&e, recovery.retries as u32) => {
                     let backoff = self.retry.delay(recovery.retries as u32);
                     recovery.retries += 1;
@@ -781,7 +810,7 @@ impl DorisCluster {
     ) -> Result<bool> {
         let (survivors, dead): (Vec<usize>, Vec<usize>) = {
             let state = self.state.read();
-            let alive = |id: &usize| self.heartbeats.is_alive(*id);
+            let alive = |id: &usize| self.down.is_alive(*id);
             state.assignment.iter().partition(|id| alive(id))
         };
         if dead.is_empty() {
@@ -895,7 +924,7 @@ impl DorisCluster {
     /// Rebuild the cluster over `survivors` (stable ids), re-partitioning
     /// every stored table onto the shrunken world.
     fn rebuild(&self, survivors: &[usize]) -> Result<()> {
-        let new_state = build_node_set(self.kind, survivors, &self.heartbeats, &self.fault);
+        let new_state = build_node_set(self.kind, survivors, &self.down, &self.fault);
         {
             let storage = self.storage.lock();
             for (name, table) in storage.iter() {
@@ -1002,11 +1031,11 @@ fn coordinator_metrics() -> MetricsRegistry {
 }
 
 /// Build the per-node state for the given stable-id assignment: a fresh
-/// NCCL cluster, engines per `kind`, and fault/heartbeat/cancel wiring.
+/// NCCL cluster, engines per `kind`, and fault/down-set/cancel wiring.
 fn build_node_set(
     kind: NodeEngineKind,
     assignment: &[usize],
-    heartbeats: &HeartbeatMonitor,
+    down: &DownSet,
     fault: &FaultInjector,
 ) -> NodeSet {
     let world = assignment.len();
@@ -1026,7 +1055,7 @@ fn build_node_set(
                 engine,
                 temp_counter: 0,
                 fault: fault.clone(),
-                heartbeats: heartbeats.clone(),
+                down: down.clone(),
                 cancel: cancel.clone(),
                 live_temps: Vec::new(),
             })
@@ -1175,9 +1204,42 @@ mod tests {
     }
 
     #[test]
+    fn all_alive_initially() {
+        let m = DownSet::new(3);
+        assert!((0..3).all(|i| m.is_alive(i)));
+    }
+
+    #[test]
+    fn marked_down_node_detected() {
+        let m = DownSet::new(3);
+        m.mark_down(1);
+        assert!(!m.is_alive(1));
+        assert!(m.is_alive(0) && m.is_alive(2));
+        m.mark_down(1);
+        assert!(!m.is_alive(1), "a second mark_down keeps it down");
+    }
+
+    #[test]
+    fn out_of_range_is_dead() {
+        let m = DownSet::new(2);
+        assert!(!m.is_alive(9));
+        m.mark_down(9);
+        assert!(m.is_alive(0) && m.is_alive(1));
+    }
+
+    #[test]
+    fn clones_share_state() {
+        let m = DownSet::new(2);
+        let m2 = m.clone();
+        m2.mark_down(0);
+        assert!(!m.is_alive(0));
+        assert!(m.is_alive(1));
+    }
+
+    #[test]
     fn dead_node_recovers_by_rescheduling() {
         let c = cluster(NodeEngineKind::DorisCpu);
-        c.heartbeats().mark_down(2);
+        c.mark_down(2);
         let out = c.sql("select sum(v) as s, count(*) as n from t").unwrap();
         assert_eq!(
             out.table.column(0).f64_value(0),
@@ -1192,8 +1254,8 @@ mod tests {
     #[test]
     fn quorum_loss_degrades_to_cpu_fallback() {
         let c = cluster(NodeEngineKind::SiriusGpu);
-        c.heartbeats().mark_down(1);
-        c.heartbeats().mark_down(2);
+        c.mark_down(1);
+        c.mark_down(2);
         let out = c.sql("select sum(v) as s from t").unwrap();
         assert_eq!(
             out.table.column(0).f64_value(0),
@@ -1209,8 +1271,8 @@ mod tests {
         // distributed; one survivor takes the CPU fallback.
         let sum = Some((0..60).sum::<i64>() as f64);
         let c = cluster_of(4, NodeEngineKind::SiriusGpu, ClusterConfig::default());
-        c.heartbeats().mark_down(1);
-        c.heartbeats().mark_down(3);
+        c.mark_down(1);
+        c.mark_down(3);
         let out = c.sql("select sum(v) as s from t").unwrap();
         assert_eq!(out.table.column(0).f64_value(0), sum);
         assert_eq!(
@@ -1219,7 +1281,7 @@ mod tests {
         );
         assert_eq!(c.world(), 2, "ran distributed on the two survivors");
 
-        c.heartbeats().mark_down(2);
+        c.mark_down(2);
         let out = c.sql("select sum(v) as s from t").unwrap();
         assert_eq!(out.table.column(0).f64_value(0), sum);
         assert_eq!(

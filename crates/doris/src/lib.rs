@@ -3,7 +3,8 @@
 //!
 //! The paper's distributed experiment (§3.3, Figure 3, §4.3): a coordinator
 //! parses and optimizes SQL, produces a distributed plan, checks node
-//! liveness via heartbeats, and dispatches plan fragments to compute nodes.
+//! liveness (a down-set standing in for heartbeats), and dispatches plan
+//! fragments to compute nodes.
 //! In vanilla mode the nodes execute fragments on their CPU engines and
 //! exchange data through the host's native exchange; in **Sirius mode**
 //! (Figure 3b) each node hands its fragments to a local Sirius GPU engine
@@ -12,8 +13,8 @@
 //! deregistered when their fragments complete.
 //!
 //! The coordinator also owns fault recovery: failure detection through a
-//! shared down-set ([`heartbeat::HeartbeatMonitor`], changed only by
-//! `mark_down`, no clock read), re-scheduling onto survivors
+//! shared down-set (changed only by [`DorisCluster::mark_down`] or a node's
+//! crash, no clock read), re-scheduling onto survivors
 //! (re-partitioning the dead node's shards), bounded exponential-backoff
 //! retry for transient faults, cancellation propagation, and graceful
 //! degradation down to the single-node CPU engine when the fleet drops
@@ -25,7 +26,6 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 
 pub mod cluster;
-pub mod heartbeat;
 pub mod planner;
 
 pub use cluster::{ClusterConfig, DorisCluster, NodeEngineKind, QueryOutcome, RecoveryStats};

@@ -50,7 +50,7 @@ fn main() {
     // The coordinator finds node 2 in its down-set at dispatch, the dead
     // node's shards are re-partitioned onto the three survivors, and the
     // query re-runs.
-    sirius.heartbeats().mark_down(2);
+    sirius.mark_down(2);
     let recovered = sirius.sql(queries::Q6).expect("recovery");
     println!(
         "\nafter killing node 2: Q6 still answers ({} rows) — world shrank to {} nodes, \
@@ -63,8 +63,8 @@ fn main() {
 
     // Kill two more: below quorum the coordinator degrades to the
     // single-node CPU engine instead of failing the query.
-    sirius.heartbeats().mark_down(0);
-    sirius.heartbeats().mark_down(1);
+    sirius.mark_down(0);
+    sirius.mark_down(1);
     let degraded = sirius.sql(queries::Q6).expect("cpu fallback");
     println!(
         "after losing quorum: Q6 still answers ({} rows) via CPU fallback (cpu_fallbacks={})",

@@ -171,9 +171,9 @@ fn quorum_loss_degrades_to_cpu_with_correct_results() {
     }
     // Three of four nodes die: below majority quorum the coordinator must
     // degrade to the single-node CPU engine rather than fail the query.
-    cluster.heartbeats().mark_down(1);
-    cluster.heartbeats().mark_down(2);
-    cluster.heartbeats().mark_down(3);
+    cluster.mark_down(1);
+    cluster.mark_down(2);
+    cluster.mark_down(3);
     for (id, sql, expected) in &fix.expected {
         let out = cluster
             .sql(sql)
