@@ -44,9 +44,10 @@ pub use partition::hash_partition;
 /// The aggregate vocabulary under its former name, which `perfbench` uses.
 pub use sirius_columnar::ops::AggFunc as AggKind;
 
+use parking_lot::Mutex;
 use sirius_hw::{CostCategory, Device, WorkProfile};
 use std::panic::AssertUnwindSafe;
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// What a context does with the work its kernels describe.
@@ -76,14 +77,13 @@ impl WorkCollector {
     }
 
     fn add(&self, work: &WorkProfile) {
-        // Each update stores a whole profile, so a poisoned lock is still valid.
-        let mut acc = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut acc = self.inner.lock();
         *acc = acc.merge(*work);
     }
 
     /// Drain the accumulated profile, leaving the collector empty.
     pub fn take(&self) -> WorkProfile {
-        std::mem::take(&mut *self.inner.lock().unwrap_or_else(PoisonError::into_inner))
+        std::mem::take(&mut *self.inner.lock())
     }
 }
 

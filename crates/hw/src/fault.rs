@@ -25,8 +25,8 @@
 //! assert!(inj.fire(FaultSite::DeviceLaunch { node: 1 }).is_none()); // budget spent
 //! ```
 
+use parking_lot::Mutex;
 use std::sync::Arc;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// What kind of failure a [`FaultSpec`] injects.
@@ -386,10 +386,7 @@ impl FaultInjector {
     /// fires, advancing the deterministic occurrence counters either way.
     pub fn fire(&self, site: FaultSite) -> Option<FaultAction> {
         let state = self.state.as_ref()?;
-        let mut st = match state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut st = state.lock();
         let mut hit = None;
         for i in 0..st.plan.specs.len() {
             if !st.plan.specs[i].matches(site) {
@@ -416,10 +413,7 @@ impl FaultInjector {
         let Some(state) = self.state.as_ref() else {
             return;
         };
-        let mut st = match state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut st = state.lock();
         for i in 0..st.plan.specs.len() {
             let target = match st.plan.specs[i].kind {
                 FaultKind::CrashBeforeFragment { node: n }
@@ -438,13 +432,7 @@ impl FaultInjector {
 
     /// Total number of faults this injector has fired so far.
     pub fn injected_count(&self) -> u64 {
-        match self.state.as_ref() {
-            Some(state) => match state.lock() {
-                Ok(g) => g.injected,
-                Err(p) => p.into_inner().injected,
-            },
-            None => 0,
-        }
+        self.state.as_ref().map_or(0, |state| state.lock().injected)
     }
 }
 

@@ -3,8 +3,11 @@
 //! provided: [`Mutex`], [`RwLock`], and [`Condvar`] with parking_lot's
 //! non-poisoning, guard-by-reference signatures.
 
-use std::sync::{self, TryLockError};
-use std::time::{Duration, Instant};
+// This crate is the workspace's one wrapper of the `std::sync` locks that
+// `clippy.toml` bans everywhere else.
+#![allow(clippy::disallowed_types)]
+
+use std::sync;
 
 /// A mutex that never poisons: panicking while holding the lock simply
 /// releases it (parking_lot semantics).
@@ -26,14 +29,6 @@ impl<T> Mutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    /// Consume and return the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -44,25 +39,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(p) => p.into_inner(),
         };
         MutexGuard { inner: Some(guard) }
-    }
-
-    /// Try to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
     }
 }
 
@@ -104,27 +80,6 @@ impl Condvar {
         guard.inner = Some(std_guard);
     }
 
-    /// Block until notified or `timeout` elapses. Returns true if it
-    /// timed out (parking_lot's `WaitTimeoutResult::timed_out`).
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let std_guard = guard.inner.take().expect("guard present");
-        let (std_guard, res) = match self.inner.wait_timeout(std_guard, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(p) => {
-                let (g, r) = p.into_inner();
-                (g, r)
-            }
-        };
-        guard.inner = Some(std_guard);
-        WaitTimeoutResult {
-            timed_out: res.timed_out(),
-        }
-    }
-
     /// Wake one waiter.
     pub fn notify_one(&self) -> bool {
         self.inner.notify_one();
@@ -135,19 +90,6 @@ impl Condvar {
     pub fn notify_all(&self) -> usize {
         self.inner.notify_all();
         0
-    }
-}
-
-/// Result of [`Condvar::wait_for`].
-#[derive(Debug, Clone, Copy)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// True if the wait ended by timeout rather than notification.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
     }
 }
 
@@ -174,14 +116,6 @@ impl<T> RwLock<T> {
             inner: sync::RwLock::new(value),
         }
     }
-
-    /// Consume and return the inner value.
-    pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -201,14 +135,6 @@ impl<T: ?Sized> RwLock<T> {
             Err(p) => p.into_inner(),
         };
         RwLockWriteGuard { inner: g }
-    }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(p) => p.into_inner(),
-        }
     }
 }
 
@@ -231,11 +157,6 @@ impl<'a, T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'a, T> {
         &mut self.inner
     }
 }
-
-// Keep `Instant` referenced so the import list stays tidy if wait_until is
-// ever added; parking_lot has deadline-based waits we don't need yet.
-#[allow(dead_code)]
-fn _unused(_: Instant) {}
 
 #[cfg(test)]
 mod tests {
@@ -261,15 +182,6 @@ mod tests {
         }
         assert!(*ready);
         h.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(5));
-        assert!(res.timed_out());
     }
 
     #[test]
