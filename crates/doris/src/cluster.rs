@@ -11,9 +11,9 @@
 //!    [`RetryPolicy::delay`] of simulated backoff.
 //! 2. **Re-schedule / shrink world** — a node in the shared down-set (an
 //!    injected crash, or a caller's [`DorisCluster::mark_down`]) is
-//!    removed, the cluster is rebuilt
-//!    over the survivors, every table is re-partitioned from
-//!    coordinator-side durable storage, and the query re-dispatches.
+//!    removed, the cluster is rebuilt over the survivors, every table is
+//!    re-partitioned from coordinator-side durable storage, and the query
+//!    re-dispatches.
 //! 3. **CPU fallback** — below a majority quorum of the world the cluster
 //!    was built with, the coordinator gives up on the fleet and runs the
 //!    query on a single-node CPU engine over the full (unpartitioned)
