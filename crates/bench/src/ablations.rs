@@ -570,7 +570,7 @@ pub fn plancache(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     let second = adaptive.resolve(queries::Q3, &engine).expect("Q3 re-plan");
     let (fb_bytes, fb_ms, _) = run_compiled(&engine, &second.compiled);
     // ClickHouse keeps FROM order — the no-optimizer baseline.
-    let ch_plan = lab.clickhouse().plan(queries::Q3).expect("ClickHouse Q3");
+    let ch_plan = lab.from_order_plan(queries::Q3);
     let (ch_bytes, ch_ms, _) =
         run_compiled(&engine, &engine.compile_query(&ch_plan).expect("compile"));
 

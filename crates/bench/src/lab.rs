@@ -4,14 +4,14 @@
 //! query under the engine's meter" and "turn a query mix into plans and
 //! requests".
 
-use sirius_clickhouse::{ClickHouse, ClickHouseError};
 use sirius_core::{EngineConfig, QueryReport, SiriusEngine};
 use sirius_doris::{ClusterConfig, DorisCluster, NodeEngineKind, PartitionScheme};
 use sirius_duckdb::DuckDb;
-use sirius_exec_cpu::ExecError;
+use sirius_exec_cpu::{CpuEngine, EngineProfile, ExecError};
 use sirius_hw::{catalog as hw, CostCategory, Device, TimeBreakdown};
 use sirius_plan::Rel;
 use sirius_serve::{QueryArrival, QueryRequest};
+use sirius_sql::{plan_sql, JoinOrderPolicy};
 use sirius_tpch::{queries, TpchData, TpchGenerator};
 use sirius_trace::EventKind;
 use std::cell::OnceCell;
@@ -106,18 +106,14 @@ impl Lab {
         self.load(sweep_point(workers, morsel_rows))
     }
 
-    /// The loaded ClickHouse baseline. Its statement budget scales with SF
-    /// (0.27 s × SF) and was tuned so that Q9 alone exceeded it — the
-    /// paper's "does not finish". At today's cost constants Q9 finishes
-    /// inside it at SF 0.05 and 0.1 (25.01 of 27 ms), so the `DNF` no longer
-    /// emerges: EXPERIMENTS.md Figure 4, ROADMAP item 6.
-    pub fn clickhouse(&self) -> ClickHouse {
-        let mut ch = ClickHouse::new().with_time_budget(Duration::from_secs_f64(0.270 * self.sf));
-        for (name, table) in self.data().tables() {
-            ch.create_table(name.clone(), table.clone());
-        }
-        ch.device().reset();
-        ch
+    /// The ClickHouse baseline's plan for `sql`: joins stay in FROM order.
+    pub fn from_order_plan(&self, sql: &str) -> Rel {
+        plan_sql(
+            sql,
+            self.duck().binder_catalog(),
+            JoinOrderPolicy::FromOrder,
+        )
+        .unwrap_or_else(|e| panic!("from-order plan: {e}\n{sql}"))
     }
 
     /// A loaded [`NODES`]-node cluster with its ledgers reset.
@@ -141,17 +137,30 @@ impl Lab {
         let duck = self.duck();
         timed(duck.device(), || duck.sql(sql)).unwrap_or_else(|e| panic!("duckdb: {e}\n{sql}"))
     }
-}
 
-/// `sql` on a ClickHouse baseline in simulated ms, or the paper's annotation
-/// for why there is no time: `"DNF"` (statement budget exceeded) or `"n/s"`
-/// (the engine rejects the query shape, Q21).
-pub fn clickhouse_ms(clickhouse: &ClickHouse, sql: &str) -> Result<f64, &'static str> {
-    match timed(clickhouse.device(), || clickhouse.sql(sql)) {
-        Ok(ms) => Ok(ms),
-        Err(ClickHouseError::Exec(ExecError::TimeBudgetExceeded { .. })) => Err("DNF"),
-        Err(ClickHouseError::Exec(ExecError::Unsupported(_))) => Err("n/s"),
-        Err(e) => panic!("clickhouse: {e}\n{sql}"),
+    /// `sql` on the ClickHouse baseline — its engine profile on the
+    /// cost-normalized CPU instance, running the FROM-order plan — in
+    /// simulated ms, or the paper's annotation for why there is no time:
+    /// `"DNF"` (statement budget exceeded) or `"n/s"` (the engine rejects
+    /// the query shape, Q21). The budget scales with SF (0.27 s × SF) and
+    /// was tuned so that Q9 alone exceeded it — the paper's "does not
+    /// finish". At today's cost constants Q9 finishes inside it at SF 0.05
+    /// and 0.1 (25.01 of 27 ms), so the `DNF` no longer emerges:
+    /// EXPERIMENTS.md Figure 4, ROADMAP item 6.
+    pub fn clickhouse_ms(&self, sql: &str) -> Result<f64, &'static str> {
+        let profile = EngineProfile {
+            time_budget: Some(Duration::from_secs_f64(0.270 * self.sf)),
+            ..EngineProfile::clickhouse()
+        };
+        let engine = CpuEngine::new(hw::m7i_16xlarge(), profile);
+        let plan = self.from_order_plan(sql);
+        let run = || engine.execute(&plan, self.duck().catalog());
+        match timed(engine.device(), run) {
+            Ok(ms) => Ok(ms),
+            Err(ExecError::TimeBudgetExceeded { .. }) => Err("DNF"),
+            Err(ExecError::Unsupported(_)) => Err("n/s"),
+            Err(e) => panic!("clickhouse: {e}\n{sql}"),
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The paper's own artifacts: Table 1, Figure 1, Figure 4, Figure 5, Table 2.
 
-use crate::lab::{clickhouse_ms, figure5_share, geomean, mib, ms, Lab};
+use crate::lab::{figure5_share, geomean, mib, ms, Lab};
 use crate::Args;
 use sirius_core::EngineConfig;
 use sirius_doris::{ClusterConfig, DorisCluster, NodeEngineKind, QueryOutcome};
@@ -79,7 +79,6 @@ pub fn figure1(_: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
 /// Sirius on the GH200 ($3.2/h), simulated hot runs.
 pub fn figure4(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     let sf = lab.sf();
-    let clickhouse = lab.clickhouse();
     let sirius = lab.load(EngineConfig::new(hw::gh200_gpu()));
     writeln!(
         out,
@@ -96,7 +95,7 @@ pub fn figure4(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     let (mut vs_duck, mut vs_clickhouse) = (Vec::new(), Vec::new());
     for (id, sql) in queries::all() {
         let duck_ms = lab.duckdb_ms(sql);
-        let ch_ms = clickhouse_ms(&clickhouse, sql);
+        let ch_ms = lab.clickhouse_ms(sql);
         let sirius_ms = ms(lab.run(&sirius, sql).elapsed);
         vs_duck.push(duck_ms / sirius_ms);
         let (ch_cell, vs_ch) = match ch_ms {

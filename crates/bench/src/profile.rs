@@ -31,12 +31,12 @@ const METRICS: [(&str, &str); 5] = [
     (QUERY_SIM_NS, "Simulated device time per query."),
 ];
 
-/// Run `--query N` (default: all 22) through the traced engine. Every query
-/// is verified two ways before anything is written: replaying the trace
-/// through a fresh ledger must reproduce the device ledger nanosecond-exact,
-/// and the Chrome export must pass structural validation (monotone
-/// timestamps per track, known categories, nonzero durations). A final
-/// untraced run must record zero events.
+/// Run `--query N` (default: all 22) through the traced engine. Replaying
+/// each query's trace through a fresh ledger must reproduce the device
+/// ledger nanosecond-exact, and the Chrome document must pass structural
+/// validation (monotone timestamps per track, known categories, nonzero
+/// durations) before it is written. A final untraced run must record zero
+/// events.
 pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
     std::fs::create_dir_all(&args.out)?;
     let engine = lab
@@ -76,8 +76,6 @@ pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
             run.breakdown,
             "Q{id}: trace replay disagrees with the device ledger"
         );
-        chrome::validate(&events, &known_cats)
-            .unwrap_or_else(|v| panic!("Q{id}: invalid chrome trace: {v:?}"));
 
         for ev in events.iter().filter(|ev| ev.kind == EventKind::Kernel) {
             metrics.counter_inc(LAUNCHES, &[("cat", ev.cat)]);
@@ -107,7 +105,10 @@ pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
     }
 
     let trace_path = args.out.join("trace.json");
-    std::fs::write(&trace_path, chrome::export_processes(&processes))?;
+    let trace = chrome::export_processes(&processes);
+    chrome::validate_json(&trace, &known_cats)
+        .unwrap_or_else(|v| panic!("invalid chrome trace: {v:?}"));
+    std::fs::write(&trace_path, trace)?;
     let metrics_path = args.out.join("metrics.prom");
     std::fs::write(&metrics_path, metrics.render())?;
 

@@ -293,7 +293,6 @@ impl NodeState {
     /// blocked in collectives abort promptly. Temp cleanup is the caller's
     /// job via [`Self::release_temps`] — it must run on every path.
     fn execute_fragmented(&mut self, plan: &Rel) -> sirius_core::Result<Table> {
-        self.crash_at(FaultSite::FragmentStart { node: self.id })?;
         let result = self
             .rewrite(plan)
             .and_then(|rewritten| self.engine.execute(&rewritten, &self.fault, self.id));

@@ -483,6 +483,55 @@ mod tests {
     }
 
     #[test]
+    fn joins_cost_more_than_duckdb() {
+        // Same self-join, same data: the ClickHouse profile must charge more
+        // simulated join time than the DuckDB profile (large enough input
+        // that per-kernel launch overhead is negligible).
+        let n = 50_000i64;
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("v", DataType::Int64),
+        ]);
+        let t = Table::new(
+            schema.clone(),
+            vec![
+                Array::from_i64((0..n).collect::<Vec<_>>()),
+                Array::from_i64((0..n).map(|x| x * 10).collect::<Vec<_>>()),
+            ],
+        );
+        let mut cat = Catalog::new();
+        cat.register("t", t);
+        let plan = PlanBuilder::scan("t", schema.clone())
+            .join(
+                PlanBuilder::scan("t", schema),
+                JoinKind::Inner,
+                vec![expr::col(0)],
+                vec![expr::col(0)],
+                None,
+            )
+            .aggregate(
+                vec![],
+                vec![AggExpr {
+                    func: AggFunc::CountStar,
+                    input: None,
+                    name: "n".into(),
+                }],
+            )
+            .build();
+        let join_ns = |profile| {
+            let eng = CpuEngine::new(hw::m7i_16xlarge(), profile);
+            let out = eng.execute(&plan, &cat).unwrap();
+            assert_eq!(out.column(0).i64_value(0), Some(n));
+            eng.device().breakdown().get(CostCategory::Join)
+        };
+        let (ch, duck) = (
+            join_ns(EngineProfile::clickhouse()),
+            join_ns(EngineProfile::duckdb()),
+        );
+        assert!(ch > duck * 3, "clickhouse {ch:?} vs duckdb {duck:?}");
+    }
+
+    #[test]
     fn time_budget_trips() {
         let (_e, cat, schema) = setup();
         let mut profile = EngineProfile::duckdb();

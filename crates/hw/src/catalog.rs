@@ -46,39 +46,6 @@ pub fn a100_40gb() -> DeviceSpec {
     }
 }
 
-/// NVIDIA B300 Ultra (Blackwell) — the 288 GB frontier device of §2.1, used
-/// by the ablation benches to show the memory-capacity wall receding.
-pub fn b300_gpu() -> DeviceSpec {
-    DeviceSpec {
-        name: "NVIDIA B300 Ultra (Blackwell)".into(),
-        kind: DeviceKind::Gpu,
-        cores: 20_480,
-        memory_bytes: 288 * GIB,
-        memory_bandwidth: 8000.0 * GB_S,
-        efficiency: 0.80,
-        random_access_efficiency: 0.32,
-        compute_throughput: 4.0e13,
-        launch_overhead_ns: 4_000,
-        cost_per_hour_usd: 8.0,
-    }
-}
-
-/// NVIDIA V100 32 GB (Volta) — the "ten years ago" reference point of §2.1.
-pub fn v100_32gb() -> DeviceSpec {
-    DeviceSpec {
-        name: "NVIDIA V100 32GB".into(),
-        kind: DeviceKind::Gpu,
-        cores: 5_120,
-        memory_bytes: 32 * GIB,
-        memory_bandwidth: 900.0 * GB_S,
-        efficiency: 0.75,
-        random_access_efficiency: 0.22,
-        compute_throughput: 4.0e12,
-        launch_overhead_ns: 8_000,
-        cost_per_hour_usd: 0.9,
-    }
-}
-
 /// Amazon m7i.16xlarge — the cost-normalized CPU instance of §4.2 (64 vCPU
 /// Sapphire Rapids, $3.2/h, same hourly price as the GH200 rental). DuckDB
 /// and ClickHouse run here in the single-node experiment.
@@ -151,11 +118,6 @@ pub fn pcie4_a100_attach() -> LinkSpec {
     LinkSpec::new("PCIe Gen4 (A100 attach)", 12.8 * GB_S, 4_000)
 }
 
-/// PCIe Gen5 x16: ~63 GB/s per direction.
-pub fn pcie5_x16() -> LinkSpec {
-    LinkSpec::new("PCIe Gen5 x16", 63.0 * GB_S, 3_000)
-}
-
 /// PCIe Gen6 x16: 128 GB/s (§2.1: "comparable to CPU memory bandwidth").
 pub fn pcie6_x16() -> LinkSpec {
     LinkSpec::new("PCIe Gen6 x16", 128.0 * GB_S, 2_500)
@@ -171,11 +133,6 @@ pub fn nvlink_c2c() -> LinkSpec {
 /// of §4.1).
 pub fn infiniband_4xndr() -> LinkSpec {
     LinkSpec::new("InfiniBand 4xNDR", 50.0 * GB_S, 2_000)
-}
-
-/// 100 GbE: 12.5 GB/s, the commodity-cloud reference network.
-pub fn ethernet_100g() -> LinkSpec {
-    LinkSpec::new("100 GbE", 12.5 * GB_S, 10_000)
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Deterministic fault injection for the simulated cluster.
 //!
-//! A [`FaultPlan`] is a list of [`FaultSpec`]s: *what* goes wrong
-//! ([`FaultKind`]), after how many occurrences of the matching site it starts
-//! firing (`after`), and how many times it fires (`times`). Plans are either
+//! A [`FaultPlan`] is a list of [`FaultSpec`]s: *where* it goes wrong (a
+//! [`FaultSite`]), *what* the call site does then (a [`FaultAction`]), after
+//! how many occurrences of that site it starts firing (`after`), and how many
+//! times it fires (`times`). Plans are either
 //! hand-built through the builder methods or generated deterministically from
 //! a seed with [`FaultPlan::seeded_chaos`] — the seed picks the faults, but
 //! *firing* is purely counter-based, so a given plan always produces the same
@@ -29,105 +30,62 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What kind of failure a [`FaultSpec`] injects.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Node `node` dies before it starts executing a fragment.
-    CrashBeforeFragment {
-        /// Original rank of the crashing node.
-        node: usize,
-    },
-    /// Node `node` dies in the middle of a fragment, at an exchange boundary.
-    CrashMidFragment {
-        /// Original rank of the crashing node.
-        node: usize,
-    },
-    /// Sends from `src` to `dst` are dropped (the receiver times out).
-    ExchangeDrop {
-        /// Sending rank.
-        src: usize,
-        /// Receiving rank.
-        dst: usize,
-    },
-    /// Sends from `src` to `dst` incur `delay` of extra simulated wire time.
-    ExchangeDelay {
-        /// Sending rank.
-        src: usize,
-        /// Receiving rank.
-        dst: usize,
-        /// Extra simulated latency added to each matching send.
-        delay: Duration,
-    },
-    /// A kernel launch on `node` fails transiently (retry succeeds).
-    TransientDevice {
-        /// Rank whose device hiccups.
-        node: usize,
-    },
-    /// A spill-tier write on `node` fails with an I/O error.
-    SpillIo {
-        /// Rank whose spill tier fails.
-        node: usize,
-    },
-    /// A morsel wave on `node` fails mid-query (ECC scrub, stream reset):
-    /// the engine-local analogue of [`FaultKind::TransientDevice`], firing
-    /// *between* dependency waves rather than at query launch so a served
-    /// query dies after it has already done work and holds grants.
-    TransientWave {
-        /// Rank whose device hiccups mid-wave.
-        node: usize,
-    },
-    /// The grant broker on `node` denies working-set requests it would
-    /// normally satisfy — a denial storm. Recoverable without retry: a
-    /// denial is the executor's spill signal, so the victim degrades onto
-    /// its out-of-core paths and still returns exact results.
-    GrantStorm {
-        /// Rank whose broker storms.
-        node: usize,
-    },
-}
-
 /// A well-known hook point where faults can fire. Ranks are *original*
 /// cluster ranks, stable across world shrinks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
-    /// A node is about to start executing a plan fragment.
-    FragmentStart {
-        /// Original rank of the executing node.
-        node: usize,
-    },
-    /// A node reached an exchange boundary mid-fragment.
+    /// A node reached an exchange boundary mid-fragment; a firing crashes it.
     FragmentMid {
         /// Original rank of the executing node.
         node: usize,
     },
-    /// A point-to-point exchange send from `src` to `dst`.
+    /// A point-to-point exchange send from `src` to `dst`; a firing drops or
+    /// delays it.
     ExchangeSend {
         /// Sending rank.
         src: usize,
         /// Receiving rank.
         dst: usize,
     },
-    /// A kernel/pipeline launch on `node`'s device.
+    /// A kernel/pipeline launch on `node`'s device; a firing fails it
+    /// transiently (a retry succeeds).
     DeviceLaunch {
         /// Original rank of the launching node.
         node: usize,
     },
-    /// A write into the spill tier on `node`.
+    /// A write into the spill tier on `node`; a firing is an I/O error.
     SpillWrite {
         /// Original rank performing the spill write.
         node: usize,
     },
     /// A dependency wave of an in-flight query is about to dispatch on
-    /// `node`'s device (polled by the stepped executor between waves).
+    /// `node`'s device (polled by the stepped executor between waves). A
+    /// firing fails the query *after* it has done work and holds grants.
     WaveDispatch {
         /// Original rank dispatching the wave.
         node: usize,
     },
-    /// A working-set grant request against `node`'s broker.
+    /// A working-set grant request against `node`'s broker. A firing is a
+    /// denial, which is the executor's spill signal: the victim degrades
+    /// onto its out-of-core paths and still returns exact results.
     GrantRequest {
         /// Original rank requesting the grant.
         node: usize,
     },
+}
+
+impl FaultSite {
+    /// The node this site belongs to; `None` for a link.
+    pub fn node(self) -> Option<usize> {
+        match self {
+            FaultSite::FragmentMid { node }
+            | FaultSite::DeviceLaunch { node }
+            | FaultSite::SpillWrite { node }
+            | FaultSite::WaveDispatch { node }
+            | FaultSite::GrantRequest { node } => Some(node),
+            FaultSite::ExchangeSend { .. } => None,
+        }
+    }
 }
 
 /// What a call site should do when a fault fires.
@@ -139,53 +97,22 @@ pub enum FaultAction {
     Delay(Duration),
 }
 
-/// One injected fault: a [`FaultKind`] plus a deterministic firing window.
+/// One injected fault: the [`FaultSite`] it targets, the [`FaultAction`] it
+/// answers with, and a deterministic firing window.
 ///
-/// The spec matches a stream of [`FaultSite`] occurrences; it stays silent
-/// for the first `after` matches, then fires on the next `times` matches,
-/// then goes silent again. `times = u64::MAX` models a permanent fault.
+/// The spec matches the occurrences of exactly its site; it stays silent
+/// for the first `after` of them, then fires on the next `times`, then goes
+/// silent again. `times = u64::MAX` models a permanent fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// What goes wrong.
-    pub kind: FaultKind,
+    /// Where it goes wrong.
+    pub site: FaultSite,
+    /// What the call site does when it fires.
+    pub action: FaultAction,
     /// Number of matching occurrences to skip before firing.
     pub after: u64,
     /// Maximum number of times this spec fires.
     pub times: u64,
-}
-
-impl FaultSpec {
-    fn matches(&self, site: FaultSite) -> bool {
-        match (&self.kind, site) {
-            (FaultKind::CrashBeforeFragment { node }, FaultSite::FragmentStart { node: n }) => {
-                *node == n
-            }
-            (FaultKind::CrashMidFragment { node }, FaultSite::FragmentMid { node: n }) => {
-                *node == n
-            }
-            (FaultKind::ExchangeDrop { src, dst }, FaultSite::ExchangeSend { src: s, dst: d }) => {
-                *src == s && *dst == d
-            }
-            (
-                FaultKind::ExchangeDelay { src, dst, .. },
-                FaultSite::ExchangeSend { src: s, dst: d },
-            ) => *src == s && *dst == d,
-            (FaultKind::TransientDevice { node }, FaultSite::DeviceLaunch { node: n }) => {
-                *node == n
-            }
-            (FaultKind::SpillIo { node }, FaultSite::SpillWrite { node: n }) => *node == n,
-            (FaultKind::TransientWave { node }, FaultSite::WaveDispatch { node: n }) => *node == n,
-            (FaultKind::GrantStorm { node }, FaultSite::GrantRequest { node: n }) => *node == n,
-            _ => false,
-        }
-    }
-
-    fn action(&self) -> FaultAction {
-        match &self.kind {
-            FaultKind::ExchangeDelay { delay, .. } => FaultAction::Delay(*delay),
-            _ => FaultAction::Fail,
-        }
-    }
 }
 
 /// A deterministic schedule of faults for one cluster run.
@@ -206,20 +133,26 @@ impl FaultPlan {
         }
     }
 
-    /// Add an arbitrary spec.
-    pub fn with(mut self, kind: FaultKind, after: u64, times: u64) -> Self {
-        self.specs.push(FaultSpec { kind, after, times });
+    fn with(mut self, site: FaultSite, action: FaultAction, after: u64, times: u64) -> Self {
+        self.specs.push(FaultSpec {
+            site,
+            action,
+            after,
+            times,
+        });
         self
     }
 
     /// Node `node` crashes at its `after`-th exchange boundary.
     pub fn crash_mid(self, node: usize, after: u64) -> Self {
-        self.with(FaultKind::CrashMidFragment { node }, after, u64::MAX)
+        let site = FaultSite::FragmentMid { node };
+        self.with(site, FaultAction::Fail, after, u64::MAX)
     }
 
     /// Drop `times` sends on the `src → dst` link after skipping `after`.
     pub fn drop_link(self, src: usize, dst: usize, after: u64, times: u64) -> Self {
-        self.with(FaultKind::ExchangeDrop { src, dst }, after, times)
+        let site = FaultSite::ExchangeSend { src, dst };
+        self.with(site, FaultAction::Fail, after, times)
     }
 
     /// Delay sends on the `src → dst` link by `delay`.
@@ -231,29 +164,34 @@ impl FaultPlan {
         after: u64,
         times: u64,
     ) -> Self {
-        self.with(FaultKind::ExchangeDelay { src, dst, delay }, after, times)
+        let site = FaultSite::ExchangeSend { src, dst };
+        self.with(site, FaultAction::Delay(delay), after, times)
     }
 
     /// Inject `times` transient device errors on `node` after skipping `after`.
     pub fn transient_device(self, node: usize, after: u64, times: u64) -> Self {
-        self.with(FaultKind::TransientDevice { node }, after, times)
+        let site = FaultSite::DeviceLaunch { node };
+        self.with(site, FaultAction::Fail, after, times)
     }
 
     /// Inject `times` spill I/O errors on `node` after skipping `after`.
     pub fn spill_io(self, node: usize, after: u64, times: u64) -> Self {
-        self.with(FaultKind::SpillIo { node }, after, times)
+        let site = FaultSite::SpillWrite { node };
+        self.with(site, FaultAction::Fail, after, times)
     }
 
     /// Inject `times` mid-query wave failures on `node` after skipping
     /// `after` dispatched waves.
     pub fn transient_wave(self, node: usize, after: u64, times: u64) -> Self {
-        self.with(FaultKind::TransientWave { node }, after, times)
+        let site = FaultSite::WaveDispatch { node };
+        self.with(site, FaultAction::Fail, after, times)
     }
 
     /// Deny `times` working-set grant requests on `node` after skipping
     /// `after` (a broker denial storm — victims spill, they don't fail).
     pub fn grant_storm(self, node: usize, after: u64, times: u64) -> Self {
-        self.with(FaultKind::GrantStorm { node }, after, times)
+        let site = FaultSite::GrantRequest { node };
+        self.with(site, FaultAction::Fail, after, times)
     }
 
     /// Generate a deterministic *recoverable* chaos plan for a `world`-node
@@ -389,14 +327,16 @@ impl FaultInjector {
         let mut st = state.lock();
         let mut hit = None;
         for i in 0..st.plan.specs.len() {
-            if !st.plan.specs[i].matches(site) {
+            if st.plan.specs[i].site != site {
                 continue;
             }
             st.seen[i] += 1;
-            let (after, times, action) = {
-                let spec = &st.plan.specs[i];
-                (spec.after, spec.times, spec.action())
-            };
+            let FaultSpec {
+                action,
+                after,
+                times,
+                ..
+            } = st.plan.specs[i];
             if st.seen[i] > after && st.fired[i] < times && hit.is_none() {
                 st.fired[i] += 1;
                 st.injected += 1;
@@ -415,16 +355,7 @@ impl FaultInjector {
         };
         let mut st = state.lock();
         for i in 0..st.plan.specs.len() {
-            let target = match st.plan.specs[i].kind {
-                FaultKind::CrashBeforeFragment { node: n }
-                | FaultKind::CrashMidFragment { node: n }
-                | FaultKind::TransientDevice { node: n }
-                | FaultKind::SpillIo { node: n }
-                | FaultKind::TransientWave { node: n }
-                | FaultKind::GrantStorm { node: n } => Some(n),
-                _ => None,
-            };
-            if target == Some(node) {
+            if st.plan.specs[i].site.node() == Some(node) {
                 st.fired[i] = st.plan.specs[i].times;
             }
         }
@@ -453,7 +384,7 @@ mod tests {
     fn disabled_injector_never_fires() {
         let inj = FaultInjector::disabled();
         for _ in 0..8 {
-            assert_eq!(inj.fire(FaultSite::FragmentStart { node: 0 }), None);
+            assert_eq!(inj.fire(FaultSite::FragmentMid { node: 0 }), None);
         }
         assert_eq!(inj.injected_count(), 0);
     }
@@ -501,9 +432,8 @@ mod tests {
             let crashes: Vec<_> = a
                 .specs
                 .iter()
-                .filter_map(|s| match s.kind {
-                    FaultKind::CrashBeforeFragment { node }
-                    | FaultKind::CrashMidFragment { node } => Some(node),
+                .filter_map(|s| match s.site {
+                    FaultSite::FragmentMid { node } => Some(node),
                     _ => None,
                 })
                 .collect();
@@ -549,26 +479,23 @@ mod tests {
             for s in &a.specs {
                 // Every engine-local fault is recoverable and targets the
                 // requested node with a finite firing budget.
-                match s.kind {
-                    FaultKind::TransientDevice { node }
-                    | FaultKind::TransientWave { node }
-                    | FaultKind::SpillIo { node }
-                    | FaultKind::GrantStorm { node } => assert_eq!(node, 0),
-                    ref k => panic!("non-local fault in local chaos plan: {k:?}"),
-                }
+                assert_local(s, 0);
                 assert!(s.times < u64::MAX, "bounded firing window");
             }
         }
         // Node id is threaded through, not hard-coded.
-        let on_node_3 = FaultPlan::seeded_chaos_local(7, 3);
-        for s in &on_node_3.specs {
-            match s.kind {
-                FaultKind::TransientDevice { node }
-                | FaultKind::TransientWave { node }
-                | FaultKind::SpillIo { node }
-                | FaultKind::GrantStorm { node } => assert_eq!(node, 3),
-                ref k => panic!("non-local fault: {k:?}"),
-            }
+        for s in &FaultPlan::seeded_chaos_local(7, 3).specs {
+            assert_local(s, 3);
+        }
+    }
+
+    fn assert_local(s: &FaultSpec, node: usize) {
+        match s.site {
+            FaultSite::DeviceLaunch { node: n }
+            | FaultSite::WaveDispatch { node: n }
+            | FaultSite::SpillWrite { node: n }
+            | FaultSite::GrantRequest { node: n } => assert_eq!(n, node),
+            site => panic!("non-local fault in local chaos plan: {site:?}"),
         }
     }
 
@@ -589,6 +516,58 @@ mod tests {
         let inj = FaultInjector::new(FaultPlan::new(0).crash_mid(3, 0));
         inj.disarm_node(3);
         assert_eq!(inj.fire(FaultSite::FragmentMid { node: 3 }), None);
+    }
+
+    /// Every site a production call site polls, one value each. The match
+    /// below has no wildcard arm, so a new [`FaultSite`] does not compile
+    /// until it is listed here — and then the test needs a builder for it.
+    fn every_site() -> [FaultSite; 6] {
+        let sites = [
+            FaultSite::FragmentMid { node: 1 },
+            FaultSite::ExchangeSend { src: 1, dst: 2 },
+            FaultSite::DeviceLaunch { node: 1 },
+            FaultSite::SpillWrite { node: 1 },
+            FaultSite::WaveDispatch { node: 1 },
+            FaultSite::GrantRequest { node: 1 },
+        ];
+        for site in sites {
+            match site {
+                FaultSite::FragmentMid { .. }
+                | FaultSite::ExchangeSend { .. }
+                | FaultSite::DeviceLaunch { .. }
+                | FaultSite::SpillWrite { .. }
+                | FaultSite::WaveDispatch { .. }
+                | FaultSite::GrantRequest { .. } => {}
+            }
+        }
+        sites
+    }
+
+    #[test]
+    fn every_site_is_reachable_through_exactly_its_builder() {
+        let d = Duration::from_millis(3);
+        let plan = || FaultPlan::new(0);
+        let builders = [
+            (plan().crash_mid(1, 0), 0, FaultAction::Fail),
+            (plan().drop_link(1, 2, 0, 1), 1, FaultAction::Fail),
+            (plan().delay_link(1, 2, d, 0, 1), 1, FaultAction::Delay(d)),
+            (plan().transient_device(1, 0, 1), 2, FaultAction::Fail),
+            (plan().spill_io(1, 0, 1), 3, FaultAction::Fail),
+            (plan().transient_wave(1, 0, 1), 4, FaultAction::Fail),
+            (plan().grant_storm(1, 0, 1), 5, FaultAction::Fail),
+        ];
+        let sites = every_site();
+        for (plan, target, action) in builders.iter().cloned() {
+            let inj = FaultInjector::new(plan);
+            for (i, site) in sites.into_iter().enumerate() {
+                let expect = (i == target).then_some(action);
+                assert_eq!(inj.fire(site), expect, "{site:?} ({action:?})");
+            }
+        }
+        for (i, site) in sites.iter().enumerate() {
+            let reached = builders.iter().any(|(_, target, _)| *target == i);
+            assert!(reached, "no builder reaches {site:?}");
+        }
     }
 
     #[test]

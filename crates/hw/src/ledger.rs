@@ -597,7 +597,8 @@ mod tests {
         assert_eq!(evs[4].ts, 100);
         assert_eq!(evs[4].dur, 80);
         assert_eq!(evs[5].ts, 180);
-        sirius_trace::chrome::validate(&evs, &["filter", "other", "marker"]).unwrap();
+        let json = sirius_trace::chrome::export("ledger", &evs);
+        sirius_trace::chrome::validate_json(&json, &["filter", "other", "marker"]).unwrap();
     }
 
     #[test]

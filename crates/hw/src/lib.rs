@@ -41,7 +41,7 @@ pub mod spec;
 pub mod trends;
 
 pub use cost::{CostModel, WorkProfile};
-pub use fault::{FaultAction, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultSpec};
+pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultSite, FaultSpec};
 pub use ledger::{attribute_overlap, replay, Charge, CostCategory, CostLedger, TimeBreakdown};
 pub use link::{Link, LinkSpec};
 pub use sirius_trace::{Lane, TraceConfig, TraceSink};

@@ -80,7 +80,7 @@ impl<T> DataCache<T> {
         let inner = &mut *guard;
         // Release any prior reservation under this key before placing anew.
         inner.entries.remove(&key);
-        let (alloc, tier) = self.place(inner, bytes);
+        let (alloc, tier) = self.place_on(inner, CacheTier::Device, bytes);
         inner.clock += 1;
         let last_touch = inner.clock;
         inner.entries.insert(
@@ -97,35 +97,38 @@ impl<T> DataCache<T> {
         tier
     }
 
-    /// Find a home for `bytes`, demoting LRU entries out of the way.
-    fn place(&self, inner: &mut CacheInner<T>, bytes: u64) -> (Option<Allocation>, CacheTier) {
-        if bytes <= self.device_region.capacity() {
+    /// Find a home for `bytes` on `tier` or below: allocate there, else
+    /// demote the tier's least-recently-used entry and retry. A tier too
+    /// small for `bytes`, or with nothing left to demote, falls through to
+    /// the next one down; disk always has room.
+    fn place_on(
+        &self,
+        inner: &mut CacheInner<T>,
+        tier: CacheTier,
+        bytes: u64,
+    ) -> (Option<Allocation>, CacheTier) {
+        let (region, below) = match tier {
+            CacheTier::Device => (&self.device_region, CacheTier::PinnedHost),
+            CacheTier::PinnedHost => (&self.pinned_region, CacheTier::Disk),
+            CacheTier::Disk => return (None, CacheTier::Disk),
+        };
+        if bytes <= region.capacity() {
             loop {
-                if let Ok(a) = self.device_region.alloc(bytes) {
-                    return (Some(a), CacheTier::Device);
+                if let Ok(a) = region.alloc(bytes) {
+                    return (Some(a), tier);
                 }
-                if !self.demote_lru(inner, CacheTier::Device) {
+                if !self.demote_lru(inner, tier, below) {
                     break;
                 }
             }
         }
-        if bytes <= self.pinned_region.capacity() {
-            loop {
-                if let Ok(a) = self.pinned_region.alloc(bytes) {
-                    return (Some(a), CacheTier::PinnedHost);
-                }
-                if !self.demote_lru(inner, CacheTier::PinnedHost) {
-                    break;
-                }
-            }
-        }
-        (None, CacheTier::Disk)
+        self.place_on(inner, below, bytes)
     }
 
-    /// Demote the least-recently-used entry on `tier` one level down,
-    /// freeing its reservation. Returns false when the tier holds nothing
-    /// left to demote (the caller then falls through to the next tier).
-    fn demote_lru(&self, inner: &mut CacheInner<T>, tier: CacheTier) -> bool {
+    /// Move the least-recently-used entry on `tier` to wherever
+    /// [`Self::place_on`] finds it room from `below` down, freeing its
+    /// reservation. Returns false when the tier holds nothing to demote.
+    fn demote_lru(&self, inner: &mut CacheInner<T>, tier: CacheTier, below: CacheTier) -> bool {
         let victim = inner
             .entries
             .iter()
@@ -135,28 +138,7 @@ impl<T> DataCache<T> {
         let Some((key, bytes)) = victim else {
             return false;
         };
-        let (alloc, new_tier) = match tier {
-            CacheTier::Device => {
-                let mut placed = None;
-                if bytes <= self.pinned_region.capacity() {
-                    loop {
-                        if let Ok(a) = self.pinned_region.alloc(bytes) {
-                            placed = Some(a);
-                            break;
-                        }
-                        if !self.demote_lru(inner, CacheTier::PinnedHost) {
-                            break;
-                        }
-                    }
-                }
-                match placed {
-                    Some(a) => (Some(a), CacheTier::PinnedHost),
-                    None => (None, CacheTier::Disk),
-                }
-            }
-            CacheTier::PinnedHost => (None, CacheTier::Disk),
-            CacheTier::Disk => return false,
-        };
+        let (alloc, new_tier) = self.place_on(inner, below, bytes);
         // Demoting a lower tier to make room moves entries, never removes
         // one, so the victim is still here.
         let Some(e) = inner.entries.get_mut(&key) else {

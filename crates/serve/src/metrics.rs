@@ -20,10 +20,13 @@ pub(crate) const PLAN_CACHE_EVICTIONS: &str = "sirius_serve_plan_cache_evictions
 pub(crate) const PLAN_REPLANS: &str = "sirius_serve_plan_replans_total";
 pub(crate) const PLANNING_PHASES: &str = "sirius_serve_planning_phases_total";
 pub(crate) const CACHED_PLANS: &str = "sirius_serve_cached_plans";
+pub(crate) const COMPLETED: &str = "sirius_serve_completed_total";
+pub(crate) const FAILED: &str = "sirius_serve_failed_total";
+pub(crate) const CANCELLED: &str = "sirius_serve_cancelled_total";
+pub(crate) const SHED: &str = "sirius_serve_shed_total";
+pub(crate) const REJECTED: &str = "sirius_serve_rejected_total";
 
-/// `(name, kind, help)` for every metric above plus the five
-/// per-disposition counters, whose names `Replay::settle` derives as
-/// `sirius_serve_<disposition>_total`.
+/// `(name, kind, help)` for every metric above.
 pub(crate) const CATALOG: &[(&str, &str, &str)] = &[
     (QUEUE_DEPTH, "gauge", "Queries waiting for admission"),
     (IN_FLIGHT, "gauge", "Queries admitted and executing"),
@@ -48,28 +51,20 @@ pub(crate) const CATALOG: &[(&str, &str, &str)] = &[
         "counter",
         "Terminal request dispositions, labeled by kind",
     ),
+    (COMPLETED, "counter", "Queries completed"),
     (
-        "sirius_serve_completed_total",
-        "counter",
-        "Queries completed",
-    ),
-    (
-        "sirius_serve_failed_total",
+        FAILED,
         "counter",
         "Queries that ended in a non-retryable error",
     ),
+    (CANCELLED, "counter", "Queries cancelled by their deadline"),
     (
-        "sirius_serve_cancelled_total",
-        "counter",
-        "Queries cancelled by their deadline",
-    ),
-    (
-        "sirius_serve_shed_total",
+        SHED,
         "counter",
         "Waiting queries shed under broker pressure",
     ),
     (
-        "sirius_serve_rejected_total",
+        REJECTED,
         "counter",
         "Arrivals rejected by queue backpressure",
     ),

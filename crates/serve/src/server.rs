@@ -569,9 +569,15 @@ impl<'a> Replay<'a> {
         disposition: QueryDisposition,
         error: Option<SiriusError>,
     ) {
+        let total = match disposition {
+            QueryDisposition::Completed => metrics::COMPLETED,
+            QueryDisposition::Failed => metrics::FAILED,
+            QueryDisposition::Cancelled => metrics::CANCELLED,
+            QueryDisposition::Shed => metrics::SHED,
+            QueryDisposition::Rejected => metrics::REJECTED,
+        };
+        self.srv.counter_inc(total, &[]);
         let kind = disposition.as_str();
-        self.srv
-            .counter_inc(&format!("sirius_serve_{kind}_total"), &[]);
         self.srv
             .counter_inc(metrics::DISPOSITION, &[("disposition", kind)]);
         let bounced = match disposition {

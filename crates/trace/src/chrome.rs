@@ -188,44 +188,9 @@ pub fn export_processes(processes: &[(String, Vec<TraceEvent>)]) -> String {
     out
 }
 
-/// Schema violations found by [`validate`] / [`validate_json`].
+/// A schema violation found by [`validate_json`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation(pub String);
-
-/// Validate an in-memory event stream: per-track monotone (non-decreasing)
-/// `ts` in sequence order, every `cat` drawn from `known_cats`, and nonzero
-/// `dur` on everything but instant markers.
-pub fn validate(events: &[TraceEvent], known_cats: &[&str]) -> Result<(), Violation> {
-    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
-    sorted.sort_by_key(|e| e.seq);
-    let mut last_ts: std::collections::BTreeMap<u32, u64> = Default::default();
-    for ev in sorted {
-        if !known_cats.contains(&ev.cat) {
-            return Err(Violation(format!(
-                "seq {}: unknown cat {:?} (label {:?})",
-                ev.seq, ev.cat, ev.label
-            )));
-        }
-        if ev.dur == 0 && ev.kind != EventKind::Instant {
-            return Err(Violation(format!(
-                "seq {}: zero dur on non-instant event {:?}",
-                ev.seq, ev.label
-            )));
-        }
-        let tid = display_tid(ev);
-        let prev = last_ts.entry(tid).or_insert(0);
-        if ev.ts < *prev {
-            return Err(Violation(format!(
-                "seq {}: ts {} regresses below {} on track {}",
-                ev.seq, ev.ts, prev, tid
-            )));
-        }
-        *prev = ev.ts;
-    }
-    Ok(())
-}
-
-// --- emitted-JSON validation (CI smoke) ------------------------------------
 
 /// Field `key` of a JSON object (`None` on anything else).
 fn get<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
@@ -356,7 +321,6 @@ mod tests {
             },
         ];
         let cats = ["other", "filter", "exchange", "lifecycle"];
-        validate(&events, &cats).unwrap();
         let json = export("gh200", &events);
         let checked = validate_json(&json, &cats).unwrap();
         assert_eq!(checked, events.len());
@@ -368,24 +332,26 @@ mod tests {
 
     #[test]
     fn validator_rejects_unknown_cat_zero_dur_and_ts_regression() {
+        let check =
+            |events: &[TraceEvent], cats: &[&str]| validate_json(&export("p", events), cats);
         let good = [ev(0, Lane::Serial, "filter", "k", 10, 5)];
-        assert!(validate(&good, &["filter"]).is_ok());
-        assert!(validate(&good, &["join"]).is_err());
+        assert_eq!(check(&good, &["filter"]), Ok(1));
+        assert!(check(&good, &["join"]).is_err());
 
         let zero = [ev(0, Lane::Serial, "filter", "k", 10, 0)];
-        assert!(validate(&zero, &["filter"]).is_err());
+        assert!(check(&zero, &["filter"]).is_err());
 
         let regress = [
             ev(0, Lane::Serial, "filter", "k", 10, 5),
             ev(1, Lane::Serial, "filter", "k", 4, 5),
         ];
-        assert!(validate(&regress, &["filter"]).is_err());
+        assert!(check(&regress, &["filter"]).is_err());
         // Different tracks may interleave timestamps freely.
         let cross = [
             ev(0, Lane::Stream(0), "filter", "k", 10, 5),
             ev(1, Lane::Stream(1), "filter", "k", 4, 5),
         ];
-        assert!(validate(&cross, &["filter"]).is_ok());
+        assert_eq!(check(&cross, &["filter"]), Ok(2));
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! implement the operators independently, so agreeing on all 22 TPC-H
 //! queries is strong evidence both are right.
 
-use sirius_clickhouse::ClickHouse;
 use sirius_columnar::{Array, DataType, Field, Schema, Table};
 use sirius_core::SiriusEngine;
 use sirius_duckdb::DuckDb;
-use sirius_exec_cpu::ExecError;
+use sirius_exec_cpu::{CpuEngine, EngineProfile, ExecError};
 use sirius_hw::catalog as hw;
 use sirius_integration::assert_tables_equivalent;
 use sirius_sql::{plan_sql, JoinOrderPolicy};
@@ -39,12 +38,11 @@ fn tpch_duckdb_vs_sirius_gpu() {
 fn tpch_clickhouse_agrees_where_supported() {
     let data = TpchGenerator::new(0.01).generate();
     let mut duck = DuckDb::new();
-    let mut ch = ClickHouse::new();
     for (name, table) in data.tables() {
         duck.create_table(name.clone(), table.clone());
-        ch.create_table(name.clone(), table.clone());
     }
     let bcat = sirius_integration::binder_catalog(&data);
+    let clickhouse = CpuEngine::new(hw::m7i_16xlarge(), EngineProfile::clickhouse());
 
     let mut unsupported = Vec::new();
     for (id, sql) in queries::all() {
@@ -52,16 +50,13 @@ fn tpch_clickhouse_agrees_where_supported() {
         let duck_result = duck
             .sql(sql)
             .unwrap_or_else(|e| panic!("Q{id} duckdb: {e}"));
-        match ch.sql(sql) {
+        let plan = plan_sql(sql, &bcat, JoinOrderPolicy::FromOrder)
+            .unwrap_or_else(|e| panic!("Q{id} from-order plan: {e}"));
+        match clickhouse.execute(&plan, duck.catalog()) {
             Ok(ch_result) => assert_tables_equivalent(&format!("Q{id}"), &duck_result, &ch_result),
-            Err(sirius_clickhouse::ClickHouseError::Exec(ExecError::Unsupported(_))) => {
-                unsupported.push(id);
-            }
+            Err(ExecError::Unsupported(_)) => unsupported.push(id),
             Err(e) => panic!("Q{id} clickhouse: {e}"),
         }
-        // Sanity: both policies produce valid plans.
-        plan_sql(sql, &bcat, JoinOrderPolicy::FromOrder)
-            .unwrap_or_else(|e| panic!("Q{id} from-order plan: {e}"));
     }
     // Exactly the Q21 shape is unsupported, matching the paper.
     assert_eq!(unsupported, vec![21], "unsupported set: {unsupported:?}");

@@ -109,8 +109,6 @@ fn all_queries_reconcile_trace_ledger_and_explain() {
 
             // 2. The Chrome export is structurally sound (monotone per-track
             // timestamps, known categories, nonzero durations).
-            chrome::validate(events, &known_cats)
-                .unwrap_or_else(|v| panic!("{what}: invalid chrome trace: {v:?}"));
             let json = chrome::export(&format!("Q{id}"), events);
             let n = chrome::validate_json(&json, &known_cats)
                 .unwrap_or_else(|v| panic!("{what}: invalid chrome JSON: {v:?}"));
