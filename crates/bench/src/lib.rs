@@ -148,4 +148,32 @@ mod tests {
             assert_eq!(documented, declared, "{file} vs EXPERIMENTS");
         }
     }
+
+    /// README's "What's inside" table names every `crates/*` package once.
+    #[test]
+    fn readme_lists_every_crate_once() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut crates: Vec<String> = std::fs::read_dir(format!("{root}/crates"))
+            .unwrap()
+            .map(|dir| {
+                let manifest = dir.unwrap().path().join("Cargo.toml");
+                let text = std::fs::read_to_string(manifest).unwrap();
+                let line = text.lines().find(|l| l.starts_with("name = ")).unwrap();
+                line.trim_start_matches("name = ")
+                    .trim_matches('"')
+                    .to_string()
+            })
+            .collect();
+        crates.sort();
+        let readme = std::fs::read_to_string(format!("{root}/README.md")).unwrap();
+        let table = readme.split("## What's inside").nth(1).unwrap();
+        let mut rows: Vec<String> = table
+            .lines()
+            .skip_while(|l| !l.starts_with("| `"))
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| l.split('`').nth(1).unwrap().to_string())
+            .collect();
+        rows.sort();
+        assert_eq!(rows, crates);
+    }
 }

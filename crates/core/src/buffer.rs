@@ -4,8 +4,10 @@
 use crate::{Result, SiriusError};
 use sirius_columnar::Table;
 use sirius_hw::{CostCategory, Device, FaultInjector, FaultSite, Link, WorkProfile};
-use sirius_rmm::{Allocation, BufferRegions, CacheTier, DataCache};
-use sirius_spill::{GrantBroker, MemoryGrant, SpillConfig, SpillManager, SpillStats, SpillTicket};
+use sirius_rmm::{
+    BufferRegions, DataCache, GrantBroker, MemoryGrant, PoolAllocator, SpillManager, SpillStats,
+    SpillTicket, Tier, DISK_CAPACITY,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,9 +44,11 @@ impl BufferManager {
     /// memory is the caching region and the rest the processing pool (the
     /// paper's evaluation setup is 50% / 50%, §4.1; ablations shrink the
     /// cache to force pinned-host residency without starving the pool),
-    /// with `pinned_bytes` of pinned host memory as the caching overflow
-    /// tier, `host_link` as the CPU↔GPU interconnect, and `fault` polled
-    /// for grant denial storms and spill-tier I/O faults on that node id.
+    /// with `pinned_bytes` of pinned host memory — one tier behind both the
+    /// cache's overflow and the spill store — and [`DISK_CAPACITY`] of disk
+    /// behind that, `host_link` as the CPU↔GPU interconnect, and `fault`
+    /// polled for grant denial storms and spill-tier I/O faults on that
+    /// node id.
     pub fn new(
         device: Device,
         pinned_bytes: u64,
@@ -53,7 +57,9 @@ impl BufferManager {
         fault: Option<(FaultInjector, usize)>,
     ) -> Self {
         let regions = BufferRegions::from_spec(device.spec(), caching_fraction);
-        let cache = Arc::new(DataCache::new(regions.caching().clone(), pinned_bytes));
+        let pinned = PoolAllocator::new("pinned host", pinned_bytes);
+        let disk = PoolAllocator::new("disk", DISK_CAPACITY);
+        let cache = Arc::new(DataCache::new(regions.caching().clone(), pinned.clone()));
         let broker = GrantBroker::new(regions.processing().clone());
         Self {
             device,
@@ -61,7 +67,7 @@ impl BufferManager {
             cache,
             host_link,
             broker,
-            spill: Arc::new(SpillManager::default()),
+            spill: Arc::new(SpillManager::new(pinned, disk)),
             fault,
             grant_cap: AtomicU64::new(u64::MAX),
         }
@@ -119,7 +125,7 @@ impl BufferManager {
     /// the host→device transfer and the host-format → Sirius-format deep
     /// copy (§3.2.3: host conversion "occurs only during the cold run").
     /// Returns the tier the table landed on.
-    pub fn load_table(&self, name: impl Into<String>, table: &Table) -> CacheTier {
+    pub fn load_table(&self, name: impl Into<String>, table: &Table) -> Tier {
         let name = name.into();
         let bytes = table.byte_size() as u64;
         let wire = self.host_link.transfer(bytes);
@@ -142,7 +148,7 @@ impl BufferManager {
     /// Register data that is *already device-resident* — exchanged
     /// intermediates delivered by NCCL land directly in GPU memory, so no
     /// host transfer is charged (§3.2.4's temporary tables).
-    pub fn cache_resident(&self, name: impl Into<String>, table: &Table) -> CacheTier {
+    pub fn cache_resident(&self, name: impl Into<String>, table: &Table) -> Tier {
         self.cache
             .insert(name.into(), table.clone(), table.byte_size() as u64)
     }
@@ -152,41 +158,42 @@ impl BufferManager {
         self.cache.evict(name)
     }
 
-    /// Hot-path lookup. Tables cached on the pinned-host tier charge the
-    /// interconnect crossing; device-tier hits are free.
+    /// Hot-path lookup. Tables cached below the device tier charge their
+    /// tier crossing; device-tier hits are free.
     pub fn get_table(&self, name: &str) -> Result<Arc<Table>> {
         let (table, tier) = self
             .cache
             .get(name)
             .ok_or_else(|| SiriusError::TableNotCached(name.to_string()))?;
-        match tier {
-            CacheTier::Device => {}
-            CacheTier::PinnedHost => {
-                let bytes = table.byte_size() as u64;
-                let wire = self.host_link.transfer(bytes);
-                self.device.charge_duration_labeled(
-                    CostCategory::Other,
-                    "xfer.pinned_cache_read",
-                    wire,
-                    bytes,
-                    table.num_rows() as u64,
-                );
-            }
-            CacheTier::Disk => {
-                // Out-of-core tier (§3.4): charged as a storage read at
-                // one quarter of the interconnect bandwidth.
-                let bytes = table.byte_size() as u64;
-                let wire = self.host_link.transfer(4 * bytes);
-                self.device.charge_duration_labeled(
-                    CostCategory::Other,
-                    "xfer.disk_cache_read",
-                    wire,
-                    bytes,
-                    table.num_rows() as u64,
-                );
-            }
-        }
+        self.charge_crossing(
+            tier,
+            CostCategory::Other,
+            ["xfer.pinned_cache_read", "xfer.disk_cache_read"],
+            table.byte_size() as u64,
+            table.num_rows() as u64,
+        );
         Ok(table)
+    }
+
+    /// Charge moving `bytes` (`rows` rows) between the device and `tier`,
+    /// labeled `labels[0]` for pinned and `labels[1]` for disk: pinned host
+    /// is one interconnect crossing, disk (§3.4) a storage transfer at a
+    /// quarter of that bandwidth, and the device tier costs nothing.
+    fn charge_crossing(
+        &self,
+        tier: Tier,
+        category: CostCategory,
+        labels: [&str; 2],
+        bytes: u64,
+        rows: u64,
+    ) {
+        let (wire, label) = match tier {
+            Tier::Device => return,
+            Tier::Pinned => (self.host_link.transfer(bytes), labels[0]),
+            Tier::Disk => (self.host_link.transfer(4 * bytes), labels[1]),
+        };
+        self.device
+            .charge_duration_labeled(category, label, wire, bytes, rows);
     }
 
     /// True if `name` is cached on any tier.
@@ -202,15 +209,6 @@ impl BufferManager {
     /// Bytes cached per tier `(device, pinned, disk)`.
     pub fn tier_usage(&self) -> (u64, u64, u64) {
         self.cache.tier_usage()
-    }
-
-    /// Reserve processing-region memory for an operator's intermediate
-    /// state (hash table, sort buffer). The reservation frees on drop.
-    pub fn alloc_processing(&self, bytes: u64) -> Result<Allocation> {
-        self.regions
-            .processing()
-            .alloc(bytes)
-            .map_err(|e| SiriusError::OutOfMemory(e.to_string()))
     }
 
     /// Ask the grant broker for an operator working set. A denial is the
@@ -262,54 +260,42 @@ impl BufferManager {
         &self.spill
     }
 
-    /// Replace the spill-tier capacities (engine builder).
-    pub fn set_spill_config(&self, config: SpillConfig) {
-        self.spill.set_config(config);
-    }
-
     /// Park a partition of `bytes` on the highest spill tier with room,
-    /// charging the write bandwidth: pinned host costs one interconnect
-    /// crossing, disk a storage write at a quarter of that bandwidth (the
-    /// disk-tier convention of [`Self::get_table`]). Failure means the
-    /// partition exceeds every tier combined — the hard OOM case.
+    /// charging the write's [tier crossing](Self::charge_crossing).
+    /// Failure means the partition exceeds every tier combined — the hard
+    /// OOM case.
     pub fn spill_write(&self, bytes: u64) -> Result<SpillTicket> {
         if let Some(node) = fault_fires(&self.fault, |node| FaultSite::SpillWrite { node }) {
             return Err(SiriusError::SpillIo(format!(
                 "injected spill-tier write failure on node {node} ({bytes} B)"
             )));
         }
-        let ticket = self.spill.write(bytes).map_err(|()| {
+        let ticket = self.spill.write(bytes).ok_or_else(|| {
             SiriusError::OutOfMemory(format!(
                 "spill tiers exhausted: {bytes} B partition exceeds remaining pinned+disk space"
             ))
         })?;
-        let (wire, label) = match ticket.tier() {
-            sirius_spill::SpillTier::Pinned => {
-                (self.host_link.transfer(bytes), "spill.pinned.write")
-            }
-            sirius_spill::SpillTier::Disk => {
-                (self.host_link.transfer(4 * bytes), "spill.disk.write")
-            }
-        };
-        self.device
-            .charge_duration_labeled(CostCategory::Exchange, label, wire, bytes, 0);
+        self.charge_crossing(
+            ticket.tier(),
+            CostCategory::Exchange,
+            ["spill.pinned.write", "spill.disk.write"],
+            bytes,
+            0,
+        );
         Ok(ticket)
     }
 
     /// Read a spilled partition back into device memory, charging the
-    /// symmetric bandwidth for its tier.
+    /// symmetric crossing for its tier.
     pub fn spill_read(&self, ticket: &SpillTicket) {
         let bytes = ticket.bytes();
-        let (wire, label) = match ticket.tier() {
-            sirius_spill::SpillTier::Pinned => {
-                (self.host_link.transfer(bytes), "spill.pinned.read")
-            }
-            sirius_spill::SpillTier::Disk => {
-                (self.host_link.transfer(4 * bytes), "spill.disk.read")
-            }
-        };
-        self.device
-            .charge_duration_labeled(CostCategory::Exchange, label, wire, bytes, 0);
+        self.charge_crossing(
+            ticket.tier(),
+            CostCategory::Exchange,
+            ["spill.pinned.read", "spill.disk.read"],
+            bytes,
+            0,
+        );
         self.spill.note_read(bytes);
     }
 
@@ -330,6 +316,7 @@ mod tests {
     use super::*;
     use sirius_columnar::{Array, DataType, Field, Schema};
     use sirius_hw::catalog;
+    use sirius_rmm::pool::ALIGNMENT;
 
     fn table(rows: usize) -> Table {
         Table::new(
@@ -354,7 +341,7 @@ mod tests {
     fn cold_load_then_hot_hits() {
         let (device, bm) = bufmgr();
         let t = table(1000);
-        assert_eq!(bm.load_table("t", &t), CacheTier::Device);
+        assert_eq!(bm.load_table("t", &t), Tier::Device);
         let cold_time = device.elapsed();
         assert!(cold_time.as_nanos() > 0, "cold load pays transfer + copy");
         device.reset();
@@ -378,12 +365,13 @@ mod tests {
     fn processing_region_reservation() {
         let (_d, bm) = bufmgr();
         let cap = bm.regions().processing().capacity();
-        let a = bm.alloc_processing(1 << 20).unwrap();
+        let g = bm.request_grant(1 << 20).unwrap();
         assert!(bm.regions().processing().used() >= 1 << 20);
-        drop(a);
+        assert_eq!(bm.grant_broker().outstanding_bytes(), g.bytes());
+        drop(g);
         assert_eq!(bm.regions().processing().used(), 0);
         assert!(matches!(
-            bm.alloc_processing(cap + 1),
+            bm.request_grant(cap + 1),
             Err(SiriusError::OutOfMemory(_))
         ));
     }
@@ -420,11 +408,10 @@ mod tests {
 
     #[test]
     fn spill_tiers_can_be_exhausted() {
-        let (_d, bm) = bufmgr();
-        bm.set_spill_config(sirius_spill::SpillConfig {
-            pinned_bytes: 0,
-            disk_bytes: 0,
-        });
+        let device = Device::new(catalog::gh200_gpu());
+        let bm = BufferManager::new(device, 0, Link::new(catalog::nvlink_c2c()), 0.5, None);
+        // No pinned tier, and a ticket holding the whole disk tier.
+        let _disk = bm.spill_write(DISK_CAPACITY).unwrap();
         assert!(matches!(
             bm.spill_write(1024),
             Err(SiriusError::OutOfMemory(_))
@@ -445,7 +432,7 @@ mod tests {
             None,
         );
         let t = table(10_000);
-        assert_eq!(bm.load_table("big", &t), CacheTier::PinnedHost);
+        assert_eq!(bm.load_table("big", &t), Tier::Pinned);
         device.reset();
         bm.get_table("big").unwrap();
         assert!(
@@ -455,5 +442,32 @@ mod tests {
         let (dev, pinned, _) = bm.tier_usage();
         assert_eq!(dev, 0);
         assert!(pinned > 0);
+    }
+
+    /// Cached tables and spilled partitions share one pinned tier: a table
+    /// demoted onto it leaves a partition that no longer fits beside it to
+    /// land on disk, and the spill store counts its own tickets only.
+    #[test]
+    fn cache_overflow_and_spill_share_one_pinned_tier() {
+        let mut spec = catalog::gh200_gpu();
+        spec.memory_bytes = 4096; // 2 KiB caching region
+        let bm = BufferManager::new(
+            Device::new(spec),
+            1 << 20,
+            Link::new(catalog::pcie4_x16()),
+            0.5,
+            None,
+        );
+        bm.load_table("big", &table(10_000));
+        assert_eq!(bm.tier_usage(), (0, 80_000, 0));
+        let bytes = 1_000_000; // fits the empty pinned tier, not beside the table
+        let ticket = bm.spill_write(bytes).unwrap();
+        let s = bm.spill_stats();
+        assert_eq!((s.bytes_to_pinned, s.bytes_to_disk), (0, bytes));
+        let parked = bytes.div_ceil(ALIGNMENT) * ALIGNMENT;
+        assert_eq!(bm.spill_manager().tier_usage(), (0, parked));
+        drop(ticket);
+        assert_eq!(bm.spill_manager().tier_usage(), (0, 0));
+        assert_eq!(bm.tier_usage(), (0, 80_000, 0));
     }
 }

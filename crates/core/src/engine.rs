@@ -36,7 +36,7 @@ use sirius_hw::{
 };
 use sirius_plan::visit::Node;
 use sirius_plan::Rel;
-use sirius_spill::SpillStats;
+use sirius_rmm::{SpillStats, PINNED_CAPACITY};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,9 +44,6 @@ use std::time::Duration;
 use crate::morsel::SharedOpStats;
 
 pub use crate::morsel::DEFAULT_MORSEL_ROWS;
-
-/// Pinned host memory behind the caching region (its overflow tier).
-const PINNED_BYTES: u64 = 64 << 30;
 
 /// Everything that tells one engine from another, as one plain value: an
 /// experiment or an ablation is [`EngineConfig::new`] with some fields
@@ -156,7 +153,7 @@ impl SiriusEngine {
         let device = Device::new(config.spec.clone());
         let bufmgr = BufferManager::new(
             device.clone(),
-            PINNED_BYTES,
+            PINNED_CAPACITY,
             Link::new(config.host_link.clone()),
             config.caching_fraction,
             config.fault.clone(),
@@ -517,7 +514,6 @@ mod tests {
     use sirius_plan::builder::PlanBuilder;
     use sirius_plan::expr::{self, AggExpr, SortExpr};
     use sirius_plan::{AggFunc, JoinKind};
-    use sirius_spill::SpillConfig;
 
     fn engine_with_data() -> SiriusEngine {
         configured(|_| {})
@@ -830,16 +826,22 @@ mod tests {
         assert_eq!(reports[2].rows, 3);
     }
 
-    /// With every spill tier zeroed out there is nowhere left to park
+    /// With every spill tier held full there is nowhere left to park
     /// partitions: the engine reports a hard out-of-memory instead of
     /// looping, and that error is what a host falls back on.
     #[test]
     fn oom_when_morsel_exceeds_all_tiers() {
         let (e, plan) = tiny_device_groupby();
-        e.buffer_manager().set_spill_config(SpillConfig {
-            pinned_bytes: 0,
-            disk_bytes: 0,
-        });
+        // Hold tickets, halving their size on refusal, until no tier takes
+        // another byte (the pinned tier also holds the demoted table).
+        let mut held = Vec::new();
+        let mut bytes = sirius_rmm::DISK_CAPACITY;
+        while bytes > 0 {
+            match e.buffer_manager().spill_write(bytes) {
+                Ok(ticket) => held.push(ticket),
+                Err(_) => bytes /= 2,
+            }
+        }
         assert!(matches!(e.execute(&plan), Err(SiriusError::OutOfMemory(_))));
     }
 

@@ -52,7 +52,7 @@ pub use explain::OpStats;
 pub use metrics::{MorselStats, QueryReport};
 pub use plan_cache::{CompiledQuery, FeedbackStore, ShapeFeedback};
 pub use schedule::{QueryRun, Scheduling};
-pub use sirius_spill::{SpillConfig, SpillStats};
+pub use sirius_rmm::SpillStats;
 
 /// Decode any dictionary-encoded columns of a gathered result table,
 /// charging the decode kernel to `device` under the `Project` category.

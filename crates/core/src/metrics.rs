@@ -3,7 +3,7 @@
 use crate::engine::SiriusEngine;
 use crate::explain::OpStats;
 use sirius_hw::{CostCategory, TimeBreakdown};
-use sirius_spill::SpillStats;
+use sirius_rmm::SpillStats;
 use std::collections::HashMap;
 use std::time::Duration;
 

@@ -53,7 +53,7 @@ use sirius_cudf::GpuContext;
 use sirius_hw::{Charge, CostCategory, Device, FaultSite, Lane, TimeBreakdown};
 use sirius_plan::expr::Expr;
 use sirius_plan::visit::Node;
-use sirius_spill::MemoryGrant;
+use sirius_rmm::MemoryGrant;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;

@@ -14,7 +14,7 @@
 //! resilience suites assert exactly that (no leaked working-set
 //! reservations, ever).
 
-use sirius_rmm::{Allocation, OutOfMemory, PoolAllocator};
+use crate::pool::{Allocation, OutOfMemory, PoolAllocator};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -28,8 +28,6 @@ pub struct GrantBroker {
     /// Grants currently alive (incremented on grant, decremented when the
     /// [`MemoryGrant`] drops).
     live: Arc<AtomicU64>,
-    /// Bytes currently reserved by live grants.
-    live_bytes: Arc<AtomicU64>,
 }
 
 impl GrantBroker {
@@ -40,7 +38,6 @@ impl GrantBroker {
             granted: Arc::new(AtomicU64::new(0)),
             denied: Arc::new(AtomicU64::new(0)),
             live: Arc::new(AtomicU64::new(0)),
-            live_bytes: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -52,12 +49,9 @@ impl GrantBroker {
             Ok(alloc) => {
                 self.granted.fetch_add(1, Ordering::Relaxed);
                 self.live.fetch_add(1, Ordering::Relaxed);
-                self.live_bytes.fetch_add(alloc.size(), Ordering::Relaxed);
                 Ok(MemoryGrant {
-                    bytes: alloc.size(),
                     alloc,
                     live: Arc::clone(&self.live),
-                    live_bytes: Arc::clone(&self.live_bytes),
                 })
             }
             Err(e) => {
@@ -103,9 +97,10 @@ impl GrantBroker {
         self.live.load(Ordering::Relaxed)
     }
 
-    /// Bytes currently reserved by live grants.
+    /// Bytes currently reserved by live grants: the broker is the only
+    /// allocator on its pool, so that is the pool's own count.
     pub fn outstanding_bytes(&self) -> u64 {
-        self.live_bytes.load(Ordering::Relaxed)
+        self.pool.used()
     }
 
     /// The underlying pool (statistics introspection).
@@ -119,9 +114,7 @@ impl GrantBroker {
 #[derive(Debug)]
 pub struct MemoryGrant {
     alloc: Allocation,
-    bytes: u64,
     live: Arc<AtomicU64>,
-    live_bytes: Arc<AtomicU64>,
 }
 
 impl MemoryGrant {
@@ -134,7 +127,6 @@ impl MemoryGrant {
 impl Drop for MemoryGrant {
     fn drop(&mut self) {
         self.live.fetch_sub(1, Ordering::Relaxed);
-        self.live_bytes.fetch_sub(self.bytes, Ordering::Relaxed);
     }
 }
 

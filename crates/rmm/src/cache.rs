@@ -11,28 +11,18 @@
 //! by insertion order.
 
 use crate::pool::{Allocation, PoolAllocator};
+use crate::Tier;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Where a cached entry physically resides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheTier {
-    /// GPU device memory (HBM) — full-bandwidth access.
-    Device,
-    /// Pinned host memory — access at interconnect bandwidth.
-    PinnedHost,
-    /// Disk (out-of-core extension) — access at storage bandwidth.
-    Disk,
-}
-
 struct Entry<T> {
     value: Arc<T>,
     bytes: u64,
-    tier: CacheTier,
-    // RAII region reservation; `None` for the unbounded disk tier.
+    tier: Tier,
+    // RAII region reservation; `None` on disk, where entries reserve
+    // nothing, so the cache never refuses a table.
     alloc: Option<Allocation>,
-    hits: u64,
     last_touch: u64,
 }
 
@@ -53,12 +43,13 @@ pub struct DataCache<T> {
 }
 
 impl<T> DataCache<T> {
-    /// Build a cache over a device caching region of `device_region`
-    /// capacity with `pinned_bytes` of pinned host memory as overflow.
-    pub fn new(device_region: PoolAllocator, pinned_bytes: u64) -> Self {
+    /// Build a cache over the device caching region `device_region` with
+    /// the pinned tier `pinned_region` as overflow (a pool it may share
+    /// with the spill store).
+    pub fn new(device_region: PoolAllocator, pinned_region: PoolAllocator) -> Self {
         Self {
             device_region,
-            pinned_region: PoolAllocator::new("pinned host", pinned_bytes),
+            pinned_region,
             inner: Mutex::new(CacheInner {
                 entries: HashMap::new(),
                 hits: 0,
@@ -74,13 +65,13 @@ impl<T> DataCache<T> {
     /// demotes its LRU entry to pinned host, a full pinned tier demotes to
     /// disk. Entries larger than a tier's whole capacity skip that tier.
     /// Returns the tier the new entry landed on.
-    pub fn insert(&self, key: impl Into<String>, value: T, bytes: u64) -> CacheTier {
+    pub fn insert(&self, key: impl Into<String>, value: T, bytes: u64) -> Tier {
         let key = key.into();
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         // Release any prior reservation under this key before placing anew.
         inner.entries.remove(&key);
-        let (alloc, tier) = self.place_on(inner, CacheTier::Device, bytes);
+        let (alloc, tier) = self.place_on(inner, Tier::Device, bytes);
         inner.clock += 1;
         let last_touch = inner.clock;
         inner.entries.insert(
@@ -90,7 +81,6 @@ impl<T> DataCache<T> {
                 bytes,
                 tier,
                 alloc,
-                hits: 0,
                 last_touch,
             },
         );
@@ -104,13 +94,13 @@ impl<T> DataCache<T> {
     fn place_on(
         &self,
         inner: &mut CacheInner<T>,
-        tier: CacheTier,
+        tier: Tier,
         bytes: u64,
-    ) -> (Option<Allocation>, CacheTier) {
+    ) -> (Option<Allocation>, Tier) {
         let (region, below) = match tier {
-            CacheTier::Device => (&self.device_region, CacheTier::PinnedHost),
-            CacheTier::PinnedHost => (&self.pinned_region, CacheTier::Disk),
-            CacheTier::Disk => return (None, CacheTier::Disk),
+            Tier::Device => (&self.device_region, Tier::Pinned),
+            Tier::Pinned => (&self.pinned_region, Tier::Disk),
+            Tier::Disk => return (None, Tier::Disk),
         };
         if bytes <= region.capacity() {
             loop {
@@ -128,7 +118,7 @@ impl<T> DataCache<T> {
     /// Move the least-recently-used entry on `tier` to wherever
     /// [`Self::place_on`] finds it room from `below` down, freeing its
     /// reservation. Returns false when the tier holds nothing to demote.
-    fn demote_lru(&self, inner: &mut CacheInner<T>, tier: CacheTier, below: CacheTier) -> bool {
+    fn demote_lru(&self, inner: &mut CacheInner<T>, tier: Tier, below: Tier) -> bool {
         let victim = inner
             .entries
             .iter()
@@ -153,13 +143,12 @@ impl<T> DataCache<T> {
 
     /// Look up `key`; a hit returns the value and its tier, and refreshes
     /// the entry's recency so it resists demotion.
-    pub fn get(&self, key: &str) -> Option<(Arc<T>, CacheTier)> {
+    pub fn get(&self, key: &str) -> Option<(Arc<T>, Tier)> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(e) = inner.entries.get_mut(key) {
-            e.hits += 1;
             e.last_touch = clock;
             inner.hits += 1;
             Some((Arc::clone(&e.value), e.tier))
@@ -175,7 +164,7 @@ impl<T> DataCache<T> {
     }
 
     /// The tier `key` currently resides on (no hit or touch recorded).
-    pub fn tier_of(&self, key: &str) -> Option<CacheTier> {
+    pub fn tier_of(&self, key: &str) -> Option<Tier> {
         self.inner.lock().entries.get(key).map(|e| e.tier)
     }
 
@@ -190,9 +179,9 @@ impl<T> DataCache<T> {
         let mut t = (0, 0, 0);
         for e in g.entries.values() {
             match e.tier {
-                CacheTier::Device => t.0 += e.bytes,
-                CacheTier::PinnedHost => t.1 += e.bytes,
-                CacheTier::Disk => t.2 += e.bytes,
+                Tier::Device => t.0 += e.bytes,
+                Tier::Pinned => t.1 += e.bytes,
+                Tier::Disk => t.2 += e.bytes,
             }
         }
         t
@@ -225,16 +214,19 @@ mod tests {
     use super::*;
 
     fn cache(device: u64, pinned: u64) -> DataCache<String> {
-        DataCache::new(PoolAllocator::new("dev", device), pinned)
+        DataCache::new(
+            PoolAllocator::new("dev", device),
+            PoolAllocator::new("pinned", pinned),
+        )
     }
 
     #[test]
     fn hot_path_is_device_tier() {
         let c = cache(1 << 20, 1 << 20);
-        assert_eq!(c.insert("t1", "data".into(), 4096), CacheTier::Device);
+        assert_eq!(c.insert("t1", "data".into(), 4096), Tier::Device);
         let (v, tier) = c.get("t1").unwrap();
         assert_eq!(*v, "data");
-        assert_eq!(tier, CacheTier::Device);
+        assert_eq!(tier, Tier::Device);
         assert_eq!(c.hit_stats(), (1, 0));
     }
 
@@ -242,12 +234,12 @@ mod tests {
     fn overflow_demotes_cold_entries_down_the_tiers() {
         let c = cache(1024, 1024);
         // Every insert lands on-device; older entries ripple downward.
-        assert_eq!(c.insert("a", "x".into(), 1024), CacheTier::Device);
-        assert_eq!(c.insert("b", "y".into(), 1024), CacheTier::Device);
-        assert_eq!(c.insert("c", "z".into(), 1024), CacheTier::Device);
-        assert_eq!(c.tier_of("c"), Some(CacheTier::Device));
-        assert_eq!(c.tier_of("b"), Some(CacheTier::PinnedHost));
-        assert_eq!(c.tier_of("a"), Some(CacheTier::Disk));
+        assert_eq!(c.insert("a", "x".into(), 1024), Tier::Device);
+        assert_eq!(c.insert("b", "y".into(), 1024), Tier::Device);
+        assert_eq!(c.insert("c", "z".into(), 1024), Tier::Device);
+        assert_eq!(c.tier_of("c"), Some(Tier::Device));
+        assert_eq!(c.tier_of("b"), Some(Tier::Pinned));
+        assert_eq!(c.tier_of("a"), Some(Tier::Disk));
         assert_eq!(c.tier_usage(), (1024, 1024, 1024));
         assert_eq!(c.demotions(), 3); // a→pinned, a→disk, b→pinned
     }
@@ -255,14 +247,14 @@ mod tests {
     #[test]
     fn demotion_picks_the_least_recently_used_entry() {
         let c = cache(2048, 4096);
-        assert_eq!(c.insert("a", "x".into(), 1024), CacheTier::Device);
-        assert_eq!(c.insert("b", "y".into(), 1024), CacheTier::Device);
+        assert_eq!(c.insert("a", "x".into(), 1024), Tier::Device);
+        assert_eq!(c.insert("b", "y".into(), 1024), Tier::Device);
         // Touch `a`, making `b` the LRU device entry.
         assert!(c.get("a").is_some());
-        assert_eq!(c.insert("c", "z".into(), 1024), CacheTier::Device);
-        assert_eq!(c.tier_of("a"), Some(CacheTier::Device));
-        assert_eq!(c.tier_of("b"), Some(CacheTier::PinnedHost));
-        assert_eq!(c.tier_of("c"), Some(CacheTier::Device));
+        assert_eq!(c.insert("c", "z".into(), 1024), Tier::Device);
+        assert_eq!(c.tier_of("a"), Some(Tier::Device));
+        assert_eq!(c.tier_of("b"), Some(Tier::Pinned));
+        assert_eq!(c.tier_of("c"), Some(Tier::Device));
         assert_eq!(c.demotions(), 1);
     }
 
@@ -271,26 +263,26 @@ mod tests {
         let c = cache(1024, 2048);
         // Larger than the device tier entirely: no demotion frenzy, straight
         // to the first tier whose capacity can hold it.
-        assert_eq!(c.insert("big", "B".into(), 2048), CacheTier::PinnedHost);
-        assert_eq!(c.insert("huge", "H".into(), 1 << 20), CacheTier::Disk);
+        assert_eq!(c.insert("big", "B".into(), 2048), Tier::Pinned);
+        assert_eq!(c.insert("huge", "H".into(), 1 << 20), Tier::Disk);
         assert_eq!(c.demotions(), 0);
     }
 
     #[test]
     fn evict_frees_region_for_reuse() {
         let c = cache(1024, 0);
-        assert_eq!(c.insert("a", "x".into(), 1024), CacheTier::Device);
+        assert_eq!(c.insert("a", "x".into(), 1024), Tier::Device);
         assert!(c.evict("a"));
         assert!(!c.evict("a"));
-        assert_eq!(c.insert("b", "y".into(), 1024), CacheTier::Device);
+        assert_eq!(c.insert("b", "y".into(), 1024), Tier::Device);
     }
 
     #[test]
     fn reinsert_replaces_rather_than_leaks() {
         let c = cache(1024, 0);
-        assert_eq!(c.insert("a", "x".into(), 1024), CacheTier::Device);
+        assert_eq!(c.insert("a", "x".into(), 1024), Tier::Device);
         // Same key again: the old reservation must be released first.
-        assert_eq!(c.insert("a", "x2".into(), 1024), CacheTier::Device);
+        assert_eq!(c.insert("a", "x2".into(), 1024), Tier::Device);
         assert_eq!(c.len(), 1);
     }
 

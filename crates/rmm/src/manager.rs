@@ -9,37 +9,11 @@
 //! one remaining hard out-of-memory condition, and the executor's last
 //! resort (whole-plan host fallback) only triggers there.
 
+use crate::pool::{Allocation, PoolAllocator};
+use crate::Tier;
 use parking_lot::Mutex;
-use sirius_rmm::{Allocation, PoolAllocator};
-
-/// Which spill tier a ticket landed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpillTier {
-    /// Pinned host memory — read back at interconnect bandwidth.
-    Pinned,
-    /// Disk — read back at storage bandwidth (modeled as a quarter of the
-    /// interconnect, matching the buffer manager's disk-tier convention).
-    Disk,
-}
-
-/// Spill-tier capacities. Defaults mirror the paper's GH200 evaluation
-/// host: abundant pinned host memory and a large-but-finite NVMe volume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpillConfig {
-    /// Pinned host memory reserved for spilled partitions.
-    pub pinned_bytes: u64,
-    /// Disk space reserved for spilled partitions.
-    pub disk_bytes: u64,
-}
-
-impl Default for SpillConfig {
-    fn default() -> Self {
-        Self {
-            pinned_bytes: 64 << 30,
-            disk_bytes: 1 << 40,
-        }
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Monotonic spill counters. One query's share is its run's report: the
 /// engine's run meter adds it up step by step, because query views share
@@ -57,8 +31,6 @@ pub struct SpillStats {
     /// Deepest recursive-repartitioning level reached (1 = one round of
     /// partitioning sufficed). Reported as a lifetime maximum.
     pub max_depth: u32,
-    /// Spill writes that failed because every tier was full.
-    pub failed_writes: u64,
 }
 
 impl SpillStats {
@@ -71,7 +43,6 @@ impl SpillStats {
             bytes_read_back: self.bytes_read_back.saturating_sub(before.bytes_read_back),
             partitions: self.partitions.saturating_sub(before.partitions),
             max_depth: self.max_depth,
-            failed_writes: self.failed_writes.saturating_sub(before.failed_writes),
         }
     }
 
@@ -81,67 +52,49 @@ impl SpillStats {
     }
 }
 
-struct Tiers {
+/// The spill store: parks partitions on the pinned tier, then on disk, and
+/// keeps the spill counters. Thread-safe; one per engine.
+pub struct SpillManager {
     pinned: PoolAllocator,
     disk: PoolAllocator,
-}
-
-/// Manages the spill tiers and their counters. Thread-safe; one per engine.
-pub struct SpillManager {
-    tiers: Mutex<Tiers>,
+    /// Bytes held by live tickets `[pinned, disk]`. The pinned pool also
+    /// holds the cache's overflow, so its own count is not the spill's.
+    parked: Arc<[AtomicU64; 2]>,
     stats: Mutex<SpillStats>,
 }
 
 impl SpillManager {
-    /// Manager with `config` tier capacities.
-    pub fn new(config: SpillConfig) -> Self {
+    /// A store over the `pinned` and `disk` tier pools.
+    pub fn new(pinned: PoolAllocator, disk: PoolAllocator) -> Self {
         Self {
-            tiers: Mutex::new(Tiers {
-                pinned: PoolAllocator::new("spill pinned", config.pinned_bytes),
-                disk: PoolAllocator::new("spill disk", config.disk_bytes),
-            }),
+            pinned,
+            disk,
+            parked: Arc::new([AtomicU64::new(0), AtomicU64::new(0)]),
             stats: Mutex::new(SpillStats::default()),
         }
     }
 
-    /// Replace the tier capacities (engine builder; outstanding tickets
-    /// keep their reservations in the pools they came from).
-    pub fn set_config(&self, config: SpillConfig) {
-        let mut g = self.tiers.lock();
-        g.pinned = PoolAllocator::new("spill pinned", config.pinned_bytes);
-        g.disk = PoolAllocator::new("spill disk", config.disk_bytes);
-    }
-
     /// Park `bytes` of partition data on the highest tier with room.
-    /// `Err(())` means every tier is full — the hard out-of-memory case.
-    #[allow(clippy::result_unit_err)]
-    pub fn write(&self, bytes: u64) -> Result<SpillTicket, ()> {
-        let (alloc, tier) = {
-            let g = self.tiers.lock();
-            match g.pinned.alloc(bytes) {
-                Ok(a) => (a, SpillTier::Pinned),
-                Err(_) => match g.disk.alloc(bytes) {
-                    Ok(a) => (a, SpillTier::Disk),
-                    Err(_) => {
-                        drop(g);
-                        self.stats.lock().failed_writes += 1;
-                        return Err(());
-                    }
-                },
-            }
+    /// `None` means every tier is full — the hard out-of-memory case.
+    pub fn write(&self, bytes: u64) -> Option<SpillTicket> {
+        let (alloc, tier) = match self.pinned.alloc(bytes) {
+            Ok(a) => (a, Tier::Pinned),
+            Err(_) => (self.disk.alloc(bytes).ok()?, Tier::Disk),
         };
         {
             let mut s = self.stats.lock();
             s.partitions += 1;
             match tier {
-                SpillTier::Pinned => s.bytes_to_pinned += bytes,
-                SpillTier::Disk => s.bytes_to_disk += bytes,
+                Tier::Pinned => s.bytes_to_pinned += bytes,
+                _ => s.bytes_to_disk += bytes,
             }
         }
-        Ok(SpillTicket {
-            _alloc: alloc,
+        self.parked[slot(tier)].fetch_add(alloc.size(), Ordering::Relaxed);
+        Some(SpillTicket {
+            alloc,
             tier,
             bytes,
+            parked: Arc::clone(&self.parked),
         })
     }
 
@@ -162,31 +115,33 @@ impl SpillManager {
         *self.stats.lock()
     }
 
-    /// Bytes currently parked per tier `(pinned, disk)`.
+    /// Bytes live tickets hold per tier `(pinned, disk)`; cached tables
+    /// sharing the pinned pool are not counted.
     pub fn tier_usage(&self) -> (u64, u64) {
-        let g = self.tiers.lock();
-        (g.pinned.used(), g.disk.used())
+        let [pinned, disk] = &*self.parked;
+        (pinned.load(Ordering::Relaxed), disk.load(Ordering::Relaxed))
     }
 }
 
-impl Default for SpillManager {
-    fn default() -> Self {
-        Self::new(SpillConfig::default())
-    }
+/// A spill tier's index into [`SpillManager`]'s live-ticket counts.
+fn slot(tier: Tier) -> usize {
+    usize::from(tier == Tier::Disk)
 }
 
 /// RAII reservation for one spilled partition; releases its tier space on
 /// drop (after the partition has been read back and processed).
 #[derive(Debug)]
 pub struct SpillTicket {
-    _alloc: Allocation,
-    tier: SpillTier,
+    alloc: Allocation,
+    tier: Tier,
     bytes: u64,
+    parked: Arc<[AtomicU64; 2]>,
 }
 
 impl SpillTicket {
-    /// The tier this partition was parked on.
-    pub fn tier(&self) -> SpillTier {
+    /// The tier this partition was parked on ([`Tier::Pinned`] or
+    /// [`Tier::Disk`]).
+    pub fn tier(&self) -> Tier {
         self.tier
     }
 
@@ -196,46 +151,52 @@ impl SpillTicket {
     }
 }
 
+impl Drop for SpillTicket {
+    fn drop(&mut self) {
+        self.parked[slot(self.tier)].fetch_sub(self.alloc.size(), Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn store(pinned: u64, disk: u64) -> SpillManager {
+        SpillManager::new(
+            PoolAllocator::new("pinned", pinned),
+            PoolAllocator::new("disk", disk),
+        )
+    }
+
     #[test]
     fn writes_cascade_pinned_then_disk() {
-        let m = SpillManager::new(SpillConfig {
-            pinned_bytes: 1024,
-            disk_bytes: 1024,
-        });
+        let m = store(1024, 1024);
         let a = m.write(1024).unwrap();
-        assert_eq!(a.tier(), SpillTier::Pinned);
+        assert_eq!(a.tier(), Tier::Pinned);
         let b = m.write(1024).unwrap();
-        assert_eq!(b.tier(), SpillTier::Disk);
-        assert!(m.write(1024).is_err());
+        assert_eq!(b.tier(), Tier::Disk);
+        assert!(m.write(1024).is_none());
         let s = m.stats();
         assert_eq!(s.bytes_to_pinned, 1024);
         assert_eq!(s.bytes_to_disk, 1024);
         assert_eq!(s.partitions, 2);
-        assert_eq!(s.failed_writes, 1);
         assert_eq!(m.tier_usage(), (1024, 1024));
     }
 
     #[test]
     fn ticket_drop_releases_tier_space() {
-        let m = SpillManager::new(SpillConfig {
-            pinned_bytes: 1024,
-            disk_bytes: 0,
-        });
+        let m = store(1024, 0);
         let t = m.write(1024).unwrap();
         assert_eq!(t.bytes(), 1024);
         drop(t);
         assert_eq!(m.tier_usage(), (0, 0));
         // Space is reusable after the ticket drops.
-        assert!(m.write(1024).is_ok());
+        assert!(m.write(1024).is_some());
     }
 
     #[test]
     fn stats_delta_and_depth() {
-        let m = SpillManager::default();
+        let m = store(1 << 20, 0);
         let before = m.stats();
         let _t = m.write(4096).unwrap();
         m.note_read(4096);
@@ -248,19 +209,5 @@ mod tests {
         assert_eq!(d.bytes_read_back, 4096);
         assert_eq!(d.partitions, 1);
         assert_eq!(d.max_depth, 2);
-    }
-
-    #[test]
-    fn set_config_resizes_tiers() {
-        let m = SpillManager::new(SpillConfig {
-            pinned_bytes: 0,
-            disk_bytes: 0,
-        });
-        assert!(m.write(1).is_err());
-        m.set_config(SpillConfig {
-            pinned_bytes: 1024,
-            disk_bytes: 0,
-        });
-        assert!(m.write(1).is_ok());
     }
 }

@@ -20,11 +20,6 @@ pub(crate) const PLAN_CACHE_EVICTIONS: &str = "sirius_serve_plan_cache_evictions
 pub(crate) const PLAN_REPLANS: &str = "sirius_serve_plan_replans_total";
 pub(crate) const PLANNING_PHASES: &str = "sirius_serve_planning_phases_total";
 pub(crate) const CACHED_PLANS: &str = "sirius_serve_cached_plans";
-pub(crate) const COMPLETED: &str = "sirius_serve_completed_total";
-pub(crate) const FAILED: &str = "sirius_serve_failed_total";
-pub(crate) const CANCELLED: &str = "sirius_serve_cancelled_total";
-pub(crate) const SHED: &str = "sirius_serve_shed_total";
-pub(crate) const REJECTED: &str = "sirius_serve_rejected_total";
 
 /// `(name, kind, help)` for every metric above.
 pub(crate) const CATALOG: &[(&str, &str, &str)] = &[
@@ -50,23 +45,6 @@ pub(crate) const CATALOG: &[(&str, &str, &str)] = &[
         DISPOSITION,
         "counter",
         "Terminal request dispositions, labeled by kind",
-    ),
-    (COMPLETED, "counter", "Queries completed"),
-    (
-        FAILED,
-        "counter",
-        "Queries that ended in a non-retryable error",
-    ),
-    (CANCELLED, "counter", "Queries cancelled by their deadline"),
-    (
-        SHED,
-        "counter",
-        "Waiting queries shed under broker pressure",
-    ),
-    (
-        REJECTED,
-        "counter",
-        "Arrivals rejected by queue backpressure",
     ),
     (
         BROKER_PRESSURE,

@@ -68,7 +68,7 @@ use sirius_columnar::Table;
 use sirius_core::{QueryReport, QueryRun, RetryPolicy, SiriusEngine, SiriusError};
 use sirius_hw::{attribute_overlap, TimeBreakdown, TraceConfig};
 use sirius_plan::Rel;
-use sirius_spill::GrantBroker;
+use sirius_rmm::GrantBroker;
 use sirius_trace::metrics::MetricsRegistry;
 use sirius_trace::TraceEvent;
 use std::collections::VecDeque;
@@ -569,14 +569,6 @@ impl<'a> Replay<'a> {
         disposition: QueryDisposition,
         error: Option<SiriusError>,
     ) {
-        let total = match disposition {
-            QueryDisposition::Completed => metrics::COMPLETED,
-            QueryDisposition::Failed => metrics::FAILED,
-            QueryDisposition::Cancelled => metrics::CANCELLED,
-            QueryDisposition::Shed => metrics::SHED,
-            QueryDisposition::Rejected => metrics::REJECTED,
-        };
-        self.srv.counter_inc(total, &[]);
         let kind = disposition.as_str();
         self.srv
             .counter_inc(metrics::DISPOSITION, &[("disposition", kind)]);
@@ -1062,11 +1054,6 @@ mod tests {
         assert!(outcome.max_queue_depth <= 2);
         assert_eq!(outcome.deadlocks, 0);
         assert_eq!(outcome.dispositions().total(), 8, "every request accounted");
-        assert_eq!(metrics.counter_value("sirius_serve_rejected_total", &[]), 6);
-        assert_eq!(
-            metrics.counter_value("sirius_serve_completed_total", &[]),
-            2
-        );
         assert_eq!(metrics.counter_value("sirius_serve_admitted_total", &[]), 2);
         assert_eq!(
             metrics.counter_value(
@@ -1288,7 +1275,7 @@ mod tests {
         assert_eq!((counts.completed, counts.cancelled), (1, 1));
         assert_eq!(counts.total(), 2);
         assert_eq!(
-            metrics.counter_value("sirius_serve_cancelled_total", &[]),
+            metrics.counter_value(metrics::DISPOSITION, &[("disposition", "cancelled")]),
             1
         );
         assert_eq!(
@@ -1393,7 +1380,10 @@ mod tests {
         assert_eq!(q.retries, 2, "both retries consumed");
         assert!(matches!(q.result, Err(SiriusError::TransientDevice(_))));
         assert_eq!(metrics.counter_value("sirius_serve_retries_total", &[]), 2);
-        assert_eq!(metrics.counter_value("sirius_serve_failed_total", &[]), 1);
+        assert_eq!(
+            metrics.counter_value(metrics::DISPOSITION, &[("disposition", "failed")]),
+            1
+        );
         assert_eq!(outcome.dispositions().failed, 1);
         assert_eq!(
             server
@@ -1492,7 +1482,7 @@ mod tests {
         assert_eq!(vip.disposition, QueryDisposition::Completed);
         assert_eq!(outcome.dispositions().total(), 5, "exact accounting");
         assert_eq!(
-            metrics.counter_value("sirius_serve_shed_total", &[]),
+            metrics.counter_value(metrics::DISPOSITION, &[("disposition", "shed")]),
             outcome.shed.len() as u64
         );
         assert!(metrics.gauge_value("sirius_broker_pressure", &[]).is_some());
@@ -1778,7 +1768,10 @@ mod tests {
         assert_eq!(r.inflight.len(), 1);
         assert_eq!(r.inflight[0].entry.req.id, 3);
         assert_eq!(metrics.counter_value(metrics::RETRIES, &[]), 1);
-        assert_eq!(metrics.counter_value("sirius_serve_failed_total", &[]), 2);
+        assert_eq!(
+            metrics.counter_value(metrics::DISPOSITION, &[("disposition", "failed")]),
+            2
+        );
         let broker = server.engine().buffer_manager().grant_broker();
         assert_eq!(
             broker.outstanding(),

@@ -441,11 +441,11 @@ fn resilience_metrics_are_published() {
     assert_eq!(counts.cancelled, 1, "the zero-deadline request cancels");
     assert!(counts.shed >= 1, "pressure sheds the low-priority tail");
 
-    let c = |name: &str| metrics.counter_value(name, &[]);
-    assert!(c("sirius_serve_retries_total") >= 1, "retry counted");
-    assert_eq!(c("sirius_serve_cancelled_total"), counts.cancelled as u64);
-    assert_eq!(c("sirius_serve_shed_total"), counts.shed as u64);
-    // Per-disposition completions reconcile against the outcome.
+    assert!(
+        metrics.counter_value("sirius_serve_retries_total", &[]) >= 1,
+        "retry counted"
+    );
+    // Per-disposition counters reconcile against the outcome.
     for (label, n) in [
         ("completed", counts.completed),
         ("failed", counts.failed),
