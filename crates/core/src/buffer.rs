@@ -299,8 +299,8 @@ impl BufferManager {
         self.spill.note_read(bytes);
     }
 
-    /// Record that a spilling operator partitioned its input `parts` ways
-    /// at recursive depth `depth` (1 = first round).
+    /// Record that a spilling operator partitioned its input at recursive
+    /// depth `depth` (1 = first round).
     pub fn note_repartition(&self, depth: u32) {
         self.spill.note_depth(depth);
     }
