@@ -14,22 +14,28 @@ use crate::Args;
 use sirius_core::EngineConfig;
 use sirius_hw::{catalog as hw, CostCategory, TraceConfig};
 use sirius_tpch::queries;
-use sirius_trace::metrics::MetricsRegistry;
+use sirius_trace::metrics::{Metric, MetricsRegistry};
 use sirius_trace::{chrome, EventKind, TraceEvent};
 use std::io::{self, Write};
 
-const LAUNCHES: &str = "sirius_kernel_launches_total";
-const KERNEL_BYTES: &str = "sirius_kernel_bytes_total";
-const SPILL_BYTES: &str = "sirius_spill_bytes_total";
-const POOL_HWM: &str = "sirius_pool_hwm_bytes";
-const QUERY_SIM_NS: &str = "sirius_query_sim_ns";
-const METRICS: [(&str, &str); 5] = [
-    (LAUNCHES, "Kernel events by cost category."),
-    (KERNEL_BYTES, "Bytes moved by kernel events, by category."),
-    (SPILL_BYTES, "Bytes written to or read from spill tiers."),
-    (POOL_HWM, "Processing-pool high watermark across the run."),
-    (QUERY_SIM_NS, "Simulated device time per query."),
-];
+const LAUNCHES: Metric = Metric::counter(
+    "sirius_kernel_launches_total",
+    "Kernel events by cost category.",
+);
+const KERNEL_BYTES: Metric = Metric::counter(
+    "sirius_kernel_bytes_total",
+    "Bytes moved by kernel events, by category.",
+);
+const SPILL_BYTES: Metric = Metric::counter(
+    "sirius_spill_bytes_total",
+    "Bytes written to or read from spill tiers.",
+);
+const POOL_HWM: Metric = Metric::gauge(
+    "sirius_pool_hwm_bytes",
+    "Processing-pool high watermark across the run.",
+);
+const QUERY_SIM_NS: Metric =
+    Metric::gauge("sirius_query_sim_ns", "Simulated device time per query.");
 
 /// Run `--query N` (default: all 22) through the traced engine. Replaying
 /// each query's trace through a fresh ledger must reproduce the device
@@ -45,9 +51,6 @@ pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
     let labels = CostCategory::ALL.iter().map(|c| c.label());
     let known_cats: Vec<&str> = labels.chain(["marker", "op", "lifecycle"]).collect();
     let metrics = MetricsRegistry::new();
-    for (name, help) in METRICS {
-        metrics.describe(name, help);
-    }
     let selected = match args.query {
         Some(q) => tpch(&[q]),
         None => queries::all(),
@@ -77,13 +80,17 @@ pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
             "Q{id}: trace replay disagrees with the device ledger"
         );
 
+        // Spill is published at 0 when nothing spilled, so a scraper can
+        // tell "no spill" from "not exported".
+        let mut spilled = 0;
         for ev in events.iter().filter(|ev| ev.kind == EventKind::Kernel) {
             metrics.counter_inc(LAUNCHES, &[("cat", ev.cat)]);
             metrics.counter_add(KERNEL_BYTES, &[("cat", ev.cat)], ev.bytes);
             if ev.label.starts_with("spill.") {
-                metrics.counter_add(SPILL_BYTES, &[], ev.bytes);
+                spilled += ev.bytes;
             }
         }
+        metrics.counter_add(SPILL_BYTES, &[], spilled);
         metrics.gauge_max(POOL_HWM, &[], run.pool_high_watermark as f64);
         let sim = run.elapsed;
         let q = format!("q{id}");
@@ -133,4 +140,47 @@ pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
         trace_path.display(),
         metrics_path.display()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse_args;
+
+    /// Every metric `profile` declares, in the README table's order.
+    const METRICS: [Metric; 5] = [LAUNCHES, KERNEL_BYTES, SPILL_BYTES, POOL_HWM, QUERY_SIM_NS];
+
+    /// One query on a tiny lab: `metrics.prom` holds exactly the declared
+    /// families with their declared kinds — spill included, at 0, although
+    /// nothing spills at full memory — and README's table lists each one.
+    #[test]
+    fn every_declared_metric_is_emitted_documented_and_nothing_else() {
+        let out = std::env::temp_dir().join(format!("sirius-profile-{}", std::process::id()));
+        let argv = ["profile", "--query", "6", "--out"].map(String::from);
+        let argv = argv.into_iter().chain([out.display().to_string()]);
+        let args = parse_args(argv, None).unwrap().1;
+        profile(&Lab::new(0.001), &args, &mut Vec::new()).unwrap();
+        let rendered = std::fs::read_to_string(out.join("metrics.prom")).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
+
+        let mut emitted: Vec<(&str, &str)> = rendered
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
+            .collect();
+        let mut declared: Vec<(&str, &str)> =
+            METRICS.iter().map(|m| (m.name, m.kind.as_str())).collect();
+        emitted.sort();
+        declared.sort();
+        assert_eq!(emitted, declared, "emitted families != declared metrics");
+        assert!(rendered.contains("\nsirius_spill_bytes_total 0\n"));
+
+        let readme = include_str!("../../../README.md");
+        for m in METRICS {
+            let row = format!("| `{}` | {} | {} |", m.name, m.kind.as_str(), m.help);
+            assert!(
+                readme.contains(&row),
+                "README.md Metrics table lacks: {row}"
+            );
+        }
+    }
 }

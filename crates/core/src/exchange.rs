@@ -28,9 +28,9 @@ fn classify(e: NcclError) -> SiriusError {
             SiriusError::ExchangeTimeout(e.to_string())
         }
         NcclError::Cancelled => SiriusError::Cancelled(e.to_string()),
-        NcclError::Disconnected { .. }
-        | NcclError::InvalidRank(_)
-        | NcclError::MissingTable { .. } => SiriusError::Exchange(e.to_string()),
+        NcclError::Disconnected { .. } | NcclError::InvalidRank(_) => {
+            SiriusError::Exchange(e.to_string())
+        }
     }
 }
 
@@ -240,23 +240,35 @@ mod tests {
         assert_eq!(total, 4, "shuffle conserves rows");
     }
 
-    #[test]
-    fn broadcast_replicates_everything_everywhere() {
-        let comms = NcclCluster::new(3, catalog::infiniband_4xndr());
+    /// Rows each of `world` nodes holds after exchanging its one-row
+    /// table (its rank) under `kind`, in rank order.
+    fn rows_after(world: usize, kind: ExchangeKind) -> Vec<usize> {
+        let comms = NcclCluster::new(world, catalog::infiniband_4xndr());
         let handles: Vec<_> = comms
             .into_iter()
             .map(|c| {
+                let kind = kind.clone();
                 std::thread::spawn(move || {
                     let device = Device::new(catalog::a100_40gb());
                     let local = t(vec![c.rank() as i64]);
                     let mut svc = ExchangeService::new(c, device);
-                    let out = svc.exchange(&ExchangeKind::Broadcast, local, &[]).unwrap();
-                    out.num_rows()
+                    svc.exchange(&kind, local, &[]).unwrap().num_rows()
                 })
             })
             .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 3, "every node holds the full table");
-        }
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    }
+
+    #[test]
+    fn broadcast_replicates_everything_everywhere() {
+        assert_eq!(rows_after(3, ExchangeKind::Broadcast), [3, 3, 3]);
+    }
+
+    #[test]
+    fn multicast_reaches_its_targets_only() {
+        let kind = ExchangeKind::MultiCast {
+            targets: vec![1, 3],
+        };
+        assert_eq!(rows_after(4, kind), [0, 4, 0, 4]);
     }
 }

@@ -44,7 +44,7 @@ use sirius_hw::{
 use sirius_nccl::{CancelToken, NcclCluster};
 use sirius_plan::{ExchangeKind, Rel};
 use sirius_sql::{plan_sql, BinderCatalog, JoinOrderPolicy};
-use sirius_trace::metrics::MetricsRegistry;
+use sirius_trace::metrics::{Metric, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -579,7 +579,7 @@ impl DorisCluster {
             fault,
             epoch: AtomicU64::new(0),
             trace: TraceSink::off(),
-            metrics: coordinator_metrics(),
+            metrics: MetricsRegistry::new(),
             lifecycle_ns: AtomicU64::new(0),
         }
     }
@@ -966,68 +966,41 @@ impl DorisCluster {
     }
 }
 
-const QUERIES: &str = "doris_queries_total";
-const RETRIES: &str = "doris_retries_total";
-const RESCHEDULES: &str = "doris_reschedules_total";
-const WORLD_SHRINKS: &str = "doris_world_shrinks_total";
-const FAULTS_INJECTED: &str = "doris_faults_injected_total";
-const CPU_FALLBACKS: &str = "doris_cpu_fallbacks_total";
-const TEMPS_REAPED: &str = "doris_temps_reaped_total";
-const WORLD_SIZE: &str = "doris_world_size";
-const LINK_BYTES: &str = "doris_link_bytes";
-const LINK_MESSAGES: &str = "doris_link_messages";
-
-/// Every metric the coordinator emits, declared once as `(name, kind,
-/// help)`; the README's Metrics table lists the same rows.
-const METRICS: &[(&str, &str, &str)] = &[
-    (QUERIES, "counter", "Queries completed by the coordinator."),
-    (
-        RETRIES,
-        "counter",
-        "Full-query retries after transient errors.",
-    ),
-    (
-        RESCHEDULES,
-        "counter",
-        "Fragment re-schedulings after node deaths.",
-    ),
-    (WORLD_SHRINKS, "counter", "Cluster world-size shrinks."),
-    (
-        FAULTS_INJECTED,
-        "counter",
-        "Faults the injector fired during queries.",
-    ),
-    (
-        CPU_FALLBACKS,
-        "counter",
-        "Queries degraded to the single-node CPU engine.",
-    ),
-    (
-        TEMPS_REAPED,
-        "counter",
-        "Exchange temps dropped from failed attempts.",
-    ),
-    (WORLD_SIZE, "gauge", "Current cluster world size."),
-    (
-        LINK_BYTES,
-        "gauge",
-        "Cumulative interconnect bytes per link.",
-    ),
-    (
-        LINK_MESSAGES,
-        "gauge",
-        "Cumulative interconnect messages per link.",
-    ),
-];
-
-/// Coordinator metrics registry with help text pre-registered.
-fn coordinator_metrics() -> MetricsRegistry {
-    let m = MetricsRegistry::new();
-    for (name, _kind, help) in METRICS {
-        m.describe(name, help);
-    }
-    m
-}
+const QUERIES: Metric = Metric::counter(
+    "doris_queries_total",
+    "Queries completed by the coordinator.",
+);
+const RETRIES: Metric = Metric::counter(
+    "doris_retries_total",
+    "Full-query retries after transient errors.",
+);
+const RESCHEDULES: Metric = Metric::counter(
+    "doris_reschedules_total",
+    "Fragment re-schedulings after node deaths.",
+);
+const WORLD_SHRINKS: Metric =
+    Metric::counter("doris_world_shrinks_total", "Cluster world-size shrinks.");
+const FAULTS_INJECTED: Metric = Metric::counter(
+    "doris_faults_injected_total",
+    "Faults the injector fired during queries.",
+);
+const CPU_FALLBACKS: Metric = Metric::counter(
+    "doris_cpu_fallbacks_total",
+    "Queries degraded to the single-node CPU engine.",
+);
+const TEMPS_REAPED: Metric = Metric::counter(
+    "doris_temps_reaped_total",
+    "Exchange temps dropped from failed attempts.",
+);
+const WORLD_SIZE: Metric = Metric::gauge("doris_world_size", "Current cluster world size.");
+const LINK_BYTES: Metric = Metric::gauge(
+    "doris_link_bytes",
+    "Cumulative interconnect bytes per link.",
+);
+const LINK_MESSAGES: Metric = Metric::gauge(
+    "doris_link_messages",
+    "Cumulative interconnect messages per link.",
+);
 
 /// Build the per-node state for the given stable-id assignment: a fresh
 /// NCCL cluster, engines per `kind`, and fault/down-set/cancel wiring.
@@ -1440,6 +1413,20 @@ mod tests {
         }
     }
 
+    /// Every metric the coordinator declares, in the README table's order.
+    const METRICS: [Metric; 10] = [
+        QUERIES,
+        RETRIES,
+        RESCHEDULES,
+        WORLD_SHRINKS,
+        FAULTS_INJECTED,
+        CPU_FALLBACKS,
+        TEMPS_REAPED,
+        WORLD_SIZE,
+        LINK_BYTES,
+        LINK_MESSAGES,
+    ];
+
     #[test]
     fn every_declared_metric_is_emitted_and_every_emitted_one_declared() {
         // A retried, exchanging query: every counter moves or is published
@@ -1450,22 +1437,15 @@ mod tests {
         c.sql("select count(*) as n from t a, t b where a.g = b.g")
             .unwrap();
         let rendered = c.metrics().render();
-        let emitted: Vec<(&str, &str)> = rendered
+        let mut emitted: Vec<(&str, &str)> = rendered
             .lines()
             .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
             .collect();
-        for (name, kind, _help) in METRICS {
-            assert!(
-                emitted.contains(&(name, kind)),
-                "{name} ({kind}) never emitted"
-            );
-        }
-        for (name, kind) in &emitted {
-            assert!(
-                METRICS.iter().any(|(n, k, _)| n == name && k == kind),
-                "{name} ({kind}) is emitted but not declared"
-            );
-        }
+        let mut declared: Vec<(&str, &str)> =
+            METRICS.iter().map(|m| (m.name, m.kind.as_str())).collect();
+        emitted.sort();
+        declared.sort();
+        assert_eq!(emitted, declared, "emitted families != declared metrics");
     }
 
     #[test]
@@ -1525,8 +1505,8 @@ mod tests {
     #[test]
     fn readme_metrics_table_lists_the_catalog() {
         let readme = include_str!("../../../README.md");
-        for (name, kind, help) in METRICS {
-            let row = format!("| `{name}` | {kind} | {help} |");
+        for m in METRICS {
+            let row = format!("| `{}` | {} | {} |", m.name, m.kind.as_str(), m.help);
             assert!(
                 readme.contains(&row),
                 "README.md Metrics table lacks: {row}"

@@ -1,11 +1,11 @@
 //! Interconnect links: PCIe, NVLink-C2C, InfiniBand, Ethernet.
 //!
-//! A [`Link`] pairs a static [`LinkSpec`] with a transfer-byte counter so the
-//! harness can report both simulated wire time and traffic volume.
+//! A [`Link`] is a shared handle to a static [`LinkSpec`] that prices each
+//! transfer in simulated wire time. Per-link traffic volume is counted where
+//! it is read: `sirius_nccl::LinkTraffic`.
 
 use crate::cost::CostModel;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,12 +36,10 @@ impl LinkSpec {
     }
 }
 
-/// A live link with traffic accounting. Cloning shares the counters.
+/// A live link; cloning shares the spec.
 #[derive(Clone)]
 pub struct Link {
     spec: Arc<LinkSpec>,
-    bytes_moved: Arc<AtomicU64>,
-    transfers: Arc<AtomicU64>,
 }
 
 impl Link {
@@ -49,8 +47,6 @@ impl Link {
     pub fn new(spec: LinkSpec) -> Self {
         Self {
             spec: Arc::new(spec),
-            bytes_moved: Arc::new(AtomicU64::new(0)),
-            transfers: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -59,21 +55,9 @@ impl Link {
         &self.spec
     }
 
-    /// Record a transfer of `bytes` and return its simulated wire time.
+    /// The simulated wire time of a transfer of `bytes`.
     pub fn transfer(&self, bytes: u64) -> Duration {
-        self.bytes_moved.fetch_add(bytes, Ordering::Relaxed);
-        self.transfers.fetch_add(1, Ordering::Relaxed);
         self.spec.transfer_time(bytes)
-    }
-
-    /// Total bytes moved over this link.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved.load(Ordering::Relaxed)
-    }
-
-    /// Number of transfers recorded.
-    pub fn transfers(&self) -> u64 {
-        self.transfers.load(Ordering::Relaxed)
     }
 }
 
@@ -81,7 +65,6 @@ impl std::fmt::Debug for Link {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Link")
             .field("spec", &self.spec.name)
-            .field("bytes_moved", &self.bytes_moved())
             .finish()
     }
 }
@@ -97,16 +80,6 @@ mod tests {
         let t = l.transfer(50_000_000_000);
         // 50 GB over 50 GB/s ≈ 1 s.
         assert!((t.as_secs_f64() - 1.0).abs() < 0.01);
-        assert_eq!(l.bytes_moved(), 50_000_000_000);
-        assert_eq!(l.transfers(), 1);
-    }
-
-    #[test]
-    fn cloned_link_shares_counters() {
-        let l = Link::new(catalog::pcie4_x16());
-        let l2 = l.clone();
-        l2.transfer(1024);
-        assert_eq!(l.bytes_moved(), 1024);
     }
 
     #[test]

@@ -89,21 +89,6 @@ impl LinkTraffic {
         out.sort_by_key(|(k, _, _)| *k);
         out
     }
-
-    /// Total bytes across all links.
-    pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().values().map(|(b, _)| *b).sum()
-    }
-
-    /// Total messages across all links.
-    pub fn total_messages(&self) -> u64 {
-        self.inner.lock().values().map(|(_, n)| *n).sum()
-    }
-
-    /// Reset all counters to zero.
-    pub fn clear(&self) {
-        self.inner.lock().clear();
-    }
 }
 
 /// A per-rank handle into the cluster. Each rank is owned by one thread.
@@ -176,11 +161,6 @@ impl Communicator {
     /// Number of ranks in the cluster.
     pub fn world(&self) -> usize {
         self.world
-    }
-
-    /// The shared interconnect (traffic counters).
-    pub fn link(&self) -> &Link {
-        &self.link
     }
 
     /// Shared per-link traffic counters, keyed by stable node id pairs.
@@ -352,7 +332,6 @@ mod tests {
         let d = c.send(0, 1, t(7)).unwrap();
         assert_eq!(d, Duration::ZERO);
         assert_eq!(c.recv(0, 1).unwrap().column(0).i64_value(0), Some(7));
-        assert_eq!(c.link().bytes_moved(), 0);
     }
 
     #[test]
@@ -435,10 +414,6 @@ mod tests {
             traffic.snapshot(),
             vec![((4, 7), bytes, 1), ((7, 4), 2 * bytes, 2)]
         );
-        assert_eq!(traffic.total_bytes(), 3 * bytes);
-        assert_eq!(traffic.total_messages(), 3);
-        traffic.clear();
-        assert_eq!(traffic.total_bytes(), 0);
     }
 
     #[test]

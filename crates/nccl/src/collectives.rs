@@ -1,31 +1,13 @@
-//! The collective operations backing the exchange service (§3.2.4).
+//! The collective operations backing the exchange service (§3.2.4):
+//! shuffle and merge. Broadcast and multi-cast are shuffles whose
+//! partitions the exchange service fills (`sirius_core::exchange`).
 
 use crate::cluster::Communicator;
-use crate::{NcclError, Result};
+use crate::Result;
 use sirius_columnar::Table;
 use std::time::Duration;
 
 impl Communicator {
-    /// Broadcast: `root` replicates `table` to every rank. Every rank
-    /// passes `Some(table)` at the root and `None` elsewhere; every rank
-    /// returns the table plus its simulated wire time.
-    pub fn broadcast(&mut self, root: usize, table: Option<Table>) -> Result<(Table, Duration)> {
-        let seq = self.next_seq();
-        if self.rank() == root {
-            let table = table.ok_or(NcclError::MissingTable { rank: root })?;
-            let mut wire = Duration::ZERO;
-            for peer in 0..self.world() {
-                if peer != root {
-                    wire += self.send(peer, seq, table.clone())?;
-                }
-            }
-            Ok((table, wire))
-        } else {
-            let t = self.recv(root, seq)?;
-            Ok((t, Duration::ZERO))
-        }
-    }
-
     /// Shuffle (all-to-all): `partitions[j]` goes to rank `j`; returns the
     /// concatenation of what every rank sent to us, in rank order, plus the
     /// wire time spent sending (the dominant direction in the model).
@@ -67,33 +49,6 @@ impl Communicator {
             Ok((Table::empty(schema), wire))
         }
     }
-
-    /// Multi-cast: the sender pushes `table` to an explicit target set.
-    /// Ranks in `targets` (other than the sender) receive it; everyone else
-    /// gets an empty table. All ranks must agree on `sender` and `targets`.
-    pub fn multicast(
-        &mut self,
-        sender: usize,
-        targets: &[usize],
-        table: Option<Table>,
-    ) -> Result<(Option<Table>, Duration)> {
-        let seq = self.next_seq();
-        if self.rank() == sender {
-            let table = table.ok_or(NcclError::MissingTable { rank: sender })?;
-            let mut wire = Duration::ZERO;
-            for &peer in targets {
-                if peer != sender {
-                    wire += self.send(peer, seq, table.clone())?;
-                }
-            }
-            let keep = targets.contains(&sender).then_some(table);
-            Ok((keep, wire))
-        } else if targets.contains(&self.rank()) {
-            Ok((Some(self.recv(sender, seq)?), Duration::ZERO))
-        } else {
-            Ok((None, Duration::ZERO))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -127,21 +82,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_replicates() {
-        let results = run_cluster(4, |mut c| {
-            let payload = (c.rank() == 1).then(|| t(vec![10, 20]));
-            let (got, wire) = c.broadcast(1, payload).unwrap();
-            (c.rank(), got.num_rows(), wire)
-        });
-        for (rank, rows, wire) in results {
-            assert_eq!(rows, 2);
-            if rank == 1 {
-                assert!(wire.as_nanos() > 0, "root pays the wire time");
-            }
-        }
-    }
-
-    #[test]
     fn shuffle_conserves_rows_and_routes_by_rank() {
         // Rank r sends value 100*r + j to rank j.
         let results = run_cluster(3, |mut c| {
@@ -171,33 +111,17 @@ mod tests {
     }
 
     #[test]
-    fn multicast_targets_only() {
-        let results = run_cluster(4, |mut c| {
-            let payload = (c.rank() == 0).then(|| t(vec![7]));
-            let (got, _) = c.multicast(0, &[1, 3], payload).unwrap();
-            (c.rank(), got.map(|t| t.num_rows()))
-        });
-        for (rank, rows) in results {
-            match rank {
-                1 | 3 => assert_eq!(rows, Some(1)),
-                _ => assert_eq!(rows, None),
-            }
-        }
-    }
-
-    #[test]
     fn collectives_compose_in_order() {
-        // A broadcast followed by a shuffle on the same communicators must
+        // A merge followed by a shuffle on the same communicators must
         // not cross-match (sequence isolation).
         let results = run_cluster(2, |mut c| {
-            let payload = (c.rank() == 0).then(|| t(vec![1]));
-            let (b, _) = c.broadcast(0, payload).unwrap();
+            let (m, _) = c.merge(0, t(vec![c.rank() as i64])).unwrap();
             let parts = (0..2).map(|j| t(vec![j as i64 + 10])).collect();
             let (s, _) = c.shuffle(parts).unwrap();
-            (b.num_rows(), s.num_rows())
+            (c.rank(), m.num_rows(), s.num_rows())
         });
-        for (b, s) in results {
-            assert_eq!(b, 1);
+        for (rank, m, s) in results {
+            assert_eq!(m, if rank == 0 { 2 } else { 0 });
             assert_eq!(s, 2);
         }
     }

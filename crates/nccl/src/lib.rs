@@ -2,11 +2,14 @@
 //!
 //! §3.2.4: "Sirius supports common exchange patterns — broadcast, shuffle,
 //! merge, and multi-cast — all implemented using NCCL primitives." This
-//! crate is that layer without real GPUs or a real network: a cluster of
-//! per-rank communicators connected by `std::sync::mpsc` channels (one
-//! mailbox per rank, every rank holding a sender to each), moving real
-//! `Table` payloads (zero-copy `Arc` handoff in-process), while modeling
-//! wire time against a shared interconnect [`sirius_hw::Link`].
+//! crate holds the two primitives those patterns need, shuffle (all-to-all)
+//! and merge (gather); the exchange layer (`sirius_core::exchange`)
+//! composes broadcast and multi-cast from shuffle. It runs without real
+//! GPUs or a real network: a cluster of per-rank communicators connected
+//! by `std::sync::mpsc` channels (one mailbox per rank, every rank holding
+//! a sender to each), moving real `Table` payloads (zero-copy `Arc`
+//! handoff in-process), while modeling wire time against a shared
+//! interconnect [`sirius_hw::Link`].
 //!
 //! Each collective returns the simulated wall time its caller's rank spent
 //! on the wire; the exchange service charges that to the node's device
@@ -54,11 +57,6 @@ pub enum NcclError {
     },
     /// The operation was aborted by cluster-wide cancellation.
     Cancelled,
-    /// The rank a broadcast or multicast sends from passed no table.
-    MissingTable {
-        /// The sending rank.
-        rank: usize,
-    },
 }
 
 impl std::fmt::Display for NcclError {
@@ -73,9 +71,6 @@ impl std::fmt::Display for NcclError {
                 write!(f, "link fault on {src} -> {dst} (send dropped)")
             }
             NcclError::Cancelled => write!(f, "collective cancelled"),
-            NcclError::MissingTable { rank } => {
-                write!(f, "sending rank {rank} provided no table")
-            }
         }
     }
 }

@@ -1,94 +1,69 @@
-//! Every metric the serving layer emits, declared once: the name constants
-//! the emit sites use and the `(name, kind, help)` catalog
+//! Every metric the serving layer emits, each one typed constant that
+//! carries its name, kind and help text. The emit sites pass these
+//! handles to the registry
 //! [`SiriusServer::with_metrics`](crate::SiriusServer::with_metrics)
-//! registers help text from. The README's Metrics table lists the same
-//! rows; a unit test holds the three in step.
+//! attaches; the README's Metrics table lists the same rows, and unit tests
+//! hold the constants, the emitted families and the table in step.
 
-pub(crate) const QUEUE_DEPTH: &str = "sirius_serve_queue_depth";
-pub(crate) const IN_FLIGHT: &str = "sirius_serve_in_flight";
-pub(crate) const QUEUE_DEPTH_PEAK: &str = "sirius_serve_queue_depth_peak";
-pub(crate) const BACKOFF_DEPTH: &str = "sirius_serve_backoff_depth";
-pub(crate) const ADMITTED: &str = "sirius_serve_admitted_total";
-pub(crate) const RETRIES: &str = "sirius_serve_retries_total";
-pub(crate) const DISPOSITION: &str = "sirius_serve_disposition_total";
-pub(crate) const BROKER_PRESSURE: &str = "sirius_broker_pressure";
-pub(crate) const GRANTS_GRANTED: &str = "sirius_grants_granted_total";
-pub(crate) const GRANTS_DENIED: &str = "sirius_grants_denied_total";
-pub(crate) const PLAN_CACHE_HITS: &str = "sirius_serve_plan_cache_hits_total";
-pub(crate) const PLAN_CACHE_MISSES: &str = "sirius_serve_plan_cache_misses_total";
-pub(crate) const PLAN_CACHE_EVICTIONS: &str = "sirius_serve_plan_cache_evictions_total";
-pub(crate) const PLAN_REPLANS: &str = "sirius_serve_plan_replans_total";
-pub(crate) const PLANNING_PHASES: &str = "sirius_serve_planning_phases_total";
-pub(crate) const CACHED_PLANS: &str = "sirius_serve_cached_plans";
+use sirius_trace::metrics::Metric;
 
-/// `(name, kind, help)` for every metric above.
-pub(crate) const CATALOG: &[(&str, &str, &str)] = &[
-    (QUEUE_DEPTH, "gauge", "Queries waiting for admission"),
-    (IN_FLIGHT, "gauge", "Queries admitted and executing"),
-    (
-        QUEUE_DEPTH_PEAK,
-        "gauge",
-        "High watermark of the admission queue",
-    ),
-    (
-        BACKOFF_DEPTH,
-        "gauge",
-        "Queued retries still waiting out their backoff",
-    ),
-    (ADMITTED, "counter", "Queries admitted into execution"),
-    (
-        RETRIES,
-        "counter",
-        "Wave failures sent back through admission with backoff",
-    ),
-    (
-        DISPOSITION,
-        "counter",
-        "Terminal request dispositions, labeled by kind",
-    ),
-    (
-        BROKER_PRESSURE,
-        "gauge",
-        "max(denied-grant rate last wave, processing-pool occupancy)",
-    ),
-    (
-        GRANTS_GRANTED,
-        "counter",
-        "Working-set grants satisfied by the shared broker",
-    ),
-    (
-        GRANTS_DENIED,
-        "counter",
-        "Working-set grants denied by the shared broker (spill signals)",
-    ),
-    (
-        PLAN_CACHE_HITS,
-        "counter",
-        "Admissions served a compiled plan straight from the plan cache",
-    ),
-    (
-        PLAN_CACHE_MISSES,
-        "counter",
-        "Plan-cache lookups that had to plan and compile",
-    ),
-    (
-        PLAN_CACHE_EVICTIONS,
-        "counter",
-        "Compiled plans evicted by the cache's LRU policy",
-    ),
-    (
-        PLAN_REPLANS,
-        "counter",
-        "Cached plans replaced by a feedback-driven re-optimization",
-    ),
-    (
-        PLANNING_PHASES,
-        "counter",
-        "Admissions that executed a planning phase (cache hits excluded)",
-    ),
-    (
-        CACHED_PLANS,
-        "gauge",
-        "Compiled plans currently resident in the plan cache",
-    ),
-];
+pub(crate) const QUEUE_DEPTH: Metric =
+    Metric::gauge("sirius_serve_queue_depth", "Queries waiting for admission");
+pub(crate) const IN_FLIGHT: Metric =
+    Metric::gauge("sirius_serve_in_flight", "Queries admitted and executing");
+pub(crate) const QUEUE_DEPTH_PEAK: Metric = Metric::gauge(
+    "sirius_serve_queue_depth_peak",
+    "High watermark of the admission queue",
+);
+pub(crate) const BACKOFF_DEPTH: Metric = Metric::gauge(
+    "sirius_serve_backoff_depth",
+    "Queued retries still waiting out their backoff",
+);
+pub(crate) const ADMITTED: Metric = Metric::counter(
+    "sirius_serve_admitted_total",
+    "Queries admitted into execution",
+);
+pub(crate) const RETRIES: Metric = Metric::counter(
+    "sirius_serve_retries_total",
+    "Wave failures sent back through admission with backoff",
+);
+pub(crate) const DISPOSITION: Metric = Metric::counter(
+    "sirius_serve_disposition_total",
+    "Terminal request dispositions, labeled by kind",
+);
+pub(crate) const BROKER_PRESSURE: Metric = Metric::gauge(
+    "sirius_broker_pressure",
+    "max(denied-grant rate last wave, processing-pool occupancy)",
+);
+pub(crate) const GRANTS_GRANTED: Metric = Metric::counter(
+    "sirius_grants_granted_total",
+    "Working-set grants satisfied by the shared broker",
+);
+pub(crate) const GRANTS_DENIED: Metric = Metric::counter(
+    "sirius_grants_denied_total",
+    "Working-set grants denied by the shared broker (spill signals)",
+);
+pub(crate) const PLAN_CACHE_HITS: Metric = Metric::counter(
+    "sirius_serve_plan_cache_hits_total",
+    "Admissions served a compiled plan straight from the plan cache",
+);
+pub(crate) const PLAN_CACHE_MISSES: Metric = Metric::counter(
+    "sirius_serve_plan_cache_misses_total",
+    "Plan-cache lookups that had to plan and compile",
+);
+pub(crate) const PLAN_CACHE_EVICTIONS: Metric = Metric::counter(
+    "sirius_serve_plan_cache_evictions_total",
+    "Compiled plans evicted by the cache's LRU policy",
+);
+pub(crate) const PLAN_REPLANS: Metric = Metric::counter(
+    "sirius_serve_plan_replans_total",
+    "Cached plans replaced by a feedback-driven re-optimization",
+);
+pub(crate) const PLANNING_PHASES: Metric = Metric::counter(
+    "sirius_serve_planning_phases_total",
+    "Admissions that executed a planning phase (cache hits excluded)",
+);
+pub(crate) const CACHED_PLANS: Metric = Metric::gauge(
+    "sirius_serve_cached_plans",
+    "Compiled plans currently resident in the plan cache",
+);

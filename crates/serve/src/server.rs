@@ -69,7 +69,7 @@ use sirius_core::{QueryReport, QueryRun, RetryPolicy, SiriusEngine, SiriusError}
 use sirius_hw::{attribute_overlap, TimeBreakdown, TraceConfig};
 use sirius_plan::Rel;
 use sirius_rmm::GrantBroker;
-use sirius_trace::metrics::MetricsRegistry;
+use sirius_trace::metrics::{Metric, MetricsRegistry};
 use sirius_trace::TraceEvent;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -391,9 +391,6 @@ impl SiriusServer {
     /// shared grant broker's granted/denied totals and the plan cache's
     /// counters (the README's Metrics table lists them all).
     pub fn with_metrics(self, registry: MetricsRegistry) -> Self {
-        for (name, _kind, help) in metrics::CATALOG {
-            registry.describe(name, help);
-        }
         SiriusServer {
             metrics: Some(registry),
             ..self
@@ -495,15 +492,15 @@ impl SiriusServer {
         })
     }
 
-    fn counter_inc(&self, name: &str, labels: &[(&str, &str)]) {
+    fn counter_inc(&self, metric: Metric, labels: &[(&str, &str)]) {
         if let Some(m) = &self.metrics {
-            m.counter_inc(name, labels);
+            m.counter_inc(metric, labels);
         }
     }
 
-    fn gauge_set(&self, name: &str, v: f64) {
+    fn gauge_set(&self, metric: Metric, v: f64) {
         if let Some(m) = &self.metrics {
-            m.gauge_set(name, &[], v);
+            m.gauge_set(metric, &[], v);
         }
     }
 }
@@ -1275,7 +1272,7 @@ mod tests {
         assert_eq!((counts.completed, counts.cancelled), (1, 1));
         assert_eq!(counts.total(), 2);
         assert_eq!(
-            metrics.counter_value(metrics::DISPOSITION, &[("disposition", "cancelled")]),
+            metrics.counter_value(metrics::DISPOSITION.name, &[("disposition", "cancelled")]),
             1
         );
         assert_eq!(
@@ -1381,7 +1378,7 @@ mod tests {
         assert!(matches!(q.result, Err(SiriusError::TransientDevice(_))));
         assert_eq!(metrics.counter_value("sirius_serve_retries_total", &[]), 2);
         assert_eq!(
-            metrics.counter_value(metrics::DISPOSITION, &[("disposition", "failed")]),
+            metrics.counter_value(metrics::DISPOSITION.name, &[("disposition", "failed")]),
             1
         );
         assert_eq!(outcome.dispositions().failed, 1);
@@ -1482,7 +1479,7 @@ mod tests {
         assert_eq!(vip.disposition, QueryDisposition::Completed);
         assert_eq!(outcome.dispositions().total(), 5, "exact accounting");
         assert_eq!(
-            metrics.counter_value(metrics::DISPOSITION, &[("disposition", "shed")]),
+            metrics.counter_value(metrics::DISPOSITION.name, &[("disposition", "shed")]),
             outcome.shed.len() as u64
         );
         assert!(metrics.gauge_value("sirius_broker_pressure", &[]).is_some());
@@ -1767,9 +1764,9 @@ mod tests {
         );
         assert_eq!(r.inflight.len(), 1);
         assert_eq!(r.inflight[0].entry.req.id, 3);
-        assert_eq!(metrics.counter_value(metrics::RETRIES, &[]), 1);
+        assert_eq!(metrics.counter_value(metrics::RETRIES.name, &[]), 1);
         assert_eq!(
-            metrics.counter_value(metrics::DISPOSITION, &[("disposition", "failed")]),
+            metrics.counter_value(metrics::DISPOSITION.name, &[("disposition", "failed")]),
             2
         );
         let broker = server.engine().buffer_manager().grant_broker();
@@ -1804,6 +1801,26 @@ mod tests {
         }])
         .build()
     }
+
+    /// Every metric `metrics` declares, in the README table's order.
+    const METRICS: [Metric; 16] = [
+        metrics::QUEUE_DEPTH,
+        metrics::IN_FLIGHT,
+        metrics::QUEUE_DEPTH_PEAK,
+        metrics::BACKOFF_DEPTH,
+        metrics::ADMITTED,
+        metrics::RETRIES,
+        metrics::DISPOSITION,
+        metrics::BROKER_PRESSURE,
+        metrics::GRANTS_GRANTED,
+        metrics::GRANTS_DENIED,
+        metrics::PLAN_CACHE_HITS,
+        metrics::PLAN_CACHE_MISSES,
+        metrics::PLAN_CACHE_EVICTIONS,
+        metrics::PLAN_REPLANS,
+        metrics::PLANNING_PHASES,
+        metrics::CACHED_PLANS,
+    ];
 
     /// A chaos trace that ends requests every way there is — completed,
     /// failed, cancelled, shed, rejected, with a retry on the way — through
@@ -1851,31 +1868,22 @@ mod tests {
         }
 
         let rendered = metrics.render();
-        let emitted: Vec<(&str, &str)> = rendered
+        let mut emitted: Vec<(&str, &str)> = rendered
             .lines()
             .filter_map(|l| l.strip_prefix("# TYPE ")?.split_once(' '))
             .collect();
-        for (name, kind, _help) in metrics::CATALOG {
-            assert!(
-                emitted.contains(&(name, kind)),
-                "{name} ({kind}) never emitted"
-            );
-        }
-        for (name, kind) in &emitted {
-            assert!(
-                metrics::CATALOG
-                    .iter()
-                    .any(|(n, k, _)| n == name && k == kind),
-                "{name} ({kind}) is emitted but not declared"
-            );
-        }
+        let mut declared: Vec<(&str, &str)> =
+            METRICS.iter().map(|m| (m.name, m.kind.as_str())).collect();
+        emitted.sort();
+        declared.sort();
+        assert_eq!(emitted, declared, "emitted families != declared metrics");
     }
 
     #[test]
     fn readme_metrics_table_lists_the_catalog() {
         let readme = include_str!("../../../README.md");
-        for (name, kind, help) in metrics::CATALOG {
-            let row = format!("| `{name}` | {kind} | {help} |");
+        for m in METRICS {
+            let row = format!("| `{}` | {} | {} |", m.name, m.kind.as_str(), m.help);
             assert!(
                 readme.contains(&row),
                 "README.md Metrics table lacks: {row}"

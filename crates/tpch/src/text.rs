@@ -134,9 +134,6 @@ pub const COMMENT_WORDS: [&str; 24] = [
     "dazzle",
 ];
 
-/// Q22's selective phone country codes (10 + nationkey).
-pub const Q22_COUNTRY_CODES: [&str; 7] = ["13", "31", "23", "29", "30", "18", "17"];
-
 #[cfg(test)]
 mod tests {
     use super::*;

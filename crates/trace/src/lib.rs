@@ -10,8 +10,9 @@
 //!    for spill tiers and exchange links;
 //! 2. an `EXPLAIN ANALYZE`-style renderer in `sirius-core` built on the
 //!    per-operator spans recorded here;
-//! 3. [`metrics`] — a Prometheus-text `MetricsRegistry` snapshot for the
-//!    coordinator (kernel launches, spill bytes, retries, pool HWM).
+//! 3. [`metrics`] — typed metric constants (`Metric`: name, kind, help)
+//!    and the Prometheus-text `MetricsRegistry` that serve, the Doris
+//!    coordinator and `repro profile` emit them into.
 //!
 //! Tracing is zero-cost when disabled: a [`TraceSink`] is an
 //! `Option<Arc<..>>` internally, so the disabled path is a single branch
