@@ -183,8 +183,8 @@ pub fn memory(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     )
 }
 
-/// A5: what failure handling costs on the distributed path. The Table 2
-/// subset on fresh 4-node Sirius clusters under four fault regimes —
+/// A5: what failure handling costs on the distributed path. The 22 TPC-H
+/// queries on fresh 4-node Sirius clusters under four fault regimes —
 /// fault-free, transient (device hiccup + delayed link), mid-fragment node
 /// crash, and the seeded chaos plan `--seed` picks.
 pub fn faults(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
@@ -208,7 +208,7 @@ pub fn faults(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
         out,
         "   Q    scenario         ms  overhead | faults retries resched shrinks  cpu reaped"
     )?;
-    for (id, sql) in queries::distributed_subset() {
+    for (id, sql) in queries::all() {
         let mut baseline_ms = None;
         // A fresh cluster per scenario so each query sees the scenario's
         // faults from a clean injector ledger.

@@ -4,8 +4,13 @@
 //! Partitioning is tracked bottom-up; exchanges are inserted where an
 //! operator's co-location requirement is not met:
 //!
-//! * joins shuffle un-co-partitioned sides by their join keys (replicated
-//!   dimension tables join locally);
+//! * joins follow one rule: a *complete* side (`Replicated` or `Singleton`)
+//!   is never shipped; the partitioned side moves to it. A replicated right
+//!   side joins locally; a `Singleton` side joins on node 0 with the other
+//!   side gathered there; keyless joins, ClickHouse's broadcast build sides
+//!   and non-Inner joins over a replicated left side broadcast the right
+//!   side; a replicated left side under Inner joins locally; anything else
+//!   shuffles both sides by their join keys;
 //! * grouped aggregation runs a local **partial** aggregate, shuffles the
 //!   partials by group key, and finalizes (sum-of-sums, min-of-mins,
 //!   avg = sum/count) — the reason Q1's exchange traffic is tiny in
@@ -76,7 +81,10 @@ pub enum Partitioning {
     Hash(Vec<Expr>),
     /// Full copy on every node.
     Replicated,
-    /// Entirely on node 0; empty elsewhere.
+    /// Entirely on node 0. Other nodes may hold leftover rows (a global
+    /// aggregate emits one over its empty merge input there), which no
+    /// exchange reads: a complete side is never shipped, and whatever
+    /// consumes a `Singleton` relation is `Singleton` itself.
     Singleton,
     /// Split across nodes with no known key.
     Arbitrary,
@@ -267,31 +275,29 @@ impl Fold for Distributor<'_> {
         (mut l, lpart): Placed,
         (mut r, rpart): Placed,
     ) -> Result<Placed> {
+        // A complete side is never shipped: the partitioned side moves to it.
         let rebuild = |l: Rel, r: Rel| plan.with_children([l, r]);
-        // Keyless joins (scalar subqueries): replicate the right side
-        // (a Singleton one too, to reach every node's left rows).
-        if on.left_keys.is_empty() {
-            if rpart != Partitioning::Replicated {
-                r = broadcast(r);
-            }
-            return Ok((rebuild(l, r), lpart));
-        }
-        // Keyed joins. A replicated right side joins locally under any
-        // join kind (each left row lives on exactly one node and sees
-        // the full right input). A replicated *left* side joins locally
-        // only for Inner joins — Semi/Anti/Left would emit each left
-        // row once per node. Otherwise both sides must be
-        // hash-partitioned on exactly the join keys.
         if rpart == Partitioning::Replicated {
+            // Each left row lives on one node and meets all of the right.
             return Ok((rebuild(l, r), lpart));
         }
-        if self.opts.broadcast_join_build_sides {
-            // ClickHouse-style distributed join: ship the whole build
-            // side everywhere and keep the probe side in place.
+        if lpart == Partitioning::Singleton || rpart == Partitioning::Singleton {
+            // Only node 0 holds a Singleton side: join there.
+            let ((l, _), (r, _)) = (gathered((l, lpart)), gathered((r, rpart)));
+            return Ok((rebuild(l, r), Partitioning::Singleton));
+        }
+        let left_replicated = lpart == Partitioning::Replicated;
+        if on.left_keys.is_empty()
+            || self.opts.broadcast_join_build_sides
+            || (left_replicated && on.kind != JoinKind::Inner)
+        {
+            // The right side is partitioned here: every node gets all of
+            // it. A replicated left side must not move — Semi / Anti /
+            // Left would emit each of its rows once per node.
             return Ok((rebuild(l, broadcast(r)), lpart));
         }
-        if lpart == Partitioning::Replicated && on.kind == JoinKind::Inner {
-            // Row multiplicity comes from the distributed right side.
+        if left_replicated {
+            // Inner: row multiplicity comes from the partitioned right side.
             return Ok((rebuild(l, r), Partitioning::Arbitrary));
         }
         if lpart != Partitioning::Hash(on.left_keys.to_vec()) {
@@ -448,12 +454,15 @@ mod tests {
         )
     }
 
-    fn count_exchanges(rel: &Rel) -> usize {
-        let mut n = 0;
+    /// The exchange kinds of `rel`, in pre-order.
+    fn exchanges(rel: &Rel) -> Vec<ExchangeKind> {
+        let mut kinds = Vec::new();
         visit::visit(rel, &mut |_node, r| {
-            n += usize::from(matches!(r, Rel::Exchange { .. }));
+            if let Rel::Exchange { kind, .. } = r {
+                kinds.push(kind.clone());
+            }
         });
-        n
+        kinds
     }
 
     #[test]
@@ -477,7 +486,7 @@ mod tests {
         )
         .build();
         let d = distribute(&plan, &scheme()).unwrap();
-        assert_eq!(count_exchanges(&d), 1);
+        assert_eq!(exchanges(&d).len(), 1);
         // Output schema preserved.
         assert_eq!(d.schema().unwrap().len(), plan.schema().unwrap().len());
         sirius_plan::validate::validate(&d).unwrap();
@@ -527,7 +536,7 @@ mod tests {
             .build();
         let d = distribute(&plan, &scheme()).unwrap();
         // One shuffle (orders) + the final merge.
-        assert_eq!(count_exchanges(&d), 2, "{}", d.explain());
+        assert_eq!(exchanges(&d).len(), 2, "{}", d.explain());
     }
 
     #[test]
@@ -549,7 +558,81 @@ mod tests {
         .build();
         let d = distribute(&plan, &scheme()).unwrap();
         // No shuffle for nation; just the final merge.
-        assert_eq!(count_exchanges(&d), 1, "{}", d.explain());
+        assert_eq!(exchanges(&d).len(), 1, "{}", d.explain());
+    }
+
+    #[test]
+    fn a_singleton_side_joins_on_node_zero() {
+        // A scalar subquery is a global aggregate: whole on node 0 only.
+        // It is never broadcast; the partitioned side merges to it, and
+        // the join's output stays on node 0 with no final merge.
+        let subquery = scan(
+            "supplier",
+            &[
+                ("s_suppkey", DataType::Int64),
+                ("s_acctbal", DataType::Float64),
+            ],
+        )
+        .aggregate(
+            vec![],
+            vec![AggExpr {
+                func: AggFunc::Max,
+                input: Some(col(1)),
+                name: "m".into(),
+            }],
+        );
+        for opts in [false, true].map(|b| DistributeOptions {
+            broadcast_join_build_sides: b,
+        }) {
+            let plan = scan("lineitem", &[("l_partkey", DataType::Int64)])
+                .join(subquery.clone(), JoinKind::Single, vec![], vec![], None)
+                .build();
+            let d = distribute_with(&plan, &scheme(), opts).unwrap();
+            assert!(matches!(d, Rel::Join { .. }), "{}", d.explain());
+            assert_eq!(
+                exchanges(&d),
+                [ExchangeKind::Merge, ExchangeKind::Merge],
+                "{}",
+                d.explain()
+            );
+            sirius_plan::validate::validate(&d).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_replicated_left_side_is_never_shipped() {
+        // Semi / Anti / Left keep every left row: a replicated left side
+        // stays put and the partitioned right side is broadcast to it, so
+        // the output is replicated too. A keyless join broadcasts its
+        // partitioned right side the same way.
+        let nation = || scan("nation", &[("n_nationkey", DataType::Int64)]);
+        let supplier = || {
+            scan(
+                "supplier",
+                &[
+                    ("s_suppkey", DataType::Int64),
+                    ("s_nationkey", DataType::Int64),
+                ],
+            )
+        };
+        for kind in [JoinKind::Semi, JoinKind::Anti, JoinKind::Left] {
+            let plan = nation()
+                .join(supplier(), kind, vec![col(0)], vec![col(1)], None)
+                .build();
+            let d = distribute(&plan, &scheme()).unwrap();
+            assert!(matches!(d, Rel::Join { .. }), "{kind:?}: {}", d.explain());
+            assert_eq!(exchanges(&d), [ExchangeKind::Broadcast], "{kind:?}");
+        }
+        let keyless = scan("lineitem", &[("l_partkey", DataType::Int64)])
+            .join(supplier(), JoinKind::Single, vec![], vec![], None)
+            .build();
+        let d = distribute(&keyless, &scheme()).unwrap();
+        assert_eq!(
+            exchanges(&d),
+            [ExchangeKind::Merge, ExchangeKind::Broadcast],
+            "{}",
+            d.explain()
+        );
     }
 
     #[test]
@@ -591,7 +674,7 @@ mod tests {
         )
         .build();
         let d2 = distribute(&plan2, &scheme()).unwrap();
-        assert!(count_exchanges(&d2) > count_exchanges(&d));
+        assert!(exchanges(&d2).len() > exchanges(&d).len());
     }
 
     #[test]
@@ -606,7 +689,7 @@ mod tests {
         let d = distribute(&plan, &scheme()).unwrap();
         // Merged once before the sort; limit stays singleton; no extra
         // merge at the root.
-        assert_eq!(count_exchanges(&d), 1, "{}", d.explain());
+        assert_eq!(exchanges(&d).len(), 1, "{}", d.explain());
     }
 
     #[test]
@@ -656,7 +739,7 @@ mod tests {
         for plan in plans {
             let plan = plan.build();
             let d = distribute(&plan, &scheme()).unwrap();
-            assert_eq!(count_exchanges(&d), 0, "{}", d.explain());
+            assert_eq!(exchanges(&d).len(), 0, "{}", d.explain());
             assert_eq!(d, plan, "a complete input leaves the plan as it was");
         }
         assert!(Partitioning::Replicated.is_complete() && Partitioning::Singleton.is_complete());

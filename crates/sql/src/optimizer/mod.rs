@@ -164,6 +164,11 @@ fn prune_project(
         child_req.extend(refs_of(&exprs[i].0));
     }
     let (child, cmap) = prune(input, &child_req)?;
+    if required.is_empty() {
+        // Nothing above reads a column, and a projection never changes the
+        // row count: its pruned input stands in for it.
+        return Ok((child, Mapping::new()));
+    }
     let exprs = required
         .iter()
         .map(|&i| (exprs[i].0.remap_columns(&|c| cmap[&c]), exprs[i].1.clone()))

@@ -1,4 +1,4 @@
-//! Distributed execution (Figure 3): the same TPC-H queries on a 4-node
+//! Distributed execution (Figure 3): all 22 TPC-H queries on a 4-node
 //! vanilla Doris cluster and a 4-node Sirius-accelerated cluster, with the
 //! Table 2 compute/exchange/other attribution.
 //!
@@ -27,7 +27,7 @@ fn main() {
     let sirius = build(NodeEngineKind::SiriusGpu, &data);
 
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-    for (id, sql) in queries::distributed_subset() {
+    for (id, sql) in queries::all() {
         let d = doris.sql(sql).expect("doris");
         let s = sirius.sql(sql).expect("sirius");
         assert_eq!(

@@ -23,7 +23,7 @@ const WORLD: usize = 4;
 
 struct Fixture {
     data: TpchData,
-    /// Fault-free single-node reference for each distributed-subset query.
+    /// Fault-free single-node reference for each TPC-H query.
     expected: Vec<(u32, &'static str, Table)>,
 }
 
@@ -35,7 +35,7 @@ fn fixture() -> &'static Fixture {
         for (name, table) in data.tables() {
             duck.create_table(name.clone(), table.clone());
         }
-        let expected = queries::distributed_subset()
+        let expected = queries::all()
             .into_iter()
             .map(|(id, sql)| {
                 let t = duck

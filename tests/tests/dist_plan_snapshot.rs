@@ -7,10 +7,6 @@
 //! pre-order id. A planner refactor that leaves this file untouched cannot
 //! move a fragment, an exchange or a byte on the wire.
 //!
-//! The snapshot pins the plans *as they are*: Q11, Q15 and Q22 broadcast a
-//! per-node global aggregate under a keyless join (ROADMAP item 2), which
-//! is wrong on any cluster and will change those lines on purpose.
-//!
 //! After an intended planner change, regenerate with
 //! `cargo test -p sirius-integration --test dist_plan_snapshot -- --ignored`.
 

@@ -150,7 +150,7 @@ fn distributed_cluster_agrees_and_decodes() {
     };
     let enc = build(&fix.encoded);
     let dec = build(&fix.decoded);
-    let mut sqls: Vec<(u32, &str)> = queries::distributed_subset();
+    let mut sqls: Vec<(u32, &str)> = queries::all();
     // A string-keyed grouped join so dictionary columns actually cross the
     // wire and survive the temp-table registry.
     sqls.push((

@@ -220,68 +220,55 @@ fn post_aggregation_and_scalar_subquery_forms_agree_across_engines() {
     }
 
     // (name, SQL, the same query without the predicate when the predicate
-    // must drop some rows and keep others, whether the cluster runs it).
-    // The distributed planner broadcasts the build side of a keyless
-    // `Single` join from every node and a global aggregate emits a row on
-    // each, so an *uncorrelated* scalar subquery fails there ("returned 3
-    // rows"; TPC-H Q11/Q15/Q22 fail the same way) — a planner gap in
-    // sirius-doris, not a binder one; the correlated twins cover the cluster.
+    // must drop some rows and keep others).
     let cases = [
         (
             "having_between",
             "select l_returnflag, sum(l_quantity) as q from lineitem group by l_returnflag \
              having sum(l_quantity) between 300000 and 500000",
             Some("select l_returnflag from lineitem group by l_returnflag"),
-            true,
         ),
         (
             "having_not_between",
             "select l_returnflag, sum(l_quantity) as q from lineitem group by l_returnflag \
              having not (sum(l_quantity) between 300000 and 500000)",
             Some("select l_returnflag from lineitem group by l_returnflag"),
-            true,
         ),
         (
             "having_is_not_null",
             "select l_returnflag from lineitem group by l_returnflag \
              having sum(l_quantity) is not null",
             None,
-            true,
         ),
         (
             "having_in_list",
             "select l_returnflag, count(*) as n from lineitem group by l_returnflag \
              having l_returnflag in ('A', 'R')",
             Some("select l_returnflag from lineitem group by l_returnflag"),
-            true,
         ),
         (
             "having_like",
             "select l_returnflag, count(*) as n from lineitem group by l_returnflag \
              having l_returnflag like 'A%'",
             Some("select l_returnflag from lineitem group by l_returnflag"),
-            true,
         ),
         (
             "select_substring_of_key",
             "select substring(l_shipmode from 1 for 2) as prefix, count(*) as n from lineitem \
              group by l_shipmode",
             None,
-            true,
         ),
         (
             "select_extract_of_key",
             "select extract(year from o_orderdate) as y, count(*) as n from orders \
              group by o_orderdate",
             None,
-            true,
         ),
         (
             "having_between_scalar_subquery",
             "select l_linenumber, sum(l_quantity) as q from lineitem group by l_linenumber \
              having sum(l_quantity) between 1 and (select 4000 * max(l_quantity) from lineitem)",
             Some("select l_linenumber from lineitem group by l_linenumber"),
-            false,
         ),
         (
             "having_between_correlated_scalar_subquery",
@@ -289,14 +276,12 @@ fn post_aggregation_and_scalar_subquery_forms_agree_across_engines() {
              having sum(l_quantity) between 1 and \
              (select 20 * max(p_size) from part where p_partkey = l_partkey)",
             Some("select l_partkey from lineitem group by l_partkey"),
-            true,
         ),
         (
             "scalar_subquery_under_case",
             "select o_orderkey from orders where \
              case when o_totalprice > (select avg(o_totalprice) from orders) then 1 else 0 end = 1",
             Some("select o_orderkey from orders"),
-            false,
         ),
         (
             "correlated_scalar_subquery_under_case",
@@ -304,10 +289,22 @@ fn post_aggregation_and_scalar_subquery_forms_agree_across_engines() {
              case when l_quantity < (select 0.5 * avg(l_quantity) from lineitem \
              where l_partkey = p_partkey) then 1 else 0 end = 1",
             Some("select l_orderkey from lineitem"),
-            true,
+        ),
+        // Nothing above these projections reads a column: the pruner must
+        // drop the projection, not leave an empty one.
+        (
+            "count_over_projected_subquery",
+            "select count(*) as n from (select n_name from nation) t",
+            None,
+        ),
+        (
+            "count_over_scalar_subquery_filter",
+            "select count(*) as n from supplier \
+             where s_acctbal > (select avg(s_acctbal) from supplier)",
+            None,
         ),
     ];
-    for (name, sql, unfiltered, on_cluster) in cases {
+    for (name, sql, unfiltered) in cases {
         let plan = plan_sql(sql, &bcat, JoinOrderPolicy::Optimized)
             .unwrap_or_else(|e| panic!("{name} must bind: {e}"));
         let reference = cpu
@@ -326,9 +323,6 @@ fn post_aggregation_and_scalar_subquery_forms_agree_across_engines() {
             .execute(&plan)
             .unwrap_or_else(|e| panic!("{name} gpu: {e}"));
         assert_tables_equivalent(&format!("{name} cpu-vs-gpu"), &reference, &on_gpu);
-        if !on_cluster {
-            continue;
-        }
         let distributed = cluster
             .execute_plan(&plan)
             .unwrap_or_else(|e| panic!("{name} distributed: {e}"));
