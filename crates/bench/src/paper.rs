@@ -2,7 +2,7 @@
 
 use crate::lab::{figure5_share, geomean, mib, ms, Lab};
 use crate::Args;
-use sirius_core::EngineConfig;
+use sirius_core::{EngineConfig, SiriusError};
 use sirius_doris::{ClusterConfig, DorisCluster, DorisError, NodeEngineKind, QueryOutcome};
 use sirius_hw::{catalog as hw, trends};
 use sirius_tpch::queries;
@@ -228,14 +228,20 @@ pub fn table2(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
         let (.., dt) = x100(&d);
         let ct = match clickhouse.sql(sql) {
             Ok(c) => format!("{:.0}", x100(&c).3),
-            // The node engine's `ExecError::Unsupported`.
-            Err(DorisError::Node { message, .. })
-                if message.contains("unsupported by this engine") =>
-            {
-                "n/s".into()
-            }
+            Err(DorisError::Node {
+                cause: SiriusError::Unsupported(_),
+                ..
+            }) => "n/s".into(),
             Err(e) => panic!("Q{id} clickhouse: {e}"),
         };
+        // §4.3: both orders and lineitem shuffle, so Sirius Q3 is
+        // exchange-bound.
+        if id == 3 {
+            assert!(
+                se > sc,
+                "Q3 sirius: exchange {se:.0} must exceed compute {sc:.0}"
+            );
+        }
         writeln!(
             out,
             "{:>4} {dt:>10.0} {ct:>10} {st:>10.0} | {sc:>9.0} {se:>9.0} {so:>9.0}   {:>7.1}x",
@@ -251,14 +257,14 @@ pub fn table2(lab: &Lab, _: &Args, out: &mut dyn Write) -> io::Result<()> {
     )?;
 
     // Recovery counters (failure/retry/degradation), surfaced by re-running
-    // the queries against a Sirius cluster that loses node 2 mid-flight.
+    // each query on a fresh Sirius cluster that has lost node 2.
     writeln!(
         out,
         "\nrecovery: same queries with node 2 killed before dispatch"
     )?;
-    let wounded = build(NodeEngineKind::SiriusGpu);
-    wounded.mark_down(2);
     for (id, sql) in queries::all() {
+        let wounded = build(NodeEngineKind::SiriusGpu);
+        wounded.mark_down(2);
         let s = ask(&wounded, "recovery", id, sql);
         let r = &s.recovery;
         writeln!(

@@ -6,13 +6,17 @@
 //! a temporary table in the store the node's engine reads; the host that
 //! drives the fragments (`sirius-doris`) registers and releases it.
 //!
-//! A shuffle routes rows with [`partition_by_hash`]: one node id per row
-//! from the routing hash, then `Table::partition` — the per-node shards are
-//! windows of one table gathered in node order.
+//! A shuffle evaluates its keys with the engine's expression kernels and
+//! routes rows with `hash_partition` salted at [`EXCHANGE_LEVEL`] — the
+//! partitioner of the Grace join and the spill store, and of a cluster's
+//! hash-partitioned load — charged to the node's device under
+//! `CostCategory::Exchange`. The per-node shards are windows of one table
+//! gathered in node order.
 
+use crate::exprs::evaluate_all;
 use crate::{Result, SiriusError};
 use sirius_columnar::{Array, Table};
-use sirius_cudf::hash::row_hashes;
+use sirius_cudf::{hash_partition, GpuContext};
 use sirius_hw::{CostCategory, Device};
 use sirius_nccl::{Communicator, NcclError};
 use sirius_plan::ExchangeKind;
@@ -34,6 +38,11 @@ fn classify(e: NcclError) -> SiriusError {
     }
 }
 
+/// The routing salt of every exchange and of a cluster's hash-partitioned
+/// load. It differs from every Grace recursion level, so a shuffled shard's
+/// later Grace partitions are not correlated with the node it landed on.
+pub const EXCHANGE_LEVEL: u32 = u32::MAX;
+
 /// Per-node exchange service.
 pub struct ExchangeService {
     comm: Communicator,
@@ -52,18 +61,15 @@ impl ExchangeService {
     }
 
     /// Execute one exchange pattern over `local`, returning this node's
-    /// share of the result. Key expressions for shuffles must already be
-    /// evaluated into columns by the caller (engine-owned state, stateless
-    /// operators).
-    pub fn exchange(
-        &mut self,
-        kind: &ExchangeKind,
-        local: Table,
-        shuffle_keys: &[Array],
-    ) -> Result<Table> {
+    /// share of the result. A shuffle's key evaluation and partition pass
+    /// are charged to this node beside its wire time.
+    pub fn exchange(&mut self, kind: &ExchangeKind, local: Table) -> Result<Table> {
         let (out, wire, label) = match kind {
-            ExchangeKind::Shuffle { .. } => {
-                let parts = partition_by_hash(&local, shuffle_keys, self.comm.world());
+            ExchangeKind::Shuffle { keys } => {
+                let ctx = GpuContext::new(self.device.clone(), CostCategory::Exchange);
+                let keys = evaluate_all(&ctx, keys, &local)?;
+                let keys: Vec<&Array> = keys.iter().collect();
+                let parts = hash_partition(&ctx, &keys, &local, self.comm.world(), EXCHANGE_LEVEL)?;
                 let (out, wire) = self.comm.shuffle(parts).map_err(classify)?;
                 (out, wire, "exchange.shuffle")
             }
@@ -109,20 +115,10 @@ impl ExchangeService {
     }
 }
 
-/// Hash-partition rows across `world` nodes by the key columns. All engines
-/// and the distributed planner use this same function, so co-partitioning
-/// assumptions hold across the system.
-pub fn partition_by_hash(table: &Table, keys: &[Array], world: usize) -> Vec<Table> {
-    let key_refs: Vec<&Array> = keys.iter().collect();
-    let hashes = row_hashes(&key_refs, table.num_rows(), None).into_iter();
-    let node_of = hashes.map(|h| (h % world as u64) as usize);
-    table.partition(node_of, world)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirius_columnar::{DataType, Field, Scalar, Schema};
+    use sirius_columnar::{DataType, Field, Schema};
     use sirius_hw::catalog;
     use sirius_nccl::NcclCluster;
 
@@ -133,64 +129,55 @@ mod tests {
         )
     }
 
-    /// `partition_by_hash` as it was before PR 17: a `Vec<Scalar>` key per
-    /// row through `FxBuildHasher::hash_one`. Node sizes drive the exchange
-    /// ledger, so the column-at-a-time routing hash must agree row for row.
-    fn scalar_key_nodes(table: &Table, keys: &[Array], world: usize) -> Vec<usize> {
-        use std::hash::BuildHasher;
-        let hasher = sirius_cudf::hash::FxBuildHasher::default();
-        (0..table.num_rows())
-            .map(|row| {
-                let key: Vec<Scalar> = keys.iter().map(|k| k.scalar(row)).collect();
-                (hasher.hash_one(&key) % world as u64) as usize
-            })
-            .collect()
+    fn ctx() -> GpuContext {
+        GpuContext::new(Device::new(catalog::a100_40gb()), CostCategory::Exchange)
+    }
+
+    /// `table` routed across `world` nodes as a shuffle routes it.
+    fn route(table: &Table, keys: &[usize], world: usize) -> Vec<Table> {
+        let keys: Vec<&Array> = keys.iter().map(|&c| table.column(c)).collect();
+        hash_partition(&ctx(), &keys, table, world, EXCHANGE_LEVEL).unwrap()
     }
 
     proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+        /// Salt independence: a node's shard holds the rows whose exchange
+        /// hash agrees modulo `world`, and the Grace levels must still
+        /// spread them over every bucket. With the exchange salt equal to a
+        /// Grace level, world 4 would leave 3 of 4 buckets empty.
         #[test]
-        fn prop_rows_reach_the_nodes_scalar_keys_sent_them_to(
-            values in proptest::collection::vec(
-                proptest::option::of((proptest::prelude::any::<i64>(), 0usize..6)),
-                0..80,
-            ),
-        ) {
-            let column = |f: &dyn Fn(i64, usize) -> Scalar, t: DataType| {
-                let scalars: Vec<Scalar> =
-                    values.iter().map(|v| v.map_or(Scalar::Null, |(a, b)| f(a, b))).collect();
-                Array::from_scalars(&scalars, t)
-            };
-            let words = ["", "a", "b", "ab", "BUILDING", "naïve"];
+        fn prop_a_shuffled_shard_fills_every_grace_bucket(seed in proptest::prelude::any::<u64>()) {
+            let ids: Vec<i64> = (0..6_000u64)
+                .map(|i| seed.wrapping_add(i).wrapping_mul(0x9e37_79b9_7f4a_7c15) as i64)
+                .collect();
+            let words: Vec<String> = ids.iter().map(|v| format!("{v:x}")).collect();
             let columns = vec![
-                Array::from_i64(0..values.len() as i64),
-                column(&|a, _| Scalar::Int64(a), DataType::Int64),
-                column(&|_, b| Scalar::Int32(b as i32), DataType::Int32),
-                column(&|a, _| Scalar::Float64(f64::from_bits(a as u64)), DataType::Float64),
-                column(&|a, _| Scalar::Date32(a as i32), DataType::Date32),
-                column(&|a, _| Scalar::Bool(a & 1 == 1), DataType::Bool),
-                column(&|_, b| Scalar::Utf8(words[b].into()), DataType::Utf8),
-                column(&|_, b| Scalar::Utf8(words[b].into()), DataType::Utf8).dict_encode(),
+                Array::from_i64(0..ids.len() as i64),
+                Array::from_i64(ids.iter().copied()),
+                Array::from_i32((0..ids.len() as i32).map(|i| i ^ seed as i32)),
+                Array::from_f64(ids.iter().map(|&v| f64::from_bits(v as u64))),
+                Array::from_date32((0..ids.len() as i32).map(|i| i ^ (seed >> 32) as i32)),
+                Array::from_bool(ids.iter().map(|&v| v & 1 == 1)),
+                Array::from_strs(&words),
+                Array::from_strs(&words).dict_encode(),
             ];
             let fields = (columns.iter().enumerate())
                 .map(|(i, c)| Field::new(format!("c{i}"), c.data_type()))
                 .collect();
             let table = Table::new(Schema::new(fields), columns);
-            for key_columns in [vec![1], vec![2], vec![6], vec![7], vec![3, 4], vec![5, 7, 1]] {
-                let keys: Vec<Array> =
-                    key_columns.iter().map(|&c| table.column(c).clone()).collect();
+            for keys in [vec![1], vec![2], vec![6], vec![7], vec![3, 4], vec![5, 7, 1]] {
                 for world in 1..=5 {
-                    let expected = scalar_key_nodes(&table, &keys, world);
-                    let parts = partition_by_hash(&table, &keys, world);
-                    proptest::prop_assert_eq!(parts.len(), world);
-                    for (node, part) in parts.iter().enumerate() {
-                        let rows: Vec<usize> = (0..part.num_rows())
-                            .filter_map(|i| part.column(0).i64_value(i))
-                            .map(|row| row as usize)
-                            .collect();
-                        let sent: Vec<usize> = (0..values.len())
-                            .filter(|&row| expected[row] == node)
-                            .collect();
-                        proptest::prop_assert_eq!(rows, sent, "world {} node {}", world, node);
+                    for (node, shard) in route(&table, &keys, world).iter().enumerate() {
+                        // Every key set is unique per row: rows are distinct keys.
+                        proptest::prop_assert!(shard.num_rows() >= 1_000, "node {} of {}", node, world);
+                        let shard_keys: Vec<&Array> = keys.iter().map(|&c| shard.column(c)).collect();
+                        for (level, parts) in (0..=3).flat_map(|l| [(l, 4), (l, 8)]) {
+                            let buckets = hash_partition(&ctx(), &shard_keys, shard, parts, level).unwrap();
+                            proptest::prop_assert!(
+                                buckets.iter().all(|b| b.num_rows() > 0),
+                                "keys {:?} world {} node {} level {} parts {}", keys, world, node, level, parts
+                            );
+                        }
                     }
                 }
             }
@@ -200,13 +187,12 @@ mod tests {
     #[test]
     fn partition_is_deterministic_and_complete() {
         let table = t((0..100).collect());
-        let keys = vec![table.column(0).clone()];
-        let parts = partition_by_hash(&table, &keys, 4);
+        let parts = route(&table, &[0], 4);
         assert_eq!(parts.len(), 4);
         let total: usize = parts.iter().map(|p| p.num_rows()).sum();
         assert_eq!(total, 100);
         // Same key always lands on the same node.
-        let parts2 = partition_by_hash(&table, &keys, 4);
+        let parts2 = route(&table, &[0], 4);
         for (a, b) in parts.iter().zip(parts2.iter()) {
             assert_eq!(a.canonical_rows(), b.canonical_rows());
         }
@@ -223,11 +209,10 @@ mod tests {
                     let rank = c.rank();
                     let mut svc = ExchangeService::new(c, device.clone());
                     let local = t(vec![rank as i64 * 10, rank as i64 * 10 + 1]);
-                    let keys = vec![local.column(0).clone()];
                     let kind = ExchangeKind::Shuffle {
                         keys: vec![sirius_plan::expr::col(0)],
                     };
-                    let out = svc.exchange(&kind, local, &keys).unwrap();
+                    let out = svc.exchange(&kind, local).unwrap();
                     (
                         out.num_rows(),
                         device.breakdown().get(CostCategory::Exchange),
@@ -252,7 +237,7 @@ mod tests {
                     let device = Device::new(catalog::a100_40gb());
                     let local = t(vec![c.rank() as i64]);
                     let mut svc = ExchangeService::new(c, device);
-                    svc.exchange(&kind, local, &[]).unwrap().num_rows()
+                    svc.exchange(&kind, local).unwrap().num_rows()
                 })
             })
             .collect();

@@ -79,7 +79,8 @@ pub enum SiriusError {
     /// A referenced table is not cached and no host loader was provided.
     TableNotCached(String),
     /// A request could not be planned (the serve planner's SQL planning
-    /// failures).
+    /// failures), or a cluster node's engine rejects a plan feature (the
+    /// ClickHouse profile's Q21). Never retried.
     Unsupported(String),
     /// Every memory tier exhausted. Out-of-core execution (§3.4) spills
     /// denied working sets through pinned host memory and disk, so this is
@@ -168,7 +169,7 @@ impl std::fmt::Display for SiriusError {
             SiriusError::Plan(e) => write!(f, "plan error: {e}"),
             SiriusError::Kernel(m) => write!(f, "kernel error: {m}"),
             SiriusError::TableNotCached(t) => write!(f, "table not cached: {t}"),
-            SiriusError::Unsupported(m) => write!(f, "unsupported on GPU: {m}"),
+            SiriusError::Unsupported(m) => write!(f, "unsupported by this engine: {m}"),
             SiriusError::OutOfMemory(m) => write!(f, "device out of memory: {m}"),
             SiriusError::Exchange(m) => write!(f, "exchange error: {m}"),
             SiriusError::NodeDown(n) => write!(f, "node {n} is down"),

@@ -10,9 +10,11 @@
 //!   format: joins, group-by and distinct hash and compare encoded rows
 //!   instead of a `Vec<Scalar>` per row (`cudf.row_keys_mrows_s`
 //!   14.5 → 400 at PR 17, BENCH_16.json → BENCH_17.json).
-//! * [`row_hashes`] is the *routing* hash of `hash_partition` and the
-//!   cluster shuffle. Bucket sizes drive the spill and exchange ledgers, so
-//!   it feeds [`FxHasher`] exactly what `Vec<Scalar>::hash` used to.
+//! * `row_hashes` is the *routing* hash of `hash_partition`, which routes
+//!   the Grace join, the spill store, the cluster shuffle and a cluster's
+//!   hash-partitioned load. Bucket sizes drive the spill and exchange
+//!   ledgers, so it feeds [`FxHasher`] exactly what `(level,
+//!   &Vec<Scalar>)::hash` used to.
 //!
 //! **Key encoding.** Each column falls in one equality class: integers of
 //! either width (as `i64`), `Float64` (by bits, so `-0.0 ≠ 0.0` and
@@ -160,15 +162,12 @@ fn visit<'a>(column: &'a Array, n: usize, mut f: impl FnMut(usize, Cell<'a>)) {
 }
 
 /// Routing hash of every row: the `FxHasher` state after hashing
-/// `(level, &Vec<Scalar>)` (or the bare `&Vec<Scalar>` when `level` is
-/// `None`), computed a column at a time without building the scalars —
-/// `write_u32(level)`, `write_usize(columns.len())`, then per column the
-/// `Scalar::hash` tag byte and payload, `0` alone for NULL.
-pub fn row_hashes(columns: &[&Array], num_rows: usize, level: Option<u32>) -> Vec<u64> {
+/// `(level, &Vec<Scalar>)`, computed a column at a time without building
+/// the scalars — `write_u32(level)`, `write_usize(columns.len())`, then per
+/// column the `Scalar::hash` tag byte and payload, `0` alone for NULL.
+pub(crate) fn row_hashes(columns: &[&Array], num_rows: usize, level: u32) -> Vec<u64> {
     let mut seed = FxHasher::default();
-    if let Some(level) = level {
-        seed.write_u32(level);
-    }
+    seed.write_u32(level);
     seed.write_usize(columns.len());
     let mut states = vec![seed.hash; num_rows];
     for column in columns {
@@ -458,7 +457,7 @@ mod tests {
         ) {
             let cols = Gen(seed).columns(&KINDS, columns, n);
             let refs: Vec<&Array> = cols.iter().collect();
-            for level in [None, Some(0), Some(1), Some(2), Some(3), Some(4)] {
+            for level in [0, 1, 2, 3, 4, u32::MAX] {
                 prop_assert_eq!(
                     row_hashes(&refs, n, level),
                     reference::routing_hashes(&refs, n, level)
@@ -521,7 +520,7 @@ mod tests {
             let copies: Vec<Array> = cols.iter().map(|c| c.gather(o..o + l)).collect();
             let (windows, copies): (Vec<&Array>, Vec<&Array>) =
                 (windows.iter().collect(), copies.iter().collect());
-            for level in [None, Some(0), Some(3)] {
+            for level in [0, 3, u32::MAX] {
                 prop_assert_eq!(row_hashes(&windows, l, level), row_hashes(&copies, l, level));
             }
             prop_assert_eq!(key_bytes(&windows), key_bytes(&copies));

@@ -1,13 +1,15 @@
-//! Hash partitioning: the kernel behind Grace-style out-of-core joins and
-//! group-by. Rows are routed by a hash of their key columns, so equal keys
-//! always land in the same partition — per-partition build+probe (or
-//! per-partition aggregation) is then exact. The recursion `level` salts the
-//! hash, so repartitioning an oversized partition redistributes its rows
-//! instead of mapping them all to one bucket again.
+//! Hash partitioning: the one hash router of the system — Grace-style
+//! out-of-core joins and group-by, the spill store, the cluster shuffle and
+//! a cluster's hash-partitioned load. Rows are routed by a hash of their key
+//! columns, so equal keys always land in the same partition — per-partition
+//! build+probe (or per-partition aggregation) is then exact. The `level`
+//! salts the hash, so repartitioning an oversized partition redistributes
+//! its rows instead of mapping them all to one bucket again; the exchange
+//! routes at a salt of its own (`sirius_core::exchange::EXCHANGE_LEVEL`).
 //!
 //! The kernel computes one bucket id per row; moving the rows is
 //! `Table::partition` (one gather in bucket order, one window per bucket),
-//! shared with every other partitioner in the system.
+//! shared with the cluster's round-robin load.
 
 use crate::hash::{key_bytes, row_hashes};
 use crate::{GpuContext, Result};
@@ -44,7 +46,7 @@ pub fn hash_partition(
     let bucket = move |h: u64| (finalize(h) % parts as u64) as usize;
     // A table of one window is one job's work: it stays on this thread.
     let Some(fan) = ctx.fan_out().filter(|fan| n > fan.rows()) else {
-        let hashes = row_hashes(key_columns, n, Some(level)).into_iter();
+        let hashes = row_hashes(key_columns, n, level).into_iter();
         return Ok(table.partition(hashes.map(bucket), parts));
     };
     // The same routing and the same gather, spread over the pool: one job
@@ -56,7 +58,7 @@ pub fn hash_partition(
         let keys: Vec<Array> = key_columns.iter().map(|c| c.slice(start, len)).collect();
         move || {
             let keys: Vec<&Array> = keys.iter().collect();
-            let hashes = row_hashes(&keys, len, Some(level)).into_iter();
+            let hashes = row_hashes(&keys, len, level).into_iter();
             hashes.map(bucket).collect::<Vec<usize>>()
         }
     });
@@ -107,7 +109,7 @@ mod tests {
             let table = table_of(columns);
             let keys: Vec<&Array> = table.columns()[1..].iter().collect();
             for level in 0..=4 {
-                let hashes = reference::routing_hashes(&keys, rows, Some(level));
+                let hashes = reference::routing_hashes(&keys, rows, level);
                 let got = hash_partition(&test_ctx(), &keys, &table, parts, level).unwrap();
                 prop_assert_eq!(got.len(), parts);
                 for (bucket, part) in got.iter().enumerate() {

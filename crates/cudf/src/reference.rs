@@ -105,16 +105,12 @@ pub(crate) fn distinct_rows(table: &Table) -> Vec<usize> {
     keep
 }
 
-/// The routing hash of every row: `hash_one((level, &key))` on the
-/// partition path, `hash_one(&key)` on the shuffle path.
-pub(crate) fn routing_hashes(columns: &[&Array], num_rows: usize, level: Option<u32>) -> Vec<u64> {
+/// The routing hash of every row: `hash_one((level, &key))`.
+pub(crate) fn routing_hashes(columns: &[&Array], num_rows: usize, level: u32) -> Vec<u64> {
     let hasher = FxBuildHasher::default();
     let (keys, _) = row_keys(columns, num_rows);
     keys.iter()
-        .map(|key| match level {
-            Some(level) => hasher.hash_one((level, key)),
-            None => hasher.hash_one(key),
-        })
+        .map(|key| hasher.hash_one((level, key)))
         .collect()
 }
 

@@ -33,10 +33,11 @@
 use crate::planner::{distribute_with, DistributeOptions, PartitionScheme};
 use crate::{DorisError, Result};
 use parking_lot::{Mutex, RwLock};
-use sirius_columnar::{Array, Table};
-use sirius_core::exchange::{partition_by_hash, ExchangeService};
+use sirius_columnar::Table;
+use sirius_core::exchange::{ExchangeService, EXCHANGE_LEVEL};
 use sirius_core::{EngineConfig, RetryPolicy, SiriusEngine, SiriusError};
-use sirius_exec_cpu::{Catalog, CpuEngine, EngineProfile};
+use sirius_cudf::{hash_partition, GpuContext};
+use sirius_exec_cpu::{Catalog, CpuEngine, EngineProfile, ExecError};
 use sirius_hw::{
     catalog as hw, CostCategory, Device, FaultInjector, FaultPlan, FaultSite, TimeBreakdown,
     TraceConfig, TraceSink,
@@ -221,9 +222,7 @@ impl NodeEngine {
                         "injected launch failure on node {id}"
                     )));
                 }
-                engine
-                    .execute(plan, catalog)
-                    .map_err(|e| SiriusError::Kernel(e.to_string()))
+                engine.execute(plan, catalog).map_err(node_error)
             }
         }
     }
@@ -333,15 +332,7 @@ impl NodeState {
         let local = self.engine.execute(inner, &self.fault, self.id)?;
         // A crash at the exchange boundary.
         self.crash_at(FaultSite::FragmentMid { node: self.id })?;
-        let key_cols: Vec<Array> = match kind {
-            ExchangeKind::Shuffle { keys } => keys
-                .iter()
-                .map(|k| sirius_exec_cpu::eval::evaluate(k, &local))
-                .collect::<std::result::Result<_, _>>()
-                .map_err(|e| SiriusError::Kernel(e.to_string()))?,
-            _ => vec![],
-        };
-        let out = self.exchange.exchange(kind, local, &key_cols)?;
+        let out = self.exchange.exchange(kind, local)?;
         let name = format!("__exch_{}_{}", self.id, self.temp_counter);
         self.temp_counter += 1;
         let schema = out.schema().clone();
@@ -789,12 +780,7 @@ impl DorisCluster {
                     self.lifecycle_event("retry", backoff);
                 }
                 SiriusError::NodeDown(n) => return Err(DorisError::NodeDown(n)),
-                e => {
-                    return Err(DorisError::Node {
-                        node,
-                        message: e.to_string(),
-                    })
-                }
+                cause => return Err(DorisError::Node { node, cause }),
             }
         }
     }
@@ -947,15 +933,12 @@ impl DorisCluster {
         for (name, table) in self.storage.lock().iter() {
             catalog.register(name.clone(), table.clone());
         }
-        let failed = |e: &dyn std::fmt::Display| DorisError::Node {
-            node: 0,
-            message: format!("cpu fallback failed: {e}"),
-        };
-        let table = engine.execute(plan, &catalog).map_err(|e| failed(&e))?;
-        // Base tables may carry dictionary-encoded strings; the fallback
-        // result must be decoded like any other coordinator result.
-        let table =
-            sirius_core::materialize_result(engine.device(), &table).map_err(|e| failed(&e))?;
+        let failed = |cause| DorisError::Node { node: 0, cause };
+        let table = (engine.execute(plan, &catalog).map_err(node_error))
+            // Base tables may carry dictionary-encoded strings; the fallback
+            // result must be decoded like any other coordinator result.
+            .and_then(|table| sirius_core::materialize_result(engine.device(), &table))
+            .map_err(failed)?;
         let coordinator = DORIS_COORDINATOR + extra;
         Ok(QueryOutcome {
             table,
@@ -1040,7 +1023,19 @@ fn build_node_set(
     }
 }
 
+/// A CPU engine's error in the engine taxonomy: an unsupported plan keeps
+/// its type, every other failure is a kernel error.
+fn node_error(e: ExecError) -> SiriusError {
+    match e {
+        ExecError::Unsupported(m) => SiriusError::Unsupported(m),
+        e => SiriusError::Kernel(e.to_string()),
+    }
+}
+
 /// Partition `table` per `scheme` and register the shards on every node.
+/// Hash-partitioned tables are placed by the exchange's own router and
+/// salt, so a shuffle on the partition column lands every row where the
+/// load put it. Placement charges nothing: ledgers reset after load.
 fn load_table_into(
     state: &NodeSet,
     scheme: &PartitionScheme,
@@ -1050,13 +1045,13 @@ fn load_table_into(
     let world = state.nodes.len();
     let parts: Vec<Table> = match scheme.partition_column(name) {
         Some(Some(col)) => {
-            let key = table
-                .column_by_name(col)
-                .map_err(|_| {
-                    DorisError::Plan(format!("partition column {col} missing from table {name}"))
-                })?
-                .clone();
-            partition_by_hash(table, &[key], world)
+            let key = table.column_by_name(col).map_err(|_| {
+                DorisError::Plan(format!("partition column {col} missing from table {name}"))
+            })?;
+            let device = state.nodes[0].lock().engine.device().clone();
+            let ctx = GpuContext::new(device, CostCategory::Exchange).muted();
+            hash_partition(&ctx, &[key], table, world, EXCHANGE_LEVEL)
+                .map_err(|e| DorisError::Plan(format!("partitioning table {name}: {e}")))?
         }
         Some(None) => vec![table.clone(); world],
         None => table.partition((0..table.num_rows()).map(|i| i % world), world),
@@ -1070,7 +1065,7 @@ fn load_table_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirius_columnar::{DataType, Field, Schema};
+    use sirius_columnar::{Array, DataType, Field, Schema};
 
     fn cluster(kind: NodeEngineKind) -> DorisCluster {
         cluster_with(kind, ClusterConfig::default())
@@ -1409,6 +1404,59 @@ mod tests {
             assert_eq!(stores(&c), stores(&fresh), "{kind:?}");
             if kind != NodeEngineKind::SiriusGpu {
                 assert_eq!(stores(&c)[0], r#"["dim", "t"]"#);
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_charges_one_partition_pass_per_shuffle() {
+        let data = sirius_tpch::TpchGenerator::new(0.002).generate();
+        let queries = sirius_tpch::queries::all();
+        let sql = |q: u32| {
+            queries
+                .iter()
+                .find(|(id, _)| *id == q)
+                .map(|(_, s)| *s)
+                .unwrap()
+        };
+        for kind in [NodeEngineKind::SiriusGpu, NodeEngineKind::DorisCpu] {
+            let mut c = DorisCluster::with_config(
+                3,
+                kind,
+                PartitionScheme::tpch_default(),
+                Default::default(),
+            );
+            for (name, table) in data.tables() {
+                c.create_table(name.clone(), table.clone()).unwrap();
+            }
+            for (q, expected) in [(3, 4), (6, 0)] {
+                let plan = plan_sql(sql(q), &c.binder, kind.join_order()).unwrap();
+                let dplan = distribute_with(&plan, &c.scheme, kind.distribute_options()).unwrap();
+                let mut shuffles = 0;
+                sirius_plan::visit::visit(&dplan, &mut |_, rel| {
+                    shuffles += usize::from(matches!(
+                        rel,
+                        Rel::Exchange {
+                            kind: ExchangeKind::Shuffle { .. },
+                            ..
+                        }
+                    ));
+                });
+                assert_eq!(shuffles, expected, "{kind:?} Q{q}: shuffles in the plan");
+                let sinks: Vec<TraceSink> = (c.state.read().nodes.iter())
+                    .map(|n| {
+                        let sink = TraceConfig::On.sink();
+                        n.lock().engine.device().set_trace(sink.clone());
+                        sink
+                    })
+                    .collect();
+                c.execute_plan(&plan).unwrap();
+                for (node, sink) in sinks.iter().enumerate() {
+                    let passes = (sink.events().iter())
+                        .filter(|e| e.label == "partition.hash")
+                        .count();
+                    assert_eq!(passes, shuffles, "{kind:?} Q{q} node {node}");
+                }
             }
         }
     }

@@ -41,8 +41,8 @@ pub enum DorisError {
     Node {
         /// The failing node (stable id).
         node: usize,
-        /// Its error message.
-        message: String,
+        /// Its typed error.
+        cause: sirius_core::SiriusError,
     },
     /// A fragment reported its node down while the coordinator's down-set
     /// still holds the node alive, so re-scheduling cannot drop it. Every
@@ -57,9 +57,7 @@ impl std::fmt::Display for DorisError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DorisError::Sql(e) => write!(f, "sql error: {e}"),
-            DorisError::Node { node, message } => {
-                write!(f, "node {node} failed: {message}")
-            }
+            DorisError::Node { node, cause } => write!(f, "node {node} failed: {cause}"),
             DorisError::NodeDown(n) => write!(f, "node {n} is down"),
             DorisError::Plan(m) => write!(f, "distributed planning error: {m}"),
         }

@@ -3,6 +3,7 @@
 //! that once counted a complete input once per node (replicated left sides
 //! under Semi / Anti / Left joins, uncorrelated scalar subqueries).
 
+use sirius_core::SiriusError;
 use sirius_doris::{DorisCluster, DorisError, NodeEngineKind};
 use sirius_duckdb::DuckDb;
 use sirius_integration::assert_tables_equivalent;
@@ -45,13 +46,18 @@ fn distributed_matches_single_node() {
             for (id, sql, expected) in &reference {
                 let what = format!("Q{id} {kind:?} world={world}");
                 // ClickHouse rejects Q21's residual anti join (Figure 4's
-                // "n/s"): the engine's `ExecError::Unsupported`, carried in
-                // the failing node's error.
+                // "n/s"): the engine's `ExecError::Unsupported`, typed as
+                // the failing node's `SiriusError::Unsupported`.
                 let rejected = kind == NodeEngineKind::ClickHouseCpu && *id == 21;
                 match (c.sql(sql), rejected) {
                     (Ok(out), false) => assert_tables_equivalent(&what, expected, &out.table),
-                    (Err(DorisError::Node { message, .. }), true)
-                        if message.contains("unsupported by this engine") => {}
+                    (
+                        Err(DorisError::Node {
+                            cause: SiriusError::Unsupported(_),
+                            ..
+                        }),
+                        true,
+                    ) => {}
                     (Ok(_), true) => panic!("{what}: must be rejected as unsupported"),
                     (Err(e), _) => panic!("{what}: {e}"),
                 }
