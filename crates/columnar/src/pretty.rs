@@ -9,7 +9,7 @@ pub fn format_table(table: &Table, max_rows: usize) -> String {
         .schema()
         .fields
         .iter()
-        .map(|f| f.name.clone())
+        .map(|f| f.name.to_string())
         .collect();
     let shown = table.num_rows().min(max_rows);
     let mut cells: Vec<Vec<String>> = Vec::with_capacity(shown);

@@ -1,6 +1,7 @@
 //! Logical types, fields, and schemas.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Logical data types supported across the engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -51,11 +52,14 @@ impl std::fmt::Display for DataType {
     }
 }
 
-/// A named, typed column slot in a schema.
+/// A named, typed column slot in a schema. Cloning one bumps the name's
+/// reference count and allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Field {
-    /// Column name (possibly qualified, e.g. `lineitem.l_orderkey`).
-    pub name: String,
+    /// Column name (possibly qualified, e.g. `lineitem.l_orderkey`). Shared
+    /// and immutable: every schema that carries the column points at the one
+    /// allocation made where the name was first built.
+    pub name: Arc<str>,
     /// Logical type.
     pub data_type: DataType,
     /// Whether nulls may appear (left-join outputs set this).
@@ -64,7 +68,7 @@ pub struct Field {
 
 impl Field {
     /// A non-nullable field.
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, data_type: DataType) -> Self {
         Self {
             name: name.into(),
             data_type,
@@ -73,7 +77,7 @@ impl Field {
     }
 
     /// A nullable field.
-    pub fn nullable(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn nullable(name: impl Into<Arc<str>>, data_type: DataType) -> Self {
         Self {
             name: name.into(),
             data_type,
@@ -82,7 +86,7 @@ impl Field {
     }
 
     /// Copy of this field with a new name.
-    pub fn renamed(&self, name: impl Into<String>) -> Self {
+    pub fn renamed(&self, name: impl Into<Arc<str>>) -> Self {
         Self {
             name: name.into(),
             data_type: self.data_type,
@@ -91,7 +95,9 @@ impl Field {
     }
 }
 
-/// An ordered collection of fields. Cheap to clone (`Arc` inside `Table`).
+/// An ordered collection of fields. A clone costs one allocation, the
+/// `Vec` of fields: names are shared, not copied (and a `Table` holds its
+/// schema behind an `Arc`, so cloning a table copies no schema at all).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Schema {
     /// The fields, in column order.
@@ -123,27 +129,19 @@ impl Schema {
     /// suffix equals `name` (so `l_orderkey` finds `lineitem.l_orderkey`).
     /// Returns `None` on no match or ambiguity.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        if let Some(i) = self.fields.iter().position(|f| f.name == name) {
+        if let Some(i) = self.fields.iter().position(|f| &*f.name == name) {
             return Some(i);
         }
-        let matches: Vec<usize> = self
-            .fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                f.name
-                    .rsplit('.')
-                    .next()
-                    .map(|suffix| suffix == name)
-                    .unwrap_or(false)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if matches.len() == 1 {
-            Some(matches[0])
-        } else {
-            None
+        let mut found = None;
+        for (i, f) in self.fields.iter().enumerate() {
+            if f.name.rsplit('.').next() == Some(name) {
+                if found.is_some() {
+                    return None;
+                }
+                found = Some(i);
+            }
         }
+        found
     }
 
     /// Field at index `i`.
@@ -208,8 +206,8 @@ mod tests {
         let j = a.join(&b);
         assert_eq!(j.len(), 3);
         let p = j.project(&[2, 0]);
-        assert_eq!(p.fields[0].name, "z");
-        assert_eq!(p.fields[1].name, "x");
+        assert_eq!(&*p.fields[0].name, "z");
+        assert_eq!(&*p.fields[1].name, "x");
     }
 
     #[test]

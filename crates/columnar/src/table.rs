@@ -359,7 +359,7 @@ mod tests {
         assert_eq!(f.column(1).utf8_value(0), Some("b"));
         let p = t.project(&[1]);
         assert_eq!(p.num_columns(), 1);
-        assert_eq!(p.schema().fields[0].name, "name");
+        assert_eq!(&*p.schema().fields[0].name, "name");
     }
 
     #[test]

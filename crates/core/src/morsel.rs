@@ -730,7 +730,7 @@ mod tests {
             .map(|&func| AggExpr {
                 func,
                 input: Some(col(1)),
-                name: format!("{func:?}"),
+                name: format!("{func:?}").into(),
             })
             .collect();
         let ctx = GpuContext::new(Device::new(catalog::gh200_gpu()), CostCategory::GroupBy);

@@ -525,7 +525,7 @@ impl Fold for Compiler {
         &mut self,
         node: Node,
         rel: &Rel,
-        exprs: &[(Expr, String)],
+        exprs: &[(Expr, Arc<str>)],
         mut pipe: OpenPipe,
     ) -> Result<OpenPipe> {
         let schema = rel.output_schema(&[&pipe.schema])?;

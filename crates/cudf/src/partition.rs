@@ -30,6 +30,10 @@ pub fn hash_partition(
     level: u32,
 ) -> Result<Vec<Table>> {
     let parts = parts.max(1);
+    // One partition is the table itself: nothing is hashed or moved.
+    if parts == 1 {
+        return Ok(vec![table.clone()]);
+    }
     let n = table.num_rows();
     // One pass over the keys to compute bucket ids, one streamed read of the
     // table plus a scattered write per partition.
@@ -40,9 +44,6 @@ pub fn hash_partition(
             .with_rows(n as u64)
             .with_launches(2),
     );
-    if parts == 1 {
-        return Ok(vec![table.clone()]);
-    }
     let bucket = move |h: u64| (finalize(h) % parts as u64) as usize;
     // A table of one window is one job's work: it stays on this thread.
     let Some(fan) = ctx.fan_out().filter(|fan| n > fan.rows()) else {

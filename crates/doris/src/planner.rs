@@ -236,7 +236,7 @@ impl Fold for Distributor<'_> {
         &mut self,
         _node: Node,
         plan: &Rel,
-        exprs: &[(Expr, String)],
+        exprs: &[(Expr, std::sync::Arc<str>)],
         (child, part): Placed,
     ) -> Result<Placed> {
         let part = match part {
@@ -387,7 +387,7 @@ fn distribute_aggregate(
             AggExpr {
                 func: p.func,
                 input: a.input.clone(),
-                name: format!("{}{suffix}", a.name),
+                name: format!("{}{suffix}", a.name).into(),
             }
         })
         .collect();
@@ -416,8 +416,8 @@ fn distribute_aggregate(
     };
 
     // Phase 3: project back to the original output shape (avg = sum/count).
-    let mut out_exprs: Vec<(Expr, String)> =
-        (0..k).map(|i| (expr::col(i), format!("key{i}"))).collect();
+    let keys = (0..k).map(|i| (expr::col(i), format!("key{i}").into()));
+    let mut out_exprs: Vec<_> = keys.collect();
     for (f, a) in finals.iter().zip(aggregates) {
         let e = match *f {
             Final::Merged(i) => expr::col(k + i),

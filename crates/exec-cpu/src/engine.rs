@@ -16,6 +16,7 @@ use sirius_hw::{CostCategory, Device, DeviceSpec, WorkProfile};
 use sirius_plan::expr::{AggExpr, Expr, SortExpr};
 use sirius_plan::visit::{self, Fold, JoinOn, Node};
 use sirius_plan::{ExchangeKind, JoinKind, Rel};
+use std::sync::Arc;
 
 /// A CPU query engine: a simulated device plus an engine personality.
 pub struct CpuEngine {
@@ -160,7 +161,7 @@ impl Fold for Interp<'_> {
         &mut self,
         _node: Node,
         plan: &Rel,
-        exprs: &[(Expr, String)],
+        exprs: &[(Expr, Arc<str>)],
         t: Table,
     ) -> Result<Table> {
         let schema = plan.output_schema(&[t.schema()])?;

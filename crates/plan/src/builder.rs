@@ -3,6 +3,7 @@
 use crate::expr::{AggExpr, Expr, SortExpr};
 use crate::rel::{ExchangeKind, JoinKind, Rel};
 use sirius_columnar::Schema;
+use std::sync::Arc;
 
 /// Fluent builder over [`Rel`] trees.
 ///
@@ -56,7 +57,7 @@ impl PlanBuilder {
     }
 
     /// Add a projection.
-    pub fn project(self, exprs: Vec<(Expr, String)>) -> Self {
+    pub fn project(self, exprs: Vec<(Expr, Arc<str>)>) -> Self {
         Self {
             rel: Rel::Project {
                 input: Box::new(self.rel),

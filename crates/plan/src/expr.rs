@@ -4,6 +4,7 @@ use crate::{PlanError, Result};
 use serde::{Deserialize, Serialize};
 use sirius_columnar::ops::comparable;
 use sirius_columnar::{DataType, Scalar, Schema};
+use std::sync::Arc;
 
 pub use sirius_columnar::ops::{AggFunc, BinOp, UnOp};
 
@@ -259,8 +260,8 @@ pub struct AggExpr {
     pub func: AggFunc,
     /// Argument expression (`None` only for `CountStar`).
     pub input: Option<Expr>,
-    /// Output column name.
-    pub name: String,
+    /// Output column name, shared with the output schema's field.
+    pub name: Arc<str>,
 }
 
 impl AggExpr {

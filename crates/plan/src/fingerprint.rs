@@ -85,6 +85,34 @@ impl Fnv {
         self.usize(s.len());
         self.bytes(s.as_bytes());
     }
+
+    /// `value`'s `Debug` text hashed as [`Fnv::str`] hashes it, without
+    /// building a `String`: one formatting pass counts the length prefix,
+    /// a second streams the bytes into the lane.
+    fn debug(&mut self, value: &impl std::fmt::Debug) {
+        use std::fmt::Write;
+        let mut len = TextLen(0);
+        let _ = write!(len, "{value:?}");
+        self.usize(len.0);
+        let _ = write!(self, "{value:?}");
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// A `fmt::Write` sink that only counts the bytes written to it.
+struct TextLen(usize);
+
+impl std::fmt::Write for TextLen {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
 }
 
 /// The two-lane tree walk.
@@ -157,7 +185,7 @@ impl Walk {
                 residual,
             } => {
                 self.tag("join");
-                self.shape.str(&format!("{kind:?}"));
+                self.shape.debug(kind);
                 self.shape.usize(left_keys.len());
                 for k in left_keys.iter().chain(right_keys) {
                     self.expr(k);
@@ -253,7 +281,7 @@ impl Walk {
         self.shape.usize(schema.fields.len());
         for f in &schema.fields {
             self.shape.str(&f.name);
-            self.shape.str(&format!("{:?}", f.data_type));
+            self.shape.debug(&f.data_type);
         }
     }
 
@@ -269,18 +297,18 @@ impl Walk {
             }
             Expr::Binary { op, left, right } => {
                 self.tag("bin");
-                self.shape.str(&format!("{op:?}"));
+                self.shape.debug(op);
                 self.expr(left);
                 self.expr(right);
             }
             Expr::Unary { op, input } => {
                 self.tag("un");
-                self.shape.str(&format!("{op:?}"));
+                self.shape.debug(op);
                 self.expr(input);
             }
             Expr::Cast { input, to } => {
                 self.tag("cast");
-                self.shape.str(&format!("{to:?}"));
+                self.shape.debug(to);
                 self.expr(input);
             }
             Expr::Like {
@@ -358,7 +386,7 @@ impl Walk {
     }
 
     fn agg(&mut self, a: &AggExpr) {
-        self.shape.str(&format!("{:?}", a.func));
+        self.shape.debug(&a.func);
         self.optional("arg", a.input.as_ref(), "star");
         self.shape.str(&a.name);
     }
@@ -433,6 +461,20 @@ mod tests {
         let a = PlanBuilder::scan("t", schema()).build();
         let b = PlanBuilder::scan("u", schema()).build();
         assert_ne!(fingerprint(&a).shape, fingerprint(&b).shape);
+    }
+
+    #[test]
+    fn debug_text_hashes_as_its_string() {
+        fn both(value: &impl std::fmt::Debug) -> (u64, u64) {
+            let (mut streamed, mut formatted) = (Fnv(FNV_OFFSET), Fnv(FNV_OFFSET));
+            streamed.debug(value);
+            formatted.str(&format!("{value:?}"));
+            (streamed.0, formatted.0)
+        }
+        let (a, b) = both(&crate::JoinKind::Single);
+        assert_eq!(a, b);
+        let (a, b) = both(&"a quoted, escaped \"text\" of several writes");
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::expr::{AggExpr, Expr, SortExpr};
 use crate::{PlanError, Result};
 use serde::{Deserialize, Serialize};
 use sirius_columnar::{Field, Schema};
+use std::sync::Arc;
 
 /// Join kinds carried by the IR. `Cross` has no equality keys; `Single` is
 /// the scalar-subquery left join (at most one match per left row).
@@ -64,8 +65,9 @@ pub enum Rel {
     Project {
         /// Input relation.
         input: Box<Rel>,
-        /// `(expression, output name)` pairs.
-        exprs: Vec<(Expr, String)>,
+        /// `(expression, output name)` pairs. The name is the output
+        /// field's name as is: deriving the schema shares it.
+        exprs: Vec<(Expr, Arc<str>)>,
     },
     /// Grouped or global aggregation. Output columns: group keys (named
     /// `key0..` unless they are simple column refs), then aggregates.
@@ -160,7 +162,7 @@ impl Rel {
     /// scan's projection, so it fails on exactly the plans whose output is
     /// untypable.
     pub fn output_schema(&self, inputs: &[&Schema]) -> Result<Schema> {
-        let field = |name: String, (data_type, nullable)| Field {
+        let field = |name: Arc<str>, (data_type, nullable)| Field {
             name,
             data_type,
             nullable,
@@ -201,7 +203,7 @@ impl Rel {
                     let typed = key.typed(input)?;
                     let name = match key {
                         Expr::Column(c) => input.fields[*c].name.clone(),
-                        _ => format!("key{i}"),
+                        _ => format!("key{i}").into(),
                     };
                     fields.push(field(name, typed));
                 }
@@ -482,7 +484,7 @@ mod tests {
         };
         let s = r.schema().unwrap();
         assert_eq!(s.len(), 1);
-        assert_eq!(s.fields[0].name, "b");
+        assert_eq!(&*s.fields[0].name, "b");
     }
 
     #[test]
@@ -495,7 +497,7 @@ mod tests {
             ],
         };
         let s = p.schema().unwrap();
-        assert_eq!(s.fields[0].name, "a1");
+        assert_eq!(&*s.fields[0].name, "a1");
         assert_eq!(s.fields[0].data_type, DataType::Int64);
         assert_eq!(s.fields[1].data_type, DataType::Utf8);
     }
@@ -520,7 +522,7 @@ mod tests {
         };
         let s = a.schema().unwrap();
         assert_eq!(
-            s.fields.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(),
+            s.fields.iter().map(|f| &*f.name).collect::<Vec<_>>(),
             vec!["b", "s", "n"]
         );
         assert_eq!(s.fields[1].data_type, DataType::Int64);
@@ -619,7 +621,7 @@ mod typing_reference {
                     let dt = g.data_type(&in_schema)?;
                     let name = match g {
                         Expr::Column(c) => in_schema.fields[*c].name.clone(),
-                        _ => format!("key{i}"),
+                        _ => format!("key{i}").into(),
                     };
                     fields.push(Field {
                         name,

@@ -33,6 +33,7 @@
 //! use sirius_plan::visit::{fold, Fold, JoinOn, Node};
 //! use sirius_plan::{ExchangeKind, JoinKind, Rel};
 //! use sirius_columnar::{DataType, Field, Schema};
+//! use std::sync::Arc;
 //!
 //! struct Algebra;
 //! type Line = Result<String, std::convert::Infallible>;
@@ -45,7 +46,7 @@
 //!     fn filter(&mut self, _: Node, _: &Rel, _: &Expr, input: String) -> Line {
 //!         Ok(format!("σ({input})"))
 //!     }
-//!     fn project(&mut self, _: Node, _: &Rel, exprs: &[(Expr, String)], input: String) -> Line {
+//!     fn project(&mut self, _: Node, _: &Rel, exprs: &[(Expr, Arc<str>)], input: String) -> Line {
 //!         Ok(format!("π{}({input})", exprs.len()))
 //!     }
 //!     fn aggregate(&mut self, _: Node, _: &Rel, keys: &[Expr], _: &[AggExpr], input: String) -> Line {
@@ -80,6 +81,7 @@
 use crate::expr::{AggExpr, Expr, SortExpr};
 use crate::rel::{ExchangeKind, JoinKind, Rel};
 use sirius_columnar::Schema;
+use std::sync::Arc;
 
 /// A plan operator's stable pre-order id and tree depth, assigned by the
 /// fold/visit drivers. Ids are dense: a tree with `n` operators uses ids
@@ -188,7 +190,7 @@ pub trait Fold {
         &mut self,
         node: Node,
         rel: &Rel,
-        exprs: &[(Expr, String)],
+        exprs: &[(Expr, Arc<str>)],
         input: Self::Output,
     ) -> Result<Self::Output, Self::Error>;
 
@@ -423,7 +425,7 @@ mod tests {
         fn filter(&mut self, n: Node, _: &Rel, _: &Expr, input: Vec<u32>) -> Seen {
             after(n, input)
         }
-        fn project(&mut self, n: Node, _: &Rel, _: &[(Expr, String)], input: Vec<u32>) -> Seen {
+        fn project(&mut self, n: Node, _: &Rel, _: &[(Expr, Arc<str>)], input: Vec<u32>) -> Seen {
             after(n, input)
         }
         fn aggregate(

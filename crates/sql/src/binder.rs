@@ -31,11 +31,12 @@ use crate::optimizer::join_order::{self, JoinOrderer, JoinRelation};
 use crate::optimizer::stats::{CatalogStatistics, Statistics};
 use crate::{Result, SqlError};
 use sirius_columnar::scalar::{date32_add_months, parse_date32};
-use sirius_columnar::{Scalar, Schema};
+use sirius_columnar::{Field, Scalar, Schema};
 use sirius_plan::expr::{self, factor_or_common, AggExpr, SortExpr};
 use sirius_plan::{AggFunc, BinOp, Expr, JoinKind, Rel, UnOp};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Ordinals at or above this base refer to the outer query's columns while
 /// binding a correlated subquery (`ordinal - OUTER_BASE` indexes the outer
@@ -51,6 +52,9 @@ const DERIVED_ROWS: f64 = 1000.0;
 #[derive(Debug, Clone, Default)]
 pub struct BinderCatalog {
     tables: HashMap<String, (Schema, u64)>,
+    /// Each table's schema with its columns named `table.column`: what an
+    /// unaliased reference binds to, qualified once at registration.
+    qualified: HashMap<String, Schema>,
 }
 
 impl BinderCatalog {
@@ -61,7 +65,9 @@ impl BinderCatalog {
 
     /// Register a table with its schema and (estimated) row count.
     pub fn add_table(&mut self, name: impl Into<String>, schema: Schema, rows: u64) {
-        self.tables.insert(name.into(), (schema, rows));
+        let name = name.into();
+        self.qualified.insert(name.clone(), qualify(&schema, &name));
+        self.tables.insert(name, (schema, rows));
     }
 
     /// Look up a table.
@@ -125,7 +131,7 @@ fn filter(input: Rel, predicate: Expr) -> Rel {
     }
 }
 
-fn project(input: Rel, exprs: Vec<(Expr, String)>) -> Rel {
+fn project(input: Rel, exprs: Vec<(Expr, Arc<str>)>) -> Rel {
     Rel::Project {
         input: Box::new(input),
         exprs,
@@ -175,7 +181,7 @@ fn rename_output(plan: Rel, schema: &Schema, name: &str) -> (Rel, Schema) {
     let mut fields = Vec::with_capacity(schema.len());
     for (i, f) in schema.fields.iter().enumerate() {
         let suffix = f.name.rsplit('.').next().unwrap_or(&f.name);
-        let renamed = format!("{name}.{suffix}");
+        let renamed: Arc<str> = format!("{name}.{suffix}").into();
         fields.push(f.renamed(renamed.clone()));
         exprs.push((expr::col(i), renamed));
     }
@@ -330,13 +336,10 @@ fn bind_table_ref(t: &TableRef, ctx: &BindCtx<'_>) -> Result<JoinRelation> {
                 .get(name)
                 .ok_or_else(|| err(format!("unknown table {name}")))?;
             let binding = t.binding_name();
-            let qualified = Schema::new(
-                schema
-                    .fields
-                    .iter()
-                    .map(|f| f.renamed(format!("{binding}.{}", f.name)))
-                    .collect(),
-            );
+            let qualified = match ctx.catalog.qualified.get(name) {
+                Some(unaliased) if binding == name => unaliased.clone(),
+                _ => qualify(schema, binding),
+            };
             Ok(JoinRelation {
                 plan: Rel::Read {
                     table: name.clone(),
@@ -352,6 +355,12 @@ fn bind_table_ref(t: &TableRef, ctx: &BindCtx<'_>) -> Result<JoinRelation> {
             Ok(derived(plan, &schema))
         }
     }
+}
+
+/// `schema` with each column named `binding.column`.
+fn qualify(schema: &Schema, binding: &str) -> Schema {
+    let qualified = |f: &Field| f.renamed(format!("{binding}.{}", f.name));
+    Schema::new(schema.fields.iter().map(qualified).collect())
 }
 
 /// True if `e` references at least one column and every one satisfies `pred`.
@@ -466,7 +475,7 @@ impl Grouping {
                 .map(|(i, (func, arg))| AggExpr {
                     func: *func,
                     input: arg.clone(),
-                    name: format!("agg{i}"),
+                    name: format!("agg{i}").into(),
                 })
                 .collect(),
         }
@@ -563,24 +572,22 @@ fn finish_select(query: &Query, product: Product, ctx: &BindCtx<'_>) -> Result<(
     Ok((plan, out_schema))
 }
 
-fn output_name(item: &SelectItem, index: usize) -> String {
-    if let Some(a) = &item.alias {
-        return a.clone();
+fn output_name(item: &SelectItem, index: usize) -> Arc<str> {
+    let named = match &item.expr {
+        ExprAst::Ident(parts) => parts.last(),
+        _ => None,
+    };
+    match item.alias.as_ref().or(named) {
+        Some(name) => name.as_str().into(),
+        None => format!("col{index}").into(),
     }
-    if let ExprAst::Ident(parts) = &item.expr {
-        return parts
-            .last()
-            .cloned()
-            .unwrap_or_else(|| format!("col{index}"));
-    }
-    format!("col{index}")
 }
 
 /// Bind one ORDER BY key against the projected output (alias/name first,
 /// then structural match against the select items).
 fn bind_order_key(ast: &ExprAst, out_schema: &Schema, items: &[SelectItem]) -> Result<Expr> {
     if let ExprAst::Ident(parts) = ast {
-        if let Some(i) = out_schema.index_of(&parts.join(".")) {
+        if let Some(i) = out_schema.index_of(&dotted(parts)) {
             return Ok(expr::col(i));
         }
     }
@@ -733,6 +740,14 @@ impl Grouping {
     }
 }
 
+/// A possibly qualified name as one string; a bare name is not copied.
+fn dotted(parts: &[String]) -> Cow<'_, str> {
+    match parts {
+        [name] => Cow::Borrowed(name),
+        _ => Cow::Owned(parts.join(".")),
+    }
+}
+
 fn unary(op: UnOp, input: Expr) -> Expr {
     Expr::Unary {
         op,
@@ -747,7 +762,7 @@ fn bind_expr(ast: &ExprAst, scope: &Scope<'_>) -> Result<Expr> {
     }
     let bind = |e: &ExprAst| bind_expr(e, scope);
     Ok(match ast {
-        ExprAst::Ident(parts) => scope.column(&parts.join("."))?,
+        ExprAst::Ident(parts) => scope.column(&dotted(parts))?,
         ExprAst::Int(v) => expr::lit(Scalar::Int64(*v)),
         ExprAst::Float(v) => expr::lit(Scalar::Float64(*v)),
         ExprAst::Str(s) => expr::lit(Scalar::Utf8(s.clone())),
@@ -1027,7 +1042,7 @@ fn join_scalar_subquery(
     ctx: &BindCtx<'_>,
 ) -> Result<(Rel, Schema)> {
     let select = &sub.select;
-    let value_name = format!("__scalar{}", schema.len());
+    let value_name: Arc<str> = format!("__scalar{}", schema.len()).into();
     let ctx = with_ctes(sub, ctx)?;
     let inner = bind_product(select, &ctx, Some(schema))?;
 
@@ -1066,8 +1081,8 @@ fn join_scalar_subquery(
             ..input
         };
         let width = outer_keys.len();
-        let mut exprs: Vec<(Expr, String)> = (0..width)
-            .map(|i| (expr::col(i), format!("__key{i}")))
+        let mut exprs: Vec<(Expr, Arc<str>)> = (0..width)
+            .map(|i| (expr::col(i), format!("__key{i}").into()))
             .collect();
         exprs.push((bind_expr(item, &scope)?, value_name));
         let aggregated = grouping.aggregate(inner.plan);

@@ -1,19 +1,24 @@
 //! SQL tokenizer.
+//!
+//! Tokens borrow from the SQL text: an identifier is a slice of it, and a
+//! string literal is one too unless it contains a `''` escape, which is the
+//! only case that copies.
 
 use crate::{Result, SqlError};
+use std::borrow::Cow;
 
-/// A SQL token. Keywords are lexed as `Ident` and matched
-/// case-insensitively by the parser.
+/// A SQL token over the text it was lexed from. Keywords are lexed as
+/// `Ident` and matched case-insensitively by the parser.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Identifier or keyword (original case preserved).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
     Float(f64),
     /// Single-quoted string literal (quotes stripped, `''` unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// Punctuation / operator.
     Symbol(Sym),
 }
@@ -40,7 +45,7 @@ pub enum Sym {
     Dot,
 }
 
-impl Token {
+impl Token<'_> {
     /// True if this token is the keyword `kw` (case-insensitive).
     pub fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
@@ -48,35 +53,28 @@ impl Token {
 }
 
 /// Tokenize SQL text.
-pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
+pub fn tokenize(sql: &str) -> Result<Vec<Token<'_>>> {
     let mut out = Vec::new();
-    let chars: Vec<char> = sql.chars().collect();
     let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
+    while let Some(c) = sql[i..].chars().next() {
+        let next = sql.as_bytes().get(i + 1).copied();
         match c {
-            c if c.is_whitespace() => i += 1,
-            '-' if chars.get(i + 1) == Some(&'-') => {
-                // line comment
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '\'' => out.push(string_literal(&chars, &mut i)?),
-            c if c.is_ascii_digit() => out.push(number(&chars, &mut i)?),
+            c if c.is_whitespace() => i += c.len_utf8(),
+            // A line comment runs to the newline, which is whitespace.
+            '-' if next == Some(b'-') => i = sql[i..].find('\n').map_or(sql.len(), |n| i + n),
+            '\'' => out.push(string_literal(sql, &mut i)?),
+            c if c.is_ascii_digit() => out.push(number(sql, &mut i)?),
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                out.push(Token::Ident(chars[start..i].iter().collect()));
+                i += ascii_run(&sql[i..], |b| b.is_ascii_alphanumeric() || b == b'_');
+                out.push(Token::Ident(&sql[start..i]));
             }
             _ => {
-                let (sym, advance) = match (c, chars.get(i + 1)) {
-                    ('<', Some('=')) => (Sym::LtEq, 2),
-                    ('<', Some('>')) => (Sym::NotEq, 2),
-                    ('>', Some('=')) => (Sym::GtEq, 2),
-                    ('!', Some('=')) => (Sym::NotEq, 2),
+                let (sym, advance) = match (c, next) {
+                    ('<', Some(b'=')) => (Sym::LtEq, 2),
+                    ('<', Some(b'>')) => (Sym::NotEq, 2),
+                    ('>', Some(b'=')) => (Sym::GtEq, 2),
+                    ('!', Some(b'=')) => (Sym::NotEq, 2),
                     ('(', _) => (Sym::LParen, 1),
                     (')', _) => (Sym::RParen, 1),
                     (',', _) => (Sym::Comma, 1),
@@ -100,46 +98,54 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
     Ok(out)
 }
 
-/// The quoted string starting at `chars[*i]` (`''` is an escaped quote),
-/// leaving `*i` past its closing quote.
-fn string_literal(chars: &[char], i: &mut usize) -> Result<Token> {
-    let mut s = String::new();
-    *i += 1;
+/// Length of the prefix of `s` whose bytes all satisfy `keep` (an ASCII
+/// class, so the prefix ends on a character boundary).
+fn ascii_run(s: &str, keep: impl Fn(u8) -> bool) -> usize {
+    s.bytes().position(|b| !keep(b)).unwrap_or(s.len())
+}
+
+/// The quoted string starting at `sql[*i]` (`''` is an escaped quote),
+/// leaving `*i` past its closing quote. Borrowed unless it holds an escape.
+fn string_literal<'a>(sql: &'a str, i: &mut usize) -> Result<Token<'a>> {
+    let body = *i + 1;
+    let (mut run, mut escaped) = (body, None::<String>);
     loop {
-        match chars.get(*i) {
-            Some('\'') if chars.get(*i + 1) == Some(&'\'') => {
-                s.push('\'');
-                *i += 2;
-            }
-            Some('\'') => {
-                *i += 1;
-                return Ok(Token::Str(s));
-            }
-            Some(&ch) => {
-                s.push(ch);
-                *i += 1;
-            }
+        let quote = match sql[run..].find('\'') {
+            Some(q) => run + q,
             None => return Err(SqlError::Lex("unterminated string".into())),
+        };
+        if sql.as_bytes().get(quote + 1) == Some(&b'\'') {
+            // Keep the run up to and including one of the two quotes.
+            escaped
+                .get_or_insert_with(String::new)
+                .push_str(&sql[run..=quote]);
+            run = quote + 2;
+            continue;
         }
+        *i = quote + 1;
+        let text = match escaped {
+            None => Cow::Borrowed(&sql[body..quote]),
+            Some(mut s) => {
+                s.push_str(&sql[run..quote]);
+                Cow::Owned(s)
+            }
+        };
+        return Ok(Token::Str(text));
     }
 }
 
-/// The integer or decimal starting at `chars[*i]`, leaving `*i` past it.
-fn number(chars: &[char], i: &mut usize) -> Result<Token> {
-    let digits = |i: &mut usize| {
-        while chars.get(*i).is_some_and(char::is_ascii_digit) {
-            *i += 1;
-        }
-    };
+/// The integer or decimal starting at `sql[*i]`, leaving `*i` past it.
+fn number<'a>(sql: &'a str, i: &mut usize) -> Result<Token<'a>> {
+    let digits = |at: usize| at + ascii_run(&sql[at..], |b| b.is_ascii_digit());
     let start = *i;
-    digits(i);
+    *i = digits(start);
+    let bytes = sql.as_bytes();
     let is_float =
-        chars.get(*i) == Some(&'.') && chars.get(*i + 1).is_some_and(char::is_ascii_digit);
+        bytes.get(*i) == Some(&b'.') && bytes.get(*i + 1).is_some_and(u8::is_ascii_digit);
     if is_float {
-        *i += 1;
-        digits(i);
+        *i = digits(*i + 1);
     }
-    let text: String = chars[start..*i].iter().collect();
+    let text = &sql[start..*i];
     let bad =
         |kind: &str, e: &dyn std::fmt::Display| SqlError::Lex(format!("bad {kind} {text}: {e}"));
     if is_float {
@@ -187,9 +193,86 @@ mod tests {
         assert_eq!(toks[1], Token::Symbol(Sym::Dot));
     }
 
+    fn str_token(s: &str) -> Token<'_> {
+        Token::Str(s.into())
+    }
+
+    #[test]
+    fn quote_escapes_at_start_middle_and_end() {
+        let toks = tokenize("'''a' 'a''b' 'a''' '''' ''").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                str_token("'a"),
+                str_token("a'b"),
+                str_token("a'"),
+                str_token("'"),
+                str_token(""),
+            ]
+        );
+        // Only a literal with an escape owns its text.
+        let owned: Vec<bool> = (toks.iter())
+            .map(|t| matches!(t, Token::Str(Cow::Owned(_))))
+            .collect();
+        assert_eq!(owned, [true, true, true, true, false]);
+    }
+
+    #[test]
+    fn utf8_literal_is_borrowed_whole() {
+        let toks = tokenize("x = 'crème brûlée ✓'").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::Ident("x"),
+                Token::Symbol(Sym::Eq),
+                str_token("crème brûlée ✓")
+            ]
+        );
+        assert!(matches!(toks[2], Token::Str(Cow::Borrowed(_))));
+    }
+
+    #[test]
+    fn non_ascii_whitespace_separates_tokens() {
+        let toks = tokenize("a\u{a0}b\u{2003}1\u{3000}<=\u{85}c").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::Ident("a"),
+                Token::Ident("b"),
+                Token::Int(1),
+                Token::Symbol(Sym::LtEq),
+                Token::Ident("c"),
+            ]
+        );
+    }
+
+    #[test]
+    fn comment_at_end_of_input() {
+        let toks = tokenize("select 1 -- trailing, no newline").unwrap();
+        assert_eq!(toks, vec![Token::Ident("select"), Token::Int(1)]);
+        assert_eq!(tokenize("x--").unwrap(), vec![Token::Ident("x")]);
+    }
+
+    #[test]
+    fn integer_then_dot_then_identifier() {
+        assert_eq!(
+            tokenize("1.x 2.5e").unwrap(),
+            vec![
+                Token::Int(1),
+                Token::Symbol(Sym::Dot),
+                Token::Ident("x"),
+                Token::Float(2.5),
+                Token::Ident("e"),
+            ]
+        );
+    }
+
     #[test]
     fn errors() {
-        assert!(tokenize("'unterminated").is_err());
-        assert!(tokenize("a # b").is_err());
+        let lex = |m: &str| Err(SqlError::Lex(m.into()));
+        assert_eq!(tokenize("'unterminated"), lex("unterminated string"));
+        assert_eq!(tokenize("'it''s"), lex("unterminated string"));
+        assert_eq!(tokenize("a # b"), lex("unexpected character '#'"));
+        assert_eq!(tokenize("é"), lex("unexpected character 'é'"));
     }
 }

@@ -588,8 +588,8 @@ mod tests {
         let (plan, _, schema) = orderer.build(rels, &[0, 1], vec![eq_edge(0, 1)]).unwrap();
         assert_eq!(join_structure(&plan), "π(big ⋈ small)");
         // The restoring projection preserves the unswapped output order.
-        assert_eq!(schema.fields[0].name, "small.k");
-        assert_eq!(schema.fields[1].name, "big.k");
+        assert_eq!(&*schema.fields[0].name, "small.k");
+        assert_eq!(&*schema.fields[1].name, "big.k");
         let Rel::Project { input, exprs } = &plan else {
             panic!("expected restoring projection");
         };
@@ -821,7 +821,7 @@ mod tests {
         let (plan, map, schema) = orderer.build(rels, &offsets, edges).unwrap();
         assert!(!has_cross_join(&plan), "{}", join_structure(&plan));
         assert!(join_structure(&plan).starts_with(&"(".repeat(n - 1)));
-        assert_eq!(schema.fields[map[7]].name, "t7.k");
+        assert_eq!(&*schema.fields[map[7]].name, "t7.k");
         assert_eq!(map[7], 0, "the smallest relation starts");
     }
 

@@ -25,6 +25,7 @@ use sirius_columnar::Schema;
 use sirius_plan::expr::{self, SortExpr};
 use sirius_plan::{AggExpr, ExchangeKind, Expr, JoinKind, Rel};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Run all optimization passes.
 pub fn optimize(plan: Rel) -> Result<Rel> {
@@ -156,7 +157,7 @@ fn prune_filter(input: Rel, predicate: Expr, required: &BTreeSet<usize>) -> Resu
 
 fn prune_project(
     input: Rel,
-    exprs: Vec<(Expr, String)>,
+    exprs: Vec<(Expr, Arc<str>)>,
     required: &BTreeSet<usize>,
 ) -> Result<(Rel, Mapping)> {
     let mut child_req = BTreeSet::new();

@@ -5,7 +5,7 @@ use crate::lexer::{Sym, Token};
 use crate::{Result, SqlError};
 
 struct Parser<'a> {
-    tokens: &'a [Token],
+    tokens: &'a [Token<'a>],
     pos: usize,
 }
 
@@ -13,7 +13,7 @@ struct Parser<'a> {
 type KeywordForm<'a> = fn(&mut Parser<'a>) -> Result<ExprAst>;
 
 /// Parse a full query from tokens.
-pub fn parse_query(tokens: &[Token]) -> Result<Query> {
+pub fn parse_query(tokens: &[Token<'_>]) -> Result<Query> {
     let mut p = Parser { tokens, pos: 0 };
     let q = p.query()?;
     p.eat_sym(Sym::Semicolon);
@@ -27,11 +27,11 @@ pub fn parse_query(tokens: &[Token]) -> Result<Query> {
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&'a Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<&Token> {
+    fn next(&mut self) -> Option<&'a Token<'a>> {
         let t = self.tokens.get(self.pos);
         if t.is_some() {
             self.pos += 1;
@@ -88,8 +88,13 @@ impl<'a> Parser<'a> {
     }
 
     fn ident(&mut self) -> Result<String> {
+        self.name().map(str::to_string)
+    }
+
+    /// The next token as an identifier, borrowed from the SQL text.
+    fn name(&mut self) -> Result<&'a str> {
         match self.next() {
-            Some(Token::Ident(s)) => Ok(s.clone()),
+            Some(Token::Ident(s)) => Ok(s),
             other => Err(SqlError::Parse(format!(
                 "expected identifier, found {other:?}"
             ))),
@@ -377,7 +382,7 @@ impl<'a> Parser<'a> {
                 Some(Token::Str(p)) => {
                     return Ok(ExprAst::Like {
                         expr: Box::new(left),
-                        pattern: p.clone(),
+                        pattern: p.to_string(),
                         negated,
                     })
                 }
@@ -494,15 +499,15 @@ impl<'a> Parser<'a> {
     }
 
     fn primary(&mut self) -> Result<ExprAst> {
-        let literal = match self.peek().cloned() {
+        let literal = match self.peek() {
             Some(Token::Ident(id)) => return self.ident_led(id),
             Some(Token::Symbol(Sym::LParen)) => {
                 self.pos += 1;
                 return self.parenthesized();
             }
-            Some(Token::Int(v)) => ExprAst::Int(v),
-            Some(Token::Float(v)) => ExprAst::Float(v),
-            Some(Token::Str(s)) => ExprAst::Str(s),
+            Some(Token::Int(v)) => ExprAst::Int(*v),
+            Some(Token::Float(v)) => ExprAst::Float(*v),
+            Some(Token::Str(s)) => ExprAst::Str(s.to_string()),
             other => return Err(SqlError::Parse(format!("unexpected token {other:?}"))),
         };
         self.pos += 1;
@@ -523,7 +528,7 @@ impl<'a> Parser<'a> {
 
     /// An expression led by the identifier `id` (not yet consumed): a
     /// keyword form, an aggregate call, or a (possibly qualified) column.
-    fn ident_led(&mut self, id: String) -> Result<ExprAst> {
+    fn ident_led(&mut self, id: &str) -> Result<ExprAst> {
         let keyword_forms: [(&str, KeywordForm<'a>); 6] = [
             ("date", Self::date_literal),
             ("interval", Self::interval),
@@ -539,22 +544,22 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             return form(self);
         }
-        let agg = match id.to_ascii_lowercase().as_str() {
-            "count" => Some(AstAggFunc::Count),
-            "sum" => Some(AstAggFunc::Sum),
-            "min" => Some(AstAggFunc::Min),
-            "max" => Some(AstAggFunc::Max),
-            "avg" => Some(AstAggFunc::Avg),
-            _ => None,
-        };
-        if let Some(func) = agg {
+        let aggregates = [
+            ("count", AstAggFunc::Count),
+            ("sum", AstAggFunc::Sum),
+            ("min", AstAggFunc::Min),
+            ("max", AstAggFunc::Max),
+            ("avg", AstAggFunc::Avg),
+        ];
+        let agg = (aggregates.iter()).find(|(name, _)| id.eq_ignore_ascii_case(name));
+        if let Some(&(_, func)) = agg {
             if self.tokens.get(self.pos + 1) == Some(&Token::Symbol(Sym::LParen)) {
                 self.pos += 2;
                 return self.aggregate_call(func);
             }
         }
         self.pos += 1;
-        let mut parts = vec![id];
+        let mut parts = vec![id.to_string()];
         while self.eat_sym(Sym::Dot) {
             parts.push(self.ident()?);
         }
@@ -564,7 +569,7 @@ impl<'a> Parser<'a> {
     /// After `DATE`: its string literal.
     fn date_literal(&mut self) -> Result<ExprAst> {
         match self.next() {
-            Some(Token::Str(s)) => Ok(ExprAst::Date(s.clone())),
+            Some(Token::Str(s)) => Ok(ExprAst::Date(s.to_string())),
             other => Err(SqlError::Parse(format!(
                 "DATE requires a string literal, found {other:?}"
             ))),
@@ -584,7 +589,7 @@ impl<'a> Parser<'a> {
                 )))
             }
         };
-        let unit_word = self.ident()?.to_ascii_lowercase();
+        let unit_word = self.name()?.to_ascii_lowercase();
         let unit = match unit_word.trim_end_matches('s') {
             "day" => IntervalUnit::Day,
             "month" => IntervalUnit::Month,

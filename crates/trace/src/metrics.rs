@@ -10,6 +10,7 @@
 //! so every node/engine handle feeds one snapshot.
 
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -67,14 +68,14 @@ impl Metric {
 
 type LabelSet = Vec<(String, String)>;
 
-/// One time series: a metric and its label set. Ordered by metric name
-/// first, so a family's series render together.
-type Series = (Metric, LabelSet);
+/// One metric's series with their values, sorted by label set: the order
+/// `render` prints them in.
+type Family<V> = Vec<(LabelSet, V)>;
 
 #[derive(Default)]
 struct Registry {
-    counters: BTreeMap<Series, u64>,
-    gauges: BTreeMap<Series, f64>,
+    counters: BTreeMap<Metric, Family<u64>>,
+    gauges: BTreeMap<Metric, Family<f64>>,
 }
 
 /// Shared metrics registry; cheap to clone.
@@ -83,9 +84,17 @@ pub struct MetricsRegistry {
     inner: Arc<Mutex<Registry>>,
 }
 
-/// The series `metric` emits under `label_pairs`, refusing a metric
-/// declared as another kind than the emit method's.
-fn series(metric: Metric, kind: Kind, label_pairs: &[(&str, &str)]) -> Series {
+/// The value of `metric`'s series under `label_pairs`, created as `init` on
+/// first use, refusing a metric declared as another kind than the emit
+/// method's. An existing series is found by the borrowed labels; only a new
+/// one copies them.
+fn slot<'r, V>(
+    families: &'r mut BTreeMap<Metric, Family<V>>,
+    metric: Metric,
+    kind: Kind,
+    label_pairs: &[(&str, &str)],
+    init: V,
+) -> &'r mut V {
     assert_eq!(
         metric.kind,
         kind,
@@ -94,22 +103,37 @@ fn series(metric: Metric, kind: Kind, label_pairs: &[(&str, &str)]) -> Series {
         metric.kind.as_str(),
         kind.as_str()
     );
-    let labels = label_pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    (metric, labels)
+    let family = families.entry(metric).or_default();
+    let i = match family.binary_search_by(|(ls, _)| pairs(ls).cmp(label_pairs.iter().copied())) {
+        Ok(i) => i,
+        Err(i) => {
+            let labels = (label_pairs.iter())
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            family.insert(i, (labels, init));
+            i
+        }
+    };
+    &mut family[i].1
 }
 
-/// Whether `series` is `name` under exactly `label_pairs`.
-fn is(series: &Series, name: &str, label_pairs: &[(&str, &str)]) -> bool {
-    let (metric, labels) = series;
-    metric.name == name
-        && labels.len() == label_pairs.len()
-        && labels
-            .iter()
-            .zip(label_pairs)
-            .all(|((k, v), (pk, pv))| k == pk && v == pv)
+/// The value of the series `name` under exactly `label_pairs`, if any.
+fn find<V: Copy>(
+    families: &BTreeMap<Metric, Family<V>>,
+    name: &str,
+    label_pairs: &[(&str, &str)],
+) -> Option<V> {
+    let mut all = families.iter().filter(|(m, _)| m.name == name);
+    all.find_map(|(_, family)| {
+        let mut series = family.iter();
+        series.find(|(ls, _)| pairs(ls).eq(label_pairs.iter().copied()))
+    })
+    .map(|(_, v)| *v)
+}
+
+/// A stored label set as borrowed pairs, comparable with an emit's.
+fn pairs(ls: &LabelSet) -> impl Iterator<Item = (&str, &str)> {
+    ls.iter().map(|(k, v)| (k.as_str(), v.as_str()))
 }
 
 fn render_labels(ls: &LabelSet) -> String {
@@ -118,6 +142,31 @@ fn render_labels(ls: &LabelSet) -> String {
     }
     let parts: Vec<String> = ls.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
     format!("{{{}}}", parts.join(","))
+}
+
+/// A small id (a node or rank) as label text. Ids below 16 are static, so
+/// a per-query emit with them allocates nothing; larger ones are formatted.
+pub fn id_label(id: usize) -> Cow<'static, str> {
+    const IDS: [&str; 16] = [
+        "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
+    ];
+    IDS.get(id)
+        .map_or_else(|| id.to_string().into(), |&s| s.into())
+}
+
+/// Append one family: its `# HELP` and `# TYPE` lines, then its series.
+fn render_family<V>(
+    out: &mut String,
+    metric: &Metric,
+    family: &Family<V>,
+    value: impl Fn(&V) -> String,
+) {
+    let name = metric.name;
+    let _ = writeln!(out, "# HELP {name} {}", metric.help);
+    let _ = writeln!(out, "# TYPE {name} {}", metric.kind.as_str());
+    for (ls, v) in family {
+        let _ = writeln!(out, "{name}{} {}", render_labels(ls), value(v));
+    }
 }
 
 /// Render a float the way Prometheus expects (no exponent for simple
@@ -144,8 +193,8 @@ impl MetricsRegistry {
 
     /// Add `v` to a counter.
     pub fn counter_add(&self, metric: Metric, label_pairs: &[(&str, &str)], v: u64) {
-        let key = series(metric, Kind::Counter, label_pairs);
-        *self.inner.lock().counters.entry(key).or_insert(0) += v;
+        let mut reg = self.inner.lock();
+        *slot(&mut reg.counters, metric, Kind::Counter, label_pairs, 0) += v;
     }
 
     /// Increment a counter by one.
@@ -155,16 +204,15 @@ impl MetricsRegistry {
 
     /// Set a gauge to `v`.
     pub fn gauge_set(&self, metric: Metric, label_pairs: &[(&str, &str)], v: f64) {
-        let key = series(metric, Kind::Gauge, label_pairs);
-        self.inner.lock().gauges.insert(key, v);
+        let mut reg = self.inner.lock();
+        *slot(&mut reg.gauges, metric, Kind::Gauge, label_pairs, v) = v;
     }
 
     /// Raise a gauge to `v` if `v` exceeds its current value (high-watermark
     /// semantics).
     pub fn gauge_max(&self, metric: Metric, label_pairs: &[(&str, &str)], v: f64) {
-        let key = series(metric, Kind::Gauge, label_pairs);
         let mut reg = self.inner.lock();
-        let slot = reg.gauges.entry(key).or_insert(f64::MIN);
+        let slot = slot(&mut reg.gauges, metric, Kind::Gauge, label_pairs, f64::MIN);
         if v > *slot {
             *slot = v;
         }
@@ -172,18 +220,13 @@ impl MetricsRegistry {
 
     /// Current value of the counter named `name` (0 if never touched).
     pub fn counter_value(&self, name: &str, label_pairs: &[(&str, &str)]) -> u64 {
-        let reg = self.inner.lock();
-        let mut all = reg.counters.iter();
-        all.find(|(s, _)| is(s, name, label_pairs))
-            .map_or(0, |(_, v)| *v)
+        find(&self.inner.lock().counters, name, label_pairs).unwrap_or(0)
     }
 
     /// Current value of the gauge named `name` (`None` if never set —
     /// unlike counters, gauges have no meaningful zero).
     pub fn gauge_value(&self, name: &str, label_pairs: &[(&str, &str)]) -> Option<f64> {
-        let reg = self.inner.lock();
-        let mut all = reg.gauges.iter();
-        all.find(|(s, _)| is(s, name, label_pairs)).map(|(_, v)| *v)
+        find(&self.inner.lock().gauges, name, label_pairs)
     }
 
     /// Render the Prometheus text exposition format: counter families, then
@@ -191,18 +234,12 @@ impl MetricsRegistry {
     /// and `# TYPE` lines before its first series.
     pub fn render(&self) -> String {
         let reg = self.inner.lock();
-        let counters = reg.counters.iter().map(|(s, v)| (s, v.to_string()));
-        let gauges = reg.gauges.iter().map(|(s, v)| (s, num(*v)));
         let mut out = String::new();
-        let mut family = None;
-        for ((metric, ls), value) in counters.chain(gauges) {
-            let name = metric.name;
-            if family != Some(metric) {
-                family = Some(metric);
-                let _ = writeln!(out, "# HELP {name} {}", metric.help);
-                let _ = writeln!(out, "# TYPE {name} {}", metric.kind.as_str());
-            }
-            let _ = writeln!(out, "{name}{} {value}", render_labels(ls));
+        for (metric, family) in &reg.counters {
+            render_family(&mut out, metric, family, u64::to_string);
+        }
+        for (metric, family) in &reg.gauges {
+            render_family(&mut out, metric, family, |v| num(*v));
         }
         out
     }
@@ -260,6 +297,14 @@ mod tests {
              # TYPE sirius_pool_hwm_bytes gauge\n\
              sirius_pool_hwm_bytes 1048576\n"
         );
+    }
+
+    #[test]
+    fn id_labels_are_the_decimal_id() {
+        for id in [0, 7, 15, 16, 1234] {
+            assert_eq!(id_label(id), id.to_string());
+        }
+        assert!(matches!(id_label(15), Cow::Borrowed("15")));
     }
 
     #[test]

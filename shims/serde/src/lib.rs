@@ -6,7 +6,9 @@
 //! the tree to and from JSON text. The derive macros in `serde_derive`
 //! generate impls with serde's *externally tagged* layout, so the wire
 //! format matches what real serde would produce for the types in this
-//! workspace (plain structs and enums, no field attributes).
+//! workspace (plain structs and enums, no field attributes). Shared strings
+//! (`Arc<str>`, the type of a column name) serialize and deserialize as
+//! `String` does, so their JSON is the same as an owned string's.
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
@@ -328,6 +330,14 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
     }
 }
 
+/// A shared string (a column name) reads as a `String` does: the JSON text
+/// is the same either way.
+impl Deserialize for std::sync::Arc<str> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        String::from_value(v).map(std::sync::Arc::from)
+    }
+}
+
 macro_rules! impl_tuple {
     ($(($($t:ident : $i:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
@@ -412,6 +422,12 @@ mod tests {
             "hi"
         );
         assert!(bool::from_value(&true.to_value()).unwrap());
+        let shared: std::sync::Arc<str> = "col".into();
+        assert_eq!(shared.to_value(), "col".to_string().to_value());
+        assert_eq!(
+            std::sync::Arc::<str>::from_value(&shared.to_value()).unwrap(),
+            shared
+        );
     }
 
     #[test]

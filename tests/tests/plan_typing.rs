@@ -23,6 +23,10 @@
 //! (`sirius_columnar::ops`), typed by one rule per operator: every operator
 //! over a one-row column of every operand kind either has the type
 //! `validate` gives it or is rejected by both.
+//!
+//! **Counted.** Planning and compiling the 22 TPC-H queries stays under an
+//! allocation ceiling that only moves down, and a metric emit on a series
+//! that already exists allocates nothing.
 
 use sirius_columnar::ops::{AggFunc, BinOp, UnOp};
 use sirius_columnar::{Array, DataType, Field, Scalar, Schema, Table};
@@ -39,8 +43,12 @@ use sirius_plan::builder::PlanBuilder;
 use sirius_plan::expr::{self, AggExpr, Expr};
 use sirius_plan::validate::validate;
 use sirius_plan::{json, JoinKind, PlanError, Rel};
-use sirius_sql::optimizer::optimize;
-use sirius_sql::{plan_sql, BinderCatalog, JoinOrderPolicy};
+use sirius_sql::optimizer::{self, optimize};
+use sirius_sql::{
+    binder, lexer, parser, plan_sql, BinderCatalog, CatalogStatistics, JoinOrderPolicy,
+};
+use sirius_tpch::{queries, TpchGenerator};
+use sirius_trace::metrics::{Metric, MetricsRegistry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -73,13 +81,16 @@ unsafe impl GlobalAlloc for CountingPerThread {
 #[global_allocator]
 static ALLOCATOR: CountingPerThread = CountingPerThread;
 
-/// Allocator calls this thread makes while `f` runs.
-fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
+/// `f`'s result and the allocator calls this thread made while it ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    let after = ALLOCATIONS.with(Cell::get);
-    drop(out);
-    after - before
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Allocator calls this thread makes while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
+    counted(f).1
 }
 
 /// Twice the depth `n` costs at most 2.3 times the allocations: linear
@@ -184,6 +195,74 @@ fn feedback_records_linearly_in_plan_depth() {
         allocations(|| store.record(1, &plan, &stats))
     };
     assert_linear("FeedbackStore::record", 16, record(16), record(32));
+}
+
+/// The 22 TPC-H queries' planning + compile allocations, summed, at SF 0.015
+/// and seed 1 (`tpch_power`'s data), warm. A ratchet like `loc.sh --max-fn`:
+/// lower it when the front end allocates less, never raise it. The debug and
+/// release builds count the same.
+const FRONT_END_CEILING: u64 = 14_672;
+
+/// The front end's layers in the order `plan_sql` chains them, then
+/// `compile_query` (which validates again, compiles, fuses, fingerprints).
+const LAYERS: [&str; 6] = ["lex", "parse", "bind", "optimize", "validate", "compile"];
+
+#[test]
+fn front_end_allocations_stay_under_the_ceiling() {
+    let data = TpchGenerator::new(0.015).with_seed(1).generate();
+    let catalog = sirius_integration::binder_catalog(&data);
+    let engine = SiriusEngine::from_config(EngineConfig::new(hw::gh200_gpu()));
+    let per_layer = |sql: &str| {
+        let (tokens, lex) = counted(|| lexer::tokenize(sql).unwrap());
+        let (query, parse) = counted(|| parser::parse_query(&tokens).unwrap());
+        let (plan, bind) = counted(|| {
+            let stats = CatalogStatistics::new(&catalog);
+            binder::bind_with_stats(&query, &catalog, JoinOrderPolicy::Optimized, &stats).unwrap()
+        });
+        let (plan, optimize) = counted(|| optimizer::optimize(plan).unwrap());
+        let (_, validate) = counted(|| validate(&plan).unwrap());
+        let (_, compile) = counted(|| engine.compile_query(&plan).unwrap());
+        let whole = allocations(|| plan_sql(sql, &catalog, JoinOrderPolicy::Optimized).unwrap());
+        assert_eq!(whole, lex + parse + bind + optimize + validate, "{sql}");
+        [lex, parse, bind, optimize, validate, compile]
+    };
+    let queries = queries::all();
+    for (_, sql) in &queries {
+        per_layer(sql); // warm: first-use statics and thread-locals
+    }
+    let mut sums = [0u64; 6];
+    for (id, sql) in &queries {
+        let counts = per_layer(sql);
+        println!("Q{id:<2} {counts:?}");
+        for (sum, n) in sums.iter_mut().zip(counts) {
+            *sum += n;
+        }
+    }
+    let total: u64 = sums.iter().sum();
+    let n = queries.len() as u64;
+    for (layer, sum) in LAYERS.iter().zip(sums) {
+        println!("{layer:>9}: {} a query", sum / n);
+    }
+    println!("    total: {total} ({} a query)", total / n);
+    assert!(
+        total <= FRONT_END_CEILING,
+        "plan + compile made {total} allocations over the 22 queries, above the ceiling of {FRONT_END_CEILING}"
+    );
+}
+
+#[test]
+fn an_emit_on_an_existing_series_allocates_nothing() {
+    const LINK_BYTES: Metric = Metric::gauge("link_bytes", "Bytes per link.");
+    const SENT: Metric = Metric::counter("sent_total", "Messages per link.");
+    let m = MetricsRegistry::new();
+    let link: &[(&str, &str)] = &[("src", "0"), ("dst", "1")];
+    m.gauge_set(LINK_BYTES, link, 1.0);
+    m.counter_add(SENT, link, 1);
+    assert_eq!(allocations(|| m.gauge_set(LINK_BYTES, link, 2.0)), 0);
+    assert_eq!(allocations(|| m.gauge_max(LINK_BYTES, link, 3.0)), 0);
+    assert_eq!(allocations(|| m.counter_add(SENT, link, 1)), 0);
+    assert_eq!(m.gauge_value("link_bytes", link), Some(3.0));
+    assert_eq!(m.counter_value("sent_total", link), 2);
 }
 
 fn boxed(e: Expr) -> Box<Expr> {

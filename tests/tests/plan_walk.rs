@@ -19,6 +19,7 @@ use sirius_sql::{plan_sql, JoinOrderPolicy};
 use sirius_tpch::{queries, TpchGenerator};
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::sync::Arc;
 
 /// Rebuilds each operator around its folded inputs and notes which arm ran
 /// for which node.
@@ -51,7 +52,7 @@ impl Fold for Identity {
     fn filter(&mut self, n: Node, r: &Rel, _: &Expr, input: Rel) -> Rebuilt {
         self.arm(n, "Filter", r, [input])
     }
-    fn project(&mut self, n: Node, r: &Rel, _: &[(Expr, String)], input: Rel) -> Rebuilt {
+    fn project(&mut self, n: Node, r: &Rel, _: &[(Expr, Arc<str>)], input: Rel) -> Rebuilt {
         self.arm(n, "Project", r, [input])
     }
     fn aggregate(&mut self, n: Node, r: &Rel, _: &[Expr], _: &[AggExpr], input: Rel) -> Rebuilt {
