@@ -129,7 +129,7 @@ impl BufferManager {
         let name = name.into();
         let bytes = table.byte_size() as u64;
         let wire = self.host_link.transfer(bytes);
-        self.device.charge_duration_labeled(
+        self.device.charge_duration(
             CostCategory::Other,
             "xfer.host_to_device",
             wire,
@@ -137,7 +137,7 @@ impl BufferManager {
             table.num_rows() as u64,
         );
         // Deep copy on ingest (one streamed pass each way).
-        self.device.charge_labeled(
+        self.device.charge(
             CostCategory::Other,
             "format.ingest_copy",
             &WorkProfile::scan(2 * bytes).with_rows(table.num_rows() as u64),
@@ -193,7 +193,7 @@ impl BufferManager {
             Tier::Disk => (self.host_link.transfer(4 * bytes), labels[1]),
         };
         self.device
-            .charge_duration_labeled(category, label, wire, bytes, rows);
+            .charge_duration(category, label, wire, bytes, rows);
     }
 
     /// True if `name` is cached on any tier.
@@ -261,7 +261,7 @@ impl BufferManager {
     }
 
     /// Park a partition of `bytes` on the highest spill tier with room,
-    /// charging the write's [tier crossing](Self::charge_crossing).
+    /// charging the write's tier crossing.
     /// Failure means the partition exceeds every tier combined — the hard
     /// OOM case.
     pub fn spill_write(&self, bytes: u64) -> Result<SpillTicket> {

@@ -419,15 +419,10 @@ impl SiriusEngine {
         )?;
         let meter = Meter::open(self);
         let pipelines = compiled.phys.pipelines.len() as u64;
-        self.device.charge_duration(
-            CostCategory::Other,
-            Duration::from_nanos(
-                self.device
-                    .spec()
-                    .launch_overhead_ns
-                    .saturating_mul(pipelines),
-            ),
-        );
+        let per_pipeline = self.device.spec().launch_overhead_ns;
+        let launch = Duration::from_nanos(per_pipeline.saturating_mul(pipelines));
+        self.device
+            .charge_duration(CostCategory::Other, "launch.pipelines", launch, 0, 0);
         Ok(QueryRun::new(Arc::clone(&compiled.phys), meter))
     }
 

@@ -98,7 +98,7 @@ impl ExchangeService {
                 (out, wire, "exchange.multicast")
             }
         };
-        self.device.charge_duration_labeled(
+        self.device.charge_duration(
             CostCategory::Exchange,
             label,
             wire,

@@ -90,6 +90,7 @@ fn fused_compute(ctx: &GpuContext, expr: &Expr, input: &Table, kernels: u64) -> 
         .map(|i| input.column(*i).byte_size() as u64)
         .sum();
     ctx.charge(
+        "expr.fused",
         &WorkProfile::scan(in_bytes + out.byte_size() as u64)
             .with_flops(kernels.saturating_mul(n as u64))
             .with_rows(n as u64),

@@ -112,7 +112,7 @@ impl<'a> Run<'a> {
             launches: 1,
             rows: walked.in_rows,
         };
-        let busy = device.charge_labeled(seg.category(), seg.label(), &work);
+        let busy = device.charge(seg.category(), seg.label(), &work);
         if let Some(stats) = stats {
             attribute_fused(stats, device, &walked.per_op, busy, None);
         }
@@ -186,6 +186,7 @@ pub(crate) fn walk(
             StreamOp::Scan { .. } => {
                 let t = view.compacted();
                 ctx(CostCategory::Scan).charge(
+                    "scan.read",
                     &WorkProfile::scan(t.byte_size() as u64).with_rows(t.num_rows() as u64),
                 );
             }
@@ -551,7 +552,7 @@ impl PartialAgg {
             launches: 1,
             rows: walked.in_rows,
         };
-        let busy = device.charge_labeled(category, seg.label(), &work);
+        let busy = device.charge(category, seg.label(), &work);
         if let Some(stats) = stats {
             attribute_fused(stats, device, &walked.per_op, busy, Some(&agg_work));
         }

@@ -451,6 +451,7 @@ impl SiriusEngine {
         // (and charged) per run above and travel with the runs, so the merge
         // itself computes through a muted context under this one charge.
         ctx.charge(
+            "sort.merge",
             &WorkProfile::scan(t.byte_size() as u64)
                 .with_flops((n as u64) * u64::from(runs.len().max(2).ilog2()))
                 .with_rows(n as u64),
@@ -464,9 +465,10 @@ impl SiriusEngine {
 mod tests {
     use super::*;
     use sirius_columnar::{Array, DataType, Field, Scalar, Schema};
-    use sirius_hw::catalog;
+    use sirius_hw::{catalog, TraceConfig};
     use sirius_plan::builder::PlanBuilder;
     use sirius_plan::expr::col;
+    use sirius_trace::EventKind;
 
     /// 2 400 rows whose sort keys repeat across any run boundary: a nullable
     /// `Int64` with 7 values, a plain and a dictionary string with 5 and 3,
@@ -497,7 +499,8 @@ mod tests {
     /// runs merge into exactly the in-memory sort's rows — equal keys in
     /// input order across run boundaries, NULLs first ascending and last
     /// descending, strings bytewise — and the ledger is charged what the
-    /// k-way merge this replaced charged (nanoseconds recorded at 7e75def).
+    /// k-way merge this replaced charged (nanoseconds recorded at 7e75def),
+    /// under kernel names only, its one merge pass as `sort.merge`.
     #[test]
     fn external_sort_equals_the_in_memory_sort_row_for_row() {
         let t = keyed_rows();
@@ -506,7 +509,7 @@ mod tests {
             if let Some(bytes) = memory_bytes {
                 spec.memory_bytes = bytes;
             }
-            let e = SiriusEngine::new(spec);
+            let e = SiriusEngine::new(spec).with_trace(TraceConfig::On);
             e.load_table("t", &t);
             e
         };
@@ -530,6 +533,7 @@ mod tests {
             let expected = roomy.execute(&plan).unwrap();
             let spilled = tight.spill_stats();
             tight.device().reset();
+            tight.trace().clear();
             let got = tight.execute(&plan).unwrap();
             // The lifetime counters, not a run's report: this test holds the
             // sort path, not the meter.
@@ -544,6 +548,18 @@ mod tests {
                 charged,
                 "keys {keys:?}"
             );
+            let events = tight.trace().events();
+            let kernels = events.iter().filter(|e| e.kind == EventKind::Kernel);
+            let unnamed = kernels
+                .clone()
+                .filter(|e| CostCategory::from_label(&e.label).is_some());
+            assert_eq!(
+                unnamed.count(),
+                0,
+                "keys {keys:?}: a kernel charged without a name"
+            );
+            let merges = kernels.filter(|e| e.label == "sort.merge").count();
+            assert_eq!(merges, 1, "keys {keys:?}: one merge pass");
         }
     }
 

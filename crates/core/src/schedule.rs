@@ -571,7 +571,7 @@ impl SiriusEngine {
             let (chain, agg) = (Arc::clone(chain), agg.cloned());
             let op_stats = self.op_stats.clone();
             let job: Job = Box::new(move |device: &Device| {
-                device.charge_duration(CostCategory::Other, overhead);
+                device.charge_duration(CostCategory::Other, "task.dispatch", overhead, 0, 0);
                 chain.walk(device, morsel, agg.as_deref(), op_stats.as_deref())
             });
             (stream, job)

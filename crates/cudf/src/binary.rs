@@ -603,7 +603,7 @@ pub fn binary_op(
         arith(op, out_type, left, right, num_rows)
     };
 
-    ctx.charge_named(
+    ctx.charge(
         "binary.op",
         &WorkProfile::scan(left.byte_size() + right.byte_size())
             .with_streamed(result.byte_size() as u64)
@@ -638,7 +638,7 @@ pub fn like(
         _ => WorkProfile::scan(input.byte_size())
             .with_flops((num_rows * pattern.len().max(1)) as u64),
     };
-    ctx.charge_named("binary.like", &work.with_rows(num_rows as u64));
+    ctx.charge("binary.like", &work.with_rows(num_rows as u64));
     Ok(Array::Bool(BoolArray::from_parts(
         values,
         lane.valid(num_rows),
@@ -805,7 +805,7 @@ pub fn in_list(
         Datum::Column(column) => column_hits(column, list, num_rows),
         Datum::Scalar(s) => repeat_bit(!s.is_null() && list.contains(s), num_rows),
     };
-    ctx.charge_named(
+    ctx.charge(
         "binary.in_list",
         &WorkProfile::scan(input.byte_size())
             .with_flops((num_rows * list.len().max(1)) as u64)

@@ -16,7 +16,7 @@ use sirius_hw::WorkProfile;
 pub fn apply_filter(ctx: &GpuContext, table: &Table, mask: &Array) -> Result<Table> {
     let selection = mask.as_bool()?.to_selection();
     let out = table.filter(&selection);
-    ctx.charge_named(
+    ctx.charge(
         "filter.apply",
         &WorkProfile::scan(table.byte_size() as u64)
             .with_streamed(out.byte_size() as u64)
@@ -30,7 +30,7 @@ pub fn apply_filter(ctx: &GpuContext, table: &Table, mask: &Array) -> Result<Tab
 /// a join or sort).
 pub fn gather(ctx: &GpuContext, table: &Table, indices: &[i32]) -> Table {
     let out = table.gather(indices);
-    ctx.charge_named(
+    ctx.charge(
         "filter.gather",
         &WorkProfile::random(out.byte_size() as u64)
             .with_streamed((indices.len() * 4) as u64)
@@ -46,7 +46,7 @@ pub fn gather_opt(ctx: &GpuContext, table: &Table, indices: &[Option<i32>]) -> T
         f.nullable = true;
     }
     let out = Table::new(schema, table.gather(indices).columns().to_vec());
-    ctx.charge_named(
+    ctx.charge(
         "filter.gather_opt",
         &WorkProfile::random(out.byte_size() as u64)
             .with_streamed((indices.len() * 4) as u64)

@@ -129,7 +129,7 @@ fn dict_rank_proxies(ctx: &GpuContext, keys: &[&Array]) -> Vec<Option<Array>> {
         .collect();
     if dict_entries > 0 {
         let log_d = (dict_entries.max(2) as f64).log2().ceil() as u64;
-        ctx.charge_named(
+        ctx.charge(
             "groupby.dict_sort",
             &WorkProfile::scan(dict_sort_bytes)
                 .with_streamed(dict_sort_bytes * log_d / 2)
@@ -165,7 +165,7 @@ fn output_order(
         let key_row_bytes = key_bytes(keys) / (num_rows.max(1) as u64);
         let sorted_bytes = key_row_bytes * num_groups as u64;
         let log_k = (num_groups.max(2) as f64).log2().ceil() as u64;
-        ctx.charge_named(
+        ctx.charge(
             "groupby.order",
             &WorkProfile::scan(sorted_bytes)
                 .with_streamed(sorted_bytes * log_k / 2)
@@ -347,7 +347,7 @@ fn charge_group_by(
         let contention = (256 / num_groups.max(1)).min(6) as u64;
         work = work.with_random((num_rows as u64) * 4 * contention);
     }
-    ctx.charge_named(
+    ctx.charge(
         if sort_based {
             "groupby.sort"
         } else {
@@ -373,7 +373,7 @@ pub fn finalize_avg(ctx: &GpuContext, sum: &Array, count: &Array) -> Array {
     let means: Vec<Scalar> = (0..sum.len())
         .map(|g| avg_of(&sum.scalar(g), &count.scalar(g)))
         .collect();
-    ctx.charge_named(
+    ctx.charge(
         "groupby.finalize_avg",
         &WorkProfile::scan((sum.len() * 16) as u64)
             .with_flops(sum.len() as u64)

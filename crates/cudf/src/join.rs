@@ -146,7 +146,7 @@ pub fn build_hash_table(
             next[row] = std::mem::replace(&mut heads[bucket], row as i32);
         }
     }
-    ctx.charge_named(
+    ctx.charge(
         "join.build",
         &WorkProfile::scan(key_bytes(right_keys))
             .with_random((right_rows * 16) as u64)
@@ -206,7 +206,7 @@ pub fn probe_hash_table(
             }
         }
     }
-    ctx.charge_named(
+    ctx.charge(
         "join.probe",
         &WorkProfile::scan(key_bytes(left_keys))
             .with_random((probe_rows * 16) as u64)
@@ -251,7 +251,7 @@ pub fn cross_join_pairs(ctx: &GpuContext, left_rows: usize, right_rows: usize) -
             pairs.right.push(r as i32);
         }
     }
-    ctx.charge_named(
+    ctx.charge(
         "join.cross",
         &WorkProfile::scan((n * 8) as u64).with_rows(n as u64),
     );
@@ -334,7 +334,7 @@ pub fn resolve_join(
             }
         }
     }
-    ctx.charge_named(
+    ctx.charge(
         "join.resolve",
         &WorkProfile::scan((pairs.len() * 8 + out.len() * 8) as u64).with_rows(out.len() as u64),
     );

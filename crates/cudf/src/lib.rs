@@ -240,27 +240,14 @@ impl GpuContext {
         self.category
     }
 
-    /// Charge one kernel's work. Muted contexts drop the charge; collecting
-    /// contexts accumulate it without touching the ledger.
-    pub fn charge(&self, work: &WorkProfile) -> Duration {
+    /// Charge one kernel's work under its kernel name. When the device has
+    /// a trace sink attached, the emitted kernel event carries `label` (e.g.
+    /// `"join.probe"`) plus the profile's bytes and rows. Muted contexts
+    /// drop the charge; collecting contexts accumulate it without touching
+    /// the ledger.
+    pub fn charge(&self, label: &'static str, work: &WorkProfile) -> Duration {
         match &self.mode {
-            ChargeMode::Live => self.device.charge(self.category, work),
-            ChargeMode::Muted => Duration::ZERO,
-            ChargeMode::Collect(c) => {
-                c.add(work);
-                Duration::ZERO
-            }
-        }
-    }
-
-    /// Charge one kernel's work under a kernel name. When the device has a
-    /// trace sink attached, the emitted kernel event carries `name` (e.g.
-    /// `"join.probe"`) plus the profile's bytes and rows; otherwise this is
-    /// exactly [`charge`](Self::charge). Muted and collecting contexts
-    /// behave as in [`charge`](Self::charge).
-    pub fn charge_named(&self, name: &'static str, work: &WorkProfile) -> Duration {
-        match &self.mode {
-            ChargeMode::Live => self.device.charge_labeled(self.category, name, work),
+            ChargeMode::Live => self.device.charge(self.category, label, work),
             ChargeMode::Muted => Duration::ZERO,
             ChargeMode::Collect(c) => {
                 c.add(work);

@@ -30,7 +30,7 @@ pub fn materialize_strings(ctx: &GpuContext, t: &Table) -> Result<Table> {
         .filter(|(_, src)| src.is_dict())
         .map(|(c, _)| c.byte_size() as u64)
         .sum();
-    ctx.charge_named(
+    ctx.charge(
         "materialize",
         &WorkProfile::scan(encoded_bytes + decoded_bytes)
             .with_random(dict_bytes)

@@ -37,7 +37,7 @@ pub fn hash_partition(
     let n = table.num_rows();
     // One pass over the keys to compute bucket ids, one streamed read of the
     // table plus a scattered write per partition.
-    ctx.charge_named(
+    ctx.charge(
         "partition.hash",
         &WorkProfile::scan(key_bytes(key_columns) + table.byte_size() as u64)
             .with_random(table.byte_size() as u64)

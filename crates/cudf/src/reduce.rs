@@ -18,7 +18,7 @@ pub fn reduce(
 ) -> Result<Scalar> {
     debug_assert!(input.map(|c| c.len() == num_rows).unwrap_or(true));
     let bytes = input.map(|c| c.byte_size() as u64).unwrap_or(0);
-    ctx.charge_named(
+    ctx.charge(
         "reduce.scalar",
         &WorkProfile::scan(bytes)
             .with_flops(num_rows as u64)

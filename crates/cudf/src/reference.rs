@@ -264,7 +264,7 @@ pub(crate) fn group_by(
         .collect();
     if dict_entries > 0 {
         let log_d = (dict_entries.max(2) as f64).log2().ceil() as u64;
-        ctx.charge_named(
+        ctx.charge(
             "groupby.dict_sort",
             &WorkProfile::scan(dict_sort_bytes)
                 .with_streamed(dict_sort_bytes * log_d / 2)
@@ -303,7 +303,7 @@ pub(crate) fn group_by(
             let key_row_bytes = key_bytes(&proxy_refs) / (num_rows.max(1) as u64);
             let sorted_bytes = key_row_bytes * num_groups as u64;
             let log_k = (num_groups.max(2) as f64).log2().ceil() as u64;
-            ctx.charge_named(
+            ctx.charge(
                 "groupby.order",
                 &WorkProfile::scan(sorted_bytes)
                     .with_streamed(sorted_bytes * log_k / 2)
@@ -376,7 +376,7 @@ pub(crate) fn group_by(
         let contention = (256 / num_groups.max(1)).min(6) as u64;
         work = work.with_random((num_rows as u64) * 4 * contention);
     }
-    ctx.charge_named(
+    ctx.charge(
         if sort_based {
             "groupby.sort"
         } else {
@@ -511,7 +511,7 @@ pub(crate) fn binary_op(
     }
     let result = Array::from_scalars(&out, out_type);
 
-    ctx.charge_named(
+    ctx.charge(
         "binary.op",
         &WorkProfile::scan(left.byte_size() + right.byte_size())
             .with_streamed(result.byte_size() as u64)
@@ -598,7 +598,7 @@ pub(crate) fn unary_op(
             },
         });
     }
-    ctx.charge_named(
+    ctx.charge(
         "unary.op",
         &WorkProfile::scan(input.byte_size())
             .with_flops(num_rows as u64)
@@ -622,7 +622,7 @@ pub(crate) fn cast(
                 .ok_or_else(|| KernelError::UnsupportedTypes(format!("cast {v:?} to {to}")))?,
         );
     }
-    ctx.charge_named(
+    ctx.charge(
         "unary.cast",
         &WorkProfile::scan(input.byte_size())
             .with_flops(num_rows as u64)
@@ -647,7 +647,7 @@ pub(crate) fn substring(
             None => Scalar::Null,
         });
     }
-    ctx.charge_named(
+    ctx.charge(
         "unary.substring",
         &WorkProfile::scan(input.byte_size())
             .with_flops(num_rows as u64)
@@ -680,7 +680,7 @@ pub(crate) fn case_when(
         .map(|(c, v)| c.byte_size() + v.byte_size())
         .sum::<u64>()
         + otherwise.byte_size();
-    ctx.charge_named(
+    ctx.charge(
         "unary.case_when",
         &WorkProfile::scan(bytes)
             .with_flops((num_rows * branches.len().max(1)) as u64)

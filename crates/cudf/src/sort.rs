@@ -51,7 +51,7 @@ pub fn sort_indices(ctx: &GpuContext, keys: &[SortKey<'_>], num_rows: usize) -> 
 
     let key_bytes: u64 = keys.iter().map(|k| k.column.byte_size() as u64).sum();
     let log_n = (num_rows.max(2) as f64).log2().ceil() as u64;
-    ctx.charge_named(
+    ctx.charge(
         "sort.comparator",
         &WorkProfile::scan(key_bytes * log_n / 2)
             .with_random((num_rows * 8) as u64)

@@ -63,7 +63,7 @@ pub fn unary_op(ctx: &GpuContext, op: UnOp, input: &Datum<'_>, num_rows: usize) 
         // A NULL operand: `NOT NULL`, `EXTRACT(YEAR FROM NULL)`.
         _ => Array::from_scalar(&Scalar::Null, out_type, n),
     };
-    ctx.charge_named(
+    ctx.charge(
         "unary.op",
         &WorkProfile::scan(input.byte_size())
             .with_flops(num_rows as u64)
@@ -86,7 +86,7 @@ pub fn cast(ctx: &GpuContext, input: &Datum<'_>, to: DataType, num_rows: usize) 
             .ok_or_else(|| s.clone()),
     };
     let out = out.map_err(|v| KernelError::UnsupportedTypes(format!("cast {v:?} to {to}")))?;
-    ctx.charge_named(
+    ctx.charge(
         "unary.cast",
         &WorkProfile::scan(input.byte_size())
             .with_flops(num_rows as u64)
@@ -164,7 +164,7 @@ pub fn substring(
             StringArray::from_options(std::iter::repeat_n(cut, num_rows))
         }
     };
-    ctx.charge_named(
+    ctx.charge(
         "unary.substring",
         &WorkProfile::scan(input.byte_size())
             .with_flops(num_rows as u64)
@@ -227,7 +227,7 @@ pub fn case_when(
         .map(|(c, v)| c.byte_size() + v.byte_size())
         .sum::<u64>()
         + otherwise.byte_size();
-    ctx.charge_named(
+    ctx.charge(
         "unary.case_when",
         &WorkProfile::scan(bytes)
             .with_flops((num_rows * branches.len().max(1)) as u64)

@@ -11,7 +11,7 @@ pub fn distinct(ctx: &GpuContext, table: &Table) -> Result<Table> {
     let cols: Vec<_> = table.columns().iter().collect();
     let keep = row_keys(&cols, table.num_rows()).dense_ids().first_rows;
     let out = table.gather(&keep);
-    ctx.charge_named(
+    ctx.charge(
         "unique.distinct",
         &WorkProfile::scan(table.byte_size() as u64)
             .with_random((table.num_rows() * 16) as u64)

@@ -1066,6 +1066,7 @@ fn load_table_into(
 mod tests {
     use super::*;
     use sirius_columnar::{Array, DataType, Field, Schema};
+    use sirius_trace::EventKind;
 
     fn cluster(kind: NodeEngineKind) -> DorisCluster {
         cluster_with(kind, ClusterConfig::default())
@@ -1454,11 +1455,21 @@ mod tests {
                     .collect();
                 c.execute_plan(&plan).unwrap();
                 for (node, sink) in sinks.iter().enumerate() {
-                    let passes = (sink.events().iter())
+                    let what = format!("{kind:?} world {world} Q{q} node {node}");
+                    let events = sink.events();
+                    let passes = (events.iter())
                         .filter(|e| e.label == "partition.hash")
                         .count();
                     let expected = if world == 1 { 0 } else { shuffles };
-                    assert_eq!(passes, expected, "{kind:?} world {world} Q{q} node {node}");
+                    assert_eq!(passes, expected, "{what}");
+                    let unnamed = events.iter().filter(|e| {
+                        e.kind == EventKind::Kernel && CostCategory::from_label(&e.label).is_some()
+                    });
+                    assert_eq!(
+                        unnamed.count(),
+                        0,
+                        "{what}: a kernel charged without a name"
+                    );
                 }
             }
         }

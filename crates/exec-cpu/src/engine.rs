@@ -54,14 +54,15 @@ impl CpuEngine {
             check_no_residual_semi(plan)?;
         }
         *self.budget_base.lock() = self.device.elapsed();
+        let overhead = self.profile.per_query_overhead;
         self.device
-            .charge_duration(CostCategory::Other, self.profile.per_query_overhead);
+            .charge_duration(CostCategory::Other, "cpu.query", overhead, 0, 0);
         visit::fold(&mut Interp { eng: self, catalog }, plan)
     }
 
-    fn charge(&self, category: CostCategory, work: WorkProfile) -> Result<()> {
+    fn charge(&self, category: CostCategory, label: &'static str, work: WorkProfile) -> Result<()> {
         let scaled = work.scaled(self.profile.multiplier(category));
-        self.device.charge(category, &scaled);
+        self.device.charge(category, label, &scaled);
         if let Some(budget) = self.profile.time_budget {
             let elapsed = self
                 .device
@@ -97,6 +98,7 @@ impl CpuEngine {
         let out = t.filter(&sel);
         self.charge(
             CostCategory::Filter,
+            "cpu.filter",
             WorkProfile::scan(t.byte_size() as u64)
                 .with_streamed(out.byte_size() as u64)
                 .with_flops(t.num_rows() as u64)
@@ -148,6 +150,7 @@ impl Fold for Interp<'_> {
         let t = self.eng.scan_table(table, projection, self.catalog)?;
         self.eng.charge(
             CostCategory::Filter,
+            "cpu.scan",
             WorkProfile::scan(t.byte_size() as u64).with_rows(t.num_rows() as u64),
         )?;
         Ok(t)
@@ -172,6 +175,7 @@ impl Fold for Interp<'_> {
         let out = Table::new(schema, cols);
         self.eng.charge(
             CostCategory::Project,
+            "cpu.project",
             WorkProfile::scan(t.byte_size() as u64)
                 .with_streamed(out.byte_size() as u64)
                 .with_flops((t.num_rows() * exprs.len()) as u64)
@@ -204,13 +208,14 @@ impl Fold for Interp<'_> {
         let (keys, aggs) = ops::aggregate(&t, &key_cols, &agg_inputs)?;
         let schema = plan.output_schema(&[t.schema()])?;
         let out = Table::new(schema, keys.into_iter().chain(aggs).collect());
-        let category = if group_by.is_empty() {
-            CostCategory::Aggregate
+        let (category, label) = if group_by.is_empty() {
+            (CostCategory::Aggregate, "cpu.aggregate")
         } else {
-            CostCategory::GroupBy
+            (CostCategory::GroupBy, "cpu.groupby")
         };
         self.eng.charge(
             category,
+            label,
             WorkProfile::scan(t.byte_size() as u64)
                 .with_random((t.num_rows() * 8 * aggregates.len().max(1)) as u64)
                 .with_flops((t.num_rows() * (group_by.len() + aggregates.len())) as u64)
@@ -277,6 +282,7 @@ impl Fold for Interp<'_> {
         // pay for it.
         self.eng.charge(
             CostCategory::Join,
+            "cpu.join",
             WorkProfile::scan(key_bytes)
                 .with_random(((lt.num_rows() + rt.num_rows()) * 16) as u64)
                 .with_random(rt.byte_size() as u64)
@@ -298,6 +304,7 @@ impl Fold for Interp<'_> {
         let log_n = (n as f64).log2().ceil() as u64;
         self.eng.charge(
             CostCategory::OrderBy,
+            "cpu.sort",
             WorkProfile::scan(t.byte_size() as u64)
                 .with_flops(n * log_n)
                 .with_random(out.byte_size() as u64)
@@ -322,6 +329,7 @@ impl Fold for Interp<'_> {
         let out = t.gather(start..end);
         self.eng.charge(
             CostCategory::Other,
+            "cpu.limit",
             WorkProfile::scan(out.byte_size() as u64).with_rows(out.num_rows() as u64),
         )?;
         Ok(out)
@@ -333,6 +341,7 @@ impl Fold for Interp<'_> {
         let out = Table::new(t.schema().clone(), keys);
         self.eng.charge(
             CostCategory::GroupBy,
+            "cpu.distinct",
             WorkProfile::scan(t.byte_size() as u64)
                 .with_random((t.num_rows() * 16) as u64)
                 .with_rows(t.num_rows() as u64),
@@ -372,7 +381,7 @@ fn check_no_residual_semi(plan: &Rel) -> Result<()> {
 mod tests {
     use super::*;
     use sirius_columnar::{DataType, Field, Scalar, Schema};
-    use sirius_hw::catalog as hw;
+    use sirius_hw::{catalog as hw, TraceSink};
     use sirius_plan::builder::PlanBuilder;
     use sirius_plan::expr::{self, AggExpr, AggFunc, SortExpr};
 
@@ -487,7 +496,8 @@ mod tests {
     fn joins_cost_more_than_duckdb() {
         // Same self-join, same data: the ClickHouse profile must charge more
         // simulated join time than the DuckDB profile (large enough input
-        // that per-kernel launch overhead is negligible).
+        // that per-kernel launch overhead is negligible). Every charge names
+        // its kernel on either profile.
         let n = 50_000i64;
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int64),
@@ -521,8 +531,23 @@ mod tests {
             .build();
         let join_ns = |profile| {
             let eng = CpuEngine::new(hw::m7i_16xlarge(), profile);
+            let sink = TraceSink::new();
+            eng.device().set_trace(sink.clone());
             let out = eng.execute(&plan, &cat).unwrap();
             assert_eq!(out.column(0).i64_value(0), Some(n));
+            let labels: Vec<String> = sink.events().into_iter().map(|e| e.label).collect();
+            let unnamed = labels
+                .iter()
+                .filter(|l| CostCategory::from_label(l).is_some());
+            assert_eq!(unnamed.count(), 0, "{labels:?}");
+            let kernels = [
+                "cpu.query",
+                "cpu.scan",
+                "cpu.scan",
+                "cpu.join",
+                "cpu.aggregate",
+            ];
+            assert_eq!(labels, kernels);
             eng.device().breakdown().get(CostCategory::Join)
         };
         let (ch, duck) = (

@@ -48,7 +48,8 @@ impl CostCategory {
         CostCategory::Other,
     ];
 
-    /// Short label used by the harness output.
+    /// Short name used by the harness output and as a trace event's `cat`.
+    /// It is never a kernel label: every charge names its own kernel.
     pub fn label(&self) -> &'static str {
         match self {
             CostCategory::Scan => "scan",
@@ -157,7 +158,7 @@ struct LedgerState {
 pub struct Charge {
     pub(crate) category: CostCategory,
     /// The kernel label, kept only when the replay target is traced (a label
-    /// is read by nothing but trace events).
+    /// is read by nothing but trace events, so an unkept one replays empty).
     pub(crate) label: Option<String>,
     pub(crate) d: Duration,
     pub(crate) bytes: u64,
@@ -189,8 +190,8 @@ impl LedgerState {
         &mut self,
         lane: Lane,
         category: CostCategory,
-        d: Duration,
         label: &str,
+        d: Duration,
         bytes: u64,
         rows: u64,
     ) {
@@ -272,9 +273,10 @@ pub fn attribute_overlap(streams: &[TimeBreakdown]) -> TimeBreakdown {
     TimeBreakdown { nanos }
 }
 
-/// Thread-safe accumulating ledger; cheap to clone (shared state).
+/// Thread-safe accumulating ledger; cheap to clone (shared state). A
+/// [`crate::Device`] owns one, and charges reach it only through the device.
 #[derive(Clone, Default)]
-pub struct CostLedger {
+pub(crate) struct CostLedger {
     inner: Arc<Mutex<LedgerState>>,
 }
 
@@ -319,39 +321,28 @@ impl CostLedger {
         self.inner.lock().trace.clone()
     }
 
-    /// Record `d` under `category` on the serial lane.
-    pub fn add(&self, category: CostCategory, d: Duration) {
-        self.add_labeled(category, d, category.label(), 0, 0);
-    }
-
-    /// [`add`](Self::add) with a kernel label and bytes/rows diagnostics
-    /// for the trace event (ignored when tracing is off).
-    pub fn add_labeled(
+    /// Record `d` under `category` on `lane`; a traced ledger emits a kernel
+    /// event named `label` carrying `bytes` and `rows`. Stream lanes
+    /// overlap: only the longest adds wall-clock time until the next
+    /// [`sync_streams`](Self::sync_streams).
+    pub fn add(
         &self,
+        lane: Lane,
         category: CostCategory,
-        d: Duration,
         label: &str,
+        d: Duration,
         bytes: u64,
         rows: u64,
     ) {
-        let mut state = self.inner.lock();
-        state.add(Lane::Serial, category, d, label, bytes, rows);
-    }
-
-    /// Record `d` under `category` on stream lane `stream`. Lanes overlap:
-    /// only the longest lane adds wall-clock time until the next
-    /// [`sync_streams`](Self::sync_streams).
-    pub fn add_on_stream(&self, stream: usize, category: CostCategory, d: Duration) {
-        let (lane, label) = (Lane::Stream(stream as u32), category.label());
-        self.inner.lock().add(lane, category, d, label, 0, 0);
+        self.inner.lock().add(lane, category, label, d, bytes, rows);
     }
 
     /// Record each of `charges` on `lane`, in order, under one lock.
     pub(crate) fn add_charges(&self, lane: Lane, charges: &[Charge]) {
         let mut state = self.inner.lock();
         for c in charges {
-            let label = c.label.as_deref().unwrap_or(c.category.label());
-            state.add(lane, c.category, c.d, label, c.bytes, c.rows);
+            let label = c.label.as_deref().unwrap_or_default();
+            state.add(lane, c.category, label, c.d, c.bytes, c.rows);
         }
     }
 
@@ -408,7 +399,7 @@ impl CostLedger {
 /// Kernel events re-charge their lane; sync markers fold the streams, just
 /// like the live run. Because events are recorded inside the live ledger's
 /// critical section (sequence order = mutation order), the replayed
-/// snapshot reconciles with the live [`CostLedger::snapshot`] to the
+/// snapshot reconciles with the live [`crate::Device::breakdown`] to the
 /// nanosecond — including the overlap-attribution rounding.
 pub fn replay(events: &[TraceEvent]) -> TimeBreakdown {
     let ledger = CostLedger::default();
@@ -421,10 +412,7 @@ pub fn replay(events: &[TraceEvent]) -> TimeBreakdown {
                     continue;
                 };
                 let d = Duration::from_nanos(ev.dur);
-                match ev.lane {
-                    Lane::Serial => ledger.add(cat, d),
-                    Lane::Stream(s) => ledger.add_on_stream(s as usize, cat, d),
-                }
+                ledger.add(ev.lane, cat, &ev.label, d, ev.bytes, ev.rows);
             }
             EventKind::Sync => {
                 ledger.sync_streams();
@@ -439,12 +427,20 @@ pub fn replay(events: &[TraceEvent]) -> TimeBreakdown {
 mod tests {
     use super::*;
 
+    fn serial(l: &CostLedger, category: CostCategory, d: Duration) {
+        l.add(Lane::Serial, category, "test.serial", d, 0, 0);
+    }
+
+    fn on_stream(l: &CostLedger, stream: u32, category: CostCategory, d: Duration) {
+        l.add(Lane::Stream(stream), category, "test.stream", d, 0, 0);
+    }
+
     #[test]
     fn breakdown_accumulates_per_category() {
         let l = CostLedger::default();
-        l.add(CostCategory::Join, Duration::from_millis(5));
-        l.add(CostCategory::Join, Duration::from_millis(3));
-        l.add(CostCategory::Filter, Duration::from_millis(2));
+        serial(&l, CostCategory::Join, Duration::from_millis(5));
+        serial(&l, CostCategory::Join, Duration::from_millis(3));
+        serial(&l, CostCategory::Filter, Duration::from_millis(2));
         let b = l.snapshot();
         assert_eq!(b.get(CostCategory::Join), Duration::from_millis(8));
         assert_eq!(b.get(CostCategory::Filter), Duration::from_millis(2));
@@ -455,10 +451,10 @@ mod tests {
     #[test]
     fn since_subtracts() {
         let l = CostLedger::default();
-        l.add(CostCategory::Exchange, Duration::from_millis(4));
+        serial(&l, CostCategory::Exchange, Duration::from_millis(4));
         let t0 = l.snapshot();
-        l.add(CostCategory::Exchange, Duration::from_millis(6));
-        l.add(CostCategory::Other, Duration::from_millis(1));
+        serial(&l, CostCategory::Exchange, Duration::from_millis(6));
+        serial(&l, CostCategory::Other, Duration::from_millis(1));
         let delta = l.snapshot().since(&t0);
         assert_eq!(delta.get(CostCategory::Exchange), Duration::from_millis(6));
         assert_eq!(delta.get(CostCategory::Other), Duration::from_millis(1));
@@ -480,7 +476,7 @@ mod tests {
     fn equal_streams_overlap_perfectly() {
         let l = CostLedger::default();
         for s in 0..4 {
-            l.add_on_stream(s, CostCategory::Filter, Duration::from_millis(10));
+            on_stream(&l, s, CostCategory::Filter, Duration::from_millis(10));
         }
         // Four balanced lanes take the wall time of one.
         assert_eq!(l.total(), Duration::from_millis(10));
@@ -491,9 +487,9 @@ mod tests {
     #[test]
     fn elapsed_is_serial_plus_longest_stream() {
         let l = CostLedger::default();
-        l.add(CostCategory::Exchange, Duration::from_millis(5));
-        l.add_on_stream(0, CostCategory::Join, Duration::from_millis(8));
-        l.add_on_stream(1, CostCategory::Join, Duration::from_millis(2));
+        serial(&l, CostCategory::Exchange, Duration::from_millis(5));
+        on_stream(&l, 0, CostCategory::Join, Duration::from_millis(8));
+        on_stream(&l, 1, CostCategory::Join, Duration::from_millis(2));
         assert_eq!(l.total(), Duration::from_millis(13));
         // Snapshot total always matches the wall-clock total exactly.
         assert_eq!(l.snapshot().total(), l.total());
@@ -504,9 +500,9 @@ mod tests {
         let l = CostLedger::default();
         // Stream 0: 6ms filter; stream 1: 2ms filter + 4ms join. Both lanes
         // total 6ms, so wall time is 6ms, split 8:4 across categories.
-        l.add_on_stream(0, CostCategory::Filter, Duration::from_millis(6));
-        l.add_on_stream(1, CostCategory::Filter, Duration::from_millis(2));
-        l.add_on_stream(1, CostCategory::Join, Duration::from_millis(4));
+        on_stream(&l, 0, CostCategory::Filter, Duration::from_millis(6));
+        on_stream(&l, 1, CostCategory::Filter, Duration::from_millis(2));
+        on_stream(&l, 1, CostCategory::Join, Duration::from_millis(4));
         let b = l.snapshot();
         assert_eq!(b.total(), Duration::from_millis(6));
         assert_eq!(b.get(CostCategory::Filter), Duration::from_millis(4));
@@ -516,13 +512,13 @@ mod tests {
     #[test]
     fn sync_streams_folds_and_clears() {
         let l = CostLedger::default();
-        l.add_on_stream(0, CostCategory::GroupBy, Duration::from_millis(7));
-        l.add_on_stream(1, CostCategory::GroupBy, Duration::from_millis(3));
+        on_stream(&l, 0, CostCategory::GroupBy, Duration::from_millis(7));
+        on_stream(&l, 1, CostCategory::GroupBy, Duration::from_millis(3));
         let wall = l.sync_streams();
         assert_eq!(wall, Duration::from_millis(7));
         assert_eq!(l.total(), Duration::from_millis(7));
         // Lanes are clear: new stream work starts a fresh overlap window.
-        l.add_on_stream(1, CostCategory::GroupBy, Duration::from_millis(5));
+        on_stream(&l, 1, CostCategory::GroupBy, Duration::from_millis(5));
         assert_eq!(l.total(), Duration::from_millis(12));
         // Syncing with no in-flight work is free.
         l.sync_streams();
@@ -534,8 +530,8 @@ mod tests {
     fn serialized_sections_still_sum() {
         // Two serial charges never overlap, matching the old behavior.
         let l = CostLedger::default();
-        l.add(CostCategory::Filter, Duration::from_millis(4));
-        l.add(CostCategory::Join, Duration::from_millis(6));
+        serial(&l, CostCategory::Filter, Duration::from_millis(4));
+        serial(&l, CostCategory::Join, Duration::from_millis(6));
         assert_eq!(l.total(), Duration::from_millis(10));
     }
 
@@ -562,13 +558,13 @@ mod tests {
         let l = CostLedger::default();
         let sink = TraceSink::new();
         l.set_trace(sink.clone());
-        l.add(CostCategory::Other, Duration::from_nanos(101));
+        serial(&l, CostCategory::Other, Duration::from_nanos(101));
         // Unbalanced lanes with mixed categories force attribution rounding.
-        l.add_on_stream(0, CostCategory::Filter, Duration::from_nanos(997));
-        l.add_on_stream(1, CostCategory::Filter, Duration::from_nanos(331));
-        l.add_on_stream(1, CostCategory::Join, Duration::from_nanos(333));
+        on_stream(&l, 0, CostCategory::Filter, Duration::from_nanos(997));
+        on_stream(&l, 1, CostCategory::Filter, Duration::from_nanos(331));
+        on_stream(&l, 1, CostCategory::Join, Duration::from_nanos(333));
         l.sync_streams();
-        l.add_on_stream(2, CostCategory::GroupBy, Duration::from_nanos(7));
+        on_stream(&l, 2, CostCategory::GroupBy, Duration::from_nanos(7));
         let live = l.snapshot();
         let replayed = replay(&sink.events());
         assert_eq!(replayed, live);
@@ -580,12 +576,12 @@ mod tests {
         let l = CostLedger::default();
         let sink = TraceSink::new();
         l.set_trace(sink.clone());
-        l.add(CostCategory::Other, Duration::from_nanos(100));
-        l.add_on_stream(0, CostCategory::Filter, Duration::from_nanos(40));
-        l.add_on_stream(0, CostCategory::Filter, Duration::from_nanos(40));
-        l.add_on_stream(1, CostCategory::Filter, Duration::from_nanos(60));
+        serial(&l, CostCategory::Other, Duration::from_nanos(100));
+        on_stream(&l, 0, CostCategory::Filter, Duration::from_nanos(40));
+        on_stream(&l, 0, CostCategory::Filter, Duration::from_nanos(40));
+        on_stream(&l, 1, CostCategory::Filter, Duration::from_nanos(60));
         l.sync_streams();
-        l.add(CostCategory::Other, Duration::from_nanos(10));
+        serial(&l, CostCategory::Other, Duration::from_nanos(10));
         let evs = sink.events();
         // serial @0, s0 @100, s0 @140, s1 @100, sync @100 (dur 80),
         // serial @180.
@@ -605,7 +601,7 @@ mod tests {
     fn reset_keeps_the_attached_sink() {
         let l = CostLedger::default();
         l.set_trace(TraceSink::new());
-        l.add(CostCategory::Filter, Duration::from_nanos(5));
+        serial(&l, CostCategory::Filter, Duration::from_nanos(5));
         l.reset();
         assert_eq!(l.total(), Duration::ZERO);
         assert!(l.trace().enabled());
@@ -615,8 +611,8 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let l = CostLedger::default();
-        l.add(CostCategory::Filter, Duration::from_nanos(5));
-        l.add_on_stream(0, CostCategory::Join, Duration::from_nanos(5));
+        serial(&l, CostCategory::Filter, Duration::from_nanos(5));
+        on_stream(&l, 0, CostCategory::Join, Duration::from_nanos(5));
         l.sync_streams();
         assert!(!l.trace().enabled());
         assert_eq!(l.trace().events_recorded(), 0);
@@ -668,19 +664,19 @@ mod tests {
         /// with a serial lane in play too.
         #[test]
         fn snapshot_total_is_serial_plus_max_stream(
-            serial in 0u64..100_000,
+            serial_ns in 0u64..100_000,
             lanes in lanes_strategy(),
         ) {
             let l = CostLedger::default();
-            l.add(CostCategory::Other, Duration::from_nanos(serial));
+            serial(&l, CostCategory::Other, Duration::from_nanos(serial_ns));
             let mut max = 0u64;
-            for (s, lane) in lanes.iter().enumerate() {
+            for (s, lane) in (0..).zip(&lanes) {
                 for (i, n) in lane.iter().enumerate() {
-                    l.add_on_stream(s, CostCategory::ALL[i], Duration::from_nanos(*n));
+                    on_stream(&l, s, CostCategory::ALL[i], Duration::from_nanos(*n));
                 }
                 max = max.max(lane.iter().sum());
             }
-            prop_assert_eq!(l.snapshot().total(), Duration::from_nanos(serial + max));
+            prop_assert_eq!(l.snapshot().total(), Duration::from_nanos(serial_ns + max));
             prop_assert_eq!(l.total(), l.snapshot().total());
         }
     }

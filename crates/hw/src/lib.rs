@@ -10,7 +10,8 @@
 //!
 //! Every relational operator in the workspace executes for real on the host
 //! CPU, but *charges* its work (bytes streamed, random accesses, rows
-//! produced, kernels launched) to a [`Device`]. The simulated elapsed time is
+//! produced, kernels launched) to a [`Device`], under a cost category and
+//! the name of the kernel that did it. The simulated elapsed time is
 //! what the benchmark harness reports, because the paper's headline results
 //! are bandwidth-ratio results: a Hopper GPU streams memory at ~3 TB/s while
 //! the cost-equivalent CPU instance streams at ~0.4 TB/s, and TPC-H operators
@@ -22,6 +23,7 @@
 //! let gpu = Device::new(catalog::gh200_gpu());
 //! gpu.charge(
 //!     CostCategory::Filter,
+//!     "filter.apply",
 //!     &WorkProfile::scan(1 << 30).with_rows(1 << 27),
 //! );
 //! assert!(gpu.elapsed().as_nanos() > 0);
@@ -42,17 +44,23 @@ pub mod trends;
 
 pub use cost::{CostModel, WorkProfile};
 pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultSite, FaultSpec};
-pub use ledger::{attribute_overlap, replay, Charge, CostCategory, CostLedger, TimeBreakdown};
+pub use ledger::{attribute_overlap, replay, Charge, CostCategory, TimeBreakdown};
 pub use link::{Link, LinkSpec};
 pub use sirius_trace::{Lane, TraceConfig, TraceSink};
 pub use spec::{DeviceKind, DeviceSpec};
 
+use ledger::CostLedger;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// A simulated execution device: a specification plus an accumulating time
 /// ledger. Cloning shares the ledger (a device handle can be passed to many
 /// operators).
+///
+/// Every charge names its kernel: [`charge`](Device::charge) prices a work
+/// profile, [`charge_duration`](Device::charge_duration) takes a duration
+/// priced elsewhere, and both take the cost category the time is attributed
+/// to (a trace event's `cat`) and the kernel label (its name).
 ///
 /// A device charges its serial lane (the default stream: charges add up).
 /// Work that runs off the thread owning the program order charges a
@@ -88,42 +96,21 @@ impl Device {
         self.ledger.sync_streams()
     }
 
-    /// Charge a unit of work to the ledger under `category` and return the
-    /// simulated duration of that unit.
-    pub fn charge(&self, category: CostCategory, work: &WorkProfile) -> Duration {
-        self.charge_labeled(category, category.label(), work)
-    }
-
-    /// [`charge`](Self::charge) with a kernel label: when a trace sink is
-    /// attached, the emitted kernel event carries the label plus the
+    /// Charge one kernel's work to the ledger under `category` and return
+    /// its simulated duration. When a trace sink is attached, the kernel
+    /// event is named `label` (e.g. `"join.probe"`) and carries the
     /// profile's bytes and rows.
-    pub fn charge_labeled(
-        &self,
-        category: CostCategory,
-        label: &str,
-        work: &WorkProfile,
-    ) -> Duration {
+    pub fn charge(&self, category: CostCategory, label: &str, work: &WorkProfile) -> Duration {
         let d = CostModel::kernel_time(&self.spec, work);
-        self.charge_duration_labeled(
-            category,
-            label,
-            d,
-            work.bytes_streamed + work.bytes_random,
-            work.rows,
-        );
+        let bytes = work.bytes_streamed + work.bytes_random;
+        self.charge_duration(category, label, d, bytes, work.rows);
         d
     }
 
-    /// Charge an explicit duration (used by exchange/link accounting where
-    /// the time is computed against a [`Link`] rather than the device).
-    pub fn charge_duration(&self, category: CostCategory, d: Duration) {
-        self.charge_duration_labeled(category, category.label(), d, 0, 0);
-    }
-
-    /// [`charge_duration`](Self::charge_duration) with a label and
-    /// bytes/rows diagnostics for the trace event (spill tier writes,
-    /// exchange link transfers).
-    pub fn charge_duration_labeled(
+    /// Charge an explicit duration named `label`, with bytes/rows for the
+    /// trace event: time computed against a [`Link`] rather than the device
+    /// (transfers, spill tiers, exchanges) or a fixed overhead.
+    pub fn charge_duration(
         &self,
         category: CostCategory,
         label: &str,
@@ -131,7 +118,8 @@ impl Device {
         bytes: u64,
         rows: u64,
     ) {
-        self.ledger.add_labeled(category, d, label, bytes, rows);
+        self.ledger
+            .add(Lane::Serial, category, label, d, bytes, rows);
     }
 
     /// A device with this one's spec and a fresh ledger that logs every
@@ -203,10 +191,14 @@ mod tests {
     fn device_accumulates_time() {
         let d = Device::new(catalog::gh200_gpu());
         assert_eq!(d.elapsed(), Duration::ZERO);
-        d.charge(CostCategory::Filter, &WorkProfile::scan(1 << 20));
+        d.charge(
+            CostCategory::Filter,
+            "test.filter",
+            &WorkProfile::scan(1 << 20),
+        );
         let t1 = d.elapsed();
         assert!(t1 > Duration::ZERO);
-        d.charge(CostCategory::Join, &WorkProfile::scan(1 << 20));
+        d.charge(CostCategory::Join, "test.join", &WorkProfile::scan(1 << 20));
         assert!(d.elapsed() > t1);
     }
 
@@ -214,7 +206,7 @@ mod tests {
     fn clone_shares_ledger() {
         let d = Device::new(catalog::gh200_gpu());
         let d2 = d.clone();
-        d2.charge(CostCategory::Other, &WorkProfile::scan(4096));
+        d2.charge(CostCategory::Other, "test.other", &WorkProfile::scan(4096));
         assert_eq!(d.elapsed(), d2.elapsed());
         assert!(d.elapsed() > Duration::ZERO);
     }
@@ -222,7 +214,11 @@ mod tests {
     #[test]
     fn reset_clears() {
         let d = Device::new(catalog::m7i_16xlarge());
-        d.charge(CostCategory::Aggregate, &WorkProfile::scan(1 << 22));
+        d.charge(
+            CostCategory::Aggregate,
+            "test.aggregate",
+            &WorkProfile::scan(1 << 22),
+        );
         d.reset();
         assert_eq!(d.elapsed(), Duration::ZERO);
         assert!(d.breakdown().entries().is_empty());
@@ -234,7 +230,7 @@ mod tests {
         let w = WorkProfile::scan(1 << 24);
         let per_kernel = CostModel::kernel_time(d.spec(), &w);
         let rec = d.recorder();
-        rec.charge(CostCategory::Filter, &w);
+        rec.charge(CostCategory::Filter, "test.filter", &w);
         let log = rec.take_log();
         for s in 0..4 {
             d.replay(Lane::Stream(s), &log);
@@ -246,7 +242,7 @@ mod tests {
         // After sync the time is settled in the serial lane.
         assert_eq!(d.elapsed(), per_kernel);
         // A serial charge after sync adds on top.
-        d.charge(CostCategory::Other, &w);
+        d.charge(CostCategory::Other, "test.other", &w);
         assert_eq!(d.elapsed(), per_kernel * 2);
     }
 
@@ -264,15 +260,14 @@ mod tests {
         let (live, replayed) = (traced(), traced());
         let work = |bytes| WorkProfile::scan(bytes).with_rows(7);
         for d in [&live, &replayed] {
-            d.charge_labeled(CostCategory::Join, "join.build", &work(1 << 20));
+            d.charge(CostCategory::Join, "join.build", &work(1 << 20));
         }
-        live.charge(CostCategory::Other, &work(4096));
-        live.charge_labeled(CostCategory::Exchange, "spill.pinned.write", &work(1 << 16));
+        live.charge(CostCategory::Other, "test.other", &work(4096));
+        live.charge(CostCategory::Exchange, "spill.pinned.write", &work(1 << 16));
         let rec = replayed.recorder();
-        let first = rec.charge(CostCategory::Other, &work(4096));
+        let first = rec.charge(CostCategory::Other, "test.other", &work(4096));
         assert_eq!(rec.elapsed(), first, "a recorder keeps its own clock");
-        let second =
-            rec.charge_labeled(CostCategory::Exchange, "spill.pinned.write", &work(1 << 16));
+        let second = rec.charge(CostCategory::Exchange, "spill.pinned.write", &work(1 << 16));
         assert!(!rec.trace().enabled(), "a recorder traces nothing itself");
         let log = rec.take_log();
         replayed.replay(Lane::Serial, &log);
@@ -295,7 +290,7 @@ mod tests {
             .collect();
         let (at, nanos) = (settled.as_nanos() as u64, |d: Duration| d.as_nanos() as u64);
         let expected = [
-            ("other", "other".to_string(), at, nanos(first)),
+            ("other", "test.other".to_string(), at, nanos(first)),
             (
                 "exchange",
                 "spill.pinned.write".to_string(),
@@ -316,8 +311,8 @@ mod tests {
         let gpu = Device::new(catalog::gh200_gpu());
         let cpu = Device::new(catalog::m7i_16xlarge());
         let w = WorkProfile::scan(1 << 30);
-        let tg = gpu.charge(CostCategory::Filter, &w);
-        let tc = cpu.charge(CostCategory::Filter, &w);
+        let tg = gpu.charge(CostCategory::Filter, "test.filter", &w);
+        let tc = cpu.charge(CostCategory::Filter, "test.filter", &w);
         assert!(tc > tg, "cpu {tc:?} should exceed gpu {tg:?}");
         // The bandwidth ratio is roughly 3000/~400; efficiency factors narrow
         // it, but a large scan should still be >4x faster on the GPU.

@@ -13,12 +13,14 @@
 //! - its operator spans;
 //! - its `EXPLAIN ANALYZE` text.
 //!
+//! Every kernel event must carry its kernel's own name, never its category's.
+//!
 //! After an intended cost-model or scheduling change, regenerate with
 //! `cargo test -p sirius-integration --test spill_lane_snapshot -- --ignored`.
 
 use sirius_core::{EngineConfig, SiriusEngine};
 use sirius_duckdb::DuckDb;
-use sirius_hw::{catalog, TraceConfig};
+use sirius_hw::{catalog, CostCategory, TraceConfig};
 use sirius_integration::{assert_matches_snapshot, snapshot_path};
 use sirius_tpch::{queries, TpchGenerator};
 use sirius_trace::{EventKind, Lane, TraceEvent};
@@ -130,7 +132,12 @@ fn render() -> String {
         e.clear_operator_stats();
         e.execute(&plan)
             .unwrap_or_else(|err| panic!("Q{id} at 1/8 memory: {err}"));
-        render_query(&mut out, id, &e.trace().events(), &e.explain_analyze(&plan));
+        let events = e.trace().events();
+        let unnamed = events.iter().filter(|ev| {
+            ev.kind == EventKind::Kernel && CostCategory::from_label(&ev.label).is_some()
+        });
+        assert_eq!(unnamed.count(), 0, "Q{id}: a kernel charged without a name");
+        render_query(&mut out, id, &events, &e.explain_analyze(&plan));
     }
     out
 }

@@ -1,6 +1,7 @@
 //! Tracing is an observer, not a participant: for every TPC-H query the
-//! recorded trace must replay to the device ledger nanosecond-exact, the
-//! Chrome export must be structurally valid, the EXPLAIN ANALYZE root
+//! recorded trace must replay to the device ledger nanosecond-exact, every
+//! kernel event must carry its kernel's own name rather than its category's,
+//! the Chrome export must be structurally valid, the EXPLAIN ANALYZE root
 //! cardinality must equal the actual result cardinality, running with
 //! tracing off must (a) record nothing and (b) charge the identical
 //! simulated time, and running the query again must record the same trace
@@ -107,14 +108,25 @@ fn all_queries_reconcile_trace_ledger_and_explain() {
                 "{what}: trace replay disagrees with the device ledger"
             );
 
-            // 2. The Chrome export is structurally sound (monotone per-track
+            // 2. Every kernel is named for itself: its category is only its
+            // `cat`, never its label.
+            let unnamed = events.iter().filter(|e| {
+                e.kind == EventKind::Kernel && CostCategory::from_label(&e.label).is_some()
+            });
+            assert_eq!(
+                unnamed.count(),
+                0,
+                "{what}: a kernel charged without a name"
+            );
+
+            // 3. The Chrome export is structurally sound (monotone per-track
             // timestamps, known categories, nonzero durations).
             let json = chrome::export(&format!("Q{id}"), events);
             let n = chrome::validate_json(&json, &known_cats)
                 .unwrap_or_else(|v| panic!("{what}: invalid chrome JSON: {v:?}"));
             assert_eq!(n, events.len(), "{what}: export dropped events");
 
-            // 3. EXPLAIN ANALYZE's root operator reports the cardinality the
+            // 4. EXPLAIN ANALYZE's root operator reports the cardinality the
             // query actually returned.
             let root = run
                 .stats
@@ -130,7 +142,7 @@ fn all_queries_reconcile_trace_ledger_and_explain() {
                 "{what}: rendered plan missing the root cardinality:\n{rendered}"
             );
 
-            // 4. Operator ids are consistent end-to-end: runtime stats keys
+            // 5. Operator ids are consistent end-to-end: runtime stats keys
             // and trace span tracks are pre-order ids over the *normalized*
             // plan (the plan the physical compiler walks), and every stats
             // key shows up as an `[#id]` row in the rendered EXPLAIN ANALYZE.
@@ -156,7 +168,7 @@ fn all_queries_reconcile_trace_ledger_and_explain() {
                 }
             }
 
-            // 5. Tracing is free: the untraced engine records nothing and
+            // 6. Tracing is free: the untraced engine records nothing and
             // charges the identical simulated time.
             untraced.device().reset();
             let untraced_table = untraced
@@ -170,7 +182,7 @@ fn all_queries_reconcile_trace_ledger_and_explain() {
             );
             assert_eq!(untraced_table.num_rows(), run.rows);
 
-            // 6. The trace is reproducible: a second run records the same
+            // 7. The trace is reproducible: a second run records the same
             // kernels, syncs and spans, field for field in sequence order,
             // however the worker threads interleaved, and renders the same
             // EXPLAIN ANALYZE.
