@@ -17,6 +17,7 @@
 //! also print an SF100-extrapolated column.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod ablations;
 mod args;

@@ -296,20 +296,15 @@ impl SiriusEngine {
 
     /// `EXPLAIN ANALYZE`: the plan annotated with each operator's actual
     /// rows, bytes, simulated time, and spill partitions from the last
-    /// traced execution. The plan is routed through the same
-    /// [`compile_query`](Self::compile_query) path execution uses and
-    /// rendered from the compiled [`CompiledQuery::root`](crate::CompiledQuery::root), so the
-    /// rendered operator ids are *by construction* the executed ids —
-    /// they can never drift from the DAG. Requires `config.trace` (or
+    /// traced execution. It renders `normalize(plan)`, the tree
+    /// [`compile_query`](Self::compile_query) compiles and whose pre-order
+    /// ids execution stamps, so the rendered ids are the executed ids. An
+    /// uncompilable plan renders the same way. Requires `config.trace` (or
     /// `config.operator_stats`); other engines render every node as
     /// data-free.
     pub fn explain_analyze(&self, plan: &Rel) -> String {
-        let stats = self.operator_stats();
-        match self.compile_query(plan) {
-            Ok(compiled) => compiled.explain_analyze(&stats),
-            // Uncompilable plans still render something useful.
-            Err(_) => explain::render(&sirius_plan::normalize::normalize(plan), &stats),
-        }
+        let root = sirius_plan::normalize::normalize(plan);
+        explain::render(&root, &self.operator_stats())
     }
 
     /// The simulated device (time ledger).

@@ -16,14 +16,7 @@ use sirius_plan::Expr;
 /// Evaluate `expr` over every row of `input`, launching GPU kernels charged
 /// to `ctx`. Bare column references are zero-copy.
 pub fn evaluate(ctx: &GpuContext, expr: &Expr, input: &Table) -> Result<Array> {
-    let n = input.num_rows();
-    match lower(ctx, expr, input)? {
-        Datum2::Col(a) => Ok(a),
-        Datum2::Lit(s) => {
-            let dt = s.data_type().unwrap_or(DataType::Bool);
-            Ok(Array::from_scalar(&s, dt, n))
-        }
-    }
+    Ok(lower(ctx, expr, input)?.into_array(input.num_rows()))
 }
 
 /// [`evaluate`] each of `exprs` over `input`, in order.
@@ -43,6 +36,14 @@ impl Datum2 {
         match self {
             Datum2::Col(a) => Datum::Column(a),
             Datum2::Lit(s) => Datum::Scalar(s.clone()),
+        }
+    }
+
+    /// The column, or the literal broadcast to `rows` rows.
+    fn into_array(self, rows: usize) -> Array {
+        match self {
+            Datum2::Col(a) => a,
+            Datum2::Lit(s) => Array::from_scalar(&s, s.data_type().unwrap_or(DataType::Bool), rows),
         }
     }
 }
@@ -73,13 +74,7 @@ fn fusable_kernels(expr: &Expr, schema: &Schema) -> Option<u64> {
 fn fused_compute(ctx: &GpuContext, expr: &Expr, input: &Table, kernels: u64) -> Result<Array> {
     let n = input.num_rows();
     let quiet = ctx.muted();
-    let out = match lower(&quiet, expr, input)? {
-        Datum2::Col(a) => a,
-        Datum2::Lit(s) => {
-            let dt = s.data_type().unwrap_or(DataType::Bool);
-            Array::from_scalar(&s, dt, n)
-        }
-    };
+    let out = lower(&quiet, expr, input)?.into_array(n);
     // Each column the subtree reads is streamed once.
     let mut cols = Vec::new();
     expr.referenced_columns(&mut cols);

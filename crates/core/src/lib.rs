@@ -32,6 +32,7 @@
 // task that panics on the worker pool is its batch slot's error.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod buffer;
 pub mod engine;

@@ -50,7 +50,9 @@ use sirius_cudf::filter::gather;
 use sirius_cudf::join::{build_hash_table, JoinHashTable};
 use sirius_cudf::unique::distinct;
 use sirius_cudf::GpuContext;
-use sirius_hw::{Charge, CostCategory, Device, FaultSite, Lane, TimeBreakdown};
+use sirius_hw::{
+    Charge, CostCategory, Device, EventKind, FaultSite, Lane, TimeBreakdown, TraceEvent,
+};
 use sirius_plan::expr::Expr;
 use sirius_plan::visit::Node;
 use sirius_rmm::MemoryGrant;
@@ -741,25 +743,22 @@ impl SiriusEngine {
     /// Emit the operator-track span of plan node `node` from `start` to
     /// now, sized by `out` when the operator materialized one. Returns the
     /// span's simulated duration.
-    fn op_span(
-        &self,
-        label: impl Into<String>,
-        start: Duration,
-        out: Option<&Table>,
-        node: Node,
-    ) -> Duration {
+    fn op_span(&self, label: &str, start: Duration, out: Option<&Table>, node: Node) -> Duration {
         let dur = self.device.elapsed().saturating_sub(start);
         let (bytes, rows) = out.map_or((0, 0), |t| (t.byte_size(), t.num_rows()));
-        self.trace.span(
-            "op",
-            label,
-            start.as_nanos() as u64,
-            dur.as_nanos() as u64,
-            bytes as u64,
-            rows as u64,
-            node.id,
-            node.depth,
-        );
+        self.trace.emit(TraceEvent {
+            seq: 0,
+            kind: EventKind::Span,
+            lane: Lane::Serial,
+            cat: "op",
+            label: label.to_string(),
+            ts: start.as_nanos() as u64,
+            dur: dur.as_nanos() as u64,
+            bytes: bytes as u64,
+            rows: rows as u64,
+            node: Some(node.id),
+            depth: node.depth,
+        });
         dur
     }
 

@@ -23,6 +23,7 @@
 // No panic is reachable from a kernel call: failures are `KernelError`s.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod binary;
 pub mod filter;

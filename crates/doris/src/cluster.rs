@@ -46,6 +46,7 @@ use sirius_nccl::{CancelToken, NcclCluster};
 use sirius_plan::{ExchangeKind, Rel};
 use sirius_sql::{plan_sql, BinderCatalog, JoinOrderPolicy};
 use sirius_trace::metrics::{self, Metric, MetricsRegistry};
+use sirius_trace::{EventKind, Lane, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -647,7 +648,19 @@ impl DorisCluster {
             .lifecycle_ns
             .fetch_add(advance.as_nanos() as u64, Ordering::SeqCst)
             + advance.as_nanos() as u64;
-        self.trace.instant("lifecycle", label, ts);
+        self.trace.emit(TraceEvent {
+            seq: 0,
+            kind: EventKind::Instant,
+            lane: Lane::Serial,
+            cat: "lifecycle",
+            label: label.to_string(),
+            ts,
+            dur: 0,
+            bytes: 0,
+            rows: 0,
+            node: None,
+            depth: 0,
+        });
     }
 
     /// Current cluster size (shrinks as nodes die).
@@ -1066,7 +1079,6 @@ fn load_table_into(
 mod tests {
     use super::*;
     use sirius_columnar::{Array, DataType, Field, Schema};
-    use sirius_trace::EventKind;
 
     fn cluster(kind: NodeEngineKind) -> DorisCluster {
         cluster_with(kind, ClusterConfig::default())

@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 use parking_lot::RwLock;
 use sirius_columnar::Table;

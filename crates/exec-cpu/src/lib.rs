@@ -19,6 +19,7 @@
 // thread: a failure is an `ExecError`, never a panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod catalog;
 pub mod engine;

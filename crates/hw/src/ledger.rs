@@ -204,17 +204,19 @@ impl LedgerState {
         }
         if self.trace.enabled() && !d.is_zero() {
             let in_flight = stream.map_or(0, |s| self.streams[s].nanos.iter().sum::<u64>());
-            self.trace.record(
-                EventKind::Kernel,
+            self.trace.emit(TraceEvent {
+                seq: 0,
+                kind: EventKind::Kernel,
                 lane,
-                category.label(),
-                label,
-                self.serial.nanos.iter().sum::<u64>() + in_flight,
-                d.as_nanos() as u64,
+                cat: category.label(),
+                label: label.to_string(),
+                ts: self.serial.nanos.iter().sum::<u64>() + in_flight,
+                dur: d.as_nanos() as u64,
                 bytes,
                 rows,
-                None,
-            );
+                node: None,
+                depth: 0,
+            });
         }
         match stream {
             Some(s) => self.streams[s].add(category, d),
@@ -354,18 +356,19 @@ impl CostLedger {
         let folded = attribute_overlap(&state.streams);
         let wall = folded.total();
         if state.trace.enabled() && !wall.is_zero() {
-            let ts: u64 = state.serial.nanos.iter().sum();
-            state.trace.record(
-                EventKind::Sync,
-                Lane::Serial,
-                "marker",
-                "sync_streams",
-                ts,
-                wall.as_nanos() as u64,
-                0,
-                0,
-                None,
-            );
+            state.trace.emit(TraceEvent {
+                seq: 0,
+                kind: EventKind::Sync,
+                lane: Lane::Serial,
+                cat: "marker",
+                label: "sync_streams".to_string(),
+                ts: state.serial.nanos.iter().sum(),
+                dur: wall.as_nanos() as u64,
+                bytes: 0,
+                rows: 0,
+                node: None,
+                depth: 0,
+            });
         }
         state.serial = state.serial.merge(&folded);
         state.streams.clear();

@@ -33,6 +33,7 @@
 // No panic is reachable from a charge: the ledger's arithmetic is total.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod catalog;
 pub mod cost;
@@ -46,7 +47,7 @@ pub use cost::{CostModel, WorkProfile};
 pub use fault::{FaultAction, FaultInjector, FaultPlan, FaultSite, FaultSpec};
 pub use ledger::{attribute_overlap, replay, Charge, CostCategory, TimeBreakdown};
 pub use link::{Link, LinkSpec};
-pub use sirius_trace::{Lane, TraceConfig, TraceSink};
+pub use sirius_trace::{EventKind, Lane, TraceConfig, TraceEvent, TraceSink};
 pub use spec::{DeviceKind, DeviceSpec};
 
 use ledger::CostLedger;

@@ -441,41 +441,27 @@ pub fn and_all(exprs: impl IntoIterator<Item = Expr>) -> Expr {
 
 /// Split a conjunction into its conjunct list.
 pub fn split_conjunction(e: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary {
-            op: BinOp::And,
-            left,
-            right,
-        } = e
-        {
-            walk(left, out);
-            walk(right, out);
-        } else {
-            out.push(e);
-        }
-    }
-    walk(e, &mut out);
-    out
+    split_connective(e, BinOp::And)
 }
 
 /// Split a disjunction into its disjunct list.
 pub fn split_disjunction(e: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary {
-            op: BinOp::Or,
-            left,
-            right,
-        } = e
-        {
-            walk(left, out);
-            walk(right, out);
-        } else {
-            out.push(e);
+    split_connective(e, BinOp::Or)
+}
+
+/// The operands of a chain of `connective`s, left to right.
+fn split_connective(e: &Expr, connective: BinOp) -> Vec<&Expr> {
+    fn walk<'a>(e: &'a Expr, connective: BinOp, out: &mut Vec<&'a Expr>) {
+        match e {
+            Expr::Binary { op, left, right } if *op == connective => {
+                walk(left, connective, out);
+                walk(right, connective, out);
+            }
+            _ => out.push(e),
         }
     }
-    walk(e, &mut out);
+    let mut out = Vec::new();
+    walk(e, connective, &mut out);
     out
 }
 

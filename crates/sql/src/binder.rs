@@ -138,7 +138,7 @@ fn project(input: Rel, exprs: Vec<(Expr, Arc<str>)>) -> Rel {
     }
 }
 
-fn join(
+pub(crate) fn join(
     left: Rel,
     right: Rel,
     kind: JoinKind,
@@ -291,8 +291,9 @@ fn bind_from_item(item: &FromItem, ctx: &BindCtx<'_>) -> Result<JoinRelation> {
         let right = bind_table_ref(&j.relation, ctx)?;
         let combined = rel.schema.join(&right.schema);
         let on = bind_expr(&j.on, &Scope::plain(&combined, None))?;
-        let conjuncts = expr::split_conjunction(&on).into_iter().cloned().collect();
-        let (left_keys, right_keys, residual) = split_equi_keys(conjuncts, rel.schema.len());
+        let width = rel.schema.len();
+        let conjuncts = expr::split_conjunction(&on).into_iter().cloned();
+        let (left_keys, right_keys, residual) = split_equi_keys(conjuncts, |r| r < width);
         if left_keys.is_empty() {
             return Err(err(
                 "explicit JOIN requires at least one equality condition",
@@ -307,7 +308,7 @@ fn bind_from_item(item: &FromItem, ctx: &BindCtx<'_>) -> Result<JoinRelation> {
                 rel.plan,
                 right.plan,
                 kind,
-                (left_keys, right_keys),
+                (left_keys, shift_down(right_keys, width)),
                 residual,
             ),
             schema: combined,
@@ -370,39 +371,50 @@ fn refs_all(e: &Expr, pred: impl Fn(usize) -> bool) -> bool {
     !refs.is_empty() && refs.iter().all(|&r| pred(r))
 }
 
-/// Split conjuncts over a two-sided column space (`< boundary` is the low
-/// side, the rest the high side): an equality with one operand wholly on
-/// each side becomes a key pair, everything else is left over. Returns
-/// `(low keys, high keys rebased to 0, leftovers)`. With `boundary` the
-/// left width this splits an ON clause; with [`OUTER_BASE`] it splits
-/// correlated conjuncts into inner keys and outer keys.
-fn split_equi_keys(conjuncts: Vec<Expr>, boundary: usize) -> (Vec<Expr>, Vec<Expr>, Vec<Expr>) {
-    let (mut low, mut high, mut rest) = (Vec::new(), Vec::new(), Vec::new());
-    let is_low = |e: &Expr| refs_all(e, |r| r < boundary);
-    let is_high = |e: &Expr| refs_all(e, |r| r >= boundary);
+/// Split conjuncts over a two-sided column space (`low` says which side a
+/// column is on): an equality with one operand wholly on each side becomes
+/// a key pair, everything else is left over. Returns `(low keys, high keys,
+/// leftovers)`, moved out of the conjuncts with their ordinals untouched,
+/// so the caller remaps what it keeps. It splits an ON clause (`low` the
+/// left input), correlated conjuncts (`low` the inner query, the outer one
+/// at [`OUTER_BASE`]) and the join fold's edges (`low` the joined side).
+pub(crate) fn split_equi_keys(
+    conjuncts: impl IntoIterator<Item = Expr>,
+    low: impl Fn(usize) -> bool,
+) -> (Vec<Expr>, Vec<Expr>, Vec<Expr>) {
+    let (mut lows, mut highs, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+    let is_low = |e: &Expr| refs_all(e, &low);
+    let is_high = |e: &Expr| refs_all(e, |r| !low(r));
     for c in conjuncts {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = &c
-        {
-            let sides = if is_low(left) && is_high(right) {
-                Some((left, right))
-            } else if is_high(left) && is_low(right) {
-                Some((right, left))
-            } else {
-                None
-            };
-            if let Some((l, h)) = sides {
-                low.push((**l).clone());
-                high.push(h.remap_columns(&|i| i - boundary));
-                continue;
+        match c {
+            Expr::Binary {
+                op: BinOp::Eq,
+                left,
+                right,
+            } if is_low(&left) && is_high(&right) => {
+                lows.push(*left);
+                highs.push(*right);
             }
+            Expr::Binary {
+                op: BinOp::Eq,
+                left,
+                right,
+            } if is_high(&left) && is_low(&right) => {
+                lows.push(*right);
+                highs.push(*left);
+            }
+            c => rest.push(c),
         }
-        rest.push(c);
     }
-    (low, high, rest)
+    (lows, highs, rest)
+}
+
+/// `exprs` with every ordinal moved down by `by`.
+pub(crate) fn shift_down(exprs: Vec<Expr>, by: usize) -> Vec<Expr> {
+    exprs
+        .into_iter()
+        .map(|e| e.remap_columns(&|i| i - by))
+        .collect()
 }
 
 /// If `bound` is an OR whose every disjunct contains at least one conjunct
@@ -962,7 +974,7 @@ fn decorrelate_exists(
     }
     let ctx = with_ctes(sub, ctx)?;
     let inner = bind_product(&sub.select, &ctx, Some(schema))?;
-    let (inner_keys, outer_keys, rest) = split_equi_keys(inner.correlated, OUTER_BASE);
+    let (inner_keys, outer_keys, rest) = split_equi_keys(inner.correlated, |r| r < OUTER_BASE);
     if outer_keys.is_empty() {
         return Err(err(
             "EXISTS subquery without correlated equality is not supported",
@@ -986,7 +998,7 @@ fn decorrelate_exists(
         plan,
         inner.plan,
         kind,
-        (outer_keys, inner_keys),
+        (shift_down(outer_keys, OUTER_BASE), inner_keys),
         residual,
     ))
 }
@@ -1058,7 +1070,7 @@ fn join_scalar_subquery(
     } else {
         // Correlated aggregate: group the subquery by the inner sides of
         // its correlated equalities and join on them.
-        let (inner_keys, outer_keys, rest) = split_equi_keys(inner.correlated, OUTER_BASE);
+        let (inner_keys, outer_keys, rest) = split_equi_keys(inner.correlated, |r| r < OUTER_BASE);
         if !rest.is_empty() {
             return Err(err(
                 "only equality correlation is supported in scalar subqueries",
@@ -1089,7 +1101,10 @@ fn join_scalar_subquery(
         let aggregated_schema = aggregated.output_schema(&[&inner.schema])?;
         let grouped = project(aggregated, exprs);
         let grouped_schema = grouped.output_schema(&[&aggregated_schema])?;
-        let keys = (outer_keys, (0..width).map(expr::col).collect());
+        let keys = (
+            shift_down(outer_keys, OUTER_BASE),
+            (0..width).map(expr::col).collect(),
+        );
         (grouped, grouped_schema, keys)
     };
     let joined = join(plan, inner_plan, JoinKind::Single, keys, vec![]);
@@ -1111,9 +1126,9 @@ mod tests {
             expr::eq(expr::col(0), expr::col(1)),
             expr::lt(expr::col(1), expr::col(3)),
         ];
-        let (left, right, rest) = split_equi_keys(on.clone(), 2);
+        let (left, right, rest) = split_equi_keys(on.clone(), |r| r < 2);
         assert_eq!(left, vec![expr::col(0), expr::col(1)]);
-        assert_eq!(right, vec![expr::col(0), expr::col(1)]);
+        assert_eq!(shift_down(right, 2), vec![expr::col(0), expr::col(1)]);
         assert_eq!(rest, on[2..]);
 
         // Correlated conjuncts: outer columns sit at OUTER_BASE; an
@@ -1123,9 +1138,10 @@ mod tests {
             expr::eq(outer(4), expr::col(7)),
             expr::eq(outer(1), expr::lit(Scalar::Int64(3))),
         ];
-        let (inner_keys, outer_keys, rest) = split_equi_keys(correlated.clone(), OUTER_BASE);
+        let (inner_keys, outer_keys, rest) =
+            split_equi_keys(correlated.clone(), |r| r < OUTER_BASE);
         assert_eq!(inner_keys, vec![expr::col(7)]);
-        assert_eq!(outer_keys, vec![expr::col(4)]);
+        assert_eq!(outer_keys, vec![outer(4)]);
         assert_eq!(rest, correlated[1..]);
     }
 }

@@ -27,7 +27,7 @@
 //! move), turning the large side into the streamed probe input.
 //! Estimate-only plans are never swapped — adaptivity requires evidence.
 
-use crate::binder::JoinOrderPolicy;
+use crate::binder::{join, shift_down, split_equi_keys, JoinOrderPolicy};
 use crate::optimizer::stats::Statistics;
 use crate::{Result, SqlError};
 use sirius_columnar::Schema;
@@ -119,16 +119,37 @@ impl<'a> JoinOrderer<'a> {
             for c in 0..widths[next] {
                 final_map[orig_offsets[next] + c] = left_width + c;
             }
-            let next_cols = orig_offsets[next]..orig_offsets[next] + widths[next];
-            let (on, rest) = split_edges(edges, next, next_cols, &joined, &final_map, left_width);
-            edges = rest;
+            // The edges this join can evaluate are its condition; the rest
+            // wait for a later join.
+            let mut waiting = Vec::new();
+            let applicable = edges.into_iter().filter_map(|(e, rels)| {
+                if applies(&rels, next, &joined) {
+                    return Some(e);
+                }
+                waiting.push((e, rels));
+                None
+            });
+            let (left_keys, right_keys, residual) =
+                split_equi_keys(applicable, |c| final_map[c] < left_width);
+            edges = waiting;
+            let to_final = |e: Expr| e.remap_columns(&|i| final_map[i]);
+            let keys = (
+                left_keys.into_iter().map(to_final).collect::<Vec<_>>(),
+                shift_down(right_keys, orig_offsets[next]),
+            );
+            let residual: Vec<Expr> = residual.into_iter().map(to_final).collect();
 
             let next_schema = relations[next].schema.clone();
             let right_plan = std::mem::replace(&mut relations[next].plan, placeholder());
-            let swap = !on.left_keys.is_empty()
-                && on.residual.is_empty()
-                && self.should_swap(&sets, &joined, next);
-            plan = join_node((plan, &schema), (right_plan, &next_schema), on, swap);
+            let swap =
+                !keys.0.is_empty() && residual.is_empty() && self.should_swap(&sets, &joined, next);
+            plan = join_node(
+                (plan, &schema),
+                (right_plan, &next_schema),
+                keys,
+                residual,
+                swap,
+            );
             schema = schema.join(&next_schema);
             joined.push(next);
         }
@@ -375,101 +396,22 @@ fn applies(rels: &[usize], cand: usize, joined: &[usize]) -> bool {
     rels.contains(&cand) && rels.iter().all(|r| *r == cand || joined.contains(r))
 }
 
-/// What the edges applicable to one join say: equality keys per side and
-/// the conjuncts left over, all in final ordinals (right keys local to the
-/// incoming relation).
-struct JoinCondition {
-    left_keys: Vec<Expr>,
-    right_keys: Vec<Expr>,
-    residual: Vec<Expr>,
-}
-
-/// Partition `edges` for the join of relation `next` (original-product
-/// columns `next_cols`) onto the `joined` ones (`left_width` columns wide):
-/// the applicable edges become the join's condition, the rest is returned
-/// for later joins.
-fn split_edges(
-    edges: Vec<(Expr, Vec<usize>)>,
-    next: usize,
-    next_cols: std::ops::Range<usize>,
-    joined: &[usize],
-    final_map: &[usize],
-    left_width: usize,
-) -> (JoinCondition, Vec<(Expr, Vec<usize>)>) {
-    let mut on = JoinCondition {
-        left_keys: Vec::new(),
-        right_keys: Vec::new(),
-        residual: Vec::new(),
-    };
-    let mut rest = Vec::new();
-    for (e, rels) in edges {
-        if !applies(&rels, next, joined) {
-            rest.push((e, rels));
-            continue;
-        }
-        let in_next = |x: &Expr| {
-            let mut refs = Vec::new();
-            x.referenced_columns(&mut refs);
-            !refs.is_empty() && refs.iter().all(|r| next_cols.contains(r))
-        };
-        let in_joined = |x: &Expr| {
-            let mut refs = Vec::new();
-            x.referenced_columns(&mut refs);
-            !refs.is_empty() && refs.iter().all(|&r| final_map[r] < left_width)
-        };
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = &e
-        {
-            if in_joined(left) && in_next(right) {
-                on.left_keys.push(left.remap_columns(&|i| final_map[i]));
-                on.right_keys
-                    .push(right.remap_columns(&|i| i - next_cols.start));
-                continue;
-            }
-            if in_next(left) && in_joined(right) {
-                on.left_keys.push(right.remap_columns(&|i| final_map[i]));
-                on.right_keys
-                    .push(left.remap_columns(&|i| i - next_cols.start));
-                continue;
-            }
-        }
-        on.residual.push(e.remap_columns(&|i| final_map[i]));
-    }
-    (on, rest)
-}
-
-/// The join of `right` onto `left` under `on`: a cross join when no key
-/// applies, else an inner join — with the inputs swapped under a restoring
+/// The join of `right` onto `left` on `keys`: a cross join when there is
+/// none, else an inner join — with the inputs swapped under a restoring
 /// projection when `swap` (see [`JoinOrderer::should_swap`]).
 fn join_node(
     (left, left_schema): (Rel, &Schema),
     (right, right_schema): (Rel, &Schema),
-    on: JoinCondition,
+    keys: (Vec<Expr>, Vec<Expr>),
+    residual: Vec<Expr>,
     swap: bool,
 ) -> Rel {
-    let residual = (!on.residual.is_empty()).then(|| expr::and_all(on.residual));
-    if on.left_keys.is_empty() {
-        return Rel::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            kind: JoinKind::Cross,
-            left_keys: vec![],
-            right_keys: vec![],
-            residual,
-        };
-    }
     if !swap {
-        return Rel::Join {
-            left: Box::new(left),
-            right: Box::new(right),
-            kind: JoinKind::Inner,
-            left_keys: on.left_keys,
-            right_keys: on.right_keys,
-            residual,
+        let kind = match keys.0.is_empty() {
+            true => JoinKind::Cross,
+            false => JoinKind::Inner,
         };
+        return join(left, right, kind, keys, residual);
     }
     // Build-side flip: the probe pipeline streams while the build
     // pipeline materializes its whole input, so with observed actuals on
@@ -477,14 +419,7 @@ fn join_node(
     // restoring projection keeps the output column order identical to the
     // unswapped join, so downstream ordinals and `final_map` stay valid
     // untouched.
-    let swapped = Rel::Join {
-        left: Box::new(right),
-        right: Box::new(left),
-        kind: JoinKind::Inner,
-        left_keys: on.right_keys,
-        right_keys: on.left_keys,
-        residual: None,
-    };
+    let swapped = join(right, left, JoinKind::Inner, (keys.1, keys.0), residual);
     let w_next = right_schema.len();
     let mut exprs = Vec::with_capacity(left_schema.len() + w_next);
     for (i, f) in left_schema.fields.iter().enumerate() {

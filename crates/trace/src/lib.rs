@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod chrome;
 pub mod metrics;
@@ -63,8 +64,9 @@ pub enum EventKind {
 /// One recorded event on the simulated clock.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
-    /// Global sequence number: replaying events in `seq` order through a
-    /// fresh ledger reproduces the live ledger state exactly.
+    /// Global sequence number, assigned by [`TraceSink::emit`]: replaying
+    /// events in `seq` order through a fresh ledger reproduces the live
+    /// ledger state exactly.
     pub seq: u64,
     /// Event kind.
     pub kind: EventKind,
@@ -126,7 +128,7 @@ struct SinkInner {
 /// A shared, lock-cheap event recorder. Cloning shares the buffer.
 ///
 /// A disabled sink (`TraceSink::off()` / `TraceConfig::Off`) holds no
-/// allocation at all; every `record_*` call returns after one branch.
+/// allocation at all; every [`TraceSink::emit`] returns after one branch.
 #[derive(Clone, Default)]
 pub struct TraceSink {
     inner: Option<Arc<SinkInner>>,
@@ -161,94 +163,23 @@ impl TraceSink {
         }
     }
 
-    /// Record one event, assigning it the next global sequence number.
+    /// Record `event` under the next global sequence number (the `seq` it
+    /// carries is overwritten), on its lane's shard. A zero-duration
+    /// [`EventKind::Span`] is dropped: an operator that charged nothing has
+    /// nothing to show, and every exported `"X"` event keeps a nonzero
+    /// `dur`.
     ///
     /// Callers that mutate a shared clock (the hw ledger) call this while
     /// holding the clock's lock, so `seq` order equals true mutation order
     /// and replay is exact.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &self,
-        kind: EventKind,
-        lane: Lane,
-        cat: &'static str,
-        label: impl Into<String>,
-        ts: u64,
-        dur: u64,
-        bytes: u64,
-        rows: u64,
-        node: Option<u32>,
-    ) {
+    pub fn emit(&self, mut event: TraceEvent) {
         let Some(inner) = &self.inner else { return };
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        let ev = TraceEvent {
-            seq,
-            kind,
-            lane,
-            cat,
-            label: label.into(),
-            ts,
-            dur,
-            bytes,
-            rows,
-            node,
-            depth: 0,
-        };
-        inner.shards[Self::shard_for(lane)].lock().push(ev);
-    }
-
-    /// Record an operator span: a `[ts, ts + dur)` window on the simulated
-    /// clock attributed to plan node `node` at tree depth `depth`.
-    /// Zero-duration spans are dropped (an operator that charged nothing
-    /// has nothing to show, and every exported `"X"` event keeps a nonzero
-    /// `dur`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn span(
-        &self,
-        cat: &'static str,
-        label: impl Into<String>,
-        ts: u64,
-        dur: u64,
-        bytes: u64,
-        rows: u64,
-        node: u32,
-        depth: u32,
-    ) {
-        let Some(inner) = &self.inner else { return };
-        if dur == 0 {
+        if event.kind == EventKind::Span && event.dur == 0 {
             return;
         }
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        let ev = TraceEvent {
-            seq,
-            kind: EventKind::Span,
-            lane: Lane::Serial,
-            cat,
-            label: label.into(),
-            ts,
-            dur,
-            bytes,
-            rows,
-            node: Some(node),
-            depth,
-        };
-        inner.shards[0].lock().push(ev);
-    }
-
-    /// Record a zero-duration lifecycle marker on the serial lane.
-    pub fn instant(&self, cat: &'static str, label: impl Into<String>, ts: u64) {
-        self.record(
-            EventKind::Instant,
-            Lane::Serial,
-            cat,
-            label,
-            ts,
-            0,
-            0,
-            0,
-            None,
-        );
+        event.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
+        inner.shards[Self::shard_for(event.lane)].lock().push(event);
     }
 
     /// Number of events recorded so far (0 for a disabled sink — the CI
@@ -262,28 +193,24 @@ impl TraceSink {
 
     /// Snapshot of all events, sorted by global sequence number.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let mut out: Vec<TraceEvent> = inner
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().iter().cloned().collect::<Vec<_>>())
-            .collect();
-        out.sort_by_key(|e| e.seq);
-        out
+        self.sorted(|shard| shard.clone())
     }
 
     /// Drain all events (sorted by sequence number), leaving the buffer
     /// empty but the sink enabled.
     pub fn drain(&self) -> Vec<TraceEvent> {
+        self.sorted(std::mem::take)
+    }
+
+    /// What `take` returns of each shard, sorted by sequence number.
+    fn sorted(&self, take: impl Fn(&mut Vec<TraceEvent>) -> Vec<TraceEvent>) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
         let mut out: Vec<TraceEvent> = inner
             .shards
             .iter()
-            .flat_map(|s| std::mem::take(&mut *s.lock()))
+            .flat_map(|s| take(&mut s.lock()))
             .collect();
         out.sort_by_key(|e| e.seq);
         out
@@ -312,22 +239,32 @@ impl std::fmt::Debug for TraceSink {
 mod tests {
     use super::*;
 
+    fn event(kind: EventKind, lane: Lane, label: &str, ts: u64, dur: u64) -> TraceEvent {
+        TraceEvent {
+            seq: 0,
+            kind,
+            lane,
+            cat: "join",
+            label: label.to_string(),
+            ts,
+            dur,
+            bytes: 0,
+            rows: 0,
+            node: None,
+            depth: 0,
+        }
+    }
+
+    fn kernel(lane: Lane, label: &str, dur: u64) -> TraceEvent {
+        event(EventKind::Kernel, lane, label, 0, dur)
+    }
+
     #[test]
     fn off_sink_records_nothing() {
         let s = TraceSink::off();
         assert!(!s.enabled());
-        s.record(
-            EventKind::Kernel,
-            Lane::Serial,
-            "filter",
-            "k",
-            0,
-            10,
-            0,
-            0,
-            None,
-        );
-        s.instant("lifecycle", "retry", 5);
+        s.emit(kernel(Lane::Serial, "k", 10));
+        s.emit(event(EventKind::Instant, Lane::Serial, "retry", 5, 0));
         assert_eq!(s.events_recorded(), 0);
         assert!(s.events().is_empty());
         assert!(s.drain().is_empty());
@@ -344,50 +281,10 @@ mod tests {
     fn events_come_back_in_seq_order() {
         let s = TraceSink::new();
         // Interleave lanes so shards fill out of order.
-        s.record(
-            EventKind::Kernel,
-            Lane::Stream(1),
-            "join",
-            "a",
-            0,
-            5,
-            0,
-            0,
-            None,
-        );
-        s.record(
-            EventKind::Kernel,
-            Lane::Serial,
-            "other",
-            "b",
-            0,
-            1,
-            0,
-            0,
-            None,
-        );
-        s.record(
-            EventKind::Kernel,
-            Lane::Stream(0),
-            "join",
-            "c",
-            0,
-            7,
-            0,
-            0,
-            None,
-        );
-        s.record(
-            EventKind::Sync,
-            Lane::Serial,
-            "marker",
-            "sync",
-            1,
-            7,
-            0,
-            0,
-            None,
-        );
+        s.emit(kernel(Lane::Stream(1), "a", 5));
+        s.emit(kernel(Lane::Serial, "b", 1));
+        s.emit(kernel(Lane::Stream(0), "c", 7));
+        s.emit(event(EventKind::Sync, Lane::Serial, "sync", 1, 7));
         let evs = s.events();
         assert_eq!(evs.len(), 4);
         assert_eq!(
@@ -400,20 +297,38 @@ mod tests {
     }
 
     #[test]
+    fn emit_drops_an_empty_span_keeps_an_instant_and_numbers_what_it_keeps() {
+        let s = TraceSink::new();
+        let span = |label, dur| TraceEvent {
+            node: Some(3),
+            depth: 2,
+            ..event(EventKind::Span, Lane::Serial, label, 4, dur)
+        };
+        s.emit(TraceEvent {
+            seq: 99,
+            ..span("empty", 0)
+        });
+        s.emit(event(EventKind::Instant, Lane::Serial, "retry", 4, 0));
+        s.emit(span("scan", 6));
+        s.emit(kernel(Lane::Stream(2), "probe", 0));
+        let evs = s.drain();
+        let kept: Vec<_> = evs
+            .iter()
+            .map(|e| (e.seq, e.label.as_str(), e.dur))
+            .collect();
+        assert_eq!(kept, [(0, "retry", 0), (1, "scan", 6), (2, "probe", 0)]);
+        assert_eq!((evs[1].node, evs[1].depth), (Some(3), 2));
+    }
+
+    #[test]
     fn clones_share_the_buffer_and_drain_empties_it() {
         let s = TraceSink::new();
         let s2 = s.clone();
-        s2.record(
-            EventKind::Kernel,
-            Lane::Serial,
-            "filter",
-            "k",
-            0,
-            3,
-            64,
-            8,
-            None,
-        );
+        s2.emit(TraceEvent {
+            bytes: 64,
+            rows: 8,
+            ..kernel(Lane::Serial, "k", 3)
+        });
         assert_eq!(s.events_recorded(), 1);
         let drained = s.drain();
         assert_eq!(drained.len(), 1);
@@ -427,17 +342,7 @@ mod tests {
     fn high_stream_ids_hash_onto_the_last_shard() {
         let s = TraceSink::new();
         for stream in [0u32, 7, 63, 1000] {
-            s.record(
-                EventKind::Kernel,
-                Lane::Stream(stream),
-                "join",
-                "k",
-                0,
-                1,
-                0,
-                0,
-                None,
-            );
+            s.emit(kernel(Lane::Stream(stream), "k", 1));
         }
         assert_eq!(s.events().len(), 4);
     }
