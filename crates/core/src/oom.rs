@@ -417,10 +417,12 @@ impl SiriusEngine {
 
     /// External merge sort: split the input into runs that fit under a
     /// grant, sort and spill each run, then read the runs back and merge
-    /// them. The merge is the stable comparator sort over the concatenated
-    /// runs — it finds the sorted runs and joins them in O(n log k) typed
-    /// comparisons, ties going to the earlier run, so the in-memory sort's
-    /// stability holds (runs are consecutive input chunks).
+    /// them. The merge is the in-memory sort over the concatenated runs: an
+    /// unstable sort of their encoded `(key, row)` pairs, O(n log n) on the
+    /// host, which does not look for the presorted runs. Ties go to the
+    /// lower row id, so to the earlier run, and the in-memory sort's
+    /// stability holds (runs are consecutive input chunks). The simulated
+    /// `sort.merge` charge models a k-way merge.
     pub(crate) fn external_sort(&self, t: &Table, keys: &[SortExpr], node: Node) -> Result<Table> {
         let n = t.num_rows();
         if n == 0 {

@@ -18,13 +18,12 @@
 //! only that split's AVG divide ([`finalize_avg`]) is a kernel here.
 
 use crate::binary::{float_lane, int_lane, with_values, Datum, Lane, LaneType, Values};
-use crate::hash::{key_bytes, row_keys, FxHashSet};
-use crate::sort::compare_cells;
+use crate::hash::{key_bytes, rank_proxy, row_keys, DenseIds, FxHashSet, RowKeys};
 use crate::{GpuContext, KernelError, Result};
 use sirius_columnar::ops::AggFunc;
 use sirius_columnar::{Array, Bitmap, DataType, PrimitiveArray, Scalar};
 use sirius_hw::WorkProfile;
-use std::cmp::Ordering;
+use std::borrow::Cow;
 
 /// One aggregation over an optional input column (`None` for `COUNT(*)`).
 pub struct AggRequest<'a> {
@@ -69,13 +68,17 @@ pub fn group_by(
 
     // Assign each row a dense group id, remembering the first row where
     // each group appeared (its representative, for key materialization).
-    let proxies = dict_rank_proxies(ctx, keys);
-    let proxy_refs: Vec<&Array> = (keys.iter().zip(&proxies))
-        .map(|(k, p)| p.as_ref().unwrap_or(k))
-        .collect();
-    let groups = row_keys(&proxy_refs, num_rows).dense_ids();
+    // Dictionary-encoded key columns enter as their rank proxies.
+    let proxies: Vec<Cow<'_, Array>> = keys.iter().map(|k| rank_proxy(k)).collect();
+    charge_dict_sort(ctx, keys);
+    let proxy_refs: Vec<&Array> = proxies.iter().map(|p| p.as_ref()).collect();
+    let encoded = row_keys(&proxy_refs, num_rows);
+    let groups = encoded.dense_ids();
     let num_groups = groups.first_rows.len();
-    let order = output_order(ctx, &proxy_refs, &groups.first_rows, sort_based, num_rows);
+    let order = match sort_based {
+        true => output_order(ctx, &proxy_refs, &encoded, &groups),
+        false => (0..num_groups).collect(),
+    };
 
     // Materialize key columns by gathering each group's representative row
     // from the original arrays: values match the first-appearance scalars
@@ -102,31 +105,17 @@ pub fn group_by(
     })
 }
 
-/// Dictionary-encoded key columns contribute 4-byte rank proxies instead of
-/// decoded strings: `rank[code]` equates and orders exactly like the value
-/// it encodes, so group assignment and the sort-based output order are
-/// unchanged while the encoded keys stop carrying payload bytes. The
-/// dictionary sort that produces the ranks is charged here, per launch; the
+/// Charge the sort of every dictionary behind a rank proxy of `keys`, per
+/// launch: the proxies keep the encoded keys free of payload bytes, and the
 /// host sorts each shared dictionary once and keeps the ranks beside it.
-fn dict_rank_proxies(ctx: &GpuContext, keys: &[&Array]) -> Vec<Option<Array>> {
-    let mut dict_sort_bytes = 0u64;
-    let mut dict_entries = 0u64;
-    let proxies = keys
-        .iter()
-        .map(|k| match k {
-            Array::Dict(d) => {
-                let ranks = d.value_ranks();
-                dict_sort_bytes += d.dict_byte_size() as u64;
-                dict_entries += d.values().len() as u64;
-                let rank = |&c: &i32| ranks.get(c as usize).copied().unwrap_or(0);
-                Some(Array::Int32(PrimitiveArray::from_parts(
-                    d.codes().iter().map(rank).collect(),
-                    d.validity().cloned(),
-                )))
-            }
-            _ => None,
-        })
-        .collect();
+fn charge_dict_sort(ctx: &GpuContext, keys: &[&Array]) {
+    let (mut dict_sort_bytes, mut dict_entries) = (0u64, 0u64);
+    for k in keys {
+        if let Array::Dict(d) = k {
+            dict_sort_bytes += d.dict_byte_size() as u64;
+            dict_entries += d.values().len() as u64;
+        }
+    }
     if dict_entries > 0 {
         let log_d = (dict_entries.max(2) as f64).log2().ceil() as u64;
         ctx.charge(
@@ -138,29 +127,18 @@ fn dict_rank_proxies(ctx: &GpuContext, keys: &[&Array]) -> Vec<Option<Array>> {
                 .with_launches(2),
         );
     }
-    proxies
 }
 
-/// Group ids in output order. The sort-based strategy orders groups by key
-/// (nulls first, then each column's natural order). This sort is a real
-/// kernel (the libcudf behaviour the paper blames for Q10/Q18), so it is
-/// charged as its own span rather than riding along for free.
-fn output_order(
-    ctx: &GpuContext,
-    keys: &[&Array],
-    first_rows: &[usize],
-    sort_based: bool,
-    num_rows: usize,
-) -> Vec<usize> {
-    let num_groups = first_rows.len();
-    let mut order: Vec<usize> = (0..num_groups).collect();
-    if !sort_based {
-        return order;
-    }
-    order.sort_by(|&a, &b| {
-        let mut cells = (keys.iter()).map(|k| compare_cells(k, first_rows[a], first_rows[b]));
-        cells.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
-    });
+/// Group ids of the sort-based strategy in key order (nulls first, then
+/// each column's natural order), read off the keys `enc` already holds:
+/// first rows ascend with group id, so ordering them orders the groups.
+/// This sort is a real kernel (the libcudf behaviour the paper blames for
+/// Q10/Q18), so it is charged as its own span rather than riding along for
+/// free.
+fn output_order(ctx: &GpuContext, keys: &[&Array], enc: &RowKeys, groups: &DenseIds) -> Vec<usize> {
+    let (num_rows, num_groups) = (groups.ids.len(), groups.first_rows.len());
+    let first_rows = groups.first_rows.iter().copied();
+    let order = enc.order(first_rows, |row| groups.ids[row] as usize);
     if num_groups > 1 {
         let key_row_bytes = key_bytes(keys) / (num_rows.max(1) as u64);
         let sorted_bytes = key_row_bytes * num_groups as u64;
@@ -219,26 +197,6 @@ fn sum<T: LaneType>(
     PrimitiveArray::from_parts(sums, Some(Bitmap::from_iter(seen)))
 }
 
-/// `MIN` / `MAX`: the row holding each group's best value (the earliest on
-/// ties), `None` for a group with no non-NULL input.
-fn best_rows<T: Copy>(
-    ids: &[u32],
-    groups: usize,
-    get: impl Fn(usize) -> Option<T>,
-    wins: impl Fn(T, T) -> bool,
-) -> Vec<Option<usize>> {
-    let mut best: Vec<Option<(usize, T)>> = vec![None; groups];
-    for (row, &g) in ids.iter().enumerate() {
-        if let Some(v) = get(row) {
-            let slot = &mut best[g as usize];
-            if slot.is_none_or(|(_, cur)| wins(v, cur)) {
-                *slot = Some((row, v));
-            }
-        }
-    }
-    best.into_iter().map(|b| b.map(|(row, _)| row)).collect()
-}
-
 /// One aggregate's output column, one row per group in group-id order.
 pub(crate) fn accumulate(
     agg: &AggRequest<'_>,
@@ -292,22 +250,19 @@ pub(crate) fn accumulate(
             ))
         }
         AggFunc::Min | AggFunc::Max => {
-            let wins = |o: Ordering| match agg.kind {
-                AggFunc::Min => o.is_lt(),
-                _ => o.is_gt(),
-            };
-            let best = match input {
-                Array::Int32(a) | Array::Date32(a) => {
-                    best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(&y)))
+            // The row holding each group's best value (the earliest on
+            // ties), `None` for a group with no non-NULL input: the
+            // column's encoded keys order as its values do, and a MAX's
+            // descend, so the best value has the least key.
+            let max = [agg.kind == AggFunc::Max];
+            let values = RowKeys::encode(&[input], &max, ids.len(), true);
+            let mut best: Vec<Option<usize>> = vec![None; groups];
+            for (row, &g) in ids.iter().enumerate() {
+                let slot = &mut best[g as usize];
+                if !values.has_null(row) && slot.is_none_or(|cur| values.less(row, cur)) {
+                    *slot = Some(row);
                 }
-                Array::Int64(a) => best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(&y))),
-                Array::Float64(a) => {
-                    best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.total_cmp(&y)))
-                }
-                Array::Bool(a) => best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(&y))),
-                Array::Utf8(a) => best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(y))),
-                Array::Dict(a) => best_rows(ids, groups, |r| a.value(r), |x, y| wins(x.cmp(y))),
-            };
+            }
             // MIN / MAX of an encoded column is a plain string column.
             input.gather(&best).decoded()
         }

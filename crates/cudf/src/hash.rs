@@ -7,7 +7,8 @@
 //!
 //! * [`row_keys`] turns a set of key columns into one contiguous encoding
 //!   ([`RowKeys`]) in the style of the Arrow/DataFusion normalised row
-//!   format: joins, group-by and distinct hash and compare encoded rows
+//!   format: joins, group-by and distinct hash and compare encoded rows,
+//!   and sorts and sort-based group-by order them (`RowKeys::order`),
 //!   instead of a `Vec<Scalar>` per row (`cudf.row_keys_mrows_s`
 //!   14.5 → 400 at PR 17, BENCH_16.json → BENCH_17.json).
 //! * `row_hashes` is the *routing* hash of `hash_partition`, which routes
@@ -19,16 +20,23 @@
 //! **Key encoding.** Each column falls in one equality class: integers of
 //! either width (as `i64`), `Float64` (by bits, so `-0.0 ≠ 0.0` and
 //! `NaN = NaN`), `Date32`, `Bool`, strings (plain or dictionary, by
-//! value). Values of different classes never compare equal. When every
-//! class is fixed-width and the slots — 64, 64, 32 and 1 bits, plus a null
-//! bit where NULL must form a group — fit one or two words, a row is a
-//! packed `u64` / `u128`. Otherwise a row is a byte string: per column a
-//! validity byte, then the little-endian payload or a `u32` length and the
-//! string bytes. NULL slots are zeroed, so equal rows are equal bytes.
+//! value). Values of different classes never compare equal. The encoding is
+//! order-preserving as well, in the row format's way: within a class,
+//! encoded rows compare as `Scalar::cmp` orders the values, column 0 first.
+//! Integers and dates flip their sign bit, floats take total-order bits,
+//! NULL sorts first, and a descending sort key complements its slot. When
+//! every class is fixed-width and the slots — 64, 64, 32 and 1 bits, plus a
+//! null bit where NULL must form a group — fit one or two words, a row is a
+//! packed `u64` / `u128`, column 0 in the most significant bits. Otherwise
+//! a row is a byte string: per column a validity byte, then the big-endian
+//! payload, or a string's bytes each plus one (UTF-8 never holds `0xFF`)
+//! and a `0x00` terminator, so no encoded string is a prefix of another.
+//! Every NULL in a column has one payload, so equal rows are equal bytes.
 
 use sirius_columnar::{Array, Bitmap, PrimitiveArray};
+use std::borrow::Cow;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{BitOrAssign, Shl};
+use std::ops::{BitOrAssign, BitXorAssign, Shl};
 
 /// The Fx hash constant (64-bit golden-ratio multiplier).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -118,6 +126,20 @@ impl Class {
             Class::Date => Some(32),
             Class::Bool => Some(1),
             Class::Str => None,
+        }
+    }
+
+    /// A [`Cell::Bits`] payload of this class mapped so that the results
+    /// order as unsigned numbers the way the values do: integers and dates
+    /// flip their sign bit, floats take total-order bits (a negative one
+    /// complemented, a positive one with its sign bit set). Each map is a
+    /// bijection, so equality is untouched.
+    fn ordered(self, bits: u64) -> u64 {
+        match self {
+            Class::Int => bits ^ (1 << 63),
+            Class::Date => bits ^ (1 << 31),
+            Class::Float => bits ^ ((bits as i64 >> 63) as u64 | (1 << 63)),
+            Class::Bool | Class::Str => bits,
         }
     }
 }
@@ -240,26 +262,48 @@ pub struct RowKeys {
 /// its own here (GROUP BY / DISTINCT semantics); [`RowKeys::has_null`]
 /// flags the rows a join must skip.
 pub fn row_keys(columns: &[&Array], num_rows: usize) -> RowKeys {
-    RowKeys::encode(columns, num_rows, true)
+    RowKeys::encode(columns, &[], num_rows, true)
 }
 
 /// Keys for join build and probe sides: rows holding a NULL never match, so
 /// no slot spends a bit on it and the layout depends on the classes alone.
 pub(crate) fn join_keys(columns: &[&Array], num_rows: usize) -> RowKeys {
-    RowKeys::encode(columns, num_rows, false)
+    RowKeys::encode(columns, &[], num_rows, false)
+}
+
+/// A dictionary column's 4-byte rank proxy; any other column as it is:
+/// `rank[code]` equates and orders exactly like the value it encodes, so
+/// keys built over proxies group and sort as the strings would while
+/// carrying no payload bytes. The ranks are cached beside the dictionary
+/// (`DictionaryArray::value_ranks`); what sorting them costs is the
+/// caller's to charge.
+pub(crate) fn rank_proxy(column: &Array) -> Cow<'_, Array> {
+    let Array::Dict(d) = column else {
+        return Cow::Borrowed(column);
+    };
+    let ranks = d.value_ranks();
+    let rank = |&c: &i32| ranks.get(c as usize).copied().unwrap_or(0);
+    let codes = d.codes().iter().map(rank).collect();
+    Cow::Owned(Array::Int32(PrimitiveArray::from_parts(
+        codes,
+        d.validity().cloned(),
+    )))
 }
 
 impl RowKeys {
-    fn encode(columns: &[&Array], n: usize, null_is_a_value: bool) -> RowKeys {
+    /// Encode rows `0..n`. `desc[i]` complements column `i`'s slot, so NULL
+    /// sorts last there (a missing entry is ascending). With `nulls`, NULL is
+    /// a key value of its own; without, no slot spends a bit on it.
+    pub(crate) fn encode(columns: &[&Array], desc: &[bool], n: usize, nulls: bool) -> RowKeys {
         let classes: Vec<Class> = columns.iter().map(|c| Class::of(c)).collect();
-        let null_bit = |c: &Array| (null_is_a_value && c.validity().is_some()) as u32;
+        let null_bit = |c: &Array| (nulls && c.validity().is_some()) as u32;
         let width: Option<u32> = (columns.iter().zip(&classes))
             .map(|(col, class)| Some(class.bits()? + null_bit(col)))
             .sum();
         let repr = match width {
-            Some(w) if w <= 64 => Repr::Word(pack(columns, &classes, n, null_bit)),
-            Some(w) if w <= 128 => Repr::Wide(pack(columns, &classes, n, null_bit)),
-            _ => Repr::Bytes(byte_rows(columns, &classes, n)),
+            Some(w) if w <= 64 => Repr::Word(pack(columns, &classes, desc, n, null_bit)),
+            Some(w) if w <= 128 => Repr::Wide(pack(columns, &classes, desc, n, null_bit)),
+            _ => Repr::Bytes(byte_rows(columns, &classes, desc, n)),
         };
         let valid = (columns.iter().filter_map(|c| c.validity()))
             .fold(None, |all: Option<Bitmap>, v| {
@@ -313,6 +357,15 @@ impl RowKeys {
         }
     }
 
+    /// Whether row `i`'s key orders before row `j`'s.
+    pub(crate) fn less(&self, i: usize, j: usize) -> bool {
+        match &self.repr {
+            Repr::Word(k) => k[i] < k[j],
+            Repr::Wide(k) => k[i] < k[j],
+            Repr::Bytes(k) => k.row(i) < k.row(j),
+        }
+    }
+
     /// Dense group ids in first-appearance order, plus the row each group
     /// first appeared at.
     pub(crate) fn dense_ids(&self) -> DenseIds {
@@ -323,6 +376,28 @@ impl RowKeys {
             Repr::Bytes(k) => assign_ids(&hashes, |a, b| k.row(a) == k.row(b)),
         }
     }
+
+    /// The rows `ids` in encoded-key order, ties going to the lower row id,
+    /// each mapped through `f`.
+    pub(crate) fn order<T>(
+        &self,
+        ids: impl Iterator<Item = usize>,
+        f: impl Fn(usize) -> T,
+    ) -> Vec<T> {
+        match &self.repr {
+            Repr::Word(k) => sort_pairs(ids.map(|r| (k[r], r)).collect(), f),
+            Repr::Wide(k) => sort_pairs(ids.map(|r| (k[r], r)).collect(), f),
+            Repr::Bytes(k) => sort_pairs(ids.map(|r| (k.row(r), r)).collect(), f),
+        }
+    }
+}
+
+/// [`RowKeys::order`] over one representation's keys. The `(key, row)`
+/// pairs are distinct, so the unstable sort gives the one exact order (and
+/// sorts them about twice as fast as the stable one).
+fn sort_pairs<K: Ord, T>(mut pairs: Vec<(K, usize)>, out: impl Fn(usize) -> T) -> Vec<T> {
+    pairs.sort_unstable();
+    pairs.into_iter().map(|(_, row)| out(row)).collect()
 }
 
 /// [`RowKeys::dense_ids`] over one representation's row equality.
@@ -367,36 +442,72 @@ pub(crate) struct DenseIds {
     pub first_rows: Vec<usize>,
 }
 
-/// Packed fixed-width rows: each column ORs its slot into the row's word.
+/// Packed fixed-width rows: each column ORs its slot into the row's word,
+/// column 0 in the most significant bits. A slot is the ordered payload
+/// (a NULL's is that of a zero) under the null bit. The slots' constant
+/// part — sign flips, descending complements, the null bit's polarity — is
+/// one mask, XORed into every word during the last column's pass; a
+/// column's pass only places its payloads (a float's data-dependent part
+/// aside).
 fn pack<W>(
     columns: &[&Array],
     classes: &[Class],
+    descending: &[bool],
     n: usize,
     null_bit: impl Fn(&Array) -> u32,
 ) -> Vec<W>
 where
-    W: Copy + Default + From<u64> + BitOrAssign + Shl<u32, Output = W>,
+    W: Copy + Default + From<u64> + BitOrAssign + BitXorAssign + Shl<u32, Output = W>,
 {
     let mut words = vec![W::default(); n];
-    let mut shift = 0u32;
-    for (column, class) in columns.iter().zip(classes) {
-        let bits = class.bits().unwrap_or(0);
-        let null_bit = null_bit(column);
-        visit(column, n, |row, cell| match cell {
-            Cell::Bits(b) => words[row] |= W::from(b) << shift,
-            _ if null_bit == 1 => words[row] |= W::from(1) << (shift + bits),
-            _ => {}
-        });
+    let (mut shift, mut mask) = (0u32, W::default());
+    for (i, (column, class)) in columns.iter().zip(classes).enumerate().rev() {
+        let (bits, null_bit) = (class.bits().unwrap_or(0), null_bit(column));
+        // Set on NULL rows here (a slot without a null bit shifts a zero
+        // nowhere); the mask flips it on ascending keys.
+        let null = W::from(null_bit as u64) << ((shift + bits) * null_bit);
+        let desc = descending.get(i) == Some(&true);
+        let flip = (desc as u64).wrapping_neg() >> (64 - bits);
+        mask |= W::from(class.ordered(0) ^ flip) << shift;
+        mask |= [null, W::default()][desc as usize];
+        // Column 0 is placed last, and applies the whole mask.
+        let at = (shift, null, [W::default(), mask][(i == 0) as usize]);
+        // The float's total order is data-dependent: its own loop.
+        let float = |b| Class::Float.ordered(b) ^ (1 << 63);
+        match class {
+            Class::Float => put(&mut words, column, at, float),
+            _ => put(&mut words, column, at, |b| b),
+        }
         shift += bits + null_bit;
     }
     words
 }
 
-/// Byte rows: per column a validity byte, then the payload (fixed-width
-/// little-endian, or a `u32` length and the string bytes); NULL payloads
-/// stay zero. One pass sizes the rows, one pass per column fills them.
-fn byte_rows(columns: &[&Array], classes: &[Class], n: usize) -> ByteRows {
-    let slot = |class: &Class| 1 + class.bits().map_or(4, |b| b.div_ceil(8) as usize);
+/// OR `column`'s cells into `words` at `shift` — a payload through `map`, a
+/// NULL as `null` — then XOR `mask` in, for `at = (shift, null, mask)`.
+/// Generic over `map`, so each class gets its own loop.
+fn put<W>(words: &mut [W], column: &Array, at: (u32, W, W), map: impl Fn(u64) -> u64)
+where
+    W: Copy + From<u64> + BitOrAssign + BitXorAssign + Shl<u32, Output = W>,
+{
+    let (shift, null, mask) = at;
+    visit(column, words.len(), |row, cell| {
+        words[row] |= match cell {
+            Cell::Bits(b) => W::from(map(b)) << shift,
+            _ => null,
+        };
+        words[row] ^= mask;
+    });
+}
+
+/// Byte rows: per column a validity byte (0 for NULL), then the payload —
+/// the ordered bits big-endian, or a string's bytes each plus one and a
+/// `0x00` terminator; NULL payloads stay zero, and a descending column's
+/// slot is complemented. One pass sizes the rows, one pass per column
+/// fills them.
+fn byte_rows(columns: &[&Array], classes: &[Class], descending: &[bool], n: usize) -> ByteRows {
+    // A string's fixed part is its terminator.
+    let slot = |class: &Class| 1 + class.bits().map_or(1, |b| b.div_ceil(8) as usize);
     let mut lens = vec![classes.iter().map(slot).sum::<usize>(); n];
     for (column, _) in (columns.iter().zip(classes)).filter(|(_, c)| **c == Class::Str) {
         visit(column, n, |row, cell| {
@@ -412,8 +523,9 @@ fn byte_rows(columns: &[&Array], classes: &[Class], n: usize) -> ByteRows {
     }
     let mut data = vec![0u8; offsets[n]];
     let mut cursor = offsets[..n].to_vec();
-    for (column, class) in columns.iter().zip(classes) {
+    for (i, (column, class)) in columns.iter().zip(classes).enumerate() {
         let width = slot(class) - 1;
+        let flip = (descending.get(i) == Some(&true)) as u8 * 0xFF;
         visit(column, n, |row, cell| {
             let at = cursor[row];
             cursor[row] += 1 + width;
@@ -421,15 +533,17 @@ fn byte_rows(columns: &[&Array], classes: &[Class], n: usize) -> ByteRows {
                 Cell::Null => {}
                 Cell::Bits(b) => {
                     data[at] = 1;
-                    data[at + 1..at + 1 + width].copy_from_slice(&b.to_le_bytes()[..width]);
+                    let bytes = class.ordered(b).to_be_bytes();
+                    data[at + 1..at + 1 + width].copy_from_slice(&bytes[8 - width..]);
                 }
                 Cell::Str(s) => {
                     data[at] = 1;
-                    data[at + 1..at + 5].copy_from_slice(&(s.len() as u32).to_le_bytes());
-                    data[at + 5..at + 5 + s.len()].copy_from_slice(s.as_bytes());
+                    let payload = data[at + 1..].iter_mut().zip(s.bytes());
+                    payload.for_each(|(d, b)| *d = b + 1);
                     cursor[row] += s.len();
                 }
             }
+            data[at..cursor[row]].iter_mut().for_each(|b| *b ^= flip);
         });
     }
     ByteRows { offsets, data }
@@ -484,6 +598,15 @@ mod tests {
                             let same = scalar_keys[i] == scalar_keys[j];
                             prop_assert_eq!(keys.same(i, &keys, j), same, "rows {} and {}", i, j);
                             prop_assert!(!same || hashes[i] == hashes[j]);
+                        }
+                        // Row keys also order as the scalar keys do.
+                        if null_is_a_value {
+                            let scalar_order = scalar_keys[i].cmp(&scalar_keys[j]).then(i.cmp(&j));
+                            let expect = match scalar_order.is_le() {
+                                true => [i, j],
+                                false => [j, i],
+                            };
+                            prop_assert_eq!(keys.order([i, j].into_iter(), |r| r), expect);
                         }
                     }
                 }

@@ -1,7 +1,8 @@
 //! Test-only reference implementations: the per-row `Scalar` /
 //! `Vec<Scalar>` kernels this crate shipped before its kernels were typed —
-//! row keys, joins, group-by, the binary kernels, `unary_op`, `cast`,
-//! `substring` and `case_when` — kept verbatim as the oracle of the
+//! row keys, joins, group-by, the comparison sort, the binary kernels,
+//! `unary_op`, `cast`, `substring` and `case_when` — kept verbatim as the
+//! oracle of the
 //! differential property tests (the typed kernels must reproduce their
 //! values, their `byte_size()`s and their charges), plus the random-column
 //! generator and the comparisons those tests share.
@@ -16,12 +17,14 @@
 use crate::binary::Datum;
 use crate::groupby::{agg_type, AggRequest, GroupByResult};
 use crate::hash::{key_bytes, FxBuildHasher, FxHashSet};
+use crate::sort::SortKey;
 use crate::{test_ctx, GpuContext, KernelError, Result};
 use proptest::prelude::*;
 use sirius_columnar::ops::{AggFunc, BinOp, UnOp};
 use sirius_columnar::scalar::date32_year;
 use sirius_columnar::{Array, DataType, Field, PrimitiveArray, Scalar, Schema, Table};
 use sirius_hw::WorkProfile;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
@@ -103,6 +106,37 @@ pub(crate) fn distinct_rows(table: &Table) -> Vec<usize> {
         }
     }
     keep
+}
+
+/// `sort::sort_indices`: a stable sort of the rows' `Scalar` keys by
+/// `Scalar::cmp`, each key reversed when descending.
+pub(crate) fn sort_indices(
+    ctx: &GpuContext,
+    keys: &[SortKey<'_>],
+    num_rows: usize,
+) -> Result<Vec<i32>> {
+    let columns: Vec<&Array> = keys.iter().map(|k| k.column).collect();
+    let (rows, _) = row_keys(&columns, num_rows);
+    let mut idx: Vec<i32> = (0..num_rows as i32).collect();
+    idx.sort_by(|&a, &b| {
+        let cells = rows[a as usize].iter().zip(&rows[b as usize]);
+        let mut orders = (keys.iter().zip(cells)).map(|(k, (x, y))| match k.ascending {
+            true => x.cmp(y),
+            false => y.cmp(x),
+        });
+        orders.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    });
+
+    let key_bytes: u64 = keys.iter().map(|k| k.column.byte_size() as u64).sum();
+    let log_n = (num_rows.max(2) as f64).log2().ceil() as u64;
+    ctx.charge(
+        "sort.comparator",
+        &WorkProfile::scan(key_bytes * log_n / 2)
+            .with_random((num_rows * 8) as u64)
+            .with_flops(num_rows as u64 * log_n)
+            .with_rows(num_rows as u64),
+    );
+    Ok(idx)
 }
 
 /// The routing hash of every row: `hash_one((level, &key))`.

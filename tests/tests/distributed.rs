@@ -72,7 +72,7 @@ fn sirius_cluster_beats_doris_cluster() {
     let data = TpchGenerator::new(0.02).generate();
     let doris = build(NodeEngineKind::DorisCpu, &data, 4);
     let sirius = build(NodeEngineKind::SiriusGpu, &data, 4);
-    for (id, sql) in queries::distributed_subset() {
+    for (id, sql) in queries::all() {
         let d = doris.sql(sql).unwrap();
         let s = sirius.sql(sql).unwrap();
         assert!(
