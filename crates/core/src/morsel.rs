@@ -435,7 +435,7 @@ pub(crate) fn aggregate_single_pass(
 /// `t` in the order of `keys`: evaluate the keys, sort their row ids by
 /// their encoded keys (stable: equal keys keep their input order), gather.
 /// The in-memory sort sink, every run of the external sort and — through a
-/// muted context over the concatenated runs — its merge.
+/// muted context over the whole input — its merge.
 pub(crate) fn sort_table(ctx: &GpuContext, t: &Table, keys: &[SortExpr]) -> Result<Table> {
     let columns: Vec<Array> = keys
         .iter()

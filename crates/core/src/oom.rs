@@ -10,26 +10,27 @@
 //! the table `hash_partition` permuted once, joined or aggregated by the
 //! resident code (`Run::apply`, `aggregate_single_pass`, [`PartialAgg`]);
 //! an external run is a morsel through the sort sink's `sort_table`, and
-//! the merge is `sort_table` again over the concatenated runs — no
-//! algorithm lives only here.
+//! the merge is `sort_table` again over the whole input — no algorithm
+//! lives only here.
 //!
-//! A Grace join or a spilling aggregate is one serial **walk** and a batch
-//! of **leaves**. The walk takes every decision in program order — grant
-//! requests and releases, spill tickets and their fault polls, the
-//! partitioning rounds, repartition and spill counters, the recursion and
-//! the chunked fallback — and collects the independent work it reaches: a
-//! partition pair's build + probe, a partition's single-pass aggregate, a
-//! chunk's phase-one partial. The leaves run as one batch on the engine's
-//! [`TaskQueue`](crate::pipeline::TaskQueue) through
-//! [`SiriusEngine::run_recorded`], as a morsel wave's tasks do (a chunked
-//! merge needs its chunks' partials, so it runs the batch collected so far
-//! first), and their outputs concatenate in walk order. The walk and every
-//! leaf charge a recording device ([`Device::recorder`]); [`Walk::finish`]
-//! replays the walk's charges and each leaf's, leaf *i*'s exactly where its
-//! work sat in the serial recursion, onto the engine's serial lane. The
-//! ledger, the trace, the spans and `EXPLAIN ANALYZE` therefore read as if
-//! everything had run on one thread; only the host wall clock sees the
-//! pool.
+//! Every out-of-core operator — a Grace join, a spilling aggregate, an
+//! external sort — is one serial **walk** and a batch of **leaves**,
+//! entered through `Walk::run`. The walk takes every decision in program
+//! order — grant requests and releases, spill tickets and their fault
+//! polls, the partitioning rounds, repartition and spill counters, the
+//! recursion and the chunked fallback — and collects the independent work
+//! it reaches: a partition pair's build + probe, a partition's single-pass
+//! aggregate, a chunk's phase-one partial, a sort run. The leaves run as
+//! one batch on the engine's [`TaskQueue`](crate::pipeline::TaskQueue)
+//! through [`SiriusEngine::run_recorded`], as a morsel wave's tasks do (a
+//! chunked merge needs its chunks' partials, so it runs the batch collected
+//! so far first), and a join's or an aggregate's outputs concatenate in
+//! walk order. The walk and every leaf charge a recording device
+//! ([`Device::recorder`]); [`Walk::finish`] replays the walk's charges and
+//! each leaf's, leaf *i*'s exactly where its work sat in the serial
+//! recursion, onto the engine's serial lane. The ledger, the trace, the
+//! spans and `EXPLAIN ANALYZE` therefore read as if everything had run on
+//! one thread; only the host wall clock sees the pool.
 
 use crate::buffer::BufferManager;
 use crate::engine::SiriusEngine;
@@ -63,7 +64,8 @@ const MAX_SPILL_PARTITIONS: usize = 64;
 enum Out {
     /// Leaf `i`'s table.
     Leaf(usize),
-    /// A table the walk computed itself (a chunked aggregate's merge).
+    /// A table the walk computed itself (a chunked aggregate's merge, an
+    /// external sort's).
     Ready(Table),
     /// One partitioning round: its pieces concatenated in partition order.
     Concat(Schema, Vec<Out>),
@@ -91,16 +93,20 @@ struct Walk<'e> {
 }
 
 impl<'e> Walk<'e> {
-    fn new(engine: &'e SiriusEngine) -> Self {
+    /// Walk `body` over a fresh walk of `engine`, then [`Self::finish`] it:
+    /// the one entry of every out-of-core operator.
+    fn run(engine: &'e SiriusEngine, body: impl FnOnce(&mut Self) -> Result<Out>) -> Result<Table> {
         let device = engine.device.recorder();
         let bufmgr = engine.bufmgr.charging(device.clone());
-        Walk {
+        let mut walk = Walk {
             engine,
             device,
             bufmgr,
             steps: Vec::new(),
             pending: Vec::new(),
-        }
+        };
+        let walked = body(&mut walk);
+        walk.finish(walked)
     }
 
     /// A kernel context charging the walk's recorder.
@@ -130,14 +136,11 @@ impl<'e> Walk<'e> {
             self.steps[i].charges = charges;
             self.steps[i].out = Some(out);
         }
-        match self
+        let failed = self
             .steps
             .iter()
-            .find_map(|s| s.out.as_ref()?.as_ref().err())
-        {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
+            .find_map(|s| s.out.as_ref()?.as_ref().err());
+        failed.map_or(Ok(()), |e| Err(e.clone()))
     }
 
     /// Leaf `i`'s output, taken.
@@ -164,8 +167,7 @@ impl<'e> Walk<'e> {
             }
         }
         device.replay(Lane::Serial, &self.device.take_log());
-        let out = walked?;
-        self.assemble(out)
+        self.assemble(walked?)
     }
 
     fn assemble(&mut self, out: Out) -> Result<Table> {
@@ -214,13 +216,26 @@ fn partial_leaf(chunk: Table, partial: Arc<PartialAgg>) -> Job {
     })
 }
 
+/// One external-sort run through the sort sink's `sort_table`.
+fn sort_leaf(run: Table, keys: Arc<[SortExpr]>) -> Job {
+    Box::new(move |device: &Device| {
+        let ctx = GpuContext::new(device.clone(), CostCategory::OrderBy);
+        Ok(TaskOut::Table(sort_table(&ctx, &run, &keys)?))
+    })
+}
+
 impl SiriusEngine {
+    /// Bytes a spill partition or chunk aims at: half the largest grantable
+    /// block, at least one allocation unit.
+    fn spill_target(&self) -> u64 {
+        (self.bufmgr.largest_grantable() / 2).max(sirius_rmm::pool::ALIGNMENT)
+    }
+
     /// How many ways to partition a working set of `need` bytes so each
-    /// partition fits comfortably in the largest grantable block. Capped at
+    /// partition fits in [`Self::spill_target`]. Capped at
     /// [`MAX_SPILL_PARTITIONS`]; oversized partitions recurse instead.
     fn partition_fanout(&self, need: u64) -> usize {
-        let target = (self.bufmgr.largest_grantable() / 2).max(sirius_rmm::pool::ALIGNMENT);
-        usize::try_from(need.div_ceil(target))
+        usize::try_from(need.div_ceil(self.spill_target()))
             .unwrap_or(MAX_SPILL_PARTITIONS)
             .clamp(2, MAX_SPILL_PARTITIONS)
     }
@@ -235,10 +250,10 @@ impl SiriusEngine {
     /// only a downstream sort observes. The pairs' builds and probes are
     /// the walk's leaves.
     pub(crate) fn grace_join(&self, lt: &Table, rt: &Table, probe: &Probe) -> Result<Table> {
-        let mut walk = Walk::new(self);
         let probe = Arc::new(probe.clone());
-        let walked = self.grace_walk(&mut walk, lt.clone(), rt.clone(), &probe, 0);
-        walk.finish(walked)
+        Walk::run(self, |walk| {
+            self.grace_walk(walk, lt.clone(), rt.clone(), &probe, 0)
+        })
     }
 
     fn grace_walk(
@@ -301,9 +316,7 @@ impl SiriusEngine {
     /// no keys to partition on. The single passes and the chunks' partials
     /// are the walk's leaves.
     pub(crate) fn spilling_aggregate(&self, t: &Table, agg: &Arc<Aggregation>) -> Result<Table> {
-        let mut walk = Walk::new(self);
-        let walked = self.aggregate_walk(&mut walk, t.clone(), agg, 0);
-        walk.finish(walked)
+        Walk::run(self, |walk| self.aggregate_walk(walk, t.clone(), agg, 0))
     }
 
     fn aggregate_walk(
@@ -407,59 +420,55 @@ impl SiriusEngine {
         Ok(Out::Ready(partial.merge(&walk.ctx(agg.category()), &all)?))
     }
 
-    /// Rows per spill chunk of `t` (non-empty): as many as fit in half the
-    /// largest grantable block.
+    /// Rows per spill chunk of `t` (non-empty): as many as fit in
+    /// [`Self::spill_target`].
     fn rows_per_chunk(&self, t: &Table) -> usize {
-        let target = (self.bufmgr.largest_grantable() / 2).max(sirius_rmm::pool::ALIGNMENT);
         let bytes_per_row = ((t.byte_size() as u64) / t.num_rows() as u64).max(1);
-        usize::try_from(target / bytes_per_row).unwrap_or(1).max(1)
+        usize::try_from(self.spill_target() / bytes_per_row).map_or(1, |rows| rows.max(1))
     }
 
     /// External merge sort: split the input into runs that fit under a
     /// grant, sort and spill each run, then read the runs back and merge
-    /// them. The merge is the in-memory sort over the concatenated runs: an
-    /// unstable sort of their encoded `(key, row)` pairs, O(n log n) on the
-    /// host, which does not look for the presorted runs. Ties go to the
-    /// lower row id, so to the earlier run, and the in-memory sort's
-    /// stability holds (runs are consecutive input chunks). The simulated
-    /// `sort.merge` charge models a k-way merge.
+    /// them. The runs' sorts are the walk's leaves, each parked right after
+    /// it is collected (a run's bytes are its sorted copy's: both are
+    /// gathers of the same rows). They exist for their charges and for a
+    /// k-way merge to read; the merge itself is the walk's own table, the
+    /// in-memory sort of the input through a muted context under one
+    /// `sort.merge` charge. That is exactly the merged order: stably
+    /// sorting stably sorted consecutive runs keeps equal keys in input
+    /// order.
     pub(crate) fn external_sort(&self, t: &Table, keys: &[SortExpr], node: Node) -> Result<Table> {
-        let n = t.num_rows();
+        let n = t.num_rows() as u64;
         if n == 0 {
             return Ok(t.clone());
         }
-        let ctx = self.ctx(CostCategory::OrderBy);
-        let runs_in = chunk_morsels(t, self.rows_per_chunk(t));
-        self.bufmgr.note_repartition(1);
-        let mut runs: Vec<Table> = Vec::with_capacity(runs_in.len());
-        let mut tickets = Vec::with_capacity(runs_in.len());
-        for run in &runs_in {
-            let _g = self
-                .bufmgr
-                .request_grant((run.byte_size() as u64).max(256))?;
-            let sorted = sort_table(&ctx, run, keys)?;
-            tickets.push(
-                self.bufmgr
-                    .spill_write((sorted.byte_size() as u64).max(1))?,
+        let keys: Arc<[SortExpr]> = keys.into();
+        Walk::run(self, |walk| {
+            let runs = chunk_morsels(t, self.rows_per_chunk(t));
+            let k = runs.len();
+            self.bufmgr.note_repartition(1);
+            let mut tickets = Vec::with_capacity(k);
+            for run in runs {
+                let bytes = run.byte_size() as u64;
+                let _g = walk.bufmgr.request_grant(bytes.max(256))?;
+                walk.leaf(sort_leaf(run, Arc::clone(&keys)));
+                tickets.push(walk.bufmgr.spill_write(bytes.max(1))?);
+            }
+            for ticket in tickets {
+                walk.bufmgr.spill_read(&ticket);
+            }
+            self.note_spill(node, k as u64);
+            // One streamed merge pass over the run data; the runs' keys
+            // were charged with their sorts.
+            let ctx = walk.ctx(CostCategory::OrderBy);
+            ctx.charge(
+                "sort.merge",
+                &WorkProfile::scan(t.byte_size() as u64)
+                    .with_flops(n * u64::from(k.max(2).ilog2()))
+                    .with_rows(n),
             );
-            runs.push(sorted);
-        }
-        for ticket in &tickets {
-            self.bufmgr.spill_read(ticket);
-        }
-        self.note_spill(node, tickets.len() as u64);
-        drop(tickets);
-        // One streamed merge pass over the run data. Keys were evaluated
-        // (and charged) per run above and travel with the runs, so the merge
-        // itself computes through a muted context under this one charge.
-        ctx.charge(
-            "sort.merge",
-            &WorkProfile::scan(t.byte_size() as u64)
-                .with_flops((n as u64) * u64::from(runs.len().max(2).ilog2()))
-                .with_rows(n as u64),
-        );
-        let merged = concat_morsels(t.schema().clone(), &runs);
-        sort_table(&ctx.muted(), &merged, keys)
+            Ok(Out::Ready(sort_table(&ctx.muted(), t, &keys)?))
+        })
     }
 }
 
@@ -467,7 +476,7 @@ impl SiriusEngine {
 mod tests {
     use super::*;
     use sirius_columnar::{Array, DataType, Field, Scalar, Schema};
-    use sirius_hw::{catalog, TraceConfig};
+    use sirius_hw::{catalog, FaultInjector, FaultPlan, TraceConfig};
     use sirius_plan::builder::PlanBuilder;
     use sirius_plan::expr::col;
     use sirius_trace::EventKind;
@@ -497,12 +506,49 @@ mod tests {
         Table::new(Schema::new(fields.collect()), columns)
     }
 
+    /// A sort of `t` by `keys`.
+    fn sort_plan(t: &Table, keys: Vec<SortExpr>) -> sirius_plan::Rel {
+        PlanBuilder::scan("t", t.schema().clone())
+            .sort(keys)
+            .build()
+    }
+
+    fn key(c: usize, ascending: bool) -> SortExpr {
+        SortExpr {
+            expr: col(c),
+            ascending,
+        }
+    }
+
+    /// 64-bit FNV-1a over the serial lane's kernel events in order — label,
+    /// start, duration, bytes, rows — as `spill_lane_snapshot` digests them.
+    fn serial_digest(events: &[sirius_trace::TraceEvent]) -> u64 {
+        let serial = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Kernel && e.lane == Lane::Serial);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for e in serial {
+            let line = format!(
+                "{} ts={} dur={} bytes={} rows={}\n",
+                e.label, e.ts, e.dur, e.bytes, e.rows
+            );
+            for b in line.bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
     /// The order nothing else checks: under a denied sort grant the spilled
     /// runs merge into exactly the in-memory sort's rows — equal keys in
     /// input order across run boundaries, NULLs first ascending and last
     /// descending, strings bytewise — and the ledger is charged what the
     /// k-way merge this replaced charged (nanoseconds recorded at 7e75def),
-    /// under kernel names only, its one merge pass as `sort.merge`.
+    /// under kernel names only, its one merge pass as `sort.merge`. The
+    /// serial lane's events are pinned in order too, not only in total: run
+    /// sort, park, run sort, park, …, the read-backs, the merge (digests
+    /// recorded at 77e73a2, where the runs sorted on the calling thread).
     #[test]
     fn external_sort_equals_the_in_memory_sort_row_for_row() {
         let t = keyed_rows();
@@ -516,22 +562,25 @@ mod tests {
             e
         };
         let (roomy, tight) = (engine(None), engine(Some(8192)));
-        let key = |c: usize, ascending: bool| SortExpr {
-            expr: col(c),
-            ascending,
-        };
         let cases = [
-            (vec![key(0, true), key(1, false)], (134_260u128, 66_330u128)),
-            (vec![key(2, false), key(0, false)], (134_227, 66_330)),
+            (
+                vec![key(0, true), key(1, false)],
+                (134_260u128, 66_330u128),
+                0x4042_177b_6fc5_efa7u64,
+            ),
+            (
+                vec![key(2, false), key(0, false)],
+                (134_227, 66_330),
+                0x3107_a9ff_c265_bb3b,
+            ),
             (
                 vec![key(1, true), key(2, true), key(0, true)],
                 (134_260, 66_330),
+                0x2fb2_0fb7_9f4a_69c4,
             ),
         ];
-        for (keys, charged) in cases {
-            let plan = PlanBuilder::scan("t", t.schema().clone())
-                .sort(keys.clone())
-                .build();
+        for (keys, charged, lane) in cases {
+            let plan = sort_plan(&t, keys.clone());
             let expected = roomy.execute(&plan).unwrap();
             let spilled = tight.spill_stats();
             tight.device().reset();
@@ -551,6 +600,8 @@ mod tests {
                 "keys {keys:?}"
             );
             let events = tight.trace().events();
+            let digest = serial_digest(&events);
+            assert_eq!(digest, lane, "keys {keys:?}: the serial lane's order");
             let kernels = events.iter().filter(|e| e.kind == EventKind::Kernel);
             let unnamed = kernels
                 .clone()
@@ -618,6 +669,37 @@ mod tests {
                 let charged = (nanos(CostCategory::Join), nanos(CostCategory::Exchange));
                 assert_eq!(charged, (72_309, 28_124));
             }
+            let broker = e.buffer_manager().grant_broker();
+            assert_eq!((broker.outstanding(), broker.outstanding_bytes()), (0, 0));
+            assert_eq!(e.buffer_manager().spill_manager().tier_usage(), (0, 0));
+        }
+    }
+
+    /// A failing park is the sort's error: the third run's spill write
+    /// fails, and the sort leaves no grant or spill temp behind, whether its
+    /// runs sorted on the caller or on the pool. The ledger holds what the
+    /// serial sort charged before the failure — two runs sorted and parked,
+    /// the third sorted (`OrderBy` and `Exchange` nanoseconds recorded at
+    /// 77e73a2) — and no read-back or merge.
+    #[test]
+    fn a_failing_run_park_is_the_sorts_error_and_releases_everything() {
+        let t = keyed_rows();
+        let plan = sort_plan(&t, vec![key(0, true), key(1, false)]);
+        for workers in [1, 4] {
+            let mut config = crate::EngineConfig {
+                workers,
+                fault: Some((FaultInjector::new(FaultPlan::new(0).spill_io(0, 2, 1)), 0)),
+                ..crate::EngineConfig::new(catalog::gh200_gpu())
+            };
+            config.spec.memory_bytes = 8192;
+            let e = SiriusEngine::from_config(config);
+            e.load_table("t", &t);
+            let err = e.execute(&plan).unwrap_err();
+            assert!(matches!(err, SiriusError::SpillIo(_)), "{err:?}");
+            let spent = e.device().breakdown();
+            let nanos = |c| spent.get(c).as_nanos();
+            let charged = (nanos(CostCategory::OrderBy), nanos(CostCategory::Exchange));
+            assert_eq!(charged, (12_021, 2_010));
             let broker = e.buffer_manager().grant_broker();
             assert_eq!((broker.outstanding(), broker.outstanding_bytes()), (0, 0));
             assert_eq!(e.buffer_manager().spill_manager().tier_usage(), (0, 0));

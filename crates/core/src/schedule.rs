@@ -29,8 +29,9 @@
 //! program order replays it (`SiriusEngine::run_recorded`). A wave replays
 //! task *i*'s charges onto its stream, in task order, before the sync. A
 //! breaker that goes out of core — a Grace join in `prepare`, a spilling
-//! aggregate in `finish` — is a serial walk whose independent leaves run as
-//! one batch, replayed onto the serial lane in program order (`crate::oom`).
+//! aggregate in `finish`, an external sort in `apply_sink` — is a serial
+//! walk whose independent leaves run as one batch, replayed onto the serial
+//! lane in program order (`crate::oom`).
 //! The decisions and the ledger stay serial while the host computes in
 //! parallel, so results, cost breakdowns, the trace event by event, the
 //! spans and `EXPLAIN ANALYZE` are the same on every run, however the

@@ -6,6 +6,12 @@
 //! fan-out shape: 64-row morsels cut partitions into many windows for the
 //! partitioner's jobs, and a one-worker pool runs every leaf batch on the
 //! caller and one worker.
+//!
+//! No TPC-H query sorts more than a few rows, so the fixture adds one total
+//! order over a large intermediate ([`BIG_SORT`]): at every factor and shape
+//! its rows must come back row for row, not as a multiset, and at an eighth
+//! of the working set its sort grant is denied and the external sort
+//! reports spill partitions.
 
 use proptest::prelude::*;
 use sirius_columnar::Table;
@@ -19,11 +25,19 @@ use std::sync::OnceLock;
 
 const SF: f64 = 0.001;
 
+/// A total order (`l_orderkey, l_linenumber` is lineitem's key) over every
+/// lineitem row: the one plan whose order is checked, and one that reaches
+/// the external sort.
+const BIG_SORT: &str = "select l_orderkey, l_linenumber, l_extendedprice from lineitem \
+     order by l_extendedprice desc, l_orderkey, l_linenumber";
+
 struct Fixture {
     data: TpchData,
     working_set: u64,
     plans: Vec<(u32, Rel)>,
     expected: Vec<Table>,
+    /// [`BIG_SORT`]'s plan and its full-memory result.
+    big_sort: (Rel, Table),
 }
 
 /// Generated data, the 22 planned queries, and the full-memory reference
@@ -58,11 +72,14 @@ fn fixture() -> &'static Fixture {
                     .unwrap_or_else(|e| panic!("Q{id} full memory: {e}"))
             })
             .collect();
+        let sort = duck.plan(BIG_SORT).expect("big sort plan");
+        let sorted = full.execute(&sort).expect("big sort, full memory");
         Fixture {
             data,
             working_set,
             plans,
             expected,
+            big_sort: (sort, sorted),
         }
     })
 }
@@ -97,6 +114,32 @@ fn engine(
 /// the working set, half, and an eighth — the last two force real spilling
 /// on the join- and group-by-heavy queries.
 const FACTORS: [f64; 3] = [1.0, 0.5, 0.125];
+
+/// The external sort keeps a total order row for row: [`BIG_SORT`] under
+/// every factor and shape equals its full-memory result, and at an eighth
+/// of the working set its run wrote spill partitions — the sort's grant was
+/// denied.
+#[test]
+fn a_spilled_total_order_keeps_its_rows() {
+    let fix = fixture();
+    let (sort, sorted) = &fix.big_sort;
+    for factor in FACTORS {
+        let budget = ((fix.working_set as f64 * factor) as u64).max(4096);
+        for shape in SHAPES {
+            let (rows, workers) = shape;
+            let at = format!("{factor}x working set, {rows}-row morsels, {workers} workers");
+            let e = engine(&fix.data, budget, shape);
+            let (out, report) =
+                (e.execute_measured(sort)).unwrap_or_else(|err| panic!("big sort at {at}: {err}"));
+            assert!(out == *sorted, "big sort at {at}: rows differ");
+            let broker = e.buffer_manager().grant_broker();
+            assert_eq!(broker.outstanding(), 0, "big sort at {at} leaked grants");
+            if factor <= 0.125 {
+                assert!(report.spill_partitions > 0, "big sort at {at}: not spilled");
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
