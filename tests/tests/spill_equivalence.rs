@@ -129,8 +129,9 @@ fn a_spilled_total_order_keeps_its_rows() {
             let (rows, workers) = shape;
             let at = format!("{factor}x working set, {rows}-row morsels, {workers} workers");
             let e = engine(&fix.data, budget, shape);
-            let (out, report) =
-                (e.execute_measured(sort)).unwrap_or_else(|err| panic!("big sort at {at}: {err}"));
+            let (out, report) = e
+                .execute_measured(sort)
+                .unwrap_or_else(|err| panic!("big sort at {at}: {err}"));
             assert!(out == *sorted, "big sort at {at}: rows differ");
             let broker = e.buffer_manager().grant_broker();
             assert_eq!(broker.outstanding(), 0, "big sort at {at} leaked grants");
