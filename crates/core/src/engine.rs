@@ -78,17 +78,11 @@ pub struct EngineConfig {
     /// on so fragments ship codes over the exchange; the coordinator
     /// decodes the final table once.
     pub encoded_results: bool,
-    /// Per-operator runtime stats *without* the kernel trace sink (default
-    /// off; `trace` on implies it). Feedback-driven serving wants actual
-    /// cardinalities from every completed run, but retaining full kernel
-    /// event streams per request would change what untraced queries report
-    /// and cost memory.
-    pub operator_stats: bool,
     /// Kernel/operator tracing (default off: every instrumentation site is
     /// a single branch and allocates nothing). When on, every ledger charge
-    /// emits a kernel event, the executor opens operator spans, and
-    /// per-node runtime stats accumulate behind
-    /// [`SiriusEngine::explain_analyze`].
+    /// emits a kernel event and the executor opens operator spans. It
+    /// changes nothing else: per-node runtime stats
+    /// ([`SiriusEngine::operator_stats`]) are kept on every run.
     pub trace: TraceConfig,
     /// Fault injector for transient device and spill I/O faults, with this
     /// engine's stable cluster node id (default none).
@@ -109,7 +103,6 @@ impl EngineConfig {
             fusion: true,
             scheduling: Scheduling::default(),
             encoded_results: false,
-            operator_stats: false,
             trace: TraceConfig::Off,
             fault: None,
         }
@@ -139,10 +132,9 @@ pub struct SiriusEngine {
     /// Trace recorder shared with the device ledger, built from
     /// `config.trace`.
     pub(crate) trace: TraceSink,
-    /// Per-plan-node runtime stats behind `EXPLAIN ANALYZE`; `None` unless
-    /// `config.trace` or `config.operator_stats` asks for them, so the
-    /// disabled path allocates nothing.
-    pub(crate) op_stats: Option<SharedOpStats>,
+    /// Per-plan-node runtime stats behind `EXPLAIN ANALYZE` and feedback,
+    /// kept on every run, traced or not.
+    pub(crate) op_stats: SharedOpStats,
 }
 
 impl SiriusEngine {
@@ -201,19 +193,18 @@ impl SiriusEngine {
     }
 
     /// A per-query view of this engine for multi-query serving: the same
-    /// configuration by clone — except `trace` and `operator_stats`, which
-    /// are per request — sharing the table cache, processing region, grant
-    /// broker, spill tiers, and CPU worker pool with `self`, but charging
-    /// onto a *fresh* device ledger with its own morsel counters and trace
+    /// configuration by clone — except `trace`, which is per request —
+    /// sharing the table cache, processing region, grant broker, spill
+    /// tiers, and CPU worker pool with `self`, but charging onto a *fresh*
+    /// device ledger with its own morsel counters, operator stats and trace
     /// sink. Interleaved queries therefore cannot bleed time, spans, or
     /// scheduler counters into each other, while memory pressure is still
     /// arbitrated across all of them by the one shared broker, and an armed
     /// fault injector counts across all served queries.
-    pub fn query_view(&self, trace: TraceConfig, operator_stats: bool) -> SiriusEngine {
+    pub fn query_view(&self, trace: TraceConfig) -> SiriusEngine {
         let device = Device::new(self.config.spec.clone());
         let config = EngineConfig {
             trace,
-            operator_stats,
             ..self.config.clone()
         };
         let bufmgr = self.bufmgr.shared_view(device.clone());
@@ -236,18 +227,15 @@ impl SiriusEngine {
             queue,
             stats: Arc::new(Mutex::new(MorselStats::default())),
             trace: TraceSink::off(),
-            op_stats: None,
+            op_stats: SharedOpStats::default(),
         }
         .install_trace()
     }
 
-    /// Derive the trace sink and the operator-stats table `config` asks
-    /// for.
+    /// Derive the trace sink `config` asks for.
     fn install_trace(mut self) -> Self {
         self.trace = self.config.trace.sink();
         self.device.set_trace(self.trace.clone());
-        self.op_stats = (self.config.operator_stats || self.trace.enabled())
-            .then(|| Arc::new(Mutex::new(HashMap::new())));
         self
     }
 
@@ -274,34 +262,29 @@ impl SiriusEngine {
     }
 
     /// Snapshot of the per-plan-node runtime stats accumulated since the
-    /// last [`clear_operator_stats`](Self::clear_operator_stats) (empty
-    /// when tracing is off). Keys are pre-order operator ids over the
-    /// *normalized* plan — the same ids [`physical::compile`] stamps on
-    /// every pipeline operator and sink, and the same ids `EXPLAIN
-    /// ANALYZE` rows and trace span tracks use.
+    /// last [`clear_operator_stats`](Self::clear_operator_stats). Every run
+    /// keeps them — streaming operators per morsel, breakers once per
+    /// pipeline — the same whether or not the engine traces. Keys are
+    /// pre-order operator ids over the *normalized* plan — the same ids
+    /// [`physical::compile`] stamps on every pipeline operator and sink,
+    /// and the same ids `EXPLAIN ANALYZE` rows and trace span tracks use.
     pub fn operator_stats(&self) -> HashMap<u32, OpStats> {
-        match &self.op_stats {
-            Some(s) => s.lock().clone(),
-            None => HashMap::new(),
-        }
+        self.op_stats.lock().clone()
     }
 
     /// Reset the per-node runtime stats (e.g. between queries profiled on
     /// one engine).
     pub fn clear_operator_stats(&self) {
-        if let Some(s) = &self.op_stats {
-            s.lock().clear();
-        }
+        self.op_stats.lock().clear();
     }
 
     /// `EXPLAIN ANALYZE`: the plan annotated with each operator's actual
-    /// rows, bytes, simulated time, and spill partitions from the last
-    /// traced execution. It renders `normalize(plan)`, the tree
+    /// rows, bytes, simulated time, and spill partitions accumulated since
+    /// the last [`clear_operator_stats`](Self::clear_operator_stats), on
+    /// any engine, traced or not. It renders `normalize(plan)`, the tree
     /// [`compile_query`](Self::compile_query) compiles and whose pre-order
     /// ids execution stamps, so the rendered ids are the executed ids. An
-    /// uncompilable plan renders the same way. Requires `config.trace` (or
-    /// `config.operator_stats`); other engines render every node as
-    /// data-free.
+    /// uncompilable plan renders every node as data-free.
     pub fn explain_analyze(&self, plan: &Rel) -> String {
         let root = sirius_plan::normalize::normalize(plan);
         explain::render(&root, &self.operator_stats())
@@ -484,9 +467,8 @@ impl SiriusEngine {
         if partitions == 0 {
             return;
         }
-        if let Some(stats) = &self.op_stats {
-            stats.lock().entry(node.id).or_default().spill_partitions += partitions;
-        }
+        let mut stats = self.op_stats.lock();
+        stats.entry(node.id).or_default().spill_partitions += partitions;
     }
 }
 
@@ -668,7 +650,6 @@ mod tests {
             fusion,
             scheduling,
             encoded_results,
-            operator_stats,
             trace,
             fault
         );
@@ -790,7 +771,7 @@ mod tests {
         let mut runs: Vec<(SiriusEngine, QueryRun)> = [grouped, sorted, head]
             .iter()
             .map(|plan| {
-                let view = e.query_view(TraceConfig::Off, false);
+                let view = e.query_view(TraceConfig::Off);
                 let run = view.begin(plan).unwrap();
                 (view, run)
             })
@@ -983,15 +964,23 @@ mod tests {
     #[test]
     fn tracing_disabled_records_nothing() {
         let e = engine_with_data();
-        e.execute(
-            &scan()
-                .filter(expr::gt(expr::col(0), expr::lit_i64(1)))
-                .build(),
-        )
-        .unwrap();
+        let plan = scan()
+            .filter(expr::gt(expr::col(0), expr::lit_i64(1)))
+            .aggregate(
+                vec![expr::col(1)],
+                vec![AggExpr {
+                    func: AggFunc::Sum,
+                    input: Some(expr::col(2)),
+                    name: "s".into(),
+                }],
+            )
+            .build();
+        let out = e.execute(&plan).unwrap();
         assert!(!e.trace().enabled());
         assert_eq!(e.trace().events_recorded(), 0);
-        assert!(e.operator_stats().is_empty());
+        // Stats are kept all the same: the root breaker notes its rows.
+        let root = e.operator_stats().get(&0).cloned().unwrap_or_default();
+        assert_eq!(root.rows_out, out.num_rows() as u64);
     }
 
     #[test]

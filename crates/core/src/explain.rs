@@ -1,12 +1,11 @@
 //! `EXPLAIN ANALYZE`-style plan rendering over per-operator runtime stats.
 //!
-//! When tracing is enabled ([`crate::engine::SiriusEngine::with_trace`]),
-//! the engine accumulates an [`OpStats`] per plan node — rows and bytes
-//! produced, simulated busy time, invocation count, and spill partitions —
-//! keyed by the node's **pre-order id** (root = 0, children numbered
-//! depth-first left-to-right). [`render`] prints one line per operator
-//! under the ids [`sirius_plan::visit::visit`] assigns — the numbering the
-//! compiler's fold stamps on every operator.
+//! On every run, traced or not, the engine accumulates an [`OpStats`] per
+//! plan node — rows and bytes produced, simulated busy time, invocation
+//! count, and spill partitions — keyed by the node's **pre-order id**
+//! (root = 0, children numbered depth-first left-to-right). [`render`]
+//! prints one line per operator under the ids [`sirius_plan::visit::visit`]
+//! assigns — the numbering the compiler's fold stamps on every operator.
 //!
 //! Streaming operators that never materialize (a scan fused into the filter
 //! above it, a filter conjunct coalesced into its parent) have no stats and

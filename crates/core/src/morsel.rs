@@ -43,11 +43,11 @@ use std::time::Duration;
 /// as a single morsel.
 pub const DEFAULT_MORSEL_ROWS: usize = 1 << 20;
 
-/// Shared per-node runtime stats, allocated only when tracing is enabled.
+/// An engine's per-node runtime stats, shared with its morsel tasks.
 pub(crate) type SharedOpStats = Arc<Mutex<HashMap<u32, OpStats>>>;
 
-/// The stats a morsel task notes into, when the engine keeps any.
-pub(crate) type OpStatsRef<'a> = Option<&'a Mutex<HashMap<u32, OpStats>>>;
+/// The stats a morsel task notes into.
+pub(crate) type OpStatsRef<'a> = &'a Mutex<HashMap<u32, OpStats>>;
 
 /// A join build side as its probes see it.
 pub(crate) struct BuildSide {
@@ -113,9 +113,7 @@ impl<'a> Run<'a> {
             rows: walked.in_rows,
         };
         let busy = device.charge(seg.category(), seg.label(), &work);
-        if let Some(stats) = stats {
-            attribute_fused(stats, device, &walked.per_op, busy, None);
-        }
+        attribute_fused(stats, device, &walked.per_op, busy, None);
         Ok(walked.out)
     }
 }
@@ -149,8 +147,8 @@ impl Walked {
 /// Walk streaming ops over one morsel — the only place they execute.
 ///
 /// Every op runs against a [`FusedView`]. Under the *charged* discipline
-/// (`collected == false`) its kernels charge the ledger as they launch and,
-/// with `stats`, the op's time on `device` and output cardinality are noted
+/// (`collected == false`) its kernels charge the ledger as they launch and
+/// the op's time on `device` and output cardinality are noted in `stats`
 /// under its plan node. `device` is a task's or a leaf's recorder, whose
 /// clock only that task advances, so the time is exactly the op's own. Under the *collected* discipline filters fold
 /// their masks into the view's lazy selection and all kernel work is routed
@@ -171,7 +169,7 @@ pub(crate) fn walk(
     let mut per_op = Vec::with_capacity(if collected { ops.len() } else { 0 });
     for op in ops {
         let collector = collected.then(WorkCollector::new);
-        let before = stats.filter(|_| !collected).map(|_| device.elapsed());
+        let before = device.elapsed();
         let ctx = |category| {
             let ctx = GpuContext::new(device.clone(), category);
             match &collector {
@@ -219,7 +217,7 @@ pub(crate) fn walk(
         if let Some(c) = collector {
             let (rows, bytes) = out(&view);
             per_op.push((op.node(), rows, bytes, c.take()));
-        } else if let (Some(stats), Some(before)) = (stats, before) {
+        } else {
             let busy = device.elapsed().saturating_sub(before);
             let (rows, bytes) = out(&view);
             let mut stats = stats.lock();
@@ -291,7 +289,7 @@ fn probe_morsel(ctx: &GpuContext, probe: &Probe, build: &BuildSide, t: &Table) -
 /// double-counting it per morsel would inflate the sink past the pipeline
 /// wall time.
 fn attribute_fused(
-    stats: &Mutex<HashMap<u32, OpStats>>,
+    stats: OpStatsRef<'_>,
     device: &Device,
     per_op: &[(Node, u64, u64, WorkProfile)],
     busy: Duration,
@@ -553,9 +551,7 @@ impl PartialAgg {
             rows: walked.in_rows,
         };
         let busy = device.charge(category, seg.label(), &work);
-        if let Some(stats) = stats {
-            attribute_fused(stats, device, &walked.per_op, busy, Some(&agg_work));
-        }
+        attribute_fused(stats, device, &walked.per_op, busy, Some(&agg_work));
         Ok(partial)
     }
 

@@ -189,13 +189,13 @@ impl<'e> Walk<'e> {
 
 /// Build the right side's hash table and probe the left side with it — a
 /// Grace join's work on one partition pair, as the resident join does it.
-fn join_leaf(lt: Table, rt: Table, probe: Arc<Probe>, stats: Option<SharedOpStats>) -> Job {
+fn join_leaf(lt: Table, rt: Table, probe: Arc<Probe>, stats: SharedOpStats) -> Job {
     Box::new(move |device: &Device| {
         let ctx = GpuContext::new(device.clone(), CostCategory::Join);
         let hash = Some(build_join_hash(&ctx, &probe.right_keys, &rt)?);
         let builds = Builds::from([(probe.build, BuildSide { table: rt, hash })]);
         let op = StreamOp::Probe((*probe).clone());
-        let out = Run::Plain(&op).apply(device, lt, &builds, stats.as_deref())?;
+        let out = Run::Plain(&op).apply(device, lt, &builds, &stats)?;
         Ok(TaskOut::Table(out))
     })
 }
@@ -269,7 +269,7 @@ impl SiriusEngine {
             // The grant covers the pair's build and probe: taken and
             // released here, in program order, around the leaf.
             Ok(_grant) => {
-                let (probe, stats) = (Arc::clone(probe), self.op_stats.clone());
+                let (probe, stats) = (Arc::clone(probe), Arc::clone(&self.op_stats));
                 Ok(Out::Leaf(walk.leaf(join_leaf(lt, rt, probe, stats))))
             }
             Err(_) if depth >= MAX_SPILL_DEPTH => Err(SiriusError::OutOfMemory(format!(

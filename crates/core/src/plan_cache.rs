@@ -93,12 +93,22 @@ struct Observe<'a, 's> {
 impl<'a> Observe<'a, '_> {
     /// The base tables under `rel`. A chain of single-input operators reads
     /// the tables of the scan or join it ends in, so the chain's observation
-    /// — `above`, the rows of its topmost node that ran — is recorded there,
-    /// unless one of the tables is read more than once in the plan: a
-    /// self-join makes the set ambiguous.
+    /// — `above`, the rows of its topmost streaming node that ran — is
+    /// recorded there, unless one of the tables is read more than once in
+    /// the plan: a self-join makes the set ambiguous. Breakers (aggregate,
+    /// sort, limit, distinct, exchange) are passed over: their rows are the
+    /// chain's answer, not the cardinality a join order is planned from.
     fn tables(&mut self, rel: &'a Rel, node: Node, above: Option<f64>) -> BTreeSet<&'a str> {
+        let breaker = matches!(
+            rel,
+            Rel::Aggregate { .. }
+                | Rel::Sort { .. }
+                | Rel::Limit { .. }
+                | Rel::Distinct { .. }
+                | Rel::Exchange { .. }
+        );
         let ran = self.stats.get(&node.id).filter(|s| s.invocations > 0);
-        let top = above.or(ran.map(|s| s.rows_out as f64));
+        let top = above.or(ran.map(|s| s.rows_out as f64).filter(|_| !breaker));
         let tables = match (rel, &rel.children()[..]) {
             (Rel::Read { table, .. }, _) => BTreeSet::from([table.as_str()]),
             (_, [input]) => return self.tables(input, node.first_child(), top),
@@ -136,10 +146,10 @@ impl FeedbackStore {
     /// the *executed* normalized plan (pre-order ids over it key
     /// `stats`). Each subtree is keyed by its base-table set — stable
     /// under join reordering — taking the topmost (pre-order-first)
-    /// node of each set that actually has stats. Tables appearing more
-    /// than once in the plan (self-joins) make set identity ambiguous;
-    /// their sets are skipped. Returns the number of observations
-    /// recorded.
+    /// streaming node of each set that actually ran; breakers are skipped.
+    /// Tables appearing more than once in the plan (self-joins) make set
+    /// identity ambiguous; their sets are skipped. Returns the number of
+    /// observations recorded.
     pub fn record(&self, shape: u64, root: &Rel, stats: &HashMap<u32, OpStats>) -> usize {
         let all_tables = root.tables();
         let mut occurrences: HashMap<&str, usize> = HashMap::new();
@@ -263,17 +273,25 @@ mod tests {
 
     #[test]
     fn feedback_takes_the_topmost_node_that_ran() {
-        // Sort(0) -> Filter(1) -> Read(2): the sort has an entry but never
-        // ran, so the filter's rows stand for {t}.
+        // Limit(0) -> Project(1) -> Filter(2) -> Read(3): the limit ran but
+        // is a breaker, the project has an entry but never ran, so the
+        // filter's rows stand for {t}.
         let plan = PlanBuilder::scan("t", Schema::new(vec![Field::new("k", DataType::Int64)]))
             .filter(expr::gt(expr::col(0), expr::lit_i64(0)))
-            .sort(vec![])
+            .project(vec![(expr::col(0), "k".into())])
+            .limit(0, Some(10))
             .build();
-        let mut filter = OpStats::default();
-        filter.note(30, 240, Duration::from_micros(1));
-        let mut read = OpStats::default();
-        read.note(100, 800, Duration::from_micros(1));
-        let stats = HashMap::from([(0, OpStats::default()), (1, filter), (2, read)]);
+        let noted = |rows: u64| {
+            let mut s = OpStats::default();
+            s.note(rows, rows * 8, Duration::from_micros(1));
+            s
+        };
+        let stats = HashMap::from([
+            (0, noted(10)),
+            (1, OpStats::default()),
+            (2, noted(30)),
+            (3, noted(100)),
+        ]);
         let store = FeedbackStore::new();
         assert_eq!(store.record(3, &plan, &stats), 1);
         let t = BTreeSet::from(["t".to_string()]);

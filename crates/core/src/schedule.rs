@@ -402,7 +402,7 @@ impl SiriusEngine {
 
         let with_tasks = preps.iter().filter(|p| !p.chunks.is_empty()).count();
         let width = (streams / with_tasks.max(1)).max(1);
-        let wave_t0 = self.wave_start();
+        let wave_t0 = self.device.elapsed();
         let mut tasks: Vec<(usize, Job)> = Vec::new();
         let mut counts: Vec<usize> = Vec::with_capacity(preps.len());
         let mut slice = 0usize;
@@ -448,7 +448,7 @@ impl SiriusEngine {
         results: &HashMap<usize, PipeResult>,
         streams: usize,
     ) -> Result<Prepared<'a>> {
-        let start = self.wave_start();
+        let start = self.device.elapsed();
         let mut source = match &pipe.source {
             Source::Scan {
                 table, projection, ..
@@ -492,11 +492,9 @@ impl SiriusEngine {
                         let morsels =
                             self.run_prefix(&prefix, self.chunk_and_count(&source), streams)?;
                         let lt = concat_morsels(schema, &morsels);
-                        let grace_start = self.wave_start();
+                        let grace_start = self.device.elapsed();
                         source = self.grace_join(&lt, &b.table, probe)?;
-                        if self.trace.enabled() {
-                            self.op_span("spill-partition", grace_start, Some(&source), probe.node);
-                        }
+                        self.op_span("spill-partition", grace_start, Some(&source), probe.node);
                         continue;
                     }
                     let (table, hash) = (b.table.clone(), b.hash.clone());
@@ -572,10 +570,10 @@ impl SiriusEngine {
         chunks.into_iter().enumerate().map(move |(i, morsel)| {
             let stream = (offset + (i % width)) % streams;
             let (chain, agg) = (Arc::clone(chain), agg.cloned());
-            let op_stats = self.op_stats.clone();
+            let op_stats = Arc::clone(&self.op_stats);
             let job: Job = Box::new(move |device: &Device| {
                 device.charge_duration(CostCategory::Other, "task.dispatch", overhead, 0, 0);
-                chain.walk(device, morsel, agg.as_deref(), op_stats.as_deref())
+                chain.walk(device, morsel, agg.as_deref(), &op_stats)
             });
             (stream, job)
         })
@@ -590,17 +588,17 @@ impl SiriusEngine {
         chunks: Vec<Table>,
         streams: usize,
     ) -> Result<Vec<Table>> {
-        let wave_start = self.wave_start();
+        let wave_start = self.device.elapsed();
         let tasks = self.morsel_tasks(chunks, prefix, None, 0, streams, streams);
         let outs = self.dispatch_streams(tasks.collect(), streams);
         self.wave_spans(prefix, wave_start);
         Ok(split(outs.collect::<Result<_>>()?).0)
     }
 
-    /// Serial sink work after the wave sync. Emits the breaker's operator
-    /// span + runtime stats for plan-node sinks (join builds instrument
-    /// their build inside [`Self::apply_sink`]; `Result` is not a plan
-    /// operator).
+    /// Serial sink work after the wave sync. Notes the breaker's runtime
+    /// stats and emits its operator span for plan-node sinks (join builds
+    /// instrument their build inside [`Self::apply_sink`]; `Result` is not
+    /// a plan operator).
     fn finish(&self, prep: Prepared<'_>, outs: Vec<TaskOut>) -> Result<PipeResult> {
         let pipe = prep.pipe;
         let (morsels, partials) = split(outs);
@@ -615,17 +613,15 @@ impl SiriusEngine {
                 PipeResult::table(agg.merge(&ctx, &agg.concat(&partials))?)
             }
         };
-        if let (Some(node), true) = (pipe.sink.node(), self.trace.enabled()) {
+        if let Some(node) = pipe.sink.node() {
             if !matches!(pipe.sink, Sink::JoinBuild { .. }) {
                 let label = pipe.sink.span_label();
                 let window = self.op_span(label, prep.start, Some(&result.table), node);
-                if let Some(stats) = &self.op_stats {
-                    stats.lock().entry(node.id).or_default().note(
-                        result.table.num_rows() as u64,
-                        result.table.byte_size() as u64,
-                        window,
-                    );
-                }
+                self.op_stats.lock().entry(node.id).or_default().note(
+                    result.table.num_rows() as u64,
+                    result.table.byte_size() as u64,
+                    window,
+                );
             }
         }
         Ok(result)
@@ -656,7 +652,7 @@ impl SiriusEngine {
                 // probe pipeline is done.
                 match self.bufmgr.request_grant((t.byte_size() as u64).max(1024)) {
                     Ok(grant) => {
-                        let build_start = self.wave_start();
+                        let build_start = self.device.elapsed();
                         let hash = match keys.is_empty() {
                             true => None,
                             false => {
@@ -664,14 +660,10 @@ impl SiriusEngine {
                                 Some(build_join_hash(&ctx, keys, &t)?)
                             }
                         };
-                        if self.trace.enabled() {
-                            let dur = self.op_span("join-build", build_start, Some(&t), *node);
-                            if let Some(stats) = &self.op_stats {
-                                // Build time only: the probe morsels add
-                                // their rows and lane time as they run.
-                                stats.lock().entry(node.id).or_default().busy += dur;
-                            }
-                        }
+                        let dur = self.op_span("join-build", build_start, Some(&t), *node);
+                        // Build time only: the probe morsels add their rows
+                        // and lane time as they run.
+                        self.op_stats.lock().entry(node.id).or_default().busy += dur;
                         Ok(PipeResult {
                             table: t,
                             hash,
@@ -732,20 +724,15 @@ impl SiriusEngine {
         chunks
     }
 
-    /// The simulated instant a morsel wave begins (only read when tracing).
-    pub(crate) fn wave_start(&self) -> Duration {
-        if self.trace.enabled() {
-            self.device.elapsed()
-        } else {
-            Duration::ZERO
-        }
-    }
-
-    /// Emit the operator-track span of plan node `node` from `start` to
-    /// now, sized by `out` when the operator materialized one. Returns the
-    /// span's simulated duration.
+    /// The simulated time plan node `node`'s operator took from `start` to
+    /// now. On a traced engine — this is the one place that asks — it also
+    /// emits the node's operator-track span, sized by `out` when the
+    /// operator materialized one.
     fn op_span(&self, label: &str, start: Duration, out: Option<&Table>, node: Node) -> Duration {
         let dur = self.device.elapsed().saturating_sub(start);
+        if !self.trace.enabled() {
+            return dur;
+        }
         let (bytes, rows) = out.map_or((0, 0), |t| (t.byte_size(), t.num_rows()));
         self.trace.emit(TraceEvent {
             seq: 0,
@@ -768,9 +755,6 @@ impl SiriusEngine {
     /// sync (no streams in flight), so its window lines up exactly with the
     /// lane-local kernel timestamps inside it.
     fn wave_spans(&self, chain: &Chain, wave_start: Duration) {
-        if !self.trace.enabled() {
-            return;
-        }
         for run in chain.runs() {
             // A fused segment gets one span carrying every inner node id in
             // its label (`fused[#1,#2]`), anchored on the first inner node;

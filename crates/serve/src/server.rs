@@ -473,11 +473,7 @@ impl SiriusServer {
         } else {
             TraceConfig::Off
         };
-        // Adaptive planners need per-operator counters from the run to
-        // record feedback — enabled without the trace sink so untraced
-        // requests still report no events.
-        let operator_stats = shape.is_some() && self.planner.as_ref().is_some_and(|p| p.adaptive());
-        let view = self.base.query_view(trace, operator_stats);
+        let view = self.base.query_view(trace);
         if let Some(budget) = req.memory_budget {
             view.buffer_manager().set_grant_cap(budget);
         }
@@ -816,11 +812,12 @@ impl<'a> Replay<'a> {
                 self.retry_or_fail(a.entry, Some(a.slot), e);
                 continue;
             }
-            // Feed actual cardinalities back to the planner before the
-            // run is consumed: only this run's stats deltas, keyed under
+            // Feed actual cardinalities back to an adaptive planner before
+            // the run is consumed: only this run's stats deltas, keyed under
             // the shape's canonical fingerprint, from the executed plan's
             // own operator ids.
-            if let (Some(p), Some(shape)) = (&self.srv.planner, a.slot.shape) {
+            let adaptive = self.srv.planner.as_ref().filter(|p| p.adaptive());
+            if let (Some(p), Some(shape)) = (adaptive, a.slot.shape) {
                 let stats = a.slot.engine.run_operator_stats(&a.slot.run);
                 p.observe(shape, a.slot.compiled.root(), &stats);
             }

@@ -15,14 +15,23 @@
 #                               is longer than 160 lines under that cut (the
 #                               data generator crates/tpch/src/gen.rs is
 #                               exempt: its one function is a table of rows)
+#   scripts/loc.sh --max-total 6000 core serve
+#                               also exit 1 when the listed crates' total is
+#                               above 6000 lines
+# The two flags may be combined; they come before the crate names.
 set -eu
 cd "$(dirname "$0")/.."
 
 max_fn=0
-if [ "${1:-}" = --max-fn ]; then
-    max_fn=${2:?--max-fn needs a line count}
+max_total=0
+while [ $# -gt 0 ]; do
+    case $1 in
+        --max-fn) max_fn=${2:?--max-fn needs a line count} ;;
+        --max-total) max_total=${2:?--max-total needs a line count} ;;
+        *) break ;;
+    esac
     shift 2
-fi
+done
 
 # Prints "<lines> <longest fn lines> <longest fn name>".
 count() {
@@ -73,6 +82,10 @@ for crate in "$@"; do
 done
 printf '%6d  all listed crates\n\n' "$grand"
 printf 'longest function per file (lines, file, name):\n%s' "$longest"
+if [ "$max_total" -gt 0 ] && [ "$grand" -gt "$max_total" ]; then
+    too_long="${too_long}the listed crates total $grand lines, over --max-total $max_total
+"
+fi
 if [ -n "$too_long" ]; then
     printf '\n%s' "$too_long" >&2
     exit 1

@@ -270,7 +270,7 @@ fn deadline_exactly_on_wave_boundary() {
     // server's first wave on an identical engine to learn its exact cost.
     let q3 = fix.plans.iter().position(|(id, _)| *id == 3).unwrap();
     let plan = &fix.plans[q3].1;
-    let probe = engine(&fix.data).query_view(TraceConfig::Off, false);
+    let probe = engine(&fix.data).query_view(TraceConfig::Off);
     let mut run = probe.begin(plan).expect("begin");
     probe.step(&mut run, WORKERS).expect("first wave");
     assert!(!run.is_done(), "Q3 must take more than one wave");
@@ -324,7 +324,7 @@ fn deadline_during_spilling_wave_reaps_temps() {
     // Find the exact server instant at which the budget-capped run has
     // just finished its first spilling wave, by replicating the server's
     // stepping on an identical engine.
-    let probe = engine(&fix.data).query_view(TraceConfig::Off, false);
+    let probe = engine(&fix.data).query_view(TraceConfig::Off);
     probe.buffer_manager().set_grant_cap(64 << 10);
     let mut run = probe.begin(&fix.spill_plan).expect("begin");
     let mut spill_at = None;

@@ -92,10 +92,10 @@ fn shorthands_and_config_literals_build_the_same_engine() {
 }
 
 /// A query view's configuration is the base engine's, field for field,
-/// except the two per-request fields it was asked for — the property the
+/// except the one per-request field it was asked for — the property the
 /// hand-written copy in `query_view` used to hold by inspection.
 #[test]
-fn query_view_inherits_the_config_except_trace_and_operator_stats() {
+fn query_view_inherits_the_config_except_trace() {
     let fault = FaultInjector::new(FaultPlan::new(7).transient_wave(5, 0, 2));
     let base = SiriusEngine::from_config(EngineConfig {
         morsel_rows: 4096,
@@ -105,20 +105,18 @@ fn query_view_inherits_the_config_except_trace_and_operator_stats() {
         fault: Some((fault.clone(), 5)),
         ..EngineConfig::new(hw::gh200_gpu())
     });
-    for (trace, operator_stats) in [(TraceConfig::Off, false), (TraceConfig::On, true)] {
-        let view = base.query_view(trace, operator_stats);
+    for trace in [TraceConfig::Off, TraceConfig::On] {
+        let view = base.query_view(trace);
         assert_eq!(view.config().trace, trace);
-        assert_eq!(view.config().operator_stats, operator_stats);
         assert_eq!(view.trace().enabled(), trace == TraceConfig::On);
         let inherited = EngineConfig {
             trace: base.config().trace,
-            operator_stats: base.config().operator_stats,
             ..view.config().clone()
         };
         assert_eq!(
             format!("{inherited:?}"),
             format!("{:?}", base.config()),
-            "a view differs from its base in trace / operator_stats only"
+            "a view differs from its base in trace only"
         );
         // The armed injector is shared, not copied: a fault the view fires
         // is counted on the handle the base was configured with.

@@ -57,14 +57,8 @@ fn fixture() -> &'static Fixture {
 }
 
 fn engine(data: &TpchData) -> SiriusEngine {
-    engine_with_stats(data, false)
-}
-
-/// [`engine`] with per-operator runtime stats (no trace) on or off.
-fn engine_with_stats(data: &TpchData, operator_stats: bool) -> SiriusEngine {
     let e = SiriusEngine::from_config(EngineConfig {
         workers: WORKERS,
-        operator_stats,
         ..EngineConfig::new(hw::gh200_gpu())
     });
     for (name, table) in data.tables() {
@@ -112,8 +106,8 @@ fn cached_execution_equals_fresh_for_all_queries() {
 #[test]
 fn feedback_replans_stay_exact_for_all_queries() {
     let fix = fixture();
-    // Operator stats on (no trace) so completed runs can feed back.
-    let e = engine_with_stats(&fix.data, true);
+    // Every run keeps operator stats, so completed runs can feed back.
+    let e = engine(&fix.data);
     let p = planner(true);
     let baseline = engine(&fix.data);
     for (id, sql, plan) in &fix.plans {

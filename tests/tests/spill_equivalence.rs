@@ -12,10 +12,14 @@
 //! its rows must come back row for row, not as a multiset, and at an eighth
 //! of the working set its sort grant is denied and the external sort
 //! reports spill partitions.
+//!
+//! The proptest's fixed seed never draws the eighth, so that factor also
+//! runs as its own deterministic test, every query under every shape, with
+//! the queries that still run out of memory there named exactly.
 
 use proptest::prelude::*;
 use sirius_columnar::Table;
-use sirius_core::{EngineConfig, SiriusEngine, DEFAULT_MORSEL_ROWS};
+use sirius_core::{EngineConfig, SiriusEngine, SiriusError, DEFAULT_MORSEL_ROWS};
 use sirius_duckdb::DuckDb;
 use sirius_hw::catalog;
 use sirius_integration::assert_tables_equivalent;
@@ -139,6 +143,43 @@ fn a_spilled_total_order_keeps_its_rows() {
                 assert!(report.spill_partitions > 0, "big sort at {at}: not spilled");
             }
         }
+    }
+}
+
+/// The queries an eighth of the working set cannot run (ROADMAP 8): a
+/// morsel's grant or a join build side stays larger than the processing
+/// region however it is partitioned. A fix shrinks this list.
+const OUT_OF_MEMORY_AT_AN_EIGHTH: [u32; 3] = [2, 9, 18];
+
+/// At an eighth of the working set, under every shape, every query equals
+/// its full-memory result or — exactly the [`OUT_OF_MEMORY_AT_AN_EIGHTH`]
+/// ones — fails with a typed out-of-memory error, and either way leaves no
+/// grant and no spill ticket behind.
+#[test]
+fn an_eighth_of_the_working_set_is_exact_or_out_of_memory() {
+    let fix = fixture();
+    let budget = ((fix.working_set as f64 * 0.125) as u64).max(4096);
+    for shape in SHAPES {
+        let (rows, workers) = shape;
+        let e = engine(&fix.data, budget, shape);
+        let mut out_of_memory = Vec::new();
+        for ((id, plan), expected) in fix.plans.iter().zip(&fix.expected) {
+            let at = format!("Q{id} at {budget} B, {rows}-row morsels, {workers} workers");
+            match e.execute(plan) {
+                Ok(out) => assert_tables_equivalent(&at, &out, expected),
+                Err(SiriusError::OutOfMemory(_)) => out_of_memory.push(*id),
+                Err(err) => panic!("{at}: {err}"),
+            }
+            let broker = e.buffer_manager().grant_broker();
+            assert_eq!(broker.outstanding(), 0, "{at} leaked grants");
+            assert_eq!(broker.outstanding_bytes(), 0, "{at} leaked bytes");
+            let spill = e.buffer_manager().spill_manager().tier_usage();
+            assert_eq!(spill, (0, 0), "{at} left spill tickets");
+        }
+        assert_eq!(
+            out_of_memory, OUT_OF_MEMORY_AT_AN_EIGHTH,
+            "out of memory at {budget} B, {rows}-row morsels, {workers} workers"
+        );
     }
 }
 

@@ -8,14 +8,18 @@
 //! and the same EXPLAIN ANALYZE. All of it holds on the default engine and
 //! on one cutting every sizable pipeline into many 1 024-row morsel tasks
 //! over 2 workers, where tasks share each stream lane.
+//!
+//! Operator stats are one path, traced or not: a traced and an untraced run
+//! of every query keep the same per-operator stats and record the same
+//! feedback.
 
-use sirius_core::{EngineConfig, OpStats, SiriusEngine};
+use sirius_core::{EngineConfig, FeedbackStore, OpStats, SiriusEngine};
 use sirius_duckdb::DuckDb;
 use sirius_hw::{catalog as hw, CostCategory, TimeBreakdown, TraceConfig};
 use sirius_plan::Rel;
 use sirius_tpch::{queries, TpchData, TpchGenerator};
 use sirius_trace::{chrome, EventKind, TraceEvent};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const SF: f64 = 0.005;
 
@@ -206,4 +210,71 @@ fn all_queries_reconcile_trace_ledger_and_explain() {
             );
         }
     }
+}
+
+/// FNV-1a of the untraced feedback over both engine shapes and all 22
+/// queries, recorded before stats were kept on untraced breakers: keeping
+/// them must not move what an untraced run feeds back.
+const UNTRACED_FEEDBACK_DIGEST: u64 = 0x0403_6162_dfdd_0431;
+
+/// What one run on a fresh engine keeps of its operators: the stats, and
+/// the feedback they record for the query's shape, in key order.
+fn observed(
+    config: &EngineConfig,
+    trace: TraceConfig,
+    data: &TpchData,
+    plan: &Rel,
+    what: &str,
+) -> (HashMap<u32, OpStats>, BTreeMap<BTreeSet<String>, f64>) {
+    let e = engine(config, trace, data);
+    e.execute(plan)
+        .unwrap_or_else(|err| panic!("{what} execute: {err}"));
+    let stats = e.operator_stats();
+    let store = FeedbackStore::new();
+    store.record(0, &sirius_plan::normalize::normalize(plan), &stats);
+    let feedback = store.snapshot(0).unwrap_or_default();
+    (stats, feedback.cardinalities.into_iter().collect())
+}
+
+#[test]
+fn traced_and_untraced_runs_keep_the_same_stats_and_feedback() {
+    let data = TpchGenerator::new(SF).generate();
+    let mut duck = DuckDb::new();
+    for (name, table) in data.tables() {
+        duck.create_table(name.clone(), table.clone());
+    }
+    let (mut stats_differ, mut feedback_differs) = (Vec::new(), Vec::new());
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for config in configs() {
+        let shape = format!("{} workers x {} rows", config.workers, config.morsel_rows);
+        for (id, sql) in queries::all() {
+            let plan = duck.plan(sql).unwrap_or_else(|e| panic!("Q{id} plan: {e}"));
+            let what = format!("Q{id} ({shape})");
+            let untraced = observed(&config, TraceConfig::Off, &data, &plan, &what);
+            let traced = observed(&config, TraceConfig::On, &data, &plan, &what);
+            if untraced.0 != traced.0 {
+                stats_differ.push(what.clone());
+            }
+            if untraced.1 != traced.1 {
+                feedback_differs.push(format!("{what}: {:?} vs {:?}", untraced.1, traced.1));
+            }
+            let line = format!("{what} {:?}\n", untraced.1);
+            digest = line.bytes().fold(digest, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        }
+    }
+    assert!(
+        feedback_differs.is_empty(),
+        "tracing changed the recorded feedback:\n{}",
+        feedback_differs.join("\n")
+    );
+    assert!(
+        stats_differ.is_empty(),
+        "tracing changed the operator stats of {stats_differ:?}"
+    );
+    assert_eq!(
+        digest, UNTRACED_FEEDBACK_DIGEST,
+        "untraced feedback moved: {digest:#018x}"
+    );
 }
