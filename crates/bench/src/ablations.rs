@@ -488,13 +488,12 @@ fn run_compiled(
 ) -> (u64, f64, HashMap<u32, OpStats>) {
     engine.device().reset();
     engine.trace().clear();
-    engine.clear_operator_stats();
     let mut run = engine.begin_compiled(compiled).expect("begin_compiled");
     while !run.is_done() {
         engine.step(&mut run, usize::MAX).expect("step");
     }
-    let stats = engine.run_operator_stats(&run);
     run.into_table().expect("completed run");
+    let stats = engine.operator_stats();
     (kernel_bytes(engine), ms(engine.device().elapsed()), stats)
 }
 

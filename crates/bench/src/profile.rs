@@ -66,7 +66,6 @@ pub fn profile(lab: &Lab, args: &Args, out: &mut dyn Write) -> io::Result<()> {
         // it or pre-reset timestamps would violate monotonicity.
         engine.device().reset();
         engine.trace().clear();
-        engine.clear_operator_stats();
 
         let plan = lab.plan(sql);
         let run = measure(&engine, &plan);

@@ -261,10 +261,13 @@ impl SiriusEngine {
         &self.trace
     }
 
-    /// Snapshot of the per-plan-node runtime stats accumulated since the
-    /// last [`clear_operator_stats`](Self::clear_operator_stats). Every run
-    /// keeps them — streaming operators per morsel, breakers once per
-    /// pipeline — the same whether or not the engine traces. Keys are
+    /// Snapshot of the per-plan-node runtime stats of the engine's latest
+    /// run: [`begin_compiled`](Self::begin_compiled) starts them afresh, so
+    /// they never sum over two runs (a `begin` that fails leaves the
+    /// previous run's readable). Every run keeps them — streaming operators
+    /// per morsel, breakers once per pipeline — the same whether or not the
+    /// engine traces. One engine runs one run at a time; concurrent runs
+    /// each execute on their own [`query_view`](Self::query_view). Keys are
     /// pre-order operator ids over the *normalized* plan — the same ids
     /// [`physical::compile`] stamps on every pipeline operator and sink,
     /// and the same ids `EXPLAIN ANALYZE` rows and trace span tracks use.
@@ -272,16 +275,17 @@ impl SiriusEngine {
         self.op_stats.lock().clone()
     }
 
-    /// Reset the per-node runtime stats (e.g. between queries profiled on
-    /// one engine).
+    /// Empty the per-node runtime stats. Every run already starts them
+    /// afresh; this stays only because the benchmark harness under
+    /// `perfbench/` calls it.
     pub fn clear_operator_stats(&self) {
         self.op_stats.lock().clear();
     }
 
     /// `EXPLAIN ANALYZE`: the plan annotated with each operator's actual
-    /// rows, bytes, simulated time, and spill partitions accumulated since
-    /// the last [`clear_operator_stats`](Self::clear_operator_stats), on
-    /// any engine, traced or not. It renders `normalize(plan)`, the tree
+    /// rows, bytes, simulated time, and spill partitions of the engine's
+    /// latest run ([`operator_stats`](Self::operator_stats)), on any
+    /// engine, traced or not. It renders `normalize(plan)`, the tree
     /// [`compile_query`](Self::compile_query) compiles and whose pre-order
     /// ids execution stamps, so the rendered ids are the executed ids. An
     /// uncompilable plan renders every node as data-free.
@@ -382,7 +386,9 @@ impl SiriusEngine {
     /// costs one dispatch round trip at the device's own launch overhead on
     /// the serial lane; per-morsel task dispatches land on the tasks'
     /// streams as the pipelines run. A scan of a table that is not cached
-    /// fails first, charging nothing and consuming no injected fault.
+    /// fails first, charging nothing and consuming no injected fault. Past
+    /// both checks the run's meter opens and the engine's operator stats
+    /// start afresh ([`operator_stats`](Self::operator_stats)).
     pub fn begin_compiled(&self, compiled: &crate::plan_cache::CompiledQuery) -> Result<QueryRun> {
         for pipe in &compiled.phys.pipelines {
             if let physical::Source::Scan { table, .. } = &pipe.source {
@@ -396,6 +402,8 @@ impl SiriusEngine {
             "kernel-launch failure",
         )?;
         let meter = Meter::open(self);
+        // Keeps capacity: the reset allocates nothing.
+        self.op_stats.lock().clear();
         let pipelines = compiled.phys.pipelines.len() as u64;
         let per_pipeline = self.device.spec().launch_overhead_ns;
         let launch = Duration::from_nanos(per_pipeline.saturating_mul(pipelines));
@@ -414,15 +422,6 @@ impl SiriusEngine {
             ))),
             None => Ok(()),
         }
-    }
-
-    /// Per-run operator stats: what the engine's counters moved by since
-    /// `run` began, keeping only operators that ran. This is what feedback
-    /// should read — scoped to one run, so earlier queries on the same
-    /// engine (or the same query's previous executions) can't pollute the
-    /// observed cardinalities.
-    pub fn run_operator_stats(&self, run: &QueryRun) -> HashMap<u32, OpStats> {
-        run.meter.operator_stats(self.operator_stats())
     }
 
     /// The run's report from its one meter: the ledger and the morsel

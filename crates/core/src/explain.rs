@@ -1,11 +1,13 @@
 //! `EXPLAIN ANALYZE`-style plan rendering over per-operator runtime stats.
 //!
-//! On every run, traced or not, the engine accumulates an [`OpStats`] per
-//! plan node — rows and bytes produced, simulated busy time, invocation
-//! count, and spill partitions — keyed by the node's **pre-order id**
-//! (root = 0, children numbered depth-first left-to-right). [`render`]
-//! prints one line per operator under the ids [`sirius_plan::visit::visit`]
-//! assigns — the numbering the compiler's fold stamps on every operator.
+//! Every run, traced or not, starts the engine's stats afresh and
+//! accumulates an [`OpStats`] per plan node — rows and bytes produced,
+//! simulated busy time, invocation count, and spill partitions — keyed by
+//! the node's **pre-order id** (root = 0, children numbered depth-first
+//! left-to-right), so they always describe the engine's latest run.
+//! [`render`] prints one line per operator under the ids
+//! [`sirius_plan::visit::visit`] assigns — the numbering the compiler's
+//! fold stamps on every operator.
 //!
 //! Streaming operators that never materialize (a scan fused into the filter
 //! above it, a filter conjunct coalesced into its parent) have no stats and
@@ -44,20 +46,6 @@ impl OpStats {
         self.bytes_out += bytes;
         self.busy += busy;
         self.invocations += 1;
-    }
-
-    /// Counters accumulated since `base` (the snapshot idiom
-    /// `MorselStats`/`SpillStats` use): pair a snapshot taken at
-    /// `begin` with one at completion for per-run numbers, so one run's
-    /// feedback never includes a previous query's rows.
-    pub fn since(&self, base: &OpStats) -> OpStats {
-        OpStats {
-            rows_out: self.rows_out.saturating_sub(base.rows_out),
-            bytes_out: self.bytes_out.saturating_sub(base.bytes_out),
-            busy: self.busy.saturating_sub(base.busy),
-            invocations: self.invocations.saturating_sub(base.invocations),
-            spill_partitions: self.spill_partitions.saturating_sub(base.spill_partitions),
-        }
     }
 }
 

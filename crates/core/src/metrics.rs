@@ -1,10 +1,8 @@
 //! Per-query execution reports: the data behind Figure 5 and Table 2.
 
 use crate::engine::SiriusEngine;
-use crate::explain::OpStats;
 use sirius_hw::{CostCategory, TimeBreakdown};
 use sirius_rmm::SpillStats;
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Morsel-scheduler counters: how a query's work was partitioned and how
@@ -151,9 +149,10 @@ impl QueryReport {
 
 /// The one meter: a run's window over every counter its report reads,
 /// opened just before `begin_compiled` charges the launch overhead and
-/// marked after every step. The ledger, morsel counters and operator stats
-/// belong to the engine the run executes on, so the window keeps their
-/// values at its open and reports what they moved by. The spill tiers are
+/// marked after every step. The ledger and morsel counters belong to the
+/// engine the run executes on, so the window keeps their values at its
+/// open and reports what they moved by. The engine's operator stats need
+/// no window: `begin_compiled` starts them afresh. The spill tiers are
 /// shared across query views, so spill adds up step by step, and a step
 /// counts the manager's depth only if this run wrote a partition in it.
 pub(crate) struct Meter {
@@ -165,8 +164,6 @@ pub(crate) struct Meter {
     wave: TimeBreakdown,
     /// Morsel counters when the window opened.
     morsels: MorselStats,
-    /// Operator stats when the window opened.
-    ops: HashMap<u32, OpStats>,
     /// Spill this run's steps wrote.
     spill: SpillStats,
 }
@@ -180,7 +177,6 @@ impl Meter {
             opened: ledger,
             wave: TimeBreakdown::default(),
             morsels: engine.morsel_stats(),
-            ops: engine.operator_stats(),
             spill: SpillStats::default(),
         }
     }
@@ -206,17 +202,6 @@ impl Meter {
     /// What the latest step charged to the ledger.
     pub(crate) fn wave(&self) -> &TimeBreakdown {
         &self.wave
-    }
-
-    /// The operator stats in `now` that moved since the window opened.
-    pub(crate) fn operator_stats(&self, now: HashMap<u32, OpStats>) -> HashMap<u32, OpStats> {
-        now.into_iter()
-            .map(|(id, s)| match self.ops.get(&id) {
-                Some(base) => (id, s.since(base)),
-                None => (id, s),
-            })
-            .filter(|(_, d)| d.invocations > 0 || d.rows_out > 0 || d.spill_partitions > 0)
-            .collect()
     }
 
     /// The run's report: `rows` and `pipelines` from the run, the rest from

@@ -295,39 +295,29 @@ fn attribute_fused(
     busy: Duration,
     tail: Option<&WorkProfile>,
 ) {
-    let mut weights: Vec<f64> = per_op
-        .iter()
-        .map(|(_, _, _, w)| CostModel::kernel_time(device.spec(), w).as_secs_f64())
-        .collect();
-    if let Some(tail) = tail {
-        weights.push(CostModel::kernel_time(device.spec(), tail).as_secs_f64());
-    }
-    let total: f64 = weights.iter().sum();
+    let secs = |w: &WorkProfile| CostModel::kernel_time(device.spec(), w).as_secs_f64();
+    let weights = || per_op.iter().map(|(.., w)| secs(w));
+    let total: f64 = weights().chain(tail.map(secs)).sum();
     let nanos = busy.as_nanos() as u64;
-    let mut shares: Vec<u64> = if total > 0.0 {
-        weights
-            .iter()
-            .map(|w| (nanos as f64 * (w / total)) as u64)
-            .collect()
-    } else {
-        vec![0; weights.len()]
+    let share = |w: f64| match total > 0.0 {
+        true => (nanos as f64 * (w / total)) as u64,
+        false => 0,
     };
-    if tail.is_none() {
-        let heaviest = weights
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let assigned: u64 = shares.iter().sum();
-        shares[heaviest] += nanos.saturating_sub(assigned);
-    }
+    let (heaviest, remainder) = match tail {
+        Some(_) => (None, 0),
+        None => (
+            weights()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|(i, _)| i),
+            nanos.saturating_sub(weights().map(share).sum()),
+        ),
+    };
     let mut stats = stats.lock();
-    for ((node, rows, bytes, _), share) in per_op.iter().zip(shares) {
-        stats
-            .entry(node.id)
-            .or_default()
-            .note(*rows, *bytes, Duration::from_nanos(share));
+    for (i, ((node, rows, bytes, _), w)) in per_op.iter().zip(weights()).enumerate() {
+        let extra = if heaviest == Some(i) { remainder } else { 0 };
+        let own = Duration::from_nanos(share(w) + extra);
+        stats.entry(node.id).or_default().note(*rows, *bytes, own);
     }
 }
 

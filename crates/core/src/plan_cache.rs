@@ -58,12 +58,6 @@ impl CompiledQuery {
     pub fn pipeline_count(&self) -> usize {
         self.phys.pipelines.len()
     }
-
-    /// Render EXPLAIN ANALYZE for this compiled plan from a stats
-    /// snapshot (typically a per-run delta).
-    pub fn explain_analyze(&self, stats: &HashMap<u32, OpStats>) -> String {
-        crate::explain::render(&self.phys.root, stats)
-    }
 }
 
 /// Observed cardinalities for one plan shape: subtree base-table set →
@@ -143,13 +137,14 @@ impl FeedbackStore {
     }
 
     /// Record one run's actual cardinalities for `shape`. `root` must be
-    /// the *executed* normalized plan (pre-order ids over it key
-    /// `stats`). Each subtree is keyed by its base-table set — stable
-    /// under join reordering — taking the topmost (pre-order-first)
-    /// streaming node of each set that actually ran; breakers are skipped.
-    /// Tables appearing more than once in the plan (self-joins) make set
-    /// identity ambiguous; their sets are skipped. Returns the number of
-    /// observations recorded.
+    /// the *executed* normalized plan (pre-order ids over it key `stats`,
+    /// the [`operator_stats`](crate::SiriusEngine::operator_stats) its
+    /// engine kept of that run). Each subtree is keyed by its base-table
+    /// set — stable under join reordering — taking the topmost
+    /// (pre-order-first) streaming node of each set that actually ran;
+    /// breakers are skipped. Tables appearing more than once in the plan
+    /// (self-joins) make set identity ambiguous; their sets are skipped.
+    /// Returns the number of observations recorded.
     pub fn record(&self, shape: u64, root: &Rel, stats: &HashMap<u32, OpStats>) -> usize {
         let all_tables = root.tables();
         let mut occurrences: HashMap<&str, usize> = HashMap::new();

@@ -244,10 +244,10 @@ pub struct QueryRun {
     done: Vec<bool>,
     completed: usize,
     aborted: bool,
-    /// The run's one meter: what its report and its operator-stats
-    /// feedback ([`SiriusEngine::run_operator_stats`]) read, scoped to this
-    /// run — never polluted by earlier queries on the same engine or by
-    /// queries interleaved on shared spill tiers.
+    /// The run's one meter: what its report reads, scoped to this run —
+    /// never polluted by earlier queries on the same engine or by queries
+    /// interleaved on shared spill tiers. Operator stats need no window:
+    /// the run starts the engine's afresh.
     pub(crate) meter: Meter,
 }
 

@@ -13,8 +13,8 @@
 //!   tenants by design: plan shapes are not tenant data, and sharing is
 //!   what makes the second tenant's identical query free.
 //! * **Runtime feedback** — each *completed* run records its actual
-//!   per-subtree cardinalities (scoped to that run alone — see
-//!   `SiriusEngine::run_operator_stats`) into a [`FeedbackStore`] keyed
+//!   per-subtree cardinalities (its engine view's `operator_stats`, which
+//!   every run starts afresh) into a [`FeedbackStore`] keyed
 //!   by the plan's fingerprint *shape*, so literal variants of one query
 //!   pool their observations. The next resolution of that shape re-runs
 //!   the optimizer with actuals instead of estimates; if the plan
@@ -275,9 +275,10 @@ impl CachingPlanner {
     }
 
     /// Record a completed run's actual cardinalities for `shape`.
-    /// `root` must be the executed normalized plan and `stats` the
-    /// *per-run* operator deltas (`SiriusEngine::run_operator_stats`),
-    /// so one tenant's run never pollutes another query's observations.
+    /// `root` must be the executed normalized plan and `stats` that run's
+    /// operator stats (`SiriusEngine::operator_stats` of the engine it ran
+    /// on, which every run starts afresh), so one tenant's run never
+    /// pollutes another query's observations.
     /// Returns the number of subtree cardinalities recorded.
     pub fn observe(&self, shape: u64, root: &Rel, stats: &HashMap<u32, OpStats>) -> usize {
         self.feedback.record(shape, root, stats)

@@ -812,13 +812,13 @@ impl<'a> Replay<'a> {
                 self.retry_or_fail(a.entry, Some(a.slot), e);
                 continue;
             }
-            // Feed actual cardinalities back to an adaptive planner before
-            // the run is consumed: only this run's stats deltas, keyed under
-            // the shape's canonical fingerprint, from the executed plan's
-            // own operator ids.
+            // Feed actual cardinalities back to an adaptive planner: the
+            // stats of the request's own view, which ran only this run,
+            // keyed under the shape's canonical fingerprint and the executed
+            // plan's own operator ids.
             let adaptive = self.srv.planner.as_ref().filter(|p| p.adaptive());
             if let (Some(p), Some(shape)) = (adaptive, a.slot.shape) {
-                let stats = a.slot.engine.run_operator_stats(&a.slot.run);
+                let stats = a.slot.engine.operator_stats();
                 p.observe(shape, a.slot.compiled.root(), &stats);
             }
             self.settle(a.entry, Some(a.slot), QueryDisposition::Completed, None);

@@ -109,7 +109,6 @@ proptest! {
 fn kernel_bytes(engine: &SiriusEngine, plan: &Rel) -> (u64, bool) {
     engine.device().reset();
     engine.trace().clear();
-    engine.clear_operator_stats();
     engine.execute(plan).expect("traced execute");
     let events = engine.trace().events();
     let bytes = events

@@ -25,7 +25,6 @@ fn no_join_outgrows_lineitem() {
 
     for (id, sql) in queries::all() {
         let plan = duck.plan(sql).unwrap_or_else(|e| panic!("Q{id} plan: {e}"));
-        engine.clear_operator_stats();
         engine
             .execute(&plan)
             .unwrap_or_else(|e| panic!("Q{id} execute: {e}"));

@@ -121,18 +121,7 @@ fn feedback_replans_stay_exact_for_all_queries() {
         assert!(first.planned, "Q{id}: first resolution must plan");
         let r1 = run_compiled(&e, &first.compiled);
         assert_tables_equivalent(&format!("Q{id} estimate-only"), &expect, &r1);
-        let run = e.begin_compiled(&first.compiled).unwrap();
-        // Re-execute to capture per-run stats for feedback (the serve
-        // layer does this on the live run; here we re-run explicitly).
-        let mut run = run;
-        while !run.is_done() {
-            e.step(&mut run, usize::MAX).unwrap();
-        }
-        p.observe(
-            first.shape,
-            first.compiled.root(),
-            &e.run_operator_stats(&run),
-        );
+        p.observe(first.shape, first.compiled.root(), &e.operator_stats());
         // Second resolution may re-optimize with actuals (a counted
         // re-plan when the plan changes); results must not move.
         let second = p

@@ -17,7 +17,6 @@ use sirius_plan::visit::{fold, visit, Fold, JoinOn, Node};
 use sirius_plan::{ExchangeKind, Rel};
 use sirius_sql::{plan_sql, JoinOrderPolicy};
 use sirius_tpch::{queries, TpchGenerator};
-use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -133,7 +132,7 @@ fn explain_analyze_rows_carry_visits_ids() {
         visit(compiled.root(), &mut |node, _| {
             preorder.push((node.depth, node.id));
         });
-        let rendered = compiled.explain_analyze(&HashMap::new());
+        let rendered = engine.explain_analyze(&plan);
         let rows: Vec<(u32, u32)> = rendered
             .lines()
             .skip(1)

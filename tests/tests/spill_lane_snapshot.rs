@@ -129,7 +129,6 @@ fn render() -> String {
         let plan = duck.plan(sql).unwrap_or_else(|err| panic!("Q{id}: {err}"));
         e.device().reset();
         e.trace().clear();
-        e.clear_operator_stats();
         e.execute(&plan)
             .unwrap_or_else(|err| panic!("Q{id} at 1/8 memory: {err}"));
         let events = e.trace().events();

@@ -11,7 +11,8 @@
 //!
 //! Operator stats are one path, traced or not: a traced and an untraced run
 //! of every query keep the same per-operator stats and record the same
-//! feedback.
+//! feedback. They are the latest run's: an engine that ran every query
+//! before keeps what a fresh engine keeps.
 
 use sirius_core::{EngineConfig, FeedbackStore, OpStats, SiriusEngine};
 use sirius_duckdb::DuckDb;
@@ -57,7 +58,6 @@ struct Traced {
 fn traced_run(e: &SiriusEngine, plan: &Rel, what: &str) -> Traced {
     e.device().reset();
     e.trace().clear();
-    e.clear_operator_stats();
     let table = e
         .execute(plan)
         .unwrap_or_else(|err| panic!("{what} traced execute: {err}"));
@@ -217,16 +217,13 @@ fn all_queries_reconcile_trace_ledger_and_explain() {
 /// them must not move what an untraced run feeds back.
 const UNTRACED_FEEDBACK_DIGEST: u64 = 0x0403_6162_dfdd_0431;
 
-/// What one run on a fresh engine keeps of its operators: the stats, and
-/// the feedback they record for the query's shape, in key order.
+/// What one run on `e` keeps of its operators: the stats, and the feedback
+/// they record for the query's shape, in key order.
 fn observed(
-    config: &EngineConfig,
-    trace: TraceConfig,
-    data: &TpchData,
+    e: &SiriusEngine,
     plan: &Rel,
     what: &str,
 ) -> (HashMap<u32, OpStats>, BTreeMap<BTreeSet<String>, f64>) {
-    let e = engine(config, trace, data);
     e.execute(plan)
         .unwrap_or_else(|err| panic!("{what} execute: {err}"));
     let stats = e.operator_stats();
@@ -244,19 +241,26 @@ fn traced_and_untraced_runs_keep_the_same_stats_and_feedback() {
         duck.create_table(name.clone(), table.clone());
     }
     let (mut stats_differ, mut feedback_differs) = (Vec::new(), Vec::new());
+    let mut reused_differs = Vec::new();
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
     for config in configs() {
         let shape = format!("{} workers x {} rows", config.workers, config.morsel_rows);
+        // Runs the queries in order, so each run follows every earlier one.
+        let reused = engine(&config, TraceConfig::Off, &data);
         for (id, sql) in queries::all() {
             let plan = duck.plan(sql).unwrap_or_else(|e| panic!("Q{id} plan: {e}"));
             let what = format!("Q{id} ({shape})");
-            let untraced = observed(&config, TraceConfig::Off, &data, &plan, &what);
-            let traced = observed(&config, TraceConfig::On, &data, &plan, &what);
+            let fresh = |trace| engine(&config, trace, &data);
+            let untraced = observed(&fresh(TraceConfig::Off), &plan, &what);
+            let traced = observed(&fresh(TraceConfig::On), &plan, &what);
             if untraced.0 != traced.0 {
                 stats_differ.push(what.clone());
             }
             if untraced.1 != traced.1 {
                 feedback_differs.push(format!("{what}: {:?} vs {:?}", untraced.1, traced.1));
+            }
+            if observed(&reused, &plan, &what) != untraced {
+                reused_differs.push(what.clone());
             }
             let line = format!("{what} {:?}\n", untraced.1);
             digest = line.bytes().fold(digest, |h, b| {
@@ -272,6 +276,10 @@ fn traced_and_untraced_runs_keep_the_same_stats_and_feedback() {
     assert!(
         stats_differ.is_empty(),
         "tracing changed the operator stats of {stats_differ:?}"
+    );
+    assert!(
+        reused_differs.is_empty(),
+        "earlier runs on the engine changed the stats or feedback of {reused_differs:?}"
     );
     assert_eq!(
         digest, UNTRACED_FEEDBACK_DIGEST,
